@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/collector/
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 10s ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/collector/wal/
+	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 10s ./internal/sim/
 
 # sketch-fuzz-smoke: ~10s of differential fuzzing of the sketch stage
 # against its exact map-based oracle, from the seed corpus under
@@ -181,8 +182,9 @@ obs-cover:
 	$(GO) test -count=1 -coverprofile=cover-obs.out -coverpkg=netseer/internal/obs ./internal/obs/
 	$(GO) run ./scripts/covergate -profile cover-obs.out -min 85 netseer/internal/obs
 
-# sim-cover fails if statement coverage of internal/sim — the event core
-# plus the conservative-lookahead sharded engine — drops below 85%.
+# sim-cover fails if statement coverage of internal/sim — the two-tier
+# event queue plus the conservative-lookahead sharded engine — drops
+# below 85%.
 sim-cover:
 	$(GO) test -count=1 -coverprofile=cover-sim.out -coverpkg=netseer/internal/sim ./internal/sim/
 	$(GO) run ./scripts/covergate -profile cover-sim.out -min 85 netseer/internal/sim
@@ -194,6 +196,7 @@ nightly-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPipeline -fuzztime 10m ./internal/oracle/
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 5m ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5m ./internal/collector/wal/
+	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 5m ./internal/sim/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

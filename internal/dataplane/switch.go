@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"netseer/internal/fevent"
+	"netseer/internal/fifo"
 	"netseer/internal/link"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
@@ -99,12 +100,20 @@ type swPort struct {
 	bps   float64
 	mtu   int
 
-	queues  [][]queuedPkt
+	queues  []fifo.Queue[queuedPkt]
 	qBytes  []int
 	paused  []bool // egress paused by peer's PFC
 	xoffOut []bool // we have paused the peer (per priority)
-	busy    bool
 	down    bool
+
+	// The packet being serialized: busy allows one per port, so it lives
+	// here and txDone, bound once in AddPort, is the only closure the
+	// port ever schedules for it.
+	busy     bool
+	tx       queuedPkt
+	txQueue  int
+	txQDelay sim.Time
+	txDone   func()
 
 	ctr PortCounters
 
@@ -174,7 +183,7 @@ func (sw *Switch) AddPort(l *link.Link, fromA bool, bps float64) int {
 	n := len(sw.ports)
 	p := &swPort{
 		num: n, lnk: l, fromA: fromA, bps: bps, mtu: sw.cfg.MTU,
-		queues:         make([][]queuedPkt, sw.cfg.Queues),
+		queues:         make([]fifo.Queue[queuedPkt], sw.cfg.Queues),
 		qBytes:         make([]int, sw.cfg.Queues),
 		paused:         make([]bool, sw.cfg.Queues),
 		xoffOut:        make([]bool, sw.cfg.Queues),
@@ -182,6 +191,12 @@ func (sw *Switch) AddPort(l *link.Link, fromA bool, bps float64) int {
 	}
 	for i := range p.pausedUpstream {
 		p.pausedUpstream[i] = make(map[int]struct{})
+	}
+	p.txDone = func() {
+		item := p.tx
+		p.tx, p.busy = queuedPkt{}, false
+		sw.transmit(p, item, p.txQueue, p.txQDelay)
+		sw.kick(n)
 	}
 	sw.ports = append(sw.ports, p)
 	return n
@@ -549,7 +564,7 @@ func (sw *Switch) enqueue(p *pkt.Packet, inPort, egress, queue int) {
 	sw.mmuUsed += p.WireLen
 	pt.qBytes[queue] += p.WireLen
 	p.EnqueuedAt = sw.sim.Now()
-	pt.queues[queue] = append(pt.queues[queue], queuedPkt{p: p, enq: p.EnqueuedAt})
+	pt.queues[queue].Push(queuedPkt{p: p, enq: p.EnqueuedAt})
 	// PFC generation: lossless queue crossing Xoff pauses the packet's
 	// upstream ingress port.
 	if sw.losslessQueue(queue) && pt.qBytes[queue] >= sw.cfg.PFCXoffBytes {
@@ -592,23 +607,17 @@ func (sw *Switch) kick(port int) {
 	if q < 0 {
 		return
 	}
-	item := pt.queues[q][0]
-	pt.queues[q] = pt.queues[q][1:]
-	pt.busy = true
-	qdelay := sw.sim.Now() - item.enq
-	ser := sim.Time(float64(item.p.WireLen*8) / pt.bps * 1e9)
-	sw.sim.Schedule(ser, func() {
-		pt.busy = false
-		sw.transmit(pt, item, q, qdelay)
-		sw.kick(port)
-	})
+	pt.tx, pt.txQueue, pt.busy = pt.queues[q].Pop(), q, true
+	pt.txQDelay = sw.sim.Now() - pt.tx.enq
+	ser := sim.Time(float64(pt.tx.p.WireLen*8) / pt.bps * 1e9)
+	sw.sim.Schedule(ser, pt.txDone)
 }
 
 // pickQueue selects the highest-numbered non-empty, non-paused queue
 // (strict priority, 7 high).
 func (sw *Switch) pickQueue(pt *swPort) int {
 	for q := sw.cfg.Queues - 1; q >= 0; q-- {
-		if len(pt.queues[q]) > 0 && !pt.paused[q] {
+		if pt.queues[q].Len() > 0 && !pt.paused[q] {
 			return q
 		}
 	}

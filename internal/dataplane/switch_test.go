@@ -31,8 +31,15 @@ type lineRig struct {
 
 func newLineRig(t *testing.T, cfg Config) *lineRig {
 	t.Helper()
+	return newLineRigBps(t, cfg, 0)
+}
+
+// newLineRigBps is newLineRig with the sw0—sw1 link at fabricBps (0: the
+// topology's 100 Gb/s default).
+func newLineRigBps(t *testing.T, cfg Config, fabricBps float64) *lineRig {
+	t.Helper()
 	s := sim.New()
-	tp := topo.Line(2, 0, 0, 0)
+	tp := topo.Line(2, fabricBps, 0, 0)
 	routes := topo.BuildRoutes(tp)
 	gt := NewGroundTruth()
 	fab := BuildFabric(s, tp, routes, cfg, gt, 42)

@@ -8,6 +8,7 @@
 package link
 
 import (
+	"netseer/internal/fifo"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
@@ -45,25 +46,9 @@ type DeliverFunc func(d sim.Time, fn func())
 // Link is a full-duplex medium between endpoints A and B.
 type Link struct {
 	sim  *sim.Simulator
-	a, b Endpoint
 	prop sim.Time
 
-	faultAB Fault // applies to frames A→B
-	faultBA Fault
-	// Per-direction fault RNG. Two independent streams rather than one
-	// shared: each direction's draw sequence then depends only on that
-	// direction's own frame order, not on how the two directions
-	// interleave — which is what lets a per-switch-sharded run reproduce
-	// the sequential engine's fault pattern exactly.
-	rngAB *sim.Stream
-	rngBA *sim.Stream
-
-	deliverAB DeliverFunc // schedules deliveries toward B
-	deliverBA DeliverFunc // schedules deliveries toward A
-
-	// Per-direction delivery stats.
-	sentAB, deliveredAB, lostAB, corruptAB uint64
-	sentBA, deliveredBA, lostBA, corruptBA uint64
+	ab, ba direction // frames A→B (delivered to endpoint B) and B→A
 
 	down bool
 
@@ -72,6 +57,42 @@ type Link struct {
 	// frame still delivers and the receiving MAC discards it). Fabric
 	// builders use it to feed the ground-truth ledger.
 	OnLost func(fromA bool, p *pkt.Packet, corrupted bool)
+}
+
+// direction is one half of the duplex medium: its receiving endpoint,
+// failure process, delivery scheduler, counters and frames in flight.
+type direction struct {
+	to    Endpoint
+	fault Fault
+	// Per-direction fault RNG. Two independent streams rather than one
+	// shared: each direction's draw sequence then depends only on that
+	// direction's own frame order, not on how the two directions
+	// interleave — which is what lets a per-switch-sharded run reproduce
+	// the sequential engine's fault pattern exactly.
+	rng *sim.Stream
+	// deliver overrides where deliveries are scheduled (SetDeliver); nil
+	// schedules them on the link's own simulator.
+	deliver DeliverFunc
+
+	sent, delivered, lost, corrupt uint64
+
+	// Frames propagating on the link's own simulator. The propagation
+	// delay is constant, so they arrive in the order they were sent: one
+	// pre-bound closure (arrive) scheduled once per frame pops the queue,
+	// and sending allocates nothing. The endpoint captured at send time
+	// travels with the frame (see SetEndpoint).
+	inflight fifo.Queue[frame]
+	arrive   func()
+}
+
+type frame struct {
+	p  *pkt.Packet
+	to Endpoint
+}
+
+func (d *direction) land() {
+	f := d.inflight.Pop()
+	f.to.Dev.Receive(f.p, f.to.Port)
 }
 
 // New creates a link with the given propagation delay. rng drives the
@@ -92,10 +113,18 @@ func NewSplit(s *sim.Simulator, a, b Endpoint, prop sim.Time, rngAB, rngBA *sim.
 	if rngAB == nil || rngBA == nil {
 		panic("link: rng must not be nil")
 	}
-	l := &Link{sim: s, a: a, b: b, prop: prop, rngAB: rngAB, rngBA: rngBA}
-	l.deliverAB = func(d sim.Time, fn func()) { l.sim.Schedule(d, fn) }
-	l.deliverBA = l.deliverAB
+	l := &Link{sim: s, prop: prop, ab: direction{to: b, rng: rngAB}, ba: direction{to: a, rng: rngBA}}
+	l.ab.arrive = l.ab.land
+	l.ba.arrive = l.ba.land
 	return l
+}
+
+// dir returns the direction of frames transmitted from the given side.
+func (l *Link) dir(fromA bool) *direction {
+	if fromA {
+		return &l.ab
+	}
+	return &l.ba
 }
 
 // SetDeliver installs the delivery scheduler for the direction from the
@@ -104,11 +133,7 @@ func (l *Link) SetDeliver(fromA bool, fn DeliverFunc) {
 	if fn == nil {
 		panic("link: deliver func must not be nil")
 	}
-	if fromA {
-		l.deliverAB = fn
-	} else {
-		l.deliverBA = fn
-	}
+	l.dir(fromA).deliver = fn
 }
 
 // SetEndpoint rewires one side of the link. Fabric builders construct
@@ -118,33 +143,17 @@ func (l *Link) SetEndpoint(aSide bool, e Endpoint) {
 	if e.Dev == nil {
 		panic("link: endpoint device must not be nil")
 	}
-	if aSide {
-		l.a = e
-	} else {
-		l.b = e
-	}
+	l.dir(!aSide).to = e
 }
 
 // SetFault configures the failure process for the direction from the given
 // side ("from A" means frames transmitted by endpoint A).
-func (l *Link) SetFault(fromA bool, f Fault) {
-	if fromA {
-		l.faultAB = f
-	} else {
-		l.faultBA = f
-	}
-}
+func (l *Link) SetFault(fromA bool, f Fault) { l.dir(fromA).fault = f }
 
 // InjectLossBurst destroys the next n frames in the given direction —
 // the deterministic injector used to exercise consecutive-drop recovery
 // (Fig. 15).
-func (l *Link) InjectLossBurst(fromA bool, n int) {
-	if fromA {
-		l.faultAB.burstRemaining += n
-	} else {
-		l.faultBA.burstRemaining += n
-	}
-}
+func (l *Link) InjectLossBurst(fromA bool, n int) { l.dir(fromA).fault.burstRemaining += n }
 
 // SetDown marks the link administratively/physically down; both directions
 // destroy all frames. (Port-down pipeline drops are detected at the
@@ -162,42 +171,34 @@ func (l *Link) PropDelay() sim.Time { return l.prop }
 // opposite endpoint after the propagation delay, unless a fault destroys
 // it. Send takes ownership of p.
 func (l *Link) Send(fromA bool, p *pkt.Packet) {
-	var fault *Fault
-	var to Endpoint
-	var rng *sim.Stream
-	var deliver DeliverFunc
-	if fromA {
-		fault, to, rng, deliver = &l.faultAB, l.b, l.rngAB, l.deliverAB
-		l.sentAB++
-	} else {
-		fault, to, rng, deliver = &l.faultBA, l.a, l.rngBA, l.deliverBA
-		l.sentBA++
+	d := l.dir(fromA)
+	d.sent++
+	destroyed := l.down
+	if !destroyed && d.fault.burstRemaining > 0 {
+		d.fault.burstRemaining--
+		destroyed = true
 	}
-	if l.down {
-		l.count(fromA, &l.lostAB, &l.lostBA)
+	if destroyed || (d.fault.SilentLossProb > 0 && d.rng.Bool(d.fault.SilentLossProb)) {
+		d.lost++
 		l.lost(fromA, p, false)
 		return
 	}
-	if fault.burstRemaining > 0 {
-		fault.burstRemaining--
-		l.count(fromA, &l.lostAB, &l.lostBA)
-		l.lost(fromA, p, false)
-		return
-	}
-	if fault.SilentLossProb > 0 && rng.Bool(fault.SilentLossProb) {
-		l.count(fromA, &l.lostAB, &l.lostBA)
-		l.lost(fromA, p, false)
-		return
-	}
-	if fault.CorruptProb > 0 && rng.Bool(fault.CorruptProb) {
+	if d.fault.CorruptProb > 0 && d.rng.Bool(d.fault.CorruptProb) {
 		p.Corrupt = true
-		l.count(fromA, &l.corruptAB, &l.corruptBA)
+		d.corrupt++
 		l.lost(fromA, p, true)
 	}
-	l.count(fromA, &l.deliveredAB, &l.deliveredBA)
-	port := to.Port
-	dev := to.Dev
-	deliver(l.prop, func() { dev.Receive(p, port) })
+	d.delivered++
+	if d.deliver != nil {
+		// A custom scheduler may run the delivery on another event loop
+		// (a cross-shard hop), which must not share this direction's
+		// queue: the frame travels in the message.
+		to := d.to
+		d.deliver(l.prop, func() { to.Dev.Receive(p, to.Port) })
+		return
+	}
+	d.inflight.Push(frame{p: p, to: d.to})
+	l.sim.Schedule(l.prop, d.arrive)
 }
 
 func (l *Link) lost(fromA bool, p *pkt.Packet, corrupted bool) {
@@ -206,19 +207,9 @@ func (l *Link) lost(fromA bool, p *pkt.Packet, corrupted bool) {
 	}
 }
 
-func (l *Link) count(fromA bool, ab, ba *uint64) {
-	if fromA {
-		*ab++
-	} else {
-		*ba++
-	}
-}
-
 // Stats reports per-direction counters: sent, delivered, silently lost,
 // corrupted-but-delivered.
 func (l *Link) Stats(fromA bool) (sent, delivered, lost, corrupt uint64) {
-	if fromA {
-		return l.sentAB, l.deliveredAB, l.lostAB, l.corruptAB
-	}
-	return l.sentBA, l.deliveredBA, l.lostBA, l.corruptBA
+	d := l.dir(fromA)
+	return d.sent, d.delivered, d.lost, d.corrupt
 }

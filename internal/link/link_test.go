@@ -162,3 +162,79 @@ func TestValidation(t *testing.T) {
 		}()
 	}
 }
+
+// counter is a Device that only counts, so a test can pin the link's own
+// allocations.
+type counter struct{ n int }
+
+func (c *counter) Receive(*pkt.Packet, int) { c.n++ }
+
+// TestSendDeliverZeroAlloc pins a frame's whole life on the link's own
+// simulator — Send, propagation event, delivery — at zero allocations in
+// steady state, with several frames in flight at once.
+func TestSendDeliverZeroAlloc(t *testing.T) {
+	s := sim.New()
+	a, b := &counter{}, &counter{}
+	l := New(s, Endpoint{a, 0}, Endpoint{b, 0}, sim.Microsecond, sim.NewStream(1, "link"))
+	p := &pkt.Packet{WireLen: 100}
+	cycle := func() {
+		for i := 0; i < 6; i++ {
+			l.Send(i%3 != 0, p)
+			s.Run(s.Now() + 100*sim.Nanosecond)
+		}
+		s.RunAll()
+	}
+	cycle() // warm the in-flight rings and the scheduler's free list
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("Send→deliver allocates %v times per 6 frames; budget is 0", n)
+	}
+	if a.n+b.n != 6*202 {
+		t.Errorf("delivered %d frames, want %d", a.n+b.n, 6*202)
+	}
+}
+
+// TestInFlightFrameKeepsSendTimeEndpoint: SetEndpoint rewires later
+// frames only; one already propagating lands where it was sent, in order.
+func TestInFlightFrameKeepsSendTimeEndpoint(t *testing.T) {
+	s, l, _, b := newTestLink(t)
+	b2 := &sink{}
+	l.Send(true, &pkt.Packet{ID: 1})
+	l.SetEndpoint(false, Endpoint{b2, 9})
+	l.Send(true, &pkt.Packet{ID: 2})
+	s.RunAll()
+	if len(b.got) != 1 || b.got[0].ID != 1 || b.ports[0] != 7 {
+		t.Errorf("in-flight frame: old endpoint got %v on ports %v, want frame 1 on port 7", b.got, b.ports)
+	}
+	if len(b2.got) != 1 || b2.got[0].ID != 2 || b2.ports[0] != 9 {
+		t.Errorf("later frame: new endpoint got %v on ports %v, want frame 2 on port 9", b2.got, b2.ports)
+	}
+}
+
+// TestSetDeliverCarriesFrameInMessage: with a custom delivery scheduler
+// (the cross-shard path) the frame rides in the closure handed to it — the
+// direction's in-flight queue, which only the sender's event loop may
+// touch, stays empty — and the send-time endpoint still holds.
+func TestSetDeliverCarriesFrameInMessage(t *testing.T) {
+	s, l, _, b := newTestLink(t)
+	var held []func()
+	l.SetDeliver(true, func(d sim.Time, fn func()) {
+		if d != sim.Microsecond {
+			t.Errorf("deliver delay %v, want the propagation delay", d)
+		}
+		held = append(held, fn)
+	})
+	l.Send(true, &pkt.Packet{ID: 1})
+	l.SetEndpoint(false, Endpoint{&sink{}, 0})
+	if n := l.ab.inflight.Len(); n != 0 {
+		t.Fatalf("custom-deliver frame entered the in-flight queue (%d queued)", n)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("custom-deliver frame scheduled %d events on the link's simulator", s.Pending())
+	}
+	for _, fn := range held {
+		fn()
+	}
+	if len(b.got) != 1 || b.got[0].ID != 1 || b.ports[0] != 7 {
+		t.Errorf("endpoint got %v on ports %v, want frame 1 on port 7", b.got, b.ports)
+	}
+}

@@ -6,6 +6,7 @@ package nic
 
 import (
 	"netseer/internal/fevent"
+	"netseer/internal/fifo"
 	"netseer/internal/link"
 	"netseer/internal/pkt"
 	"netseer/internal/ringbuf"
@@ -56,7 +57,12 @@ type NIC struct {
 	// host agent reads the log).
 	Log []fevent.Event
 
+	// Serialization: busyUntil only moves forward, so the packets waiting
+	// for the wire leave in the order they were sent — one pre-bound
+	// closure scheduled once per packet pops txq.
 	busyUntil sim.Time
+	txq       fifo.Queue[*pkt.Packet]
+	txDone    func()
 
 	// Stats.
 	txPackets, rxPackets uint64
@@ -72,11 +78,13 @@ func New(s *sim.Simulator, l *link.Link, fromA bool, cfg Config, handler Handler
 		panic("nic: handler must not be nil")
 	}
 	cfg = cfg.withDefaults()
-	return &NIC{
+	n := &NIC{
 		sim: s, cfg: cfg, lnk: l, fromA: fromA, handler: handler,
 		ring:    ringbuf.New(cfg.RingSlots),
 		tracker: seqtrack.New(),
 	}
+	n.txDone = func() { n.lnk.Send(n.fromA, n.txq.Pop()) }
+	return n
 }
 
 // Send transmits a packet, tagging it with the edge sequence number and
@@ -103,7 +111,8 @@ func (n *NIC) Send(p *pkt.Packet) {
 		start = n.busyUntil
 	}
 	n.busyUntil = start + ser
-	n.sim.At(n.busyUntil, func() { n.lnk.Send(n.fromA, p) })
+	n.txq.Push(p)
+	n.sim.At(n.busyUntil, n.txDone)
 }
 
 // Receive implements link.Device.

@@ -206,3 +206,30 @@ func TestStatsCounters(t *testing.T) {
 		t.Errorf("tx=%d rx=%d", tx, rx)
 	}
 }
+
+// TestSendZeroAllocSteadyState pins NIC.Send through serialization onto
+// the wire at zero allocations: the packets waiting for the line sit in
+// the NIC's queue behind one pre-bound closure. Back-to-back sends queue
+// several at once, and they must leave in order.
+func TestSendZeroAllocSteadyState(t *testing.T) {
+	p := newPair(t, Config{DisableSeq: true})
+	var order []uint64
+	p.b.handler = func(pk *pkt.Packet) { order = append(order, pk.ID) }
+	pkts := []*pkt.Packet{mkPkt(1, 1000), mkPkt(2, 64), mkPkt(3, 1500), mkPkt(4, 64)}
+	burst := func() {
+		for _, pk := range pkts {
+			p.a.Send(pk)
+		}
+		p.sim.RunAll()
+	}
+	burst() // warm the queues and the scheduler's free list
+	for i, id := range order {
+		if id != uint64(i+1) {
+			t.Fatalf("burst arrived in order %v", order)
+		}
+	}
+	order = make([]uint64, 0, 4*202)
+	if n := testing.AllocsPerRun(200, burst); n != 0 {
+		t.Errorf("NIC.Send→wire allocates %v times per 4 packets; budget is 0", n)
+	}
+}

@@ -1,7 +1,7 @@
 // Sharded conservative-lookahead parallel simulation.
 //
 // A ShardedEngine partitions a simulation into shards, each owning a
-// private Simulator (its own event heap, clock and free list). Shards only
+// private Simulator (its own event queue, clock and free list). Shards only
 // interact through Defer — a cross-shard message with a delivery delay of
 // at least the engine's lookahead. That bound makes the classic
 // conservative synchronization sound: the engine repeatedly finds the
@@ -21,8 +21,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -46,6 +47,12 @@ type xmsg struct {
 	dst, src int
 	seq      uint64
 	fn       func()
+}
+
+// cmpXmsg orders messages by the total key (at, src, seq); being a plain
+// function, sorting with it allocates nothing per window.
+func cmpXmsg(a, b xmsg) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 }
 
 // ID returns the shard's index within its engine.
@@ -279,16 +286,7 @@ func (e *ShardedEngine) exchange() {
 		e.inbox = msgs
 		return
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		a, b := &msgs[i], &msgs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(msgs, cmpXmsg)
 	for i := range msgs {
 		m := &msgs[i]
 		e.shards[m.dst].sim.At(m.at, m.fn)

@@ -342,19 +342,30 @@ func BenchmarkStreamUint64(b *testing.B) {
 }
 
 // TestScheduleStepZeroAllocSteadyState pins the scheduler's event cycle at
-// zero allocations once the free list is warm: every simulated packet
-// costs at least one Schedule+Step, so this is the floor under the whole
-// hot path.
+// zero allocations once the free list is warm, in both tiers: every
+// simulated packet costs several wheel-resident Schedule+Steps and the
+// odd heap-resident one, so this is the floor under the whole hot path.
 func TestScheduleStepZeroAllocSteadyState(t *testing.T) {
-	s := New()
-	fn := func() {}
-	s.Schedule(0, fn) // prime the free list
-	s.Step()
-	if n := testing.AllocsPerRun(1000, func() {
-		s.Schedule(1, fn)
+	for _, c := range []struct {
+		tier  string
+		delay Time
+	}{{"wheel", 100}, {"heap", 10 * wheelSpan}} {
+		s := New()
+		fn := func() {}
+		for i := 0; i < 64; i++ { // a standing population, so the heap has depth
+			s.Schedule(c.delay, fn)
+		}
+		s.Schedule(c.delay, fn) // prime the free list
 		s.Step()
-	}); n != 0 {
-		t.Errorf("Schedule+Step allocates %v times per event; budget is 0", n)
+		if n := testing.AllocsPerRun(1000, func() {
+			h := s.Schedule(c.delay, fn)
+			if wheel := h.ev.index == inWheel; wheel != (c.tier == "wheel") {
+				t.Fatalf("delay %d is not %s-resident", c.delay, c.tier)
+			}
+			s.Step()
+		}); n != 0 {
+			t.Errorf("%s-resident Schedule+Step allocates %v times per event; budget is 0", c.tier, n)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 // Command genfuzzcorpus regenerates the checked-in seed corpora for
 // FuzzReadFrame (internal/collector/testdata/fuzz/FuzzReadFrame/),
 // FuzzWALRecord and FuzzWALReplay
-// (internal/collector/wal/testdata/fuzz/...).
+// (internal/collector/wal/testdata/fuzz/...), FuzzSketch
+// (internal/sketch/testdata/fuzz/...) and FuzzScheduler
+// (internal/sim/testdata/fuzz/...).
 // The seeds cover every framing-layer rejection branch — truncations,
 // CRC corruption, length lies, record-count lies — plus valid inputs, so
 // `make fuzz-smoke` and `make wal-fuzz-smoke` start from interesting
@@ -30,6 +32,7 @@ func main() {
 	writeWALRecordSeeds()
 	writeWALReplaySeeds()
 	writeSketchSeeds()
+	writeSchedulerSeeds()
 }
 
 func writeFrameSeeds() {
@@ -265,6 +268,49 @@ func writeSketchSeeds() {
 		"mixed": stream(append(append(churn, spike...),
 			op(9, 0, 7, true), op(9, 0, 7, false))...),
 		"zero_noise": bytes.Repeat([]byte{0}, 64),
+	}
+	writeSeeds(dir, seeds)
+}
+
+// writeSchedulerSeeds covers the event scheduler's differential fuzzer
+// (internal/sim FuzzScheduler; sched_model_test.go documents the program
+// encoding: opcode byte, then an index into its delay table). The seeds
+// put the fuzzer next to what the two-tier queue makes delicate: delays
+// at the wheel span and one either side, a wheel event tying with an
+// older heap event, the same slot a lap later, a Run that jumps the clock
+// over a hundred laps, Cancel in either tier and on stale handles, and
+// events that schedule at delay 0 from inside their own callback.
+func writeSchedulerSeeds() {
+	dir := filepath.Join("internal", "sim", "testdata", "fuzz", "FuzzScheduler")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fatal(err)
+	}
+	const (
+		schedule, at, spawn, cancel, step, run, runBefore, runAll = 0, 1, 2, 3, 4, 5, 6, 7
+		// Indices into progDelays; span is the wheel span (1024 ns).
+		d0, d1, d63, d64, d80, d100, d1000 = 0, 1, 4, 5, 7, 8, 11
+		spanM2, spanM1, span, spanP1       = 12, 13, 14, 15
+		span2, span3, d5000, d100k, d4m    = 17, 19, 20, 21, 22
+	)
+	var laps []byte // constant per-hop delays, stepped through several laps
+	for i := 0; i < 60; i++ {
+		laps = append(laps, schedule, d100, at, d1000, schedule, d80, step, 0, step, 0, run, d80)
+	}
+	seeds := map[string][]byte{
+		"span_boundary": {schedule, spanP1, schedule, span, schedule, spanM1, schedule, spanM2,
+			step, 0, step, 0, runAll, 0},
+		"wheel_ties_older_heap": {schedule, span2, run, spanP1, schedule, spanM1, at, spanM1, runAll, 0},
+		"same_slot_next_lap": {schedule, d100, schedule, d100, schedule, span, schedule, span2,
+			run, d100, schedule, span, schedule, span3, runAll, 0},
+		"run_jumps_many_laps": {schedule, d1, run, d100k, schedule, d1000, schedule, d64, schedule, d63,
+			runBefore, d1000, run, d4m, schedule, d0, step, 0},
+		"cancel_every_tier": {schedule, d100, schedule, d100, schedule, d100, schedule, d5000, schedule, d100k,
+			cancel, 1, cancel, 2, cancel, 0, cancel, 0, cancel, 3, step, 0, cancel, 4,
+			schedule, 2, cancel, 4, cancel, 128, runAll, 0},
+		"push_behind_canceled_tail": {schedule, d100, schedule, d100, schedule, d100, cancel, 2,
+			schedule, d100, cancel, 1, schedule, d100, runAll, 0},
+		"self_reschedule_zero": {spawn, d0, d0, spawn, d80, d0, spawn, span, spanM1, schedule, d80, runAll, 0},
+		"per_hop_laps":         laps,
 	}
 	writeSeeds(dir, seeds)
 }
