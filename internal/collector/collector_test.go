@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bufio"
+	"encoding/base64"
 	"net"
 	"strings"
 	"testing"
@@ -222,6 +223,45 @@ func TestQueryServerProtocol(t *testing.T) {
 	}
 	if lines := queryLine(t, qs.Addr(), "query nonsense"); len(lines) != 1 || !strings.HasPrefix(lines[0], "!") {
 		t.Errorf("bad arg = %v", lines)
+	}
+}
+
+// TestQueryServerLargeResult answers with more rows than the server's
+// write buffer holds, so rows straddle its flushes: every line must still
+// be the event's rendering followed by its timestamp's, and export lines
+// must decode back to the events.
+func TestQueryServerLargeResult(t *testing.T) {
+	store := NewStore()
+	const n = 3000 // ≈ 75 B a row: several 64 KiB buffers
+	for i := 0; i < n; i++ {
+		ts := sim.Time(i) * 37 * sim.Microsecond
+		store.Deliver(batchOf(uint16(i%7), ts, fevent.Event{
+			Type: fevent.Types[i%len(fevent.Types)], Flow: flowN(uint32(i % 3)), DropCode: fevent.DropCode(i % 5),
+			SwitchID: uint16(i % 7), Timestamp: ts, EgressPort: uint8(i), Count: uint16(i * 31),
+		}))
+	}
+	qs, err := NewQueryServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	want := store.Query(Filter{})
+	lines := queryLine(t, qs.Addr(), "query")
+	exported := queryLine(t, qs.Addr(), "export")
+	if len(lines) != n || len(exported) != n {
+		t.Fatalf("query answered %d rows, export %d, want %d", len(lines), len(exported), n)
+	}
+	for i := range want {
+		if w := want[i].String() + " t=" + want[i].Timestamp.String(); lines[i] != w {
+			t.Fatalf("row %d = %q, want %q", i, lines[i], w)
+		}
+		raw, err := base64.StdEncoding.DecodeString(exported[i])
+		if err != nil {
+			t.Fatalf("export row %d: %v", i, err)
+		}
+		if got, err := DecodeWireEvent(raw); err != nil || got != want[i] {
+			t.Fatalf("export row %d = %+v (%v), want %+v", i, got, err, want[i])
+		}
 	}
 }
 

@@ -87,10 +87,13 @@ func TestAdmissionDisabledAndDefaults(t *testing.T) {
 // reports slow and acks start being delayed.
 func TestServerSlowWatermarkDelaysAcks(t *testing.T) {
 	store := NewStore()
-	// ~224 estimated bytes per single-event batch: 60 batches sail far
-	// past slowAt ≈ 2.9 KB but the ladder must clamp at slow (no WAL).
+	// The first event costs a whole block; after that a single-event
+	// batch over a fresh flow adds one flow-table and one dedup entry.
+	// The budget puts slowAt 13 batches in, so 60 batches start under it
+	// and sail far past it — and the ladder must clamp at slow (no WAL).
+	budget := int64(blockMemCost+13*batchMemCost) * 10 / 7
 	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{
-		MemoryBudget: 4096,
+		MemoryBudget: budget,
 		AckSlowdown:  time.Millisecond,
 	})
 	if err != nil {
@@ -110,7 +113,7 @@ func TestServerSlowWatermarkDelaysAcks(t *testing.T) {
 	assertExactlyOnce(t, store, n)
 	if got := srv.AdmitState(); got != "slow" {
 		t.Errorf("AdmitState = %q, want slow (store at %d bytes of %d budget)",
-			got, store.MemoryBytes(), 4096)
+			got, store.MemoryBytes(), budget)
 	}
 	if got := srv.admit.ackDelays.Load(); got == 0 {
 		t.Error("no acks were delayed above the slow watermark")
@@ -135,15 +138,18 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// shedAt lands 66 single-event batches past the first block, where
+	// the 16 KiB budget put it when an event was charged a flat 160 B.
+	budget := int64(blockMemCost+66*batchMemCost) * 10 / 9
 	srv := NewServerOn(store, mustListen(t), ServerConfig{
 		WAL:          w,
-		MemoryBudget: 16 << 10,
+		MemoryBudget: budget,
 		AckSlowdown:  time.Microsecond,
 	})
 	defer srv.Close()
 
 	cl := fastClient(srv.Addr())
-	const n = 150 // ≈ 34 KB estimated, far past the 14.7 KB shed watermark
+	const n = 150 // more than twice the batches the shed watermark admits
 	deliverN(cl, 0, n)
 	if err := cl.Flush(); err != nil {
 		t.Fatalf("flush: %v (stats %+v)", err, cl.Stats())
@@ -154,7 +160,7 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 
 	shed := srv.ShedBatches()
 	if shed == 0 {
-		t.Fatalf("no batches were shed at %d bytes of a %d budget", store.MemoryBytes(), 16<<10)
+		t.Fatalf("no batches were shed at %d bytes of a %d budget", store.MemoryBytes(), budget)
 	}
 	if got := srv.AdmitState(); got != "shed" {
 		t.Errorf("AdmitState = %q, want shed", got)
@@ -162,6 +168,9 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	live := store.Len()
 	if live >= n {
 		t.Fatalf("live store indexed all %d events — shedding indexed anyway", n)
+	}
+	if live < 60 || live > 72 {
+		t.Errorf("shedding began after %d batches, want about the 66 the budget was cut for", live)
 	}
 	if uint64(n-live) != shed {
 		t.Errorf("live %d + shed %d ≠ delivered %d", live, shed, n)
@@ -189,6 +198,10 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	}
 	assertExactlyOnce(t, store2, n)
 }
+
+// batchMemCost is what MemoryBytes charges a single-event batch over a
+// fresh flow once its block exists.
+const batchMemCost = flowMemCost + seenMemCost
 
 // mustListen returns a fresh loopback listener.
 func mustListen(t *testing.T) net.Listener {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"netseer/internal/fevent"
-	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -13,8 +12,9 @@ import (
 // between stores. A rebalance exports the moving events and the dedup
 // seen-set from the source, imports both at the destination, and finally
 // removes exactly the exported multiset from the source (the epoch
-// fence). Everything here speaks the same 34-byte per-event encoding the
-// snapshot uses, so handoff payloads and checkpoints stay byte-compatible.
+// fence). Events travel in one canonical 34-byte encoding; inside the
+// store they come and go through the same append path and visitor as
+// everything else.
 
 // BatchID names one sequenced batch in the (switch, seq) dedup set.
 type BatchID struct {
@@ -24,7 +24,7 @@ type BatchID struct {
 
 // WireEventLen is the canonical per-event handoff footprint: switch
 // (2 B) + timestamp (8 B) + the 24 B record.
-const WireEventLen = snapEventLen
+const WireEventLen = 2 + 8 + fevent.RecordLen
 
 // AppendWireEvent appends the canonical handoff encoding of e to b.
 func AppendWireEvent(b []byte, e *fevent.Event) []byte {
@@ -67,11 +67,12 @@ func (s *Store) ExportWhere(pred func(*fevent.Event) bool) []fevent.Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []fevent.Event
-	for i := range s.events {
-		if pred(&s.events[i]) {
-			out = append(out, s.events[i])
+	var e fevent.Event
+	s.visit(&Filter{}, func(b *block, i int) {
+		if b.load(i, &e); pred(&e) {
+			out = append(out, e)
 		}
-	}
+	})
 	return out
 }
 
@@ -104,21 +105,16 @@ func (s *Store) AddEvents(evs []fevent.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range evs {
-		e := &evs[i]
-		idx := len(s.events)
-		s.events = append(s.events, *e)
-		s.byFlow[e.Flow] = append(s.byFlow[e.Flow], idx)
-		s.bySwitch[e.SwitchID] = append(s.bySwitch[e.SwitchID], idx)
-		s.byType[e.Type] = append(s.byType[e.Type], idx)
-		s.byTypeSwitch[typeSwitchKey{t: e.Type, sw: e.SwitchID}]++
+		s.append(&evs[i])
 	}
 }
 
 // RemoveEvents removes one stored copy per element of the multiset evs
-// (full-record identity, timestamp included) and rebuilds the indexes.
-// Events with no stored match are ignored; it returns how many copies
-// were actually removed. This is the epoch fence: after a handoff
-// publishes, the source drops exactly what it captured and shipped.
+// (full-record identity, timestamp included) by re-appending the
+// survivors to an emptied store. Events with no stored match are
+// ignored; it returns how many copies were actually removed. This is
+// the epoch fence: after a handoff publishes, the source drops exactly
+// what it captured and shipped.
 func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	if len(evs) == 0 {
 		return 0
@@ -129,28 +125,18 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.events[:0]
-	removed := 0
-	for i := range s.events {
-		k := identityOf(&s.events[i])
-		if n := want[k]; n > 0 {
-			want[k] = n - 1
-			removed++
-			continue
+	old, before := s.blocks, s.n
+	s.resetEvents()
+	var e fevent.Event
+	for _, b := range old {
+		for i := 0; i < b.n; i++ {
+			b.load(i, &e)
+			if k := identityOf(&e); want[k] > 0 {
+				want[k]--
+				continue
+			}
+			s.append(&e)
 		}
-		kept = append(kept, s.events[i])
 	}
-	s.events = kept
-	s.byFlow = make(map[pkt.FlowKey][]int)
-	s.bySwitch = make(map[uint16][]int)
-	s.byType = make(map[fevent.Type][]int)
-	s.byTypeSwitch = make(map[typeSwitchKey]uint64)
-	for i := range s.events {
-		e := &s.events[i]
-		s.byFlow[e.Flow] = append(s.byFlow[e.Flow], i)
-		s.bySwitch[e.SwitchID] = append(s.bySwitch[e.SwitchID], i)
-		s.byType[e.Type] = append(s.byType[e.Type], i)
-		s.byTypeSwitch[typeSwitchKey{t: e.Type, sw: e.SwitchID}]++
-	}
-	return removed
+	return before - s.n
 }

@@ -3,9 +3,11 @@ package collector
 import (
 	"bufio"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,7 +113,9 @@ func (q *QueryServer) acceptLoop() {
 
 func (q *QueryServer) serve(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
-	bw := bufio.NewWriter(conn)
+	// A result of tens of thousands of rows in 4 KiB writes is a thousand
+	// syscalls, each waking the reader: 64 KiB matches what clients read.
+	bw := bufio.NewWriterSize(conn, 64<<10)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -139,13 +143,17 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 			q.errf(w, "%v", err)
 			return
 		}
-		events := q.store.Query(f)
 		if cmd == "count" {
-			fmt.Fprintf(w, "%d\n.\n", len(events))
+			fmt.Fprintf(w, "%d\n.\n", q.store.Count(f))
 			return
 		}
+		// Rows are appended straight into the writer's buffer: a popular
+		// flow answers with tens of thousands of them.
+		events := q.store.Query(f)
 		for i := range events {
-			fmt.Fprintf(w, "%v t=%v\n", &events[i], events[i].Timestamp)
+			row := events[i].AppendTo(w.AvailableBuffer())
+			row = events[i].Timestamp.AppendTo(append(row, " t="...))
+			w.Write(append(row, '\n'))
 		}
 		fmt.Fprint(w, ".\n")
 	case "flows":
@@ -199,7 +207,7 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 		var buf []byte
 		for i := range events {
 			buf = AppendWireEvent(buf[:0], &events[i])
-			fmt.Fprintf(w, "%s\n", base64.StdEncoding.EncodeToString(buf))
+			w.Write(append(base64.StdEncoding.AppendEncode(w.AvailableBuffer(), buf), '\n'))
 		}
 		fmt.Fprint(w, ".\n")
 	case "stats":
@@ -328,12 +336,15 @@ func ParseFlow(s string) (pkt.FlowKey, error) {
 	return k, nil
 }
 
+// parseIP parses a strict dotted quad: exactly four decimal octets
+// 0–255 and nothing else, so a typo is an error and not another flow.
 func parseIP(s string) (uint32, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
+	a, err := netip.ParseAddr(s)
+	if err != nil || !a.Is4() {
 		return 0, fmt.Errorf("bad IP %q", s)
 	}
-	return pkt.IP(a, b, c, d), nil
+	q := a.As4()
+	return binary.BigEndian.Uint32(q[:]), nil
 }
 
 func parseType(s string) (fevent.Type, error) {

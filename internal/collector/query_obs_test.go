@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netseer/internal/obs"
+	"netseer/internal/pkt"
 )
 
 // regValue extracts one sample value from the registry's exposition for
@@ -87,6 +88,9 @@ func TestQueryErrorPathsCounted(t *testing.T) {
 	}{
 		{"malformed_verb", "frobnicate", "unknown"},
 		{"bad_flow_key", "query flow=zzz", "query"},
+		{"ip_trailing_garbage", "query flow=tcp:10.0.0.1junk:1:10.0.0.2:2", "query"},
+		{"ip_five_octets", "count flow=udp:10.0.0.1:1:10.0.0.2.5:2", "count"},
+		{"ip_with_port", "path flow=tcp:1.2.3.4:80:1:10.0.0.2:2", "path"},
 		{"unknown_event_code", "count code=warp-failure", "count"},
 		{"unknown_event_type", "query type=meltdown", "query"},
 		{"bad_switch_id", "count switch=notanumber", "count"},
@@ -119,5 +123,24 @@ func TestQueryErrorPathsCounted(t *testing.T) {
 	}
 	if got := regValue(t, reg, obs.MQueryRequests+`{verb="flows"}`); got != "1" {
 		t.Errorf("flows verb counter = %s, want 1", got)
+	}
+}
+
+// TestParseIPStrict pins the dotted-quad parser: exactly four octets
+// 0–255 and nothing after, so a typo never silently names another flow.
+func TestParseIPStrict(t *testing.T) {
+	for _, s := range []string{"10.0.0.1junk", "10.0.0.1.5", "1.2.3.4:80", "", "1.2.3", "1.2.3.", ".1.2.3", "1..2.3",
+		"256.0.0.1", "1.2.3.256", "1.2.3.1000", "1.2.3.-4", " 1.2.3.4", "1.2.3.4 ", "a.b.c.d", "010.0.0.1", "::1", "::ffff:1.2.3.4"} {
+		if ip, err := parseIP(s); err == nil {
+			t.Errorf("parseIP(%q) = %s, want an error", s, pkt.IPString(ip))
+		}
+	}
+	for s, want := range map[string]uint32{"0.0.0.0": 0, "10.0.1.2": pkt.IP(10, 0, 1, 2), "255.255.255.255": 0xffffffff} {
+		if ip, err := parseIP(s); err != nil || ip != want {
+			t.Errorf("parseIP(%q) = %#x, %v; want %#x", s, ip, err, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { parseIP("192.168.10.254") }); n != 0 {
+		t.Errorf("parseIP allocates %v times on the success path", n)
 	}
 }

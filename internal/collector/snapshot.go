@@ -3,30 +3,35 @@ package collector
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
-	"netseer/internal/sim"
 )
 
 // Store snapshot encoding, the checkpoint companion of the write-ahead
-// log: everything the store holds — events with their own switch/stamp,
-// the (switch, seq) dedup set, and the duplicate counter — flattened
-// into one byte string. The WAL frames and checksums it as a single
-// record, so a torn or corrupt snapshot is rejected whole at recovery
-// (the previous snapshot + longer replay then reconstructs the state).
+// log: the store's own representation written out as it sits in memory,
+// so loading one copies columns instead of re-inserting events. The WAL
+// frames and checksums it as a single record, so a torn or corrupt
+// snapshot is rejected whole at recovery (the previous snapshot + longer
+// replay then reconstructs the state); the checks here only keep a
+// well-checksummed but wrong image from indexing out of range.
 //
-// Layout (big-endian):
+// Layout (little-endian, so a column decodes with plain loads):
 //
-//	magic "NSS1" (4 B)
-//	dupBatches (8 B)
-//	seenCount (4 B), then per key: switch (2 B), seq (8 B)
-//	eventCount (4 B), then per event: switch (2 B), timestamp (8 B),
-//	                                  24 B fevent record
-const snapMagic = "NSS1"
-
-// snapEventLen is the per-event snapshot footprint.
-const snapEventLen = 2 + 8 + fevent.RecordLen
+//	header: magic "NSS2", dupBatches (8 B), seenCount, flowCount,
+//	        eventCount (4 B each)
+//	per seen key: switch (2 B), seq (8 B)
+//	per flow: 13 B flow key, head (4 B, position+1 of its newest event)
+//	per block of ≤ blockLen events, column by column: timestamps (8 B),
+//	        chain links (4 B, position+1 of the flow's previous event,
+//	        0 = none), switches (2 B), types (1 B), records (24 B)
+const (
+	snapMagic     = "NSS2"
+	snapHeaderLen = len(snapMagic) + 8 + 3*4
+	snapSeenLen   = 2 + 8
+	snapFlowLen   = pkt.FlowKeyLen + 4
+)
 
 // EncodeSnapshot serializes the store's full state. The caller hands the
 // bytes to wal.InstallSnapshot; see Server.Checkpoint for the barrier
@@ -34,78 +39,100 @@ const snapEventLen = 2 + 8 + fevent.RecordLen
 func (s *Store) EncodeSnapshot() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	buf := make([]byte, 0, len(snapMagic)+8+4+len(s.seen)*10+4+len(s.events)*snapEventLen)
+	le := binary.LittleEndian
+	buf := make([]byte, 0, snapHeaderLen+len(s.seen)*snapSeenLen+len(s.heads)*snapFlowLen+s.n*rowBytes)
 	buf = append(buf, snapMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, s.dupBatches)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.seen)))
+	buf = le.AppendUint64(buf, s.dupBatches)
+	buf = le.AppendUint32(buf, uint32(len(s.seen)))
+	buf = le.AppendUint32(buf, uint32(len(s.heads)))
+	buf = le.AppendUint32(buf, uint32(s.n))
 	for k := range s.seen {
-		buf = binary.BigEndian.AppendUint16(buf, k.sw)
-		buf = binary.BigEndian.AppendUint64(buf, k.seq)
+		buf = le.AppendUint16(buf, k.sw)
+		buf = le.AppendUint64(buf, k.seq)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.events)))
-	for i := range s.events {
-		e := &s.events[i]
-		buf = binary.BigEndian.AppendUint16(buf, e.SwitchID)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.Timestamp))
-		buf = e.AppendRecord(buf)
+	for f, head := range s.heads {
+		buf = f.AppendWire(buf)
+		buf = le.AppendUint32(buf, head)
+	}
+	for _, b := range s.blocks {
+		for _, v := range b.ts[:b.n] {
+			buf = le.AppendUint64(buf, uint64(v))
+		}
+		for _, v := range b.prev[:b.n] {
+			buf = le.AppendUint32(buf, v)
+		}
+		for _, v := range b.sw[:b.n] {
+			buf = le.AppendUint16(buf, v)
+		}
+		buf = append(buf, b.typ[:b.n]...)
+		buf = append(buf, b.rec[:b.n*fevent.RecordLen]...)
 	}
 	return buf
 }
 
-// LoadSnapshot replaces the store's state with a decoded snapshot,
-// rebuilding every index. It is the first half of recovery; WAL tail
-// replay (whose batches dedup against the loaded seen-set) is the
+// LoadSnapshot replaces the store's state with a decoded snapshot; on
+// error the store is untouched. It is the first half of recovery; WAL
+// tail replay (whose batches dedup against the loaded seen-set) is the
 // second.
 func (s *Store) LoadSnapshot(data []byte) error {
-	if len(data) < len(snapMagic)+8+4 || string(data[:len(snapMagic)]) != snapMagic {
+	le := binary.LittleEndian
+	if len(data) < snapHeaderLen || string(data[:len(snapMagic)]) != snapMagic {
 		return fmt.Errorf("collector: snapshot magic missing or header truncated (%d bytes)", len(data))
 	}
-	data = data[len(snapMagic):]
-	dup := binary.BigEndian.Uint64(data[0:8])
-	seenCount := binary.BigEndian.Uint32(data[8:12])
-	data = data[12:]
-	if uint64(len(data)) < uint64(seenCount)*10+4 {
-		return fmt.Errorf("collector: snapshot dedup section truncated")
+	seen, flows, events := int(le.Uint32(data[12:])), int(le.Uint32(data[16:])), int(le.Uint32(data[20:]))
+	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + events*rowBytes; len(data) != want {
+		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events)", len(data), want, seen, flows, events)
 	}
-	seen := make(map[batchKey]struct{}, seenCount)
-	for i := uint32(0); i < seenCount; i++ {
-		seen[batchKey{
-			sw:  binary.BigEndian.Uint16(data[0:2]),
-			seq: binary.BigEndian.Uint64(data[2:10]),
-		}] = struct{}{}
-		data = data[10:]
+	ld := &Store{ // the image under construction; swapped in whole at the end
+		dupBatches: le.Uint64(data[4:]),
+		seen:       make(map[batchKey]struct{}, seen),
+		heads:      make(map[pkt.FlowKey]uint32, flows),
+		counts:     make(map[uint16]*typeRow),
 	}
-	eventCount := binary.BigEndian.Uint32(data[0:4])
-	data = data[4:]
-	if uint64(len(data)) != uint64(eventCount)*snapEventLen {
-		return fmt.Errorf("collector: snapshot event section is %d bytes, want %d", len(data), uint64(eventCount)*snapEventLen)
+	data = data[snapHeaderLen:]
+	for ; seen > 0; seen, data = seen-1, data[snapSeenLen:] {
+		ld.seen[batchKey{sw: le.Uint16(data), seq: le.Uint64(data[2:])}] = struct{}{}
 	}
-	events := make([]fevent.Event, eventCount)
-	for i := uint32(0); i < eventCount; i++ {
-		e := &events[i]
-		if err := e.DecodeRecord(data[10:]); err != nil {
-			return fmt.Errorf("collector: snapshot event %d: %w", i, err)
+	for ; flows > 0; flows, data = flows-1, data[snapFlowLen:] {
+		f, _ := pkt.FlowKeyFromWire(data) // length checked above
+		head := le.Uint32(data[pkt.FlowKeyLen:])
+		if head == 0 || int(head) > events {
+			return fmt.Errorf("collector: snapshot flow %v heads at event %d of %d", f, int64(head)-1, events)
 		}
-		e.SwitchID = binary.BigEndian.Uint16(data[0:2])
-		e.Timestamp = sim.Time(binary.BigEndian.Uint64(data[2:10]))
-		data = data[snapEventLen:]
+		ld.heads[f] = head
+	}
+	for ld.n < events {
+		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}
+		for i := range b.ts[:b.n] {
+			b.ts[i] = int64(le.Uint64(data[i*8:]))
+			b.minTs, b.maxTs = min(b.minTs, b.ts[i]), max(b.maxTs, b.ts[i])
+		}
+		data = data[b.n*8:]
+		for i := range b.prev[:b.n] {
+			if b.prev[i] = le.Uint32(data[i*4:]); int(b.prev[i]) > ld.n+i {
+				return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, b.prev[i]-1)
+			}
+		}
+		data = data[b.n*4:]
+		for i := range b.sw[:b.n] {
+			b.sw[i] = le.Uint16(data[i*2:])
+		}
+		data = data[b.n*2:]
+		data = data[copy(b.typ[:b.n], data):]
+		data = data[copy(b.rec[:b.n*fevent.RecordLen], data):]
+		for i, t := range b.typ[:b.n] {
+			if !fevent.Type(t).Valid() || b.rec[i*fevent.RecordLen] != t {
+				return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+i, t, b.rec[i*fevent.RecordLen])
+			}
+			ld.count(b.sw[i], fevent.Type(t))
+		}
+		ld.blocks = append(ld.blocks, b)
+		ld.n += b.n
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = events
-	s.seen = seen
-	s.dupBatches = dup
-	s.byFlow = make(map[pkt.FlowKey][]int)
-	s.bySwitch = make(map[uint16][]int)
-	s.byType = make(map[fevent.Type][]int)
-	s.byTypeSwitch = make(map[typeSwitchKey]uint64)
-	for i := range s.events {
-		e := &s.events[i]
-		s.byFlow[e.Flow] = append(s.byFlow[e.Flow], i)
-		s.bySwitch[e.SwitchID] = append(s.bySwitch[e.SwitchID], i)
-		s.byType[e.Type] = append(s.byType[e.Type], i)
-		s.byTypeSwitch[typeSwitchKey{t: e.Type, sw: e.SwitchID}]++
-	}
+	s.blocks, s.n, s.heads, s.counts = ld.blocks, ld.n, ld.heads, ld.counts
+	s.seen, s.dupBatches = ld.seen, ld.dupBatches
 	return nil
 }

@@ -5,6 +5,7 @@
 package collector
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,25 +29,58 @@ type batchKey struct {
 	seq uint64
 }
 
-// Store is an in-memory event store. It is safe for concurrent use (the
-// TCP server ingests from multiple switch connections).
+// blockLen is the events per block: 16 Ki × 39 B of columns ≈ 0.6 MB, so
+// a near-empty store costs one modest allocation and a time-slice scan
+// prunes, by [minTs, maxTs], to a handful of blocks (DESIGN §10).
+const blockLen = 16 << 10
+
+// rowBytes is what one event occupies across a block's columns, in
+// memory and in a snapshot alike.
+const rowBytes = 8 + 4 + 2 + 1 + fevent.RecordLen
+
+// block is a fixed-size, append-only partition of the event log, held as
+// pointer-free columns. rec is the 24 B record the wire, the WAL and the
+// snapshot carry; sw and typ repeat two of its fields so a filtered scan
+// reads 3 B an event, not 24. prev chains each event to the previous
+// event of its flow, as position+1 (0 = none), across blocks.
+type block struct {
+	n            int // events held; only the last block is partial
+	minTs, maxTs int64
+	ts           [blockLen]int64
+	prev         [blockLen]uint32
+	sw           [blockLen]uint16
+	typ          [blockLen]uint8
+	rec          [blockLen * fevent.RecordLen]byte
+}
+
+// load materialises event i; types are validated on every way in, so the
+// record always decodes.
+func (b *block) load(i int, e *fevent.Event) {
+	_ = e.DecodeRecord(b.rec[i*fevent.RecordLen:])
+	e.SwitchID, e.Timestamp = b.sw[i], sim.Time(b.ts[i])
+}
+
+// typeRow counts one switch's stored events by type.
+type typeRow [fevent.TypeAggSpike + 1]uint64
+
+// Store is an in-memory event store: append-only blocks in ingestion
+// order plus a flow → newest-event table, O(flows) not O(events). The
+// 4 B chain link caps it at 2³²−1 events (168 GB of blocks; -mem-budget
+// sheds long before). It is safe for concurrent use (the TCP server
+// ingests from multiple switch connections).
 type Store struct {
 	mu     sync.RWMutex
-	events []fevent.Event
+	blocks []*block
+	n      int                    // stored events
+	heads  map[pkt.FlowKey]uint32 // flow → position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
 	seen       map[batchKey]struct{}
 	dupBatches uint64
 
-	// Indexes: positions into events.
-	byFlow   map[pkt.FlowKey][]int
-	bySwitch map[uint16][]int
-	byType   map[fevent.Type][]int
-
-	// byTypeSwitch counts stored events per (type, switch) for the
-	// netseer_store_events_total exposition; label sets are discovered at
-	// scrape time via SamplesFunc.
-	byTypeSwitch map[typeSwitchKey]uint64
+	// counts holds stored events per switch and type, for the
+	// netseer_store_events_total exposition and CountByType.
+	counts map[uint16]*typeRow
 
 	// detectToStore is the end-to-end staleness histogram: microseconds on
 	// the switch clock from an event's Step-2 report timestamp to its batch
@@ -65,22 +99,50 @@ type Store struct {
 	traceShard uint32
 }
 
-// typeSwitchKey keys the per-(type, switch) event counts.
-type typeSwitchKey struct {
-	t  fevent.Type
-	sw uint16
+// NewStore returns an empty store; blocks are allocated on demand.
+func NewStore() *Store {
+	s := &Store{seen: make(map[batchKey]struct{}), detectToStore: obs.NewHistogram(obs.LatencyBuckets())}
+	s.resetEvents()
+	return s
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{
-		seen:          make(map[batchKey]struct{}),
-		byFlow:        make(map[pkt.FlowKey][]int),
-		bySwitch:      make(map[uint16][]int),
-		byType:        make(map[fevent.Type][]int),
-		byTypeSwitch:  make(map[typeSwitchKey]uint64),
-		detectToStore: obs.NewHistogram(obs.LatencyBuckets()),
+// resetEvents drops every event, keeping the dedup state.
+func (s *Store) resetEvents() {
+	s.blocks, s.n = nil, 0
+	s.heads = make(map[pkt.FlowKey]uint32)
+	s.counts = make(map[uint16]*typeRow)
+}
+
+// append stores one event at the next position: the only writer of the
+// columns, the flow chains and the counts.
+func (s *Store) append(e *fevent.Event) {
+	if !e.Type.Valid() {
+		panic("collector: storing event with invalid type " + strconv.Itoa(int(e.Type)))
 	}
+	i := s.n % blockLen
+	if i == 0 {
+		s.blocks = append(s.blocks, &block{minTs: math.MaxInt64, maxTs: math.MinInt64})
+	}
+	b := s.blocks[len(s.blocks)-1]
+	ts := int64(e.Timestamp)
+	b.ts[i], b.sw[i], b.typ[i] = ts, e.SwitchID, uint8(e.Type)
+	e.AppendRecord(b.rec[i*fevent.RecordLen : i*fevent.RecordLen])
+	b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
+	b.prev[i] = s.heads[e.Flow]
+	b.n++
+	s.n++
+	s.heads[e.Flow] = uint32(s.n)
+	s.count(e.SwitchID, e.Type)
+}
+
+// count adds one event to its (switch, type) count.
+func (s *Store) count(sw uint16, t fevent.Type) {
+	row := s.counts[sw]
+	if row == nil {
+		row = new(typeRow)
+		s.counts[sw] = row
+	}
+	row[t]++
 }
 
 // Deliver implements core.EventSink: ingest one batch. Sequenced batches
@@ -99,7 +161,7 @@ func (s *Store) Deliver(b *fevent.Batch) {
 		s.seen[k] = struct{}{}
 	}
 	// Every batch with an assigned trace ID opens a store-index span, but
-	// only sampled batches — or batches whose indexing pass crossed the
+	// only sampled batches — or batches whose append pass crossed the
 	// slow threshold — record it: the slow path is captured regardless of
 	// the sampling modulus.
 	var sp trace.Span
@@ -112,12 +174,7 @@ func (s *Store) Deliver(b *fevent.Batch) {
 	}
 	for i := range b.Events {
 		e := &b.Events[i]
-		idx := len(s.events)
-		s.events = append(s.events, *e)
-		s.byFlow[e.Flow] = append(s.byFlow[e.Flow], idx)
-		s.bySwitch[e.SwitchID] = append(s.bySwitch[e.SwitchID], idx)
-		s.byType[e.Type] = append(s.byType[e.Type], idx)
-		s.byTypeSwitch[typeSwitchKey{t: e.Type, sw: e.SwitchID}]++
+		s.append(e)
 		if b.Timestamp >= e.Timestamp {
 			// The exemplar pairs the bucket with the batch's trace ID, so
 			// a tail-latency bucket on /metrics links straight to the
@@ -151,22 +208,21 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		obs.KindCounter, func() []obs.Sample {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			out := make([]obs.Sample, 0, len(s.byTypeSwitch))
-			for k, n := range s.byTypeSwitch {
-				out = append(out, obs.Sample{
-					Labels: []obs.Label{
-						obs.L("type", k.t.String()),
-						obs.L("switch", strconv.Itoa(int(k.sw))),
-					},
-					Value: float64(n),
-				})
+			var out []obs.Sample
+			for sw, row := range s.counts {
+				for t, n := range row {
+					if n != 0 {
+						labels := []obs.Label{obs.L("type", fevent.Type(t).String()), obs.L("switch", strconv.Itoa(int(sw)))}
+						out = append(out, obs.Sample{Labels: labels, Value: float64(n)})
+					}
+				}
 			}
 			return out
 		})
 	r.GaugeFunc(obs.MStoreFlows, "Distinct flows with at least one stored event.", func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return float64(len(s.byFlow))
+		return float64(len(s.heads))
 	})
 	r.CounterFunc(obs.MStoreDupBatches, "Replayed batches dropped by (switch, seq) dedup.", func() float64 {
 		return float64(s.DupBatches())
@@ -192,31 +248,30 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 	return ok
 }
 
-// Estimated resident cost per stored item, for admission control: an
-// event carries the struct itself plus three index slots and its share
-// of map buckets; a dedup key is a small map entry. Deliberately
-// conservative (rounded up) — admission control should engage early, not
-// late.
+// Resident cost of what the store holds, for admission control. A block
+// is charged whole, when it is allocated, rounded up to the allocator's
+// 8 KiB pages; a map entry is key + value + control byte at the load
+// factor of a table that has just doubled, so the estimate errs high and
+// admission control engages early, not late.
 const (
-	eventMemCost = 160
-	seenMemCost  = 64
+	blockMemCost = (blockLen*rowBytes + 24 + 8191) &^ 8191
+	flowMemCost  = 48
+	seenMemCost  = 40
 )
 
 // MemoryBytes estimates the store's resident memory — the quantity the
-// ingest server's admission watermarks are defined over. An estimate is
-// enough: the watermarks are percentages of an operator-chosen budget,
-// not allocator truth.
+// ingest server's admission watermarks are defined over.
 func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.events))*eventMemCost + int64(len(s.seen))*seenMemCost
+	return int64(len(s.blocks))*blockMemCost + int64(len(s.heads))*flowMemCost + int64(len(s.seen))*seenMemCost
 }
 
 // Len returns the number of stored events.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.events)
+	return s.n
 }
 
 // Filter selects events. Zero/nil fields match everything.
@@ -234,65 +289,77 @@ type Filter struct {
 	DropCode fevent.DropCode
 }
 
-func (f *Filter) matches(e *fevent.Event) bool {
-	if f.Flow != nil && e.Flow != *f.Flow {
-		return false
+// visit calls fn(b, i) for every stored event matching f, in ingestion
+// order, with s.mu held: the store's only read path. A flow filter walks
+// that flow's chain (newest first, replayed reversed), so a point lookup
+// costs O(the flow's events); anything else scans the columns block by
+// block, skipping blocks whose [minTs, maxTs] misses [Since, Until].
+func (s *Store) visit(f *Filter, fn func(b *block, i int)) {
+	since, until := int64(f.Since), int64(f.Until)
+	if until == 0 {
+		until = math.MaxInt64
 	}
-	if f.SwitchID != nil && e.SwitchID != *f.SwitchID {
-		return false
+	match := func(b *block, i int) bool {
+		return (f.SwitchID == nil || b.sw[i] == *f.SwitchID) &&
+			(f.Type == 0 || b.typ[i] == uint8(f.Type)) &&
+			b.ts[i] >= since && b.ts[i] <= until &&
+			(f.DropCode == fevent.DropNone || b.typ[i] == uint8(fevent.TypeDrop) &&
+				b.rec[i*fevent.RecordLen+fevent.RecordDropCodeOff] == byte(f.DropCode))
 	}
-	if f.Type != 0 && e.Type != f.Type {
-		return false
+	if f.Flow != nil {
+		var buf [64]uint32 // most chains fit: no heap for a point lookup
+		chain := buf[:0]
+		for link := s.heads[*f.Flow]; link != 0; {
+			b, i := s.blocks[(link-1)/blockLen], int((link-1)%blockLen)
+			if match(b, i) {
+				chain = append(chain, link-1)
+			}
+			link = b.prev[i]
+		}
+		for k := len(chain) - 1; k >= 0; k-- {
+			fn(s.blocks[chain[k]/blockLen], int(chain[k]%blockLen))
+		}
+		return
 	}
-	if e.Timestamp < f.Since {
-		return false
+	for _, b := range s.blocks {
+		if b.maxTs < since || b.minTs > until {
+			continue
+		}
+		for i := 0; i < b.n; i++ {
+			if match(b, i) {
+				fn(b, i)
+			}
+		}
 	}
-	if f.Until != 0 && e.Timestamp > f.Until {
-		return false
-	}
-	if f.DropCode != fevent.DropNone && e.DropCode != f.DropCode {
-		return false
-	}
-	return true
 }
 
-// Query returns all events matching the filter in ingestion order. The
-// narrowest available index drives the scan.
+// Query returns all events matching the filter in ingestion order.
 func (s *Store) Query(f Filter) []fevent.Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var candidates []int
-	switch {
-	case f.Flow != nil:
-		candidates = s.byFlow[*f.Flow]
-	case f.SwitchID != nil:
-		candidates = s.bySwitch[*f.SwitchID]
-	case f.Type != 0:
-		candidates = s.byType[f.Type]
-	}
 	var out []fevent.Event
-	if candidates != nil {
-		for _, i := range candidates {
-			if f.matches(&s.events[i]) {
-				out = append(out, s.events[i])
-			}
-		}
-		return out
-	}
-	for i := range s.events {
-		if f.matches(&s.events[i]) {
-			out = append(out, s.events[i])
-		}
-	}
+	s.visit(&f, func(b *block, i int) {
+		out = append(out, fevent.Event{})
+		b.load(i, &out[len(out)-1])
+	})
 	return out
+}
+
+// Count returns how many events match the filter, materialising none.
+func (s *Store) Count(f Filter) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	s.visit(&f, func(*block, int) { n++ })
+	return n
 }
 
 // Flows returns the distinct flows with stored events.
 func (s *Store) Flows() []pkt.FlowKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]pkt.FlowKey, 0, len(s.byFlow))
-	for f := range s.byFlow {
+	out := make([]pkt.FlowKey, 0, len(s.heads))
+	for f := range s.heads {
 		out = append(out, f)
 	}
 	return out
@@ -302,9 +369,13 @@ func (s *Store) Flows() []pkt.FlowKey {
 func (s *Store) CountByType() map[fevent.Type]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[fevent.Type]int, len(s.byType))
-	for t, idx := range s.byType {
-		out[t] = len(idx)
+	out := make(map[fevent.Type]int)
+	for _, row := range s.counts {
+		for t, n := range row {
+			if n != 0 {
+				out[fevent.Type(t)] += int(n)
+			}
+		}
 	}
 	return out
 }
@@ -328,15 +399,16 @@ func (s *Store) Summary() []SummaryRow {
 	}
 	counts := make(map[key]int)
 	flowSets := make(map[key]map[pkt.FlowKey]struct{})
-	for i := range s.events {
-		e := &s.events[i]
+	var e fevent.Event
+	s.visit(&Filter{}, func(b *block, i int) {
+		b.load(i, &e)
 		k := key{e.SwitchID, e.Type}
 		counts[k]++
 		if flowSets[k] == nil {
 			flowSets[k] = make(map[pkt.FlowKey]struct{})
 		}
 		flowSets[k][e.Flow] = struct{}{}
-	}
+	})
 	out := make([]SummaryRow, 0, len(counts))
 	for k, n := range counts {
 		out = append(out, SummaryRow{SwitchID: k.sw, Type: k.t, Events: n, Flows: len(flowSets[k])})
@@ -365,17 +437,15 @@ func (s *Store) PathOf(flow pkt.FlowKey) []PathHop {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	latest := make(map[uint16]PathHop)
-	for _, i := range s.byFlow[flow] {
-		e := &s.events[i]
-		if e.Type != fevent.TypePathChange {
-			continue
-		}
+	var e fevent.Event
+	s.visit(&Filter{Flow: &flow, Type: fevent.TypePathChange}, func(b *block, i int) {
+		b.load(i, &e)
 		if prev, ok := latest[e.SwitchID]; !ok || e.Timestamp >= prev.At {
 			latest[e.SwitchID] = PathHop{
 				SwitchID: e.SwitchID, In: e.IngressPort, Out: e.EgressPort, At: e.Timestamp,
 			}
 		}
-	}
+	})
 	out := make([]PathHop, 0, len(latest))
 	for _, h := range latest {
 		out = append(out, h)
@@ -396,13 +466,11 @@ func (s *Store) LatencyHistogram(switchID *uint16) *metrics.Histogram {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	h := metrics.NewHistogram()
-	for _, i := range s.byType[fevent.TypeCongestion] {
-		e := &s.events[i]
-		if switchID != nil && e.SwitchID != *switchID {
-			continue
-		}
+	var e fevent.Event
+	s.visit(&Filter{SwitchID: switchID, Type: fevent.TypeCongestion}, func(b *block, i int) {
+		b.load(i, &e)
 		h.Observe(float64(e.QueueLatencyUs))
-	}
+	})
 	return h
 }
 
@@ -410,11 +478,7 @@ func (s *Store) LatencyHistogram(switchID *uint16) *metrics.Histogram {
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = nil
+	s.resetEvents()
 	s.seen = make(map[batchKey]struct{})
 	s.dupBatches = 0
-	s.byFlow = make(map[pkt.FlowKey][]int)
-	s.bySwitch = make(map[uint16][]int)
-	s.byType = make(map[fevent.Type][]int)
-	s.byTypeSwitch = make(map[typeSwitchKey]uint64)
 }

@@ -1,0 +1,433 @@
+package collector
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"netseer/internal/fevent"
+	"netseer/internal/pkt"
+	"netseer/internal/sim"
+)
+
+// The differential test drives the block store and a reference model —
+// the design the blocks replaced: one slice in ingestion order, every
+// read a linear scan through Filter.matches — with the same program and
+// requires the same answer from every read.
+
+// matches is the reference filter semantics, one event at a time.
+func (f *Filter) matches(e *fevent.Event) bool {
+	return (f.Flow == nil || e.Flow == *f.Flow) &&
+		(f.SwitchID == nil || e.SwitchID == *f.SwitchID) &&
+		(f.Type == 0 || e.Type == f.Type) &&
+		e.Timestamp >= f.Since && (f.Until == 0 || e.Timestamp <= f.Until) &&
+		(f.DropCode == fevent.DropNone || e.DropCode == f.DropCode)
+}
+
+type modelStore struct {
+	events []fevent.Event
+	seen   map[batchKey]bool
+	dups   uint64
+}
+
+func (m *modelStore) Deliver(b *fevent.Batch) {
+	if b.Seq != 0 {
+		if k := (batchKey{b.SwitchID, b.Seq}); m.seen[k] {
+			m.dups++
+			return
+		} else {
+			m.seen[k] = true
+		}
+	}
+	m.events = append(m.events, b.Events...)
+}
+
+// RemoveEvents drops the earliest stored copy of each element of evs.
+func (m *modelStore) RemoveEvents(evs []fevent.Event) int {
+	want := map[fevent.Event]int{}
+	for _, e := range evs {
+		want[e]++
+	}
+	kept := m.events[:0]
+	for _, e := range m.events {
+		if want[e] > 0 {
+			want[e]--
+			continue
+		}
+		kept = append(kept, e)
+	}
+	removed := len(m.events) - len(kept)
+	m.events = kept
+	return removed
+}
+
+func (m *modelStore) Query(f Filter) []fevent.Event {
+	var out []fevent.Event
+	for i := range m.events {
+		if f.matches(&m.events[i]) {
+			out = append(out, m.events[i])
+		}
+	}
+	return out
+}
+
+// pair runs one program against both and compares as it goes.
+type pair struct {
+	t  *testing.T
+	r  *rand.Rand
+	st *Store
+	m  *modelStore
+}
+
+func newPair(t *testing.T, seed int64) *pair {
+	return &pair{t: t, r: rand.New(rand.NewSource(seed)), st: NewStore(), m: &modelStore{seen: map[batchKey]bool{}}}
+}
+
+func modelFlow(i int) pkt.FlowKey {
+	return pkt.FlowKey{SrcIP: pkt.IP(10, 0, 0, 0) + uint32(i), DstIP: pkt.IP(10, 1, 0, 1), SrcPort: uint16(1000 + i), DstPort: 80, Proto: pkt.ProtoTCP}
+}
+
+// event draws one event that is its own record image: only the fields
+// its type's 24 B record carries are set.
+func (p *pair) event(flows, switches int, ts sim.Time) fevent.Event {
+	r := p.r
+	e := fevent.Event{Type: fevent.Types[r.Intn(len(fevent.Types))], Flow: modelFlow(r.Intn(flows)),
+		SwitchID: uint16(1 + r.Intn(switches)), Timestamp: ts, Count: uint16(1 + r.Intn(100)), EgressPort: uint8(r.Intn(32))}
+	e.Hash = e.Flow.Hash()
+	switch e.Type {
+	case fevent.TypeDrop:
+		e.IngressPort, e.DropCode = uint8(r.Intn(32)), fevent.DropCode(1+r.Intn(int(fevent.DropCorruption)))
+		if e.DropCode == fevent.DropACLDeny {
+			e.ACLRule = uint8(1 + r.Intn(8))
+		}
+	case fevent.TypeCongestion:
+		e.Queue, e.QueueLatencyUs = uint8(r.Intn(8)), uint16(10+r.Intn(2000))
+	case fevent.TypePathChange, fevent.TypeHeavyHitter:
+		e.IngressPort = uint8(r.Intn(32))
+	case fevent.TypePause:
+		e.Queue = uint8(r.Intn(8))
+	case fevent.TypeTopKChurn:
+		e.SketchErr = uint16(r.Intn(500))
+	case fevent.TypeAggSpike:
+		e.Flow, e.Window = pkt.FlowKey{}, uint16(r.Intn(100))
+		e.Hash = e.Flow.Hash()
+	}
+	return e
+}
+
+// events draws n events; jitter > 0 gives each its own stamp within
+// ±jitter of ts, as an in-process batch does, so block [min, max] ranges
+// overlap.
+func (p *pair) events(n, flows, switches int, ts, jitter sim.Time) []fevent.Event {
+	evs := make([]fevent.Event, n)
+	for i := range evs {
+		at := ts
+		if jitter > 0 {
+			at += sim.Time(p.r.Int63n(int64(2*jitter))) - jitter
+		}
+		evs[i] = p.event(flows, switches, at)
+	}
+	return evs
+}
+
+func (p *pair) deliver(sw uint16, seq uint64, ts sim.Time, evs []fevent.Event) {
+	b := &fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs}
+	p.st.Deliver(b)
+	p.m.Deliver(b)
+}
+
+func (p *pair) add(evs []fevent.Event) {
+	p.st.AddEvents(evs)
+	p.m.events = append(p.m.events, evs...)
+}
+
+func (p *pair) remove(evs []fevent.Event) {
+	p.t.Helper()
+	if got, want := p.st.RemoveEvents(evs), p.m.RemoveEvents(evs); got != want {
+		p.t.Fatalf("RemoveEvents(%d events) removed %d, model %d", len(evs), got, want)
+	}
+}
+
+// reload round-trips the store through its snapshot into a fresh store.
+func (p *pair) reload() {
+	p.t.Helper()
+	fresh := NewStore()
+	if err := fresh.LoadSnapshot(p.st.EncodeSnapshot()); err != nil {
+		p.t.Fatalf("LoadSnapshot of own snapshot: %v", err)
+	}
+	p.st = fresh
+}
+
+// handoff moves the events of one switch to a second store and back the
+// way the fabric does — ExportWhere, the 34 B wire encoding, AddEvents
+// and the dedup set at the destination, RemoveEvents at the source — so
+// they end up at the tail of the log.
+func (p *pair) handoff(sw uint16) {
+	p.t.Helper()
+	moving := p.st.ExportWhere(func(e *fevent.Event) bool { return e.SwitchID == sw })
+	dst := NewStore()
+	var wire []byte
+	for i := range moving {
+		wire = AppendWireEvent(wire[:0], &moving[i])
+		e, err := DecodeWireEvent(wire)
+		if err != nil || e != moving[i] {
+			p.t.Fatalf("wire round trip of %v: %v, %v", &moving[i], &e, err)
+		}
+		dst.AddEvents([]fevent.Event{e})
+	}
+	dst.MergeSeen(p.st.ExportSeen())
+	for k := range p.m.seen {
+		if !dst.SeenBatch(k.sw, k.seq) {
+			p.t.Fatalf("destination does not dedup batch (%d, %d)", k.sw, k.seq)
+		}
+	}
+	if _, err := DecodeWireEvent(make([]byte, WireEventLen-1)); err == nil {
+		p.t.Fatal("DecodeWireEvent accepted a truncated event")
+	}
+	p.remove(moving)
+	p.add(dst.Query(Filter{}))
+}
+
+// compare checks every read of the store against the model: the whole
+// log, then every combination of filter fields (present and absent
+// values for each), then the aggregates.
+func (p *pair) compare(flows, switches int) {
+	t, st, m := p.t, p.st, p.m
+	t.Helper()
+	if st.Len() != len(m.events) || st.DupBatches() != m.dups {
+		t.Fatalf("Len %d dups %d, model %d / %d", st.Len(), st.DupBatches(), len(m.events), m.dups)
+	}
+	for k := range m.seen {
+		if !st.SeenBatch(k.sw, k.seq) {
+			t.Fatalf("SeenBatch(%d, %d) = false", k.sw, k.seq)
+		}
+	}
+	tMin, tMax := sim.Time(math.MaxInt64), sim.Time(0)
+	for i := range m.events {
+		tMin, tMax = min(tMin, m.events[i].Timestamp), max(tMax, m.events[i].Timestamp)
+	}
+	mid := tMax / 2
+	flowOpts := []*pkt.FlowKey{nil, {}, ptr(modelFlow(p.r.Intn(flows))), ptr(modelFlow(flows + 7))}
+	swOpts := []*uint16{nil, ptr(uint16(1 + p.r.Intn(switches))), ptr(uint16(switches + 9))}
+	typeOpts := []fevent.Type{0, fevent.TypeDrop, fevent.Types[p.r.Intn(len(fevent.Types))]}
+	timeOpts := [][2]sim.Time{{0, 0}, {mid, 0}, {0, mid}, {mid / 2, mid}, {tMax, 0}, {0, tMin}, {tMax + 1, 0}}
+	codeOpts := []fevent.DropCode{fevent.DropNone, fevent.DropNoRoute}
+	// A large store checks every fifth combination: five is coprime to
+	// every option count, so each value of a field still meets every
+	// value of the others.
+	stride, combo := 1, 0
+	if len(m.events) > blockLen/2 {
+		stride = 5
+	}
+	for _, fl := range flowOpts {
+		for _, sw := range swOpts {
+			for _, ty := range typeOpts {
+				for _, tr := range timeOpts {
+					for _, code := range codeOpts {
+						if combo++; combo%stride != 0 {
+							continue
+						}
+						f := Filter{Flow: fl, SwitchID: sw, Type: ty, Since: tr[0], Until: tr[1], DropCode: code}
+						want := m.Query(f)
+						if got := st.Query(f); !slices.Equal(got, want) {
+							t.Fatalf("Query(%+v): %d events, model %d (first diff at %d)", f, len(got), len(want), firstDiff(got, want))
+						}
+						if got := st.Count(f); got != len(want) {
+							t.Fatalf("Count(%+v) = %d, model %d", f, got, len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+	odd := func(e *fevent.Event) bool { return e.Count%2 == 1 }
+	var wantOdd []fevent.Event
+	for i := range m.events {
+		if odd(&m.events[i]) {
+			wantOdd = append(wantOdd, m.events[i])
+		}
+	}
+	if got := st.ExportWhere(odd); !slices.Equal(got, wantOdd) {
+		t.Fatalf("ExportWhere: %d events, model %d", len(got), len(wantOdd))
+	}
+
+	// Aggregates, recomputed from the model's slice.
+	type swType struct {
+		sw uint16
+		t  fevent.Type
+	}
+	byType := map[fevent.Type]int{}
+	rows := map[swType]*SummaryRow{}
+	rowFlows := map[swType]map[pkt.FlowKey]bool{}
+	flowSet := map[pkt.FlowKey]bool{}
+	congestion := 0
+	for i := range m.events {
+		e := &m.events[i]
+		k := swType{e.SwitchID, e.Type}
+		byType[e.Type]++
+		flowSet[e.Flow] = true
+		if rows[k] == nil {
+			rows[k], rowFlows[k] = &SummaryRow{SwitchID: e.SwitchID, Type: e.Type}, map[pkt.FlowKey]bool{}
+		}
+		rows[k].Events++
+		rowFlows[k][e.Flow] = true
+		if e.Type == fevent.TypeCongestion && (swOpts[1] == nil || e.SwitchID == *swOpts[1]) {
+			congestion++
+		}
+	}
+	if got := st.CountByType(); !reflect.DeepEqual(got, byType) {
+		t.Fatalf("CountByType = %v, model %v", got, byType)
+	}
+	if got := st.LatencyHistogram(swOpts[1]).Count(); got != uint64(congestion) {
+		t.Fatalf("LatencyHistogram(switch %d) holds %d, model %d", *swOpts[1], got, congestion)
+	}
+	summary := st.Summary()
+	if len(summary) != len(rows) {
+		t.Fatalf("Summary has %d rows, model %d", len(summary), len(rows))
+	}
+	for _, row := range summary {
+		k := swType{row.SwitchID, row.Type}
+		if rows[k] == nil || row.Events != rows[k].Events || row.Flows != len(rowFlows[k]) {
+			t.Fatalf("Summary row %+v, model %+v with %d flows", row, rows[k], len(rowFlows[k]))
+		}
+	}
+	got := st.Flows()
+	if len(got) != len(flowSet) {
+		t.Fatalf("Flows has %d, model %d", len(got), len(flowSet))
+	}
+	for _, f := range got {
+		if !flowSet[f] {
+			t.Fatalf("Flows lists %v, which the model does not hold", f)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		f := modelFlow(p.r.Intn(flows))
+		if got, want := st.PathOf(f), modelPath(m, f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("PathOf(%v) = %v, model %v", f, got, want)
+		}
+	}
+}
+
+func modelPath(m *modelStore, flow pkt.FlowKey) []PathHop {
+	latest := map[uint16]PathHop{}
+	for _, e := range m.Query(Filter{Flow: &flow, Type: fevent.TypePathChange}) {
+		if prev, ok := latest[e.SwitchID]; !ok || e.Timestamp >= prev.At {
+			latest[e.SwitchID] = PathHop{SwitchID: e.SwitchID, In: e.IngressPort, Out: e.EgressPort, At: e.Timestamp}
+		}
+	}
+	out := make([]PathHop, 0, len(latest))
+	for _, h := range latest {
+		out = append(out, h)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		return out[i].SwitchID < out[j].SwitchID
+	})
+	return out
+}
+
+func ptr[T any](v T) *T { return &v }
+
+func firstDiff(a, b []fevent.Event) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestStoreModelRandomPrograms runs seeded random programs of every
+// mutation the store has — Deliver with fresh, replayed and zero
+// sequence numbers, AddEvents, RemoveEvents of stored and never-stored
+// events, a handoff out and back, a snapshot round trip — and compares
+// every read after each step.
+func TestStoreModelRandomPrograms(t *testing.T) {
+	const flows, switches = 12, 4
+	for seed := int64(1); seed <= 12; seed++ {
+		p := newPair(t, seed)
+		var seq uint64
+		for step := 0; step < 40; step++ {
+			ts := sim.Time(1+step) * sim.Millisecond
+			switch op := p.r.Intn(10); {
+			case op < 5:
+				sw := uint16(1 + p.r.Intn(switches))
+				s := seq + 1
+				switch p.r.Intn(4) {
+				case 0:
+					s = 0 // unsequenced, in-process
+				case 1:
+					s = 1 + uint64(p.r.Intn(int(seq)+1)) // a replay, unless this switch never used it
+				default:
+					seq++
+				}
+				p.deliver(sw, s, ts, p.events(1+p.r.Intn(60), flows, switches, ts, sim.Time(p.r.Intn(2))*sim.Millisecond))
+			case op < 6:
+				p.add(p.events(1+p.r.Intn(20), flows, switches, ts, 0))
+			case op < 8 && len(p.m.events) > 0:
+				var evs []fevent.Event
+				for i := 0; i < 1+p.r.Intn(30); i++ {
+					evs = append(evs, p.m.events[p.r.Intn(len(p.m.events))]) // repeats ask for more copies than may exist
+				}
+				evs = append(evs, p.event(flows, switches, ts+1)) // never stored
+				p.remove(evs)
+			case op < 9:
+				p.handoff(uint16(1 + p.r.Intn(switches+1))) // sometimes a switch with no events
+			default:
+				p.reload()
+			}
+			p.compare(flows, switches)
+		}
+	}
+}
+
+// TestStoreModelBlockBoundaries is the directed half: stores one event
+// short of, exactly at and one past a block boundary; a flow whose chain
+// spans three blocks and more links than the visitor's stack buffer;
+// per-event stamps that overlap across blocks, so [min, max] pruning
+// runs where it must not prune; and a RemoveEvents that empties a whole
+// block out of the middle. Each is compared before and after a snapshot
+// round trip.
+func TestStoreModelBlockBoundaries(t *testing.T) {
+	const flows, switches = 5, 3
+	for _, n := range []int{blockLen - 1, blockLen, blockLen + 1, 3*blockLen + 100} {
+		p := newPair(t, int64(n))
+		for done, seq := 0, uint64(1); done < n; seq++ {
+			size := min(370, n-done)
+			ts := sim.Millisecond + sim.Time(seq)*10*sim.Microsecond
+			// Jitter of 50 batch spacings: neighbouring blocks' time
+			// ranges overlap by hundreds of events.
+			p.deliver(uint16(1+seq%switches), seq, ts, p.events(size, flows, switches, ts, 500*sim.Microsecond))
+			done += size
+		}
+		if want := (n + blockLen - 1) / blockLen; len(p.st.blocks) != want {
+			t.Fatalf("%d events sit in %d blocks, want %d", n, len(p.st.blocks), want)
+		}
+		p.compare(flows, switches)
+		p.reload()
+		p.compare(flows, switches)
+		if n < 3*blockLen {
+			continue
+		}
+		if got := p.st.Count(Filter{Flow: ptr(modelFlow(0))}); got < 2*blockLen/flows {
+			t.Fatalf("flow 0 has %d events: its chain does not span three blocks", got)
+		}
+		p.remove(append([]fevent.Event(nil), p.m.events[blockLen:2*blockLen]...))
+		if len(p.st.blocks) != 3 {
+			t.Fatalf("after removing one block's worth, %d blocks remain, want 3", len(p.st.blocks))
+		}
+		p.compare(flows, switches)
+		p.reload()
+		p.compare(flows, switches)
+		p.remove(append([]fevent.Event(nil), p.m.events...))
+		if len(p.st.blocks) != 0 || p.st.MemoryBytes() != int64(len(p.m.seen))*seenMemCost {
+			t.Fatalf("emptied store keeps %d blocks, %d bytes", len(p.st.blocks), p.st.MemoryBytes())
+		}
+		p.compare(flows, switches)
+	}
+}

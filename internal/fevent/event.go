@@ -8,6 +8,7 @@ package fevent
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
@@ -194,38 +195,67 @@ func (e *Event) Key() Key {
 	return k
 }
 
+// appendField appends label followed by v in decimal.
+func appendField[T uint8 | uint16](b []byte, label string, v T) []byte {
+	return strconv.AppendUint(append(b, label...), uint64(v), 10)
+}
+
+// AppendTo appends the compact rendering String returns, allocating
+// nothing: the query server renders one per result row.
+func (e *Event) AppendTo(b []byte) []byte {
+	if !e.Type.Valid() {
+		return append(appendField(b, "event(type=", uint8(e.Type)), ')')
+	}
+	b = append(b, e.Type.String()...)
+	if e.Type == TypeDrop {
+		b = append(append(append(b, '['), e.DropCode.String()...), ']')
+	}
+	b = appendField(b, " sw=", e.SwitchID)
+	if e.Type != TypeAggSpike {
+		b = e.Flow.AppendTo(append(b, ' '))
+	}
+	switch e.Type {
+	case TypeDrop, TypeHeavyHitter:
+		b = appendField(b, " in=", e.IngressPort)
+		b = appendField(b, " out=", e.EgressPort)
+		b = appendField(b, " n=", e.Count)
+	case TypeCongestion:
+		b = appendField(b, " port=", e.EgressPort)
+		b = appendField(b, " q=", e.Queue)
+		b = append(appendField(b, " lat=", e.QueueLatencyUs), "us"...)
+		b = appendField(b, " n=", e.Count)
+	case TypePathChange:
+		b = appendField(b, " in=", e.IngressPort)
+		b = appendField(b, " out=", e.EgressPort)
+	case TypePause:
+		b = appendField(b, " port=", e.EgressPort)
+		b = appendField(b, " q=", e.Queue)
+		b = appendField(b, " n=", e.Count)
+	case TypeTopKChurn:
+		b = appendField(b, " out=", e.EgressPort)
+		b = appendField(b, " n=", e.Count)
+		b = appendField(b, " err=", e.SketchErr)
+	case TypeAggSpike:
+		b = appendField(b, " port=", e.EgressPort)
+		b = appendField(b, " win=", e.Window)
+		b = appendField(b, " kB=", e.Count)
+	}
+	return b
+}
+
 // String renders the event compactly for logs and test failures.
 func (e *Event) String() string {
-	switch e.Type {
-	case TypeDrop:
-		return fmt.Sprintf("drop[%s] sw=%d %s in=%d out=%d n=%d",
-			e.DropCode, e.SwitchID, e.Flow, e.IngressPort, e.EgressPort, e.Count)
-	case TypeCongestion:
-		return fmt.Sprintf("congestion sw=%d %s port=%d q=%d lat=%dus n=%d",
-			e.SwitchID, e.Flow, e.EgressPort, e.Queue, e.QueueLatencyUs, e.Count)
-	case TypePathChange:
-		return fmt.Sprintf("path-change sw=%d %s in=%d out=%d",
-			e.SwitchID, e.Flow, e.IngressPort, e.EgressPort)
-	case TypePause:
-		return fmt.Sprintf("pause sw=%d %s port=%d q=%d n=%d",
-			e.SwitchID, e.Flow, e.EgressPort, e.Queue, e.Count)
-	case TypeHeavyHitter:
-		return fmt.Sprintf("heavy-hitter sw=%d %s in=%d out=%d n=%d",
-			e.SwitchID, e.Flow, e.IngressPort, e.EgressPort, e.Count)
-	case TypeTopKChurn:
-		return fmt.Sprintf("topk-churn sw=%d %s out=%d n=%d err=%d",
-			e.SwitchID, e.Flow, e.EgressPort, e.Count, e.SketchErr)
-	case TypeAggSpike:
-		return fmt.Sprintf("agg-spike sw=%d port=%d win=%d kB=%d",
-			e.SwitchID, e.EgressPort, e.Window, e.Count)
-	default:
-		return fmt.Sprintf("event(type=%d)", e.Type)
-	}
+	var buf [128]byte
+	return string(e.AppendTo(buf[:0]))
 }
 
 // RecordLen is the exact on-wire size of one event record: 1 B type tag,
 // 13 B flow, 4 B event-specific detail, 2 B counter, 4 B hash.
 const RecordLen = 24
+
+// RecordDropCodeOff is where a drop record keeps its reason, for readers
+// that filter stored records without decoding them.
+const RecordDropCodeOff = 16
 
 // AppendRecord appends the 24-byte record encoding of e to b.
 //
@@ -247,7 +277,7 @@ func (e *Event) AppendRecord(b []byte) []byte {
 	case TypeDrop:
 		r[14] = e.IngressPort
 		r[15] = e.EgressPort
-		r[16] = byte(e.DropCode)
+		r[RecordDropCodeOff] = byte(e.DropCode)
 		r[17] = e.ACLRule
 	case TypeCongestion:
 		r[14] = e.EgressPort
@@ -298,7 +328,7 @@ func (e *Event) DecodeRecord(b []byte) error {
 	case TypeDrop:
 		e.IngressPort = b[14]
 		e.EgressPort = b[15]
-		e.DropCode = DropCode(b[16])
+		e.DropCode = DropCode(b[RecordDropCodeOff])
 		e.ACLRule = b[17]
 	case TypeCongestion:
 		e.EgressPort = b[14]

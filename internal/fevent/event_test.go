@@ -166,18 +166,36 @@ func TestDropCodeIsPipeline(t *testing.T) {
 	}
 }
 
+// TestEventString pins the rendering the query protocol prints, one
+// fully populated event per type.
 func TestEventString(t *testing.T) {
-	events := []Event{
-		{Type: TypeDrop, DropCode: DropNoRoute, Flow: sampleFlow()},
-		{Type: TypeCongestion, Flow: sampleFlow()},
-		{Type: TypePathChange, Flow: sampleFlow()},
-		{Type: TypePause, Flow: sampleFlow()},
-		{Type: Type(9)},
+	e := Event{
+		Flow: sampleFlow(), SwitchID: 12, IngressPort: 3, EgressPort: 7, Queue: 2,
+		QueueLatencyUs: 450, DropCode: DropNoRoute, Window: 9, SketchErr: 5, Count: 65535,
 	}
-	for _, e := range events {
-		if e.String() == "" {
-			t.Errorf("empty String() for %v", e.Type)
+	const flow = "tcp 10.0.0.1:5123>10.0.3.4:80"
+	want := map[Type]string{
+		TypeDrop:        "drop[no-route] sw=12 " + flow + " in=3 out=7 n=65535",
+		TypeCongestion:  "congestion sw=12 " + flow + " port=7 q=2 lat=450us n=65535",
+		TypePathChange:  "path-change sw=12 " + flow + " in=3 out=7",
+		TypePause:       "pause sw=12 " + flow + " port=7 q=2 n=65535",
+		TypeHeavyHitter: "heavy-hitter sw=12 " + flow + " in=3 out=7 n=65535",
+		TypeTopKChurn:   "topk-churn sw=12 " + flow + " out=7 n=65535 err=5",
+		TypeAggSpike:    "agg-spike sw=12 port=7 win=9 kB=65535",
+		Type(9):         "event(type=9)",
+	}
+	for typ, w := range want {
+		e.Type = typ
+		if got := e.String(); got != w {
+			t.Errorf("String() = %q, want %q", got, w)
 		}
+		if got := string(e.AppendTo([]byte("> "))); got != "> "+w {
+			t.Errorf("AppendTo = %q, want %q", got, "> "+w)
+		}
+	}
+	e.Type = TypeDrop
+	if n := testing.AllocsPerRun(100, func() { _ = e.AppendTo(make([]byte, 0, 128)) }); n != 0 {
+		t.Errorf("AppendTo allocates %v times a call, want 0", n)
 	}
 }
 

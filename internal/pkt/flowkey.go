@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"strconv"
 )
 
 // Proto numbers used by the simulator (IANA assigned).
@@ -42,22 +43,48 @@ func IP(a, b, c, d byte) uint32 {
 	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
 }
 
+// AppendIP appends the dotted-quad form of an IPv4 address held in a
+// uint32.
+func AppendIP(b []byte, ip uint32) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+		if shift != 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
+}
+
 // IPString renders an IPv4 address held in a uint32.
 func IPString(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var buf [15]byte
+	return string(AppendIP(buf[:0], ip))
+}
+
+// AppendTo appends the "proto src:port>dst:port" form of the 5-tuple,
+// allocating nothing: the query server renders one per result row.
+func (k FlowKey) AppendTo(b []byte) []byte {
+	switch k.Proto {
+	case ProtoTCP:
+		b = append(b, "tcp "...)
+	case ProtoUDP:
+		b = append(b, "udp "...)
+	default:
+		b = append(b, "? "...)
+	}
+	b = AppendIP(b, k.SrcIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+	b = append(b, '>')
+	b = AppendIP(b, k.DstIP)
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(k.DstPort), 10)
 }
 
 // String renders the 5-tuple in "proto src:port>dst:port" form.
 func (k FlowKey) String() string {
-	proto := "?"
-	switch k.Proto {
-	case ProtoTCP:
-		proto = "tcp"
-	case ProtoUDP:
-		proto = "udp"
-	}
-	return fmt.Sprintf("%s %s:%d>%s:%d", proto,
-		IPString(k.SrcIP), k.SrcPort, IPString(k.DstIP), k.DstPort)
+	var buf [48]byte
+	return string(k.AppendTo(buf[:0]))
 }
 
 // Reverse returns the key of the opposite direction of the flow.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // Time is a virtual-time instant in nanoseconds since the start of the
@@ -34,18 +35,44 @@ const MaxTime Time = math.MaxInt64
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// String renders the instant with automatic unit selection.
-func (t Time) String() string {
+// appendFixed appends t ÷ (step × 10^decimals) with that many decimals,
+// rounding half up, in integer arithmetic: the query server
+// renders one instant per result row, and a float's 'f' format costs more
+// than the rest of the row.
+func appendFixed(b []byte, t, step Time, decimals int) []byte {
+	q := t / step
+	if t%step >= (step+1)/2 {
+		q++
+	}
+	var frac [6]byte
+	for i := decimals - 1; i >= 0; i-- {
+		frac[i] = byte('0' + q%10)
+		q /= 10
+	}
+	b = strconv.AppendInt(b, int64(q), 10)
+	b = append(b, '.')
+	return append(b, frac[:decimals]...)
+}
+
+// AppendTo appends the instant with automatic unit selection, allocating
+// nothing.
+func (t Time) AppendTo(b []byte) []byte {
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%.6fs", t.Seconds())
+		return append(appendFixed(b, t, Microsecond, 6), 's')
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		return append(appendFixed(b, t, Microsecond, 3), "ms"...)
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
+		return append(appendFixed(b, t, Nanosecond, 3), "us"...)
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(b, int64(t), 10), "ns"...)
 	}
+}
+
+// String renders the instant with automatic unit selection.
+func (t Time) String() string {
+	var buf [32]byte
+	return string(t.AppendTo(buf[:0]))
 }
 
 // event is a scheduled closure. Executed and canceled events return to a

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -215,10 +216,49 @@ func TestTimeString(t *testing.T) {
 		{2 * Microsecond, "2.000us"},
 		{3 * Millisecond, "3.000ms"},
 		{Second, "1.000000s"},
+		{0, "0ns"},
+		{-5, "-5ns"},
+		{1999, "1.999us"},
+		{2*Millisecond - 1, "2.000ms"},
+		{1500500, "1.501ms"}, // half rounds up
+		{1500499, "1.500ms"},
+		{Second - 1, "1000.000ms"},
+		{MaxTime, "9223372036.854776s"},
+		{1234567890123, "1234.567890s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
+		if got := string(c.t.AppendTo([]byte("t="))); got != "t="+c.want {
+			t.Errorf("(%d).AppendTo = %q, want %q", int64(c.t), got, "t="+c.want)
+		}
+	}
+}
+
+// TestTimeStringMatchesFloatFormat holds the integer rendering to the
+// %.Nf rendering it replaced, away from exact halves (where a float's
+// binary neighbour decided the last digit).
+func TestTimeStringMatchesFloatFormat(t *testing.T) {
+	r := NewStream(7, "time-string")
+	for i := 0; i < 20000; i++ {
+		v := Time(r.Uint64() >> (11 + r.Intn(40)))
+		if v%1000 == 500 {
+			continue
+		}
+		var want string
+		switch {
+		case v >= Second:
+			want = fmt.Sprintf("%.6fs", v.Seconds())
+		case v >= Millisecond:
+			want = fmt.Sprintf("%.3fms", float64(v)/float64(Millisecond))
+		case v >= Microsecond:
+			want = fmt.Sprintf("%.3fus", float64(v)/float64(Microsecond))
+		default:
+			want = fmt.Sprintf("%dns", int64(v))
+		}
+		if got := v.String(); got != want {
+			t.Fatalf("(%d).String() = %q, want %q", int64(v), got, want)
 		}
 	}
 }
