@@ -205,10 +205,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-json regenerates the BENCH_*.json perf artifacts in the repo root.
-# BENCH_SUITE narrows regeneration to one suite (hotpath, parallel,
-# durability) — the CI bench matrix runs one suite per job; BENCH_COUNT is
-# how many rounds each suite runs (the best round per metric is kept and
-# the per-run spread recorded, see benchjson.BestOf).
+# BENCH_SUITE narrows regeneration to one suite (hotpath, parallel) — the
+# CI bench matrix runs one suite per job; BENCH_COUNT is how many rounds
+# each suite runs (the best round per metric is kept and the per-run
+# spread recorded, see benchjson.BestOf).
 BENCH_SUITE ?= all
 BENCH_COUNT ?= 3
 bench-json:

@@ -5,7 +5,7 @@
 //
 //	repro [-fig all|7|8a|8b|9|10|11|12|13|14a|14b|15] [-window 10ms] [-seed 1]
 //	      [-parallel N] [-bench-json] [-bench-out DIR] [-oracle]
-//	      [-bench-suite all|hotpath|parallel|durability] [-bench-count 3]
+//	      [-bench-suite all|hotpath|parallel] [-bench-count 3]
 //
 // -oracle skips the figures and instead runs the correctness oracle
 // (internal/oracle): the seeded scenario matrix with all five invariant
@@ -43,9 +43,9 @@ func main() {
 	window := flag.Duration("window", 10*time.Millisecond, "simulated window per run")
 	seed := flag.Uint64("seed", 1, "random seed")
 	par := flag.Int("parallel", runtime.NumCPU(), "experiment worker-pool width (1 = fully sequential)")
-	benchJSON := flag.Bool("bench-json", false, "emit BENCH_{hotpath,parallel,durability}.json instead of figures")
+	benchJSON := flag.Bool("bench-json", false, "emit BENCH_{hotpath,parallel}.json instead of figures")
 	benchOut := flag.String("bench-out", ".", "directory for -bench-json artifacts")
-	benchSuite := flag.String("bench-suite", "all", "which -bench-json suite to regenerate (all, hotpath, parallel, durability)")
+	benchSuite := flag.String("bench-suite", "all", "which -bench-json suite to regenerate (all, hotpath, parallel)")
 	benchCount := flag.Int("bench-count", 3, "rounds per -bench-json suite; the best round per metric is kept and the spread recorded")
 	runOracle := flag.Bool("oracle", false, "run the correctness-oracle scenario matrix and print a scorecard")
 	metricsAddr := flag.String("metrics", "", "observability listen address (/metrics, /healthz, /debug/pprof); empty disables")
@@ -187,16 +187,16 @@ func main() {
 }
 
 // emitBenchJSON runs the selected bench suites (hot-path microbenchmarks,
-// the parallel-engine harness, the durability suite), each for count
+// the parallel-engine harness), each for count
 // rounds with the best round per metric kept (benchjson.BestOf), writing
 // BENCH_<suite>.json into dir. The CI bench matrix regenerates one suite
 // per job and scripts/benchdiff gates merges on the artifacts (see
 // bench/baseline/).
 func emitBenchJSON(dir string, seed uint64, workers int, suite string, count int) error {
 	switch suite {
-	case "all", "hotpath", "parallel", "durability":
+	case "all", "hotpath", "parallel":
 	default:
-		return fmt.Errorf("unknown -bench-suite %q (want all, hotpath, parallel or durability)", suite)
+		return fmt.Errorf("unknown -bench-suite %q (want all, hotpath or parallel)", suite)
 	}
 	if count <= 0 {
 		count = 1
@@ -245,18 +245,6 @@ func emitBenchJSON(dir string, seed uint64, workers int, suite string, count int
 		if m, ok := par.Metric("parallel/sharded_speedup"); ok {
 			fmt.Fprintf(os.Stderr, "bench-json: sharded-engine speedup %.2fx (%.0f shards, %.0f workers, digests match)\n",
 				m.Extra["speedup"], m.Extra["shards"], m.Extra["workers"])
-		}
-	}
-
-	dur, err := runSuite("durability", "in-memory vs WAL ingest",
-		func() (*benchjson.Report, error) { return benchjson.Durability() })
-	if err != nil {
-		return err
-	}
-	if dur != nil {
-		if m, ok := dur.Metric("durability/overhead"); ok {
-			fmt.Fprintf(os.Stderr, "bench-json: group-commit overhead %.1f%% of in-memory ingest (budget %.0f%%)\n",
-				m.Extra["overhead_frac"]*100, m.Extra["budget_frac"]*100)
 		}
 	}
 	return nil

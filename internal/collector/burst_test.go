@@ -1,0 +1,278 @@
+package collector
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"os"
+	"sync"
+	"testing"
+	"time"
+
+	"netseer/internal/collector/wal"
+	"netseer/internal/faultconn"
+	"netseer/internal/faultfs"
+	"netseer/internal/fevent"
+	"netseer/internal/sim"
+)
+
+// gatedFS is the OS filesystem with every segment fsync held until gate
+// is closed: what a test needs to observe that an ack waits for the disk.
+type gatedFS struct {
+	faultfs.FS
+	gate chan struct{}
+}
+
+func (g gatedFS) Create(path string) (faultfs.File, error) {
+	f, err := g.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g.gate}, nil
+}
+
+type gatedFile struct {
+	faultfs.File
+	gate chan struct{}
+}
+
+func (f gatedFile) Sync() error {
+	<-f.gate
+	return f.File.Sync()
+}
+
+// burstServer starts a durable server whose fsyncs wait until release is
+// called (the cleanup calls it too, so a failed test still shuts down).
+func burstServer(t *testing.T) (store *Store, srv *Server, w *wal.WAL, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	w, err := wal.Open(t.TempDir(), wal.Options{FS: gatedFS{faultfs.OS, gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store = NewStore()
+	srv, err = NewServerConfig(store, "127.0.0.1:0", ServerConfig{WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		release()
+		srv.Close()
+		w.Close()
+	})
+	return store, srv, w, release
+}
+
+// seqBatch is a single-event batch of switch sw already carrying its
+// delivery sequence, as a PreserveSeq client is handed them.
+func seqBatch(sw uint16, seq uint64) *fevent.Batch {
+	b := batchOf(sw, sim.Time(seq), fevent.Event{Type: fevent.TypePause, Flow: flowN(uint32(seq)), SwitchID: sw, Timestamp: sim.Time(seq)})
+	b.Seq = seq
+	return b
+}
+
+// writeBurst sends one single-event frame per sequence, all in one Write.
+func writeBurst(t *testing.T, conn net.Conn, sw uint16, seqs []uint64) {
+	t.Helper()
+	var wire []byte
+	for _, seq := range seqs {
+		var err error
+		if wire, err = AppendFrame(wire, seqBatch(sw, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readAcksThrough reads acks until one covers want and returns them all.
+func readAcksThrough(t *testing.T, conn net.Conn, want uint64) []uint64 {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var acks []uint64
+	for {
+		seq, err := readAck(conn)
+		if err != nil {
+			t.Fatalf("after acks %v: %v", acks, err)
+		}
+		if acks = append(acks, seq); seq >= want {
+			return acks
+		}
+	}
+}
+
+// TestBurstAck pins the wire contract of burst-at-a-time ingest: frames
+// that arrive in one write share one cumulative ack carrying the highest
+// sequence among them, whatever their order, and that ack is gated on
+// the durability of every frame it stands for — replays included.
+func TestBurstAck(t *testing.T) {
+	monotonic := make([]uint64, 40)
+	for i := range monotonic {
+		monotonic[i] = uint64(1000 + i)
+	}
+	for _, tc := range []struct {
+		name string
+		seqs []uint64
+	}{
+		{"monotonic", monotonic},
+		// The order a PreserveSeq client produces when it re-routes
+		// another client's pending batches after its own.
+		{"reroute order", []uint64{900, 100, 950}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, srv, _, release := burstServer(t)
+			release()
+			highest := uint64(0)
+			for _, seq := range tc.seqs {
+				highest = max(highest, seq)
+			}
+			conn, err := newRawConn(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			writeBurst(t, conn, 1, tc.seqs)
+			acks := readAcksThrough(t, conn, highest)
+			if len(acks) >= len(tc.seqs) || acks[len(acks)-1] != highest {
+				t.Fatalf("%d frames in one write drew acks %v: want fewer acks than frames, the last one %d", len(tc.seqs), acks, highest)
+			}
+			waitFor(t, func() bool { return srv.Stats().Acks == uint64(len(acks)) }) // counted once written
+			if got := srv.Stats().Frames; got != uint64(len(tc.seqs)) {
+				t.Fatalf("server counted %d frames, want %d", got, len(tc.seqs))
+			}
+
+			// The same order through a real client (another switch, so
+			// nothing is a replay): its window must drain.
+			cl := NewClientConfig(srv.Addr(), ClientConfig{PreserveSeq: true, FlushTimeout: 5 * time.Second})
+			defer cl.Close()
+			for _, seq := range tc.seqs {
+				cl.Deliver(seqBatch(2, seq))
+			}
+			if err := cl.Flush(); err != nil {
+				t.Fatalf("client window did not drain: %v (stats %+v)", err, cl.Stats())
+			}
+			if got, want := store.Len(), 2*len(tc.seqs); got != want || store.DupBatches() != 0 {
+				t.Fatalf("store holds %d events with %d duplicates, want %d and 0", got, store.DupBatches(), want)
+			}
+		})
+	}
+
+	// A burst made only of replays appends nothing, yet its ack must wait
+	// until the first copies — still unsynced — are durable.
+	t.Run("replayed frames", func(t *testing.T) {
+		store, srv, w, release := burstServer(t)
+		first, err := newRawConn(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer first.Close()
+		writeBurst(t, first, 1, []uint64{7, 8})
+		waitFor(t, func() bool { return store.Len() == 2 })
+
+		replay, err := newRawConn(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer replay.Close()
+		writeBurst(t, replay, 1, []uint64{7, 8})
+		waitFor(t, func() bool { return store.DupBatches() == 2 })
+		replay.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		if seq, err := readAck(replay); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("replayed burst drew ack %d (%v) while its first copies were not durable", seq, err)
+		}
+		if st := w.Stats(); st.PendingDurable != 2 {
+			t.Fatalf("WAL has %d records pending, want the 2 first copies", st.PendingDurable)
+		}
+
+		release()
+		for _, conn := range []net.Conn{first, replay} {
+			if acks := readAcksThrough(t, conn, 8); len(acks) != 1 || acks[0] != 8 {
+				t.Fatalf("acks %v, want one ack of 8", acks)
+			}
+		}
+		// A client retransmitting the same window sees it drain too.
+		cl := NewClientConfig(srv.Addr(), ClientConfig{PreserveSeq: true, FlushTimeout: 5 * time.Second})
+		defer cl.Close()
+		for _, seq := range []uint64{7, 8} {
+			cl.Deliver(seqBatch(1, seq))
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatalf("client window did not drain: %v (stats %+v)", err, cl.Stats())
+		}
+		if store.Len() != 2 || store.DupBatches() != 4 {
+			t.Fatalf("store holds %d events with %d duplicates, want 2 and 4", store.Len(), store.DupBatches())
+		}
+	})
+}
+
+// TestBurstLivenessUnderMidFrameResets pins the barrier rule: every
+// connection dies mid-frame after a few whole frames, so the exporter
+// advances only because the server writes the acks it owes before it
+// reads on an empty buffer — never leaving them behind a doomed read.
+// The link's read budgets are drawn from the seed: about one connection
+// in forty ends a read on a frame boundary, reaches the barrier and gets
+// its acks out (7 reconnects a batch); acks handed over just before the
+// doomed read lose the race with it, so without the barrier the same run
+// needs 350 reconnects a batch.
+func TestBurstLivenessUnderMidFrameResets(t *testing.T) {
+	const n = 200
+	frame := frameLen(batchOf(1, 0, fevent.Event{}))
+	store := NewStore()
+	// Read budgets are drawn from [2.5, 5] frames per connection.
+	ln, err := faultconn.Listen("127.0.0.1:0", faultconn.Config{Seed: 7, ResetAfter: 5 * frame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOn(store, ln, ServerConfig{})
+	defer srv.Close()
+	cl := fastClient(srv.Addr())
+	defer cl.Close()
+	deliverN(cl, 0, n)
+	if err := cl.Flush(); err != nil {
+		t.Fatalf("flush: %v (client %+v, server %+v)", err, cl.Stats(), srv.Stats())
+	}
+	assertExactlyOnce(t, store, n)
+	re := cl.Stats().Reconnects
+	if store.DupBatches() == 0 || re == 0 {
+		t.Fatalf("the resets did not bite: %d duplicate batches, %d reconnects", store.DupBatches(), re)
+	}
+	if re > 20*n {
+		t.Fatalf("%d batches took %d reconnects: owed acks are being left behind doomed reads", n, re)
+	}
+}
+
+// TestIngestPathDoesNotAllocate pins the per-frame cost of both ends of
+// the channel at zero heap allocations: the client's encode into a sized
+// buffer, and the server's read of a frame into its connection's reused
+// payload buffer and batch followed by the store's Deliver.
+func TestIngestPathDoesNotAllocate(t *testing.T) {
+	p := newPair(t, 1)
+	b := &fevent.Batch{SwitchID: 3, Timestamp: sim.Millisecond, Events: p.events(fevent.DefaultBatchSize, 20, 1, sim.Millisecond, 0)}
+	wire := make([]byte, 0, frameLen(b))
+	if n := testing.AllocsPerRun(100, func() { wire, _ = AppendFrame(wire[:0], b) }); n != 0 {
+		t.Fatalf("AppendFrame into a sized buffer allocates %v times", n)
+	}
+
+	var (
+		rd      bytes.Reader
+		got     fevent.Batch
+		payload []byte
+		err     error
+	)
+	frame := func() {
+		rd.Reset(wire)
+		if payload, err = readFramePayload(&rd, &got, payload); err != nil {
+			t.Fatal(err)
+		}
+		p.st.Deliver(&got)
+	}
+	frame() // sizes the payload buffer and the batch; first sight of the flows
+	if n := testing.AllocsPerRun(100, frame); n != 0 {
+		t.Fatalf("reading and delivering a frame of %d events allocates %v times", len(got.Events), n)
+	}
+	if p.st.Len() >= blockLen {
+		t.Fatalf("the run filled the block (%d events): it did not measure the non-full case", p.st.Len())
+	}
+}

@@ -29,7 +29,8 @@ type ClientConfig struct {
 	MaxInflight int
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (default 5s).
+	// WriteTimeout is the deadline of one flush of the write buffer — as
+	// many frames as it holds (default 5s).
 	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the jittered exponential reconnect
 	// backoff (defaults 50ms / 2s).
@@ -565,6 +566,11 @@ func (c *Client) writableLocked() bool {
 // the channel drains. Network writes happen outside the mutex.
 func (c *Client) writeLoop(conn net.Conn) error {
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	// The write deadline is per flush: only a flush touches the wire.
+	flush := func() error {
+		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		return bw.Flush()
+	}
 	for {
 		c.mu.Lock()
 		if c.connErr != nil {
@@ -609,8 +615,20 @@ func (c *Client) writeLoop(conn net.Conn) error {
 		c.mu.Unlock()
 
 		if batch != nil {
-			conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-			if err := WriteFrame(bw, batch); err != nil {
+			// Encode straight into the write buffer. A frame that does not
+			// fit sends the buffer to the wire first (a frame larger than
+			// the whole buffer then follows it directly, under the same
+			// deadline).
+			if frameLen(batch) > bw.Available() {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			frame, err := AppendFrame(bw.AvailableBuffer(), batch)
+			if err != nil {
+				return err
+			}
+			if _, err := bw.Write(frame); err != nil {
 				return err
 			}
 			continue
@@ -618,8 +636,7 @@ func (c *Client) writeLoop(conn net.Conn) error {
 		// Nothing writable right now: push buffered frames to the wire
 		// before idling so the server can ack them.
 		if bw.Buffered() > 0 {
-			conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-			if err := bw.Flush(); err != nil {
+			if err := flush(); err != nil {
 				return err
 			}
 		}

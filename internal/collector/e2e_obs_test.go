@@ -3,6 +3,7 @@ package collector
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,44 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if !strings.Contains(joined, obs.MIngestFrames+" 20") {
 		t.Error("stats verb missing ingest frame count")
 	}
+
+	// The coalescing factor is readable from the exposition — here as
+	// fetquery stats prints it, below from /metrics: acks never outnumber
+	// frames, and two frames that share a write share an ack.
+	frames, acks := counterValue(t, joined, obs.MIngestFrames), counterValue(t, joined, obs.MIngestAcks)
+	if acks < 1 || acks > frames {
+		t.Errorf("%s = %d with %d frames ingested", obs.MIngestAcks, acks, frames)
+	}
+	raw, err := newRawConn(ingest.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	writeBurst(t, raw, 9, []uint64{1, 2})
+	readAcksThrough(t, raw, 2)
+	waitFor(t, func() bool { return ingest.Stats().Acks > uint64(acks) })
+	if body, err = scrape(t, osrv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if f, a := counterValue(t, string(body), obs.MIngestFrames), counterValue(t, string(body), obs.MIngestAcks); f != frames+2 || a != acks+1 {
+		t.Errorf("two frames in one write moved frames %d → %d and acks %d → %d, want +2 and +1", frames, f, acks, a)
+	}
+}
+
+// counterValue returns the value of the unlabelled counter name in an
+// exposition.
+func counterValue(t *testing.T, text, name string) int {
+	t.Helper()
+	_, rest, ok := strings.Cut(text, "\n"+name+" ")
+	if !ok {
+		t.Fatalf("/metrics has no %s sample", name)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	v, err := strconv.Atoi(line)
+	if err != nil {
+		t.Fatalf("%s sample %q: %v", name, line, err)
+	}
+	return v
 }
 
 func scrape(t *testing.T, addr string) ([]byte, error) {

@@ -68,27 +68,48 @@ var (
 	errAckCRC = errors.New("collector: ack CRC mismatch")
 )
 
-// WriteFrame writes one length-prefixed, checksummed batch (including
-// its delivery sequence number, and — when the batch carries one — its
-// trace context as the v3 frame extension) to w.
-func WriteFrame(w io.Writer, b *fevent.Batch) error {
-	pre := frameHdrLen + frameSeqLen
-	if b.Trace.Valid() {
-		pre += trace.CtxWireLen
-	}
-	buf := make([]byte, pre, pre+b.EncodedLen())
+// AppendFrame appends one length-prefixed, checksummed frame for b
+// (including its delivery sequence number, and — when the batch carries
+// one — its trace context as the v3 frame extension) to dst and returns
+// the extended slice. With room for the frame in dst's spare capacity it
+// does not allocate — the client encodes straight into its write buffer.
+func AppendFrame(dst []byte, b *fevent.Batch) ([]byte, error) {
+	start := len(dst)
+	var pre [frameHdrLen + frameSeqLen + trace.CtxWireLen]byte
+	n := frameHdrLen + frameSeqLen
 	seq := b.Seq
 	if b.Trace.Valid() {
 		seq |= frameTraceBit
-		b.Trace.PutWire(buf[frameHdrLen+frameSeqLen:])
+		b.Trace.PutWire(pre[n:])
+		n += trace.CtxWireLen
 	}
-	binary.BigEndian.PutUint64(buf[frameHdrLen:], seq)
-	buf, err := b.AppendTo(buf)
+	binary.BigEndian.PutUint64(pre[frameHdrLen:], seq)
+	dst, err := b.AppendTo(append(dst, pre[:n]...))
+	if err != nil {
+		return dst[:start], err
+	}
+	frame := dst[start:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-frameHdrLen))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[frameHdrLen:]))
+	return dst, nil
+}
+
+// frameLen returns the size of the frame AppendFrame produces for b.
+func frameLen(b *fevent.Batch) int {
+	n := frameHdrLen + frameSeqLen + b.EncodedLen()
+	if b.Trace.Valid() {
+		n += trace.CtxWireLen
+	}
+	return n
+}
+
+// WriteFrame writes the frame AppendFrame produces for b to w in one
+// Write.
+func WriteFrame(w io.Writer, b *fevent.Batch) error {
+	buf, err := AppendFrame(make([]byte, 0, frameLen(b)), b)
 	if err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-frameHdrLen))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[frameHdrLen:]))
 	_, err = w.Write(buf)
 	return err
 }
@@ -96,31 +117,42 @@ func WriteFrame(w io.Writer, b *fevent.Batch) error {
 // ReadFrame reads one length-prefixed batch from r into b, verifying the
 // checksum and populating b.Seq.
 func ReadFrame(r io.Reader, b *fevent.Batch) error {
-	_, err := readFramePayload(r, b)
+	_, err := readFramePayload(r, b, nil)
 	return err
 }
 
 // readFramePayload reads one frame like ReadFrame but also returns the
 // verified payload bytes (seq + batch body) — exactly what the durable
 // server appends to its write-ahead log, so the log stores what the wire
-// carried and recovery reuses DecodePayload.
-func readFramePayload(r io.Reader, b *fevent.Batch) ([]byte, error) {
-	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// carried and recovery reuses DecodePayload. The frame is read into
+// scratch, regrown when it does not fit — first the header, whose two
+// fields are taken out before the payload overwrites it: a caller that
+// passes the returned slice back in reads every frame of a connection
+// into one buffer, and must be done with a payload before reading the
+// next.
+func readFramePayload(r io.Reader, b *fevent.Batch, scratch []byte) ([]byte, error) {
+	if cap(scratch) < frameHdrLen {
+		scratch = make([]byte, frameHdrLen)
+	}
+	hdr := scratch[:frameHdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	n, sum := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
 	if n < frameSeqLen {
 		return nil, ErrFrameTooShort
 	}
 	if n > MaxFrame {
 		return nil, fmt.Errorf("collector: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(scratch)) < n {
+		scratch = make([]byte, n)
+	}
+	payload := scratch[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:8]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, ErrFrameCRC
 	}
 	if err := DecodePayload(payload, b); err != nil {

@@ -104,9 +104,7 @@ func (s *Store) MergeSeen(ids []BatchID) {
 func (s *Store) AddEvents(evs []fevent.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range evs {
-		s.append(&evs[i])
-	}
+	s.appendAll(evs)
 }
 
 // RemoveEvents removes one stored copy per element of the multiset evs
@@ -136,6 +134,7 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 				continue
 			}
 			s.append(&e)
+			s.countRow(e.SwitchID)[e.Type]++
 		}
 	}
 	return before - s.n

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -18,9 +19,10 @@ import (
 
 // ServerConfig tunes the ingest server. Zero fields take defaults.
 type ServerConfig struct {
-	// ReadTimeout is the per-frame read deadline: a connection that goes
-	// silent longer than this is dropped (default 2m; the client
-	// reconnects and retransmits).
+	// ReadTimeout is the deadline of one read that can block — the next
+	// frame is not yet wholly in the connection's read buffer: a
+	// connection that goes silent longer than this is dropped (default
+	// 2m; the client reconnects and retransmits).
 	ReadTimeout time.Duration
 	// AckTimeout is the write deadline for one ack frame (default 5s).
 	AckTimeout time.Duration
@@ -48,8 +50,8 @@ type ServerConfig struct {
 	// so the exporter's in-flight window backpressures; above shed (WAL
 	// servers only), frames are logged but not indexed.
 	SlowWatermark, ShedWatermark float64
-	// AckSlowdown is the per-ack delay applied on the slow rung
-	// (default 2ms).
+	// AckSlowdown is the delay applied on the slow rung to every ack
+	// written — one per read burst (default 2ms).
 	AckSlowdown time.Duration
 
 	// WALEncode, when non-nil, transforms each frame payload before it is
@@ -86,8 +88,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Server ingests event batches over TCP into a Store and acknowledges
-// each delivered frame with a cumulative ack, making the channel
-// at-least-once end to end. With a WAL attached it is also durable:
+// the delivered frames of each read burst with one cumulative ack, making
+// the channel at-least-once end to end. With a WAL attached it is also durable:
 // acks are gated on fsync (group-committed in internal/collector/wal),
 // checkpoints snapshot the store and truncate the log, and admission
 // watermarks shed load instead of letting an ingest burst grow memory
@@ -131,12 +133,14 @@ type Server struct {
 	connsAccepted, connsRejected obs.Counter
 	acceptRetries                obs.Counter
 	frames, frameErrors          obs.Counter
-	ackWriteErrors               obs.Counter
+	acks, ackWriteErrors         obs.Counter
 	walAppendErrors              obs.Counter
-	// ingestLag measures wall-clock microseconds from a frame's arrival
-	// (read completed) to its covering ack hitting the socket — the
-	// collector-side component of event staleness. With a WAL attached it
-	// includes the group-commit fsync wait.
+	// ingestLag measures, per frame, wall-clock microseconds from its
+	// arrival — the read that filled the buffer with its burst completed —
+	// to its covering ack hitting the socket: the collector-side component
+	// of event staleness. It includes the frame's wait behind the earlier
+	// frames of its burst and, with a WAL attached, the group-commit fsync
+	// wait. Every frame of a burst records the same value.
 	ingestLag *obs.Histogram
 }
 
@@ -179,6 +183,7 @@ func (s *Server) Stats() metrics.IngestStats {
 		AcceptRetries:  s.acceptRetries.Load(),
 		Frames:         s.frames.Load(),
 		FrameErrors:    s.frameErrors.Load(),
+		Acks:           s.acks.Load(),
 		AckWriteErrors: s.ackWriteErrors.Load(),
 	}
 }
@@ -274,8 +279,9 @@ func (s *Server) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 	r.RegisterCounter(obs.MIngestAcceptRetries, "Transient accept errors retried.", &s.acceptRetries, labels...)
 	r.RegisterCounter(obs.MIngestFrames, "Batch frames ingested into the store.", &s.frames, labels...)
 	r.RegisterCounter(obs.MIngestFrameErrors, "Malformed or truncated frames (connection dropped).", &s.frameErrors, labels...)
+	r.RegisterCounter(obs.MIngestAcks, "Cumulative-ack frames written (frames/acks = frames covered per ack).", &s.acks, labels...)
 	r.RegisterCounter(obs.MIngestAckWriteErrors, "Failed ack writes (connection dropped; client retransmits).", &s.ackWriteErrors, labels...)
-	r.RegisterHistogram(obs.MIngestLag, "Microseconds from frame read to store-applied-and-acked (durably, with a WAL).", s.ingestLag, labels...)
+	r.RegisterHistogram(obs.MIngestLag, "Microseconds from a frame's arrival in the read buffer to store-applied-and-acked (durably, with a WAL).", s.ingestLag, labels...)
 	r.GaugeFunc(obs.MStoreBytes, "Estimated resident bytes of the event store (admission-control input).", func() float64 {
 		return float64(s.store.MemoryBytes())
 	}, labels...)
@@ -367,27 +373,64 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// ackPoint is one frame awaiting acknowledgement: its delivery sequence,
-// the WAL serial gating the ack (0 = no durability wait), and when the
-// frame finished reading (for the ingest-lag histogram). A point with
-// barrier set carries no ack: the acker closes the channel once every
-// earlier ack is on the wire, letting the read loop flush the pipeline
-// before it blocks on the network again.
+// maxBurst caps the frames folded into one ackPoint, so a connection that
+// always has the next frame buffered still acks at a bounded interval —
+// the client's default in-flight window, the most it sends unacked.
+const maxBurst = 256
+
+// ackPoint is one read burst awaiting acknowledgement: the frames parsed
+// out of one fill of the connection's read buffer, acked together. seq is
+// the highest delivery sequence among them — the cumulative ack covers
+// them all — serial the highest WAL serial gating that ack (0 = no
+// durability wait), frames how many it stands for, and arrived when the
+// fill that carried them completed (for the ingest-lag histogram). A
+// point with barrier set carries no ack: the acker closes the channel
+// once every earlier ack is on the wire, letting the read loop flush the
+// pipeline before it blocks on the network again.
 type ackPoint struct {
 	seq, serial uint64
+	frames      uint64
 	arrived     time.Time
 	barrier     chan struct{}
 
-	// Trace plumbing for sampled frames: tr carries the batch's context
-	// (parented onto the ingest span) into the acker, and walStart is
-	// when the WAL append was logged — the acker closes the wal-fsync
-	// span once WaitDurable covers serial.
+	// tr is the trace context of the last frame in the burst that carried
+	// one; its ID becomes the lag bucket's exemplar. A sampled frame is a
+	// point of its own, and the rest is its span plumbing: walStart is
+	// when its WAL append was logged — the acker closes the wal-fsync
+	// span (parented onto the ingest span) once WaitDurable covers serial.
 	tr       trace.Context
 	walStart int64
 	sw       uint16
 	events   uint32
 }
 
+// add folds one applied frame into the burst.
+func (ap *ackPoint) add(b *fevent.Batch, serial uint64) {
+	ap.seq = max(ap.seq, b.Seq)
+	ap.serial = max(ap.serial, serial)
+	ap.frames++
+	if b.Trace.Valid() {
+		ap.tr = b.Trace
+	}
+}
+
+// frameBuffered reports whether the next frame is wholly in br's buffer,
+// so that reading it cannot block. A frame larger than the buffer never
+// is; neither is a length no frame may have, which the read then rejects.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHdrLen {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= frameHdrLen+uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// serve ingests one connection a read burst at a time: every frame is
+// verified, logged and applied as it is parsed, but the frames one fill
+// of the read buffer delivered share one ackPoint — one durability wait,
+// one ack write, one lag observation — and one payload buffer and one
+// decoded batch serve the whole connection (wal.Append and Store.Deliver
+// both copy).
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -402,8 +445,8 @@ func (s *Server) serve(conn net.Conn) {
 	}
 
 	// The acker runs behind the read loop so WAL group commit can batch
-	// many in-flight frames under one fsync: the read loop keeps
-	// ingesting while earlier frames wait for durability. The bounded
+	// many in-flight bursts under one fsync: the read loop keeps
+	// ingesting while earlier bursts wait for durability. The bounded
 	// channel is the pipeline depth; when the acker stalls (fsync, ack
 	// slowdown), the read loop eventually blocks — backpressure reaches
 	// the exporter through its in-flight window.
@@ -412,24 +455,44 @@ func (s *Server) serve(conn net.Conn) {
 	go s.ackLoop(conn, acks, ackerDone)
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	pending := 0
-	for {
-		// About to block on the wire with acks still in the pipeline:
-		// flush them first. A frame burst pipelines freely (that is what
-		// group commit feeds on), but the server never reads more of a
-		// lossy link's budget while it still owes acks for frames it has
-		// already consumed — otherwise a connection that dies mid-read
-		// takes every pending ack down with it and the exporter makes no
-		// progress at all.
-		if pending > 0 && br.Buffered() == 0 {
-			barrier := make(chan struct{})
-			acks <- ackPoint{barrier: barrier}
-			<-barrier
-			pending = 0
+	var (
+		b       fevent.Batch
+		payload []byte
+		burst   ackPoint
+		owed    bool // a point is in the pipeline with no barrier behind it
+		err     error
+	)
+	// hand gives the burst so far to the acker and starts the next one,
+	// which the same fill brought.
+	hand := func() {
+		if burst.frames > 0 {
+			acks <- burst
+			burst = ackPoint{arrived: burst.arrived}
+			owed = true
 		}
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		var b fevent.Batch
-		payload, err := readFramePayload(br, &b)
+	}
+	for {
+		blocking := !frameBuffered(br)
+		if blocking {
+			// The next read can block, so the burst ends here: its ack goes
+			// out while the rest of the frame is awaited. And about to block
+			// on an empty buffer with acks still in the pipeline: flush them
+			// first. A frame burst pipelines freely (that is what group
+			// commit feeds on), but the server never reads more of a lossy
+			// link's budget while it still owes acks for frames it has
+			// already consumed — otherwise a connection that dies mid-read
+			// takes every pending ack down with it and the exporter makes no
+			// progress at all.
+			hand()
+			if owed && br.Buffered() == 0 {
+				barrier := make(chan struct{})
+				acks <- ackPoint{barrier: barrier}
+				<-barrier
+				owed = false
+			}
+			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		}
+		payload, err = readFramePayload(br, &b, payload)
 		if err != nil {
 			// A clean close lands exactly on a frame boundary (io.EOF);
 			// anything else — truncation, bad CRC, oversized length — is
@@ -439,17 +502,19 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			break
 		}
-		arrived := time.Now()
+		if blocking {
+			burst.arrived = time.Now() // the fill that completed this frame brought the burst
+		}
 		state := s.admit.update(s.store.MemoryBytes())
 
-		// The ingest span covers read-complete to store-applied; the WAL
-		// append and the store-index span both parent onto it, so the
-		// assembled trace shows the shard-side fan-out of one frame.
+		// The ingest span covers arrival to store-applied; the WAL append
+		// and the store-index span both parent onto it, so the assembled
+		// trace shows the shard-side fan-out of one frame.
 		var isp trace.Span
 		traced := b.Trace.Sampled()
 		if traced {
 			isp = trace.Begin(b.Trace, trace.StageIngest)
-			isp.Start = arrived.UnixNano()
+			isp.Start = burst.arrived.UnixNano()
 			isp.SwitchID = b.SwitchID
 			isp.Seq = b.Seq
 			isp.Shard = s.cfg.TraceShard
@@ -504,32 +569,42 @@ func (s *Server) serve(conn net.Conn) {
 			break
 		}
 		s.frames.Inc()
-		var walStart int64
 		if traced {
 			trace.Finish(&isp)
+		}
+		switch {
+		case b.Seq == 0:
+			s.ingestLag.ObserveTrace(float64(time.Since(burst.arrived).Microseconds()), b.Trace.TraceID)
+		case traced:
+			// A sampled frame is acked on its own, behind the burst so far:
+			// its wal-fsync span needs its own serial and its own wait. The
+			// append is already logged; the fsync wait that gates the ack
+			// continues in the acker, so that span starts where the ingest
+			// span ends.
+			hand()
+			burst.add(&b, serial)
 			if serial != 0 {
-				// The append is already logged; the fsync wait that gates
-				// the ack continues in the acker, so the wal-fsync span
-				// starts where the ingest span ends.
-				walStart = isp.End
+				burst.walStart = isp.End
+			}
+			burst.sw, burst.events = b.SwitchID, uint32(len(b.Events))
+			hand()
+		default:
+			burst.add(&b, serial)
+			if burst.frames == maxBurst {
+				hand()
 			}
 		}
-		if b.Seq != 0 {
-			acks <- ackPoint{seq: b.Seq, serial: serial, arrived: arrived,
-				tr: b.Trace, walStart: walStart, sw: b.SwitchID, events: uint32(len(b.Events))}
-			pending++
-		} else {
-			s.ingestLag.ObserveTrace(float64(time.Since(arrived).Microseconds()), b.Trace.TraceID)
-		}
 	}
+	hand()
 	close(acks)
 	<-ackerDone
 }
 
-// ackLoop writes cumulative acks for one connection, each gated on the
-// WAL durability of its frame and throttled by the admission ladder's
-// slow rung. On a write failure it closes the connection (waking the
-// read loop) and drains the channel so the read loop can exit.
+// ackLoop writes one cumulative ack per ackPoint for one connection, each
+// gated on the WAL durability of every frame it stands for and throttled
+// by the admission ladder's slow rung. On a write failure it closes the
+// connection (waking the read loop) and drains the channel so the read
+// loop can exit.
 func (s *Server) ackLoop(conn net.Conn, acks <-chan ackPoint, done chan<- struct{}) {
 	defer close(done)
 	// fail closes the connection (waking the read loop) and drains the
@@ -559,7 +634,7 @@ func (s *Server) ackLoop(conn net.Conn, acks <-chan ackPoint, done chan<- struct
 				fail()
 				return
 			}
-			if ap.tr.Sampled() && ap.walStart != 0 {
+			if ap.walStart != 0 {
 				sp := trace.Begin(ap.tr, trace.StageWALFsync)
 				sp.Start = ap.walStart
 				sp.SwitchID = ap.sw
@@ -580,7 +655,8 @@ func (s *Server) ackLoop(conn net.Conn, acks <-chan ackPoint, done chan<- struct
 			fail()
 			return
 		}
-		s.ingestLag.ObserveTrace(float64(time.Since(ap.arrived).Microseconds()), ap.tr.TraceID)
+		s.acks.Inc()
+		s.ingestLag.ObserveN(float64(time.Since(ap.arrived).Microseconds()), ap.frames, ap.tr.TraceID)
 	}
 }
 

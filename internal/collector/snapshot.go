@@ -124,7 +124,7 @@ func (s *Store) LoadSnapshot(data []byte) error {
 			if !fevent.Type(t).Valid() || b.rec[i*fevent.RecordLen] != t {
 				return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+i, t, b.rec[i*fevent.RecordLen])
 			}
-			ld.count(b.sw[i], fevent.Type(t))
+			ld.countRow(b.sw[i])[t]++
 		}
 		ld.blocks = append(ld.blocks, b)
 		ld.n += b.n

@@ -114,7 +114,7 @@ func (s *Store) resetEvents() {
 }
 
 // append stores one event at the next position: the only writer of the
-// columns, the flow chains and the counts.
+// columns and the flow chains. The caller counts it.
 func (s *Store) append(e *fevent.Event) {
 	if !e.Type.Valid() {
 		panic("collector: storing event with invalid type " + strconv.Itoa(int(e.Type)))
@@ -132,17 +132,31 @@ func (s *Store) append(e *fevent.Event) {
 	b.n++
 	s.n++
 	s.heads[e.Flow] = uint32(s.n)
-	s.count(e.SwitchID, e.Type)
 }
 
-// count adds one event to its (switch, type) count.
-func (s *Store) count(sw uint16, t fevent.Type) {
+// countRow returns the per-type counts of switch sw, creating the row.
+func (s *Store) countRow(sw uint16) *typeRow {
 	row := s.counts[sw]
 	if row == nil {
 		row = new(typeRow)
 		s.counts[sw] = row
 	}
-	row[t]++
+	return row
+}
+
+// appendAll stores events in order and counts them. A batch comes from
+// one switch, so the counts row is resolved once and looked up again
+// only where an event's switch differs from its predecessor's.
+func (s *Store) appendAll(events []fevent.Event) {
+	var row *typeRow
+	for i := range events {
+		e := &events[i]
+		s.append(e)
+		if row == nil || e.SwitchID != events[i-1].SwitchID {
+			row = s.countRow(e.SwitchID)
+		}
+		row[e.Type]++
+	}
 }
 
 // Deliver implements core.EventSink: ingest one batch. Sequenced batches
@@ -172,15 +186,21 @@ func (s *Store) Deliver(b *fevent.Batch) {
 		sp.Shard = s.traceShard
 		sp.Events = uint32(len(b.Events))
 	}
-	for i := range b.Events {
-		e := &b.Events[i]
-		s.append(e)
-		if b.Timestamp >= e.Timestamp {
-			// The exemplar pairs the bucket with the batch's trace ID, so
-			// a tail-latency bucket on /metrics links straight to the
-			// trace that landed in it.
-			s.detectToStore.ObserveTrace(float64(b.Timestamp-e.Timestamp)/1e3, b.Trace.TraceID)
+	s.appendAll(b.Events)
+	// Staleness is observed in runs of equal readings: a wire-delivered
+	// batch (every event stamped with the batch's time) is one run. The
+	// exemplar pairs the bucket with the batch's trace ID, so a
+	// tail-latency bucket on /metrics links straight to the trace that
+	// landed in it.
+	for i := 0; i < len(b.Events); {
+		d, j := b.Timestamp-b.Events[i].Timestamp, i+1
+		for j < len(b.Events) && b.Timestamp-b.Events[j].Timestamp == d {
+			j++
 		}
+		if d >= 0 {
+			s.detectToStore.ObserveN(float64(d)/1e3, uint64(j-i), b.Trace.TraceID)
+		}
+		i = j
 	}
 	if b.Trace.Valid() {
 		sp.End = trace.Now()

@@ -187,13 +187,29 @@ func TestFig14aScalesWithCores(t *testing.T) {
 	}
 }
 
+// bestOf3 measures three times and keeps each point's best rate. The
+// Fig. 14 points are single 50–80 ms wall-clock windows: a host stall
+// costs a point one window, a real inversion costs it all three.
+func bestOf3(measure func() []float64) []float64 {
+	best := measure()
+	for i := 0; i < 2; i++ {
+		for j, v := range measure() {
+			best[j] = max(best[j], v)
+		}
+	}
+	return best
+}
+
 func TestFig14aSmallBatchesSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	points := Fig14aPCIe([]int{1, 50}, []int{1}, 50*time.Millisecond)
-	if points[0].Meps >= points[1].Meps {
-		t.Errorf("batch 1 (%.1f Meps) not below batch 50 (%.1f)", points[0].Meps, points[1].Meps)
+	meps := bestOf3(func() []float64 {
+		points := Fig14aPCIe([]int{1, 50}, []int{1}, 50*time.Millisecond)
+		return []float64{points[0].Meps, points[1].Meps}
+	})
+	if meps[0] >= meps[1] {
+		t.Errorf("batch 1 (%.1f Meps) not below batch 50 (%.1f)", meps[0], meps[1])
 	}
 }
 
@@ -201,13 +217,15 @@ func TestFig14bFlowScalingAndHashOffload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	pre := Fig14bCPU([]int{1 << 10, 1 << 20}, 2, fpelim.PreHashed, 80*time.Millisecond)
-	if pre[0].Meps <= pre[1].Meps {
-		t.Errorf("1K flows (%.1f Meps) not faster than 1M flows (%.1f)", pre[0].Meps, pre[1].Meps)
+	meps := bestOf3(func() []float64 {
+		pre := Fig14bCPU([]int{1 << 10, 1 << 20}, 2, fpelim.PreHashed, 80*time.Millisecond)
+		cpu := Fig14bCPU([]int{1 << 10}, 2, fpelim.HashOnCPU, 80*time.Millisecond)
+		return []float64{pre[0].Meps, pre[1].Meps, cpu[0].Meps}
+	})
+	if meps[0] <= meps[1] {
+		t.Errorf("1K flows (%.1f Meps) not faster than 1M flows (%.1f)", meps[0], meps[1])
 	}
-	cpu := Fig14bCPU([]int{1 << 10}, 2, fpelim.HashOnCPU, 80*time.Millisecond)
-	ratio := pre[0].Meps / cpu[0].Meps
-	if ratio < 1.5 {
+	if ratio := meps[0] / meps[2]; ratio < 1.5 {
 		t.Errorf("pre-hash speedup = %.2f×, paper says ~2.5×", ratio)
 	}
 }

@@ -61,8 +61,10 @@ type IngestStats struct {
 	ConnsAccepted, ConnsRejected, AcceptRetries uint64
 	// Frames counts batches delivered to the store; FrameErrors counts
 	// connections dropped on a malformed/corrupt/timed-out frame;
-	// AckWriteErrors counts connections dropped writing an ack.
-	Frames, FrameErrors, AckWriteErrors uint64
+	// Acks counts cumulative-ack frames written (Frames/Acks is how many
+	// frames one ack covers); AckWriteErrors counts connections dropped
+	// writing an ack.
+	Frames, FrameErrors, Acks, AckWriteErrors uint64
 }
 
 // Format renders the snapshot as an aligned two-column table.
@@ -73,6 +75,7 @@ func (s IngestStats) Format() string {
 	t.AddRow("accept retries", fmt.Sprint(s.AcceptRetries))
 	t.AddRow("frames ingested", fmt.Sprint(s.Frames))
 	t.AddRow("frame errors", fmt.Sprint(s.FrameErrors))
+	t.AddRow("acks written", fmt.Sprint(s.Acks))
 	t.AddRow("ack write errors", fmt.Sprint(s.AckWriteErrors))
 	return t.String()
 }

@@ -31,9 +31,9 @@ func TestChannelStatsFormat(t *testing.T) {
 
 func TestIngestStatsFormat(t *testing.T) {
 	s := IngestStats{ConnsAccepted: 5, ConnsRejected: 1, AcceptRetries: 2,
-		Frames: 100, FrameErrors: 3, AckWriteErrors: 1}
+		Frames: 100, FrameErrors: 3, Acks: 37, AckWriteErrors: 1}
 	out := s.Format()
-	for _, want := range []string{"ingest channel health", "conns accepted", "accept retries", "frames ingested", "100"} {
+	for _, want := range []string{"ingest channel health", "conns accepted", "accept retries", "frames ingested", "100", "acks written", "37"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
 		}

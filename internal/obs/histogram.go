@@ -91,25 +91,33 @@ func (h *Histogram) bucketIdx(v float64) int {
 
 // Observe records one value. It is allocation-free and safe for
 // concurrent use.
-func (h *Histogram) Observe(v float64) { h.observe(v, 0) }
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1, 0) }
 
 // ObserveTrace records one value and, when traceID is non-zero, stamps
 // it as the bucket's exemplar (last-write-wins). This is how the p99
 // bucket of a latency histogram stays linked to a reconstructable trace
 // even for batches head-sampling skipped. Allocation-free.
-func (h *Histogram) ObserveTrace(v float64, traceID uint64) { h.observe(v, traceID) }
+func (h *Histogram) ObserveTrace(v float64, traceID uint64) { h.ObserveN(v, 1, traceID) }
 
-func (h *Histogram) observe(v float64, traceID uint64) {
+// ObserveN records n observations of the same value — a run of equal
+// readings, or one reading that stands for n items (the n frames one
+// cumulative ack covers) — at the cost of one: every per-item caller
+// above is this with n = 1. n = 0 records nothing.
+func (h *Histogram) ObserveN(v float64, n, traceID uint64) {
+	if n == 0 {
+		return
+	}
 	i := h.bucketIdx(v)
-	h.buckets[i].Add(1)
+	h.buckets[i].Add(n)
 	if traceID != 0 {
 		h.ex[i].valBits.Store(math.Float64bits(v))
 		h.ex[i].trace.Store(traceID)
 	}
-	h.count.Add(1)
+	h.count.Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+add)) {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -197,6 +198,25 @@ func TestHistogramExemplarContract(t *testing.T) {
 			t.Fatalf("ObserveTrace allocates %v", n)
 		}
 	})
+}
+
+// TestObserveNEqualsRepeatedObserve: n observations at once leave the
+// histogram exactly as n single ones do, exemplar included, and n = 0
+// leaves it untouched.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	one, many := NewHistogram(LatencyBuckets()), NewHistogram(LatencyBuckets())
+	for _, o := range []struct {
+		v     float64
+		n, id uint64
+	}{{3, 5, 0}, {0, 1, 7}, {900, 33, 9}, {1e9, 2, 0}, {42, 0, 11}} {
+		for i := uint64(0); i < o.n; i++ {
+			one.ObserveTrace(o.v, o.id)
+		}
+		many.ObserveN(o.v, o.n, o.id)
+	}
+	if a, b := one.Snapshot(), many.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("ObserveN diverged from repeated Observe:\n one  %+v\n many %+v", a, b)
+	}
 }
 
 func TestHistogramSnapshotMerge(t *testing.T) {

@@ -68,6 +68,7 @@ const (
 	MIngestAcceptRetries  = "netseer_ingest_accept_retries_total"
 	MIngestFrames         = "netseer_ingest_frames_total"
 	MIngestFrameErrors    = "netseer_ingest_frame_errors_total"
+	MIngestAcks           = "netseer_ingest_acks_total"
 	MIngestAckWriteErrors = "netseer_ingest_ack_write_errors_total"
 	MIngestLag            = "netseer_ingest_lag_us"
 
@@ -176,8 +177,9 @@ var catalog = []catalogEntry{
 	{MIngestAcceptRetries, "Transient accept errors survived.", KindCounter},
 	{MIngestFrames, "Batches read off the wire and delivered to the store.", KindCounter},
 	{MIngestFrameErrors, "Connections dropped on a malformed or corrupt frame.", KindCounter},
+	{MIngestAcks, "Cumulative-ack frames written; frames_total / acks_total is the frames one ack covers.", KindCounter},
 	{MIngestAckWriteErrors, "Connections dropped while writing an ack.", KindCounter},
-	{MIngestLag, "Microseconds from frame-read completion to store-applied and acked.", KindHistogram},
+	{MIngestLag, "Microseconds from a frame's arrival in the read buffer to store-applied and acked.", KindHistogram},
 	{MChanFailovers, "Failovers from the primary collector endpoint to a backup.", KindCounter},
 	{MChanPromotions, "Promotions back to the primary collector endpoint.", KindCounter},
 	{MWALAppends, "Records appended to the collector write-ahead log.", KindCounter},

@@ -18,14 +18,11 @@
 //     reference (parallelism never changes results) — and, on machines
 //     with enough cores (>=4 workers on >=4 CPUs), a speedup of at least
 //     -min-speedup for both.
-//   - the durability report must attest that group-committed WAL ingest
-//     stays within its overhead budget of the in-memory baseline (the
-//     comparison is machine-relative, so no baseline file is needed).
 //
 // Usage:
 //
 //	benchdiff [-baseline bench/baseline] [-current .]
-//	          [-suite all|hotpath|parallel|durability]
+//	          [-suite all|hotpath|parallel]
 //	          [-speed-tolerance 0.25] [-min-speedup 1.5]
 package main
 
@@ -43,7 +40,7 @@ import (
 type options struct {
 	baseline   string  // directory with baseline BENCH_*.json
 	current    string  // directory with freshly generated BENCH_*.json
-	suite      string  // which suite(s) to gate: all, hotpath, parallel, durability
+	suite      string  // which suite(s) to gate: all, hotpath, parallel
 	speedTol   float64 // max fractional events/sec drop vs baseline
 	minSpeedup float64 // min parallel speedup (>=4 workers on >=4 CPUs)
 }
@@ -133,23 +130,6 @@ func compare(o options) (failures, info []string, err error) {
 		gateSpeedup("parallel/sharded_speedup", "sharded engine")
 	}
 
-	if want("durability") {
-		dur, err := benchjson.ReadFile(filepath.Join(o.current, "BENCH_durability.json"))
-		if err != nil {
-			return nil, nil, err
-		}
-		ov, ok := dur.Metric("durability/overhead")
-		if !ok {
-			fail("BENCH_durability.json: missing durability/overhead metric")
-		} else if ov.Extra["within_budget"] != 1 {
-			fail("durable ingest overhead %.1f%% of the in-memory baseline; budget %.0f%%%s",
-				ov.Extra["overhead_frac"]*100, ov.Extra["budget_frac"]*100, spread(ov))
-		} else {
-			info = append(info, fmt.Sprintf("durability: group-committed WAL ingest within %.1f%% of in-memory (budget %.0f%%)",
-				ov.Extra["overhead_frac"]*100, ov.Extra["budget_frac"]*100))
-		}
-	}
-
 	return failures, info, nil
 }
 
@@ -157,15 +137,15 @@ func main() {
 	var o options
 	flag.StringVar(&o.baseline, "baseline", "bench/baseline", "directory with baseline BENCH_*.json")
 	flag.StringVar(&o.current, "current", ".", "directory with freshly generated BENCH_*.json")
-	flag.StringVar(&o.suite, "suite", "all", "which suite to gate (all, hotpath, parallel, durability)")
+	flag.StringVar(&o.suite, "suite", "all", "which suite to gate (all, hotpath, parallel)")
 	flag.Float64Var(&o.speedTol, "speed-tolerance", 0.25, "max fractional events/sec drop vs baseline")
 	flag.Float64Var(&o.minSpeedup, "min-speedup", 1.5, "min parallel speedup (enforced only with >=4 workers on >=4 CPUs)")
 	flag.Parse()
 
 	switch o.suite {
-	case "all", "hotpath", "parallel", "durability":
+	case "all", "hotpath", "parallel":
 	default:
-		fmt.Fprintf(os.Stderr, "benchdiff: unknown -suite %q (want all, hotpath, parallel or durability)\n", o.suite)
+		fmt.Fprintf(os.Stderr, "benchdiff: unknown -suite %q (want all, hotpath or parallel)\n", o.suite)
 		os.Exit(2)
 	}
 

@@ -55,21 +55,8 @@ func shardedBroken(numCPU int, workers, speedup, digestsMatch float64) *benchjso
 	return r
 }
 
-// durabilityReport builds a durability report with the given attestation.
-func durabilityReport(overhead, within float64) *benchjson.Report {
-	r := benchjson.NewReport("durability")
-	r.Add(benchjson.Metric{Name: "durability/overhead", Extra: map[string]float64{
-		"overhead_frac": overhead,
-		"budget_frac":   0.25,
-		"within_budget": within,
-	}})
-	return r
-}
-
-// fixture lays out a baseline dir and a current dir, returning both. A
-// passing durability artifact is written unless an explicit one (possibly
-// nil, meaning none) is given.
-func fixture(t *testing.T, base, cur, par *benchjson.Report, dur ...*benchjson.Report) options {
+// fixture lays out a baseline dir and a current dir, returning both.
+func fixture(t *testing.T, base, cur, par *benchjson.Report) options {
 	t.Helper()
 	baseDir, curDir := t.TempDir(), t.TempDir()
 	if base != nil {
@@ -80,13 +67,6 @@ func fixture(t *testing.T, base, cur, par *benchjson.Report, dur ...*benchjson.R
 	}
 	if par != nil {
 		writeReport(t, curDir, "BENCH_parallel.json", par)
-	}
-	d := durabilityReport(0.12, 1)
-	if len(dur) > 0 {
-		d = dur[0]
-	}
-	if d != nil {
-		writeReport(t, curDir, "BENCH_durability.json", d)
 	}
 	return options{baseline: baseDir, current: curDir, suite: "all", speedTol: 0.25, minSpeedup: 1.5}
 }
@@ -228,24 +208,6 @@ func TestCompareReportsMissingCurrentArtifacts(t *testing.T) {
 	if _, _, err := compare(o); err == nil {
 		t.Fatal("compare succeeded with no parallel artifact")
 	}
-
-	// Durability artifact absent.
-	o = fixture(t, hotpath(3, 1e8), hotpath(3, 1e8), parallelReport(8, 4, 2.0, 1), nil)
-	if _, _, err := compare(o); err == nil {
-		t.Fatal("compare succeeded with no durability artifact")
-	}
-}
-
-func TestCompareFailsOnDurabilityOverBudget(t *testing.T) {
-	o := fixture(t, hotpath(3, 1e8), hotpath(3, 1e8), parallelReport(8, 4, 2.0, 1),
-		durabilityReport(0.4, 0))
-	wantFailure(t, mustCompare(t, o), "durable ingest overhead")
-}
-
-func TestCompareFailsOnMissingDurabilityMetric(t *testing.T) {
-	o := fixture(t, hotpath(3, 1e8), hotpath(3, 1e8), parallelReport(8, 4, 2.0, 1),
-		benchjson.NewReport("durability"))
-	wantFailure(t, mustCompare(t, o), "missing durability/overhead")
 }
 
 func TestCompareFailsOnShardedDigestMismatch(t *testing.T) {
@@ -278,8 +240,8 @@ func TestCompareShardedSpeedupGateRespectsCPUFloor(t *testing.T) {
 }
 
 func TestCompareSuiteFiltersArtifacts(t *testing.T) {
-	// -suite hotpath must not read parallel/durability artifacts at all:
-	// the fixture's current dir has neither, yet hotpath-only passes.
+	// -suite hotpath must not read the parallel artifact at all: the
+	// fixture's current dir has none, yet hotpath-only passes.
 	baseDir, curDir := t.TempDir(), t.TempDir()
 	writeReport(t, baseDir, "BENCH_hotpath.json", hotpath(3, 1e8))
 	writeReport(t, curDir, "BENCH_hotpath.json", hotpath(3, 1e8))
