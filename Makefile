@@ -169,16 +169,20 @@ storagefault-cover:
 
 # wal-cover fails if statement coverage of internal/collector/wal drops
 # below 85% (the collector suite exercises the log end-to-end, so both
-# packages' tests feed the profile) or that of internal/collector — the
-# store, its snapshot codec and the handoff surface — below 80%.
+# packages' tests feed the profile), that of internal/collector — the
+# store, its snapshot codec and the handoff surface — below 84%, or that
+# of the flow table or of the frame codec with the payload validator
+# every byte from a socket or a log passes through below 90%.
 wal-cover:
 	$(GO) test -count=1 -coverprofile=cover-wal.out \
 		-coverpkg=netseer/internal/collector/wal,netseer/internal/collector \
 		./internal/collector/wal/ ./internal/collector/
 	$(GO) run ./scripts/covergate -profile cover-wal.out -min 85 \
 		netseer/internal/collector/wal
-	$(GO) run ./scripts/covergate -profile cover-wal.out -min 80 \
+	$(GO) run ./scripts/covergate -profile cover-wal.out -min 84 \
 		netseer/internal/collector
+	$(GO) run ./scripts/covergate -profile cover-wal.out -min 90 \
+		netseer/internal/collector/flowtable.go netseer/internal/collector/frame.go
 
 # obs-cover fails if statement coverage of internal/obs drops below 85%.
 obs-cover:

@@ -246,7 +246,7 @@ func TestBurstLivenessUnderMidFrameResets(t *testing.T) {
 // TestIngestPathDoesNotAllocate pins the per-frame cost of both ends of
 // the channel at zero heap allocations: the client's encode into a sized
 // buffer, and the server's read of a frame into its connection's reused
-// payload buffer and batch followed by the store's Deliver.
+// payload buffer followed by the store's DeliverPayload of the view.
 func TestIngestPathDoesNotAllocate(t *testing.T) {
 	p := newPair(t, 1)
 	b := &fevent.Batch{SwitchID: 3, Timestamp: sim.Millisecond, Events: p.events(fevent.DefaultBatchSize, 20, 1, sim.Millisecond, 0)}
@@ -257,22 +257,63 @@ func TestIngestPathDoesNotAllocate(t *testing.T) {
 
 	var (
 		rd      bytes.Reader
-		got     fevent.Batch
+		got     Payload
 		payload []byte
 		err     error
 	)
 	frame := func() {
 		rd.Reset(wire)
-		if payload, err = readFramePayload(&rd, &got, payload); err != nil {
+		if got, payload, err = readFramePayload(&rd, payload); err != nil {
 			t.Fatal(err)
 		}
-		p.st.Deliver(&got)
+		p.st.DeliverPayload(&got)
 	}
-	frame() // sizes the payload buffer and the batch; first sight of the flows
+	frame() // sizes the payload buffer; first sight of the flows
 	if n := testing.AllocsPerRun(100, frame); n != 0 {
-		t.Fatalf("reading and delivering a frame of %d events allocates %v times", len(got.Events), n)
+		t.Fatalf("reading and delivering a frame of %d events allocates %v times", got.Events(), n)
 	}
 	if p.st.Len() >= blockLen {
 		t.Fatalf("the run filled the block (%d events): it did not measure the non-full case", p.st.Len())
 	}
+}
+
+// TestRecoverReplayDoesNotAllocate: replaying a log allocates for what the
+// store grows by — a block, the flow table's doublings, the dedup map —
+// and for opening the segment, not per record: the WAL reads every record
+// into one buffer and the payload goes into the columns as bytes.
+func TestRecoverReplayDoesNotAllocate(t *testing.T) {
+	const records = 300
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPair(t, 2)
+	for seq := uint64(1); seq <= records; seq++ {
+		ts := sim.Time(seq) * sim.Millisecond
+		b := &fevent.Batch{SwitchID: 3, Timestamp: ts, Seq: seq, Events: p.events(fevent.DefaultBatchSize, 40, 1, ts, 0)}
+		if _, err := w.Append(wirePayload(t, b), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var st *Store
+	n := testing.AllocsPerRun(5, func() {
+		if st, _, err = RecoverStore(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st.Len() != records*fevent.DefaultBatchSize || len(st.blocks) != 1 {
+		t.Fatalf("recovered %d events in %d blocks, want %d in 1", st.Len(), len(st.blocks), records*fevent.DefaultBatchSize)
+	}
+	if n >= records/4 {
+		t.Fatalf("recovering %d records allocates %v times: that grows with the log, not with the store", records, n)
+	}
+	t.Logf("RecoverStore of %d records: %v allocations", records, n)
 }

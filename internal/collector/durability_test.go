@@ -88,10 +88,11 @@ func TestAdmissionDisabledAndDefaults(t *testing.T) {
 func TestServerSlowWatermarkDelaysAcks(t *testing.T) {
 	store := NewStore()
 	// The first event costs a whole block; after that a single-event
-	// batch over a fresh flow adds one flow-table and one dedup entry.
-	// The budget puts slowAt 13 batches in, so 60 batches start under it
-	// and sail far past it — and the ladder must clamp at slow (no WAL).
-	budget := int64(blockMemCost+13*batchMemCost) * 10 / 7
+	// batch over a fresh flow adds one dedup entry and, at a doubling, flow
+	// table slots. The budget puts slowAt 13 batches in, so 60 batches
+	// start under it and sail far past it — and the ladder must clamp at
+	// slow (no WAL).
+	budget := memAfter(13) * 10 / 7
 	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{
 		MemoryBudget: budget,
 		AckSlowdown:  time.Millisecond,
@@ -140,7 +141,7 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	}
 	// shedAt lands 66 single-event batches past the first block, where
 	// the 16 KiB budget put it when an event was charged a flat 160 B.
-	budget := int64(blockMemCost+66*batchMemCost) * 10 / 9
+	budget := memAfter(66) * 10 / 9
 	srv := NewServerOn(store, mustListen(t), ServerConfig{
 		WAL:          w,
 		MemoryBudget: budget,
@@ -199,9 +200,12 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	assertExactlyOnce(t, store2, n)
 }
 
-// batchMemCost is what MemoryBytes charges a single-event batch over a
-// fresh flow once its block exists.
-const batchMemCost = flowMemCost + seenMemCost
+// memAfter is what MemoryBytes reports with n single-event batches over
+// fresh flows stored (n ≤ blockLen): one block, the flow table as grown
+// for n flows, n dedup entries.
+func memAfter(n int) int64 {
+	return blockMemCost + int64(flowSlotsFor(n))*flowSlotBytes + int64(n)*seenMemCost
+}
 
 // mustListen returns a fresh loopback listener.
 func mustListen(t *testing.T) net.Listener {

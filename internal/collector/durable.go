@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"netseer/internal/collector/wal"
-	"netseer/internal/fevent"
 )
 
 // RecoverStore rebuilds a Store from an opened write-ahead log: load the
 // newest snapshot, then replay the tail segments through the same
-// decode+Deliver path the live wire uses. Replayed batches dedup against
+// ViewPayload + DeliverPayload path the live wire uses — the logged bytes
+// go into the store's columns as they are, no event is materialised. Replayed batches dedup against
 // the snapshot's (switch, seq) set — and against each other — so
 // recovery is idempotent no matter how the crash interleaved snapshot
 // installation and appends. Batches that were shed before the crash
@@ -23,11 +23,11 @@ func RecoverStore(w *wal.WAL) (*Store, wal.ReplayStats, error) {
 		}
 	}
 	st, err := w.Replay(func(payload []byte) error {
-		var b fevent.Batch
-		if err := DecodePayload(payload, &b); err != nil {
+		p, err := ViewPayload(payload)
+		if err != nil {
 			return fmt.Errorf("collector: replaying WAL record: %w", err)
 		}
-		store.Deliver(&b)
+		store.DeliverPayload(&p)
 		return nil
 	})
 	if err != nil {

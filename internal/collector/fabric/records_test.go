@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netseer/internal/collector"
+	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
@@ -94,5 +95,52 @@ func TestSlotMaskHas(t *testing.T) {
 		if slotMaskHas(mask, slot) != want {
 			t.Fatalf("slot %d: has=%v want %v", slot, slotMaskHas(mask, slot), want)
 		}
+	}
+}
+
+// TestRecoverShardReplayDoesNotAllocate is the fabric's half of the
+// recovery allocation pin (collector.TestRecoverReplayDoesNotAllocate):
+// batch records go from the log into the store as bytes, so replaying
+// 300 of them allocates for the store's growth, not once or more a record.
+func TestRecoverShardReplayDoesNotAllocate(t *testing.T) {
+	const records, frameHdrLen = 300, 8 // a frame's length and CRC words precede its payload
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= records; seq++ {
+		b := &fevent.Batch{SwitchID: 3, Timestamp: sim.Time(seq), Seq: seq}
+		for i := 0; i < fevent.DefaultBatchSize; i++ {
+			e := testEvents()[i%3]
+			e.SwitchID, e.Timestamp, e.Flow.SrcPort = b.SwitchID, b.Timestamp, uint16(i%40)
+			b.Events = append(b.Events, e)
+		}
+		frame, err := collector.AppendFrame(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(encodeBatchRecord(frame[frameHdrLen:]), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var st *collector.Store
+	n := testing.AllocsPerRun(5, func() {
+		if st, _, err = recoverShard(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st.Len() != records*fevent.DefaultBatchSize {
+		t.Fatalf("recovered %d events, want %d", st.Len(), records*fevent.DefaultBatchSize)
+	}
+	if n >= records/4 {
+		t.Fatalf("recovering %d batch records allocates %v times: that grows with the log, not with the store", records, n)
 	}
 }

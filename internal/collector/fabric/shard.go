@@ -91,7 +91,7 @@ func configPath(dir string) string { return filepath.Join(dir, "ring-config.json
 
 // recoverShard rebuilds a shard's store and open-transfer table from its
 // WAL, decoding the record envelope: batches replay through the normal
-// Deliver path, transfer chunks buffer until their commit seals them (as
+// ViewPayload + DeliverPayload path, transfer chunks buffer until their commit seals them (as
 // a source capture when an 'M' opened the rb here, as a destination
 // import otherwise), and fence/release apply as they did live. The
 // result matches the pre-crash state for every committed operation;
@@ -114,11 +114,11 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 		tag, body := rec[0], rec[1:]
 		switch tag {
 		case recBatch:
-			var b fevent.Batch
-			if err := collector.DecodePayload(body, &b); err != nil {
+			p, err := collector.ViewPayload(body)
+			if err != nil {
 				return fmt.Errorf("fabric: replaying batch record: %w", err)
 			}
-			store.Deliver(&b)
+			store.DeliverPayload(&p)
 			return nil
 		}
 		if len(body) < 8 {

@@ -9,6 +9,7 @@ import (
 
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
+	"netseer/internal/sim"
 )
 
 // Wire framing for CPU→backend delivery (§3.6 "reliable TCP-based
@@ -39,7 +40,7 @@ import (
 // readers never see the bit (a v3 sender is paired with a v3 reader by
 // deployment), old frames parse unchanged here, and because the WAL
 // stores the verified payload verbatim, mixed-version logs replay
-// correctly through the same DecodePayload.
+// correctly through the same ViewPayload.
 
 // MaxFrame bounds a frame to keep a malformed peer from forcing huge
 // allocations.
@@ -117,83 +118,119 @@ func WriteFrame(w io.Writer, b *fevent.Batch) error {
 // ReadFrame reads one length-prefixed batch from r into b, verifying the
 // checksum and populating b.Seq.
 func ReadFrame(r io.Reader, b *fevent.Batch) error {
-	_, err := readFramePayload(r, b, nil)
+	p, _, err := readFramePayload(r, nil)
+	if err == nil {
+		p.decodeInto(b)
+	}
 	return err
 }
 
-// readFramePayload reads one frame like ReadFrame but also returns the
-// verified payload bytes (seq + batch body) — exactly what the durable
-// server appends to its write-ahead log, so the log stores what the wire
-// carried and recovery reuses DecodePayload. The frame is read into
-// scratch, regrown when it does not fit — first the header, whose two
-// fields are taken out before the payload overwrites it: a caller that
-// passes the returned slice back in reads every frame of a connection
-// into one buffer, and must be done with a payload before reading the
-// next.
-func readFramePayload(r io.Reader, b *fevent.Batch, scratch []byte) ([]byte, error) {
+// Payload is a verified frame payload viewed in place: the unit the
+// collector moves from the socket and the WAL into the store, with no
+// decoded form in between. Records aliases the payload it was taken from
+// and holds n × fevent.RecordLen bytes, each a valid record in the image
+// AppendRecord produces (see fevent.SplitBatch).
+type Payload struct {
+	SwitchID  uint16
+	Timestamp sim.Time
+	Seq       uint64
+	Trace     trace.Context
+	Records   []byte
+}
+
+// Events returns how many records the payload carries.
+func (p *Payload) Events() int { return len(p.Records) / fevent.RecordLen }
+
+func (p *Payload) decodeInto(b *fevent.Batch) {
+	b.Seq, b.Trace = p.Seq, p.Trace
+	b.DecodeRecords(p.SwitchID, p.Timestamp, p.Records)
+}
+
+// readFramePayload reads and verifies one frame, returning its view and
+// the payload bytes (seq + batch body) the view aliases — exactly what the
+// durable server appends to its write-ahead log, so the log stores what
+// the wire carried, undefined detail bytes cleared, and recovery reuses
+// ViewPayload. The frame is read into scratch, regrown when it does not
+// fit — first the header, whose two fields are taken out before the
+// payload overwrites it: a caller that passes the returned slice back in
+// reads every frame of a connection into one buffer, and must be done
+// with a payload before reading the next.
+func readFramePayload(r io.Reader, scratch []byte) (Payload, []byte, error) {
 	if cap(scratch) < frameHdrLen {
 		scratch = make([]byte, frameHdrLen)
 	}
 	hdr := scratch[:frameHdrLen]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+		return Payload{}, nil, err
 	}
 	n, sum := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
 	if n < frameSeqLen {
-		return nil, ErrFrameTooShort
+		return Payload{}, nil, ErrFrameTooShort
 	}
 	if n > MaxFrame {
-		return nil, fmt.Errorf("collector: frame of %d bytes exceeds limit", n)
+		return Payload{}, nil, fmt.Errorf("collector: frame of %d bytes exceeds limit", n)
 	}
 	if uint32(cap(scratch)) < n {
 		scratch = make([]byte, n)
 	}
 	payload := scratch[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+		return Payload{}, nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, ErrFrameCRC
+		return Payload{}, nil, ErrFrameCRC
 	}
-	if err := DecodePayload(payload, b); err != nil {
-		return nil, err
+	p, err := ViewPayload(payload)
+	if err != nil {
+		return Payload{}, nil, err
 	}
-	return payload, nil
+	return p, payload, nil
 }
 
-// DecodePayload parses a frame payload (8 B delivery sequence, an
+// ViewPayload validates a frame payload — 8 B delivery sequence, an
 // optional v3 trace context flagged by the sequence word's bit 63, then
-// the encoded batch body) into b. WAL recovery replays the logged
-// payloads through this — the same decoder the live wire path uses, so
+// one encoded batch and nothing after it — and returns its view, clearing
+// in place the detail bytes a record's type does not define. It is the
+// collector's only payload validator: the live wire path, WAL recovery
+// (standalone and fabric) and DecodePayload all go through it, so
 // mixed-version logs (pre- and post-trace frames interleaved) replay
 // without misparsing.
-func DecodePayload(payload []byte, b *fevent.Batch) error {
+func ViewPayload(payload []byte) (Payload, error) {
 	if len(payload) < frameSeqLen {
-		return ErrFrameTooShort
+		return Payload{}, ErrFrameTooShort
 	}
-	seq := binary.BigEndian.Uint64(payload[:frameSeqLen])
+	p := Payload{Seq: binary.BigEndian.Uint64(payload[:frameSeqLen])}
 	body := payload[frameSeqLen:]
-	b.Trace = trace.Context{}
-	if seq&frameTraceBit != 0 {
+	if p.Seq&frameTraceBit != 0 {
 		if len(body) < trace.CtxWireLen {
-			return fmt.Errorf("collector: traced frame truncated before its %d-byte context", trace.CtxWireLen)
+			return Payload{}, fmt.Errorf("collector: traced frame truncated before its %d-byte context", trace.CtxWireLen)
 		}
-		b.Trace = trace.CtxFromWire(body)
-		if !b.Trace.Valid() {
-			return errors.New("collector: traced frame carries a zero trace ID")
+		p.Trace = trace.CtxFromWire(body)
+		if !p.Trace.Valid() {
+			return Payload{}, errors.New("collector: traced frame carries a zero trace ID")
 		}
 		body = body[trace.CtxWireLen:]
-		seq &^= frameTraceBit
+		p.Seq &^= frameTraceBit
 	}
-	b.Seq = seq
-	rest, err := fevent.DecodeBatch(body, b)
-	if err != nil {
-		return err
+	var rest []byte
+	var err error
+	if p.SwitchID, p.Timestamp, p.Records, rest, err = fevent.SplitBatch(body); err != nil {
+		return Payload{}, err
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("collector: %d trailing bytes in frame", len(rest))
+		return Payload{}, fmt.Errorf("collector: %d trailing bytes in frame", len(rest))
 	}
-	return nil
+	return p, nil
+}
+
+// DecodePayload parses a frame payload into b: ViewPayload, then every
+// record decoded into b.Events.
+func DecodePayload(payload []byte, b *fevent.Batch) error {
+	p, err := ViewPayload(payload)
+	if err == nil {
+		p.decodeInto(b)
+	}
+	return err
 }
 
 // writeAck writes one cumulative-ack frame: every data frame with

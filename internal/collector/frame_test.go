@@ -6,9 +6,12 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
 )
 
@@ -50,6 +53,28 @@ func TestReadFrameMalformed(t *testing.T) {
 	binary.BigEndian.PutUint16(lying[frameHdrLen+frameSeqLen+10:], 300)
 	binary.BigEndian.PutUint32(lying[4:8], crc32.ChecksumIEEE(lying[frameHdrLen:]))
 
+	// A well-formed body one record over the limit: only MaxBatchRecords
+	// can object.
+	over := &fevent.Batch{SwitchID: 7, Timestamp: 42, Events: make([]fevent.Event, fevent.MaxBatchRecords)}
+	for i := range over.Events {
+		over.Events[i] = fevent.Event{Type: fevent.TypePause, Flow: flowN(uint32(i))}
+	}
+	var overBuf bytes.Buffer
+	if err := WriteFrame(&overBuf, over); err != nil {
+		t.Fatal(err)
+	}
+	tooMany := append(append([]byte(nil), overBuf.Bytes()...), overBuf.Bytes()[overBuf.Len()-fevent.RecordLen:]...)
+	binary.BigEndian.PutUint16(tooMany[frameHdrLen+frameSeqLen+10:], fevent.MaxBatchRecords+1)
+	tooMany = rewriteFrame(tooMany)
+
+	// Every record but the last is valid.
+	badLast := append([]byte(nil), overBuf.Bytes()...)
+	badLast[len(badLast)-fevent.RecordLen] = byte(fevent.TypeAggSpike) + 1
+	badLast = rewriteFrame(badLast)
+	zeroType := append([]byte(nil), valid...)
+	zeroType[len(zeroType)-fevent.RecordLen] = 0
+	zeroType = rewriteFrame(zeroType)
+
 	tooShortLen := make([]byte, frameHdrLen)
 	binary.BigEndian.PutUint32(tooShortLen[0:4], 4) // < frameSeqLen
 
@@ -68,6 +93,9 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"trailing bytes", trailing, nil},
 		{"truncated batch header", short, nil},
 		{"record count beyond body", lying, nil},
+		{"record count above MaxBatchRecords", tooMany, nil},
+		{"invalid type in the last record", badLast, nil},
+		{"type byte zero", zeroType, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +107,64 @@ func TestReadFrameMalformed(t *testing.T) {
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
+			// The server's reader is the same validator and says the same.
+			if _, _, perr := readFramePayload(bytes.NewReader(tc.data), nil); perr == nil || perr.Error() != err.Error() {
+				t.Fatalf("readFramePayload err = %v, ReadFrame err = %v", perr, err)
+			}
 		})
+	}
+	// The two limit cases sit exactly on their limits.
+	var b fevent.Batch
+	if err := ReadFrame(bytes.NewReader(overBuf.Bytes()), &b); err != nil || len(b.Events) != fevent.MaxBatchRecords {
+		t.Fatalf("a frame of MaxBatchRecords records: %d events, %v", len(b.Events), err)
+	}
+}
+
+// TestServerRejectsFrameWithInvalidRecord pins the wire path end to end:
+// a checksummed frame whose last record has no valid type is a frame
+// error — nothing of it is logged, stored or acked, and the connection
+// is dropped.
+func TestServerRejectsFrameWithInvalidRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	store := NewStore()
+	srv := NewServerOn(store, mustListen(t), ServerConfig{WAL: w})
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	good := validFrame(t, 1)
+	two := &fevent.Batch{SwitchID: 7, Timestamp: 43, Seq: 2, Events: []fevent.Event{
+		{Type: fevent.TypePause, Flow: flowN(1)}, {Type: fevent.TypePause, Flow: flowN(2)}}}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, two); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	bad[len(bad)-fevent.RecordLen] = 0xee
+	if _, err := conn.Write(append(good, rewriteFrame(bad)...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if seq, err := readAck(conn); err != nil || seq != 1 {
+		t.Fatalf("ack for the valid frame = %d, %v", seq, err)
+	}
+	if _, err := readAck(conn); err == nil {
+		t.Fatal("the invalid frame was acked")
+	}
+	srv.Drain(time.Second)
+	if st := srv.Stats(); st.FrameErrors != 1 || st.Frames != 1 {
+		t.Errorf("frames %d, frame errors %d, want 1 and 1", st.Frames, st.FrameErrors)
+	}
+	if store.Len() != 1 || store.SeenBatch(7, 2) || w.LastSerial() != 1 {
+		t.Errorf("store holds %d events, seen(7,2)=%v, WAL serial %d: the rejected frame left a mark", store.Len(), store.SeenBatch(7, 2), w.LastSerial())
 	}
 }
 

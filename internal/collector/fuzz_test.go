@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"netseer/internal/fevent"
@@ -16,6 +17,13 @@ import (
 // trip must preserve the trace context exactly, so a mixed-version
 // stream (or a mixed-version WAL replay, which runs the same decoder)
 // cannot misparse one version as the other.
+//
+// It is also the differential of the two ways in: the record view the
+// server and WAL recovery use (readFramePayload) and the Events decoder
+// (ReadFrame) must accept and reject exactly the same inputs, and what a
+// store fed the view holds for each record must be the image
+// AppendRecord(DecodeRecord(rec)) — whatever the wire put in the detail
+// bytes the record's type does not define.
 func FuzzReadFrame(f *testing.F) {
 	valid := func(seq uint64, events ...fevent.Event) []byte {
 		b := &fevent.Batch{SwitchID: 5, Timestamp: 77, Events: events, Seq: seq}
@@ -50,10 +58,51 @@ func FuzzReadFrame(f *testing.F) {
 	// Traced frame torn inside its 17-byte context.
 	f.Add(wholeTraced[:20])
 
+	// The record view's own corners: dirty pad bytes, an invalid type in
+	// the last record only, a count one larger than the body.
+	pause := fevent.Event{Type: fevent.TypePause, Flow: flowN(4), EgressPort: 2, Queue: 1, Count: 3}
+	churn := fevent.Event{Type: fevent.TypeTopKChurn, Flow: flowN(5), EgressPort: 2, SketchErr: 9}
+	three := valid(11, pause, churn, pause)
+	reseal := func(frame []byte, edit func(records []byte)) []byte {
+		out := append([]byte(nil), frame...)
+		edit(out[len(out)-3*fevent.RecordLen:])
+		return rewriteFrame(out)
+	}
+	f.Add(reseal(three, func(r []byte) { r[16], r[17], r[fevent.RecordLen+15] = 0xde, 0xad, 0xbe }))
+	f.Add(reseal(three, func(r []byte) { r[2*fevent.RecordLen] = 0x7f }))
+	countOff := frameHdrLen + frameSeqLen + fevent.BatchHeaderLen - 2
+	f.Add(rewriteFrame(append(append(append([]byte(nil), three[:countOff]...), 0, 4), three[countOff+2:]...)))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b fevent.Batch
-		if err := ReadFrame(bytes.NewReader(data), &b); err != nil {
+		err := ReadFrame(bytes.NewReader(data), &b)
+		view, payload, verr := readFramePayload(bytes.NewReader(data), nil)
+		if (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
+			t.Fatalf("ReadFrame says %v, the record view says %v", err, verr)
+		}
+		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if view.SwitchID != b.SwitchID || view.Timestamp != b.Timestamp || view.Seq != b.Seq || view.Trace != b.Trace || view.Events() != len(b.Events) {
+			t.Fatalf("the record view %+v and the decoded batch %+v disagree", view, b)
+		}
+		// What the store keeps of each record is what re-encoding the
+		// decoded event gives, and the payload (what the WAL logs) holds
+		// the same image.
+		st := NewStore()
+		st.DeliverPayload(&view)
+		stored := st.blocks
+		for i := range b.Events {
+			want := b.Events[i].AppendRecord(nil)
+			if got := stored[0].rec[i*fevent.RecordLen : (i+1)*fevent.RecordLen]; !bytes.Equal(got, want) {
+				t.Fatalf("record %d stored as %x, AppendRecord(DecodeRecord) gives %x", i, got, want)
+			}
+			if got := payload[len(payload)-(len(b.Events)-i)*fevent.RecordLen:][:fevent.RecordLen]; !bytes.Equal(got, want) {
+				t.Fatalf("record %d logged as %x, AppendRecord(DecodeRecord) gives %x", i, got, want)
+			}
+		}
+		if got := st.Query(Filter{}); !slices.Equal(got, b.Events) {
+			t.Fatalf("a store fed the view answers %v, the decoder gave %v", got, b.Events)
 		}
 		// A trace context the decoder accepts must carry a real ID, and
 		// the stripped version bit must never leak into the logical Seq.

@@ -104,15 +104,16 @@ func (s *Store) MergeSeen(ids []BatchID) {
 func (s *Store) AddEvents(evs []fevent.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.appendAll(evs)
+	s.appendEvents(evs)
 }
 
 // RemoveEvents removes one stored copy per element of the multiset evs
 // (full-record identity, timestamp included) by re-appending the
-// survivors to an emptied store. Events with no stored match are
-// ignored; it returns how many copies were actually removed. This is
-// the epoch fence: after a handoff publishes, the source drops exactly
-// what it captured and shipped.
+// survivors to an emptied store, a run of neighbours that share a switch
+// and a stamp at a time, straight from the old columns. Events with no
+// stored match are ignored; it returns how many copies were actually
+// removed. This is the epoch fence: after a handoff publishes, the
+// source drops exactly what it captured and shipped.
 func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	if len(evs) == 0 {
 		return 0
@@ -125,17 +126,28 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	defer s.mu.Unlock()
 	old, before := s.blocks, s.n
 	s.resetEvents()
-	var e fevent.Event
 	for _, b := range old {
-		for i := 0; i < b.n; i++ {
-			b.load(i, &e)
-			if k := identityOf(&e); want[k] > 0 {
-				want[k]--
-				continue
+		start := 0 // survivors [start, i) wait to be re-appended as one run
+		flush := func(end int) {
+			if start < end {
+				s.appendRun(b.sw[start], b.ts[start], b.rec[start*fevent.RecordLen:end*fevent.RecordLen])
 			}
-			s.append(&e)
-			s.countRow(e.SwitchID)[e.Type]++
 		}
+		for i := 0; i < b.n; i++ {
+			var k eventIdentity
+			binary.BigEndian.PutUint16(k[0:2], b.sw[i])
+			binary.BigEndian.PutUint64(k[2:10], uint64(b.ts[i]))
+			copy(k[10:], b.rec[i*fevent.RecordLen:])
+			if want[k] > 0 {
+				want[k]--
+				flush(i)
+				start = i + 1
+			} else if b.sw[i] != b.sw[start] || b.ts[i] != b.ts[start] {
+				flush(i)
+				start = i
+			}
+		}
+		flush(b.n)
 	}
 	return before - s.n
 }

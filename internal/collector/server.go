@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"netseer/internal/collector/wal"
-	"netseer/internal/fevent"
 	"netseer/internal/metrics"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
@@ -405,12 +404,12 @@ type ackPoint struct {
 }
 
 // add folds one applied frame into the burst.
-func (ap *ackPoint) add(b *fevent.Batch, serial uint64) {
-	ap.seq = max(ap.seq, b.Seq)
+func (ap *ackPoint) add(p *Payload, serial uint64) {
+	ap.seq = max(ap.seq, p.Seq)
 	ap.serial = max(ap.serial, serial)
 	ap.frames++
-	if b.Trace.Valid() {
-		ap.tr = b.Trace
+	if p.Trace.Valid() {
+		ap.tr = p.Trace
 	}
 }
 
@@ -428,9 +427,9 @@ func frameBuffered(br *bufio.Reader) bool {
 // serve ingests one connection a read burst at a time: every frame is
 // verified, logged and applied as it is parsed, but the frames one fill
 // of the read buffer delivered share one ackPoint — one durability wait,
-// one ack write, one lag observation — and one payload buffer and one
-// decoded batch serve the whole connection (wal.Append and Store.Deliver
-// both copy).
+// one ack write, one lag observation — and one payload buffer serves the
+// whole connection: a frame stays the bytes it arrived as, viewed in place
+// (wal.Append and Store.DeliverPayload both copy).
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -456,7 +455,7 @@ func (s *Server) serve(conn net.Conn) {
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var (
-		b       fevent.Batch
+		p       Payload
 		payload []byte
 		burst   ackPoint
 		owed    bool // a point is in the pipeline with no barrier behind it
@@ -492,7 +491,7 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		payload, err = readFramePayload(br, &b, payload)
+		p, payload, err = readFramePayload(br, payload)
 		if err != nil {
 			// A clean close lands exactly on a frame boundary (io.EOF);
 			// anything else — truncation, bad CRC, oversized length — is
@@ -511,15 +510,15 @@ func (s *Server) serve(conn net.Conn) {
 		// and the store-index span both parent onto it, so the assembled
 		// trace shows the shard-side fan-out of one frame.
 		var isp trace.Span
-		traced := b.Trace.Sampled()
+		traced := p.Trace.Sampled()
 		if traced {
-			isp = trace.Begin(b.Trace, trace.StageIngest)
+			isp = trace.Begin(p.Trace, trace.StageIngest)
 			isp.Start = burst.arrived.UnixNano()
-			isp.SwitchID = b.SwitchID
-			isp.Seq = b.Seq
+			isp.SwitchID = p.SwitchID
+			isp.Seq = p.Seq
 			isp.Shard = s.cfg.TraceShard
-			isp.Events = uint32(len(b.Events))
-			b.Trace.Parent = isp.SpanID
+			isp.Events = uint32(p.Events())
+			p.Trace.Parent = isp.SpanID
 		}
 
 		// Apply before acking: an ack promises the batch is in the Store
@@ -530,8 +529,8 @@ func (s *Server) serve(conn net.Conn) {
 		var werr error
 		s.ingestMu.RLock()
 		switch {
-		case b.Seq != 0 && s.store.SeenBatch(b.SwitchID, b.Seq):
-			s.store.Deliver(&b) // counts the duplicate, changes nothing else
+		case p.Seq != 0 && s.store.SeenBatch(p.SwitchID, p.Seq):
+			s.store.DeliverPayload(&p) // counts the duplicate, changes nothing else
 			if s.wal != nil {
 				// The first copy's fsync may still be pending; gate this
 				// ack on everything logged so far so a replayed ack never
@@ -547,13 +546,13 @@ func (s *Server) serve(conn net.Conn) {
 			if werr == nil {
 				if state == admitShed {
 					s.admit.shedBatches.Inc()
-					s.admit.shedEvent.Add(uint64(len(b.Events)))
+					s.admit.shedEvent.Add(uint64(p.Events()))
 				} else {
-					s.store.Deliver(&b)
+					s.store.DeliverPayload(&p)
 				}
 			}
 		default:
-			s.store.Deliver(&b)
+			s.store.DeliverPayload(&p)
 		}
 		s.ingestMu.RUnlock()
 		if werr != nil {
@@ -573,8 +572,8 @@ func (s *Server) serve(conn net.Conn) {
 			trace.Finish(&isp)
 		}
 		switch {
-		case b.Seq == 0:
-			s.ingestLag.ObserveTrace(float64(time.Since(burst.arrived).Microseconds()), b.Trace.TraceID)
+		case p.Seq == 0:
+			s.ingestLag.ObserveTrace(float64(time.Since(burst.arrived).Microseconds()), p.Trace.TraceID)
 		case traced:
 			// A sampled frame is acked on its own, behind the burst so far:
 			// its wal-fsync span needs its own serial and its own wait. The
@@ -582,14 +581,14 @@ func (s *Server) serve(conn net.Conn) {
 			// continues in the acker, so that span starts where the ingest
 			// span ends.
 			hand()
-			burst.add(&b, serial)
+			burst.add(&p, serial)
 			if serial != 0 {
 				burst.walStart = isp.End
 			}
-			burst.sw, burst.events = b.SwitchID, uint32(len(b.Events))
+			burst.sw, burst.events = p.SwitchID, uint32(p.Events())
 			hand()
 		default:
-			burst.add(&b, serial)
+			burst.add(&p, serial)
 			if burst.frames == maxBurst {
 				hand()
 			}

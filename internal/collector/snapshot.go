@@ -40,19 +40,20 @@ func (s *Store) EncodeSnapshot() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	le := binary.LittleEndian
-	buf := make([]byte, 0, snapHeaderLen+len(s.seen)*snapSeenLen+len(s.heads)*snapFlowLen+s.n*rowBytes)
+	buf := make([]byte, 0, snapHeaderLen+len(s.seen)*snapSeenLen+s.flows.n*snapFlowLen+s.n*rowBytes)
 	buf = append(buf, snapMagic...)
 	buf = le.AppendUint64(buf, s.dupBatches)
 	buf = le.AppendUint32(buf, uint32(len(s.seen)))
-	buf = le.AppendUint32(buf, uint32(len(s.heads)))
+	buf = le.AppendUint32(buf, uint32(s.flows.n))
 	buf = le.AppendUint32(buf, uint32(s.n))
 	for k := range s.seen {
 		buf = le.AppendUint16(buf, k.sw)
 		buf = le.AppendUint64(buf, k.seq)
 	}
-	for f, head := range s.heads {
-		buf = f.AppendWire(buf)
-		buf = le.AppendUint32(buf, head)
+	for i := range s.flows.slots {
+		if sl := &s.flows.slots[i]; sl.head != 0 {
+			buf = le.AppendUint32(append(buf, sl.key[:]...), sl.head)
+		}
 	}
 	for _, b := range s.blocks {
 		for _, v := range b.ts[:b.n] {
@@ -86,20 +87,22 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	ld := &Store{ // the image under construction; swapped in whole at the end
 		dupBatches: le.Uint64(data[4:]),
 		seen:       make(map[batchKey]struct{}, seen),
-		heads:      make(map[pkt.FlowKey]uint32, flows),
 		counts:     make(map[uint16]*typeRow),
 	}
 	data = data[snapHeaderLen:]
 	for ; seen > 0; seen, data = seen-1, data[snapSeenLen:] {
 		ld.seen[batchKey{sw: le.Uint16(data), seq: le.Uint64(data[2:])}] = struct{}{}
 	}
+	if flows > 0 {
+		ld.flows.grow(flowSlotsFor(flows))
+	}
 	for ; flows > 0; flows, data = flows-1, data[snapFlowLen:] {
-		f, _ := pkt.FlowKeyFromWire(data) // length checked above
 		head := le.Uint32(data[pkt.FlowKeyLen:])
 		if head == 0 || int(head) > events {
+			f, _ := pkt.FlowKeyFromWire(data) // length checked above
 			return fmt.Errorf("collector: snapshot flow %v heads at event %d of %d", f, int64(head)-1, events)
 		}
-		ld.heads[f] = head
+		ld.flows.swap(data[:pkt.FlowKeyLen], head)
 	}
 	for ld.n < events {
 		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}
@@ -120,11 +123,15 @@ func (s *Store) LoadSnapshot(data []byte) error {
 		data = data[b.n*2:]
 		data = data[copy(b.typ[:b.n], data):]
 		data = data[copy(b.rec[:b.n*fevent.RecordLen], data):]
+		var row *typeRow // of b.sw[i-1]: a batch's events sit together
 		for i, t := range b.typ[:b.n] {
 			if !fevent.Type(t).Valid() || b.rec[i*fevent.RecordLen] != t {
 				return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+i, t, b.rec[i*fevent.RecordLen])
 			}
-			ld.countRow(b.sw[i])[t]++
+			if row == nil || b.sw[i] != b.sw[i-1] {
+				row = ld.countRow(b.sw[i])
+			}
+			row[t]++
 		}
 		ld.blocks = append(ld.blocks, b)
 		ld.n += b.n
@@ -132,7 +139,7 @@ func (s *Store) LoadSnapshot(data []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks, s.n, s.heads, s.counts = ld.blocks, ld.n, ld.heads, ld.counts
+	s.blocks, s.n, s.flows, s.counts = ld.blocks, ld.n, ld.flows, ld.counts
 	s.seen, s.dupBatches = ld.seen, ld.dupBatches
 	return nil
 }

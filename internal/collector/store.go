@@ -71,8 +71,8 @@ type typeRow [fevent.TypeAggSpike + 1]uint64
 type Store struct {
 	mu     sync.RWMutex
 	blocks []*block
-	n      int                    // stored events
-	heads  map[pkt.FlowKey]uint32 // flow → position+1 of its newest event
+	n      int       // stored events
+	flows  flowTable // flow → position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
 	seen       map[batchKey]struct{}
@@ -87,11 +87,11 @@ type Store struct {
 	// timestamp at storage time (the batch stamp is the last switch-side
 	// clock reading the event carries). This is only non-degenerate for
 	// batches delivered in-process (experiments testbed, oracle): the 24 B
-	// wire record carries no per-event stamp, so fevent.Batch.Decode
-	// restores every event's timestamp from the batch header and a store
-	// fed over TCP legally observes 0 — "no staler than the batch stamp".
-	// Over the wire the switch-side leg is covered by the exporter's
-	// detect→CPU histogram and the collector-side leg by ingest lag.
+	// wire record carries no per-event stamp, so every event of a frame
+	// payload is stamped from the batch header and a store fed over TCP
+	// legally observes 0 — "no staler than the batch stamp". Over the wire
+	// the switch-side leg is covered by the exporter's detect→CPU histogram
+	// and the collector-side leg by ingest lag.
 	detectToStore *obs.Histogram
 
 	// traceShard labels store-index spans with the owning fabric shard
@@ -108,30 +108,8 @@ func NewStore() *Store {
 
 // resetEvents drops every event, keeping the dedup state.
 func (s *Store) resetEvents() {
-	s.blocks, s.n = nil, 0
-	s.heads = make(map[pkt.FlowKey]uint32)
+	s.blocks, s.n, s.flows = nil, 0, flowTable{}
 	s.counts = make(map[uint16]*typeRow)
-}
-
-// append stores one event at the next position: the only writer of the
-// columns and the flow chains. The caller counts it.
-func (s *Store) append(e *fevent.Event) {
-	if !e.Type.Valid() {
-		panic("collector: storing event with invalid type " + strconv.Itoa(int(e.Type)))
-	}
-	i := s.n % blockLen
-	if i == 0 {
-		s.blocks = append(s.blocks, &block{minTs: math.MaxInt64, maxTs: math.MinInt64})
-	}
-	b := s.blocks[len(s.blocks)-1]
-	ts := int64(e.Timestamp)
-	b.ts[i], b.sw[i], b.typ[i] = ts, e.SwitchID, uint8(e.Type)
-	e.AppendRecord(b.rec[i*fevent.RecordLen : i*fevent.RecordLen])
-	b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
-	b.prev[i] = s.heads[e.Flow]
-	b.n++
-	s.n++
-	s.heads[e.Flow] = uint32(s.n)
 }
 
 // countRow returns the per-type counts of switch sw, creating the row.
@@ -144,30 +122,70 @@ func (s *Store) countRow(sw uint16) *typeRow {
 	return row
 }
 
-// appendAll stores events in order and counts them. A batch comes from
-// one switch, so the counts row is resolved once and looked up again
-// only where an event's switch differs from its predecessor's.
-func (s *Store) appendAll(events []fevent.Event) {
-	var row *typeRow
-	for i := range events {
-		e := &events[i]
-		s.append(e)
-		if row == nil || e.SwitchID != events[i-1].SwitchID {
-			row = s.countRow(e.SwitchID)
+// appendRun stores a run of records — n × fevent.RecordLen bytes with
+// valid type bytes, all reported by switch sw at ts — at the next
+// positions, copied a block at a time and indexed from their bytes: the
+// only writer of the columns, the flow chains and the counts.
+func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
+	if len(recs) == 0 {
+		return
+	}
+	row := s.countRow(sw)
+	for len(recs) > 0 {
+		i := s.n % blockLen
+		if i == 0 {
+			s.blocks = append(s.blocks, &block{minTs: math.MaxInt64, maxTs: math.MinInt64})
 		}
-		row[e.Type]++
+		b := s.blocks[len(s.blocks)-1]
+		k := copy(b.rec[i*fevent.RecordLen:], recs) / fevent.RecordLen
+		for j, r := i, recs; j < i+k; j, r = j+1, r[fevent.RecordLen:] {
+			b.ts[j], b.sw[j], b.typ[j] = ts, sw, r[0]
+			row[r[0]]++
+			s.n++
+			b.prev[j] = s.flows.swap(r[fevent.RecordFlowOff:fevent.RecordFlowOff+pkt.FlowKeyLen], uint32(s.n))
+		}
+		b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
+		b.n += k
+		recs = recs[k*fevent.RecordLen:]
 	}
 }
 
-// Deliver implements core.EventSink: ingest one batch. Sequenced batches
-// (Seq != 0 — the reliable TCP channel) are deduplicated by (switch,
-// sequence): a retransmission of an already-stored batch is dropped, so
-// at-least-once delivery becomes exactly-once storage.
+// appendEvents stores decoded events through appendRun, encoding each
+// maximal run that shares a switch and a stamp (an in-process batch
+// stamps events one by one) into a stack buffer of records.
+func (s *Store) appendEvents(events []fevent.Event) {
+	var buf [64 * fevent.RecordLen]byte
+	for i := 0; i < len(events); {
+		first, recs := &events[i], buf[:0]
+		for ; i < len(events) && len(recs) < len(buf) && events[i].SwitchID == first.SwitchID && events[i].Timestamp == first.Timestamp; i++ {
+			if !events[i].Type.Valid() {
+				panic("collector: storing event with invalid type " + strconv.Itoa(int(events[i].Type)))
+			}
+			recs = events[i].AppendRecord(recs)
+		}
+		s.appendRun(first.SwitchID, int64(first.Timestamp), recs)
+	}
+}
+
+// Deliver implements core.EventSink: ingest one decoded batch.
 func (s *Store) Deliver(b *fevent.Batch) {
+	s.deliver(&Payload{SwitchID: b.SwitchID, Timestamp: b.Timestamp, Seq: b.Seq, Trace: b.Trace}, b.Events)
+}
+
+// DeliverPayload ingests one verified frame payload without decoding it:
+// the path of the TCP server and of WAL recovery.
+func (s *Store) DeliverPayload(p *Payload) { s.deliver(p, nil) }
+
+// deliver ingests one batch — its header in p, its events as p.Records or
+// decoded. Sequenced batches (Seq != 0 — the reliable TCP channel) are
+// deduplicated by (switch, sequence): a retransmission of an
+// already-stored batch is dropped, so at-least-once delivery becomes
+// exactly-once storage.
+func (s *Store) deliver(p *Payload, events []fevent.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b.Seq != 0 {
-		k := batchKey{sw: b.SwitchID, seq: b.Seq}
+	if p.Seq != 0 {
+		k := batchKey{sw: p.SwitchID, seq: p.Seq}
 		if _, dup := s.seen[k]; dup {
 			s.dupBatches++
 			return
@@ -179,32 +197,33 @@ func (s *Store) Deliver(b *fevent.Batch) {
 	// slow threshold — record it: the slow path is captured regardless of
 	// the sampling modulus.
 	var sp trace.Span
-	if b.Trace.Valid() {
-		sp = trace.Begin(b.Trace, trace.StageStoreIndex)
-		sp.SwitchID = b.SwitchID
-		sp.Seq = b.Seq
+	if p.Trace.Valid() {
+		sp = trace.Begin(p.Trace, trace.StageStoreIndex)
+		sp.SwitchID = p.SwitchID
+		sp.Seq = p.Seq
 		sp.Shard = s.traceShard
-		sp.Events = uint32(len(b.Events))
+		sp.Events = uint32(p.Events() + len(events))
 	}
-	s.appendAll(b.Events)
-	// Staleness is observed in runs of equal readings: a wire-delivered
-	// batch (every event stamped with the batch's time) is one run. The
-	// exemplar pairs the bucket with the batch's trace ID, so a
-	// tail-latency bucket on /metrics links straight to the trace that
-	// landed in it.
-	for i := 0; i < len(b.Events); {
-		d, j := b.Timestamp-b.Events[i].Timestamp, i+1
-		for j < len(b.Events) && b.Timestamp-b.Events[j].Timestamp == d {
+	s.appendRun(p.SwitchID, int64(p.Timestamp), p.Records)
+	s.appendEvents(events)
+	// Staleness is observed in runs of equal readings; a payload's records
+	// all carry the batch stamp and are one run of zeros. The exemplar
+	// pairs the bucket with the batch's trace ID, so a tail-latency bucket
+	// on /metrics links straight to the trace that landed in it.
+	s.detectToStore.ObserveN(0, uint64(p.Events()), p.Trace.TraceID)
+	for i := 0; i < len(events); {
+		d, j := p.Timestamp-events[i].Timestamp, i+1
+		for j < len(events) && p.Timestamp-events[j].Timestamp == d {
 			j++
 		}
 		if d >= 0 {
-			s.detectToStore.ObserveN(float64(d)/1e3, uint64(j-i), b.Trace.TraceID)
+			s.detectToStore.ObserveN(float64(d)/1e3, uint64(j-i), p.Trace.TraceID)
 		}
 		i = j
 	}
-	if b.Trace.Valid() {
+	if p.Trace.Valid() {
 		sp.End = trace.Now()
-		if slow := trace.SlowThreshold(); b.Trace.Sampled() || (slow > 0 && sp.End-sp.Start >= slow) {
+		if slow := trace.SlowThreshold(); p.Trace.Sampled() || (slow > 0 && sp.End-sp.Start >= slow) {
 			trace.Record(sp)
 		}
 	}
@@ -242,7 +261,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc(obs.MStoreFlows, "Distinct flows with at least one stored event.", func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return float64(len(s.heads))
+		return float64(s.flows.n)
 	})
 	r.CounterFunc(obs.MStoreDupBatches, "Replayed batches dropped by (switch, seq) dedup.", func() float64 {
 		return float64(s.DupBatches())
@@ -270,12 +289,12 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 
 // Resident cost of what the store holds, for admission control. A block
 // is charged whole, when it is allocated, rounded up to the allocator's
-// 8 KiB pages; a map entry is key + value + control byte at the load
-// factor of a table that has just doubled, so the estimate errs high and
-// admission control engages early, not late.
+// 8 KiB pages, and the flow table for every slot it has allocated; a
+// dedup map entry is key + value + control byte at the load factor of a
+// table that has just doubled, so the estimate errs high and admission
+// control engages early, not late.
 const (
 	blockMemCost = (blockLen*rowBytes + 24 + 8191) &^ 8191
-	flowMemCost  = 48
 	seenMemCost  = 40
 )
 
@@ -284,7 +303,7 @@ const (
 func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.blocks))*blockMemCost + int64(len(s.heads))*flowMemCost + int64(len(s.seen))*seenMemCost
+	return int64(len(s.blocks))*blockMemCost + int64(len(s.flows.slots))*flowSlotBytes + int64(len(s.seen))*seenMemCost
 }
 
 // Len returns the number of stored events.
@@ -329,7 +348,9 @@ func (s *Store) visit(f *Filter, fn func(b *block, i int)) {
 	if f.Flow != nil {
 		var buf [64]uint32 // most chains fit: no heap for a point lookup
 		chain := buf[:0]
-		for link := s.heads[*f.Flow]; link != 0; {
+		var key flowKey
+		f.Flow.PutWire(key[:])
+		for link := s.flows.get(key[:]); link != 0; {
 			b, i := s.blocks[(link-1)/blockLen], int((link-1)%blockLen)
 			if match(b, i) {
 				chain = append(chain, link-1)
@@ -378,9 +399,12 @@ func (s *Store) Count(f Filter) int {
 func (s *Store) Flows() []pkt.FlowKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]pkt.FlowKey, 0, len(s.heads))
-	for f := range s.heads {
-		out = append(out, f)
+	out := make([]pkt.FlowKey, 0, s.flows.n)
+	for i := range s.flows.slots {
+		if sl := &s.flows.slots[i]; sl.head != 0 {
+			f, _ := pkt.FlowKeyFromWire(sl.key[:]) // 13 bytes always decode
+			out = append(out, f)
+		}
 	}
 	return out
 }

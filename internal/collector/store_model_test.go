@@ -1,14 +1,18 @@
 package collector
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"netseer/internal/fevent"
+	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
@@ -137,6 +141,55 @@ func (p *pair) deliver(sw uint16, seq uint64, ts sim.Time, evs []fevent.Event) {
 	b := &fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs}
 	p.st.Deliver(b)
 	p.m.Deliver(b)
+}
+
+// wirePayload encodes b as the frame payload a switch CPU sends, then
+// sets every detail byte its records' types leave undefined: the
+// collector must take it as if those bytes were clear.
+func wirePayload(t testing.TB, b *fevent.Batch) []byte {
+	t.Helper()
+	frame, err := AppendFrame(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := frame[frameHdrLen:]
+	recs := payload[len(payload)-len(b.Events)*fevent.RecordLen:]
+	for i := range b.Events {
+		switch r := recs[i*fevent.RecordLen:]; b.Events[i].Type {
+		case fevent.TypePathChange, fevent.TypePause, fevent.TypeHeavyHitter:
+			r[16], r[17] = 0xa5, 0x5a
+		case fevent.TypeTopKChurn, fevent.TypeAggSpike:
+			r[15] = 0xa5
+		}
+	}
+	return payload
+}
+
+// deliverPayload delivers the batch to the store as a frame payload — the
+// path of the TCP server and of WAL replay — and to the model as the
+// events that payload decodes to: every one stamped from the batch
+// header, as the wire stamps them. It returns whether the payload's
+// records straddled a block boundary.
+func (p *pair) deliverPayload(sw uint16, seq uint64, ts sim.Time, evs []fevent.Event) bool {
+	p.t.Helper()
+	for i := range evs {
+		evs[i].SwitchID, evs[i].Timestamp = sw, ts
+	}
+	b := &fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs}
+	if p.r.Intn(3) == 0 {
+		b.Trace = trace.Context{TraceID: 1 + p.r.Uint64()>>1}
+	}
+	view, err := ViewPayload(wirePayload(p.t, b))
+	if err != nil {
+		p.t.Fatalf("ViewPayload of an encoded batch: %v", err)
+	}
+	if view.SwitchID != sw || view.Timestamp != ts || view.Seq != seq || view.Trace != b.Trace || view.Events() != len(evs) {
+		p.t.Fatalf("view %+v of batch (%d, %d, %d, %+v, %d events)", view, sw, ts, seq, b.Trace, len(evs))
+	}
+	before := p.st.Len()
+	p.st.DeliverPayload(&view)
+	p.m.Deliver(b)
+	return before/blockLen != (p.st.Len()-1)/blockLen && p.st.Len() > before
 }
 
 func (p *pair) add(evs []fevent.Event) {
@@ -343,8 +396,9 @@ func firstDiff(a, b []fevent.Event) int {
 }
 
 // TestStoreModelRandomPrograms runs seeded random programs of every
-// mutation the store has — Deliver with fresh, replayed and zero
-// sequence numbers, AddEvents, RemoveEvents of stored and never-stored
+// mutation the store has — Deliver and DeliverPayload (the same batch
+// as decoded events or as a frame payload with its undefined detail
+// bytes set) with fresh, replayed and zero sequence numbers, AddEvents, RemoveEvents of stored and never-stored
 // events, a handoff out and back, a snapshot round trip — and compares
 // every read after each step.
 func TestStoreModelRandomPrograms(t *testing.T) {
@@ -366,7 +420,11 @@ func TestStoreModelRandomPrograms(t *testing.T) {
 				default:
 					seq++
 				}
-				p.deliver(sw, s, ts, p.events(1+p.r.Intn(60), flows, switches, ts, sim.Time(p.r.Intn(2))*sim.Millisecond))
+				if evs := p.events(p.r.Intn(61), flows, switches, ts, sim.Time(p.r.Intn(2))*sim.Millisecond); p.r.Intn(2) == 0 {
+					p.deliver(sw, s, ts, evs)
+				} else {
+					p.deliverPayload(sw, s, ts, evs)
+				}
 			case op < 6:
 				p.add(p.events(1+p.r.Intn(20), flows, switches, ts, 0))
 			case op < 8 && len(p.m.events) > 0:
@@ -390,20 +448,31 @@ func TestStoreModelRandomPrograms(t *testing.T) {
 // short of, exactly at and one past a block boundary; a flow whose chain
 // spans three blocks and more links than the visitor's stack buffer;
 // per-event stamps that overlap across blocks, so [min, max] pruning
-// runs where it must not prune; and a RemoveEvents that empties a whole
+// runs where it must not prune; frame payloads whose records straddle a
+// block boundary; and a RemoveEvents that empties a whole
 // block out of the middle. Each is compared before and after a snapshot
 // round trip.
 func TestStoreModelBlockBoundaries(t *testing.T) {
 	const flows, switches = 5, 3
 	for _, n := range []int{blockLen - 1, blockLen, blockLen + 1, 3*blockLen + 100} {
 		p := newPair(t, int64(n))
+		straddled := false
 		for done, seq := 0, uint64(1); done < n; seq++ {
 			size := min(370, n-done)
 			ts := sim.Millisecond + sim.Time(seq)*10*sim.Microsecond
 			// Jitter of 50 batch spacings: neighbouring blocks' time
-			// ranges overlap by hundreds of events.
-			p.deliver(uint16(1+seq%switches), seq, ts, p.events(size, flows, switches, ts, 500*sim.Microsecond))
+			// ranges overlap by hundreds of events. Every other batch
+			// arrives as a frame payload, one run of up to 370 records.
+			evs := p.events(size, flows, switches, ts, 500*sim.Microsecond)
+			if seq%2 == 0 {
+				p.deliver(uint16(1+seq%switches), seq, ts, evs)
+			} else if p.deliverPayload(uint16(1+seq%switches), seq, ts, evs) {
+				straddled = true
+			}
 			done += size
+		}
+		if n > blockLen+1 && !straddled {
+			t.Fatalf("%d events: no frame payload straddled a block boundary", n)
 		}
 		if want := (n + blockLen - 1) / blockLen; len(p.st.blocks) != want {
 			t.Fatalf("%d events sit in %d blocks, want %d", n, len(p.st.blocks), want)
@@ -429,5 +498,72 @@ func TestStoreModelBlockBoundaries(t *testing.T) {
 			t.Fatalf("emptied store keeps %d blocks, %d bytes", len(p.st.blocks), p.st.MemoryBytes())
 		}
 		p.compare(flows, switches)
+	}
+}
+
+// sortedSnapshot returns the store's snapshot with its dedup and flow
+// sections sorted: both are written in table order, which differs from
+// store to store (a Go map, a per-store hash seed).
+func sortedSnapshot(st *Store) []byte {
+	snap := st.EncodeSnapshot()
+	le := binary.LittleEndian
+	seenEnd := snapHeaderLen + int(le.Uint32(snap[12:]))*snapSeenLen
+	flowEnd := seenEnd + int(le.Uint32(snap[16:]))*snapFlowLen
+	sortRows := func(sec []byte, width int) {
+		rows := make([]string, len(sec)/width)
+		for i := range rows {
+			rows[i] = string(sec[i*width : (i+1)*width])
+		}
+		sort.Strings(rows)
+		copy(sec, strings.Join(rows, ""))
+	}
+	sortRows(snap[snapHeaderLen:seenEnd], snapSeenLen)
+	sortRows(snap[seenEnd:flowEnd], snapFlowLen)
+	return snap
+}
+
+// TestPayloadDeliveryEqualsEventsDelivery feeds one store decoded batches
+// and another the same batches as frame payloads whose undefined detail
+// bytes are set on the wire — empty, single-record and full batches,
+// traced and untraced, replays, enough of them to cross a block boundary
+// — and requires equal answers and, up to table order, equal snapshots:
+// a holder of the bytes keeps exactly the AppendRecord(DecodeRecord(rec))
+// image a holder of the events writes.
+func TestPayloadDeliveryEqualsEventsDelivery(t *testing.T) {
+	p := newPair(t, 18)
+	byEvents, byPayload := NewStore(), NewStore()
+	sizes := []int{50, 0, 1, fevent.MaxBatchRecords, 8, 50}
+	for seq := uint64(1); byPayload.Len() <= blockLen+fevent.MaxBatchRecords; seq++ {
+		sw, ts := uint16(1+seq%3), sim.Time(seq)*sim.Millisecond
+		b := &fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: p.events(sizes[seq%uint64(len(sizes))], 40, 3, ts, 0)}
+		if seq%4 == 0 {
+			b.Trace = trace.Context{TraceID: seq, Parent: 7}
+		}
+		if seq%9 == 0 {
+			b.Seq = seq - 3 // a replay of this switch's last batch: both must drop it
+		}
+		payload := wirePayload(t, b)
+		var decoded fevent.Batch
+		if err := DecodePayload(append([]byte(nil), payload...), &decoded); err != nil {
+			t.Fatal(err)
+		}
+		byEvents.Deliver(&decoded)
+		view, err := ViewPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPayload.DeliverPayload(&view)
+	}
+	if byEvents.DupBatches() == 0 || byEvents.DupBatches() != byPayload.DupBatches() {
+		t.Fatalf("duplicates dropped: %d by events, %d by payload", byEvents.DupBatches(), byPayload.DupBatches())
+	}
+	if a, b := byEvents.Query(Filter{}), byPayload.Query(Filter{}); !slices.Equal(a, b) {
+		t.Fatalf("Query: %d events by events, %d by payload, first diff at %d", len(a), len(b), firstDiff(a, b))
+	}
+	if a, b := byEvents.MemoryBytes(), byPayload.MemoryBytes(); a != b {
+		t.Fatalf("MemoryBytes: %d by events, %d by payload", a, b)
+	}
+	if !bytes.Equal(sortedSnapshot(byEvents), sortedSnapshot(byPayload)) {
+		t.Fatal("the two stores' snapshots differ beyond table order: a payload-fed store does not hold the canonical record image")
 	}
 }

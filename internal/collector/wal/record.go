@@ -70,22 +70,37 @@ func recordedLen(payload []byte) int64 { return int64(recordHdrLen + len(payload
 // ErrRecordCRC, and an implausible length to ErrRecordTooLarge — the
 // recovery loop treats all three as "stop here, keep the prefix".
 func ReadRecord(r io.Reader, max uint32) ([]byte, error) {
-	var hdr [recordHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readRecord(r, max, nil)
+}
+
+// readRecord is ReadRecord into buf, regrown when the record does not
+// fit: the returned payload aliases it, so a caller that passes the
+// payload back in reads a whole segment through one buffer (the header is
+// read into it too, its two fields taken out before the payload
+// overwrites it) and must be done with a record before reading the next.
+func readRecord(r io.Reader, max uint32, buf []byte) ([]byte, error) {
+	if cap(buf) < recordHdrLen {
+		buf = make([]byte, recordHdrLen)
+	}
+	hdr := buf[:recordHdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: header: %v", ErrRecordTorn, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	n, sum := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
 	if n > max {
 		return nil, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, max)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrRecordTorn, err)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:8]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, ErrRecordCRC
 	}
 	return payload, nil

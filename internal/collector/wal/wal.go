@@ -296,9 +296,11 @@ func (w *WAL) Snapshot() []byte { return w.snapPayload }
 // bounded to the rotted segment and loudly reported instead of silently
 // truncating every later segment. Segments the scrubber quarantined are
 // skipped the same way. A non-nil error from fn aborts the replay and
-// is returned.
+// is returned. Every record is read into one buffer: the payload is fn's
+// only for the duration of the call.
 func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
+	var payload []byte
 	type segItem struct {
 		idx  uint64
 		quar bool
@@ -338,7 +340,7 @@ func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 		}
 		st.Segments++
 		for {
-			payload, err := ReadRecord(f, MaxRecord)
+			rec, err := readRecord(f, MaxRecord, payload)
 			if err == io.EOF {
 				break
 			}
@@ -355,6 +357,7 @@ func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 				f = nil
 				break
 			}
+			payload = rec
 			if err := fn(payload); err != nil {
 				f.Close()
 				return st, err

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -219,11 +220,14 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	return c.Conn.SetWriteDeadline(t)
 }
 
-// awaitPartition blocks while dir is partitioned, returning once the
-// partition heals or the direction's deadline passes (the delegated
-// Read/Write then surfaces the usual timeout error). Polling keeps the
-// implementation independent of how the partition is controlled.
-func (c *Conn) awaitPartition(dir Direction) {
+// awaitPartition blocks while dir is partitioned, returning nil once the
+// partition heals or the connection is closed (the delegated Read/Write
+// then reports the close). When the direction's deadline ends the wait
+// it returns os.ErrDeadlineExceeded and the caller must not touch the
+// socket: its own deadline timer may not have fired yet, and a delegated
+// call could still move bytes across the partitioned link. Polling keeps
+// the implementation independent of how the partition is controlled.
+func (c *Conn) awaitPartition(dir Direction) error {
 	for c.part.blocked(c.cfg, c.start, dir) {
 		c.mu.Lock()
 		deadline, closed := c.deadlineR, c.closed
@@ -231,17 +235,23 @@ func (c *Conn) awaitPartition(dir Direction) {
 			deadline = c.deadlineW
 		}
 		c.mu.Unlock()
-		if closed || (!deadline.IsZero() && time.Now().After(deadline)) {
-			return
+		if closed {
+			return nil
+		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return os.ErrDeadlineExceeded
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
 // Write injects latency, chunking, corruption and resets, then forwards
 // to the wrapped connection.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.awaitPartition(Outbound)
+	if err := c.awaitPartition(Outbound); err != nil {
+		return 0, err
+	}
 	if c.cfg.Latency > 0 {
 		time.Sleep(c.cfg.Latency)
 	}
@@ -280,7 +290,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 // Read injects corruption and resets on the inbound direction.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.awaitPartition(Inbound)
+	if err := c.awaitPartition(Inbound); err != nil {
+		return 0, err
+	}
 	c.mu.Lock()
 	if c.budgetR == 0 {
 		c.mu.Unlock()

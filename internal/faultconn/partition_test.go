@@ -96,21 +96,58 @@ func TestManualPartitionIsAsymmetric(t *testing.T) {
 	}
 }
 
+// TestPartitionRespectsDeadline: a deadline that ends a partition wait
+// surfaces as a timeout and nothing crosses the link in either direction
+// — the wrapper answers itself, since the socket's own deadline timer may
+// not have fired yet.
 func TestPartitionRespectsDeadline(t *testing.T) {
-	ln, wrapped, _ := lnPair(t, Config{Seed: 13})
+	wantTimeout := func(op string, start time.Time, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s through a partition with an expired deadline succeeded", op)
+		}
+		ne, ok := err.(net.Error)
+		if !ok || !ne.Timeout() {
+			t.Fatalf("%s: err = %v, want a timeout net.Error", op, err)
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Errorf("deadline-bounded partition wait of %s took too long", op)
+		}
+	}
+
+	ln, wrapped, raw := lnPair(t, Config{Seed: 13})
 	ln.Partition(Outbound)
 	wrapped.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
 	start := time.Now()
 	_, err := wrapped.Write([]byte("never delivered"))
-	if err == nil {
-		t.Fatal("write through a partition with an expired deadline succeeded")
+	wantTimeout("write", start, err)
+
+	ln.Partition(Inbound)
+	if _, err := raw.Write([]byte("req")); err != nil {
+		t.Fatal(err)
 	}
-	ne, ok := err.(net.Error)
-	if !ok || !ne.Timeout() {
-		t.Fatalf("err = %v, want a timeout net.Error", err)
+	wrapped.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	start = time.Now()
+	n, err := wrapped.Read(make([]byte, 3))
+	wantTimeout("read", start, err)
+	if n != 0 {
+		t.Fatalf("read %d bytes through an inbound partition", n)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Error("deadline-bounded partition wait took too long")
+
+	// Healed: the request that waited out the partition arrives, and it is
+	// the first thing the peer ever sees from the write side.
+	ln.Heal()
+	wrapped.SetDeadline(time.Now().Add(2 * time.Second))
+	got := make([]byte, 3)
+	if _, err := io.ReadFull(wrapped, got); err != nil || string(got) != "req" {
+		t.Fatalf("read after heal = %q, %v", got, err)
+	}
+	if _, err := wrapped.Write([]byte("ack")); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(raw, got); err != nil || string(got) != "ack" {
+		t.Fatalf("peer read %q, %v: bytes written under the partition crossed it", got, err)
 	}
 }
 

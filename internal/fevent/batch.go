@@ -59,34 +59,73 @@ func (b *Batch) AppendTo(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeBatch parses one encoded batch from data, stamping every decoded
-// event with the batch's switch ID and timestamp. It returns the remainder
-// of data past the batch.
-func DecodeBatch(data []byte, b *Batch) ([]byte, error) {
+// detailMask keeps, per type byte, the bits of a record's 4 B detail field
+// that the type defines (the layouts are listed at AppendRecord); zero
+// marks a byte that is no type.
+var detailMask = [256]uint32{
+	TypeDrop: 0xffffffff, TypeCongestion: 0xffffffff,
+	TypePathChange: 0xffff0000, TypePause: 0xffff0000, TypeHeavyHitter: 0xffff0000,
+	TypeTopKChurn: 0xff00ffff, TypeAggSpike: 0xff00ffff,
+}
+
+// SplitBatch validates one encoded batch without decoding it and returns
+// its header fields, its records — n × RecordLen bytes aliasing data — and
+// the remainder of data past the batch. Detail bytes a record's type does
+// not define are cleared in place, so every returned record is exactly the
+// image AppendRecord produces for what DecodeRecord reads from it: a
+// holder of the bytes and a holder of the decoded events keep the same
+// thing.
+func SplitBatch(data []byte) (sw uint16, ts sim.Time, recs, rest []byte, err error) {
 	if len(data) < BatchHeaderLen {
-		return nil, fmt.Errorf("fevent: batch header truncated: %d bytes", len(data))
+		return 0, 0, nil, nil, fmt.Errorf("fevent: batch header truncated: %d bytes", len(data))
 	}
-	b.SwitchID = binary.BigEndian.Uint16(data[0:2])
-	b.Timestamp = sim.Time(binary.BigEndian.Uint64(data[2:10]))
+	sw = binary.BigEndian.Uint16(data[0:2])
+	ts = sim.Time(binary.BigEndian.Uint64(data[2:10]))
 	n := int(binary.BigEndian.Uint16(data[10:12]))
 	if n > MaxBatchRecords {
-		return nil, fmt.Errorf("fevent: batch claims %d records, max %d", n, MaxBatchRecords)
+		return 0, 0, nil, nil, fmt.Errorf("fevent: batch claims %d records, max %d", n, MaxBatchRecords)
 	}
 	data = data[BatchHeaderLen:]
 	if len(data) < n*RecordLen {
-		return nil, fmt.Errorf("fevent: batch body truncated: want %d records, have %d bytes", n, len(data))
+		return 0, 0, nil, nil, fmt.Errorf("fevent: batch body truncated: want %d records, have %d bytes", n, len(data))
 	}
+	recs, rest = data[:n*RecordLen], data[n*RecordLen:]
+	for r := recs; len(r) > 0; r = r[RecordLen:] {
+		mask := detailMask[r[0]]
+		if mask == 0 {
+			return 0, 0, nil, nil, fmt.Errorf("fevent: invalid event type %d", r[0])
+		}
+		if d := binary.BigEndian.Uint32(r[recordDetailOff:]); d&^mask != 0 {
+			binary.BigEndian.PutUint32(r[recordDetailOff:], d&mask)
+		}
+	}
+	return sw, ts, recs, rest, nil
+}
+
+// DecodeRecords fills b with the header fields and records SplitBatch
+// returned, stamping every event with the batch's switch ID and timestamp.
+func (b *Batch) DecodeRecords(sw uint16, ts sim.Time, recs []byte) {
+	b.SwitchID, b.Timestamp = sw, ts
+	n := len(recs) / RecordLen
 	if cap(b.Events) < n {
 		b.Events = make([]Event, n)
 	} else {
 		b.Events = b.Events[:n]
 	}
-	for i := 0; i < n; i++ {
-		if err := b.Events[i].DecodeRecord(data[i*RecordLen:]); err != nil {
-			return nil, err
-		}
-		b.Events[i].SwitchID = b.SwitchID
-		b.Events[i].Timestamp = b.Timestamp
+	for i := range b.Events {
+		_ = b.Events[i].DecodeRecord(recs[i*RecordLen:]) // SplitBatch checked length and type
+		b.Events[i].SwitchID, b.Events[i].Timestamp = sw, ts
 	}
-	return data[n*RecordLen:], nil
+}
+
+// DecodeBatch parses one encoded batch from data — SplitBatch, then every
+// record decoded into b.Events. It returns the remainder of data past the
+// batch.
+func DecodeBatch(data []byte, b *Batch) ([]byte, error) {
+	sw, ts, recs, rest, err := SplitBatch(data)
+	if err != nil {
+		return nil, err
+	}
+	b.DecodeRecords(sw, ts, recs)
+	return rest, nil
 }

@@ -253,9 +253,15 @@ func (e *Event) String() string {
 // 13 B flow, 4 B event-specific detail, 2 B counter, 4 B hash.
 const RecordLen = 24
 
-// RecordDropCodeOff is where a drop record keeps its reason, for readers
-// that filter stored records without decoding them.
-const RecordDropCodeOff = 16
+// Offsets into a record, for readers that index and filter stored records
+// without decoding them: the 13 B flow key, and where a drop record keeps
+// its reason.
+const (
+	RecordFlowOff     = 1
+	RecordDropCodeOff = 16
+
+	recordDetailOff = 14
+)
 
 // AppendRecord appends the 24-byte record encoding of e to b.
 //

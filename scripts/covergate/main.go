@@ -1,5 +1,6 @@
 // Command covergate parses a Go -coverprofile and fails if any named
-// package's statement coverage is below the floor. CI uses it to keep the
+// package's — or named source file's — statement coverage is below the
+// floor. CI uses it to keep the
 // correctness oracle and the group cache honest:
 //
 //	go test -coverprofile=cover.out -coverpkg=<pkgs> <tests>
@@ -31,8 +32,8 @@ func (p pkgCov) percent() float64 {
 	return 100 * float64(p.covered) / float64(p.total)
 }
 
-// parseProfile reads a coverprofile and returns per-package statement
-// coverage. Profile lines look like:
+// parseProfile reads a coverprofile and returns statement coverage per
+// package and per file, keyed by import path (".../pkg", ".../pkg/x.go"). Profile lines look like:
 //
 //	netseer/internal/oracle/checkers.go:186.44,190.3 2 1
 //
@@ -82,15 +83,18 @@ func parseProfile(r io.Reader) (map[string]*pkgCov, error) {
 	out := make(map[string]*pkgCov)
 	for loc, b := range blocks {
 		file, _, _ := strings.Cut(loc, ":")
-		pkg := path.Dir(file)
-		pc := out[pkg]
-		if pc == nil {
-			pc = &pkgCov{}
-			out[pkg] = pc
-		}
-		pc.total += b.stmts
-		if b.hits > 0 {
-			pc.covered += b.stmts
+		// Counted under the package and under the file, so a gate can
+		// name either.
+		for _, name := range []string{path.Dir(file), file} {
+			pc := out[name]
+			if pc == nil {
+				pc = &pkgCov{}
+				out[name] = pc
+			}
+			pc.total += b.stmts
+			if b.hits > 0 {
+				pc.covered += b.stmts
+			}
 		}
 	}
 	return out, nil

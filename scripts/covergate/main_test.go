@@ -26,6 +26,14 @@ func TestParseProfilePerPackage(t *testing.T) {
 	if gc == nil || gc.total != 4 || gc.covered != 4 {
 		t.Errorf("groupcache coverage = %+v, want 4/4", gc)
 	}
+	// A single file can be gated by name too.
+	file := cov["netseer/internal/oracle/checkers.go"]
+	if file == nil || file.total != 6 || file.covered != 2 {
+		t.Errorf("checkers.go coverage = %+v, want 2/6", file)
+	}
+	if _, ok := gate(cov, []string{"netseer/internal/oracle/harness.go"}, 100); !ok {
+		t.Error("gate failed a fully covered file")
+	}
 }
 
 // TestParseProfileMergesDuplicateBlocks: a multi-binary profile repeats

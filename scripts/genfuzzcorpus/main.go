@@ -111,8 +111,34 @@ func writeFrameSeeds() {
 		for i := 16; i < 24; i++ {
 			b[i] = 0
 		}
-		binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
+		reseal(b)
 	})
+
+	// The record view's corners (the fuzz target checks it against the
+	// Events decoder): three records whose types leave detail bytes
+	// undefined, resealed after each edit.
+	pause := fevent.Event{Type: fevent.TypePause, Flow: flow, Hash: flow.Hash(), EgressPort: 2, Queue: 1, Count: 3}
+	churn := fevent.Event{Type: fevent.TypeTopKChurn, Flow: flow, Hash: flow.Hash(), EgressPort: 2, SketchErr: 9}
+	three := frame(14, pause, churn, pause)
+	recs := len(three) - 3*fevent.RecordLen
+	// Junk in the bytes a pause and a top-K record do not define.
+	seeds["dirty_pad_bytes"] = mutate(three, func(b []byte) {
+		b[recs+16], b[recs+17], b[recs+fevent.RecordLen+15] = 0xde, 0xad, 0xbe
+		reseal(b)
+	})
+	// Only the last record's type is undefined.
+	seeds["invalid_type_last_record"] = mutate(three, func(b []byte) {
+		b[recs+2*fevent.RecordLen] = 0x7f
+		reseal(b)
+	})
+	// The header counts one record more than the body holds.
+	seeds["record_count_one_over"] = mutate(three, func(b []byte) {
+		binary.BigEndian.PutUint16(b[recs-2:], 4)
+		reseal(b)
+	})
+	// A traced frame cut inside its context, with a matching length and
+	// CRC: the version bit promises 17 bytes the payload does not have.
+	seeds["traced_cut_in_ctx_resealed"] = mutate(traced[:8+8+9], reseal)
 
 	writeSeeds(dir, seeds)
 }
@@ -335,6 +361,13 @@ func corruptRecordCount(b []byte) {
 	body := b[16:]
 	cnt := binary.BigEndian.Uint16(body[10:12])
 	binary.BigEndian.PutUint16(body[10:12], cnt+3)
+	reseal(b)
+}
+
+// reseal rewrites a mutated frame's length and CRC words so the lie
+// reaches the payload validator.
+func reseal(b []byte) {
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-8))
 	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
 }
 
