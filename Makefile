@@ -170,9 +170,11 @@ storagefault-cover:
 # wal-cover fails if statement coverage of internal/collector/wal drops
 # below 85% (the collector suite exercises the log end-to-end, so both
 # packages' tests feed the profile), that of internal/collector — the
-# store, its snapshot codec and the handoff surface — below 84%, or that
-# of the flow table or of the frame codec with the payload validator
-# every byte from a socket or a log passes through below 90%.
+# store, its snapshot codec and the handoff surface — below 84%, that
+# of the flow table, of the query line protocol or of the frame codec
+# with the payload validator every byte from a socket or a log passes
+# through below 90%, or that of the store or its snapshot codec — the
+# writers and the readers of the block summaries — below 95%.
 wal-cover:
 	$(GO) test -count=1 -coverprofile=cover-wal.out \
 		-coverpkg=netseer/internal/collector/wal,netseer/internal/collector \
@@ -182,7 +184,10 @@ wal-cover:
 	$(GO) run ./scripts/covergate -profile cover-wal.out -min 84 \
 		netseer/internal/collector
 	$(GO) run ./scripts/covergate -profile cover-wal.out -min 90 \
-		netseer/internal/collector/flowtable.go netseer/internal/collector/frame.go
+		netseer/internal/collector/flowtable.go netseer/internal/collector/frame.go \
+		netseer/internal/collector/query.go
+	$(GO) run ./scripts/covergate -profile cover-wal.out -min 95 \
+		netseer/internal/collector/store.go netseer/internal/collector/snapshot.go
 
 # obs-cover fails if statement coverage of internal/obs drops below 85%.
 obs-cover:

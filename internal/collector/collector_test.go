@@ -345,13 +345,13 @@ func TestLatencyHistogramAndPath(t *testing.T) {
 		fevent.Event{Type: fevent.TypePathChange, Flow: flowN(1), SwitchID: 1, Timestamp: 90, IngressPort: 1, EgressPort: 2},
 		fevent.Event{Type: fevent.TypePathChange, Flow: flowN(1), SwitchID: 2, Timestamp: 95, IngressPort: 0, EgressPort: 3},
 	))
-	h := s.LatencyHistogram(nil)
+	h := s.LatencyHistogram(Filter{})
 	if h.Count() != 2 {
 		t.Errorf("histogram count = %d", h.Count())
 	}
 	sw := uint16(1)
-	if got := s.LatencyHistogram(&sw); got.Count() != 1 {
-		t.Errorf("filtered histogram count = %d", got.Count())
+	if got := s.LatencyHistogram(Filter{SwitchID: &sw, Type: fevent.TypePathChange}); got.Count() != 1 {
+		t.Errorf("filtered histogram count = %d: want switch 1's one congestion event, whatever type the filter names", got.Count())
 	}
 	hops := s.PathOf(flowN(1))
 	if len(hops) != 2 {
@@ -366,13 +366,18 @@ func TestLatencyHistogramAndPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qs.Close()
-	lines := queryLine(t, qs.Addr(), "latency")
-	if len(lines) < 1 || !strings.Contains(lines[0], "n=2") {
-		t.Errorf("latency response = %v", lines)
+	// The verb passes its whole filter through: the window is honoured.
+	for req, want := range map[string]string{
+		"latency": "n=2", "latency type=congestion": "n=2", "latency switch=2": "n=1",
+		"latency since=105": "n=1", "latency until=100": "n=1", "latency switch=1 since=101": "empty",
+	} {
+		if lines := queryLine(t, qs.Addr(), req); len(lines) < 1 || !strings.Contains(lines[0], want) {
+			t.Errorf("%q response = %v, want %s", req, lines, want)
+		}
 	}
 	f := flowN(1)
 	req := "path flow=tcp:" + pkt.IPString(f.SrcIP) + ":" + "1001" + ":" + pkt.IPString(f.DstIP) + ":80"
-	lines = queryLine(t, qs.Addr(), req)
+	lines := queryLine(t, qs.Addr(), req)
 	if len(lines) != 2 {
 		t.Errorf("path response = %v", lines)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
+	"netseer/internal/sim"
 )
 
 // TestAdmissionLadder walks the watermark state machine through every
@@ -200,11 +201,24 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	assertExactlyOnce(t, store2, n)
 }
 
-// memAfter is what MemoryBytes reports with n single-event batches over
-// fresh flows stored (n ≤ blockLen): one block, the flow table as grown
-// for n flows, n dedup entries.
+// memAfter is what MemoryBytes reports with n single-event batches of one
+// switch over fresh flows stored (0 < n ≤ blockLen): one block and its
+// one summary row, the flow table as grown for n flows, n dedup entries.
 func memAfter(n int) int64 {
-	return blockMemCost + int64(flowSlotsFor(n))*flowSlotBytes + int64(n)*seenMemCost
+	return blockMemCost + sumRowMemCost + int64(flowSlotsFor(n))*flowSlotBytes + int64(n)*seenMemCost
+}
+
+// TestMemAfterIsWhatTheStoreReports pins the admission tests' budget
+// arithmetic to MemoryBytes itself.
+func TestMemAfterIsWhatTheStoreReports(t *testing.T) {
+	store := NewStore()
+	for n := 1; n <= 70; n++ {
+		ev := fevent.Event{Type: fevent.TypeDrop, Flow: flowN(uint32(n)), SwitchID: 1, Timestamp: sim.Time(n)}
+		store.Deliver(&fevent.Batch{SwitchID: 1, Timestamp: sim.Time(n), Seq: uint64(n), Events: []fevent.Event{ev}})
+		if got := store.MemoryBytes(); got != memAfter(n) {
+			t.Fatalf("after %d batches MemoryBytes = %d, memAfter = %d", n, got, memAfter(n))
+		}
+	}
 }
 
 // mustListen returns a fresh loopback listener.

@@ -27,7 +27,7 @@ import (
 //	count  (same arguments)
 //	flows
 //	summary
-//	latency [switch=N]
+//	latency [switch=N] [since=NANOS] [until=NANOS]
 //	path flow=proto:src:sport:dst:dport
 //	export  (query arguments; one base64 34-byte wire event per line)
 //	stats
@@ -162,13 +162,18 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 		}
 		fmt.Fprint(w, ".\n")
 	case "path":
+		const usage = "usage: path flow=proto:src:sport:dst:dport"
 		if len(fields) != 2 {
-			q.errf(w, "usage: path flow=proto:src:sport:dst:dport")
+			q.errf(w, usage)
 			return
 		}
 		f, err := ParseFilter(fields[1:])
-		if err != nil || f.Flow == nil {
+		if err != nil {
 			q.errf(w, "%v", err)
+			return
+		}
+		if f.Flow == nil {
+			q.errf(w, usage)
 			return
 		}
 		for _, h := range q.store.PathOf(*f.Flow) {
@@ -181,7 +186,11 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 			q.errf(w, "%v", err)
 			return
 		}
-		h := q.store.LatencyHistogram(f.SwitchID)
+		if f.Flow != nil || f.DropCode != fevent.DropNone || f.Type != 0 && f.Type != fevent.TypeCongestion {
+			q.errf(w, "latency is over congestion events: it takes switch=, since= and until= only")
+			return
+		}
+		h := q.store.LatencyHistogram(f)
 		fmt.Fprintf(w, "%s us\n", h.String())
 		if spark := h.Sparkline(32); spark != "" {
 			fmt.Fprintf(w, "[%s]\n", spark)

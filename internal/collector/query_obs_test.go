@@ -1,11 +1,14 @@
 package collector
 
 import (
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
 
+	"netseer/internal/fevent"
 	"netseer/internal/obs"
+	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
 )
 
@@ -96,13 +99,20 @@ func TestQueryErrorPathsCounted(t *testing.T) {
 		{"bad_switch_id", "count switch=notanumber", "count"},
 		{"path_missing_flow", "path", "path"},
 		{"path_bad_flow", "path flow=1:2", "path"},
+		{"path_filter_without_flow", "path switch=3", "path"},
 		{"latency_bad_filter", "latency switch=x", "latency"},
+		{"latency_flow", "latency flow=tcp:10.0.0.1:1:10.0.0.2:2", "latency"},
+		{"latency_code", "latency code=no-route", "latency"},
+		{"latency_other_type", "latency switch=1 type=drop", "latency"},
+		{"export_bad_filter", "export type=meltdown", "export"},
+		{"trace_missing_id", "trace", "trace"},
+		{"trace_bad_id", "trace not-hex", "trace"},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lines := queryLine(t, qs.Addr(), tc.req)
-			if len(lines) != 1 || !strings.HasPrefix(lines[0], "! ") {
-				t.Fatalf("%q returned %v, want one error line", tc.req, lines)
+			if len(lines) != 1 || !strings.HasPrefix(lines[0], "! ") || strings.Contains(lines[0], "<nil>") {
+				t.Fatalf("%q returned %v, want one error line that names the fault", tc.req, lines)
 			}
 			if got, want := regValue(t, reg, obs.MQueryErrors), strconv.Itoa(i+1); got != want {
 				t.Errorf("after %q: %s = %s, want %s", tc.req, obs.MQueryErrors, got, want)
@@ -123,6 +133,35 @@ func TestQueryErrorPathsCounted(t *testing.T) {
 	}
 	if got := regValue(t, reg, obs.MQueryRequests+`{verb="flows"}`); got != "1" {
 		t.Errorf("flows verb counter = %s, want 1", got)
+	}
+}
+
+// TestQueryTraceVerb: the spans a sampled batch left in the process's
+// recorder come back over the line protocol, one JSON object a line.
+func TestQueryTraceVerb(t *testing.T) {
+	store := seedStore()
+	ctx := trace.Context{TraceID: 0x5eed0000beef, Flags: trace.FlagSampled}
+	store.Deliver(&fevent.Batch{SwitchID: 7, Timestamp: 300, Seq: 9, Trace: ctx, Events: []fevent.Event{
+		{Type: fevent.TypePause, Flow: flowN(3), SwitchID: 7, Timestamp: 300},
+	}})
+	qs, err := NewQueryServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	lines := queryLine(t, qs.Addr(), "\n  trace "+trace.FormatID(ctx.TraceID)) // blank lines are skipped
+	if len(lines) != 1 {
+		t.Fatalf("trace returned %v, want the batch's one store-index span", lines)
+	}
+	var sp trace.SpanJSON
+	if err := json.Unmarshal([]byte(lines[0]), &sp); err != nil {
+		t.Fatalf("span line %q: %v", lines[0], err)
+	}
+	if sp.Trace != trace.FormatID(ctx.TraceID) || sp.Stage != trace.StageStoreIndex.String() || sp.Switch != 7 || sp.Seq != 9 || sp.Events != 1 {
+		t.Errorf("span = %+v, want the store-index span of batch (7, 9) with one event", sp)
+	}
+	if lines := queryLine(t, qs.Addr(), "trace "+trace.FormatID(ctx.TraceID+1)); len(lines) != 0 {
+		t.Errorf("trace of an unknown ID returned %v", lines)
 	}
 }
 

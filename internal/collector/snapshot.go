@@ -87,7 +87,6 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	ld := &Store{ // the image under construction; swapped in whole at the end
 		dupBatches: le.Uint64(data[4:]),
 		seen:       make(map[batchKey]struct{}, seen),
-		counts:     make(map[uint16]*typeRow),
 	}
 	data = data[snapHeaderLen:]
 	for ; seen > 0; seen, data = seen-1, data[snapSeenLen:] {
@@ -123,15 +122,15 @@ func (s *Store) LoadSnapshot(data []byte) error {
 		data = data[b.n*2:]
 		data = data[copy(b.typ[:b.n], data):]
 		data = data[copy(b.rec[:b.n*fevent.RecordLen], data):]
-		var row *typeRow // of b.sw[i-1]: a batch's events sit together
+		var row *sumRow // of b.sw[i-1]: a batch's events sit together
 		for i, t := range b.typ[:b.n] {
 			if !fevent.Type(t).Valid() || b.rec[i*fevent.RecordLen] != t {
 				return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+i, t, b.rec[i*fevent.RecordLen])
 			}
 			if row == nil || b.sw[i] != b.sw[i-1] {
-				row = ld.countRow(b.sw[i])
+				row = ld.sumRow(b, b.sw[i])
 			}
-			row[t]++
+			row.n[t-1]++
 		}
 		ld.blocks = append(ld.blocks, b)
 		ld.n += b.n
@@ -139,7 +138,7 @@ func (s *Store) LoadSnapshot(data []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks, s.n, s.flows, s.counts = ld.blocks, ld.n, ld.flows, ld.counts
+	s.blocks, s.n, s.sumRows, s.flows = ld.blocks, ld.n, ld.sumRows, ld.flows
 	s.seen, s.dupBatches = ld.seen, ld.dupBatches
 	return nil
 }

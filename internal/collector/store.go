@@ -6,6 +6,7 @@ package collector
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,11 +40,19 @@ const blockLen = 16 << 10
 const rowBytes = 8 + 4 + 2 + 1 + fevent.RecordLen
 
 // block is a fixed-size, append-only partition of the event log, held as
-// pointer-free columns. rec is the 24 B record the wire, the WAL and the
-// snapshot carry; sw and typ repeat two of its fields so a filtered scan
-// reads 3 B an event, not 24. prev chains each event to the previous
-// event of its flow, as position+1 (0 = none), across blocks.
+// pointer-free columns behind its summary. rec is the 24 B record the
+// wire, the WAL and the snapshot carry; sw and typ repeat two of its
+// fields so a filtered scan reads 3 B an event, not 24. prev chains each
+// event to the previous event of its flow, as position+1 (0 = none),
+// across blocks.
 type block struct {
+	// sum counts the block's events per reporting switch and type, one
+	// row a switch, sorted by switch: what a read consults before it
+	// touches a column (DESIGN §10). It is the struct's only pointer and
+	// stays its first field, so the GC's scan of a block ends after one
+	// word.
+	sum []sumRow
+
 	n            int // events held; only the last block is partial
 	minTs, maxTs int64
 	ts           [blockLen]int64
@@ -53,6 +62,47 @@ type block struct {
 	rec          [blockLen * fevent.RecordLen]byte
 }
 
+// sumRow counts one block's events from one reporting switch, by type
+// (n[t-1]): a block holds at most blockLen events, so 16 bits a cell.
+type sumRow struct {
+	sw uint16
+	n  [fevent.TypeAggSpike]uint16
+}
+
+const _ = uint16(blockLen) // a cell can count a whole block
+
+// find returns where switch sw's row sits in b.sum, or belongs.
+func (b *block) find(sw uint16) (int, bool) {
+	return slices.BinarySearchFunc(b.sum, sw, func(r sumRow, sw uint16) int { return int(r.sw) - int(sw) })
+}
+
+// count returns, from the summary alone, how many of b's events carry q's
+// switch and type — every match of q in b is among them.
+func (b *block) count(q *selector) int {
+	if !q.bySw && q.typ == 0 {
+		return b.n
+	}
+	rows := b.sum
+	if q.bySw {
+		i, ok := b.find(q.sw)
+		if !ok {
+			return 0
+		}
+		rows = rows[i : i+1]
+	}
+	n := 0
+	for i := range rows {
+		if q.typ != 0 {
+			n += int(rows[i].n[q.typ-1])
+			continue
+		}
+		for _, c := range rows[i].n {
+			n += int(c)
+		}
+	}
+	return n
+}
+
 // load materialises event i; types are validated on every way in, so the
 // record always decodes.
 func (b *block) load(i int, e *fevent.Event) {
@@ -60,27 +110,21 @@ func (b *block) load(i int, e *fevent.Event) {
 	e.SwitchID, e.Timestamp = b.sw[i], sim.Time(b.ts[i])
 }
 
-// typeRow counts one switch's stored events by type.
-type typeRow [fevent.TypeAggSpike + 1]uint64
-
 // Store is an in-memory event store: append-only blocks in ingestion
 // order plus a flow → newest-event table, O(flows) not O(events). The
 // 4 B chain link caps it at 2³²−1 events (168 GB of blocks; -mem-budget
 // sheds long before). It is safe for concurrent use (the TCP server
 // ingests from multiple switch connections).
 type Store struct {
-	mu     sync.RWMutex
-	blocks []*block
-	n      int       // stored events
-	flows  flowTable // flow → position+1 of its newest event
+	mu      sync.RWMutex
+	blocks  []*block
+	n       int       // stored events
+	sumRows int       // summary rows over all blocks
+	flows   flowTable // flow → position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
 	seen       map[batchKey]struct{}
 	dupBatches uint64
-
-	// counts holds stored events per switch and type, for the
-	// netseer_store_events_total exposition and CountByType.
-	counts map[uint16]*typeRow
 
 	// detectToStore is the end-to-end staleness histogram: microseconds on
 	// the switch clock from an event's Step-2 report timestamp to its batch
@@ -108,29 +152,25 @@ func NewStore() *Store {
 
 // resetEvents drops every event, keeping the dedup state.
 func (s *Store) resetEvents() {
-	s.blocks, s.n, s.flows = nil, 0, flowTable{}
-	s.counts = make(map[uint16]*typeRow)
+	s.blocks, s.n, s.sumRows, s.flows = nil, 0, 0, flowTable{}
 }
 
-// countRow returns the per-type counts of switch sw, creating the row.
-func (s *Store) countRow(sw uint16) *typeRow {
-	row := s.counts[sw]
-	if row == nil {
-		row = new(typeRow)
-		s.counts[sw] = row
+// sumRow returns b's summary row for switch sw, inserting it.
+func (s *Store) sumRow(b *block, sw uint16) *sumRow {
+	i, ok := b.find(sw)
+	if !ok {
+		b.sum = slices.Insert(b.sum, i, sumRow{sw: sw})
+		s.sumRows++
 	}
-	return row
+	return &b.sum[i]
 }
 
 // appendRun stores a run of records — n × fevent.RecordLen bytes with
 // valid type bytes, all reported by switch sw at ts — at the next
 // positions, copied a block at a time and indexed from their bytes: the
-// only writer of the columns, the flow chains and the counts.
+// only writer of the columns, the flow chains and — a row lookup per
+// block the run touches — the summaries.
 func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
-	if len(recs) == 0 {
-		return
-	}
-	row := s.countRow(sw)
 	for len(recs) > 0 {
 		i := s.n % blockLen
 		if i == 0 {
@@ -138,9 +178,10 @@ func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 		}
 		b := s.blocks[len(s.blocks)-1]
 		k := copy(b.rec[i*fevent.RecordLen:], recs) / fevent.RecordLen
+		row := s.sumRow(b, sw)
 		for j, r := i, recs; j < i+k; j, r = j+1, r[fevent.RecordLen:] {
 			b.ts[j], b.sw[j], b.typ[j] = ts, sw, r[0]
-			row[r[0]]++
+			row.n[r[0]-1]++
 			s.n++
 			b.prev[j] = s.flows.swap(r[fevent.RecordFlowOff:fevent.RecordFlowOff+pkt.FlowKeyLen], uint32(s.n))
 		}
@@ -248,13 +289,9 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
 			var out []obs.Sample
-			for sw, row := range s.counts {
-				for t, n := range row {
-					if n != 0 {
-						labels := []obs.Label{obs.L("type", fevent.Type(t).String()), obs.L("switch", strconv.Itoa(int(sw)))}
-						out = append(out, obs.Sample{Labels: labels, Value: float64(n)})
-					}
-				}
+			for k, n := range s.totals() {
+				labels := []obs.Label{obs.L("type", k.t.String()), obs.L("switch", strconv.Itoa(int(k.sw)))}
+				out = append(out, obs.Sample{Labels: labels, Value: float64(n)})
 			}
 			return out
 		})
@@ -290,12 +327,14 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 // Resident cost of what the store holds, for admission control. A block
 // is charged whole, when it is allocated, rounded up to the allocator's
 // 8 KiB pages, and the flow table for every slot it has allocated; a
-// dedup map entry is key + value + control byte at the load factor of a
-// table that has just doubled, so the estimate errs high and admission
-// control engages early, not late.
+// summary row is charged twice its 16 B, the capacity of a slice that
+// has just doubled, and a dedup map entry key + value + control byte at
+// the load factor of a table that has just doubled, so the estimate errs
+// high and admission control engages early, not late.
 const (
-	blockMemCost = (blockLen*rowBytes + 24 + 8191) &^ 8191
-	seenMemCost  = 40
+	blockMemCost  = (blockLen*rowBytes + 48 + 8191) &^ 8191
+	sumRowMemCost = 2 * 16
+	seenMemCost   = 40
 )
 
 // MemoryBytes estimates the store's resident memory — the quantity the
@@ -303,7 +342,8 @@ const (
 func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.blocks))*blockMemCost + int64(len(s.flows.slots))*flowSlotBytes + int64(len(s.seen))*seenMemCost
+	return int64(len(s.blocks))*blockMemCost + int64(s.sumRows)*sumRowMemCost +
+		int64(len(s.flows.slots))*flowSlotBytes + int64(len(s.seen))*seenMemCost
 }
 
 // Len returns the number of stored events.
@@ -328,23 +368,47 @@ type Filter struct {
 	DropCode fevent.DropCode
 }
 
+// selector is a Filter resolved into the columns' own types: what one
+// event must satisfy.
+type selector struct {
+	bySw         bool
+	sw           uint16
+	typ, code    uint8 // 0 = any
+	since, until int64
+}
+
+// match tests event i of b, reading only the columns q names; inWindow
+// says b lies wholly inside [since, until], so its stamps need no look.
+func (q *selector) match(b *block, i int, inWindow bool) bool {
+	return (!q.bySw || b.sw[i] == q.sw) && (q.typ == 0 || b.typ[i] == q.typ) &&
+		(inWindow || b.ts[i] >= q.since && b.ts[i] <= q.until) &&
+		(q.code == 0 || b.rec[i*fevent.RecordLen+fevent.RecordDropCodeOff] == q.code)
+}
+
 // visit calls fn(b, i) for every stored event matching f, in ingestion
-// order, with s.mu held: the store's only read path. A flow filter walks
-// that flow's chain (newest first, replayed reversed), so a point lookup
-// costs O(the flow's events); anything else scans the columns block by
-// block, skipping blocks whose [minTs, maxTs] misses [Since, Until].
-func (s *Store) visit(f *Filter, fn func(b *block, i int)) {
-	since, until := int64(f.Since), int64(f.Until)
-	if until == 0 {
-		until = math.MaxInt64
+// order, with s.mu held, and returns how many match: the store's only
+// read path. A flow filter walks that flow's chain (newest first,
+// replayed reversed), so a point lookup costs O(the flow's events).
+// Anything else goes block by block: one whose [minTs, maxTs] misses
+// [Since, Until], or whose summary holds no event of f's switch and type,
+// is skipped; with a nil fn — a count — one lying inside the window is
+// answered from its summary without reading an event; the rest (window
+// edges, a drop code) are scanned column-wise.
+func (s *Store) visit(f *Filter, fn func(b *block, i int)) int {
+	q := selector{bySw: f.SwitchID != nil, typ: uint8(f.Type), code: uint8(f.DropCode), since: int64(f.Since), until: int64(f.Until)}
+	if q.bySw {
+		q.sw = *f.SwitchID
 	}
-	match := func(b *block, i int) bool {
-		return (f.SwitchID == nil || b.sw[i] == *f.SwitchID) &&
-			(f.Type == 0 || b.typ[i] == uint8(f.Type)) &&
-			b.ts[i] >= since && b.ts[i] <= until &&
-			(f.DropCode == fevent.DropNone || b.typ[i] == uint8(fevent.TypeDrop) &&
-				b.rec[i*fevent.RecordLen+fevent.RecordDropCodeOff] == byte(f.DropCode))
+	if q.until == 0 {
+		q.until = math.MaxInt64
 	}
+	if q.code != 0 { // only drops carry a code
+		if q.typ != 0 && q.typ != uint8(fevent.TypeDrop) {
+			return 0
+		}
+		q.typ = uint8(fevent.TypeDrop)
+	}
+	total := 0
 	if f.Flow != nil {
 		var buf [64]uint32 // most chains fit: no heap for a point lookup
 		chain := buf[:0]
@@ -352,33 +416,55 @@ func (s *Store) visit(f *Filter, fn func(b *block, i int)) {
 		f.Flow.PutWire(key[:])
 		for link := s.flows.get(key[:]); link != 0; {
 			b, i := s.blocks[(link-1)/blockLen], int((link-1)%blockLen)
-			if match(b, i) {
-				chain = append(chain, link-1)
+			if q.match(b, i, false) {
+				total++
+				if fn != nil {
+					chain = append(chain, link-1)
+				}
 			}
 			link = b.prev[i]
 		}
 		for k := len(chain) - 1; k >= 0; k-- {
 			fn(s.blocks[chain[k]/blockLen], int(chain[k]%blockLen))
 		}
-		return
+		return total
 	}
 	for _, b := range s.blocks {
-		if b.maxTs < since || b.minTs > until {
+		if b.maxTs < q.since || q.until < b.minTs {
+			continue
+		}
+		n := b.count(&q)
+		if n == 0 {
+			continue
+		}
+		inWindow := q.since <= b.minTs && b.maxTs <= q.until
+		if fn == nil && inWindow && q.code == 0 {
+			total += n
 			continue
 		}
 		for i := 0; i < b.n; i++ {
-			if match(b, i) {
-				fn(b, i)
+			if q.match(b, i, inWindow) {
+				total++
+				if fn != nil {
+					fn(b, i)
+				}
 			}
 		}
 	}
+	return total
 }
 
 // Query returns all events matching the filter in ingestion order.
 func (s *Store) Query(f Filter) []fevent.Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// A flow's chain is walked once and its short result grows by append;
+	// anything else is counted first — summary rows, plus a scan of the
+	// window's edge blocks — and allocated once.
 	var out []fevent.Event
+	if f.Flow == nil {
+		out = make([]fevent.Event, 0, s.visit(&f, nil))
+	}
 	s.visit(&f, func(b *block, i int) {
 		out = append(out, fevent.Event{})
 		b.load(i, &out[len(out)-1])
@@ -390,9 +476,7 @@ func (s *Store) Query(f Filter) []fevent.Event {
 func (s *Store) Count(f Filter) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	s.visit(&f, func(*block, int) { n++ })
-	return n
+	return s.visit(&f, nil)
 }
 
 // Flows returns the distinct flows with stored events.
@@ -409,17 +493,35 @@ func (s *Store) Flows() []pkt.FlowKey {
 	return out
 }
 
+// swType names one (reporting switch, type) cell of the summaries.
+type swType struct {
+	sw uint16
+	t  fevent.Type
+}
+
+// totals sums the block summaries — the store's only count table — into
+// stored events per (switch, type), with s.mu held.
+func (s *Store) totals() map[swType]int {
+	out := make(map[swType]int)
+	for _, b := range s.blocks {
+		for i := range b.sum {
+			for t, n := range b.sum[i].n {
+				if n != 0 {
+					out[swType{b.sum[i].sw, fevent.Type(t + 1)}] += int(n)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // CountByType returns event counts per type.
 func (s *Store) CountByType() map[fevent.Type]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[fevent.Type]int)
-	for _, row := range s.counts {
-		for t, n := range row {
-			if n != 0 {
-				out[fevent.Type(t)] += int(n)
-			}
-		}
+	for k, n := range s.totals() {
+		out[k.t] += n
 	}
 	return out
 }
@@ -433,26 +535,21 @@ type SummaryRow struct {
 }
 
 // Summary aggregates stored events per (switch, type) — the operator's
-// first look at where the network is misbehaving.
+// first look at where the network is misbehaving. Event counts come from
+// the block summaries; distinct flows take a pass over the records' flow
+// bytes.
 func (s *Store) Summary() []SummaryRow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	type key struct {
-		sw uint16
-		t  fevent.Type
-	}
-	counts := make(map[key]int)
-	flowSets := make(map[key]map[pkt.FlowKey]struct{})
-	var e fevent.Event
+	flowSets := make(map[swType]map[flowKey]struct{})
 	s.visit(&Filter{}, func(b *block, i int) {
-		b.load(i, &e)
-		k := key{e.SwitchID, e.Type}
-		counts[k]++
+		k := swType{b.sw[i], fevent.Type(b.typ[i])}
 		if flowSets[k] == nil {
-			flowSets[k] = make(map[pkt.FlowKey]struct{})
+			flowSets[k] = make(map[flowKey]struct{})
 		}
-		flowSets[k][e.Flow] = struct{}{}
+		flowSets[k][flowKey(b.rec[i*fevent.RecordLen+fevent.RecordFlowOff:])] = struct{}{}
 	})
+	counts := s.totals()
 	out := make([]SummaryRow, 0, len(counts))
 	for k, n := range counts {
 		out = append(out, SummaryRow{SwitchID: k.sw, Type: k.t, Events: n, Flows: len(flowSets[k])})
@@ -503,15 +600,16 @@ func (s *Store) PathOf(flow pkt.FlowKey) []PathHop {
 	return out
 }
 
-// LatencyHistogram aggregates the queue-latency (µs) of stored congestion
-// events into a log-bucketed histogram, optionally restricted to one
-// switch (nil = all).
-func (s *Store) LatencyHistogram(switchID *uint16) *metrics.Histogram {
+// LatencyHistogram aggregates the queue-latency (µs) of the stored
+// congestion events f selects into a log-bucketed histogram; f.Type is
+// taken as congestion whatever it holds.
+func (s *Store) LatencyHistogram(f Filter) *metrics.Histogram {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	h := metrics.NewHistogram()
 	var e fevent.Event
-	s.visit(&Filter{SwitchID: switchID, Type: fevent.TypeCongestion}, func(b *block, i int) {
+	f.Type = fevent.TypeCongestion
+	s.visit(&f, func(b *block, i int) {
 		b.load(i, &e)
 		h.Observe(float64(e.QueueLatencyUs))
 	})

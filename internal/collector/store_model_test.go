@@ -3,15 +3,18 @@ package collector
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"netseer/internal/fevent"
+	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
@@ -80,14 +83,15 @@ func (m *modelStore) Query(f Filter) []fevent.Event {
 
 // pair runs one program against both and compares as it goes.
 type pair struct {
-	t  *testing.T
-	r  *rand.Rand
-	st *Store
-	m  *modelStore
+	t     *testing.T
+	r     *rand.Rand
+	st    *Store
+	m     *modelStore
+	types []fevent.Type // what event draws from
 }
 
 func newPair(t *testing.T, seed int64) *pair {
-	return &pair{t: t, r: rand.New(rand.NewSource(seed)), st: NewStore(), m: &modelStore{seen: map[batchKey]bool{}}}
+	return &pair{t: t, r: rand.New(rand.NewSource(seed)), st: NewStore(), m: &modelStore{seen: map[batchKey]bool{}}, types: fevent.Types}
 }
 
 func modelFlow(i int) pkt.FlowKey {
@@ -98,7 +102,7 @@ func modelFlow(i int) pkt.FlowKey {
 // its type's 24 B record carries are set.
 func (p *pair) event(flows, switches int, ts sim.Time) fevent.Event {
 	r := p.r
-	e := fevent.Event{Type: fevent.Types[r.Intn(len(fevent.Types))], Flow: modelFlow(r.Intn(flows)),
+	e := fevent.Event{Type: p.types[r.Intn(len(p.types))], Flow: modelFlow(r.Intn(flows)),
 		SwitchID: uint16(1 + r.Intn(switches)), Timestamp: ts, Count: uint16(1 + r.Intn(100)), EgressPort: uint8(r.Intn(32))}
 	e.Hash = e.Flow.Hash()
 	switch e.Type {
@@ -244,18 +248,91 @@ func (p *pair) handoff(sw uint16) {
 	p.add(dst.Query(Filter{}))
 }
 
-// compare checks every read of the store against the model: the whole
-// log, then every combination of filter fields (present and absent
-// values for each), then the aggregates.
+// compare checks every read of the store against the model, and every
+// block summary against the block's own columns.
 func (p *pair) compare(flows, switches int) {
-	t, st, m := p.t, p.st, p.m
-	t.Helper()
+	p.t.Helper()
+	if err := p.check(flows, switches); err != nil {
+		p.t.Fatal(err)
+	}
+	summariesFromColumns(p.t, p.st)
+}
+
+// randomFilter draws a filter over any subset of {switch, type, code,
+// since/until, flow}, present and absent values for each. Window bounds
+// come from the store's own blocks — a block's first or last stamp, a
+// stamp off the middle of one, each nudged by -1, 0 or +1 — so windows
+// start and end mid-block, cover blocks exactly, stop one short of
+// covering them, and miss every block.
+func (p *pair) randomFilter(flows, switches int) Filter {
+	r, blocks := p.r, p.st.blocks
+	var f Filter
+	if r.Intn(2) == 0 {
+		f.SwitchID = ptr(uint16(1 + r.Intn(switches+1))) // switches+1 reports nothing
+	}
+	if r.Intn(2) == 0 {
+		f.Type = fevent.Types[r.Intn(len(fevent.Types))]
+	}
+	if r.Intn(5) == 0 {
+		f.DropCode = fevent.DropCode(1 + r.Intn(int(fevent.DropCorruption)))
+	}
+	if r.Intn(6) == 0 {
+		f.Flow = ptr(modelFlow(r.Intn(flows + 1)))
+	}
+	bound := func() sim.Time {
+		b := blocks[r.Intn(len(blocks))]
+		return sim.Time([]int64{b.minTs, b.maxTs, b.ts[r.Intn(b.n)]}[r.Intn(3)] + int64(r.Intn(3)-1))
+	}
+	if len(blocks) > 0 {
+		switch r.Intn(5) {
+		case 0: // no window
+		case 1:
+			f.Since = bound()
+		case 2:
+			f.Until = max(bound(), 1) // 0 would mean no bound
+		case 3:
+			f.Since, f.Until = bound(), max(bound(), 1) // empty when they cross
+		default: // after everything stored
+			f.Since = sim.Time(blocks[len(blocks)-1].maxTs) + sim.Second
+		}
+	}
+	return f
+}
+
+// storeEventsTotal reads netseer_store_events_total off a registry the
+// store is registered on.
+func storeEventsTotal(st *Store) (map[string]int, error) {
+	reg := obs.NewRegistry()
+	st.RegisterMetrics(reg)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		return nil, err
+	}
+	out := map[string]int{}
+	for _, l := range strings.Split(sb.String(), "\n") {
+		if labels, ok := strings.CutPrefix(l, obs.MStoreEvents+"{"); ok {
+			labels, v, _ := strings.Cut(labels, "} ")
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return nil, fmt.Errorf("sample %q: %v", l, err)
+			}
+			out[labels] = n
+		}
+	}
+	return out, nil
+}
+
+// check compares every read of the store with the model: the whole log,
+// every combination of filter fields (present and absent values for
+// each), random filters with block-aligned windows, then the aggregates.
+func (p *pair) check(flows, switches int) error {
+	st, m := p.st, p.m
 	if st.Len() != len(m.events) || st.DupBatches() != m.dups {
-		t.Fatalf("Len %d dups %d, model %d / %d", st.Len(), st.DupBatches(), len(m.events), m.dups)
+		return fmt.Errorf("Len %d dups %d, model %d / %d", st.Len(), st.DupBatches(), len(m.events), m.dups)
 	}
 	for k := range m.seen {
 		if !st.SeenBatch(k.sw, k.seq) {
-			t.Fatalf("SeenBatch(%d, %d) = false", k.sw, k.seq)
+			return fmt.Errorf("SeenBatch(%d, %d) = false", k.sw, k.seq)
 		}
 	}
 	tMin, tMax := sim.Time(math.MaxInt64), sim.Time(0)
@@ -275,6 +352,16 @@ func (p *pair) compare(flows, switches int) {
 	if len(m.events) > blockLen/2 {
 		stride = 5
 	}
+	one := func(f Filter) error {
+		want := m.Query(f)
+		if got := st.Query(f); !slices.Equal(got, want) {
+			return fmt.Errorf("Query(%+v): %d events, model %d (first diff at %d)", f, len(got), len(want), firstDiff(got, want))
+		}
+		if got := st.Count(f); got != len(want) {
+			return fmt.Errorf("Count(%+v) = %d, model %d", f, got, len(want))
+		}
+		return nil
+	}
 	for _, fl := range flowOpts {
 		for _, sw := range swOpts {
 			for _, ty := range typeOpts {
@@ -283,17 +370,17 @@ func (p *pair) compare(flows, switches int) {
 						if combo++; combo%stride != 0 {
 							continue
 						}
-						f := Filter{Flow: fl, SwitchID: sw, Type: ty, Since: tr[0], Until: tr[1], DropCode: code}
-						want := m.Query(f)
-						if got := st.Query(f); !slices.Equal(got, want) {
-							t.Fatalf("Query(%+v): %d events, model %d (first diff at %d)", f, len(got), len(want), firstDiff(got, want))
-						}
-						if got := st.Count(f); got != len(want) {
-							t.Fatalf("Count(%+v) = %d, model %d", f, got, len(want))
+						if err := one(Filter{Flow: fl, SwitchID: sw, Type: ty, Since: tr[0], Until: tr[1], DropCode: code}); err != nil {
+							return err
 						}
 					}
 				}
 			}
+		}
+	}
+	for i := 0; i < 60; i++ {
+		if err := one(p.randomFilter(flows, switches)); err != nil {
+			return err
 		}
 	}
 	odd := func(e *fevent.Event) bool { return e.Count%2 == 1 }
@@ -304,19 +391,19 @@ func (p *pair) compare(flows, switches int) {
 		}
 	}
 	if got := st.ExportWhere(odd); !slices.Equal(got, wantOdd) {
-		t.Fatalf("ExportWhere: %d events, model %d", len(got), len(wantOdd))
+		return fmt.Errorf("ExportWhere: %d events, model %d", len(got), len(wantOdd))
 	}
 
-	// Aggregates, recomputed from the model's slice.
-	type swType struct {
-		sw uint16
-		t  fevent.Type
-	}
+	// Aggregates, recomputed from the model's slice. The store sums all
+	// three count surfaces — CountByType, Summary, the events_total
+	// samples — over its block summaries.
 	byType := map[fevent.Type]int{}
 	rows := map[swType]*SummaryRow{}
 	rowFlows := map[swType]map[pkt.FlowKey]bool{}
+	samples := map[string]int{}
 	flowSet := map[pkt.FlowKey]bool{}
-	congestion := 0
+	window := Filter{SwitchID: swOpts[1], Since: mid / 2, Until: mid, Type: fevent.TypePause}
+	congestion, windowed := 0, 0
 	for i := range m.events {
 		e := &m.events[i]
 		k := swType{e.SwitchID, e.Type}
@@ -327,41 +414,51 @@ func (p *pair) compare(flows, switches int) {
 		}
 		rows[k].Events++
 		rowFlows[k][e.Flow] = true
-		if e.Type == fevent.TypeCongestion && (swOpts[1] == nil || e.SwitchID == *swOpts[1]) {
-			congestion++
+		samples[fmt.Sprintf(`switch="%d",type="%s"`, e.SwitchID, e.Type)]++
+		if e.Type == fevent.TypeCongestion && e.SwitchID == *swOpts[1] {
+			if congestion++; e.Timestamp >= window.Since && e.Timestamp <= window.Until {
+				windowed++
+			}
 		}
 	}
 	if got := st.CountByType(); !reflect.DeepEqual(got, byType) {
-		t.Fatalf("CountByType = %v, model %v", got, byType)
+		return fmt.Errorf("CountByType = %v, model %v", got, byType)
 	}
-	if got := st.LatencyHistogram(swOpts[1]).Count(); got != uint64(congestion) {
-		t.Fatalf("LatencyHistogram(switch %d) holds %d, model %d", *swOpts[1], got, congestion)
+	if got, err := storeEventsTotal(st); err != nil || !reflect.DeepEqual(got, samples) {
+		return fmt.Errorf("%s = %v (%v), model %v", obs.MStoreEvents, got, err, samples)
+	}
+	if got := st.LatencyHistogram(Filter{SwitchID: swOpts[1]}).Count(); got != uint64(congestion) {
+		return fmt.Errorf("LatencyHistogram(switch %d) holds %d, model %d", *swOpts[1], got, congestion)
+	}
+	if got := st.LatencyHistogram(window).Count(); got != uint64(windowed) {
+		return fmt.Errorf("LatencyHistogram(%+v) holds %d, model %d", window, got, windowed)
 	}
 	summary := st.Summary()
 	if len(summary) != len(rows) {
-		t.Fatalf("Summary has %d rows, model %d", len(summary), len(rows))
+		return fmt.Errorf("Summary has %d rows, model %d", len(summary), len(rows))
 	}
 	for _, row := range summary {
 		k := swType{row.SwitchID, row.Type}
 		if rows[k] == nil || row.Events != rows[k].Events || row.Flows != len(rowFlows[k]) {
-			t.Fatalf("Summary row %+v, model %+v with %d flows", row, rows[k], len(rowFlows[k]))
+			return fmt.Errorf("Summary row %+v, model %+v with %d flows", row, rows[k], len(rowFlows[k]))
 		}
 	}
 	got := st.Flows()
 	if len(got) != len(flowSet) {
-		t.Fatalf("Flows has %d, model %d", len(got), len(flowSet))
+		return fmt.Errorf("Flows has %d, model %d", len(got), len(flowSet))
 	}
 	for _, f := range got {
 		if !flowSet[f] {
-			t.Fatalf("Flows lists %v, which the model does not hold", f)
+			return fmt.Errorf("Flows lists %v, which the model does not hold", f)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		f := modelFlow(p.r.Intn(flows))
 		if got, want := st.PathOf(f), modelPath(m, f); !reflect.DeepEqual(got, want) {
-			t.Fatalf("PathOf(%v) = %v, model %v", f, got, want)
+			return fmt.Errorf("PathOf(%v) = %v, model %v", f, got, want)
 		}
 	}
+	return nil
 }
 
 func modelPath(m *modelStore, flow pkt.FlowKey) []PathHop {
@@ -398,9 +495,11 @@ func firstDiff(a, b []fevent.Event) int {
 // TestStoreModelRandomPrograms runs seeded random programs of every
 // mutation the store has — Deliver and DeliverPayload (the same batch
 // as decoded events or as a frame payload with its undefined detail
-// bytes set) with fresh, replayed and zero sequence numbers, AddEvents, RemoveEvents of stored and never-stored
-// events, a handoff out and back, a snapshot round trip — and compares
-// every read after each step.
+// bytes set) with fresh, replayed and zero sequence numbers, AddEvents,
+// RemoveEvents of stored and never-stored events, a handoff out and back,
+// a snapshot round trip — and after each step compares every read, the
+// filter grid and sixty random filters included (Count = len(Query) =
+// model), and every block summary with its columns.
 func TestStoreModelRandomPrograms(t *testing.T) {
 	const flows, switches = 12, 4
 	for seed := int64(1); seed <= 12; seed++ {
@@ -498,6 +597,119 @@ func TestStoreModelBlockBoundaries(t *testing.T) {
 			t.Fatalf("emptied store keeps %d blocks, %d bytes", len(p.st.blocks), p.st.MemoryBytes())
 		}
 		p.compare(flows, switches)
+	}
+}
+
+// TestStoreModelBlockSummaries is the directed half for the summaries:
+// three phases of traffic, each from its own switches and of its own
+// types, so that every block lacks some switch and some type a filter can
+// name and the visitor skips blocks for real; batch stamps rise without
+// jitter in the first phase (block ranges disjoint: windows cover whole
+// blocks) and with it afterwards (ranges overlap). Compared after
+// Deliver and DeliverPayload, AddEvents, a RemoveEvents that takes one
+// switch out of the middle blocks whole, and a snapshot round trip.
+func TestStoreModelBlockSummaries(t *testing.T) {
+	const flows, switches = 9, 5
+	p := newPair(t, 19)
+	phases := []struct {
+		n        int
+		switches []uint16
+		types    []fevent.Type
+		jitter   sim.Time
+	}{
+		{blockLen + blockLen/3, []uint16{1, 2}, []fevent.Type{fevent.TypeDrop, fevent.TypeCongestion}, 0},
+		{blockLen + blockLen/3, []uint16{2, 3}, []fevent.Type{fevent.TypeCongestion, fevent.TypePause, fevent.TypePathChange}, 300 * sim.Microsecond},
+		{blockLen, []uint16{4}, fevent.Types, 300 * sim.Microsecond},
+	}
+	seq := uint64(0)
+	for _, ph := range phases {
+		p.types = ph.types
+		for done := 0; done < ph.n; {
+			seq++
+			size := min(1+p.r.Intn(200), ph.n-done)
+			ts := sim.Millisecond + sim.Time(seq)*10*sim.Microsecond
+			evs := p.events(size, flows, switches, ts, ph.jitter)
+			for i := range evs {
+				evs[i].SwitchID = ph.switches[p.r.Intn(len(ph.switches))]
+			}
+			if sw := ph.switches[seq%uint64(len(ph.switches))]; seq%2 == 0 {
+				p.deliver(sw, seq, ts, evs)
+			} else {
+				p.deliverPayload(sw, seq, ts, evs)
+			}
+			done += size
+		}
+	}
+	if len(p.st.blocks) != 4 {
+		t.Fatalf("%d blocks, want 4", len(p.st.blocks))
+	}
+	// The blocks a switch=1, a switch=4 and a type=pause read must skip.
+	for _, c := range []struct {
+		q    selector
+		want []bool
+	}{
+		{selector{bySw: true, sw: 1}, []bool{true, true, false, false}},
+		{selector{bySw: true, sw: 4}, []bool{false, false, true, true}},
+		{selector{typ: uint8(fevent.TypePause)}, []bool{false, true, true, true}},
+		{selector{bySw: true, sw: 3, typ: uint8(fevent.TypeDrop)}, []bool{false, false, false, false}},
+	} {
+		for i, b := range p.st.blocks {
+			if got := b.count(&c.q) > 0; got != c.want[i] {
+				t.Fatalf("block %d holds events of %+v: %v, want %v", i, c.q, got, c.want[i])
+			}
+		}
+	}
+	p.compare(flows, switches)
+	p.types = fevent.Types
+	p.add(p.events(40, flows, switches, 2*sim.Second, 0)) // any switch, any type, at the tail
+	p.compare(flows, switches)
+	p.reload()
+	p.compare(flows, switches)
+	p.remove(p.m.Query(Filter{SwitchID: ptr(uint16(2))}))
+	if got := p.st.blocks[1].count(&selector{bySw: true, sw: 2}); got != 0 {
+		t.Fatalf("block 1 still counts %d events of switch 2 after their removal", got)
+	}
+	p.compare(flows, switches)
+	p.reload()
+	p.compare(flows, switches)
+}
+
+// TestStoreModelCatchesStaleSummaries seeds the two ways a summary can go
+// stale into a store the differential has just passed — the rows a
+// RemoveEvents should have rebuilt left as they were, the rows a
+// LoadSnapshot should have built left out — and requires the differential
+// to fail on its reads alone.
+func TestStoreModelCatchesStaleSummaries(t *testing.T) {
+	const flows, switches = 12, 4
+	build := func(seed int64) *pair {
+		p := newPair(t, seed)
+		for seq := uint64(1); seq <= 30; seq++ {
+			ts := sim.Time(seq) * sim.Millisecond
+			p.deliver(uint16(1+seq%switches), seq, ts, p.events(50, flows, switches, ts, 0))
+		}
+		p.compare(flows, switches)
+		return p
+	}
+
+	p := build(31)
+	stale := slices.Clone(p.st.blocks[0].sum)
+	p.remove(p.m.Query(Filter{SwitchID: ptr(uint16(2)), Type: fevent.TypeDrop}))
+	p.compare(flows, switches)
+	p.st.blocks[0].sum = stale
+	if err := p.check(flows, switches); err == nil {
+		t.Error("RemoveEvents leaving the old summary in place: the differential passed")
+	} else {
+		t.Logf("stale after RemoveEvents: %v", err)
+	}
+
+	p = build(32)
+	p.reload()
+	p.compare(flows, switches)
+	p.st.blocks[0].sum, p.st.sumRows = nil, 0
+	if err := p.check(flows, switches); err == nil {
+		t.Error("LoadSnapshot building no summary: the differential passed")
+	} else {
+		t.Logf("missing after LoadSnapshot: %v", err)
 	}
 }
 
