@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all check vet build test race fuzz fuzz-smoke bench bench-json bench-guard fmt-check clean \
+.PHONY: all check vet build test race fuzz-smoke fmt-check clean \
 	oracle oracle-fuzz-smoke oracle-cover obs obs-cover durability wal-fuzz-smoke wal-cover \
-	fabric fabric-chaos fabric-cover sim-cover sketch-fuzz-smoke sketch-cover nightly-fuzz \
+	fabric fabric-chaos fabric-cover sim-cover sketch-cover nightly-fuzz \
 	trace trace-cover storagefault storagefault-cover
 
 # check is the CI gate: vet, build everything, and run the full suite
@@ -24,24 +24,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the framing fuzz target beyond its checked-in seed corpus.
-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s ./internal/collector/
-
-# fuzz-smoke is the CI variant: ~10s per fuzz target, starting from the
-# seed corpora under */testdata/fuzz/ (regenerate them with
+# fuzz-smoke: ~10s per fuzz target beyond its checked-in corpus, starting
+# from the seed corpora under */testdata/fuzz/ (regenerate them with
 # `go run ./scripts/genfuzzcorpus`).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/collector/
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 10s ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/collector/wal/
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 10s ./internal/sim/
-
-# sketch-fuzz-smoke: ~10s of differential fuzzing of the sketch stage
-# against its exact map-based oracle, from the seed corpus under
-# internal/sketch/testdata/fuzz/.
-sketch-fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 10s ./internal/sketch/
 
 # sketch-cover fails if statement coverage of internal/sketch — the
 # detection family the oracle's sketch claims ride on — drops below 85%.
@@ -195,8 +185,7 @@ obs-cover:
 	$(GO) run ./scripts/covergate -profile cover-obs.out -min 85 netseer/internal/obs
 
 # sim-cover fails if statement coverage of internal/sim — the two-tier
-# event queue plus the conservative-lookahead sharded engine — drops
-# below 85%.
+# event queue — drops below 85%.
 sim-cover:
 	$(GO) test -count=1 -coverprofile=cover-sim.out -coverpkg=netseer/internal/sim ./internal/sim/
 	$(GO) run ./scripts/covergate -profile cover-sim.out -min 85 netseer/internal/sim
@@ -209,27 +198,6 @@ nightly-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 5m ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5m ./internal/collector/wal/
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 5m ./internal/sim/
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-json regenerates the BENCH_*.json perf artifacts in the repo root.
-# BENCH_SUITE narrows regeneration to one suite (hotpath, parallel) — the
-# CI bench matrix runs one suite per job; BENCH_COUNT is how many rounds
-# each suite runs (the best round per metric is kept and the per-run
-# spread recorded, see benchjson.BestOf).
-BENCH_SUITE ?= all
-BENCH_COUNT ?= 3
-bench-json:
-	$(GO) run ./cmd/repro -bench-json -bench-out . -parallel 4 \
-		-bench-suite $(BENCH_SUITE) -bench-count $(BENCH_COUNT)
-
-# bench-guard regenerates the artifacts and fails on a regression against
-# the checked-in baseline (any allocs/op increase; >25% events/sec drop;
-# parallel or sharded output not bit-identical to sequential; sharded
-# speedup < 1.5x on runners with >= 4 CPUs).
-bench-guard: bench-json
-	$(GO) run ./scripts/benchdiff -baseline bench/baseline -current . -suite $(BENCH_SUITE)
 
 # fmt-check fails if any file needs gofmt.
 fmt-check:

@@ -89,7 +89,7 @@ type Batcher struct {
 	// serTab and wireTab cache the serialization time and on-wire size of
 	// a CEBP by payload length (0..BatchSize). A pass runs per event per
 	// circulating packet, and the float division in the serialization
-	// formula was a measurable slice of hotpath/batcher_pushpop; payload
+	// formula was a measurable slice of a push+pass cycle; payload
 	// length is the only variable, so both are table lookups.
 	serTab  []sim.Time
 	wireTab []int

@@ -191,8 +191,9 @@ func TestStopHaltsCirculation(t *testing.T) {
 }
 
 // TestPushPassZeroAllocSteadyState pins the CEBP push/pop cycle (§3.5) at
-// zero allocations per event, flushes included: the flush path hands the
-// callee a reused scratch batch over the CEBP's own payload array.
+// zero allocations per event, pushed one at a time and as a burst, flushes
+// included: the flush path hands the callee a reused scratch batch over
+// the CEBP's own payload array.
 func TestPushPassZeroAllocSteadyState(t *testing.T) {
 	s := sim.New()
 	var delivered int
@@ -211,8 +212,23 @@ func TestPushPassZeroAllocSteadyState(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Push+pass allocates %v times per event; budget is 0", n)
 	}
+	// The burst form: one PushBurst of a 32-record extraction buffer, then
+	// the passes that drain it.
+	burst := make([]fevent.Event, 32)
+	for i := range burst {
+		burst[i] = *ev(uint32(i + 1))
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		b.PushBurst(burst)
+		for range burst {
+			s.Step()
+		}
+	}); n != 0 {
+		t.Errorf("PushBurst+passes allocates %v times per 32-event burst; budget is 0", n)
+	}
+	b.Flush()
 	pushed, overflow, _, _, _ := b.Stats()
-	if overflow != 0 || pushed < 500 {
-		t.Fatalf("measured path lost events: pushed=%d overflow=%d", pushed, overflow)
+	if overflow != 0 || pushed < 500+32*500 || delivered != int(pushed) {
+		t.Fatalf("measured path lost events: pushed=%d overflow=%d delivered=%d", pushed, overflow, delivered)
 	}
 }

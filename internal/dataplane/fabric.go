@@ -61,148 +61,17 @@ type Fabric struct {
 }
 
 // AddLinkLossHook registers an observer for in-flight frame losses.
-// upstream is nil when a host NIC transmitted the frame. Hooks run on the
-// transmitter's event loop; in a sharded fabric they must therefore be
-// safe for concurrent invocation (or simply not be registered).
+// upstream is nil when a host NIC transmitted the frame.
 func (f *Fabric) AddLinkLossHook(fn func(upstream *Switch, p *pkt.Packet, corrupted bool)) {
 	f.lossHooks = append(f.lossHooks, fn)
-}
-
-// fabricEnv parameterizes the shared fabric builder over the two engines:
-// the sequential build maps every node to one simulator and one ground
-// truth; the sharded build maps each switch to its shard and gives every
-// switch a private ledger.
-type fabricEnv struct {
-	// simFor returns the simulator owning a node's events (switches get
-	// their shard's; host nodes get the host shard's).
-	simFor func(node topo.NodeID) *sim.Simulator
-	// gtFor returns the ledger a switch records into.
-	gtFor func(swID uint16) *GroundTruth
-	// deliver returns the delivery scheduler for frames from one node
-	// toward another, or nil for the link's default (same-simulator).
-	deliver func(from, to topo.NodeID) link.DeliverFunc
 }
 
 // BuildFabric instantiates switches and links for every node and edge of
 // the topology on a single simulator. Host nodes get Deferred endpoints
 // to be claimed via HostPorts. seed drives link fault processes.
 func BuildFabric(s *sim.Simulator, tp *topo.Topology, routes *topo.Routes, cfg Config, gt *GroundTruth, seed uint64) *Fabric {
-	return buildFabric(tp, routes, cfg, seed, fabricEnv{
-		simFor:  func(topo.NodeID) *sim.Simulator { return s },
-		gtFor:   func(uint16) *GroundTruth { return gt },
-		deliver: func(from, to topo.NodeID) link.DeliverFunc { return nil },
-	})
-}
-
-// ShardedFabric is a fabric partitioned switch-per-shard over a
-// conservative-lookahead engine. Hosts (and any control logic) live on
-// shard 0; switch with wire ID i lives on shard 1 + i mod (shards-1)
-// (with a single shard everything collapses onto it and the build is
-// exactly the sequential fabric). Every switch records into a private
-// GroundTruth ledger, so no two shards share mutable state.
-type ShardedFabric struct {
-	*Fabric
-	Engine *sim.ShardedEngine
-	// HostShard runs hosts, NICs and workload generators.
-	HostShard *sim.Shard
-	// SwitchShards maps wire switch ID → owning shard.
-	SwitchShards map[uint16]*sim.Shard
-	// GTs maps wire switch ID → that switch's private ledger.
-	GTs map[uint16]*GroundTruth
-}
-
-// ShardOf returns the shard owning a topology node.
-func (f *ShardedFabric) ShardOf(node topo.NodeID) *sim.Shard {
-	if sw, ok := f.Switches[node]; ok {
-		return f.SwitchShards[sw.ID]
-	}
-	return f.HostShard
-}
-
-// BuildFabricSharded builds the topology across the engine's shards. The
-// engine's lookahead must not exceed the propagation delay of any link
-// whose endpoints land on different shards — the builder panics on a
-// violation, since the conservative synchronization would be unsound.
-func BuildFabricSharded(eng *sim.ShardedEngine, tp *topo.Topology, routes *topo.Routes, cfg Config, seed uint64) *ShardedFabric {
-	sf := &ShardedFabric{
-		Engine:       eng,
-		HostShard:    eng.Shard(0),
-		SwitchShards: make(map[uint16]*sim.Shard),
-		GTs:          make(map[uint16]*GroundTruth),
-	}
-	shardFor := func(swID uint16) *sim.Shard {
-		if eng.NumShards() == 1 {
-			return eng.Shard(0)
-		}
-		return eng.Shard(1 + int(swID)%(eng.NumShards()-1))
-	}
-	// Wire IDs are assigned densely in topology switch order (see
-	// buildFabric), so the shard map can be precomputed.
-	for i, n := range tp.Switches() {
-		_ = n
-		id := uint16(i)
-		sf.SwitchShards[id] = shardFor(id)
-		sf.GTs[id] = NewGroundTruth()
-	}
-	nodeShard := func(node topo.NodeID) *sim.Shard {
-		if tp.Node(node).Kind == topo.KindSwitch {
-			return sf.SwitchShards[switchWireID(tp, node)]
-		}
-		return sf.HostShard
-	}
-	// Validate the lookahead bound against every cross-shard link.
-	for _, tl := range tp.Links() {
-		if nodeShard(tl.A) != nodeShard(tl.B) && tl.PropDelay < eng.Lookahead() {
-			panic(fmt.Sprintf("dataplane: link %d prop %v under engine lookahead %v",
-				tl.Index, tl.PropDelay, eng.Lookahead()))
-		}
-	}
-	sf.Fabric = buildFabric(tp, routes, cfg, seed, fabricEnv{
-		simFor: func(node topo.NodeID) *sim.Simulator { return nodeShard(node).Sim() },
-		gtFor:  func(swID uint16) *GroundTruth { return sf.GTs[swID] },
-		deliver: func(from, to topo.NodeID) link.DeliverFunc {
-			return nodeShard(from).DeliverTo(nodeShard(to))
-		},
-	})
-	sf.Fabric.Sim = sf.HostShard.Sim()
-	// There is no single fabric-wide ledger in a sharded build: read the
-	// per-switch GTs (or merge them) instead.
-	sf.Fabric.GT = nil
-	return sf
-}
-
-// MergedGroundTruth combines the per-switch ledgers into one, in wire-ID
-// order. Entries keep their own switch IDs and timestamps, so the merge
-// is a deterministic concatenation regardless of shard layout. Call only
-// after the engine has drained.
-func (f *ShardedFabric) MergedGroundTruth() *GroundTruth {
-	g := NewGroundTruth()
-	for id := uint16(0); int(id) < len(f.SwitchByID); id++ {
-		gt := f.GTs[id]
-		g.Drops = append(g.Drops, gt.Drops...)
-		g.Congestion = append(g.Congestion, gt.Congestion...)
-		g.PathChanges = append(g.PathChanges, gt.PathChanges...)
-		g.Pauses = append(g.Pauses, gt.Pauses...)
-	}
-	return g
-}
-
-// switchWireID recomputes the dense wire ID of a switch node (the index
-// of the node within the topology's switch enumeration).
-func switchWireID(tp *topo.Topology, node topo.NodeID) uint16 {
-	for i, n := range tp.Switches() {
-		if n.ID == node {
-			return uint16(i)
-		}
-	}
-	panic(fmt.Sprintf("dataplane: node %d is not a switch", node))
-}
-
-// buildFabric is the engine-agnostic construction shared by the
-// sequential and sharded builders.
-func buildFabric(tp *topo.Topology, routes *topo.Routes, cfg Config, seed uint64, env fabricEnv) *Fabric {
 	f := &Fabric{
-		Topo: tp, Routes: routes,
+		Sim: s, Topo: tp, Routes: routes, GT: gt,
 		Switches:   make(map[topo.NodeID]*Switch),
 		SwitchByID: make(map[uint16]*Switch),
 		HostPorts:  make(map[topo.NodeID][]HostAttach),
@@ -213,14 +82,6 @@ func buildFabric(tp *topo.Topology, routes *topo.Routes, cfg Config, seed uint64
 		node := n
 		id := nextID
 		nextID++
-		s := env.simFor(node.ID)
-		if f.Sim == nil {
-			f.Sim = s
-		}
-		gt := env.gtFor(id)
-		if f.GT == nil {
-			f.GT = gt
-		}
 		sw := NewSwitch(s, id, node.Name, cfg, func(dstIP uint32) []int {
 			return routes.NextHops(node.ID, dstIP)
 		}, gt)
@@ -231,7 +92,7 @@ func buildFabric(tp *topo.Topology, routes *topo.Routes, cfg Config, seed uint64
 	// numbering, which holds because we add links in topology order and
 	// AddPort allocates sequentially. Each direction draws faults from its
 	// own stream so the two directions' outcomes are independent of how
-	// their frames interleave (required for sequential/sharded equality).
+	// their frames interleave.
 	for _, tl := range tp.Links() {
 		rngAB := sim.NewStream(seed, fmt.Sprintf("link-%d-ab", tl.Index))
 		rngBA := sim.NewStream(seed, fmt.Sprintf("link-%d-ba", tl.Index))
@@ -247,17 +108,9 @@ func buildFabric(tp *topo.Topology, routes *topo.Routes, cfg Config, seed uint64
 			bEnd = link.Endpoint{Dev: bslot, Port: 0}
 		}
 		// Construct the link with placeholder endpoints, then fill in
-		// switch ports (which need the link first). The link's default
-		// simulator is the transmitterless fallback; both directions get
-		// explicit delivery schedulers below.
-		l := link.NewSplit(env.simFor(tl.A), link.Endpoint{Dev: &Deferred{}, Port: 0},
+		// switch ports (which need the link first).
+		l := link.NewSplit(s, link.Endpoint{Dev: &Deferred{}, Port: 0},
 			link.Endpoint{Dev: &Deferred{}, Port: 0}, tl.PropDelay, rngAB, rngBA)
-		if d := env.deliver(tl.A, tl.B); d != nil {
-			l.SetDeliver(true, d)
-		}
-		if d := env.deliver(tl.B, tl.A); d != nil {
-			l.SetDeliver(false, d)
-		}
 		if aNode.Kind == topo.KindSwitch {
 			sw := f.Switches[tl.A]
 			port := sw.AddPort(l, true, tl.Bps)
@@ -278,30 +131,24 @@ func buildFabric(tp *topo.Topology, routes *topo.Routes, cfg Config, seed uint64
 		l.SetEndpoint(false, bEnd)
 		// Ground truth for in-flight losses: attribute to the upstream
 		// transmitter (the side that sent the frame), matching where
-		// NetSeer's ring-buffer recovery reports them. The loss runs on
-		// the transmitter's event loop, so it records into the
-		// transmitter's ledger on the transmitter's clock.
+		// NetSeer's ring-buffer recovery reports them.
 		var swA, swB *Switch
-		var simA, simB *sim.Simulator
-		var gtA, gtB *GroundTruth
 		if aNode.Kind == topo.KindSwitch {
 			swA = f.Switches[tl.A]
-			simA, gtA = env.simFor(tl.A), env.gtFor(swA.ID)
 		}
 		if bNode.Kind == topo.KindSwitch {
 			swB = f.Switches[tl.B]
-			simB, gtB = env.simFor(tl.B), env.gtFor(swB.ID)
 		}
 		l.OnLost = func(fromA bool, p *pkt.Packet, corrupted bool) {
 			if p.Kind != pkt.KindData && p.Kind != pkt.KindProbe {
 				return
 			}
-			up, upSim, upGT := swA, simA, gtA
+			up := swA
 			if !fromA {
-				up, upSim, upGT = swB, simB, gtB
+				up = swB
 			}
 			if up != nil {
-				upGT.recordDrop(upSim.Now(), up.ID, p, fevent.DropInterSwitch, 0)
+				gt.recordDrop(s.Now(), up.ID, p, fevent.DropInterSwitch, 0)
 			}
 			for _, fn := range f.lossHooks {
 				fn(up, p, corrupted)

@@ -402,10 +402,11 @@ func (sw *Switch) pipelineBurst(b *inBurst) {
 	sw.releaseBurst(b)
 	// Canonical burst order: stable insertion sort by ingress port. The
 	// append order of same-instant arrivals is the event scheduler's
-	// tie-break order, which differs between the sequential and sharded
-	// engines; a port is one link direction whose FIFO delivery order both
-	// engines preserve, so (port, per-port arrival order) is the same
-	// everywhere and the pipeline outcome becomes engine-independent.
+	// tie-break order, an accident of which upstream device happened to
+	// schedule first; a port is one link direction with FIFO delivery, so
+	// (port, per-port arrival order) depends on the traffic alone and the
+	// pipeline outcome stays the same under any scheduler that keeps each
+	// link in order. The golden digests pin this order.
 	in := f.In
 	for i := 1; i < len(in); i++ {
 		s := in[i]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -90,8 +91,7 @@ type PointResult struct {
 }
 
 // RunPoints drives one full testbed run per config through the worker
-// pool. It is the generic entry point of the parallel engine: cmd/repro's
-// figure fan-outs and the BENCH_parallel.json harness both reduce to it.
+// pool, as every figure fan-out of cmd/repro does with its own points.
 func RunPoints(cfgs []RunConfig) []PointResult {
 	return parallelMap(len(cfgs), func(i int) PointResult {
 		tb := NewTestbed(cfgs[i])
@@ -108,4 +108,25 @@ func RunPoints(cfgs []RunConfig) []PointResult {
 			Digest:         h.Sum64(),
 		}
 	})
+}
+
+// CanonicalDigest is the sorted-line event-stream digest over any set of
+// stores: every event is rendered with its timestamp, the lines are
+// sorted, and the result is FNV-64a hashed, which makes the digest a pure
+// function of the event multiset whatever order the stores ingested it
+// in. Two runs exported the same events iff their digests are equal.
+func CanonicalDigest(stores ...*collector.Store) uint64 {
+	var lines []string
+	for _, st := range stores {
+		for _, e := range st.Query(collector.Filter{}) {
+			lines = append(lines, fmt.Sprintf("%s@%d", e.String(), e.Timestamp))
+		}
+	}
+	sort.Strings(lines)
+	h := fnv.New64a()
+	for _, ln := range lines {
+		h.Write([]byte(ln))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }

@@ -346,8 +346,9 @@ func BenchmarkBloomOffer(b *testing.B) {
 }
 
 // TestOfferZeroAllocSteadyState pins the group-cache ingest path — the
-// per-event-packet hot path of Step 2 — at zero allocations, for both the
-// aggregate outcome (working set fits) and the collision/evict outcome.
+// per-event-packet hot path of Step 2 — at zero allocations, for the
+// aggregate outcome (working set fits) per event and per 32-event burst,
+// and for the collision/evict outcome.
 func TestOfferZeroAllocSteadyState(t *testing.T) {
 	var reports uint64
 	tbl := New(1<<10, 4, func(*fevent.Event) { reports++ })
@@ -364,6 +365,17 @@ func TestOfferZeroAllocSteadyState(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("aggregate Offer allocates %v times per event; budget is 0", n)
+	}
+	var off int
+	if n := testing.AllocsPerRun(1000, func() {
+		tbl.OfferBurst(evs[off : off+32])
+		off = (off + 32) % len(evs)
+	}); n != 0 {
+		t.Errorf("aggregate OfferBurst allocates %v times per 32-event burst; budget is 0", n)
+	}
+	if ingested, _, merged, evictions := tbl.Stats(); ingested < 64+1000+32*1000 || merged < 33*1000 || evictions != 0 {
+		t.Fatalf("ingested=%d merged=%d evictions=%d — the measured paths were not the aggregate path",
+			ingested, merged, evictions)
 	}
 
 	// One slot: every alternating key collides and takes the evict path.

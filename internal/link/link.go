@@ -37,12 +37,6 @@ type Endpoint struct {
 	Port int
 }
 
-// DeliverFunc schedules fn to run after delay d on whatever event loop
-// owns the receiving endpoint. The default delivers on the simulator the
-// link was built with; sharded fabrics install per-direction functions so
-// a frame's propagation lands on the receiver's shard.
-type DeliverFunc func(d sim.Time, fn func())
-
 // Link is a full-duplex medium between endpoints A and B.
 type Link struct {
 	sim  *sim.Simulator
@@ -60,19 +54,15 @@ type Link struct {
 }
 
 // direction is one half of the duplex medium: its receiving endpoint,
-// failure process, delivery scheduler, counters and frames in flight.
+// failure process, counters and frames in flight.
 type direction struct {
 	to    Endpoint
 	fault Fault
 	// Per-direction fault RNG. Two independent streams rather than one
 	// shared: each direction's draw sequence then depends only on that
 	// direction's own frame order, not on how the two directions
-	// interleave — which is what lets a per-switch-sharded run reproduce
-	// the sequential engine's fault pattern exactly.
+	// interleave.
 	rng *sim.Stream
-	// deliver overrides where deliveries are scheduled (SetDeliver); nil
-	// schedules them on the link's own simulator.
-	deliver DeliverFunc
 
 	sent, delivered, lost, corrupt uint64
 
@@ -104,8 +94,7 @@ func New(s *sim.Simulator, a, b Endpoint, prop sim.Time, rng *sim.Stream) *Link 
 }
 
 // NewSplit creates a link whose two directions draw from independent
-// fault streams (rngAB drives frames A→B). Deliveries default to s for
-// both directions; SetDeliver overrides them per direction.
+// fault streams (rngAB drives frames A→B).
 func NewSplit(s *sim.Simulator, a, b Endpoint, prop sim.Time, rngAB, rngBA *sim.Stream) *Link {
 	if a.Dev == nil || b.Dev == nil {
 		panic("link: endpoints must have devices")
@@ -125,15 +114,6 @@ func (l *Link) dir(fromA bool) *direction {
 		return &l.ab
 	}
 	return &l.ba
-}
-
-// SetDeliver installs the delivery scheduler for the direction from the
-// given side ("from A" schedules deliveries toward endpoint B).
-func (l *Link) SetDeliver(fromA bool, fn DeliverFunc) {
-	if fn == nil {
-		panic("link: deliver func must not be nil")
-	}
-	l.dir(fromA).deliver = fn
 }
 
 // SetEndpoint rewires one side of the link. Fabric builders construct
@@ -189,14 +169,6 @@ func (l *Link) Send(fromA bool, p *pkt.Packet) {
 		l.lost(fromA, p, true)
 	}
 	d.delivered++
-	if d.deliver != nil {
-		// A custom scheduler may run the delivery on another event loop
-		// (a cross-shard hop), which must not share this direction's
-		// queue: the frame travels in the message.
-		to := d.to
-		d.deliver(l.prop, func() { to.Dev.Receive(p, to.Port) })
-		return
-	}
 	d.inflight.Push(frame{p: p, to: d.to})
 	l.sim.Schedule(l.prop, d.arrive)
 }

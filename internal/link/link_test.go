@@ -209,32 +209,3 @@ func TestInFlightFrameKeepsSendTimeEndpoint(t *testing.T) {
 		t.Errorf("later frame: new endpoint got %v on ports %v, want frame 2 on port 9", b2.got, b2.ports)
 	}
 }
-
-// TestSetDeliverCarriesFrameInMessage: with a custom delivery scheduler
-// (the cross-shard path) the frame rides in the closure handed to it — the
-// direction's in-flight queue, which only the sender's event loop may
-// touch, stays empty — and the send-time endpoint still holds.
-func TestSetDeliverCarriesFrameInMessage(t *testing.T) {
-	s, l, _, b := newTestLink(t)
-	var held []func()
-	l.SetDeliver(true, func(d sim.Time, fn func()) {
-		if d != sim.Microsecond {
-			t.Errorf("deliver delay %v, want the propagation delay", d)
-		}
-		held = append(held, fn)
-	})
-	l.Send(true, &pkt.Packet{ID: 1})
-	l.SetEndpoint(false, Endpoint{&sink{}, 0})
-	if n := l.ab.inflight.Len(); n != 0 {
-		t.Fatalf("custom-deliver frame entered the in-flight queue (%d queued)", n)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("custom-deliver frame scheduled %d events on the link's simulator", s.Pending())
-	}
-	for _, fn := range held {
-		fn()
-	}
-	if len(b.got) != 1 || b.got[0].ID != 1 || b.ports[0] != 7 {
-		t.Errorf("endpoint got %v on ports %v, want frame 1 on port 7", b.got, b.ports)
-	}
-}

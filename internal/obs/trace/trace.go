@@ -7,9 +7,8 @@
 // The design mirrors the observability split of internal/obs: the hot
 // stages pay only integer arithmetic when a batch is unsampled, and a
 // handful of atomic stores into a fixed-capacity per-stage ring when it
-// is. Nothing on the record path allocates, so the PR 2 zero-alloc pins
-// and the benchdiff 0 allocs/op hotpath gate hold with tracing compiled
-// in and sampling enabled.
+// is. Nothing on the record path allocates, so the zero-alloc pins
+// (AllocsPerRun tests) hold with tracing compiled in and sampling enabled.
 //
 // A trace context is 17 bytes — trace ID, parent span ID, flags — and
 // rides inside the existing length+CRC batch frame (see

@@ -333,8 +333,8 @@ func (s *Simulator) head() *event {
 }
 
 // NextAt returns the instant of the earliest pending event, or MaxTime if
-// none is pending. The sharded engine uses it to find the next global
-// synchronization window without popping anything.
+// none is pending, without popping anything. The scheduler model compares
+// it with its reference after every operation (sched_model_test.go).
 func (s *Simulator) NextAt() Time {
 	if ev := s.head(); ev != nil {
 		return ev.at
@@ -456,8 +456,8 @@ func (s *Simulator) Run(until Time) Time {
 
 // RunBefore executes events strictly earlier than horizon, leaving the
 // clock at the last executed event (it never advances the clock to the
-// horizon — the caller owns the window semantics). The sharded engine runs
-// each shard through its synchronization window with it.
+// horizon — the caller owns the window semantics). It is one of the
+// scheduler model's operations (sched_model_test.go, FuzzScheduler).
 func (s *Simulator) RunBefore(horizon Time) {
 	s.stopped = false
 	for !s.stopped {

@@ -11,8 +11,7 @@ import (
 // Zero-allocation pins: the sketch stage runs inside the per-packet
 // pipeline, so every steady-state entry point must allocate nothing —
 // events are emitted through the reused scratch record, tables are
-// fixed-size arrays. The hotpath/sketch_* benchdiff gate enforces the
-// same property release-over-release; these pins catch it at test time.
+// fixed-size arrays.
 
 func TestOfferAllocFree(t *testing.T) {
 	s := NewStage(Config{TopK: 8, HHThresholdPkts: 4, ChurnMin: 1, SpikeBytes: 1 << 10},

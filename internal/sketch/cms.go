@@ -8,7 +8,7 @@
 // Everything obeys the same match-action memory model the group cache
 // respects: fixed-size arrays sized at construction, direct indexing off
 // the pre-computed CRC-32C flow hash, and zero steady-state allocation
-// (pinned by AllocsPerRun tests and the hotpath/sketch_* benchdiff gate).
+// (pinned by AllocsPerRun tests).
 package sketch
 
 // CMS is a count-min sketch: depth rows of width counters. An update

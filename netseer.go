@@ -13,8 +13,7 @@
 //	events := net.Events(netseer.Query{Flow: &flow})
 //
 // The full evaluation harness (every table and figure of the paper's §5)
-// lives in internal/experiments and is exposed through cmd/repro and the
-// package-level benchmarks in bench_test.go.
+// lives in internal/experiments and is exposed through cmd/repro.
 package netseer
 
 import (
