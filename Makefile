@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 10s ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/collector/wal/
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzBatcherModel -fuzztime 10s ./internal/batcher/
 
 # sketch-cover fails if statement coverage of internal/sketch — the
 # detection family the oracle's sketch claims ride on — drops below 85%.
@@ -198,6 +199,7 @@ nightly-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime 5m ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5m ./internal/collector/wal/
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 5m ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzBatcherModel -fuzztime 5m ./internal/batcher/
 
 # fmt-check fails if any file needs gofmt.
 fmt-check:

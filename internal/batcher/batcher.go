@@ -13,6 +13,33 @@
 // (one event per recirculation pass, passes bounded by pipeline latency and
 // the number of CEBPs in flight) and the internal port's serialization
 // bandwidth.
+//
+// Dormancy. Hardware CEBPs circulate continuously; the simulator spends an
+// event on a pass only when the pass can change state. A pass that pops
+// nothing and leaves the stack empty schedules nothing: the CEBP goes
+// dormant, and stays so until the next push.
+//
+//   - Carrying a payload, it keeps passing virtually. The time of a pass
+//     depends only on the payload length, so the passes lie on a fixed
+//     lattice, nextAt + i·period. A push settles the ones already due
+//     (passes and port bytes, arithmetically) and re-arms every such CEBP
+//     at its first lattice instant at or after now. With IdleFlush set the
+//     CEBP holds one event, at the first lattice instant at or after
+//     idleSince + IdleFlush; a push cancels it. Flush and Stop settle too;
+//     a Stats scrape counts the virtual passes and moves nothing.
+//   - Carrying nothing, it is unobservable and has no lattice: it restarts
+//     one RecircLatency after the push that needs it, one CEBP per pushed
+//     event.
+//
+// Tie rule. A virtual pass due at the very instant of a push (or of a
+// Flush, Stop or scrape) has not happened yet: it runs after the pushing
+// event and sees the push. Passes re-armed for one instant run in CEBP
+// order. A CEBP that spent an event on every pass would have these ties
+// broken by scheduler sequence, which a pass armed late cannot reproduce;
+// so where a push and a pass, or two passes, share a nanosecond, an event
+// may ride in a different CEBP and a pass more or less be counted. What is
+// pushed and delivered is the same (unless the tie also decides whether a
+// push still fits a full stack); which batch delivers it need not be.
 package batcher
 
 import (
@@ -82,16 +109,18 @@ type Batcher struct {
 	stack   []fevent.Event
 	cebps   []*cebp
 	stopped bool
-	// parkedN counts parked CEBPs so the Push fast path skips the wake
+	// dormantN counts dormant CEBPs so the Push fast path skips the rouse
 	// scan entirely while every CEBP is circulating (the steady state
 	// under load, where Push runs once per extracted event).
-	parkedN int
-	// serTab and wireTab cache the serialization time and on-wire size of
-	// a CEBP by payload length (0..BatchSize). A pass runs per event per
-	// circulating packet, and the float division in the serialization
-	// formula was a measurable slice of a push+pass cycle; payload
-	// length is the only variable, so both are table lookups.
-	serTab  []sim.Time
+	dormantN int
+	// passTab and wireTab cache the time of one pass (the recirculation
+	// latency or the CEBP's serialization time, whichever is longer) and
+	// the CEBP's on-wire size by payload length (0..BatchSize). A pass
+	// runs per event per circulating packet, and the float division in
+	// the serialization formula was a measurable slice of a push+pass
+	// cycle; payload length is the only variable, so both are table
+	// lookups.
+	passTab []sim.Time
 	wireTab []int
 	// scratch is the reusable out-parameter for flush deliveries (valid
 	// only for the call, per the BatchFunc contract).
@@ -117,12 +146,13 @@ type cebp struct {
 	// passFn is the pre-bound pass closure for this CEBP, created once at
 	// construction so per-pass rescheduling never allocates.
 	passFn func()
-	// parked: the CEBP is empty with an empty stack; it stops
-	// recirculating until Push wakes it. Pure simulation optimization —
-	// hardware CEBPs circulate continuously, but an empty pass over an
-	// empty stack is unobservable, so parking preserves behaviour while
-	// removing idle simulator events.
-	parked bool
+	// dormant: the last pass popped nothing and left the stack empty, so
+	// no pass is scheduled (see the package comment). With a payload, the
+	// passes not simulated are due at nextAt, nextAt+period, ...; idle is
+	// the armed idle-flush deadline, if IdleFlush is set.
+	dormant        bool
+	nextAt, period sim.Time
+	idle           sim.Handle
 }
 
 // New creates a batcher and starts its CEBPs circulating on s. Events are
@@ -135,12 +165,13 @@ func New(s *sim.Simulator, cfg Config, out BatchFunc) *Batcher {
 	b := &Batcher{cfg: cfg, sim: s, out: out,
 		// The stack is pre-sized to its depth bound so Push never grows it.
 		stack:   make([]fevent.Event, 0, cfg.StackDepth),
-		serTab:  make([]sim.Time, cfg.BatchSize+1),
+		passTab: make([]sim.Time, cfg.BatchSize+1),
 		wireTab: make([]int, cfg.BatchSize+1),
 	}
 	for n := 0; n <= cfg.BatchSize; n++ {
 		b.wireTab[n] = 14 + fevent.BatchHeaderLen + fevent.RecordLen*n
-		b.serTab[n] = sim.Time(float64(b.wireTab[n]*8) / cfg.InternalPortBps * 1e9)
+		ser := sim.Time(float64(b.wireTab[n]*8) / cfg.InternalPortBps * 1e9)
+		b.passTab[n] = max(cfg.RecircLatency, ser)
 	}
 	for i := 0; i < cfg.CEBPs; i++ {
 		c := &cebp{payload: make([]fevent.Event, 0, cfg.BatchSize)}
@@ -166,31 +197,63 @@ func (b *Batcher) Push(e *fevent.Event) bool {
 	if len(b.stack) > b.stackHW {
 		b.stackHW = len(b.stack)
 	}
-	b.wakeOne()
+	if b.dormantN > 0 {
+		b.rouse(1)
+	}
 	return true
 }
 
-// wakeOne restarts a parked CEBP, if any.
-func (b *Batcher) wakeOne() {
-	if b.parkedN == 0 {
-		return
-	}
+// rouse re-arms dormant CEBPs after a push of n events: every one that
+// carries a payload, at its next lattice instant with the passes before it
+// settled, and the first n empty ones, one RecircLatency from now.
+func (b *Batcher) rouse(n int) {
+	now := b.sim.Now()
 	for _, c := range b.cebps {
-		if c.parked {
-			c.parked = false
-			b.parkedN--
-			b.sim.Schedule(b.cfg.RecircLatency, c.passFn)
-			return
+		switch {
+		case !c.dormant:
+		case len(c.payload) > 0:
+			b.settle(c, now)
+			b.arm(c, c.nextAt)
+		case n > 0:
+			n--
+			b.arm(c, now+b.cfg.RecircLatency)
 		}
 	}
 }
 
+// missed returns how many virtual passes of dormant c are due strictly
+// before now, and the bytes they put through the internal port.
+func (b *Batcher) missed(c *cebp, now sim.Time) (passes, portBytes uint64) {
+	if len(c.payload) == 0 || now <= c.nextAt {
+		return 0, 0
+	}
+	k := uint64((now - c.nextAt + c.period - 1) / c.period)
+	return k, k * uint64(b.wireTab[len(c.payload)])
+}
+
+// settle counts the virtual passes of dormant c due before now and moves
+// its lattice origin past them.
+func (b *Batcher) settle(c *cebp, now sim.Time) {
+	k, bytes := b.missed(c, now)
+	b.passes += k
+	b.portBytes += bytes
+	c.nextAt += sim.Time(k) * c.period
+}
+
+// arm ends c's dormancy with a real pass at instant at.
+func (b *Batcher) arm(c *cebp, at sim.Time) {
+	c.dormant = false
+	b.dormantN--
+	b.sim.Cancel(c.idle)
+	b.sim.At(at, c.passFn)
+}
+
 // PushBurst offers a slice of extracted flow events to the stack in one
 // bulk operation: a single capacity check, one append, one high-water
-// update, and at most one wake per accepted event — the burst-mode
-// counterpart of calling Push per event (same stack order, same overflow
-// accounting). It returns how many events were accepted; the rest were
-// lost to stack overflow.
+// update, and one scan of the dormant CEBPs — the burst-mode counterpart
+// of calling Push per event (same stack order, same overflow accounting,
+// same CEBPs roused). It returns how many events were accepted; the rest
+// were lost to stack overflow.
 func (b *Batcher) PushBurst(evs []fevent.Event) int {
 	n := len(evs)
 	if free := b.cfg.StackDepth - len(b.stack); n > free {
@@ -205,8 +268,8 @@ func (b *Batcher) PushBurst(evs []fevent.Event) int {
 	if len(b.stack) > b.stackHW {
 		b.stackHW = len(b.stack)
 	}
-	for i := 0; i < n && b.parkedN > 0; i++ {
-		b.wakeOne()
+	if b.dormantN > 0 {
+		b.rouse(n)
 	}
 	return n
 }
@@ -215,10 +278,19 @@ func (b *Batcher) PushBurst(evs []fevent.Event) int {
 func (b *Batcher) Backlog() int { return len(b.stack) }
 
 // pass is one CEBP transit of the pipeline: pop an event if available,
-// flush if full or idle, then recirculate.
+// flush if full or idle, then recirculate — or go dormant if the pass did
+// nothing and the next cannot either.
 func (b *Batcher) pass(c *cebp) {
 	if b.stopped {
 		return
+	}
+	now := b.sim.Now()
+	if c.dormant {
+		// The idle-flush deadline of a dormant CEBP: the passes before
+		// this one found the stack empty too.
+		b.settle(c, now)
+		c.dormant = false
+		b.dormantN--
 	}
 	b.passes++
 	popped := false
@@ -228,31 +300,37 @@ func (b *Batcher) pass(c *cebp) {
 		e := b.stack[n-1]
 		b.stack = b.stack[:n-1]
 		c.payload = append(c.payload, e)
-		c.idleSince = b.sim.Now()
+		c.idleSince = now
 		popped = true
 		b.pops++
 	}
-	next := b.cfg.RecircLatency
-	if ser := b.serTab[len(c.payload)]; ser > next {
-		next = ser
-	}
+	next := b.passTab[len(c.payload)]
 	b.portBytes += uint64(b.wireTab[len(c.payload)])
 	switch {
 	case len(c.payload) >= b.cfg.BatchSize:
 		b.flush(c)
 		next += b.cfg.FlushLatency
 	case !popped && len(c.payload) > 0 && b.cfg.IdleFlush > 0 &&
-		b.sim.Now()-c.idleSince >= b.cfg.IdleFlush:
+		now-c.idleSince >= b.cfg.IdleFlush:
 		b.flush(c)
 		next += b.cfg.FlushLatency
 	}
-	if !popped && len(c.payload) == 0 && len(b.stack) == 0 {
-		// Nothing to do and nothing carried: park until work arrives.
-		c.parked = true
-		b.parkedN++
+	if popped || len(b.stack) > 0 {
+		b.sim.Schedule(next, c.passFn)
 		return
 	}
-	b.sim.Schedule(next, c.passFn)
+	// Nothing done and nothing to do: until the next push every later
+	// pass is this one again, period apart.
+	c.dormant = true
+	b.dormantN++
+	c.nextAt, c.period = now+next, next
+	if len(c.payload) > 0 && b.cfg.IdleFlush > 0 {
+		at := c.nextAt
+		if due := c.idleSince + b.cfg.IdleFlush; due > at {
+			at += (due - at + next - 1) / next * next
+		}
+		c.idle = b.sim.At(at, c.passFn)
+	}
 }
 
 func (b *Batcher) flush(c *cebp) {
@@ -290,25 +368,32 @@ func (b *Batcher) emit() {
 
 // Flush synchronously drains the stack and all partial CEBP payloads into
 // one final batch. Used at the end of simulations; the hardware analogue is
-// the idle-flush path.
+// the idle-flush path. A dormant CEBP whose payload it takes is re-armed at
+// its next lattice instant: its passes are no longer the ones it skipped.
 func (b *Batcher) Flush() {
-	events := make([]fevent.Event, 0, len(b.stack)+b.cfg.BatchSize)
+	total := len(b.stack)
 	for _, c := range b.cebps {
+		total += len(c.payload)
+	}
+	if total == 0 {
+		return
+	}
+	now := b.sim.Now()
+	events := make([]fevent.Event, 0, total)
+	for _, c := range b.cebps {
+		if c.dormant && len(c.payload) > 0 {
+			b.settle(c, now)
+			b.arm(c, c.nextAt)
+		}
 		events = append(events, c.payload...)
 		c.payload = c.payload[:0]
 	}
 	events = append(events, b.stack...)
 	b.stack = b.stack[:0]
-	if len(events) == 0 {
-		return
-	}
 	for len(events) > 0 {
-		n := len(events)
-		if n > b.cfg.BatchSize {
-			n = b.cfg.BatchSize
-		}
+		n := min(len(events), b.cfg.BatchSize)
 		b.scratch.SwitchID = b.cfg.SwitchID
-		b.scratch.Timestamp = b.sim.Now()
+		b.scratch.Timestamp = now
 		b.scratch.Events = events[:n]
 		events = events[n:]
 		b.emit()
@@ -316,20 +401,54 @@ func (b *Batcher) Flush() {
 }
 
 // Stop halts all CEBP circulation (the next pass of each CEBP becomes a
-// no-op), letting a simulation drain its event queue. Call Flush first to
-// recover partial payloads.
-func (b *Batcher) Stop() { b.stopped = true }
+// no-op, and the virtual passes of the dormant ones end here), letting a
+// simulation drain its event queue. Call Flush first to recover partial
+// payloads.
+func (b *Batcher) Stop() {
+	now := b.sim.Now()
+	for _, c := range b.cebps {
+		if c.dormant {
+			b.settle(c, now)
+			b.sim.Cancel(c.idle)
+			c.dormant = false
+		}
+	}
+	b.dormantN = 0
+	b.stopped = true
+}
+
+// virtual returns the passes dormant CEBPs have made since they were last
+// settled and the bytes those passes put through the internal port. It
+// moves nothing: a scrape is not an event.
+func (b *Batcher) virtual() (passes, portBytes uint64) {
+	if b.dormantN == 0 {
+		return 0, 0
+	}
+	now := b.sim.Now()
+	for _, c := range b.cebps {
+		if c.dormant {
+			k, bytes := b.missed(c, now)
+			passes += k
+			portBytes += bytes
+		}
+	}
+	return passes, portBytes
+}
 
 // Stats reports pushed events, stack-overflow losses, flushed batches,
 // delivered events, and total bytes serialized through the internal port.
 func (b *Batcher) Stats() (pushed, overflow, batches, delivered, portBytes uint64) {
-	return b.pushed, b.overflow, b.flushed, b.delivered, b.portBytes
+	_, v := b.virtual()
+	return b.pushed, b.overflow, b.flushed, b.delivered, b.portBytes + v
 }
 
 // PassStats reports CEBP circulation work: stack transits and events
 // popped. pops/passes is the stack-pressure signal of Fig. 12 — near 1.0
 // the circulating packets are saturated.
-func (b *Batcher) PassStats() (passes, pops uint64) { return b.passes, b.pops }
+func (b *Batcher) PassStats() (passes, pops uint64) {
+	v, _ := b.virtual()
+	return b.passes + v, b.pops
+}
 
 // StackHighWater returns the deepest the cross-stage stack has been; a
 // high-water near StackDepth warns of imminent overflow loss.

@@ -190,6 +190,50 @@ func TestStopHaltsCirculation(t *testing.T) {
 	}
 }
 
+// TestDormantCEBPHoldsNoEvent: CEBPs left holding partial payloads over
+// an empty stack schedule nothing, yet the counters report every pass
+// they would have made, a scrape moves nothing, and the next push finds
+// them on their lattice.
+func TestDormantCEBPHoldsNoEvent(t *testing.T) {
+	s := sim.New()
+	delivered := 0
+	b := New(s, Config{BatchSize: 4, CEBPs: 3}, func(bt *fevent.Batch) { delivered += len(bt.Events) })
+	for i := 0; i < 3; i++ {
+		b.Push(ev(uint32(i)))
+	}
+	s.Run(sim.Millisecond)
+	if s.Pending() != 0 {
+		t.Fatalf("%d events pending with every CEBP idle over an empty stack", s.Pending())
+	}
+	if n := s.Processed(); n > 20 {
+		t.Errorf("%d simulator events for 3 pops", n)
+	}
+	passes, pops := b.PassStats()
+	_, _, _, _, portBytes := b.Stats()
+	// Three CEBPs, one event each, a pass every 100 ns for a millisecond.
+	if pops != 3 || passes < 29_000 || passes > 30_010 {
+		t.Errorf("passes %d pops %d; want 3 pops and ~30 000 passes, virtual ones included", passes, pops)
+	}
+	if again, _ := b.PassStats(); again != passes {
+		t.Errorf("a second scrape at the same instant read %d passes, the first %d", again, passes)
+	}
+	if portBytes < passes*uint64(14+fevent.BatchHeaderLen) {
+		t.Errorf("portBytes %d does not cover %d passes", portBytes, passes)
+	}
+	// Each CEBP needs three more events; the pushes must wake all three.
+	s.Run(s.Now() + 33)
+	for i := 0; i < 9; i++ {
+		b.Push(ev(uint32(10 + i)))
+	}
+	s.Run(2 * sim.Millisecond)
+	if delivered != 12 || s.Pending() != 0 {
+		t.Errorf("delivered %d of 12 events, %d events pending", delivered, s.Pending())
+	}
+	if later, _ := b.PassStats(); later < passes+9 {
+		t.Errorf("passes went from %d to %d over nine more pops", passes, later)
+	}
+}
+
 // TestPushPassZeroAllocSteadyState pins the CEBP push/pop cycle (§3.5) at
 // zero allocations per event, pushed one at a time and as a burst, flushes
 // included: the flush path hands the callee a reused scratch batch over

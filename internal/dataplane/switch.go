@@ -463,12 +463,18 @@ func (sw *Switch) stageRoute(f *pkt.Front) {
 	for i := range f.In {
 		s := f.In[i]
 		p := s.P
-		if sw.parityVictims[p.Flow.DstIP] {
+		// Both maps are fault injection: empty on a healthy switch, where
+		// the length checks save two hash probes a packet.
+		if len(sw.parityVictims) != 0 && sw.parityVictims[p.Flow.DstIP] {
 			s.A = int32(fevent.DropParityError)
 			f.Drop = append(f.Drop, s)
 			continue
 		}
-		hops, overridden := sw.routeOverride[p.Flow.DstIP]
+		var hops []int
+		overridden := false
+		if len(sw.routeOverride) != 0 {
+			hops, overridden = sw.routeOverride[p.Flow.DstIP]
+		}
 		if !overridden {
 			hops = sw.routes(p.Flow.DstIP)
 		}

@@ -48,6 +48,15 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
+// Peek returns the front element without removing it. It panics on an
+// empty queue.
+func (q *Queue[T]) Peek() T {
+	if q.n == 0 {
+		panic("fifo: Peek on empty queue")
+	}
+	return q.buf[q.head]
+}
+
 func (q *Queue[T]) grow() {
 	size := 2 * len(q.buf)
 	if size == 0 {

@@ -19,6 +19,9 @@ func TestQueueMatchesSlice(t *testing.T) {
 			ref = append(ref, next)
 			next++
 		} else {
+			if got, want := q.Peek(), ref[0]; got != want {
+				t.Fatalf("step %d: Peek = %d, want %d", step, got, want)
+			}
 			if got, want := q.Pop(), ref[0]; got != want {
 				t.Fatalf("step %d: Pop = %d, want %d", step, got, want)
 			}

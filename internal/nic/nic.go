@@ -50,19 +50,21 @@ type NIC struct {
 	nextSeq uint32
 	ring    *ringbuf.Ring
 	tracker *seqtrack.Tracker
-	pending []uint32
+	pending fifo.Queue[uint32]
 	lastGap seqtrack.Notification
 
 	// Local event log (the NIC cannot reach the collector directly; the
 	// host agent reads the log).
 	Log []fevent.Event
 
-	// Serialization: busyUntil only moves forward, so the packets waiting
-	// for the wire leave in the order they were sent — one pre-bound
-	// closure scheduled once per packet pops txq.
-	busyUntil sim.Time
-	txq       fifo.Queue[*pkt.Packet]
-	txDone    func()
+	// Serialization: txq holds the packets waiting for the wire, the head
+	// being the one on it. One departure is armed at a time: txDone, a
+	// pre-bound closure, sends the head and re-arms itself one
+	// serialization time later for the packet behind it, so back-to-back
+	// packets leave at the previous departure plus their own serialization
+	// and the backlog never sits in the simulator's queue.
+	txq    fifo.Queue[*pkt.Packet]
+	txDone func()
 
 	// Stats.
 	txPackets, rxPackets uint64
@@ -83,8 +85,23 @@ func New(s *sim.Simulator, l *link.Link, fromA bool, cfg Config, handler Handler
 		ring:    ringbuf.New(cfg.RingSlots),
 		tracker: seqtrack.New(),
 	}
-	n.txDone = func() { n.lnk.Send(n.fromA, n.txq.Pop()) }
+	n.txDone = n.depart
 	return n
+}
+
+// depart puts the head of txq on the link and arms the departure of the
+// packet behind it.
+func (n *NIC) depart() {
+	p := n.txq.Pop()
+	if n.txq.Len() > 0 {
+		n.sim.Schedule(n.ser(n.txq.Peek()), n.txDone)
+	}
+	n.lnk.Send(n.fromA, p)
+}
+
+// ser is the time p occupies the wire.
+func (n *NIC) ser(p *pkt.Packet) sim.Time {
+	return sim.Time(float64(p.WireLen*8) / n.cfg.Bps * 1e9)
 }
 
 // Send transmits a packet, tagging it with the edge sequence number and
@@ -105,14 +122,10 @@ func (n *NIC) Send(p *pkt.Packet) {
 		n.lnk.Send(n.fromA, p)
 		return
 	}
-	ser := sim.Time(float64(p.WireLen*8) / n.cfg.Bps * 1e9)
-	start := n.sim.Now()
-	if n.busyUntil > start {
-		start = n.busyUntil
+	if n.txq.Len() == 0 {
+		n.sim.Schedule(n.ser(p), n.txDone)
 	}
-	n.busyUntil = start + ser
 	n.txq.Push(p)
-	n.sim.At(n.busyUntil, n.txDone)
 }
 
 // Receive implements link.Device.
@@ -168,23 +181,22 @@ func (n *NIC) handleLossNotify(p *pkt.Packet) {
 	}
 	n.lastGap = notif
 	for id := notif.FromID; ; id++ {
-		n.pending = append(n.pending, id)
+		n.pending.Push(id)
 		if id == notif.ToID {
 			break
 		}
 	}
 	// NIC processors can loop: resolve immediately.
-	for len(n.pending) > 0 {
+	for n.pending.Len() > 0 {
 		n.drainOneLookup()
 	}
 }
 
 func (n *NIC) drainOneLookup() {
-	if len(n.pending) == 0 {
+	if n.pending.Len() == 0 {
 		return
 	}
-	id := n.pending[0]
-	n.pending = n.pending[1:]
+	id := n.pending.Pop()
 	if e, ok := n.ring.Lookup(id); ok {
 		n.Log = append(n.Log, fevent.Event{
 			Type: fevent.TypeDrop, Flow: e.Flow,

@@ -187,6 +187,36 @@ func TestNotifyCopiesAreDeduplicated(t *testing.T) {
 	}
 }
 
+// TestOneArmedDeparturePerNIC: the backlog waits in the NIC, not in the
+// simulator's queue — one departure is armed however many packets are
+// queued — and each packet still leaves at the previous departure plus its
+// own serialization time, also when a send finds the line busy part-way.
+func TestOneArmedDeparturePerNIC(t *testing.T) {
+	p := newPair(t, Config{DisableSeq: true})
+	var arrived []sim.Time
+	p.b.handler = func(*pkt.Packet) { arrived = append(arrived, p.sim.Now()) }
+	sizes := []int{1250, 64, 1500, 625}
+	for i, size := range sizes[:3] {
+		p.a.Send(mkPkt(uint64(i), size))
+		if n := p.sim.Pending(); n != 1 {
+			t.Fatalf("%d events pending with %d packets queued; want the one armed departure", n, i+1)
+		}
+	}
+	p.sim.Run(410) // the first packet left at 400 ns and is on the wire
+	if n := p.sim.Pending(); n != 2 {
+		t.Fatalf("%d events pending; want the next departure and one arrival", n)
+	}
+	p.a.Send(mkPkt(3, sizes[3]))
+	p.sim.RunAll()
+	want := sim.Microsecond // propagation
+	for i, size := range sizes {
+		want += sim.Time(float64(size*8) / 25e9 * 1e9)
+		if i >= len(arrived) || arrived[i] != want {
+			t.Fatalf("arrivals %v; packet %d due at %v", arrived, i, want)
+		}
+	}
+}
+
 func TestNilHandlerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -670,10 +670,15 @@ func CheckDelivery(res *Result) CheckResult {
 	}
 	srv := collector.NewServerOn(store, ln, collector.ServerConfig{ReadTimeout: 300 * time.Millisecond})
 	defer srv.Close()
+	// FlushTimeout is a wall-clock deadline, not an invariant. How long
+	// the replay takes is chaotic in its input: under -race the testbed
+	// scenario of the matrix takes 8 to 21 s as its 65 batches become 62
+	// to 66 (progress needs an ack to get out before the next reset), and
+	// twice that beside another package's tests.
 	cl := collector.NewClientConfig(srv.Addr(), collector.ClientConfig{
 		BackoffMin:   2 * time.Millisecond,
 		BackoffMax:   20 * time.Millisecond,
-		FlushTimeout: 30 * time.Second,
+		FlushTimeout: 90 * time.Second,
 		CloseTimeout: 5 * time.Second,
 	})
 	for _, b := range res.Batches {

@@ -110,8 +110,8 @@ func less(a, b *event) bool {
 // (at, seq)-smaller of the two tier heads, so the execution order is that
 // of one queue ordered by (at, seq).
 //
-// The span covers the constant per-hop delays that make up 95 % of all
-// scheduling on the paper's testbed (serialization 80/100/320 ns, pipeline
+// The span covers the constant per-hop delays that make up 98 % of all
+// scheduling on the paper's testbed (serialization 80/320 ns, pipeline
 // 600 ns, propagation 1 µs — see DESIGN.md §7); the heap is left with the
 // sparse far-future events (flow arrivals, pacing chunks, RTOs) that make
 // up its depth but which near-term events then never have to sift past.
