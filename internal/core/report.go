@@ -56,10 +56,10 @@ func (n *NetSeerSwitch) onFlowEvent(e *fevent.Event) {
 }
 
 // BeginBurst implements dataplane.BurstTelemetry: the data plane is about
-// to run its stage sequence over a coalesced burst of ingress arrivals.
+// to run its pipeline over a coalesced burst of ingress arrivals.
 func (n *NetSeerSwitch) BeginBurst(int) { n.inBurst = true }
 
-// EndBurst implements dataplane.BurstTelemetry: every stage has run, so
+// EndBurst implements dataplane.BurstTelemetry: the burst is through, so
 // the records extracted during the burst go to the CEBP stack in one bulk
 // push (same stack order and overflow accounting as per-record pushes —
 // no simulated time passes inside a burst).
@@ -84,9 +84,9 @@ func (n *NetSeerSwitch) onBatch(b *fevent.Batch) {
 	}
 	// Run the whole batch through false-positive elimination in one pass
 	// (in-place filter — the batch slice is the batcher's scratch, reset
-	// right after this callback returns). The traced form records the
-	// fpelim span and chains the context's parent when sampled.
-	kept := n.elim.OfferBurstTraced(&b.Trace, b.Events)
+	// right after this callback returns); a sampled batch records the
+	// fpelim span and chains the context's parent.
+	kept := n.elim.OfferBatch(&b.Trace, b.Events)
 	n.stats.SuppressedFPs += uint64(len(b.Events) - len(kept))
 	if len(kept) > 0 && b.Trace.Valid() {
 		// The export batch inherits the context of the last CEBP batch

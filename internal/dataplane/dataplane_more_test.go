@@ -1,12 +1,15 @@
 package dataplane
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"netseer/internal/fevent"
+	"netseer/internal/link"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 	"netseer/internal/topo"
@@ -303,7 +306,7 @@ func TestForwardZeroAllocSteadyState(t *testing.T) {
 		}
 		r.sim.RunAll()
 	}
-	burst() // warm rings, burst pool, pkt.Front and the scheduler's free list
+	burst() // warm rings, burst pool and the scheduler's free list
 	if got := testing.AllocsPerRun(100, burst); got != 0 {
 		t.Errorf("forwarding allocates %v times per %d packets; budget is 0", got, len(pkts))
 	}
@@ -351,4 +354,75 @@ func TestDrainedEgressQueueDropsPacketReferences(t *testing.T) {
 		t.Errorf("%d of the first %d transmitted packets are still referenced by the drained fabric", checked-got, checked)
 	}
 	runtime.KeepAlive(r) // the fabric itself must outlive the check
+}
+
+// hookLog is a Telemetry (and BurstTelemetry) that records the order of
+// the calls the pipeline makes, each with the packet's ingress port.
+type hookLog struct{ calls []string }
+
+func (h *hookLog) logf(format string, args ...any) {
+	h.calls = append(h.calls, fmt.Sprintf(format, args...))
+}
+func (h *hookLog) IngressData(_ *pkt.Packet, port int)       { h.logf("ingress %d", port) }
+func (h *hookLog) HandleLossNotify(*pkt.Packet, int)         {}
+func (h *hookLog) OnDequeue(*pkt.Packet, int, int, sim.Time) {}
+func (h *hookLog) EgressData(*pkt.Packet, int)               {}
+func (h *hookLog) OnCorruptFrame(int)                        {}
+func (h *hookLog) BeginBurst(n int)                          { h.logf("begin %d", n) }
+func (h *hookLog) EndBurst()                                 { h.logf("end") }
+func (h *hookLog) OnMMUDrop(_ *pkt.Packet, in, _, _ int)     { h.logf("mmu-drop %d", in) }
+func (h *hookLog) PipelineForward(_ *pkt.Packet, in, _, _ int, _ bool) {
+	h.logf("forward %d", in)
+}
+func (h *hookLog) OnPipelineDrop(_ *pkt.Packet, in int, code fevent.DropCode, _ int) {
+	h.logf("drop %d %v", in, code)
+}
+
+// TestPipelineRunsPerPacketInIngressPortOrder pins the order of telemetry
+// hooks within a multi-packet front: four same-instant arrivals on ports
+// 3, 1, 2, 0 run through the pipeline one packet at a time in ascending
+// ingress port, each packet's calls contiguous (the MMU drop directly
+// after its own forward, the ACL deny where the packet stands), bracketed
+// by BeginBurst(4) and EndBurst.
+func TestPipelineRunsPerPacketInIngressPortOrder(t *testing.T) {
+	s := sim.New()
+	const egress = 4
+	sw := NewSwitch(s, 1, "sw", Config{QueueLimitBytes: 2000},
+		func(uint32) []int { return []int{egress} }, NewGroundTruth())
+	sink := &countingHost{}
+	for port := 0; port <= egress; port++ {
+		l := link.New(s, link.Endpoint{Dev: sw, Port: port}, link.Endpoint{Dev: sink}, sim.Microsecond, sim.NewStream(1, "order"))
+		sw.AddPort(l, true, 10e9)
+	}
+	const deniedSrcPort = 2002
+	sw.ACL().Add(ACLRule{ID: 7, Action: ACLDeny, MatchSrcPort: true, SrcPort: deniedSrcPort})
+	log := &hookLog{}
+	sw.SetTelemetry(log)
+
+	// Into one 2000-byte egress queue: port 0's 1000 B is admitted, port
+	// 1's 1500 B overflows it, port 2 is ACL-denied, port 3's 500 B fits.
+	wireLen := [4]int{1000, 1500, 800, 500}
+	for _, port := range []int{3, 1, 2, 0} {
+		sw.Receive(&pkt.Packet{
+			ID: uint64(port), Kind: pkt.KindData, WireLen: wireLen[port], TTL: 64,
+			Flow: pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: uint16(2000 + port), DstPort: 80, Proto: pkt.ProtoTCP},
+		}, port)
+	}
+	s.RunAll()
+
+	want := []string{
+		"ingress 3", "ingress 1", "ingress 2", "ingress 0",
+		"begin 4",
+		"forward 0",
+		"forward 1", "mmu-drop 1",
+		fmt.Sprintf("drop 2 %v", fevent.DropACLDeny),
+		"forward 3",
+		"end",
+	}
+	if !slices.Equal(log.calls, want) {
+		t.Errorf("hook order\n got %q\nwant %q", log.calls, want)
+	}
+	if sink.n != 2 {
+		t.Errorf("%d packets left the egress port, want 2", sink.n)
+	}
 }

@@ -37,16 +37,17 @@ type Telemetry interface {
 }
 
 // BurstTelemetry is an optional Telemetry extension. The switch coalesces
-// same-instant ingress arrivals into bursts and runs its pipeline stage
-// at a time over them; a Telemetry that also implements BurstTelemetry is
-// told where each burst begins and ends, so it can batch its own
+// same-instant ingress arrivals into bursts and runs its pipeline over
+// them packet by packet; a Telemetry that also implements BurstTelemetry
+// is told where each burst begins and ends, so it can batch its own
 // downstream work (NetSeer buffers extracted records during the burst and
 // hands them to the CEBP stack in one bulk push at EndBurst).
 type BurstTelemetry interface {
 	// BeginBurst announces a burst of n packets about to enter the
-	// pipeline stages. Bursts do not nest.
+	// pipeline. Bursts do not nest.
 	BeginBurst(n int)
-	// EndBurst announces that every stage has run over the burst.
+	// EndBurst announces that the burst's last packet has left the
+	// pipeline.
 	EndBurst()
 }
 
@@ -56,10 +57,9 @@ type BurstTelemetry interface {
 // sketch detection family (internal/sketch) implements it; the interface
 // lives here so the sketch package never needs to import the dataplane.
 type SketchStage interface {
-	// OfferBurst observes one pipeline burst. Slot field A holds the
-	// chosen egress port, Port the ingress port; implementations must not
-	// retain the slice or the packets.
-	OfferBurst(slots []pkt.Slot, now sim.Time)
+	// Offer observes one forwarded packet: in is its ingress port, out the
+	// chosen egress port. Implementations must not retain the packet.
+	Offer(p *pkt.Packet, in, out int32, now sim.Time)
 }
 
 // Monitor is the passive observation surface shared by the baseline

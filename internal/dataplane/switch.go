@@ -141,9 +141,7 @@ type Switch struct {
 	sketch   SketchStage    // optional sketch detection stage
 	monitors []Monitor
 
-	// Burst ingress: same-instant arrivals coalesce into one pipeline
-	// event processed stage-at-a-time over front (see pkt.Front).
-	front     pkt.Front
+	// Same-instant arrivals coalesce into one pipeline event.
 	cur       *inBurst
 	curAt     sim.Time
 	burstFree []*inBurst
@@ -336,18 +334,14 @@ func (sw *Switch) Receive(p *pkt.Packet, port int) {
 	}
 	// Pipeline latency then forwarding decision. Same-instant arrivals
 	// coalesce into one burst: the first packet schedules the pipeline
-	// event, later packets of the instant just append to it. The burst is
-	// then processed stage-at-a-time (pkt.Front), which preserves
-	// per-packet arrival order through every stage while spending one
-	// simulator event (and one pass over each stage's tables) per burst
-	// instead of per packet.
+	// event, later packets of the instant just append to it.
 	now := sw.sim.Now()
 	if sw.cur == nil || sw.curAt != now {
 		sw.cur = sw.grabBurst()
 		sw.curAt = now
 		sw.sim.Schedule(sw.cfg.PipelineLatency, sw.cur.fn)
 	}
-	sw.cur.slots = append(sw.cur.slots, pkt.Slot{P: p, Port: int32(port)})
+	sw.cur.slots = append(sw.cur.slots, arrival{p: p, port: port})
 }
 
 // inBurst accumulates the same-instant ingress arrivals behind one
@@ -355,8 +349,14 @@ func (sw *Switch) Receive(p *pkt.Packet, port int) {
 // each keeping its pre-bound closure, so burst ingress does not allocate
 // in steady state.
 type inBurst struct {
-	slots []pkt.Slot
+	slots []arrival
 	fn    func()
+}
+
+// arrival is one packet of a burst with its ingress port.
+type arrival struct {
+	p    *pkt.Packet
+	port int
 }
 
 func (sw *Switch) grabBurst() *inBurst {
@@ -375,11 +375,8 @@ func (sw *Switch) releaseBurst(b *inBurst) {
 	sw.burstFree = append(sw.burstFree, b)
 }
 
-// pipelineBurst runs the ingress match-action stage sequence over one
-// coalesced burst, stage at a time: parse/stamp → ACL → route/TTL/ECMP →
-// port checks → forward telemetry → MMU admission, with drops finalized
-// in a dedicated stage. Within each stage packets run in arrival order,
-// so per-flow processing order is identical to packet-at-a-time.
+// pipelineBurst runs the ingress pipeline over the arrivals of one
+// instant, one packet at a time.
 func (sw *Switch) pipelineBurst(b *inBurst) {
 	if sw.cur == b {
 		sw.cur = nil
@@ -391,158 +388,97 @@ func (sw *Switch) pipelineBurst(b *inBurst) {
 	if sw.asicFailed {
 		for _, s := range b.slots {
 			sw.dropsByCode[fevent.DropASICFailure]++
-			sw.gt.recordDrop(now, sw.ID, s.P, fevent.DropASICFailure, 0)
+			sw.gt.recordDrop(now, sw.ID, s.p, fevent.DropASICFailure, 0)
 		}
 		sw.releaseBurst(b)
 		return
 	}
-	f := &sw.front
-	f.Reset()
-	f.In = append(f.In, b.slots...)
-	sw.releaseBurst(b)
-	// Canonical burst order: stable insertion sort by ingress port. The
-	// append order of same-instant arrivals is the event scheduler's
-	// tie-break order, an accident of which upstream device happened to
-	// schedule first; a port is one link direction with FIFO delivery, so
-	// (port, per-port arrival order) depends on the traffic alone and the
+	// Canonical order: stable insertion sort by ingress port. The append
+	// order of same-instant arrivals is the event scheduler's tie-break
+	// order, an accident of which upstream device happened to schedule
+	// first; a port is one link direction with FIFO delivery, so (port,
+	// per-port arrival order) depends on the traffic alone and the
 	// pipeline outcome stays the same under any scheduler that keeps each
 	// link in order. The golden digests pin this order.
-	in := f.In
+	in := b.slots
 	for i := 1; i < len(in); i++ {
 		s := in[i]
 		j := i
-		for j > 0 && in[j-1].Port > s.Port {
+		for j > 0 && in[j-1].port > s.port {
 			in[j] = in[j-1]
 			j--
 		}
 		in[j] = s
 	}
 	if sw.telBurst != nil {
-		sw.telBurst.BeginBurst(len(f.In))
+		sw.telBurst.BeginBurst(len(in))
 	}
-	// Parse/stamp.
-	for i := range f.In {
-		f.In[i].P.IngressAt = now
-		f.In[i].P.IngressPort = int(f.In[i].Port)
+	for _, s := range in {
+		sw.pipeline(s.p, s.port, now)
 	}
-	sw.stageACL(f)
-	sw.stageRoute(f)
-	sw.stagePortCheck(f)
-	if sw.sketch != nil {
-		sw.sketch.OfferBurst(f.In, now)
-	}
-	sw.stageForward(f, now)
-	for i := range f.In {
-		s := f.In[i]
-		sw.enqueue(s.P, int(s.Port), int(s.A), int(s.B))
-	}
-	sw.stageDrops(f)
+	sw.releaseBurst(b)
 	if sw.telBurst != nil {
 		sw.telBurst.EndBurst()
 	}
 }
 
-// stageACL filters the burst through the ACL table.
-func (sw *Switch) stageACL(f *pkt.Front) {
-	for i := range f.In {
-		s := f.In[i]
-		if rule := sw.acl.Lookup(s.P.Flow); rule != nil && rule.Action == ACLDeny {
-			s.A, s.B = int32(fevent.DropACLDeny), int32(rule.ID)
-			f.Drop = append(f.Drop, s)
-			continue
-		}
-		f.Out = append(f.Out, s)
+// pipeline is the ingress match-action sequence for one packet:
+// parse/stamp → ACL → route/TTL/ECMP → port checks → sketch → forward
+// telemetry → MMU admission, each drop finalized where it is decided.
+func (sw *Switch) pipeline(p *pkt.Packet, port int, now sim.Time) {
+	p.IngressAt = now
+	p.IngressPort = port
+	if rule := sw.acl.Lookup(p.Flow); rule != nil && rule.Action == ACLDeny {
+		sw.drop(p, port, fevent.DropACLDeny, rule.ID)
+		return
 	}
-	f.Advance()
-}
-
-// stageRoute is the routing lookup, TTL check and ECMP selection; the
-// chosen egress port rides in slot field A. A parity bit flip makes the
-// entry unmatchable: the lookup misses and the drop is silent.
-func (sw *Switch) stageRoute(f *pkt.Front) {
-	for i := range f.In {
-		s := f.In[i]
-		p := s.P
-		// Both maps are fault injection: empty on a healthy switch, where
-		// the length checks save two hash probes a packet.
-		if len(sw.parityVictims) != 0 && sw.parityVictims[p.Flow.DstIP] {
-			s.A = int32(fevent.DropParityError)
-			f.Drop = append(f.Drop, s)
-			continue
-		}
-		var hops []int
-		overridden := false
-		if len(sw.routeOverride) != 0 {
-			hops, overridden = sw.routeOverride[p.Flow.DstIP]
-		}
-		if !overridden {
-			hops = sw.routes(p.Flow.DstIP)
-		}
-		if len(hops) == 0 {
-			s.A = int32(fevent.DropNoRoute)
-			f.Drop = append(f.Drop, s)
-			continue
-		}
-		if p.TTL <= 1 {
-			s.A = int32(fevent.DropTTLExpired)
-			f.Drop = append(f.Drop, s)
-			continue
-		}
-		p.TTL--
-		egress, _ := ecmpSelect(hops, p.Flow, sw.salt)
-		s.A = int32(egress)
-		f.Out = append(f.Out, s)
+	// Both maps are fault injection: empty on a healthy switch, where the
+	// length checks save two hash probes a packet. A parity bit flip makes
+	// the entry unmatchable: the lookup misses and the drop is silent.
+	if len(sw.parityVictims) != 0 && sw.parityVictims[p.Flow.DstIP] {
+		sw.drop(p, port, fevent.DropParityError, 0)
+		return
 	}
-	f.Advance()
-}
-
-// stagePortCheck verifies the chosen egress port is usable and assigns
-// the egress queue into slot field B.
-func (sw *Switch) stagePortCheck(f *pkt.Front) {
-	for i := range f.In {
-		s := f.In[i]
-		pt := sw.ports[s.A]
-		if pt.down || pt.lnk.Down() {
-			s.A = int32(fevent.DropPortDown)
-			f.Drop = append(f.Drop, s)
-			continue
-		}
-		if s.P.WireLen > pt.mtu {
-			s.A = int32(fevent.DropMTUExceeded)
-			f.Drop = append(f.Drop, s)
-			continue
-		}
-		s.B = int32(int(s.P.Priority) % sw.cfg.Queues)
-		f.Out = append(f.Out, s)
+	var hops []int
+	overridden := false
+	if len(sw.routeOverride) != 0 {
+		hops, overridden = sw.routeOverride[p.Flow.DstIP]
 	}
-	f.Advance()
-}
-
-// stageForward runs forward telemetry and ground-truth recording for
-// every surviving packet of the burst.
-func (sw *Switch) stageForward(f *pkt.Front, now sim.Time) {
-	for i := range f.In {
-		s := f.In[i]
-		egress, queue := int(s.A), int(s.B)
-		paused := sw.ports[egress].paused[queue]
-		if sw.tel != nil {
-			sw.tel.PipelineForward(s.P, int(s.Port), egress, queue, paused)
-		}
-		sw.gt.recordForward(now, sw.ID, s.P, int(s.Port), egress)
-		if paused {
-			sw.gt.recordPause(now, sw.ID, s.P, egress, queue)
-		}
+	if !overridden {
+		hops = sw.routes(p.Flow.DstIP)
 	}
-}
-
-// stageDrops finalizes every packet the earlier stages dropped (slot A
-// holds the drop code, B the ACL rule for ACL denies).
-func (sw *Switch) stageDrops(f *pkt.Front) {
-	for i := range f.Drop {
-		s := f.Drop[i]
-		code := fevent.DropCode(s.A)
-		sw.drop(s.P, int(s.Port), -1, code, uint8(s.B), code != fevent.DropParityError)
+	if len(hops) == 0 {
+		sw.drop(p, port, fevent.DropNoRoute, 0)
+		return
 	}
+	if p.TTL <= 1 {
+		sw.drop(p, port, fevent.DropTTLExpired, 0)
+		return
+	}
+	p.TTL--
+	egress, _ := ecmpSelect(hops, p.Flow, sw.salt)
+	pt := sw.ports[egress]
+	if pt.down || pt.lnk.Down() {
+		sw.drop(p, port, fevent.DropPortDown, 0)
+		return
+	}
+	if p.WireLen > pt.mtu {
+		sw.drop(p, port, fevent.DropMTUExceeded, 0)
+		return
+	}
+	queue := int(p.Priority) % sw.cfg.Queues
+	if sw.sketch != nil {
+		sw.sketch.Offer(p, int32(port), int32(egress), now)
+	}
+	paused := pt.paused[queue]
+	if sw.tel != nil {
+		sw.tel.PipelineForward(p, port, egress, queue, paused)
+	}
+	sw.gt.recordForward(now, sw.ID, p, port, egress)
+	if paused {
+		sw.gt.recordPause(now, sw.ID, p, egress, queue)
+	}
+	sw.enqueue(p, port, egress, queue)
 }
 
 // enqueue admits the packet to the MMU or drops it on congestion.
@@ -580,12 +516,10 @@ func (sw *Switch) enqueue(p *pkt.Packet, inPort, egress, queue int) {
 	sw.kick(egress)
 }
 
-// drop finalizes a pipeline drop. egress is -1 when no egress was chosen.
-// visible controls whether ordinary counters register it.
-func (sw *Switch) drop(p *pkt.Packet, inPort, egress int, code fevent.DropCode, rule uint8, visible bool) {
-	if code == fevent.DropParityError {
-		visible = false
-	}
+// drop finalizes a pipeline drop; rule is the ACL rule for ACL denies.
+// Ordinary counters register every drop but a parity error's.
+func (sw *Switch) drop(p *pkt.Packet, inPort int, code fevent.DropCode, rule uint8) {
+	visible := code != fevent.DropParityError
 	sw.dropsByCode[code]++
 	if visible {
 		sw.ports[inPort].ctr.Drops++
@@ -597,7 +531,6 @@ func (sw *Switch) drop(p *pkt.Packet, inPort, egress int, code fevent.DropCode, 
 	for _, m := range sw.monitors {
 		m.OnDrop(sw, p, code, visible)
 	}
-	_ = egress
 }
 
 func (sw *Switch) losslessQueue(q int) bool {

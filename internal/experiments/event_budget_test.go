@@ -3,29 +3,39 @@ package experiments
 import (
 	"testing"
 
+	"netseer/internal/core"
 	"netseer/internal/sim"
 	traffic "netseer/internal/workload"
 )
 
 // TestTestbedEventBudget pins what the simulator spends on a packet of the
-// benchmark's testbed configuration (WEB at load 0.70, every fault
-// injected), so that events which cannot change state do not creep back.
-// A CEBP that re-schedules itself over an empty stack shows in the first
-// number, a device that schedules its whole backlog ahead of time in the
-// second: with spinning CEBPs and every NIC departure scheduled at send
-// time this run took 8.96 events a packet and held 9 502 pending. Both are
-// exact counts of a deterministic run; the bounds are the measured values
-// plus 5 % and 10 %.
+// benchmark's testbed_web run (WEB at load 0.70, 10 ms, seed 1, every
+// fault injected), so that events which cannot change state do not creep
+// back. A CEBP that re-schedules itself over an empty stack shows in the
+// first number, a device that schedules its whole backlog ahead of time in
+// the second: with spinning CEBPs and every NIC departure scheduled at
+// send time this run took 6.03 events a packet and held 47 909 pending.
+// Both are exact counts of a deterministic run; the bounds are the
+// measured values plus 5 % and 10 %.
+//
+// The same run pins the traffic fact the switch pipeline is built on: a
+// front — the arrivals of one nanosecond at one switch — is one packet.
+// The pipeline runs packet at a time because of it (DESIGN §12); a change
+// that widens coalescing must change these bounds on purpose.
 func TestTestbedEventBudget(t *testing.T) {
 	const (
-		measuredPerPkt  = 3.5441 // 548 870 events, 154 867 packets
-		measuredPending = 5991
+		measuredPerPkt  = 3.5520 // 3 573 116 events, 1 005 940 packets
+		measuredPending = 9587
 	)
 	tb := NewTestbed(RunConfig{
-		Dist: traffic.WEB, Load: 0.70, Window: 2 * sim.Millisecond, NetSeer: true, Seed: 1,
+		Dist: traffic.WEB, Load: 0.70, Window: 10 * sim.Millisecond, NetSeer: true, Seed: 1,
 		InjectLinkLoss: true, InjectPipelineBug: true, InjectPathChange: true, InjectIncast: true,
 	})
 	tb.GT.Enabled = false
+	fronts := map[int]int{} // front size → count, over every switch
+	for _, ns := range tb.NetSeers {
+		ns.Switch().SetTelemetry(&frontSizes{NetSeerSwitch: ns, hist: fronts})
+	}
 	// One-shot samplers, not a Ticker: a live ticker would keep the drain
 	// after the window from ever finishing.
 	maxPending := 0
@@ -43,4 +53,31 @@ func TestTestbedEventBudget(t *testing.T) {
 	if float64(maxPending) > measuredPending*1.10 {
 		t.Errorf("at most %d events pending; budget is %d + 10 %%", maxPending, int(measuredPending))
 	}
+	// Measured: 998 935 fronts, 996 203 (99.73 %) of one packet, mean 1.007.
+	var total, single, inFronts int
+	for n, c := range fronts {
+		total += c
+		inFronts += n * c
+		if n == 1 {
+			single = c
+		}
+	}
+	share, mean := float64(single)/float64(total), float64(inFronts)/float64(total)
+	t.Logf("%d fronts for %d packets: %.2f %% hold one packet, mean %.4f; by size %v", total, inFronts, 100*share, mean, fronts)
+	if share < 0.99 || mean > 1.02 {
+		t.Errorf("%.2f %% of fronts hold one packet, mean %.4f; the per-packet pipeline assumes >= 99 %% and <= 1.02; fronts by size: %v",
+			100*share, mean, fronts)
+	}
+}
+
+// frontSizes is a switch's NetSeer telemetry that also counts the sizes
+// of the fronts the switch announces.
+type frontSizes struct {
+	*core.NetSeerSwitch
+	hist map[int]int
+}
+
+func (f *frontSizes) BeginBurst(n int) {
+	f.hist[n]++
+	f.NetSeerSwitch.BeginBurst(n)
 }

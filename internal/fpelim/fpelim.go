@@ -182,36 +182,30 @@ func (e *Eliminator) Offer(ev *fevent.Event) bool {
 	return true
 }
 
-// OfferBurst offers every event of a flushed CEBP batch and returns the
-// slice filtered in place to the forwarded events, preserving order. The
-// per-event outcome is identical to calling Offer in a loop; the burst
-// form is the switch-CPU counterpart of the data plane's stage-at-a-time
-// processing (one pass over the batch, table stays hot) and lets the
-// caller count suppressions as len(in) - len(out).
-func (e *Eliminator) OfferBurst(evs []fevent.Event) []fevent.Event {
+// OfferBatch offers every event of a flushed CEBP batch and returns the
+// slice filtered in place to the forwarded events, preserving order, so
+// the caller counts suppressions as len(in) - len(out). When the batch's
+// trace context tc is sampled the pass is wrapped in a fpelim span
+// (Events = offered, Detail = suppressed) and tc's parent advances so the
+// export hop chains onto it; unsampled batches pay one flag test.
+func (e *Eliminator) OfferBatch(tc *trace.Context, evs []fevent.Event) []fevent.Event {
+	var sp trace.Span
+	sampled := tc.Sampled()
+	if sampled {
+		sp = trace.Begin(*tc, trace.StageFPElim)
+		sp.Events = uint32(len(evs))
+	}
 	kept := evs[:0]
 	for i := range evs {
 		if e.Offer(&evs[i]) {
 			kept = append(kept, evs[i])
 		}
 	}
-	return kept
-}
-
-// OfferBurstTraced is OfferBurst under the batch's trace context: when
-// tc is sampled it wraps the elimination pass in a fpelim span (Events =
-// offered, Detail = suppressed) and advances tc's parent so the export
-// hop chains onto it. Unsampled batches pay one flag test.
-func (e *Eliminator) OfferBurstTraced(tc *trace.Context, evs []fevent.Event) []fevent.Event {
-	if !tc.Sampled() {
-		return e.OfferBurst(evs)
+	if sampled {
+		sp.Detail = uint32(len(evs) - len(kept))
+		tc.Parent = sp.SpanID
+		trace.Finish(&sp)
 	}
-	sp := trace.Begin(*tc, trace.StageFPElim)
-	sp.Events = uint32(len(evs))
-	kept := e.OfferBurst(evs)
-	sp.Detail = uint32(len(evs) - len(kept))
-	tc.Parent = sp.SpanID
-	trace.Finish(&sp)
 	return kept
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"netseer/internal/fevent"
+	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
@@ -247,5 +248,37 @@ func BenchmarkOfferHashOnCPU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Offer(evs[i%len(evs)])
+	}
+}
+
+// TestOfferZeroAllocSteadyState pins the switch-CPU duplicate check (Step
+// 4) at zero allocations once every identity is resident, per event and
+// per 32-event batch filtered in place.
+func TestOfferZeroAllocSteadyState(t *testing.T) {
+	e := New(Config{MaxEntries: 4096}, func() sim.Time { return 0 })
+	evs := make([]fevent.Event, 1024)
+	for i := range evs { // install every identity once: no table growth below
+		evs[i] = *flowEv(uint32(i+1), 1)
+		e.Offer(&evs[i])
+	}
+	var i int
+	if n := testing.AllocsPerRun(1000, func() {
+		e.Offer(&evs[i%len(evs)])
+		i++
+	}); n != 0 {
+		t.Errorf("Offer allocates %v times per event; budget is 0", n)
+	}
+	var off, kept int
+	var tc trace.Context // unsampled, as every batch of an untraced run
+	if n := testing.AllocsPerRun(1000, func() {
+		kept += len(e.OfferBatch(&tc, evs[off:off+32]))
+		off = (off + 32) % len(evs)
+	}); n != 0 {
+		t.Errorf("OfferBatch allocates %v times per 32-event batch; budget is 0", n)
+	}
+	seen, duplicates, forwarded := e.Stats()
+	if seen < 1024+1000+32*1000 || forwarded != 1024 || duplicates != seen-forwarded || kept != 0 || e.Len() != 1024 {
+		t.Fatalf("seen=%d duplicates=%d forwarded=%d kept=%d resident=%d — the measured path was not the steady-state duplicate check",
+			seen, duplicates, forwarded, kept, e.Len())
 	}
 }

@@ -127,17 +127,6 @@ func (t *Table) Offer(ev *fevent.Event) {
 	t.emit(s)
 }
 
-// OfferBurst processes a burst of event packets in arrival order. The
-// outcome is identical to calling Offer per event; running the burst
-// through the table in one call keeps the slot array hot in cache and
-// amortizes the call overhead — the stage-at-a-time shape of the
-// simulated match-action stage.
-func (t *Table) OfferBurst(evs []fevent.Event) {
-	for i := range evs {
-		t.Offer(&evs[i])
-	}
-}
-
 func (t *Table) emit(s *entry) {
 	t.scratch = s.ev
 	t.scratch.Count = s.counter

@@ -31,24 +31,6 @@ func TestOfferAllocFree(t *testing.T) {
 	}
 }
 
-func TestOfferBurstAllocFree(t *testing.T) {
-	s := NewStage(Config{TopK: 8, HHThresholdPkts: 4, ChurnMin: 1, SpikeBytes: 1 << 10},
-		4, func(*fevent.Event) {})
-	pkts := make([]pkt.Packet, 32)
-	slots := make([]pkt.Slot, 32)
-	for i := range pkts {
-		pkts[i] = pkt.Packet{Flow: randFlow(i), WireLen: 724}
-		slots[i] = pkt.Slot{P: &pkts[i], Port: 0, A: int32(i & 3)}
-	}
-	now := sim.Time(0)
-	if avg := testing.AllocsPerRun(200, func() {
-		now += 100
-		s.OfferBurst(slots, now)
-	}); avg != 0 {
-		t.Fatalf("OfferBurst allocates %.1f times per run, want 0", avg)
-	}
-}
-
 func TestFlushAllocFree(t *testing.T) {
 	s := NewStage(Config{TopK: 8, HHThresholdPkts: 4, ChurnMin: 1, SpikeBytes: 1 << 10},
 		4, func(*fevent.Event) {})

@@ -188,3 +188,51 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 	mustPanic("NewStage report", func() { NewStage(Config{}, 4, nil) })
 	mustPanic("NewStage ports", func() { NewStage(Config{}, 0, func(*fevent.Event) {}) })
 }
+
+func TestFlushIdempotent(t *testing.T) {
+	var events []fevent.Event
+	cfg := Config{TopK: 4, HHThresholdPkts: 4, ChurnMin: 1, SpikeBytes: 1 << 10}
+	s := NewStage(cfg, 2, func(e *fevent.Event) { events = append(events, *e) })
+	p := pkt.Packet{Flow: randFlow(1), WireLen: 1400}
+	for i := 0; i < 8; i++ {
+		s.Offer(&p, 0, 1, sim.Time(i*100))
+	}
+	s.Flush(1000)
+	n := len(events)
+	if n == 0 {
+		t.Fatal("first flush emitted nothing")
+	}
+	// A second flush with no traffic re-emits only the (unchanged) top-K
+	// snapshot — identical events the CPU eliminator suppresses — and no
+	// new spikes.
+	spikes := s.Stats().Spikes
+	s.Flush(1000)
+	if s.Stats().Spikes != spikes {
+		t.Fatalf("quiescent flush emitted new spikes: %+v", s.Stats())
+	}
+	for _, e := range events[n:] {
+		if e.Type != fevent.TypeTopKChurn {
+			t.Fatalf("quiescent flush emitted non-snapshot event: %+v", e)
+		}
+	}
+}
+
+func TestResetClearsState(t *testing.T) {
+	var events int
+	cfg := Config{TopK: 2, HHThresholdPkts: 2, ChurnMin: 1, SpikeBytes: 1 << 10}
+	s := NewStage(cfg, 2, func(*fevent.Event) { events++ })
+	p := pkt.Packet{Flow: randFlow(1), WireLen: 1400}
+	for i := 0; i < 4; i++ {
+		s.Offer(&p, 0, 1, sim.Time(i))
+	}
+	s.Reset()
+	if s.Stats() != (Stats{}) {
+		t.Fatalf("stats survived reset: %+v", s.Stats())
+	}
+	if s.CMSEstimate(p.Flow.Hash()) != 0 || s.TopKTable().Len() != 0 {
+		t.Fatal("sketch state survived reset")
+	}
+	if s.MemoryBytes() <= 0 {
+		t.Fatal("MemoryBytes not positive")
+	}
+}

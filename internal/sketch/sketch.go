@@ -224,10 +224,11 @@ func (s *Stage) emitSpikes() {
 	}
 }
 
-// offer runs the per-packet detection work (count-min/heavy-hitter and
-// space-saving/churn). Window accounting is done by the callers so a
-// burst pays the rollover check once.
-func (s *Stage) offer(p *pkt.Packet, in, out int32) {
+// Offer implements dataplane.SketchStage: observe one forwarded packet
+// (window rollover, count-min/heavy-hitter, space-saving/churn). in is
+// the ingress port, out the chosen egress port.
+func (s *Stage) Offer(p *pkt.Packet, in, out int32, now sim.Time) {
+	s.rollWindow(now)
 	s.stats.Pkts++
 	s.portBytes[out] += uint64(p.WireLen)
 	h := p.Flow.Hash()
@@ -265,30 +266,6 @@ func (s *Stage) offer(p *pkt.Packet, in, out int32) {
 		}
 		s.stats.Churn++
 		s.report(&s.scratch)
-	}
-}
-
-// Offer observes one forwarded packet (sequential entry point; the
-// pipeline uses OfferBurst). in is the ingress port, out the chosen
-// egress port.
-func (s *Stage) Offer(p *pkt.Packet, in, out int32, now sim.Time) {
-	s.rollWindow(now)
-	s.offer(p, in, out)
-}
-
-// OfferBurst implements dataplane.SketchStage: observe every surviving
-// slot of one pipeline burst. All packets of a burst share the same
-// timestamp, so the window rollover check runs once and the per-packet
-// loop stays branch-light; results are byte-identical to calling Offer
-// per slot (pinned by the twin tests).
-func (s *Stage) OfferBurst(slots []pkt.Slot, now sim.Time) {
-	if len(slots) == 0 {
-		return
-	}
-	s.rollWindow(now)
-	for i := range slots {
-		sl := &slots[i]
-		s.offer(sl.P, sl.Port, sl.A)
 	}
 }
 

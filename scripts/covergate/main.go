@@ -1,11 +1,10 @@
-// Command covergate parses a Go -coverprofile and fails if any named
-// package's — or named source file's — statement coverage is below the
-// floor. CI uses it to keep the
-// correctness oracle and the group cache honest:
+// Command covergate parses a Go -coverprofile and fails if the statement
+// coverage of any package or source file named in the floor table is
+// below its floor. The table (floors.txt beside this file) is the only
+// place a floor is written; `make cover` is the one caller:
 //
-//	go test -coverprofile=cover.out -coverpkg=<pkgs> <tests>
-//	go run ./scripts/covergate -profile cover.out -min 85 \
-//	    netseer/internal/oracle netseer/internal/groupcache
+//	go test -coverprofile=cover.out -coverpkg=./... ./...
+//	go run ./scripts/covergate -profile cover.out -floors scripts/covergate/floors.txt
 package main
 
 import (
@@ -100,24 +99,60 @@ func parseProfile(r io.Reader) (map[string]*pkgCov, error) {
 	return out, nil
 }
 
-// gate checks every required package against the floor, returning one
-// line per package and whether all passed. Packages absent from the
-// profile fail (no data means no coverage).
-func gate(cov map[string]*pkgCov, pkgs []string, min float64) (lines []string, ok bool) {
+// floor is one row of the floor table: a package or file import path and
+// the minimum statement coverage percent it must keep.
+type floor struct {
+	name string
+	min  float64
+}
+
+// parseFloors reads the floor table: one "<package-or-file> <percent>" row
+// per line; blank lines and lines starting with # are skipped.
+func parseFloors(r io.Reader) ([]floor, error) {
+	var floors []floor
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("covergate: malformed floor row %q", line)
+		}
+		min, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil || min < 0 || min > 100 {
+			return nil, fmt.Errorf("covergate: bad floor in %q", line)
+		}
+		floors = append(floors, floor{name: fields[0], min: min})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(floors) == 0 {
+		return nil, fmt.Errorf("covergate: floor table is empty")
+	}
+	return floors, nil
+}
+
+// gate checks every row of the floor table, returning one line per row
+// and whether all passed. Names absent from the profile fail (no data
+// means no coverage).
+func gate(cov map[string]*pkgCov, floors []floor) (lines []string, ok bool) {
 	ok = true
-	for _, pkg := range pkgs {
-		pc := cov[pkg]
+	for _, f := range floors {
+		pc := cov[f.name]
 		if pc == nil {
-			lines = append(lines, fmt.Sprintf("FAIL %s: no coverage data in profile", pkg))
+			lines = append(lines, fmt.Sprintf("FAIL %s: no coverage data in profile", f.name))
 			ok = false
 			continue
 		}
 		pct := pc.percent()
-		if pct < min {
-			lines = append(lines, fmt.Sprintf("FAIL %s: %.1f%% statement coverage, floor %.0f%%", pkg, pct, min))
+		if pct < f.min {
+			lines = append(lines, fmt.Sprintf("FAIL %s: %.1f%% statement coverage, floor %.0f%%", f.name, pct, f.min))
 			ok = false
 		} else {
-			lines = append(lines, fmt.Sprintf("ok   %s: %.1f%% statement coverage (floor %.0f%%)", pkg, pct, min))
+			lines = append(lines, fmt.Sprintf("ok   %s: %.1f%% statement coverage (floor %.0f%%)", f.name, pct, f.min))
 		}
 	}
 	return lines, ok
@@ -125,13 +160,20 @@ func gate(cov map[string]*pkgCov, pkgs []string, min float64) (lines []string, o
 
 func main() {
 	profile := flag.String("profile", "cover.out", "coverprofile to parse")
-	min := flag.Float64("min", 85, "minimum statement coverage percent per package")
+	table := flag.String("floors", "scripts/covergate/floors.txt", "floor table: one \"<package-or-file> <percent>\" row per line")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "covergate: no packages named")
+
+	tf, err := os.Open(*table)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "covergate:", err)
 		os.Exit(2)
 	}
-
+	floors, err := parseFloors(tf)
+	tf.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	f, err := os.Open(*profile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "covergate:", err)
@@ -143,7 +185,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "covergate:", err)
 		os.Exit(1)
 	}
-	lines, ok := gate(cov, flag.Args(), *min)
+	lines, ok := gate(cov, floors)
 	for _, l := range lines {
 		fmt.Println(l)
 	}

@@ -31,7 +31,7 @@ func TestParseProfilePerPackage(t *testing.T) {
 	if file == nil || file.total != 6 || file.covered != 2 {
 		t.Errorf("checkers.go coverage = %+v, want 2/6", file)
 	}
-	if _, ok := gate(cov, []string{"netseer/internal/oracle/harness.go"}, 100); !ok {
+	if _, ok := gate(cov, []floor{{"netseer/internal/oracle/harness.go", 100}}); !ok {
 		t.Error("gate failed a fully covered file")
 	}
 }
@@ -75,15 +75,15 @@ func TestGateEnforcesFloorPerPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// oracle is at 60%: an 85% floor must fail, a 50% floor must pass.
-	lines, ok := gate(cov, []string{"netseer/internal/oracle", "netseer/internal/groupcache"}, 85)
+	lines, ok := gate(cov, []floor{{"netseer/internal/oracle", 85}, {"netseer/internal/groupcache", 85}})
 	if ok {
 		t.Errorf("gate passed with oracle at 60%%: %q", lines)
 	}
 	if !strings.Contains(strings.Join(lines, "\n"), "FAIL netseer/internal/oracle") {
 		t.Errorf("failure does not name the offending package: %q", lines)
 	}
-	if _, ok := gate(cov, []string{"netseer/internal/oracle", "netseer/internal/groupcache"}, 50); !ok {
-		t.Error("gate failed with every package above a 50% floor")
+	if _, ok := gate(cov, []floor{{"netseer/internal/oracle", 50}, {"netseer/internal/groupcache", 100}}); !ok {
+		t.Error("gate failed with every package at or above its own floor")
 	}
 }
 
@@ -92,8 +92,24 @@ func TestGateFailsOnMissingPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, ok := gate(cov, []string{"netseer/internal/nosuchpkg"}, 1)
+	lines, ok := gate(cov, []floor{{"netseer/internal/nosuchpkg", 1}})
 	if ok {
 		t.Errorf("gate passed for a package with no profile data: %q", lines)
+	}
+}
+
+func TestParseFloors(t *testing.T) {
+	floors, err := parseFloors(strings.NewReader("# comment\n\nnetseer/internal/sim 85\nnetseer/internal/collector/store.go 95\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []floor{{"netseer/internal/sim", 85}, {"netseer/internal/collector/store.go", 95}}
+	if len(floors) != 2 || floors[0] != want[0] || floors[1] != want[1] {
+		t.Errorf("parseFloors = %+v, want %+v", floors, want)
+	}
+	for _, bad := range []string{"", "# only a comment\n", "netseer/internal/sim\n", "netseer/internal/sim 85 90\n", "netseer/internal/sim high\n", "netseer/internal/sim 185\n"} {
+		if _, err := parseFloors(strings.NewReader(bad)); err == nil {
+			t.Errorf("parseFloors accepted %q", bad)
+		}
 	}
 }

@@ -6,8 +6,8 @@
 // (internal/sim/testdata/fuzz/...).
 // The seeds cover every framing-layer rejection branch — truncations,
 // CRC corruption, length lies, record-count lies — plus valid inputs, so
-// `make fuzz-smoke` and `make wal-fuzz-smoke` start from interesting
-// inputs instead of empty noise.
+// `make fuzz-smoke` starts from interesting inputs instead of empty
+// noise.
 //
 // Run from the repo root: go run ./scripts/genfuzzcorpus
 package main
