@@ -127,7 +127,7 @@ func TestChaosCorruptionNoLoss(t *testing.T) {
 // window between WriteFrame and Flush.
 func TestChaosCollectorRestartRedelivery(t *testing.T) {
 	store := NewStore()
-	srv, err := NewServer(store, "127.0.0.1:0")
+	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestChaosCollectorRestartRedelivery(t *testing.T) {
 	// Restart on the same address, backed by the same store.
 	var srv2 *Server
 	for i := 0; ; i++ {
-		srv2, err = NewServer(store, addr)
+		srv2, err = NewServerConfig(store, addr, ServerConfig{})
 		if err == nil {
 			break
 		}

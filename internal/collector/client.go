@@ -128,28 +128,23 @@ type Client struct {
 
 	// Channel-health counters. The client is concurrent (caller, sender,
 	// ack reader), so these are atomic obs instruments mutated in place —
-	// a /metrics scrape reads them without taking mu. ackLat dual-records
-	// into the offline metrics.Histogram (the ChannelStats accessor
-	// contract) and the atomic obs.Histogram (the scrape surface).
+	// a /metrics scrape reads them without taking mu; Stats() snapshots
+	// the same instruments.
 	connects, reconnects, dialFailures obs.Counter
 	sentBatches, ackedBatches          obs.Counter
 	retransmits, droppedBatches        obs.Counter
 	failovers, promotions              obs.Counter
 	highWater                          obs.MaxGauge
-	ackLat                             *metrics.Histogram // guarded by mu
-	ackLatObs                          *obs.Histogram
+	ackLat                             *obs.Histogram
 
 	closeOnce  sync.Once
 	closeCh    chan struct{}
 	senderDone chan struct{}
 }
 
-// NewClient creates a client with default configuration for the given
-// collector address. The first connection attempt happens asynchronously
-// once the first batch is delivered.
-func NewClient(addr string) *Client { return NewClientConfig(addr, ClientConfig{}) }
-
-// NewClientConfig creates a single-endpoint client with explicit tuning.
+// NewClientConfig creates a single-endpoint client; the zero ClientConfig
+// is the default tuning. The first connection attempt happens
+// asynchronously once the first batch is delivered.
 func NewClientConfig(addr string, cfg ClientConfig) *Client {
 	return NewClientEndpoints([]string{addr}, cfg)
 }
@@ -164,8 +159,7 @@ func NewClientEndpoints(endpoints []string, cfg ClientConfig) *Client {
 	c := &Client{
 		endpoints:  append([]string(nil), endpoints...),
 		cfg:        cfg.withDefaults(),
-		ackLat:     metrics.NewHistogram(),
-		ackLatObs:  obs.NewHistogram(obs.LatencyBuckets()),
+		ackLat:     obs.NewHistogram(obs.LatencyBuckets()),
 		closeCh:    make(chan struct{}),
 		senderDone: make(chan struct{}),
 	}
@@ -311,8 +305,6 @@ func (c *Client) Takeover() []*fevent.Batch {
 func (c *Client) Stats() metrics.ChannelStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := metrics.NewHistogram()
-	h.Merge(c.ackLat)
 	return metrics.ChannelStats{
 		Connects:       c.connects.Load(),
 		Reconnects:     c.reconnects.Load(),
@@ -326,7 +318,7 @@ func (c *Client) Stats() metrics.ChannelStats {
 		QueueDepth:     len(c.queue),
 		InflightDepth:  len(c.inflight),
 		HighWater:      int(c.highWater.Load()),
-		AckLatencyUs:   h,
+		AckLatencyUs:   c.ackLat.Snapshot(),
 	}
 }
 
@@ -348,7 +340,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 		return float64(len(c.queue) + len(c.inflight))
 	}, labels...)
 	r.RegisterMaxGauge(obs.MChanBacklogHW, "Deepest the unacked backlog has been.", &c.highWater, labels...)
-	r.RegisterHistogram(obs.MChanAckLatency, "Microseconds from last write of a batch to its covering ack.", c.ackLatObs, labels...)
+	r.RegisterHistogram(obs.MChanAckLatency, "Microseconds from last write of a batch to its covering ack.", c.ackLat, labels...)
 }
 
 // errPromote is the sentinel the primary probe fails a backup connection
@@ -672,9 +664,7 @@ func (c *Client) ackReader(conn net.Conn, done chan struct{}) {
 		}
 		n := 0
 		for n < len(c.inflight) && c.inflight[n].b.Seq <= seq {
-			lat := float64(now.Sub(c.inflight[n].sentAt).Microseconds())
-			c.ackLat.Observe(lat)
-			c.ackLatObs.Observe(lat)
+			c.ackLat.Observe(float64(now.Sub(c.inflight[n].sentAt).Microseconds()))
 			n++
 		}
 		if n > 0 {

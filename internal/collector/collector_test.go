@@ -116,13 +116,13 @@ func TestFlowsAndCounts(t *testing.T) {
 
 func TestTCPIngestEndToEnd(t *testing.T) {
 	store := NewStore()
-	srv, err := NewServer(store, "127.0.0.1:0")
+	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	cl := NewClient(srv.Addr())
+	cl := NewClientConfig(srv.Addr(), ClientConfig{})
 	defer cl.Close()
 	for i := 0; i < 10; i++ {
 		cl.Deliver(batchOf(3, sim.Time(i),
@@ -142,7 +142,7 @@ func TestTCPIngestEndToEnd(t *testing.T) {
 }
 
 func TestClientBuffersWhileDisconnected(t *testing.T) {
-	cl := NewClient("127.0.0.1:1") // nothing listens there
+	cl := NewClientConfig("127.0.0.1:1", ClientConfig{}) // nothing listens there
 	defer cl.Close()
 	cl.Deliver(batchOf(1, 1, fevent.Event{Type: fevent.TypePause, Flow: flowN(1)}))
 	if err := cl.Flush(); err == nil {
@@ -346,12 +346,12 @@ func TestLatencyHistogramAndPath(t *testing.T) {
 		fevent.Event{Type: fevent.TypePathChange, Flow: flowN(1), SwitchID: 2, Timestamp: 95, IngressPort: 0, EgressPort: 3},
 	))
 	h := s.LatencyHistogram(Filter{})
-	if h.Count() != 2 {
-		t.Errorf("histogram count = %d", h.Count())
+	if h.Count != 2 {
+		t.Errorf("histogram count = %d", h.Count)
 	}
 	sw := uint16(1)
-	if got := s.LatencyHistogram(Filter{SwitchID: &sw, Type: fevent.TypePathChange}); got.Count() != 1 {
-		t.Errorf("filtered histogram count = %d: want switch 1's one congestion event, whatever type the filter names", got.Count())
+	if got := s.LatencyHistogram(Filter{SwitchID: &sw, Type: fevent.TypePathChange}); got.Count != 1 {
+		t.Errorf("filtered histogram count = %d: want switch 1's one congestion event, whatever type the filter names", got.Count)
 	}
 	hops := s.PathOf(flowN(1))
 	if len(hops) != 2 {
@@ -369,11 +369,17 @@ func TestLatencyHistogramAndPath(t *testing.T) {
 	// The verb passes its whole filter through: the window is honoured.
 	for req, want := range map[string]string{
 		"latency": "n=2", "latency type=congestion": "n=2", "latency switch=2": "n=1",
-		"latency since=105": "n=1", "latency until=100": "n=1", "latency switch=1 since=101": "empty",
+		"latency since=105": "n=1", "latency until=100": "n=1",
 	} {
-		if lines := queryLine(t, qs.Addr(), req); len(lines) < 1 || !strings.Contains(lines[0], want) {
-			t.Errorf("%q response = %v, want %s", req, lines, want)
+		lines := queryLine(t, qs.Addr(), req)
+		if len(lines) != 2 || !strings.HasPrefix(lines[0], want+" mean=") || !strings.HasSuffix(lines[0], " us") ||
+			!strings.HasPrefix(lines[1], "[") || !strings.HasSuffix(lines[1], "]") {
+			t.Errorf("%q response = %q, want %q … us and a sparkline line", req, lines, want)
 		}
+	}
+	// An empty selection has no unit to print and no distribution to draw.
+	if lines := queryLine(t, qs.Addr(), "latency switch=1 since=101"); len(lines) != 1 || lines[0] != "empty" {
+		t.Errorf("empty latency response = %q, want the one line \"empty\"", lines)
 	}
 	f := flowN(1)
 	req := "path flow=tcp:" + pkt.IPString(f.SrcIP) + ":" + "1001" + ":" + pkt.IPString(f.DstIP) + ":80"

@@ -67,7 +67,7 @@ func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 
 func TestServerMultipleClients(t *testing.T) {
 	store := NewStore()
-	srv, err := NewServer(store, "127.0.0.1:0")
+	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestServerMultipleClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := NewClient(srv.Addr())
+			cl := NewClientConfig(srv.Addr(), ClientConfig{})
 			defer cl.Close()
 			for i := 0; i < batches; i++ {
 				cl.Deliver(batchOf(uint16(c), sim.Time(i),
@@ -104,13 +104,13 @@ func TestServerMultipleClients(t *testing.T) {
 
 func TestServerSurvivesGarbageClient(t *testing.T) {
 	store := NewStore()
-	srv, err := NewServer(store, "127.0.0.1:0")
+	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	// A garbage connection must not break subsequent valid ones.
-	garbage := NewClient(srv.Addr())
+	garbage := NewClientConfig(srv.Addr(), ClientConfig{})
 	garbage.Deliver(batchOf(1, 1, fevent.Event{Type: fevent.TypePause, Flow: flowN(1), SwitchID: 1, Timestamp: 1}))
 	garbage.Flush()
 	// Raw garbage bytes on a fresh socket.
@@ -121,7 +121,7 @@ func TestServerSurvivesGarbageClient(t *testing.T) {
 	rawConn.Write([]byte{0xff, 0x00, 0x00, 0x08, 1, 2, 3, 4, 5, 6, 7, 8})
 	rawConn.Close()
 	// Another valid client still works.
-	cl := NewClient(srv.Addr())
+	cl := NewClientConfig(srv.Addr(), ClientConfig{})
 	cl.Deliver(batchOf(2, 2, fevent.Event{Type: fevent.TypePause, Flow: flowN(2), SwitchID: 2, Timestamp: 2}))
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)

@@ -322,12 +322,12 @@ func TestServerConnCapReleasesSlot(t *testing.T) {
 // of both stores.
 func TestFailoverNoDoubleDeliver(t *testing.T) {
 	primaryStore, backupStore := NewStore(), NewStore()
-	primary, err := NewServer(primaryStore, "127.0.0.1:0")
+	primary, err := NewServerConfig(primaryStore, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	primAddr := primary.Addr()
-	backup, err := NewServer(backupStore, "127.0.0.1:0")
+	backup, err := NewServerConfig(backupStore, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestFailoverNoDoubleDeliver(t *testing.T) {
 	// home. Keep a trickle flowing so the sender has work to carry over.
 	var primary2 *Server
 	for i := 0; ; i++ {
-		primary2, err = NewServer(primaryStore, primAddr)
+		primary2, err = NewServerConfig(primaryStore, primAddr, ServerConfig{})
 		if err == nil {
 			break
 		}

@@ -25,7 +25,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	store := NewStore()
 	store.RegisterMetrics(reg)
-	ingest, err := NewServer(store, "127.0.0.1:0")
+	ingest, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	defer osrv.Close()
 
-	client := NewClient(ingest.Addr())
+	client := NewClientConfig(ingest.Addr(), ClientConfig{})
 	client.RegisterMetrics(reg)
 	for i := 0; i < 20; i++ {
 		client.Deliver(batchOf(uint16(1+i%3), 5000,

@@ -190,10 +190,10 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 			q.errf(w, "latency is over congestion events: it takes switch=, since= and until= only")
 			return
 		}
-		h := q.store.LatencyHistogram(f)
-		fmt.Fprintf(w, "%s us\n", h.String())
-		if spark := h.Sparkline(32); spark != "" {
-			fmt.Fprintf(w, "[%s]\n", spark)
+		if h := q.store.LatencyHistogram(f); h.Count == 0 {
+			fmt.Fprintln(w, h)
+		} else {
+			fmt.Fprintf(w, "%s us\n[%s]\n", h, h.Sparkline(32))
 		}
 		fmt.Fprint(w, ".\n")
 	case "summary":

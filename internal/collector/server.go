@@ -143,13 +143,9 @@ type Server struct {
 	ingestLag *obs.Histogram
 }
 
-// NewServer starts an ingest server on addr (e.g. "127.0.0.1:0") with
-// default configuration. Use Addr to learn the bound address.
-func NewServer(store *Store, addr string) (*Server, error) {
-	return NewServerConfig(store, addr, ServerConfig{})
-}
-
-// NewServerConfig starts an ingest server on addr with explicit tuning.
+// NewServerConfig starts an ingest server on addr (e.g. "127.0.0.1:0");
+// the zero ServerConfig is the default tuning. Use Addr to learn the
+// bound address.
 func NewServerConfig(store *Store, addr string, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

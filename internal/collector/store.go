@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 
-	"netseer/internal/metrics"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
 
@@ -601,19 +600,19 @@ func (s *Store) PathOf(flow pkt.FlowKey) []PathHop {
 }
 
 // LatencyHistogram aggregates the queue-latency (µs) of the stored
-// congestion events f selects into a log-bucketed histogram; f.Type is
+// congestion events f selects over the shared latency layout; f.Type is
 // taken as congestion whatever it holds.
-func (s *Store) LatencyHistogram(f Filter) *metrics.Histogram {
+func (s *Store) LatencyHistogram(f Filter) obs.HistogramSnapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h := metrics.NewHistogram()
+	h := obs.NewHistogram(obs.LatencyBuckets())
 	var e fevent.Event
 	f.Type = fevent.TypeCongestion
 	s.visit(&f, func(b *block, i int) {
 		b.load(i, &e)
 		h.Observe(float64(e.QueueLatencyUs))
 	})
-	return h
+	return h.Snapshot()
 }
 
 // Reset clears the store.

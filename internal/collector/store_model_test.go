@@ -427,10 +427,10 @@ func (p *pair) check(flows, switches int) error {
 	if got, err := storeEventsTotal(st); err != nil || !reflect.DeepEqual(got, samples) {
 		return fmt.Errorf("%s = %v (%v), model %v", obs.MStoreEvents, got, err, samples)
 	}
-	if got := st.LatencyHistogram(Filter{SwitchID: swOpts[1]}).Count(); got != uint64(congestion) {
+	if got := st.LatencyHistogram(Filter{SwitchID: swOpts[1]}).Count; got != uint64(congestion) {
 		return fmt.Errorf("LatencyHistogram(switch %d) holds %d, model %d", *swOpts[1], got, congestion)
 	}
-	if got := st.LatencyHistogram(window).Count(); got != uint64(windowed) {
+	if got := st.LatencyHistogram(window).Count; got != uint64(windowed) {
 		return fmt.Errorf("LatencyHistogram(%+v) holds %d, model %d", window, got, windowed)
 	}
 	summary := st.Summary()

@@ -21,12 +21,12 @@ import (
 // exactly like cmd/netsim against a running netseerd.
 func TestTCPExportEndToEnd(t *testing.T) {
 	store := collector.NewStore()
-	srv, err := collector.NewServer(store, "127.0.0.1:0")
+	srv, err := collector.NewServerConfig(store, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := collector.NewClient(srv.Addr())
+	client := collector.NewClientConfig(srv.Addr(), collector.ClientConfig{})
 	defer client.Close()
 
 	s := sim.New()

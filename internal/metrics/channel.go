@@ -1,6 +1,10 @@
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+
+	"netseer/internal/obs"
+)
 
 // ChannelStats is a point-in-time snapshot of the client side of the
 // reliable switch-CPU→collector channel (collector.Client.Stats). The
@@ -26,8 +30,9 @@ type ChannelStats struct {
 	// maximum queue+inflight ever observed.
 	QueueDepth, InflightDepth, HighWater int
 	// AckLatencyUs aggregates microseconds from a batch's last write to
-	// the ack that covered it.
-	AckLatencyUs *Histogram
+	// the ack that covered it: a snapshot of the histogram /metrics
+	// exposes.
+	AckLatencyUs obs.HistogramSnapshot
 }
 
 // Format renders the snapshot as an aligned two-column table.
@@ -46,9 +51,7 @@ func (s ChannelStats) Format() string {
 	}
 	t.AddRow("backlog depth", fmt.Sprintf("%d queued + %d inflight", s.QueueDepth, s.InflightDepth))
 	t.AddRow("backlog high-water", fmt.Sprint(s.HighWater))
-	if s.AckLatencyUs != nil {
-		t.AddRow("ack latency (µs)", s.AckLatencyUs.String())
-	}
+	t.AddRow("ack latency (µs)", s.AckLatencyUs.String())
 	return t.String()
 }
 
@@ -65,17 +68,4 @@ type IngestStats struct {
 	// frames one ack covers); AckWriteErrors counts connections dropped
 	// writing an ack.
 	Frames, FrameErrors, Acks, AckWriteErrors uint64
-}
-
-// Format renders the snapshot as an aligned two-column table.
-func (s IngestStats) Format() string {
-	t := NewTable("ingest channel health", "metric", "value")
-	t.AddRow("conns accepted", fmt.Sprint(s.ConnsAccepted))
-	t.AddRow("conns rejected", fmt.Sprint(s.ConnsRejected))
-	t.AddRow("accept retries", fmt.Sprint(s.AcceptRetries))
-	t.AddRow("frames ingested", fmt.Sprint(s.Frames))
-	t.AddRow("frame errors", fmt.Sprint(s.FrameErrors))
-	t.AddRow("acks written", fmt.Sprint(s.Acks))
-	t.AddRow("ack write errors", fmt.Sprint(s.AckWriteErrors))
-	return t.String()
 }

@@ -13,13 +13,12 @@ import (
 // Percentile returns the p-th percentile (0–100) of xs using exact
 // nearest-rank (no interpolation) on a sorted copy.
 //
-// Contract, shared with the histogram quantile estimators
-// (metrics.Histogram.Quantile, obs.HistogramSnapshot.Quantile): empty
-// input returns 0; p <= 0 returns the smallest element, p >= 100 the
-// largest; results always lie inside the observed range, so on tiny
-// samples (one or two elements) the exact and estimated forms agree —
-// the estimators clamp their bucket approximation to [min, max] for
-// exactly this reason.
+// Contract, shared with the histogram estimator
+// (obs.HistogramSnapshot.Quantile): empty input returns 0; p <= 0
+// returns the smallest element, p >= 100 the largest; results always lie
+// inside the observed range, so on tiny samples (one or two elements)
+// the exact and estimated forms agree — the estimator clamps its bucket
+// midpoint to [min, max] for exactly this reason.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -37,18 +36,6 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = 0
 	}
 	return sorted[rank]
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Ratio returns num/den, or 0 when den == 0.

@@ -27,13 +27,7 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanAndRatio(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Error("empty Mean not 0")
-	}
+func TestRatio(t *testing.T) {
 	if Ratio(1, 2) != 0.5 || Ratio(1, 0) != 0 {
 		t.Error("Ratio wrong")
 	}

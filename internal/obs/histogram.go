@@ -3,18 +3,17 @@ package obs
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"sync/atomic"
 )
 
-// Histogram is a lock-free fixed-bucket histogram. Bucket boundaries are
-// chosen at construction, so Observe is a bounded linear scan plus a few
-// atomic adds — no allocation, no lock — and histograms sharing bounds can
-// be merged sample-exactly, which the registry uses to aggregate the same
-// instrument across pipeline instances.
-//
-// Unlike metrics.Histogram (the offline log-bucketed analysis helper),
-// this histogram is safe for concurrent Observe/Snapshot and is the one
-// the daemons expose on /metrics.
+// Histogram is a lock-free fixed-bucket histogram, the only one in the
+// repo. Bucket boundaries are chosen at construction, so Observe is a
+// binary search plus a few atomic adds — no allocation, no lock — and
+// histograms sharing bounds can be merged sample-exactly, which the
+// registry uses to aggregate the same instrument across pipeline
+// instances. It is safe for concurrent Observe/Snapshot.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; the implicit last bucket is +Inf
 	buckets []atomic.Uint64
@@ -44,17 +43,19 @@ type Exemplar struct {
 }
 
 // LatencyBuckets returns the canonical latency bounds in microseconds:
-// powers of two from 1 µs to ~8.4 s. All of NetSeer's latency histograms
-// share them so detection→CPU, ack and detection→store distributions
+// four linear steps an octave — 1, 1.25, 1.5, 1.75 × 2^k — from 1 µs to
+// 2^23 µs (~8.4 s), 93 bounds. Adjacent bounds differ by at most 1.25×,
+// so a bucket midpoint is within 12.5 % of any value in the bucket, and
+// every bound is a multiple of 0.25: exact in binary, so its le label
+// prints short. All of NetSeer's latency histograms share them so
+// detection→CPU, ack, detection→store and queue-latency distributions
 // merge and compare directly.
 func LatencyBuckets() []float64 {
-	b := make([]float64, 24)
-	v := 1.0
-	for i := range b {
-		b[i] = v
-		v *= 2
+	b := make([]float64, 0, 93)
+	for octave := 1.0; octave < 1<<23; octave *= 2 {
+		b = append(b, octave, 1.25*octave, 1.5*octave, 1.75*octave)
 	}
-	return b
+	return append(b, 1<<23)
 }
 
 // NewHistogram creates a histogram with the given ascending upper bounds.
@@ -81,13 +82,7 @@ func NewHistogram(bounds []float64) *Histogram {
 
 // bucketIdx returns the bucket index v lands in (le semantics; the last
 // index is the +Inf overflow bucket).
-func (h *Histogram) bucketIdx(v float64) int {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	return i
-}
+func (h *Histogram) bucketIdx(v float64) int { return sort.SearchFloat64s(h.bounds, v) }
 
 // Observe records one value. It is allocation-free and safe for
 // concurrent use.
@@ -167,10 +162,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile under the shared quantile contract
-// (see metrics.Percentile): q <= 0 returns the observed minimum, q >= 1
-// the observed maximum, and every estimate is clamped to [Min, Max] so
-// small samples cannot report values outside the observed range.
+// Quantile is Snapshot().Quantile(q).
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, also the unit
@@ -234,10 +226,11 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Quantile estimates the q-quantile by linear interpolation inside the
-// selected bucket, under the shared quantile contract: 0 for an empty
-// histogram; q <= 0 returns Min, q >= 1 returns Max; estimates are
-// clamped to [Min, Max].
+// Quantile estimates the q-quantile as the midpoint of the bucket the
+// nearest-rank sample lies in, under the contract exact nearest-rank
+// (metrics.Percentile) also keeps: 0 for an empty histogram; q <= 0
+// returns Min, q >= 1 returns Max; estimates are clamped to [Min, Max],
+// so small samples cannot report values outside the observed range.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -275,14 +268,44 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Max
 }
 
-// String renders count/mean/p50/p99/max on one line, mirroring
-// metrics.Histogram.String for interchangeable log output.
+// String renders count/mean/p50/p99/max on one line.
 func (s HistogramSnapshot) String() string {
 	if s.Count == 0 {
 		return "empty"
 	}
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f",
 		s.Count, s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max)
+}
+
+// Sparkline renders the distribution as a compact bar chart, width
+// columns over the occupied bucket range (for fetquery/terminal output).
+func (s HistogramSnapshot) Sparkline(width int) string {
+	if s.Count == 0 || width <= 0 {
+		return ""
+	}
+	lo, hi := 0, len(s.Counts)-1 // Count > 0: some bucket is occupied
+	for s.Counts[lo] == 0 {
+		lo++
+	}
+	for s.Counts[hi] == 0 {
+		hi--
+	}
+	span := hi - lo + 1
+	cols := make([]uint64, width)
+	var peak uint64
+	for i := lo; i <= hi; i++ {
+		col := (i - lo) * width / span
+		cols[col] += s.Counts[i]
+		if cols[col] > peak {
+			peak = cols[col]
+		}
+	}
+	levels := []rune(" ▁▂▃▄▅▆▇█")
+	var sb strings.Builder
+	for _, n := range cols {
+		sb.WriteRune(levels[int(math.Round(float64(n)/float64(peak)*float64(len(levels)-1)))])
+	}
+	return sb.String()
 }
 
 func clamp(v, lo, hi float64) float64 {

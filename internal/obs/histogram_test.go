@@ -2,7 +2,9 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -27,12 +29,69 @@ func TestNewHistogramPanics(t *testing.T) {
 
 func TestLatencyBuckets(t *testing.T) {
 	b := LatencyBuckets()
-	if len(b) != 24 || b[0] != 1 || b[1] != 2 {
+	if len(b) != 93 || b[0] != 1 || b[len(b)-1] != 1<<23 {
 		t.Fatalf("unexpected bucket layout: %v", b)
 	}
-	for i := 1; i < len(b); i++ {
-		if b[i] != 2*b[i-1] {
-			t.Fatalf("bucket %d: %v is not double %v", i, b[i], b[i-1])
+	for i, v := range b {
+		// A multiple of 0.25 is exact in binary, so le labels print short.
+		if v*4 != math.Trunc(v*4) {
+			t.Fatalf("bound %d: %v is not a whole multiple of 0.25", i, v)
+		}
+		if i > 0 && (v <= b[i-1] || v > 1.25*b[i-1]) {
+			t.Fatalf("bound %d: step %v -> %v is outside (1, 1.25]", i, b[i-1], v)
+		}
+	}
+}
+
+// TestLatencyQuantileResolution: over the whole range of the latency
+// layout a quantile read off the histogram is within 12.5 % of the exact
+// nearest-rank answer, at every sample size from one up, and never
+// decreases as q rises.
+func TestLatencyQuantileResolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{1, 2, 10, 1000, 100000} {
+		h := NewHistogram(LatencyBuckets())
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = math.Exp2(23 * rng.Float64()) // log-uniform in [1, 2^23] µs
+			h.Observe(samples[i])
+		}
+		sort.Float64s(samples)
+		s := h.Snapshot()
+		prev := 0.0
+		for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+			exact := samples[int(math.Ceil(q*float64(n)))-1]
+			got := s.Quantile(q)
+			if math.Abs(got-exact) > 0.125*exact {
+				t.Errorf("n=%d Quantile(%v) = %v, exact %v: off by %.1f %%", n, q, got, exact, 100*math.Abs(got-exact)/exact)
+			}
+			if got < prev {
+				t.Errorf("n=%d Quantile(%v) = %v is below a lower quantile's %v", n, q, got, prev)
+			}
+			prev = got
+		}
+	}
+}
+
+// TestBucketIdxMatchesLinearScan holds the binary search to the linear
+// le scan it replaced, on and either side of every bound and beyond both
+// ends of the layout.
+func TestBucketIdxMatchesLinearScan(t *testing.T) {
+	h := NewHistogram(LatencyBuckets())
+	scan := func(v float64) int {
+		i := 0
+		for i < len(h.bounds) && v > h.bounds[i] {
+			i++
+		}
+		return i
+	}
+	vals := []float64{0, -3, 1e12}
+	for _, b := range h.bounds {
+		vals = append(vals, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+	}
+	for _, v := range vals {
+		if got, want := h.bucketIdx(v), scan(v); got != want {
+			t.Errorf("bucketIdx(%v) = %d, linear scan %d", v, got, want)
 		}
 	}
 }
@@ -255,6 +314,20 @@ func TestHistogramString(t *testing.T) {
 	got := h.Snapshot().String()
 	if !strings.Contains(got, "n=1") || !strings.Contains(got, "p99=") {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+func TestSparkline(t *testing.T) {
+	h := NewHistogram(LatencyBuckets())
+	if h.Snapshot().Sparkline(10) != "" {
+		t.Error("empty sparkline should be empty")
+	}
+	for v := 1; v <= 1000; v++ {
+		h.Observe(float64(v))
+	}
+	s := h.Snapshot().Sparkline(16)
+	if len([]rune(s)) != 16 {
+		t.Errorf("sparkline width = %d runes (%q)", len([]rune(s)), s)
 	}
 }
 
