@@ -279,8 +279,10 @@ func TestIngestPathDoesNotAllocate(t *testing.T) {
 
 // TestRecoverReplayDoesNotAllocate: replaying a log allocates for what the
 // store grows by — a block, the flow table's doublings, the dedup map —
-// and for opening the segment, not per record: the WAL reads every record
-// into one buffer and the payload goes into the columns as bytes.
+// and for the WAL's record reader, not per record. The reader costs a
+// fixed handful a Replay (itself, its 256 KiB read-ahead, one payload
+// buffer regrown only for a record larger than any before it) plus the
+// open of each segment; the payload goes into the columns as bytes.
 func TestRecoverReplayDoesNotAllocate(t *testing.T) {
 	const records = 300
 	dir := t.TempDir()

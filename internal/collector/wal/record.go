@@ -15,6 +15,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,8 +70,61 @@ func recordedLen(payload []byte) int64 { return int64(recordHdrLen + len(payload
 // cut off partway through maps to ErrRecordTorn, a bad checksum to
 // ErrRecordCRC, and an implausible length to ErrRecordTooLarge — the
 // recovery loop treats all three as "stop here, keep the prefix".
+// It reads exactly one record's bytes from r; the WAL's own reads of a
+// log file go through a recordReader instead.
 func ReadRecord(r io.Reader, max uint32) ([]byte, error) {
 	return readRecord(r, max, nil)
+}
+
+// readBufSize is a recordReader's read-ahead: one read call fetches this
+// much of a log file, however many records it holds.
+const readBufSize = 256 << 10
+
+// recordReader is the one loop over a log file's records: Replay, Scrub
+// and the snapshot load all read through it. It reads ahead through a
+// bufio.Reader, so a file costs ⌈size/readBufSize⌉ read calls instead of
+// two a record, and decodes every record into one reused buffer, so a
+// payload is the caller's only until the next call. One lives for a
+// Replay, a Scrub or a snapshot load; the WAL never keeps one.
+type recordReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+func newRecordReader() *recordReader {
+	return &recordReader{br: bufio.NewReaderSize(nil, readBufSize)}
+}
+
+// reset points the reader at the start of f, keeping both buffers.
+func (rr *recordReader) reset(f io.Reader) { rr.br.Reset(f) }
+
+// next reads the next record, with ReadRecord's error taxonomy.
+func (rr *recordReader) next(max uint32) ([]byte, error) {
+	payload, err := readRecord(rr.br, max, rr.buf)
+	if err == nil {
+		rr.buf = payload
+	}
+	return payload, err
+}
+
+// snapshot reads the record of a snapshot file: exactly one, then a clean
+// EOF. It is recovery's rule and the scrubber's alike, so Scrub
+// quarantines exactly the snapshots Open would pass over.
+func (rr *recordReader) snapshot() ([]byte, error) {
+	payload, err := rr.next(MaxSnapshot)
+	if err == io.EOF {
+		return nil, errors.New("wal: snapshot file holds no record")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if _, err := rr.br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("wal: trailing bytes after snapshot record")
+		}
+		return nil, err
+	}
+	return payload, nil
 }
 
 // readRecord is ReadRecord into buf, regrown when the record does not

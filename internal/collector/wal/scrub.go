@@ -4,12 +4,12 @@ package wal
 // immutable, which makes them silent: a record that rotted after its
 // fsync is only discovered when a recovery trips over it — at which
 // point the old replay semantics threw away every later segment too.
-// Scrub re-reads the immutable files record by record, verifies the
-// CRCs, and quarantines a corrupt file by renaming it aside (durably,
-// with a directory fsync): the next recovery skips it with an explicit
-// ReplayStats.Gaps entry instead of silently truncating, and the loss
-// is bounded to the rotted file the moment it is detected rather than
-// compounding until the next crash.
+// Scrub re-reads the immutable files through the recordReader recovery
+// uses, verifies the CRCs, and quarantines a corrupt file by renaming it
+// aside (durably, with a directory fsync): the next recovery skips it
+// with an explicit ReplayStats.Gaps entry instead of silently
+// truncating, and the loss is bounded to the rotted file the moment it
+// is detected rather than compounding until the next crash.
 
 import (
 	"fmt"
@@ -24,8 +24,8 @@ type ScrubReport struct {
 	// Segments / Snapshots count immutable files that verified clean.
 	Segments  int
 	Snapshots int
-	// Records is the total records CRC-verified across clean and
-	// corrupt files.
+	// Records is the total records CRC-verified: every good record of a
+	// segment, clean or corrupt, plus one per clean snapshot.
 	Records uint64
 	// Quarantined lists the file names renamed aside this pass, with
 	// the reason appended.
@@ -34,10 +34,13 @@ type ScrubReport struct {
 
 // Scrub re-reads every sealed segment (all live segments except the
 // active one) and every installed snapshot, verifying record framing
-// and CRCs, and quarantines corrupt files. It is safe to run while the
-// log is appending — sealed files are immutable, the active segment is
-// never touched, and a file a concurrent checkpoint deletes mid-scrub
-// is simply skipped. Passes serialize against each other.
+// and CRCs, and quarantines corrupt files. A snapshot is judged by
+// recovery's rule — exactly one record, then EOF — so an empty one or
+// one with anything after its record is quarantined, not counted clean
+// while Open passes it over. It is safe to run while the log is
+// appending — sealed files are immutable, the active segment is never
+// touched, and a file a concurrent checkpoint deletes mid-scrub is
+// simply skipped. Passes serialize against each other.
 func (w *WAL) Scrub() (ScrubReport, error) {
 	w.scrubMu.Lock()
 	defer w.scrubMu.Unlock()
@@ -58,9 +61,10 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 	w.mu.Unlock()
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
+	rr := newRecordReader()
 	for _, idx := range segs {
 		path := filepath.Join(w.dir, segName(idx))
-		recs, err := w.verifyRecords(path, MaxRecord)
+		recs, err := w.verifySegment(rr, path)
 		rep.Records += recs
 		if err == nil {
 			rep.Segments++
@@ -89,9 +93,9 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 			continue
 		}
 		path := filepath.Join(w.dir, e.Name())
-		recs, err := w.verifyRecords(path, MaxSnapshot)
-		rep.Records += recs
+		_, err := readSnapshotFile(w.fs, path, rr)
 		if err == nil {
+			rep.Records++
 			rep.Snapshots++
 			continue
 		}
@@ -113,18 +117,19 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// verifyRecords reads path record by record, verifying framing and
-// CRCs, and returns how many records checked out. Any framing or
+// verifySegment reads the segment at path through rr, verifying framing
+// and CRCs, and returns how many records checked out. Any framing or
 // checksum failure — including trailing garbage — is the error.
-func (w *WAL) verifyRecords(path string, max uint32) (uint64, error) {
+func (w *WAL) verifySegment(rr *recordReader, path string) (uint64, error) {
 	f, err := w.fs.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
+	rr.reset(f)
 	var recs uint64
 	for {
-		_, err := ReadRecord(f, max)
+		_, err := rr.next(MaxRecord)
 		if err == io.EOF {
 			return recs, nil
 		}

@@ -218,7 +218,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 	// snapshot is never half-loaded thanks to the record CRC).
 	next := uint64(1)
 	for _, idx := range snaps {
-		payload, err := readSnapshotFile(fs, filepath.Join(dir, snapName(idx)))
+		payload, err := readSnapshotFile(fs, filepath.Join(dir, snapName(idx)), newRecordReader())
 		if err == nil {
 			w.snapPayload = payload
 			break
@@ -243,23 +243,17 @@ func Open(dir string, opt Options) (*WAL, error) {
 	return w, nil
 }
 
-// readSnapshotFile loads and CRC-verifies one snapshot file (a single
-// framed record) and requires a clean EOF after it.
-func readSnapshotFile(fs faultfs.FS, path string) ([]byte, error) {
+// readSnapshotFile loads and CRC-verifies one snapshot file through rr
+// (recordReader.snapshot's rule). The payload aliases rr's buffer; Open
+// gives every file a fresh reader, so the one it keeps is sized exactly.
+func readSnapshotFile(fs faultfs.FS, path string, rr *recordReader) ([]byte, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := ReadRecord(f, MaxSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	var one [1]byte
-	if _, err := f.Read(one[:]); err != io.EOF {
-		return nil, fmt.Errorf("wal: trailing bytes after snapshot record in %s", path)
-	}
-	return payload, nil
+	rr.reset(f)
+	return rr.snapshot()
 }
 
 // openSegment creates the segment file for idx and makes it active.
@@ -296,11 +290,11 @@ func (w *WAL) Snapshot() []byte { return w.snapPayload }
 // bounded to the rotted segment and loudly reported instead of silently
 // truncating every later segment. Segments the scrubber quarantined are
 // skipped the same way. A non-nil error from fn aborts the replay and
-// is returned. Every record is read into one buffer: the payload is fn's
-// only for the duration of the call.
+// is returned. Every record is read through one recordReader, into one
+// buffer: the payload is fn's only for the duration of the call.
 func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
-	var payload []byte
+	rr := newRecordReader()
 	type segItem struct {
 		idx  uint64
 		quar bool
@@ -339,8 +333,9 @@ func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 			return st, err
 		}
 		st.Segments++
+		rr.reset(f)
 		for {
-			rec, err := readRecord(f, MaxRecord, payload)
+			payload, err := rr.next(MaxRecord)
 			if err == io.EOF {
 				break
 			}
@@ -357,7 +352,6 @@ func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 				f = nil
 				break
 			}
-			payload = rec
 			if err := fn(payload); err != nil {
 				f.Close()
 				return st, err

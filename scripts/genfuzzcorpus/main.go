@@ -206,8 +206,9 @@ func writeWALRecordSeeds() {
 // (FuzzWALReplay), which plants each seed as a crash-tail segment, as a
 // sealed mid-log segment followed by a valid one, and as a quarantined
 // file. The shapes mirror what a dying disk actually leaves behind: a
-// clean segment, a torn tail, bit rot in the middle of a sealed file,
-// and an empty rotation stub.
+// clean segment, a torn tail (cut in a record's header or in its
+// payload), bit rot in the middle of a sealed file, and an empty
+// rotation stub.
 func writeWALReplaySeeds() {
 	dir := filepath.Join("internal", "collector", "wal", "testdata", "fuzz", "FuzzWALReplay")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -222,10 +223,13 @@ func writeWALReplaySeeds() {
 	rotted[len(rotted)/2] ^= 0xFF // one flipped bit's worth of rot, mid-file
 	headerRot := append([]byte(nil), clean...)
 	headerRot[0] ^= 0x80 // rot in a length word: framing desyncs immediately
+	last := len(wal.AppendRecord(nil, []byte("segment-record-4")))
 
 	seeds := map[string][]byte{
 		"valid_segment":      clean,
 		"torn_tail":          clean[:len(clean)-3],
+		"torn_header":        clean[:len(clean)-last+5], // four records, then 5 of the fifth's 8 header bytes
+		"ends_mid_payload":   clean[:len(clean)-last+8+6],
 		"mid_segment_rot":    rotted,
 		"length_word_rot":    headerRot,
 		"empty_segment":      {},
