@@ -19,7 +19,6 @@ type blNet struct {
 	gt     *dataplane.GroundTruth
 	routes *topo.Routes
 	hosts  []*host.Host
-	pktID  uint64
 }
 
 func newBlNet(t *testing.T, swCfg dataplane.Config) *blNet {
@@ -31,7 +30,7 @@ func newBlNet(t *testing.T, swCfg dataplane.Config) *blNet {
 	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, 3)
 	n := &blNet{sim: s, fab: fab, gt: gt, routes: routes}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{DisableSeq: true}, &n.pktID)
+		h := host.Attach(s, fab, hn, nic.Config{DisableSeq: true})
 		h.Handle(workload.DataPort, func(*pkt.Packet) {})
 		n.hosts = append(n.hosts, h)
 	}

@@ -285,10 +285,10 @@ func TestMMUFailureDropsInvisibly(t *testing.T) {
 }
 
 // TestForwardZeroAllocSteadyState pins a packet's whole way through two
-// switches — link delivery, coalesced pipeline event, egress queue,
-// serialization (kick → txDone → transmit) and the next link — at zero
-// allocations in steady state, with enough packets sent back to back that
-// the egress queues hold several at once.
+// switches — admission at send time, the front's pipeline event, egress
+// queue, serialization (kick → txDone → transmit) and the next link — at
+// zero allocations in steady state, with enough packets sent back to back
+// that the egress queues hold several at once.
 func TestForwardZeroAllocSteadyState(t *testing.T) {
 	r := newLineRig(t, Config{})
 	r.gt.Enabled = false
@@ -424,5 +424,136 @@ func TestPipelineRunsPerPacketInIngressPortOrder(t *testing.T) {
 	}
 	if sink.n != 2 {
 		t.Errorf("%d packets left the egress port, want 2", sink.n)
+	}
+}
+
+// admitSink is an Admitter at the far end of an egress link: it takes the
+// data frames it is handed and schedules nothing, so a test counts the
+// sending switch's events alone.
+type admitSink struct{ countingHost }
+
+func (a *admitSink) Admit(*pkt.Packet, int, sim.Time) { a.n++ }
+
+// mixedDelaySwitch is a switch whose ports 0 and 1 take frames from
+// upstream links of 700 ns and 1 µs and whose port 2 is the egress every
+// packet is routed to.
+func mixedDelaySwitch(t *testing.T) (*sim.Simulator, *Switch, [2]*link.Link, *admitSink) {
+	t.Helper()
+	s := sim.New()
+	sw := NewSwitch(s, 1, "sw", Config{}, func(uint32) []int { return []int{2} }, NewGroundTruth())
+	var in [2]*link.Link
+	for port, prop := range []sim.Time{700 * sim.Nanosecond, sim.Microsecond} {
+		in[port] = link.New(s, link.Endpoint{Dev: &countingHost{}}, link.Endpoint{Dev: sw, Port: port}, prop, sim.NewStream(1, "up"))
+		sw.AddPort(in[port], false, 10e9)
+	}
+	out := &admitSink{}
+	sw.AddPort(link.New(s, link.Endpoint{Dev: sw, Port: 2}, link.Endpoint{Dev: out}, sim.Microsecond, sim.NewStream(1, "down")), true, 10e9)
+	return s, sw, in, out
+}
+
+func dataFrame(srcPort uint16) *pkt.Packet {
+	return &pkt.Packet{Kind: pkt.KindData, WireLen: 100, TTL: 64,
+		Flow: pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: srcPort, DstPort: 80, Proto: pkt.ProtoTCP}}
+}
+
+// TestFrontsFormByArrivalInstantAcrossDelays: frames that arrive at one
+// instant over links of different delays form one front, port-sorted, even
+// though frames arriving earlier and later are admitted between them; each
+// front's arrival work and pipeline run PipelineLatency after its arrival
+// instant.
+func TestFrontsFormByArrivalInstantAcrossDelays(t *testing.T) {
+	s, sw, in, out := mixedDelaySwitch(t)
+	log := &hookLog{}
+	sw.SetTelemetry(log)
+	s.At(0, func() { in[1].Send(true, dataFrame(1)) })   // 1 µs: arrives at 1000
+	s.At(100, func() { in[0].Send(true, dataFrame(2)) }) // 700 ns: arrives at 800
+	s.At(150, func() { in[1].Send(true, dataFrame(3)) }) // 1 µs: arrives at 1150
+	s.At(300, func() { in[0].Send(true, dataFrame(4)) }) // 700 ns: arrives at 1000
+
+	for _, front := range []struct {
+		arrival sim.Time
+		calls   []string
+	}{
+		{800, []string{"ingress 0", "begin 1", "forward 0", "end"}},
+		{1000, []string{"ingress 1", "ingress 0", "begin 2", "forward 0", "forward 1", "end"}},
+		{1150, []string{"ingress 1", "begin 1", "forward 1", "end"}},
+	} {
+		log.calls = nil
+		s.Run(front.arrival + 600 - 1)
+		if len(log.calls) != 0 {
+			t.Fatalf("front of %v ran before its arrival + PipelineLatency: %q", front.arrival, log.calls)
+		}
+		s.Run(front.arrival + 600)
+		if !slices.Equal(log.calls, front.calls) {
+			t.Errorf("front of %v: %q, want %q", front.arrival, log.calls, front.calls)
+		}
+	}
+	s.RunAll()
+	if out.n != 4 {
+		t.Errorf("%d packets left the switch, want 4", out.n)
+	}
+}
+
+// arrivalClock is a Telemetry that records the instants of the hooks that
+// run on a frame's arrival.
+type arrivalClock struct {
+	hookLog
+	sim                      *sim.Simulator
+	ingress, notify, corrupt []sim.Time
+}
+
+func (a *arrivalClock) IngressData(*pkt.Packet, int)      { a.ingress = append(a.ingress, a.sim.Now()) }
+func (a *arrivalClock) HandleLossNotify(*pkt.Packet, int) { a.notify = append(a.notify, a.sim.Now()) }
+func (a *arrivalClock) OnCorruptFrame(int)                { a.corrupt = append(a.corrupt, a.sim.Now()) }
+
+// TestControlAndCorruptFramesActOnArrival: PFC and loss-notify frames
+// change switch state, and the MAC discards a corrupt frame, at the arrival
+// instant; only a data frame's arrival work waits for its pipeline event.
+func TestControlAndCorruptFramesActOnArrival(t *testing.T) {
+	s, sw, in, _ := mixedDelaySwitch(t)
+	clock := &arrivalClock{sim: s}
+	sw.SetTelemetry(clock)
+	up := in[1] // 1 µs
+	up.Send(true, dataFrame(1))
+	up.Send(true, &pkt.Packet{Kind: pkt.KindPFC, WireLen: 64, PFC: pkt.Pause(3, 0xffff)})
+	up.Send(true, &pkt.Packet{Kind: pkt.KindLossNotify, WireLen: 64})
+	up.SetFault(true, link.Fault{CorruptProb: 1})
+	up.Send(true, dataFrame(2))
+
+	s.Run(sim.Microsecond - 1)
+	if sw.ports[1].paused[3] || len(clock.notify)+len(clock.corrupt) != 0 {
+		t.Fatal("a control or corrupt frame acted before it arrived")
+	}
+	s.Run(sim.Microsecond)
+	if !sw.ports[1].paused[3] {
+		t.Error("PFC pause not in force at its arrival instant")
+	}
+	if !slices.Equal(clock.notify, []sim.Time{sim.Microsecond}) || !slices.Equal(clock.corrupt, []sim.Time{sim.Microsecond}) {
+		t.Errorf("loss notify handled at %v, corrupt frame discarded at %v; want both at 1µs", clock.notify, clock.corrupt)
+	}
+	if c := sw.Counters(1); c.CorruptRx != 1 || c.RxPackets != 2 {
+		t.Errorf("counters at arrival %+v, want the corrupt frame and the two control frames' RX only", c)
+	}
+	s.RunAll()
+	if want := []sim.Time{sim.Microsecond + 600}; !slices.Equal(clock.ingress, want) {
+		t.Errorf("data frame's arrival work ran at %v, want %v", clock.ingress, want)
+	}
+	if c := sw.Counters(1); c.RxPackets != 3 {
+		t.Errorf("RX packets %d after the pipeline event, want 3", c.RxPackets)
+	}
+}
+
+// TestSwitchHopCostsTwoEvents: a data frame admitted to a switch whose
+// next hop is also an Admitter takes exactly two events there — its
+// pipeline event and its serialization's end.
+func TestSwitchHopCostsTwoEvents(t *testing.T) {
+	s, _, in, out := mixedDelaySwitch(t)
+	in[0].Send(true, dataFrame(1))
+	s.RunAll()
+	if out.n != 1 {
+		t.Fatalf("%d frames reached the next hop, want 1", out.n)
+	}
+	if n := s.Processed(); n != 2 {
+		t.Errorf("the switch hop took %d events, want 2", n)
 	}
 }

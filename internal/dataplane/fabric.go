@@ -54,6 +54,10 @@ type Fabric struct {
 	Links []*link.Link
 	// HostPorts maps each host node to its attach points.
 	HostPorts map[topo.NodeID][]HostAttach
+	// Pool recycles and numbers the fabric's packets: hosts take theirs
+	// from it, and switches, links and hosts hand back every packet that
+	// leaves the fabric (see pkt.Pool).
+	Pool *pkt.Pool
 
 	// lossHooks observe every in-flight frame loss (data-plane kinds
 	// only), with the upstream switch when the transmitter was a switch.
@@ -75,16 +79,15 @@ func BuildFabric(s *sim.Simulator, tp *topo.Topology, routes *topo.Routes, cfg C
 		Switches:   make(map[topo.NodeID]*Switch),
 		SwitchByID: make(map[uint16]*Switch),
 		HostPorts:  make(map[topo.NodeID][]HostAttach),
+		Pool:       pkt.NewPool(),
 	}
 	// Switch devices. Wire-format IDs are dense over switches.
 	nextID := uint16(0)
-	for _, n := range tp.Switches() {
-		node := n
+	for _, node := range tp.Switches() {
 		id := nextID
 		nextID++
-		sw := NewSwitch(s, id, node.Name, cfg, func(dstIP uint32) []int {
-			return routes.NextHops(node.ID, dstIP)
-		}, gt)
+		sw := NewSwitch(s, id, node.Name, cfg, routes.From(node.ID), gt)
+		sw.pool = f.Pool
 		f.Switches[node.ID] = sw
 		f.SwitchByID[id] = sw
 	}
@@ -111,6 +114,7 @@ func BuildFabric(s *sim.Simulator, tp *topo.Topology, routes *topo.Routes, cfg C
 		// switch ports (which need the link first).
 		l := link.NewSplit(s, link.Endpoint{Dev: &Deferred{}, Port: 0},
 			link.Endpoint{Dev: &Deferred{}, Port: 0}, tl.PropDelay, rngAB, rngBA)
+		l.Pool = f.Pool
 		if aNode.Kind == topo.KindSwitch {
 			sw := f.Switches[tl.A]
 			port := sw.AddPort(l, true, tl.Bps)

@@ -11,7 +11,8 @@ import (
 // forwarding — it strips/assigns the inter-switch packet-ID tag, consumes
 // loss notifications, and receives every detection-relevant pipeline
 // event. A Switch has at most one Telemetry (the paper embeds NetSeer into
-// switch.p4 as an extension).
+// switch.p4 as an extension). No hook may keep the packet past its return:
+// the fabric recycles dropped and delivered packets (pkt.Pool).
 type Telemetry interface {
 	// IngressData runs at the very beginning of ingress for data and probe
 	// packets: inter-switch seq handling (strip tag, detect gaps).
@@ -64,7 +65,8 @@ type SketchStage interface {
 
 // Monitor is the passive observation surface shared by the baseline
 // monitoring systems (sampling, EverFlow, NetSight…). All methods must be
-// cheap; they run inline in the pipeline.
+// cheap; they run inline in the pipeline. Like Telemetry hooks, they must
+// not keep the packet.
 type Monitor interface {
 	// OnIngress sees every packet entering the pipeline (after MAC).
 	OnIngress(sw *Switch, p *pkt.Packet, port int)

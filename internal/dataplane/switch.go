@@ -9,6 +9,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 
 	"netseer/internal/fevent"
 	"netseer/internal/fifo"
@@ -100,11 +101,15 @@ type swPort struct {
 	bps   float64
 	mtu   int
 
-	queues  []fifo.Queue[queuedPkt]
-	qBytes  []int
-	paused  []bool // egress paused by peer's PFC
-	xoffOut []bool // we have paused the peer (per priority)
-	down    bool
+	queues []fifo.Queue[queuedPkt]
+	qBytes []int
+	paused []bool // egress paused by peer's PFC
+	// pauseEnd is, per priority, when the latest pause frame's quanta run
+	// out: a pause timer resumes the queue only if no later pause frame
+	// has moved this on.
+	pauseEnd []sim.Time
+	xoffOut  []bool // we have paused the peer (per priority)
+	down     bool
 
 	// The packet being serialized: busy allows one per port, so it lives
 	// here and txDone, bound once in AddPort, is the only closure the
@@ -141,10 +146,15 @@ type Switch struct {
 	sketch   SketchStage    // optional sketch detection stage
 	monitors []Monitor
 
-	// Same-instant arrivals coalesce into one pipeline event.
-	cur       *inBurst
-	curAt     sim.Time
+	// The fronts not yet run, open[openLo:], sorted by arrival instant: the
+	// data frames of one arrival instant, behind one pipeline event. Fronts
+	// run oldest first, so a run front leaves from the low end.
+	open      []*inBurst
+	openLo    int
 	burstFree []*inBurst
+
+	// pool takes back the packets the switch drops (nil outside a fabric).
+	pool *pkt.Pool
 
 	// Fault injection.
 	parityVictims map[uint32]bool // dstIPs whose route entry suffered a bit flip
@@ -184,6 +194,7 @@ func (sw *Switch) AddPort(l *link.Link, fromA bool, bps float64) int {
 		queues:         make([]fifo.Queue[queuedPkt], sw.cfg.Queues),
 		qBytes:         make([]int, sw.cfg.Queues),
 		paused:         make([]bool, sw.cfg.Queues),
+		pauseEnd:       make([]sim.Time, sw.cfg.Queues),
 		xoffOut:        make([]bool, sw.cfg.Queues),
 		pausedUpstream: make([]map[int]struct{}, sw.cfg.Queues),
 	}
@@ -301,7 +312,9 @@ func (sw *Switch) QueueBytes(port, queue int) int { return sw.ports[port].qBytes
 // MMUUsed returns the shared-buffer occupancy.
 func (sw *Switch) MMUUsed() int { return sw.mmuUsed }
 
-// Receive implements link.Device: a frame arrives from the wire.
+// Receive implements link.Device: a frame arrives from the wire. Data
+// frames normally come through Admit at send time; one delivered here is
+// admitted with the current instant as its arrival.
 func (sw *Switch) Receive(p *pkt.Packet, port int) {
 	pt := sw.ports[port]
 	if p.Corrupt {
@@ -314,41 +327,59 @@ func (sw *Switch) Receive(p *pkt.Packet, port int) {
 		// time, attributed to the upstream transmitter.
 		return
 	}
-	pt.ctr.RxPackets++
-	pt.ctr.RxBytes += uint64(p.WireLen)
 	switch p.Kind {
 	case pkt.KindPFC:
+		sw.countRx(pt, p)
 		sw.handlePFC(p, port)
 		return
 	case pkt.KindLossNotify:
+		sw.countRx(pt, p)
 		if sw.tel != nil {
 			sw.tel.HandleLossNotify(p, port)
 		}
 		return
 	}
-	if sw.tel != nil {
-		sw.tel.IngressData(p, port)
-	}
-	for _, m := range sw.monitors {
-		m.OnIngress(sw, p, port)
-	}
-	// Pipeline latency then forwarding decision. Same-instant arrivals
-	// coalesce into one burst: the first packet schedules the pipeline
-	// event, later packets of the instant just append to it.
-	now := sw.sim.Now()
-	if sw.cur == nil || sw.curAt != now {
-		sw.cur = sw.grabBurst()
-		sw.curAt = now
-		sw.sim.Schedule(sw.cfg.PipelineLatency, sw.cur.fn)
-	}
-	sw.cur.slots = append(sw.cur.slots, arrival{p: p, port: port})
+	sw.Admit(p, port, sw.sim.Now())
 }
 
-// inBurst accumulates the same-instant ingress arrivals behind one
+func (sw *Switch) countRx(pt *swPort, p *pkt.Packet) {
+	pt.ctr.RxPackets++
+	pt.ctr.RxBytes += uint64(p.WireLen)
+}
+
+// Admit implements link.Admitter: it queues a data frame that arrives on
+// port at instant at for the pipeline. The frames of one arrival instant
+// form one front with one pipeline event, at + PipelineLatency, which runs
+// their arrival work in admission order and then the pipeline.
+func (sw *Switch) Admit(p *pkt.Packet, port int, at sim.Time) {
+	f := sw.frontAt(at)
+	f.slots = append(f.slots, arrival{p: p, port: port})
+}
+
+// frontAt returns the open front of arrival instant at, opening one if
+// there is none. Links with different propagation delays admit frames out
+// of arrival order, so the open fronts are kept sorted by instant; with
+// equal delays a new front always goes at the end.
+func (sw *Switch) frontAt(at sim.Time) *inBurst {
+	i := len(sw.open)
+	for ; i > sw.openLo && sw.open[i-1].at >= at; i-- {
+		if f := sw.open[i-1]; f.at == at {
+			return f
+		}
+	}
+	f := sw.grabBurst()
+	f.at = at
+	sw.open = slices.Insert(sw.open, i, f)
+	sw.sim.At(at+sw.cfg.PipelineLatency, f.fn)
+	return f
+}
+
+// inBurst accumulates the data frames of one arrival instant behind one
 // scheduled pipeline event. Instances recycle through Switch.burstFree,
-// each keeping its pre-bound closure, so burst ingress does not allocate
-// in steady state.
+// each keeping its pre-bound closure, so ingress does not allocate in
+// steady state.
 type inBurst struct {
+	at    sim.Time
 	slots []arrival
 	fn    func()
 }
@@ -357,6 +388,18 @@ type inBurst struct {
 type arrival struct {
 	p    *pkt.Packet
 	port int
+}
+
+// closeOldestFront drops the front about to run, the oldest open one, from
+// the open list. The list is compacted once half of it is run fronts, so a
+// front costs one pointer move on average rather than a shift of the list.
+func (sw *Switch) closeOldestFront() {
+	sw.open[sw.openLo] = nil
+	if sw.openLo++; 2*sw.openLo >= len(sw.open) {
+		n := copy(sw.open, sw.open[sw.openLo:])
+		clear(sw.open[n:])
+		sw.open, sw.openLo = sw.open[:n], 0
+	}
 }
 
 func (sw *Switch) grabBurst() *inBurst {
@@ -375,11 +418,19 @@ func (sw *Switch) releaseBurst(b *inBurst) {
 	sw.burstFree = append(sw.burstFree, b)
 }
 
-// pipelineBurst runs the ingress pipeline over the arrivals of one
-// instant, one packet at a time.
+// pipelineBurst runs one front: the arrival work of each frame — RX
+// counters, NetSeer's tag strip and gap check, the monitors' ingress hook —
+// in admission order, then the ingress pipeline one packet at a time.
 func (sw *Switch) pipelineBurst(b *inBurst) {
-	if sw.cur == b {
-		sw.cur = nil
+	sw.closeOldestFront()
+	for _, s := range b.slots {
+		sw.countRx(sw.ports[s.port], s.p)
+		if sw.tel != nil {
+			sw.tel.IngressData(s.p, s.port)
+		}
+		for _, m := range sw.monitors {
+			m.OnIngress(sw, s.p, s.port)
+		}
 	}
 	now := sw.sim.Now()
 	// A failed ASIC destroys packets before any match-action logic runs:
@@ -389,15 +440,16 @@ func (sw *Switch) pipelineBurst(b *inBurst) {
 		for _, s := range b.slots {
 			sw.dropsByCode[fevent.DropASICFailure]++
 			sw.gt.recordDrop(now, sw.ID, s.p, fevent.DropASICFailure, 0)
+			sw.pool.Put(s.p)
 		}
 		sw.releaseBurst(b)
 		return
 	}
-	// Canonical order: stable insertion sort by ingress port. The append
-	// order of same-instant arrivals is the event scheduler's tie-break
-	// order, an accident of which upstream device happened to schedule
-	// first; a port is one link direction with FIFO delivery, so (port,
-	// per-port arrival order) depends on the traffic alone and the
+	// Canonical order: stable insertion sort by ingress port. The
+	// admission order of same-instant arrivals is the event scheduler's
+	// tie-break order, an accident of which upstream device happened to
+	// send first; a port is one link direction with FIFO delivery, so
+	// (port, per-port arrival order) depends on the traffic alone and the
 	// pipeline outcome stays the same under any scheduler that keeps each
 	// link in order. The golden digests pin this order.
 	in := b.slots
@@ -489,6 +541,7 @@ func (sw *Switch) enqueue(p *pkt.Packet, inPort, egress, queue int) {
 		// (equally broken) redirect path, so NetSeer sees nothing.
 		sw.dropsByCode[fevent.DropMMUFailure]++
 		sw.gt.recordDrop(sw.sim.Now(), sw.ID, p, fevent.DropMMUFailure, 0)
+		sw.pool.Put(p)
 		return
 	}
 	if sw.mmuUsed+p.WireLen > sw.cfg.MMUBytes || pt.qBytes[queue]+p.WireLen > sw.cfg.QueueLimitBytes {
@@ -501,6 +554,7 @@ func (sw *Switch) enqueue(p *pkt.Packet, inPort, egress, queue int) {
 		for _, m := range sw.monitors {
 			m.OnDrop(sw, p, fevent.DropMMUCongestion, true)
 		}
+		sw.pool.Put(p)
 		return
 	}
 	sw.forwarded++
@@ -531,6 +585,7 @@ func (sw *Switch) drop(p *pkt.Packet, inPort int, code fevent.DropCode, rule uin
 	for _, m := range sw.monitors {
 		m.OnDrop(sw, p, code, visible)
 	}
+	sw.pool.Put(p)
 }
 
 func (sw *Switch) losslessQueue(q int) bool {
@@ -617,11 +672,14 @@ func (sw *Switch) handlePFC(p *pkt.Packet, port int) {
 		switch {
 		case f.IsPause(prio):
 			pt.paused[prio] = true
-			// Quanta-based auto-resume.
+			// Quanta-based auto-resume, unless a later pause frame has
+			// extended the pause by then.
 			d := sim.Time(float64(f.PauseTime[prio]) * pkt.PFCQuantumNs)
+			end := sw.sim.Now() + d
+			pt.pauseEnd[prio] = end
 			prio := prio
 			sw.sim.Schedule(d, func() {
-				if pt.paused[prio] {
+				if pt.paused[prio] && pt.pauseEnd[prio] == end {
 					pt.paused[prio] = false
 					sw.kick(port)
 				}

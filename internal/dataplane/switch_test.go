@@ -372,3 +372,31 @@ func TestPFCAutoGeneration(t *testing.T) {
 		t.Errorf("lossless queue delivered %d of 10", len(r.b.got))
 	}
 }
+
+// TestPFCStaleTimerKeepsNewerPause: pause, resume, then pause again within
+// one pause time. The first pause's quanta timer must not end the second
+// pause: the queue stays paused until the second pause's own quanta run
+// out.
+func TestPFCStaleTimerKeepsNewerPause(t *testing.T) {
+	r := newLineRig(t, Config{LosslessMask: 1 << 3})
+	l := r.fab.LinkBetween("sw0", "sw1")
+	quanta := 0xffff
+	pauseFor := sim.Time(float64(quanta) * pkt.PFCQuantumNs)
+	send := func(at sim.Time, f *pkt.PFCFrame) {
+		r.sim.At(at, func() { l.Send(false, &pkt.Packet{Kind: pkt.KindPFC, WireLen: 64, PFC: f}) })
+	}
+	send(0, pkt.Pause(3, 0xffff))
+	send(50*sim.Microsecond, pkt.Resume(3))
+	send(200*sim.Microsecond, pkt.Pause(3, 0xffff)) // arrives 1 µs later
+	r.sim.At(250*sim.Microsecond, func() { r.sendAB(100, 64, 3) })
+	secondEnd := 201*sim.Microsecond + pauseFor
+
+	r.sim.Run(secondEnd - sim.Microsecond)
+	if len(r.b.got) != 0 {
+		t.Fatalf("the queue transmitted during the second pause (first pause's quanta ran out at %v)", sim.Microsecond+pauseFor)
+	}
+	r.sim.RunAll()
+	if len(r.b.got) != 1 {
+		t.Fatalf("host B received %d packets after the pause, want 1", len(r.b.got))
+	}
+}

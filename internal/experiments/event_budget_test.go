@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"netseer/internal/core"
@@ -10,13 +11,17 @@ import (
 
 // TestTestbedEventBudget pins what the simulator spends on a packet of the
 // benchmark's testbed_web run (WEB at load 0.70, 10 ms, seed 1, every
-// fault injected), so that events which cannot change state do not creep
-// back. A CEBP that re-schedules itself over an empty stack shows in the
-// first number, a device that schedules its whole backlog ahead of time in
-// the second: with spinning CEBPs and every NIC departure scheduled at
-// send time this run took 6.03 events a packet and held 47 909 pending.
-// Both are exact counts of a deterministic run; the bounds are the
-// measured values plus 5 % and 10 %.
+// fault injected), so that events and allocations which cannot change
+// state do not creep back. A CEBP that re-schedules itself over an empty
+// stack, or a switch hop that spends an event on a data frame's arrival,
+// shows in the first number; a device or flow that schedules its whole
+// backlog ahead of time in the second; a packet that is not recycled in
+// the third. With spinning CEBPs and every NIC departure scheduled at send
+// time this run took 6.03 events a packet and held 47 909 pending; with an
+// arrival event per hop and every pacing chunk scheduled at flow start,
+// 3.55 and 9 587, at 0.317 allocations a packet. The event counts are exact
+// counts of a deterministic run; the bounds are the measured values plus
+// 5 % and 10 %, and the measured allocations plus 10 %.
 //
 // The same run pins the traffic fact the switch pipeline is built on: a
 // front — the arrivals of one nanosecond at one switch — is one packet.
@@ -24,8 +29,9 @@ import (
 // that widens coalescing must change these bounds on purpose.
 func TestTestbedEventBudget(t *testing.T) {
 	const (
-		measuredPerPkt  = 3.5520 // 3 573 116 events, 1 005 940 packets
-		measuredPending = 9587
+		measuredPerPkt    = 2.5459 // 2 561 121 events, 1 005 989 packets
+		measuredPending   = 450
+		measuredAllocsPkt = 0.0574
 	)
 	tb := NewTestbed(RunConfig{
 		Dist: traffic.WEB, Load: 0.70, Window: 10 * sim.Millisecond, NetSeer: true, Seed: 1,
@@ -42,7 +48,10 @@ func TestTestbedEventBudget(t *testing.T) {
 	for at := 100 * sim.Microsecond; at <= tb.Cfg.Window; at += 100 * sim.Microsecond {
 		tb.Sim.At(at, func() { maxPending = max(maxPending, tb.Sim.Pending()) })
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	tb.Run()
+	runtime.ReadMemStats(&after)
 	pkts := tb.NetSeerStats().RawPackets
 	perPkt := float64(tb.Sim.Processed()) / float64(pkts)
 	t.Logf("%d events for %d packets: %.4f events per packet; at most %d pending", tb.Sim.Processed(), pkts, perPkt, maxPending)
@@ -53,7 +62,12 @@ func TestTestbedEventBudget(t *testing.T) {
 	if float64(maxPending) > measuredPending*1.10 {
 		t.Errorf("at most %d events pending; budget is %d + 10 %%", maxPending, int(measuredPending))
 	}
-	// Measured: 998 935 fronts, 996 203 (99.73 %) of one packet, mean 1.007.
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(pkts)
+	t.Logf("%d allocations: %.4f per packet", after.Mallocs-before.Mallocs, allocs)
+	if allocs > measuredAllocsPkt*1.10 {
+		t.Errorf("%.4f allocations per packet; budget is %.4f + 10 %%", allocs, measuredAllocsPkt)
+	}
+	// Measured: 998 980 fronts, 996 244 (99.73 %) of one packet, mean 1.007.
 	var total, single, inFronts int
 	for n, c := range fronts {
 		total += c

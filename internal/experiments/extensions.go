@@ -185,7 +185,7 @@ func ExtPartialDeployment(seed uint64) *PartialDeploymentResult {
 		store := collector.NewStore()
 		tb := &Testbed{Cfg: cfg, Sim: s, Topo: tp, Routes: routes, Fab: fab, GT: gt, Store: store}
 		for _, hn := range tp.Hosts() {
-			h := host.Attach(s, fab, hn, nic.Config{}, &tb.pktID)
+			h := host.Attach(s, fab, hn, nic.Config{})
 			h.Handle(workload.DataPort, func(*pkt.Packet) {})
 			tb.Hosts = append(tb.Hosts, h)
 		}

@@ -105,8 +105,6 @@ type Testbed struct {
 	Samplers []*baselines.Sampler
 	Pingmesh *baselines.Pingmesh
 	SNMP     *baselines.SNMP
-
-	pktID uint64
 }
 
 // NewTestbed builds the fabric, hosts, monitors and generator.
@@ -122,7 +120,7 @@ func NewTestbed(cfg RunConfig) *Testbed {
 		Store: collector.NewStore(),
 	}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{}, &tb.pktID)
+		h := host.Attach(s, fab, hn, nic.Config{})
 		h.Handle(workload.DataPort, func(*pkt.Packet) {})
 		tb.Hosts = append(tb.Hosts, h)
 	}

@@ -34,10 +34,9 @@ func TestTCPExportEndToEnd(t *testing.T) {
 	routes := topo.BuildRoutes(tp)
 	gt := dataplane.NewGroundTruth()
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, gt, 21)
-	var pktID uint64
 	var hosts []*host.Host
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{}, &pktID)
+		h := host.Attach(s, fab, hn, nic.Config{})
 		h.Handle(workload.DataPort, func(*pkt.Packet) {})
 		hosts = append(hosts, h)
 	}

@@ -21,7 +21,7 @@ type Host struct {
 	NIC  *nic.NIC
 	sim  *sim.Simulator
 
-	nextPktID *uint64 // shared across all hosts for globally unique IDs
+	pool *pkt.Pool // the fabric's: numbers what the host sends, takes back what it receives
 
 	// services dispatch received data packets by destination port.
 	services map[uint16]func(p *pkt.Packet)
@@ -41,11 +41,11 @@ type connKey struct {
 	remotePort uint16
 }
 
-// Attach builds a host on a fabric attach point. pktID is the shared
-// packet-ID counter for the whole simulation.
-func Attach(s *sim.Simulator, fab *dataplane.Fabric, node topo.Node, ncfg nic.Config, pktID *uint64) *Host {
+// Attach builds a host on a fabric attach point. Its packets come from
+// the fabric's pool, which numbers them across the whole simulation.
+func Attach(s *sim.Simulator, fab *dataplane.Fabric, node topo.Node, ncfg nic.Config) *Host {
 	h := &Host{
-		Node: node, sim: s, nextPktID: pktID,
+		Node: node, sim: s, pool: fab.Pool,
 		services: make(map[uint16]func(*pkt.Packet)),
 		conns:    make(map[connKey]*Conn),
 	}
@@ -55,7 +55,8 @@ func Attach(s *sim.Simulator, fab *dataplane.Fabric, node topo.Node, ncfg nic.Co
 	return h
 }
 
-// Handle registers a service on a destination port.
+// Handle registers a service on a destination port. fn has the packet for
+// the call only: it goes back to the fabric's pool when fn returns.
 func (h *Host) Handle(port uint16, fn func(p *pkt.Packet)) {
 	h.services[port] = fn
 }
@@ -63,30 +64,28 @@ func (h *Host) Handle(port uint16, fn func(p *pkt.Packet)) {
 // Received returns the count of data packets delivered to this host.
 func (h *Host) Received() uint64 { return h.received }
 
+// deliver is the host sink: the packet has left the fabric, and goes back
+// to the pool once its protocol endpoint has seen it. Endpoints must not
+// keep it.
 func (h *Host) deliver(p *pkt.Packet) {
 	h.received++
 	if p.Kind == pkt.KindProbe {
 		h.deliverProbe(p)
-		return
-	}
-	if c, ok := h.conns[connKey{p.Flow.SrcIP, p.Flow.DstPort, p.Flow.SrcPort}]; ok {
+	} else if c, ok := h.conns[connKey{p.Flow.SrcIP, p.Flow.DstPort, p.Flow.SrcPort}]; ok {
 		c.receive(p)
-		return
-	}
-	if fn, ok := h.services[p.Flow.DstPort]; ok {
+	} else if fn, ok := h.services[p.Flow.DstPort]; ok {
 		fn(p)
 	}
+	h.pool.Put(p)
 }
 
 // deliverProbe echoes probe requests and completes returning echoes.
 func (h *Host) deliverProbe(p *pkt.Packet) {
 	if p.Flow.DstPort == ProbeEchoPort {
-		*h.nextPktID++
-		echo := &pkt.Packet{
-			ID: *h.nextPktID, Kind: pkt.KindProbe, Flow: p.Flow.Reverse(),
-			WireLen: 64, TTL: 64, Priority: p.Priority,
-			SentAt: p.SentAt, // carry the original timestamp back
-		}
+		echo := h.pool.Get()
+		echo.Kind, echo.Flow = pkt.KindProbe, p.Flow.Reverse()
+		echo.WireLen, echo.TTL, echo.Priority = 64, 64, p.Priority
+		echo.SentAt = p.SentAt // carry the original timestamp back
 		h.NIC.Send(echo)
 		return
 	}
@@ -100,12 +99,11 @@ func (h *Host) OnProbeEcho(fn func(peer uint32, rtt sim.Time)) { h.onProbeEcho =
 
 // send transmits a raw packet via the NIC.
 func (h *Host) send(flow pkt.FlowKey, wireLen int, prio uint8, payload []byte) {
-	*h.nextPktID++
-	h.NIC.Send(&pkt.Packet{
-		ID: *h.nextPktID, Kind: pkt.KindData, Flow: flow,
-		WireLen: wireLen, TTL: 64, Priority: prio,
-		SentAt: h.sim.Now(), Payload: payload,
-	})
+	p := h.pool.Get()
+	p.Kind, p.Flow = pkt.KindData, flow
+	p.WireLen, p.TTL, p.Priority = wireLen, 64, prio
+	p.SentAt, p.Payload = h.sim.Now(), payload
+	h.NIC.Send(p)
 }
 
 // SendUDP emits a burst of UDP packets for flow at the NIC's line rate.
@@ -123,12 +121,11 @@ const probeSrcPort = 62000
 // SendProbe emits one Pingmesh-style probe toward dst; the echo invokes
 // the OnProbeEcho callback with the measured RTT.
 func (h *Host) SendProbe(dst uint32) {
-	*h.nextPktID++
-	flow := pkt.FlowKey{SrcIP: h.Node.IP, DstIP: dst, SrcPort: probeSrcPort, DstPort: ProbeEchoPort, Proto: pkt.ProtoUDP}
-	h.NIC.Send(&pkt.Packet{
-		ID: *h.nextPktID, Kind: pkt.KindProbe, Flow: flow,
-		WireLen: 64, TTL: 64, SentAt: h.sim.Now(),
-	})
+	p := h.pool.Get()
+	p.Kind = pkt.KindProbe
+	p.Flow = pkt.FlowKey{SrcIP: h.Node.IP, DstIP: dst, SrcPort: probeSrcPort, DstPort: ProbeEchoPort, Proto: pkt.ProtoUDP}
+	p.WireLen, p.TTL, p.SentAt = 64, 64, h.sim.Now()
+	h.NIC.Send(p)
 }
 
 // String names the host.

@@ -16,7 +16,6 @@ type testNet struct {
 	sim   *sim.Simulator
 	fab   *dataplane.Fabric
 	hosts []*Host
-	pktID uint64
 }
 
 func newTestNet(t *testing.T, swCfg dataplane.Config, ncfg nic.Config) *testNet {
@@ -28,7 +27,7 @@ func newTestNet(t *testing.T, swCfg dataplane.Config, ncfg nic.Config) *testNet 
 	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, 11)
 	n := &testNet{sim: s, fab: fab}
 	for _, hn := range tp.Hosts() {
-		n.hosts = append(n.hosts, Attach(s, fab, hn, ncfg, &n.pktID))
+		n.hosts = append(n.hosts, Attach(s, fab, hn, ncfg))
 	}
 	return n
 }

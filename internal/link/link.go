@@ -16,8 +16,22 @@ import (
 // Device is anything that can receive packets from a link: a switch
 // pipeline or a host NIC.
 type Device interface {
-	// Receive delivers a packet arriving on the device's ingressPort.
+	// Receive delivers a packet arriving on the device's ingressPort. A
+	// frame with Corrupt set is discarded by the device's MAC; the link
+	// reclaims it when Receive returns.
 	Receive(p *pkt.Packet, ingressPort int)
+}
+
+// Admitter is a Device that takes data frames when they are sent rather
+// than when they arrive: a switch, whose only work on a data frame's
+// arrival is to queue it for its pipeline. Admit hands over p, which will
+// arrive on ingressPort at instant at, and saves the link the event that
+// would deliver it. PFC and loss-notify frames change the receiver's state
+// on arrival, and a corrupt frame is discarded by the MAC on arrival: those
+// still go through Receive at their arrival instant.
+type Admitter interface {
+	Device
+	Admit(p *pkt.Packet, ingressPort int, at sim.Time)
 }
 
 // Fault is an injectable per-direction failure process.
@@ -51,12 +65,18 @@ type Link struct {
 	// frame still delivers and the receiving MAC discards it). Fabric
 	// builders use it to feed the ground-truth ledger.
 	OnLost func(fromA bool, p *pkt.Packet, corrupted bool)
+
+	// Pool takes back the frames that end on the link: a destroyed frame
+	// after the OnLost hook has seen it, a corrupt one once the receiving
+	// MAC has discarded it. Nil keeps them (fabric builders set it).
+	Pool *pkt.Pool
 }
 
 // direction is one half of the duplex medium: its receiving endpoint,
 // failure process, counters and frames in flight.
 type direction struct {
 	to    Endpoint
+	admit Admitter // to.Dev when it is one, else nil
 	fault Fault
 	// Per-direction fault RNG. Two independent streams rather than one
 	// shared: each direction's draw sequence then depends only on that
@@ -66,10 +86,11 @@ type direction struct {
 
 	sent, delivered, lost, corrupt uint64
 
-	// Frames propagating on the link's own simulator. The propagation
-	// delay is constant, so they arrive in the order they were sent: one
-	// pre-bound closure (arrive) scheduled once per frame pops the queue,
-	// and sending allocates nothing. The endpoint captured at send time
+	// Frames propagating on the link's own simulator, other than the data
+	// frames an Admitter took at send time. The propagation delay is
+	// constant, so they arrive in the order they were sent: one pre-bound
+	// closure (arrive) scheduled once per frame pops the queue, and
+	// sending allocates nothing. The endpoint captured at send time
 	// travels with the frame (see SetEndpoint).
 	inflight fifo.Queue[frame]
 	arrive   func()
@@ -80,9 +101,13 @@ type frame struct {
 	to Endpoint
 }
 
-func (d *direction) land() {
+func (l *Link) land(d *direction) {
 	f := d.inflight.Pop()
+	corrupt := f.p.Corrupt // the receiver may release an intact frame
 	f.to.Dev.Receive(f.p, f.to.Port)
+	if corrupt {
+		l.Pool.Put(f.p)
+	}
 }
 
 // New creates a link with the given propagation delay. rng drives the
@@ -102,9 +127,12 @@ func NewSplit(s *sim.Simulator, a, b Endpoint, prop sim.Time, rngAB, rngBA *sim.
 	if rngAB == nil || rngBA == nil {
 		panic("link: rng must not be nil")
 	}
-	l := &Link{sim: s, prop: prop, ab: direction{to: b, rng: rngAB}, ba: direction{to: a, rng: rngBA}}
-	l.ab.arrive = l.ab.land
-	l.ba.arrive = l.ba.land
+	l := &Link{sim: s, prop: prop, ab: direction{rng: rngAB}, ba: direction{rng: rngBA}}
+	l.SetEndpoint(false, b)
+	l.SetEndpoint(true, a)
+	for _, d := range []*direction{&l.ab, &l.ba} {
+		d.arrive = func() { l.land(d) }
+	}
 	return l
 }
 
@@ -123,7 +151,9 @@ func (l *Link) SetEndpoint(aSide bool, e Endpoint) {
 	if e.Dev == nil {
 		panic("link: endpoint device must not be nil")
 	}
-	l.dir(!aSide).to = e
+	d := l.dir(!aSide)
+	d.to = e
+	d.admit, _ = e.Dev.(Admitter)
 }
 
 // SetFault configures the failure process for the direction from the given
@@ -149,7 +179,8 @@ func (l *Link) PropDelay() sim.Time { return l.prop }
 
 // Send transmits p from the given side. The packet is delivered to the
 // opposite endpoint after the propagation delay, unless a fault destroys
-// it. Send takes ownership of p.
+// it; an intact data frame is admitted to an Admitter endpoint right away,
+// stamped with that arrival instant. Send takes ownership of p.
 func (l *Link) Send(fromA bool, p *pkt.Packet) {
 	d := l.dir(fromA)
 	d.sent++
@@ -161,6 +192,7 @@ func (l *Link) Send(fromA bool, p *pkt.Packet) {
 	if destroyed || (d.fault.SilentLossProb > 0 && d.rng.Bool(d.fault.SilentLossProb)) {
 		d.lost++
 		l.lost(fromA, p, false)
+		l.Pool.Put(p)
 		return
 	}
 	if d.fault.CorruptProb > 0 && d.rng.Bool(d.fault.CorruptProb) {
@@ -169,6 +201,10 @@ func (l *Link) Send(fromA bool, p *pkt.Packet) {
 		l.lost(fromA, p, true)
 	}
 	d.delivered++
+	if d.admit != nil && !p.Corrupt && p.Kind != pkt.KindPFC && p.Kind != pkt.KindLossNotify {
+		d.admit.Admit(p, d.to.Port, l.sim.Now()+l.prop)
+		return
+	}
 	d.inflight.Push(frame{p: p, to: d.to})
 	l.sim.Schedule(l.prop, d.arrive)
 }

@@ -209,3 +209,95 @@ func TestInFlightFrameKeepsSendTimeEndpoint(t *testing.T) {
 		t.Errorf("later frame: new endpoint got %v on ports %v, want frame 2 on port 9", b2.got, b2.ports)
 	}
 }
+
+// admitter is an Admitter that records what it is handed and when.
+type admitter struct {
+	sink
+	sim      *sim.Simulator
+	admitted []admission
+	received []sim.Time
+}
+
+type admission struct {
+	p        *pkt.Packet
+	port     int
+	sentAt   sim.Time
+	arriveAt sim.Time
+}
+
+func (a *admitter) Admit(p *pkt.Packet, port int, at sim.Time) {
+	a.admitted = append(a.admitted, admission{p, port, a.sim.Now(), at})
+}
+
+func (a *admitter) Receive(p *pkt.Packet, port int) {
+	a.sink.Receive(p, port)
+	a.received = append(a.received, a.sim.Now())
+}
+
+// TestAdmitterTakesDataFramesAtSendTime: an intact data frame reaches an
+// Admitter when it is sent, stamped with its arrival instant, and costs
+// the link no event; PFC, loss-notify and corrupt frames still arrive
+// through Receive after the propagation delay.
+func TestAdmitterTakesDataFramesAtSendTime(t *testing.T) {
+	s := sim.New()
+	dst := &admitter{sim: s}
+	l := New(s, Endpoint{&sink{}, 0}, Endpoint{dst, 4}, 700*sim.Nanosecond, sim.NewStream(1, "link"))
+	s.At(100, func() { l.Send(true, &pkt.Packet{ID: 1, Kind: pkt.KindData}) })
+	s.At(200, func() { l.Send(true, &pkt.Packet{ID: 2, Kind: pkt.KindPFC}) })
+	s.At(300, func() { l.Send(true, &pkt.Packet{ID: 3, Kind: pkt.KindLossNotify}) })
+	s.At(400, func() {
+		l.SetFault(true, Fault{CorruptProb: 1})
+		l.Send(true, &pkt.Packet{ID: 4, Kind: pkt.KindData})
+	})
+	s.RunAll()
+	if len(dst.admitted) != 1 {
+		t.Fatalf("%d frames admitted, want 1", len(dst.admitted))
+	}
+	if a := dst.admitted[0]; a.p.ID != 1 || a.port != 4 || a.sentAt != 100 || a.arriveAt != 800 {
+		t.Errorf("admitted %+v, want frame 1 on port 4 sent at 100 arriving at 800", a)
+	}
+	var ids []uint64
+	for _, p := range dst.got {
+		ids = append(ids, p.ID)
+	}
+	if len(ids) != 3 || ids[0] != 2 || ids[1] != 3 || ids[2] != 4 ||
+		dst.received[0] != 900 || dst.received[1] != 1000 || dst.received[2] != 1100 {
+		t.Errorf("received frames %v at %v, want 2, 3, 4 at 900, 1000, 1100", ids, dst.received)
+	}
+	if n := s.Processed(); n != 4+3 {
+		t.Errorf("%d events ran, want the 4 sends and 3 arrivals", n)
+	}
+}
+
+// TestLinkReturnsEndedFramesToPool: a destroyed frame goes back to the
+// link's pool after OnLost has seen it intact, and a corrupt one after the
+// receiver has discarded it; a delivered intact frame stays the
+// receiver's.
+func TestLinkReturnsEndedFramesToPool(t *testing.T) {
+	s, l, _, b := newTestLink(t)
+	l.Pool = pkt.NewPool()
+	var lost []pkt.Packet
+	l.OnLost = func(_ bool, p *pkt.Packet, _ bool) { lost = append(lost, *p) }
+	intact, destroyed, damaged := l.Pool.Get(), l.Pool.Get(), l.Pool.Get()
+	intact.WireLen, destroyed.WireLen, damaged.WireLen = 100, 200, 300
+	l.Send(true, intact)
+	l.InjectLossBurst(true, 1)
+	l.Send(true, destroyed)
+	l.SetFault(true, Fault{CorruptProb: 1})
+	l.Send(true, damaged)
+	s.RunAll()
+	if len(lost) != 2 || lost[0].WireLen != 200 || lost[1].WireLen != 300 {
+		t.Fatalf("OnLost saw %+v, want the destroyed and the damaged frame intact", lost)
+	}
+	if len(b.got) != 2 || b.got[0] != intact || intact.WireLen != 100 {
+		t.Fatalf("receiver got %v, want the intact frame untouched and the damaged one", b.got)
+	}
+	if destroyed.WireLen != 0 || damaged.WireLen != 0 {
+		t.Errorf("ended frames not released: destroyed %+v, damaged %+v", destroyed, damaged)
+	}
+	for _, want := range []*pkt.Packet{damaged, destroyed} { // last in, first out
+		if got := l.Pool.Get(); got != want {
+			t.Errorf("pool handed out %p, want the released %p", got, want)
+		}
+	}
+}

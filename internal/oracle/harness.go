@@ -87,11 +87,10 @@ func Run(sc Scenario) *Result {
 	}
 	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, sc.Seed)
 
-	var pktID uint64
 	hosts := make([]*host.Host, 0, len(tp.Hosts()))
 	hostByID := make(map[topo.NodeID]*host.Host)
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{}, &pktID)
+		h := host.Attach(s, fab, hn, nic.Config{})
 		h.Handle(workload.DataPort, func(*pkt.Packet) {})
 		hosts = append(hosts, h)
 		hostByID[hn.ID] = h

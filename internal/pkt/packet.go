@@ -76,6 +76,9 @@ type Packet struct {
 	// struct are then untrustworthy, exactly like a real corrupted frame).
 	Corrupt bool
 
+	// released is set while the packet sits handed back to a Pool.
+	released bool
+
 	// Payload carries the encoded body of control packets (loss
 	// notifications, event batches, probe echo state). Nil for plain data.
 	Payload []byte

@@ -110,13 +110,15 @@ func less(a, b *event) bool {
 // (at, seq)-smaller of the two tier heads, so the execution order is that
 // of one queue ordered by (at, seq).
 //
-// The span covers the constant per-hop delays that make up 98 % of all
-// scheduling on the paper's testbed (serialization 80/320 ns, pipeline
-// 600 ns, propagation 1 µs — see DESIGN.md §7); the heap is left with the
-// sparse far-future events (flow arrivals, pacing chunks, RTOs) that make
-// up its depth but which near-term events then never have to sift past.
+// The span covers the constant delays that make up 99.9 % of all
+// scheduling on the paper's testbed (serialization 80/320 ns, a switch
+// hop's propagation plus pipeline 1.6 µs, a NIC-bound frame's propagation
+// 1 µs, pacing chunks 1.6 µs apart — see DESIGN.md §7); the heap is left
+// with the sparse far-future events (flow arrivals, RTOs, PFC timers)
+// which near-term events then never have to sift past. 2048 slots keep one
+// summary word over the bitmap (32 words of 64 slots).
 const (
-	wheelBits = 10
+	wheelBits = 11
 	wheelSpan = 1 << wheelBits // slots, 1 ns each
 	wheelMask = wheelSpan - 1
 )

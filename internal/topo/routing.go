@@ -43,11 +43,22 @@ func BuildRoutes(t *Topology) *Routes {
 // NextHops returns the equal-cost egress ports from switch sw toward the
 // host owning dstIP. The slice is shared; do not modify.
 func (r *Routes) NextHops(sw NodeID, dstIP uint32) []int {
+	return r.hops(r.next[sw], dstIP)
+}
+
+// From returns NextHops(sw, ·) with switch sw's routing row resolved once:
+// the lookup a switch pipeline makes per packet.
+func (r *Routes) From(sw NodeID) func(dstIP uint32) []int {
+	row := r.next[sw]
+	return func(dstIP uint32) []int { return r.hops(row, dstIP) }
+}
+
+func (r *Routes) hops(row [][]int, dstIP uint32) []int {
 	dst, ok := r.dstByIP[dstIP]
 	if !ok {
 		return nil
 	}
-	return r.next[sw][dst]
+	return row[dst]
 }
 
 // ECMPSelect picks the egress port for a flow among the equal-cost set

@@ -59,17 +59,18 @@ func (c GenConfig) withDefaults() GenConfig {
 // Generator drives Poisson flow arrivals from a set of clients to a set
 // of servers. Flow bodies are paced at FlowBps (default 20 Gb/s) — the
 // steady rate a congestion-controlled sender would sustain — so queues
-// see realistic fan-in collisions rather thanpermanent line-rate blasts; large
-// flows still collide on server downlinks and produce the congestion and
-// MMU-drop events the evaluation measures.
+// see realistic fan-in collisions rather than permanent line-rate blasts;
+// large flows still collide on server downlinks and produce the congestion
+// and MMU-drop events the evaluation measures.
 type Generator struct {
 	cfg     GenConfig
 	sim     *sim.Simulator
 	clients []*host.Host
 	servers []*host.Host
 	rng     *sim.Stream
-	ticker  []sim.Handle
 	stopped bool
+	// arrivals[ci] is client ci's next flow arrival, bound once by Start.
+	arrivals []func()
 
 	// dstSets holds each client's FanIn chosen servers.
 	dstSets [][]*host.Host
@@ -113,11 +114,12 @@ const DataPort uint16 = 8000
 // of the simulation.
 func (g *Generator) Start() {
 	interArrival := g.meanInterArrival()
+	g.arrivals = make([]func(), len(g.clients))
 	for ci := range g.clients {
-		ci := ci
+		g.arrivals[ci] = func() { g.arrive(ci, interArrival) }
 		// Desynchronize clients.
 		first := sim.Time(g.rng.Exp(float64(interArrival)))
-		g.sim.Schedule(first, func() { g.arrive(ci, interArrival) })
+		g.sim.Schedule(first, g.arrivals[ci])
 	}
 }
 
@@ -141,7 +143,7 @@ func (g *Generator) arrive(ci int, mean sim.Time) {
 	if next < 1 {
 		next = 1
 	}
-	g.sim.Schedule(next, func() { g.arrive(ci, mean) })
+	g.sim.Schedule(next, g.arrivals[ci])
 }
 
 // startFlow launches one flow from client ci to one of its servers.
@@ -174,25 +176,41 @@ func (g *Generator) startFlow(ci int) {
 		client.SendUDP(flow, packets, g.cfg.MSS, g.cfg.Priority)
 		return
 	}
-	// Pace the flow: schedule packets at the per-flow rate. Chunks of a
-	// few packets keep simulator event counts reasonable for elephants.
-	const chunk = 4
-	gap := sim.Time(float64(g.cfg.MSS*8*chunk) / g.cfg.FlowBps * 1e9)
-	for off := 0; off < packets; off += chunk {
-		n := chunk
-		if packets-off < n {
-			n = packets - off
-		}
-		n, delay := n, gap*sim.Time(off/chunk)
-		if delay == 0 {
-			client.SendUDP(flow, n, g.cfg.MSS, g.cfg.Priority)
-			continue
-		}
-		g.sim.Schedule(delay, func() {
-			if !g.stopped {
-				client.SendUDP(flow, n, g.cfg.MSS, g.cfg.Priority)
-			}
-		})
+	g.pace(client, flow, packets)
+}
+
+// pace sends a flow's packets at the per-flow rate, in chunks of a few
+// packets that keep simulator event counts reasonable for elephants: chunk
+// k leaves at k·gap. The flow holds one armed chunk at a time.
+func (g *Generator) pace(client *host.Host, flow pkt.FlowKey, packets int) {
+	f := &pacedFlow{g: g, client: client, flow: flow, left: packets,
+		gap: sim.Time(float64(g.cfg.MSS*8*chunk) / g.cfg.FlowBps * 1e9)}
+	f.next = f.send
+	f.send()
+}
+
+// chunk is the number of packets a paced flow sends at once.
+const chunk = 4
+
+// pacedFlow is a flow whose packets are still to be sent: next, bound once,
+// sends a chunk and re-arms itself gap later while packets are left.
+type pacedFlow struct {
+	g      *Generator
+	client *host.Host
+	flow   pkt.FlowKey
+	left   int
+	gap    sim.Time
+	next   func()
+}
+
+func (f *pacedFlow) send() {
+	if f.g.stopped {
+		return
+	}
+	n := min(chunk, f.left)
+	f.client.SendUDP(f.flow, n, f.g.cfg.MSS, f.g.cfg.Priority)
+	if f.left -= n; f.left > 0 {
+		f.g.sim.Schedule(f.gap, f.next)
 	}
 }
 

@@ -102,7 +102,6 @@ type wlNet struct {
 	sim   *sim.Simulator
 	fab   *dataplane.Fabric
 	hosts []*host.Host
-	pktID uint64
 }
 
 func newWlNet(t *testing.T) *wlNet {
@@ -113,7 +112,7 @@ func newWlNet(t *testing.T) *wlNet {
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, dataplane.NewGroundTruth(), 5)
 	n := &wlNet{sim: s, fab: fab}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{}, &n.pktID)
+		h := host.Attach(s, fab, hn, nic.Config{})
 		h.Handle(DataPort, func(*pkt.Packet) {})
 		n.hosts = append(n.hosts, h)
 	}
@@ -180,10 +179,9 @@ func TestIncastCausesCongestionDrops(t *testing.T) {
 	routes := topo.BuildRoutes(tp)
 	gt := dataplane.NewGroundTruth()
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{QueueLimitBytes: 64 << 10}, gt, 5)
-	var pktID uint64
 	var hosts []*host.Host
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{}, &pktID)
+		h := host.Attach(s, fab, hn, nic.Config{})
 		h.Handle(DataPort, func(*pkt.Packet) {})
 		hosts = append(hosts, h)
 	}
@@ -195,5 +193,64 @@ func TestIncastCausesCongestionDrops(t *testing.T) {
 	}
 	if len(gt.Congestion) == 0 {
 		t.Fatal("incast produced no congestion ground truth")
+	}
+}
+
+// TestPacedFlowKeepsOneArmedChunk: a 1 000-packet paced flow sends its
+// chunk k at k·gap and never has more than its next chunk scheduled. The
+// client's access link is down, so besides the flow's chunk only the NIC's
+// one armed departure is ever pending.
+func TestPacedFlowKeepsOneArmedChunk(t *testing.T) {
+	n := newWlNet(t)
+	client, server := n.hosts[0], n.hosts[8]
+	n.fab.HostPorts[client.Node.ID][0].Link.SetDown(true)
+	g := NewGenerator(n.sim, n.hosts[:1], n.hosts[8:9], GenConfig{Dist: WEB, Seed: 1})
+	flow := pkt.FlowKey{SrcIP: client.Node.IP, DstIP: server.Node.IP, SrcPort: 1, DstPort: DataPort, Proto: pkt.ProtoTCP}
+	const packets = 1000
+	gap := sim.Time(float64(1000*8*chunk) / 20e9 * 1e9) // default MSS and FlowBps
+	sent := func() int { tx, _, _, _ := client.NIC.Stats(); return int(tx) }
+
+	g.pace(client, flow, packets)
+	for k := 0; k < packets/chunk; k++ {
+		at := sim.Time(k) * gap
+		if k > 0 {
+			n.sim.Run(at - 1)
+			if got := sent(); got != chunk*k {
+				t.Fatalf("%d packets sent by %v, want %d", got, at-1, chunk*k)
+			}
+		}
+		n.sim.Run(at)
+		if got := sent(); got != chunk*(k+1) {
+			t.Fatalf("%d packets sent by %v, want %d", got, at, chunk*(k+1))
+		}
+		if p := n.sim.Pending(); p > 2 {
+			t.Fatalf("%d events pending at %v, want the next chunk and one NIC departure at most", p, at)
+		}
+	}
+	n.sim.RunAll()
+	if got := sent(); got != packets {
+		t.Fatalf("%d packets sent, want %d", got, packets)
+	}
+}
+
+// TestFlowArrivalAllocatesNothing: a client's next arrival re-arms the
+// closure Start bound for it, so an arrival costs no allocation of its
+// own. Flows are one unpaced packet each into a down access link, whose
+// losses go back to the fabric's pool for the next packet.
+func TestFlowArrivalAllocatesNothing(t *testing.T) {
+	n := newWlNet(t)
+	for _, h := range n.hosts[:8] {
+		n.fab.HostPorts[h.Node.ID][0].Link.SetDown(true)
+	}
+	onePacket := NewDistribution("one-packet", []CDFPoint{{1000, 0.5}, {1000, 1}})
+	g := NewGenerator(n.sim, n.hosts[:8], n.hosts[8:], GenConfig{Dist: onePacket, FlowBps: -1, Seed: 3})
+	g.Start()
+	n.sim.Run(sim.Millisecond) // warm the pool, the NIC queues and the event free list
+	before := g.FlowsStarted
+	if allocs := testing.AllocsPerRun(20, func() { n.sim.Run(n.sim.Now() + 100*sim.Microsecond) }); allocs != 0 {
+		t.Errorf("%v allocations per 100 µs of flow arrivals; want 0", allocs)
+	}
+	if g.FlowsStarted-before < 100 {
+		t.Fatalf("only %d flows started while measuring", g.FlowsStarted-before)
 	}
 }

@@ -103,7 +103,6 @@ type Network struct {
 	store  *collector.Store
 	ns     []*core.NetSeerSwitch
 	hosts  map[string]*host.Host
-	pktID  uint64
 }
 
 // NewNetwork builds the selected topology with hosts on every host node
@@ -128,7 +127,7 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		store: collector.NewStore(), hosts: make(map[string]*host.Host),
 	}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{}, &n.pktID)
+		h := host.Attach(s, fab, hn, nic.Config{})
 		h.Handle(workload.DataPort, func(*pkt.Packet) {})
 		n.hosts[hn.Name] = h
 	}
