@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"sync"
@@ -211,35 +212,42 @@ func TestBurstAck(t *testing.T) {
 // connection dies mid-frame after a few whole frames, so the exporter
 // advances only because the server writes the acks it owes before it
 // reads on an empty buffer — never leaving them behind a doomed read.
-// The link's read budgets are drawn from the seed: about one connection
-// in forty ends a read on a frame boundary, reaches the barrier and gets
-// its acks out (7 reconnects a batch); acks handed over just before the
-// doomed read lose the race with it, so without the barrier the same run
-// needs 350 reconnects a batch.
+// Read budgets are drawn uniformly from [2.5, 5] frames of bytes, so a
+// connection reaches the barrier and gets its acks out only when its
+// budget ends on one of the 3 frame boundaries in that range: one in
+// about frame/1.2 connections, each acking the 2–4 frames it read whole —
+// about frame/2.4 reconnects a batch (69 B frames: 20.7–28.9 over seeds
+// 1–8 and repeated runs). Acks handed over just before the doomed read
+// lose the race with it, so without the barrier the same seeds take
+// 192–266 a batch. The bound, frame/1.8 a batch (38), sits 1.3× over the
+// worst run and 5× under the fewest the barrier-less runs took.
 func TestBurstLivenessUnderMidFrameResets(t *testing.T) {
 	const n = 200
 	frame := frameLen(batchOf(1, 0, fevent.Event{}))
-	store := NewStore()
-	// Read budgets are drawn from [2.5, 5] frames per connection.
-	ln, err := faultconn.Listen("127.0.0.1:0", faultconn.Config{Seed: 7, ResetAfter: 5 * frame})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerOn(store, ln, ServerConfig{})
-	defer srv.Close()
-	cl := fastClient(srv.Addr())
-	defer cl.Close()
-	deliverN(cl, 0, n)
-	if err := cl.Flush(); err != nil {
-		t.Fatalf("flush: %v (client %+v, server %+v)", err, cl.Stats(), srv.Stats())
-	}
-	assertExactlyOnce(t, store, n)
-	re := cl.Stats().Reconnects
-	if store.DupBatches() == 0 || re == 0 {
-		t.Fatalf("the resets did not bite: %d duplicate batches, %d reconnects", store.DupBatches(), re)
-	}
-	if re > 20*n {
-		t.Fatalf("%d batches took %d reconnects: owed acks are being left behind doomed reads", n, re)
+	for _, seed := range []int64{1, 4, 7} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			store := NewStore()
+			ln, err := faultconn.Listen("127.0.0.1:0", faultconn.Config{Seed: seed, ResetAfter: 5 * frame})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServerOn(store, ln, ServerConfig{})
+			defer srv.Close()
+			cl := fastClient(srv.Addr())
+			defer cl.Close()
+			deliverN(cl, 0, n)
+			if err := cl.Flush(); err != nil {
+				t.Fatalf("flush: %v (client %+v, server %+v)", err, cl.Stats(), srv.Stats())
+			}
+			assertExactlyOnce(t, store, n)
+			re := cl.Stats().Reconnects
+			if store.DupBatches() == 0 || re == 0 {
+				t.Fatalf("the resets did not bite: %d duplicate batches, %d reconnects", store.DupBatches(), re)
+			}
+			if re > uint64(n*frame*5/9) {
+				t.Fatalf("%d batches of %d B frames took %d reconnects: owed acks are being left behind doomed reads", n, frame, re)
+			}
+		})
 	}
 }
 

@@ -166,7 +166,8 @@ func NewClientEndpoints(endpoints []string, cfg ClientConfig) *Client {
 	// Distinct client lifetimes must not reuse (switch, seq) dedup keys:
 	// a restarted exporter counting again from 1 would have its first
 	// batches silently discarded as replays of the previous process. Each
-	// client therefore counts from a random 62-bit starting sequence.
+	// client therefore counts from a random starting sequence, drawn below
+	// 2^62 so that counting up never wraps to 0 — the unsequenced mark.
 	var r [8]byte
 	if _, err := crand.Read(r[:]); err == nil {
 		c.nextSeq = binary.BigEndian.Uint64(r[:]) >> 2
@@ -178,8 +179,14 @@ func NewClientEndpoints(endpoints []string, cfg ClientConfig) *Client {
 
 // Deliver implements core.EventSink. It assigns the batch its delivery
 // sequence number and enqueues it; no network I/O happens on the
-// caller's path.
+// caller's path. A batch of more than fevent.MaxBatchRecords events is
+// dropped and counted instead: no frame can carry it, and once sequenced
+// it would be retransmitted first on every connection, for ever.
 func (c *Client) Deliver(b *fevent.Batch) {
+	if len(b.Events) > fevent.MaxBatchRecords {
+		c.droppedBatches.Inc()
+		return
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -331,7 +338,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 	r.RegisterCounter(obs.MChanSentBatches, "Batch frames written to the wire (including rewrites).", &c.sentBatches, labels...)
 	r.RegisterCounter(obs.MChanAckedBatches, "Batches covered by a server cumulative ack.", &c.ackedBatches, labels...)
 	r.RegisterCounter(obs.MChanRetransmits, "Batch frames rewritten after a connection drop.", &c.retransmits, labels...)
-	r.RegisterCounter(obs.MChanDroppedBatches, "Batches dropped on queue overflow or after close.", &c.droppedBatches, labels...)
+	r.RegisterCounter(obs.MChanDroppedBatches, "Batches dropped on queue overflow, after close, or too large for any frame.", &c.droppedBatches, labels...)
 	r.RegisterCounter(obs.MChanFailovers, "Switches to a different collector endpoint.", &c.failovers, labels...)
 	r.RegisterCounter(obs.MChanPromotions, "Returns to the primary collector endpoint.", &c.promotions, labels...)
 	r.GaugeFunc(obs.MChanBacklog, "Batches delivered but not yet acked (queue + inflight).", func() float64 {

@@ -4,54 +4,44 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
+	"netseer/internal/obs/trace"
 )
 
-// validFrame encodes one well-formed frame for mutation tests.
-func validFrame(t *testing.T, seq uint64) []byte {
-	t.Helper()
-	b := batchOf(7, 42, fevent.Event{Type: fevent.TypeDrop, Flow: flowN(1),
-		DropCode: fevent.DropNoRoute, SwitchID: 7, Timestamp: 42})
-	b.Seq = seq
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// validFrame encodes one well-formed untraced frame for mutation tests.
+func validFrame(t *testing.T, seq uint64) []byte { return tracedFrame(t, seq, trace.Context{}) }
 
 func TestReadFrameMalformed(t *testing.T) {
 	valid := validFrame(t, 3)
+	const batchOff = wal.RecordHdrLen + payloadHdrLen // where the batch body starts in a frame
 
 	corruptBody := append([]byte(nil), valid...)
 	corruptBody[len(corruptBody)-1] ^= 0xff
 	corruptSeq := append([]byte(nil), valid...)
-	corruptSeq[frameHdrLen] ^= 0xff // inside the CRC-covered region
+	corruptSeq[wal.RecordHdrLen] ^= 0xff // inside the CRC-covered region
 
 	// A frame whose length covers the batch plus stray trailing bytes,
 	// re-checksummed so only the batch decoder can object.
-	trailing := append(append([]byte(nil), valid...), 0xAA, 0xBB)
-	binary.BigEndian.PutUint32(trailing[0:4], uint32(len(trailing)-frameHdrLen))
-	binary.BigEndian.PutUint32(trailing[4:8], crc32.ChecksumIEEE(trailing[frameHdrLen:]))
+	trailing := rewriteFrame(append(append([]byte(nil), valid...), 0xAA, 0xBB))
 
-	// Length says 9: seq present but batch header truncated.
-	short := make([]byte, frameHdrLen+9)
-	binary.BigEndian.PutUint32(short[0:4], 9)
-	binary.BigEndian.PutUint32(short[4:8], crc32.ChecksumIEEE(short[frameHdrLen:]))
+	// Sequence and context present but batch header truncated.
+	short := rewriteFrame(valid[:batchOff+9])
 
 	// Batch header claims records the body does not contain.
 	lying := validFrame(t, 4)
-	// record count lives at bytes 10:12 of the batch body (after the seq).
-	binary.BigEndian.PutUint16(lying[frameHdrLen+frameSeqLen+10:], 300)
-	binary.BigEndian.PutUint32(lying[4:8], crc32.ChecksumIEEE(lying[frameHdrLen:]))
+	// record count lives at bytes 10:12 of the batch body.
+	binary.BigEndian.PutUint16(lying[batchOff+10:], 300)
+	lying = rewriteFrame(lying)
 
 	// A well-formed body one record over the limit: only MaxBatchRecords
 	// can object.
@@ -63,9 +53,15 @@ func TestReadFrameMalformed(t *testing.T) {
 	if err := WriteFrame(&overBuf, over); err != nil {
 		t.Fatal(err)
 	}
+	if overBuf.Len() != wal.RecordHdrLen+MaxFrame {
+		t.Fatalf("a frame of MaxBatchRecords records is %d bytes, want the header plus MaxFrame", overBuf.Len())
+	}
 	tooMany := append(append([]byte(nil), overBuf.Bytes()...), overBuf.Bytes()[overBuf.Len()-fevent.RecordLen:]...)
-	binary.BigEndian.PutUint16(tooMany[frameHdrLen+frameSeqLen+10:], fevent.MaxBatchRecords+1)
+	binary.BigEndian.PutUint16(tooMany[batchOff+10:], fevent.MaxBatchRecords+1)
 	tooMany = rewriteFrame(tooMany)
+	countOver := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint16(countOver[batchOff+10:], fevent.MaxBatchRecords+1)
+	countOver = rewriteFrame(countOver)
 
 	// Every record but the last is valid.
 	badLast := append([]byte(nil), overBuf.Bytes()...)
@@ -75,8 +71,8 @@ func TestReadFrameMalformed(t *testing.T) {
 	zeroType[len(zeroType)-fevent.RecordLen] = 0
 	zeroType = rewriteFrame(zeroType)
 
-	tooShortLen := make([]byte, frameHdrLen)
-	binary.BigEndian.PutUint32(tooShortLen[0:4], 4) // < frameSeqLen
+	// A whole record too short to hold even the sequence.
+	tooShortLen := wal.AppendRecord(nil, make([]byte, 4))
 
 	cases := []struct {
 		name string
@@ -86,14 +82,16 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"empty", nil, io.EOF},
 		{"truncated header", valid[:3], io.ErrUnexpectedEOF},
 		{"truncated payload", valid[:len(valid)-5], io.ErrUnexpectedEOF},
+		{"payload missing after its header", valid[:wal.RecordHdrLen], wal.ErrRecordTorn},
 		{"length below seq size", tooShortLen, ErrFrameTooShort},
-		{"oversized length", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, nil},
-		{"corrupt body", corruptBody, ErrFrameCRC},
-		{"corrupt seq", corruptSeq, ErrFrameCRC},
+		{"oversized length", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, wal.ErrRecordTooLarge},
+		{"length one over MaxFrame", tooMany, wal.ErrRecordTooLarge},
+		{"corrupt body", corruptBody, wal.ErrRecordCRC},
+		{"corrupt seq", corruptSeq, wal.ErrRecordCRC},
 		{"trailing bytes", trailing, nil},
 		{"truncated batch header", short, nil},
 		{"record count beyond body", lying, nil},
-		{"record count above MaxBatchRecords", tooMany, nil},
+		{"record count above MaxBatchRecords", countOver, nil},
 		{"invalid type in the last record", badLast, nil},
 		{"type byte zero", zeroType, nil},
 	}
@@ -113,7 +111,7 @@ func TestReadFrameMalformed(t *testing.T) {
 			}
 		})
 	}
-	// The two limit cases sit exactly on their limits.
+	// The limit cases sit exactly on their limits.
 	var b fevent.Batch
 	if err := ReadFrame(bytes.NewReader(overBuf.Bytes()), &b); err != nil || len(b.Events) != fevent.MaxBatchRecords {
 		t.Fatalf("a frame of MaxBatchRecords records: %d events, %v", len(b.Events), err)
@@ -168,6 +166,56 @@ func TestServerRejectsFrameWithInvalidRecord(t *testing.T) {
 	}
 }
 
+// TestTheLogIsTheWire: a standalone durable server logs every frame as
+// the record it arrived as, so its segments hold the client's frames —
+// traced and untraced alike — byte for byte, concatenated.
+func TestTheLogIsTheWire(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOn(NewStore(), mustListen(t), ServerConfig{WAL: w})
+	conn, err := newRawConn(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire []byte
+	for seq := uint64(1); seq <= 6; seq++ {
+		b := seqBatch(3, seq)
+		if seq%2 == 0 {
+			b.Trace = trace.Context{TraceID: seq, Parent: 9}
+		}
+		if wire, err = AppendFrame(wire, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	readAcksThrough(t, conn, 6)
+	conn.Close()
+	srv.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg")) // sorted: name order is log order
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, b...)
+	}
+	if !bytes.Equal(logged, wire) {
+		t.Fatalf("the log holds %d bytes that are not the %d bytes of frames the client wrote:\n log  %x\n wire %x", len(logged), len(wire), logged, wire)
+	}
+}
+
 func TestFrameRoundTripSeq(t *testing.T) {
 	data := validFrame(t, 987654321)
 	var got fevent.Batch
@@ -187,20 +235,80 @@ func TestAckRoundTripAndMalformed(t *testing.T) {
 	if err := writeAck(&buf, 123456); err != nil {
 		t.Fatal(err)
 	}
+	if want := wal.AppendRecord(nil, binary.BigEndian.AppendUint64(nil, 123456)); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("ack = %x, want the 16 B record of its sequence %x", buf.Bytes(), want)
+	}
 	seq, err := readAck(bytes.NewReader(buf.Bytes()))
 	if err != nil || seq != 123456 {
 		t.Fatalf("readAck = %d, %v", seq, err)
 	}
 	// Truncated.
-	if _, err := readAck(bytes.NewReader(buf.Bytes()[:5])); err == nil {
-		t.Error("truncated ack accepted")
+	if _, err := readAck(bytes.NewReader(buf.Bytes()[:5])); !errors.Is(err, wal.ErrRecordTorn) {
+		t.Errorf("truncated ack err = %v, want %v", err, wal.ErrRecordTorn)
 	}
 	// Corrupted: a flipped sequence byte must fail the CRC, or a huge
 	// bogus ack would silently discard unacked batches.
 	bad := append([]byte(nil), buf.Bytes()...)
-	bad[0] ^= 0xff
-	if _, err := readAck(bytes.NewReader(bad)); !errors.Is(err, errAckCRC) {
-		t.Errorf("corrupt ack err = %v, want %v", err, errAckCRC)
+	bad[wal.RecordHdrLen] ^= 0xff
+	if _, err := readAck(bytes.NewReader(bad)); !errors.Is(err, wal.ErrRecordCRC) {
+		t.Errorf("corrupt ack err = %v, want %v", err, wal.ErrRecordCRC)
+	}
+	// A record of any other length is no ack.
+	for _, n := range []int{4, 9} {
+		if _, err := readAck(bytes.NewReader(wal.AppendRecord(nil, make([]byte, n)))); err == nil {
+			t.Errorf("a %d-byte ack accepted", n)
+		}
+	}
+}
+
+// TestFrameLengthIsBoundedBeforeItsPayload: a length word commits the
+// reader to no more than MaxFrame bytes — the largest valid payload (a
+// longer one is TestReadFrameMalformed's) — and a frame cut after its
+// header is a tear, which the server counts, not a clean close.
+func TestFrameLengthIsBoundedBeforeItsPayload(t *testing.T) {
+	header := wal.AppendRecord(nil, make([]byte, MaxFrame))[:wal.RecordHdrLen] // its payload never comes
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, err := readFramePayload(bytes.NewReader(header), nil); err == io.EOF || !errors.Is(err, wal.ErrRecordTorn) {
+			t.Fatalf("a header then EOF: err = %v, want a torn record", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+		t.Fatalf("a header declaring MaxFrame allocates %d B before its payload arrives", per)
+	}
+
+	srv := NewServerOn(NewStore(), mustListen(t), ServerConfig{})
+	defer srv.Close()
+	conn, err := newRawConn(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(header); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	waitFor(t, func() bool { return srv.Stats().FrameErrors == 1 })
+}
+
+// TestClientDropsBatchNoFrameCanCarry: a batch over MaxBatchRecords is
+// dropped and counted at Deliver; it never takes a sequence, so it cannot
+// wedge the channel behind it.
+func TestClientDropsBatchNoFrameCanCarry(t *testing.T) {
+	store := NewStore()
+	srv := NewServerOn(store, mustListen(t), ServerConfig{})
+	defer srv.Close()
+	cl := NewClientConfig(srv.Addr(), ClientConfig{FlushTimeout: 2 * time.Second})
+	defer cl.Close()
+	cl.Deliver(&fevent.Batch{SwitchID: 7, Events: make([]fevent.Event, fevent.MaxBatchRecords+1)})
+	cl.Deliver(batchOf(7, 1, fevent.Event{Type: fevent.TypePause, Flow: flowN(1)}))
+	if err := cl.Flush(); err != nil {
+		t.Fatalf("flush behind an oversize batch: %v (stats %+v)", err, cl.Stats())
+	}
+	if st := cl.Stats(); store.Len() != 1 || st.DroppedBatches != 1 || st.Connects > 2 {
+		t.Fatalf("store holds %d events; client dropped %d batches over %d connects, want 1, 1 and at most 2", store.Len(), st.DroppedBatches, st.Connects)
 	}
 }
 

@@ -5,18 +5,16 @@ import (
 	"slices"
 	"testing"
 
+	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
 )
 
-// FuzzReadFrame throws arbitrary bytes at the length-prefixed framing:
-// it must never panic, and any frame it accepts must survive a
-// re-encode/re-decode round trip. Since the v3 trace extension the
-// corpus mixes frame versions — plain v2 frames (sequence bit 63 clear)
-// and traced v3 frames (bit 63 set, 17-byte context) — and the round
-// trip must preserve the trace context exactly, so a mixed-version
-// stream (or a mixed-version WAL replay, which runs the same decoder)
-// cannot misparse one version as the other.
+// FuzzReadFrame throws arbitrary bytes at the frame reader: it must never
+// panic, and any frame it accepts must survive a re-encode/re-decode round
+// trip, trace context included. The framing is the WAL's record codec, so
+// wal.ReadRecord must accept and reject exactly the same framing, and a
+// frame it accepts is then judged by ViewPayload alone.
 //
 // It is also the differential of the two ways in: the record view the
 // server and WAL recovery use (readFramePayload) and the Events decoder
@@ -25,15 +23,7 @@ import (
 // AppendRecord(DecodeRecord(rec)) — whatever the wire put in the detail
 // bytes the record's type does not define.
 func FuzzReadFrame(f *testing.F) {
-	valid := func(seq uint64, events ...fevent.Event) []byte {
-		b := &fevent.Batch{SwitchID: 5, Timestamp: 77, Events: events, Seq: seq}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, b); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	traced := func(seq uint64, tc trace.Context, events ...fevent.Event) []byte {
+	frame := func(seq uint64, tc trace.Context, events ...fevent.Event) []byte {
 		b := &fevent.Batch{SwitchID: 5, Timestamp: 77, Events: events, Seq: seq, Trace: tc}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, b); err != nil {
@@ -41,20 +31,20 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	whole := valid(9, fevent.Event{Type: fevent.TypeCongestion, Flow: flowN(3), SwitchID: 5, Timestamp: 77})
+	whole := frame(9, trace.Context{}, fevent.Event{Type: fevent.TypeCongestion, Flow: flowN(3), SwitchID: 5, Timestamp: 77})
 	f.Add(whole)
-	f.Add(valid(0))
+	f.Add(frame(0, trace.Context{}))
 	f.Add(whole[:3])                                   // truncated length header
 	f.Add(whole[:len(whole)-2])                        // truncated body
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})  // oversized length
 	f.Add(append(append([]byte(nil), whole...), 0x01)) // trailing byte
 	f.Add(bytes.Repeat([]byte{0}, 64))                 // zero noise
 
-	// v3 traced frames: sampled, unsampled-but-assigned, and empty body.
+	// Traced frames: sampled, unsampled-but-assigned, and empty body.
 	ctx := trace.Context{TraceID: 0x53a0c6e1b20f4d77, Parent: 0x9e3779b97f4a7c15, Flags: trace.FlagSampled}
-	wholeTraced := traced(9, ctx, fevent.Event{Type: fevent.TypeCongestion, Flow: flowN(3), SwitchID: 5, Timestamp: 77})
+	wholeTraced := frame(9, ctx, fevent.Event{Type: fevent.TypeCongestion, Flow: flowN(3), SwitchID: 5, Timestamp: 77})
 	f.Add(wholeTraced)
-	f.Add(traced(10, trace.Context{TraceID: 1}))
+	f.Add(frame(10, trace.Context{TraceID: 1}))
 	// Traced frame torn inside its 17-byte context.
 	f.Add(wholeTraced[:20])
 
@@ -62,7 +52,7 @@ func FuzzReadFrame(f *testing.F) {
 	// the last record only, a count one larger than the body.
 	pause := fevent.Event{Type: fevent.TypePause, Flow: flowN(4), EgressPort: 2, Queue: 1, Count: 3}
 	churn := fevent.Event{Type: fevent.TypeTopKChurn, Flow: flowN(5), EgressPort: 2, SketchErr: 9}
-	three := valid(11, pause, churn, pause)
+	three := frame(11, trace.Context{}, pause, churn, pause)
 	reseal := func(frame []byte, edit func(records []byte)) []byte {
 		out := append([]byte(nil), frame...)
 		edit(out[len(out)-3*fevent.RecordLen:])
@@ -70,7 +60,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(reseal(three, func(r []byte) { r[16], r[17], r[fevent.RecordLen+15] = 0xde, 0xad, 0xbe }))
 	f.Add(reseal(three, func(r []byte) { r[2*fevent.RecordLen] = 0x7f }))
-	countOff := frameHdrLen + frameSeqLen + fevent.BatchHeaderLen - 2
+	countOff := wal.RecordHdrLen + payloadHdrLen + fevent.BatchHeaderLen - 2
 	f.Add(rewriteFrame(append(append(append([]byte(nil), three[:countOff]...), 0, 4), three[countOff+2:]...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -80,8 +70,21 @@ func FuzzReadFrame(f *testing.F) {
 		if (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
 			t.Fatalf("ReadFrame says %v, the record view says %v", err, verr)
 		}
+		rec, rerr := wal.ReadRecord(bytes.NewReader(data), MaxFrame, nil)
+		if rerr != nil {
+			if verr == nil || verr.Error() != rerr.Error() {
+				t.Fatalf("the record codec says %v, the frame reader %v", rerr, verr)
+			}
+			return
+		}
+		if _, perr := ViewPayload(rec); (perr == nil) != (verr == nil) {
+			t.Fatalf("the frame reader says %v, ViewPayload of the record says %v", verr, perr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if !bytes.Equal(rec, payload) {
+			t.Fatalf("the frame reader logs %x, the record codec reads %x", payload, rec)
 		}
 		if view.SwitchID != b.SwitchID || view.Timestamp != b.Timestamp || view.Seq != b.Seq || view.Trace != b.Trace || view.Events() != len(b.Events) {
 			t.Fatalf("the record view %+v and the decoded batch %+v disagree", view, b)
@@ -104,10 +107,9 @@ func FuzzReadFrame(f *testing.F) {
 		if got := st.Query(Filter{}); !slices.Equal(got, b.Events) {
 			t.Fatalf("a store fed the view answers %v, the decoder gave %v", got, b.Events)
 		}
-		// A trace context the decoder accepts must carry a real ID, and
-		// the stripped version bit must never leak into the logical Seq.
-		if b.Seq&frameTraceBit != 0 {
-			t.Fatalf("decoded Seq %#x kept the trace version bit", b.Seq)
+		// A context without a trace ID is the zero context.
+		if !b.Trace.Valid() && b.Trace != (trace.Context{}) {
+			t.Fatalf("accepted an untraced context %+v that is not zero", b.Trace)
 		}
 		// Accepted frames must round-trip, trace context included.
 		var buf bytes.Buffer

@@ -413,11 +413,11 @@ func (ap *ackPoint) add(p *Payload, serial uint64) {
 // so that reading it cannot block. A frame larger than the buffer never
 // is; neither is a length no frame may have, which the read then rejects.
 func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < frameHdrLen {
+	if br.Buffered() < wal.RecordHdrLen {
 		return false
 	}
 	hdr, _ := br.Peek(4)
-	return uint64(br.Buffered()) >= frameHdrLen+uint64(binary.BigEndian.Uint32(hdr))
+	return uint64(br.Buffered()) >= wal.RecordHdrLen+uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // serve ingests one connection a read burst at a time: every frame is
@@ -490,9 +490,9 @@ func (s *Server) serve(conn net.Conn) {
 		p, payload, err = readFramePayload(br, payload)
 		if err != nil {
 			// A clean close lands exactly on a frame boundary (io.EOF);
-			// anything else — truncation, bad CRC, oversized length — is
-			// a frame error worth counting.
-			if !errors.Is(err, io.EOF) {
+			// anything else — truncation, even right after a header, bad
+			// CRC, oversized length — is a frame error worth counting.
+			if err != io.EOF {
 				s.frameErrors.Inc()
 			}
 			break

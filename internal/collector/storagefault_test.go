@@ -312,7 +312,7 @@ func TestStorageFaultBitRotThenScrub(t *testing.T) {
 		}
 		defer f.Close()
 		for {
-			payload, err := wal.ReadRecord(f, wal.MaxRecord)
+			payload, err := wal.ReadRecord(f, wal.MaxRecord, nil)
 			if errors.Is(err, io.EOF) {
 				return
 			}

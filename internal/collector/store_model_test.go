@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
@@ -156,7 +157,7 @@ func wirePayload(t testing.TB, b *fevent.Batch) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := frame[frameHdrLen:]
+	payload := frame[wal.RecordHdrLen:]
 	recs := payload[len(payload)-len(b.Events)*fevent.RecordLen:]
 	for i := range b.Events {
 		switch r := recs[i*fevent.RecordLen:]; b.Events[i].Type {

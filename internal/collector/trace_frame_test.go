@@ -2,8 +2,6 @@ package collector
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -12,7 +10,7 @@ import (
 	"netseer/internal/obs/trace"
 )
 
-// tracedFrame encodes one well-formed v3 frame carrying tc.
+// tracedFrame encodes one well-formed frame carrying tc.
 func tracedFrame(t *testing.T, seq uint64, tc trace.Context) []byte {
 	t.Helper()
 	b := batchOf(7, 42, fevent.Event{Type: fevent.TypeDrop, Flow: flowN(1),
@@ -36,95 +34,58 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 	if b.Trace != tc {
 		t.Errorf("trace context = %+v, want %+v", b.Trace, tc)
 	}
-	// The version bit must be stripped: acks, dedup, and retransmit
-	// windows all key on the logical sequence.
 	if b.Seq != 21 {
-		t.Errorf("Seq = %#x, want 21 (version bit must not leak)", b.Seq)
+		t.Errorf("Seq = %#x, want 21", b.Seq)
 	}
 	if len(b.Events) != 1 || b.SwitchID != 7 {
 		t.Errorf("batch body misparsed: %+v", &b)
 	}
 }
 
-func TestTracedFrameRejections(t *testing.T) {
-	tc := trace.Context{TraceID: 5, Parent: 6, Flags: trace.FlagSampled}
-	raw := tracedFrame(t, 3, tc)
+// TestUntracedFrameCarriesZeroContext: an untraced batch has the same
+// frame layout, its context all zero — including a context that carries
+// flags or a parent but no trace ID — and decodes to the zero Context.
+func TestUntracedFrameCarriesZeroContext(t *testing.T) {
+	ctx := func(raw []byte) []byte {
+		return raw[wal.RecordHdrLen+frameSeqLen : wal.RecordHdrLen+payloadHdrLen]
+	}
+	for _, tc := range []trace.Context{{}, {Parent: 6, Flags: trace.FlagSampled}} {
+		raw := tracedFrame(t, 3, tc)
+		if !bytes.Equal(ctx(raw), make([]byte, trace.CtxWireLen)) {
+			t.Fatalf("context %+v encoded as %x, want all zero", tc, ctx(raw))
+		}
+		var b fevent.Batch
+		if err := ReadFrame(bytes.NewReader(raw), &b); err != nil || b.Trace != (trace.Context{}) || b.Seq != 3 {
+			t.Fatalf("untraced frame read back as seq %d, context %+v, %v", b.Seq, b.Trace, err)
+		}
+	}
+}
 
-	// Torn inside the 17-byte context (length+CRC recomputed so the
-	// framing layer passes and the payload decoder sees the tear).
-	torn := rewriteFrame(raw[:frameHdrLen+frameSeqLen+4])
+func TestTracedFrameRejections(t *testing.T) {
+	raw := tracedFrame(t, 3, trace.Context{TraceID: 5, Parent: 6, Flags: trace.FlagSampled})
+
+	// Torn inside the 17-byte context (resealed so the framing layer
+	// passes and the payload validator sees the tear).
 	var b fevent.Batch
-	if err := ReadFrame(bytes.NewReader(torn), &b); err == nil {
+	if err := ReadFrame(bytes.NewReader(rewriteFrame(raw[:wal.RecordHdrLen+frameSeqLen+4])), &b); err == nil {
 		t.Error("frame torn inside its trace context accepted")
 	}
 
-	// Version bit set, zero trace ID: the context is a lie.
-	zeroed := append([]byte(nil), raw...)
-	for i := frameHdrLen + frameSeqLen; i < frameHdrLen+frameSeqLen+8; i++ {
-		zeroed[i] = 0
-	}
-	if err := ReadFrame(bytes.NewReader(rewriteFrame(zeroed)), &b); err == nil ||
-		!strings.Contains(err.Error(), "zero trace ID") {
-		t.Errorf("zero-trace-ID frame err = %v, want zero-trace-ID rejection", err)
-	}
-}
-
-// TestMixedVersionWALReplay logs a v2 payload and a v3 traced payload
-// into one WAL and replays them through DecodePayload — the deployment
-// case of an exporter fleet upgraded mid-log. Neither version may
-// misparse as the other.
-func TestMixedVersionWALReplay(t *testing.T) {
-	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tc := trace.Context{TraceID: 0xabcdef01, Parent: 0x22, Flags: trace.FlagSampled}
-	old := tracedFrame(t, 40, trace.Context{})[frameHdrLen:] // payload = what the server logs
-	traced := tracedFrame(t, 41, tc)[frameHdrLen:]
-	if err := w.AppendDurable(old, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendDurable(traced, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, err := wal.Open(dir, wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	var got []fevent.Batch
-	if _, err := w2.Replay(func(p []byte) error {
-		var b fevent.Batch
-		if err := DecodePayload(p, &b); err != nil {
-			return err
+	// A zero trace ID with a non-zero parent or flags: the context is a lie.
+	for _, lie := range []trace.Context{{Parent: 6}, {Flags: trace.FlagSampled}} {
+		zeroed := append([]byte(nil), raw...)
+		lie.PutWire(zeroed[wal.RecordHdrLen+frameSeqLen:])
+		if err := ReadFrame(bytes.NewReader(rewriteFrame(zeroed)), &b); err == nil ||
+			!strings.Contains(err.Error(), "no trace ID") {
+			t.Errorf("context %+v: err = %v, want its rejection", lie, err)
 		}
-		got = append(got, b)
-		return nil
-	}); err != nil {
-		t.Fatalf("mixed-version replay: %v", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("replayed %d batches, want 2", len(got))
-	}
-	if got[0].Seq != 40 || got[0].Trace.Valid() {
-		t.Errorf("v2 payload replayed as %+v trace %+v, want seq 40 and no trace", got[0].Seq, got[0].Trace)
-	}
-	if got[1].Seq != 41 || got[1].Trace != tc {
-		t.Errorf("v3 payload replayed as seq %d trace %+v, want 41 %+v", got[1].Seq, got[1].Trace, tc)
 	}
 }
 
-// rewriteFrame recomputes a mutated frame's length and CRC so the lie
-// survives the framing layer and reaches DecodePayload.
+// rewriteFrame reseals a copy of a mutated frame so the lie survives the
+// framing layer and reaches the payload validator.
 func rewriteFrame(f []byte) []byte {
 	out := append([]byte(nil), f...)
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(out)-frameHdrLen))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(out[frameHdrLen:]))
+	wal.SealRecord(out)
 	return out
 }

@@ -8,9 +8,9 @@
 // record — a crash mid-write can only cost unacked suffix records, never
 // a parse panic or a misread.
 //
-// The package stores opaque payloads ([]byte); the collector puts the
-// same bytes on disk that travel in a wire frame (8 B delivery sequence +
-// encoded batch), so recovery reuses the wire decoder and the store's
+// The package stores opaque payloads ([]byte); a standalone collector logs
+// each wire frame's payload, so the record on disk is the frame that
+// travelled the wire, recovery reuses the wire decoder and the store's
 // (switch, seq) dedup makes replay idempotent.
 package wal
 
@@ -23,20 +23,20 @@ import (
 	"io"
 )
 
-// Record framing, shared by segment files and snapshot files:
+// Record framing — the one image the collector writes and reads with a
+// length and a checksum: a wire frame and an ack (internal/collector), a
+// segment record and a snapshot file:
 //
 //	[4 B length][4 B CRC-32][payload]
 //
-// length counts the payload only; the CRC covers the payload. The layout
-// deliberately mirrors the collector's wire framing so the same torn-tail
-// and corruption taxonomy applies.
+// length counts the payload only; the CRC covers the payload.
 
-// recordHdrLen is the fixed record prefix: length + CRC.
-const recordHdrLen = 8
+// RecordHdrLen is the fixed record prefix: length + CRC.
+const RecordHdrLen = 8
 
 // MaxRecord bounds one log record. It must admit the largest wire frame
-// payload (8 B seq + a full fevent batch) with headroom; anything larger
-// in a segment is treated as corruption.
+// payload (collector.MaxFrame) with headroom; anything larger in a segment
+// is treated as corruption.
 const MaxRecord = 1 << 20
 
 // MaxSnapshot bounds a snapshot record. Snapshots hold the whole store
@@ -55,25 +55,69 @@ var (
 	ErrRecordTorn = errors.New("wal: torn record")
 )
 
-// AppendRecord appends the framed encoding of payload to buf.
+// AppendRecord appends the framed encoding of payload to buf. It sums
+// payload where it lies rather than sealing the copy: summing bytes just
+// written measured about 20 % slower for an 830-byte frame payload.
 func AppendRecord(buf, payload []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	return append(buf, payload...)
 }
 
-// recordedLen is the on-disk size of a payload once framed.
-func recordedLen(payload []byte) int64 { return int64(recordHdrLen + len(payload)) }
+// SealRecord makes rec a record: it fills in the length and CRC of the
+// payload encoded after rec's first RecordHdrLen bytes, so a writer can
+// encode a payload in place behind a reserved header.
+func SealRecord(rec []byte) {
+	binary.BigEndian.PutUint32(rec[0:4], uint32(len(rec)-RecordHdrLen))
+	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[RecordHdrLen:]))
+}
 
-// ReadRecord reads one framed record from r, verifying length bound and
-// checksum. io.EOF is returned only at a clean record boundary; a record
-// cut off partway through maps to ErrRecordTorn, a bad checksum to
-// ErrRecordCRC, and an implausible length to ErrRecordTooLarge — the
-// recovery loop treats all three as "stop here, keep the prefix".
-// It reads exactly one record's bytes from r; the WAL's own reads of a
-// log file go through a recordReader instead.
-func ReadRecord(r io.Reader, max uint32) ([]byte, error) {
-	return readRecord(r, max, nil)
+// recordedLen is the on-disk size of a payload once framed.
+func recordedLen(payload []byte) int64 { return int64(RecordHdrLen + len(payload)) }
+
+// ReadRecord reads one framed record from r into buf, verifying length
+// bound and checksum. io.EOF is returned only at a clean record boundary;
+// a record cut off partway through — a payload missing after a whole
+// header included — maps to ErrRecordTorn, a bad checksum to ErrRecordCRC,
+// and a length over max to ErrRecordTooLarge before anything is allocated
+// for it: the recovery loop treats all three as "stop here, keep the
+// prefix". A torn record's error also wraps the read error that cut it
+// (a deadline, a reset).
+//
+// buf is regrown when the record does not fit, and the returned payload
+// aliases it: a caller that passes the payload back in reads a whole
+// stream through one buffer (the header is read into it too, its two
+// fields taken out before the payload overwrites it) and must be done
+// with a record before reading the next.
+func ReadRecord(r io.Reader, max uint32, buf []byte) ([]byte, error) {
+	if cap(buf) < RecordHdrLen {
+		buf = make([]byte, RecordHdrLen)
+	}
+	hdr := buf[:RecordHdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("%w: header: %w", ErrRecordTorn, err)
+	}
+	n, sum := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
+	if n > max {
+		return nil, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, max)
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header was whole: this is a tear, not a boundary
+		}
+		return nil, fmt.Errorf("%w: payload: %w", ErrRecordTorn, err)
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, ErrRecordCRC
+	}
+	return payload, nil
 }
 
 // readBufSize is a recordReader's read-ahead: one read call fetches this
@@ -100,7 +144,7 @@ func (rr *recordReader) reset(f io.Reader) { rr.br.Reset(f) }
 
 // next reads the next record, with ReadRecord's error taxonomy.
 func (rr *recordReader) next(max uint32) ([]byte, error) {
-	payload, err := readRecord(rr.br, max, rr.buf)
+	payload, err := ReadRecord(rr.br, max, rr.buf)
 	if err == nil {
 		rr.buf = payload
 	}
@@ -123,39 +167,6 @@ func (rr *recordReader) snapshot() ([]byte, error) {
 			err = errors.New("wal: trailing bytes after snapshot record")
 		}
 		return nil, err
-	}
-	return payload, nil
-}
-
-// readRecord is ReadRecord into buf, regrown when the record does not
-// fit: the returned payload aliases it, so a caller that passes the
-// payload back in reads a whole segment through one buffer (the header is
-// read into it too, its two fields taken out before the payload
-// overwrites it) and must be done with a record before reading the next.
-func readRecord(r io.Reader, max uint32, buf []byte) ([]byte, error) {
-	if cap(buf) < recordHdrLen {
-		buf = make([]byte, recordHdrLen)
-	}
-	hdr := buf[:recordHdrLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: header: %v", ErrRecordTorn, err)
-	}
-	n, sum := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
-	if n > max {
-		return nil, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, max)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrRecordTorn, err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, ErrRecordCRC
 	}
 	return payload, nil
 }

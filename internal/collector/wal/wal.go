@@ -672,7 +672,7 @@ func (w *WAL) InstallSnapshot(cut uint64, snapshot []byte) error {
 	if err != nil {
 		return err
 	}
-	framed := AppendRecord(make([]byte, 0, recordHdrLen+len(snapshot)), snapshot)
+	framed := AppendRecord(make([]byte, 0, RecordHdrLen+len(snapshot)), snapshot)
 	if _, err := f.Write(framed); err != nil {
 		f.Close()
 		w.fs.Remove(tmp)

@@ -35,9 +35,9 @@ type Batch struct {
 
 	// Trace is the distributed-tracing context assigned at the CEBP
 	// batcher and carried across every hop the batch takes. Like Seq it
-	// travels in the frame header (the v3 trace-context extension), not
-	// in the batch body, so AppendTo/DecodeBatch ignore it too; the zero
-	// Context marks an untraced batch (all pre-PR 9 frames decode to it).
+	// travels in the frame header, not in the batch body, so
+	// AppendTo/DecodeBatch ignore it too; the zero Context marks an
+	// untraced batch, and every frame carries the context, zero or not.
 	Trace trace.Context
 }
 

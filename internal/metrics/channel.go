@@ -19,8 +19,9 @@ type ChannelStats struct {
 	// BatchesAcked counts batches covered by cumulative acks;
 	// Retransmits counts frames rewritten after a connection drop.
 	BatchesSent, BatchesAcked, Retransmits uint64
-	// DroppedBatches counts overflow drops at the bounded queue — the
-	// only place the channel is allowed to lose data, and it is counted.
+	// DroppedBatches counts overflow drops at the bounded queue and
+	// batches too large for any frame — the only places the channel is
+	// allowed to lose data, and they are counted.
 	DroppedBatches uint64
 	// Failovers counts switches to a different collector endpoint;
 	// Promotions counts returns to the primary once its probe succeeds

@@ -11,12 +11,12 @@
 // (AllocsPerRun tests) hold with tracing compiled in and sampling enabled.
 //
 // A trace context is 17 bytes — trace ID, parent span ID, flags — and
-// rides inside the existing length+CRC batch frame (see
-// internal/collector frame encoding: bit 63 of the sequence word flags
-// its presence, so old frames still parse). The sampling decision is
-// made once at the origin switch, deterministically from (switch ID,
-// flush ordinal), and carried in the flags byte; downstream stages never
-// re-decide, so one batch is either traced at every hop or at none.
+// rides in every batch frame after the sequence word, all zero when the
+// batch is untraced (see internal/collector/frame.go). The sampling
+// decision is made once at the origin switch, deterministically from
+// (switch ID, flush ordinal), and carried in the flags byte; downstream
+// stages never re-decide, so one batch is either traced at every hop or
+// at none.
 package trace
 
 import (
@@ -36,7 +36,7 @@ const CtxWireLen = 17
 
 // Context is the fixed-size trace context a batch carries across
 // process boundaries. The zero Context means "untraced": no ID was ever
-// assigned (pre-PR 9 frames decode to it).
+// assigned.
 type Context struct {
 	TraceID uint64
 	Parent  uint64 // span ID of the last recorded hop, 0 at the origin

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -41,15 +40,7 @@ func writeFrameSeeds() {
 		fatal(err)
 	}
 
-	frame := func(seq uint64, events ...fevent.Event) []byte {
-		b := &fevent.Batch{SwitchID: 5, Timestamp: 77, Events: events, Seq: seq}
-		var buf bytes.Buffer
-		if err := collector.WriteFrame(&buf, b); err != nil {
-			fatal(err)
-		}
-		return buf.Bytes()
-	}
-	tracedFrame := func(seq uint64, tc trace.Context, events ...fevent.Event) []byte {
+	frame := func(seq uint64, tc trace.Context, events ...fevent.Event) []byte {
 		b := &fevent.Batch{SwitchID: 5, Timestamp: 77, Events: events, Seq: seq, Trace: tc}
 		var buf bytes.Buffer
 		if err := collector.WriteFrame(&buf, b); err != nil {
@@ -64,7 +55,7 @@ func writeFrameSeeds() {
 	drop := fevent.Event{Type: fevent.TypeDrop, Flow: flow, Hash: flow.Hash(),
 		SwitchID: 5, Timestamp: 78, DropCode: fevent.DropMMUCongestion}
 
-	whole := frame(9, ev)
+	whole := frame(9, trace.Context{}, ev)
 
 	mutate := func(src []byte, f func([]byte)) []byte {
 		out := append([]byte(nil), src...)
@@ -74,8 +65,8 @@ func writeFrameSeeds() {
 
 	seeds := map[string][]byte{
 		"valid_one_event":  whole,
-		"valid_two_events": frame(10, ev, drop),
-		"valid_empty":      frame(0),
+		"valid_two_events": frame(10, trace.Context{}, ev, drop),
+		"valid_empty":      frame(0, trace.Context{}),
 		"truncated_header": whole[:3],
 		"truncated_body":   whole[:len(whole)-2],
 		"trailing_byte":    append(append([]byte(nil), whole...), 0x01),
@@ -90,28 +81,26 @@ func writeFrameSeeds() {
 		// Body's record count field inflated past the actual payload.
 		"record_count_lie": mutate(whole, func(b []byte) { corruptRecordCount(b) }),
 		// Valid framing around an undefined event type.
-		"invalid_event_type": frame(11, fevent.Event{Type: 0x7f, Flow: flow, Hash: flow.Hash(),
+		"invalid_event_type": frame(11, trace.Context{}, fevent.Event{Type: 0x7f, Flow: flow, Hash: flow.Hash(),
 			SwitchID: 5, Timestamp: 79}),
 		"zero_noise": bytes.Repeat([]byte{0}, 64),
 	}
 
-	// v3 traced frames: the old seeds above keep sequence bit 63 clear
-	// (the v2 shape); these set it and carry the 17-byte trace context,
-	// so the corpus spans both frame versions the decoder must keep
-	// apart — on the wire and in mixed-version WAL replays.
+	// Traced frames: the seeds above carry the zero context; these carry
+	// a real one.
 	ctx := trace.Context{TraceID: 0x53a0c6e1b20f4d77, Parent: 0x9e3779b97f4a7c15, Flags: trace.FlagSampled}
-	traced := tracedFrame(12, ctx, ev)
+	traced := frame(12, ctx, ev)
 	seeds["valid_traced"] = traced
-	seeds["valid_traced_unsampled"] = tracedFrame(13, trace.Context{TraceID: 21}, ev, drop)
-	// Context torn mid-way: length says traced, payload too short for it.
+	seeds["valid_traced_unsampled"] = frame(13, trace.Context{TraceID: 21}, ev, drop)
+	// Context torn mid-way: the length word promises bytes that never come.
 	seeds["traced_torn_ctx"] = traced[:20]
-	// Version bit set but the context's trace ID field is zero; the CRC
-	// is recomputed so the lie reaches DecodePayload.
+	// The context's trace ID zeroed under a non-zero parent and flags,
+	// resealed so the lie reaches the payload validator.
 	seeds["traced_zero_id"] = mutate(traced, func(b []byte) {
-		for i := 16; i < 24; i++ {
+		for i := ctxOff; i < ctxOff+8; i++ {
 			b[i] = 0
 		}
-		reseal(b)
+		wal.SealRecord(b)
 	})
 
 	// The record view's corners (the fuzz target checks it against the
@@ -119,26 +108,26 @@ func writeFrameSeeds() {
 	// undefined, resealed after each edit.
 	pause := fevent.Event{Type: fevent.TypePause, Flow: flow, Hash: flow.Hash(), EgressPort: 2, Queue: 1, Count: 3}
 	churn := fevent.Event{Type: fevent.TypeTopKChurn, Flow: flow, Hash: flow.Hash(), EgressPort: 2, SketchErr: 9}
-	three := frame(14, pause, churn, pause)
+	three := frame(14, trace.Context{}, pause, churn, pause)
 	recs := len(three) - 3*fevent.RecordLen
 	// Junk in the bytes a pause and a top-K record do not define.
 	seeds["dirty_pad_bytes"] = mutate(three, func(b []byte) {
 		b[recs+16], b[recs+17], b[recs+fevent.RecordLen+15] = 0xde, 0xad, 0xbe
-		reseal(b)
+		wal.SealRecord(b)
 	})
 	// Only the last record's type is undefined.
 	seeds["invalid_type_last_record"] = mutate(three, func(b []byte) {
 		b[recs+2*fevent.RecordLen] = 0x7f
-		reseal(b)
+		wal.SealRecord(b)
 	})
 	// The header counts one record more than the body holds.
 	seeds["record_count_one_over"] = mutate(three, func(b []byte) {
 		binary.BigEndian.PutUint16(b[recs-2:], 4)
-		reseal(b)
+		wal.SealRecord(b)
 	})
 	// A traced frame cut inside its context, with a matching length and
-	// CRC: the version bit promises 17 bytes the payload does not have.
-	seeds["traced_cut_in_ctx_resealed"] = mutate(traced[:8+8+9], reseal)
+	// CRC: the payload is too short for its 17-byte context.
+	seeds["traced_cut_in_ctx_resealed"] = mutate(traced[:ctxOff+9], wal.SealRecord)
 
 	writeSeeds(dir, seeds)
 }
@@ -158,20 +147,13 @@ func writeWALRecordSeeds() {
 		three = wal.AppendRecord(three, []byte(fmt.Sprintf("wal-record-%d", i)))
 	}
 
-	// Frame payloads as the durable server actually logs them, one per
-	// frame version plus a mixed-version log — what recovery replays
-	// after a deployment that upgraded exporters mid-log.
-	framePayload := func(seq uint64, tc trace.Context) []byte {
-		var buf bytes.Buffer
-		b := &fevent.Batch{SwitchID: 3, Timestamp: 55, Seq: seq, Trace: tc}
-		if err := collector.WriteFrame(&buf, b); err != nil {
-			fatal(err)
-		}
-		return buf.Bytes()[8:] // strip length+CRC: the WAL stores the payload
+	// A frame as the durable server logs it: a wire frame is the record
+	// of its payload, byte for byte.
+	var frame bytes.Buffer
+	b := &fevent.Batch{SwitchID: 3, Timestamp: 55, Seq: 10, Trace: trace.Context{TraceID: 7, Parent: 9, Flags: trace.FlagSampled}}
+	if err := collector.WriteFrame(&frame, b); err != nil {
+		fatal(err)
 	}
-	mixedLog := wal.AppendRecord(nil, framePayload(41, trace.Context{}))
-	mixedLog = wal.AppendRecord(mixedLog,
-		framePayload(42, trace.Context{TraceID: 0x53a0c6e1b20f4d77, Flags: trace.FlagSampled}))
 
 	mutate := func(src []byte, f func([]byte)) []byte {
 		out := append([]byte(nil), src...)
@@ -194,10 +176,7 @@ func writeWALRecordSeeds() {
 		"oversize_length":        {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
 		"length_exceeds_payload": mutate(one, func(b []byte) { binary.BigEndian.PutUint32(b[0:4], 200) }),
 		"zero_noise":             bytes.Repeat([]byte{0}, 64),
-		"frame_payload_v2":       wal.AppendRecord(nil, framePayload(9, trace.Context{})),
-		"frame_payload_traced": wal.AppendRecord(nil,
-			framePayload(10, trace.Context{TraceID: 7, Parent: 9, Flags: trace.FlagSampled})),
-		"frame_payload_mixed_versions": mixedLog,
+		"frame_payload_traced":   frame.Bytes(),
 	}
 	writeSeeds(dir, seeds)
 }
@@ -356,23 +335,20 @@ func writeSeeds(dir string, seeds map[string][]byte) {
 	}
 }
 
+// ctxOff is where a frame's trace context starts: after the record
+// header and the 8-byte sequence.
+const ctxOff = wal.RecordHdrLen + 8
+
 // corruptRecordCount bumps the batch body's event-count field. The frame
-// layout is [4B length][4B CRC][8B seq][batch body] and the batch header
-// is switchID(2) timestamp(8) count(2), so the count sits at frame offset
-// 8+8+10. The CRC is recomputed so the lie reaches the batch decoder
-// instead of being caught by the checksum.
+// layout is [4B length][4B CRC][8B seq][17B trace ctx][batch body] and the
+// batch header is switchID(2) timestamp(8) count(2), so the count sits at
+// frame offset 8+8+17+10. The frame is resealed so the lie reaches the
+// batch decoder instead of being caught by the checksum.
 func corruptRecordCount(b []byte) {
-	body := b[16:]
+	body := b[ctxOff+trace.CtxWireLen:]
 	cnt := binary.BigEndian.Uint16(body[10:12])
 	binary.BigEndian.PutUint16(body[10:12], cnt+3)
-	reseal(b)
-}
-
-// reseal rewrites a mutated frame's length and CRC words so the lie
-// reaches the payload validator.
-func reseal(b []byte) {
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-8))
-	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
+	wal.SealRecord(b)
 }
 
 func fatal(err error) {
