@@ -31,9 +31,8 @@ cover:
 	$(GO) run ./scripts/covergate -profile cover.out -floors scripts/covergate/floors.txt
 
 # fuzz-smoke and nightly-fuzz run the same list of fuzz targets, every one
-# the repo has, each from its checked-in seed corpus under
-# */testdata/fuzz/ (regenerate with `go run ./scripts/genfuzzcorpus`) or
-# its f.Add seeds: 10 s a target on every PR, 10 min a target nightly.
+# the repo has, each from its f.Add seeds and testdata/fuzz files: 10 s a
+# target on every PR, 10 min a target nightly.
 fuzz-smoke nightly-fuzz:
 	@set -e; for t in \
 		internal/collector:FuzzReadFrame \

@@ -151,11 +151,12 @@ func main() {
 	}
 	defer ingest.Close()
 	ingest.RegisterMetrics(reg)
-	query, err := collector.NewQueryServerReg(store, *queryAddr, reg)
+	query, err := collector.NewQueryServer(store, *queryAddr)
 	if err != nil {
 		log.Fatalf("query listener: %v", err)
 	}
 	defer query.Close()
+	query.RegisterMetrics(reg)
 	log.Printf("netseerd: ingesting on %s, queries on %s", ingest.Addr(), query.Addr())
 
 	if *metricsAddr != "" {

@@ -99,7 +99,8 @@ func main() {
 		// Flush, so the queue must hold every batch: the default 1024-batch
 		// bound silently sheds the tail of a sketch-enabled run (the three
 		// volumetric event types triple the export volume).
-		client = collector.NewClientEndpoints(strings.Split(*collectorAddr, ","), collector.ClientConfig{MaxQueue: 1 << 16})
+		addrs := strings.Split(*collectorAddr, ",")
+		client = collector.NewClientConfig(addrs[0], collector.ClientConfig{MaxQueue: 1 << 16, Endpoints: addrs[1:]})
 		defer client.Close()
 		client.RegisterMetrics(reg)
 	}

@@ -231,7 +231,7 @@ func TestBurstLivenessUnderMidFrameResets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := NewServerOn(store, ln, ServerConfig{})
+			srv := startServer(t, store, ServerConfig{Listener: ln})
 			defer srv.Close()
 			cl := fastClient(srv.Addr())
 			defer cl.Close()

@@ -61,7 +61,7 @@ func TestChaosFlakyLinkNoLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOn(store, ln, ServerConfig{})
+	srv := startServer(t, store, ServerConfig{Listener: ln})
 	defer srv.Close()
 
 	cl := fastClient(srv.Addr())
@@ -98,7 +98,7 @@ func TestChaosCorruptionNoLoss(t *testing.T) {
 	}
 	// Short read deadline: a desynced connection (corrupt length field)
 	// must die quickly so the client can retransmit.
-	srv := NewServerOn(store, ln, ServerConfig{ReadTimeout: 300 * time.Millisecond})
+	srv := startServer(t, store, ServerConfig{Listener: ln, ReadTimeout: 300 * time.Millisecond})
 	defer srv.Close()
 
 	cl := fastClient(srv.Addr())
@@ -199,8 +199,8 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOn(store, &flakyListener{Listener: ln, fails: 5},
-		ServerConfig{AcceptRetryDelay: time.Millisecond})
+	srv := startServer(t, store, ServerConfig{Listener: &flakyListener{Listener: ln, fails: 5},
+		AcceptRetryDelay: time.Millisecond})
 	defer srv.Close()
 
 	cl := fastClient(srv.Addr())

@@ -42,10 +42,12 @@ type ClientConfig struct {
 	// CloseTimeout bounds the graceful drain in Close before the
 	// connection is torn down (default 2s).
 	CloseTimeout time.Duration
+	// Endpoints is the failover list, tried in order after the primary
+	// address when it is unreachable.
+	Endpoints []string
 	// PrimaryRetryInterval is how often a client running on a backup
 	// endpoint probes the primary for recovery; a successful probe
-	// promotes the channel back (default 3s). Ignored for
-	// single-endpoint clients.
+	// promotes the channel back (default 3s). Ignored without Endpoints.
 	PrimaryRetryInterval time.Duration
 	// PreserveSeq keeps a non-zero Seq already present on a delivered
 	// batch instead of assigning a fresh one. The fabric's drain path
@@ -101,7 +103,7 @@ type pendingBatch struct {
 // sequence number. A connection drop therefore retransmits instead of
 // losing data; the Store deduplicates replays by (switch, sequence).
 //
-// Given several endpoints (NewClientEndpoints), the client fails over:
+// Given failover Endpoints, the client fails over:
 // a dial failure moves to the next endpoint immediately, the jittered
 // backoff applies only once the whole list has refused a cycle, and the
 // in-flight window carries across — batches unacked on the dead
@@ -142,22 +144,13 @@ type Client struct {
 	senderDone chan struct{}
 }
 
-// NewClientConfig creates a single-endpoint client; the zero ClientConfig
-// is the default tuning. The first connection attempt happens
-// asynchronously once the first batch is delivered.
+// NewClientConfig creates a client whose primary endpoint is addr, failing
+// over to cfg.Endpoints; the zero ClientConfig is the default tuning. The
+// first connection attempt happens asynchronously once the first batch is
+// delivered.
 func NewClientConfig(addr string, cfg ClientConfig) *Client {
-	return NewClientEndpoints([]string{addr}, cfg)
-}
-
-// NewClientEndpoints creates a client with an ordered failover list:
-// endpoints[0] is the primary, the rest are tried in order when it is
-// unreachable. Panics on an empty list.
-func NewClientEndpoints(endpoints []string, cfg ClientConfig) *Client {
-	if len(endpoints) == 0 {
-		panic("collector: NewClientEndpoints needs at least one endpoint")
-	}
 	c := &Client{
-		endpoints:  append([]string(nil), endpoints...),
+		endpoints:  append([]string{addr}, cfg.Endpoints...),
 		cfg:        cfg.withDefaults(),
 		ackLat:     obs.NewHistogram(obs.LatencyBuckets()),
 		closeCh:    make(chan struct{}),

@@ -271,6 +271,7 @@ func TestParseFilterErrors(t *testing.T) {
 		{"switch=abc"},
 		{"type=nothing"},
 		{"code=nothing"},
+		{"code=none"},
 		{"since=x"},
 		{"until=x"},
 		{"wat=1"},

@@ -143,7 +143,7 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	// shedAt lands 66 single-event batches past the first block, where
 	// the 16 KiB budget put it when an event was charged a flat 160 B.
 	budget := memAfter(66) * 10 / 9
-	srv := NewServerOn(store, mustListen(t), ServerConfig{
+	srv := startServer(t, store, ServerConfig{
 		WAL:          w,
 		MemoryBudget: budget,
 		AckSlowdown:  time.Microsecond,
@@ -221,14 +221,15 @@ func TestMemAfterIsWhatTheStoreReports(t *testing.T) {
 	}
 }
 
-// mustListen returns a fresh loopback listener.
-func mustListen(t *testing.T) net.Listener {
+// startServer starts an ingest server on a loopback port, or on
+// cfg.Listener when set.
+func startServer(t *testing.T, store *Store, cfg ServerConfig) *Server {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := NewServerConfig(store, "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ln
+	return srv
 }
 
 // TestServerReadDeadlineDropsSilentConn verifies a connection that sends
@@ -333,7 +334,8 @@ func TestFailoverNoDoubleDeliver(t *testing.T) {
 	}
 	defer backup.Close()
 
-	cl := NewClientEndpoints([]string{primAddr, backup.Addr()}, ClientConfig{
+	cl := NewClientConfig(primAddr, ClientConfig{
+		Endpoints:            []string{backup.Addr()},
 		BackoffMin:           2 * time.Millisecond,
 		BackoffMax:           20 * time.Millisecond,
 		FlushTimeout:         30 * time.Second,

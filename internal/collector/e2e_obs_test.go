@@ -31,11 +31,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	defer ingest.Close()
 	ingest.RegisterMetrics(reg)
-	qs, err := NewQueryServerReg(store, "127.0.0.1:0", reg)
+	qs, err := NewQueryServer(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer qs.Close()
+	qs.RegisterMetrics(reg)
 	osrv, err := obs.ServeHTTP(reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -401,8 +401,8 @@ func TestAsymmetricPartitionDuringIngest(t *testing.T) {
 	})
 	b, err := fabric.StartShard(fabric.ShardOptions{
 		ID: 2, Dir: filepath.Join(base, "s2"),
-		IngestListener: fln,
-		QueryAddr:      "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
+		Server:    collector.ServerConfig{Listener: fln},
+		QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
 		WAL: wal.Options{NoSync: true},
 	})
 	if err != nil {

@@ -89,7 +89,8 @@ func (r *Router) clientLocked(s ShardInfo, preserve bool) *collector.Client {
 	}
 	ccfg := r.ccfg
 	ccfg.PreserveSeq = preserve
-	c := collector.NewClientEndpoints(s.Ingest, ccfg)
+	ccfg.Endpoints = s.Ingest[1:]
+	c := collector.NewClientConfig(s.Ingest[0], ccfg)
 	m[s.ID] = c
 	if r.reg != nil && !preserve {
 		ctr := &obs.Counter{}

@@ -39,13 +39,10 @@ type ShardOptions struct {
 	QueryAddr  string
 	AdminAddr  string
 
-	// IngestListener, when non-nil, serves ingest on this listener
-	// instead of binding IngestAddr — chaos tests interpose
-	// fault-injected wires here.
-	IngestListener net.Listener
-
 	// Server carries the ingest tuning forwarded to collector.Server
-	// (WAL and WALEncode are overwritten — the shard owns its log).
+	// (WAL and WALEncode are overwritten — the shard owns its log). Its
+	// Listener, when set, is served instead of binding IngestAddr — chaos
+	// tests interpose fault-injected wires there.
 	Server collector.ServerConfig
 	// WAL tunes the log (NoSync for tests that don't need crash safety).
 	WAL wal.Options
@@ -231,18 +228,13 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 	scfg.WALEncode = encodeBatchRecord
 	scfg.TraceShard = opts.ID
 	store.SetTraceShard(opts.ID)
-	var srv *collector.Server
-	if opts.IngestListener != nil {
-		srv = collector.NewServerOn(store, opts.IngestListener, scfg)
-	} else {
-		srv, err = collector.NewServerConfig(store, opts.IngestAddr, scfg)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
+	srv, err := collector.NewServerConfig(store, opts.IngestAddr, scfg)
+	if err != nil {
+		w.Close()
+		return nil, err
 	}
 	n.srv = srv
-	qsrv, err := collector.NewQueryServerReg(store, opts.QueryAddr, opts.Registry)
+	qsrv, err := collector.NewQueryServer(store, opts.QueryAddr)
 	if err != nil {
 		srv.Close()
 		w.Close()
@@ -268,6 +260,7 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 func (n *ShardNode) registerMetrics(r *obs.Registry) {
 	shard := obs.L("shard", strconv.Itoa(int(n.ID)))
 	n.srv.RegisterMetrics(r, shard)
+	n.qsrv.RegisterMetrics(r)
 	n.store.RegisterMetrics(r)
 	r.RegisterCounter(obs.MFabricImportedEvents, "Events imported from a rebalance handoff.", &n.importedEvents, shard)
 	r.RegisterCounter(obs.MFabricFencedEvents, "Events removed by an epoch fence after handoff.", &n.fencedEvents, shard)

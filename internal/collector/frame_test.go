@@ -130,7 +130,7 @@ func TestServerRejectsFrameWithInvalidRecord(t *testing.T) {
 	}
 	defer w.Close()
 	store := NewStore()
-	srv := NewServerOn(store, mustListen(t), ServerConfig{WAL: w})
+	srv := startServer(t, store, ServerConfig{WAL: w})
 	defer srv.Close()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -175,7 +175,7 @@ func TestTheLogIsTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOn(NewStore(), mustListen(t), ServerConfig{WAL: w})
+	srv := startServer(t, NewStore(), ServerConfig{WAL: w})
 	conn, err := newRawConn(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestFrameLengthIsBoundedBeforeItsPayload(t *testing.T) {
 		t.Fatalf("a header declaring MaxFrame allocates %d B before its payload arrives", per)
 	}
 
-	srv := NewServerOn(NewStore(), mustListen(t), ServerConfig{})
+	srv := startServer(t, NewStore(), ServerConfig{})
 	defer srv.Close()
 	conn, err := newRawConn(srv.Addr())
 	if err != nil {
@@ -298,7 +298,7 @@ func TestFrameLengthIsBoundedBeforeItsPayload(t *testing.T) {
 // wedge the channel behind it.
 func TestClientDropsBatchNoFrameCanCarry(t *testing.T) {
 	store := NewStore()
-	srv := NewServerOn(store, mustListen(t), ServerConfig{})
+	srv := startServer(t, store, ServerConfig{})
 	defer srv.Close()
 	cl := NewClientConfig(srv.Addr(), ClientConfig{FlushTimeout: 2 * time.Second})
 	defer cl.Close()

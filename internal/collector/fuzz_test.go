@@ -2,12 +2,14 @@ package collector
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
 	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
+	"netseer/internal/pkt"
 )
 
 // FuzzReadFrame throws arbitrary bytes at the frame reader: it must never
@@ -31,7 +33,24 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	whole := frame(9, trace.Context{}, fevent.Event{Type: fevent.TypeCongestion, Flow: flowN(3), SwitchID: 5, Timestamp: 77})
+	// edited copies src and applies edit; resealed also restamps the
+	// length and CRC, so the lie it plants reaches the payload validator.
+	edited := func(src []byte, edit func(b []byte)) []byte {
+		out := append([]byte(nil), src...)
+		edit(out)
+		return out
+	}
+	resealed := func(src []byte, edit func(b []byte)) []byte { return rewriteFrame(edited(src, edit)) }
+	const ctxOff = wal.RecordHdrLen + frameSeqLen
+	countOff := wal.RecordHdrLen + payloadHdrLen + fevent.BatchHeaderLen - 2
+	addCount := func(b []byte, n uint16) {
+		binary.BigEndian.PutUint16(b[countOff:], binary.BigEndian.Uint16(b[countOff:])+n)
+	}
+
+	flow := pkt.FlowKey{SrcIP: pkt.IP(10, 0, 0, 3), DstIP: pkt.IP(10, 0, 1, 4), SrcPort: 33001, DstPort: 80, Proto: pkt.ProtoTCP}
+	ev := fevent.Event{Type: fevent.TypeCongestion, Flow: flow, Hash: flow.Hash(), SwitchID: 5, Timestamp: 77, QueueLatencyUs: 12}
+	drop := fevent.Event{Type: fevent.TypeDrop, Flow: flow, Hash: flow.Hash(), SwitchID: 5, Timestamp: 78, DropCode: fevent.DropMMUCongestion}
+	whole := frame(9, trace.Context{}, ev)
 	f.Add(whole)
 	f.Add(frame(0, trace.Context{}))
 	f.Add(whole[:3])                                   // truncated length header
@@ -42,7 +61,7 @@ func FuzzReadFrame(f *testing.F) {
 
 	// Traced frames: sampled, unsampled-but-assigned, and empty body.
 	ctx := trace.Context{TraceID: 0x53a0c6e1b20f4d77, Parent: 0x9e3779b97f4a7c15, Flags: trace.FlagSampled}
-	wholeTraced := frame(9, ctx, fevent.Event{Type: fevent.TypeCongestion, Flow: flowN(3), SwitchID: 5, Timestamp: 77})
+	wholeTraced := frame(12, ctx, ev)
 	f.Add(wholeTraced)
 	f.Add(frame(10, trace.Context{TraceID: 1}))
 	// Traced frame torn inside its 17-byte context.
@@ -50,18 +69,31 @@ func FuzzReadFrame(f *testing.F) {
 
 	// The record view's own corners: dirty pad bytes, an invalid type in
 	// the last record only, a count one larger than the body.
-	pause := fevent.Event{Type: fevent.TypePause, Flow: flowN(4), EgressPort: 2, Queue: 1, Count: 3}
-	churn := fevent.Event{Type: fevent.TypeTopKChurn, Flow: flowN(5), EgressPort: 2, SketchErr: 9}
-	three := frame(11, trace.Context{}, pause, churn, pause)
-	reseal := func(frame []byte, edit func(records []byte)) []byte {
-		out := append([]byte(nil), frame...)
-		edit(out[len(out)-3*fevent.RecordLen:])
-		return rewriteFrame(out)
-	}
-	f.Add(reseal(three, func(r []byte) { r[16], r[17], r[fevent.RecordLen+15] = 0xde, 0xad, 0xbe }))
-	f.Add(reseal(three, func(r []byte) { r[2*fevent.RecordLen] = 0x7f }))
-	countOff := wal.RecordHdrLen + payloadHdrLen + fevent.BatchHeaderLen - 2
-	f.Add(rewriteFrame(append(append(append([]byte(nil), three[:countOff]...), 0, 4), three[countOff+2:]...)))
+	pause := fevent.Event{Type: fevent.TypePause, Flow: flow, Hash: flow.Hash(), EgressPort: 2, Queue: 1, Count: 3}
+	churn := fevent.Event{Type: fevent.TypeTopKChurn, Flow: flow, Hash: flow.Hash(), EgressPort: 2, SketchErr: 9}
+	three := frame(14, trace.Context{}, pause, churn, pause)
+	recs := len(three) - 3*fevent.RecordLen
+	f.Add(resealed(three, func(b []byte) { b[recs+16], b[recs+17], b[recs+fevent.RecordLen+15] = 0xde, 0xad, 0xbe }))
+	f.Add(resealed(three, func(b []byte) { b[recs+2*fevent.RecordLen] = 0x7f }))
+	f.Add(resealed(three, func(b []byte) { addCount(b, 1) }))
+
+	// The framing's lies: two whole events, a flipped CRC bit, a length
+	// word one record short, a count three past the body, and an
+	// undefined type in a frame of one.
+	f.Add(frame(10, trace.Context{}, ev, drop))
+	f.Add(edited(whole, func(b []byte) { b[5] ^= 0x40 }))
+	f.Add(edited(whole, func(b []byte) {
+		binary.BigEndian.PutUint32(b[0:4], binary.BigEndian.Uint32(b[0:4])-fevent.RecordLen)
+	}))
+	f.Add(resealed(whole, func(b []byte) { addCount(b, 3) }))
+	f.Add(frame(11, trace.Context{}, fevent.Event{Type: 0x7f, Flow: flow, Hash: flow.Hash(), SwitchID: 5, Timestamp: 79}))
+
+	// The context's lies: a zero trace ID under a non-zero parent and
+	// flags, and a frame whose length and CRC agree but whose payload ends
+	// inside its context. Then two events under an unsampled context.
+	f.Add(resealed(wholeTraced, func(b []byte) { clear(b[ctxOff : ctxOff+8]) }))
+	f.Add(rewriteFrame(wholeTraced[:ctxOff+9]))
+	f.Add(frame(13, trace.Context{TraceID: 21}, ev, drop))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b fevent.Batch

@@ -73,7 +73,10 @@ func childMain() {
 		ResetAfter: 8192,
 		MaxChunk:   32,
 	})
-	srv := collector.NewServerOn(store, fln, collector.ServerConfig{WAL: w})
+	srv, err := collector.NewServerConfig(store, "", collector.ServerConfig{Listener: fln, WAL: w})
+	if err != nil {
+		die("serve: %v", err)
+	}
 	defer srv.Close()
 	// Checkpoint far more often than production would, so kills race
 	// segment cuts, snapshot installs and truncations.

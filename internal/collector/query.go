@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"netseer/internal/fevent"
 	"netseer/internal/obs"
@@ -38,7 +39,7 @@ import (
 // fetquery can observe a daemon without an HTTP client.
 type QueryServer struct {
 	store *Store
-	reg   *obs.Registry
+	reg   atomic.Pointer[obs.Registry] // what stats serves; nil until RegisterMetrics
 	ln    net.Listener
 	wg    sync.WaitGroup
 
@@ -59,30 +60,29 @@ func verbIndex(cmd string) int {
 	return len(queryVerbs) - 1
 }
 
-// NewQueryServer starts a query listener on addr.
+// NewQueryServer starts a query listener on addr. Its stats verb answers
+// with an error line until RegisterMetrics names a registry.
 func NewQueryServer(store *Store, addr string) (*QueryServer, error) {
-	return NewQueryServerReg(store, addr, nil)
-}
-
-// NewQueryServerReg starts a query listener whose stats verb serves reg
-// (nil disables the verb) and whose per-verb request counters register on
-// reg under netseer_query_*.
-func NewQueryServerReg(store *Store, addr string, reg *obs.Registry) (*QueryServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	q := &QueryServer{store: store, reg: reg, ln: ln}
-	if reg != nil {
-		for i := range queryVerbs {
-			reg.RegisterCounter(obs.MQueryRequests, "Query-protocol requests, by verb.",
-				&q.requests[i], obs.L("verb", queryVerbs[i]))
-		}
-		reg.RegisterCounter(obs.MQueryErrors, "Query-protocol requests answered with an error line.", &q.errors)
-	}
+	q := &QueryServer{store: store, ln: ln}
 	q.wg.Add(1)
 	go q.acceptLoop()
 	return q, nil
+}
+
+// RegisterMetrics registers the per-verb request and error counters on r
+// under netseer_query_*, and makes r what the stats verb serves. It is
+// safe to call while the server is serving.
+func (q *QueryServer) RegisterMetrics(r *obs.Registry) {
+	for i := range queryVerbs {
+		r.RegisterCounter(obs.MQueryRequests, "Query-protocol requests, by verb.",
+			&q.requests[i], obs.L("verb", queryVerbs[i]))
+	}
+	r.RegisterCounter(obs.MQueryErrors, "Query-protocol requests answered with an error line.", &q.errors)
+	q.reg.Store(r)
 }
 
 // Addr returns the listening address.
@@ -220,11 +220,12 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 		}
 		fmt.Fprint(w, ".\n")
 	case "stats":
-		if q.reg == nil {
+		reg := q.reg.Load()
+		if reg == nil {
 			q.errf(w, "stats not available (no registry)")
 			return
 		}
-		q.reg.WritePrometheus(w)
+		reg.WritePrometheus(w)
 		fmt.Fprint(w, ".\n")
 	case "trace":
 		// One compact JSON span per line from this process's recorder,
@@ -365,8 +366,10 @@ func parseType(s string) (fevent.Type, error) {
 	return 0, fmt.Errorf("unknown event type %q", s)
 }
 
+// parseDropCode names a real drop code. "none" is the zero filter, which
+// matches every event, not a code: it is rejected like any unknown name.
 func parseDropCode(s string) (fevent.DropCode, error) {
-	for c := fevent.DropNone; c <= fevent.DropCorruption; c++ {
+	for c := fevent.DropParityError; c <= fevent.DropCorruption; c++ {
 		if c.String() == strings.ToLower(s) {
 			return c, nil
 		}

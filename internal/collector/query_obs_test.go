@@ -1,7 +1,10 @@
 package collector
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,11 +37,12 @@ func TestQueryStatsVerb(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.RegisterCatalog(reg)
 	store.RegisterMetrics(reg)
-	qs, err := NewQueryServerReg(store, "127.0.0.1:0", reg)
+	qs, err := NewQueryServer(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer qs.Close()
+	qs.RegisterMetrics(reg)
 
 	lines := queryLine(t, qs.Addr(), "stats")
 	if len(lines) == 0 {
@@ -73,6 +77,35 @@ func TestQueryStatsVerbWithoutRegistry(t *testing.T) {
 	if len(lines) != 1 || !strings.HasPrefix(lines[0], "!") {
 		t.Errorf("stats without registry = %v, want error line", lines)
 	}
+
+	// A registry named while a client is asking is read race-free, and
+	// the verb serves it from then on.
+	asked := make(chan error)
+	go func() {
+		conn, err := net.Dial("tcp", qs.Addr())
+		if err != nil {
+			asked <- err
+			return
+		}
+		defer conn.Close()
+		fmt.Fprint(conn, strings.Repeat("stats\n", 4))
+		sc := bufio.NewScanner(conn)
+		for n := 0; n < 4 && sc.Scan(); {
+			if sc.Text() == "." {
+				n++
+			}
+		}
+		asked <- sc.Err()
+	}()
+	reg := obs.NewRegistry()
+	qs.RegisterMetrics(reg)
+	if err := <-asked; err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Join(queryLine(t, qs.Addr(), "stats"), "\n")
+	if !strings.Contains(body, obs.MQueryRequests+`{verb="stats"} 6`) {
+		t.Errorf("stats after RegisterMetrics = %q, want all six requests counted", body)
+	}
 }
 
 // Every error path of the line protocol answers with a "! message" line
@@ -80,11 +113,12 @@ func TestQueryStatsVerbWithoutRegistry(t *testing.T) {
 func TestQueryErrorPathsCounted(t *testing.T) {
 	store := seedStore()
 	reg := obs.NewRegistry()
-	qs, err := NewQueryServerReg(store, "127.0.0.1:0", reg)
+	qs, err := NewQueryServer(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer qs.Close()
+	qs.RegisterMetrics(reg)
 
 	cases := []struct {
 		name, req, verb string
@@ -95,6 +129,7 @@ func TestQueryErrorPathsCounted(t *testing.T) {
 		{"ip_five_octets", "count flow=udp:10.0.0.1:1:10.0.0.2.5:2", "count"},
 		{"ip_with_port", "path flow=tcp:1.2.3.4:80:1:10.0.0.2:2", "path"},
 		{"unknown_event_code", "count code=warp-failure", "count"},
+		{"no_drop_code", "count code=none", "count"},
 		{"unknown_event_type", "query type=meltdown", "query"},
 		{"bad_switch_id", "count switch=notanumber", "count"},
 		{"path_missing_flow", "path", "path"},

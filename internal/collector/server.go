@@ -34,6 +34,10 @@ type ServerConfig struct {
 	// AcceptRetryDelay is the pause after a transient Accept error
 	// (default 50ms).
 	AcceptRetryDelay time.Duration
+	// Listener, when non-nil, is served instead of binding the address —
+	// the hook fault-injection harnesses use to interpose a flaky wire (see
+	// internal/faultconn).
+	Listener net.Listener
 
 	// WAL, when non-nil, makes the server durable: every ingested frame
 	// is appended to the log and its ack is withheld until the record is
@@ -143,20 +147,17 @@ type Server struct {
 	ingestLag *obs.Histogram
 }
 
-// NewServerConfig starts an ingest server on addr (e.g. "127.0.0.1:0");
-// the zero ServerConfig is the default tuning. Use Addr to learn the
-// bound address.
+// NewServerConfig starts an ingest server on addr (e.g. "127.0.0.1:0"),
+// or on cfg.Listener when set; the zero ServerConfig is the default
+// tuning. Use Addr to learn the bound address.
 func NewServerConfig(store *Store, addr string, cfg ServerConfig) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+	ln := cfg.Listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			return nil, err
+		}
 	}
-	return NewServerOn(store, ln, cfg), nil
-}
-
-// NewServerOn serves on an existing listener — the hook fault-injection
-// harnesses use to interpose a flaky wire (see internal/faultconn).
-func NewServerOn(store *Store, ln net.Listener, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{store: store, ln: ln, cfg: cfg, wal: cfg.WAL,
 		conns:     make(map[net.Conn]struct{}),
@@ -164,7 +165,7 @@ func NewServerOn(store *Store, ln net.Listener, cfg ServerConfig) *Server {
 		ingestLag: obs.NewHistogram(obs.LatencyBuckets())}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s
+	return s, nil
 }
 
 // Addr returns the listening address.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,13 +17,13 @@ import (
 // socket. The invariants: never panic, never return a record that does
 // not checksum, return io.EOF only at a record boundary, and classify
 // every other failure as one of the recovery-stop errors (torn, CRC,
-// oversize). Seeds covering the interesting shapes (valid record, torn
-// tail, bad CRC, truncated length word) are generated by
-// scripts/genfuzzcorpus.
+// oversize).
 func FuzzWALRecord(f *testing.F) {
-	f.Add(AppendRecord(nil, []byte("hello-wal")))
+	one := AppendRecord(nil, []byte("wal-record-payload"))
+	f.Add(one)
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})                            // torn header
+	f.Add([]byte{0, 0})                               // torn length word
+	f.Add(one[:5])                                    // torn header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // oversize length
 	// The shapes the collector's wire adds: an ack (the record of an 8 B
 	// sequence), a whole header whose payload never came, and a record
@@ -31,6 +32,39 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(ack)
 	f.Add(ack[:RecordHdrLen])
 	f.Add(append(AppendRecord(nil, []byte("whole")), ack[:len(ack)-3]...))
+	// A crash tail's shapes: several whole records, an empty payload, a
+	// record torn in its payload or followed by a torn header, bit rot in
+	// the CRC or the payload, a length word past the payload, and zeros.
+	var three []byte
+	for i := 0; i < 3; i++ {
+		three = AppendRecord(three, []byte(fmt.Sprintf("wal-record-%d", i)))
+	}
+	flip := func(at int, bit byte) []byte {
+		out := append([]byte(nil), one...)
+		out[at] ^= bit
+		return out
+	}
+	f.Add(three)
+	f.Add(AppendRecord(nil, nil))
+	f.Add(one[:len(one)-3])
+	f.Add(append(append([]byte(nil), one...), three[:6]...))
+	f.Add(flip(6, 0x10))
+	f.Add(flip(len(one)-1, 0x01))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 200), one[4:]...))
+	f.Add(bytes.Repeat([]byte{0}, 64))
+	// A frame as the durable server logs it, laid out by hand (this
+	// package cannot import the collector's codec): [8 B seq 10][17 B
+	// trace ctx: ID 7, parent 9, sampled][batch header: switch 3, time 55,
+	// no records].
+	var frame []byte
+	frame = binary.BigEndian.AppendUint64(frame, 10)
+	frame = binary.BigEndian.AppendUint64(frame, 7)
+	frame = binary.BigEndian.AppendUint64(frame, 9)
+	frame = append(frame, 1)
+	frame = binary.BigEndian.AppendUint16(frame, 3)
+	frame = binary.BigEndian.AppendUint64(frame, 55)
+	frame = binary.BigEndian.AppendUint16(frame, 0)
+	f.Add(AppendRecord(nil, frame))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -74,17 +108,24 @@ func FuzzWALRecord(f *testing.F) {
 // replay reports a gap for it.
 func FuzzWALReplay(f *testing.F) {
 	var seg []byte
-	for i := 0; i < 3; i++ {
-		seg = AppendRecord(seg, []byte("segment-record"))
+	for i := 0; i < 5; i++ {
+		seg = AppendRecord(seg, []byte(fmt.Sprintf("segment-record-%d", i)))
 	}
+	last := len(seg) / 5 // the records are the same length
 	f.Add(seg)
-	f.Add(seg[:len(seg)-4]) // torn tail
+	f.Add(seg[:len(seg)-3]) // torn tail
 	midCorrupt := append([]byte(nil), seg...)
 	midCorrupt[len(midCorrupt)/2] ^= 0xFF // CRC failure mid-segment
 	f.Add(midCorrupt)
 	f.Add([]byte{})
-	f.Add(seg[:len(seg)*2/3+3]) // torn header: two records, 3 header bytes
-	f.Add(seg[:len(seg)-5])     // ends mid-payload
+	f.Add(seg[:len(seg)-last+5])              // torn header: four records, 5 header bytes
+	f.Add(seg[:len(seg)-last+RecordHdrLen+6]) // ends mid-payload
+	headerRot := append([]byte(nil), seg...)
+	headerRot[0] ^= 0x80 // rot in a length word: framing desyncs at once
+	f.Add(headerRot)
+	f.Add(bytes.Repeat([]byte{0}, 64))
+	f.Add(AppendRecord(nil, []byte("lone-record")))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // oversize length, then EOF
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The reference: ReadRecord one record at a time over the bytes.
 		var want [][]byte

@@ -16,6 +16,11 @@ func FuzzPipeline(f *testing.F) {
 	for _, sc := range Matrix(1) {
 		f.Add(sc.Encode())
 	}
+	// The kitchen sink: small tables and ring, every link fault and every
+	// control-plane fault at once on the testbed.
+	f.Add(Scenario{Seed: 0x36fbefaa6fb125e4, Topo: TopoTestbed, GroupSlots: 32, GroupC: 4, RingSlots: 128,
+		Flows: 40, Pkts: 40, LossBurst: 20, LossPct: 8, CorruptPct: 5,
+		Blackhole: true, Parity: true, ACLDeny: true, PathFlip: true, Incast: true, Pause: true}.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := DecodeScenario(data)
 		rep := Check(Run(sc))

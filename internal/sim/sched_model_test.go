@@ -261,45 +261,64 @@ func delayByte(d Time) byte {
 	panic(fmt.Sprintf("delay %d is not in progDelays", d))
 }
 
-// TestSchedulerDirectedPrograms pins the cases the two tiers make
-// delicate, each as a short program checked against the reference.
-func TestSchedulerDirectedPrograms(t *testing.T) {
+// directedPrograms are the cases the two tiers make delicate, each a short
+// program: the directed test checks each against the reference, and they
+// are FuzzScheduler's seeds.
+var directedPrograms = func() []struct {
+	name string
+	prog []byte
+} {
 	d := delayByte
-	progs := map[string][]byte{
-		"span boundary": {
+	var laps []byte
+	for i := 0; i < 60; i++ {
+		laps = append(laps, opSchedule, d(100), opAt, d(1000), opSchedule, d(80), opStep, 0, opStep, 0, opRun, d(80))
+	}
+	return []struct {
+		name string
+		prog []byte
+	}{
+		{"span boundary", []byte{
 			opSchedule, d(wheelSpan + 1), opSchedule, d(wheelSpan), opSchedule, d(wheelSpan - 1),
 			opSchedule, d(wheelSpan - 2), opStep, 0, opStep, 0, opRunAll, 0,
-		},
-		"wheel event ties with an older heap event": {
+		}},
+		{"wheel event ties with an older heap event", []byte{
 			opSchedule, d(2 * wheelSpan), opRun, d(wheelSpan + 1), // the clock moves within span of it
-			opSchedule, d(wheelSpan - 1), opSchedule, d(wheelSpan - 1), opRunAll, 0,
-		},
-		"same slot, next lap": {
+			opSchedule, d(wheelSpan - 1), opAt, d(wheelSpan - 1), opRunAll, 0,
+		}},
+		{"same slot, next lap", []byte{
 			opSchedule, d(100), opSchedule, d(100), opSchedule, d(wheelSpan), opSchedule, d(2 * wheelSpan),
-			opRun, d(100), opSchedule, d(wheelSpan), opRunAll, 0,
-		},
-		"run jumps over many empty slots, then wraps": {
+			opRun, d(100), opSchedule, d(wheelSpan), opSchedule, d(3 * wheelSpan), opRunAll, 0,
+		}},
+		{"run jumps over many empty slots, then wraps", []byte{
 			opSchedule, d(1), opRun, d(100_000), opSchedule, d(1000), opSchedule, d(64), opSchedule, d(63),
 			opRunBefore, d(1000), opRun, d(4_000_000), opSchedule, d(0), opStep, 0,
-		},
-		"cancel in every tier and state": {
+		}},
+		{"cancel in every tier and state", []byte{
 			opSchedule, d(100), opSchedule, d(100), opSchedule, d(100), // one slot: head, middle, tail
 			opSchedule, d(5000), opSchedule, d(100_000), // heap
 			opCancel, 1, opCancel, 2, opCancel, 0, opCancel, 0, // middle, tail, head, again
 			opCancel, 3, opStep, 0, opCancel, 4, // heap-resident, then one that already ran
-			opSchedule, d(2), opCancel, 4, opRunAll, 0, // stale handle whose event was recycled
-		},
-		"push behind a canceled slot tail": {
+			opSchedule, d(2), opCancel, 4, // stale handle whose event was recycled
+			opCancel, 128, opRunAll, 0, // counted back from the newest
+		}},
+		{"push behind a canceled slot tail", []byte{
 			opSchedule, d(100), opSchedule, d(100), opSchedule, d(100), opCancel, 2, // tail goes
 			opSchedule, d(100), opCancel, 1, opSchedule, d(100), opRunAll, 0, // the FIFO must still link up
-		},
-		"self-rescheduling at delay zero": {
+		}},
+		{"self-rescheduling at delay zero", []byte{
 			opSpawn, d(0), d(0), opSpawn, d(80), d(0), opSpawn, d(wheelSpan), d(wheelSpan - 1),
 			opSchedule, d(80), opRunAll, 0,
-		},
+		}},
+		// The testbed's constant per-hop delays, stepped through several laps.
+		{"per-hop delays lap the wheel", laps},
 	}
-	for name, prog := range progs {
-		t.Run(name, func(t *testing.T) { checkProgram(t, prog) })
+}()
+
+// TestSchedulerDirectedPrograms checks each directed program against the
+// reference.
+func TestSchedulerDirectedPrograms(t *testing.T) {
+	for _, p := range directedPrograms {
+		t.Run(p.name, func(t *testing.T) { checkProgram(t, p.prog) })
 	}
 }
 
@@ -322,12 +341,12 @@ func TestSchedulerMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzScheduler is the same differential check under coverage guidance.
-// The seed corpus lives in testdata/fuzz/FuzzScheduler (regenerate it with
-// `go run ./scripts/genfuzzcorpus`).
+// FuzzScheduler is the same differential check under coverage guidance,
+// seeded with the directed programs.
 func FuzzScheduler(f *testing.F) {
-	f.Add([]byte{opSchedule, 8, opStep, 0})
-	f.Add([]byte{opSpawn, 0, 0, opSchedule, 14, opRun, 13, opCancel, 1, opRunAll, 0})
+	for _, p := range directedPrograms {
+		f.Add(p.prog)
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			prog = prog[:4096]

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"testing"
 
 	"netseer/internal/fevent"
@@ -18,14 +19,43 @@ import (
 //     mass (bounded deterministically by the stream length).
 //   - Top-K churn satisfies count − err ≤ true ≤ count for residents.
 //   - Aggregate spikes match the exact per-(port, window) byte bins.
+//
+// The seeds steer the regimes directly: one flow hammered past the
+// heavy-hitter threshold, more flows than top-K counters (eviction churn),
+// bursts dense enough to cross the spike threshold, and time jumps that
+// roll the aggregate window.
 func FuzzSketch(f *testing.F) {
-	f.Add([]byte{0, 0})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	seed := make([]byte, 512)
-	for i := range seed {
-		seed[i] = byte(i * 7)
+	// op encodes one packet the way the target decodes it: byte 0 packs
+	// the flow index (low nibble) and egress port (top two bits), byte 1
+	// the size nibble and a time-advance flag.
+	op := func(flow, port, size byte, advance bool) []byte {
+		b1 := size << 4
+		if advance {
+			b1 |= 1
+		}
+		return []byte{flow&0x0f | port<<6, b1}
 	}
-	f.Add(seed)
+
+	var hammer, churn, spike, windows [][]byte
+	for i := 0; i < 40; i++ { // one flow past the heavy-hitter threshold
+		hammer = append(hammer, op(3, 2, 1, false))
+	}
+	for i := 0; i < 64; i++ { // 16 flows round-robin over a 4-counter table
+		churn = append(churn, op(byte(i), byte(i)&3, 2, false))
+	}
+	for i := 0; i < 24; i++ { // max-size packets on one port, no time advance
+		spike = append(spike, op(1, 3, 0x0f, false))
+	}
+	for i := 0; i < 32; i++ { // every packet jumps time: repeated window rolls
+		windows = append(windows, op(byte(i), 1, 0x0f, true))
+	}
+	f.Add(op(0, 0, 1, false))
+	f.Add(bytes.Join(hammer, nil))
+	f.Add(bytes.Join(churn, nil))
+	f.Add(bytes.Join(spike, nil))
+	f.Add(bytes.Join(windows, nil))
+	f.Add(bytes.Join(append(append(churn, spike...), op(9, 0, 7, true), op(9, 0, 7, false)), nil))
+	f.Add(bytes.Repeat([]byte{0}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ports = 4
