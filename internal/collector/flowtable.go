@@ -18,6 +18,11 @@ type flowSlot struct {
 const (
 	flowSlotBytes = 20
 	flowMinSlots  = 16
+	// probeGroup is how many keys swapRun hashes and touches before it
+	// swaps the first of them: enough slot misses in flight together to
+	// hide most of their latency, few enough that the touched lines are
+	// still in L1 when the swap pass reaches them.
+	probeGroup = 32
 )
 
 // flowTable maps a flow to the position+1 of its newest stored event:
@@ -31,6 +36,10 @@ type flowTable struct {
 	seed  maphash.Seed
 	slots []flowSlot
 	n     int // flows held
+
+	// touched keeps the touch pass's loads live: what they read is
+	// summed here, so the compiler cannot drop them.
+	touched uint32
 }
 
 // flowSlotsFor returns the slot count of a table grown to hold n flows.
@@ -45,11 +54,12 @@ func flowSlotsFor(n int) int {
 	return c
 }
 
-// find returns the slot holding key, or the empty slot where it belongs.
-func (t *flowTable) find(key []byte) *flowSlot {
-	k := (*flowKey)(key)
+// find returns the slot holding k, whose hash is h, or the empty slot
+// where it belongs: the table's one probe loop. h is the full 64-bit
+// hash, so a doubling only re-masks it.
+func (t *flowTable) find(h uint64, k *flowKey) *flowSlot {
 	mask := uint64(len(t.slots) - 1)
-	for i := maphash.Bytes(t.seed, k[:]) & mask; ; i = (i + 1) & mask {
+	for i := h & mask; ; i = (i + 1) & mask {
 		if sl := &t.slots[i]; sl.head == 0 || sl.key == *k {
 			return sl
 		}
@@ -61,27 +71,51 @@ func (t *flowTable) get(key []byte) uint32 {
 	if t.n == 0 {
 		return 0
 	}
-	return t.find(key).head
+	return t.find(maphash.Bytes(t.seed, key), (*flowKey)(key)).head
 }
 
-// swap stores head (non-zero) for key and returns the head it replaces, 0
-// for a flow not seen before: the one probe an appended event makes.
-func (t *flowTable) swap(key []byte, head uint32) uint32 {
-	if t.slots == nil {
+// swapRun stores, in order, heads[i] (non-zero) for the key at
+// keys[i*stride:] and leaves in heads[i] the head it replaced, 0 for a
+// flow not seen before: the one write path of the table, taken by every
+// appended event and every snapshot flow. It works probeGroup keys at a
+// time in three passes — hash each key, touch each key's home slot, then
+// find-or-insert each in order — so the group's cache misses are in
+// flight together rather than one per loop body. A key repeated within a
+// run sees the head its earlier copy stored, and the table grows at
+// exactly the insert where a swap of one key at a time would have.
+func (t *flowTable) swapRun(keys []byte, stride int, heads []uint32) {
+	if len(heads) > 0 && t.slots == nil {
 		t.grow(flowMinSlots)
 	}
-	sl := t.find(key)
-	prev := sl.head
-	if prev == 0 {
-		if t.n == len(t.slots)/4*3 {
-			t.grow(2 * len(t.slots))
-			sl = t.find(key)
+	var hash [probeGroup]uint64
+	for base := 0; base < len(heads); base += probeGroup {
+		group, keys := heads[base:min(base+probeGroup, len(heads))], keys[base*stride:]
+		for i := range group {
+			hash[i] = maphash.Bytes(t.seed, keys[i*stride:i*stride+pkt.FlowKeyLen])
 		}
-		sl.key = flowKey(key)
-		t.n++
+		// A slot can straddle two cache lines: touch its first byte and
+		// its last word.
+		mask, touched := uint64(len(t.slots)-1), uint32(0)
+		for _, h := range hash[:len(group)] {
+			sl := &t.slots[h&mask]
+			touched += uint32(sl.key[0]) + sl.head
+		}
+		t.touched += touched
+		for i, head := range group {
+			k := (*flowKey)(keys[i*stride:])
+			sl := t.find(hash[i], k)
+			prev := sl.head
+			if prev == 0 {
+				if t.n == len(t.slots)/4*3 {
+					t.grow(2 * len(t.slots))
+					sl = t.find(hash[i], k)
+				}
+				sl.key = *k
+				t.n++
+			}
+			sl.head, group[i] = head, prev
+		}
 	}
-	sl.head = head
-	return prev
 }
 
 // grow rehashes the table into a slot array of the given size.
@@ -93,7 +127,7 @@ func (t *flowTable) grow(slots int) {
 	t.slots = make([]flowSlot, slots)
 	for i := range old {
 		if old[i].head != 0 {
-			*t.find(old[i].key[:]) = old[i]
+			*t.find(maphash.Bytes(t.seed, old[i].key[:]), &old[i].key) = old[i]
 		}
 	}
 }

@@ -6,15 +6,19 @@ import (
 	"slices"
 	"testing"
 
+	"netseer/internal/fevent"
 	"netseer/internal/pkt"
 )
 
 // headTable is what the differential drives: the flow table, or a mutant
 // of it.
 type headTable interface {
-	swap(key []byte, head uint32) uint32
+	swapRun(keys []byte, stride int, heads []uint32)
 	get(key []byte) uint32
+	table() *flowTable
 }
+
+func (t *flowTable) table() *flowTable { return t }
 
 // protoBlind is the seeded mutation: a table that compares (and hashes)
 // 12 of the 13 key bytes.
@@ -25,16 +29,30 @@ func blind(key []byte) []byte {
 	k[pkt.FlowKeyLen-1] = 0
 	return k[:]
 }
-func (t *protoBlind) swap(key []byte, head uint32) uint32 { return t.flowTable.swap(blind(key), head) }
-func (t *protoBlind) get(key []byte) uint32               { return t.flowTable.get(blind(key)) }
+func (t *protoBlind) get(key []byte) uint32 { return t.flowTable.get(blind(key)) }
+func (t *protoBlind) swapRun(keys []byte, stride int, heads []uint32) {
+	keys = slices.Clone(keys)
+	for i := range heads {
+		keys[i*stride+pkt.FlowKeyLen-1] = 0
+	}
+	t.flowTable.swapRun(keys, stride, heads)
+}
 
-// flowTableProgram runs ops seeded find-or-insert and get operations
-// against tab and a map[pkt.FlowKey]uint32 and returns the first
-// disagreement. The population holds the all-zero key (agg-spike events
-// carry it) and, for every tuple, flows that differ only in the proto
-// byte; it grows as the program runs, so the table doubles several times
-// with lookups of present and absent keys in between.
-func flowTableProgram(tab headTable, seed int64, ops int) error {
+// programStats counts what a flowTableProgram exercised.
+type programStats struct {
+	runs, repeatRuns, midRunDoublings, zeroKeys int
+}
+
+// flowTableProgram runs seeded runs of find-or-insert — 1 to 64 keys
+// each, at the strides of a bare key, a snapshot row and a record, keys
+// repeated within a run — and single gets against tab and a
+// map[pkt.FlowKey]uint32, ops keys in all, and returns the first
+// disagreement. After every run the table must be exactly the size its
+// flow count calls for. The population holds the all-zero key (agg-spike
+// events carry it) and, for every tuple, flows that differ only in the
+// proto byte; it grows as the program runs, so the table doubles several
+// times, inside runs as well as between them.
+func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) {
 	r := rand.New(rand.NewSource(seed))
 	model := map[pkt.FlowKey]uint32{}
 	draw := func(population int) pkt.FlowKey {
@@ -46,55 +64,106 @@ func flowTableProgram(tab headTable, seed int64, ops int) error {
 		f.Proto = []uint8{pkt.ProtoTCP, pkt.ProtoUDP, 0}[i%3]
 		return f
 	}
-	var key flowKey
-	for op := 0; op < ops; op++ {
+	var (
+		st    programStats
+		key   flowKey
+		flows [64]pkt.FlowKey
+		heads [64]uint32
+	)
+	for op := 0; op < ops; {
 		population := 16 + op/4 // 200 k ops reach 50 k keys: a dozen doublings
-		f := draw(population)
-		f.PutWire(key[:])
 		if r.Intn(3) == 0 {
+			f := draw(population)
+			f.PutWire(key[:])
 			if got, want := tab.get(key[:]), model[f]; got != want {
-				return fmt.Errorf("op %d: get(%v) = %d, map %d", op, f, got, want)
+				return st, fmt.Errorf("op %d: get(%v) = %d, map %d", op, f, got, want)
 			}
+			op++
 			continue
 		}
-		head := 1 + uint32(op)
-		if got, want := tab.swap(key[:], head), model[f]; got != want {
-			return fmt.Errorf("op %d: swap(%v) returned %d, map held %d", op, f, got, want)
+		n := 1 + r.Intn(64)
+		if r.Intn(4) == 0 {
+			n = 1
 		}
-		model[f] = head
+		stride := []int{pkt.FlowKeyLen, snapFlowLen, fevent.RecordLen}[r.Intn(3)]
+		keys := make([]byte, n*stride)
+		r.Read(keys) // the bytes between keys are not the table's to read
+		fresh, repeat := 0, false
+		for i := range n {
+			if i > 0 && r.Intn(8) == 0 {
+				flows[i], repeat = flows[r.Intn(i)], true
+			} else {
+				flows[i] = draw(population)
+			}
+			flows[i].PutWire(keys[i*stride:])
+			if flows[i] == (pkt.FlowKey{}) {
+				st.zeroKeys++
+			}
+			if _, ok := model[flows[i]]; !ok && !slices.Contains(flows[:i], flows[i]) {
+				fresh++
+			}
+			heads[i] = 1 + uint32(op+i)
+		}
+		ft := tab.table()
+		before := len(ft.slots)
+		if room := before/4*3 - ft.n; before > 0 && room > 0 && fresh > room {
+			st.midRunDoublings++ // the insert that doubles the table is not the run's first
+		}
+		want := heads
+		tab.swapRun(keys, stride, heads[:n])
+		for i, f := range flows[:n] {
+			if got := heads[i]; got != model[f] {
+				return st, fmt.Errorf("op %d: key %d of a %d-key run (%v) replaced head %d, map held %d", op, i, n, f, got, model[f])
+			}
+			model[f] = want[i]
+		}
+		if len(ft.slots) != flowSlotsFor(ft.n) {
+			return st, fmt.Errorf("op %d: %d flows in %d slots after a %d-key run, want %d slots", op, ft.n, len(ft.slots), n, flowSlotsFor(ft.n))
+		}
+		st.runs++
+		if repeat {
+			st.repeatRuns++
+		}
+		op += n
 	}
 	for f, want := range model {
 		f.PutWire(key[:])
 		if got := tab.get(key[:]); got != want {
-			return fmt.Errorf("final get(%v) = %d, map %d", f, got, want)
+			return st, fmt.Errorf("final get(%v) = %d, map %d", f, got, want)
 		}
 	}
-	if ft, ok := tab.(*flowTable); ok {
-		if ft.n != len(model) || len(ft.slots) != flowSlotsFor(len(model)) {
-			return fmt.Errorf("table holds %d flows in %d slots, map %d (want %d slots)", ft.n, len(ft.slots), len(model), flowSlotsFor(len(model)))
-		}
+	if ft := tab.table(); ft.n != len(model) {
+		return st, fmt.Errorf("table holds %d flows, map %d", ft.n, len(model))
 	}
-	return nil
+	return st, nil
 }
 
 // TestFlowTableAgainstMap is the flow table's differential: seeded
-// programs of ≥ 200 k mixed operations agree with a Go map at every step,
-// and the same programs catch a table that ignores the proto byte.
+// programs of ≥ 200 k keys in runs and lookups agree with a Go map at
+// every step — runs that repeat a key, runs that double the table part
+// way through, the all-zero key — and the same programs catch a table
+// that ignores the proto byte.
 func TestFlowTableAgainstMap(t *testing.T) {
 	const ops = 200_000
 	for seed := int64(1); seed <= 3; seed++ {
 		tab := &flowTable{}
-		if err := flowTableProgram(tab, seed, ops); err != nil {
+		st, err := flowTableProgram(tab, seed, ops)
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if len(tab.slots) < flowMinSlots<<8 {
 			t.Fatalf("seed %d: the table ended at %d slots: the program did not cross several doublings", seed, len(tab.slots))
 		}
-		if err := flowTableProgram(&protoBlind{}, seed, ops); err == nil {
+		t.Logf("seed %d: %+v", seed, st)
+		if st.repeatRuns == 0 || st.midRunDoublings == 0 || st.zeroKeys == 0 {
+			t.Fatalf("seed %d: %+v: the program missed a case it exists for", seed, st)
+		}
+		if _, err := flowTableProgram(&protoBlind{}, seed, ops); err == nil {
 			t.Fatalf("seed %d: a table blind to the proto byte passed the differential", seed)
 		}
 	}
 	var empty flowTable
+	empty.swapRun(nil, pkt.FlowKeyLen, nil)
 	if empty.get(make([]byte, pkt.FlowKeyLen)) != 0 || empty.slots != nil || flowSlotsFor(0) != 0 {
 		t.Fatal("an empty table answers or holds something")
 	}
@@ -106,7 +175,7 @@ func TestFlowTableAgainstMap(t *testing.T) {
 func TestFlowTableSeedIsPerTable(t *testing.T) {
 	var a, b flowTable
 	for _, tab := range []*flowTable{&a, &b} {
-		if err := flowTableProgram(tab, 7, 20_000); err != nil {
+		if _, err := flowTableProgram(tab, 7, 20_000); err != nil {
 			t.Fatal(err)
 		}
 	}

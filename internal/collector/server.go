@@ -501,7 +501,10 @@ func (s *Server) serve(conn net.Conn) {
 		if blocking {
 			burst.arrived = time.Now() // the fill that completed this frame brought the burst
 		}
-		state := s.admit.update(s.store.MemoryBytes())
+		state := admitOK
+		if s.admit != nil { // no budget, no ladder: skip the store's read lock
+			state = s.admit.update(s.store.MemoryBytes())
+		}
 
 		// The ingest span covers arrival to store-applied; the WAL append
 		// and the store-index span both parent onto it, so the assembled

@@ -95,13 +95,18 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	if flows > 0 {
 		ld.flows.grow(flowSlotsFor(flows))
 	}
-	for ; flows > 0; flows, data = flows-1, data[snapFlowLen:] {
-		head := le.Uint32(data[pkt.FlowKeyLen:])
-		if head == 0 || int(head) > events {
-			f, _ := pkt.FlowKeyFromWire(data) // length checked above
-			return fmt.Errorf("collector: snapshot flow %v heads at event %d of %d", f, int64(head)-1, events)
+	var heads [probeGroup]uint32
+	for flows > 0 {
+		group := heads[:min(flows, probeGroup)]
+		for i := range group {
+			row := data[i*snapFlowLen:]
+			if group[i] = le.Uint32(row[pkt.FlowKeyLen:]); group[i] == 0 || int(group[i]) > events {
+				f, _ := pkt.FlowKeyFromWire(row) // length checked above
+				return fmt.Errorf("collector: snapshot flow %v heads at event %d of %d", f, int64(group[i])-1, events)
+			}
 		}
-		ld.flows.swap(data[:pkt.FlowKeyLen], head)
+		ld.flows.swapRun(data, snapFlowLen, group)
+		flows, data = flows-len(group), data[len(group)*snapFlowLen:]
 	}
 	for ld.n < events {
 		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}

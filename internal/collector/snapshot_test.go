@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,4 +90,59 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		t.Fatalf("the unmodified image: %v", err)
 	}
 	p.compare(6, 3)
+}
+
+// TestLoadSnapshotFlowSectionAcrossProbeGroups loads a snapshot whose flow
+// section spans several of the flow table's probe groups and lists one
+// flow twice: first with a stale head (the flow's oldest event), in the
+// first group, then with its true head in a later one. The later entry
+// wins, the flow counts once, and the reloaded store answers a query by
+// flow exactly as the live store does, for every flow.
+func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
+	const flows = 10 * probeGroup
+	p := newPair(t, 29)
+	for seq := uint64(1); seq <= 40; seq++ {
+		ts := sim.Time(seq) * sim.Millisecond
+		p.deliver(uint16(1+seq%4), seq, ts, p.events(fevent.DefaultBatchSize, flows, 4, ts, 0))
+	}
+	live := p.st
+	snap := live.EncodeSnapshot()
+	le := binary.LittleEndian
+	flowOff := snapHeaderLen + int(le.Uint32(snap[12:]))*snapSeenLen
+	n := int(le.Uint32(snap[16:]))
+	if n < 3*probeGroup {
+		t.Fatalf("%d flows fill fewer than three probe groups", n)
+	}
+	// The twice-listed flow: one in a later group with an older event.
+	dup := -1
+	var stale uint32
+	for j := 2 * probeGroup; j < n && dup < 0; j++ {
+		row := snap[flowOff+j*snapFlowLen:]
+		link := le.Uint32(row[pkt.FlowKeyLen:])
+		for oldest := link; oldest != 0; oldest = live.blocks[(oldest-1)/blockLen].prev[(oldest-1)%blockLen] {
+			link = oldest
+		}
+		if link != le.Uint32(row[pkt.FlowKeyLen:]) {
+			dup, stale = j, link
+		}
+	}
+	if dup < 0 {
+		t.Fatal("no flow past the second probe group has two events")
+	}
+	staleRow := le.AppendUint32(slices.Clone(snap[flowOff+dup*snapFlowLen:][:pkt.FlowKeyLen]), stale)
+	img := slices.Concat(snap[:flowOff], staleRow, snap[flowOff:])
+	le.PutUint32(img[16:], uint32(n+1))
+
+	fresh := NewStore()
+	if err := fresh.LoadSnapshot(img); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.flows.n != live.flows.n {
+		t.Fatalf("reloaded table holds %d flows, live %d", fresh.flows.n, live.flows.n)
+	}
+	for _, f := range live.Flows() {
+		if got, want := fresh.Query(Filter{Flow: &f}), live.Query(Filter{Flow: &f}); !slices.Equal(got, want) {
+			t.Fatalf("flow %v: reloaded store answers %d events, live %d", f, len(got), len(want))
+		}
+	}
 }

@@ -182,8 +182,9 @@ func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 			b.ts[j], b.sw[j], b.typ[j] = ts, sw, r[0]
 			row.n[r[0]-1]++
 			s.n++
-			b.prev[j] = s.flows.swap(r[fevent.RecordFlowOff:fevent.RecordFlowOff+pkt.FlowKeyLen], uint32(s.n))
+			b.prev[j] = uint32(s.n) // the new head, swapped below for the old
 		}
+		s.flows.swapRun(recs[fevent.RecordFlowOff:], fevent.RecordLen, b.prev[i:i+k])
 		b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
 		b.n += k
 		recs = recs[k*fevent.RecordLen:]
