@@ -40,18 +40,21 @@ func (t *protoBlind) swapRun(keys []byte, stride int, heads []uint32) {
 
 // programStats counts what a flowTableProgram exercised.
 type programStats struct {
-	runs, repeatRuns, midRunDoublings, zeroKeys int
+	runs, twoGroupRuns, repeatRuns, midRunDoublings, zeroKeys, gets, absentGets int
 }
 
-// flowTableProgram runs seeded runs of find-or-insert — 1 to 64 keys
-// each, at the strides of a bare key, a snapshot row and a record, keys
-// repeated within a run — and single gets against tab and a
-// map[pkt.FlowKey]uint32, ops keys in all, and returns the first
-// disagreement. After every run the table must be exactly the size its
-// flow count calls for. The population holds the all-zero key (agg-spike
-// events carry it) and, for every tuple, flows that differ only in the
-// proto byte; it grows as the program runs, so the table doubles several
-// times, inside runs as well as between them.
+// flowTableProgram runs seeded runs of find-or-insert — 1 to
+// 2×probeGroup keys each, so a run fills part of a group, one or two, at
+// the strides of a bare key, a snapshot row and a record, keys
+// repeated within a run — each followed by half as many single gets,
+// against tab and a map[pkt.FlowKey]uint32, ops keys in all, and returns
+// the first disagreement. After every run the table must be exactly the
+// size its flow count calls for. The population holds the all-zero key
+// (agg-spike events carry it) and, for every tuple, flows that differ
+// only in the proto byte; it grows as the program runs, so the table
+// doubles several times, inside runs as well as between them. Gets draw
+// from twice the population, so half of them ask for a flow never
+// stored.
 func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) {
 	r := rand.New(rand.NewSource(seed))
 	model := map[pkt.FlowKey]uint32{}
@@ -67,21 +70,12 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 	var (
 		st    programStats
 		key   flowKey
-		flows [64]pkt.FlowKey
-		heads [64]uint32
+		flows [2 * probeGroup]pkt.FlowKey
+		heads [2 * probeGroup]uint32
 	)
 	for op := 0; op < ops; {
 		population := 16 + op/4 // 200 k ops reach 50 k keys: a dozen doublings
-		if r.Intn(3) == 0 {
-			f := draw(population)
-			f.PutWire(key[:])
-			if got, want := tab.get(key[:]), model[f]; got != want {
-				return st, fmt.Errorf("op %d: get(%v) = %d, map %d", op, f, got, want)
-			}
-			op++
-			continue
-		}
-		n := 1 + r.Intn(64)
+		n := 1 + r.Intn(2*probeGroup)
 		if r.Intn(4) == 0 {
 			n = 1
 		}
@@ -121,10 +115,26 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 			return st, fmt.Errorf("op %d: %d flows in %d slots after a %d-key run, want %d slots", op, ft.n, len(ft.slots), n, flowSlotsFor(ft.n))
 		}
 		st.runs++
+		if n > probeGroup {
+			st.twoGroupRuns++
+		}
 		if repeat {
 			st.repeatRuns++
 		}
 		op += n
+		for range 1 + n/2 { // a third of the ops, as when a get was drawn instead of a run
+			f := draw(2 * population)
+			f.PutWire(key[:])
+			want, ok := model[f]
+			if got := tab.get(key[:]); got != want {
+				return st, fmt.Errorf("op %d: get(%v) = %d, map %d", op, f, got, want)
+			}
+			st.gets++
+			if !ok {
+				st.absentGets++
+			}
+			op++
+		}
 	}
 	for f, want := range model {
 		f.PutWire(key[:])
@@ -141,8 +151,8 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 // TestFlowTableAgainstMap is the flow table's differential: seeded
 // programs of ≥ 200 k keys in runs and lookups agree with a Go map at
 // every step — runs that repeat a key, runs that double the table part
-// way through, the all-zero key — and the same programs catch a table
-// that ignores the proto byte.
+// way through, the all-zero key, lookups of absent flows between runs —
+// and the same programs catch a table that ignores the proto byte.
 func TestFlowTableAgainstMap(t *testing.T) {
 	const ops = 200_000
 	for seed := int64(1); seed <= 3; seed++ {
@@ -155,7 +165,7 @@ func TestFlowTableAgainstMap(t *testing.T) {
 			t.Fatalf("seed %d: the table ended at %d slots: the program did not cross several doublings", seed, len(tab.slots))
 		}
 		t.Logf("seed %d: %+v", seed, st)
-		if st.repeatRuns == 0 || st.midRunDoublings == 0 || st.zeroKeys == 0 {
+		if st.twoGroupRuns == 0 || st.repeatRuns == 0 || st.midRunDoublings == 0 || st.zeroKeys == 0 || st.absentGets < ops/10 {
 			t.Fatalf("seed %d: %+v: the program missed a case it exists for", seed, st)
 		}
 		if _, err := flowTableProgram(&protoBlind{}, seed, ops); err == nil {
