@@ -110,7 +110,8 @@ type pendingBatch struct {
 // endpoint are retransmitted to the new one and deduplicated there by
 // (switch, seq), so a failover can never double-deliver. While running
 // on a backup, a background probe redials the primary every
-// PrimaryRetryInterval and promotes the channel back on success.
+// PrimaryRetryInterval and, once it answers, promotes the channel back
+// as soon as the backup has acked its window.
 type Client struct {
 	endpoints []string // ordered; [0] is the primary
 	cfg       ClientConfig
@@ -124,7 +125,8 @@ type Client struct {
 	conn      net.Conn
 	connErr   error // terminal error of the current conn
 	connected bool
-	dialFails int // consecutive failures since the last successful dial
+	homing    bool // the primary answered: take no new batch on this conn
+	dialFails int  // consecutive failures since the last successful dial
 	closed    bool
 	forced    bool // Close gave up on graceful drain
 
@@ -481,6 +483,7 @@ func (c *Client) runConn(conn net.Conn, probePrimary bool) error {
 		c.reconnects.Inc()
 	}
 	c.sent = 0 // every in-flight batch must be rewritten on this conn
+	c.homing = false
 	c.mu.Unlock()
 	c.cond.Broadcast()
 
@@ -509,7 +512,10 @@ func (c *Client) runConn(conn net.Conn, probePrimary bool) error {
 // while the client runs on a backup. A successful dial is only a health
 // check — the probe connection is closed immediately — but it fails the
 // backup connection with errPromote, and the sender loop reconnects to
-// the primary with the in-flight window intact.
+// the primary with the in-flight window intact. It waits for the backup
+// to ack that window first (one more interval at most, then it goes
+// anyway): a frame the backup stored but had not acked would be sent to
+// the primary again and stored by both, which dedup cannot see.
 func (c *Client) primaryProbe(conn net.Conn, stop <-chan struct{}) {
 	t := time.NewTicker(c.cfg.PrimaryRetryInterval)
 	defer t.Stop()
@@ -525,6 +531,21 @@ func (c *Client) primaryProbe(conn net.Conn, stop <-chan struct{}) {
 				continue
 			}
 			p.Close()
+			c.mu.Lock()
+			c.homing = true // no new batch: the window can only drain
+			idle := len(c.inflight) == 0
+			c.mu.Unlock()
+			c.cond.Broadcast()
+			if !idle {
+				// The ack reader fails conn as the last ack lands.
+				drain := time.NewTimer(c.cfg.PrimaryRetryInterval)
+				select {
+				case <-stop:
+				case <-c.closeCh:
+				case <-drain.C:
+				}
+				drain.Stop()
+			}
 			c.failConn(conn, errPromote)
 			return
 		}
@@ -548,10 +569,10 @@ func (c *Client) failConn(conn net.Conn, err error) {
 
 // writableLocked reports whether a frame can be written right now:
 // either an in-flight batch awaits (re)transmission on this conn, or the
-// queue has work and the window has room.
+// queue has work, the window has room and the client is not going home.
 func (c *Client) writableLocked() bool {
 	return c.sent < len(c.inflight) ||
-		(len(c.queue) > 0 && len(c.inflight) < c.cfg.MaxInflight)
+		(!c.homing && len(c.queue) > 0 && len(c.inflight) < c.cfg.MaxInflight)
 }
 
 // writeLoop writes frames until the connection fails or (when closing)
@@ -675,7 +696,11 @@ func (c *Client) ackReader(conn net.Conn, done chan struct{}) {
 			}
 			c.ackedBatches.Add(uint64(n))
 		}
+		home := c.homing && len(c.inflight) == 0
 		c.mu.Unlock()
+		if home {
+			c.failConn(conn, errPromote)
+		}
 		if n > 0 {
 			c.cond.Broadcast()
 		}
