@@ -44,17 +44,16 @@ type programStats struct {
 }
 
 // flowTableProgram runs seeded runs of find-or-insert — 1 to
-// 2×probeGroup keys each, so a run fills part of a group, one or two, at
-// the strides of a bare key, a snapshot row and a record, keys
-// repeated within a run — each followed by half as many single gets,
-// against tab and a map[pkt.FlowKey]uint32, ops keys in all, and returns
-// the first disagreement. After every run the table must be exactly the
-// size its flow count calls for. The population holds the all-zero key
-// (agg-spike events carry it) and, for every tuple, flows that differ
-// only in the proto byte; it grows as the program runs, so the table
-// doubles several times, inside runs as well as between them. Gets draw
-// from twice the population, so half of them ask for a flow never
-// stored.
+// 2×probeGroup keys each, so a run spans one probe group or two, at the
+// strides of a bare key, a snapshot row and a record, keys repeated
+// within a run — each followed by half as many single gets, against tab
+// and a map[pkt.FlowKey]uint32, ops keys in all, and returns the first
+// disagreement. After every run the table must be exactly the size its
+// flow count calls for. The population holds the all-zero key (agg-spike
+// events carry it) and, for every tuple, flows that differ only in the
+// proto byte; it grows as the program runs, so the table doubles several
+// times, inside runs as well as between them. Gets draw from twice the
+// population, so at least half of them ask for a flow never stored.
 func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) {
 	r := rand.New(rand.NewSource(seed))
 	model := map[pkt.FlowKey]uint32{}
