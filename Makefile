@@ -36,6 +36,7 @@ cover:
 fuzz-smoke nightly-fuzz:
 	@set -e; for t in \
 		internal/collector:FuzzReadFrame \
+		internal/collector:FuzzLoadSnapshot \
 		internal/collector/wal:FuzzWALRecord \
 		internal/collector/wal:FuzzWALReplay \
 		internal/sketch:FuzzSketch \

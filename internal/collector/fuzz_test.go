@@ -3,6 +3,8 @@ package collector
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
+	"netseer/internal/sim"
 )
 
 // FuzzReadFrame throws arbitrary bytes at the frame reader: it must never
@@ -158,6 +161,77 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if b2.Trace != b.Trace {
 			t.Fatalf("trace context round trip mismatch: %+v vs %+v", b.Trace, b2.Trace)
+		}
+	})
+}
+
+// FuzzLoadSnapshot throws arbitrary bytes at LoadSnapshot over a store
+// that already holds events. No input may panic. A rejected image leaves
+// the store exactly as it was; an accepted one re-encodes to an image
+// that loads into a fresh store with the same length, export digest and
+// Summary. The seeds are images of an empty store, of one run, of a run
+// a block end splits, of in-process per-event stamps (runs of one), and
+// of a store after RemoveEvents.
+func FuzzLoadSnapshot(f *testing.F) {
+	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
+		evs := make([]fevent.Event, n)
+		for i := range evs {
+			evs[i] = fevent.Event{Type: fevent.Types[i%len(fevent.Types)], Flow: modelFlow(i % 7), SwitchID: sw, Timestamp: ts + sim.Time(i)*step, Count: uint16(i)}
+			if evs[i].Type == fevent.TypeDrop {
+				evs[i].DropCode = fevent.DropNoRoute
+			}
+		}
+		return evs
+	}
+	oneRun := func() *Store {
+		st := NewStore()
+		st.Deliver(&fevent.Batch{SwitchID: 3, Timestamp: 50, Seq: 9, Events: events(12, 3, 50, 0)})
+		return st
+	}
+	f.Add(NewStore().EncodeSnapshot())
+	f.Add(oneRun().EncodeSnapshot())
+	split := NewStore()
+	split.AddEvents(events(blockLen+30, 2, 70, 0))
+	f.Add(split.EncodeSnapshot())
+	ones := NewStore()
+	ones.AddEvents(events(20, 4, 90, 1))
+	f.Add(ones.EncodeSnapshot())
+	removed := NewStore()
+	for seq := uint64(1); seq <= 4; seq++ {
+		removed.Deliver(&fevent.Batch{SwitchID: uint16(seq), Timestamp: sim.Time(seq), Seq: seq, Events: events(15, uint16(seq), sim.Time(seq), 0)})
+	}
+	removed.RemoveEvents(removed.Query(Filter{Type: fevent.TypeCongestion}))
+	f.Add(removed.EncodeSnapshot())
+
+	type state struct {
+		n       int
+		digest  uint64
+		summary string
+	}
+	stateOf := func(st *Store) state {
+		h, buf := fnv.New64a(), []byte(nil)
+		st.ExportWhere(func(e *fevent.Event) bool {
+			buf = AppendWireEvent(buf[:0], e)
+			h.Write(buf)
+			return false
+		})
+		return state{st.Len(), h.Sum64(), fmt.Sprint(st.Summary())}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := oneRun()
+		before := stateOf(st)
+		if err := st.LoadSnapshot(data); err != nil {
+			if got := stateOf(st); got != before {
+				t.Fatalf("rejected image (%v) changed the store: %+v, was %+v", err, got, before)
+			}
+			return
+		}
+		loaded, again := stateOf(st), NewStore()
+		if err := again.LoadSnapshot(st.EncodeSnapshot()); err != nil {
+			t.Fatalf("the re-encoded image of an accepted one: %v", err)
+		}
+		if got := stateOf(again); got != loaded {
+			t.Fatalf("re-encoded and re-loaded: %+v, loaded %+v", got, loaded)
 		}
 	})
 }

@@ -68,8 +68,8 @@ func (s *Store) ExportWhere(pred func(*fevent.Event) bool) []fevent.Event {
 	defer s.mu.RUnlock()
 	var out []fevent.Event
 	var e fevent.Event
-	s.visit(&Filter{}, func(b *block, i int) {
-		if b.load(i, &e); pred(&e) {
+	s.visit(&Filter{}, func(b *block, r *run, i int) {
+		if b.load(r, i, &e); pred(&e) {
 			out = append(out, e)
 		}
 	})
@@ -109,11 +109,13 @@ func (s *Store) AddEvents(evs []fevent.Event) {
 
 // RemoveEvents removes one stored copy per element of the multiset evs
 // (full-record identity, timestamp included) by re-appending the
-// survivors to an emptied store, a run of neighbours that share a switch
-// and a stamp at a time, straight from the old columns. Events with no
-// stored match are ignored; it returns how many copies were actually
-// removed. This is the epoch fence: after a handoff publishes, the
-// source drops exactly what it captured and shipped.
+// survivors to an emptied store straight from the old columns, a stored
+// run at a time: its switch and stamp are keyed once, its records one by
+// one, and the survivors between two removed events go back as one run
+// (appendRun joins them across a removal). Events with no stored match
+// are ignored; it returns how many copies were actually removed. This is
+// the epoch fence: after a handoff publishes, the source drops exactly
+// what it captured and shipped.
 func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	if len(evs) == 0 {
 		return 0
@@ -127,27 +129,22 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	old, before := s.blocks, s.n
 	s.resetEvents()
 	for _, b := range old {
-		start := 0 // survivors [start, i) wait to be re-appended as one run
-		flush := func(end int) {
-			if start < end {
-				s.appendRun(b.sw[start], b.ts[start], b.rec[start*fevent.RecordLen:end*fevent.RecordLen])
-			}
-		}
-		for i := 0; i < b.n; i++ {
+		for r := range b.runs {
+			ru := &b.runs[r]
 			var k eventIdentity
-			binary.BigEndian.PutUint16(k[0:2], b.sw[i])
-			binary.BigEndian.PutUint64(k[2:10], uint64(b.ts[i]))
-			copy(k[10:], b.rec[i*fevent.RecordLen:])
-			if want[k] > 0 {
-				want[k]--
-				flush(i)
-				start = i + 1
-			} else if b.sw[i] != b.sw[start] || b.ts[i] != b.ts[start] {
-				flush(i)
-				start = i
+			binary.BigEndian.PutUint16(k[0:2], ru.sw)
+			binary.BigEndian.PutUint64(k[2:10], uint64(ru.ts))
+			start, end := int(ru.start), b.runEnd(r) // survivors [start, i) wait to be re-appended
+			for i := start; i < end; i++ {
+				copy(k[10:], b.rec[i*fevent.RecordLen:])
+				if want[k] > 0 {
+					want[k]--
+					s.appendRun(ru.sw, ru.ts, b.rec[start*fevent.RecordLen:i*fevent.RecordLen])
+					start = i + 1
+				}
 			}
+			s.appendRun(ru.sw, ru.ts, b.rec[start*fevent.RecordLen:end*fevent.RecordLen])
 		}
-		flush(b.n)
 	}
 	return before - s.n
 }

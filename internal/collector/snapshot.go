@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
@@ -19,18 +20,21 @@ import (
 //
 // Layout (little-endian, so a column decodes with plain loads):
 //
-//	header: magic "NSS2", dupBatches (8 B), seenCount, flowCount,
-//	        eventCount (4 B each)
+//	header: magic "NSS3", dupBatches (8 B), seenCount, flowCount,
+//	        eventCount, runCount (4 B each)
 //	per seen key: switch (2 B), seq (8 B)
 //	per flow: 13 B flow key, head (4 B, position+1 of its newest event)
-//	per block of ≤ blockLen events, column by column: timestamps (8 B),
-//	        chain links (4 B, position+1 of the flow's previous event,
-//	        0 = none), switches (2 B), types (1 B), records (24 B)
+//	per block of ≤ blockLen events: its run count (4 B); its run table,
+//	        per run: start (2 B), switch (2 B), stamp (8 B); then column
+//	        by column: chain links (4 B, position+1 of the flow's previous
+//	        event, 0 = none), types (1 B), records (24 B)
 const (
-	snapMagic     = "NSS2"
-	snapHeaderLen = len(snapMagic) + 8 + 3*4
-	snapSeenLen   = 2 + 8
-	snapFlowLen   = pkt.FlowKeyLen + 4
+	snapMagic       = "NSS3"
+	snapHeaderLen   = len(snapMagic) + 8 + 4*4
+	snapSeenLen     = 2 + 8
+	snapFlowLen     = pkt.FlowKeyLen + 4
+	snapBlockHdrLen = 4
+	snapRunLen      = 2 + 2 + 8
 )
 
 // EncodeSnapshot serializes the store's full state. The caller hands the
@@ -40,12 +44,18 @@ func (s *Store) EncodeSnapshot() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	le := binary.LittleEndian
-	buf := make([]byte, 0, snapHeaderLen+len(s.seen)*snapSeenLen+s.flows.n*snapFlowLen+s.n*rowBytes)
+	runs := 0
+	for _, b := range s.blocks {
+		runs += len(b.runs)
+	}
+	buf := make([]byte, 0, snapHeaderLen+len(s.seen)*snapSeenLen+s.flows.n*snapFlowLen+
+		len(s.blocks)*snapBlockHdrLen+runs*snapRunLen+s.n*rowBytes)
 	buf = append(buf, snapMagic...)
 	buf = le.AppendUint64(buf, s.dupBatches)
 	buf = le.AppendUint32(buf, uint32(len(s.seen)))
 	buf = le.AppendUint32(buf, uint32(s.flows.n))
 	buf = le.AppendUint32(buf, uint32(s.n))
+	buf = le.AppendUint32(buf, uint32(runs))
 	for k := range s.seen {
 		buf = le.AppendUint16(buf, k.sw)
 		buf = le.AppendUint64(buf, k.seq)
@@ -56,14 +66,14 @@ func (s *Store) EncodeSnapshot() []byte {
 		}
 	}
 	for _, b := range s.blocks {
-		for _, v := range b.ts[:b.n] {
-			buf = le.AppendUint64(buf, uint64(v))
+		buf = le.AppendUint32(buf, uint32(len(b.runs)))
+		for _, r := range b.runs {
+			buf = le.AppendUint16(buf, r.start)
+			buf = le.AppendUint16(buf, r.sw)
+			buf = le.AppendUint64(buf, uint64(r.ts))
 		}
 		for _, v := range b.prev[:b.n] {
 			buf = le.AppendUint32(buf, v)
-		}
-		for _, v := range b.sw[:b.n] {
-			buf = le.AppendUint16(buf, v)
 		}
 		buf = append(buf, b.typ[:b.n]...)
 		buf = append(buf, b.rec[:b.n*fevent.RecordLen]...)
@@ -80,9 +90,10 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	if len(data) < snapHeaderLen || string(data[:len(snapMagic)]) != snapMagic {
 		return fmt.Errorf("collector: snapshot magic missing or header truncated (%d bytes)", len(data))
 	}
-	seen, flows, events := int(le.Uint32(data[12:])), int(le.Uint32(data[16:])), int(le.Uint32(data[20:]))
-	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + events*rowBytes; len(data) != want {
-		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events)", len(data), want, seen, flows, events)
+	seen, flows, events, runs := int(le.Uint32(data[12:])), int(le.Uint32(data[16:])), int(le.Uint32(data[20:])), int(le.Uint32(data[24:]))
+	blocks := (events + blockLen - 1) / blockLen
+	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*rowBytes; len(data) != want {
+		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events, %d runs)", len(data), want, seen, flows, events, runs)
 	}
 	ld := &Store{ // the image under construction; swapped in whole at the end
 		dupBatches: le.Uint64(data[4:]),
@@ -110,40 +121,57 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	}
 	for ld.n < events {
 		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}
-		for i := range b.ts[:b.n] {
-			b.ts[i] = int64(le.Uint64(data[i*8:]))
-			b.minTs, b.maxTs = min(b.minTs, b.ts[i]), max(b.maxTs, b.ts[i])
+		// At most the runs the header has left: the length check above
+		// then covers every byte this block reads.
+		nr := int(le.Uint32(data))
+		if nr < 1 || nr > b.n || nr > runs {
+			return fmt.Errorf("collector: snapshot block %d of %d events holds %d runs, %d of the header's left", len(ld.blocks), b.n, nr, runs)
 		}
-		data = data[b.n*8:]
+		runs, data = runs-nr, data[snapBlockHdrLen:]
+		b.runs = slices.Grow(b.runs, nr) // capacity as the allocator rounds it: what MemoryBytes charges
+		for j := range nr {
+			row := data[j*snapRunLen:]
+			r := run{start: le.Uint16(row), sw: le.Uint16(row[2:]), ts: int64(le.Uint64(row[4:]))}
+			if j == 0 && r.start != 0 || j > 0 && r.start <= b.runs[j-1].start || int(r.start) >= b.n {
+				return fmt.Errorf("collector: snapshot block %d: run %d starts at event %d of %d", len(ld.blocks), j, r.start, b.n)
+			}
+			if j > 0 && r.sw == b.runs[j-1].sw && r.ts == b.runs[j-1].ts {
+				return fmt.Errorf("collector: snapshot block %d: runs %d and %d split one run", len(ld.blocks), j-1, j)
+			}
+			b.runs = append(b.runs, r)
+			b.minTs, b.maxTs = min(b.minTs, r.ts), max(b.maxTs, r.ts)
+		}
+		data = data[nr*snapRunLen:]
 		for i := range b.prev[:b.n] {
 			if b.prev[i] = le.Uint32(data[i*4:]); int(b.prev[i]) > ld.n+i {
 				return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, b.prev[i]-1)
 			}
 		}
 		data = data[b.n*4:]
-		for i := range b.sw[:b.n] {
-			b.sw[i] = le.Uint16(data[i*2:])
-		}
-		data = data[b.n*2:]
 		data = data[copy(b.typ[:b.n], data):]
 		data = data[copy(b.rec[:b.n*fevent.RecordLen], data):]
-		var row *sumRow // of b.sw[i-1]: a batch's events sit together
-		for i, t := range b.typ[:b.n] {
-			if !fevent.Type(t).Valid() || b.rec[i*fevent.RecordLen] != t {
-				return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+i, t, b.rec[i*fevent.RecordLen])
+		for r := range b.runs {
+			start, end := int(b.runs[r].start), b.runEnd(r)
+			b.cover(r, start, end)
+			row := ld.sumRow(b, b.runs[r].sw)
+			for i, t := range b.typ[start:end] {
+				if !fevent.Type(t).Valid() || b.rec[(start+i)*fevent.RecordLen] != t {
+					return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+start+i, t, b.rec[(start+i)*fevent.RecordLen])
+				}
+				row.n[t-1]++
 			}
-			if row == nil || b.sw[i] != b.sw[i-1] {
-				row = ld.sumRow(b, b.sw[i])
-			}
-			row.n[t-1]++
 		}
 		ld.blocks = append(ld.blocks, b)
 		ld.n += b.n
+		ld.runCap += cap(b.runs)
+	}
+	if runs != 0 {
+		return fmt.Errorf("collector: snapshot blocks hold %d runs fewer than its header's count", runs)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks, s.n, s.sumRows, s.flows = ld.blocks, ld.n, ld.sumRows, ld.flows
+	s.blocks, s.n, s.sumRows, s.runCap, s.flows = ld.blocks, ld.n, ld.sumRows, ld.runCap, ld.flows
 	s.seen, s.dupBatches = ld.seen, ld.dupBatches
 	return nil
 }

@@ -36,22 +36,34 @@ func TestLoadSnapshotRejects(t *testing.T) {
 	}
 	good := p.st.EncodeSnapshot()
 	le := binary.LittleEndian
-	const seenCountOff, flowCountOff, eventCountOff = 12, 16, 20
+	const seenCountOff, flowCountOff, eventCountOff, runCountOff = 12, 16, 20, 24
 	seenOff := snapHeaderLen
 	flowOff := seenOff + int(le.Uint32(good[seenCountOff:]))*snapSeenLen
-	n := int(le.Uint32(good[eventCountOff:]))
-	tsOff := flowOff + int(le.Uint32(good[flowCountOff:]))*snapFlowLen
-	linkOff := tsOff + n*8
-	typOff := linkOff + n*4 + n*2
+	n, runs := int(le.Uint32(good[eventCountOff:])), int(le.Uint32(good[runCountOff:]))
+	blockOff := flowOff + int(le.Uint32(good[flowCountOff:]))*snapFlowLen
+	runOff := blockOff + snapBlockHdrLen
+	linkOff := runOff + runs*snapRunLen
+	typOff := linkOff + n*4
 	recOff := typOff + n
-	if n != p.st.Len() || len(good) != recOff+n*fevent.RecordLen {
-		t.Fatalf("layout arithmetic is off: %d events, records at %d in %d bytes", n, recOff, len(good))
+	if n != p.st.Len() || runs < 3 || int(le.Uint32(good[blockOff:])) != runs || len(good) != recOff+n*fevent.RecordLen {
+		t.Fatalf("layout arithmetic is off: %d events, %d runs, records at %d in %d bytes", n, runs, recOff, len(good))
 	}
+	lastRun := runOff + (runs-1)*snapRunLen
 
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	put32 := func(off int, v uint32) []byte {
 		return mutate(func(b []byte) []byte { le.PutUint32(b[off:], v); return b })
 	}
+	put16 := func(off int, v uint16) []byte {
+		return mutate(func(b []byte) []byte { le.PutUint16(b[off:], v); return b })
+	}
+	// One run fewer, in the header and the bytes: the block's count is
+	// then one more than the header has.
+	oneRunShort := slices.Concat(good[:lastRun], good[lastRun+snapRunLen:])
+	le.PutUint32(oneRunShort[runCountOff:], uint32(runs-1))
+	// No events, and a run: the run table has no block to sit in.
+	runWithoutBlock := append(NewStore().EncodeSnapshot(), make([]byte, snapRunLen)...)
+	le.PutUint32(runWithoutBlock[runCountOff:], 1)
 	cases := []struct {
 		name, want string
 		data       []byte
@@ -59,11 +71,13 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		{"empty", "magic", nil},
 		{"bad magic", "magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b })},
 		{"NSS1 image", "magic", mutate(func(b []byte) []byte { b[3] = '1'; return b })},
+		{"NSS2 image", "magic", mutate(func(b []byte) []byte { b[3] = '2'; return b })},
 		{"cut inside header", "header truncated", good[:snapHeaderLen-1]},
 		{"cut after header", "header promises", good[:seenOff]},
 		{"cut inside dedup section", "header promises", good[:flowOff-1]},
 		{"cut after dedup section", "header promises", good[:flowOff]},
-		{"cut after flow section", "header promises", good[:tsOff]},
+		{"cut after flow section", "header promises", good[:blockOff]},
+		{"cut inside the run table", "header promises", good[:runOff+5]},
 		{"cut after a column", "header promises", good[:linkOff]},
 		{"one byte short", "header promises", good[:len(good)-1]},
 		{"trailing byte", "header promises", append(append([]byte(nil), good...), 0)},
@@ -71,6 +85,22 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		{"event count one low", "header promises", put32(eventCountOff, uint32(n-1))},
 		{"seen count beyond the data", "header promises", put32(seenCountOff, 1<<30)},
 		{"flow count beyond the data", "header promises", put32(flowCountOff, 1<<30)},
+		{"run count one high", "header promises", put32(runCountOff, uint32(runs+1))},
+		{"run count one low", "header promises", put32(runCountOff, uint32(runs-1))},
+		{"block's run count above the header's", "runs", oneRunShort},
+		{"block's run count one high", "runs", put32(blockOff, uint32(runs+1))},
+		{"block's run count past its events", "runs", put32(blockOff, uint32(n+1))},
+		{"block without runs", "runs", put32(blockOff, 0)},
+		{"runs without a block", "runs", runWithoutBlock},
+		{"first run starts past 0", "starts at", put16(runOff, 1)},
+		{"run starts where the last began", "starts at", put16(runOff+snapRunLen, 0)},
+		{"run starts before the last", "starts at", put16(lastRun, le.Uint16(good[lastRun-snapRunLen:])-1)},
+		{"run starts at the block's event count", "starts at", put16(lastRun, uint16(n))},
+		{"run starts past the block's event count", "starts at", put16(lastRun, uint16(n+7))},
+		{"two runs of one switch and stamp", "split one run", mutate(func(b []byte) []byte {
+			copy(b[runOff+snapRunLen+2:runOff+2*snapRunLen], b[runOff+2:runOff+snapRunLen])
+			return b
+		})},
 		{"chain link to itself", "links forward", put32(linkOff+4*10, 11)},
 		{"chain link past the end", "links forward", put32(linkOff+4*(n-1), uint32(n+5))},
 		{"flow head zero", "heads at", put32(flowOff+pkt.FlowKeyLen, 0)},

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
@@ -29,34 +30,49 @@ type batchKey struct {
 	seq uint64
 }
 
-// blockLen is the events per block: 16 Ki × 39 B of columns ≈ 0.6 MB, so
-// a near-empty store costs one modest allocation and a time-slice scan
+// blockLen is the events per block: 16 Ki × 29 B of columns ≈ 0.46 MB,
+// so a near-empty store costs one modest allocation and a time-slice scan
 // prunes, by [minTs, maxTs], to a handful of blocks (DESIGN §10).
 const blockLen = 16 << 10
 
 // rowBytes is what one event occupies across a block's columns, in
-// memory and in a snapshot alike.
-const rowBytes = 8 + 4 + 2 + 1 + fevent.RecordLen
+// memory and in a snapshot alike; its switch and stamp are its run's.
+const rowBytes = 4 + 1 + fevent.RecordLen
+
+// hintStride is how many positions one entry of a block's run hint
+// covers: a run lookup steps over at most hintStride-1 runs.
+const hintStride = 64
+
+// run is a maximal run of a block's events that share a reporting switch
+// and a stamp: a CEBP batch, reported by one switch CPU at one instant,
+// is one run (two, if it straddles a block end).
+type run struct {
+	ts    int64  // the stamp of every event of the run
+	start uint16 // the block position of its first event
+	sw    uint16 // the switch that reported it
+}
 
 // block is a fixed-size, append-only partition of the event log, held as
-// pointer-free columns behind its summary. rec is the 24 B record the
-// wire, the WAL and the snapshot carry; sw and typ repeat two of its
-// fields so a filtered scan reads 3 B an event, not 24. prev chains each
-// event to the previous event of its flow, as position+1 (0 = none),
-// across blocks.
+// pointer-free columns behind its summary and its run table. rec is the
+// 24 B record the wire, the WAL and the snapshot carry; typ repeats its
+// type byte so a filtered scan reads 1 B an event, not 24. prev chains
+// each event to the previous event of its flow, as position+1 (0 =
+// none), across blocks.
 type block struct {
 	// sum counts the block's events per reporting switch and type, one
 	// row a switch, sorted by switch: what a read consults before it
-	// touches a column (DESIGN §10). It is the struct's only pointer and
-	// stays its first field, so the GC's scan of a block ends after one
-	// word.
+	// touches a column (DESIGN §10).
 	sum []sumRow
+	// runs holds the switch and stamp of every event, one entry a run, in
+	// position order; hint[k] is the run holding position k×hintStride.
+	// sum and runs are the struct's only pointers and its first fields,
+	// so the GC's scan of a block ends after four words.
+	runs []run
 
 	n            int // events held; only the last block is partial
 	minTs, maxTs int64
-	ts           [blockLen]int64
+	hint         [blockLen / hintStride]uint16
 	prev         [blockLen]uint32
-	sw           [blockLen]uint16
 	typ          [blockLen]uint8
 	rec          [blockLen * fevent.RecordLen]byte
 }
@@ -68,7 +84,7 @@ type sumRow struct {
 	n  [fevent.TypeAggSpike]uint16
 }
 
-const _ = uint16(blockLen) // a cell can count a whole block
+const _ = uint16(blockLen) // a cell can count a whole block, a hint name any run
 
 // find returns where switch sw's row sits in b.sum, or belongs.
 func (b *block) find(sw uint16) (int, bool) {
@@ -102,16 +118,42 @@ func (b *block) count(q *selector) int {
 	return n
 }
 
-// load materialises event i; types are validated on every way in, so the
-// record always decodes.
-func (b *block) load(i int, e *fevent.Event) {
+// runAt returns the index of the run holding event i: its hint, then
+// forward over the runs that start by i. A run of a batch's length is
+// found in a step or none; runs of one event take at most hintStride-1.
+func (b *block) runAt(i int) int {
+	r := int(b.hint[i/hintStride])
+	for r+1 < len(b.runs) && int(b.runs[r+1].start) <= i {
+		r++
+	}
+	return r
+}
+
+// runEnd returns one past the last position of run r.
+func (b *block) runEnd(r int) int {
+	if r+1 < len(b.runs) {
+		return int(b.runs[r+1].start)
+	}
+	return b.n
+}
+
+// cover points the hints of positions [from, to) at run r.
+func (b *block) cover(r, from, to int) {
+	for h := (from + hintStride - 1) / hintStride; h*hintStride < to; h++ {
+		b.hint[h] = uint16(r)
+	}
+}
+
+// load materialises event i, of run r; types are validated on every way
+// in, so the record always decodes.
+func (b *block) load(r *run, i int, e *fevent.Event) {
 	_ = e.DecodeRecord(b.rec[i*fevent.RecordLen:])
-	e.SwitchID, e.Timestamp = b.sw[i], sim.Time(b.ts[i])
+	e.SwitchID, e.Timestamp = r.sw, sim.Time(r.ts)
 }
 
 // Store is an in-memory event store: append-only blocks in ingestion
 // order plus a flow → newest-event table, O(flows) not O(events). The
-// 4 B chain link caps it at 2³²−1 events (168 GB of blocks; -mem-budget
+// 4 B chain link caps it at 2³²−1 events (127 GB of blocks; -mem-budget
 // sheds long before). It is safe for concurrent use (the TCP server
 // ingests from multiple switch connections).
 type Store struct {
@@ -119,6 +161,7 @@ type Store struct {
 	blocks  []*block
 	n       int       // stored events
 	sumRows int       // summary rows over all blocks
+	runCap  int       // run-table capacity over all blocks, in runs
 	flows   flowTable // flow → position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
@@ -151,7 +194,7 @@ func NewStore() *Store {
 
 // resetEvents drops every event, keeping the dedup state.
 func (s *Store) resetEvents() {
-	s.blocks, s.n, s.sumRows, s.flows = nil, 0, 0, flowTable{}
+	s.blocks, s.n, s.sumRows, s.runCap, s.flows = nil, 0, 0, 0, flowTable{}
 }
 
 // sumRow returns b's summary row for switch sw, inserting it.
@@ -167,8 +210,10 @@ func (s *Store) sumRow(b *block, sw uint16) *sumRow {
 // appendRun stores a run of records — n × fevent.RecordLen bytes with
 // valid type bytes, all reported by switch sw at ts — at the next
 // positions, copied a block at a time and indexed from their bytes: the
-// only writer of the columns, the flow chains and — a row lookup per
-// block the run touches — the summaries.
+// only writer of the columns, the flow chains and — once per block the
+// run touches — the run tables and the summaries. A run that continues
+// the block's last one (same switch, same stamp) extends it, so runs are
+// maximal however their records arrive.
 func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 	for len(recs) > 0 {
 		i := s.n % blockLen
@@ -177,9 +222,15 @@ func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 		}
 		b := s.blocks[len(s.blocks)-1]
 		k := copy(b.rec[i*fevent.RecordLen:], recs) / fevent.RecordLen
+		if last := len(b.runs) - 1; last < 0 || b.runs[last].sw != sw || b.runs[last].ts != ts {
+			s.runCap -= cap(b.runs)
+			b.runs = append(b.runs, run{ts: ts, start: uint16(i), sw: sw})
+			s.runCap += cap(b.runs)
+		}
+		b.cover(len(b.runs)-1, i, i+k)
 		row := s.sumRow(b, sw)
 		for j, r := i, recs; j < i+k; j, r = j+1, r[fevent.RecordLen:] {
-			b.ts[j], b.sw[j], b.typ[j] = ts, sw, r[0]
+			b.typ[j] = r[0]
 			row.n[r[0]-1]++
 			s.n++
 			b.prev[j] = uint32(s.n) // the new head, swapped below for the old
@@ -326,15 +377,19 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 
 // Resident cost of what the store holds, for admission control. A block
 // is charged whole, when it is allocated, rounded up to the allocator's
-// 8 KiB pages, and the flow table for every slot it has allocated; a
-// summary row is charged twice its 16 B, the capacity of a slice that
-// has just doubled, and a dedup map entry key + value + control byte at
-// the load factor of a table that has just doubled, so the estimate errs
-// high and admission control engages early, not late.
+// 8 KiB pages; a run table and the flow table for every entry and slot
+// they have allocated; a summary row twice its 16 B, the capacity of a
+// slice that has just doubled; and a dedup map entry at the worst a Go
+// map of 16 B keys and empty values measures — a 24 B slot (an empty
+// value pads it) and a control byte at the 7/16 load of a table that has
+// just doubled or split, in its allocator size class. So the estimate
+// errs high and admission control engages early, not late
+// (TestMemoryBytesCoversTheHeap).
 const (
-	blockMemCost  = (blockLen*rowBytes + 48 + 8191) &^ 8191
+	blockMemCost  = (int64(unsafe.Sizeof(block{})) + 8191) &^ 8191
+	runMemCost    = int64(unsafe.Sizeof(run{}))
 	sumRowMemCost = 2 * 16
-	seenMemCost   = 40
+	seenMemCost   = 64
 )
 
 // MemoryBytes estimates the store's resident memory — the quantity the
@@ -342,7 +397,7 @@ const (
 func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.blocks))*blockMemCost + int64(s.sumRows)*sumRowMemCost +
+	return int64(len(s.blocks))*blockMemCost + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
 		int64(len(s.flows.slots))*flowSlotBytes + int64(len(s.seen))*seenMemCost
 }
 
@@ -377,24 +432,35 @@ type selector struct {
 	since, until int64
 }
 
-// match tests event i of b, reading only the columns q names; inWindow
-// says b lies wholly inside [since, until], so its stamps need no look.
-func (q *selector) match(b *block, i int, inWindow bool) bool {
-	return (!q.bySw || b.sw[i] == q.sw) && (q.typ == 0 || b.typ[i] == q.typ) &&
-		(inWindow || b.ts[i] >= q.since && b.ts[i] <= q.until) &&
+// covers says b lies wholly inside [since, until], so its stamps need no
+// look.
+func (q *selector) covers(b *block) bool { return q.since <= b.minTs && b.maxTs <= q.until }
+
+// keeps tests the switch and, unless inWindow, the stamp of run r.
+func (q *selector) keeps(r *run, inWindow bool) bool {
+	return (!q.bySw || r.sw == q.sw) && (inWindow || r.ts >= q.since && r.ts <= q.until)
+}
+
+// match tests event i of b on what its run does not settle — type and
+// drop code — reading only the columns q names.
+func (q *selector) match(b *block, i int) bool {
+	return (q.typ == 0 || b.typ[i] == q.typ) &&
 		(q.code == 0 || b.rec[i*fevent.RecordLen+fevent.RecordDropCodeOff] == q.code)
 }
 
-// visit calls fn(b, i) for every stored event matching f, in ingestion
-// order, with s.mu held, and returns how many match: the store's only
-// read path. A flow filter walks that flow's chain (newest first,
-// replayed reversed), so a point lookup costs O(the flow's events).
+// visit calls fn(b, r, i) for every stored event matching f — event i of
+// block b, in run r — in ingestion order, with s.mu held, and returns how
+// many match: the store's only read path. A flow filter walks that
+// flow's chain (newest first, replayed reversed), so a point lookup costs
+// O(the flow's events); a step looks up its event's run only to test a
+// switch or a stamp the block does not settle, or to hand it to fn.
 // Anything else goes block by block: one whose [minTs, maxTs] misses
 // [Since, Until], or whose summary holds no event of f's switch and type,
 // is skipped; with a nil fn — a count — one lying inside the window is
 // answered from its summary without reading an event; the rest (window
-// edges, a drop code) are scanned column-wise.
-func (s *Store) visit(f *Filter, fn func(b *block, i int)) int {
+// edges, a drop code) are scanned a run at a time, switch and stamp
+// tested once a run, type and code column-wise within it.
+func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int)) int {
 	q := selector{bySw: f.SwitchID != nil, typ: uint8(f.Type), code: uint8(f.DropCode), since: int64(f.Since), until: int64(f.Until)}
 	if q.bySw {
 		q.sw = *f.SwitchID
@@ -416,7 +482,8 @@ func (s *Store) visit(f *Filter, fn func(b *block, i int)) int {
 		f.Flow.PutWire(key[:])
 		for link := s.flows.get(key[:]); link != 0; {
 			b, i := s.blocks[(link-1)/blockLen], int((link-1)%blockLen)
-			if q.match(b, i, false) {
+			inWindow := q.covers(b)
+			if q.match(b, i) && (!q.bySw && inWindow || q.keeps(&b.runs[b.runAt(i)], inWindow)) {
 				total++
 				if fn != nil {
 					chain = append(chain, link-1)
@@ -425,7 +492,8 @@ func (s *Store) visit(f *Filter, fn func(b *block, i int)) int {
 			link = b.prev[i]
 		}
 		for k := len(chain) - 1; k >= 0; k-- {
-			fn(s.blocks[chain[k]/blockLen], int(chain[k]%blockLen))
+			b, i := s.blocks[chain[k]/blockLen], int(chain[k]%blockLen)
+			fn(b, &b.runs[b.runAt(i)], i)
 		}
 		return total
 	}
@@ -437,16 +505,22 @@ func (s *Store) visit(f *Filter, fn func(b *block, i int)) int {
 		if n == 0 {
 			continue
 		}
-		inWindow := q.since <= b.minTs && b.maxTs <= q.until
+		inWindow := q.covers(b)
 		if fn == nil && inWindow && q.code == 0 {
 			total += n
 			continue
 		}
-		for i := 0; i < b.n; i++ {
-			if q.match(b, i, inWindow) {
-				total++
-				if fn != nil {
-					fn(b, i)
+		for r := range b.runs {
+			ru := &b.runs[r]
+			if !q.keeps(ru, inWindow) {
+				continue
+			}
+			for i, end := int(ru.start), b.runEnd(r); i < end; i++ {
+				if q.match(b, i) {
+					total++
+					if fn != nil {
+						fn(b, ru, i)
+					}
 				}
 			}
 		}
@@ -465,9 +539,9 @@ func (s *Store) Query(f Filter) []fevent.Event {
 	if f.Flow == nil {
 		out = make([]fevent.Event, 0, s.visit(&f, nil))
 	}
-	s.visit(&f, func(b *block, i int) {
+	s.visit(&f, func(b *block, r *run, i int) {
 		out = append(out, fevent.Event{})
-		b.load(i, &out[len(out)-1])
+		b.load(r, i, &out[len(out)-1])
 	})
 	return out
 }
@@ -542,8 +616,8 @@ func (s *Store) Summary() []SummaryRow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	flowSets := make(map[swType]map[flowKey]struct{})
-	s.visit(&Filter{}, func(b *block, i int) {
-		k := swType{b.sw[i], fevent.Type(b.typ[i])}
+	s.visit(&Filter{}, func(b *block, r *run, i int) {
+		k := swType{r.sw, fevent.Type(b.typ[i])}
 		if flowSets[k] == nil {
 			flowSets[k] = make(map[flowKey]struct{})
 		}
@@ -579,8 +653,8 @@ func (s *Store) PathOf(flow pkt.FlowKey) []PathHop {
 	defer s.mu.RUnlock()
 	latest := make(map[uint16]PathHop)
 	var e fevent.Event
-	s.visit(&Filter{Flow: &flow, Type: fevent.TypePathChange}, func(b *block, i int) {
-		b.load(i, &e)
+	s.visit(&Filter{Flow: &flow, Type: fevent.TypePathChange}, func(b *block, r *run, i int) {
+		b.load(r, i, &e)
 		if prev, ok := latest[e.SwitchID]; !ok || e.Timestamp >= prev.At {
 			latest[e.SwitchID] = PathHop{
 				SwitchID: e.SwitchID, In: e.IngressPort, Out: e.EgressPort, At: e.Timestamp,
@@ -609,8 +683,8 @@ func (s *Store) LatencyHistogram(f Filter) obs.HistogramSnapshot {
 	h := obs.NewHistogram(obs.LatencyBuckets())
 	var e fevent.Event
 	f.Type = fevent.TypeCongestion
-	s.visit(&f, func(b *block, i int) {
-		b.load(i, &e)
+	s.visit(&f, func(b *block, r *run, i int) {
+		b.load(r, i, &e)
 		h.Observe(float64(e.QueueLatencyUs))
 	})
 	return h.Snapshot()

@@ -282,7 +282,7 @@ func (p *pair) randomFilter(flows, switches int) Filter {
 	}
 	bound := func() sim.Time {
 		b := blocks[r.Intn(len(blocks))]
-		return sim.Time([]int64{b.minTs, b.maxTs, b.ts[r.Intn(b.n)]}[r.Intn(3)] + int64(r.Intn(3)-1))
+		return []sim.Time{sim.Time(b.minTs), sim.Time(b.maxTs), stampAt(b, r.Intn(b.n))}[r.Intn(3)] + sim.Time(r.Intn(3)-1)
 	}
 	if len(blocks) > 0 {
 		switch r.Intn(5) {

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -9,19 +11,37 @@ import (
 	"netseer/internal/sim"
 )
 
-// summariesFromColumns recounts every block's summary from its sw and typ
-// columns and compares it, row for row, with the one the writers built.
+// summariesFromColumns checks every block's run table — starts at 0,
+// strictly increasing and below n, no two neighbours with one switch and
+// stamp, every hint naming the run that holds its position — then
+// recounts the block's summary from the runs and the typ column and
+// compares it, row for row, with the one the writers built; and the
+// store's charges for rows and run capacity against what its blocks hold.
 func summariesFromColumns(t *testing.T, st *Store) {
 	t.Helper()
-	rows := 0
+	rows, runCap := 0, 0
 	for bi, b := range st.blocks {
 		want := map[uint16]*sumRow{}
-		for i := 0; i < b.n; i++ {
-			if want[b.sw[i]] == nil {
-				want[b.sw[i]] = &sumRow{sw: b.sw[i]}
+		for r, ru := range b.runs {
+			if r == 0 && ru.start != 0 || r > 0 && ru.start <= b.runs[r-1].start || int(ru.start) >= b.n {
+				t.Fatalf("block %d of %d events: run %d starts at %d", bi, b.n, r, ru.start)
 			}
-			want[b.sw[i]].n[b.typ[i]-1]++
+			if r > 0 && ru.sw == b.runs[r-1].sw && ru.ts == b.runs[r-1].ts {
+				t.Fatalf("block %d: runs %d and %d share switch %d and stamp %d", bi, r-1, r, ru.sw, ru.ts)
+			}
+			if want[ru.sw] == nil {
+				want[ru.sw] = &sumRow{sw: ru.sw}
+			}
+			for i := int(ru.start); i < b.runEnd(r); i++ {
+				want[ru.sw].n[b.typ[i]-1]++
+			}
 		}
+		for h := 0; h*hintStride < b.n; h++ {
+			if r := int(b.hint[h]); r >= len(b.runs) || int(b.runs[r].start) > h*hintStride || b.runEnd(r) <= h*hintStride {
+				t.Fatalf("block %d: hint %d names run %d, which does not hold position %d", bi, h, r, h*hintStride)
+			}
+		}
+		runCap += cap(b.runs)
 		if len(b.sum) != len(want) {
 			t.Fatalf("block %d: %d summary rows, its columns hold %d switches", bi, len(b.sum), len(want))
 		}
@@ -35,10 +55,13 @@ func summariesFromColumns(t *testing.T, st *Store) {
 		}
 		rows += len(b.sum)
 	}
-	if st.sumRows != rows {
-		t.Fatalf("store charges %d summary rows, its blocks hold %d", st.sumRows, rows)
+	if st.sumRows != rows || st.runCap != runCap {
+		t.Fatalf("store charges %d summary rows and %d runs' capacity, its blocks hold %d and %d", st.sumRows, st.runCap, rows, runCap)
 	}
 }
+
+// stampAt returns the stamp of event i of b, through its run.
+func stampAt(b *block, i int) sim.Time { return sim.Time(b.runs[b.runAt(i)].ts) }
 
 // monotonicStore holds n events of `switches` switches and every type, 64
 // to a batch, each batch 1 µs after the last: block time ranges do not
@@ -60,11 +83,12 @@ func monotonicStore(n, switches int) *Store {
 	return st
 }
 
-// TestCountAnswersCoveredBlocksFromSummary scribbles over the sw and typ
-// columns of the blocks a window covers and requires Count not to notice:
-// a block inside [Since, Until] — bounds included — is answered from its
-// summary row without reading an event. One nanosecond in from either end
-// the block is a window edge, is scanned, and the scribble shows.
+// TestCountAnswersCoveredBlocksFromSummary scribbles over the run tables
+// and typ columns of the blocks a window covers and requires Count not to
+// notice: a block inside [Since, Until] — bounds included — is answered
+// from its summary row without reading an event. One nanosecond in from
+// either end the block is a window edge, is scanned, and the scribble
+// shows.
 func TestCountAnswersCoveredBlocksFromSummary(t *testing.T) {
 	st := monotonicStore(3*blockLen+500, 4)
 	b1, b2 := st.blocks[1], st.blocks[2]
@@ -86,15 +110,15 @@ func TestCountAnswersCoveredBlocksFromSummary(t *testing.T) {
 	}
 	for _, b := range []*block{b1, b2} {
 		for i := range b.typ {
-			b.typ[i], b.sw[i] = 0xff, 0xffff
+			b.typ[i] = 0xff
+		}
+		for r := range b.runs {
+			b.runs[r].sw, b.runs[r].ts = 0xffff, -1
 		}
 	}
 	for i, f := range filters {
 		if got := st.Count(f); got != want[i] {
 			t.Errorf("Count(%+v) = %d with the covered blocks' columns scribbled, %d before: it read events", f, got, want[i])
-		}
-		if f.SwitchID == nil && f.Type == 0 {
-			continue // names no column the scribble touched
 		}
 		in := f
 		in.Since++
@@ -114,7 +138,7 @@ func TestCountAnswersCoveredBlocksFromSummary(t *testing.T) {
 // of hundreds of events, kept nowhere) touches the heap nowhere.
 func TestCountDoesNotAllocate(t *testing.T) {
 	st := monotonicStore(2*blockLen+500, 4)
-	lo, hi := sim.Time(st.blocks[0].ts[blockLen/2]), sim.Time(st.blocks[2].ts[100])
+	lo, hi := stampAt(st.blocks[0], blockLen/2), stampAt(st.blocks[2], 100)
 	flow := modelFlow(7)
 	for _, f := range []Filter{
 		{SwitchID: ptr(uint16(3)), Type: fevent.TypeCongestion},
@@ -138,7 +162,7 @@ func TestCountDoesNotAllocate(t *testing.T) {
 // the rows returned — window edges and drop codes included.
 func TestQueryAllocatesItsResultOnce(t *testing.T) {
 	st := monotonicStore(2*blockLen+500, 4)
-	lo, hi := sim.Time(st.blocks[0].ts[blockLen/2]), sim.Time(st.blocks[2].ts[100])
+	lo, hi := stampAt(st.blocks[0], blockLen/2), stampAt(st.blocks[2], 100)
 	for _, f := range []Filter{
 		{SwitchID: ptr(uint16(3)), Type: fevent.TypeCongestion},
 		{SwitchID: ptr(uint16(3)), Since: lo, Until: hi},
@@ -172,9 +196,9 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 		t.Fatalf("summaries hold %v rows, want [%d 5]", got, blockLen)
 	}
 	summariesFromColumns(t, st)
-	want := 2*int64(blockMemCost) + n*int64(sumRowMemCost) + int64(flowSlotsFor(1))*flowSlotBytes
-	if got := st.MemoryBytes(); got != want {
-		t.Errorf("MemoryBytes = %d, want %d: two blocks, %d summary rows, one flow", got, want, n)
+	want := 2*blockMemCost + n*sumRowMemCost + int64(st.runCap)*runMemCost + int64(flowSlotsFor(1))*flowSlotBytes
+	if got := st.MemoryBytes(); got != want || st.runCap < n {
+		t.Errorf("MemoryBytes = %d, want %d: two blocks, %d summary rows and runs (%d charged), one flow", got, want, n, st.runCap)
 	}
 	for i, b := range st.blocks {
 		if held := cap(b.sum) * int(unsafe.Sizeof(sumRow{})); held > len(b.sum)*sumRowMemCost {
@@ -184,8 +208,8 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 	if got := st.Count(Filter{SwitchID: ptr(evs[blockLen+2].SwitchID)}); got != 1 {
 		t.Errorf("Count(switch %d) = %d, want 1", evs[blockLen+2].SwitchID, got)
 	}
-	if unsafe.Offsetof(block{}.sum) != 0 {
-		t.Error("block.sum is not the first field: the GC would scan into the columns")
+	if unsafe.Offsetof(block{}.sum) != 0 || unsafe.Offsetof(block{}.runs) != unsafe.Sizeof([]sumRow(nil)) {
+		t.Error("block.sum and block.runs are not the first fields: the GC would scan into the columns")
 	}
 
 	// Dropping the events drops the rows and their charge.
@@ -193,7 +217,91 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 		t.Fatalf("RemoveEvents removed %d, want %d", removed, n-5)
 	}
 	summariesFromColumns(t, st)
-	if got, want := st.MemoryBytes(), int64(blockMemCost)+5*int64(sumRowMemCost)+int64(flowSlotsFor(1))*flowSlotBytes; got != want {
+	if got, want := st.MemoryBytes(), blockMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+int64(flowSlotsFor(1))*flowSlotBytes; got != want || st.runCap > 8 {
 		t.Errorf("after RemoveEvents MemoryBytes = %d, want %d", got, want)
 	}
+}
+
+// TestRunsAreMaximal pins what a block's run table holds: a 370-record
+// frame payload at one stamp is one run in each block it touches; appends
+// that continue the last run — a second batch of the same switch and
+// stamp, an in-process batch longer than appendEvents' 64-record chunks —
+// extend it; in-process per-event stamps are runs of one. The counts
+// survive a snapshot round trip.
+func TestRunsAreMaximal(t *testing.T) {
+	const flows, switches = 9, 3
+	p := newPair(t, 30)
+	seq := uint64(0)
+	for p.st.Len() < blockLen-100 {
+		seq++
+		ts := sim.Time(seq) * sim.Microsecond
+		p.deliverPayload(uint16(1+seq%switches), seq, ts, p.events(min(50, blockLen-100-p.st.Len()), flows, switches, ts, 0))
+	}
+	if got := len(p.st.blocks[0].runs); got != int(seq) {
+		t.Fatalf("%d batches of their own stamps make %d runs", seq, got)
+	}
+	seq++
+	ts := sim.Time(seq) * sim.Microsecond
+	p.deliverPayload(1, seq, ts, p.events(370, flows, switches, ts, 0))
+	b0, b1 := p.st.blocks[0], p.st.blocks[1]
+	if len(b0.runs) != int(seq) || b0.runs[seq-1].start != blockLen-100 || len(b1.runs) != 1 || b1.n != 270 {
+		t.Fatalf("a 370-record batch 100 short of a block end: %d runs (last at %d), then %d runs over %d events",
+			len(b0.runs), b0.runs[len(b0.runs)-1].start, len(b1.runs), b1.n)
+	}
+	seq++
+	p.deliverPayload(1, seq, ts, p.events(20, flows, switches, ts, 0))
+	long := p.events(200, flows, switches, ts, 0)
+	for i := range long {
+		long[i].SwitchID = 1
+	}
+	p.deliver(1, 0, ts, long)
+	if len(b1.runs) != 1 || b1.n != 490 {
+		t.Fatalf("three appends of switch 1 at one stamp: %d runs over %d events", len(b1.runs), b1.n)
+	}
+	single := p.events(40, flows, switches, ts, 0)
+	for i := range single {
+		single[i].Timestamp = ts + sim.Time(1+i)
+	}
+	p.add(single)
+	if len(b1.runs) != 41 {
+		t.Fatalf("40 events stamped one by one make %d runs after the first", len(b1.runs)-1)
+	}
+	p.compare(flows, switches)
+	p.reload()
+	p.compare(flows, switches)
+	if got := []int{len(p.st.blocks[0].runs), len(p.st.blocks[1].runs)}; !slices.Equal(got, []int{int(seq - 1), 41}) {
+		t.Fatalf("after a snapshot round trip the blocks hold %v runs", got)
+	}
+}
+
+// TestMemoryBytesCoversTheHeap builds the benchmark's store shape — a
+// million events in exporter batches of 50, 8 and 1 records from ten
+// switches, each batch sequenced, over 117 k flows — and requires
+// MemoryBytes to be at least what the store added to the live heap, as
+// the admission ladder assumes, and at most 1.1× it.
+func TestMemoryBytesCoversTheHeap(t *testing.T) {
+	sizes := [...]int{50, 50, 8, 50, 1, 50, 8, 50}
+	evs := make([]fevent.Event, 50)
+	r := rand.New(rand.NewSource(3))
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	st := NewStore()
+	for seq := uint64(1); st.Len() < 1_000_000; seq++ {
+		sw, ts := uint16(1+r.Intn(10)), sim.Time(seq)*10*sim.Microsecond
+		for i := range evs[:sizes[seq%8]] {
+			evs[i] = fevent.Event{Type: fevent.Types[r.Intn(4)], Flow: modelFlow(r.Intn(117_000)), SwitchID: sw, Timestamp: ts, Count: 1}
+		}
+		st.Deliver(&fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs[:sizes[seq%8]]})
+	}
+	heap, est := live()-before, st.MemoryBytes()
+	t.Logf("%d events, %d flows, %d batches: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), st.flows.n, len(st.seen), est, heap, float64(est)/float64(heap))
+	if est < heap || est > heap*11/10 {
+		t.Errorf("MemoryBytes = %d against %d B of heap growth: want within [1, 1.1]×", est, heap)
+	}
+	runtime.KeepAlive(st)
 }
