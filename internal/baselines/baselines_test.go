@@ -76,8 +76,8 @@ func TestSamplerCannotSeeDrops(t *testing.T) {
 			t.Fatal("sampler detected a drop — impossible for sFlow")
 		}
 	}
-	if len(n.gt.Drops) != 100 {
-		t.Fatalf("ground truth drops = %d", len(n.gt.Drops))
+	if got := n.gt.TypePackets[fevent.TypeDrop]; got != 100 {
+		t.Fatalf("ground truth drops = %d", got)
 	}
 }
 
@@ -152,9 +152,9 @@ func TestNetSightFullCoverage(t *testing.T) {
 		}
 	}
 	// And every congestion flow event.
-	for k := range n.gt.CongestionFlowEvents() {
-		if !det[k] {
-			t.Fatalf("NetSight missed congestion event %+v", k)
+	for _, e := range n.gt.Events {
+		if e.Key.Type == fevent.TypeCongestion && !det[e.Key] {
+			t.Fatalf("NetSight missed congestion event %+v", e.Key)
 		}
 	}
 	if ns.OverheadBytes() == 0 || ns.Postcards() == 0 {

@@ -149,6 +149,29 @@ type Stats struct {
 	InterSwitchFound uint64 // victim packets recovered from the ring
 }
 
+// Add accumulates o into s field by field: the fabric-wide totals of
+// per-switch stats.
+func (s *Stats) Add(o Stats) {
+	s.RawPackets += o.RawPackets
+	s.RawBytes += o.RawBytes
+	s.EventPackets += o.EventPackets
+	s.EventBytes += o.EventBytes
+	s.DedupReports += o.DedupReports
+	s.DedupBytes += o.DedupBytes
+	s.ExtractedBytes += o.ExtractedBytes
+	s.ExportedEvents += o.ExportedEvents
+	s.ExportedBytes += o.ExportedBytes
+	s.ExportedBatches += o.ExportedBatches
+	s.SuppressedFPs += o.SuppressedFPs
+	s.LostMMURedirect += o.LostMMURedirect
+	s.LostInternalPort += o.LostInternalPort
+	s.LostRingOverwrite += o.LostRingOverwrite
+	s.LostStackOverflow += o.LostStackOverflow
+	s.SeqGapsDetected += o.SeqGapsDetected
+	s.NotifySent += o.NotifySent
+	s.InterSwitchFound += o.InterSwitchFound
+}
+
 // pathEntry is one slot of the path-change flow table.
 type pathEntry struct {
 	used     bool

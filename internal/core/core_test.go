@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"netseer/internal/dataplane"
@@ -336,7 +337,7 @@ func TestZeroFalseNegativesEndToEnd(t *testing.T) {
 	got := make(map[dataplane.FlowEventKey]bool)
 	for _, e := range r.sink.events {
 		if e.Type == fevent.TypeDrop {
-			got[dataplane.FlowEventKey{SwitchID: e.SwitchID, Type: e.Type, Flow: e.Flow, Code: e.DropCode}] = true
+			got[dataplane.EventKey(&e)] = true
 		}
 	}
 	for k := range want {
@@ -426,5 +427,24 @@ func TestDisableSeqAblation(t *testing.T) {
 	}
 	if r.b.got[0].HasSeqTag {
 		t.Error("packets tagged despite DisableSeq")
+	}
+}
+
+// TestStatsAddSumsEveryField fills every field of two Stats with distinct
+// values, so a field Add forgets reads as its own value, not the sum.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	sum := a
+	sum.Add(b)
+	vs := reflect.ValueOf(sum)
+	for i := 0; i < vs.NumField(); i++ {
+		if got, want := vs.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("%s = %d, want %d", vs.Type().Field(i).Name, got, want)
+		}
 	}
 }

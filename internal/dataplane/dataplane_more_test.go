@@ -42,7 +42,7 @@ func TestSharedMMULimit(t *testing.T) {
 		r.sendAB(1400, 64, 0)
 	}
 	r.sim.RunAll()
-	if len(r.gt.Drops) == 0 {
+	if r.gt.TypePackets[fevent.TypeDrop] == 0 {
 		t.Error("no drops despite 14 kB burst into a 4 kB MMU")
 	}
 	if r.sw0.MMUUsed() != 0 {
@@ -211,7 +211,7 @@ func TestGroundTruthDisabled(t *testing.T) {
 	r.gt.Enabled = false
 	r.sendAB(100, 1, 0) // TTL drop
 	r.sim.RunAll()
-	if len(r.gt.Drops) != 0 {
+	if len(r.gt.Events) != 0 || r.gt.TypePackets != [len(r.gt.TypePackets)]int{} {
 		t.Error("disabled ledger recorded drops")
 	}
 }
@@ -250,8 +250,8 @@ func TestASICFailureBypassesTelemetryButAlerts(t *testing.T) {
 	if m.drops != 0 {
 		t.Error("monitor saw a drop from a dead ASIC")
 	}
-	if len(r.gt.Drops) != 1 || r.gt.Drops[0].Code != fevent.DropASICFailure {
-		t.Errorf("ground truth = %+v", r.gt.Drops)
+	if d := ledgerOf(r.gt, fevent.TypeDrop); len(d) != 1 || d[0].Key.Code != fevent.DropASICFailure || d[0].Packets != 1 {
+		t.Errorf("ground truth = %+v", d)
 	}
 	r.sw0.RepairHardware()
 	r.sendAB(100, 64, 0)
@@ -279,8 +279,8 @@ func TestMMUFailureDropsInvisibly(t *testing.T) {
 	if len(alerts) != 1 {
 		t.Errorf("alerts = %d", len(alerts))
 	}
-	if len(r.gt.Drops) != 1 || r.gt.Drops[0].Code != fevent.DropMMUFailure {
-		t.Errorf("ground truth = %+v", r.gt.Drops)
+	if d := ledgerOf(r.gt, fevent.TypeDrop); len(d) != 1 || d[0].Key.Code != fevent.DropMMUFailure || d[0].Packets != 1 {
+		t.Errorf("ground truth = %+v", d)
 	}
 }
 

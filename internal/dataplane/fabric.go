@@ -152,7 +152,7 @@ func BuildFabric(s *sim.Simulator, tp *topo.Topology, routes *topo.Routes, cfg C
 				up = swB
 			}
 			if up != nil {
-				gt.recordDrop(s.Now(), up.ID, p, fevent.DropInterSwitch, 0)
+				gt.note(FlowEventKey{SwitchID: up.ID, Type: fevent.TypeDrop, Flow: p.Flow, Code: fevent.DropInterSwitch}, s.Now(), 0, false)
 			}
 			for _, fn := range f.lossHooks {
 				fn(up, p, corrupted)

@@ -6,10 +6,12 @@ import (
 	"netseer/internal/sim"
 )
 
-// GroundTruth is the omniscient ledger the simulator keeps of every event
-// that actually happened in the fabric, regardless of what any monitor
-// observed. Coverage experiments compare a monitor's detections against
-// it.
+// GroundTruth is the omniscient ledger the simulator keeps of every flow
+// event that actually happened in the fabric, regardless of what any
+// monitor observed. Coverage experiments compare a monitor's detections
+// against it. Like the switch's group cache (§3.4), it keeps one entry per
+// flow event with a packet counter, so it grows with flow events, not
+// packets.
 type GroundTruth struct {
 	// Enabled gates recording; disable for pure-throughput benchmarks.
 	Enabled bool
@@ -18,14 +20,18 @@ type GroundTruth struct {
 	// per-flow and per-link aggregates the sketch stage approximates:
 	// FlowPkts and LinkWindowBytes, with window indices computed as
 	// at/SketchWindow (truncated to 16 bits, matching the wire field).
-	// Zero (the default) keeps recordForward allocation- and map-free for
-	// experiments that run without the sketch stage.
+	// Zero (the default) leaves recordForward allocation-free, with one
+	// path lookup per forwarded packet.
 	SketchWindow sim.Time
 
-	Drops       []GTDrop
-	Congestion  []GTCongestion
-	PathChanges []GTPathChange
-	Pauses      []GTPause
+	// Events is the ledger: one entry per flow event, in first-seen order.
+	Events []GTEvent
+	// TypePackets counts the packets noted per event type, each one event
+	// packet at its detection point (Fig. 13a). For path changes it counts
+	// the changes themselves.
+	TypePackets [fevent.TypePause + 1]int
+	// ACLDenies counts the packets each (switch, ACL rule) denied.
+	ACLDenies map[GTACLRule]int
 
 	// FlowPkts is the exact number of packets each flow had forwarded
 	// through each switch pipeline (pre-MMU survivors — exactly the stream
@@ -35,9 +41,26 @@ type GroundTruth struct {
 	// (switch, egress port) within each sketch window.
 	LinkWindowBytes map[GTLinkWindow]uint64
 
+	index map[FlowEventKey]int32 // into Events
 	// pathSeen tracks (switch, flow) → (in, out) for path-change ground
 	// truth.
-	pathSeen map[gtPathKey]gtPorts
+	pathSeen map[GTSwitchFlow]gtPorts
+}
+
+// GTEvent is one flow event of the ledger.
+type GTEvent struct {
+	Key FlowEventKey
+	// Packets is how many packets the flow event covered; for a path
+	// change, how many times the flow took that port pair at the switch.
+	Packets int
+	// First is when the first packet was noted.
+	First sim.Time
+	// Port is the first packet's egress port for congestion and pause
+	// events, zero otherwise.
+	Port uint8
+	// Changed marks a path change that was a genuine mid-flow re-path at
+	// least once, not only the flow's first appearance at the switch.
+	Changed bool
 }
 
 // GTSwitchFlow keys the exact per-flow forwarded-packet counts.
@@ -53,105 +76,69 @@ type GTLinkWindow struct {
 	Window   uint16
 }
 
-// GTDrop is one actually-dropped packet.
-type GTDrop struct {
-	At       sim.Time
+// GTACLRule keys the per-rule ACL deny counts.
+type GTACLRule struct {
 	SwitchID uint16
-	Flow     pkt.FlowKey
-	PktID    uint64
-	Code     fevent.DropCode
-	ACLRule  uint8
-}
-
-// GTCongestion is one packet that experienced queuing delay above the
-// congestion threshold.
-type GTCongestion struct {
-	At       sim.Time
-	SwitchID uint16
-	Flow     pkt.FlowKey
-	Port     uint8
-	Queue    uint8
-	QDelay   sim.Time
-}
-
-// GTPathChange is a flow appearing at a switch for the first time or with
-// a changed (ingress, egress) port pair. Changed distinguishes a genuine
-// mid-flow re-path (true) from the flow's first appearance (false).
-type GTPathChange struct {
-	At       sim.Time
-	SwitchID uint16
-	Flow     pkt.FlowKey
-	In, Out  uint8
-	Changed  bool
-}
-
-// GTPause is one packet that arrived for a PFC-paused queue.
-type GTPause struct {
-	At       sim.Time
-	SwitchID uint16
-	Flow     pkt.FlowKey
-	Port     uint8
-	Queue    uint8
-}
-
-type gtPathKey struct {
-	sw   uint16
-	flow pkt.FlowKey
+	Rule     uint8
 }
 
 type gtPorts struct{ in, out uint8 }
 
 // NewGroundTruth returns an enabled ledger.
 func NewGroundTruth() *GroundTruth {
-	return &GroundTruth{Enabled: true, pathSeen: make(map[gtPathKey]gtPorts)}
+	return &GroundTruth{
+		Enabled:   true,
+		ACLDenies: make(map[GTACLRule]int),
+		index:     make(map[FlowEventKey]int32),
+		pathSeen:  make(map[GTSwitchFlow]gtPorts),
+	}
 }
 
-func (g *GroundTruth) recordDrop(at sim.Time, sw uint16, p *pkt.Packet, code fevent.DropCode, rule uint8) {
+// note ledgers one packet of flow event k, seen at time at on egress port.
+func (g *GroundTruth) note(k FlowEventKey, at sim.Time, port uint8, changed bool) {
 	if g == nil || !g.Enabled {
 		return
 	}
-	g.Drops = append(g.Drops, GTDrop{At: at, SwitchID: sw, Flow: p.Flow, PktID: p.ID, Code: code, ACLRule: rule})
+	g.TypePackets[k.Type]++
+	if i, ok := g.index[k]; ok {
+		e := &g.Events[i]
+		e.Packets++
+		e.Changed = e.Changed || changed
+		return
+	}
+	g.index[k] = int32(len(g.Events))
+	g.Events = append(g.Events, GTEvent{Key: k, Packets: 1, First: at, Port: port, Changed: changed})
 }
 
-func (g *GroundTruth) recordCongestion(at sim.Time, sw uint16, p *pkt.Packet, port, queue int, qdelay sim.Time) {
+// deny counts one packet an ACL rule dropped; the drop itself is noted
+// separately.
+func (g *GroundTruth) deny(sw uint16, rule uint8) {
 	if g == nil || !g.Enabled {
 		return
 	}
-	g.Congestion = append(g.Congestion, GTCongestion{
-		At: at, SwitchID: sw, Flow: p.Flow, Port: uint8(port), Queue: uint8(queue), QDelay: qdelay,
-	})
+	g.ACLDenies[GTACLRule{sw, rule}]++
 }
 
 func (g *GroundTruth) recordForward(at sim.Time, sw uint16, p *pkt.Packet, in, out int) {
 	if g == nil || !g.Enabled {
 		return
 	}
+	sf := GTSwitchFlow{sw, p.Flow}
 	if g.SketchWindow > 0 {
 		if g.FlowPkts == nil {
 			g.FlowPkts = make(map[GTSwitchFlow]uint64)
 			g.LinkWindowBytes = make(map[GTLinkWindow]uint64)
 		}
-		g.FlowPkts[GTSwitchFlow{sw, p.Flow}]++
+		g.FlowPkts[sf]++
 		win := uint16(uint64(at) / uint64(g.SketchWindow))
 		g.LinkWindowBytes[GTLinkWindow{sw, uint8(out), win}] += uint64(p.WireLen)
 	}
-	key := gtPathKey{sw, p.Flow}
 	ports := gtPorts{uint8(in), uint8(out)}
-	prev, seen := g.pathSeen[key]
+	prev, seen := g.pathSeen[sf]
 	if !seen || prev != ports {
-		g.pathSeen[key] = ports
-		g.PathChanges = append(g.PathChanges, GTPathChange{
-			At: at, SwitchID: sw, Flow: p.Flow, In: ports.in, Out: ports.out,
-			Changed: seen,
-		})
+		g.pathSeen[sf] = ports
+		g.note(FlowEventKey{SwitchID: sw, Type: fevent.TypePathChange, Flow: p.Flow, In: ports.in, Out: ports.out}, at, 0, seen)
 	}
-}
-
-func (g *GroundTruth) recordPause(at sim.Time, sw uint16, p *pkt.Packet, port, queue int) {
-	if g == nil || !g.Enabled {
-		return
-	}
-	g.Pauses = append(g.Pauses, GTPause{At: at, SwitchID: sw, Flow: p.Flow, Port: uint8(port), Queue: uint8(queue)})
 }
 
 // FlowEventKey is the flow-event identity used when comparing monitor
@@ -168,64 +155,60 @@ type FlowEventKey struct {
 	In, Out uint8
 }
 
-// DropFlowEvents returns the distinct drop flow events in the ledger,
-// optionally filtered by code predicate (nil = all).
-func (g *GroundTruth) DropFlowEvents(filter func(fevent.DropCode) bool) map[FlowEventKey]int {
+// EventKey is the flow-event identity of a reported event: the drop code
+// only for drops, the ports only for path changes.
+func EventKey(e *fevent.Event) FlowEventKey {
+	k := FlowEventKey{SwitchID: e.SwitchID, Type: e.Type, Flow: e.Flow}
+	switch e.Type {
+	case fevent.TypeDrop:
+		k.Code = e.DropCode
+	case fevent.TypePathChange:
+		k.In, k.Out = e.IngressPort, e.EgressPort
+	}
+	return k
+}
+
+// Lookup returns the ledger entry of flow event k, or nil if it never
+// happened.
+func (g *GroundTruth) Lookup(k FlowEventKey) *GTEvent {
+	if i, ok := g.index[k]; ok {
+		return &g.Events[i]
+	}
+	return nil
+}
+
+// flowEvents returns the ledger's flow events of type t that keep accepts
+// (nil = all), each with its packet count.
+func (g *GroundTruth) flowEvents(t fevent.Type, keep func(*GTEvent) bool) map[FlowEventKey]int {
 	out := make(map[FlowEventKey]int)
-	for _, d := range g.Drops {
-		if filter != nil && !filter(d.Code) {
-			continue
+	for i := range g.Events {
+		e := &g.Events[i]
+		if e.Key.Type == t && (keep == nil || keep(e)) {
+			out[e.Key] = e.Packets
 		}
-		k := FlowEventKey{SwitchID: d.SwitchID, Type: fevent.TypeDrop, Flow: d.Flow, Code: d.Code}
-		out[k]++
 	}
 	return out
 }
 
+// DropFlowEvents returns the distinct drop flow events in the ledger,
+// optionally filtered by code predicate (nil = all).
+func (g *GroundTruth) DropFlowEvents(filter func(fevent.DropCode) bool) map[FlowEventKey]int {
+	return g.flowEvents(fevent.TypeDrop, func(e *GTEvent) bool { return filter == nil || filter(e.Key.Code) })
+}
+
 // CongestionFlowEvents returns the distinct congestion flow events.
 func (g *GroundTruth) CongestionFlowEvents() map[FlowEventKey]int {
-	out := make(map[FlowEventKey]int)
-	for _, c := range g.Congestion {
-		k := FlowEventKey{SwitchID: c.SwitchID, Type: fevent.TypeCongestion, Flow: c.Flow}
-		out[k]++
-	}
-	return out
+	return g.flowEvents(fevent.TypeCongestion, nil)
 }
 
 // PathChangeFlowEvents returns the distinct path-change flow events,
 // keyed with their ports. changedOnly restricts to genuine mid-flow
 // re-paths (the events Fig. 9 injects), excluding first appearances.
 func (g *GroundTruth) PathChangeFlowEvents(changedOnly bool) map[FlowEventKey]int {
-	out := make(map[FlowEventKey]int)
-	for _, c := range g.PathChanges {
-		if changedOnly && !c.Changed {
-			continue
-		}
-		k := FlowEventKey{SwitchID: c.SwitchID, Type: fevent.TypePathChange, Flow: c.Flow, In: c.In, Out: c.Out}
-		out[k]++
-	}
-	return out
+	return g.flowEvents(fevent.TypePathChange, func(e *GTEvent) bool { return !changedOnly || e.Changed })
 }
 
 // PauseFlowEvents returns the distinct pause flow events.
 func (g *GroundTruth) PauseFlowEvents() map[FlowEventKey]int {
-	out := make(map[FlowEventKey]int)
-	for _, c := range g.Pauses {
-		k := FlowEventKey{SwitchID: c.SwitchID, Type: fevent.TypePause, Flow: c.Flow}
-		out[k]++
-	}
-	return out
-}
-
-// SwitchPkts returns the exact number of packets the switch's pipeline
-// forwarded (the stream length N the sketch error bounds are stated
-// against). Zero unless SketchWindow recording was enabled.
-func (g *GroundTruth) SwitchPkts(sw uint16) uint64 {
-	var n uint64
-	for k, c := range g.FlowPkts {
-		if k.SwitchID == sw {
-			n += c
-		}
-	}
-	return n
+	return g.flowEvents(fevent.TypePause, nil)
 }

@@ -439,7 +439,7 @@ func (sw *Switch) pipelineBurst(b *inBurst) {
 	if sw.asicFailed {
 		for _, s := range b.slots {
 			sw.dropsByCode[fevent.DropASICFailure]++
-			sw.gt.recordDrop(now, sw.ID, s.p, fevent.DropASICFailure, 0)
+			sw.gt.note(FlowEventKey{SwitchID: sw.ID, Type: fevent.TypeDrop, Flow: s.p.Flow, Code: fevent.DropASICFailure}, now, 0, false)
 			sw.pool.Put(s.p)
 		}
 		sw.releaseBurst(b)
@@ -528,7 +528,7 @@ func (sw *Switch) pipeline(p *pkt.Packet, port int, now sim.Time) {
 	}
 	sw.gt.recordForward(now, sw.ID, p, port, egress)
 	if paused {
-		sw.gt.recordPause(now, sw.ID, p, egress, queue)
+		sw.gt.note(FlowEventKey{SwitchID: sw.ID, Type: fevent.TypePause, Flow: p.Flow}, now, uint8(egress), false)
 	}
 	sw.enqueue(p, port, egress, queue)
 }
@@ -540,14 +540,14 @@ func (sw *Switch) enqueue(p *pkt.Packet, inPort, egress, queue int) {
 		// Broken MMU: nothing can be buffered; the drop bypasses the
 		// (equally broken) redirect path, so NetSeer sees nothing.
 		sw.dropsByCode[fevent.DropMMUFailure]++
-		sw.gt.recordDrop(sw.sim.Now(), sw.ID, p, fevent.DropMMUFailure, 0)
+		sw.gt.note(FlowEventKey{SwitchID: sw.ID, Type: fevent.TypeDrop, Flow: p.Flow, Code: fevent.DropMMUFailure}, sw.sim.Now(), 0, false)
 		sw.pool.Put(p)
 		return
 	}
 	if sw.mmuUsed+p.WireLen > sw.cfg.MMUBytes || pt.qBytes[queue]+p.WireLen > sw.cfg.QueueLimitBytes {
 		sw.dropsByCode[fevent.DropMMUCongestion]++
 		pt.ctr.Drops++
-		sw.gt.recordDrop(sw.sim.Now(), sw.ID, p, fevent.DropMMUCongestion, 0)
+		sw.gt.note(FlowEventKey{SwitchID: sw.ID, Type: fevent.TypeDrop, Flow: p.Flow, Code: fevent.DropMMUCongestion}, sw.sim.Now(), 0, false)
 		if sw.tel != nil {
 			sw.tel.OnMMUDrop(p, inPort, egress, queue)
 		}
@@ -578,7 +578,10 @@ func (sw *Switch) drop(p *pkt.Packet, inPort int, code fevent.DropCode, rule uin
 	if visible {
 		sw.ports[inPort].ctr.Drops++
 	}
-	sw.gt.recordDrop(sw.sim.Now(), sw.ID, p, code, rule)
+	sw.gt.note(FlowEventKey{SwitchID: sw.ID, Type: fevent.TypeDrop, Flow: p.Flow, Code: code}, sw.sim.Now(), 0, false)
+	if code == fevent.DropACLDeny {
+		sw.gt.deny(sw.ID, rule)
+	}
 	if sw.tel != nil {
 		sw.tel.OnPipelineDrop(p, inPort, code, int(rule))
 	}
@@ -629,7 +632,7 @@ func (sw *Switch) transmit(pt *swPort, item queuedPkt, queue int, qdelay sim.Tim
 		sw.sendResume(pt.num, queue)
 	}
 	if qdelay >= sw.cfg.CongestionThreshold && p.Kind == pkt.KindData {
-		sw.gt.recordCongestion(sw.sim.Now(), sw.ID, p, pt.num, queue, qdelay)
+		sw.gt.note(FlowEventKey{SwitchID: sw.ID, Type: fevent.TypeCongestion, Flow: p.Flow}, sw.sim.Now(), uint8(pt.num), false)
 	}
 	if sw.tel != nil {
 		sw.tel.OnDequeue(p, pt.num, queue, qdelay)

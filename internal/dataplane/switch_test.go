@@ -111,8 +111,8 @@ func TestTTLExpiry(t *testing.T) {
 	if n := r.sw0.DropsByCode()[fevent.DropTTLExpired]; n != 1 {
 		t.Errorf("sw0 TTL drops = %d, want 1", n)
 	}
-	if len(r.gt.Drops) != 1 || r.gt.Drops[0].Code != fevent.DropTTLExpired {
-		t.Errorf("ground truth = %+v", r.gt.Drops)
+	if d := ledgerOf(r.gt, fevent.TypeDrop); len(d) != 1 || d[0].Key.Code != fevent.DropTTLExpired || d[0].Packets != 1 {
+		t.Errorf("ground truth = %+v", d)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestACLDenyDrop(t *testing.T) {
 	if n := r.sw0.DropsByCode()[fevent.DropACLDeny]; n != 1 {
 		t.Errorf("ACL drops = %d, want 1", n)
 	}
-	if r.gt.Drops[0].ACLRule != 7 {
-		t.Errorf("ground truth rule = %d, want 7", r.gt.Drops[0].ACLRule)
+	if n := r.gt.ACLDenies[GTACLRule{r.sw0.ID, 7}]; n != 1 || len(r.gt.ACLDenies) != 1 {
+		t.Errorf("ground truth denies = %v, want one by rule 7", r.gt.ACLDenies)
 	}
 }
 
@@ -174,8 +174,8 @@ func TestParityErrorSilentDrop(t *testing.T) {
 	if got := r.sw0.Counters(1).Drops + r.sw0.Counters(0).Drops; got != 0 {
 		t.Errorf("visible drops = %d, want 0 (silent)", got)
 	}
-	if len(r.gt.Drops) != 1 || r.gt.Drops[0].Code != fevent.DropParityError {
-		t.Errorf("ground truth = %+v", r.gt.Drops)
+	if d := ledgerOf(r.gt, fevent.TypeDrop); len(d) != 1 || d[0].Key.Code != fevent.DropParityError || d[0].Packets != 1 {
+		t.Errorf("ground truth = %+v", d)
 	}
 	r.sw0.ClearParityError(r.hB.IP)
 	r.sendAB(100, 64, 0)
@@ -245,7 +245,7 @@ func TestCongestionGroundTruth(t *testing.T) {
 		r.sendAB(1400, 64, 0)
 	}
 	r.sim.RunAll()
-	if len(r.gt.Congestion) == 0 {
+	if len(ledgerOf(r.gt, fevent.TypeCongestion)) == 0 {
 		t.Error("no congestion ground truth for a 20-deep burst")
 	}
 }
@@ -291,9 +291,20 @@ func TestPathChangeGroundTruth(t *testing.T) {
 	r.sendAB(100, 64, 0) // same flow, same path: only one change
 	r.sim.RunAll()
 	// Two switches each record one new-flow path event.
-	if len(r.gt.PathChanges) != 2 {
-		t.Errorf("path changes = %d, want 2", len(r.gt.PathChanges))
+	if p := ledgerOf(r.gt, fevent.TypePathChange); len(p) != 2 || r.gt.TypePackets[fevent.TypePathChange] != 2 {
+		t.Errorf("path changes = %+v, want one at each switch", p)
 	}
+}
+
+// ledgerOf returns the ground-truth entries of one event type.
+func ledgerOf(gt *GroundTruth, typ fevent.Type) []GTEvent {
+	var out []GTEvent
+	for _, e := range gt.Events {
+		if e.Key.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 type countingMonitor struct {
@@ -333,8 +344,8 @@ func TestPFCPauseStopsQueueAndResumes(t *testing.T) {
 	if len(r.b.got) != 0 {
 		t.Fatal("paused queue transmitted")
 	}
-	if len(r.gt.Pauses) != 1 {
-		t.Errorf("pause ground truth = %d, want 1", len(r.gt.Pauses))
+	if p := ledgerOf(r.gt, fevent.TypePause); len(p) != 1 || p[0].Packets != 1 {
+		t.Errorf("pause ground truth = %+v, want one packet", p)
 	}
 	// Resume.
 	resumeFrame := &pkt.Packet{Kind: pkt.KindPFC, WireLen: 64, PFC: pkt.Resume(3)}

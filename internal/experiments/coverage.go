@@ -41,20 +41,20 @@ type CoverageResult struct {
 }
 
 // classTruth extracts the ground-truth flow-event set for a class.
-func classTruth(gt *dataplane.GroundTruth, class EventClass) map[dataplane.FlowEventKey]int {
+func classTruth(g *dataplane.GroundTruth, class EventClass) map[dataplane.FlowEventKey]int {
 	switch class {
 	case ClassPathChange:
 		// Fig. 9 injects mid-flow re-paths; first appearances are not the
 		// measured events.
-		return gt.PathChangeFlowEvents(true)
+		return g.PathChangeFlowEvents(true)
 	case ClassMMUDrop:
-		return gt.DropFlowEvents(func(c fevent.DropCode) bool { return c == fevent.DropMMUCongestion })
+		return g.DropFlowEvents(func(c fevent.DropCode) bool { return c == fevent.DropMMUCongestion })
 	case ClassInterSwitch:
-		return gt.DropFlowEvents(func(c fevent.DropCode) bool { return c == fevent.DropInterSwitch })
+		return g.DropFlowEvents(func(c fevent.DropCode) bool { return c == fevent.DropInterSwitch })
 	case ClassPipeline:
-		return gt.DropFlowEvents(fevent.DropCode.IsPipeline)
+		return g.DropFlowEvents(fevent.DropCode.IsPipeline)
 	case ClassCongestion:
-		return gt.CongestionFlowEvents()
+		return g.CongestionFlowEvents()
 	default:
 		panic("experiments: unknown class " + string(class))
 	}
@@ -149,27 +149,20 @@ func pingmeshCongestionCredit(tb *Testbed, truth map[dataplane.FlowEventKey]int)
 	if len(truth) == 0 {
 		return 0
 	}
-	// Map flow-event keys back to representative times by scanning the GT
-	// congestion records (capped for cost: sampling is fine for a ratio).
-	credited := 0
-	checked := 0
-	seen := make(map[dataplane.FlowEventKey]bool)
-	for _, c := range tb.GT.Congestion {
-		k := dataplane.FlowEventKey{SwitchID: c.SwitchID, Type: fevent.TypeCongestion, Flow: c.Flow}
-		if seen[k] {
+	// Probe each congestion flow event at its first packet's time and
+	// port, in first-seen order (capped for cost: sampling is fine for a
+	// ratio).
+	credited, checked := 0, 0
+	for _, e := range tb.GT.Events {
+		if e.Key.Type != fevent.TypeCongestion {
 			continue
 		}
-		seen[k] = true
-		checked++
-		if checked > 500 {
+		if checked++; checked > 500 {
 			break
 		}
-		if tb.Pingmesh.CoversCongestion(tb.Fab, c.SwitchID, c.Port, c.At, 50*sim.Microsecond) {
+		if tb.Pingmesh.CoversCongestion(tb.Fab, e.Key.SwitchID, e.Port, e.First, 50*sim.Microsecond) {
 			credited++
 		}
-	}
-	if checked == 0 {
-		return 0
 	}
 	return float64(credited) / float64(len(truth))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"netseer/internal/dataplane"
 	"netseer/internal/fpelim"
 	"netseer/internal/sim"
 	"netseer/internal/workload"
@@ -304,5 +305,46 @@ func TestTablesRender(t *testing.T) {
 		Fig15bSRAM([]int{1000}, []int{1024}, 64))
 	if a.String() == "" || b.String() == "" {
 		t.Error("empty Fig15 tables")
+	}
+}
+
+// TestGroundTruthIsPerFlowEvent pins the ledger's shape on the testbed
+// config (WEB 0.70, every injection): one entry per distinct flow event,
+// which the four accessors partition; entries whose packet counts sum to
+// the per-type totals; and, at 20 ms, entries under a tenth of the
+// packets noted — the ledger grows with flow events, not packets.
+func TestGroundTruthIsPerFlowEvent(t *testing.T) {
+	for _, window := range []sim.Time{2 * sim.Millisecond, 20 * sim.Millisecond} {
+		tb := NewTestbed(RunConfig{
+			Dist: workload.WEB, Load: 0.70, Window: window, Seed: 1, NetSeer: true,
+			InjectLinkLoss: true, InjectPipelineBug: true, InjectPathChange: true, InjectIncast: true,
+		})
+		tb.Run()
+		g := tb.GT
+		keys := make(map[dataplane.FlowEventKey]bool)
+		var perType [len(g.TypePackets)]int
+		for _, e := range g.Events {
+			keys[e.Key] = true
+			perType[e.Key.Type] += e.Packets
+		}
+		if len(keys) != len(g.Events) {
+			t.Errorf("%v: %d entries for %d distinct flow events", window, len(g.Events), len(keys))
+		}
+		accessors := len(g.DropFlowEvents(nil)) + len(g.CongestionFlowEvents()) +
+			len(g.PathChangeFlowEvents(false)) + len(g.PauseFlowEvents())
+		if accessors != len(keys) {
+			t.Errorf("%v: the accessors return %d flow events, the ledger holds %d", window, accessors, len(keys))
+		}
+		if perType != g.TypePackets {
+			t.Errorf("%v: entries sum to %v packets per type, totals are %v", window, perType, g.TypePackets)
+		}
+		packets := 0
+		for _, n := range g.TypePackets {
+			packets += n
+		}
+		t.Logf("%v: %d entries for %d packets", window, len(g.Events), packets)
+		if window == 20*sim.Millisecond && len(g.Events)*10 >= packets {
+			t.Errorf("%v: %d entries for %d packets, want < 10 %%", window, len(g.Events), packets)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func ExtPauseCoverage(seed uint64) *PauseCoverageResult {
 	return &PauseCoverageResult{
 		TruthPauses:   len(truth),
 		Coverage:      Coverage(truth, det),
-		PFCFramesSeen: len(tb.GT.Pauses) > 0,
+		PFCFramesSeen: tb.GT.TypePackets[fevent.TypePause] > 0,
 	}
 }
 
@@ -380,15 +380,12 @@ func ExtHardwareFailure(seed uint64) *HardwareFailureResult {
 	tb.Gen.Stop()
 	tb.StopAndDrain()
 
-	res := &HardwareFailureResult{SyslogAlerts: alerts}
-	for _, d := range tb.GT.Drops {
-		if d.Code == fevent.DropASICFailure {
-			res.GroundTruthDrops++
-		}
+	res := &HardwareFailureResult{
+		SyslogAlerts:  alerts,
+		NetSeerEvents: tb.Store.Count(collector.Filter{Type: fevent.TypeDrop, DropCode: fevent.DropASICFailure}),
 	}
-	for _, e := range tb.Store.Query(collector.Filter{Type: fevent.TypeDrop, DropCode: fevent.DropASICFailure}) {
-		_ = e
-		res.NetSeerEvents++
+	for _, n := range tb.GT.DropFlowEvents(func(c fevent.DropCode) bool { return c == fevent.DropASICFailure }) {
+		res.GroundTruthDrops += n
 	}
 	return res
 }

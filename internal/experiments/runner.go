@@ -13,7 +13,6 @@ import (
 	"netseer/internal/collector"
 	"netseer/internal/core"
 	"netseer/internal/dataplane"
-	"netseer/internal/fevent"
 	"netseer/internal/host"
 	"netseer/internal/link"
 	"netseer/internal/nic"
@@ -283,12 +282,9 @@ func swNode(tb *Testbed, sw *dataplane.Switch) topo.NodeID {
 // detection-set format.
 func (tb *Testbed) NetSeerDetections() baselines.Detections {
 	det := make(baselines.Detections)
-	for _, e := range tb.Store.Query(collector.Filter{}) {
-		k := dataplane.FlowEventKey{SwitchID: e.SwitchID, Type: e.Type, Flow: e.Flow, Code: e.DropCode}
-		if e.Type == fevent.TypePathChange {
-			k.In, k.Out = e.IngressPort, e.EgressPort
-		}
-		det[k] = true
+	events := tb.Store.Query(collector.Filter{})
+	for i := range events {
+		det[dataplane.EventKey(&events[i])] = true
 	}
 	return det
 }
@@ -297,31 +293,12 @@ func (tb *Testbed) NetSeerDetections() baselines.Detections {
 func (tb *Testbed) NetSeerStats() core.Stats {
 	var agg core.Stats
 	for _, ns := range tb.NetSeers {
-		s := ns.Stats()
-		agg.RawPackets += s.RawPackets
-		agg.RawBytes += s.RawBytes
-		agg.EventPackets += s.EventPackets
-		agg.EventBytes += s.EventBytes
-		agg.DedupReports += s.DedupReports
-		agg.DedupBytes += s.DedupBytes
-		agg.ExtractedBytes += s.ExtractedBytes
-		agg.ExportedEvents += s.ExportedEvents
-		agg.ExportedBytes += s.ExportedBytes
-		agg.SuppressedFPs += s.SuppressedFPs
-		agg.LostMMURedirect += s.LostMMURedirect
-		agg.LostInternalPort += s.LostInternalPort
-		agg.LostRingOverwrite += s.LostRingOverwrite
-		agg.LostStackOverflow += s.LostStackOverflow
-		agg.SeqGapsDetected += s.SeqGapsDetected
-		agg.NotifySent += s.NotifySent
-		agg.InterSwitchFound += s.InterSwitchFound
+		agg.Add(ns.Stats())
 	}
 	return agg
 }
 
-// Coverage computes |detected ∩ truth| / |truth| with an optional key
-// normalizer (e.g. to ignore drop codes NetSeer reports more precisely
-// than the ground-truth attribution point).
+// Coverage computes |detected ∩ truth| / |truth|.
 func Coverage(truth map[dataplane.FlowEventKey]int, det baselines.Detections) float64 {
 	if len(truth) == 0 {
 		return 0

@@ -43,12 +43,10 @@ func Fig13PerStep(cfg RunConfig) *StepResult {
 	}
 	raw := float64(st.RawPackets)
 	if raw > 0 {
-		// Per-type event-packet counts from ground truth (every GT record
-		// is one event packet at its detection point).
-		res.EventPacketRatio[fevent.TypeDrop] = float64(len(tb.GT.Drops)) / raw
-		res.EventPacketRatio[fevent.TypeCongestion] = float64(len(tb.GT.Congestion)) / raw
-		res.EventPacketRatio[fevent.TypePathChange] = float64(len(tb.GT.PathChanges)) / raw
-		res.EventPacketRatio[fevent.TypePause] = float64(len(tb.GT.Pauses)) / raw
+		// Per-type event-packet counts from ground truth.
+		for _, t := range []fevent.Type{fevent.TypeDrop, fevent.TypeCongestion, fevent.TypePathChange, fevent.TypePause} {
+			res.EventPacketRatio[t] = float64(tb.GT.TypePackets[t]) / raw
+		}
 		res.TotalEventRatio = float64(st.EventPackets) / raw
 	}
 	if st.RawBytes > 0 {

@@ -23,6 +23,16 @@ type CheckResult struct {
 // OK reports whether the checker passed.
 func (c CheckResult) OK() bool { return len(c.Violations) == 0 }
 
+// failf records one violation; past maxViolations it records only that
+// more were elided.
+func (c *CheckResult) failf(format string, args ...any) {
+	if len(c.Violations) < maxViolations {
+		c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
+	} else if len(c.Violations) == maxViolations {
+		c.Violations = append(c.Violations, "… more violations elided")
+	}
+}
+
 // Report holds every checker's outcome for one scenario.
 type Report struct {
 	Sc      Scenario
@@ -61,13 +71,18 @@ func blind(c fevent.DropCode) bool {
 	return c == fevent.DropASICFailure || c == fevent.DropMMUFailure
 }
 
+// silentDrop reports whether a flow event is a drop between devices, the
+// class gap notification recovers (§3.3).
+func silentDrop(k dataplane.FlowEventKey) bool {
+	return k.Type == fevent.TypeDrop && (k.Code == fevent.DropInterSwitch || k.Code == fevent.DropInterCard)
+}
+
 // storedView indexes the collector store's contents for reconciliation.
 type storedView struct {
-	drop  map[dataplane.FlowEventKey]bool // non-ACL drop events
-	cong  map[dataplane.FlowEventKey]bool
-	pause map[dataplane.FlowEventKey]bool
-	path  map[dataplane.FlowEventKey]bool
-	acl   map[aclKey]uint16 // max stored count per (switch, rule)
+	// stored holds the flow events of the four paper types, ACL denies
+	// aside.
+	stored map[dataplane.FlowEventKey]bool
+	acl    map[dataplane.GTACLRule]uint16 // max stored count per (switch, rule)
 
 	// Sketch-event indexes, keyed the same way the ground-truth ledgers
 	// are so the sketch checker can reconcile them directly.
@@ -87,34 +102,15 @@ type storedView struct {
 	events []fevent.Event
 }
 
-type aclKey struct {
-	sw   uint16
-	rule uint8
-}
-
 type swKey struct {
 	sw  uint16
 	key fevent.Key
 }
 
-func eventKey(e *fevent.Event) dataplane.FlowEventKey {
-	k := dataplane.FlowEventKey{SwitchID: e.SwitchID, Type: e.Type, Flow: e.Flow, Code: e.DropCode}
-	if e.Type == fevent.TypePathChange {
-		k.In, k.Out = e.IngressPort, e.EgressPort
-	}
-	if e.Type != fevent.TypeDrop {
-		k.Code = 0
-	}
-	return k
-}
-
 func newStoredView(store *collector.Store) *storedView {
 	v := &storedView{
-		drop:     make(map[dataplane.FlowEventKey]bool),
-		cong:     make(map[dataplane.FlowEventKey]bool),
-		pause:    make(map[dataplane.FlowEventKey]bool),
-		path:     make(map[dataplane.FlowEventKey]bool),
-		acl:      make(map[aclKey]uint16),
+		stored:   make(map[dataplane.FlowEventKey]bool),
+		acl:      make(map[dataplane.GTACLRule]uint16),
 		hh:       make(map[dataplane.GTSwitchFlow]uint16),
 		churn:    make(map[dataplane.GTSwitchFlow]bool),
 		spike:    make(map[dataplane.GTLinkWindow]uint16),
@@ -130,22 +126,16 @@ func newStoredView(store *collector.Store) *storedView {
 		}
 		v.seqs[sk] = append(v.seqs[sk], e.Count)
 		if e.Type == fevent.TypeDrop && e.DropCode == fevent.DropACLDeny {
-			ak := aclKey{e.SwitchID, e.ACLRule}
+			ak := dataplane.GTACLRule{SwitchID: e.SwitchID, Rule: e.ACLRule}
 			if e.Count > v.acl[ak] {
 				v.acl[ak] = e.Count
 			}
 			continue
 		}
-		k := eventKey(e)
+		k := dataplane.EventKey(e)
 		switch e.Type {
-		case fevent.TypeDrop:
-			v.drop[k] = true
-		case fevent.TypeCongestion:
-			v.cong[k] = true
-		case fevent.TypePause:
-			v.pause[k] = true
-		case fevent.TypePathChange:
-			v.path[k] = true
+		case fevent.TypeDrop, fevent.TypeCongestion, fevent.TypePause, fevent.TypePathChange:
+			v.stored[k] = true
 		case fevent.TypeHeavyHitter:
 			fk := dataplane.GTSwitchFlow{SwitchID: e.SwitchID, Flow: e.Flow}
 			if e.Count > v.hh[fk] {
@@ -164,17 +154,6 @@ func newStoredView(store *collector.Store) *storedView {
 		}
 	}
 	return v
-}
-
-// truthACL groups ground-truth ACL-deny drops at rule granularity.
-func truthACL(gt *dataplane.GroundTruth) map[aclKey]int {
-	out := make(map[aclKey]int)
-	for _, d := range gt.Drops {
-		if d.Code == fevent.DropACLDeny {
-			out[aclKey{d.SwitchID, d.ACLRule}]++
-		}
-	}
-	return out
 }
 
 // Check runs the four in-process invariant checkers (completeness,
@@ -209,16 +188,9 @@ func CheckAll(res *Result) *Report {
 // out) except ring overwrites, which relax only the inter-switch clause.
 func checkCompleteness(res *Result, v *storedView) CheckResult {
 	c := CheckResult{Claim: "completeness"}
-	fail := func(format string, args ...any) {
-		if len(c.Violations) < maxViolations {
-			c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
-		} else if len(c.Violations) == maxViolations {
-			c.Violations = append(c.Violations, "… more violations elided")
-		}
-	}
 	st := res.Stats
 	if st.LostInternalPort != 0 || st.LostMMURedirect != 0 || st.LostStackOverflow != 0 {
-		fail("capacity losses under unlimited budget: internalPort=%d mmuRedirect=%d stackOverflow=%d",
+		c.failf("capacity losses under unlimited budget: internalPort=%d mmuRedirect=%d stackOverflow=%d",
 			st.LostInternalPort, st.LostMMURedirect, st.LostStackOverflow)
 	}
 
@@ -231,69 +203,52 @@ func checkCompleteness(res *Result, v *storedView) CheckResult {
 			return
 		}
 		if got := int(v.maxCount[k]); got != gtCount {
-			fail("count mismatch (no evictions on sw %d): %v stored=%d truth=%d", k.SwitchID, k, got, gtCount)
+			c.failf("count mismatch (no evictions on sw %d): %v stored=%d truth=%d", k.SwitchID, k, got, gtCount)
 		}
 	}
 
 	interSwitchTruth := 0
-	for k, n := range res.GT.DropFlowEvents(func(code fevent.DropCode) bool {
-		return !blind(code) && code != fevent.DropACLDeny
-	}) {
+	for _, e := range res.GT.Events {
+		k, n := e.Key, e.Packets
+		if k.Type == fevent.TypeDrop && (blind(k.Code) || k.Code == fevent.DropACLDeny) {
+			continue // blind by design; ACL denies are checked per rule below
+		}
 		c.Checked++
-		if k.Code == fevent.DropInterSwitch || k.Code == fevent.DropInterCard {
-			interSwitchTruth += n
-			if res.BySwitch[k.SwitchID].LostRingOverwrite == 0 && !v.drop[k] {
-				fail("missed drop: %v ×%d (ring had no overwrites)", k, n)
+		switch {
+		case k.Type == fevent.TypePathChange:
+			if !v.stored[k] {
+				c.failf("missed path change: %v", k)
 			}
+		case silentDrop(k):
+			interSwitchTruth += n
 			if res.BySwitch[k.SwitchID].LostRingOverwrite == 0 {
+				if !v.stored[k] {
+					c.failf("missed drop: %v ×%d (ring had no overwrites)", k, n)
+				}
 				countExact(k, n)
 			}
-			continue
+		case !v.stored[k]:
+			c.failf("missed %v: %v ×%d", k.Type, k, n)
+		default:
+			countExact(k, n)
 		}
-		if !v.drop[k] {
-			fail("missed drop: %v ×%d", k, n)
-			continue
-		}
-		countExact(k, n)
 	}
 
 	// Packet-level identity for silent drops: every lost packet is either
 	// recovered from the ring or accounted as a ring overwrite.
 	if got := int(st.InterSwitchFound + st.LostRingOverwrite); got != interSwitchTruth {
-		fail("inter-switch packet identity: recovered=%d + overwritten=%d != truth=%d",
+		c.failf("inter-switch packet identity: recovered=%d + overwritten=%d != truth=%d",
 			st.InterSwitchFound, st.LostRingOverwrite, interSwitchTruth)
 	}
 
-	for ak, n := range truthACL(res.GT) {
+	for ak, n := range res.GT.ACLDenies {
 		c.Checked++
 		want := n
 		if want > 0xffff {
 			want = 0xffff
 		}
 		if got := int(v.acl[ak]); got != want {
-			fail("ACL rule %d on sw %d: stored count %d, truth %d", ak.rule, ak.sw, got, want)
-		}
-	}
-	for k, n := range res.GT.CongestionFlowEvents() {
-		c.Checked++
-		if !v.cong[k] {
-			fail("missed congestion: %v ×%d", k, n)
-			continue
-		}
-		countExact(k, n)
-	}
-	for k, n := range res.GT.PauseFlowEvents() {
-		c.Checked++
-		if !v.pause[k] {
-			fail("missed pause: %v ×%d", k, n)
-			continue
-		}
-		countExact(k, n)
-	}
-	for k := range res.GT.PathChangeFlowEvents(false) {
-		c.Checked++
-		if !v.path[k] {
-			fail("missed path change: %v", k)
+			c.failf("ACL rule %d on sw %d: stored count %d, truth %d", ak.Rule, ak.SwitchID, got, want)
 		}
 	}
 	return c
@@ -306,94 +261,55 @@ func checkCompleteness(res *Result, v *storedView) CheckResult {
 // counts never exceed ground truth.
 func checkSoundness(res *Result, v *storedView) CheckResult {
 	c := CheckResult{Claim: "soundness"}
-	fail := func(format string, args ...any) {
-		if len(c.Violations) < maxViolations {
-			c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
-		} else if len(c.Violations) == maxViolations {
-			c.Violations = append(c.Violations, "… more violations elided")
-		}
-	}
-	truthDrop := res.GT.DropFlowEvents(nil)
-	truthCong := res.GT.CongestionFlowEvents()
-	truthPause := res.GT.PauseFlowEvents()
-	truthPath := res.GT.PathChangeFlowEvents(false)
-	truthRule := truthACL(res.GT)
-
 	counted := make(map[dataplane.FlowEventKey]bool)
 	for i := range v.events {
 		e := &v.events[i]
 		c.Checked++
 		switch e.Type {
-		case fevent.TypeDrop:
-			if blind(e.DropCode) {
-				fail("event for a NetSeer-blind drop code stored: %v", e)
+		case fevent.TypeDrop, fevent.TypeCongestion, fevent.TypePause, fevent.TypePathChange:
+			if e.Type == fevent.TypeDrop && blind(e.DropCode) {
+				c.failf("event for a NetSeer-blind drop code stored: %v", e)
 				continue
 			}
-			if e.DropCode == fevent.DropACLDeny {
-				ak := aclKey{e.SwitchID, e.ACLRule}
-				n := truthRule[ak]
+			if e.Type == fevent.TypeDrop && e.DropCode == fevent.DropACLDeny {
+				n := res.GT.ACLDenies[dataplane.GTACLRule{SwitchID: e.SwitchID, Rule: e.ACLRule}]
 				if n == 0 {
-					fail("phantom ACL report: rule %d on sw %d never denied anything", e.ACLRule, e.SwitchID)
+					c.failf("phantom ACL report: rule %d on sw %d never denied anything", e.ACLRule, e.SwitchID)
 				} else if int(e.Count) > n && n <= 0xffff {
-					fail("ACL overcount: rule %d on sw %d count=%d truth=%d", e.ACLRule, e.SwitchID, e.Count, n)
+					c.failf("ACL overcount: rule %d on sw %d count=%d truth=%d", e.ACLRule, e.SwitchID, e.Count, n)
 				}
 				continue
 			}
-			k := eventKey(e)
-			n, ok := truthDrop[k]
-			if !ok {
-				fail("phantom drop: %v", e)
+			k := dataplane.EventKey(e)
+			truth := res.GT.Lookup(k)
+			if truth == nil {
+				c.failf("phantom %v: %v", e.Type, e)
 				continue
 			}
-			if !counted[k] && int(v.maxCount[k]) > n {
+			// A path change carries no packet count.
+			if e.Type != fevent.TypePathChange && !counted[k] && int(v.maxCount[k]) > truth.Packets {
 				counted[k] = true
-				fail("drop overcount: %v stored=%d truth=%d", k, v.maxCount[k], n)
-			}
-		case fevent.TypeCongestion:
-			k := eventKey(e)
-			n, ok := truthCong[k]
-			if !ok {
-				fail("phantom congestion: %v", e)
-				continue
-			}
-			if !counted[k] && int(v.maxCount[k]) > n {
-				counted[k] = true
-				fail("congestion overcount: %v stored=%d truth=%d", k, v.maxCount[k], n)
-			}
-		case fevent.TypePause:
-			k := eventKey(e)
-			n, ok := truthPause[k]
-			if !ok {
-				fail("phantom pause: %v", e)
-				continue
-			}
-			if !counted[k] && int(v.maxCount[k]) > n {
-				counted[k] = true
-				fail("pause overcount: %v stored=%d truth=%d", k, v.maxCount[k], n)
-			}
-		case fevent.TypePathChange:
-			if truthPath[eventKey(e)] == 0 {
-				fail("phantom path change: %v", e)
+				c.failf("%v overcount: %v stored=%d truth=%d", e.Type, k, v.maxCount[k], truth.Packets)
 			}
 		case fevent.TypeHeavyHitter, fevent.TypeTopKChurn:
 			// Estimate/error bounds live in the sketch checker; soundness
 			// only rejects reports for flows the switch never forwarded.
 			if res.GT.FlowPkts[dataplane.GTSwitchFlow{SwitchID: e.SwitchID, Flow: e.Flow}] == 0 {
-				fail("phantom sketch report: %v", e)
+				c.failf("phantom sketch report: %v", e)
 			}
 		case fevent.TypeAggSpike:
 			// Spikes aggregate per link-window; the flow field is always
 			// zero and the (port, window) bin must have carried traffic.
 			if e.Flow != (pkt.FlowKey{}) {
-				fail("aggregate spike with non-zero flow: %v", e)
+				c.failf("aggregate spike with non-zero flow: %v", e)
 				continue
 			}
 			lk := dataplane.GTLinkWindow{SwitchID: e.SwitchID, Port: e.EgressPort, Window: e.Window}
 			if res.GT.LinkWindowBytes[lk] == 0 {
-				fail("phantom aggregate spike: %v", e)
+				c.failf("phantom aggregate spike: %v", e)
 			}
 		default:
-			fail("stored event with invalid type %d", e.Type)
+			c.failf("stored event with invalid type %d", e.Type)
 		}
 	}
 
@@ -406,7 +322,7 @@ func checkSoundness(res *Result, v *storedView) CheckResult {
 		seq := v.seqs[sk]
 		for i := 1; i < len(seq); i++ {
 			if seq[i] == seq[i-1] {
-				fail("unsuppressed duplicate report on sw %d: %v count=%d repeated", sk.sw, sk.key, seq[i])
+				c.failf("unsuppressed duplicate report on sw %d: %v count=%d repeated", sk.sw, sk.key, seq[i])
 				break
 			}
 		}
@@ -419,36 +335,29 @@ func checkSoundness(res *Result, v *storedView) CheckResult {
 // pre-computed data-plane hash matches a software recomputation.
 func checkEncoding(res *Result) CheckResult {
 	c := CheckResult{Claim: "encoding"}
-	fail := func(format string, args ...any) {
-		if len(c.Violations) < maxViolations {
-			c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
-		} else if len(c.Violations) == maxViolations {
-			c.Violations = append(c.Violations, "… more violations elided")
-		}
-	}
 	for _, b := range res.Batches {
 		for i := range b.Events {
 			e := &b.Events[i]
 			c.Checked++
 			if e.SwitchID != b.SwitchID {
-				fail("event switch %d in batch from switch %d", e.SwitchID, b.SwitchID)
+				c.failf("event switch %d in batch from switch %d", e.SwitchID, b.SwitchID)
 			}
 			rec := e.AppendRecord(nil)
 			if len(rec) != fevent.RecordLen {
-				fail("record is %d bytes, want %d: %v", len(rec), fevent.RecordLen, e)
+				c.failf("record is %d bytes, want %d: %v", len(rec), fevent.RecordLen, e)
 				continue
 			}
 			var back fevent.Event
 			if err := back.DecodeRecord(rec); err != nil {
-				fail("round-trip decode failed: %v (%v)", err, e)
+				c.failf("round-trip decode failed: %v (%v)", err, e)
 				continue
 			}
 			back.SwitchID, back.Timestamp = e.SwitchID, e.Timestamp
 			if back != *e {
-				fail("round-trip mismatch: sent %+v, decoded %+v", *e, back)
+				c.failf("round-trip mismatch: sent %+v, decoded %+v", *e, back)
 			}
 			if got := e.Flow.Hash(); e.Hash != got {
-				fail("pre-computed hash %#x != recomputed %#x for %v", e.Hash, got, e)
+				c.failf("pre-computed hash %#x != recomputed %#x for %v", e.Hash, got, e)
 			}
 		}
 	}
@@ -462,40 +371,23 @@ func checkEncoding(res *Result) CheckResult {
 // and per-packet accounting already holds via the completeness identity.
 func checkRecovery(res *Result, v *storedView) CheckResult {
 	c := CheckResult{Claim: "recovery"}
-	fail := func(format string, args ...any) {
-		if len(c.Violations) < maxViolations {
-			c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
-		}
-	}
-	truthFlows := make(map[dataplane.FlowEventKey]bool)
-	for k := range res.GT.DropFlowEvents(func(code fevent.DropCode) bool {
-		return code == fevent.DropInterSwitch || code == fevent.DropInterCard
-	}) {
-		truthFlows[k] = true
-	}
-	recovered := make(map[dataplane.FlowEventKey]bool)
-	for k := range v.drop {
-		if k.Code == fevent.DropInterSwitch || k.Code == fevent.DropInterCard {
-			recovered[k] = true
-		}
-	}
-	c.Checked = len(truthFlows)
-	for k := range recovered {
-		if !truthFlows[k] {
-			fail("recovered a 5-tuple that was never silently dropped: %v", k)
-		}
-	}
-	if res.Stats.LostRingOverwrite == 0 {
-		for k := range truthFlows {
-			if !recovered[k] {
-				fail("silently dropped 5-tuple not recovered (no overwrites): %v", k)
+	for _, e := range res.GT.Events {
+		if k := e.Key; silentDrop(k) {
+			c.Checked++
+			if res.Stats.LostRingOverwrite == 0 && !v.stored[k] {
+				c.failf("silently dropped 5-tuple not recovered (no overwrites): %v", k)
 			}
+		}
+	}
+	for k := range v.stored {
+		if silentDrop(k) && res.GT.Lookup(k) == nil {
+			c.failf("recovered a 5-tuple that was never silently dropped: %v", k)
 		}
 	}
 	// Gap detection accounting: every notification episode the trackers
 	// raised was either recovered or counted as overwritten.
 	if res.Stats.SeqGapsDetected > 0 && res.Stats.InterSwitchFound+res.Stats.LostRingOverwrite == 0 {
-		fail("gaps detected (%d) but nothing recovered or accounted", res.Stats.SeqGapsDetected)
+		c.failf("gaps detected (%d) but nothing recovered or accounted", res.Stats.SeqGapsDetected)
 	}
 	return c
 }
@@ -526,13 +418,6 @@ func checkRecovery(res *Result, v *storedView) CheckResult {
 //   - Spike soundness: no stored spike for a bin below SpikeBytes.
 func checkSketch(res *Result, v *storedView) CheckResult {
 	c := CheckResult{Claim: "sketch"}
-	fail := func(format string, args ...any) {
-		if len(c.Violations) < maxViolations {
-			c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
-		} else if len(c.Violations) == maxViolations {
-			c.Violations = append(c.Violations, "… more violations elided")
-		}
-	}
 	cfg := res.SketchCfg
 	gt := res.GT
 
@@ -554,12 +439,12 @@ func checkSketch(res *Result, v *storedView) CheckResult {
 		c.Checked++
 		if n >= uint64(cfg.HHThresholdPkts) {
 			if _, ok := v.hh[k]; !ok {
-				fail("missed heavy hitter: sw %d %v true=%d threshold=%d",
+				c.failf("missed heavy hitter: sw %d %v true=%d threshold=%d",
 					k.SwitchID, k.Flow, n, cfg.HHThresholdPkts)
 			}
 		}
 		if n*uint64(cfg.TopK) > totals[k.SwitchID] && !v.churn[k] {
-			fail("flow above N/K absent from stored top-K churn: sw %d %v true=%d N=%d K=%d",
+			c.failf("flow above N/K absent from stored top-K churn: sw %d %v true=%d N=%d K=%d",
 				k.SwitchID, k.Flow, n, totals[k.SwitchID], cfg.TopK)
 		}
 	}
@@ -572,11 +457,11 @@ func checkSketch(res *Result, v *storedView) CheckResult {
 			continue
 		}
 		if uint64(cfg.HHThresholdPkts) <= 0xffff && uint32(got) < cfg.HHThresholdPkts {
-			fail("heavy hitter stored below threshold: sw %d %v count=%d threshold=%d",
+			c.failf("heavy hitter stored below threshold: sw %d %v count=%d threshold=%d",
 				k.SwitchID, k.Flow, got, cfg.HHThresholdPkts)
 		}
 		if bound := plain[k.SwitchID].Estimate(k.Flow.Hash()); uint64(got) > uint64(bound) {
-			fail("heavy-hitter overcount: sw %d %v stored=%d plain-CMS ceiling=%d true=%d",
+			c.failf("heavy-hitter overcount: sw %d %v stored=%d plain-CMS ceiling=%d true=%d",
 				k.SwitchID, k.Flow, got, bound, gt.FlowPkts[k])
 		}
 	}
@@ -595,7 +480,7 @@ func checkSketch(res *Result, v *storedView) CheckResult {
 		// whose fields saturated the 16-bit wire encoding.
 		if e.Count != 0xffff && e.SketchErr != 0xffff &&
 			uint64(e.Count) > n+uint64(e.SketchErr) {
-			fail("top-K churn overcount: sw %d %v count=%d err=%d true=%d",
+			c.failf("top-K churn overcount: sw %d %v count=%d err=%d true=%d",
 				e.SwitchID, e.Flow, e.Count, e.SketchErr, n)
 		}
 	}
@@ -611,17 +496,17 @@ func checkSketch(res *Result, v *storedView) CheckResult {
 		}
 		got, ok := v.spike[k]
 		if !ok {
-			fail("missed aggregate spike: sw %d port %d window %d bytes=%d threshold=%d",
+			c.failf("missed aggregate spike: sw %d port %d window %d bytes=%d threshold=%d",
 				k.SwitchID, k.Port, k.Window, bytes, cfg.SpikeBytes)
 		} else if uint64(got) != want {
-			fail("spike count mismatch: sw %d port %d window %d stored=%d KiB truth=%d KiB (bytes=%d)",
+			c.failf("spike count mismatch: sw %d port %d window %d stored=%d KiB truth=%d KiB (bytes=%d)",
 				k.SwitchID, k.Port, k.Window, got, want, bytes)
 		}
 	}
 	for k := range v.spike {
 		c.Checked++
 		if gt.LinkWindowBytes[k] < cfg.SpikeBytes {
-			fail("spike stored for a bin below threshold: sw %d port %d window %d bytes=%d threshold=%d",
+			c.failf("spike stored for a bin below threshold: sw %d port %d window %d bytes=%d threshold=%d",
 				k.SwitchID, k.Port, k.Window, gt.LinkWindowBytes[k], cfg.SpikeBytes)
 		}
 	}
@@ -634,11 +519,6 @@ func checkSketch(res *Result, v *storedView) CheckResult {
 // store an exact duplicate-free copy of the in-process delivery.
 func CheckDelivery(res *Result) CheckResult {
 	c := CheckResult{Claim: "delivery"}
-	fail := func(format string, args ...any) {
-		if len(c.Violations) < maxViolations {
-			c.Violations = append(c.Violations, fmt.Sprintf(format, args...))
-		}
-	}
 	c.Checked = len(res.Batches)
 	if len(res.Batches) == 0 {
 		return c
@@ -665,7 +545,7 @@ func CheckDelivery(res *Result) CheckResult {
 		Latency:    50 * time.Microsecond,
 	})
 	if err != nil {
-		fail("faultconn listen: %v", err)
+		c.failf("faultconn listen: %v", err)
 		return c
 	}
 	// Serving a listener already bound cannot fail.
@@ -687,21 +567,21 @@ func CheckDelivery(res *Result) CheckResult {
 			Events: append([]fevent.Event(nil), b.Events...)})
 	}
 	if err := cl.Flush(); err != nil {
-		fail("flush through faulty channel: %v (stats %+v)", err, cl.Stats())
+		c.failf("flush through faulty channel: %v (stats %+v)", err, cl.Stats())
 		return c
 	}
 	if err := cl.Close(); err != nil {
-		fail("close: %v", err)
+		c.failf("close: %v", err)
 	}
 
 	for _, d := range EventMultisetDiff(res.Store.Query(collector.Filter{}), store.Query(collector.Filter{}), maxViolations) {
-		fail("%s", d)
+		c.failf("%s", d)
 	}
 	st := cl.Stats()
 	if st.Retransmits > 0 && store.DupBatches() == 0 && st.Reconnects == 0 {
 		// Retransmits without reconnects or dedup hits would mean the
 		// at-least-once channel silently re-sequenced batches.
-		fail("retransmits=%d with no reconnects and no dedup hits", st.Retransmits)
+		c.failf("retransmits=%d with no reconnects and no dedup hits", st.Retransmits)
 	}
 	return c
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netseer/internal/dataplane"
+	"netseer/internal/fevent"
 	"netseer/internal/host"
 	"netseer/internal/nic"
 	"netseer/internal/pkt"
@@ -188,10 +189,10 @@ func TestIncastCausesCongestionDrops(t *testing.T) {
 	// 16 senders, 1 MB each, one receiver: must overflow its ToR queue.
 	Incast(s, hosts[8:24], hosts[0], 1<<20, 1000, 0)
 	s.RunAll()
-	if len(gt.Drops) == 0 {
+	if gt.TypePackets[fevent.TypeDrop] == 0 {
 		t.Fatal("incast produced no congestion drops")
 	}
-	if len(gt.Congestion) == 0 {
+	if gt.TypePackets[fevent.TypeCongestion] == 0 {
 		t.Fatal("incast produced no congestion ground truth")
 	}
 }

@@ -232,17 +232,7 @@ func (n *Network) SendBurst(from, to *host.Host, srcPort uint16, packets, size i
 func (n *Network) NetSeerStats() core.Stats {
 	var agg core.Stats
 	for _, ns := range n.ns {
-		s := ns.Stats()
-		agg.RawPackets += s.RawPackets
-		agg.RawBytes += s.RawBytes
-		agg.EventPackets += s.EventPackets
-		agg.EventBytes += s.EventBytes
-		agg.DedupReports += s.DedupReports
-		agg.ExportedEvents += s.ExportedEvents
-		agg.ExportedBytes += s.ExportedBytes
-		agg.SuppressedFPs += s.SuppressedFPs
-		agg.SeqGapsDetected += s.SeqGapsDetected
-		agg.InterSwitchFound += s.InterSwitchFound
+		agg.Add(ns.Stats())
 	}
 	return agg
 }

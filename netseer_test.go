@@ -27,6 +27,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if !found {
 		t.Errorf("no no-route drop among %d events", len(events))
 	}
+	// The facade's totals carry every per-switch counter.
+	if st := net.NetSeerStats(); st.DedupBytes == 0 || st.ExtractedBytes == 0 || st.ExportedBatches == 0 {
+		t.Errorf("stats = %+v, want the dedup, extraction and export counters", st)
+	}
 }
 
 func TestTestbedTopology(t *testing.T) {
@@ -70,9 +74,9 @@ func TestDisableNetSeer(t *testing.T) {
 	if got := len(net.Events(Query{})); got != 0 {
 		t.Errorf("%d events with NetSeer disabled", got)
 	}
-	// Ground truth still sees everything.
-	if len(net.GroundTruth().Drops) != 10 {
-		t.Errorf("ground truth drops = %d", len(net.GroundTruth().Drops))
+	// Ground truth still sees everything: one flow event of ten packets.
+	if gt := net.GroundTruth().Events; len(gt) != 1 || gt[0].Key.Code != fevent.DropNoRoute || gt[0].Packets != 10 {
+		t.Errorf("ground truth = %+v", gt)
 	}
 }
 
