@@ -204,14 +204,14 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 // memAfter is what MemoryBytes reports with n single-event batches of one
 // switch over fresh flows stored (0 < n ≤ blockLen), each at its own
 // stamp: one block, its one summary row and its n runs at the capacity
-// append grows a slice to, the flow table as grown for n flows, n dedup
-// entries.
+// append grows a slice to, the flow dictionary as grown for n flows, n
+// dedup entries.
 func memAfter(n int) int64 {
 	var runs []run
 	for range n {
 		runs = append(runs, run{})
 	}
-	return blockMemCost + sumRowMemCost + int64(cap(runs))*runMemCost + int64(flowSlotsFor(n))*flowSlotBytes + int64(n)*seenMemCost
+	return blockMemCost + sumRowMemCost + int64(cap(runs))*runMemCost + flowTableBytes(flowSlotsFor(n)) + int64(n)*seenMemCost
 }
 
 // TestMemAfterIsWhatTheStoreReports pins the admission tests' budget

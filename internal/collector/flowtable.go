@@ -1,7 +1,9 @@
 package collector
 
 import (
-	"hash/maphash"
+	"encoding/binary"
+	"math/bits"
+	"math/rand/v2"
 
 	"netseer/internal/pkt"
 )
@@ -9,15 +11,14 @@ import (
 // flowKey is a flow's 13 wire bytes, as a record carries them.
 type flowKey = [pkt.FlowKeyLen]byte
 
-// flowSlot is one 20 B cell of the flow table; head 0 marks it empty.
-type flowSlot struct {
-	key  flowKey
-	head uint32
-}
+// flowCell is one cell of the flow index: a flow's id+1 (0 = empty) and
+// the position+1 of its newest stored event. The head sits beside the id
+// so that a lookup can start on the flow's newest event while it is still
+// comparing the key.
+type flowCell struct{ id, head uint32 }
 
 const (
-	flowSlotBytes = 20
-	flowMinSlots  = 16
+	flowMinSlots = 16
 	// probeGroup is how many keys swapRun hashes and touches before it
 	// swaps the first of them. A full exporter batch is 50 records, one
 	// run, so at 64 it pays one wave of slot misses rather than two
@@ -25,24 +26,29 @@ const (
 	probeGroup = 64
 )
 
-// flowTable maps a flow to the position+1 of its newest stored event:
-// open addressing with linear probing over a power-of-two slot array,
-// doubled when more than 3/4 full and allocated at the first insert
-// (DESIGN §10). Flow keys are chosen by whoever sends traffic, so the
-// hash is keyed by a per-table random seed; the 4 B hash a record carries
-// is no substitute — it is the peer's to set, and it is the event key's
-// hash, not the flow's.
+// flowTable is the flow dictionary (DESIGN §10): keys holds every flow
+// in first-seen order, and a flow's index in it is its stable flow id,
+// what a block stores for an event in place of its 13 B key. index finds
+// a key's cell: open addressing with linear probing over a power-of-two
+// array, doubled, with keys' capacity, when more than 3/4 full, and
+// allocated at the first insert. Flow keys are chosen by whoever sends
+// traffic, so the hash is keyed by two random words per table, both
+// mixed into both factors of its first multiply; the 4 B hash a record
+// carries is no substitute — it is the peer's to set, and it is the
+// event key's hash, not the flow's. The seed never leaves the process: a
+// snapshot carries keys and heads in id order, and a reload re-inserts
+// them under a fresh one.
 type flowTable struct {
-	seed  maphash.Seed
-	slots []flowSlot
-	n     int // flows held
+	seed  [2]uint64
+	keys  []flowKey
+	index []flowCell
 
-	// touched keeps the touch pass's loads live: what they read is
+	// touched keeps the touch passes' loads live: what they read is
 	// summed here, so the compiler cannot drop them.
 	touched uint32
 }
 
-// flowSlotsFor returns the slot count of a table grown to hold n flows.
+// flowSlotsFor returns the index size of a table grown to hold n flows.
 func flowSlotsFor(n int) int {
 	if n == 0 {
 		return 0
@@ -54,80 +60,113 @@ func flowSlotsFor(n int) int {
 	return c
 }
 
-// find returns the slot holding k, whose hash is h, or the empty slot
-// where it belongs: the table's one probe loop. h is the full 64-bit
-// hash, so a doubling only re-masks it.
-func (t *flowTable) find(h uint64, k *flowKey) *flowSlot {
-	mask := uint64(len(t.slots) - 1)
+// flowTableBytes is what a table of the given index size has allocated:
+// its 8 B cells and the dictionary's capacity, 3/4 of a slot a flow.
+func flowTableBytes(slots int) int64 {
+	return int64(slots)*8 + int64(slots/4*3)*pkt.FlowKeyLen
+}
+
+// hash mixes a key's two overlapping 8 B words with the seed by two
+// folded 64×64→128-bit multiplies. Each factor of the first carries a
+// seed word, so no key bytes zero a factor, or the product, for every
+// seed.
+func (t *flowTable) hash(k *flowKey) uint64 {
+	const mixA, mixB = 0xa0761d6478bd642f, 0xe7037ed1a0b428db
+	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(k[:8])^t.seed[0], binary.LittleEndian.Uint64(k[pkt.FlowKeyLen-8:])^t.seed[1])
+	hi, lo = bits.Mul64(hi^mixA, lo^mixB)
+	return hi ^ lo
+}
+
+// find returns the index cell holding k, whose hash is h, or the empty
+// cell where it belongs: the table's one probe loop. h is the full
+// 64-bit hash, so a doubling only re-masks it.
+func (t *flowTable) find(h uint64, k *flowKey) *flowCell {
+	mask := uint64(len(t.index) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		if sl := &t.slots[i]; sl.head == 0 || sl.key == *k {
-			return sl
+		if c := &t.index[i]; c.id == 0 || t.keys[c.id-1] == *k {
+			return c
 		}
 	}
 }
 
-// get returns the head stored for key, 0 if there is none.
-func (t *flowTable) get(key []byte) uint32 {
-	if t.n == 0 {
-		return 0
+// lookup returns key's cell, the zero cell if the table holds no such
+// flow.
+func (t *flowTable) lookup(key []byte) flowCell {
+	if len(t.keys) == 0 {
+		return flowCell{}
 	}
-	return t.find(maphash.Bytes(t.seed, key), (*flowKey)(key)).head
+	k := (*flowKey)(key)
+	return *t.find(t.hash(k), k)
 }
 
 // swapRun stores, in order, heads[i] (non-zero) for the key at
-// keys[i*stride:] and leaves in heads[i] the head it replaced, 0 for a
-// flow not seen before: the one write path of the table, taken by every
-// appended event and every snapshot flow. It works probeGroup keys at a
-// time in three passes — hash each key, touch each key's home slot, then
-// find-or-insert each in order — so the group's cache misses are in
+// keys[i*stride:], leaves in heads[i] the head it replaced, 0 for a flow
+// not seen before, and in ids[i] the key's flow id: the one write path
+// of the table, taken by every appended event and every flow a snapshot
+// loads. It works probeGroup keys at a time in four passes — hash each
+// key, load each key's home cell, touch the key each of those names,
+// then find-or-insert each in order — so the group's cache misses are in
 // flight together rather than one per loop body. A key repeated within a
 // run sees the head its earlier copy stored, and the table grows at
 // exactly the insert where a swap of one key at a time would have.
-func (t *flowTable) swapRun(keys []byte, stride int, heads []uint32) {
-	if len(heads) > 0 && t.slots == nil {
+func (t *flowTable) swapRun(keys []byte, stride int, heads, ids []uint32) {
+	if len(heads) > 0 && t.index == nil {
 		t.grow(flowMinSlots)
 	}
-	var hash [probeGroup]uint64
+	var (
+		hash [probeGroup]uint64
+		home [probeGroup]uint32
+	)
 	for base := 0; base < len(heads); base += probeGroup {
-		group, keys := heads[base:min(base+probeGroup, len(heads))], keys[base*stride:]
+		group, keys, ids := heads[base:min(base+probeGroup, len(heads))], keys[base*stride:], ids[base:]
 		for i := range group {
-			hash[i] = maphash.Bytes(t.seed, keys[i*stride:i*stride+pkt.FlowKeyLen])
+			hash[i] = t.hash((*flowKey)(keys[i*stride:]))
 		}
-		// A slot can straddle two cache lines: touch its first byte and
-		// its last word.
-		mask, touched := uint64(len(t.slots)-1), uint32(0)
-		for _, h := range hash[:len(group)] {
-			sl := &t.slots[h&mask]
-			touched += uint32(sl.key[0]) + sl.head
+		mask := uint64(len(t.index) - 1)
+		for i, h := range hash[:len(group)] {
+			home[i] = t.index[h&mask].id
+		}
+		// A key can straddle two cache lines: touch its first byte and its
+		// last.
+		touched := uint32(0)
+		for _, id := range home[:len(group)] {
+			if id != 0 {
+				k := &t.keys[id-1]
+				touched += uint32(k[0]) + uint32(k[pkt.FlowKeyLen-1])
+			}
 		}
 		t.touched += touched
 		for i, head := range group {
 			k := (*flowKey)(keys[i*stride:])
-			sl := t.find(hash[i], k)
-			prev := sl.head
-			if prev == 0 {
-				if t.n == len(t.slots)/4*3 {
-					t.grow(2 * len(t.slots))
-					sl = t.find(hash[i], k)
+			c := t.find(hash[i], k)
+			if c.id == 0 {
+				if len(t.keys) == cap(t.keys) {
+					t.grow(2 * len(t.index))
+					c = t.find(hash[i], k)
 				}
-				sl.key = *k
-				t.n++
+				t.keys = append(t.keys, *k)
+				c.id = uint32(len(t.keys))
 			}
-			sl.head, group[i] = head, prev
+			group[i], ids[i], c.head = c.head, c.id-1, head
 		}
 	}
 }
 
-// grow rehashes the table into a slot array of the given size.
+// grow moves the table to an index of the given size and a dictionary of
+// 3/4 its capacity, re-placing every cell; ids and heads do not change.
+// The first grow draws the table's seed.
 func (t *flowTable) grow(slots int) {
-	old := t.slots
-	if old == nil {
-		t.seed = maphash.MakeSeed()
+	if t.index == nil {
+		t.seed = [2]uint64{rand.Uint64(), rand.Uint64()}
 	}
-	t.slots = make([]flowSlot, slots)
-	for i := range old {
-		if old[i].head != 0 {
-			*t.find(maphash.Bytes(t.seed, old[i].key[:]), &old[i].key) = old[i]
+	keys := make([]flowKey, len(t.keys), slots/4*3)
+	copy(keys, t.keys)
+	old := t.index
+	t.keys, t.index = keys, make([]flowCell, slots)
+	for _, c := range old {
+		if c.id != 0 {
+			k := &t.keys[c.id-1]
+			*t.find(t.hash(k), k) = c
 		}
 	}
 }

@@ -132,7 +132,8 @@ func FuzzReadFrame(f *testing.F) {
 		stored := st.blocks
 		for i := range b.Events {
 			want := b.Events[i].AppendRecord(nil)
-			if got := stored[0].rec[i*fevent.RecordLen : (i+1)*fevent.RecordLen]; !bytes.Equal(got, want) {
+			var got [fevent.RecordLen]byte
+			if stored[0].record(&st.flows, i, &got); !bytes.Equal(got[:], want) {
 				t.Fatalf("record %d stored as %x, AppendRecord(DecodeRecord) gives %x", i, got, want)
 			}
 			if got := payload[len(payload)-(len(b.Events)-i)*fevent.RecordLen:][:fevent.RecordLen]; !bytes.Equal(got, want) {
@@ -167,11 +168,12 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzLoadSnapshot throws arbitrary bytes at LoadSnapshot over a store
 // that already holds events. No input may panic. A rejected image leaves
-// the store exactly as it was; an accepted one re-encodes to an image
-// that loads into a fresh store with the same length, export digest and
-// Summary. The seeds are images of an empty store, of one run, of a run
-// a block end splits, of in-process per-event stamps (runs of one), and
-// of a store after RemoveEvents.
+// the store exactly as it was; an accepted one re-encodes to itself, byte
+// for byte — a snapshot is a fixed point — and that image loads into a
+// fresh store with the same length, export digest and Summary. The seeds
+// are images of an empty store, of one run, of a run a block end splits,
+// of in-process per-event stamps (runs of one), of a store after
+// RemoveEvents, and of a flow section spanning several probe groups.
 func FuzzLoadSnapshot(f *testing.F) {
 	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
@@ -202,6 +204,13 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	removed.RemoveEvents(removed.Query(Filter{Type: fevent.TypeCongestion}))
 	f.Add(removed.EncodeSnapshot())
+	manyFlows := NewStore()
+	wide := events(6*probeGroup, 5, 110, 0)
+	for i := range wide {
+		wide[i].Flow = modelFlow(i)
+	}
+	manyFlows.Deliver(&fevent.Batch{SwitchID: 5, Timestamp: 110, Seq: 1, Events: wide})
+	f.Add(manyFlows.EncodeSnapshot())
 
 	type state struct {
 		n       int
@@ -226,8 +235,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 			return
 		}
+		img := st.EncodeSnapshot()
+		if !bytes.Equal(img, data) {
+			t.Fatalf("an accepted image of %d bytes re-encodes to %d other bytes", len(data), len(img))
+		}
 		loaded, again := stateOf(st), NewStore()
-		if err := again.LoadSnapshot(st.EncodeSnapshot()); err != nil {
+		if err := again.LoadSnapshot(img); err != nil {
 			t.Fatalf("the re-encoded image of an accepted one: %v", err)
 		}
 		if got := stateOf(again); got != loaded {

@@ -68,8 +68,8 @@ func (s *Store) ExportWhere(pred func(*fevent.Event) bool) []fevent.Event {
 	defer s.mu.RUnlock()
 	var out []fevent.Event
 	var e fevent.Event
-	s.visit(&Filter{}, func(b *block, r *run, i int) {
-		if b.load(r, i, &e); pred(&e) {
+	s.visit(&Filter{}, func(b *block, r *run, i int, fid uint32) {
+		if b.load(&s.flows, fid, r, i, &e); pred(&e) {
 			out = append(out, e)
 		}
 	})
@@ -109,13 +109,13 @@ func (s *Store) AddEvents(evs []fevent.Event) {
 
 // RemoveEvents removes one stored copy per element of the multiset evs
 // (full-record identity, timestamp included) by re-appending the
-// survivors to an emptied store straight from the old columns, a stored
-// run at a time: its switch and stamp are keyed once, its records one by
-// one, and the survivors between two removed events go back as one run
-// (appendRun joins them across a removal). Events with no stored match
-// are ignored; it returns how many copies were actually removed. This is
-// the epoch fence: after a handoff publishes, the source drops exactly
-// what it captured and shipped.
+// survivors to an emptied store from the old columns and dictionary, a
+// stored run at a time: its switch and stamp are keyed once, its records
+// rebuilt one by one, and the survivors go back in runs of up to a
+// buffer's worth (appendRun joins them across a removal and a flush).
+// Events with no stored match are ignored; it returns how many copies
+// were actually removed. This is the epoch fence: after a handoff
+// publishes, the source drops exactly what it captured and shipped.
 func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	if len(evs) == 0 {
 		return 0
@@ -126,24 +126,28 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, before := s.blocks, s.n
+	old, dict, before := s.blocks, s.flows, s.n
 	s.resetEvents()
+	var buf [64 * fevent.RecordLen]byte
 	for _, b := range old {
 		for r := range b.runs {
 			ru := &b.runs[r]
 			var k eventIdentity
 			binary.BigEndian.PutUint16(k[0:2], ru.sw)
 			binary.BigEndian.PutUint64(k[2:10], uint64(ru.ts))
-			start, end := int(ru.start), b.runEnd(r) // survivors [start, i) wait to be re-appended
-			for i := start; i < end; i++ {
-				copy(k[10:], b.rec[i*fevent.RecordLen:])
+			recs := buf[:0] // survivors waiting to be re-appended
+			for i, end := int(ru.start), b.runEnd(r); i < end; i++ {
+				b.record(&dict, i, (*[fevent.RecordLen]byte)(k[10:]))
 				if want[k] > 0 {
 					want[k]--
-					s.appendRun(ru.sw, ru.ts, b.rec[start*fevent.RecordLen:i*fevent.RecordLen])
-					start = i + 1
+					continue
+				}
+				if recs = append(recs, k[10:]...); len(recs) == len(buf) {
+					s.appendRun(ru.sw, ru.ts, recs)
+					recs = buf[:0]
 				}
 			}
-			s.appendRun(ru.sw, ru.ts, b.rec[start*fevent.RecordLen:end*fevent.RecordLen])
+			s.appendRun(ru.sw, ru.ts, recs)
 		}
 	}
 	return before - s.n

@@ -26,7 +26,7 @@ import (
 //	query [flow=proto:src:sport:dst:dport] [switch=N] [type=NAME]
 //	      [code=NAME] [since=NANOS] [until=NANOS]
 //	count  (same arguments)
-//	flows
+//	flows  (in the order the store first saw them)
 //	summary
 //	latency [switch=N] [since=NANOS] [until=NANOS]
 //	path flow=proto:src:sport:dst:dport

@@ -670,23 +670,24 @@ func (s *Server) TraceExemplars() []obs.Exemplar {
 // ingest barrier is held exclusively across the segment cut and the
 // store capture — the only ordering under which "in a segment below the
 // cut" implies "captured by the snapshot" — and released before the
-// snapshot bytes are written to disk, so ingestion stalls only for the
-// capture, not the I/O.
+// dedup keys are sorted into the image and the bytes are written to
+// disk, so ingestion stalls only for the capture, not the sort or the
+// I/O.
 func (s *Server) Checkpoint() error {
 	if s.wal == nil {
 		return errors.New("collector: no WAL attached")
 	}
 	s.ingestMu.Lock()
 	cut, err := s.wal.CutSegment()
-	var snap []byte
+	var img snapshotImage
 	if err == nil {
-		snap = s.store.EncodeSnapshot()
+		img = s.store.captureSnapshot()
 	}
 	s.ingestMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.wal.InstallSnapshot(cut, snap)
+	return s.wal.InstallSnapshot(cut, img.finish())
 }
 
 // WithIngestBarrier runs fn while the ingest barrier is held exclusively:

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -20,16 +21,22 @@ import (
 //
 // Layout (little-endian, so a column decodes with plain loads):
 //
-//	header: magic "NSS3", dupBatches (8 B), seenCount, flowCount,
+//	header: magic "NSS4", dupBatches (8 B), seenCount, flowCount,
 //	        eventCount, runCount (4 B each)
-//	per seen key: switch (2 B), seq (8 B)
-//	per flow: 13 B flow key, head (4 B, position+1 of its newest event)
+//	per seen key, in (switch, seq) order: switch (2 B), seq (8 B)
+//	per flow, in flow-id order: 13 B flow key, head (4 B, position+1 of its
+//	        newest event)
 //	per block of ≤ blockLen events: its run count (4 B); its run table,
 //	        per run: start (2 B), switch (2 B), stamp (8 B); then column
 //	        by column: chain links (4 B, position+1 of the flow's previous
-//	        event, 0 = none), types (1 B), records (24 B)
+//	        event, 0 = none), flow ids (4 B), types (1 B), record tails (10 B)
+//
+// Every section is written in an order the store fixes, and the flow
+// index is not written at all — a load rebuilds it, re-inserting the
+// flows in id order under a fresh seed — so an image that loads
+// re-encodes to itself.
 const (
-	snapMagic       = "NSS3"
+	snapMagic       = "NSS4"
 	snapHeaderLen   = len(snapMagic) + 8 + 4*4
 	snapSeenLen     = 2 + 8
 	snapFlowLen     = pkt.FlowKeyLen + 4
@@ -40,7 +47,18 @@ const (
 // EncodeSnapshot serializes the store's full state. The caller hands the
 // bytes to wal.InstallSnapshot; see Server.Checkpoint for the barrier
 // that orders the capture against in-flight ingestion.
-func (s *Store) EncodeSnapshot() []byte {
+func (s *Store) EncodeSnapshot() []byte { return s.captureSnapshot().finish() }
+
+// snapshotImage is a snapshot captured but for its dedup section: the
+// keys are copied, and sorted into place by finish, which needs neither
+// the store's lock nor the server's ingest barrier.
+type snapshotImage struct {
+	buf  []byte
+	seen []batchKey
+}
+
+// captureSnapshot copies the store's state into a snapshotImage.
+func (s *Store) captureSnapshot() snapshotImage {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	le := binary.LittleEndian
@@ -48,21 +66,26 @@ func (s *Store) EncodeSnapshot() []byte {
 	for _, b := range s.blocks {
 		runs += len(b.runs)
 	}
-	buf := make([]byte, 0, snapHeaderLen+len(s.seen)*snapSeenLen+s.flows.n*snapFlowLen+
+	seen := make([]batchKey, 0, len(s.seen))
+	for k := range s.seen {
+		seen = append(seen, k)
+	}
+	d := &s.flows
+	buf := make([]byte, 0, snapHeaderLen+len(seen)*snapSeenLen+len(d.keys)*snapFlowLen+
 		len(s.blocks)*snapBlockHdrLen+runs*snapRunLen+s.n*rowBytes)
 	buf = append(buf, snapMagic...)
 	buf = le.AppendUint64(buf, s.dupBatches)
-	buf = le.AppendUint32(buf, uint32(len(s.seen)))
-	buf = le.AppendUint32(buf, uint32(s.flows.n))
-	buf = le.AppendUint32(buf, uint32(s.n))
-	buf = le.AppendUint32(buf, uint32(runs))
-	for k := range s.seen {
-		buf = le.AppendUint16(buf, k.sw)
-		buf = le.AppendUint64(buf, k.seq)
+	for _, v := range [...]int{len(seen), len(d.keys), s.n, runs} {
+		buf = le.AppendUint32(buf, uint32(v))
 	}
-	for i := range s.flows.slots {
-		if sl := &s.flows.slots[i]; sl.head != 0 {
-			buf = le.AppendUint32(append(buf, sl.key[:]...), sl.head)
+	buf = buf[:len(buf)+len(seen)*snapSeenLen] // finish writes the keys
+	flows := len(buf)
+	for i := range d.keys {
+		buf = append(append(buf, d.keys[i][:]...), 0, 0, 0, 0)
+	}
+	for _, c := range d.index {
+		if c.id != 0 {
+			le.PutUint32(buf[flows+int(c.id)*snapFlowLen-4:], c.head)
 		}
 	}
 	for _, b := range s.blocks {
@@ -75,16 +98,39 @@ func (s *Store) EncodeSnapshot() []byte {
 		for _, v := range b.prev[:b.n] {
 			buf = le.AppendUint32(buf, v)
 		}
+		for _, v := range b.fid[:b.n] {
+			buf = le.AppendUint32(buf, v)
+		}
 		buf = append(buf, b.typ[:b.n]...)
-		buf = append(buf, b.rec[:b.n*fevent.RecordLen]...)
+		buf = append(buf, b.tail[:b.n*tailLen]...)
 	}
-	return buf
+	return snapshotImage{buf: buf, seen: seen}
+}
+
+// finish writes the dedup keys in (switch, seq) order and returns the
+// image.
+func (im snapshotImage) finish() []byte {
+	slices.SortFunc(im.seen, compareBatchKeys)
+	row := im.buf[snapHeaderLen:]
+	for _, k := range im.seen {
+		binary.LittleEndian.PutUint16(row, k.sw)
+		binary.LittleEndian.PutUint64(row[2:], k.seq)
+		row = row[snapSeenLen:]
+	}
+	return im.buf
+}
+
+// compareBatchKeys orders dedup keys by switch, then sequence.
+func compareBatchKeys(a, b batchKey) int {
+	return cmp.Or(cmp.Compare(a.sw, b.sw), cmp.Compare(a.seq, b.seq))
 }
 
 // LoadSnapshot replaces the store's state with a decoded snapshot; on
 // error the store is untouched. It is the first half of recovery; WAL
 // tail replay (whose batches dedup against the loaded seen-set) is the
-// second.
+// second. The flows go back into the dictionary in id order, by the
+// table's own write path, so each gets the id it had; a key listed twice
+// is an error.
 func (s *Store) LoadSnapshot(data []byte) error {
 	le := binary.LittleEndian
 	if len(data) < snapHeaderLen || string(data[:len(snapMagic)]) != snapMagic {
@@ -100,24 +146,35 @@ func (s *Store) LoadSnapshot(data []byte) error {
 		seen:       make(map[batchKey]struct{}, seen),
 	}
 	data = data[snapHeaderLen:]
-	for ; seen > 0; seen, data = seen-1, data[snapSeenLen:] {
-		ld.seen[batchKey{sw: le.Uint16(data), seq: le.Uint64(data[2:])}] = struct{}{}
+	var last batchKey
+	for i := range seen {
+		k := batchKey{sw: le.Uint16(data[i*snapSeenLen:]), seq: le.Uint64(data[i*snapSeenLen+2:])}
+		if i > 0 && compareBatchKeys(last, k) >= 0 {
+			return fmt.Errorf("collector: snapshot dedup key %d (switch %d, seq %d) does not follow (switch %d, seq %d)", i, k.sw, k.seq, last.sw, last.seq)
+		}
+		ld.seen[k], last = struct{}{}, k
 	}
+	data = data[seen*snapSeenLen:]
 	if flows > 0 {
 		ld.flows.grow(flowSlotsFor(flows))
 	}
-	var heads [probeGroup]uint32
-	for flows > 0 {
-		group := heads[:min(flows, probeGroup)]
+	var heads, ids [probeGroup]uint32
+	for id := 0; id < flows; id += probeGroup {
+		group := heads[:min(flows-id, probeGroup)]
 		for i := range group {
 			row := data[i*snapFlowLen:]
 			if group[i] = le.Uint32(row[pkt.FlowKeyLen:]); group[i] == 0 || int(group[i]) > events {
 				f, _ := pkt.FlowKeyFromWire(row) // length checked above
-				return fmt.Errorf("collector: snapshot flow %v heads at event %d of %d", f, int64(group[i])-1, events)
+				return fmt.Errorf("collector: snapshot flow %d (%v) heads at event %d of %d", id+i, f, int64(group[i])-1, events)
 			}
 		}
-		ld.flows.swapRun(data, snapFlowLen, group)
-		flows, data = flows-len(group), data[len(group)*snapFlowLen:]
+		ld.flows.swapRun(data, snapFlowLen, group, ids[:len(group)])
+		for i, old := range group {
+			if old != 0 {
+				return fmt.Errorf("collector: snapshot flow %d repeats flow %d's key", id+i, ids[i])
+			}
+		}
+		data = data[len(group)*snapFlowLen:]
 	}
 	for ld.n < events {
 		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}
@@ -148,15 +205,21 @@ func (s *Store) LoadSnapshot(data []byte) error {
 			}
 		}
 		data = data[b.n*4:]
+		for i := range b.fid[:b.n] {
+			if b.fid[i] = le.Uint32(data[i*4:]); int(b.fid[i]) >= flows {
+				return fmt.Errorf("collector: snapshot event %d is of flow %d of %d", ld.n+i, b.fid[i], flows)
+			}
+		}
+		data = data[b.n*4:]
 		data = data[copy(b.typ[:b.n], data):]
-		data = data[copy(b.rec[:b.n*fevent.RecordLen], data):]
+		data = data[copy(b.tail[:b.n*tailLen], data):]
 		for r := range b.runs {
 			start, end := int(b.runs[r].start), b.runEnd(r)
 			b.cover(r, start, end)
 			row := ld.sumRow(b, b.runs[r].sw)
 			for i, t := range b.typ[start:end] {
-				if !fevent.Type(t).Valid() || b.rec[(start+i)*fevent.RecordLen] != t {
-					return fmt.Errorf("collector: snapshot event %d: invalid type %d (its record says %d)", ld.n+start+i, t, b.rec[(start+i)*fevent.RecordLen])
+				if !fevent.Type(t).Valid() {
+					return fmt.Errorf("collector: snapshot event %d: invalid type %d", ld.n+start+i, t)
 				}
 				row.n[t-1]++
 			}

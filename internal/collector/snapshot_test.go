@@ -26,27 +26,46 @@ func TestDeliverDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// withDuplicateFlow returns st's snapshot with the key of flow id listed
+// a second time, as the last flow, heading at event head: an image every
+// other check passes.
+func withDuplicateFlow(st *Store, id int, head uint32) []byte {
+	img := st.EncodeSnapshot()
+	le := binary.LittleEndian
+	flowOff := snapHeaderLen + int(le.Uint32(img[12:]))*snapSeenLen
+	nf := int(le.Uint32(img[16:]))
+	row := slices.Clone(img[flowOff+id*snapFlowLen:][:snapFlowLen])
+	le.PutUint32(row[pkt.FlowKeyLen:], head)
+	end := flowOff + nf*snapFlowLen
+	out := slices.Concat(img[:end], row, img[end:])
+	le.PutUint32(out[16:], uint32(nf+1))
+	return out
+}
+
 // TestLoadSnapshotRejects feeds LoadSnapshot every malformed image the
 // layout admits and requires an error that names the fault and a store
 // left exactly as it was.
 func TestLoadSnapshotRejects(t *testing.T) {
+	const flows, switches = 30, 3
 	p := newPair(t, 7)
 	for seq := uint64(1); seq <= 3; seq++ {
-		p.deliver(uint16(seq), seq, sim.Time(seq)*sim.Millisecond, p.events(40, 6, 3, sim.Time(seq)*sim.Millisecond, 0))
+		p.deliver(uint16(seq), seq, sim.Time(seq)*sim.Millisecond, p.events(40, flows, switches, sim.Time(seq)*sim.Millisecond, 0))
 	}
 	good := p.st.EncodeSnapshot()
 	le := binary.LittleEndian
 	const seenCountOff, flowCountOff, eventCountOff, runCountOff = 12, 16, 20, 24
 	seenOff := snapHeaderLen
 	flowOff := seenOff + int(le.Uint32(good[seenCountOff:]))*snapSeenLen
+	nf := int(le.Uint32(good[flowCountOff:]))
 	n, runs := int(le.Uint32(good[eventCountOff:])), int(le.Uint32(good[runCountOff:]))
-	blockOff := flowOff + int(le.Uint32(good[flowCountOff:]))*snapFlowLen
+	blockOff := flowOff + nf*snapFlowLen
 	runOff := blockOff + snapBlockHdrLen
 	linkOff := runOff + runs*snapRunLen
-	typOff := linkOff + n*4
-	recOff := typOff + n
-	if n != p.st.Len() || runs < 3 || int(le.Uint32(good[blockOff:])) != runs || len(good) != recOff+n*fevent.RecordLen {
-		t.Fatalf("layout arithmetic is off: %d events, %d runs, records at %d in %d bytes", n, runs, recOff, len(good))
+	fidOff := linkOff + n*4
+	typOff := fidOff + n*4
+	tailsOff := typOff + n
+	if n != p.st.Len() || runs < 3 || nf < flows || int(le.Uint32(good[blockOff:])) != runs || len(good) != tailsOff+n*tailLen {
+		t.Fatalf("layout arithmetic is off: %d events, %d runs, %d flows, tails at %d in %d bytes", n, runs, nf, tailsOff, len(good))
 	}
 	lastRun := runOff + (runs-1)*snapRunLen
 
@@ -64,14 +83,19 @@ func TestLoadSnapshotRejects(t *testing.T) {
 	// No events, and a run: the run table has no block to sit in.
 	runWithoutBlock := append(NewStore().EncodeSnapshot(), make([]byte, snapRunLen)...)
 	le.PutUint32(runWithoutBlock[runCountOff:], 1)
+	swapSeen := mutate(func(b []byte) []byte {
+		row := slices.Clone(b[seenOff : seenOff+snapSeenLen])
+		copy(b[seenOff:], b[seenOff+snapSeenLen:seenOff+2*snapSeenLen])
+		copy(b[seenOff+snapSeenLen:], row)
+		return b
+	})
 	cases := []struct {
 		name, want string
 		data       []byte
 	}{
 		{"empty", "magic", nil},
 		{"bad magic", "magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b })},
-		{"NSS1 image", "magic", mutate(func(b []byte) []byte { b[3] = '1'; return b })},
-		{"NSS2 image", "magic", mutate(func(b []byte) []byte { b[3] = '2'; return b })},
+		{"the previous layout's magic", "magic", mutate(func(b []byte) []byte { b[3] = '3'; return b })},
 		{"cut inside header", "header truncated", good[:snapHeaderLen-1]},
 		{"cut after header", "header promises", good[:seenOff]},
 		{"cut inside dedup section", "header promises", good[:flowOff-1]},
@@ -87,6 +111,15 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		{"flow count beyond the data", "header promises", put32(flowCountOff, 1<<30)},
 		{"run count one high", "header promises", put32(runCountOff, uint32(runs+1))},
 		{"run count one low", "header promises", put32(runCountOff, uint32(runs-1))},
+		{"dedup keys out of order", "does not follow", swapSeen},
+		{"dedup key twice", "does not follow", mutate(func(b []byte) []byte {
+			copy(b[seenOff+snapSeenLen:], b[seenOff:seenOff+snapSeenLen])
+			return b
+		})},
+		{"flow key listed twice", "repeats", withDuplicateFlow(p.st, 3, 1)},
+		{"flow key listed twice in a row", "repeats", withDuplicateFlow(p.st, nf-1, 1)},
+		{"flow head zero", "heads at", put32(flowOff+pkt.FlowKeyLen, 0)},
+		{"flow head past the end", "heads at", put32(flowOff+pkt.FlowKeyLen, uint32(n+1))},
 		{"block's run count above the header's", "runs", oneRunShort},
 		{"block's run count one high", "runs", put32(blockOff, uint32(runs+1))},
 		{"block's run count past its events", "runs", put32(blockOff, uint32(n+1))},
@@ -103,31 +136,29 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		})},
 		{"chain link to itself", "links forward", put32(linkOff+4*10, 11)},
 		{"chain link past the end", "links forward", put32(linkOff+4*(n-1), uint32(n+5))},
-		{"flow head zero", "heads at", put32(flowOff+pkt.FlowKeyLen, 0)},
-		{"flow head past the end", "heads at", put32(flowOff+pkt.FlowKeyLen, uint32(n+1))},
+		{"event of a flow past the flow count", "is of flow", put32(fidOff+4*5, uint32(nf))},
 		{"type column invalid", "invalid type", mutate(func(b []byte) []byte { b[typOff+5] = 0; return b })},
 		{"type column out of range", "invalid type", mutate(func(b []byte) []byte { b[typOff+5] = 99; return b })},
-		{"record type disagrees with column", "invalid type", mutate(func(b []byte) []byte { b[recOff+5*fevent.RecordLen] ^= 3; return b })},
 	}
 	for _, tc := range cases {
 		err := p.st.LoadSnapshot(tc.data)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
-		p.compare(6, 3) // untouched
+		p.compare(flows, switches) // untouched
 	}
 	if err := p.st.LoadSnapshot(good); err != nil {
 		t.Fatalf("the unmodified image: %v", err)
 	}
-	p.compare(6, 3)
+	p.compare(flows, switches)
 }
 
-// TestLoadSnapshotFlowSectionAcrossProbeGroups loads a snapshot whose flow
-// section spans several of the flow table's probe groups and lists one
-// flow twice: first with a stale head (the flow's oldest event), in the
-// first group, then with its true head in a later one. The later entry
-// wins, the flow counts once, and the reloaded store answers a query by
-// flow exactly as the live store does, for every flow.
+// TestLoadSnapshotFlowSectionAcrossProbeGroups reloads a store whose flow
+// section spans several of the flow table's probe groups, and requires
+// the reloaded store to answer a query by flow exactly as the live store
+// does, for every flow. The same image with one flow of a later group
+// listed again at the end, heading at that flow's oldest event, is
+// rejected: a flow is one dictionary entry.
 func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
 	const flows = 10 * probeGroup
 	p := newPair(t, 29)
@@ -136,43 +167,41 @@ func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
 		p.deliver(uint16(1+seq%4), seq, ts, p.events(fevent.DefaultBatchSize, flows, 4, ts, 0))
 	}
 	live := p.st
-	snap := live.EncodeSnapshot()
-	le := binary.LittleEndian
-	flowOff := snapHeaderLen + int(le.Uint32(snap[12:]))*snapSeenLen
-	n := int(le.Uint32(snap[16:]))
+	n := len(live.flows.keys)
 	if n < 3*probeGroup {
 		t.Fatalf("%d flows fill fewer than three probe groups", n)
 	}
-	// The twice-listed flow: one in a later group with an older event.
-	dup := -1
-	var stale uint32
-	for j := 2 * probeGroup; j < n && dup < 0; j++ {
-		row := snap[flowOff+j*snapFlowLen:]
-		link := le.Uint32(row[pkt.FlowKeyLen:])
-		for oldest := link; oldest != 0; oldest = live.blocks[(oldest-1)/blockLen].prev[(oldest-1)%blockLen] {
-			link = oldest
-		}
-		if link != le.Uint32(row[pkt.FlowKeyLen:]) {
-			dup, stale = j, link
-		}
-	}
-	if dup < 0 {
-		t.Fatal("no flow past the second probe group has two events")
-	}
-	staleRow := le.AppendUint32(slices.Clone(snap[flowOff+dup*snapFlowLen:][:pkt.FlowKeyLen]), stale)
-	img := slices.Concat(snap[:flowOff], staleRow, snap[flowOff:])
-	le.PutUint32(img[16:], uint32(n+1))
-
 	fresh := NewStore()
-	if err := fresh.LoadSnapshot(img); err != nil {
+	if err := fresh.LoadSnapshot(live.EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.flows.n != live.flows.n {
-		t.Fatalf("reloaded table holds %d flows, live %d", fresh.flows.n, live.flows.n)
+	if !slices.Equal(fresh.Flows(), live.Flows()) {
+		t.Fatalf("reloaded dictionary holds %d flows, live %d, or in another order", len(fresh.flows.keys), n)
 	}
 	for _, f := range live.Flows() {
 		if got, want := fresh.Query(Filter{Flow: &f}), live.Query(Filter{Flow: &f}); !slices.Equal(got, want) {
 			t.Fatalf("flow %v: reloaded store answers %d events, live %d", f, len(got), len(want))
 		}
 	}
+
+	// The twice-listed flow: one past the second group with an older event.
+	for id := 2 * probeGroup; id < n; id++ {
+		head := live.flows.lookup(live.flows.keys[id][:]).head
+		oldest := head
+		for link := head; link != 0; link = live.blocks[(link-1)/blockLen].prev[(link-1)%blockLen] {
+			oldest = link
+		}
+		if oldest == head {
+			continue
+		}
+		img := withDuplicateFlow(live, id, oldest)
+		if err := fresh.LoadSnapshot(img); err == nil || !strings.Contains(err.Error(), "repeats") {
+			t.Fatalf("flow %d listed twice: error %v, want one naming the repeat", id, err)
+		}
+		if !slices.Equal(fresh.Flows(), live.Flows()) {
+			t.Fatal("the rejected image changed the store")
+		}
+		return
+	}
+	t.Fatal("no flow past the second probe group has two events")
 }

@@ -30,14 +30,19 @@ type batchKey struct {
 	seq uint64
 }
 
-// blockLen is the events per block: 16 Ki × 29 B of columns ≈ 0.46 MB,
+// blockLen is the events per block: 16 Ki × 19 B of columns ≈ 0.3 MB,
 // so a near-empty store costs one modest allocation and a time-slice scan
 // prunes, by [minTs, maxTs], to a handful of blocks (DESIGN §10).
 const blockLen = 16 << 10
 
 // rowBytes is what one event occupies across a block's columns, in
-// memory and in a snapshot alike; its switch and stamp are its run's.
-const rowBytes = 4 + 1 + fevent.RecordLen
+// memory and in a snapshot alike; its switch and stamp are its run's,
+// its flow key the dictionary's.
+const rowBytes = 4 + 4 + 1 + tailLen
+
+// tailLen is what a block keeps of a record beside its type byte and its
+// flow id: the bytes past the flow key.
+const tailLen = fevent.RecordTailLen
 
 // hintStride is how many positions one entry of a block's run hint
 // covers: a run lookup steps over at most hintStride-1 runs.
@@ -53,9 +58,10 @@ type run struct {
 }
 
 // block is a fixed-size, append-only partition of the event log, held as
-// pointer-free columns behind its summary and its run table. rec is the
-// 24 B record the wire, the WAL and the snapshot carry; typ repeats its
-// type byte so a filtered scan reads 1 B an event, not 24. prev chains
+// pointer-free columns behind its summary and its run table. The 24 B
+// record the wire and the WAL carry is held in three columns: typ, its
+// type byte, so a filtered scan reads 1 B an event; fid, its flow's id in
+// the store's flow dictionary; and tail, its last 10 bytes. prev chains
 // each event to the previous event of its flow, as position+1 (0 =
 // none), across blocks.
 type block struct {
@@ -73,8 +79,9 @@ type block struct {
 	minTs, maxTs int64
 	hint         [blockLen / hintStride]uint16
 	prev         [blockLen]uint32
+	fid          [blockLen]uint32
 	typ          [blockLen]uint8
-	rec          [blockLen * fevent.RecordLen]byte
+	tail         [blockLen * tailLen]byte
 }
 
 // sumRow counts one block's events from one reporting switch, by type
@@ -144,25 +151,38 @@ func (b *block) cover(r, from, to int) {
 	}
 }
 
-// load materialises event i, of run r; types are validated on every way
-// in, so the record always decodes.
-func (b *block) load(r *run, i int, e *fevent.Event) {
-	_ = e.DecodeRecord(b.rec[i*fevent.RecordLen:])
+// tailAt returns event i's tail.
+func (b *block) tailAt(i int) *[tailLen]byte { return (*[tailLen]byte)(b.tail[i*tailLen:]) }
+
+// record writes event i's 24 B record image to rec: its type, its flow's
+// key from the dictionary d, its tail.
+func (b *block) record(d *flowTable, i int, rec *[fevent.RecordLen]byte) {
+	rec[0] = b.typ[i]
+	*(*flowKey)(rec[fevent.RecordFlowOff:]) = d.keys[b.fid[i]]
+	*(*[tailLen]byte)(rec[fevent.RecordTailOff:]) = *b.tailAt(i)
+}
+
+// load materialises event i, of run r and flow fid, from its type, its
+// flow's key in the dictionary d and its tail; types are validated on
+// every way in, so the record always decodes.
+func (b *block) load(d *flowTable, fid uint32, r *run, i int, e *fevent.Event) {
+	_ = e.DecodeRecordParts(b.typ[i], &d.keys[fid], b.tailAt(i))
 	e.SwitchID, e.Timestamp = r.sw, sim.Time(r.ts)
 }
 
 // Store is an in-memory event store: append-only blocks in ingestion
-// order plus a flow → newest-event table, O(flows) not O(events). The
-// 4 B chain link caps it at 2³²−1 events (127 GB of blocks; -mem-budget
-// sheds long before). It is safe for concurrent use (the TCP server
-// ingests from multiple switch connections).
+// order plus a flow dictionary — each flow's key and newest event,
+// O(flows) not O(events). The 4 B chain link caps it at 2³²−1 events
+// (84 GB of blocks; -mem-budget sheds long before). It is safe for
+// concurrent use (the TCP server ingests from multiple switch
+// connections).
 type Store struct {
 	mu      sync.RWMutex
 	blocks  []*block
 	n       int       // stored events
 	sumRows int       // summary rows over all blocks
 	runCap  int       // run-table capacity over all blocks, in runs
-	flows   flowTable // flow → position+1 of its newest event
+	flows   flowTable // flow id → key and position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
 	seen       map[batchKey]struct{}
@@ -209,11 +229,11 @@ func (s *Store) sumRow(b *block, sw uint16) *sumRow {
 
 // appendRun stores a run of records — n × fevent.RecordLen bytes with
 // valid type bytes, all reported by switch sw at ts — at the next
-// positions, copied a block at a time and indexed from their bytes: the
-// only writer of the columns, the flow chains and — once per block the
-// run touches — the run tables and the summaries. A run that continues
-// the block's last one (same switch, same stamp) extends it, so runs are
-// maximal however their records arrive.
+// positions, split into columns a block at a time and indexed from their
+// bytes: the only writer of the columns, the flow chains and — once per
+// block the run touches — the run tables and the summaries. A run that
+// continues the block's last one (same switch, same stamp) extends it, so
+// runs are maximal however their records arrive.
 func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 	for len(recs) > 0 {
 		i := s.n % blockLen
@@ -221,21 +241,23 @@ func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 			s.blocks = append(s.blocks, &block{minTs: math.MaxInt64, maxTs: math.MinInt64})
 		}
 		b := s.blocks[len(s.blocks)-1]
-		k := copy(b.rec[i*fevent.RecordLen:], recs) / fevent.RecordLen
+		k := min(blockLen-i, len(recs)/fevent.RecordLen)
 		if last := len(b.runs) - 1; last < 0 || b.runs[last].sw != sw || b.runs[last].ts != ts {
 			s.runCap -= cap(b.runs)
 			b.runs = append(b.runs, run{ts: ts, start: uint16(i), sw: sw})
 			s.runCap += cap(b.runs)
 		}
 		b.cover(len(b.runs)-1, i, i+k)
-		row := s.sumRow(b, sw)
+		row, head := s.sumRow(b, sw), uint32(s.n)
 		for j, r := i, recs; j < i+k; j, r = j+1, r[fevent.RecordLen:] {
 			b.typ[j] = r[0]
+			*b.tailAt(j) = [tailLen]byte(r[fevent.RecordTailOff:])
 			row.n[r[0]-1]++
-			s.n++
-			b.prev[j] = uint32(s.n) // the new head, swapped below for the old
+			head++
+			b.prev[j] = head // the new head, swapped below for the old
 		}
-		s.flows.swapRun(recs[fevent.RecordFlowOff:], fevent.RecordLen, b.prev[i:i+k])
+		s.n += k
+		s.flows.swapRun(recs[fevent.RecordFlowOff:], fevent.RecordLen, b.prev[i:i+k], b.fid[i:i+k])
 		b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
 		b.n += k
 		recs = recs[k*fevent.RecordLen:]
@@ -349,7 +371,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc(obs.MStoreFlows, "Distinct flows with at least one stored event.", func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return float64(s.flows.n)
+		return float64(len(s.flows.keys))
 	})
 	r.CounterFunc(obs.MStoreDupBatches, "Replayed batches dropped by (switch, seq) dedup.", func() float64 {
 		return float64(s.DupBatches())
@@ -377,13 +399,13 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 
 // Resident cost of what the store holds, for admission control. A block
 // is charged whole, when it is allocated, rounded up to the allocator's
-// 8 KiB pages; a run table and the flow table for every entry and slot
-// they have allocated; a summary row twice its 16 B, the capacity of a
-// slice that has just doubled; and a dedup map entry at the worst a Go
-// map of 16 B keys and empty values measures — a 24 B slot (an empty
-// value pads it) and a control byte at the 7/16 load of a table that has
-// just doubled or split, in its allocator size class. So the estimate
-// errs high and admission control engages early, not late
+// 8 KiB pages; a run table and the flow dictionary for every entry and
+// index cell they have allocated; a summary row twice its 16 B, the
+// capacity of a slice that has just doubled; and a dedup map entry at the
+// worst a Go map of 16 B keys and empty values measures — a 24 B slot (an
+// empty value pads it) and a control byte at the 7/16 load of a table
+// that has just doubled or split, in its allocator size class. So the
+// estimate errs high and admission control engages early, not late
 // (TestMemoryBytesCoversTheHeap).
 const (
 	blockMemCost  = (int64(unsafe.Sizeof(block{})) + 8191) &^ 8191
@@ -398,7 +420,7 @@ func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return int64(len(s.blocks))*blockMemCost + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
-		int64(len(s.flows.slots))*flowSlotBytes + int64(len(s.seen))*seenMemCost
+		flowTableBytes(len(s.flows.index)) + int64(len(s.seen))*seenMemCost
 }
 
 // Len returns the number of stored events.
@@ -445,22 +467,23 @@ func (q *selector) keeps(r *run, inWindow bool) bool {
 // drop code — reading only the columns q names.
 func (q *selector) match(b *block, i int) bool {
 	return (q.typ == 0 || b.typ[i] == q.typ) &&
-		(q.code == 0 || b.rec[i*fevent.RecordLen+fevent.RecordDropCodeOff] == q.code)
+		(q.code == 0 || b.tail[i*tailLen+fevent.RecordDropCodeOff-fevent.RecordTailOff] == q.code)
 }
 
-// visit calls fn(b, r, i) for every stored event matching f — event i of
-// block b, in run r — in ingestion order, with s.mu held, and returns how
-// many match: the store's only read path. A flow filter walks that
-// flow's chain (newest first, replayed reversed), so a point lookup costs
-// O(the flow's events); a step looks up its event's run only to test a
-// switch or a stamp the block does not settle, or to hand it to fn.
+// visit calls fn(b, r, i, fid) for every stored event matching f — event
+// i of block b, in run r, of flow fid — in ingestion order, with s.mu
+// held, and returns how many match: the store's only read path. A flow
+// filter walks that flow's chain (newest first, replayed reversed), so a
+// point lookup costs O(the flow's events) and reads no fid; a step looks
+// up its event's run only to test a switch or a stamp the block does not
+// settle, or to hand it to fn.
 // Anything else goes block by block: one whose [minTs, maxTs] misses
 // [Since, Until], or whose summary holds no event of f's switch and type,
 // is skipped; with a nil fn — a count — one lying inside the window is
 // answered from its summary without reading an event; the rest (window
 // edges, a drop code) are scanned a run at a time, switch and stamp
 // tested once a run, type and code column-wise within it.
-func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int)) int {
+func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int, fid uint32)) int {
 	q := selector{bySw: f.SwitchID != nil, typ: uint8(f.Type), code: uint8(f.DropCode), since: int64(f.Since), until: int64(f.Until)}
 	if q.bySw {
 		q.sw = *f.SwitchID
@@ -480,7 +503,9 @@ func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int)) int {
 		chain := buf[:0]
 		var key flowKey
 		f.Flow.PutWire(key[:])
-		for link := s.flows.get(key[:]); link != 0; {
+		c := s.flows.lookup(key[:])
+		fid := c.id - 1
+		for link := c.head; link != 0; {
 			b, i := s.blocks[(link-1)/blockLen], int((link-1)%blockLen)
 			inWindow := q.covers(b)
 			if q.match(b, i) && (!q.bySw && inWindow || q.keeps(&b.runs[b.runAt(i)], inWindow)) {
@@ -493,7 +518,7 @@ func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int)) int {
 		}
 		for k := len(chain) - 1; k >= 0; k-- {
 			b, i := s.blocks[chain[k]/blockLen], int(chain[k]%blockLen)
-			fn(b, &b.runs[b.runAt(i)], i)
+			fn(b, &b.runs[b.runAt(i)], i, fid)
 		}
 		return total
 	}
@@ -519,7 +544,7 @@ func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int)) int {
 				if q.match(b, i) {
 					total++
 					if fn != nil {
-						fn(b, ru, i)
+						fn(b, ru, i, b.fid[i])
 					}
 				}
 			}
@@ -539,9 +564,9 @@ func (s *Store) Query(f Filter) []fevent.Event {
 	if f.Flow == nil {
 		out = make([]fevent.Event, 0, s.visit(&f, nil))
 	}
-	s.visit(&f, func(b *block, r *run, i int) {
+	s.visit(&f, func(b *block, r *run, i int, fid uint32) {
 		out = append(out, fevent.Event{})
-		b.load(r, i, &out[len(out)-1])
+		b.load(&s.flows, fid, r, i, &out[len(out)-1])
 	})
 	return out
 }
@@ -553,16 +578,14 @@ func (s *Store) Count(f Filter) int {
 	return s.visit(&f, nil)
 }
 
-// Flows returns the distinct flows with stored events.
+// Flows returns the distinct flows with stored events, in the order the
+// store first saw them.
 func (s *Store) Flows() []pkt.FlowKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]pkt.FlowKey, 0, s.flows.n)
-	for i := range s.flows.slots {
-		if sl := &s.flows.slots[i]; sl.head != 0 {
-			f, _ := pkt.FlowKeyFromWire(sl.key[:]) // 13 bytes always decode
-			out = append(out, f)
-		}
+	out := make([]pkt.FlowKey, len(s.flows.keys))
+	for i := range s.flows.keys {
+		out[i].SetWire(&s.flows.keys[i])
 	}
 	return out
 }
@@ -610,18 +633,17 @@ type SummaryRow struct {
 
 // Summary aggregates stored events per (switch, type) — the operator's
 // first look at where the network is misbehaving. Event counts come from
-// the block summaries; distinct flows take a pass over the records' flow
-// bytes.
+// the block summaries; distinct flows take a pass over the flow ids.
 func (s *Store) Summary() []SummaryRow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	flowSets := make(map[swType]map[flowKey]struct{})
-	s.visit(&Filter{}, func(b *block, r *run, i int) {
+	flowSets := make(map[swType]map[uint32]struct{})
+	s.visit(&Filter{}, func(b *block, r *run, i int, fid uint32) {
 		k := swType{r.sw, fevent.Type(b.typ[i])}
 		if flowSets[k] == nil {
-			flowSets[k] = make(map[flowKey]struct{})
+			flowSets[k] = make(map[uint32]struct{})
 		}
-		flowSets[k][flowKey(b.rec[i*fevent.RecordLen+fevent.RecordFlowOff:])] = struct{}{}
+		flowSets[k][fid] = struct{}{}
 	})
 	counts := s.totals()
 	out := make([]SummaryRow, 0, len(counts))
@@ -653,8 +675,8 @@ func (s *Store) PathOf(flow pkt.FlowKey) []PathHop {
 	defer s.mu.RUnlock()
 	latest := make(map[uint16]PathHop)
 	var e fevent.Event
-	s.visit(&Filter{Flow: &flow, Type: fevent.TypePathChange}, func(b *block, r *run, i int) {
-		b.load(r, i, &e)
+	s.visit(&Filter{Flow: &flow, Type: fevent.TypePathChange}, func(b *block, r *run, i int, fid uint32) {
+		b.load(&s.flows, fid, r, i, &e)
 		if prev, ok := latest[e.SwitchID]; !ok || e.Timestamp >= prev.At {
 			latest[e.SwitchID] = PathHop{
 				SwitchID: e.SwitchID, In: e.IngressPort, Out: e.EgressPort, At: e.Timestamp,
@@ -683,8 +705,8 @@ func (s *Store) LatencyHistogram(f Filter) obs.HistogramSnapshot {
 	h := obs.NewHistogram(obs.LatencyBuckets())
 	var e fevent.Event
 	f.Type = fevent.TypeCongestion
-	s.visit(&f, func(b *block, r *run, i int) {
-		b.load(r, i, &e)
+	s.visit(&f, func(b *block, r *run, i int, fid uint32) {
+		b.load(&s.flows, fid, r, i, &e)
 		h.Observe(float64(e.QueueLatencyUs))
 	})
 	return h.Snapshot()

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -212,9 +211,12 @@ func (p *pair) remove(evs []fevent.Event) {
 // reload round-trips the store through its snapshot into a fresh store.
 func (p *pair) reload() {
 	p.t.Helper()
-	fresh := NewStore()
-	if err := fresh.LoadSnapshot(p.st.EncodeSnapshot()); err != nil {
+	fresh, img := NewStore(), p.st.EncodeSnapshot()
+	if err := fresh.LoadSnapshot(img); err != nil {
 		p.t.Fatalf("LoadSnapshot of own snapshot: %v", err)
+	}
+	if again := fresh.EncodeSnapshot(); !bytes.Equal(again, img) {
+		p.t.Fatalf("a reloaded store re-encodes to a different image (%d bytes, was %d)", len(again), len(img))
 	}
 	p.st = fresh
 }
@@ -714,32 +716,11 @@ func TestStoreModelCatchesStaleSummaries(t *testing.T) {
 	}
 }
 
-// sortedSnapshot returns the store's snapshot with its dedup and flow
-// sections sorted: both are written in table order, which differs from
-// store to store (a Go map, a per-store hash seed).
-func sortedSnapshot(st *Store) []byte {
-	snap := st.EncodeSnapshot()
-	le := binary.LittleEndian
-	seenEnd := snapHeaderLen + int(le.Uint32(snap[12:]))*snapSeenLen
-	flowEnd := seenEnd + int(le.Uint32(snap[16:]))*snapFlowLen
-	sortRows := func(sec []byte, width int) {
-		rows := make([]string, len(sec)/width)
-		for i := range rows {
-			rows[i] = string(sec[i*width : (i+1)*width])
-		}
-		sort.Strings(rows)
-		copy(sec, strings.Join(rows, ""))
-	}
-	sortRows(snap[snapHeaderLen:seenEnd], snapSeenLen)
-	sortRows(snap[seenEnd:flowEnd], snapFlowLen)
-	return snap
-}
-
 // TestPayloadDeliveryEqualsEventsDelivery feeds one store decoded batches
 // and another the same batches as frame payloads whose undefined detail
 // bytes are set on the wire — empty, single-record and full batches,
 // traced and untraced, replays, enough of them to cross a block boundary
-// — and requires equal answers and, up to table order, equal snapshots:
+// — and requires equal answers and equal snapshots, byte for byte:
 // a holder of the bytes keeps exactly the AppendRecord(DecodeRecord(rec))
 // image a holder of the events writes.
 func TestPayloadDeliveryEqualsEventsDelivery(t *testing.T) {
@@ -776,7 +757,7 @@ func TestPayloadDeliveryEqualsEventsDelivery(t *testing.T) {
 	if a, b := byEvents.MemoryBytes(), byPayload.MemoryBytes(); a != b {
 		t.Fatalf("MemoryBytes: %d by events, %d by payload", a, b)
 	}
-	if !bytes.Equal(sortedSnapshot(byEvents), sortedSnapshot(byPayload)) {
-		t.Fatal("the two stores' snapshots differ beyond table order: a payload-fed store does not hold the canonical record image")
+	if !bytes.Equal(byEvents.EncodeSnapshot(), byPayload.EncodeSnapshot()) {
+		t.Fatal("the two stores' snapshots differ: a payload-fed store does not hold the canonical record image")
 	}
 }

@@ -196,7 +196,7 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 		t.Fatalf("summaries hold %v rows, want [%d 5]", got, blockLen)
 	}
 	summariesFromColumns(t, st)
-	want := 2*blockMemCost + n*sumRowMemCost + int64(st.runCap)*runMemCost + int64(flowSlotsFor(1))*flowSlotBytes
+	want := 2*blockMemCost + n*sumRowMemCost + int64(st.runCap)*runMemCost + flowTableBytes(flowSlotsFor(1))
 	if got := st.MemoryBytes(); got != want || st.runCap < n {
 		t.Errorf("MemoryBytes = %d, want %d: two blocks, %d summary rows and runs (%d charged), one flow", got, want, n, st.runCap)
 	}
@@ -217,7 +217,7 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 		t.Fatalf("RemoveEvents removed %d, want %d", removed, n-5)
 	}
 	summariesFromColumns(t, st)
-	if got, want := st.MemoryBytes(), blockMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+int64(flowSlotsFor(1))*flowSlotBytes; got != want || st.runCap > 8 {
+	if got, want := st.MemoryBytes(), blockMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+flowTableBytes(flowSlotsFor(1)); got != want || st.runCap > 8 {
 		t.Errorf("after RemoveEvents MemoryBytes = %d, want %d", got, want)
 	}
 }
@@ -299,7 +299,7 @@ func TestMemoryBytesCoversTheHeap(t *testing.T) {
 		st.Deliver(&fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs[:sizes[seq%8]]})
 	}
 	heap, est := live()-before, st.MemoryBytes()
-	t.Logf("%d events, %d flows, %d batches: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), st.flows.n, len(st.seen), est, heap, float64(est)/float64(heap))
+	t.Logf("%d events, %d flows, %d batches: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), len(st.flows.keys), len(st.seen), est, heap, float64(est)/float64(heap))
 	if est < heap || est > heap*11/10 {
 		t.Errorf("MemoryBytes = %d against %d B of heap growth: want within [1, 1.1]×", est, heap)
 	}

@@ -95,8 +95,8 @@ func SplitBatch(data []byte) (sw uint16, ts sim.Time, recs, rest []byte, err err
 		if mask == 0 {
 			return 0, 0, nil, nil, fmt.Errorf("fevent: invalid event type %d", r[0])
 		}
-		if d := binary.BigEndian.Uint32(r[recordDetailOff:]); d&^mask != 0 {
-			binary.BigEndian.PutUint32(r[recordDetailOff:], d&mask)
+		if d := binary.BigEndian.Uint32(r[RecordTailOff:]); d&^mask != 0 {
+			binary.BigEndian.PutUint32(r[RecordTailOff:], d&mask)
 		}
 	}
 	return sw, ts, recs, rest, nil

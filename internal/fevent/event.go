@@ -254,13 +254,13 @@ func (e *Event) String() string {
 const RecordLen = 24
 
 // Offsets into a record, for readers that index and filter stored records
-// without decoding them: the 13 B flow key, and where a drop record keeps
-// its reason.
+// without decoding them: the 13 B flow key, the tail past it (detail,
+// count, hash), and where a drop record keeps its reason.
 const (
 	RecordFlowOff     = 1
+	RecordTailOff     = RecordFlowOff + pkt.FlowKeyLen
+	RecordTailLen     = RecordLen - RecordTailOff
 	RecordDropCodeOff = 16
-
-	recordDetailOff = 14
 )
 
 // AppendRecord appends the 24-byte record encoding of e to b.
@@ -317,46 +317,49 @@ func (e *Event) DecodeRecord(b []byte) error {
 	if len(b) < RecordLen {
 		return fmt.Errorf("fevent: record truncated: %d bytes", len(b))
 	}
-	t := Type(b[0])
+	return e.DecodeRecordParts(b[0], (*[pkt.FlowKeyLen]byte)(b[RecordFlowOff:]), (*[RecordTailLen]byte)(b[RecordTailOff:]))
+}
+
+// DecodeRecordParts is DecodeRecord of the record typ | flow | tail, for a
+// holder that keeps a record's type byte, flow key and tail apart.
+func (e *Event) DecodeRecordParts(typ byte, flow *[pkt.FlowKeyLen]byte, tail *[RecordTailLen]byte) error {
+	t := Type(typ)
 	if !t.Valid() {
-		return fmt.Errorf("fevent: invalid event type %d", b[0])
+		return fmt.Errorf("fevent: invalid event type %d", typ)
 	}
 	e.Type = t
-	flow, err := pkt.FlowKeyFromWire(b[1:14])
-	if err != nil {
-		return err
-	}
-	e.Flow = flow
+	e.Flow.SetWire(flow)
 	e.IngressPort, e.EgressPort, e.Queue = 0, 0, 0
 	e.QueueLatencyUs, e.DropCode, e.ACLRule = 0, DropNone, 0
 	e.Window, e.SketchErr = 0, 0
+	d := tail[:4] // the detail bytes
 	switch t {
 	case TypeDrop:
-		e.IngressPort = b[14]
-		e.EgressPort = b[15]
-		e.DropCode = DropCode(b[RecordDropCodeOff])
-		e.ACLRule = b[17]
+		e.IngressPort = d[0]
+		e.EgressPort = d[1]
+		e.DropCode = DropCode(d[RecordDropCodeOff-RecordTailOff])
+		e.ACLRule = d[3]
 	case TypeCongestion:
-		e.EgressPort = b[14]
-		e.Queue = b[15]
-		e.QueueLatencyUs = binary.BigEndian.Uint16(b[16:18])
+		e.EgressPort = d[0]
+		e.Queue = d[1]
+		e.QueueLatencyUs = binary.BigEndian.Uint16(d[2:4])
 	case TypePathChange:
-		e.IngressPort = b[14]
-		e.EgressPort = b[15]
+		e.IngressPort = d[0]
+		e.EgressPort = d[1]
 	case TypePause:
-		e.EgressPort = b[14]
-		e.Queue = b[15]
+		e.EgressPort = d[0]
+		e.Queue = d[1]
 	case TypeHeavyHitter:
-		e.IngressPort = b[14]
-		e.EgressPort = b[15]
+		e.IngressPort = d[0]
+		e.EgressPort = d[1]
 	case TypeTopKChurn:
-		e.EgressPort = b[14]
-		e.SketchErr = binary.BigEndian.Uint16(b[16:18])
+		e.EgressPort = d[0]
+		e.SketchErr = binary.BigEndian.Uint16(d[2:4])
 	case TypeAggSpike:
-		e.EgressPort = b[14]
-		e.Window = binary.BigEndian.Uint16(b[16:18])
+		e.EgressPort = d[0]
+		e.Window = binary.BigEndian.Uint16(d[2:4])
 	}
-	e.Count = binary.BigEndian.Uint16(b[18:20])
-	e.Hash = binary.BigEndian.Uint32(b[20:24])
+	e.Count = binary.BigEndian.Uint16(tail[4:6])
+	e.Hash = binary.BigEndian.Uint32(tail[6:10])
 	return nil
 }

@@ -119,13 +119,18 @@ func FlowKeyFromWire(b []byte) (FlowKey, error) {
 	if len(b) < FlowKeyLen {
 		return FlowKey{}, fmt.Errorf("pkt: flow key truncated: %d bytes", len(b))
 	}
-	return FlowKey{
-		SrcIP:   binary.BigEndian.Uint32(b[0:4]),
-		DstIP:   binary.BigEndian.Uint32(b[4:8]),
-		SrcPort: binary.BigEndian.Uint16(b[8:10]),
-		DstPort: binary.BigEndian.Uint16(b[10:12]),
-		Proto:   b[12],
-	}, nil
+	var k FlowKey
+	k.SetWire((*[FlowKeyLen]byte)(b))
+	return k, nil
+}
+
+// SetWire sets k from its canonical 13-byte encoding, in place.
+func (k *FlowKey) SetWire(b *[FlowKeyLen]byte) {
+	k.SrcIP = binary.BigEndian.Uint32(b[0:4])
+	k.DstIP = binary.BigEndian.Uint32(b[4:8])
+	k.SrcPort = binary.BigEndian.Uint16(b[8:10])
+	k.DstPort = binary.BigEndian.Uint16(b[10:12])
+	k.Proto = b[12]
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
