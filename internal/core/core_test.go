@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"netseer/internal/dataplane"
@@ -446,5 +447,22 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 		if got, want := vs.Field(i).Uint(), uint64(101*(i+1)); got != want {
 			t.Errorf("%s = %d, want %d", vs.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// TestAttachHeapBudget bounds what NetSeer allocates on a 10-port switch
+// (a testbed edge switch) with the default Config: the group-caching
+// tables at 32 B a slot and the rings at 20 B keep it under 1 MiB.
+func TestAttachHeapBudget(t *testing.T) {
+	sw := dataplane.NewSwitch(sim.New(), 1, "edge", dataplane.Config{}, func(uint32) []int { return nil }, nil)
+	for i := 0; i < 10; i++ {
+		sw.AddPort(nil, true, 10e9)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Attach(sw, Config{}, &memSink{})
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("Attach allocated %d B, budget 1 MiB", n)
 	}
 }

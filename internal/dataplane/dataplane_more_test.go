@@ -211,7 +211,13 @@ func TestGroundTruthDisabled(t *testing.T) {
 	r.gt.Enabled = false
 	r.sendAB(100, 1, 0) // TTL drop
 	r.sim.RunAll()
-	if len(r.gt.Events) != 0 || r.gt.TypePackets != [len(r.gt.TypePackets)]int{} {
+	r.sw0.ACL().Add(ACLRule{ID: 7, Action: ACLDeny, DstIP: r.hB.IP, DstMask: 0xffffffff})
+	r.sendAB(100, 64, 0) // ACL deny
+	r.sim.RunAll()
+	if r.sw0.DropsByCode()[fevent.DropACLDeny] != 1 {
+		t.Fatal("the ACL deny did not happen")
+	}
+	if len(r.gt.Events) != 0 || r.gt.TypePackets != [len(r.gt.TypePackets)]int{} || len(r.gt.ACLDenies) != 0 {
 		t.Error("disabled ledger recorded drops")
 	}
 }

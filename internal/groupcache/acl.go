@@ -65,10 +65,13 @@ func (a *ACLAggregator) emit(s *aclState) {
 	a.report(&a.scratch)
 }
 
-// Flush reports the final counter of every rule.
+// Flush reports the final counter of every rule, in ascending rule id:
+// a map's order would change from run to run.
 func (a *ACLAggregator) Flush() {
-	for _, s := range a.counter {
-		a.emit(s)
+	for rule := 0; rule < 256; rule++ {
+		if s := a.counter[uint8(rule)]; s != nil {
+			a.emit(s)
+		}
 	}
 }
 

@@ -18,7 +18,10 @@
 package groupcache
 
 import (
+	"encoding/binary"
+
 	"netseer/internal/fevent"
+	"netseer/internal/pkt"
 )
 
 // DefaultSlots is the default table size per event type; the paper sizes
@@ -51,7 +54,8 @@ type Table struct {
 	scratch fevent.Event
 
 	// Stats. Plain counters: the table is single-owner (one pipeline) and
-	// Offer's ~16 ns budget leaves no room for atomic adds; scrapes read
+	// an Offer takes ~10 ns (BenchmarkGroupCacheOffer, 2-CPU x86-64
+	// host), which leaves no room for atomic adds; scrapes read
 	// owner-published mirrors instead (see internal/obs).
 	ingested  uint64 // event packets offered
 	reported  uint64 // flow events emitted
@@ -60,12 +64,16 @@ type Table struct {
 	rereports uint64 // periodic C-crossing re-reports of aggregated events
 }
 
+// entry is one slot: what the flow event's 24 B record carries (§3.4), in
+// native form, plus the slot's counter and its next report target — 32 B,
+// two slots to a cache line (TestSlotIsRecordWidth).
 type entry struct {
-	used    bool
-	key     fevent.Key
-	ev      fevent.Event // representative event (detail fields from installer)
+	flow    pkt.FlowKey
+	hash    uint32
+	det     [4]byte // the record's detail bytes, laid out as by AppendRecord
 	counter uint16
 	target  uint16
+	typ     fevent.Type // 0: the slot is empty
 }
 
 // New creates a table with the given number of slots and counter interval
@@ -89,11 +97,14 @@ func New(slots int, c uint16, report ReportFunc) *Table {
 	return &Table{slots: make([]entry, slots), mask: mask, c: c, report: report}
 }
 
-// Offer processes one event packet (Algorithm 1). ev's Count field is
-// ignored on input; produced events carry the aggregated count.
+// Offer processes one event packet (Algorithm 1). ev.Type must be a
+// valid type. A table keeps only what the event's record carries — type,
+// flow, the detail fields of its type and hash — so an emitted event has
+// every other field zero: SwitchID and Timestamp are the report func's to
+// stamp. ev's Count field is ignored on input; produced events carry the
+// aggregated count.
 func (t *Table) Offer(ev *fevent.Event) {
 	t.ingested++
-	key := ev.Key()
 	var idx int
 	if t.mask >= 0 {
 		idx = int(ev.Hash) & t.mask
@@ -101,10 +112,12 @@ func (t *Table) Offer(ev *fevent.Event) {
 		idx = int(ev.Hash % uint32(len(t.slots)))
 	}
 	s := &t.slots[idx]
-	if s.used && s.key == key {
+	if s.typ == ev.Type && s.holds(ev) {
 		// Same flow event: aggregate (lines 3–7).
 		s.counter++
-		s.ev.QueueLatencyUs = maxU16(s.ev.QueueLatencyUs, ev.QueueLatencyUs)
+		if ev.Type == fevent.TypeCongestion && ev.QueueLatencyUs > binary.BigEndian.Uint16(s.det[2:]) {
+			binary.BigEndian.PutUint16(s.det[2:], ev.QueueLatencyUs)
+		}
 		t.merged++
 		if s.counter >= s.target {
 			t.rereports++
@@ -114,24 +127,82 @@ func (t *Table) Offer(ev *fevent.Event) {
 		return
 	}
 	// Different flow event: install and report (lines 8–12).
-	if s.used {
+	if s.typ != 0 {
 		t.evictions++
 		// Report the evicted event so its final count is not lost.
 		t.emit(s)
 	}
-	s.used = true
-	s.key = key
-	s.ev = *ev
+	s.install(ev)
 	s.counter = 1
 	s.target = t.c
 	t.emit(s)
 }
 
+// holds reports whether the resident event, of ev's type, has ev's Key:
+// the flow (which an ACL deny's Key leaves out) and the detail bytes the
+// type's Key takes.
+func (s *entry) holds(ev *fevent.Event) bool {
+	switch ev.Type {
+	case fevent.TypeDrop:
+		return s.det[2] == byte(ev.DropCode) && s.det[3] == ev.ACLRule &&
+			(ev.DropCode == fevent.DropACLDeny || s.flow == ev.Flow)
+	case fevent.TypePathChange:
+		return s.det[0] == ev.IngressPort && s.det[1] == ev.EgressPort && s.flow == ev.Flow
+	case fevent.TypeAggSpike:
+		return s.det[0] == ev.EgressPort && binary.BigEndian.Uint16(s.det[2:]) == ev.Window && s.flow == ev.Flow
+	}
+	return s.flow == ev.Flow
+}
+
+// install stores ev's record fields in the slot.
+func (s *entry) install(ev *fevent.Event) {
+	s.typ, s.flow, s.hash = ev.Type, ev.Flow, ev.Hash
+	d := &s.det
+	*d = [4]byte{}
+	switch ev.Type {
+	case fevent.TypeDrop:
+		d[0], d[1], d[2], d[3] = ev.IngressPort, ev.EgressPort, byte(ev.DropCode), ev.ACLRule
+	case fevent.TypeCongestion:
+		d[0], d[1] = ev.EgressPort, ev.Queue
+		binary.BigEndian.PutUint16(d[2:], ev.QueueLatencyUs)
+	case fevent.TypePathChange, fevent.TypeHeavyHitter:
+		d[0], d[1] = ev.IngressPort, ev.EgressPort
+	case fevent.TypePause:
+		d[0], d[1] = ev.EgressPort, ev.Queue
+	case fevent.TypeTopKChurn:
+		d[0] = ev.EgressPort
+		binary.BigEndian.PutUint16(d[2:], ev.SketchErr)
+	case fevent.TypeAggSpike:
+		d[0] = ev.EgressPort
+		binary.BigEndian.PutUint16(d[2:], ev.Window)
+	}
+}
+
+// emit rebuilds the resident event into the zeroed scratch event and
+// reports it with the slot's count.
 func (t *Table) emit(s *entry) {
-	t.scratch = s.ev
-	t.scratch.Count = s.counter
+	e := &t.scratch
+	// Zeroed in place, then field by field: a composite literal is built
+	// on the stack and copied in wide, stalling on its own narrow stores.
+	*e = fevent.Event{}
+	e.Type, e.Flow, e.Hash, e.Count = s.typ, s.flow, s.hash, s.counter
+	d := &s.det
+	switch s.typ {
+	case fevent.TypeDrop:
+		e.IngressPort, e.EgressPort, e.DropCode, e.ACLRule = d[0], d[1], fevent.DropCode(d[2]), d[3]
+	case fevent.TypeCongestion:
+		e.EgressPort, e.Queue, e.QueueLatencyUs = d[0], d[1], binary.BigEndian.Uint16(d[2:])
+	case fevent.TypePathChange, fevent.TypeHeavyHitter:
+		e.IngressPort, e.EgressPort = d[0], d[1]
+	case fevent.TypePause:
+		e.EgressPort, e.Queue = d[0], d[1]
+	case fevent.TypeTopKChurn:
+		e.EgressPort, e.SketchErr = d[0], binary.BigEndian.Uint16(d[2:])
+	case fevent.TypeAggSpike:
+		e.EgressPort, e.Window = d[0], binary.BigEndian.Uint16(d[2:])
+	}
 	t.reported++
-	t.report(&t.scratch)
+	t.report(e)
 }
 
 // Flush reports and clears every resident entry, delivering final counters.
@@ -140,9 +211,9 @@ func (t *Table) emit(s *entry) {
 func (t *Table) Flush() {
 	for i := range t.slots {
 		s := &t.slots[i]
-		if s.used {
+		if s.typ != 0 {
 			t.emit(s)
-			s.used = false
+			s.typ = 0
 		}
 	}
 }
@@ -162,7 +233,7 @@ func (t *Table) Rereports() uint64 { return t.rereports }
 func (t *Table) Len() int {
 	n := 0
 	for i := range t.slots {
-		if t.slots[i].used {
+		if t.slots[i].typ != 0 {
 			n++
 		}
 	}
@@ -171,10 +242,3 @@ func (t *Table) Len() int {
 
 // Slots returns the table capacity.
 func (t *Table) Slots() int { return len(t.slots) }
-
-func maxU16(a, b uint16) uint16 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,6 +2,7 @@ package groupcache
 
 import (
 	"testing"
+	"unsafe"
 
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
@@ -267,6 +268,27 @@ func TestACLSeparateRules(t *testing.T) {
 	}
 }
 
+// TestACLFlushIsRuleOrder: a switch denying on several rules reports
+// their final counters in ascending rule id, the same on every run.
+func TestACLFlushIsRuleOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		var c capture
+		acl := NewACLAggregator(1000, c.report)
+		for _, rule := range []uint8{200, 3, 77, 9} {
+			acl.Offer(rule, dropPacket(flowN(uint32(rule)), fevent.DropACLDeny))
+		}
+		c.events = c.events[:0]
+		acl.Flush()
+		var got []uint8
+		for _, e := range c.events {
+			got = append(got, e.ACLRule)
+		}
+		if len(got) != 4 || got[0] != 3 || got[1] != 9 || got[2] != 77 || got[3] != 200 {
+			t.Fatalf("run %d: flush order %v, want [3 9 77 200]", run, got)
+		}
+	}
+}
+
 func TestACLCountSaturates(t *testing.T) {
 	var c capture
 	acl := NewACLAggregator(0xffff, c.report)
@@ -382,5 +404,185 @@ func TestOfferZeroAllocSteadyState(t *testing.T) {
 	}
 	if reports == 0 {
 		t.Fatal("report callback never fired — the measured path skipped emission")
+	}
+}
+
+// refTable is the table as it was before slots shrank to the record's
+// width: a slot holds the whole offered event and its Key. It is the
+// model TestTableMatchesReference holds Table to.
+type refTable struct {
+	slots   []refEntry
+	c       uint16
+	report  ReportFunc
+	scratch fevent.Event
+
+	ingested, reported, merged, evictions, rereports uint64
+}
+
+type refEntry struct {
+	used    bool
+	key     fevent.Key
+	ev      fevent.Event
+	counter uint16
+	target  uint16
+}
+
+func (t *refTable) Offer(ev *fevent.Event) {
+	t.ingested++
+	key := ev.Key()
+	s := &t.slots[ev.Hash%uint32(len(t.slots))]
+	if s.used && s.key == key {
+		s.counter++
+		s.ev.QueueLatencyUs = max(s.ev.QueueLatencyUs, ev.QueueLatencyUs)
+		t.merged++
+		if s.counter >= s.target {
+			t.rereports++
+			t.emit(s)
+			s.target += t.c
+		}
+		return
+	}
+	if s.used {
+		t.evictions++
+		t.emit(s)
+	}
+	*s = refEntry{used: true, key: key, ev: *ev, counter: 1, target: t.c}
+	t.emit(s)
+}
+
+func (t *refTable) emit(s *refEntry) {
+	t.scratch = s.ev
+	t.scratch.Count = s.counter
+	t.reported++
+	t.report(&t.scratch)
+}
+
+func (t *refTable) Flush() {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.used {
+			t.emit(s)
+			s.used = false
+		}
+	}
+}
+
+func (t *refTable) Len() (n int) {
+	for i := range t.slots {
+		if t.slots[i].used {
+			n++
+		}
+	}
+	return n
+}
+
+// randomEvent draws an event packet of any type over a few flows and
+// detail values, setting only what a record carries, so that streams
+// repeat keys, share slots and cross C. Half the hashes are small
+// numbers unrelated to the flow: different keys collide on them and one
+// key lands in several slots.
+func randomEvent(rng *sim.Stream) fevent.Event {
+	f := flowN(uint32(rng.Intn(5)))
+	u8 := func(n int) uint8 { return uint8(rng.Intn(n)) }
+	ev := fevent.Event{Type: fevent.Types[rng.Intn(len(fevent.Types))], Flow: f, Hash: f.Hash()}
+	if rng.Bool(0.5) {
+		ev.Hash = uint32(rng.Intn(8))
+	}
+	switch ev.Type {
+	case fevent.TypeDrop:
+		ev.IngressPort, ev.EgressPort = u8(3), u8(3)
+		ev.DropCode = []fevent.DropCode{fevent.DropMMUCongestion, fevent.DropACLDeny, fevent.DropNoRoute}[rng.Intn(3)]
+		if ev.DropCode == fevent.DropACLDeny {
+			ev.ACLRule = u8(3)
+		}
+	case fevent.TypeCongestion:
+		ev.EgressPort, ev.Queue = u8(2), u8(2)
+		ev.QueueLatencyUs = uint16(rng.Intn(70000))
+	case fevent.TypePathChange, fevent.TypeHeavyHitter:
+		ev.IngressPort, ev.EgressPort = u8(3), u8(3)
+	case fevent.TypePause:
+		ev.EgressPort, ev.Queue = u8(2), u8(2)
+	case fevent.TypeTopKChurn:
+		ev.EgressPort, ev.SketchErr = u8(2), uint16(rng.Intn(70000))
+	case fevent.TypeAggSpike:
+		ev.Flow = pkt.FlowKey{}
+		ev.EgressPort, ev.Window = u8(3), uint16(rng.Intn(3))
+	}
+	return ev
+}
+
+// TestTableMatchesReference offers the same seeded streams of all seven
+// event types to a Table and to the reference model: every emitted event
+// must be equal field for field, and so must the counters. The report
+// func stamps each event as core's onFlowEvent does, so a stamp that
+// outlived its call would show in a later report.
+func TestTableMatchesReference(t *testing.T) {
+	var evictions, rereports uint64
+	for seed := uint64(1); seed <= 240; seed++ {
+		rng := sim.NewStream(seed, "groupcache-reference")
+		slots := []int{1, 3, 16, 64}[rng.Intn(4)]
+		c := uint16(1 + rng.Intn(6))
+		var got, want []fevent.Event
+		var ev fevent.Event
+		stamp := func(out *[]fevent.Event) ReportFunc {
+			return func(e *fevent.Event) {
+				*out = append(*out, *e)
+				e.SwitchID, e.Timestamp = 0xbeef, sim.Time(len(*out))
+			}
+		}
+		tbl := New(slots, c, stamp(&got))
+		ref := &refTable{slots: make([]refEntry, slots), c: c, report: stamp(&want)}
+		for i := 0; i < 400; i++ {
+			if rng.Bool(0.01) {
+				tbl.Flush()
+				ref.Flush()
+				continue
+			}
+			if ev.Type == 0 || rng.Bool(0.5) { // else the last packet's event again
+				ev = randomEvent(rng)
+			}
+			ev2 := ev
+			tbl.Offer(&ev)
+			ref.Offer(&ev2)
+		}
+		tbl.Flush()
+		ref.Flush()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d (%d slots, C %d): %d reports, reference %d", seed, slots, c, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d (%d slots, C %d): report %d is %+v, reference %+v", seed, slots, c, i, got[i], want[i])
+			}
+		}
+		in, rep, mer, evi := tbl.Stats()
+		if in != ref.ingested || rep != ref.reported || mer != ref.merged || evi != ref.evictions ||
+			tbl.Rereports() != ref.rereports || tbl.Len() != ref.Len() {
+			t.Fatalf("seed %d: stats %d/%d/%d/%d rereports %d len %d, reference %d/%d/%d/%d %d %d",
+				seed, in, rep, mer, evi, tbl.Rereports(), tbl.Len(),
+				ref.ingested, ref.reported, ref.merged, ref.evictions, ref.rereports, ref.Len())
+		}
+		evictions += evi
+		rereports += ref.rereports
+	}
+	if evictions == 0 || rereports == 0 {
+		t.Fatalf("the streams never evicted (%d) or never crossed C (%d)", evictions, rereports)
+	}
+}
+
+// TestSlotIsRecordWidth pins a slot at the 24 B record's fields in native
+// form plus counter and target: 32 B, two to a cache line. Its detail
+// bytes are the record's.
+func TestSlotIsRecordWidth(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 32 {
+		t.Fatalf("a slot is %d B, want <= 32", n)
+	}
+	rng := sim.NewStream(1, "groupcache-detail")
+	for i := 0; i < 1000; i++ {
+		ev := randomEvent(rng)
+		var s entry
+		s.install(&ev)
+		if rec := ev.AppendRecord(nil); string(s.det[:]) != string(rec[fevent.RecordTailOff:][:4]) {
+			t.Fatalf("%v: slot detail %x, record detail %x", &ev, s.det, rec[fevent.RecordTailOff:][:4])
+		}
 	}
 }

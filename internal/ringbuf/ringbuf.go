@@ -12,6 +12,8 @@
 package ringbuf
 
 import (
+	"encoding/binary"
+
 	"netseer/internal/pkt"
 )
 
@@ -38,8 +40,7 @@ type Entry struct {
 // assign identical slots (the simulator's IDs count up from 0), so
 // sizing results such as Fig. 15 are unaffected.
 type Ring struct {
-	slots []Entry
-	valid []bool
+	slots []slot
 
 	virt    uint64 // virtual cursor of the newest record
 	lastID  uint32 // packet ID recorded at virt
@@ -57,7 +58,17 @@ func New(n int) *Ring {
 	if n <= 0 {
 		panic("ringbuf: size must be positive")
 	}
-	return &Ring{slots: make([]Entry, n), valid: make([]bool, n)}
+	return &Ring{slots: make([]slot, n)}
+}
+
+// slot is one record in the hardware layout, BytesPerSlot bytes
+// (TestSlotIsBytesPerSlot): the flow key in wire order, the frame length
+// and the packet ID. A recorded frame is never 0 B, so a zero wireLen
+// marks a slot that holds no record.
+type slot struct {
+	flow    [pkt.FlowKeyLen]byte
+	wireLen uint16
+	id      uint32
 }
 
 // Size returns the slot count.
@@ -65,14 +76,16 @@ func (r *Ring) Size() int { return len(r.slots) }
 
 // BytesPerSlot is the SRAM cost of one slot in the hardware layout:
 // 13 B flow key + 4 B packet ID + 2 B length ≈ 19, padded to 20 for
-// word alignment. Used by the Fig. 15(b) SRAM accounting.
+// word alignment — which is also what a slot costs here. Used by the
+// Fig. 15(b) SRAM accounting.
 const BytesPerSlot = 20
 
 // Record stores the packet with the given consecutive ID in the next
 // virtual slot. IDs are expected to be (close to) consecutive per ring,
 // as the hardware counter produces them; the cursor advances by the
 // uint32 delta from the previous record, which makes the 2³² wrap a
-// plain +1 step instead of an aliasing discontinuity.
+// plain +1 step instead of an aliasing discontinuity. wireLen must be
+// positive.
 func (r *Ring) Record(id uint32, flow pkt.FlowKey, wireLen int) {
 	if !r.started {
 		// Seed the cursor at the raw ID so slot assignment matches the
@@ -83,15 +96,20 @@ func (r *Ring) Record(id uint32, flow pkt.FlowKey, wireLen int) {
 		r.virt += uint64(id - r.lastID)
 	}
 	r.lastID = id
-	i := int(r.virt % uint64(len(r.slots)))
-	r.slots[i] = Entry{Flow: flow, ID: id, WireLen: uint16(wireLen)}
-	r.valid[i] = true
+	s := &r.slots[r.virt%uint64(len(r.slots))]
+	// The key goes in as two words and a byte, not through PutWire, whose
+	// by-value receiver spills the key and reloads it wide: a stalled
+	// store forward that made Record a third slower.
+	binary.BigEndian.PutUint64(s.flow[0:8], uint64(flow.SrcIP)<<32|uint64(flow.DstIP))
+	binary.BigEndian.PutUint32(s.flow[8:12], uint32(flow.SrcPort)<<16|uint32(flow.DstPort))
+	s.flow[12] = flow.Proto
+	s.wireLen, s.id = uint16(wireLen), id
 	r.recorded++
 }
 
-// slot maps a packet ID to its virtual slot by rebasing against the
+// slotOf maps a packet ID to its virtual slot by rebasing against the
 // newest record. ok is false when the ID predates the first record.
-func (r *Ring) slot(id uint32) (int, bool) {
+func (r *Ring) slotOf(id uint32) (int, bool) {
 	if !r.started {
 		return 0, false
 	}
@@ -107,13 +125,17 @@ func (r *Ring) slot(id uint32) (int, bool) {
 // caller must then treat the drop as detected-but-unattributable rather
 // than guessing.
 func (r *Ring) Lookup(id uint32) (Entry, bool) {
-	i, ok := r.slot(id)
-	if !ok || !r.valid[i] || r.slots[i].ID != id {
+	i, ok := r.slotOf(id)
+	s := &r.slots[i]
+	if !ok || s.wireLen == 0 || s.id != id {
 		r.misses++
 		return Entry{}, false
 	}
 	r.hits++
-	return r.slots[i], true
+	ips, ports := binary.BigEndian.Uint64(s.flow[0:8]), binary.BigEndian.Uint32(s.flow[8:12])
+	return Entry{ID: id, WireLen: s.wireLen, Flow: pkt.FlowKey{
+		SrcIP: uint32(ips >> 32), DstIP: uint32(ips),
+		SrcPort: uint16(ports >> 16), DstPort: uint16(ports), Proto: s.flow[12]}}, true
 }
 
 // LookupRange retrieves all recoverable entries with IDs in the inclusive
@@ -157,8 +179,4 @@ func (r *Ring) Stats() (recorded, hits, misses uint64) {
 }
 
 // Reset clears all slots (used between experiment repetitions).
-func (r *Ring) Reset() {
-	for i := range r.valid {
-		r.valid[i] = false
-	}
-}
+func (r *Ring) Reset() { clear(r.slots) }

@@ -3,6 +3,7 @@ package ringbuf
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
@@ -212,5 +213,19 @@ func BenchmarkLookupRange64(b *testing.B) {
 		if len(found) != 64 {
 			b.Fatal("bad range result")
 		}
+	}
+}
+
+// TestSlotIsBytesPerSlot pins a slot at the hardware layout Fig. 15(b)'s
+// SRAM accounting charges, its key in the canonical wire encoding.
+func TestSlotIsBytesPerSlot(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != BytesPerSlot {
+		t.Fatalf("a slot is %d B, BytesPerSlot is %d", n, BytesPerSlot)
+	}
+	r := New(4)
+	k := pkt.FlowKey{SrcIP: 0x01020304, DstIP: 0x05060708, SrcPort: 0x090a, DstPort: 0x0b0c, Proto: 0x0d}
+	r.Record(2, k, 64)
+	if got, want := r.slots[2].flow[:], k.AppendWire(nil); string(got) != string(want) {
+		t.Fatalf("slot key %x, wire encoding %x", got, want)
 	}
 }

@@ -149,10 +149,10 @@ func gate(cov map[string]*pkgCov, floors []floor) (lines []string, ok bool) {
 		}
 		pct := pc.percent()
 		if pct < f.min {
-			lines = append(lines, fmt.Sprintf("FAIL %s: %.1f%% statement coverage, floor %.0f%%", f.name, pct, f.min))
+			lines = append(lines, fmt.Sprintf("FAIL %s: %.2f%% statement coverage, floor %g%%", f.name, pct, f.min))
 			ok = false
 		} else {
-			lines = append(lines, fmt.Sprintf("ok   %s: %.1f%% statement coverage (floor %.0f%%)", f.name, pct, f.min))
+			lines = append(lines, fmt.Sprintf("ok   %s: %.2f%% statement coverage (floor %g%%)", f.name, pct, f.min))
 		}
 	}
 	return lines, ok

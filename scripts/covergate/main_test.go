@@ -87,6 +87,15 @@ func TestGateEnforcesFloorPerPackage(t *testing.T) {
 	}
 }
 
+// TestGateMissByRoundingReadsAsOne: 48 of 49 statements is below a 98
+// floor, and the line says so in figures that are below it too.
+func TestGateMissByRoundingReadsAsOne(t *testing.T) {
+	lines, ok := gate(map[string]*pkgCov{"f.go": {total: 49, covered: 48}}, []floor{{"f.go", 98}})
+	if ok || len(lines) != 1 || !strings.Contains(lines[0], "97.96%") {
+		t.Errorf("gate = %v, %q; want a failure at 97.96%%", ok, lines)
+	}
+}
+
 func TestGateFailsOnMissingPackage(t *testing.T) {
 	cov, err := parseProfile(strings.NewReader(sampleProfile))
 	if err != nil {
