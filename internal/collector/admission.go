@@ -46,6 +46,15 @@ func (s admitState) String() string {
 // a poisoned log does not.
 const admitFailedState = "durability-failed"
 
+// slowWatermark and shedWatermark are the rungs' thresholds as fractions
+// of the memory budget. Above slow, acks are delayed by AckSlowdown so the
+// exporter's in-flight window backpressures; above shed (WAL servers
+// only), frames are logged but not indexed.
+const (
+	slowWatermark = 0.7
+	shedWatermark = 0.9
+)
+
 // admitHysteresis is the release factor: a rung entered at threshold T
 // is left at T*admitHysteresis.
 const admitHysteresis = 0.9
@@ -69,19 +78,13 @@ type admission struct {
 // control (update always answers admitOK). canShed is false for
 // in-memory servers: without a WAL, shedding would drop acked events, so
 // the ladder is clamped at slow.
-func newAdmission(budget int64, slowFrac, shedFrac float64, canShed bool) *admission {
+func newAdmission(budget int64, canShed bool) *admission {
 	if budget <= 0 {
 		return nil
 	}
-	if slowFrac <= 0 || slowFrac >= 1 {
-		slowFrac = 0.7
-	}
-	if shedFrac <= slowFrac || shedFrac > 1 {
-		shedFrac = 0.9
-	}
 	a := &admission{
-		slowAt:  int64(float64(budget) * slowFrac),
-		shedAt:  int64(float64(budget) * shedFrac),
+		slowAt:  int64(float64(budget) * slowWatermark),
+		shedAt:  int64(float64(budget) * shedWatermark),
 		canShed: canShed,
 	}
 	a.slowExit = int64(float64(a.slowAt) * admitHysteresis)

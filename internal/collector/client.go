@@ -29,9 +29,6 @@ type ClientConfig struct {
 	MaxInflight int
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout is the deadline of one flush of the write buffer — as
-	// many frames as it holds (default 5s).
-	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the jittered exponential reconnect
 	// backoff (defaults 50ms / 2s).
 	BackoffMin time.Duration
@@ -57,6 +54,10 @@ type ClientConfig struct {
 	PreserveSeq bool
 }
 
+// writeTimeout is the deadline of one flush of the write buffer — as many
+// frames as it holds.
+const writeTimeout = 5 * time.Second
+
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
@@ -66,9 +67,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 5 * time.Second
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 50 * time.Millisecond
@@ -471,7 +469,7 @@ func (c *Client) runConn(conn net.Conn, probePrimary bool) error {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(30 * time.Second)
+		tc.SetKeepAlivePeriod(keepAlivePeriod)
 	}
 	c.mu.Lock()
 	c.conn = conn
@@ -581,7 +579,7 @@ func (c *Client) writeLoop(conn net.Conn) error {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	// The write deadline is per flush: only a flush touches the wire.
 	flush := func() error {
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		return bw.Flush()
 	}
 	for {

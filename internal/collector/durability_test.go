@@ -16,7 +16,7 @@ import (
 // transition, including the hysteresis bands that prevent flapping at a
 // threshold.
 func TestAdmissionLadder(t *testing.T) {
-	a := newAdmission(1000, 0.7, 0.9, true)
+	a := newAdmission(1000, true)
 	// slowAt=700 shedAt=900, release points slowExit=630 shedExit=810.
 	steps := []struct {
 		bytes int64
@@ -53,17 +53,17 @@ func TestAdmissionLadder(t *testing.T) {
 // must never shed (that would drop acked events), so the ladder tops out
 // at slow no matter how far past the shed watermark the store grows.
 func TestAdmissionClampsWithoutWAL(t *testing.T) {
-	a := newAdmission(1000, 0.7, 0.9, false)
+	a := newAdmission(1000, false)
 	if got := a.update(5000); got != admitSlow {
 		t.Fatalf("update(5000) without WAL = %v, want %v", got, admitSlow)
 	}
 }
 
 // TestAdmissionDisabledAndDefaults covers the off switch (budget 0) and
-// the fraction defaulting for out-of-range watermarks.
+// the watermarks a budget sets.
 func TestAdmissionDisabledAndDefaults(t *testing.T) {
 	var a *admission // budget <= 0 yields nil
-	if na := newAdmission(0, 0.5, 0.9, true); na != nil {
+	if na := newAdmission(0, true); na != nil {
 		t.Fatal("budget 0 must disable admission control")
 	}
 	if got := a.update(1 << 40); got != admitOK {
@@ -73,13 +73,9 @@ func TestAdmissionDisabledAndDefaults(t *testing.T) {
 		t.Fatalf("disabled current = %v, want ok", got)
 	}
 
-	d := newAdmission(1000, -1, 2, true) // both fractions invalid
+	d := newAdmission(1000, true)
 	if d.slowAt != 700 || d.shedAt != 900 {
-		t.Fatalf("default watermarks = %d/%d, want 700/900", d.slowAt, d.shedAt)
-	}
-	e := newAdmission(1000, 0.8, 0.5, true) // shed below slow is invalid
-	if e.shedAt != 900 {
-		t.Fatalf("shed watermark below slow defaulted to %d, want 900", e.shedAt)
+		t.Fatalf("watermarks = %d/%d, want 700/900", d.slowAt, d.shedAt)
 	}
 }
 

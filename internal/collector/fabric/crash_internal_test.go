@@ -8,6 +8,7 @@ package fabric
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -36,16 +37,17 @@ func startNode(t *testing.T, id uint32, dir string) *ShardNode {
 }
 
 // ingestTestLoad delivers n uniquely identified events to a shard over
-// the real wire protocol and returns them as the reference.
-func ingestTestLoad(t *testing.T, addr string, n int) []fevent.Event {
+// the real wire protocol, per to a batch, and returns them as the
+// reference.
+func ingestTestLoad(t *testing.T, addr string, n, per int) []fevent.Event {
 	t.Helper()
-	cl := collector.NewClientConfig(addr, collector.ClientConfig{})
+	cl := collector.NewClientConfig(addr, collector.ClientConfig{MaxQueue: n/per + 1})
 	var ref []fevent.Event
-	for b := 0; b*4 < n; b++ {
+	for b := 0; b*per < n; b++ {
 		sw := uint16(b%3 + 1)
 		ts := sim.Time(100 + b)
-		evs := make([]fevent.Event, 0, 4)
-		for i := b * 4; i < (b+1)*4 && i < n; i++ {
+		evs := make([]fevent.Event, 0, per)
+		for i := b * per; i < (b+1)*per && i < n; i++ {
 			evs = append(evs, fevent.Event{
 				Type: fevent.TypeDrop, DropCode: fevent.DropTTLExpired,
 				Flow: pkt.FlowKey{SrcIP: pkt.IP(10, 9, byte(i>>8), byte(i)), DstIP: pkt.IP(10, 0, 0, 9),
@@ -63,10 +65,10 @@ func ingestTestLoad(t *testing.T, addr string, n int) []fevent.Event {
 	return ref
 }
 
-func multisetOf(evs []fevent.Event) map[string]int {
-	m := make(map[string]int)
-	for i := range evs {
-		m[string(collector.AppendWireEvent(nil, &evs[i]))]++
+func multisetOf(evs []fevent.Event) map[fevent.Event]int {
+	m := make(map[fevent.Event]int)
+	for _, e := range evs {
+		m[e]++
 	}
 	return m
 }
@@ -79,7 +81,7 @@ func assertSameMultiset(t *testing.T, what string, want, got []fevent.Event) {
 	}
 	for k, n := range w {
 		if g[k] != n {
-			t.Fatalf("%s: identity %x stored %d times, want %d", what, k[:8], g[k], n)
+			t.Fatalf("%s: identity %v stored %d times, want %d", what, &k, g[k], n)
 		}
 	}
 }
@@ -143,6 +145,33 @@ func awaitResolved(t *testing.T, c *Coordinator) {
 	}
 }
 
+// TestLargeTransferSurvivesRestart: a transfer whose events fill more
+// than one WAL chunk is split at a byte count, not at an event, so
+// recovery must join its chunks before decoding them. Both sides of a
+// staged handoff restart with the transfer open and every event stored.
+func TestLargeTransferSurvivesRestart(t *testing.T) {
+	base := t.TempDir()
+	dirA, dirB := filepath.Join(base, "a"), filepath.Join(base, "b")
+	a, b := startNode(t, 1, dirA), startNode(t, 2, dirB)
+
+	ref := ingestTestLoad(t, a.IngestAddr(), 12000, 50)
+	if n := len(fevent.AppendBatches(nil, ref)); n <= importChunkBytes {
+		t.Fatalf("the capture is %d B, one chunk of %d", n, importChunkBytes)
+	}
+	rb := uint64(2)<<16 | 0
+	stageHandoff(t, a, b, rb, ^uint64(0))
+
+	a, b = restartBoth(t, a, b, dirA, dirB)
+	defer a.Close()
+	defer b.Close()
+	for _, n := range []*ShardNode{a, b} {
+		if got := n.OpenTransfers(); len(got) != 1 || got[0] != rb {
+			t.Fatalf("shard %d recovered transfers %v, want [%#x]", n.ID, got, rb)
+		}
+		assertSameMultiset(t, fmt.Sprintf("shard %d after restart", n.ID), ref, n.store.Query(collector.Filter{}))
+	}
+}
+
 // TestHandoffSurvivesRestartThenCompletes: stage a full handoff, crash
 // both shards, and let a coordinator that went down after its cutover
 // decision ("publish") finish the rebalance against the recovered nodes.
@@ -151,7 +180,7 @@ func TestHandoffSurvivesRestartThenCompletes(t *testing.T) {
 	dirA, dirB := filepath.Join(base, "a"), filepath.Join(base, "b")
 	a, b := startNode(t, 1, dirA), startNode(t, 2, dirB)
 
-	ref := ingestTestLoad(t, a.IngestAddr(), 60)
+	ref := ingestTestLoad(t, a.IngestAddr(), 60, 4)
 	rb := uint64(2)<<16 | 0
 	mask := ^uint64(0)
 	stageHandoff(t, a, b, rb, mask)
@@ -234,7 +263,7 @@ func TestCoordinatorRestartAbortsStaging(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	ref := ingestTestLoad(t, a.IngestAddr(), 40)
+	ref := ingestTestLoad(t, a.IngestAddr(), 40, 4)
 	rb := uint64(2)<<16 | 0
 	mask := ^uint64(0)
 	stageHandoff(t, a, b, rb, mask)

@@ -6,6 +6,7 @@ package fabric_test
 
 import (
 	"bufio"
+	"encoding/base64"
 	"fmt"
 	"net"
 	"os"
@@ -136,6 +137,11 @@ func TestShardAdminProtocolErrors(t *testing.T) {
 	if resp := roundTrip(`{"op":"import","rb":7,"events":"!!!not-base64"}`); !strings.Contains(resp, "bad events") {
 		t.Fatalf("bad events blob: %q", resp)
 	}
+	cut := fevent.AppendBatches(nil, []fevent.Event{{Type: fevent.TypePause, SwitchID: 1}})
+	cut = cut[:len(cut)-fevent.RecordLen/2] // a batch truncated mid-record
+	if resp := roundTrip(`{"op":"import","rb":7,"events":"` + base64.StdEncoding.EncodeToString(cut) + `"}`); !strings.Contains(resp, "bad events") {
+		t.Fatalf("truncated batch image: %q", resp)
+	}
 	if resp := roundTrip(`{"op":"import","rb":7,"seen":"!!!not-base64"}`); !strings.Contains(resp, "bad seen") {
 		t.Fatalf("bad seen blob: %q", resp)
 	}
@@ -197,16 +203,16 @@ func TestRouterReroutesPendingOnMembershipDrop(t *testing.T) {
 	if len(got) != len(ref) {
 		t.Fatalf("surviving shard stores %d events after re-route, want %d", len(got), len(ref))
 	}
-	counts := make(map[string]int, len(ref))
-	for i := range ref {
-		counts[string(collector.AppendWireEvent(nil, &ref[i]))]++
+	counts := make(map[fevent.Event]int, len(ref))
+	for _, e := range ref {
+		counts[e]++
 	}
-	for i := range got {
-		counts[string(collector.AppendWireEvent(nil, &got[i]))]--
+	for _, e := range got {
+		counts[e]--
 	}
 	for k, n := range counts {
 		if n != 0 {
-			t.Fatalf("re-route multiset off by %d on identity %x", n, k[:8])
+			t.Fatalf("re-route multiset off by %d on identity %v", n, &k)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"netseer/internal/collector"
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
 )
@@ -23,12 +23,6 @@ type MergedResult struct {
 	Partial bool
 	// ShardsOK / ShardsTotal report fan-out coverage.
 	ShardsOK, ShardsTotal int
-}
-
-// shardCopies counts one identity's copies on each shard.
-type shardCopies struct {
-	exemplar fevent.Event
-	per      map[uint32]int
 }
 
 // FanOutQuery runs one export query against every shard in cfg, merges
@@ -44,7 +38,7 @@ type shardCopies struct {
 // argument string ("switch=3 type=drop"), empty for everything.
 func FanOutQuery(cfg Config, filterArgs string, timeout time.Duration) MergedResult {
 	res := MergedResult{ShardsTotal: len(cfg.Shards)}
-	merged := make(map[string]*shardCopies)
+	merged := make(map[fevent.Event]map[uint32]int) // copies of an identity on each shard
 	for _, s := range cfg.Shards {
 		evs, err := queryShardExport(s.Query, filterArgs, timeout)
 		if err != nil {
@@ -52,22 +46,20 @@ func FanOutQuery(cfg Config, filterArgs string, timeout time.Duration) MergedRes
 			continue
 		}
 		res.ShardsOK++
-		for i := range evs {
-			key := identityKey(&evs[i])
-			sc := merged[key]
+		for _, e := range evs {
+			sc := merged[e]
 			if sc == nil {
-				sc = &shardCopies{exemplar: evs[i], per: make(map[uint32]int)}
-				merged[key] = sc
+				sc = make(map[uint32]int)
+				merged[e] = sc
 			}
-			sc.per[s.ID]++
+			sc[s.ID]++
 		}
 	}
-	for _, sc := range merged {
-		e := sc.exemplar
+	for e, per := range merged {
 		owner := cfg.Slots[SlotOf(e.SwitchID, e.Flow)]
-		m := sc.per[owner]
+		m := per[owner]
 		total := m
-		for id, n := range sc.per {
+		for id, n := range per {
 			if id != owner && n > m {
 				total += n - m
 			}
@@ -84,7 +76,8 @@ func FanOutQuery(cfg Config, filterArgs string, timeout time.Duration) MergedRes
 		if a.SwitchID != b.SwitchID {
 			return a.SwitchID < b.SwitchID
 		}
-		return identityKey(a) < identityKey(b)
+		var ra, rb [fevent.RecordLen]byte
+		return bytes.Compare(a.AppendRecord(ra[:0]), b.AppendRecord(rb[:0])) < 0
 	})
 	return res
 }
@@ -183,13 +176,8 @@ func queryShardTrace(addr string, id uint64, timeout time.Duration) ([]trace.Spa
 	return nil, fmt.Errorf("fabric: shard %s closed mid-response", addr)
 }
 
-// identityKey renders an event's full wire identity as a map key.
-func identityKey(e *fevent.Event) string {
-	return string(collector.AppendWireEvent(nil, e))
-}
-
 // queryShardExport runs one "export" query against a shard query
-// endpoint and decodes the base64 wire events.
+// endpoint and decodes its base64 batch images.
 func queryShardExport(addr, filterArgs string, timeout time.Duration) ([]fevent.Event, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -215,15 +203,13 @@ func queryShardExport(addr, filterArgs string, timeout time.Duration) ([]fevent.
 		if strings.HasPrefix(line, "!") {
 			return nil, fmt.Errorf("fabric: shard %s: %s", addr, strings.TrimSpace(line[1:]))
 		}
-		blob, err := base64.StdEncoding.DecodeString(line)
+		img, err := base64.StdEncoding.DecodeString(line)
 		if err != nil {
 			return nil, err
 		}
-		e, err := collector.DecodeWireEvent(blob)
-		if err != nil {
+		if out, err = fevent.DecodeBatches(out, img); err != nil {
 			return nil, err
 		}
-		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"netseer/internal/collector"
-	"netseer/internal/fevent"
 )
 
 // WAL record envelope. A shard's log interleaves ingested batch frames
@@ -18,7 +17,7 @@ import (
 //	                                 the source; the capture follows as
 //	                                 chunks and is sealed by the commit
 //	'I' | rb (8 B) | kind | body   — transfer chunk ('S' seen set, 'E'
-//	                                 wire events); buffered until commit
+//	                                 batch image); buffered until commit
 //	'C' | rb (8 B)                 — commit: seal rb's chunks — a source
 //	                                 capture if an 'M' opened rb here, a
 //	                                 destination import otherwise
@@ -104,31 +103,6 @@ func decodeSeenSet(b []byte) ([]collector.BatchID, error) {
 			Seq:    binary.BigEndian.Uint64(b[2:10]),
 		})
 		b = b[10:]
-	}
-	return out, nil
-}
-
-// encodeEvents flattens events into back-to-back 34-byte wire encodings.
-func encodeEvents(evs []fevent.Event) []byte {
-	out := make([]byte, 0, len(evs)*collector.WireEventLen)
-	for i := range evs {
-		out = collector.AppendWireEvent(out, &evs[i])
-	}
-	return out
-}
-
-func decodeEvents(b []byte) ([]fevent.Event, error) {
-	if len(b)%collector.WireEventLen != 0 {
-		return nil, fmt.Errorf("fabric: event blob of %d bytes not a multiple of %d", len(b), collector.WireEventLen)
-	}
-	out := make([]fevent.Event, 0, len(b)/collector.WireEventLen)
-	for len(b) > 0 {
-		e, err := collector.DecodeWireEvent(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-		b = b[collector.WireEventLen:]
 	}
 	return out, nil
 }

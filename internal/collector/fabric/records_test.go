@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bytes"
 	"testing"
 
 	"netseer/internal/collector"
@@ -26,13 +25,15 @@ func testEvents() []fevent.Event {
 	}
 }
 
+// TestEventBlobRoundtrip: a transfer's events travel as batch images,
+// one batch a run of switch and stamp, and come back equal.
 func TestEventBlobRoundtrip(t *testing.T) {
 	evs := testEvents()
-	blob := encodeEvents(evs)
-	if len(blob) != len(evs)*collector.WireEventLen {
-		t.Fatalf("blob is %d bytes, want %d", len(blob), len(evs)*collector.WireEventLen)
+	blob := fevent.AppendBatches(nil, evs)
+	if want := len(evs) * (fevent.BatchHeaderLen + fevent.RecordLen); len(blob) != want {
+		t.Fatalf("blob is %d bytes, want %d", len(blob), want)
 	}
-	got, err := decodeEvents(blob)
+	got, err := fevent.DecodeBatches(nil, blob)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -40,13 +41,11 @@ func TestEventBlobRoundtrip(t *testing.T) {
 		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
 	}
 	for i := range evs {
-		want := collector.AppendWireEvent(nil, &evs[i])
-		back := collector.AppendWireEvent(nil, &got[i])
-		if !bytes.Equal(want, back) {
-			t.Fatalf("event %d identity changed across roundtrip:\n%x\n%x", i, want, back)
+		if got[i] != evs[i] {
+			t.Fatalf("event %d changed across roundtrip:\n%+v\n%+v", i, evs[i], got[i])
 		}
 	}
-	if _, err := decodeEvents(blob[:len(blob)-1]); err == nil {
+	if _, err := fevent.DecodeBatches(nil, blob[:len(blob)-1]); err == nil {
 		t.Fatal("truncated event blob decoded without error")
 	}
 }

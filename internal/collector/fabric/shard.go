@@ -135,33 +135,36 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 			}
 			chunks[rb] = append(chunks[rb], append([]byte(nil), body[8:]...))
 		case recCommit:
+			// A chunk split its blob at a byte count, not at an entry:
+			// join each kind's chunks, then decode once.
 			mask, isSource := marks[rb]
-			st := &rbState{mask: mask, imported: !isSource}
+			var seenBlob, evBlob []byte
 			for _, ch := range chunks[rb] {
-				kind, blob := ch[0], ch[1:]
-				switch kind {
+				switch kind, blob := ch[0], ch[1:]; kind {
 				case chunkSeen:
 					if isSource {
 						return errors.New("fabric: seen chunk in a source capture")
 					}
-					ids, err := decodeSeenSet(blob)
-					if err != nil {
-						return err
-					}
-					store.MergeSeen(ids)
+					seenBlob = append(seenBlob, blob...)
 				case chunkEvents:
-					evs, err := decodeEvents(blob)
-					if err != nil {
-						return err
-					}
-					if !isSource {
-						store.AddEvents(evs)
-					}
-					st.events = append(st.events, evs...)
+					evBlob = append(evBlob, blob...)
 				default:
 					return fmt.Errorf("fabric: unknown transfer chunk kind %q", kind)
 				}
 			}
+			ids, err := decodeSeenSet(seenBlob)
+			if err != nil {
+				return err
+			}
+			evs, err := fevent.DecodeBatches(nil, evBlob)
+			if err != nil {
+				return fmt.Errorf("fabric: transfer %d: %w", rb, err)
+			}
+			store.MergeSeen(ids)
+			if !isSource {
+				store.AddEvents(evs)
+			}
+			st := &rbState{mask: mask, imported: !isSource, events: evs}
 			delete(chunks, rb)
 			delete(marks, rb)
 			open[rb] = st
@@ -557,7 +560,7 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 			return nil
 		})
 		if err == nil {
-			err = n.appendChunked(req.RB, chunkEvents, encodeEvents(capture))
+			err = n.appendChunked(req.RB, chunkEvents, fevent.AppendBatches(nil, capture))
 		}
 		if err == nil {
 			err = n.wal.AppendDurable(encodeRB(recCommit, req.RB), false)
@@ -569,7 +572,7 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 		n.openRB[req.RB] = st
 		n.recordHandoffSpan(req.RB, start, len(capture), handoffSource)
 	}
-	evBlob := encodeEvents(st.events)
+	evBlob := fevent.AppendBatches(nil, st.events)
 	seenBlob := encodeSeenSet(n.store.ExportSeen())
 	n.rebalanceBytes.Add(uint64(len(evBlob)))
 	return adminResp{
@@ -613,9 +616,9 @@ func (n *ShardNode) handleImport(req *adminReq) adminResp {
 	if err != nil {
 		return adminResp{Err: fmt.Sprintf("import: bad seen: %v", err)}
 	}
-	evs, err := decodeEvents(evBlob)
+	evs, err := fevent.DecodeBatches(nil, evBlob)
 	if err != nil {
-		return adminResp{Err: err.Error()}
+		return adminResp{Err: fmt.Sprintf("import: bad events: %v", err)}
 	}
 	seen, err := decodeSeenSet(seenBlob)
 	if err != nil {

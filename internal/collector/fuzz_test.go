@@ -220,7 +220,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	stateOf := func(st *Store) state {
 		h, buf := fnv.New64a(), []byte(nil)
 		st.ExportWhere(func(e *fevent.Event) bool {
-			buf = AppendWireEvent(buf[:0], e)
+			buf = fevent.AppendBatches(buf[:0], []fevent.Event{*e})
 			h.Write(buf)
 			return false
 		})

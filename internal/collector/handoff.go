@@ -2,19 +2,17 @@ package collector
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"netseer/internal/fevent"
-	"netseer/internal/sim"
 )
 
 // Handoff surface: the hooks the sharded fabric uses to move key ranges
 // between stores. A rebalance exports the moving events and the dedup
 // seen-set from the source, imports both at the destination, and finally
 // removes exactly the exported multiset from the source (the epoch
-// fence). Events travel in one canonical 34-byte encoding; inside the
-// store they come and go through the same append path and visitor as
-// everything else.
+// fence). Events travel as fevent batch images; inside the store they
+// come and go through the same append path and visitor as everything
+// else.
 
 // BatchID names one sequenced batch in the (switch, seq) dedup set.
 type BatchID struct {
@@ -22,41 +20,18 @@ type BatchID struct {
 	Seq    uint64
 }
 
-// WireEventLen is the canonical per-event handoff footprint: switch
-// (2 B) + timestamp (8 B) + the 24 B record.
-const WireEventLen = 2 + 8 + fevent.RecordLen
-
-// AppendWireEvent appends the canonical handoff encoding of e to b.
-func AppendWireEvent(b []byte, e *fevent.Event) []byte {
-	b = binary.BigEndian.AppendUint16(b, e.SwitchID)
-	b = binary.BigEndian.AppendUint64(b, uint64(e.Timestamp))
-	return e.AppendRecord(b)
-}
-
-// DecodeWireEvent decodes one canonical handoff encoding.
-func DecodeWireEvent(b []byte) (fevent.Event, error) {
-	var e fevent.Event
-	if len(b) < WireEventLen {
-		return e, fmt.Errorf("collector: wire event truncated: %d bytes", len(b))
-	}
-	if err := e.DecodeRecord(b[10:]); err != nil {
-		return e, err
-	}
-	e.SwitchID = binary.BigEndian.Uint16(b[0:2])
-	e.Timestamp = sim.Time(binary.BigEndian.Uint64(b[2:10]))
-	return e, nil
-}
-
 // eventIdentity is the full-record multiset identity used by the epoch
-// fence: two events are the same iff every wire-visible field matches,
-// timestamp included, so a fence removes exactly the copies it captured
-// and never a later arrival that merely looks similar.
-type eventIdentity [WireEventLen]byte
+// fence — switch (2 B), stamp (8 B) and the 24 B record: two events are
+// the same iff every wire-visible field matches, timestamp included, so a
+// fence removes exactly the copies it captured and never a later arrival
+// that merely looks similar.
+type eventIdentity [10 + fevent.RecordLen]byte
 
 func identityOf(e *fevent.Event) eventIdentity {
 	var k eventIdentity
-	buf := AppendWireEvent(k[:0], e)
-	copy(k[:], buf)
+	binary.BigEndian.PutUint16(k[0:2], e.SwitchID)
+	binary.BigEndian.PutUint64(k[2:10], uint64(e.Timestamp))
+	e.AppendRecord(k[10:10])
 	return k
 }
 

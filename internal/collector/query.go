@@ -30,7 +30,7 @@ import (
 //	summary
 //	latency [switch=N] [since=NANOS] [until=NANOS]
 //	path flow=proto:src:sport:dst:dport
-//	export  (query arguments; one base64 34-byte wire event per line)
+//	export  (query arguments; one base64 encoded batch per line)
 //	stats
 //
 // Responses are one event (or value) per line, terminated by a line
@@ -203,20 +203,21 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 		}
 		fmt.Fprint(w, ".\n")
 	case "export":
-		// Machine-readable variant of "query": one base64 line per event,
-		// each the canonical 34-byte wire encoding. fetquery's fan-out
-		// merge consumes this — text rendering loses the fields the
-		// cross-shard dedup identity needs.
+		// Machine-readable variant of "query": one base64 line per
+		// encoded batch, a batch per run of events sharing a switch and a
+		// stamp (fevent.AppendBatches). fetquery's fan-out merge consumes
+		// this — text rendering loses the fields the cross-shard dedup
+		// identity needs.
 		f, err := ParseFilter(fields[1:])
 		if err != nil {
 			q.errf(w, "%v", err)
 			return
 		}
-		events := q.store.Query(f)
-		var buf []byte
-		for i := range events {
-			buf = AppendWireEvent(buf[:0], &events[i])
-			w.Write(append(base64.StdEncoding.AppendEncode(w.AvailableBuffer(), buf), '\n'))
+		img := fevent.AppendBatches(nil, q.store.Query(f))
+		for len(img) > 0 {
+			_, _, _, rest, _ := fevent.SplitBatch(img) // AppendBatches wrote whole batches
+			w.Write(append(base64.StdEncoding.AppendEncode(w.AvailableBuffer(), img[:len(img)-len(rest)]), '\n'))
+			img = rest
 		}
 		fmt.Fprint(w, ".\n")
 	case "stats":

@@ -23,14 +23,9 @@ type ServerConfig struct {
 	// connection that goes silent longer than this is dropped (default
 	// 2m; the client reconnects and retransmits).
 	ReadTimeout time.Duration
-	// AckTimeout is the write deadline for one ack frame (default 5s).
-	AckTimeout time.Duration
 	// MaxConns caps concurrent ingest connections; extra connections are
 	// closed immediately (default 128).
 	MaxConns int
-	// KeepAlivePeriod configures TCP keepalives on accepted connections
-	// (default 30s).
-	KeepAlivePeriod time.Duration
 	// AcceptRetryDelay is the pause after a transient Accept error
 	// (default 50ms).
 	AcceptRetryDelay time.Duration
@@ -45,14 +40,9 @@ type ServerConfig struct {
 	// the paired Store with RecoverStore before constructing the server.
 	WAL *wal.WAL
 	// MemoryBudget bounds the store's estimated resident bytes
-	// (Store.MemoryBytes) via the admission ladder; 0 disables admission
-	// control. See SlowWatermark/ShedWatermark.
+	// (Store.MemoryBytes) via the admission ladder — acks slow at 70 % of
+	// it, a WAL server sheds at 90 %; 0 disables admission control.
 	MemoryBudget int64
-	// SlowWatermark and ShedWatermark are fractions of MemoryBudget
-	// (defaults 0.7 and 0.9). Above slow, acks are delayed by AckSlowdown
-	// so the exporter's in-flight window backpressures; above shed (WAL
-	// servers only), frames are logged but not indexed.
-	SlowWatermark, ShedWatermark float64
 	// AckSlowdown is the delay applied on the slow rung to every ack
 	// written — one per read burst (default 2ms).
 	AckSlowdown time.Duration
@@ -68,18 +58,19 @@ type ServerConfig struct {
 	TraceShard uint32
 }
 
+// ackTimeout is the write deadline for one ack frame; keepAlivePeriod
+// paces the TCP keepalives of both ends of an ingest connection.
+const (
+	ackTimeout      = 5 * time.Second
+	keepAlivePeriod = 30 * time.Second
+)
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 2 * time.Minute
 	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 5 * time.Second
-	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 128
-	}
-	if c.KeepAlivePeriod <= 0 {
-		c.KeepAlivePeriod = 30 * time.Second
 	}
 	if c.AcceptRetryDelay <= 0 {
 		c.AcceptRetryDelay = 50 * time.Millisecond
@@ -161,7 +152,7 @@ func NewServerConfig(store *Store, addr string, cfg ServerConfig) (*Server, erro
 	cfg = cfg.withDefaults()
 	s := &Server{store: store, ln: ln, cfg: cfg, wal: cfg.WAL,
 		conns:     make(map[net.Conn]struct{}),
-		admit:     newAdmission(cfg.MemoryBudget, cfg.SlowWatermark, cfg.ShedWatermark, cfg.WAL != nil),
+		admit:     newAdmission(cfg.MemoryBudget, cfg.WAL != nil),
 		ingestLag: obs.NewHistogram(obs.LatencyBuckets())}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -437,7 +428,7 @@ func (s *Server) serve(conn net.Conn) {
 	}()
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(s.cfg.KeepAlivePeriod)
+		tc.SetKeepAlivePeriod(keepAlivePeriod)
 	}
 
 	// The acker runs behind the read loop so WAL group commit can batch
@@ -648,7 +639,7 @@ func (s *Server) ackLoop(conn net.Conn, acks <-chan ackPoint, done chan<- struct
 			s.admit.ackDelays.Inc()
 			time.Sleep(s.cfg.AckSlowdown)
 		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.AckTimeout))
+		conn.SetWriteDeadline(time.Now().Add(ackTimeout))
 		if err := writeAck(conn, ap.seq); err != nil {
 			s.ackWriteErrors.Inc()
 			fail()

@@ -222,30 +222,34 @@ func (p *pair) reload() {
 }
 
 // handoff moves the events of one switch to a second store and back the
-// way the fabric does — ExportWhere, the 34 B wire encoding, AddEvents
-// and the dedup set at the destination, RemoveEvents at the source — so
-// they end up at the tail of the log.
+// way the fabric does — ExportWhere, batch images, AddEvents and the
+// dedup set at the destination, RemoveEvents at the source — so they end
+// up at the tail of the log.
 func (p *pair) handoff(sw uint16) {
 	p.t.Helper()
 	moving := p.st.ExportWhere(func(e *fevent.Event) bool { return e.SwitchID == sw })
-	dst := NewStore()
-	var wire []byte
-	for i := range moving {
-		wire = AppendWireEvent(wire[:0], &moving[i])
-		e, err := DecodeWireEvent(wire)
-		if err != nil || e != moving[i] {
-			p.t.Fatalf("wire round trip of %v: %v, %v", &moving[i], &e, err)
+	img := fevent.AppendBatches(nil, moving)
+	if len(img) > 0 {
+		if _, err := fevent.DecodeBatches(nil, img[:len(img)-1]); err == nil {
+			p.t.Fatal("DecodeBatches accepted a truncated image")
 		}
-		dst.AddEvents([]fevent.Event{e})
 	}
+	evs, err := fevent.DecodeBatches(nil, img)
+	if err != nil || len(evs) != len(moving) {
+		p.t.Fatalf("image round trip of %d events: %d, %v", len(moving), len(evs), err)
+	}
+	for i := range evs {
+		if evs[i] != moving[i] {
+			p.t.Fatalf("image round trip of %v: %v", &moving[i], &evs[i])
+		}
+	}
+	dst := NewStore()
+	dst.AddEvents(evs)
 	dst.MergeSeen(p.st.ExportSeen())
 	for k := range p.m.seen {
 		if !dst.SeenBatch(k.sw, k.seq) {
 			p.t.Fatalf("destination does not dedup batch (%d, %d)", k.sw, k.seq)
 		}
-	}
-	if _, err := DecodeWireEvent(make([]byte, WireEventLen-1)); err == nil {
-		p.t.Fatal("DecodeWireEvent accepted a truncated event")
 	}
 	p.remove(moving)
 	p.add(dst.Query(Filter{}))

@@ -50,10 +50,8 @@ type Config struct {
 	GroupSlots int
 	GroupC     uint16
 
-	// PathSlots and PathExpiry size the path-change flow table (defaults
-	// 8192 slots, 10 ms expiry).
-	PathSlots  int
-	PathExpiry sim.Time
+	// PathSlots sizes the path-change flow table (default 8192 slots).
+	PathSlots int
 
 	// RingSlots is the per-port inter-switch ring buffer size (default
 	// 1024 — the paper's 1,000-consecutive-drop sizing).
@@ -97,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PathSlots <= 0 {
 		c.PathSlots = 8192
-	}
-	if c.PathExpiry <= 0 {
-		c.PathExpiry = 10 * sim.Millisecond
 	}
 	if c.RingSlots <= 0 {
 		c.RingSlots = 1024
@@ -171,6 +166,10 @@ func (s *Stats) Add(o Stats) {
 	s.NotifySent += o.NotifySent
 	s.InterSwitchFound += o.InterSwitchFound
 }
+
+// pathExpiry is how long a path-change table entry stays fresh: a flow
+// seen again on the same port pair after this long is reported anew.
+const pathExpiry = 10 * sim.Millisecond
 
 // pathEntry is one slot of the path-change flow table.
 type pathEntry struct {
@@ -396,10 +395,6 @@ func (n *NetSeerSwitch) ElimStats() (seen, duplicates, forwarded uint64) {
 
 // PacerStats exposes the export pacer's counters.
 func (n *NetSeerSwitch) PacerStats() (sent, delayed uint64) { return n.pacer.Stats() }
-
-// SetSeqEnabled toggles inter-switch detection on one port (partial
-// deployment; host-facing ports without capable NICs).
-func (n *NetSeerSwitch) SetSeqEnabled(port int, on bool) { n.seqOn[port] = on }
 
 // MarkInterCard marks a port as a backplane link between the boards of a
 // multi-board switch: ring-buffer recoveries on it report DropInterCard

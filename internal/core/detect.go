@@ -152,7 +152,7 @@ func (n *NetSeerSwitch) detectPathChange(p *pkt.Packet, inPort, outPort int) {
 	e := &n.pathTable[idx]
 	same := e.used && e.flow == p.Flow &&
 		e.in == uint8(inPort) && e.out == uint8(outPort) &&
-		now-e.lastSeen <= n.cfg.PathExpiry
+		now-e.lastSeen <= pathExpiry
 	if same {
 		e.lastSeen = now
 		return

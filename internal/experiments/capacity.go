@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -213,13 +212,4 @@ func Fig14bTable(points []CPUPoint) *metrics.Table {
 			fmt.Sprintf("%d", p.CoreCount), fmt.Sprintf("%.1f", p.Meps))
 	}
 	return t
-}
-
-// GOMAXPROCSCores returns a sensible core count for capacity experiments.
-func GOMAXPROCSCores() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 2 {
-		n = 2 // the paper's switch CPU uses 2 cores
-	}
-	return n
 }

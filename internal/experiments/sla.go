@@ -63,9 +63,6 @@ const (
 	CauseNet
 )
 
-// IsApp reports any application-side cause.
-func (c Cause) IsApp() bool { return c&(CauseAppLong|CauseAppShort) != 0 }
-
 // IsNet reports a network-side cause.
 func (c Cause) IsNet() bool { return c&CauseNet != 0 }
 

@@ -60,13 +60,15 @@ func (b *Batch) AppendTo(buf []byte) ([]byte, error) {
 }
 
 // detailMask keeps, per type byte, the bits of a record's 4 B detail field
-// that the type defines (the layouts are listed at AppendRecord); zero
-// marks a byte that is no type.
-var detailMask = [256]uint32{
-	TypeDrop: 0xffffffff, TypeCongestion: 0xffffffff,
-	TypePathChange: 0xffff0000, TypePause: 0xffff0000, TypeHeavyHitter: 0xffff0000,
-	TypeTopKChurn: 0xff00ffff, TypeAggSpike: 0xff00ffff,
-}
+// that the type defines (Event.Detail); zero marks a byte that is no type.
+var detailMask = func() (m [256]uint32) {
+	for _, t := range Types {
+		e := Event{Type: t}
+		e.SetDetail(^uint32(0))
+		m[t] = e.Detail()
+	}
+	return m
+}()
 
 // SplitBatch validates one encoded batch without decoding it and returns
 // its header fields, its records — n × RecordLen bytes aliasing data — and
@@ -128,4 +130,35 @@ func DecodeBatch(data []byte, b *Batch) ([]byte, error) {
 	}
 	b.DecodeRecords(sw, ts, recs)
 	return rest, nil
+}
+
+// AppendBatches appends evs to dst as batch images: one batch per maximal
+// run of consecutive events that share a switch and a stamp, split at
+// MaxBatchRecords. DecodeBatches returns evs from the result.
+func AppendBatches(dst []byte, evs []Event) []byte {
+	for len(evs) > 0 {
+		n := 1
+		for n < len(evs) && n < MaxBatchRecords &&
+			evs[n].SwitchID == evs[0].SwitchID && evs[n].Timestamp == evs[0].Timestamp {
+			n++
+		}
+		b := Batch{SwitchID: evs[0].SwitchID, Timestamp: evs[0].Timestamp, Events: evs[:n]}
+		dst, _ = b.AppendTo(dst) // n <= MaxBatchRecords: no error
+		evs = evs[n:]
+	}
+	return dst
+}
+
+// DecodeBatches appends to evs the events of every batch in img, which
+// must hold whole batches and nothing else.
+func DecodeBatches(evs []Event, img []byte) ([]Event, error) {
+	var b Batch
+	for len(img) > 0 {
+		var err error
+		if img, err = DecodeBatch(img, &b); err != nil {
+			return nil, err
+		}
+		evs = append(evs, b.Events...)
+	}
+	return evs, nil
 }

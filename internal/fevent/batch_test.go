@@ -2,7 +2,11 @@ package fevent
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
+
+	"netseer/internal/sim"
 )
 
 // TestBatchSeqOutsideEncoding pins the layering contract: Seq belongs to
@@ -71,5 +75,82 @@ func TestSplitBatchIsTheRecordImage(t *testing.T) {
 		if b.Events[0] != e {
 			t.Fatalf("type %d: DecodeBatch gives %+v, DecodeRecord %+v", typ, b.Events[0], e)
 		}
+	}
+}
+
+// TestDetailIsTheRecordDetail: Detail is the record's detail bytes, the
+// bytes a type does not define are zero, and SetDetail sets the type's
+// fields back and zeroes every other detail field.
+func TestDetailIsTheRecordDetail(t *testing.T) {
+	for typ := 0; typ <= numTypes+1; typ++ {
+		e := Event{Type: Type(typ), IngressPort: 0x11, EgressPort: 0x22, Queue: 0x33,
+			QueueLatencyUs: 0x4455, DropCode: 0x66, ACLRule: 0x77, Window: 0x8899, SketchErr: 0xaabb}
+		d := e.Detail()
+		if rec := e.AppendRecord(nil); binary.BigEndian.Uint32(rec[RecordTailOff:]) != d {
+			t.Fatalf("type %d: Detail %08x, record detail %x", typ, d, rec[RecordTailOff:][:4])
+		}
+		if !Type(typ).Valid() && d != 0 {
+			t.Fatalf("type %d: Detail %08x of no type", typ, d)
+		}
+		g := e
+		g.SetDetail(d)
+		want := Event{Type: e.Type}
+		if want.Type.Valid() {
+			if err := want.DecodeRecord(e.AppendRecord(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g != want {
+			t.Fatalf("type %d: SetDetail(%08x) left %+v, want %+v", typ, d, g, want)
+		}
+	}
+}
+
+// TestAppendBatchesSplitsRuns: AppendBatches writes one batch per maximal
+// run of a switch and a stamp, split at MaxBatchRecords, and
+// DecodeBatches reads the events back after what it was given.
+func TestAppendBatchesSplitsRuns(t *testing.T) {
+	mk := func(n int, sw uint16, ts sim.Time) []Event {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Type: TypePause, Flow: sampleFlow(), EgressPort: uint8(i), SwitchID: sw, Timestamp: ts}
+		}
+		return evs
+	}
+	var evs []Event
+	for _, r := range []struct {
+		n  int
+		sw uint16
+		ts sim.Time
+	}{{3, 1, 10}, {1, 2, 10}, {1, 1, 10}, {2, 1, 11}, {MaxBatchRecords + 5, 1, 11}} {
+		evs = append(evs, mk(r.n, r.sw, r.ts)...)
+	}
+	img := AppendBatches(nil, evs)
+	var sizes []int
+	for rest := img; len(rest) > 0; {
+		_, _, recs, next, err := SplitBatch(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, rest = append(sizes, len(recs)/RecordLen), next
+	}
+	if want := []int{3, 1, 1, MaxBatchRecords, 7}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	}
+	prefix := Event{Type: TypeDrop}
+	got, err := DecodeBatches([]Event{prefix}, img)
+	if err != nil || len(got) != 1+len(evs) || got[0] != prefix {
+		t.Fatalf("DecodeBatches: %d events, %v", len(got), err)
+	}
+	for i := range evs {
+		if got[1+i] != evs[i] {
+			t.Fatalf("event %d: %+v, want %+v", i, got[1+i], evs[i])
+		}
+	}
+	if _, err := DecodeBatches(nil, img[:len(img)-1]); err == nil {
+		t.Fatal("a truncated image decoded")
+	}
+	if got, err := DecodeBatches(nil, AppendBatches(nil, nil)); got != nil || err != nil {
+		t.Fatalf("the empty image: %v, %v", got, err)
 	}
 }

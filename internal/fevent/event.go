@@ -265,8 +265,20 @@ const (
 
 // AppendRecord appends the 24-byte record encoding of e to b.
 //
-// Layout: type(1) | flow(13) | detail(4) | count(2) | hash(4), big-endian.
-// Detail by type:
+// Layout: type(1) | flow(13) | detail(4) | count(2) | hash(4), big-endian;
+// the detail bytes are those Detail returns.
+func (e *Event) AppendRecord(b []byte) []byte {
+	var r [RecordLen]byte
+	r[0] = byte(e.Type)
+	e.Flow.PutWire(r[1:14])
+	binary.BigEndian.PutUint32(r[14:18], e.Detail())
+	binary.BigEndian.PutUint16(r[18:20], e.Count)
+	binary.BigEndian.PutUint32(r[20:24], e.Hash)
+	return append(b, r[:]...)
+}
+
+// Detail returns the 4 detail bytes of e's record as one big-endian
+// word; the bytes e's type does not define are zero. By type:
 //
 //	drop:         ingress(1) egress(1) dropCode(1) aclRule(1)
 //	congestion:   egress(1) queue(1) latencyUs(2)
@@ -275,39 +287,44 @@ const (
 //	heavy-hitter: ingress(1) egress(1) 0(2)
 //	topk-churn:   egress(1) 0(1) sketchErr(2)
 //	agg-spike:    egress(1) 0(1) window(2)
-func (e *Event) AppendRecord(b []byte) []byte {
-	var r [RecordLen]byte
-	r[0] = byte(e.Type)
-	e.Flow.PutWire(r[1:14])
+func (e *Event) Detail() uint32 {
 	switch e.Type {
 	case TypeDrop:
-		r[14] = e.IngressPort
-		r[15] = e.EgressPort
-		r[RecordDropCodeOff] = byte(e.DropCode)
-		r[17] = e.ACLRule
+		return uint32(e.IngressPort)<<24 | uint32(e.EgressPort)<<16 | uint32(e.DropCode)<<8 | uint32(e.ACLRule)
 	case TypeCongestion:
-		r[14] = e.EgressPort
-		r[15] = e.Queue
-		binary.BigEndian.PutUint16(r[16:18], e.QueueLatencyUs)
-	case TypePathChange:
-		r[14] = e.IngressPort
-		r[15] = e.EgressPort
+		return uint32(e.EgressPort)<<24 | uint32(e.Queue)<<16 | uint32(e.QueueLatencyUs)
+	case TypePathChange, TypeHeavyHitter:
+		return uint32(e.IngressPort)<<24 | uint32(e.EgressPort)<<16
 	case TypePause:
-		r[14] = e.EgressPort
-		r[15] = e.Queue
-	case TypeHeavyHitter:
-		r[14] = e.IngressPort
-		r[15] = e.EgressPort
+		return uint32(e.EgressPort)<<24 | uint32(e.Queue)<<16
 	case TypeTopKChurn:
-		r[14] = e.EgressPort
-		binary.BigEndian.PutUint16(r[16:18], e.SketchErr)
+		return uint32(e.EgressPort)<<24 | uint32(e.SketchErr)
 	case TypeAggSpike:
-		r[14] = e.EgressPort
-		binary.BigEndian.PutUint16(r[16:18], e.Window)
+		return uint32(e.EgressPort)<<24 | uint32(e.Window)
 	}
-	binary.BigEndian.PutUint16(r[18:20], e.Count)
-	binary.BigEndian.PutUint32(r[20:24], e.Hash)
-	return append(b, r[:]...)
+	return 0
+}
+
+// SetDetail sets the detail fields of e's type from the word Detail
+// returns and zeroes the others.
+func (e *Event) SetDetail(d uint32) {
+	e.IngressPort, e.EgressPort, e.Queue = 0, 0, 0
+	e.QueueLatencyUs, e.DropCode, e.ACLRule = 0, DropNone, 0
+	e.Window, e.SketchErr = 0, 0
+	switch e.Type {
+	case TypeDrop:
+		e.IngressPort, e.EgressPort, e.DropCode, e.ACLRule = uint8(d>>24), uint8(d>>16), DropCode(d>>8), uint8(d)
+	case TypeCongestion:
+		e.EgressPort, e.Queue, e.QueueLatencyUs = uint8(d>>24), uint8(d>>16), uint16(d)
+	case TypePathChange, TypeHeavyHitter:
+		e.IngressPort, e.EgressPort = uint8(d>>24), uint8(d>>16)
+	case TypePause:
+		e.EgressPort, e.Queue = uint8(d>>24), uint8(d>>16)
+	case TypeTopKChurn:
+		e.EgressPort, e.SketchErr = uint8(d>>24), uint16(d)
+	case TypeAggSpike:
+		e.EgressPort, e.Window = uint8(d>>24), uint16(d)
+	}
 }
 
 // DecodeRecord parses one 24-byte record into e, overwriting all per-record
@@ -329,36 +346,7 @@ func (e *Event) DecodeRecordParts(typ byte, flow *[pkt.FlowKeyLen]byte, tail *[R
 	}
 	e.Type = t
 	e.Flow.SetWire(flow)
-	e.IngressPort, e.EgressPort, e.Queue = 0, 0, 0
-	e.QueueLatencyUs, e.DropCode, e.ACLRule = 0, DropNone, 0
-	e.Window, e.SketchErr = 0, 0
-	d := tail[:4] // the detail bytes
-	switch t {
-	case TypeDrop:
-		e.IngressPort = d[0]
-		e.EgressPort = d[1]
-		e.DropCode = DropCode(d[RecordDropCodeOff-RecordTailOff])
-		e.ACLRule = d[3]
-	case TypeCongestion:
-		e.EgressPort = d[0]
-		e.Queue = d[1]
-		e.QueueLatencyUs = binary.BigEndian.Uint16(d[2:4])
-	case TypePathChange:
-		e.IngressPort = d[0]
-		e.EgressPort = d[1]
-	case TypePause:
-		e.EgressPort = d[0]
-		e.Queue = d[1]
-	case TypeHeavyHitter:
-		e.IngressPort = d[0]
-		e.EgressPort = d[1]
-	case TypeTopKChurn:
-		e.EgressPort = d[0]
-		e.SketchErr = binary.BigEndian.Uint16(d[2:4])
-	case TypeAggSpike:
-		e.EgressPort = d[0]
-		e.Window = binary.BigEndian.Uint16(d[2:4])
-	}
+	e.SetDetail(binary.BigEndian.Uint32(tail[:4]))
 	e.Count = binary.BigEndian.Uint16(tail[4:6])
 	e.Hash = binary.BigEndian.Uint32(tail[6:10])
 	return nil

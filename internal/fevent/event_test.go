@@ -1,6 +1,7 @@
 package fevent
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,6 +109,14 @@ func TestEventKeyAggregation(t *testing.T) {
 	d := Event{Type: TypeDrop, Flow: sampleFlow(), DropCode: DropTTLExpired}
 	if c.Key() == d.Key() {
 		t.Error("different drop codes must not share a key")
+	}
+	p, q := Event{Type: TypePathChange, Flow: sampleFlow(), EgressPort: 1}, Event{Type: TypePathChange, Flow: sampleFlow(), EgressPort: 2}
+	if p.Key() == q.Key() {
+		t.Error("a flow on a different path must not share a key")
+	}
+	w, v := Event{Type: TypeAggSpike, EgressPort: 1, Window: 4}, Event{Type: TypeAggSpike, EgressPort: 1, Window: 5}
+	if w.Key() == v.Key() {
+		t.Error("a link spiking in a later window must not share a key")
 	}
 }
 
@@ -253,6 +262,10 @@ func TestDecodeBatchErrors(t *testing.T) {
 	buf, _ := b.AppendTo(nil)
 	if _, err := DecodeBatch(buf[:len(buf)-1], &g); err == nil {
 		t.Error("truncated body decoded")
+	}
+	binary.BigEndian.PutUint16(buf[BatchHeaderLen-2:], MaxBatchRecords+1)
+	if _, err := DecodeBatch(buf, &g); err == nil {
+		t.Error("oversized batch decoded")
 	}
 }
 

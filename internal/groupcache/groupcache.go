@@ -18,8 +18,6 @@
 package groupcache
 
 import (
-	"encoding/binary"
-
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
 )
@@ -70,11 +68,31 @@ type Table struct {
 type entry struct {
 	flow    pkt.FlowKey
 	hash    uint32
-	det     [4]byte // the record's detail bytes, laid out as by AppendRecord
+	det     uint32 // the record's detail bytes (fevent.Event.Detail)
 	counter uint16
 	target  uint16
 	typ     fevent.Type // 0: the slot is empty
 }
+
+// keyDetail holds, per type, the detail bits the type's Key reads: the
+// bits a slot must match besides type and flow.
+var keyDetail = func() (m [256]uint32) {
+	for _, t := range fevent.Types {
+		base := fevent.Event{Type: t}
+		for bit := uint32(1); bit != 0; bit <<= 1 {
+			e := base
+			e.SetDetail(bit)
+			if e.Key() != base.Key() {
+				m[t] |= bit
+			}
+		}
+	}
+	return m
+}()
+
+// latency is the detail field of a congestion event whose maximum a slot
+// keeps across merged packets.
+var latency = (&fevent.Event{Type: fevent.TypeCongestion, QueueLatencyUs: 0xffff}).Detail()
 
 // New creates a table with the given number of slots and counter interval
 // C, delivering produced flow events to report. Panics if slots <= 0,
@@ -112,11 +130,15 @@ func (t *Table) Offer(ev *fevent.Event) {
 		idx = int(ev.Hash % uint32(len(t.slots)))
 	}
 	s := &t.slots[idx]
-	if s.typ == ev.Type && s.holds(ev) {
+	d := ev.Detail()
+	// Same Key: the type, the detail bits the type's Key reads and the
+	// flow, which an ACL deny's Key leaves out.
+	if s.typ == ev.Type && (s.det^d)&keyDetail[ev.Type] == 0 &&
+		(s.flow == ev.Flow || ev.Type == fevent.TypeDrop && ev.DropCode == fevent.DropACLDeny) {
 		// Same flow event: aggregate (lines 3–7).
 		s.counter++
-		if ev.Type == fevent.TypeCongestion && ev.QueueLatencyUs > binary.BigEndian.Uint16(s.det[2:]) {
-			binary.BigEndian.PutUint16(s.det[2:], ev.QueueLatencyUs)
+		if ev.Type == fevent.TypeCongestion && d&latency > s.det&latency {
+			s.det = s.det&^latency | d&latency
 		}
 		t.merged++
 		if s.counter >= s.target {
@@ -132,50 +154,10 @@ func (t *Table) Offer(ev *fevent.Event) {
 		// Report the evicted event so its final count is not lost.
 		t.emit(s)
 	}
-	s.install(ev)
+	s.typ, s.flow, s.hash, s.det = ev.Type, ev.Flow, ev.Hash, d
 	s.counter = 1
 	s.target = t.c
 	t.emit(s)
-}
-
-// holds reports whether the resident event, of ev's type, has ev's Key:
-// the flow (which an ACL deny's Key leaves out) and the detail bytes the
-// type's Key takes.
-func (s *entry) holds(ev *fevent.Event) bool {
-	switch ev.Type {
-	case fevent.TypeDrop:
-		return s.det[2] == byte(ev.DropCode) && s.det[3] == ev.ACLRule &&
-			(ev.DropCode == fevent.DropACLDeny || s.flow == ev.Flow)
-	case fevent.TypePathChange:
-		return s.det[0] == ev.IngressPort && s.det[1] == ev.EgressPort && s.flow == ev.Flow
-	case fevent.TypeAggSpike:
-		return s.det[0] == ev.EgressPort && binary.BigEndian.Uint16(s.det[2:]) == ev.Window && s.flow == ev.Flow
-	}
-	return s.flow == ev.Flow
-}
-
-// install stores ev's record fields in the slot.
-func (s *entry) install(ev *fevent.Event) {
-	s.typ, s.flow, s.hash = ev.Type, ev.Flow, ev.Hash
-	d := &s.det
-	*d = [4]byte{}
-	switch ev.Type {
-	case fevent.TypeDrop:
-		d[0], d[1], d[2], d[3] = ev.IngressPort, ev.EgressPort, byte(ev.DropCode), ev.ACLRule
-	case fevent.TypeCongestion:
-		d[0], d[1] = ev.EgressPort, ev.Queue
-		binary.BigEndian.PutUint16(d[2:], ev.QueueLatencyUs)
-	case fevent.TypePathChange, fevent.TypeHeavyHitter:
-		d[0], d[1] = ev.IngressPort, ev.EgressPort
-	case fevent.TypePause:
-		d[0], d[1] = ev.EgressPort, ev.Queue
-	case fevent.TypeTopKChurn:
-		d[0] = ev.EgressPort
-		binary.BigEndian.PutUint16(d[2:], ev.SketchErr)
-	case fevent.TypeAggSpike:
-		d[0] = ev.EgressPort
-		binary.BigEndian.PutUint16(d[2:], ev.Window)
-	}
 }
 
 // emit rebuilds the resident event into the zeroed scratch event and
@@ -186,21 +168,7 @@ func (t *Table) emit(s *entry) {
 	// on the stack and copied in wide, stalling on its own narrow stores.
 	*e = fevent.Event{}
 	e.Type, e.Flow, e.Hash, e.Count = s.typ, s.flow, s.hash, s.counter
-	d := &s.det
-	switch s.typ {
-	case fevent.TypeDrop:
-		e.IngressPort, e.EgressPort, e.DropCode, e.ACLRule = d[0], d[1], fevent.DropCode(d[2]), d[3]
-	case fevent.TypeCongestion:
-		e.EgressPort, e.Queue, e.QueueLatencyUs = d[0], d[1], binary.BigEndian.Uint16(d[2:])
-	case fevent.TypePathChange, fevent.TypeHeavyHitter:
-		e.IngressPort, e.EgressPort = d[0], d[1]
-	case fevent.TypePause:
-		e.EgressPort, e.Queue = d[0], d[1]
-	case fevent.TypeTopKChurn:
-		e.EgressPort, e.SketchErr = d[0], binary.BigEndian.Uint16(d[2:])
-	case fevent.TypeAggSpike:
-		e.EgressPort, e.Window = d[0], binary.BigEndian.Uint16(d[2:])
-	}
+	e.SetDetail(s.det)
 	t.reported++
 	t.report(e)
 }

@@ -149,16 +149,7 @@ func Run(sc Scenario) *Result {
 		res.BySwitch[id] = st
 		_, _, _, ev := ns.TableStats()
 		res.Evictions[id] = ev
-		res.Stats.LostMMURedirect += st.LostMMURedirect
-		res.Stats.LostInternalPort += st.LostInternalPort
-		res.Stats.LostRingOverwrite += st.LostRingOverwrite
-		res.Stats.LostStackOverflow += st.LostStackOverflow
-		res.Stats.SeqGapsDetected += st.SeqGapsDetected
-		res.Stats.NotifySent += st.NotifySent
-		res.Stats.InterSwitchFound += st.InterSwitchFound
-		res.Stats.SuppressedFPs += st.SuppressedFPs
-		res.Stats.ExportedEvents += st.ExportedEvents
-		res.Stats.ExportedBatches += st.ExportedBatches
+		res.Stats.Add(st)
 	}
 	return res
 }

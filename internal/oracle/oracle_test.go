@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"netseer/internal/core"
 	"netseer/internal/fevent"
 )
 
@@ -22,9 +23,17 @@ func TestScenarioMatrix(t *testing.T) {
 		sc := sc
 		t.Run(fmt.Sprintf("%02d_%s", i, name(sc)), func(t *testing.T) {
 			t.Parallel()
-			rep := CheckAll(Run(sc))
+			res := Run(sc)
+			rep := CheckAll(res)
 			for _, v := range rep.Violations() {
 				t.Error(v)
+			}
+			var sum core.Stats
+			for _, st := range res.BySwitch {
+				sum.Add(st)
+			}
+			if sum != res.Stats {
+				t.Errorf("Stats %+v, want the sum over switches %+v", res.Stats, sum)
 			}
 			if t.Failed() {
 				t.Logf("scenario: %s", sc)
@@ -114,9 +123,17 @@ func TestReproSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc := DecodeScenario(data)
-			rep := CheckAll(Run(sc))
+			res := Run(sc)
+			rep := CheckAll(res)
 			for _, v := range rep.Violations() {
 				t.Error(v)
+			}
+			var sum core.Stats
+			for _, st := range res.BySwitch {
+				sum.Add(st)
+			}
+			if sum != res.Stats {
+				t.Errorf("Stats %+v, want the sum over switches %+v", res.Stats, sum)
 			}
 			if t.Failed() {
 				t.Logf("scenario: %s", sc)

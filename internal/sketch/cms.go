@@ -147,9 +147,6 @@ func (c *CMS) Estimate(h uint32) uint32 {
 // ε·N error bound.
 func (c *CMS) Total() uint64 { return c.total }
 
-// Width and Depth report the geometry.
-func (c *CMS) Width() int { return int(c.width) }
-
 // Depth reports the number of rows.
 func (c *CMS) Depth() int { return c.depth }
 

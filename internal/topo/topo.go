@@ -126,9 +126,6 @@ func (t *Topology) AddLink(a, b NodeID, bps float64, propDelay sim.Time) int {
 // Node returns the node with the given ID.
 func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
 
-// Nodes returns all nodes in ID order. The slice is shared; do not modify.
-func (t *Topology) Nodes() []Node { return t.nodes }
-
 // Links returns all links. The slice is shared; do not modify.
 func (t *Topology) Links() []Link { return t.links }
 
@@ -175,9 +172,6 @@ func (t *Topology) Switches() []Node {
 	}
 	return ss
 }
-
-// NumNodes returns the node count.
-func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // HostIP composes the address scheme used by the builders:
 // 10.pod.tor.host.

@@ -173,11 +173,3 @@ func (z *Zipf) Rank(rng *sim.Stream) int {
 	}
 	return lo
 }
-
-// Weight returns P(rank = k).
-func (z *Zipf) Weight(k int) float64 {
-	if k == 0 {
-		return z.cum[0]
-	}
-	return z.cum[k] - z.cum[k-1]
-}
