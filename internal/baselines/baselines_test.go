@@ -30,9 +30,7 @@ func newBlNet(t *testing.T, swCfg dataplane.Config) *blNet {
 	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, 3)
 	n := &blNet{sim: s, fab: fab, gt: gt, routes: routes}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{DisableSeq: true})
-		h.Handle(workload.DataPort, func(*pkt.Packet) {})
-		n.hosts = append(n.hosts, h)
+		n.hosts = append(n.hosts, host.Attach(s, fab, hn, nic.Config{DisableSeq: true}))
 	}
 	return n
 }

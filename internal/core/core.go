@@ -40,11 +40,6 @@ type EventSink interface {
 
 // Config parameterizes NetSeer on one switch. Zero fields take defaults.
 type Config struct {
-	// CongestionThreshold marks a packet congested when its queuing delay
-	// meets it (default: the switch's own threshold should be passed in;
-	// fallback 10 µs).
-	CongestionThreshold sim.Time
-
 	// GroupSlots and GroupC size the per-event-type group caching tables
 	// (defaults 4096 slots, C=128).
 	GroupSlots int
@@ -84,9 +79,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CongestionThreshold <= 0 {
-		c.CongestionThreshold = 10 * sim.Microsecond
-	}
 	if c.GroupSlots <= 0 {
 		c.GroupSlots = groupcache.DefaultSlots
 	}
@@ -216,6 +208,9 @@ type NetSeerSwitch struct {
 	sw  *dataplane.Switch
 	cfg Config
 	sim *sim.Simulator
+	// congThreshold is the switch's own congestion threshold, copied at
+	// Attach so the per-packet OnDequeue does not call sw.Config().
+	congThreshold sim.Time
 
 	// Step 2 state.
 	dropTable *groupcache.Table
@@ -283,6 +278,7 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 	cfg = cfg.withDefaults()
 	n := &NetSeerSwitch{
 		sw: sw, cfg: cfg, sim: sw.Sim(), sink: sink,
+		congThreshold:  sw.Config().CongestionThreshold,
 		pathTable:      make([]pathEntry, cfg.PathSlots),
 		mmuRedirect:    newTokenBucket(cfg.MMURedirectBps, 256<<10),
 		internalPort:   newTokenBucket(cfg.InternalPortBps, 512<<10),
@@ -321,6 +317,30 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 		sw.AttachSketch(n.sketch)
 	}
 	return n
+}
+
+// Deploy attaches NetSeer to every switch of fab in wire-ID order, all
+// delivering to sink.
+func Deploy(fab *dataplane.Fabric, cfg Config, sink EventSink) []*NetSeerSwitch {
+	var nss []*NetSeerSwitch
+	fab.EachSwitch(func(sw *dataplane.Switch) { nss = append(nss, Attach(sw, cfg, sink)) })
+	return nss
+}
+
+// Drain ends a run so every detected event reaches its sink: it flushes
+// every switch, stops every switch's CEBP circulation, runs s dry, and
+// flushes once more.
+func Drain(s *sim.Simulator, nss []*NetSeerSwitch) {
+	for _, n := range nss {
+		n.Flush()
+	}
+	for _, n := range nss {
+		n.Stop()
+	}
+	s.RunAll()
+	for _, n := range nss {
+		n.Flush()
+	}
 }
 
 // Sketch returns the sketch detection stage, nil unless Config.Sketch was
@@ -402,8 +422,8 @@ func (n *NetSeerSwitch) PacerStats() (sent, delayed uint64) { return n.pacer.Sta
 // similar idea to detect inter-card packet drop").
 func (n *NetSeerSwitch) MarkInterCard(port int) { n.portCode[port] = fevent.DropInterCard }
 
-// Flush drains every table, the batcher, and the export path; call at the
-// end of a simulation so final counters reach the sink.
+// Flush drains every table, the batcher, and the export path, so final
+// counters reach the sink. Drain calls it to end a run.
 func (n *NetSeerSwitch) Flush() {
 	n.drainPendingLookups()
 	n.dropTable.Flush()

@@ -91,13 +91,7 @@ func (r *rig) send(flow pkt.FlowKey, wireLen int) {
 // drains remaining work.
 func (r *rig) finish(horizon sim.Time) {
 	r.sim.Run(horizon)
-	r.ns0.Flush()
-	r.ns1.Flush()
-	r.ns0.Stop()
-	r.ns1.Stop()
-	r.sim.RunAll()
-	r.ns0.Flush()
-	r.ns1.Flush()
+	Drain(r.sim, []*NetSeerSwitch{r.ns0, r.ns1})
 }
 
 func TestBlackholeDropReported(t *testing.T) {
@@ -151,8 +145,7 @@ func TestACLDropsAggregatedPerRule(t *testing.T) {
 }
 
 func TestCongestionReported(t *testing.T) {
-	r := newRig(t, dataplane.Config{CongestionThreshold: sim.Microsecond},
-		Config{CongestionThreshold: sim.Microsecond})
+	r := newRig(t, dataplane.Config{CongestionThreshold: sim.Microsecond}, Config{})
 	f := r.flow(1234)
 	for i := 0; i < 40; i++ {
 		r.send(f, 1400)

@@ -235,7 +235,7 @@ func (n *NetSeerSwitch) OnDequeue(p *pkt.Packet, outPort, queue int, qdelay sim.
 	if p.Kind != pkt.KindData && p.Kind != pkt.KindProbe {
 		return
 	}
-	if qdelay < n.cfg.CongestionThreshold {
+	if qdelay < n.congThreshold {
 		return
 	}
 	us := qdelay / sim.Microsecond

@@ -6,8 +6,6 @@ import (
 	"netseer/internal/dataplane"
 	"netseer/internal/fevent"
 	"netseer/internal/groupcache"
-	"netseer/internal/host"
-	"netseer/internal/nic"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 	"netseer/internal/topo"
@@ -99,12 +97,10 @@ func ExtInterCardDetection(seed uint64) *InterCardResult {
 	gt := dataplane.NewGroundTruth()
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, gt, seed)
 	store := collector.NewStore()
-	var nss []*core.NetSeerSwitch
-	fab.EachSwitch(func(sw *dataplane.Switch) {
-		ns := core.Attach(sw, core.Config{}, store)
+	nss := core.Deploy(fab, core.Config{}, store)
+	for _, ns := range nss {
 		ns.MarkInterCard(0) // port 0 is the board-to-board link on both
-		nss = append(nss, ns)
-	})
+	}
 	hA, _ := tp.NodeByName("hA")
 	hB, _ := tp.NodeByName("hB")
 	sinkDev := &countingDevice{}
@@ -133,14 +129,7 @@ func ExtInterCardDetection(seed uint64) *InterCardResult {
 		send(bg)
 	}
 	s.Run(sim.Millisecond)
-	for _, ns := range nss {
-		ns.Flush()
-		ns.Stop()
-	}
-	s.RunAll()
-	for _, ns := range nss {
-		ns.Flush()
-	}
+	core.Drain(s, nss)
 
 	res := &InterCardResult{Injected: injected}
 	for _, e := range store.Query(collector.Filter{Type: fevent.TypeDrop, DropCode: fevent.DropInterCard}) {
@@ -173,33 +162,19 @@ type PartialDeploymentResult struct {
 // ground truth that happens at monitored devices.
 func ExtPartialDeployment(seed uint64) *PartialDeploymentResult {
 	run := func(edgeOnly bool) (float64, int, int) {
-		cfg := RunConfig{
+		// NetSeer off in NewTestbed; it goes on the deployed switches only.
+		tb := NewTestbed(RunConfig{
 			Dist: workload.WEB, Load: 0.6, Window: 3 * sim.Millisecond, Seed: seed,
-		}
-		cfg = cfg.withDefaults()
-		s := sim.New()
-		tp := topo.Testbed()
-		routes := topo.BuildRoutes(tp)
-		gt := dataplane.NewGroundTruth()
-		fab := dataplane.BuildFabric(s, tp, routes, cfg.SwCfg, gt, seed)
-		store := collector.NewStore()
-		tb := &Testbed{Cfg: cfg, Sim: s, Topo: tp, Routes: routes, Fab: fab, GT: gt, Store: store}
-		for _, hn := range tp.Hosts() {
-			h := host.Attach(s, fab, hn, nic.Config{})
-			h.Handle(workload.DataPort, func(*pkt.Packet) {})
-			tb.Hosts = append(tb.Hosts, h)
-		}
+		})
+		cfg, s, tp, fab := tb.Cfg, tb.Sim, tb.Topo, tb.Fab
 		deployed := 0
 		for _, node := range tp.Switches() {
 			if edgeOnly && node.Layer != topo.LayerEdge {
 				continue
 			}
 			deployed++
-			tb.NetSeers = append(tb.NetSeers, core.Attach(fab.Switches[node.ID], cfg.NSCfg, store))
+			tb.NetSeers = append(tb.NetSeers, core.Attach(fab.Switches[node.ID], cfg.NSCfg, tb.Store))
 		}
-		tb.Gen = workload.NewGenerator(s, tb.Hosts[:cfg.Clients], tb.Hosts[cfg.Clients:], workload.GenConfig{
-			Dist: cfg.Dist, Load: cfg.Load, FanIn: cfg.FanIn, Seed: cfg.Seed,
-		})
 		// Two blackholes: one at an edge switch, one at a core switch.
 		edgeVictim := tb.Hosts[len(tb.Hosts)-1]
 		tor := fab.HostPorts[edgeVictim.Node.ID][0].Switch
@@ -229,7 +204,7 @@ func ExtPartialDeployment(seed uint64) *PartialDeploymentResult {
 		s.Run(cfg.Window)
 		tb.Gen.Stop()
 		tb.StopAndDrain()
-		truth := gt.DropFlowEvents(fevent.DropCode.IsPipeline)
+		truth := tb.GT.DropFlowEvents(fevent.DropCode.IsPipeline)
 		return Coverage(truth, tb.NetSeerDetections()), deployed, len(tp.Switches())
 	}
 	full, _, total := run(false)

@@ -9,7 +9,6 @@ import (
 	"netseer/internal/host"
 	"netseer/internal/link"
 	"netseer/internal/nic"
-	"netseer/internal/pkt"
 	"netseer/internal/sim"
 	"netseer/internal/topo"
 	"netseer/internal/workload"
@@ -42,16 +41,10 @@ func TestFatTreeDigestPinned(t *testing.T) {
 			fab := dataplane.BuildFabric(s, tp, topo.BuildRoutes(tp), swCfg, dataplane.NewGroundTruth(), tc.seed)
 			var hosts []*host.Host
 			for _, hn := range tp.Hosts() {
-				h := host.Attach(s, fab, hn, nic.Config{})
-				h.Handle(workload.DataPort, func(*pkt.Packet) {})
-				hosts = append(hosts, h)
+				hosts = append(hosts, host.Attach(s, fab, hn, nic.Config{}))
 			}
 			store := collector.NewStore()
-			var netseers []*core.NetSeerSwitch
-			fab.EachSwitch(func(sw *dataplane.Switch) {
-				netseers = append(netseers, core.Attach(sw,
-					core.Config{CongestionThreshold: swCfg.CongestionThreshold}, store))
-			})
+			netseers := core.Deploy(fab, core.Config{}, store)
 
 			l := fab.LinkBetween("agg0-0", "core0")
 			if l == nil {
@@ -81,16 +74,7 @@ func TestFatTreeDigestPinned(t *testing.T) {
 			gen.Start()
 			s.Run(window)
 			gen.Stop()
-			for _, ns := range netseers {
-				ns.Flush()
-			}
-			for _, ns := range netseers {
-				ns.Stop()
-			}
-			s.RunAll()
-			for _, ns := range netseers {
-				ns.Flush()
-			}
+			core.Drain(s, netseers)
 
 			if got := CanonicalDigest(store); got != tc.digest {
 				t.Errorf("digest %016x, pinned %016x", got, tc.digest)

@@ -50,10 +50,7 @@ func ringScenario(slots, pktSize int) bool {
 			}
 		}
 	})
-	var nss []*core.NetSeerSwitch
-	fab.EachSwitch(func(sw *dataplane.Switch) {
-		nss = append(nss, core.Attach(sw, core.Config{RingSlots: slots}, sink))
-	})
+	nss := core.Deploy(fab, core.Config{RingSlots: slots}, sink)
 	stub := &countingDevice{}
 	fab.AttachHost(hA.ID, stub)
 	fab.AttachHost(hB.ID, stub)
@@ -81,14 +78,7 @@ func ringScenario(slots, pktSize int) bool {
 		send(bg)
 	}
 	s.Run(5 * sim.Millisecond)
-	for _, ns := range nss {
-		ns.Flush()
-		ns.Stop()
-	}
-	s.RunAll()
-	for _, ns := range nss {
-		ns.Flush()
-	}
+	core.Drain(s, nss)
 	return recovered
 }
 

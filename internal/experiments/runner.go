@@ -43,15 +43,12 @@ type RunConfig struct {
 	NSCfg core.Config
 
 	// Monitors to attach.
-	NetSeer  bool
-	NetSight bool
-	EverFlow bool
-	// EverFlowWatch scales the on-demand watchlist to the scaled-down
-	// flow population (the paper's 1,000 flows of ~800 K; default 16).
-	EverFlowWatch int
-	SamplerRates  []int // e.g. {10, 100, 1000}
-	Pingmesh      bool
-	SNMP          bool
+	NetSeer      bool
+	NetSight     bool
+	EverFlow     bool
+	SamplerRates []int // e.g. {10, 100, 1000}
+	Pingmesh     bool
+	SNMP         bool
 
 	// Fault injection for event-type coverage (Fig. 9).
 	InjectLinkLoss    bool // random silent loss on one fabric link
@@ -79,11 +76,12 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.SwCfg.CongestionThreshold <= 0 {
 		c.SwCfg.CongestionThreshold = 10 * sim.Microsecond
 	}
-	if c.NSCfg.CongestionThreshold <= 0 {
-		c.NSCfg.CongestionThreshold = c.SwCfg.CongestionThreshold
-	}
 	return c
 }
+
+// everFlowWatch scales EverFlow's on-demand watchlist to the scaled-down
+// flow population (the paper's 1,000 flows of ~800 K).
+const everFlowWatch = 16
 
 // Testbed is an assembled evaluation network.
 type Testbed struct {
@@ -119,14 +117,10 @@ func NewTestbed(cfg RunConfig) *Testbed {
 		Store: collector.NewStore(),
 	}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{})
-		h.Handle(workload.DataPort, func(*pkt.Packet) {})
-		tb.Hosts = append(tb.Hosts, h)
+		tb.Hosts = append(tb.Hosts, host.Attach(s, fab, hn, nic.Config{}))
 	}
 	if cfg.NetSeer {
-		fab.EachSwitch(func(sw *dataplane.Switch) {
-			tb.NetSeers = append(tb.NetSeers, core.Attach(sw, cfg.NSCfg, tb.Store))
-		})
+		tb.NetSeers = core.Deploy(fab, cfg.NSCfg, tb.Store)
 	}
 	if cfg.NetSight {
 		tb.NetSight = baselines.NewNetSight(cfg.SwCfg.CongestionThreshold)
@@ -137,11 +131,7 @@ func NewTestbed(cfg RunConfig) *Testbed {
 		// Rotation compressed to the simulated window so the watchlist
 		// actually rotates, as it would over the paper's longer runs.
 		tb.EverFlow = baselines.NewEverFlow(s, cfg.SwCfg.CongestionThreshold, cfg.Window/4, cfg.Seed)
-		watch := cfg.EverFlowWatch
-		if watch <= 0 {
-			watch = 16
-		}
-		tb.EverFlow.WatchSize = watch
+		tb.EverFlow.WatchSize = everFlowWatch
 		tb.addMonitor(tb.EverFlow)
 	}
 	for _, n := range cfg.SamplerRates {
@@ -245,14 +235,9 @@ func (tb *Testbed) Run() {
 	tb.StopAndDrain()
 }
 
-// StopAndDrain flushes NetSeer state and drains remaining simulator work.
+// StopAndDrain stops the periodic baselines, then drains NetSeer and the
+// remaining simulator work.
 func (tb *Testbed) StopAndDrain() {
-	for _, ns := range tb.NetSeers {
-		ns.Flush()
-	}
-	for _, ns := range tb.NetSeers {
-		ns.Stop()
-	}
 	if tb.EverFlow != nil {
 		tb.EverFlow.Stop()
 	}
@@ -262,10 +247,7 @@ func (tb *Testbed) StopAndDrain() {
 	if tb.SNMP != nil {
 		tb.SNMP.Stop()
 	}
-	tb.Sim.RunAll()
-	for _, ns := range tb.NetSeers {
-		ns.Flush()
-	}
+	core.Drain(tb.Sim, tb.NetSeers)
 }
 
 // swNode finds the topology node of a switch (reverse lookup).

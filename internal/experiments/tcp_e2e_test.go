@@ -36,14 +36,9 @@ func TestTCPExportEndToEnd(t *testing.T) {
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, gt, 21)
 	var hosts []*host.Host
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{})
-		h.Handle(workload.DataPort, func(*pkt.Packet) {})
-		hosts = append(hosts, h)
+		hosts = append(hosts, host.Attach(s, fab, hn, nic.Config{}))
 	}
-	var nss []*core.NetSeerSwitch
-	fab.EachSwitch(func(sw *dataplane.Switch) {
-		nss = append(nss, core.Attach(sw, core.Config{}, client))
-	})
+	nss := core.Deploy(fab, core.Config{}, client)
 	// A blackhole and victim traffic.
 	victim := hosts[31]
 	tor := fab.HostPorts[victim.Node.ID][0].Switch
@@ -52,14 +47,7 @@ func TestTCPExportEndToEnd(t *testing.T) {
 		SrcPort: 4242, DstPort: workload.DataPort, Proto: pkt.ProtoTCP}
 	hosts[0].SendUDP(flow, 30, 724, 0)
 	s.Run(2 * sim.Millisecond)
-	for _, ns := range nss {
-		ns.Flush()
-		ns.Stop()
-	}
-	s.RunAll()
-	for _, ns := range nss {
-		ns.Flush()
-	}
+	core.Drain(s, nss)
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ func Run(sc Scenario) *Result {
 	hostByID := make(map[topo.NodeID]*host.Host)
 	for _, hn := range tp.Hosts() {
 		h := host.Attach(s, fab, hn, nic.Config{})
-		h.Handle(workload.DataPort, func(*pkt.Packet) {})
 		hosts = append(hosts, h)
 		hostByID[hn.ID] = h
 	}
@@ -100,13 +99,12 @@ func Run(sc Scenario) *Result {
 	// detection logic, not capacity loss, so the Lost* counters must stay
 	// zero (checkers assert the ones that should).
 	nsCfg := core.Config{
-		CongestionThreshold: swCfg.CongestionThreshold,
-		GroupSlots:          int(sc.GroupSlots),
-		GroupC:              uint16(sc.GroupC),
-		RingSlots:           int(sc.RingSlots),
-		MMURedirectBps:      1e15,
-		InternalPortBps:     1e15,
-		ExportBps:           1e15,
+		GroupSlots:      int(sc.GroupSlots),
+		GroupC:          uint16(sc.GroupC),
+		RingSlots:       int(sc.RingSlots),
+		MMURedirectBps:  1e15,
+		InternalPortBps: 1e15,
+		ExportBps:       1e15,
 		// The sketch stage runs in every scenario — the sketch checker's
 		// claims must hold on clean and faulted fabrics alike. Thresholds
 		// are sized so modest oracle workloads genuinely cross them.
@@ -119,10 +117,7 @@ func Run(sc Scenario) *Result {
 		},
 	}
 	sink := &teeSink{store: collector.NewStore()}
-	var netseers []*core.NetSeerSwitch
-	fab.EachSwitch(func(sw *dataplane.Switch) {
-		netseers = append(netseers, core.Attach(sw, nsCfg, sink))
-	})
+	netseers := core.Deploy(fab, nsCfg, sink)
 	// Ground truth mirrors the sketch stage's exact aggregates: same
 	// window, same stream (pre-MMU pipeline survivors). Set before any
 	// traffic is scheduled so the ledgers cover every packet.
@@ -135,7 +130,7 @@ func Run(sc Scenario) *Result {
 	scheduleFaults(s, sc, tp, fab, routes, hostByID, lane, rng)
 
 	s.Run(Window)
-	drain(s, netseers)
+	core.Drain(s, netseers)
 
 	res := &Result{
 		Sc: sc, GT: gt, Store: sink.store, Batches: sink.batches,
@@ -152,25 +147,6 @@ func Run(sc Scenario) *Result {
 		res.Stats.Add(st)
 	}
 	return res
-}
-
-// drain flushes every table/batcher and runs the simulator dry, repeating
-// because a flush can schedule paced deliveries which in turn surface
-// in-flight packets whose telemetry needs another flush.
-func drain(s *sim.Simulator, netseers []*core.NetSeerSwitch) {
-	for _, ns := range netseers {
-		ns.Flush()
-	}
-	for _, ns := range netseers {
-		ns.Stop()
-	}
-	for i := 0; i < 3; i++ {
-		s.RunAll()
-		for _, ns := range netseers {
-			ns.Flush()
-		}
-	}
-	s.RunAll()
 }
 
 // lane is the instrumented path every fault schedule targets: a source

@@ -113,9 +113,7 @@ func newWlNet(t *testing.T) *wlNet {
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, dataplane.NewGroundTruth(), 5)
 	n := &wlNet{sim: s, fab: fab}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{})
-		h.Handle(DataPort, func(*pkt.Packet) {})
-		n.hosts = append(n.hosts, h)
+		n.hosts = append(n.hosts, host.Attach(s, fab, hn, nic.Config{}))
 	}
 	return n
 }
@@ -182,9 +180,7 @@ func TestIncastCausesCongestionDrops(t *testing.T) {
 	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{QueueLimitBytes: 64 << 10}, gt, 5)
 	var hosts []*host.Host
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{})
-		h.Handle(DataPort, func(*pkt.Packet) {})
-		hosts = append(hosts, h)
+		hosts = append(hosts, host.Attach(s, fab, hn, nic.Config{}))
 	}
 	// 16 senders, 1 MB each, one receiver: must overflow its ToR queue.
 	Incast(s, hosts[8:24], hosts[0], 1<<20, 1000, 0)

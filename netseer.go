@@ -87,9 +87,8 @@ type NetworkConfig struct {
 	Seed     uint64
 	// Switch is the data-plane configuration shared by all switches.
 	Switch dataplane.Config
-	// NetSeer configures the telemetry; DisableNetSeer turns it off.
-	NetSeer        core.Config
-	DisableNetSeer bool
+	// NetSeer configures the telemetry on every switch.
+	NetSeer core.Config
 }
 
 // Network is a fully assembled, monitored, simulated network.
@@ -106,8 +105,7 @@ type Network struct {
 }
 
 // NewNetwork builds the selected topology with hosts on every host node
-// and (unless disabled) NetSeer on every switch, reporting to an
-// in-process collector.
+// and NetSeer on every switch, reporting to an in-process collector.
 func NewNetwork(cfg NetworkConfig) *Network {
 	s := sim.New()
 	var tp *topo.Topology
@@ -127,19 +125,9 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		store: collector.NewStore(), hosts: make(map[string]*host.Host),
 	}
 	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{})
-		h.Handle(workload.DataPort, func(*pkt.Packet) {})
-		n.hosts[hn.Name] = h
+		n.hosts[hn.Name] = host.Attach(s, fab, hn, nic.Config{})
 	}
-	if !cfg.DisableNetSeer {
-		nsCfg := cfg.NetSeer
-		if nsCfg.CongestionThreshold <= 0 {
-			nsCfg.CongestionThreshold = fab.SwitchByID[0].Config().CongestionThreshold
-		}
-		fab.EachSwitch(func(sw *dataplane.Switch) {
-			n.ns = append(n.ns, core.Attach(sw, nsCfg, n.store))
-		})
-	}
+	n.ns = core.Deploy(fab, cfg.NetSeer, n.store)
 	return n
 }
 
@@ -164,7 +152,7 @@ func (n *Network) Hosts() []*host.Host {
 // Switch returns a switch by topology name (e.g. "core0", "edge0-1").
 func (n *Network) Switch(name string) *dataplane.Switch {
 	node, ok := n.topo.NodeByName(name)
-	if !ok {
+	if !ok || node.Kind != topo.KindSwitch {
 		panic(fmt.Sprintf("netseer: unknown switch %q", name))
 	}
 	return n.fab.Switches[node.ID]
@@ -200,18 +188,7 @@ func (n *Network) Run(until Time) {
 
 // Close stops all background machinery (CEBP circulation) and drains the
 // simulation; the Network remains queryable.
-func (n *Network) Close() {
-	for _, ns := range n.ns {
-		ns.Flush()
-	}
-	for _, ns := range n.ns {
-		ns.Stop()
-	}
-	n.sim.RunAll()
-	for _, ns := range n.ns {
-		ns.Flush()
-	}
-}
+func (n *Network) Close() { core.Drain(n.sim, n.ns) }
 
 // Events queries the collector.
 func (n *Network) Events(q Query) []Event { return n.store.Query(q) }

@@ -27,6 +27,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if !found {
 		t.Errorf("no no-route drop among %d events", len(events))
 	}
+	// Ground truth sees the same drop: one flow event of ten packets.
+	if gt := net.GroundTruth().Events; len(gt) != 1 || gt[0].Key.Code != fevent.DropNoRoute || gt[0].Packets != 10 {
+		t.Errorf("ground truth = %+v", gt)
+	}
 	// The facade's totals carry every per-switch counter.
 	if st := net.NetSeerStats(); st.DedupBytes == 0 || st.ExtractedBytes == 0 || st.ExportedBatches == 0 {
 		t.Errorf("stats = %+v, want the dedup, extraction and export counters", st)
@@ -51,6 +55,7 @@ func TestUnknownNamesPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { net.Host("nope") },
 		func() { net.Switch("nope") },
+		func() { net.Switch("hA") },
 		func() { net.Link("hA", "hB") },
 	} {
 		func() {
@@ -61,22 +66,6 @@ func TestUnknownNamesPanic(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestDisableNetSeer(t *testing.T) {
-	net := NewNetwork(NetworkConfig{Topology: TopoLine2, Seed: 1, DisableNetSeer: true})
-	a, b := net.Host("hA"), net.Host("hB")
-	net.Switch("sw0").SetRouteOverride(b.Node.IP, []int{})
-	net.SendBurst(a, b, 1000, 10, 724)
-	net.Run(Millisecond)
-	net.Close()
-	if got := len(net.Events(Query{})); got != 0 {
-		t.Errorf("%d events with NetSeer disabled", got)
-	}
-	// Ground truth still sees everything: one flow event of ten packets.
-	if gt := net.GroundTruth().Events; len(gt) != 1 || gt[0].Key.Code != fevent.DropNoRoute || gt[0].Packets != 10 {
-		t.Errorf("ground truth = %+v", gt)
 	}
 }
 
