@@ -128,7 +128,7 @@ type Batcher struct {
 
 	// Stats. Plain counters: the batcher is single-owner (one simulated
 	// pipeline) and Push/pass are pinned zero-alloc hot paths; scrapes read
-	// owner-published mirrors instead (see internal/obs).
+	// the owner-published core.Stats sum instead (see internal/obs).
 	pushed    uint64
 	overflow  uint64
 	flushed   uint64 // batches delivered

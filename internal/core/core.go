@@ -103,14 +103,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts per-step volumes for the Fig. 13 accounting. Bytes at steps
-// 1–2 are packet-sized (the data still travels as packets inside the
-// pipeline); step 3 is 24-byte records; step 4 is encoded export batches.
+// Stats is the one snapshot of everything a switch's NetSeer stages
+// count. The Fig. 13 volumes come first: bytes at steps 1–2 are
+// packet-sized (the data still travels as packets inside the pipeline);
+// step 3 is 24-byte records; step 4 is encoded export batches. Per switch,
+// after Drain, the stages conserve events:
+//
+//	DedupReports   = BatchPushed + LostStackOverflow
+//	BatchPushed    = BatchDelivered = ElimSeen
+//	ElimSeen       = SuppressedFPs + ElimForwarded
+//	ElimForwarded  = ExportedEvents
 type Stats struct {
 	// RawPackets/RawBytes: all data-plane traffic the switch forwarded or
 	// dropped while NetSeer watched.
 	RawPackets, RawBytes uint64
-	// EventPackets/EventBytes: packets selected by Step 1.
+	// EventPackets/EventBytes: packets selected by Step 1. EventPackets
+	// is the sum of Detections over the four Step-1 types.
 	EventPackets, EventBytes uint64
 	// DedupReports/DedupBytes: flow events emitted by Step 2.
 	DedupReports, DedupBytes uint64
@@ -118,10 +126,11 @@ type Stats struct {
 	ExtractedBytes uint64
 	// ExportedEvents/ExportedBytes: events and bytes that left the switch
 	// CPU for the backend after Step 4. ExportedBatches counts the
-	// delivery units handed to the sink — the denominator for the
-	// reliable channel's retransmit/duplicate accounting.
+	// delivery units handed to the sink (the pacer's sends) — the
+	// denominator for the reliable channel's retransmit/duplicate
+	// accounting.
 	ExportedEvents, ExportedBytes, ExportedBatches uint64
-	// SuppressedFPs: duplicate reports removed by the CPU.
+	// SuppressedFPs: duplicate reports removed by the CPU eliminator.
 	SuppressedFPs uint64
 
 	// Capacity losses.
@@ -134,10 +143,37 @@ type Stats struct {
 	SeqGapsDetected  uint64 // gap episodes seen by downstream trackers
 	NotifySent       uint64 // notification packets emitted (3× per gap)
 	InterSwitchFound uint64 // victim packets recovered from the ring
+
+	// Detections counts detection events by fevent.Type: Step-1 event
+	// packets and sketch-stage events. Drops counts drop event packets
+	// by fevent.DropCode.
+	Detections [8]uint64
+	Drops      [16]uint64
+
+	// Group caching tables (drop, congestion, pause; the ACL aggregator
+	// never evicts): offered packets, emitted flow events, merged
+	// packets, evictions and periodic C-crossing re-reports. With zero
+	// evictions every key lives in one uninterrupted aggregation run, so
+	// its final reported Count is the exact packet total.
+	GroupIngested, GroupReported, GroupMerged, GroupEvictions, GroupRereports uint64
+
+	// CEBP batcher: events pushed onto the stack, batches flushed to the
+	// CPU, events delivered, stack transits, events popped, and the
+	// deepest the stack has been (Add keeps the maximum).
+	BatchPushed, BatchFlushes, BatchDelivered, BatchPasses, BatchPops, BatchStackHW uint64
+
+	// ElimSeen/ElimForwarded: events offered to and forwarded by the CPU
+	// eliminator.
+	ElimSeen, ElimForwarded uint64
+	// PacerDelayed: export sends that had to wait for the pacer.
+	PacerDelayed uint64
+
+	// Sketch is the sketch stage's counters (zero without Config.Sketch).
+	Sketch sketch.Stats
 }
 
-// Add accumulates o into s field by field: the fabric-wide totals of
-// per-switch stats.
+// Add accumulates o into s field by field — the fabric-wide totals of
+// per-switch stats — except BatchStackHW, which keeps the maximum.
 func (s *Stats) Add(o Stats) {
 	s.RawPackets += o.RawPackets
 	s.RawBytes += o.RawBytes
@@ -157,6 +193,42 @@ func (s *Stats) Add(o Stats) {
 	s.SeqGapsDetected += o.SeqGapsDetected
 	s.NotifySent += o.NotifySent
 	s.InterSwitchFound += o.InterSwitchFound
+	for i := range s.Detections {
+		s.Detections[i] += o.Detections[i]
+	}
+	for i := range s.Drops {
+		s.Drops[i] += o.Drops[i]
+	}
+	s.GroupIngested += o.GroupIngested
+	s.GroupReported += o.GroupReported
+	s.GroupMerged += o.GroupMerged
+	s.GroupEvictions += o.GroupEvictions
+	s.GroupRereports += o.GroupRereports
+	s.BatchPushed += o.BatchPushed
+	s.BatchFlushes += o.BatchFlushes
+	s.BatchDelivered += o.BatchDelivered
+	s.BatchPasses += o.BatchPasses
+	s.BatchPops += o.BatchPops
+	s.BatchStackHW = max(s.BatchStackHW, o.BatchStackHW)
+	s.ElimSeen += o.ElimSeen
+	s.ElimForwarded += o.ElimForwarded
+	s.PacerDelayed += o.PacerDelayed
+	s.Sketch.Pkts += o.Sketch.Pkts
+	s.Sketch.HHEvents += o.Sketch.HHEvents
+	s.Sketch.Churn += o.Sketch.Churn
+	s.Sketch.Snapshots += o.Sketch.Snapshots
+	s.Sketch.Spikes += o.Sketch.Spikes
+	s.Sketch.SeenEvict += o.Sketch.SeenEvict
+	s.Sketch.WindowRolls += o.Sketch.WindowRolls
+}
+
+// Sum returns the fabric-wide totals of the switches' Stats.
+func Sum(nss []*NetSeerSwitch) Stats {
+	var agg Stats
+	for _, n := range nss {
+		agg.Add(n.Stats())
+	}
+	return agg
 }
 
 // pathExpiry is how long a path-change table entry stays fresh: a flow
@@ -253,16 +325,15 @@ type NetSeerSwitch struct {
 	mmuRedirect  *tokenBucket
 	internalPort *tokenBucket
 
+	// stats holds the counts core keeps itself; Stats() adds the other
+	// stages' counters. Plain counters: the pipeline is single-owner and
+	// the detection paths are pinned zero-alloc hot paths, so scrapes
+	// read an owner-published Stats sum (see internal/obs).
 	stats Stats
 
-	// Self-telemetry. perType/perCode are plain counters (the pipeline is
-	// single-owner and the detection paths are pinned zero-alloc hot
-	// paths); scrapes read owner-published mirrors (see internal/obs).
 	// The latency histogram is atomic — it is observed per batch arrival
 	// at the switch CPU, off the pinned paths — so /metrics can read it
 	// live.
-	perType        [8]uint64  // detection events indexed by fevent.Type
-	perCode        [16]uint64 // drop event packets indexed by fevent.DropCode
 	latDetectToCPU *obs.Histogram
 
 	// Optional sketch detection stage (Config.Sketch).
@@ -350,35 +421,47 @@ func (n *NetSeerSwitch) Sketch() *sketch.Stage { return n.sketch }
 // Switch returns the underlying dataplane switch.
 func (n *NetSeerSwitch) Switch() *dataplane.Switch { return n.sw }
 
-// Stats returns a copy of the per-step accounting.
+// Stats returns the switch's accounting: core's own counters plus a read
+// of every stage's. O(1): it scans no table or sketch.
 func (n *NetSeerSwitch) Stats() Stats {
 	s := n.stats
-	_, overflow, _, _, _ := n.batcher.Stats()
-	s.LostStackOverflow = overflow
+	s.EventPackets = n.eventPackets()
+	for _, t := range []*groupcache.Table{n.dropTable, n.congTable, n.pauseTab} {
+		i, r, m, e := t.Stats()
+		s.GroupIngested += i
+		s.GroupReported += r
+		s.GroupMerged += m
+		s.GroupEvictions += e
+		s.GroupRereports += t.Rereports()
+	}
+	s.BatchPushed, s.LostStackOverflow, s.BatchFlushes, s.BatchDelivered, _ = n.batcher.Stats()
+	s.BatchPasses, s.BatchPops = n.batcher.PassStats()
+	s.BatchStackHW = uint64(n.batcher.StackHighWater())
+	s.ElimSeen, s.SuppressedFPs, s.ElimForwarded = n.elim.Stats()
+	s.ExportedBatches, s.PacerDelayed = n.pacer.Stats()
+	if n.sketch != nil {
+		s.Sketch = n.sketch.Stats()
+	}
 	return s
 }
 
-// TableStats aggregates the group-caching tables' counters (drop,
-// congestion and pause tables; the ACL aggregator never evicts). The
-// eviction count tells a reconciler whether per-key packet counters are
-// exact: with zero evictions every key lives in one uninterrupted
-// aggregation run, so its final reported Count is the exact packet total.
-func (n *NetSeerSwitch) TableStats() (ingested, reported, merged, evictions uint64) {
-	for _, t := range []*groupcache.Table{n.dropTable, n.congTable, n.pauseTab} {
-		i, r, m, e := t.Stats()
-		ingested += i
-		reported += r
-		merged += m
-		evictions += e
+// Occupancy scans the fixed structures: live group-cache entries, and the
+// sketch stage's non-zero count-min cells and resident top-K entries
+// (zero without Config.Sketch). O(slots), so read it at publish points,
+// never per packet.
+func (n *NetSeerSwitch) Occupancy() (groupEntries, cmsCells, topkEntries int) {
+	groupEntries = n.dropTable.Len() + n.congTable.Len() + n.pauseTab.Len()
+	if n.sketch != nil {
+		cmsCells, topkEntries = n.sketch.Occupancy()
 	}
-	return
+	return groupEntries, cmsCells, topkEntries
 }
 
-// EventCounts returns detection-event counts indexed by fevent.Type and
-// drop event packets indexed by fevent.DropCode. Owner-read only: call
-// from the goroutine driving the simulation (see internal/obs).
-func (n *NetSeerSwitch) EventCounts() (perType [8]uint64, perCode [16]uint64) {
-	return n.perType, n.perCode
+// TableStats aggregates the group-caching tables' counters (see
+// Stats.GroupIngested).
+func (n *NetSeerSwitch) TableStats() (ingested, reported, merged, evictions uint64) {
+	s := n.Stats()
+	return s.GroupIngested, s.GroupReported, s.GroupMerged, s.GroupEvictions
 }
 
 // DetectToCPULatency is the detection→switch-CPU latency histogram
@@ -386,35 +469,15 @@ func (n *NetSeerSwitch) EventCounts() (perType [8]uint64, perCode [16]uint64) {
 // histogram is atomic, so it may be scraped live.
 func (n *NetSeerSwitch) DetectToCPULatency() *obs.Histogram { return n.latDetectToCPU }
 
-// TableOccupancy returns live entries across the group caching tables.
-func (n *NetSeerSwitch) TableOccupancy() int {
-	return n.dropTable.Len() + n.congTable.Len() + n.pauseTab.Len()
-}
-
-// Rereports sums the tables' periodic C-crossing re-report counts.
-func (n *NetSeerSwitch) Rereports() uint64 {
-	return n.dropTable.Rereports() + n.congTable.Rereports() + n.pauseTab.Rereports()
-}
-
 // BatchStats exposes the CEBP batcher's counters (see batcher.Stats).
 func (n *NetSeerSwitch) BatchStats() (pushed, overflow, batches, delivered, portBytes uint64) {
 	return n.batcher.Stats()
-}
-
-// BatcherTelemetry reports CEBP circulation pressure: stack transits,
-// events popped, and the stack-depth high-water mark.
-func (n *NetSeerSwitch) BatcherTelemetry() (passes, pops uint64, stackHW int) {
-	passes, pops = n.batcher.PassStats()
-	return passes, pops, n.batcher.StackHighWater()
 }
 
 // ElimStats exposes the CPU false-positive eliminator's counters.
 func (n *NetSeerSwitch) ElimStats() (seen, duplicates, forwarded uint64) {
 	return n.elim.Stats()
 }
-
-// PacerStats exposes the export pacer's counters.
-func (n *NetSeerSwitch) PacerStats() (sent, delayed uint64) { return n.pacer.Stats() }
 
 // MarkInterCard marks a port as a backplane link between the boards of a
 // multi-board switch: ring-buffer recoveries on it report DropInterCard

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -424,22 +425,56 @@ func TestDisableSeqAblation(t *testing.T) {
 	}
 }
 
-// TestStatsAddSumsEveryField fills every field of two Stats with distinct
-// values, so a field Add forgets reads as its own value, not the sum.
+// TestStatsAddSumsEveryField fills every numeric leaf of two Stats —
+// array elements and the nested sketch.Stats included — with distinct
+// values, so a leaf Add forgets reads as its own value, not the sum. The
+// stack high-water mark is a maximum, not a sum.
 func TestStatsAddSumsEveryField(t *testing.T) {
 	var a, b Stats
-	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		va.Field(i).SetUint(uint64(i + 1))
-		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	fill := func(s *Stats, scale uint64) {
+		i := uint64(0)
+		eachLeaf(t, reflect.ValueOf(s).Elem(), "", func(_ string, v reflect.Value) {
+			i++
+			v.SetUint(scale * i)
+		})
 	}
+	fill(&a, 1)
+	fill(&b, 100)
 	sum := a
 	sum.Add(b)
-	vs := reflect.ValueOf(sum)
-	for i := 0; i < vs.NumField(); i++ {
-		if got, want := vs.Field(i).Uint(), uint64(101*(i+1)); got != want {
-			t.Errorf("%s = %d, want %d", vs.Type().Field(i).Name, got, want)
+	i, leaves := uint64(0), 0
+	eachLeaf(t, reflect.ValueOf(&sum).Elem(), "", func(name string, v reflect.Value) {
+		i++
+		leaves++
+		want := 101 * i
+		if name == ".BatchStackHW" {
+			want = 100 * i
 		}
+		if got := v.Uint(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	})
+	if leaves < 60 {
+		t.Fatalf("walked %d leaves; the walk misses the arrays or sketch.Stats", leaves)
+	}
+}
+
+// eachLeaf calls f on every unsigned-integer leaf under v, naming it by
+// its field path.
+func eachLeaf(t *testing.T, v reflect.Value, name string, f func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachLeaf(t, v.Field(i), name+"."+v.Type().Field(i).Name, f)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			eachLeaf(t, v.Index(i), fmt.Sprintf("%s[%d]", name, i), f)
+		}
+	case reflect.Uint64:
+		f(name, v)
+	default:
+		t.Fatalf("Stats leaf %s is a %s; Add and this walk handle uint64 only", name, v.Kind())
 	}
 }
 

@@ -135,8 +135,7 @@ func (n *NetSeerSwitch) PipelineForward(p *pkt.Packet, inPort, outPort, queue in
 			Queue:      uint8(queue),
 			Hash:       p.Flow.Hash(),
 		}
-		n.statEventPacket(p.WireLen)
-		n.perType[fevent.TypePause]++
+		n.statEventPacket(fevent.TypePause, p.WireLen)
 		n.pauseTab.Offer(&ev)
 	}
 }
@@ -172,8 +171,7 @@ func (n *NetSeerSwitch) detectPathChange(p *pkt.Packet, inPort, outPort int) {
 	}
 	// Path change is flow-level by nature: it bypasses group caching and
 	// goes straight to extraction.
-	n.statEventPacket(p.WireLen)
-	n.perType[fevent.TypePathChange]++
+	n.statEventPacket(fevent.TypePathChange, p.WireLen)
 	n.onFlowEvent(&ev)
 }
 
@@ -184,9 +182,7 @@ func (n *NetSeerSwitch) OnPipelineDrop(p *pkt.Packet, inPort int, code fevent.Dr
 		n.stats.LostInternalPort++
 		return
 	}
-	n.statEventPacket(p.WireLen)
-	n.perType[fevent.TypeDrop]++
-	n.perCode[code]++
+	n.statDropPacket(code, p.WireLen)
 	ev := fevent.Event{
 		Type:        fevent.TypeDrop,
 		Flow:        p.Flow,
@@ -215,9 +211,7 @@ func (n *NetSeerSwitch) OnMMUDrop(p *pkt.Packet, inPort, outPort, queue int) {
 		n.stats.LostInternalPort++
 		return
 	}
-	n.statEventPacket(p.WireLen)
-	n.perType[fevent.TypeDrop]++
-	n.perCode[fevent.DropMMUCongestion]++
+	n.statDropPacket(fevent.DropMMUCongestion, p.WireLen)
 	ev := fevent.Event{
 		Type:        fevent.TypeDrop,
 		Flow:        p.Flow,
@@ -242,8 +236,7 @@ func (n *NetSeerSwitch) OnDequeue(p *pkt.Packet, outPort, queue int, qdelay sim.
 	if us > 0xffff {
 		us = 0xffff
 	}
-	n.statEventPacket(p.WireLen)
-	n.perType[fevent.TypeCongestion]++
+	n.statEventPacket(fevent.TypeCongestion, p.WireLen)
 	ev := fevent.Event{
 		Type:           fevent.TypeCongestion,
 		Flow:           p.Flow,

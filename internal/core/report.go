@@ -9,18 +9,29 @@ import (
 // extraction into 24-byte records, CEBP batch delivery to the switch CPU,
 // false-positive elimination, pacing and export.
 
-// statEventPacket accounts one Step-1 selected event packet.
-func (n *NetSeerSwitch) statEventPacket(wireLen int) {
-	n.stats.EventPackets++
+// statEventPacket accounts one Step-1 selected event packet of type typ.
+func (n *NetSeerSwitch) statEventPacket(typ fevent.Type, wireLen int) {
+	n.stats.Detections[typ]++
 	n.stats.EventBytes += uint64(wireLen)
+}
+
+// statDropPacket accounts one Step-1 drop event packet with its code.
+func (n *NetSeerSwitch) statDropPacket(code fevent.DropCode, wireLen int) {
+	n.statEventPacket(fevent.TypeDrop, wireLen)
+	n.stats.Drops[code]++
+}
+
+// eventPackets is the number of Step-1 event packets: the detections of
+// the four types Step 1 selects.
+func (n *NetSeerSwitch) eventPackets() uint64 {
+	d := &n.stats.Detections
+	return d[fevent.TypeDrop] + d[fevent.TypeCongestion] + d[fevent.TypePathChange] + d[fevent.TypePause]
 }
 
 // offerEventPacket accounts and feeds a drop event packet recovered from
 // the ring buffer.
 func (n *NetSeerSwitch) offerEventPacket(ev *fevent.Event, wireLen int) {
-	n.statEventPacket(wireLen)
-	n.perType[fevent.TypeDrop]++
-	n.perCode[ev.DropCode]++
+	n.statDropPacket(ev.DropCode, wireLen)
 	n.dropTable.Offer(ev)
 }
 
@@ -29,7 +40,7 @@ func (n *NetSeerSwitch) offerEventPacket(ev *fevent.Event, wireLen int) {
 // — the sketch structures already aggregate — and join the pipeline at
 // Step 3, like path-change events do.
 func (n *NetSeerSwitch) onSketchEvent(e *fevent.Event) {
-	n.perType[e.Type]++
+	n.stats.Detections[e.Type]++
 	n.onFlowEvent(e)
 }
 
@@ -42,8 +53,8 @@ func (n *NetSeerSwitch) onFlowEvent(e *fevent.Event) {
 	// Until extraction, the event still occupies a packet inside the
 	// pipeline; account the average event-packet size for the Fig. 13
 	// step-2 volume.
-	if n.stats.EventPackets > 0 {
-		n.stats.DedupBytes += n.stats.EventBytes / n.stats.EventPackets
+	if pkts := n.eventPackets(); pkts > 0 {
+		n.stats.DedupBytes += n.stats.EventBytes / pkts
 	}
 	n.stats.ExtractedBytes += fevent.RecordLen
 	if n.inBurst {
@@ -87,7 +98,6 @@ func (n *NetSeerSwitch) onBatch(b *fevent.Batch) {
 	// right after this callback returns); a sampled batch records the
 	// fpelim span and chains the context's parent.
 	kept := n.elim.OfferBatch(&b.Trace, b.Events)
-	n.stats.SuppressedFPs += uint64(len(b.Events) - len(kept))
 	if len(kept) > 0 && b.Trace.Valid() {
 		// The export batch inherits the context of the last CEBP batch
 		// that fed it (see outTrace).
@@ -123,7 +133,6 @@ func (n *NetSeerSwitch) exportNow() {
 	size := batch.EncodedLen()
 	n.stats.ExportedEvents += uint64(len(events))
 	n.stats.ExportedBytes += uint64(size)
-	n.stats.ExportedBatches++
 	delay := n.pacer.Admit(n.sim.Now(), size)
 	if delay <= 0 {
 		n.sink.Deliver(batch)

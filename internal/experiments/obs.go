@@ -1,109 +1,82 @@
 package experiments
 
 import (
+	"sync/atomic"
+
+	"netseer/internal/core"
 	"netseer/internal/fevent"
 	"netseer/internal/obs"
 )
 
-// obsMirrors holds the scrape-side copies of the switch pipeline's
-// single-owner counters. The hot stages (detection, group cache, batcher,
-// fpelim) deliberately keep plain counters — an atomic RMW on a ~16 ns
-// pinned path would blow the performance budget — so the simulation owner
-// publishes snapshots into these atomic mirrors and the scraper reads the
-// mirrors without ever touching owner memory (see internal/obs).
-type obsMirrors struct {
-	detectEvents [7]obs.Counter // one per fevent.Types entry
-	detectDrops  [fevent.DropCorruption + 1]obs.Counter
-	lostMMU      obs.Counter
-	lostInternal obs.Counter
-	lostRing     obs.Counter
-	lostStack    obs.Counter
-
-	groupIngested  obs.Counter
-	groupReports   obs.Counter
-	groupMerged    obs.Counter
-	groupEvictions obs.Counter
-	groupRereports obs.Counter
-	groupOccupancy obs.Gauge
-
-	batchPushed    obs.Counter
-	batchOverflow  obs.Counter
-	batchFlushes   obs.Counter
-	batchDelivered obs.Counter
-	batchPasses    obs.Counter
-	batchPops      obs.Counter
-	batchStackHW   obs.Gauge
-
-	elimSeen       obs.Counter
-	elimSuppressed obs.Counter
-	elimForwarded  obs.Counter
-	pacerSent      obs.Counter
-	pacerDelayed   obs.Counter
-
-	sketchPkts      obs.Counter
-	sketchHHOnsets  obs.Counter
-	sketchChurn     obs.Counter
-	sketchSnapshots obs.Counter
-	sketchSpikes    obs.Counter
-	sketchRolls     obs.Counter
-	sketchSeenEvict obs.Counter
-	sketchCMSOcc    obs.Gauge
-	sketchTopKOcc   obs.Gauge
+// published is what one publish point saw: the testbed's summed switch
+// accounting and the occupancy scans, which are too slow for every read.
+type published struct {
+	core.Stats
+	groupOcc, cmsOcc, topkOcc int
 }
 
 // RegisterObs exposes the testbed's switch-side pipeline telemetry on r
 // and returns the publish function the simulation owner must call to
-// refresh the mirrors (at checkpoints during a run and once after it).
-// The detection→CPU latency histogram needs no publishing: it is atomic
-// on the (non-pinned) batch-arrival path, so the registry merges the
-// per-switch histograms live at scrape time.
+// refresh it (at checkpoints during a run and once after it). The stages
+// keep plain single-owner counters — an atomic RMW on a ~16 ns pinned
+// path would blow the performance budget — so publish stores one summed
+// core.Stats and every series reads that value, never owner memory (see
+// internal/obs). The detection→CPU latency histogram needs no publishing:
+// it is atomic on the (non-pinned) batch-arrival path, so the registry
+// merges the per-switch histograms live at scrape time.
 func (tb *Testbed) RegisterObs(r *obs.Registry) (publish func()) {
-	m := &obsMirrors{}
-	for i, t := range fevent.Types {
-		r.RegisterCounter(obs.MDetectEvents, "", &m.detectEvents[i], obs.L("type", t.String()))
+	var last atomic.Pointer[published]
+	last.Store(&published{})
+	counter := func(name string, v func(*published) uint64, labels ...obs.Label) {
+		r.CounterFunc(name, "", func() float64 { return float64(v(last.Load())) }, labels...)
 	}
-	for c := range m.detectDrops {
-		r.RegisterCounter(obs.MDetectDrops, "", &m.detectDrops[c], obs.L("code", fevent.DropCode(c).String()))
+	gauge := func(name string, v func(*published) int) {
+		r.GaugeFunc(name, "", func() float64 { return float64(v(last.Load())) })
 	}
-	r.RegisterCounter(obs.MDetectLost, "", &m.lostMMU, obs.L("reason", "mmu-redirect"))
-	r.RegisterCounter(obs.MDetectLost, "", &m.lostInternal, obs.L("reason", "internal-port"))
-	r.RegisterCounter(obs.MDetectLost, "", &m.lostRing, obs.L("reason", "ring-overwrite"))
-	r.RegisterCounter(obs.MDetectLost, "", &m.lostStack, obs.L("reason", "stack-overflow"))
 
-	r.RegisterCounter(obs.MGroupIngested, "", &m.groupIngested)
-	r.RegisterCounter(obs.MGroupReports, "", &m.groupReports)
-	r.RegisterCounter(obs.MGroupMerged, "", &m.groupMerged)
-	r.RegisterCounter(obs.MGroupEvictions, "", &m.groupEvictions)
-	r.RegisterCounter(obs.MGroupRereports, "", &m.groupRereports)
-	r.RegisterGauge(obs.MGroupOccupancy, "", &m.groupOccupancy)
+	for _, t := range fevent.Types {
+		counter(obs.MDetectEvents, func(p *published) uint64 { return p.Detections[t] }, obs.L("type", t.String()))
+	}
+	for c := fevent.DropNone; c <= fevent.DropCorruption; c++ {
+		counter(obs.MDetectDrops, func(p *published) uint64 { return p.Drops[c] }, obs.L("code", c.String()))
+	}
+	counter(obs.MDetectLost, func(p *published) uint64 { return p.LostMMURedirect }, obs.L("reason", "mmu-redirect"))
+	counter(obs.MDetectLost, func(p *published) uint64 { return p.LostInternalPort }, obs.L("reason", "internal-port"))
+	counter(obs.MDetectLost, func(p *published) uint64 { return p.LostRingOverwrite }, obs.L("reason", "ring-overwrite"))
+	counter(obs.MDetectLost, func(p *published) uint64 { return p.LostStackOverflow }, obs.L("reason", "stack-overflow"))
 
-	r.RegisterCounter(obs.MBatchPushed, "", &m.batchPushed)
-	r.RegisterCounter(obs.MBatchOverflow, "", &m.batchOverflow)
-	r.RegisterCounter(obs.MBatchFlushes, "", &m.batchFlushes)
-	r.RegisterCounter(obs.MBatchDelivered, "", &m.batchDelivered)
-	r.RegisterCounter(obs.MBatchPasses, "", &m.batchPasses)
-	r.RegisterCounter(obs.MBatchPops, "", &m.batchPops)
-	r.RegisterGauge(obs.MBatchStackHW, "", &m.batchStackHW)
+	counter(obs.MGroupIngested, func(p *published) uint64 { return p.GroupIngested })
+	counter(obs.MGroupReports, func(p *published) uint64 { return p.GroupReported })
+	counter(obs.MGroupMerged, func(p *published) uint64 { return p.GroupMerged })
+	counter(obs.MGroupEvictions, func(p *published) uint64 { return p.GroupEvictions })
+	counter(obs.MGroupRereports, func(p *published) uint64 { return p.GroupRereports })
+	gauge(obs.MGroupOccupancy, func(p *published) int { return p.groupOcc })
 
-	r.RegisterCounter(obs.MElimSeen, "", &m.elimSeen)
-	r.RegisterCounter(obs.MElimSuppressed, "", &m.elimSuppressed)
-	r.RegisterCounter(obs.MElimForwarded, "", &m.elimForwarded)
-	r.RegisterCounter(obs.MPacerSent, "", &m.pacerSent)
-	r.RegisterCounter(obs.MPacerDelayed, "", &m.pacerDelayed)
+	counter(obs.MBatchPushed, func(p *published) uint64 { return p.BatchPushed })
+	counter(obs.MBatchOverflow, func(p *published) uint64 { return p.LostStackOverflow })
+	counter(obs.MBatchFlushes, func(p *published) uint64 { return p.BatchFlushes })
+	counter(obs.MBatchDelivered, func(p *published) uint64 { return p.BatchDelivered })
+	counter(obs.MBatchPasses, func(p *published) uint64 { return p.BatchPasses })
+	counter(obs.MBatchPops, func(p *published) uint64 { return p.BatchPops })
+	gauge(obs.MBatchStackHW, func(p *published) int { return int(p.BatchStackHW) })
 
-	// The sketch detection family keeps the same single-owner discipline
-	// as the exact-match stages: plain counters inside the per-switch
-	// Stage, summed into these mirrors at publish points. The occupancy
-	// gauges show how full the fixed CMS/space-saving structures run.
-	r.RegisterCounter(obs.MSketchPkts, "", &m.sketchPkts)
-	r.RegisterCounter(obs.MSketchHHOnsets, "", &m.sketchHHOnsets)
-	r.RegisterCounter(obs.MSketchChurn, "", &m.sketchChurn)
-	r.RegisterCounter(obs.MSketchSnapshots, "", &m.sketchSnapshots)
-	r.RegisterCounter(obs.MSketchSpikes, "", &m.sketchSpikes)
-	r.RegisterCounter(obs.MSketchWindowRolls, "", &m.sketchRolls)
-	r.RegisterCounter(obs.MSketchSeenEvict, "", &m.sketchSeenEvict)
-	r.RegisterGauge(obs.MSketchCMSOccupancy, "", &m.sketchCMSOcc)
-	r.RegisterGauge(obs.MSketchTopKOccupancy, "", &m.sketchTopKOcc)
+	counter(obs.MElimSeen, func(p *published) uint64 { return p.ElimSeen })
+	counter(obs.MElimSuppressed, func(p *published) uint64 { return p.SuppressedFPs })
+	counter(obs.MElimForwarded, func(p *published) uint64 { return p.ElimForwarded })
+	counter(obs.MPacerSent, func(p *published) uint64 { return p.ExportedBatches })
+	counter(obs.MPacerDelayed, func(p *published) uint64 { return p.PacerDelayed })
+
+	// The occupancy gauges show how full the fixed CMS/space-saving
+	// structures run.
+	counter(obs.MSketchPkts, func(p *published) uint64 { return p.Sketch.Pkts })
+	counter(obs.MSketchHHOnsets, func(p *published) uint64 { return p.Sketch.HHEvents })
+	counter(obs.MSketchChurn, func(p *published) uint64 { return p.Sketch.Churn })
+	counter(obs.MSketchSnapshots, func(p *published) uint64 { return p.Sketch.Snapshots })
+	counter(obs.MSketchSpikes, func(p *published) uint64 { return p.Sketch.Spikes })
+	counter(obs.MSketchWindowRolls, func(p *published) uint64 { return p.Sketch.WindowRolls })
+	counter(obs.MSketchSeenEvict, func(p *published) uint64 { return p.Sketch.SeenEvict })
+	gauge(obs.MSketchCMSOccupancy, func(p *published) int { return p.cmsOcc })
+	gauge(obs.MSketchTopKOccupancy, func(p *published) int { return p.topkOcc })
 
 	// The testbed's local store receives batches in-process, so its events
 	// keep their per-event detection stamps and the detection→store
@@ -131,99 +104,16 @@ func (tb *Testbed) RegisterObs(r *obs.Registry) (publish func()) {
 		return merged
 	})
 
-	return func() { tb.publishObs(m) }
-}
-
-// publishObs sums the per-switch single-owner counters and stores the
-// totals into the atomic mirrors. Must run on the goroutine driving the
-// simulation (the counters' owner).
-func (tb *Testbed) publishObs(m *obsMirrors) {
-	var perType [8]uint64
-	var perCode [16]uint64
-	var gi, gr, gm, ge, grr uint64
-	var occupancy, stackHW int
-	var bp, bo, bf, bd, passes, pops uint64
-	var es, esup, ef, ps, pd uint64
-	var lostMMU, lostInternal, lostRing, lostStack uint64
-	var skPkts, skHH, skChurn, skSnaps, skSpikes, skRolls, skEvict uint64
-	var skCMS, skTopK int
-	for _, ns := range tb.NetSeers {
-		t, c := ns.EventCounts()
-		for i := range t {
-			perType[i] += t[i]
+	// Must run on the goroutine driving the simulation (the counters'
+	// owner).
+	return func() {
+		p := &published{Stats: core.Sum(tb.NetSeers)}
+		for _, ns := range tb.NetSeers {
+			g, c, k := ns.Occupancy()
+			p.groupOcc += g
+			p.cmsOcc += c
+			p.topkOcc += k
 		}
-		for i := range c {
-			perCode[i] += c[i]
-		}
-		i, rep, mrg, ev := ns.TableStats()
-		gi, gr, gm, ge = gi+i, gr+rep, gm+mrg, ge+ev
-		grr += ns.Rereports()
-		occupancy += ns.TableOccupancy()
-		pushed, overflow, batches, delivered, _ := ns.BatchStats()
-		bp, bo, bf, bd = bp+pushed, bo+overflow, bf+batches, bd+delivered
-		pa, po, hw := ns.BatcherTelemetry()
-		passes, pops = passes+pa, pops+po
-		if hw > stackHW {
-			stackHW = hw
-		}
-		seen, dup, fwd := ns.ElimStats()
-		es, esup, ef = es+seen, esup+dup, ef+fwd
-		sent, delayed := ns.PacerStats()
-		ps, pd = ps+sent, pd+delayed
-		if sk := ns.Sketch(); sk != nil {
-			sst := sk.Stats()
-			skPkts += sst.Pkts
-			skHH += sst.HHEvents
-			skChurn += sst.Churn
-			skSnaps += sst.Snapshots
-			skSpikes += sst.Spikes
-			skRolls += sst.WindowRolls
-			skEvict += sst.SeenEvict
-			cells, entries := sk.Occupancy()
-			skCMS += cells
-			skTopK += entries
-		}
-		st := ns.Stats()
-		lostMMU += st.LostMMURedirect
-		lostInternal += st.LostInternalPort
-		lostRing += st.LostRingOverwrite
-		lostStack += st.LostStackOverflow
+		last.Store(p)
 	}
-	for i, t := range fevent.Types {
-		m.detectEvents[i].Store(perType[t])
-	}
-	for c := range m.detectDrops {
-		m.detectDrops[c].Store(perCode[c])
-	}
-	m.lostMMU.Store(lostMMU)
-	m.lostInternal.Store(lostInternal)
-	m.lostRing.Store(lostRing)
-	m.lostStack.Store(lostStack)
-	m.groupIngested.Store(gi)
-	m.groupReports.Store(gr)
-	m.groupMerged.Store(gm)
-	m.groupEvictions.Store(ge)
-	m.groupRereports.Store(grr)
-	m.groupOccupancy.Set(int64(occupancy))
-	m.batchPushed.Store(bp)
-	m.batchOverflow.Store(bo)
-	m.batchFlushes.Store(bf)
-	m.batchDelivered.Store(bd)
-	m.batchPasses.Store(passes)
-	m.batchPops.Store(pops)
-	m.batchStackHW.Set(int64(stackHW))
-	m.elimSeen.Store(es)
-	m.elimSuppressed.Store(esup)
-	m.elimForwarded.Store(ef)
-	m.pacerSent.Store(ps)
-	m.pacerDelayed.Store(pd)
-	m.sketchPkts.Store(skPkts)
-	m.sketchHHOnsets.Store(skHH)
-	m.sketchChurn.Store(skChurn)
-	m.sketchSnapshots.Store(skSnaps)
-	m.sketchSpikes.Store(skSpikes)
-	m.sketchRolls.Store(skRolls)
-	m.sketchSeenEvict.Store(skEvict)
-	m.sketchCMSOcc.Set(int64(skCMS))
-	m.sketchTopKOcc.Set(int64(skTopK))
 }

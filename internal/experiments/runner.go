@@ -272,13 +272,7 @@ func (tb *Testbed) NetSeerDetections() baselines.Detections {
 }
 
 // NetSeerStats aggregates per-switch NetSeer stats.
-func (tb *Testbed) NetSeerStats() core.Stats {
-	var agg core.Stats
-	for _, ns := range tb.NetSeers {
-		agg.Add(ns.Stats())
-	}
-	return agg
-}
+func (tb *Testbed) NetSeerStats() core.Stats { return core.Sum(tb.NetSeers) }
 
 // Coverage computes |detected ∩ truth| / |truth|.
 func Coverage(truth map[dataplane.FlowEventKey]int, det baselines.Detections) float64 {

@@ -53,8 +53,8 @@ type Table struct {
 
 	// Stats. Plain counters: the table is single-owner (one pipeline) and
 	// an Offer takes ~10 ns (BenchmarkGroupCacheOffer, 2-CPU x86-64
-	// host), which leaves no room for atomic adds; scrapes read
-	// owner-published mirrors instead (see internal/obs).
+	// host), which leaves no room for atomic adds; scrapes read the
+	// owner-published core.Stats sum instead (see internal/obs).
 	ingested  uint64 // event packets offered
 	reported  uint64 // flow events emitted
 	merged    uint64 // packets absorbed into an existing entry

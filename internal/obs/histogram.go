@@ -166,7 +166,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, also the unit
-// the registry gathers and the owner-publish pattern merges.
+// the registry gathers and a HistogramFunc merges across instances.
 type HistogramSnapshot struct {
 	// Bounds are the ascending upper bounds; Counts has len(Bounds)+1
 	// entries, the last being the overflow (+Inf) bucket.

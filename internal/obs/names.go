@@ -118,7 +118,6 @@ const (
 	MFabricRebalances      = "netseer_fabric_rebalances_total"
 	MFabricRebalanceBytes  = "netseer_fabric_rebalance_bytes_total" // label shard
 	MFabricEpoch           = "netseer_fabric_epoch"
-	MFabricPartialQueries  = "netseer_fabric_partial_queries_total"
 	MFabricImportedEvents  = "netseer_fabric_imported_events_total" // label shard
 	MFabricFencedEvents    = "netseer_fabric_fenced_events_total"   // label shard
 )
@@ -211,7 +210,6 @@ var catalog = []catalogEntry{
 	{MFabricRebalances, "Rebalances completed or aborted by the coordinator.", KindCounter},
 	{MFabricRebalanceBytes, "Bytes of event payload moved by rebalance handoffs.", KindCounter},
 	{MFabricEpoch, "Ring config epoch this process last applied.", KindGauge},
-	{MFabricPartialQueries, "Fan-out queries answered with partial=true (a shard was unreachable).", KindCounter},
 	{MFabricImportedEvents, "Events imported from rebalance handoffs.", KindCounter},
 	{MFabricFencedEvents, "Events removed by an epoch fence after handoff.", KindCounter},
 }

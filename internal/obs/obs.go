@@ -16,9 +16,10 @@
 //     CEBP batcher, FP elimination) keep their existing plain counters —
 //     their per-op budgets (~16 ns, 0 allocs/op, pinned by AllocsPerRun
 //     tests) leave no room for a LOCK-prefixed add per event — and the
-//     owning goroutine periodically publishes snapshots into mirror
-//     instruments with Counter.Store/Gauge.Set. A scrape then reads the
-//     last published snapshot, never the live single-owner memory.
+//     owning goroutine periodically publishes one snapshot value (a
+//     summed core.Stats) behind an atomic pointer that CounterFunc and
+//     GaugeFunc series read. A scrape then reads the last published
+//     snapshot, never the live single-owner memory.
 //
 // Every instrument method is allocation-free, so instrumented code keeps
 // its zero-alloc steady state.
@@ -39,12 +40,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Store overwrites the value. It exists for the owner-publish pattern:
-// a single-owner stage copies its plain counter into a mirror Counter so
-// scrapes never touch unsynchronized memory. Mixed Store/Add use on the
-// same counter is a programming error (Store would discard Adds).
-func (c *Counter) Store(n uint64) { c.v.Store(n) }
 
 // Gauge is a lock-free instantaneous value (queue depth, occupancy). The
 // zero value is ready to use.
@@ -75,6 +70,3 @@ func (m *MaxGauge) Observe(n int64) {
 
 // Load returns the high-water mark.
 func (m *MaxGauge) Load() int64 { return m.v.Load() }
-
-// Store overwrites the mark (owner-publish pattern, like Counter.Store).
-func (m *MaxGauge) Store(n int64) { m.v.Store(n) }

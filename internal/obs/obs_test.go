@@ -15,10 +15,6 @@ func TestCounter(t *testing.T) {
 	if c.Load() != 42 {
 		t.Fatalf("Load = %d, want 42", c.Load())
 	}
-	c.Store(7)
-	if c.Load() != 7 {
-		t.Fatalf("after Store: %d, want 7", c.Load())
-	}
 }
 
 func TestGauge(t *testing.T) {
@@ -40,10 +36,6 @@ func TestMaxGauge(t *testing.T) {
 	m.Observe(9)
 	if m.Load() != 9 {
 		t.Fatalf("Load = %d, want 9", m.Load())
-	}
-	m.Store(1)
-	if m.Load() != 1 {
-		t.Fatalf("after Store: %d, want 1", m.Load())
 	}
 }
 

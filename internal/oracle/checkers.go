@@ -195,7 +195,7 @@ func checkCompleteness(res *Result, v *storedView) CheckResult {
 	}
 
 	countExact := func(k dataplane.FlowEventKey, gtCount int) {
-		if res.Evictions[k.SwitchID] != 0 || gtCount > 0xffff {
+		if res.BySwitch[k.SwitchID].GroupEvictions != 0 || gtCount > 0xffff {
 			// Evictions split the key across aggregation runs whose
 			// intermediate finals are not reconstructible (fpelim
 			// legitimately suppresses re-reports); the soundness checker

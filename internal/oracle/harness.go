@@ -29,13 +29,11 @@ type Result struct {
 	// channel.
 	Batches []*fevent.Batch
 	// Stats aggregates the per-switch NetSeer accounting; BySwitch keeps
-	// the individual copies keyed by switch ID.
+	// the individual copies keyed by switch ID. A switch with zero
+	// GroupEvictions has exact per-key packet counters (one aggregation
+	// run per key, final count emitted at flush).
 	Stats    core.Stats
 	BySwitch map[uint16]core.Stats
-	// Evictions is the per-switch group-cache eviction total: zero means
-	// that switch's per-key packet counters are exact (one aggregation
-	// run per key, final count emitted at flush).
-	Evictions map[uint16]uint64
 	// SketchCfg is the effective (defaulted) sketch stage configuration
 	// every switch ran with; the sketch checker derives its thresholds
 	// and error slacks from it.
@@ -134,17 +132,12 @@ func Run(sc Scenario) *Result {
 
 	res := &Result{
 		Sc: sc, GT: gt, Store: sink.store, Batches: sink.batches,
+		Stats:     core.Sum(netseers),
 		BySwitch:  make(map[uint16]core.Stats),
-		Evictions: make(map[uint16]uint64),
 		SketchCfg: effSketch,
 	}
 	for _, ns := range netseers {
-		st := ns.Stats()
-		id := ns.Switch().ID
-		res.BySwitch[id] = st
-		_, _, _, ev := ns.TableStats()
-		res.Evictions[id] = ev
-		res.Stats.Add(st)
+		res.BySwitch[ns.Switch().ID] = ns.Stats()
 	}
 	return res
 }

@@ -70,7 +70,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats counts the stage's work. Plain counters, single-owner like every
-// pipeline stage; scrapes read owner-published mirrors.
+// pipeline stage; scrapes read the owner-published core.Stats sum.
 type Stats struct {
 	Pkts        uint64 // packets observed
 	HHEvents    uint64 // heavy-hitter onset events emitted
@@ -155,9 +155,8 @@ func (s *Stage) Config() Config { return s.cfg }
 func (s *Stage) Stats() Stats { return s.stats }
 
 // Occupancy reports how full the fixed structures are: non-zero
-// count-min cells and resident space-saving entries. Read by the
-// owner-published obs mirrors (O(width·depth), so per publish point,
-// never per packet).
+// count-min cells and resident space-saving entries. O(width·depth), so
+// read at publish points (core.NetSeerSwitch.Occupancy), never per packet.
 func (s *Stage) Occupancy() (cmsCells, topkEntries int) {
 	return s.cms.Occupancy(), s.topk.Len()
 }

@@ -206,10 +206,4 @@ func (n *Network) SendBurst(from, to *host.Host, srcPort uint16, packets, size i
 }
 
 // NetSeerStats aggregates the per-switch telemetry statistics.
-func (n *Network) NetSeerStats() core.Stats {
-	var agg core.Stats
-	for _, ns := range n.ns {
-		agg.Add(ns.Stats())
-	}
-	return agg
-}
+func (n *Network) NetSeerStats() core.Stats { return core.Sum(n.ns) }
