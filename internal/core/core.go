@@ -26,7 +26,6 @@ import (
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
-	"netseer/internal/ringbuf"
 	"netseer/internal/seqtrack"
 	"netseer/internal/sim"
 	"netseer/internal/sketch"
@@ -292,13 +291,9 @@ type NetSeerSwitch struct {
 	pathTable []pathEntry
 
 	// Inter-switch state (per port).
-	nextSeq  []uint32
-	rings    []*ringbuf.Ring
-	trackers []*seqtrack.Tracker
-	seqOn    []bool
-	portCode []fevent.DropCode       // drop code reported for recoveries per port
-	pending  [][]uint32              // per-port packet IDs awaiting ring lookup
-	lastGap  []seqtrack.Notification // last processed notification per port (dedup of 3× copies)
+	seq      []seqtrack.Port
+	seqOn    bool
+	portCode []fevent.DropCode // drop code reported for recoveries per port
 
 	// Step 3.
 	batcher *batcher.Batcher
@@ -361,17 +356,11 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 	n.pauseTab = groupcache.New(cfg.GroupSlots, cfg.GroupC, n.onFlowEvent)
 	n.aclAgg = groupcache.NewACLAggregator(cfg.GroupC, n.onFlowEvent)
 	ports := sw.NumPorts()
-	n.nextSeq = make([]uint32, ports)
-	n.rings = make([]*ringbuf.Ring, ports)
-	n.trackers = make([]*seqtrack.Tracker, ports)
-	n.seqOn = make([]bool, ports)
-	n.pending = make([][]uint32, ports)
-	n.lastGap = make([]seqtrack.Notification, ports)
+	n.seq = make([]seqtrack.Port, ports)
+	n.seqOn = !cfg.DisableSeq
 	n.portCode = make([]fevent.DropCode, ports)
 	for i := 0; i < ports; i++ {
-		n.rings[i] = ringbuf.New(cfg.RingSlots)
-		n.trackers[i] = seqtrack.New()
-		n.seqOn[i] = !cfg.DisableSeq
+		n.seq[i] = seqtrack.NewPort(cfg.RingSlots)
 		n.portCode[i] = fevent.DropInterSwitch
 	}
 	bcfg := cfg.Batch

@@ -15,66 +15,30 @@ import (
 func (n *NetSeerSwitch) IngressData(p *pkt.Packet, port int) {
 	n.stats.RawPackets++
 	n.stats.RawBytes += uint64(p.WireLen)
-	if !p.HasSeqTag || !n.seqOn[port] {
+	if !n.seqOn {
 		return
 	}
-	id := p.SeqTag
-	p.HasSeqTag = false
-	p.SeqTag = 0
-	p.WireLen -= pkt.NetSeerTagLen
-	if notif := n.trackers[port].Observe(id); notif != nil {
+	if gap, ok := n.seq[port].Strip(p); ok {
 		n.stats.SeqGapsDetected++
-		n.sendLossNotify(port, *notif)
+		seqtrack.Notify(gap, func(np *pkt.Packet) {
+			n.sw.SendFromPort(port, np)
+			n.stats.NotifySent++
+		})
 	}
 }
 
-// sendLossNotify emits three redundant copies of the gap notification back
-// upstream on a high-priority path (§3.3 step 4).
-func (n *NetSeerSwitch) sendLossNotify(port int, notif seqtrack.Notification) {
-	payload := notif.AppendTo(nil)
-	for i := 0; i < seqtrack.NotifyCopies; i++ {
-		p := &pkt.Packet{
-			Kind:     pkt.KindLossNotify,
-			WireLen:  pkt.MinEthernetFrame,
-			Priority: 7,
-			Payload:  payload,
-		}
-		n.sw.SendFromPort(port, p)
-		n.stats.NotifySent++
-	}
-}
-
-// HandleLossNotify is the upstream side (§3.3 step 5): resolve the missing
-// interval against the ring buffer. The three redundant copies are
-// deduplicated; the hardware cannot loop in a stage, so resolution is
-// paced — each arriving copy and each subsequent egress packet on the port
-// triggers one lookup.
+// HandleLossNotify is the upstream side (§3.3 step 5): queue the missing
+// interval for resolution against the ring. The hardware cannot loop in a
+// stage, so resolution is paced: each of the notification's copies and
+// each subsequent egress packet on the port triggers one lookup.
 func (n *NetSeerSwitch) HandleLossNotify(p *pkt.Packet, port int) {
-	notif, err := seqtrack.DecodeNotification(p.Payload)
-	if err != nil {
+	clipped, ok := n.seq[port].Accept(p.Payload)
+	if !ok {
 		return
 	}
-	if n.lastGap[port] == notif {
-		return // redundant copy of an already-queued notification
-	}
-	n.lastGap[port] = notif
-	count := notif.Count()
-	// Intervals longer than the ring are partly unrecoverable by
-	// construction; only queue what could still be resident.
-	if count > uint32(n.cfg.RingSlots) {
-		n.stats.LostRingOverwrite += uint64(count - uint32(n.cfg.RingSlots))
-		notif.FromID += count - uint32(n.cfg.RingSlots)
-		count = uint32(n.cfg.RingSlots)
-	}
-	for id := notif.FromID; ; id++ {
-		n.pending[port] = append(n.pending[port], id)
-		if id == notif.ToID {
-			break
-		}
-	}
-	// The notification packet itself triggers one lookup (×1 per copy;
-	// the two duplicate copies were filtered above, so trigger 3 here to
-	// model all copies arriving on the high-priority queue).
+	n.stats.LostRingOverwrite += uint64(clipped)
+	// The two repeated copies were dropped by Accept, so trigger all
+	// three copies' lookups here.
 	for i := 0; i < seqtrack.NotifyCopies; i++ {
 		n.triggerLookup(port)
 	}
@@ -83,15 +47,12 @@ func (n *NetSeerSwitch) HandleLossNotify(p *pkt.Packet, port int) {
 // triggerLookup performs at most one ring lookup for the oldest pending
 // missing ID on the port.
 func (n *NetSeerSwitch) triggerLookup(port int) {
-	q := n.pending[port]
-	if len(q) == 0 {
+	sp := &n.seq[port]
+	if !sp.Pending() {
 		return
 	}
-	id := q[0]
-	n.pending[port] = q[1:]
-	e, ok := n.rings[port].Lookup(id)
+	e, ok := sp.Resolve()
 	if !ok {
-		// Overwritten: detected but unattributable. Never guess (§3.3).
 		n.stats.LostRingOverwrite++
 		return
 	}
@@ -108,8 +69,8 @@ func (n *NetSeerSwitch) triggerLookup(port int) {
 
 // drainPendingLookups resolves all outstanding lookups (end of run).
 func (n *NetSeerSwitch) drainPendingLookups() {
-	for port := range n.pending {
-		for len(n.pending[port]) > 0 {
+	for port := range n.seq {
+		for n.seq[port].Pending() {
 			n.triggerLookup(port)
 		}
 	}
@@ -248,23 +209,15 @@ func (n *NetSeerSwitch) OnDequeue(p *pkt.Packet, outPort, queue int, qdelay sim.
 	n.congTable.Offer(&ev)
 }
 
-// EgressData numbers and records outgoing packets (§3.3, steps 1–2 of
-// Fig. 5) and paces pending inter-switch lookups (one per subsequent
-// packet, since the hardware cannot loop within a stage).
+// EgressData paces pending inter-switch lookups (one per subsequent
+// packet, since the hardware cannot loop within a stage), then numbers
+// and records the outgoing packet (§3.3, steps 1–2 of Fig. 5). The lookup
+// goes first, so it sees the slot before this packet can overwrite it.
 func (n *NetSeerSwitch) EgressData(p *pkt.Packet, outPort int) {
 	n.triggerLookup(outPort)
-	if !n.seqOn[outPort] {
-		return
+	if n.seqOn {
+		n.seq[outPort].Tag(p)
 	}
-	if p.Kind != pkt.KindData && p.Kind != pkt.KindProbe {
-		return
-	}
-	id := n.nextSeq[outPort]
-	n.nextSeq[outPort]++
-	p.SeqTag = id
-	p.HasSeqTag = true
-	p.WireLen += pkt.NetSeerTagLen
-	n.rings[outPort].Record(id, p.Flow, p.WireLen)
 }
 
 // OnCorruptFrame notes a MAC-level discard; the flow recovery happens via

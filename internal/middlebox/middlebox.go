@@ -22,7 +22,6 @@ import (
 	"netseer/internal/fevent"
 	"netseer/internal/link"
 	"netseer/internal/pkt"
-	"netseer/internal/ringbuf"
 	"netseer/internal/seqtrack"
 	"netseer/internal/sim"
 )
@@ -45,8 +44,6 @@ type Config struct {
 	ServiceBps float64
 	// QueueBytes is the processing-queue depth (default 256 KB).
 	QueueBytes int
-	// RingSlots sizes the per-side egress rings (default 256).
-	RingSlots int
 	// DisableSeq turns off the inter-device drop modules (a legacy
 	// middlebox that violates principle 1).
 	DisableSeq bool
@@ -61,11 +58,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueBytes <= 0 {
 		c.QueueBytes = 256 << 10
 	}
-	if c.RingSlots <= 0 {
-		c.RingSlots = 256
-	}
 	return c
 }
+
+// ringSlots sizes each side's egress ring.
+const ringSlots = 256
 
 // EventSink receives the middlebox's flow events (principle 3 — in
 // production this is a collector.Client over TCP).
@@ -75,13 +72,9 @@ type EventSink interface {
 
 // side is the per-attachment state.
 type side struct {
-	lnk     *link.Link
-	fromA   bool
-	nextSeq uint32
-	ring    *ringbuf.Ring
-	tracker *seqtrack.Tracker
-	lastGap seqtrack.Notification
-	pending []uint32
+	lnk   *link.Link
+	fromA bool
+	seq   seqtrack.Port
 }
 
 // Middlebox is a bump-in-the-wire device with FET instrumentation.
@@ -90,7 +83,7 @@ type Middlebox struct {
 	cfg  Config
 	sink EventSink
 
-	sides [2]*side
+	sides [2]side
 
 	// Processing queue.
 	queued    int
@@ -120,10 +113,7 @@ func New(s *sim.Simulator, cfg Config, sink EventSink) *Middlebox {
 	cfg = cfg.withDefaults()
 	mb := &Middlebox{sim: s, cfg: cfg, sink: sink}
 	for i := range mb.sides {
-		mb.sides[i] = &side{
-			ring:    ringbuf.New(cfg.RingSlots),
-			tracker: seqtrack.New(),
-		}
+		mb.sides[i].seq = seqtrack.NewPort(ringSlots)
 	}
 	return mb
 }
@@ -147,24 +137,31 @@ func (mb *Middlebox) other(s Side) Side {
 
 // receive handles one frame arriving on side s.
 func (mb *Middlebox) receive(s Side, p *pkt.Packet) {
-	sd := mb.sides[s]
+	sd := &mb.sides[s]
 	if p.Corrupt {
 		return // gap detection recovers the flow
 	}
 	switch p.Kind {
 	case pkt.KindLossNotify:
-		mb.handleLossNotify(s, p)
+		// The processor loops: resolve the whole gap at once.
+		sd.seq.Accept(p.Payload)
+		for sd.seq.Pending() {
+			if e, ok := sd.seq.Resolve(); ok {
+				mb.Recovered++
+				mb.report(fevent.Event{
+					Type: fevent.TypeDrop, Flow: e.Flow,
+					DropCode: fevent.DropInterSwitch,
+					Count:    1, Hash: e.Flow.Hash(),
+				})
+			}
+		}
 		return
 	case pkt.KindPFC:
 		return
 	}
-	if p.HasSeqTag && !mb.cfg.DisableSeq {
-		id := p.SeqTag
-		p.HasSeqTag = false
-		p.SeqTag = 0
-		p.WireLen -= pkt.NetSeerTagLen
-		if notif := sd.tracker.Observe(id); notif != nil {
-			mb.sendLossNotify(s, *notif)
+	if !mb.cfg.DisableSeq {
+		if gap, ok := sd.seq.Strip(p); ok && sd.lnk != nil {
+			seqtrack.Notify(gap, func(np *pkt.Packet) { sd.lnk.Send(sd.fromA, np) })
 		}
 	}
 	mb.process(s, p)
@@ -200,69 +197,14 @@ func (mb *Middlebox) process(from Side, p *pkt.Packet) {
 
 // transmit numbers and records the packet on the egress side, then sends.
 func (mb *Middlebox) transmit(s Side, p *pkt.Packet) {
-	sd := mb.sides[s]
+	sd := &mb.sides[s]
 	if sd.lnk == nil {
 		return
 	}
-	if !mb.cfg.DisableSeq && (p.Kind == pkt.KindData || p.Kind == pkt.KindProbe) {
-		id := sd.nextSeq
-		sd.nextSeq++
-		p.SeqTag = id
-		p.HasSeqTag = true
-		p.WireLen += pkt.NetSeerTagLen
-		sd.ring.Record(id, p.Flow, p.WireLen)
-		mb.drainOne(s)
+	if !mb.cfg.DisableSeq {
+		sd.seq.Tag(p)
 	}
 	sd.lnk.Send(sd.fromA, p)
-}
-
-func (mb *Middlebox) sendLossNotify(s Side, notif seqtrack.Notification) {
-	sd := mb.sides[s]
-	if sd.lnk == nil {
-		return
-	}
-	payload := notif.AppendTo(nil)
-	for i := 0; i < seqtrack.NotifyCopies; i++ {
-		sd.lnk.Send(sd.fromA, &pkt.Packet{
-			Kind: pkt.KindLossNotify, WireLen: pkt.MinEthernetFrame,
-			Priority: 7, Payload: payload,
-		})
-	}
-}
-
-func (mb *Middlebox) handleLossNotify(s Side, p *pkt.Packet) {
-	notif, err := seqtrack.DecodeNotification(p.Payload)
-	if err != nil || mb.sides[s].lastGap == notif {
-		return
-	}
-	sd := mb.sides[s]
-	sd.lastGap = notif
-	for id := notif.FromID; ; id++ {
-		sd.pending = append(sd.pending, id)
-		if id == notif.ToID {
-			break
-		}
-	}
-	for len(sd.pending) > 0 {
-		mb.drainOne(s)
-	}
-}
-
-func (mb *Middlebox) drainOne(s Side) {
-	sd := mb.sides[s]
-	if len(sd.pending) == 0 {
-		return
-	}
-	id := sd.pending[0]
-	sd.pending = sd.pending[1:]
-	if e, ok := sd.ring.Lookup(id); ok {
-		mb.Recovered++
-		mb.report(fevent.Event{
-			Type: fevent.TypeDrop, Flow: e.Flow,
-			DropCode: fevent.DropInterSwitch,
-			Count:    1, Hash: e.Flow.Hash(),
-		})
-	}
 }
 
 // report ships one event to the sink (principle 3).

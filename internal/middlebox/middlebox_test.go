@@ -1,12 +1,14 @@
 package middlebox
 
 import (
+	"runtime"
 	"testing"
 
 	"netseer/internal/fevent"
 	"netseer/internal/link"
 	"netseer/internal/nic"
 	"netseer/internal/pkt"
+	"netseer/internal/seqtrack"
 	"netseer/internal/sim"
 )
 
@@ -192,4 +194,37 @@ func TestNilSinkPanics(t *testing.T) {
 		}
 	}()
 	New(sim.New(), Config{}, nil)
+}
+
+// TestLossNotifyWorkIsBoundedByRing: a notification for a gap far longer
+// than a side's ring costs work and memory bounded by the ring, not by
+// the gap. Only the newest 256 IDs can still be resident, so the report
+// count grows by exactly those, and the 2²⁴ older IDs are clipped without
+// being queued.
+func TestLossNotifyWorkIsBoundedByRing(t *testing.T) {
+	r := newRig(t, Config{})
+	const sent = 1000
+	for i := 0; i < sent; i++ {
+		r.send(flow(uint32(i)), 300)
+		if i%100 == 99 {
+			r.sim.RunAll() // stay inside the processing queue
+		}
+	}
+	r.sim.RunAll()
+	if r.mb.Processed != sent {
+		t.Fatalf("processed %d of %d", r.mb.Processed, sent)
+	}
+	reported := len(r.events)
+	newest := uint32(sent - 1) // the South side tagged IDs 0…999
+	gap := seqtrack.Notification{FromID: newest - 1<<24 + 1, ToID: newest}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.mb.Device(South).Receive(&pkt.Packet{Kind: pkt.KindLossNotify, WireLen: pkt.MinEthernetFrame, Payload: gap.AppendTo(nil)}, 0)
+	runtime.ReadMemStats(&after)
+	if got := len(r.events) - reported; got != ringSlots {
+		t.Errorf("reports grew by %d, want the %d resident IDs", got, ringSlots)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("one notification allocated %d B; want < 1 MiB", grew)
+	}
 }

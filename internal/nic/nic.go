@@ -9,7 +9,6 @@ import (
 	"netseer/internal/fifo"
 	"netseer/internal/link"
 	"netseer/internal/pkt"
-	"netseer/internal/ringbuf"
 	"netseer/internal/seqtrack"
 	"netseer/internal/sim"
 )
@@ -19,25 +18,17 @@ type Handler func(p *pkt.Packet)
 
 // Config parameterizes a NIC.
 type Config struct {
-	// RingSlots sizes the egress ring buffer (default 256; edge links are
-	// slower, so smaller rings suffice).
-	RingSlots int
 	// DisableSeq turns the NetSeer edge modules off (plain NIC).
 	DisableSeq bool
-	// Bps is the NIC line rate used for pacing transmissions (default
-	// 25 Gb/s). Zero disables serialization accounting.
-	Bps float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.RingSlots <= 0 {
-		c.RingSlots = 256
-	}
-	if c.Bps == 0 {
-		c.Bps = 25e9
-	}
-	return c
-}
+const (
+	// ringSlots sizes the egress ring: edge links are slower than fabric
+	// links, so a smaller ring than a switch port's suffices.
+	ringSlots = 256
+	// lineBps is the line rate that paces transmissions.
+	lineBps = 25e9
+)
 
 // NIC is one host network interface attached to a single access link.
 type NIC struct {
@@ -47,11 +38,7 @@ type NIC struct {
 	fromA   bool
 	handler Handler
 
-	nextSeq uint32
-	ring    *ringbuf.Ring
-	tracker *seqtrack.Tracker
-	pending fifo.Queue[uint32]
-	lastGap seqtrack.Notification
+	seq seqtrack.Port
 
 	// Local event log (the NIC cannot reach the collector directly; the
 	// host agent reads the log).
@@ -79,11 +66,9 @@ func New(s *sim.Simulator, l *link.Link, fromA bool, cfg Config, handler Handler
 	if handler == nil {
 		panic("nic: handler must not be nil")
 	}
-	cfg = cfg.withDefaults()
 	n := &NIC{
 		sim: s, cfg: cfg, lnk: l, fromA: fromA, handler: handler,
-		ring:    ringbuf.New(cfg.RingSlots),
-		tracker: seqtrack.New(),
+		seq: seqtrack.NewPort(ringSlots),
 	}
 	n.txDone = n.depart
 	return n
@@ -101,7 +86,7 @@ func (n *NIC) depart() {
 
 // ser is the time p occupies the wire.
 func (n *NIC) ser(p *pkt.Packet) sim.Time {
-	return sim.Time(float64(p.WireLen*8) / n.cfg.Bps * 1e9)
+	return sim.Time(float64(p.WireLen*8) / lineBps * 1e9)
 }
 
 // Send transmits a packet, tagging it with the edge sequence number and
@@ -109,18 +94,8 @@ func (n *NIC) ser(p *pkt.Packet) sim.Time {
 // back-to-back sends.
 func (n *NIC) Send(p *pkt.Packet) {
 	n.txPackets++
-	if !n.cfg.DisableSeq && (p.Kind == pkt.KindData || p.Kind == pkt.KindProbe) {
-		id := n.nextSeq
-		n.nextSeq++
-		p.SeqTag = id
-		p.HasSeqTag = true
-		p.WireLen += pkt.NetSeerTagLen
-		n.ring.Record(id, p.Flow, p.WireLen)
-		n.drainOneLookup()
-	}
-	if n.cfg.Bps <= 0 {
-		n.lnk.Send(n.fromA, p)
-		return
+	if !n.cfg.DisableSeq {
+		n.seq.Tag(p)
 	}
 	if n.txq.Len() == 0 {
 		n.sim.Schedule(n.ser(p), n.txDone)
@@ -148,63 +123,27 @@ func (n *NIC) Receive(p *pkt.Packet, port int) {
 		}
 		return
 	case pkt.KindLossNotify:
-		n.handleLossNotify(p)
+		// NIC processors can loop: resolve the whole gap at once.
+		n.seq.Accept(p.Payload)
+		for n.seq.Pending() {
+			if e, ok := n.seq.Resolve(); ok {
+				n.Log = append(n.Log, fevent.Event{
+					Type: fevent.TypeDrop, Flow: e.Flow,
+					DropCode: fevent.DropInterSwitch,
+					Count:    1, Hash: e.Flow.Hash(),
+					Timestamp: n.sim.Now(),
+				})
+			}
+		}
 		return
 	}
-	if p.HasSeqTag && !n.cfg.DisableSeq {
-		id := p.SeqTag
-		p.HasSeqTag = false
-		p.SeqTag = 0
-		p.WireLen -= pkt.NetSeerTagLen
-		if notif := n.tracker.Observe(id); notif != nil {
+	if !n.cfg.DisableSeq {
+		if gap, ok := n.seq.Strip(p); ok {
 			n.gaps++
-			n.sendLossNotify(*notif)
+			seqtrack.Notify(gap, func(np *pkt.Packet) { n.lnk.Send(n.fromA, np) })
 		}
 	}
 	n.handler(p)
-}
-
-func (n *NIC) sendLossNotify(notif seqtrack.Notification) {
-	payload := notif.AppendTo(nil)
-	for i := 0; i < seqtrack.NotifyCopies; i++ {
-		n.lnk.Send(n.fromA, &pkt.Packet{
-			Kind: pkt.KindLossNotify, WireLen: pkt.MinEthernetFrame,
-			Priority: 7, Payload: payload,
-		})
-	}
-}
-
-func (n *NIC) handleLossNotify(p *pkt.Packet) {
-	notif, err := seqtrack.DecodeNotification(p.Payload)
-	if err != nil || n.lastGap == notif {
-		return
-	}
-	n.lastGap = notif
-	for id := notif.FromID; ; id++ {
-		n.pending.Push(id)
-		if id == notif.ToID {
-			break
-		}
-	}
-	// NIC processors can loop: resolve immediately.
-	for n.pending.Len() > 0 {
-		n.drainOneLookup()
-	}
-}
-
-func (n *NIC) drainOneLookup() {
-	if n.pending.Len() == 0 {
-		return
-	}
-	id := n.pending.Pop()
-	if e, ok := n.ring.Lookup(id); ok {
-		n.Log = append(n.Log, fevent.Event{
-			Type: fevent.TypeDrop, Flow: e.Flow,
-			DropCode: fevent.DropInterSwitch,
-			Count:    1, Hash: e.Flow.Hash(),
-			Timestamp: n.sim.Now(),
-		})
-	}
 }
 
 // Paused reports whether the given priority is PFC-paused (exposed so

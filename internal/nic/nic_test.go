@@ -1,11 +1,13 @@
 package nic
 
 import (
+	"runtime"
 	"testing"
 
 	"netseer/internal/fevent"
 	"netseer/internal/link"
 	"netseer/internal/pkt"
+	"netseer/internal/seqtrack"
 	"netseer/internal/sim"
 )
 
@@ -261,5 +263,31 @@ func TestSendZeroAllocSteadyState(t *testing.T) {
 	order = make([]uint64, 0, 4*202)
 	if n := testing.AllocsPerRun(200, burst); n != 0 {
 		t.Errorf("NIC.Send→wire allocates %v times per 4 packets; budget is 0", n)
+	}
+}
+
+// TestLossNotifyWorkIsBoundedByRing: a notification for a gap far longer
+// than the ring costs work and memory bounded by the ring, not by the
+// gap. Only the newest 256 IDs can still be resident, so the log grows by
+// exactly those, and the 2²⁴ older IDs are clipped without being queued.
+func TestLossNotifyWorkIsBoundedByRing(t *testing.T) {
+	p := newPair(t, Config{})
+	const sent = 1000
+	for i := 0; i < sent; i++ {
+		p.a.Send(mkPkt(uint64(i), 300))
+	}
+	p.sim.RunAll()
+	logged := len(p.a.Log)
+	newest := uint32(sent - 1)
+	gap := seqtrack.Notification{FromID: newest - 1<<24 + 1, ToID: newest}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.a.Receive(&pkt.Packet{Kind: pkt.KindLossNotify, WireLen: pkt.MinEthernetFrame, Payload: gap.AppendTo(nil)}, 0)
+	runtime.ReadMemStats(&after)
+	if got := len(p.a.Log) - logged; got != ringSlots {
+		t.Errorf("log grew by %d, want the %d resident IDs", got, ringSlots)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("one notification allocated %d B; want < 1 MiB", grew)
 	}
 }

@@ -1,13 +1,22 @@
-// Package seqtrack implements the downstream side of NetSeer's
-// inter-switch drop detection (§3.3): per-ingress-port tracking of the
-// consecutive packet IDs inserted by the upstream device. A gap in the
-// sequence means packets were lost (or corrupted and dropped at the MAC);
-// the tracker emits a loss notification naming the missing interval, which
-// the upstream resolves against its ring buffer.
+// Package seqtrack is NetSeer's inter-device loss detection (§3.3), the
+// one module every instrumented device runs on each of its links —
+// switches, host NICs (§4) and middleboxes (§3.7, principle 1). A Port is
+// one end of a link and plays both sides of it:
 //
-// Notifications are produced in triplicate (the paper sends three copies on
-// a high-priority queue so the notification itself survives the lossy
-// link).
+//   - upstream, it numbers each outgoing data or probe packet with a
+//     consecutive ID and records it in a Ring (steps 1–2 of Fig. 5);
+//   - downstream, a Tracker watches the IDs arriving and names any gap in
+//     a Notification, sent back upstream in NotifyCopies high-priority
+//     copies so that it survives the lossy link itself (steps 3–4);
+//   - upstream again, the notified interval is queued and resolved one ID
+//     at a time against the ring (step 5). The ring only ever holds the
+//     newest N packets, so an interval is clipped to N on arrival, and a
+//     slot that later traffic overwrote is a miss, never a wrong flow.
+//
+// The devices differ only in pacing and in what they do with a victim: a
+// switch resolves one ID per trigger packet (a pipeline stage cannot
+// loop) and builds a drop event; a NIC or middlebox processor loops,
+// resolving the whole interval at once into its log or report.
 package seqtrack
 
 import (
@@ -51,62 +60,31 @@ func DecodeNotification(b []byte) (Notification, error) {
 	}, nil
 }
 
-// Tracker watches the packet-ID sequence arriving on one ingress port.
-// It is not safe for concurrent use.
+// Tracker watches the packet-ID sequence arriving on one link. The zero
+// value is ready and synchronizes to the first ID it sees. It is not safe
+// for concurrent use.
 type Tracker struct {
 	expected uint32
 	started  bool
-
-	received uint64
-	gaps     uint64
-	lost     uint64
 }
 
-// New returns a tracker that will synchronize to the first ID it sees.
-func New() *Tracker {
-	return &Tracker{}
-}
-
-// Observe processes the packet ID of one received packet and returns a
-// non-nil *Notification if a gap precedes it.
+// Observe processes the packet ID of one received packet and reports the
+// gap that precedes it, if any.
 //
 // The link preserves ordering (it is a single fibre between two ports), so
 // any jump forward means the skipped IDs were lost. A jump "backward"
-// (id != expected but distance > 2³¹) would mean reordering, which cannot
-// happen on a point-to-point link; the tracker resynchronizes and counts it
-// as a resync rather than fabricating an absurd gap.
-func (t *Tracker) Observe(id uint32) *Notification {
-	t.received++
+// (a forward distance of 2³¹ or more) would mean reordering, which cannot
+// happen on a point-to-point link; the tracker resynchronizes silently
+// rather than fabricating an absurd gap.
+func (t *Tracker) Observe(id uint32) (Notification, bool) {
+	expected := t.expected
+	t.expected = id + 1
 	if !t.started {
 		t.started = true
-		t.expected = id + 1
-		return nil
+		return Notification{}, false
 	}
-	if id == t.expected {
-		t.expected = id + 1
-		return nil
+	if dist := id - expected; dist == 0 || dist >= 1<<31 {
+		return Notification{}, false
 	}
-	dist := id - t.expected // mod 2³² forward distance
-	if dist >= 1<<31 {
-		// Backward jump: impossible on an ordered link; resync silently.
-		t.expected = id + 1
-		return nil
-	}
-	n := &Notification{FromID: t.expected, ToID: id - 1}
-	t.gaps++
-	t.lost += uint64(dist)
-	t.expected = id + 1
-	return n
-}
-
-// Stats reports received packets, detected gap episodes, and total packets
-// covered by emitted notifications.
-func (t *Tracker) Stats() (received, gapEpisodes, lostPackets uint64) {
-	return t.received, t.gaps, t.lost
-}
-
-// Reset returns the tracker to the unsynchronized state.
-func (t *Tracker) Reset() {
-	t.started = false
-	t.expected = 0
+	return Notification{FromID: expected, ToID: id - 1}, true
 }

@@ -6,56 +6,52 @@ import (
 )
 
 func TestInOrderNoNotification(t *testing.T) {
-	tr := New()
+	var tr Tracker
 	for id := uint32(0); id < 1000; id++ {
-		if n := tr.Observe(id); n != nil {
+		if n, ok := tr.Observe(id); ok {
 			t.Fatalf("notification %+v for in-order ID %d", n, id)
 		}
-	}
-	recv, gaps, lost := tr.Stats()
-	if recv != 1000 || gaps != 0 || lost != 0 {
-		t.Errorf("stats = %d %d %d", recv, gaps, lost)
 	}
 }
 
 func TestSingleGap(t *testing.T) {
-	tr := New()
+	var tr Tracker
 	tr.Observe(10)
 	tr.Observe(11)
-	n := tr.Observe(15) // 12,13,14 lost
-	if n == nil {
+	n, ok := tr.Observe(15) // 12,13,14 lost
+	if !ok {
 		t.Fatal("no notification for gap")
 	}
 	if n.FromID != 12 || n.ToID != 14 || n.Count() != 3 {
 		t.Errorf("notification = %+v", n)
 	}
 	// Sequence continues cleanly afterwards.
-	if tr.Observe(16) != nil {
+	if _, ok := tr.Observe(16); ok {
 		t.Error("spurious notification after gap")
 	}
 }
 
 func TestSingleLoss(t *testing.T) {
-	tr := New()
+	var tr Tracker
 	tr.Observe(0)
-	n := tr.Observe(2)
-	if n == nil || n.FromID != 1 || n.ToID != 1 || n.Count() != 1 {
+	n, ok := tr.Observe(2)
+	if !ok || n.FromID != 1 || n.ToID != 1 || n.Count() != 1 {
 		t.Fatalf("notification = %+v", n)
 	}
 }
 
 func TestFirstPacketSynchronizes(t *testing.T) {
-	tr := New()
-	if n := tr.Observe(12345); n != nil {
+	var tr Tracker
+	if n, ok := tr.Observe(12345); ok {
 		t.Errorf("notification on first packet: %+v", n)
 	}
 }
 
 func TestWraparoundGap(t *testing.T) {
-	tr := New()
+	var tr Tracker
 	tr.Observe(0xfffffffe)
-	n := tr.Observe(2) // 0xffffffff, 0, 1 lost
-	if n == nil {
+	n, ok := tr.Observe(2) // 0xffffffff, 0, 1 lost
+	if !ok {
 		t.Fatal("no notification across wraparound")
 	}
 	if n.FromID != 0xffffffff || n.ToID != 1 || n.Count() != 3 {
@@ -64,34 +60,36 @@ func TestWraparoundGap(t *testing.T) {
 }
 
 func TestWraparoundClean(t *testing.T) {
-	tr := New()
-	if tr.Observe(0xffffffff) != nil {
+	var tr Tracker
+	if _, ok := tr.Observe(0xffffffff); ok {
 		t.Fatal("sync notification")
 	}
-	if n := tr.Observe(0); n != nil {
+	if n, ok := tr.Observe(0); ok {
 		t.Errorf("clean wraparound produced %+v", n)
 	}
 }
 
 func TestBackwardJumpResyncs(t *testing.T) {
-	tr := New()
+	var tr Tracker
 	tr.Observe(1000)
-	if n := tr.Observe(10); n != nil {
+	if n, ok := tr.Observe(10); ok {
 		t.Errorf("backward jump produced notification %+v", n)
 	}
 	// After resync, the next in-order packet is clean.
-	if n := tr.Observe(11); n != nil {
+	if n, ok := tr.Observe(11); ok {
 		t.Errorf("post-resync packet produced %+v", n)
 	}
 }
 
 func TestMultipleGapEpisodes(t *testing.T) {
-	tr := New()
-	tr.Observe(0)
-	tr.Observe(5) // gap 1-4
-	tr.Observe(6)
-	tr.Observe(10) // gap 7-9
-	_, gaps, lost := tr.Stats()
+	var tr Tracker
+	var gaps, lost uint32
+	for _, id := range []uint32{0, 5, 6, 10} { // gaps 1-4 and 7-9
+		if n, ok := tr.Observe(id); ok {
+			gaps++
+			lost += n.Count()
+		}
+	}
 	if gaps != 2 || lost != 7 {
 		t.Errorf("gaps=%d lost=%d, want 2, 7", gaps, lost)
 	}
@@ -102,41 +100,27 @@ func TestLostAccountingProperty(t *testing.T) {
 	// notifications equals the number of dropped IDs (ignoring a possibly
 	// dropped tail, which no subsequent packet can reveal).
 	f := func(dropMask []bool) bool {
-		tr := New()
+		var tr Tracker
 		tr.Observe(0) // sync
 		want := uint64(0)
 		var notified uint64
-		lastDelivered := true
 		pendingDrops := uint64(0)
 		for i, drop := range dropMask {
 			id := uint32(i + 1)
 			if drop {
 				pendingDrops++
-				lastDelivered = false
 				continue
 			}
 			want += pendingDrops
 			pendingDrops = 0
-			if n := tr.Observe(id); n != nil {
+			if n, ok := tr.Observe(id); ok {
 				notified += uint64(n.Count())
 			}
-			lastDelivered = true
 		}
-		_ = lastDelivered
-		_, _, lost := tr.Stats()
-		return lost == want && notified == want
+		return notified == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReset(t *testing.T) {
-	tr := New()
-	tr.Observe(100)
-	tr.Reset()
-	if n := tr.Observe(0); n != nil {
-		t.Errorf("notification after reset: %+v", n)
 	}
 }
 
@@ -167,7 +151,7 @@ func TestNotificationCodecQuick(t *testing.T) {
 }
 
 func BenchmarkObserveInOrder(b *testing.B) {
-	tr := New()
+	var tr Tracker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Observe(uint32(i))

@@ -16,9 +16,6 @@ type Config struct {
 	// CMSWidth/CMSDepth size the count-min sketch (defaults 2048×4:
 	// ε = e/2048 ≈ 0.0013, δ = e⁻⁴ ≈ 0.018, 32 KiB of counters).
 	CMSWidth, CMSDepth int
-	// PlainCMS disables conservative update (ablation; the default
-	// conservative variant strictly dominates it).
-	PlainCMS bool
 	// TopK is the space-saving table size (default 32).
 	TopK int
 	// HHThresholdPkts is the heavy-hitter onset threshold on the count-min
@@ -137,7 +134,7 @@ func NewStage(cfg Config, ports int, report ReportFunc) *Stage {
 	}
 	return &Stage{
 		cfg:       cfg,
-		cms:       NewCMS(cfg.CMSWidth, cfg.CMSDepth, !cfg.PlainCMS),
+		cms:       NewCMS(cfg.CMSWidth, cfg.CMSDepth, true),
 		topk:      NewTopK(cfg.TopK),
 		seen:      make([]hhSeen, slots),
 		seenMask:  uint32(slots - 1),
