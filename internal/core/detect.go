@@ -94,7 +94,7 @@ func (n *NetSeerSwitch) PipelineForward(p *pkt.Packet, inPort, outPort, queue in
 			Flow:       p.Flow,
 			EgressPort: uint8(outPort),
 			Queue:      uint8(queue),
-			Hash:       p.Flow.Hash(),
+			Hash:       p.FlowHash(),
 		}
 		n.statEventPacket(fevent.TypePause, p.WireLen)
 		n.pauseTab.Offer(&ev)
@@ -105,9 +105,9 @@ func (n *NetSeerSwitch) PipelineForward(p *pkt.Packet, inPort, outPort, queue in
 // (in, out) pair, or an expired entry re-reports the flow's path (§3.3).
 func (n *NetSeerSwitch) detectPathChange(p *pkt.Packet, inPort, outPort int) {
 	now := n.sim.Now()
-	// The ASIC computes the CRC once per packet; do the same — the hash
-	// indexes the path table and rides along on any emitted event.
-	hash := p.Flow.Hash()
+	// The packet carries its flow hash: it indexes the path table and
+	// rides along on any emitted event.
+	hash := p.FlowHash()
 	idx := int(hash % uint32(len(n.pathTable)))
 	e := &n.pathTable[idx]
 	same := e.used && e.flow == p.Flow &&
@@ -149,7 +149,7 @@ func (n *NetSeerSwitch) OnPipelineDrop(p *pkt.Packet, inPort int, code fevent.Dr
 		Flow:        p.Flow,
 		IngressPort: uint8(inPort),
 		DropCode:    code,
-		Hash:        p.Flow.Hash(),
+		Hash:        p.FlowHash(),
 	}
 	if code == fevent.DropACLDeny {
 		// Aggregated per rule, not per flow (§3.4).
@@ -179,7 +179,7 @@ func (n *NetSeerSwitch) OnMMUDrop(p *pkt.Packet, inPort, outPort, queue int) {
 		IngressPort: uint8(inPort),
 		EgressPort:  uint8(outPort),
 		DropCode:    fevent.DropMMUCongestion,
-		Hash:        p.Flow.Hash(),
+		Hash:        p.FlowHash(),
 	}
 	n.dropTable.Offer(&ev)
 }
@@ -204,7 +204,7 @@ func (n *NetSeerSwitch) OnDequeue(p *pkt.Packet, outPort, queue int, qdelay sim.
 		EgressPort:     uint8(outPort),
 		Queue:          uint8(queue),
 		QueueLatencyUs: uint16(us),
-		Hash:           p.Flow.Hash(),
+		Hash:           p.FlowHash(),
 	}
 	n.congTable.Offer(&ev)
 }

@@ -527,11 +527,11 @@ func TestControlAndCorruptFramesActOnArrival(t *testing.T) {
 	up.Send(true, dataFrame(2))
 
 	s.Run(sim.Microsecond - 1)
-	if sw.ports[1].paused[3] || len(clock.notify)+len(clock.corrupt) != 0 {
+	if sw.ports[1].paused&(1<<3) != 0 || len(clock.notify)+len(clock.corrupt) != 0 {
 		t.Fatal("a control or corrupt frame acted before it arrived")
 	}
 	s.Run(sim.Microsecond)
-	if !sw.ports[1].paused[3] {
+	if sw.ports[1].paused&(1<<3) == 0 {
 		t.Error("PFC pause not in force at its arrival instant")
 	}
 	if !slices.Equal(clock.notify, []sim.Time{sim.Microsecond}) || !slices.Equal(clock.corrupt, []sim.Time{sim.Microsecond}) {
@@ -561,5 +561,84 @@ func TestSwitchHopCostsTwoEvents(t *testing.T) {
 	}
 	if n := s.Processed(); n != 2 {
 		t.Errorf("the switch hop took %d events, want 2", n)
+	}
+}
+
+// forwardTrail is a Telemetry that appends its switch's node to the trail
+// of every packet the pipeline forwards.
+type forwardTrail struct {
+	hookLog
+	node  topo.NodeID
+	trail map[uint64][]topo.NodeID
+}
+
+func (f *forwardTrail) PipelineForward(p *pkt.Packet, _, _, _ int, _ bool) {
+	f.trail[p.ID] = append(f.trail[p.ID], f.node)
+}
+
+// diamond is hA — s0 — {s1, s2} — s3 — hB with hA numbered before the
+// switches, so a switch's node ID and its wire ID differ in parity: a
+// two-way ECMP choice salted by the wrong one flips for every flow.
+func diamond() *topo.Topology {
+	tp := topo.New()
+	a := tp.AddNode(topo.Node{Kind: topo.KindHost, Name: "hA", IP: pkt.IP(10, 0, 0, 1)})
+	var sw [4]topo.NodeID
+	for i := range sw {
+		sw[i] = tp.AddNode(topo.Node{Kind: topo.KindSwitch, Name: fmt.Sprintf("s%d", i)})
+	}
+	b := tp.AddNode(topo.Node{Kind: topo.KindHost, Name: "hB", IP: pkt.IP(10, 0, 0, 2)})
+	for _, l := range [][2]topo.NodeID{{a, sw[0]}, {sw[0], sw[1]}, {sw[0], sw[2]}, {sw[1], sw[3]}, {sw[2], sw[3]}, {sw[3], b}} {
+		tp.AddLink(l[0], l[1], 100e9, sim.Microsecond)
+	}
+	return tp
+}
+
+// TestPathOfMatchesFabric: on a fault-free fabric, the switches that
+// forward a packet are the ones topo.PathOf predicts, for every (src, dst)
+// host pair — the pipeline and PathOf share one ECMP function and salt.
+func TestPathOfMatchesFabric(t *testing.T) {
+	for name, tp := range map[string]*topo.Topology{
+		"testbed":      topo.Testbed(),
+		"fat-tree k=4": topo.FatTree(topo.FatTreeConfig{K: 4}),
+		"diamond":      diamond(),
+	} {
+		s := sim.New()
+		routes := topo.BuildRoutes(tp)
+		fab := BuildFabric(s, tp, routes, Config{}, NewGroundTruth(), 1)
+		trail := make(map[uint64][]topo.NodeID)
+		for node, sw := range fab.Switches {
+			sw.SetTelemetry(&forwardTrail{node: node, trail: trail})
+		}
+		stub := &hostStub{}
+		hosts := tp.Hosts()
+		for _, h := range hosts {
+			fab.AttachHost(h.ID, stub)
+		}
+		want := make(map[uint64][]topo.NodeID)
+		for i, src := range hosts {
+			for j, dst := range hosts {
+				if i == j {
+					continue
+				}
+				flow := pkt.FlowKey{SrcIP: src.IP, DstIP: dst.IP, SrcPort: uint16(1000 + j), DstPort: 80, Proto: pkt.ProtoTCP}
+				path, err := routes.PathOf(src.ID, flow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := uint64(len(want) + 1)
+				want[id] = path[1 : len(path)-1]
+				at := fab.HostPorts[src.ID][0]
+				at.Link.Send(at.FromA, &pkt.Packet{ID: id, Kind: pkt.KindData, Flow: flow, WireLen: 200, TTL: 64})
+			}
+		}
+		s.RunAll()
+		if len(stub.got) != len(want) {
+			t.Fatalf("%s: %d of %d packets delivered", name, len(stub.got), len(want))
+		}
+		for id, path := range want {
+			if !slices.Equal(trail[id], path) {
+				t.Fatalf("%s: packet %d forwarded by %v, PathOf says %v", name, id, trail[id], path)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ package dataplane
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"netseer/internal/fevent"
@@ -16,12 +17,15 @@ import (
 	"netseer/internal/link"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
+	"netseer/internal/topo"
 )
+
+// nQueues is the egress queue count of every port: one queue per 3-bit
+// priority, as PFC has one class per priority.
+const nQueues = 8
 
 // Config parameterizes a Switch. Zero fields take defaults.
 type Config struct {
-	// Queues is the number of egress queues per port (default 8).
-	Queues int
 	// MMUBytes is the shared packet buffer (default 12 MB, in the range of
 	// a Tofino-class MMU).
 	MMUBytes int
@@ -46,9 +50,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Queues <= 0 {
-		c.Queues = 8
-	}
 	if c.MMUBytes <= 0 {
 		c.MMUBytes = 12 << 20
 	}
@@ -94,22 +95,20 @@ type queuedPkt struct {
 	enq sim.Time
 }
 
+// swPort keeps the fields every packet reads (pipeline checks, kick,
+// transmit) first, so a hop touches the port's first cache lines; the
+// per-queue arrays follow.
 type swPort struct {
 	num   int
 	lnk   *link.Link
 	fromA bool // which side of lnk this port transmits from
-	bps   float64
-	mtu   int
-
-	queues []fifo.Queue[queuedPkt]
-	qBytes []int
-	paused []bool // egress paused by peer's PFC
-	// pauseEnd is, per priority, when the latest pause frame's quanta run
-	// out: a pause timer resumes the queue only if no later pause frame
-	// has moved this on.
-	pauseEnd []sim.Time
-	xoffOut  []bool // we have paused the peer (per priority)
-	down     bool
+	down  bool
+	// ready has bit q set iff queue q is non-empty; paused has bit q set
+	// while the peer's PFC pauses priority q. The next queue to serve is
+	// the highest bit of ready &^ paused.
+	ready, paused uint8
+	bps           float64
+	mtu           int
 
 	// The packet being serialized: busy allows one per port, so it lives
 	// here and txDone, bound once in AddPort, is the only closure the
@@ -122,9 +121,17 @@ type swPort struct {
 
 	ctr PortCounters
 
+	queues [nQueues]fifo.Queue[queuedPkt]
+	qBytes [nQueues]int
+	// pauseEnd is, per priority, when the latest pause frame's quanta run
+	// out: a pause timer resumes the queue only if no later pause frame
+	// has moved this on.
+	pauseEnd [nQueues]sim.Time
+	xoffOut  [nQueues]bool // we have paused the peer (per priority)
+
 	// pausedSources records upstream ports we paused per priority so
 	// resumes reach them. Keyed by priority → set of ingress port numbers.
-	pausedUpstream []map[int]struct{}
+	pausedUpstream [nQueues]map[int]struct{}
 }
 
 // Switch is one simulated programmable switch.
@@ -189,15 +196,7 @@ func NewSwitch(s *sim.Simulator, id uint16, name string, cfg Config, routes Rout
 // port number. bps is the transmit line rate.
 func (sw *Switch) AddPort(l *link.Link, fromA bool, bps float64) int {
 	n := len(sw.ports)
-	p := &swPort{
-		num: n, lnk: l, fromA: fromA, bps: bps, mtu: sw.cfg.MTU,
-		queues:         make([]fifo.Queue[queuedPkt], sw.cfg.Queues),
-		qBytes:         make([]int, sw.cfg.Queues),
-		paused:         make([]bool, sw.cfg.Queues),
-		pauseEnd:       make([]sim.Time, sw.cfg.Queues),
-		xoffOut:        make([]bool, sw.cfg.Queues),
-		pausedUpstream: make([]map[int]struct{}, sw.cfg.Queues),
-	}
+	p := &swPort{num: n, lnk: l, fromA: fromA, bps: bps, mtu: sw.cfg.MTU}
 	for i := range p.pausedUpstream {
 		p.pausedUpstream[i] = make(map[int]struct{})
 	}
@@ -508,7 +507,12 @@ func (sw *Switch) pipeline(p *pkt.Packet, port int, now sim.Time) {
 		return
 	}
 	p.TTL--
-	egress, _ := ecmpSelect(hops, p.Flow, sw.salt)
+	// A single candidate, as on every fat-tree down-path hop, needs no
+	// hash.
+	egress := hops[0]
+	if len(hops) > 1 {
+		egress, _ = topo.ECMPSelect(hops, p.FlowHash(), sw.salt)
+	}
 	pt := sw.ports[egress]
 	if pt.down || pt.lnk.Down() {
 		sw.drop(p, port, fevent.DropPortDown, 0)
@@ -518,11 +522,11 @@ func (sw *Switch) pipeline(p *pkt.Packet, port int, now sim.Time) {
 		sw.drop(p, port, fevent.DropMTUExceeded, 0)
 		return
 	}
-	queue := int(p.Priority) % sw.cfg.Queues
+	queue := int(p.Priority & (nQueues - 1))
 	if sw.sketch != nil {
 		sw.sketch.Offer(p, int32(port), int32(egress), now)
 	}
-	paused := pt.paused[queue]
+	paused := pt.paused&(1<<queue) != 0
 	if sw.tel != nil {
 		sw.tel.PipelineForward(p, port, egress, queue, paused)
 	}
@@ -562,6 +566,7 @@ func (sw *Switch) enqueue(p *pkt.Packet, inPort, egress, queue int) {
 	pt.qBytes[queue] += p.WireLen
 	p.EnqueuedAt = sw.sim.Now()
 	pt.queues[queue].Push(queuedPkt{p: p, enq: p.EnqueuedAt})
+	pt.ready |= 1 << queue
 	// PFC generation: lossless queue crossing Xoff pauses the packet's
 	// upstream ingress port.
 	if sw.losslessQueue(queue) && pt.qBytes[queue] >= sw.cfg.PFCXoffBytes {
@@ -601,25 +606,23 @@ func (sw *Switch) kick(port int) {
 	if pt.busy {
 		return
 	}
-	q := sw.pickQueue(pt)
+	q := pickQueue(pt)
 	if q < 0 {
 		return
 	}
 	pt.tx, pt.txQueue, pt.busy = pt.queues[q].Pop(), q, true
+	if pt.queues[q].Len() == 0 {
+		pt.ready &^= 1 << q
+	}
 	pt.txQDelay = sw.sim.Now() - pt.tx.enq
 	ser := sim.Time(float64(pt.tx.p.WireLen*8) / pt.bps * 1e9)
 	sw.sim.Schedule(ser, pt.txDone)
 }
 
 // pickQueue selects the highest-numbered non-empty, non-paused queue
-// (strict priority, 7 high).
-func (sw *Switch) pickQueue(pt *swPort) int {
-	for q := sw.cfg.Queues - 1; q >= 0; q-- {
-		if pt.queues[q].Len() > 0 && !pt.paused[q] {
-			return q
-		}
-	}
-	return -1
+// (strict priority, 7 high), or -1 if there is none.
+func pickQueue(pt *swPort) int {
+	return bits.Len8(pt.ready&^pt.paused) - 1
 }
 
 // transmit finishes serialization: egress accounting, telemetry, PFC
@@ -671,10 +674,11 @@ func (sw *Switch) handlePFC(p *pkt.Packet, port int) {
 		return
 	}
 	pt := sw.ports[port]
-	for prio := uint8(0); prio < uint8(sw.cfg.Queues); prio++ {
+	for prio := uint8(0); prio < nQueues; prio++ {
+		bit := uint8(1) << prio
 		switch {
 		case f.IsPause(prio):
-			pt.paused[prio] = true
+			pt.paused |= bit
 			// Quanta-based auto-resume, unless a later pause frame has
 			// extended the pause by then.
 			d := sim.Time(float64(f.PauseTime[prio]) * pkt.PFCQuantumNs)
@@ -682,13 +686,13 @@ func (sw *Switch) handlePFC(p *pkt.Packet, port int) {
 			pt.pauseEnd[prio] = end
 			prio := prio
 			sw.sim.Schedule(d, func() {
-				if pt.paused[prio] && pt.pauseEnd[prio] == end {
-					pt.paused[prio] = false
+				if pt.paused&bit != 0 && pt.pauseEnd[prio] == end {
+					pt.paused &^= bit
 					sw.kick(port)
 				}
 			})
 		case f.IsResume(prio):
-			pt.paused[prio] = false
+			pt.paused &^= bit
 			sw.kick(port)
 		}
 	}
@@ -724,16 +728,6 @@ func (sw *Switch) sendPFC(port int, f *pkt.PFCFrame) {
 		PFC:     f,
 	}
 	sw.SendFromPort(port, p)
-}
-
-// ecmpSelect mirrors topo.ECMPSelect without importing topo (avoiding a
-// dependency cycle via the fabric builder).
-func ecmpSelect(hops []int, flow pkt.FlowKey, salt uint32) (int, bool) {
-	if len(hops) == 0 {
-		return 0, false
-	}
-	h := flow.Hash() ^ salt*0x9e3779b9
-	return hops[h%uint32(len(hops))], true
 }
 
 // String identifies the switch in logs.

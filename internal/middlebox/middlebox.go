@@ -176,7 +176,7 @@ func (mb *Middlebox) process(from Side, p *pkt.Packet) {
 		mb.report(fevent.Event{
 			Type: fevent.TypeDrop, Flow: p.Flow,
 			DropCode: fevent.DropMMUCongestion, // buffer exhaustion
-			Count:    1, Hash: p.Flow.Hash(),
+			Count:    1, Hash: p.FlowHash(),
 		})
 		return
 	}

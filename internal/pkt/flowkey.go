@@ -161,8 +161,9 @@ func crcWord(crc, w uint32) uint32 {
 }
 
 // Hash returns the CRC-32C of the canonical encoding. The switch data plane
-// computes this once and attaches it to every event report so the switch
-// CPU can index its false-positive table without re-hashing (§3.6).
+// computes this once a packet (Packet.FlowHash) and attaches it to every
+// event report so the switch CPU can index its false-positive table
+// without re-hashing (§3.6).
 //
 // The CRC is computed slicing-by-4 directly from the struct fields instead
 // of calling crc32.Checksum: the stdlib entry point leaks its input to

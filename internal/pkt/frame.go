@@ -185,7 +185,7 @@ func UnmarshalDataFrame(data []byte, p *Packet) error {
 		return errors.New("pkt: frame has no IPv4 layer")
 	}
 	p.Kind = KindData
-	p.Flow = k
+	p.Flow, p.hashed = k, false
 	p.TTL = f.IP.TTL
 	p.Priority = f.IP.TOS >> 5
 	p.WireLen = len(data)

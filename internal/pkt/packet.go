@@ -56,7 +56,12 @@ type Packet struct {
 	ID uint64
 
 	Kind Kind
+	// Flow is fixed once the packet is sent: every hop reads its hash
+	// from the cache FlowHash fills on first use.
 	Flow FlowKey
+	// hash caches Flow.Hash() while hashed is set (see FlowHash). Both
+	// sit in the struct's padding, so the cache costs no size.
+	hash uint32
 
 	// WireLen is the total on-wire length in bytes, including all headers
 	// (and the NetSeer tag when present).
@@ -78,6 +83,7 @@ type Packet struct {
 
 	// released is set while the packet sits handed back to a Pool.
 	released bool
+	hashed   bool
 
 	// Payload carries the encoded body of control packets (loss
 	// notifications, event batches, probe echo state). Nil for plain data.
@@ -95,6 +101,16 @@ type Packet struct {
 
 	// IngressPort is per-switch scratch: the port the packet arrived on.
 	IngressPort int
+}
+
+// FlowHash returns Flow.Hash(), computed on first use and cached in the
+// packet: the data plane hashes a packet's flow once in its lifetime and
+// every hop's ECMP, path table and event records reuse it (§3.5–3.6).
+func (p *Packet) FlowHash() uint32 {
+	if !p.hashed {
+		p.hash, p.hashed = p.Flow.Hash(), true
+	}
+	return p.hash
 }
 
 // Clone returns a deep copy, used when a pipeline both forwards and mirrors

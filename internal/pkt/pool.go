@@ -51,6 +51,9 @@ func (pl *Pool) Put(p *Packet) {
 		panic("pkt: packet released twice")
 	}
 	if pl.checked {
+		if p.hashed && p.hash != p.Flow.Hash() {
+			panic("pkt: packet's flow changed after its hash was cached")
+		}
 		*p = poisoned
 		return
 	}
@@ -63,7 +66,8 @@ func (pl *Pool) Put(p *Packet) {
 // Check turns the pool into a checking one for tests: it never reuses a
 // packet, and Put overwrites what it is given with values no live packet
 // has, so a use after release changes a run's outcome instead of silently
-// reading another packet's state. Call it before the first Get.
+// reading another packet's state. Put also panics on a packet whose Flow
+// changed after FlowHash cached its hash. Call it before the first Get.
 func (pl *Pool) Check() {
 	pl.checked = true
 	pl.free = nil

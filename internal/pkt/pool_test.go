@@ -3,6 +3,7 @@ package pkt
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestPoolGetNumbersZeroedPackets(t *testing.T) {
@@ -95,4 +96,62 @@ func TestNilPoolPutIsNoop(t *testing.T) {
 	if p.WireLen != 64 {
 		t.Error("nil pool touched the packet")
 	}
+}
+
+// TestFlowHashFollowsFlow: a packet's cached flow hash is its flow's hash
+// however the packet came to be — from a pool, as a literal, as a clone or
+// decoded into a reused packet — and the cache costs the packet no size.
+func TestFlowHashFollowsFlow(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 120 {
+		t.Errorf("Packet is %d B, want <= 120", n)
+	}
+	a, b := testFlow(), testFlow().Reverse()
+	check := func(what string, p *Packet) {
+		t.Helper()
+		if got, want := p.FlowHash(), p.Flow.Hash(); got != want {
+			t.Errorf("%s: FlowHash %#x, want %#x", what, got, want)
+		}
+	}
+
+	pl := NewPool()
+	p := pl.Get()
+	p.Flow = a
+	check("pool packet", p)
+	pl.Put(p)
+	if q := pl.Get(); q != p || q.hashed {
+		t.Fatal("a recycled packet kept its predecessor's hash")
+	}
+	p.Flow = b
+	check("recycled pool packet", p)
+
+	lit := &Packet{Flow: a}
+	check("literal", lit)
+	c := lit.Clone()
+	if !c.hashed || c.hash != lit.hash {
+		t.Error("Clone dropped the cached hash")
+	}
+	check("clone", c)
+
+	wire := MarshalDataFrame(&Packet{Flow: b, WireLen: 128, TTL: 64}, nil)
+	if err := UnmarshalDataFrame(wire, lit); err != nil {
+		t.Fatal(err)
+	}
+	check("frame decoded into a reused packet", lit)
+}
+
+// TestCheckedPoolCatchesChangedFlow: a packet whose flow changed after a
+// hop cached its hash panics when a checking pool takes it back.
+func TestCheckedPoolCatchesChangedFlow(t *testing.T) {
+	pl := NewPool()
+	pl.Check()
+	p := pl.Get()
+	p.Flow = testFlow()
+	p.FlowHash()
+	p.Flow.DstPort++
+	defer func() {
+		if recover() == nil {
+			t.Error("Put of a packet with a stale flow hash did not panic")
+		}
+	}()
+	pl.Put(p)
 }

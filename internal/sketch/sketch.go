@@ -227,7 +227,7 @@ func (s *Stage) Offer(p *pkt.Packet, in, out int32, now sim.Time) {
 	s.rollWindow(now)
 	s.stats.Pkts++
 	s.portBytes[out] += uint64(p.WireLen)
-	h := p.Flow.Hash()
+	h := p.FlowHash()
 
 	est := s.cms.Update(h)
 	if est >= s.cfg.HHThresholdPkts {

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"netseer/internal/pkt"
@@ -217,22 +218,58 @@ func TestECMPSpreadsFlows(t *testing.T) {
 func TestECMPStablePerFlow(t *testing.T) {
 	hops := []int{1, 2, 3, 4}
 	flow := pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}
-	a, _ := ECMPSelect(hops, flow, 7)
-	b, _ := ECMPSelect(hops, flow, 7)
+	a, _ := ECMPSelect(hops, flow.Hash(), 7)
+	b, _ := ECMPSelect(hops, flow.Hash(), 7)
 	if a != b {
 		t.Error("ECMP not stable for a flow")
 	}
-	if _, ok := ECMPSelect(nil, flow, 7); ok {
+	if _, ok := ECMPSelect(nil, flow.Hash(), 7); ok {
 		t.Error("ECMP selected from empty set")
 	}
 }
 
+// TestNextHopsUnknownIP checks the flat route index against a map-based
+// reference at every (switch, host IP) of four topologies, and checks that
+// an address no host owns — including ones whose probe starts inside an
+// occupied chain — routes nowhere, without allocating.
 func TestNextHopsUnknownIP(t *testing.T) {
-	tp := Testbed()
-	routes := BuildRoutes(tp)
-	sw := tp.Switches()[0]
-	if hops := routes.NextHops(sw.ID, pkt.IP(192, 168, 1, 1)); hops != nil {
-		t.Errorf("route to unknown IP: %v", hops)
+	for name, tp := range map[string]*Topology{
+		"fat-tree k=4": FatTree(FatTreeConfig{K: 4}),
+		"fat-tree k=8": FatTree(FatTreeConfig{K: 8}),
+		"testbed":      Testbed(),
+		"line":         Line(3, 0, 0, 0),
+	} {
+		routes := BuildRoutes(tp)
+		ref := make(map[uint32]NodeID)
+		want := make(map[NodeID][][]int)
+		for _, h := range tp.Hosts() {
+			ref[h.IP] = h.ID
+			want[h.ID] = tp.nextHopSets(h.ID)
+		}
+		unknown := []uint32{0, ^uint32(0), pkt.IP(192, 168, 1, 1)}
+		for ip := uint32(1); len(unknown) < 3+32; ip += 0x01000193 {
+			if _, owned := ref[ip]; !owned && routes.slots[ip*0x9e3779b1>>routes.shift] >= 0 {
+				unknown = append(unknown, ip)
+			}
+		}
+		for _, sw := range tp.Switches() {
+			from := routes.From(sw.ID)
+			for ip, dst := range ref {
+				got := routes.NextHops(sw.ID, ip)
+				if !slices.Equal(got, want[dst][sw.ID]) || !slices.Equal(from(ip), got) {
+					t.Fatalf("%s: %s -> %s: hops %v, From %v, want %v", name, sw.Name, pkt.IPString(ip), got, from(ip), want[dst][sw.ID])
+				}
+			}
+			for _, ip := range unknown {
+				if hops := routes.NextHops(sw.ID, ip); hops != nil {
+					t.Fatalf("%s: %s routes unknown %s to %v", name, sw.Name, pkt.IPString(ip), hops)
+				}
+			}
+		}
+		sw, ip := tp.Switches()[0].ID, tp.Hosts()[0].IP
+		if n := testing.AllocsPerRun(100, func() { routes.NextHops(sw, ip); routes.NextHops(sw, unknown[3]) }); n != 0 {
+			t.Errorf("%s: NextHops allocates %.1f times a call", name, n)
+		}
 	}
 }
 
