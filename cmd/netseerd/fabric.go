@@ -32,6 +32,7 @@ type shardFlags struct {
 	snapshotEvery                      time.Duration
 	scrubEvery                         time.Duration
 	joinTimeout                        time.Duration
+	drainGrace                         time.Duration
 }
 
 // runShard is netseerd -mode shard: one fabric member. With -coordinator
@@ -129,6 +130,15 @@ func runShard(f shardFlags, reg *obs.Registry) {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	close(done)
+	// Graceful shutdown as in standalone mode: every accepted frame gets
+	// its durable ack, then a checkpoint spares the next start the log
+	// replay. An open transfer refuses the checkpoint; its records stay
+	// in the log and the next start replays them.
+	log.Printf("netseerd: draining ingest (up to %s)", f.drainGrace)
+	node.Drain(f.drainGrace)
+	if err := node.Checkpoint(); err != nil {
+		log.Printf("netseerd: final checkpoint: %v", err)
+	}
 	log.Printf("netseerd: shard %d shutting down (%d events stored, %d transfers open)",
 		node.ID, node.Store().Len(), len(node.OpenTransfers()))
 }

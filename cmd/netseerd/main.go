@@ -77,11 +77,9 @@ func main() {
 
 	trace.SetSampleEvery(*traceSample)
 
-	// The catalog placeholders first, so every canonical series is present
-	// even for the pipeline stages this daemon does not run; live stage
-	// registrations below replace their placeholders.
+	// The registry renders every declared family, so the pipeline stages
+	// this daemon does not run show as zero samples.
 	reg := obs.NewRegistry()
-	obs.RegisterCatalog(reg)
 	obs.RegisterRuntime(reg)
 	trace.RegisterMetrics(reg, trace.Default)
 
@@ -94,7 +92,7 @@ func main() {
 			maxConns: *maxConns, readTimeout: *readTimeout,
 			memBudget: *memBudget, segmentBytes: *segmentBytes,
 			snapshotEvery: *snapshotEvery, scrubEvery: *scrubEvery,
-			joinTimeout: *joinTimeout,
+			joinTimeout: *joinTimeout, drainGrace: *drainGrace,
 		}
 		switch *mode {
 		case "shard":

@@ -66,13 +66,12 @@ func main() {
 	}
 	tb := experiments.NewTestbed(cfg)
 
-	// Self-telemetry: the full canonical surface plus live switch-side
+	// Self-telemetry: every declared family, with live switch-side
 	// series. The hot pipeline stages keep single-owner plain counters, so
 	// publish points are pre-scheduled at fixed fractions of the window
 	// (never as self-rescheduling simulator events, which would keep the
 	// run alive forever) and once more after the run drains.
 	reg := obs.NewRegistry()
-	obs.RegisterCatalog(reg)
 	obs.RegisterRuntime(reg)
 	trace.RegisterMetrics(reg, trace.Default)
 	publish := tb.RegisterObs(reg)

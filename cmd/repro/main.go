@@ -51,10 +51,9 @@ func main() {
 
 	if *metricsAddr != "" {
 		// Process-level telemetry for long figure regenerations: runtime
-		// gauges plus the canonical placeholder surface (individual runs
-		// are short-lived testbeds, so no live pipeline series here).
+		// gauges only (individual runs are short-lived testbeds, so the
+		// pipeline families render as zero samples).
 		reg := obs.NewRegistry()
-		obs.RegisterCatalog(reg)
 		obs.RegisterRuntime(reg)
 		trace.RegisterMetrics(reg, trace.Default)
 		osrv, err := obs.ServeHTTP(reg, *metricsAddr,

@@ -141,11 +141,11 @@ func (a *admission) registerMetrics(r *obs.Registry, labels ...obs.Label) {
 	if a == nil {
 		return
 	}
-	r.GaugeFunc(obs.MAdmitState, "Admission ladder rung: 0 ok, 1 slow (acks delayed), 2 shed (WAL-only).", func() float64 {
+	r.Func(obs.MAdmitState, func() float64 {
 		return float64(a.state.Load())
 	}, labels...)
-	r.RegisterCounter(obs.MAdmitTransitions, "Admission ladder rung changes.", &a.transitions, labels...)
-	r.RegisterCounter(obs.MAdmitAckDelays, "Acks delayed by the slow watermark.", &a.ackDelays, labels...)
-	r.RegisterCounter(obs.MAdmitShedBatches, "Batches WAL-ed but not indexed above the shed watermark.", &a.shedBatches, labels...)
-	r.RegisterCounter(obs.MAdmitShedEvents, "Events in shed batches (queryable only after a restart replay).", &a.shedEvent, labels...)
+	r.RegisterCounter(obs.MAdmitTransitions, &a.transitions, labels...)
+	r.RegisterCounter(obs.MAdmitAckDelays, &a.ackDelays, labels...)
+	r.RegisterCounter(obs.MAdmitShedBatches, &a.shedBatches, labels...)
+	r.RegisterCounter(obs.MAdmitShedEvents, &a.shedEvent, labels...)
 }

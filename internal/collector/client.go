@@ -322,25 +322,24 @@ func (c *Client) Stats() metrics.ChannelStats {
 	}
 }
 
-// RegisterMetrics exposes the channel-health instruments on r. The extra
-// labels (if any) distinguish multiple clients in one process.
-func (c *Client) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
-	r.RegisterCounter(obs.MChanConnects, "TCP connections established to the collector.", &c.connects, labels...)
-	r.RegisterCounter(obs.MChanReconnects, "Connections beyond the first (losses recovered by redial).", &c.reconnects, labels...)
-	r.RegisterCounter(obs.MChanDialFailures, "Failed connection attempts.", &c.dialFailures, labels...)
-	r.RegisterCounter(obs.MChanSentBatches, "Batch frames written to the wire (including rewrites).", &c.sentBatches, labels...)
-	r.RegisterCounter(obs.MChanAckedBatches, "Batches covered by a server cumulative ack.", &c.ackedBatches, labels...)
-	r.RegisterCounter(obs.MChanRetransmits, "Batch frames rewritten after a connection drop.", &c.retransmits, labels...)
-	r.RegisterCounter(obs.MChanDroppedBatches, "Batches dropped on queue overflow, after close, or too large for any frame.", &c.droppedBatches, labels...)
-	r.RegisterCounter(obs.MChanFailovers, "Switches to a different collector endpoint.", &c.failovers, labels...)
-	r.RegisterCounter(obs.MChanPromotions, "Returns to the primary collector endpoint.", &c.promotions, labels...)
-	r.GaugeFunc(obs.MChanBacklog, "Batches delivered but not yet acked (queue + inflight).", func() float64 {
+// RegisterMetrics exposes the channel-health instruments on r.
+func (c *Client) RegisterMetrics(r *obs.Registry) {
+	r.RegisterCounter(obs.MChanConnects, &c.connects)
+	r.RegisterCounter(obs.MChanReconnects, &c.reconnects)
+	r.RegisterCounter(obs.MChanDialFailures, &c.dialFailures)
+	r.RegisterCounter(obs.MChanSentBatches, &c.sentBatches)
+	r.RegisterCounter(obs.MChanAckedBatches, &c.ackedBatches)
+	r.RegisterCounter(obs.MChanRetransmits, &c.retransmits)
+	r.RegisterCounter(obs.MChanDroppedBatches, &c.droppedBatches)
+	r.RegisterCounter(obs.MChanFailovers, &c.failovers)
+	r.RegisterCounter(obs.MChanPromotions, &c.promotions)
+	r.Func(obs.MChanBacklog, func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return float64(len(c.queue) + len(c.inflight))
-	}, labels...)
-	r.RegisterMaxGauge(obs.MChanBacklogHW, "Deepest the unacked backlog has been.", &c.highWater, labels...)
-	r.RegisterHistogram(obs.MChanAckLatency, "Microseconds from last write of a batch to its covering ack.", c.ackLat, labels...)
+	})
+	r.RegisterMaxGauge(obs.MChanBacklogHW, &c.highWater)
+	r.RegisterHistogram(obs.MChanAckLatency, c.ackLat)
 }
 
 // errPromote is the sentinel the primary probe fails a backup connection

@@ -13,14 +13,13 @@ import (
 )
 
 // TestMetricsEndToEnd wires a registry exactly as cmd/netseerd does —
-// catalog placeholders, runtime gauges, store, ingest server, query
-// server — drives real batches through a TCP client, then scrapes
-// /metrics over HTTP and asserts the exposition is valid and carries the
-// canonical series an operator dashboards against. Run under -race this
+// runtime gauges, store, ingest server, query server — drives real
+// batches through a TCP client, then scrapes /metrics over HTTP and
+// asserts the exposition is valid and carries the canonical series an
+// operator dashboards against. Run under -race this
 // also exercises scraping concurrently with live ingestion.
 func TestMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	obs.RegisterCatalog(reg)
 	obs.RegisterRuntime(reg)
 
 	store := NewStore()
@@ -72,7 +71,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("/metrics is not a valid exposition: %v", err)
 	}
 	text := string(body)
-	// The acceptance surface: switch-side series (placeholders here —
+	// The acceptance surface: switch-side series (zero samples here —
 	// netseerd does not run the switch pipeline), channel health,
 	// collector-side ingest lag and the end-to-end latency histogram.
 	for _, want := range []string{
@@ -139,6 +138,38 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if f, a := counterValue(t, string(body), obs.MIngestFrames), counterValue(t, string(body), obs.MIngestAcks); f != frames+2 || a != acks+1 {
 		t.Errorf("two frames in one write moved frames %d → %d and acks %d → %d, want +2 and +1", frames, f, acks, a)
+	}
+}
+
+// TestStoreEventsFallAtAFence: netseer_store_events counts resident
+// events, so an epoch fence (RemoveEvents) lowers it — a gauge, never a
+// counter.
+func TestStoreEventsFallAtAFence(t *testing.T) {
+	st := NewStore()
+	reg := obs.NewRegistry()
+	st.RegisterMetrics(reg)
+	var evs []fevent.Event
+	for i := 0; i < 6; i++ {
+		evs = append(evs, fevent.Event{Type: fevent.TypeDrop, Flow: flowN(uint32(i)),
+			DropCode: fevent.DropNoRoute, SwitchID: 1, Timestamp: 1000})
+	}
+	st.Deliver(batchOf(1, 1000, evs...))
+	sample := obs.MStoreEvents + `{switch="1",type="drop"}`
+	if got := regValue(t, reg, sample); got != "6" {
+		t.Fatalf("%s = %s before the fence, want 6", sample, got)
+	}
+	if n := st.RemoveEvents(evs[:4]); n != 4 {
+		t.Fatalf("RemoveEvents removed %d, want 4", n)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE " + obs.MStoreEvents + " gauge\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition lacks %q", want)
+	}
+	if got := regValue(t, reg, sample); got != "2" {
+		t.Fatalf("%s = %s after fencing 4 of 6, want 2", sample, got)
 	}
 }
 

@@ -106,8 +106,8 @@ func StartCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c.ln = ln
 	if opts.Registry != nil {
-		opts.Registry.RegisterCounter(obs.MFabricRebalances, "Rebalances completed or aborted by the coordinator.", &c.rebalances)
-		opts.Registry.GaugeFunc(obs.MFabricEpoch, "Published ring config epoch.", func() float64 {
+		opts.Registry.RegisterCounter(obs.MFabricRebalances, &c.rebalances)
+		opts.Registry.Func(obs.MFabricEpoch, func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return float64(c.st.Current.Epoch)

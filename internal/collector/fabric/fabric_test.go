@@ -239,6 +239,48 @@ func TestFanOutPartialOnUnreachableShard(t *testing.T) {
 	}
 }
 
+// TestShardDrainCheckpointRestart is netseerd -mode shard's SIGTERM path:
+// drain ingest with the exporter still connected, checkpoint, close. The
+// restarted shard holds every acked event exactly once and replays no log
+// tail: the checkpoint covered it all.
+func TestShardDrainCheckpointRestart(t *testing.T) {
+	dir := t.TempDir()
+	n := startShard(t, 1, dir)
+	shards := []fabric.ShardInfo{n.Info()}
+	cfg := fabric.Config{Epoch: 1, Shards: shards, Slots: fabric.AssignSlots(shards)}
+	r := fabric.NewRouter(cfg, collector.ClientConfig{})
+	defer r.Close()
+	ls := &loadState{}
+	ls.deliver(r, 40, 5)
+	if err := r.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	n.Drain(200 * time.Millisecond)
+	if err := n.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after drain: %v", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.Replay(func([]byte) error { return nil })
+	w.Close()
+	if err != nil || st.Records != 0 {
+		t.Fatalf("reopened log tail: %d records (err %v), want 0", st.Records, err)
+	}
+
+	n = startShard(t, 1, dir)
+	defer n.Close()
+	cfg.Shards = []fabric.ShardInfo{n.Info()}
+	if diffs := oracle.AuditFabric(ls.reference(), fabric.FanOutQuery(cfg, "", 2*time.Second), 10); len(diffs) > 0 {
+		t.Fatalf("restarted shard disagrees with the acked reference: %v", diffs)
+	}
+}
+
 func TestShardAddUnderLoad(t *testing.T) {
 	base := t.TempDir()
 	a := startShard(t, 1, filepath.Join(base, "s1"))

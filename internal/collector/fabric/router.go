@@ -62,8 +62,8 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reg = reg
-	reg.RegisterCounter(obs.MFabricReroutedBatches, "Batches re-routed whole after a ring change removed their shard.", &r.rerouted)
-	reg.GaugeFunc(obs.MFabricEpoch, "Ring config epoch the router last applied.", func() float64 {
+	reg.RegisterCounter(obs.MFabricReroutedBatches, &r.rerouted)
+	reg.Func(obs.MFabricEpoch, func() float64 {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		return float64(r.cfg.Epoch)
@@ -95,7 +95,7 @@ func (r *Router) clientLocked(s ShardInfo, preserve bool) *collector.Client {
 	if r.reg != nil && !preserve {
 		ctr := &obs.Counter{}
 		r.routed[s.ID] = ctr
-		r.reg.RegisterCounter(obs.MFabricRoutedBatches, "Batches routed to a shard by the slot ring.", ctr,
+		r.reg.RegisterCounter(obs.MFabricRoutedBatches, ctr,
 			obs.L("shard", strconv.Itoa(int(s.ID))))
 	}
 	return c

@@ -265,10 +265,10 @@ func (n *ShardNode) registerMetrics(r *obs.Registry) {
 	n.srv.RegisterMetrics(r, shard)
 	n.qsrv.RegisterMetrics(r)
 	n.store.RegisterMetrics(r)
-	r.RegisterCounter(obs.MFabricImportedEvents, "Events imported from a rebalance handoff.", &n.importedEvents, shard)
-	r.RegisterCounter(obs.MFabricFencedEvents, "Events removed by an epoch fence after handoff.", &n.fencedEvents, shard)
-	r.RegisterCounter(obs.MFabricRebalanceBytes, "Bytes of event payload moved by rebalance handoffs.", &n.rebalanceBytes, shard)
-	r.GaugeFunc(obs.MFabricEpoch, "Ring config epoch this node last applied.", func() float64 {
+	r.RegisterCounter(obs.MFabricImportedEvents, &n.importedEvents, shard)
+	r.RegisterCounter(obs.MFabricFencedEvents, &n.fencedEvents, shard)
+	r.RegisterCounter(obs.MFabricRebalanceBytes, &n.rebalanceBytes, shard)
+	r.Func(obs.MFabricEpoch, func() float64 {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		return float64(n.cfg.Epoch)
@@ -325,8 +325,8 @@ func (n *ShardNode) OpenTransfers() []uint64 {
 }
 
 // Checkpoint snapshots the store and truncates the WAL — refused while
-// any transfer is open, because a mark buried under a snapshot could no
-// longer recompute its capture at replay.
+// any transfer is open, because replay rebuilds an open transfer only
+// from its M/I/C records, and truncation would drop them.
 func (n *ShardNode) Checkpoint() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -335,6 +335,10 @@ func (n *ShardNode) Checkpoint() error {
 	}
 	return n.srv.Checkpoint()
 }
+
+// Drain quiesces ingestion for shutdown (collector.Server.Drain): after
+// it returns, a Checkpoint captures every acked event.
+func (n *ShardNode) Drain(grace time.Duration) { n.srv.Drain(grace) }
 
 // Close stops every listener. The WAL is closed last so in-flight
 // ingestion fails cleanly first.

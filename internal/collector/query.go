@@ -78,10 +78,9 @@ func NewQueryServer(store *Store, addr string) (*QueryServer, error) {
 // safe to call while the server is serving.
 func (q *QueryServer) RegisterMetrics(r *obs.Registry) {
 	for i := range queryVerbs {
-		r.RegisterCounter(obs.MQueryRequests, "Query-protocol requests, by verb.",
-			&q.requests[i], obs.L("verb", queryVerbs[i]))
+		r.RegisterCounter(obs.MQueryRequests, &q.requests[i], obs.L("verb", queryVerbs[i]))
 	}
-	r.RegisterCounter(obs.MQueryErrors, "Query-protocol requests answered with an error line.", &q.errors)
+	r.RegisterCounter(obs.MQueryErrors, &q.errors)
 	q.reg.Store(r)
 }
 

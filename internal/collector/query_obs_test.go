@@ -35,7 +35,6 @@ func regValue(t *testing.T, reg *obs.Registry, line string) string {
 func TestQueryStatsVerb(t *testing.T) {
 	store := seedStore()
 	reg := obs.NewRegistry()
-	obs.RegisterCatalog(reg)
 	store.RegisterMetrics(reg)
 	qs, err := NewQueryServer(store, "127.0.0.1:0")
 	if err != nil {

@@ -50,7 +50,7 @@ type ServerConfig struct {
 	// WALEncode, when non-nil, transforms each frame payload before it is
 	// appended to the WAL. The sharded fabric uses it to prepend a record
 	// envelope so handoff marks and batch frames share one log; replay
-	// must then decode the same envelope (see fabric's RecoverShard).
+	// must then decode the same envelope (see fabric's recoverShard).
 	WALEncode func(payload []byte) []byte
 
 	// TraceShard labels this server's ingest and WAL-fsync spans with the
@@ -261,49 +261,49 @@ func (s *Server) ScrubWAL() (wal.ScrubReport, error) {
 // RegisterMetrics exposes the ingest instruments on r, including the
 // WAL and admission series when configured.
 func (s *Server) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
-	r.RegisterCounter(obs.MIngestConnsAccepted, "Ingest connections accepted.", &s.connsAccepted, labels...)
-	r.RegisterCounter(obs.MIngestConnsRejected, "Connections closed because MaxConns was reached.", &s.connsRejected, labels...)
-	r.RegisterCounter(obs.MIngestAcceptRetries, "Transient accept errors retried.", &s.acceptRetries, labels...)
-	r.RegisterCounter(obs.MIngestFrames, "Batch frames ingested into the store.", &s.frames, labels...)
-	r.RegisterCounter(obs.MIngestFrameErrors, "Malformed or truncated frames (connection dropped).", &s.frameErrors, labels...)
-	r.RegisterCounter(obs.MIngestAcks, "Cumulative-ack frames written (frames/acks = frames covered per ack).", &s.acks, labels...)
-	r.RegisterCounter(obs.MIngestAckWriteErrors, "Failed ack writes (connection dropped; client retransmits).", &s.ackWriteErrors, labels...)
-	r.RegisterHistogram(obs.MIngestLag, "Microseconds from a frame's arrival in the read buffer to store-applied-and-acked (durably, with a WAL).", s.ingestLag, labels...)
-	r.GaugeFunc(obs.MStoreBytes, "Estimated resident bytes of the event store (admission-control input).", func() float64 {
+	r.RegisterCounter(obs.MIngestConnsAccepted, &s.connsAccepted, labels...)
+	r.RegisterCounter(obs.MIngestConnsRejected, &s.connsRejected, labels...)
+	r.RegisterCounter(obs.MIngestAcceptRetries, &s.acceptRetries, labels...)
+	r.RegisterCounter(obs.MIngestFrames, &s.frames, labels...)
+	r.RegisterCounter(obs.MIngestFrameErrors, &s.frameErrors, labels...)
+	r.RegisterCounter(obs.MIngestAcks, &s.acks, labels...)
+	r.RegisterCounter(obs.MIngestAckWriteErrors, &s.ackWriteErrors, labels...)
+	r.RegisterHistogram(obs.MIngestLag, s.ingestLag, labels...)
+	r.Func(obs.MStoreBytes, func() float64 {
 		return float64(s.store.MemoryBytes())
 	}, labels...)
 	s.admit.registerMetrics(r, labels...)
 	if s.wal != nil {
-		r.RegisterCounter(obs.MWALAppendErrors, "Frames dropped because the WAL append failed.", &s.walAppendErrors, labels...)
+		r.RegisterCounter(obs.MWALAppendErrors, &s.walAppendErrors, labels...)
 		w := s.wal
-		r.CounterFunc(obs.MWALAppends, "Records appended to the write-ahead log.", func() float64 {
+		r.Func(obs.MWALAppends, func() float64 {
 			return float64(w.Stats().Appends)
 		}, labels...)
-		r.CounterFunc(obs.MWALFsyncs, "Disk flushes issued by the WAL (appends/fsyncs = group-commit factor).", func() float64 {
+		r.Func(obs.MWALFsyncs, func() float64 {
 			return float64(w.Stats().Fsyncs)
 		}, labels...)
-		r.CounterFunc(obs.MWALSnapshots, "Snapshots installed by checkpoints.", func() float64 {
+		r.Func(obs.MWALSnapshots, func() float64 {
 			return float64(w.Stats().Snapshots)
 		}, labels...)
-		r.CounterFunc(obs.MWALSegmentsDropped, "Segments deleted by snapshot truncation.", func() float64 {
+		r.Func(obs.MWALSegmentsDropped, func() float64 {
 			return float64(w.Stats().SegmentsDropped)
 		}, labels...)
-		r.GaugeFunc(obs.MWALSegments, "Live WAL segment files.", func() float64 {
+		r.Func(obs.MWALSegments, func() float64 {
 			return float64(w.Stats().Segments)
 		}, labels...)
-		r.GaugeFunc(obs.MWALSizeBytes, "Bytes across live WAL segments.", func() float64 {
+		r.Func(obs.MWALSizeBytes, func() float64 {
 			return float64(w.Stats().SizeBytes)
 		}, labels...)
-		r.GaugeFunc(obs.MWALPending, "Appended records not yet covered by an fsync.", func() float64 {
+		r.Func(obs.MWALPending, func() float64 {
 			return float64(w.Stats().PendingDurable)
 		}, labels...)
-		r.CounterFunc(obs.MWALScrubs, "Completed WAL scrub passes (background bit-rot checks).", func() float64 {
+		r.Func(obs.MWALScrubs, func() float64 {
 			return float64(w.Stats().Scrubs)
 		}, labels...)
-		r.CounterFunc(obs.MWALQuarantined, "Segments or snapshots quarantined by scrub CRC failures.", func() float64 {
+		r.Func(obs.MWALQuarantined, func() float64 {
 			return float64(w.Stats().SegmentsQuarantined)
 		}, labels...)
-		r.GaugeFunc(obs.MDurabilityFailed, "1 once the WAL has poisoned itself and the server refuses ingest.", func() float64 {
+		r.Func(obs.MDurabilityFailed, func() float64 {
 			if s.durFailed.Load() {
 				return 1
 			}
@@ -715,15 +715,20 @@ func (s *Server) Drain(grace time.Duration) {
 	s.wg.Wait()
 }
 
-// Close stops accepting and closes every connection.
+// Close stops accepting and closes every connection. After Drain, which
+// closed the listener already, it reports no error for it.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
+	drained := s.draining
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
+	if drained {
+		return nil
+	}
 	return err
 }

@@ -354,29 +354,28 @@ func (s *Store) TraceExemplars() []obs.Exemplar {
 }
 
 // RegisterMetrics exposes the store's instruments on r: per-(type, switch)
-// event counts, distinct-flow and dedup gauges, and the detection→store
-// staleness histogram.
+// resident event counts, the distinct-flow gauge, the dedup counter and
+// the detection→store staleness histogram.
 func (s *Store) RegisterMetrics(r *obs.Registry) {
-	r.SamplesFunc(obs.MStoreEvents, "Events stored, by event type and reporting switch.",
-		obs.KindCounter, func() []obs.Sample {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			var out []obs.Sample
-			for k, n := range s.totals() {
-				labels := []obs.Label{obs.L("type", k.t.String()), obs.L("switch", strconv.Itoa(int(k.sw)))}
-				out = append(out, obs.Sample{Labels: labels, Value: float64(n)})
-			}
-			return out
-		})
-	r.GaugeFunc(obs.MStoreFlows, "Distinct flows with at least one stored event.", func() float64 {
+	r.SamplesFunc(obs.MStoreEvents, func() []obs.Sample {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		var out []obs.Sample
+		for k, n := range s.totals() {
+			labels := []obs.Label{obs.L("type", k.t.String()), obs.L("switch", strconv.Itoa(int(k.sw)))}
+			out = append(out, obs.Sample{Labels: labels, Value: float64(n)})
+		}
+		return out
+	})
+	r.Func(obs.MStoreFlows, func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		return float64(len(s.flows.keys))
 	})
-	r.CounterFunc(obs.MStoreDupBatches, "Replayed batches dropped by (switch, seq) dedup.", func() float64 {
+	r.Func(obs.MStoreDupBatches, func() float64 {
 		return float64(s.DupBatches())
 	})
-	r.RegisterHistogram(obs.MDetectToStore, "Microseconds from event detection (switch clock) to storage; 0 for wire-delivered batches, whose records carry only the batch stamp.", s.detectToStore)
+	r.RegisterHistogram(obs.MDetectToStore, s.detectToStore)
 }
 
 // DupBatches returns how many replayed batches dedup has dropped — the

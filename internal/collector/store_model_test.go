@@ -306,9 +306,9 @@ func (p *pair) randomFilter(flows, switches int) Filter {
 	return f
 }
 
-// storeEventsTotal reads netseer_store_events_total off a registry the
-// store is registered on.
-func storeEventsTotal(st *Store) (map[string]int, error) {
+// storeEvents reads netseer_store_events off a registry the store is
+// registered on.
+func storeEvents(st *Store) (map[string]int, error) {
 	reg := obs.NewRegistry()
 	st.RegisterMetrics(reg)
 	var sb strings.Builder
@@ -431,7 +431,7 @@ func (p *pair) check(flows, switches int) error {
 	if got := st.CountByType(); !reflect.DeepEqual(got, byType) {
 		return fmt.Errorf("CountByType = %v, model %v", got, byType)
 	}
-	if got, err := storeEventsTotal(st); err != nil || !reflect.DeepEqual(got, samples) {
+	if got, err := storeEvents(st); err != nil || !reflect.DeepEqual(got, samples) {
 		return fmt.Errorf("%s = %v (%v), model %v", obs.MStoreEvents, got, err, samples)
 	}
 	if got := st.LatencyHistogram(Filter{SwitchID: swOpts[1]}).Count; got != uint64(congestion) {

@@ -28,10 +28,10 @@ func (tb *Testbed) RegisterObs(r *obs.Registry) (publish func()) {
 	var last atomic.Pointer[published]
 	last.Store(&published{})
 	counter := func(name string, v func(*published) uint64, labels ...obs.Label) {
-		r.CounterFunc(name, "", func() float64 { return float64(v(last.Load())) }, labels...)
+		r.Func(name, func() float64 { return float64(v(last.Load())) }, labels...)
 	}
 	gauge := func(name string, v func(*published) int) {
-		r.GaugeFunc(name, "", func() float64 { return float64(v(last.Load())) })
+		r.Func(name, func() float64 { return float64(v(last.Load())) })
 	}
 
 	for _, t := range fevent.Types {
@@ -85,7 +85,7 @@ func (tb *Testbed) RegisterObs(r *obs.Registry) (publish func()) {
 	// batch stamp (see collector.Store).
 	tb.Store.RegisterMetrics(r)
 
-	r.HistogramFunc(obs.MDetectToCPU, "", func() obs.HistogramSnapshot {
+	r.HistogramFunc(obs.MDetectToCPU, func() obs.HistogramSnapshot {
 		merged := obs.HistogramSnapshot{}
 		for _, ns := range tb.NetSeers {
 			s := ns.DetectToCPULatency().Snapshot()

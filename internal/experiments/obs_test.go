@@ -21,7 +21,6 @@ func TestRegisterObsPublishesPipeline(t *testing.T) {
 	}
 	tb := NewTestbed(cfg)
 	reg := obs.NewRegistry()
-	obs.RegisterCatalog(reg)
 	publish := tb.RegisterObs(reg)
 	const points = 8
 	for i := 1; i <= points; i++ {
@@ -72,9 +71,9 @@ func TestRegisterObsPublishesPipeline(t *testing.T) {
 	if strings.Contains(text, obs.MDetectToStore+"_sum 0\n") {
 		t.Error("detect-to-store staleness all zero on the in-process path")
 	}
-	// Unused-stage families stay present as placeholders (zero), so the
-	// canonical surface is uniform.
-	if !strings.Contains(text, obs.MIngestFrames) {
-		t.Error("catalog placeholder for ingest series missing")
+	// A declared family this process does not run renders a zero sample,
+	// so the surface is uniform.
+	if !strings.Contains(text, obs.MIngestFrames+" 0\n") {
+		t.Error("zero sample for the ingest frames family missing")
 	}
 }

@@ -26,10 +26,9 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServeHTTP(t *testing.T) {
 	r := NewRegistry()
-	RegisterCatalog(r)
 	var c Counter
 	c.Add(5)
-	r.RegisterCounter(MChanRetransmits, "", &c)
+	r.RegisterCounter(MChanRetransmits, &c)
 	s, err := ServeHTTP(r, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +101,10 @@ func TestStartLogger(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	c.Add(3)
-	r.RegisterCounter("logged_total", "", &c)
+	r.RegisterCounter(MIngestFrames, &c)
 	h := NewHistogram([]float64{1})
 	h.Observe(2)
-	r.RegisterHistogram("logged_us", "", h)
+	r.RegisterHistogram(MIngestLag, h)
 
 	var mu sync.Mutex
 	var lines []string
@@ -130,13 +129,13 @@ func TestStartLogger(t *testing.T) {
 	if len(lines) == 0 {
 		t.Fatal("logger never fired")
 	}
-	if !strings.Contains(lines[0], "logged_total 3") {
+	if !strings.Contains(lines[0], MIngestFrames+" 3") {
 		t.Fatalf("snapshot missing counter: %q", lines[0])
 	}
 	if strings.Contains(lines[0], "_bucket{") || strings.Contains(lines[0], "# TYPE") {
 		t.Fatalf("snapshot should omit buckets and comments: %q", lines[0])
 	}
-	if !strings.Contains(lines[0], "logged_us_count 1") {
+	if !strings.Contains(lines[0], MIngestLag+"_count 1") {
 		t.Fatalf("snapshot should keep histogram _count: %q", lines[0])
 	}
 

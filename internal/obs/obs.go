@@ -1,9 +1,9 @@
 // Package obs is NetSeer's self-telemetry layer: the monitor that promises
 // never to silently lose or distort a flow event (§3.4–§3.6) must be able
 // to prove the same about itself while traffic flows. The package provides
-// a lock-free instrument set — atomic counters, gauges, high-water marks
-// and fixed-bucket histograms — plus a registry that renders every
-// registered series in the Prometheus text exposition format, an HTTP
+// a lock-free instrument set — atomic counters, high-water marks and
+// fixed-bucket histograms — plus a registry that renders every declared
+// family (names.go) in the Prometheus text exposition format, an HTTP
 // server exposing /metrics, /healthz and net/http/pprof, and a periodic
 // snapshot logger.
 //
@@ -17,9 +17,9 @@
 //     their per-op budgets (~16 ns, 0 allocs/op, pinned by AllocsPerRun
 //     tests) leave no room for a LOCK-prefixed add per event — and the
 //     owning goroutine periodically publishes one snapshot value (a
-//     summed core.Stats) behind an atomic pointer that CounterFunc and
-//     GaugeFunc series read. A scrape then reads the last published
-//     snapshot, never the live single-owner memory.
+//     summed core.Stats) behind an atomic pointer that Func series
+//     read. A scrape then reads the last published snapshot, never the
+//     live single-owner memory.
 //
 // Every instrument method is allocation-free, so instrumented code keeps
 // its zero-alloc steady state.
@@ -40,19 +40,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a lock-free instantaneous value (queue depth, occupancy). The
-// zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set overwrites the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by delta (use a negative delta to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // MaxGauge tracks a high-water mark with a lock-free CAS loop. The zero
 // value is ready to use and reads 0 until the first Observe.

@@ -17,15 +17,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if g.Load() != 7 {
-		t.Fatalf("Load = %d, want 7", g.Load())
-	}
-}
-
 func TestMaxGauge(t *testing.T) {
 	var m MaxGauge
 	m.Observe(5)
@@ -41,7 +32,6 @@ func TestMaxGauge(t *testing.T) {
 
 func TestInstrumentsConcurrent(t *testing.T) {
 	var c Counter
-	var g Gauge
 	var m MaxGauge
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -51,7 +41,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Add(1)
 				m.Observe(int64(w*1000 + i))
 			}
 		}()
@@ -59,9 +48,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Load() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Load())
-	}
-	if g.Load() != 8000 {
-		t.Fatalf("gauge = %d, want 8000", g.Load())
 	}
 	if m.Load() != 7999 {
 		t.Fatalf("max = %d, want 7999", m.Load())
@@ -71,15 +57,12 @@ func TestInstrumentsConcurrent(t *testing.T) {
 // The instruments must be callable from paths pinned at 0 allocs/op.
 func TestInstrumentsAllocFree(t *testing.T) {
 	var c Counter
-	var g Gauge
 	var m MaxGauge
 	h := NewHistogram(LatencyBuckets())
 	n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
-		g.Set(3)
-		g.Add(-1)
-		m.Observe(g.Load())
+		m.Observe(int64(c.Load()))
 		h.Observe(float64(c.Load() % 512))
 	})
 	if n != 0 {

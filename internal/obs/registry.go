@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,164 +49,131 @@ type Sample struct {
 // series is one labeled time series inside a family. Exactly one of
 // value/hist/samplesFn is set, matching the family kind.
 type series struct {
-	labels      []Label
-	labelKey    string
-	value       func() float64
-	hist        func() HistogramSnapshot
-	samplesFn   func() []Sample
-	placeholder bool
+	labels    []Label
+	labelKey  string
+	value     func() float64
+	hist      func() HistogramSnapshot
+	samplesFn func() []Sample
 }
 
-// family groups the series sharing a metric name.
+// family is a declared family and its live series, sorted by label set.
 type family struct {
-	name, help string
-	kind       Kind
-	series     []*series
+	decl
+	series []*series
 }
 
 // Registry holds the instrument inventory of one process and renders it
-// in the Prometheus text exposition format. Registration is cheap and
-// idempotent per (name, label set): re-registering replaces the series,
-// which lets a live instrument supersede a catalog placeholder.
+// in the Prometheus text exposition format. It carries every declared
+// family from construction; registration attaches a live series to one
+// and is idempotent per (name, label set): re-registering replaces the
+// series.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu   sync.Mutex
+	fams []family // one per catalog row, in catalog (name) order
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns a registry rendering every declared family.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	r := &Registry{fams: make([]family, len(catalog))}
+	for i, d := range catalog {
+		r.fams[i].decl = d
+	}
+	return r
 }
 
-// RegisterCounter exposes c under name with the given labels.
-func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...Label) {
-	r.register(name, help, KindCounter, &series{labels: labels, value: func() float64 { return float64(c.Load()) }})
+// RegisterCounter exposes c under the declared counter name.
+func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
+	r.register(name, &series{labels: labels, value: func() float64 { return float64(c.Load()) }}, KindCounter)
 }
 
-// CounterFunc exposes a counter whose value is computed at scrape time.
+// RegisterMaxGauge exposes the high-water mark m under the declared gauge
+// name.
+func (r *Registry) RegisterMaxGauge(name string, m *MaxGauge, labels ...Label) {
+	r.register(name, &series{labels: labels, value: func() float64 { return float64(m.Load()) }}, KindGauge)
+}
+
+// Func exposes a counter or gauge whose value is computed at scrape time.
 // f must be safe to call from the scraping goroutine (take your own
 // locks; never read single-owner hot-path memory).
-func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
-	r.register(name, help, KindCounter, &series{labels: labels, value: f})
+func (r *Registry) Func(name string, f func() float64, labels ...Label) {
+	r.register(name, &series{labels: labels, value: f}, KindCounter, KindGauge)
 }
 
-// RegisterGauge exposes g under name with the given labels.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge, labels ...Label) {
-	r.register(name, help, KindGauge, &series{labels: labels, value: func() float64 { return float64(g.Load()) }})
-}
-
-// RegisterMaxGauge exposes the high-water mark m as a gauge.
-func (r *Registry) RegisterMaxGauge(name, help string, m *MaxGauge, labels ...Label) {
-	r.register(name, help, KindGauge, &series{labels: labels, value: func() float64 { return float64(m.Load()) }})
-}
-
-// GaugeFunc exposes a gauge computed at scrape time (same contract as
-// CounterFunc).
-func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	r.register(name, help, KindGauge, &series{labels: labels, value: f})
-}
-
-// RegisterHistogram exposes h under name with the given labels.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
-	r.register(name, help, KindHistogram, &series{labels: labels, hist: h.Snapshot})
+// RegisterHistogram exposes h under the declared histogram name.
+func (r *Registry) RegisterHistogram(name string, h *Histogram, labels ...Label) {
+	r.register(name, &series{labels: labels, hist: h.Snapshot}, KindHistogram)
 }
 
 // HistogramFunc exposes a histogram snapshot computed at scrape time —
 // the hook for merging one logical instrument across many pipeline
 // instances.
-func (r *Registry) HistogramFunc(name, help string, f func() HistogramSnapshot, labels ...Label) {
-	r.register(name, help, KindHistogram, &series{labels: labels, hist: f})
+func (r *Registry) HistogramFunc(name string, f func() HistogramSnapshot, labels ...Label) {
+	r.register(name, &series{labels: labels, hist: f}, KindHistogram)
 }
 
 // SamplesFunc registers a counter or gauge family whose labeled samples
 // are produced at scrape time — the hook for label sets not known at
 // registration (the store's per-switch and per-type event counts). f runs
-// on the scraping goroutine and must take its own locks. Histogram
-// families cannot be sample-collected.
-func (r *Registry) SamplesFunc(name, help string, kind Kind, f func() []Sample) {
-	if kind == KindHistogram {
-		panic("obs: SamplesFunc does not support histogram families")
-	}
-	r.register(name, help, kind, &series{labelKey: "\x00samples", samplesFn: f})
+// on the scraping goroutine and must take its own locks.
+func (r *Registry) SamplesFunc(name string, f func() []Sample) {
+	r.register(name, &series{labelKey: "\x00samples", samplesFn: f}, KindCounter, KindGauge)
 }
 
-// Placeholder registers a zero-valued series so the family appears in the
-// exposition before (or without) a live instrument. Registering any real
-// series under the same name removes every placeholder of that family:
-// the surface stays uniform across daemons without double-reporting.
-func (r *Registry) Placeholder(name, help string, kind Kind) {
-	s := &series{placeholder: true}
-	if kind == KindHistogram {
-		s.hist = func() HistogramSnapshot {
-			return HistogramSnapshot{Bounds: LatencyBuckets(), Counts: make([]uint64, len(LatencyBuckets())+1)}
-		}
-	} else {
-		s.value = func() float64 { return 0 }
+// register attaches s to the declared family name, replacing a series
+// with the same label set. It panics on an undeclared name, on a family
+// whose declared kind is not one of kinds (what the instrument can
+// render), and on a label key the family does not declare.
+func (r *Registry) register(name string, s *series, kinds ...Kind) {
+	i := sort.Search(len(r.fams), func(i int) bool { return r.fams[i].name >= name })
+	if i == len(r.fams) || r.fams[i].name != name {
+		panic(fmt.Sprintf("obs: metric %q is not declared in names.go", name))
 	}
-	r.register(name, help, kind, s)
-}
-
-func (r *Registry) register(name, help string, kind Kind, s *series) {
-	if !validMetricName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	f := &r.fams[i]
+	if !slices.Contains(kinds, f.kind) {
+		panic(fmt.Sprintf("obs: metric %q is declared a %v, registered as %v", name, f.kind, kinds))
 	}
 	for _, l := range s.labels {
-		if !validLabelName(l.Key) {
-			panic(fmt.Sprintf("obs: invalid label name %q on %q", l.Key, name))
+		if !slices.Contains(f.labels, l.Key) {
+			panic(fmt.Sprintf("obs: label %q is not declared on %q", l.Key, name))
 		}
 	}
-	s.labelKey = renderLabels(s.labels)
+	if s.samplesFn == nil {
+		s.labelKey = renderLabels(s.labels)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.families[name]
-	if f == nil {
-		f = &family{name: name, help: help, kind: kind}
-		r.families[name] = f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %v, was %v", name, kind, f.kind))
-	}
-	if help != "" {
-		f.help = help
-	}
-	if !s.placeholder {
-		kept := f.series[:0]
-		for _, old := range f.series {
-			if !old.placeholder && old.labelKey != s.labelKey {
-				kept = append(kept, old)
-			}
-		}
-		f.series = append(kept, s)
+	j := sort.Search(len(f.series), func(j int) bool { return f.series[j].labelKey >= s.labelKey })
+	if j < len(f.series) && f.series[j].labelKey == s.labelKey {
+		f.series[j] = s
 		return
 	}
-	// A placeholder never displaces a live series.
-	for _, old := range f.series {
-		if !old.placeholder || old.labelKey == s.labelKey {
-			return
-		}
-	}
-	f.series = append(f.series, s)
+	f.series = slices.Insert(f.series, j, s)
 }
 
-// WritePrometheus renders every family in the text exposition format,
-// sorted by name for deterministic scrapes.
+// WritePrometheus renders every declared family in the text exposition
+// format, sorted by name for deterministic scrapes. A family with no live
+// series renders one zero sample.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+	ser := make([][]*series, len(r.fams))
+	for i := range r.fams {
+		ser[i] = slices.Clone(r.fams[i].series)
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	var sb strings.Builder
-	for _, f := range fams {
-		ser := append([]*series(nil), f.series...)
-		sort.Slice(ser, func(i, j int) bool { return ser[i].labelKey < ser[j].labelKey })
-		if f.help != "" {
-			fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
+	for i := range r.fams {
+		f := &r.fams[i]
+		fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range ser {
+		if len(ser[i]) == 0 { // no live series: one zero sample
+			if f.kind == KindHistogram {
+				bounds := LatencyBuckets()
+				writeHistogram(&sb, f.name, nil, HistogramSnapshot{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)})
+			} else {
+				fmt.Fprintf(&sb, "%s 0\n", f.name)
+			}
+		}
+		for _, s := range ser[i] {
 			switch {
 			case f.kind == KindHistogram:
 				writeHistogram(&sb, f.name, s.labels, s.hist())

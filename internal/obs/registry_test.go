@@ -17,60 +17,156 @@ func exposition(t *testing.T, r *Registry) string {
 	return sb.String()
 }
 
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: expected panic", what)
+		}
+	}()
+	fn()
+}
+
+func TestCatalogDeclaresEachFamilyOnce(t *testing.T) {
+	seen := map[string]bool{}
+	for _, d := range catalog {
+		if !validMetricName(d.name) {
+			t.Errorf("%q: invalid metric name", d.name)
+		}
+		if seen[d.name] {
+			t.Errorf("%q declared twice", d.name)
+		}
+		seen[d.name] = true
+		if d.help == "" {
+			t.Errorf("%q: empty help", d.name)
+		}
+		if strings.HasSuffix(d.name, "_total") != (d.kind == KindCounter) {
+			t.Errorf("%q is a %v: a name ends in _total if and only if it is a counter", d.name, d.kind)
+		}
+		for _, k := range d.labels {
+			if !validLabelName(k) {
+				t.Errorf("%q: invalid label key %q", d.name, k)
+			}
+		}
+	}
+	// Every exported name is a row: the runtime families included.
+	for _, name := range []string{MDetectEvents, MIngestLag, MStoreEvents, MFabricFencedEvents, MGoroutines, MUptime} {
+		if !seen[name] {
+			t.Errorf("%q has no row", name)
+		}
+	}
+}
+
+func TestRegisterRejectsUndeclared(t *testing.T) {
+	r := NewRegistry()
+	var c Counter
+	var m MaxGauge
+	h := NewHistogram(LatencyBuckets())
+	for what, fn := range map[string]func(){
+		"undeclared counter":        func() { r.RegisterCounter("test_ops_total", &c) },
+		"undeclared func":           func() { r.Func("netseer_nope", func() float64 { return 0 }) },
+		"undeclared histogram":      func() { r.RegisterHistogram("lat_us", h) },
+		"empty name":                func() { r.RegisterCounter("", &c) },
+		"counter on a gauge":        func() { r.RegisterCounter(MStoreFlows, &c) },
+		"max gauge on a counter":    func() { r.RegisterMaxGauge(MIngestFrames, &m) },
+		"func on a histogram":       func() { r.Func(MIngestLag, func() float64 { return 0 }) },
+		"histogram on a counter":    func() { r.RegisterHistogram(MIngestFrames, h) },
+		"histogram func on a gauge": func() { r.HistogramFunc(MStoreFlows, h.Snapshot) },
+		"samples on a histogram":    func() { r.SamplesFunc(MDetectToStore, nil) },
+	} {
+		mustPanic(t, what, fn)
+	}
+}
+
+func TestRegistryPanics(t *testing.T) {
+	r := NewRegistry()
+	var c Counter
+	for what, fn := range map[string]func(){
+		"undeclared label key": func() { r.RegisterCounter(MIngestFrames, &c, L("switch", "1")) },
+		"invalid label key":    func() { r.RegisterCounter(MIngestFrames, &c, L("bad-key", "v")) },
+		"reserved le label":    func() { r.RegisterCounter(MIngestFrames, &c, L("le", "v")) },
+	} {
+		mustPanic(t, what, fn)
+	}
+}
+
 func TestRegistryCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
-	var g Gauge
 	var m MaxGauge
 	c.Add(3)
-	g.Set(-2)
 	m.Observe(9)
-	r.RegisterCounter("test_ops_total", "Ops.", &c)
-	r.RegisterGauge("test_depth", "Depth.", &g)
-	r.RegisterMaxGauge("test_depth_highwater", "HW.", &m)
-	r.CounterFunc("test_func_total", "Func.", func() float64 { return 5 })
-	r.GaugeFunc("test_func_gauge", "", func() float64 { return 1.5 })
+	r.RegisterCounter(MChanRetransmits, &c)
+	r.RegisterMaxGauge(MChanBacklogHW, &m)
+	r.Func(MQueryErrors, func() float64 { return 5 })
+	r.Func(MStoreFlows, func() float64 { return 1.5 })
 	out := exposition(t, r)
 	for _, want := range []string{
-		"# HELP test_ops_total Ops.",
-		"# TYPE test_ops_total counter",
-		"test_ops_total 3",
-		"test_depth -2",
-		"test_depth_highwater 9",
-		"test_func_total 5",
-		"test_func_gauge 1.5",
+		"# TYPE " + MChanRetransmits + " counter",
+		MChanRetransmits + " 3",
+		"# TYPE " + MChanBacklogHW + " gauge",
+		MChanBacklogHW + " 9",
+		"# TYPE " + MQueryErrors + " counter",
+		MQueryErrors + " 5",
+		"# TYPE " + MStoreFlows + " gauge",
+		MStoreFlows + " 1.5",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "# HELP test_func_gauge") {
-		t.Error("empty help string should omit the HELP line")
+}
+
+// TestRegistryRendersEveryDeclaredFamily: a fresh registry renders every
+// row — the declared help and type, and a zero sample (an empty
+// histogram) — and a live series replaces the zero sample.
+func TestRegistryRendersEveryDeclaredFamily(t *testing.T) {
+	r := NewRegistry()
+	out := exposition(t, r)
+	if n := strings.Count(out, "# TYPE "); n != len(catalog) {
+		t.Errorf("%d families rendered, %d declared", n, len(catalog))
+	}
+	for _, d := range catalog {
+		if !strings.Contains(out, "# HELP "+d.name+" "+escapeHelp(d.help)+"\n# TYPE "+d.name+" "+d.kind.String()+"\n") {
+			t.Errorf("%q: declared help or type not rendered", d.name)
+		}
+	}
+	for _, want := range []string{
+		MGroupEvictions + " 0",
+		MChanRetransmits + " 0",
+		MIngestLag + "_count 0",
+		MDetectToStore + `_bucket{le="+Inf"} 0`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("zero sample %q missing", want)
+		}
+	}
+	var ev Counter
+	ev.Add(12)
+	r.RegisterCounter(MGroupEvictions, &ev)
+	out = exposition(t, r)
+	if !strings.Contains(out, MGroupEvictions+" 12\n") || strings.Contains(out, MGroupEvictions+" 0\n") {
+		t.Fatalf("live series did not replace the zero sample:\n%s", out)
 	}
 }
 
 func TestRegistryLabels(t *testing.T) {
 	r := NewRegistry()
-	var a, b Counter
-	a.Add(1)
-	b.Add(2)
 	// Labels render sorted by key regardless of registration order.
-	r.RegisterCounter("ev_total", "", &a, L("type", "drop"), L("code", "no-route"))
-	r.RegisterCounter("ev_total", "", &b, L("type", "pause"), L("code", "none"))
+	r.Func(MStoreEvents, func() float64 { return 1 }, L("type", "drop"), L("switch", "1"))
+	r.Func(MStoreEvents, func() float64 { return 2 }, L("type", "pause"), L("switch", "2"))
 	out := exposition(t, r)
-	if !strings.Contains(out, `ev_total{code="no-route",type="drop"} 1`) {
+	if !strings.Contains(out, MStoreEvents+`{switch="1",type="drop"} 1`) {
 		t.Fatalf("labeled series missing or unsorted:\n%s", out)
 	}
-	if !strings.Contains(out, `ev_total{code="none",type="pause"} 2`) {
+	if !strings.Contains(out, MStoreEvents+`{switch="2",type="pause"} 2`) {
 		t.Fatalf("second series missing:\n%s", out)
 	}
 	// Re-registering the same (name, labels) replaces the series.
-	var c Counter
-	c.Add(9)
-	r.RegisterCounter("ev_total", "", &c, L("code", "no-route"), L("type", "drop"))
+	r.Func(MStoreEvents, func() float64 { return 9 }, L("switch", "1"), L("type", "drop"))
 	out = exposition(t, r)
-	if !strings.Contains(out, `ev_total{code="no-route",type="drop"} 9`) ||
-		strings.Contains(out, `ev_total{code="no-route",type="drop"} 1`) {
+	if !strings.Contains(out, MStoreEvents+`{switch="1",type="drop"} 9`) ||
+		strings.Contains(out, MStoreEvents+`{switch="1",type="drop"} 1`) {
 		t.Fatalf("re-registration did not replace:\n%s", out)
 	}
 }
@@ -78,10 +174,13 @@ func TestRegistryLabels(t *testing.T) {
 func TestRegistryLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
-	r.RegisterCounter("esc_total", `back\slash "quoted"`, &c, L("v", "a\"b\\c\nd"))
+	r.RegisterCounter(MQueryRequests, &c, L("verb", "a\"b\\c\nd"))
 	out := exposition(t, r)
-	if !strings.Contains(out, `esc_total{v="a\"b\\c\nd"} 0`) {
+	if !strings.Contains(out, MQueryRequests+`{verb="a\"b\\c\nd"} 0`) {
 		t.Fatalf("label escaping wrong:\n%s", out)
+	}
+	if got := escapeHelp("back\\slash\nline"); got != `back\\slash\nline` {
+		t.Fatalf("help escaping = %q", got)
 	}
 }
 
@@ -91,15 +190,15 @@ func TestRegistryHistogram(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
-	r.RegisterHistogram("lat_us", "Latency.", h, L("stage", "ingest"))
+	r.RegisterHistogram(MIngestLag, h, L("shard", "1"))
 	out := exposition(t, r)
 	for _, want := range []string{
-		"# TYPE lat_us histogram",
-		`lat_us_bucket{le="1",stage="ingest"} 1`,
-		`lat_us_bucket{le="10",stage="ingest"} 2`,
-		`lat_us_bucket{le="+Inf",stage="ingest"} 3`,
-		`lat_us_sum{stage="ingest"} 55.5`,
-		`lat_us_count{stage="ingest"} 3`,
+		"# TYPE " + MIngestLag + " histogram",
+		MIngestLag + `_bucket{le="1",shard="1"} 1`,
+		MIngestLag + `_bucket{le="10",shard="1"} 2`,
+		MIngestLag + `_bucket{le="+Inf",shard="1"} 3`,
+		MIngestLag + `_sum{shard="1"} 55.5`,
+		MIngestLag + `_count{shard="1"} 3`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -108,95 +207,32 @@ func TestRegistryHistogram(t *testing.T) {
 	// HistogramFunc merges snapshots at scrape time.
 	h2 := NewHistogram([]float64{1, 10})
 	h2.Observe(2)
-	r.HistogramFunc("merged_us", "", func() HistogramSnapshot {
+	r.HistogramFunc(MChanAckLatency, func() HistogramSnapshot {
 		s := h.Snapshot()
 		s.Merge(h2.Snapshot())
 		return s
 	})
 	out = exposition(t, r)
-	if !strings.Contains(out, "merged_us_count 4\n") {
+	if !strings.Contains(out, MChanAckLatency+"_count 4\n") {
 		t.Fatalf("merged histogram count wrong:\n%s", out)
 	}
 }
 
 func TestRegistrySamplesFunc(t *testing.T) {
 	r := NewRegistry()
-	r.Placeholder("store_events_total", "", KindCounter)
-	r.SamplesFunc("store_events_total", "By type.", KindCounter, func() []Sample {
+	r.SamplesFunc(MStoreEvents, func() []Sample {
 		return []Sample{
 			{Labels: []Label{L("type", "drop")}, Value: 7},
 			{Labels: []Label{L("type", "congestion")}, Value: 2},
 		}
 	})
 	out := exposition(t, r)
-	if !strings.Contains(out, `store_events_total{type="congestion"} 2`) ||
-		!strings.Contains(out, `store_events_total{type="drop"} 7`) {
+	if !strings.Contains(out, MStoreEvents+`{type="congestion"} 2`) ||
+		!strings.Contains(out, MStoreEvents+`{type="drop"} 7`) {
 		t.Fatalf("samples missing:\n%s", out)
 	}
-	if strings.Contains(out, "store_events_total 0") {
-		t.Fatalf("placeholder survived a live SamplesFunc:\n%s", out)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SamplesFunc with histogram kind should panic")
-			}
-		}()
-		r.SamplesFunc("bad_hist", "", KindHistogram, nil)
-	}()
-}
-
-func TestRegistryPlaceholderSemantics(t *testing.T) {
-	r := NewRegistry()
-	RegisterCatalog(r)
-	out := exposition(t, r)
-	// Placeholders give every canonical family a zero-valued presence.
-	for _, want := range []string{
-		MGroupEvictions + " 0",
-		MChanRetransmits + " 0",
-		MIngestLag + "_count 0",
-		MDetectToStore + "_count 0",
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Errorf("catalog placeholder %q missing", want)
-		}
-	}
-	// A live registration replaces the placeholder...
-	var ev Counter
-	ev.Add(12)
-	r.RegisterCounter(MGroupEvictions, "", &ev)
-	// ...and a placeholder never displaces a live series.
-	r.Placeholder(MGroupEvictions, "", KindCounter)
-	RegisterCatalog(r)
-	out = exposition(t, r)
-	if !strings.Contains(out, MGroupEvictions+" 12\n") || strings.Contains(out, MGroupEvictions+" 0\n") {
-		t.Fatalf("placeholder replacement wrong:\n%s", out)
-	}
-}
-
-func TestRegistryPanics(t *testing.T) {
-	r := NewRegistry()
-	var c Counter
-	for name, fn := range map[string]func(){
-		"invalid metric name": func() { r.RegisterCounter("bad name", "", &c) },
-		"empty metric name":   func() { r.RegisterCounter("", "", &c) },
-		"digit-leading name":  func() { r.RegisterCounter("7up", "", &c) },
-		"invalid label name":  func() { r.RegisterCounter("ok_total", "", &c, L("bad-key", "v")) },
-		"reserved le label":   func() { r.RegisterCounter("ok_total", "", &c, L("le", "v")) },
-		"kind mismatch": func() {
-			r.RegisterCounter("twice", "", &c)
-			var g Gauge
-			r.RegisterGauge("twice", "", &g)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
+	if strings.Contains(out, MStoreEvents+" 0") {
+		t.Fatalf("zero sample rendered beside a live SamplesFunc:\n%s", out)
 	}
 }
 
@@ -204,12 +240,12 @@ func TestRegisterRuntime(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntime(r)
 	out := exposition(t, r)
-	for _, name := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "go_memstats_alloc_bytes_total", "go_gc_cycles_total", "process_uptime_seconds"} {
+	for _, name := range []string{MGoroutines, MHeapAllocBytes, MAllocBytes, MGCCycles, MUptime} {
 		if !strings.Contains(out, name) {
 			t.Errorf("runtime metric %s missing", name)
 		}
 	}
-	if strings.Contains(out, "go_goroutines 0\n") {
+	if strings.Contains(out, MGoroutines+" 0\n") {
 		t.Error("go_goroutines should be nonzero in a running test")
 	}
 }

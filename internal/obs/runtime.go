@@ -10,16 +10,11 @@ import (
 // Prometheus Go-client conventions so standard dashboards apply.
 func RegisterRuntime(r *Registry) {
 	start := time.Now()
-	r.GaugeFunc("go_goroutines", "Number of live goroutines.",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() float64 { return float64(readMemStats().HeapAlloc) })
-	r.CounterFunc("go_memstats_alloc_bytes_total", "Cumulative bytes allocated for heap objects.",
-		func() float64 { return float64(readMemStats().TotalAlloc) })
-	r.CounterFunc("go_gc_cycles_total", "Completed GC cycles.",
-		func() float64 { return float64(readMemStats().NumGC) })
-	r.GaugeFunc("process_uptime_seconds", "Seconds since the process registered its telemetry.",
-		func() float64 { return time.Since(start).Seconds() })
+	r.Func(MGoroutines, func() float64 { return float64(runtime.NumGoroutine()) })
+	r.Func(MHeapAllocBytes, func() float64 { return float64(readMemStats().HeapAlloc) })
+	r.Func(MAllocBytes, func() float64 { return float64(readMemStats().TotalAlloc) })
+	r.Func(MGCCycles, func() float64 { return float64(readMemStats().NumGC) })
+	r.Func(MUptime, func() float64 { return time.Since(start).Seconds() })
 }
 
 func readMemStats() runtime.MemStats {

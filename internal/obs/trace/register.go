@@ -7,6 +7,6 @@ import "netseer/internal/obs"
 // of atomics, never of owner memory, so any daemon can register its
 // Default recorder unconditionally.
 func RegisterMetrics(r *obs.Registry, rec *Recorder) {
-	r.CounterFunc(obs.MTraceSpans, "", func() float64 { return float64(rec.Recorded()) })
-	r.CounterFunc(obs.MTraceSpansDropped, "", func() float64 { return float64(rec.Dropped()) })
+	r.Func(obs.MTraceSpans, func() float64 { return float64(rec.Recorded()) })
+	r.Func(obs.MTraceSpansDropped, func() float64 { return float64(rec.Dropped()) })
 }

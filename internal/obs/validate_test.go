@@ -63,14 +63,13 @@ func TestValidateExpositionRejects(t *testing.T) {
 // registry exercising every feature at once.
 func TestValidateAcceptsRendererOutput(t *testing.T) {
 	r := NewRegistry()
-	RegisterCatalog(r)
 	RegisterRuntime(r)
 	var c Counter
-	r.RegisterCounter(MChanRetransmits, "", &c, L("switch", "3"))
+	r.RegisterCounter(MIngestFrames, &c, L("shard", "3"))
 	h := NewHistogram(LatencyBuckets())
 	h.Observe(17)
-	r.RegisterHistogram(MIngestLag, "", h)
-	r.SamplesFunc(MStoreEvents, "", KindCounter, func() []Sample {
+	r.RegisterHistogram(MIngestLag, h)
+	r.SamplesFunc(MStoreEvents, func() []Sample {
 		return []Sample{{Labels: []Label{L("type", "drop"), L("switch", "1")}, Value: 4}}
 	})
 	var sb strings.Builder
