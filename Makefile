@@ -37,6 +37,7 @@ fuzz-smoke nightly-fuzz:
 	@set -e; for t in \
 		internal/collector:FuzzReadFrame \
 		internal/collector:FuzzLoadSnapshot \
+		internal/collector:FuzzSeenSet \
 		internal/collector/wal:FuzzWALRecord \
 		internal/collector/wal:FuzzWALReplay \
 		internal/sketch:FuzzSketch \

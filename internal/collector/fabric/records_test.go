@@ -1,6 +1,10 @@
 package fabric
 
 import (
+	"bytes"
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"netseer/internal/collector"
@@ -66,6 +70,48 @@ func TestSeenSetRoundtrip(t *testing.T) {
 	}
 	if _, err := decodeSeenSet([]byte{1, 2, 3}); err == nil {
 		t.Fatal("ragged seen set decoded without error")
+	}
+}
+
+// TestSeenSetExportIsDeterministic pins a transfer's dedup image: two
+// exports of one store encode to the same bytes, in (switch, seq) order,
+// however its batches arrived; and a blob in another order, as transfer
+// records logged from a walk of a hash map are, still decodes and merges
+// to the same set.
+func TestSeenSetExportIsDeterministic(t *testing.T) {
+	st := collector.NewStore()
+	r := rand.New(rand.NewSource(9))
+	bases := [2]uint64{r.Uint64() >> 2, r.Uint64() >> 2}
+	const n = 4000
+	for _, i := range r.Perm(n) {
+		st.Deliver(&fevent.Batch{SwitchID: uint16(1 + i%5), Timestamp: sim.Time(i), Seq: bases[i%2] + uint64(i)})
+	}
+	blob := encodeSeenSet(st.ExportSeen())
+	if again := encodeSeenSet(st.ExportSeen()); !bytes.Equal(blob, again) {
+		t.Fatal("two exports of one store encode to different bytes")
+	}
+	ids, err := decodeSeenSet(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(ids); i++ {
+		if cmp.Or(cmp.Compare(ids[i-1].Switch, ids[i].Switch), cmp.Compare(ids[i-1].Seq, ids[i].Seq)) >= 0 {
+			t.Fatalf("export key %d %+v does not follow %+v", i, ids[i], ids[i-1])
+		}
+	}
+	if len(ids) != n {
+		t.Fatalf("export holds %d keys, want %d", len(ids), n)
+	}
+	shuffled := slices.Clone(ids)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	back, err := decodeSeenSet(encodeSeenSet(shuffled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := collector.NewStore()
+	dst.MergeSeen(back)
+	if !bytes.Equal(encodeSeenSet(dst.ExportSeen()), blob) {
+		t.Fatal("an unsorted blob merges to a different set")
 	}
 }
 

@@ -51,26 +51,25 @@ func (s *Store) ExportWhere(pred func(*fevent.Event) bool) []fevent.Event {
 	return out
 }
 
-// ExportSeen returns the full (switch, seq) dedup set. A handoff ships
-// it alongside the events so batches that were stored-but-unacked at the
+// ExportSeen returns the full (switch, seq) dedup set, in (switch, seq)
+// order, so two exports of one store are equal. A handoff ships it
+// alongside the events so batches that were stored-but-unacked at the
 // source still dedup when the exporter re-routes them to the new owner.
 func (s *Store) ExportSeen() []BatchID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]BatchID, 0, len(s.seen))
-	for k := range s.seen {
-		out = append(out, BatchID{Switch: k.sw, Seq: k.seq})
-	}
+	out := make([]BatchID, 0, s.seen.n)
+	s.seen.each(func(sw uint16, seq uint64) {
+		out = append(out, BatchID{Switch: sw, Seq: seq})
+	})
 	return out
 }
 
-// MergeSeen adds ids to the dedup set (idempotent).
+// MergeSeen adds ids, in any order, to the dedup set (idempotent).
 func (s *Store) MergeSeen(ids []BatchID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range ids {
-		s.seen[batchKey{sw: id.Switch, seq: id.Seq}] = struct{}{}
-	}
+	s.seen.merge(ids)
 }
 
 // AddEvents stores events directly, outside any batch (no dedup entry) —

@@ -661,24 +661,23 @@ func (s *Server) TraceExemplars() []obs.Exemplar {
 // ingest barrier is held exclusively across the segment cut and the
 // store capture — the only ordering under which "in a segment below the
 // cut" implies "captured by the snapshot" — and released before the
-// dedup keys are sorted into the image and the bytes are written to
-// disk, so ingestion stalls only for the capture, not the sort or the
-// I/O.
+// bytes are written to disk, so ingestion stalls only for the capture,
+// not the I/O.
 func (s *Server) Checkpoint() error {
 	if s.wal == nil {
 		return errors.New("collector: no WAL attached")
 	}
 	s.ingestMu.Lock()
 	cut, err := s.wal.CutSegment()
-	var img snapshotImage
+	var img []byte
 	if err == nil {
-		img = s.store.captureSnapshot()
+		img = s.store.EncodeSnapshot()
 	}
 	s.ingestMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.wal.InstallSnapshot(cut, img.finish())
+	return s.wal.InstallSnapshot(cut, img)
 }
 
 // WithIngestBarrier runs fn while the ingest barrier is held exclusively:

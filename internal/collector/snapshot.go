@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -47,18 +46,7 @@ const (
 // EncodeSnapshot serializes the store's full state. The caller hands the
 // bytes to wal.InstallSnapshot; see Server.Checkpoint for the barrier
 // that orders the capture against in-flight ingestion.
-func (s *Store) EncodeSnapshot() []byte { return s.captureSnapshot().finish() }
-
-// snapshotImage is a snapshot captured but for its dedup section: the
-// keys are copied, and sorted into place by finish, which needs neither
-// the store's lock nor the server's ingest barrier.
-type snapshotImage struct {
-	buf  []byte
-	seen []batchKey
-}
-
-// captureSnapshot copies the store's state into a snapshotImage.
-func (s *Store) captureSnapshot() snapshotImage {
+func (s *Store) EncodeSnapshot() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	le := binary.LittleEndian
@@ -66,19 +54,17 @@ func (s *Store) captureSnapshot() snapshotImage {
 	for _, b := range s.blocks {
 		runs += len(b.runs)
 	}
-	seen := make([]batchKey, 0, len(s.seen))
-	for k := range s.seen {
-		seen = append(seen, k)
-	}
 	d := &s.flows
-	buf := make([]byte, 0, snapHeaderLen+len(seen)*snapSeenLen+len(d.keys)*snapFlowLen+
+	buf := make([]byte, 0, snapHeaderLen+s.seen.n*snapSeenLen+len(d.keys)*snapFlowLen+
 		len(s.blocks)*snapBlockHdrLen+runs*snapRunLen+s.n*rowBytes)
 	buf = append(buf, snapMagic...)
 	buf = le.AppendUint64(buf, s.dupBatches)
-	for _, v := range [...]int{len(seen), len(d.keys), s.n, runs} {
+	for _, v := range [...]int{s.seen.n, len(d.keys), s.n, runs} {
 		buf = le.AppendUint32(buf, uint32(v))
 	}
-	buf = buf[:len(buf)+len(seen)*snapSeenLen] // finish writes the keys
+	s.seen.each(func(sw uint16, seq uint64) {
+		buf = le.AppendUint64(le.AppendUint16(buf, sw), seq)
+	})
 	flows := len(buf)
 	for i := range d.keys {
 		buf = append(append(buf, d.keys[i][:]...), 0, 0, 0, 0)
@@ -104,25 +90,7 @@ func (s *Store) captureSnapshot() snapshotImage {
 		buf = append(buf, b.typ[:b.n]...)
 		buf = append(buf, b.tail[:b.n*tailLen]...)
 	}
-	return snapshotImage{buf: buf, seen: seen}
-}
-
-// finish writes the dedup keys in (switch, seq) order and returns the
-// image.
-func (im snapshotImage) finish() []byte {
-	slices.SortFunc(im.seen, compareBatchKeys)
-	row := im.buf[snapHeaderLen:]
-	for _, k := range im.seen {
-		binary.LittleEndian.PutUint16(row, k.sw)
-		binary.LittleEndian.PutUint64(row[2:], k.seq)
-		row = row[snapSeenLen:]
-	}
-	return im.buf
-}
-
-// compareBatchKeys orders dedup keys by switch, then sequence.
-func compareBatchKeys(a, b batchKey) int {
-	return cmp.Or(cmp.Compare(a.sw, b.sw), cmp.Compare(a.seq, b.seq))
+	return buf
 }
 
 // LoadSnapshot replaces the store's state with a decoded snapshot; on
@@ -141,19 +109,17 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*rowBytes; len(data) != want {
 		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events, %d runs)", len(data), want, seen, flows, events, runs)
 	}
-	ld := &Store{ // the image under construction; swapped in whole at the end
-		dupBatches: le.Uint64(data[4:]),
-		seen:       make(map[batchKey]struct{}, seen),
-	}
+	ld := &Store{dupBatches: le.Uint64(data[4:])} // the image under construction; swapped in whole at the end
 	data = data[snapHeaderLen:]
-	var last batchKey
-	for i := range seen {
-		k := batchKey{sw: le.Uint16(data[i*snapSeenLen:]), seq: le.Uint64(data[i*snapSeenLen+2:])}
-		if i > 0 && compareBatchKeys(last, k) >= 0 {
-			return fmt.Errorf("collector: snapshot dedup key %d (switch %d, seq %d) does not follow (switch %d, seq %d)", i, k.sw, k.seq, last.sw, last.seq)
+	keys := make([]BatchID, seen)
+	for i := range keys {
+		k := BatchID{Switch: le.Uint16(data[i*snapSeenLen:]), Seq: le.Uint64(data[i*snapSeenLen+2:])}
+		if i > 0 && compareBatchIDs(keys[i-1], k) >= 0 {
+			return fmt.Errorf("collector: snapshot dedup key %d (switch %d, seq %d) does not follow (switch %d, seq %d)", i, k.Switch, k.Seq, keys[i-1].Switch, keys[i-1].Seq)
 		}
-		ld.seen[k], last = struct{}{}, k
+		keys[i] = k
 	}
+	ld.seen.merge(keys)
 	data = data[seen*snapSeenLen:]
 	if flows > 0 {
 		ld.flows.grow(flowSlotsFor(flows))

@@ -20,16 +20,6 @@ import (
 	"netseer/internal/sim"
 )
 
-// batchKey identifies a sequenced batch for replay deduplication: the
-// reliable client assigns lifetime-monotonic sequence numbers, so one
-// (switch, sequence) pair names exactly one batch even across
-// reconnects. One producer per switch ID is assumed (it is the switch's
-// own CPU).
-type batchKey struct {
-	sw  uint16
-	seq uint64
-}
-
 // blockLen is the events per block: 16 Ki × 19 B of columns ≈ 0.3 MB,
 // so a near-empty store costs one modest allocation and a time-slice scan
 // prunes, by [minTs, maxTs], to a handful of blocks (DESIGN §10).
@@ -185,7 +175,7 @@ type Store struct {
 	flows   flowTable // flow id → key and position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
-	seen       map[batchKey]struct{}
+	seen       seenSet
 	dupBatches uint64
 
 	// detectToStore is the end-to-end staleness histogram: microseconds on
@@ -207,7 +197,7 @@ type Store struct {
 
 // NewStore returns an empty store; blocks are allocated on demand.
 func NewStore() *Store {
-	s := &Store{seen: make(map[batchKey]struct{}), detectToStore: obs.NewHistogram(obs.LatencyBuckets())}
+	s := &Store{detectToStore: obs.NewHistogram(obs.LatencyBuckets())}
 	s.resetEvents()
 	return s
 }
@@ -298,13 +288,9 @@ func (s *Store) DeliverPayload(p *Payload) { s.deliver(p, nil) }
 func (s *Store) deliver(p *Payload, events []fevent.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p.Seq != 0 {
-		k := batchKey{sw: p.SwitchID, seq: p.Seq}
-		if _, dup := s.seen[k]; dup {
-			s.dupBatches++
-			return
-		}
-		s.seen[k] = struct{}{}
+	if p.Seq != 0 && !s.seen.add(p.SwitchID, p.Seq) {
+		s.dupBatches++
+		return
 	}
 	// Every batch with an assigned trace ID opens a store-index span, but
 	// only sampled batches — or batches whose append pass crossed the
@@ -392,25 +378,20 @@ func (s *Store) DupBatches() uint64 {
 func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.seen[batchKey{sw: sw, seq: seq}]
-	return ok
+	return s.seen.has(sw, seq)
 }
 
 // Resident cost of what the store holds, for admission control. A block
 // is charged whole, when it is allocated, rounded up to the allocator's
 // 8 KiB pages; a run table and the flow dictionary for every entry and
 // index cell they have allocated; a summary row twice its 16 B, the
-// capacity of a slice that has just doubled; and a dedup map entry at the
-// worst a Go map of 16 B keys and empty values measures — a 24 B slot (an
-// empty value pads it) and a control byte at the 7/16 load of a table
-// that has just doubled or split, in its allocator size class. So the
-// estimate errs high and admission control engages early, not late
-// (TestMemoryBytesCoversTheHeap).
+// capacity of a slice that has just doubled; and the dedup set for the
+// capacity of its slices. So the estimate errs high and admission control
+// engages early, not late (TestMemoryBytesCoversTheHeap).
 const (
 	blockMemCost  = (int64(unsafe.Sizeof(block{})) + 8191) &^ 8191
 	runMemCost    = int64(unsafe.Sizeof(run{}))
 	sumRowMemCost = 2 * 16
-	seenMemCost   = 64
 )
 
 // MemoryBytes estimates the store's resident memory — the quantity the
@@ -419,7 +400,7 @@ func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return int64(len(s.blocks))*blockMemCost + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
-		flowTableBytes(len(s.flows.index)) + int64(len(s.seen))*seenMemCost
+		flowTableBytes(len(s.flows.index)) + s.seen.mem
 }
 
 // Len returns the number of stored events.
@@ -716,6 +697,5 @@ func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.resetEvents()
-	s.seen = make(map[batchKey]struct{})
-	s.dupBatches = 0
+	s.seen, s.dupBatches = seenSet{}, 0
 }

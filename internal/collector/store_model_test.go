@@ -600,8 +600,9 @@ func TestStoreModelBlockBoundaries(t *testing.T) {
 		p.reload()
 		p.compare(flows, switches)
 		p.remove(append([]fevent.Event(nil), p.m.events...))
-		if len(p.st.blocks) != 0 || p.st.MemoryBytes() != int64(len(p.m.seen))*seenMemCost {
-			t.Fatalf("emptied store keeps %d blocks, %d bytes", len(p.st.blocks), p.st.MemoryBytes())
+		if len(p.st.blocks) != 0 || p.st.seen.n != len(p.m.seen) || p.st.MemoryBytes() != seenCharge(&p.st.seen) {
+			t.Fatalf("emptied store keeps %d blocks, %d bytes; its %d dedup keys (model: %d) hold %d",
+				len(p.st.blocks), p.st.MemoryBytes(), p.st.seen.n, len(p.m.seen), seenCharge(&p.st.seen))
 		}
 		p.compare(flows, switches)
 	}

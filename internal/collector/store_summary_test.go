@@ -299,7 +299,7 @@ func TestMemoryBytesCoversTheHeap(t *testing.T) {
 		st.Deliver(&fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs[:sizes[seq%8]]})
 	}
 	heap, est := live()-before, st.MemoryBytes()
-	t.Logf("%d events, %d flows, %d batches: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), len(st.flows.keys), len(st.seen), est, heap, float64(est)/float64(heap))
+	t.Logf("%d events, %d flows, %d batches: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), len(st.flows.keys), st.seen.n, est, heap, float64(est)/float64(heap))
 	if est < heap || est > heap*11/10 {
 		t.Errorf("MemoryBytes = %d against %d B of heap growth: want within [1, 1.1]×", est, heap)
 	}

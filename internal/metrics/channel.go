@@ -63,9 +63,10 @@ type IngestStats struct {
 	// closed for exceeding the concurrent-connection cap; AcceptRetries
 	// counts transient Accept errors survived.
 	ConnsAccepted, ConnsRejected, AcceptRetries uint64
-	// Frames counts batches delivered to the store; FrameErrors counts
-	// connections dropped on a malformed/corrupt/timed-out frame;
-	// Acks counts cumulative-ack frames written (Frames/Acks is how many
+	// Frames counts batch frames accepted for an ack, each of them
+	// stored, deduplicated or shed to the log (TestIngestFramesConserve);
+	// FrameErrors counts connections dropped on a malformed/corrupt/
+	// timed-out frame; Acks counts cumulative-ack frames written (Frames/Acks is how many
 	// frames one ack covers); AckWriteErrors counts connections dropped
 	// writing an ack.
 	Frames, FrameErrors, Acks, AckWriteErrors uint64
