@@ -47,32 +47,37 @@ import (
 	"time"
 
 	"netseer/internal/collector"
+	"netseer/internal/collector/fabric"
 	"netseer/internal/collector/wal"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
 )
 
+// The flags, read by every mode.
+var (
+	ingestAddr    = flag.String("ingest", "127.0.0.1:9750", "event ingestion listen address")
+	queryAddr     = flag.String("query", "127.0.0.1:9751", "query listen address")
+	metricsAddr   = flag.String("metrics", "127.0.0.1:9752", "observability listen address (/metrics, /healthz, /debug/pprof); empty disables")
+	logStats      = flag.Duration("log-stats", 0, "log a telemetry snapshot at this interval (0 disables)")
+	maxConns      = flag.Int("max-conns", 128, "max concurrent ingest connections")
+	readTimeout   = flag.Duration("read-timeout", 2*time.Minute, "per-frame ingest read deadline")
+	dataDir       = flag.String("data-dir", "", "write-ahead log directory; empty runs in-memory (a crash loses the store)")
+	memBudget     = flag.Int64("mem-budget", 0, "store memory budget in bytes for admission control (0 disables)")
+	snapshotEvery = flag.Duration("snapshot-interval", time.Minute, "checkpoint (snapshot + log truncate) interval with -data-dir")
+	scrubEvery    = flag.Duration("scrub-interval", 10*time.Minute, "WAL bit-rot scrub interval with -data-dir (0 disables); corrupt sealed segments are quarantined")
+	segmentBytes  = flag.Int64("wal-segment-bytes", 8<<20, "write-ahead log segment rotation size")
+	drainGrace    = flag.Duration("drain-grace", 3*time.Second, "graceful drain budget on SIGTERM/SIGINT")
+	mode          = flag.String("mode", "standalone", "standalone | shard | coordinator")
+	shardID       = flag.Uint("shard-id", 0, "this shard's ID in the fabric (shard mode)")
+	adminAddr     = flag.String("admin", "127.0.0.1:9753", "fabric admin listen address (shard mode)")
+	coordAddr     = flag.String("coordinator", "", "coordinator address to join on startup (shard mode; empty: wait to be joined)")
+	fabricListen  = flag.String("fabric-listen", "127.0.0.1:9760", "coordinator listen address (coordinator mode)")
+	fabricState   = flag.String("fabric-state", "", "coordinator durable state file (coordinator mode)")
+	joinTimeout   = flag.Duration("join-timeout", 2*time.Minute, "bound on the whole join rebalance (shard mode with -coordinator)")
+	traceSample   = flag.Uint64("trace-sample", trace.DefaultSampleEvery, "batch-trace head-sampling modulus: 1 traces every batch, n one in n, 0 disables sampling (exemplars stay on)")
+)
+
 func main() {
-	ingestAddr := flag.String("ingest", "127.0.0.1:9750", "event ingestion listen address")
-	queryAddr := flag.String("query", "127.0.0.1:9751", "query listen address")
-	metricsAddr := flag.String("metrics", "127.0.0.1:9752", "observability listen address (/metrics, /healthz, /debug/pprof); empty disables")
-	logStats := flag.Duration("log-stats", 0, "log a telemetry snapshot at this interval (0 disables)")
-	maxConns := flag.Int("max-conns", 128, "max concurrent ingest connections")
-	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "per-frame ingest read deadline")
-	dataDir := flag.String("data-dir", "", "write-ahead log directory; empty runs in-memory (a crash loses the store)")
-	memBudget := flag.Int64("mem-budget", 0, "store memory budget in bytes for admission control (0 disables)")
-	snapshotEvery := flag.Duration("snapshot-interval", time.Minute, "checkpoint (snapshot + log truncate) interval with -data-dir")
-	scrubEvery := flag.Duration("scrub-interval", 10*time.Minute, "WAL bit-rot scrub interval with -data-dir (0 disables); corrupt sealed segments are quarantined")
-	segmentBytes := flag.Int64("wal-segment-bytes", 8<<20, "write-ahead log segment rotation size")
-	drainGrace := flag.Duration("drain-grace", 3*time.Second, "graceful drain budget on SIGTERM/SIGINT")
-	mode := flag.String("mode", "standalone", "standalone | shard | coordinator")
-	shardID := flag.Uint("shard-id", 0, "this shard's ID in the fabric (shard mode)")
-	adminAddr := flag.String("admin", "127.0.0.1:9753", "fabric admin listen address (shard mode)")
-	coordAddr := flag.String("coordinator", "", "coordinator address to join on startup (shard mode; empty: wait to be joined)")
-	fabricListen := flag.String("fabric-listen", "127.0.0.1:9760", "coordinator listen address (coordinator mode)")
-	fabricState := flag.String("fabric-state", "", "coordinator durable state file (coordinator mode)")
-	joinTimeout := flag.Duration("join-timeout", 2*time.Minute, "bound on the whole join rebalance (shard mode with -coordinator)")
-	traceSample := flag.Uint64("trace-sample", trace.DefaultSampleEvery, "batch-trace head-sampling modulus: 1 traces every batch, n one in n, 0 disables sampling (exemplars stay on)")
 	flag.Parse()
 
 	trace.SetSampleEvery(*traceSample)
@@ -83,26 +88,24 @@ func main() {
 	obs.RegisterRuntime(reg)
 	trace.RegisterMetrics(reg, trace.Default)
 
-	if *mode != "standalone" {
-		f := shardFlags{
-			ingestAddr: *ingestAddr, queryAddr: *queryAddr, metricsAddr: *metricsAddr,
-			adminAddr: *adminAddr, coordAddr: *coordAddr,
-			fabricListen: *fabricListen, fabricState: *fabricState,
-			dataDir: *dataDir, shardID: *shardID,
-			maxConns: *maxConns, readTimeout: *readTimeout,
-			memBudget: *memBudget, segmentBytes: *segmentBytes,
-			snapshotEvery: *snapshotEvery, scrubEvery: *scrubEvery,
-			joinTimeout: *joinTimeout, drainGrace: *drainGrace,
-		}
-		switch *mode {
-		case "shard":
-			runShard(f, reg)
-		case "coordinator":
-			runCoordinator(f, reg)
-		default:
-			log.Fatalf("netseerd: unknown -mode %q (standalone | shard | coordinator)", *mode)
-		}
+	life := lifecycle{
+		metricsAddr:     *metricsAddr,
+		durable:         *dataDir != "",
+		checkpointEvery: *snapshotEvery,
+		scrubEvery:      *scrubEvery,
+		drainGrace:      *drainGrace,
+		logf:            log.Printf,
+	}
+	switch *mode {
+	case "standalone":
+	case "shard":
+		runShard(reg, life)
 		return
+	case "coordinator":
+		runCoordinator(reg, life)
+		return
+	default:
+		log.Fatalf("netseerd: unknown -mode %q (standalone | shard | coordinator)", *mode)
 	}
 
 	// With a data dir, recovery runs before the first frame is accepted:
@@ -157,79 +160,14 @@ func main() {
 	query.RegisterMetrics(reg)
 	log.Printf("netseerd: ingesting on %s, queries on %s", ingest.Addr(), query.Addr())
 
-	if *metricsAddr != "" {
-		osrv, err := obs.ServeHTTP(reg, *metricsAddr,
-			obs.Page{Pattern: "/traces", Handler: trace.Handler(trace.Default)})
-		if err != nil {
-			log.Fatalf("metrics listener: %v", err)
-		}
-		defer osrv.Close()
-		// /healthz answers 503 once the WAL poisons itself — orchestrators
-		// see a durability-failed collector without parsing /metrics.
-		osrv.SetHealth(ingest.Healthz)
-		log.Printf("netseerd: metrics on http://%s/metrics, traces on /traces", osrv.Addr())
-	}
 	if *logStats > 0 {
 		stop := obs.StartLogger(reg, *logStats, log.Printf)
 		defer stop()
 	}
-
-	// Periodic checkpoints bound both restart-replay time and disk usage.
-	checkpointDone := make(chan struct{})
-	if w != nil && *snapshotEvery > 0 {
-		go func() {
-			t := time.NewTicker(*snapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-checkpointDone:
-					return
-				case <-t.C:
-					if err := ingest.Checkpoint(); err != nil {
-						log.Printf("netseerd: checkpoint: %v", err)
-					}
-				}
-			}
-		}()
+	if err := life.run(ingest, reg, shutdownSignal()); err != nil {
+		log.Fatalf("netseerd: %v", err)
 	}
-	// Background scrubs catch bit rot in sealed segments and snapshots
-	// before a restart trips over it; corrupt files are quarantined so
-	// the next replay reports an explicit gap instead of failing.
-	if w != nil && *scrubEvery > 0 {
-		go func() {
-			t := time.NewTicker(*scrubEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-checkpointDone:
-					return
-				case <-t.C:
-					rep, err := ingest.ScrubWAL()
-					if err != nil {
-						log.Printf("netseerd: scrub: %v", err)
-						continue
-					}
-					for _, q := range rep.Quarantined {
-						log.Printf("netseerd: WARNING: scrub quarantined %s (CRC failure; bit rot?)", q)
-					}
-				}
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	close(checkpointDone)
 	if w != nil {
-		// Graceful shutdown: quiesce ingestion (every accepted frame gets
-		// its durable ack), then checkpoint so the next start replays a
-		// snapshot instead of the whole log.
-		log.Printf("netseerd: draining ingest (up to %s)", *drainGrace)
-		ingest.Drain(*drainGrace)
-		if err := ingest.Checkpoint(); err != nil {
-			log.Printf("netseerd: final checkpoint: %v", err)
-		}
 		ws := w.Stats()
 		log.Printf("netseerd: wal: %d appends, %d fsyncs, %d snapshots, %d live segments (%d bytes)",
 			ws.Appends, ws.Fsyncs, ws.Snapshots, ws.Segments, ws.SizeBytes)
@@ -238,4 +176,90 @@ func main() {
 	log.Printf("netseerd: %d events stored (%d replayed batches deduplicated), shutting down", store.Len(), store.DupBatches())
 	log.Printf("netseerd: ingest health: conns=%d rejected=%d accept-retries=%d frames=%d frame-errors=%d acks=%d ack-errors=%d",
 		st.ConnsAccepted, st.ConnsRejected, st.AcceptRetries, st.Frames, st.FrameErrors, st.Acks, st.AckWriteErrors)
+}
+
+// shutdownSignal returns a channel that receives SIGINT and SIGTERM from
+// now on.
+func shutdownSignal() <-chan os.Signal {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	return sig
+}
+
+// runShard is netseerd -mode shard: one fabric member, run by the same
+// lifecycle as a standalone collector. With -coordinator it joins the
+// ring on startup; without, it waits for the coordinator to be pointed
+// at it.
+func runShard(reg *obs.Registry, life lifecycle) {
+	if *dataDir == "" {
+		log.Fatal("netseerd: -mode shard requires -data-dir (the fabric's handoff protocol is WAL-backed)")
+	}
+	node, err := fabric.StartShard(fabric.ShardOptions{
+		ID:         uint32(*shardID),
+		Dir:        *dataDir,
+		IngestAddr: *ingestAddr,
+		QueryAddr:  *queryAddr,
+		AdminAddr:  *adminAddr,
+		Server: collector.ServerConfig{
+			MaxConns:     *maxConns,
+			ReadTimeout:  *readTimeout,
+			MemoryBudget: *memBudget,
+		},
+		WAL:      wal.Options{SegmentBytes: *segmentBytes},
+		Registry: reg,
+	})
+	if err != nil {
+		log.Fatalf("netseerd: shard: %v", err)
+	}
+	defer node.Close()
+	log.Printf("netseerd: shard %d ingesting on %s, queries on %s, admin on %s (epoch %d)",
+		node.ID, node.IngestAddr(), node.QueryAddr(), node.AdminAddr(), node.Epoch())
+
+	if *coordAddr != "" {
+		// The join is a rebalance onto this node, served through its
+		// admin listener while the lifecycle already runs.
+		go func() {
+			cfg, err := fabric.RequestJoin(*coordAddr, node.Info(), *joinTimeout)
+			if err != nil {
+				log.Fatalf("netseerd: joining the fabric via %s: %v", *coordAddr, err)
+			}
+			log.Printf("netseerd: joined the fabric at epoch %d (%d shards)", cfg.Epoch, len(cfg.Shards))
+		}()
+	}
+	if err := life.run(node, reg, shutdownSignal()); err != nil {
+		log.Fatalf("netseerd: %v", err)
+	}
+	log.Printf("netseerd: shard %d shutting down (%d events stored, %d transfers open)",
+		node.ID, node.Store().Len(), len(node.OpenTransfers()))
+}
+
+// runCoordinator is netseerd -mode coordinator: membership, epochs, and
+// rebalance orchestration — no event data flows through this process.
+func runCoordinator(reg *obs.Registry, life lifecycle) {
+	if *fabricState == "" {
+		log.Fatal("netseerd: -mode coordinator requires -fabric-state (the durable two-phase rebalance record)")
+	}
+	coord, err := fabric.StartCoordinator(fabric.CoordinatorOptions{
+		StatePath:  *fabricState,
+		ListenAddr: *fabricListen,
+		Registry:   reg,
+	})
+	if err != nil {
+		log.Fatalf("netseerd: coordinator: %v", err)
+	}
+	defer coord.Close()
+	cfg := coord.Config()
+	log.Printf("netseerd: coordinator on %s (epoch %d, %d shards)", coord.Addr(), cfg.Epoch, len(cfg.Shards))
+	if !coord.Resolved() {
+		log.Printf("netseerd: resolving a rebalance left pending by the previous run")
+	}
+
+	life.durable = false // no event data: the metrics server, /fleet added, until a signal
+	if err := life.run(nil, reg, shutdownSignal(),
+		obs.Page{Pattern: "/fleet", Handler: fabric.FleetHandler(coord, 5*time.Second)}); err != nil {
+		log.Fatalf("netseerd: %v", err)
+	}
+	cfg = coord.Config()
+	log.Printf("netseerd: coordinator shutting down at epoch %d (%d shards, pending=%v)",
+		cfg.Epoch, len(cfg.Shards), !coord.Resolved())
 }

@@ -14,8 +14,16 @@ import (
 // recovery is idempotent no matter how the crash interleaved snapshot
 // installation and appends. Batches that were shed before the crash
 // carry no seen-entry and re-index here, exactly as the admission ladder
-// promised.
+// promised. A fabric record (RecordSeq) in the log is refused.
 func RecoverStore(w *wal.WAL) (*Store, wal.ReplayStats, error) {
+	return RecoverStoreWith(w, nil)
+}
+
+// RecoverStoreWith is RecoverStore for a log that also holds records
+// other than frames — a fabric shard's: every logged payload that is not
+// a frame goes to fn, in log order between the frames around it, with the
+// store being rebuilt, and fn's error ends the replay.
+func RecoverStoreWith(w *wal.WAL, fn func(s *Store, payload []byte) error) (*Store, wal.ReplayStats, error) {
 	store := NewStore()
 	if snap := w.Snapshot(); snap != nil {
 		if err := store.LoadSnapshot(snap); err != nil {
@@ -24,11 +32,14 @@ func RecoverStore(w *wal.WAL) (*Store, wal.ReplayStats, error) {
 	}
 	st, err := w.Replay(func(payload []byte) error {
 		p, err := ViewPayload(payload)
-		if err != nil {
-			return fmt.Errorf("collector: replaying WAL record: %w", err)
+		switch {
+		case err == nil:
+			store.DeliverPayload(&p)
+			return nil
+		case fn != nil:
+			return fn(store, payload)
 		}
-		store.DeliverPayload(&p)
-		return nil
+		return fmt.Errorf("collector: replaying WAL record: %w", err)
 	})
 	if err != nil {
 		return nil, st, err

@@ -142,7 +142,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 }
 
 // TestStoreEventsFallAtAFence: netseer_store_events counts resident
-// events, so an epoch fence (RemoveEvents) lowers it — a gauge, never a
+// events, so an epoch fence (RemoveImage) lowers it — a gauge, never a
 // counter.
 func TestStoreEventsFallAtAFence(t *testing.T) {
 	st := NewStore()
@@ -158,8 +158,8 @@ func TestStoreEventsFallAtAFence(t *testing.T) {
 	if got := regValue(t, reg, sample); got != "6" {
 		t.Fatalf("%s = %s before the fence, want 6", sample, got)
 	}
-	if n := st.RemoveEvents(evs[:4]); n != 4 {
-		t.Fatalf("RemoveEvents removed %d, want 4", n)
+	if n := removeEvents(t, st, evs[:4]); n != 4 {
+		t.Fatalf("RemoveImage removed %d, want 4", n)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

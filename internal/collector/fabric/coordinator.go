@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"netseer/internal/faultfs"
 	"netseer/internal/obs"
 )
 
@@ -144,29 +145,42 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// persistLocked writes the state file atomically (tmp + rename + dir
-// fsync). Callers hold c.mu.
+// persistLocked writes the state file durably (writeFileDurably).
+// Callers hold c.mu.
 func (c *Coordinator) persistLocked() error {
 	data, err := json.MarshalIndent(&c.st, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(c.statePath)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(c.statePath), 0o755); err != nil {
 		return err
 	}
-	tmp := c.statePath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return writeFileDurably(c.statePath, data)
+}
+
+// writeFileDurably replaces the file at path with data so that a crash
+// leaves the old contents or the new, whole, and a nil return means the
+// new survive one: it writes and fsyncs path+".tmp", renames it over
+// path, then fsyncs the directory.
+func writeFileDurably(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := faultfs.OS.CreateTrunc(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, c.statePath); err != nil {
-		return err
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = faultfs.OS.SyncDir(filepath.Dir(path))
+	}
+	return err
 }
 
 // call performs one admin op against a shard, retrying transient

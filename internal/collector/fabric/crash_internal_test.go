@@ -155,7 +155,7 @@ func TestLargeTransferSurvivesRestart(t *testing.T) {
 	a, b := startNode(t, 1, dirA), startNode(t, 2, dirB)
 
 	ref := ingestTestLoad(t, a.IngestAddr(), 12000, 50)
-	if n := len(fevent.AppendBatches(nil, ref)); n <= importChunkBytes {
+	if n := len(captureSlots(a.store, ^uint64(0))); n <= importChunkBytes {
 		t.Fatalf("the capture is %d B, one chunk of %d", n, importChunkBytes)
 	}
 	rb := uint64(2)<<16 | 0

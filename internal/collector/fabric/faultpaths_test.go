@@ -137,7 +137,7 @@ func TestShardAdminProtocolErrors(t *testing.T) {
 	if resp := roundTrip(`{"op":"import","rb":7,"events":"!!!not-base64"}`); !strings.Contains(resp, "bad events") {
 		t.Fatalf("bad events blob: %q", resp)
 	}
-	cut := fevent.AppendBatches(nil, []fevent.Event{{Type: fevent.TypePause, SwitchID: 1}})
+	cut, _ := (&fevent.Batch{SwitchID: 1, Events: []fevent.Event{{Type: fevent.TypePause, SwitchID: 1}}}).AppendTo(nil)
 	cut = cut[:len(cut)-fevent.RecordLen/2] // a batch truncated mid-record
 	if resp := roundTrip(`{"op":"import","rb":7,"events":"` + base64.StdEncoding.EncodeToString(cut) + `"}`); !strings.Contains(resp, "bad events") {
 		t.Fatalf("truncated batch image: %q", resp)

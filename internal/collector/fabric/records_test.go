@@ -3,13 +3,21 @@ package fabric
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"netseer/internal/collector"
 	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
+	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
@@ -29,20 +37,24 @@ func testEvents() []fevent.Event {
 	}
 }
 
-// TestEventBlobRoundtrip: a transfer's events travel as batch images,
-// one batch a run of switch and stamp, and come back equal.
+// TestEventBlobRoundtrip: a transfer's events travel as the record image
+// of the capture, one batch a run of switch and stamp, and come back
+// equal at the destination; a capture holds exactly the masked slots.
 func TestEventBlobRoundtrip(t *testing.T) {
 	evs := testEvents()
-	blob := fevent.AppendBatches(nil, evs)
+	src := collector.NewStore()
+	src.Deliver(&fevent.Batch{SwitchID: 3, Timestamp: 300, Events: evs})
+	blob := captureSlots(src, ^uint64(0))
 	if want := len(evs) * (fevent.BatchHeaderLen + fevent.RecordLen); len(blob) != want {
 		t.Fatalf("blob is %d bytes, want %d", len(blob), want)
 	}
-	got, err := fevent.DecodeBatches(nil, blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	dst := collector.NewStore()
+	if n, err := dst.ImportImage(blob); n != len(evs) || err != nil {
+		t.Fatalf("import: %d events, %v", n, err)
 	}
+	got := dst.Query(collector.Filter{})
 	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
+		t.Fatalf("imported %d events, want %d", len(got), len(evs))
 	}
 	for i := range evs {
 		if got[i] != evs[i] {
@@ -51,6 +63,41 @@ func TestEventBlobRoundtrip(t *testing.T) {
 	}
 	if _, err := fevent.DecodeBatches(nil, blob[:len(blob)-1]); err == nil {
 		t.Fatal("truncated event blob decoded without error")
+	}
+}
+
+// TestCaptureIsTheReferenceImage: for any mask, a capture is byte for
+// byte the reference image of the events the mask selects — one batch per
+// maximal run of switch and stamp, split at MaxBatchRecords — which is
+// what a shard logged and shipped before captures were written from the
+// store's records.
+func TestCaptureIsTheReferenceImage(t *testing.T) {
+	st := collector.NewStore()
+	r := rand.New(rand.NewSource(4))
+	for b := 0; b < 60; b++ {
+		sw, ts := uint16(1+r.Intn(3)), sim.Time(100+b/2)
+		batch := &fevent.Batch{SwitchID: sw, Timestamp: ts}
+		for i := r.Intn(2 * fevent.MaxBatchRecords / 3); i >= 0; i-- {
+			e := testEvents()[i%3]
+			e.SwitchID, e.Timestamp, e.Flow.SrcPort = sw, ts, uint16(r.Intn(500))
+			batch.Events = append(batch.Events, e)
+		}
+		st.Deliver(batch)
+	}
+	for _, mask := range []uint64{0, ^uint64(0), 1 << 5, r.Uint64(), r.Uint64()} {
+		sel := st.ExportWhere(func(e *fevent.Event) bool { return slotMaskHas(mask, SlotOf(e.SwitchID, e.Flow)) })
+		var want []byte
+		for len(sel) > 0 {
+			n := 1
+			for n < len(sel) && n < fevent.MaxBatchRecords && sel[n].SwitchID == sel[0].SwitchID && sel[n].Timestamp == sel[0].Timestamp {
+				n++
+			}
+			want, _ = (&fevent.Batch{SwitchID: sel[0].SwitchID, Timestamp: sel[0].Timestamp, Events: sel[:n]}).AppendTo(want)
+			sel = sel[n:]
+		}
+		if got := captureSlots(st, mask); !bytes.Equal(got, want) {
+			t.Fatalf("mask %#x: the capture is %d B, the reference image %d B", mask, len(got), len(want))
+		}
 	}
 }
 
@@ -115,21 +162,39 @@ func TestSeenSetExportIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecordFraming pins the bookkeeping record layout — the reserved
+// sequence, the tag, the transfer, the body — and that a record in an
+// older build's layout, or a truncated one, is refused.
 func TestRecordFraming(t *testing.T) {
-	if rec := encodeBatchRecord([]byte("payload")); rec[0] != recBatch || string(rec[1:]) != "payload" {
-		t.Fatalf("batch record framing wrong: %q", rec)
+	for _, c := range []struct {
+		rec  []byte
+		tag  byte
+		body []byte
+	}{
+		{encodeMark(0x20001, 0xF0), recMark, []byte{0, 0, 0, 0, 0, 0, 0, 0xF0}},
+		{encodeRB(recCommit, 0x20001), recCommit, []byte{}},
+		{encodeImportChunk(0x20001, chunkSeen, []byte{9, 9}), recImport, []byte{chunkSeen, 9, 9}},
+	} {
+		if !bytes.Equal(c.rec[:8], bytes.Repeat([]byte{0xFF}, 8)) {
+			t.Fatalf("%q record does not open with the reserved sequence: %x", c.tag, c.rec)
+		}
+		tag, rb, body, err := parseRecord(c.rec)
+		if err != nil || tag != c.tag || rb != 0x20001 || !bytes.Equal(body, c.body) || len(c.rec) != recordHdrLen+len(c.body) {
+			t.Fatalf("%x parses to %q, rb %#x, body %x, %v", c.rec, tag, rb, body, err)
+		}
+		if _, err := collector.ViewPayload(c.rec); !errors.Is(err, collector.ErrRecordSeq) {
+			t.Fatalf("the frame validator takes a %q record: %v", c.tag, err)
+		}
 	}
-	m := encodeMark(0x20001, 0xF0)
-	if m[0] != recMark || beUint64(m[1:9]) != 0x20001 || beUint64(m[9:17]) != 0xF0 {
-		t.Fatalf("mark framing wrong: %x", m)
+	legacy := append([]byte{'M'}, make([]byte, 16)...)
+	if _, _, _, err := parseRecord(legacy); err == nil || !strings.Contains(err.Error(), "drain the shard with that build") {
+		t.Fatalf("a record in the older layout: %v", err)
 	}
-	c := encodeRB(recCommit, 42)
-	if c[0] != recCommit || beUint64(c[1:9]) != 42 {
-		t.Fatalf("commit framing wrong: %x", c)
+	if _, _, _, err := parseRecord(encodeRB(recFence, 1)[:recordHdrLen-1]); err == nil {
+		t.Fatal("a truncated record parsed")
 	}
-	ch := encodeImportChunk(42, chunkSeen, []byte{9, 9})
-	if ch[0] != recImport || beUint64(ch[1:9]) != 42 || ch[9] != chunkSeen || len(ch) != 12 {
-		t.Fatalf("chunk framing wrong: %x", ch)
+	if _, _, _, err := parseRecord([]byte{0x01, 2, 3}); err == nil {
+		t.Fatal("a payload that is neither a frame nor a record parsed")
 	}
 }
 
@@ -165,7 +230,7 @@ func TestRecoverShardReplayDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Append(encodeBatchRecord(frame[frameHdrLen:]), false); err != nil {
+		if _, err := w.Append(frame[frameHdrLen:], false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,5 +252,120 @@ func TestRecoverShardReplayDoesNotAllocate(t *testing.T) {
 	}
 	if n >= records/4 {
 		t.Fatalf("recovering %d batch records allocates %v times: that grows with the log, not with the store", records, n)
+	}
+}
+
+// TestTheLogIsTheWire is the collector's test of the same name run
+// against a shard: with no rebalance open, a shard's segments hold the
+// client's frames — traced and untraced alike — byte for byte,
+// concatenated, as a standalone collector's do.
+func TestTheLogIsTheWire(t *testing.T) {
+	dir := t.TempDir()
+	n := startNode(t, 1, dir)
+	conn, err := net.Dial("tcp", n.IngestAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire []byte
+	for seq := uint64(1); seq <= 6; seq++ {
+		b := &fevent.Batch{SwitchID: 3, Timestamp: sim.Time(seq), Seq: seq, Events: testEvents()[:1+seq%3]}
+		if seq%2 == 0 {
+			b.Trace = trace.Context{TraceID: seq, Parent: 9}
+		}
+		if wire, err = collector.AppendFrame(wire, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for acked := uint64(0); acked < 6; {
+		ack, err := wal.ReadRecord(conn, 8, nil)
+		if err != nil {
+			t.Fatalf("after ack %d: %v", acked, err)
+		}
+		acked = binary.BigEndian.Uint64(ack)
+	}
+	conn.Close()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg")) // sorted: name order is log order
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, b...)
+	}
+	if !bytes.Equal(logged, wire) {
+		t.Fatalf("the shard's log holds %d bytes that are not the %d bytes of frames the client wrote", len(logged), len(wire))
+	}
+}
+
+// TestOlderShardLogIsRefused: a log a shard wrote before bookkeeping
+// records took the reserved sequence — every record opened with its tag,
+// a frame with 'B' — is refused at start with the way to upgrade it, and
+// the refusal holds the log as it was.
+func TestOlderShardLogIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := collector.AppendFrame(nil, &fevent.Batch{SwitchID: 3, Timestamp: 100, Seq: 1, Events: testEvents()[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(append([]byte{'B'}, frame[8:]...), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := StartShard(ShardOptions{ID: 1, Dir: dir, IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0",
+			AdminAddr: "127.0.0.1:0", WAL: wal.Options{NoSync: true}}); err == nil || !strings.Contains(err.Error(), "drain the shard with that build") {
+			t.Fatalf("start %d on an older shard's log: %v", i, err)
+		}
+	}
+}
+
+// TestApplyAcksOnlyAPersistedConfig: a ring config the shard cannot
+// persist is refused, and the shard keeps the epoch it had — on the wire,
+// in memory and across a restart.
+func TestApplyAcksOnlyAPersistedConfig(t *testing.T) {
+	dir := t.TempDir()
+	n := startNode(t, 1, dir)
+	apply := func(epoch uint64) error {
+		cfg := Config{Epoch: epoch, Shards: []ShardInfo{n.Info()}}
+		for s := range cfg.Slots {
+			cfg.Slots[s] = 1
+		}
+		_, err := adminCall(n.AdminAddr(), &adminReq{Op: "apply", Config: &cfg}, 5*time.Second)
+		return err
+	}
+	if err := apply(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(configPath(dir)+".tmp", 0o755); err != nil { // the temporary file cannot be written
+		t.Fatal(err)
+	}
+	if err := apply(4); err == nil || !strings.Contains(err.Error(), "persisting epoch 4") {
+		t.Fatalf("apply of an unpersistable config: %v", err)
+	}
+	if got := n.Epoch(); got != 3 {
+		t.Fatalf("after a failed apply the shard runs epoch %d, want 3", got)
+	}
+	n.Close()
+	n = startNode(t, 1, dir)
+	defer n.Close()
+	if got := n.Epoch(); got != 3 {
+		t.Fatalf("restarted at epoch %d, want 3", got)
 	}
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bufio"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,14 +19,15 @@ import (
 	"netseer/internal/fevent"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
+	"netseer/internal/pkt"
 )
 
-// rbState tracks one open transfer on this node: the captured (source)
-// or imported (destination) event multiset, which the fence removes and
-// the release forgets.
+// rbState tracks one open transfer on this node: the record image of the
+// captured (source) or imported (destination) events, whose multiset the
+// fence removes and the release forgets.
 type rbState struct {
 	mask     uint64 // source side: the marked slot set (0 on imports)
-	events   []fevent.Event
+	img      []byte // the events, as Store.AppendImage writes them
 	imported bool
 }
 
@@ -40,7 +42,7 @@ type ShardOptions struct {
 	AdminAddr  string
 
 	// Server carries the ingest tuning forwarded to collector.Server
-	// (WAL and WALEncode are overwritten — the shard owns its log). Its
+	// (WAL and TraceShard are overwritten — the shard owns its log). Its
 	// Listener, when set, is served instead of binding IngestAddr — chaos
 	// tests interpose fault-injected wires there.
 	Server collector.ServerConfig
@@ -57,16 +59,18 @@ type ShardOptions struct {
 
 // ShardNode is one member of the collector fabric: a durable collector
 // (WAL-backed store + ingest server + query server) plus the admin
-// surface the coordinator drives rebalances through. All rebalance
-// bookkeeping is logged with the record envelope in records.go, so a
-// SIGKILL at any point recovers to a state the coordinator can resolve.
+// surface the coordinator drives rebalances through. Its log holds the
+// frames it ingested, as a standalone collector's does, and the rebalance
+// bookkeeping records of records.go, so a SIGKILL at any point recovers
+// to a state the coordinator can resolve. It is run as a collector: the
+// ingest server's Drain, Healthz and ScrubWAL are its own.
 type ShardNode struct {
+	*collector.Server
 	ID  uint32
 	dir string
 
 	wal   *wal.WAL
 	store *collector.Store
-	srv   *collector.Server
 	qsrv  *collector.QueryServer
 	admin net.Listener
 
@@ -87,58 +91,40 @@ type ShardNode struct {
 func configPath(dir string) string { return filepath.Join(dir, "ring-config.json") }
 
 // recoverShard rebuilds a shard's store and open-transfer table from its
-// WAL, decoding the record envelope: batches replay through the normal
-// ViewPayload + DeliverPayload path, transfer chunks buffer until their commit seals them (as
-// a source capture when an 'M' opened the rb here, as a destination
-// import otherwise), and fence/release apply as they did live. The
-// result matches the pre-crash state for every committed operation;
-// uncommitted marks and imports vanish whole and are retried from
-// scratch by the coordinator.
+// WAL through the collector's one replay loop: frames go into the store
+// as on a standalone collector, and the bookkeeping records of records.go
+// come here. Transfer chunks buffer until their commit seals them (as a
+// source capture when an 'M' opened the rb here, as a destination import
+// otherwise), and fence/release apply as they did live. The result
+// matches the pre-crash state for every committed operation; uncommitted
+// marks and imports vanish whole and are retried from scratch by the
+// coordinator.
 func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
-	store := collector.NewStore()
-	if snap := w.Snapshot(); snap != nil {
-		if err := store.LoadSnapshot(snap); err != nil {
-			return nil, nil, fmt.Errorf("fabric: recovering snapshot: %w", err)
-		}
-	}
 	open := make(map[uint64]*rbState)
 	marks := make(map[uint64]uint64) // rb → mask (source role)
 	chunks := make(map[uint64][][]byte)
-	_, err := w.Replay(func(rec []byte) error {
-		if len(rec) == 0 {
-			return errors.New("fabric: empty WAL record")
+	store, _, err := collector.RecoverStoreWith(w, func(store *collector.Store, payload []byte) error {
+		tag, rb, body, err := parseRecord(payload)
+		if err != nil {
+			return err
 		}
-		tag, body := rec[0], rec[1:]
-		switch tag {
-		case recBatch:
-			p, err := collector.ViewPayload(body)
-			if err != nil {
-				return fmt.Errorf("fabric: replaying batch record: %w", err)
-			}
-			store.DeliverPayload(&p)
-			return nil
-		}
-		if len(body) < 8 {
-			return fmt.Errorf("fabric: record %q truncated", tag)
-		}
-		rb := beUint64(body[:8])
 		switch tag {
 		case recMark:
-			if len(body) < 16 {
+			if len(body) < 8 {
 				return errors.New("fabric: mark record truncated")
 			}
-			marks[rb] = beUint64(body[8:16])
+			marks[rb] = binary.BigEndian.Uint64(body)
 			chunks[rb] = nil // a re-marked rb starts its capture over
 		case recImport:
-			if len(body) < 9 {
+			if len(body) < 1 {
 				return errors.New("fabric: transfer chunk truncated")
 			}
-			chunks[rb] = append(chunks[rb], append([]byte(nil), body[8:]...))
+			chunks[rb] = append(chunks[rb], append([]byte(nil), body...))
 		case recCommit:
-			// A chunk split its blob at a byte count, not at an entry:
-			// join each kind's chunks, then decode once.
+			// A chunk split its blob at a byte count, not at a batch: join
+			// each kind's chunks, then check once.
 			mask, isSource := marks[rb]
-			var seenBlob, evBlob []byte
+			var seenBlob, img []byte
 			for _, ch := range chunks[rb] {
 				switch kind, blob := ch[0], ch[1:]; kind {
 				case chunkSeen:
@@ -147,7 +133,7 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 					}
 					seenBlob = append(seenBlob, blob...)
 				case chunkEvents:
-					evBlob = append(evBlob, blob...)
+					img = append(img, blob...)
 				default:
 					return fmt.Errorf("fabric: unknown transfer chunk kind %q", kind)
 				}
@@ -156,21 +142,19 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 			if err != nil {
 				return err
 			}
-			evs, err := fevent.DecodeBatches(nil, evBlob)
-			if err != nil {
+			if _, err := fevent.CheckImage(img); err != nil {
 				return fmt.Errorf("fabric: transfer %d: %w", rb, err)
 			}
 			store.MergeSeen(ids)
 			if !isSource {
-				store.AddEvents(evs)
+				store.ImportImage(img) // checked above
 			}
-			st := &rbState{mask: mask, imported: !isSource, events: evs}
 			delete(chunks, rb)
 			delete(marks, rb)
-			open[rb] = st
+			open[rb] = &rbState{mask: mask, img: img, imported: !isSource}
 		case recFence:
 			if st := open[rb]; st != nil {
-				store.RemoveEvents(st.events)
+				store.RemoveImage(st.img) // checked at its commit
 				delete(open, rb)
 			}
 		case recRelease:
@@ -186,18 +170,13 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 	return store, open, nil
 }
 
-func beUint64(b []byte) uint64 {
-	var v uint64
-	for _, c := range b[:8] {
-		v = v<<8 | uint64(c)
-	}
-	return v
-}
-
-// captureSlots copies every stored event whose slot is in the mask.
-func captureSlots(store *collector.Store, mask uint64) []fevent.Event {
-	return store.ExportWhere(func(e *fevent.Event) bool {
-		return slotMaskHas(mask, SlotOf(e.SwitchID, e.Flow))
+// captureSlots writes the record image of every stored event whose slot
+// is in the mask.
+func captureSlots(store *collector.Store, mask uint64) []byte {
+	var flow pkt.FlowKey
+	return store.AppendImage(nil, &collector.Filter{}, func(sw uint16, rec *[fevent.RecordLen]byte) bool {
+		flow.SetWire((*[pkt.FlowKeyLen]byte)(rec[fevent.RecordFlowOff:]))
+		return slotMaskHas(mask, SlotOf(sw, flow))
 	})
 }
 
@@ -228,30 +207,22 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 
 	scfg := opts.Server
 	scfg.WAL = w
-	scfg.WALEncode = encodeBatchRecord
 	scfg.TraceShard = opts.ID
 	store.SetTraceShard(opts.ID)
-	srv, err := collector.NewServerConfig(store, opts.IngestAddr, scfg)
-	if err != nil {
+	if n.Server, err = collector.NewServerConfig(store, opts.IngestAddr, scfg); err != nil {
 		w.Close()
 		return nil, err
 	}
-	n.srv = srv
-	qsrv, err := collector.NewQueryServer(store, opts.QueryAddr)
+	if n.qsrv, err = collector.NewQueryServer(store, opts.QueryAddr); err == nil {
+		if n.admin, err = net.Listen("tcp", opts.AdminAddr); err != nil {
+			n.qsrv.Close()
+		}
+	}
 	if err != nil {
-		srv.Close()
+		n.Server.Close()
 		w.Close()
 		return nil, err
 	}
-	n.qsrv = qsrv
-	admin, err := net.Listen("tcp", opts.AdminAddr)
-	if err != nil {
-		qsrv.Close()
-		srv.Close()
-		w.Close()
-		return nil, err
-	}
-	n.admin = admin
 	if opts.Registry != nil {
 		n.registerMetrics(opts.Registry)
 	}
@@ -262,7 +233,7 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 
 func (n *ShardNode) registerMetrics(r *obs.Registry) {
 	shard := obs.L("shard", strconv.Itoa(int(n.ID)))
-	n.srv.RegisterMetrics(r, shard)
+	n.Server.RegisterMetrics(r, shard)
 	n.qsrv.RegisterMetrics(r)
 	n.store.RegisterMetrics(r)
 	r.RegisterCounter(obs.MFabricImportedEvents, &n.importedEvents, shard)
@@ -276,7 +247,7 @@ func (n *ShardNode) registerMetrics(r *obs.Registry) {
 }
 
 // IngestAddr returns the ingest listener's address.
-func (n *ShardNode) IngestAddr() string { return n.srv.Addr() }
+func (n *ShardNode) IngestAddr() string { return n.Addr() }
 
 // QueryAddr returns the query listener's address.
 func (n *ShardNode) QueryAddr() string { return n.qsrv.Addr() }
@@ -296,15 +267,6 @@ func (n *ShardNode) Info() ShardInfo {
 
 // Store exposes the underlying store (tests and in-process queries).
 func (n *ShardNode) Store() *collector.Store { return n.store }
-
-// Healthz reports nil while the shard can honor its durability promise,
-// and the poisoning I/O error after the WAL fail-stops — the hook for
-// obs.Server.SetHealth so /healthz flips to 503 on a dying disk.
-func (n *ShardNode) Healthz() error { return n.srv.Healthz() }
-
-// ScrubWAL runs one scrub pass over the shard's sealed WAL segments and
-// snapshots, quarantining any that fail their CRCs.
-func (n *ShardNode) ScrubWAL() (wal.ScrubReport, error) { return n.srv.ScrubWAL() }
 
 // Epoch returns the last applied config epoch.
 func (n *ShardNode) Epoch() uint64 {
@@ -333,12 +295,8 @@ func (n *ShardNode) Checkpoint() error {
 	if len(n.openRB) > 0 {
 		return fmt.Errorf("fabric: %d transfers open, checkpoint deferred", len(n.openRB))
 	}
-	return n.srv.Checkpoint()
+	return n.Server.Checkpoint()
 }
-
-// Drain quiesces ingestion for shutdown (collector.Server.Drain): after
-// it returns, a Checkpoint captures every acked event.
-func (n *ShardNode) Drain(grace time.Duration) { n.srv.Drain(grace) }
 
 // Close stops every listener. The WAL is closed last so in-flight
 // ingestion fails cleanly first.
@@ -348,7 +306,7 @@ func (n *ShardNode) Close() error {
 	n.mu.Unlock()
 	n.admin.Close()
 	n.qsrv.Close()
-	err := n.srv.Close()
+	err := n.Server.Close()
 	n.wg.Wait()
 	n.wal.Close()
 	return err
@@ -425,11 +383,11 @@ type ExemplarRef struct {
 func (n *ShardNode) healthLocked() *ShardHealth {
 	ws := n.wal.Stats()
 	durability := "ok"
-	if err := n.srv.DurabilityErr(); err != nil {
+	if err := n.DurabilityErr(); err != nil {
 		durability = err.Error()
 	}
 	h := &ShardHealth{
-		Admission:     n.srv.AdmitState(),
+		Admission:     n.AdmitState(),
 		Durability:    durability,
 		WALPending:    ws.PendingDurable,
 		WALSizeBytes:  ws.SizeBytes,
@@ -443,19 +401,15 @@ func (n *ShardNode) healthLocked() *ShardHealth {
 	}
 	// The snapshots hold one slot per bucket with zero TraceID meaning
 	// "no traced observation landed here" — only real exemplars travel.
-	for _, ex := range n.srv.TraceExemplars() {
-		if ex.TraceID == 0 {
-			continue
+	for _, hist := range []struct {
+		metric string
+		exs    []obs.Exemplar
+	}{{obs.MIngestLag, n.TraceExemplars()}, {obs.MDetectToStore, n.store.TraceExemplars()}} {
+		for _, ex := range hist.exs {
+			if ex.TraceID != 0 {
+				h.Exemplars = append(h.Exemplars, ExemplarRef{Metric: hist.metric, ValueUs: ex.Value, Trace: trace.FormatID(ex.TraceID)})
+			}
 		}
-		h.Exemplars = append(h.Exemplars, ExemplarRef{
-			Metric: obs.MIngestLag, ValueUs: ex.Value, Trace: trace.FormatID(ex.TraceID)})
-	}
-	for _, ex := range n.store.TraceExemplars() {
-		if ex.TraceID == 0 {
-			continue
-		}
-		h.Exemplars = append(h.Exemplars, ExemplarRef{
-			Metric: obs.MDetectToStore, ValueUs: ex.Value, Trace: trace.FormatID(ex.TraceID)})
 	}
 	return h
 }
@@ -502,12 +456,9 @@ func (n *ShardNode) serveAdmin(conn net.Conn) {
 func (n *ShardNode) handleAdmin(req *adminReq) adminResp {
 	switch req.Op {
 	case "ping", "status":
+		rbs := n.OpenTransfers()
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		rbs := make([]uint64, 0, len(n.openRB))
-		for rb := range n.openRB {
-			rbs = append(rbs, rb)
-		}
 		return adminResp{OK: true, Shard: n.ID, Epoch: n.cfg.Epoch, RBs: rbs, Health: n.healthLocked()}
 	case "apply":
 		return n.handleApply(req)
@@ -533,12 +484,11 @@ func (n *ShardNode) handleApply(req *adminReq) adminResp {
 	if req.Config.Epoch < n.cfg.Epoch {
 		return adminResp{Err: fmt.Sprintf("apply: epoch %d behind applied %d", req.Config.Epoch, n.cfg.Epoch)}
 	}
-	n.cfg = *req.Config
-	// Persist atomically so a restarted shard still knows its epoch.
-	tmp := configPath(n.dir) + ".tmp"
-	if err := os.WriteFile(tmp, n.cfg.Encode(), 0o644); err == nil {
-		os.Rename(tmp, configPath(n.dir))
+	// Persist before acking so a restarted shard still knows its epoch.
+	if err := writeFileDurably(configPath(n.dir), req.Config.Encode()); err != nil {
+		return adminResp{Err: fmt.Sprintf("apply: persisting epoch %d: %v", req.Config.Epoch, err)}
 	}
+	n.cfg = *req.Config
 	return adminResp{OK: true, Epoch: n.cfg.Epoch}
 }
 
@@ -555,8 +505,8 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 	st := n.openRB[req.RB]
 	if st == nil {
 		start := trace.Now()
-		var capture []fevent.Event
-		err := n.srv.WithIngestBarrier(func() error {
+		var capture []byte
+		err := n.WithIngestBarrier(func() error {
 			if _, err := n.wal.Append(encodeMark(req.RB, req.Mask), false); err != nil {
 				return err
 			}
@@ -564,7 +514,7 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 			return nil
 		})
 		if err == nil {
-			err = n.appendChunked(req.RB, chunkEvents, fevent.AppendBatches(nil, capture))
+			err = n.appendChunked(req.RB, chunkEvents, capture)
 		}
 		if err == nil {
 			err = n.wal.AppendDurable(encodeRB(recCommit, req.RB), false)
@@ -572,16 +522,16 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 		if err != nil {
 			return adminResp{Err: fmt.Sprintf("mark: %v", err)}
 		}
-		st = &rbState{mask: req.Mask, events: capture}
+		st = &rbState{mask: req.Mask, img: capture}
 		n.openRB[req.RB] = st
-		n.recordHandoffSpan(req.RB, start, len(capture), handoffSource)
+		events, _ := fevent.CheckImage(capture)
+		n.recordHandoffSpan(req.RB, start, events, handoffSource)
 	}
-	evBlob := fevent.AppendBatches(nil, st.events)
 	seenBlob := encodeSeenSet(n.store.ExportSeen())
-	n.rebalanceBytes.Add(uint64(len(evBlob)))
+	n.rebalanceBytes.Add(uint64(len(st.img)))
 	return adminResp{
 		OK:     true,
-		Events: base64.StdEncoding.EncodeToString(evBlob),
+		Events: base64.StdEncoding.EncodeToString(st.img),
 		Seen:   base64.StdEncoding.EncodeToString(seenBlob),
 	}
 }
@@ -612,7 +562,7 @@ func (n *ShardNode) appendChunked(rb uint64, kind byte, blob []byte) error {
 // record, so a crash mid-append leaves nothing applied at replay and the
 // coordinator's retry re-ships from scratch.
 func (n *ShardNode) handleImport(req *adminReq) adminResp {
-	evBlob, err := base64.StdEncoding.DecodeString(req.Events)
+	img, err := base64.StdEncoding.DecodeString(req.Events)
 	if err != nil {
 		return adminResp{Err: fmt.Sprintf("import: bad events: %v", err)}
 	}
@@ -620,7 +570,7 @@ func (n *ShardNode) handleImport(req *adminReq) adminResp {
 	if err != nil {
 		return adminResp{Err: fmt.Sprintf("import: bad seen: %v", err)}
 	}
-	evs, err := fevent.DecodeBatches(nil, evBlob)
+	events, err := fevent.CheckImage(img)
 	if err != nil {
 		return adminResp{Err: fmt.Sprintf("import: bad events: %v", err)}
 	}
@@ -637,8 +587,8 @@ func (n *ShardNode) handleImport(req *adminReq) adminResp {
 	if err := n.appendChunked(req.RB, chunkSeen, seenBlob); err != nil {
 		return adminResp{Err: fmt.Sprintf("import: %v", err)}
 	}
-	if len(evBlob) > 0 {
-		if err := n.appendChunked(req.RB, chunkEvents, evBlob); err != nil {
+	if len(img) > 0 {
+		if err := n.appendChunked(req.RB, chunkEvents, img); err != nil {
 			return adminResp{Err: fmt.Sprintf("import: %v", err)}
 		}
 	}
@@ -648,12 +598,12 @@ func (n *ShardNode) handleImport(req *adminReq) adminResp {
 	if n.stageDelay > 0 {
 		time.Sleep(n.stageDelay) // test hook: widen the kill window
 	}
-	n.store.AddEvents(evs)
+	n.store.ImportImage(img) // checked above
 	n.store.MergeSeen(seen)
-	n.openRB[req.RB] = &rbState{events: evs, imported: true}
-	n.importedEvents.Add(uint64(len(evs)))
-	n.rebalanceBytes.Add(uint64(len(evBlob)))
-	n.recordHandoffSpan(req.RB, start, len(evs), handoffImport)
+	n.openRB[req.RB] = &rbState{img: img, imported: true}
+	n.importedEvents.Add(uint64(events))
+	n.rebalanceBytes.Add(uint64(len(img)))
+	n.recordHandoffSpan(req.RB, start, events, handoffImport)
 	return adminResp{OK: true}
 }
 
@@ -663,8 +613,8 @@ const (
 	handoffImport = 1 // import: durable apply on the new owner
 )
 
-// recordHandoffSpan records a rebalance-handoff span. Handoffs move event
-// multisets, not batches, so no context rides the wire; instead both
+// recordHandoffSpan records a rebalance-handoff span. Handoffs move
+// record images, not sequenced batches, so no context rides the wire; instead both
 // sides derive the same trace ID from the transfer number, and a trace
 // query for it shows the capture and the import as siblings.
 func (n *ShardNode) recordHandoffSpan(rb uint64, start int64, events, role int) {
@@ -695,8 +645,8 @@ func (n *ShardNode) handleFence(req *adminReq) adminResp {
 	if err := n.wal.AppendDurable(encodeRB(recFence, req.RB), false); err != nil {
 		return adminResp{Err: fmt.Sprintf("fence: %v", err)}
 	}
-	n.store.RemoveEvents(st.events)
-	n.fencedEvents.Add(uint64(len(st.events)))
+	removed, _ := n.store.RemoveImage(st.img) // checked when it was captured or imported
+	n.fencedEvents.Add(uint64(removed))
 	delete(n.openRB, req.RB)
 	return adminResp{OK: true}
 }

@@ -325,7 +325,7 @@ func recordImageEvents(sw uint16, ts sim.Time) []fevent.Event {
 }
 
 // TestStoredEventIsItsRecordImage: whichever way an event comes in —
-// Deliver, DeliverPayload, AddEvents, what RemoveEvents leaves, and each
+// Deliver, DeliverPayload, ImportImage, what RemoveImage leaves, and each
 // of those reloaded from a snapshot — Query returns it with the switch
 // and stamp it came with and an AppendRecord byte-equal to the 24 B
 // record delivered, and a query by flow tells apart keys that differ
@@ -340,10 +340,10 @@ func TestStoredEventIsItsRecordImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	byPayload.DeliverPayload(&view)
-	byAdd.AddEvents(evs)
+	importEvents(t, byAdd, evs)
 	later := recordImageEvents(5, 90)
-	byRemove.AddEvents(evs)
-	byRemove.AddEvents(later)
+	importEvents(t, byRemove, evs)
+	importEvents(t, byRemove, later)
 	var gone, kept []fevent.Event
 	for i := range evs {
 		if i%2 == 1 {
@@ -352,8 +352,8 @@ func TestStoredEventIsItsRecordImage(t *testing.T) {
 			kept = append(kept, evs[i])
 		}
 	}
-	if n := byRemove.RemoveEvents(gone); n != len(gone) {
-		t.Fatalf("RemoveEvents removed %d of %d", n, len(gone))
+	if n := removeEvents(t, byRemove, gone); n != len(gone) {
+		t.Fatalf("RemoveImage removed %d of %d", n, len(gone))
 	}
 	kept = append(kept, later...)
 
@@ -387,8 +387,8 @@ func TestStoredEventIsItsRecordImage(t *testing.T) {
 	}{
 		{"Deliver", byDeliver, evs},
 		{"DeliverPayload", byPayload, evs},
-		{"AddEvents", byAdd, evs},
-		{"RemoveEvents", byRemove, kept},
+		{"ImportImage", byAdd, evs},
+		{"RemoveImage", byRemove, kept},
 	} {
 		check(tc.name, tc.st, tc.want)
 		reloaded := NewStore()

@@ -17,8 +17,7 @@ import (
 // client-lifetime sequence number and a CRC so the receiver can detect
 // corruption and deduplicate replays; the server answers with cumulative
 // acknowledgements. Both are records of the WAL's codec (wal/record.go),
-// so a data frame is byte for byte the record a standalone durable server
-// logs:
+// so a data frame is byte for byte the record a durable server logs:
 //
 //	data frame (client→server): [4 B length][4 B CRC-32][8 B seq][17 B trace ctx][body]
 //	ack        (server→client): [4 B length = 8][4 B CRC-32][8 B cumulative seq]
@@ -38,6 +37,16 @@ const (
 	payloadHdrLen = frameSeqLen + trace.CtxWireLen
 )
 
+// RecordSeq is the one sequence no frame carries. A log record whose
+// payload opens with it is not a frame but a fabric shard's bookkeeping
+// record, [8 B 0xFF…FF][1 B tag][body] (DESIGN §11): ViewPayload refuses
+// it and AppendFrame will not write it, so the two never mix. Client
+// sequences start below 2⁶² and count up, so no client reaches it.
+const RecordSeq = ^uint64(0)
+
+// ErrRecordSeq reports a frame carrying RecordSeq.
+var ErrRecordSeq = errors.New("collector: sequence 2⁶⁴−1 is reserved for fabric records")
+
 // MaxFrame bounds a frame's length word: the payload of the largest valid
 // batch. A longer frame is rejected before any of it is read or allocated.
 const MaxFrame = payloadHdrLen + fevent.BatchHeaderLen + fevent.MaxBatchRecords*fevent.RecordLen
@@ -51,6 +60,9 @@ var ErrFrameTooShort = errors.New("collector: frame shorter than its sequence an
 // the extended slice. With room for the frame in dst's spare capacity it
 // does not allocate — the client encodes straight into its write buffer.
 func AppendFrame(dst []byte, b *fevent.Batch) ([]byte, error) {
+	if b.Seq == RecordSeq {
+		return dst, ErrRecordSeq
+	}
 	var pre [wal.RecordHdrLen + payloadHdrLen]byte
 	binary.BigEndian.PutUint64(pre[wal.RecordHdrLen:], b.Seq)
 	if b.Trace.Valid() { // a context without a trace ID goes out all zero
@@ -126,13 +138,16 @@ func readFramePayload(r io.Reader, scratch []byte) (Payload, []byte, error) {
 	return p, payload, nil
 }
 
-// ViewPayload validates a frame payload — 8 B delivery sequence, 17 B
-// trace context, then one encoded batch and nothing after it — and
-// returns its view, clearing in place the detail bytes a record's type
-// does not define. A context without a trace ID must be all zero. It is
-// the collector's only payload validator: the live wire path, WAL
-// recovery (standalone and fabric) and DecodePayload all go through it.
+// ViewPayload validates a frame payload — 8 B delivery sequence other
+// than RecordSeq, 17 B trace context, then one encoded batch and nothing
+// after it — and returns its view, clearing in place the detail bytes a
+// record's type does not define. A context without a trace ID must be
+// all zero. It is the collector's only payload validator: the live wire
+// path, WAL recovery and DecodePayload all go through it.
 func ViewPayload(payload []byte) (Payload, error) {
+	if len(payload) >= frameSeqLen && binary.BigEndian.Uint64(payload) == RecordSeq {
+		return Payload{}, ErrRecordSeq
+	}
 	if len(payload) < payloadHdrLen {
 		return Payload{}, ErrFrameTooShort
 	}

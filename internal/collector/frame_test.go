@@ -318,3 +318,58 @@ func TestReadFrameRejectsEmptyReader(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
+
+// TestRecordSeqIsNoFrame: sequence 2⁶⁴−1 is reserved for fabric records.
+// AppendFrame will not write it, the frame reader refuses it, and
+// recovery hands a logged payload that carries it to the fabric's
+// handler, in log order between the frames around it — a standalone
+// log refuses it.
+func TestRecordSeqIsNoFrame(t *testing.T) {
+	if out, err := AppendFrame([]byte{1}, seqBatch(3, RecordSeq)); !errors.Is(err, ErrRecordSeq) || len(out) != 1 {
+		t.Fatalf("AppendFrame of the reserved sequence: %d B, %v", len(out), err)
+	}
+	reserved := validFrame(t, 5)
+	binary.BigEndian.PutUint64(reserved[wal.RecordHdrLen:], RecordSeq)
+	reserved = rewriteFrame(reserved)
+	var b fevent.Batch
+	if err := ReadFrame(bytes.NewReader(reserved), &b); !errors.Is(err, ErrRecordSeq) {
+		t.Fatalf("ReadFrame of a frame carrying the reserved sequence: %v", err)
+	}
+
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := append(binary.BigEndian.AppendUint64(nil, RecordSeq), 'X', 1, 2)
+	for _, p := range [][]byte{validFrame(t, 1), record, validFrame(t, 2)} {
+		if p[0] != record[0] {
+			p = p[wal.RecordHdrLen:]
+		}
+		if _, err := w.Append(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, _, err := RecoverStore(w); !errors.Is(err, ErrRecordSeq) {
+		t.Fatalf("RecoverStore of a log holding a fabric record: %v", err)
+	}
+	var seen []int
+	st, _, err := RecoverStoreWith(w, func(s *Store, p []byte) error {
+		if !bytes.Equal(p, record) {
+			t.Errorf("the handler got %x, the log holds %x", p, record)
+		}
+		seen = append(seen, s.Len())
+		return nil
+	})
+	if err != nil || st.Len() != 2 || len(seen) != 1 || seen[0] != 1 {
+		t.Fatalf("RecoverStoreWith: %v, %d events, handler saw stores of %v events", err, st.Len(), seen)
+	}
+	if _, _, err := RecoverStoreWith(w, func(*Store, []byte) error { return io.ErrUnexpectedEOF }); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a handler's error: %v", err)
+	}
+}

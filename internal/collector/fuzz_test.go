@@ -98,6 +98,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(rewriteFrame(wholeTraced[:ctxOff+9]))
 	f.Add(frame(13, trace.Context{TraceID: 21}, ev, drop))
 
+	// The reserved sequence: a frame carrying 2⁶⁴−1, and a fabric shard's
+	// mark record (transfer 1, mask 0xf0) sealed as the log seals it.
+	// Neither is a frame.
+	f.Add(resealed(whole, func(b []byte) { binary.BigEndian.PutUint64(b[wal.RecordHdrLen:], RecordSeq) }))
+	mark := append(binary.BigEndian.AppendUint64(nil, RecordSeq), 'M')
+	mark = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(mark, 1), 0xf0)
+	f.Add(wal.AppendRecord(nil, mark))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b fevent.Batch
 		err := ReadFrame(bytes.NewReader(data), &b)
@@ -117,6 +125,9 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if b.Seq == RecordSeq {
+			t.Fatal("accepted a frame carrying the sequence reserved for fabric records")
 		}
 		if !bytes.Equal(rec, payload) {
 			t.Fatalf("the frame reader logs %x, the record codec reads %x", payload, rec)
@@ -173,7 +184,7 @@ func FuzzReadFrame(f *testing.F) {
 // fresh store with the same length, export digest and Summary. The seeds
 // are images of an empty store, of one run, of a run a block end splits,
 // of in-process per-event stamps (runs of one), of a store after
-// RemoveEvents, and of a flow section spanning several probe groups.
+// RemoveImage, and of a flow section spanning several probe groups.
 func FuzzLoadSnapshot(f *testing.F) {
 	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
@@ -193,16 +204,16 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(NewStore().EncodeSnapshot())
 	f.Add(oneRun().EncodeSnapshot())
 	split := NewStore()
-	split.AddEvents(events(blockLen+30, 2, 70, 0))
+	importEvents(f, split, events(blockLen+30, 2, 70, 0))
 	f.Add(split.EncodeSnapshot())
 	ones := NewStore()
-	ones.AddEvents(events(20, 4, 90, 1))
+	importEvents(f, ones, events(20, 4, 90, 1))
 	f.Add(ones.EncodeSnapshot())
 	removed := NewStore()
 	for seq := uint64(1); seq <= 4; seq++ {
 		removed.Deliver(&fevent.Batch{SwitchID: uint16(seq), Timestamp: sim.Time(seq), Seq: seq, Events: events(15, uint16(seq), sim.Time(seq), 0)})
 	}
-	removed.RemoveEvents(removed.Query(Filter{Type: fevent.TypeCongestion}))
+	removeEvents(f, removed, removed.Query(Filter{Type: fevent.TypeCongestion}))
 	f.Add(removed.EncodeSnapshot())
 	manyFlows := NewStore()
 	wide := events(6*probeGroup, 5, 110, 0)
@@ -218,10 +229,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		summary string
 	}
 	stateOf := func(st *Store) state {
-		h, buf := fnv.New64a(), []byte(nil)
+		h := fnv.New64a()
 		st.ExportWhere(func(e *fevent.Event) bool {
-			buf = fevent.AppendBatches(buf[:0], []fevent.Event{*e})
-			h.Write(buf)
+			h.Write(batchImage([]fevent.Event{*e}))
 			return false
 		})
 		return state{st.Len(), h.Sum64(), fmt.Sprint(st.Summary())}

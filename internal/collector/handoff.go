@@ -4,15 +4,16 @@ import (
 	"encoding/binary"
 
 	"netseer/internal/fevent"
+	"netseer/internal/sim"
 )
 
 // Handoff surface: the hooks the sharded fabric uses to move key ranges
-// between stores. A rebalance exports the moving events and the dedup
-// seen-set from the source, imports both at the destination, and finally
-// removes exactly the exported multiset from the source (the epoch
-// fence). Events travel as fevent batch images; inside the store they
-// come and go through the same append path and visitor as everything
-// else.
+// between stores. A rebalance writes the moving events' record image and
+// the dedup seen-set at the source, imports both at the destination, and
+// finally removes exactly the image's multiset from the source (the
+// epoch fence). The image is batches of the 24 B records the store holds
+// (§3.4), one a run of switch and stamp: no event is decoded on the way
+// out, across the wire, into the log or back in.
 
 // BatchID names one sequenced batch in the (switch, seq) dedup set.
 type BatchID struct {
@@ -27,17 +28,8 @@ type BatchID struct {
 // that merely looks similar.
 type eventIdentity [10 + fevent.RecordLen]byte
 
-func identityOf(e *fevent.Event) eventIdentity {
-	var k eventIdentity
-	binary.BigEndian.PutUint16(k[0:2], e.SwitchID)
-	binary.BigEndian.PutUint64(k[2:10], uint64(e.Timestamp))
-	e.AppendRecord(k[10:10])
-	return k
-}
-
 // ExportWhere returns copies of every stored event satisfying pred, in
-// ingestion order. The fabric passes a slot-ownership predicate to
-// capture a moving key range.
+// ingestion order, for in-process readers such as a digest of the store.
 func (s *Store) ExportWhere(pred func(*fevent.Event) bool) []fevent.Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -72,16 +64,54 @@ func (s *Store) MergeSeen(ids []BatchID) {
 	s.seen.merge(ids)
 }
 
-// AddEvents stores events directly, outside any batch (no dedup entry) —
-// the import half of a handoff, whose exactly-once accounting is the
-// source's fence rather than a (switch, seq) key.
-func (s *Store) AddEvents(evs []fevent.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendEvents(evs)
+// AppendImage appends to dst the record image of every stored event f
+// selects and keep (nil keeps all) accepts, in ingestion order: one batch
+// a maximal run of consecutive events that share a switch and a stamp,
+// split at fevent.MaxBatchRecords. keep sees the event's switch and its
+// 24 B record. This is what a handoff captures and the query protocol's
+// export verb serves.
+func (s *Store) AppendImage(dst []byte, f *Filter, keep func(sw uint16, rec *[fevent.RecordLen]byte) bool) []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	hdr, n := 0, 0 // the open batch's header offset in dst, and its records
+	var rec [fevent.RecordLen]byte
+	s.visit(f, func(b *block, r *run, i int, _ uint32) {
+		if b.record(&s.flows, i, &rec); keep != nil && !keep(r.sw, &rec) {
+			return
+		}
+		if n == 0 || n == fevent.MaxBatchRecords ||
+			binary.BigEndian.Uint16(dst[hdr:]) != r.sw || int64(binary.BigEndian.Uint64(dst[hdr+2:])) != r.ts {
+			hdr, n = len(dst), 0
+			dst = fevent.AppendBatchHeader(dst, r.sw, sim.Time(r.ts), 0)
+		}
+		n++
+		binary.BigEndian.PutUint16(dst[hdr+fevent.BatchHeaderLen-2:], uint16(n))
+		dst = append(dst, rec[:]...)
+	})
+	return dst
 }
 
-// RemoveEvents removes one stored copy per element of the multiset evs
+// ImportImage stores the events of a record image (AppendImage), outside
+// any batch (no dedup entry) — the import half of a handoff, whose
+// exactly-once accounting is the source's fence rather than a
+// (switch, seq) key. The whole image is checked first: a bad one stores
+// nothing. It returns how many events it stored.
+func (s *Store) ImportImage(img []byte) (int, error) {
+	n, err := fevent.CheckImage(img)
+	if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(img) > 0 {
+		sw, ts, recs, rest, _ := fevent.SplitBatch(img)
+		s.appendRun(sw, int64(ts), recs)
+		img = rest
+	}
+	return n, nil
+}
+
+// RemoveImage removes one stored copy per event of the record image img
 // (full-record identity, timestamp included) by re-appending the
 // survivors to an emptied store from the old columns and dictionary, a
 // stored run at a time: its switch and stamp are keyed once, its records
@@ -90,13 +120,21 @@ func (s *Store) AddEvents(evs []fevent.Event) {
 // Events with no stored match are ignored; it returns how many copies
 // were actually removed. This is the epoch fence: after a handoff
 // publishes, the source drops exactly what it captured and shipped.
-func (s *Store) RemoveEvents(evs []fevent.Event) int {
-	if len(evs) == 0 {
-		return 0
+func (s *Store) RemoveImage(img []byte) (int, error) {
+	if _, err := fevent.CheckImage(img); err != nil || len(img) == 0 {
+		return 0, err
 	}
-	want := make(map[eventIdentity]int, len(evs))
-	for i := range evs {
-		want[identityOf(&evs[i])]++
+	want := make(map[eventIdentity]int)
+	var k eventIdentity
+	for len(img) > 0 {
+		sw, ts, recs, rest, _ := fevent.SplitBatch(img)
+		binary.BigEndian.PutUint16(k[0:2], sw)
+		binary.BigEndian.PutUint64(k[2:10], uint64(ts))
+		for ; len(recs) > 0; recs = recs[fevent.RecordLen:] {
+			copy(k[10:], recs)
+			want[k]++
+		}
+		img = rest
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,7 +144,6 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 	for _, b := range old {
 		for r := range b.runs {
 			ru := &b.runs[r]
-			var k eventIdentity
 			binary.BigEndian.PutUint16(k[0:2], ru.sw)
 			binary.BigEndian.PutUint64(k[2:10], uint64(ru.ts))
 			recs := buf[:0] // survivors waiting to be re-appended
@@ -124,5 +161,5 @@ func (s *Store) RemoveEvents(evs []fevent.Event) int {
 			s.appendRun(ru.sw, ru.ts, recs)
 		}
 	}
-	return before - s.n
+	return before - s.n, nil
 }

@@ -203,8 +203,7 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 		fmt.Fprint(w, ".\n")
 	case "export":
 		// Machine-readable variant of "query": one base64 line per
-		// encoded batch, a batch per run of events sharing a switch and a
-		// stamp (fevent.AppendBatches). fetquery's fan-out merge consumes
+		// encoded batch of the store's record image (Store.AppendImage). fetquery's fan-out merge consumes
 		// this — text rendering loses the fields the cross-shard dedup
 		// identity needs.
 		f, err := ParseFilter(fields[1:])
@@ -212,9 +211,9 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 			q.errf(w, "%v", err)
 			return
 		}
-		img := fevent.AppendBatches(nil, q.store.Query(f))
+		img := q.store.AppendImage(nil, &f, nil)
 		for len(img) > 0 {
-			_, _, _, rest, _ := fevent.SplitBatch(img) // AppendBatches wrote whole batches
+			_, _, _, rest, _ := fevent.SplitBatch(img) // AppendImage wrote whole batches
 			w.Write(append(base64.StdEncoding.AppendEncode(w.AvailableBuffer(), img[:len(img)-len(rest)]), '\n'))
 			img = rest
 		}

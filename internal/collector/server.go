@@ -47,12 +47,6 @@ type ServerConfig struct {
 	// written — one per read burst (default 2ms).
 	AckSlowdown time.Duration
 
-	// WALEncode, when non-nil, transforms each frame payload before it is
-	// appended to the WAL. The sharded fabric uses it to prepend a record
-	// envelope so handoff marks and batch frames share one log; replay
-	// must then decode the same envelope (see fabric's recoverShard).
-	WALEncode func(payload []byte) []byte
-
 	// TraceShard labels this server's ingest and WAL-fsync spans with the
 	// owning fabric shard ID (0 for standalone collectors).
 	TraceShard uint32
@@ -529,11 +523,7 @@ func (s *Server) serve(conn net.Conn) {
 				serial = s.wal.LastSerial()
 			}
 		case s.wal != nil:
-			rec := payload
-			if s.cfg.WALEncode != nil {
-				rec = s.cfg.WALEncode(payload)
-			}
-			serial, werr = s.wal.Append(rec, state == admitShed)
+			serial, werr = s.wal.Append(payload, state == admitShed)
 			if werr == nil {
 				if state == admitShed {
 					s.admit.shedBatches.Inc()

@@ -381,14 +381,17 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 	return s.seen.has(sw, seq)
 }
 
-// Resident cost of what the store holds, for admission control. A block
-// is charged whole, when it is allocated, rounded up to the allocator's
-// 8 KiB pages; a run table and the flow dictionary for every entry and
-// index cell they have allocated; a summary row twice its 16 B, the
-// capacity of a slice that has just doubled; and the dedup set for the
-// capacity of its slices. So the estimate errs high and admission control
+// Resident cost of what the store holds, for admission control. The
+// store struct and its detect→store histogram are charged from the start,
+// the block list 8 B for each block it has room for; a block is charged
+// whole, when it is allocated, rounded up to the allocator's 8 KiB pages;
+// a run table and the flow dictionary for every entry and index cell
+// they have allocated; a summary row twice its 16 B, the capacity of a
+// slice that has just doubled; and the dedup set for the capacity of its
+// slices. So the estimate errs high and admission control
 // engages early, not late (TestMemoryBytesCoversTheHeap).
 const (
+	storeMemCost  = int64(unsafe.Sizeof(Store{}))
 	blockMemCost  = (int64(unsafe.Sizeof(block{})) + 8191) &^ 8191
 	runMemCost    = int64(unsafe.Sizeof(run{}))
 	sumRowMemCost = 2 * 16
@@ -399,7 +402,8 @@ const (
 func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.blocks))*blockMemCost + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
+	return storeMemCost + s.detectToStore.MemoryBytes() + int64(cap(s.blocks))*8 +
+		int64(len(s.blocks))*blockMemCost + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
 		flowTableBytes(len(s.flows.index)) + s.seen.mem
 }
 

@@ -196,15 +196,58 @@ func (p *pair) deliverPayload(sw uint16, seq uint64, ts sim.Time, evs []fevent.E
 	return before/blockLen != (p.st.Len()-1)/blockLen && p.st.Len() > before
 }
 
+// batchImage is the reference encoder of a record image: one batch per
+// maximal run of consecutive events that share a switch and a stamp,
+// split at fevent.MaxBatchRecords — what Store.AppendImage must write for
+// the events it selects, and what a handoff ships.
+func batchImage(evs []fevent.Event) []byte {
+	var img []byte
+	for len(evs) > 0 {
+		n := 1
+		for n < len(evs) && n < fevent.MaxBatchRecords &&
+			evs[n].SwitchID == evs[0].SwitchID && evs[n].Timestamp == evs[0].Timestamp {
+			n++
+		}
+		b := fevent.Batch{SwitchID: evs[0].SwitchID, Timestamp: evs[0].Timestamp, Events: evs[:n]}
+		img, _ = b.AppendTo(img) // n <= MaxBatchRecords: no error
+		evs = evs[n:]
+	}
+	return img
+}
+
+// importEvents stores evs through their record image.
+func importEvents(t testing.TB, st *Store, evs []fevent.Event) {
+	t.Helper()
+	if n, err := st.ImportImage(batchImage(evs)); n != len(evs) || err != nil {
+		t.Fatalf("ImportImage of %d events: %d, %v", len(evs), n, err)
+	}
+}
+
+// removeEvents fences the multiset evs through its record image and
+// returns how many copies went.
+func removeEvents(t testing.TB, st *Store, evs []fevent.Event) int {
+	t.Helper()
+	n, err := st.RemoveImage(batchImage(evs))
+	if err != nil {
+		t.Fatalf("RemoveImage of %d events: %v", len(evs), err)
+	}
+	return n
+}
+
+// add imports evs as a handoff destination does: a record image, stored
+// outside any batch.
 func (p *pair) add(evs []fevent.Event) {
-	p.st.AddEvents(evs)
+	p.t.Helper()
+	importEvents(p.t, p.st, evs)
 	p.m.events = append(p.m.events, evs...)
 }
 
+// remove fences the multiset evs as a handoff source does: by the image
+// of its records.
 func (p *pair) remove(evs []fevent.Event) {
 	p.t.Helper()
-	if got, want := p.st.RemoveEvents(evs), p.m.RemoveEvents(evs); got != want {
-		p.t.Fatalf("RemoveEvents(%d events) removed %d, model %d", len(evs), got, want)
+	if got, want := removeEvents(p.t, p.st, evs), p.m.RemoveEvents(evs); got != want {
+		p.t.Fatalf("RemoveImage(%d events) removed %d, model %d", len(evs), got, want)
 	}
 }
 
@@ -222,36 +265,42 @@ func (p *pair) reload() {
 }
 
 // handoff moves the events of one switch to a second store and back the
-// way the fabric does — ExportWhere, batch images, AddEvents and the
-// dedup set at the destination, RemoveEvents at the source — so they end
-// up at the tail of the log.
+// way the fabric does — the record image AppendImage writes, ImportImage
+// and the dedup set at the destination, RemoveImage of the same image at
+// the source — so they end up at the tail of the log. The image must be
+// byte for byte the reference encoding of what ExportWhere returns, by a
+// predicate and by a filter alike.
 func (p *pair) handoff(sw uint16) {
 	p.t.Helper()
+	img := p.st.AppendImage(nil, &Filter{}, func(s uint16, _ *[fevent.RecordLen]byte) bool { return s == sw })
 	moving := p.st.ExportWhere(func(e *fevent.Event) bool { return e.SwitchID == sw })
-	img := fevent.AppendBatches(nil, moving)
-	if len(img) > 0 {
-		if _, err := fevent.DecodeBatches(nil, img[:len(img)-1]); err == nil {
-			p.t.Fatal("DecodeBatches accepted a truncated image")
-		}
+	if want := batchImage(moving); !bytes.Equal(img, want) {
+		p.t.Fatalf("AppendImage of switch %d writes %d B, the reference image of its %d events %d B", sw, len(img), len(moving), len(want))
 	}
-	evs, err := fevent.DecodeBatches(nil, img)
-	if err != nil || len(evs) != len(moving) {
-		p.t.Fatalf("image round trip of %d events: %d, %v", len(moving), len(evs), err)
-	}
-	for i := range evs {
-		if evs[i] != moving[i] {
-			p.t.Fatalf("image round trip of %v: %v", &moving[i], &evs[i])
-		}
+	if byFilter := p.st.AppendImage(nil, &Filter{SwitchID: &sw}, nil); !bytes.Equal(byFilter, img) {
+		p.t.Fatalf("AppendImage by filter writes %d B, by predicate %d B", len(byFilter), len(img))
 	}
 	dst := NewStore()
-	dst.AddEvents(evs)
+	if len(img) > 0 {
+		if _, err := dst.ImportImage(img[:len(img)-1]); err == nil || dst.Len() != 0 {
+			p.t.Fatalf("ImportImage of a truncated image: %v, %d events stored", err, dst.Len())
+		}
+	}
+	if n, err := dst.ImportImage(img); err != nil || n != len(moving) {
+		p.t.Fatalf("ImportImage of %d events: %d, %v", len(moving), n, err)
+	}
+	if got := dst.Query(Filter{}); !slices.Equal(got, moving) {
+		p.t.Fatalf("image round trip of %d events: %d, first diff at %d", len(moving), len(got), firstDiff(got, moving))
+	}
 	dst.MergeSeen(p.st.ExportSeen())
 	for k := range p.m.seen {
 		if !dst.SeenBatch(k.sw, k.seq) {
 			p.t.Fatalf("destination does not dedup batch (%d, %d)", k.sw, k.seq)
 		}
 	}
-	p.remove(moving)
+	if got, err := p.st.RemoveImage(img); err != nil || got != p.m.RemoveEvents(moving) || got != len(moving) {
+		p.t.Fatalf("RemoveImage of the %d moved events: %d, %v", len(moving), got, err)
+	}
 	p.add(dst.Query(Filter{}))
 }
 
@@ -366,6 +415,9 @@ func (p *pair) check(flows, switches int) error {
 		}
 		if got := st.Count(f); got != len(want) {
 			return fmt.Errorf("Count(%+v) = %d, model %d", f, got, len(want))
+		}
+		if got, want := st.AppendImage(nil, &f, nil), batchImage(want); !bytes.Equal(got, want) {
+			return fmt.Errorf("AppendImage(%+v): %d B, the reference image of the model's events %d B", f, len(got), len(want))
 		}
 		return nil
 	}
@@ -502,11 +554,12 @@ func firstDiff(a, b []fevent.Event) int {
 // TestStoreModelRandomPrograms runs seeded random programs of every
 // mutation the store has — Deliver and DeliverPayload (the same batch
 // as decoded events or as a frame payload with its undefined detail
-// bytes set) with fresh, replayed and zero sequence numbers, AddEvents,
-// RemoveEvents of stored and never-stored events, a handoff out and back,
+// bytes set) with fresh, replayed and zero sequence numbers, ImportImage,
+// RemoveImage of stored and never-stored events, a handoff out and back,
 // a snapshot round trip — and after each step compares every read, the
 // filter grid and sixty random filters included (Count = len(Query) =
-// model), and every block summary with its columns.
+// model, AppendImage = the reference image of the model's answer), and
+// every block summary with its columns.
 func TestStoreModelRandomPrograms(t *testing.T) {
 	const flows, switches = 12, 4
 	for seed := int64(1); seed <= 12; seed++ {
@@ -555,7 +608,7 @@ func TestStoreModelRandomPrograms(t *testing.T) {
 // spans three blocks and more links than the visitor's stack buffer;
 // per-event stamps that overlap across blocks, so [min, max] pruning
 // runs where it must not prune; frame payloads whose records straddle a
-// block boundary; and a RemoveEvents that empties a whole
+// block boundary; and a RemoveImage that empties a whole
 // block out of the middle. Each is compared before and after a snapshot
 // round trip.
 func TestStoreModelBlockBoundaries(t *testing.T) {
@@ -600,9 +653,9 @@ func TestStoreModelBlockBoundaries(t *testing.T) {
 		p.reload()
 		p.compare(flows, switches)
 		p.remove(append([]fevent.Event(nil), p.m.events...))
-		if len(p.st.blocks) != 0 || p.st.seen.n != len(p.m.seen) || p.st.MemoryBytes() != seenCharge(&p.st.seen) {
-			t.Fatalf("emptied store keeps %d blocks, %d bytes; its %d dedup keys (model: %d) hold %d",
-				len(p.st.blocks), p.st.MemoryBytes(), p.st.seen.n, len(p.m.seen), seenCharge(&p.st.seen))
+		if empty := NewStore().MemoryBytes(); len(p.st.blocks) != 0 || p.st.seen.n != len(p.m.seen) || p.st.MemoryBytes() != empty+seenCharge(&p.st.seen) {
+			t.Fatalf("emptied store keeps %d blocks, %d bytes; its %d dedup keys (model: %d) hold %d over an empty store's %d",
+				len(p.st.blocks), p.st.MemoryBytes(), p.st.seen.n, len(p.m.seen), seenCharge(&p.st.seen), empty)
 		}
 		p.compare(flows, switches)
 	}
@@ -614,7 +667,7 @@ func TestStoreModelBlockBoundaries(t *testing.T) {
 // name and the visitor skips blocks for real; batch stamps rise without
 // jitter in the first phase (block ranges disjoint: windows cover whole
 // blocks) and with it afterwards (ranges overlap). Compared after
-// Deliver and DeliverPayload, AddEvents, a RemoveEvents that takes one
+// Deliver and DeliverPayload, ImportImage, a RemoveImage that takes one
 // switch out of the middle blocks whole, and a snapshot round trip.
 func TestStoreModelBlockSummaries(t *testing.T) {
 	const flows, switches = 9, 5
@@ -684,7 +737,7 @@ func TestStoreModelBlockSummaries(t *testing.T) {
 
 // TestStoreModelCatchesStaleSummaries seeds the two ways a summary can go
 // stale into a store the differential has just passed — the rows a
-// RemoveEvents should have rebuilt left as they were, the rows a
+// RemoveImage should have rebuilt left as they were, the rows a
 // LoadSnapshot should have built left out — and requires the differential
 // to fail on its reads alone.
 func TestStoreModelCatchesStaleSummaries(t *testing.T) {
@@ -705,9 +758,9 @@ func TestStoreModelCatchesStaleSummaries(t *testing.T) {
 	p.compare(flows, switches)
 	p.st.blocks[0].sum = stale
 	if err := p.check(flows, switches); err == nil {
-		t.Error("RemoveEvents leaving the old summary in place: the differential passed")
+		t.Error("RemoveImage leaving the old summary in place: the differential passed")
 	} else {
-		t.Logf("stale after RemoveEvents: %v", err)
+		t.Logf("stale after RemoveImage: %v", err)
 	}
 
 	p = build(32)

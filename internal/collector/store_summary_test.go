@@ -191,12 +191,13 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 		evs[i] = fevent.Event{Type: fevent.TypePause, Flow: modelFlow(0), SwitchID: uint16(i * 40503), Timestamp: sim.Time(i)}
 	}
 	st := NewStore()
-	st.AddEvents(evs)
+	importEvents(t, st, evs)
 	if got := []int{len(st.blocks[0].sum), len(st.blocks[1].sum)}; !slices.Equal(got, []int{blockLen, 5}) {
 		t.Fatalf("summaries hold %v rows, want [%d 5]", got, blockLen)
 	}
 	summariesFromColumns(t, st)
-	want := 2*blockMemCost + n*sumRowMemCost + int64(st.runCap)*runMemCost + flowTableBytes(flowSlotsFor(1))
+	empty := NewStore().MemoryBytes()
+	want := empty + int64(cap(st.blocks))*8 + 2*blockMemCost + n*sumRowMemCost + int64(st.runCap)*runMemCost + flowTableBytes(flowSlotsFor(1))
 	if got := st.MemoryBytes(); got != want || st.runCap < n {
 		t.Errorf("MemoryBytes = %d, want %d: two blocks, %d summary rows and runs (%d charged), one flow", got, want, n, st.runCap)
 	}
@@ -213,12 +214,12 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 	}
 
 	// Dropping the events drops the rows and their charge.
-	if removed := st.RemoveEvents(evs[5:]); removed != n-5 {
-		t.Fatalf("RemoveEvents removed %d, want %d", removed, n-5)
+	if removed := removeEvents(t, st, evs[5:]); removed != n-5 {
+		t.Fatalf("RemoveImage removed %d, want %d", removed, n-5)
 	}
 	summariesFromColumns(t, st)
-	if got, want := st.MemoryBytes(), blockMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+flowTableBytes(flowSlotsFor(1)); got != want || st.runCap > 8 {
-		t.Errorf("after RemoveEvents MemoryBytes = %d, want %d", got, want)
+	if got, want := st.MemoryBytes(), empty+int64(cap(st.blocks))*8+blockMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+flowTableBytes(flowSlotsFor(1)); got != want || st.runCap > 8 {
+		t.Errorf("after RemoveImage MemoryBytes = %d, want %d", got, want)
 	}
 }
 

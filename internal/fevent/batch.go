@@ -27,10 +27,12 @@ type Batch struct {
 	Events    []Event
 
 	// Seq is the delivery-layer sequence number stamped by the reliable
-	// collector client (1-based, lifetime-monotonic per client; 0 =
-	// unsequenced in-process delivery). It travels in the frame header
-	// of the CPU→collector channel, not in the batch body, so the CEBP
-	// encoding below (AppendTo/DecodeBatch) deliberately ignores it.
+	// collector client: it counts up from a random base below 2⁶² for the
+	// client's lifetime; 0 means unsequenced (in-process delivery), and
+	// 2⁶⁴−1 is reserved for the records a fabric shard logs beside its
+	// frames. It travels in the frame header of the CPU→collector channel,
+	// not in the batch body, so the CEBP encoding below
+	// (AppendTo/DecodeBatch) deliberately ignores it.
 	Seq uint64
 
 	// Trace is the distributed-tracing context assigned at the CEBP
@@ -50,9 +52,7 @@ func (b *Batch) AppendTo(buf []byte) ([]byte, error) {
 	if len(b.Events) > MaxBatchRecords {
 		return nil, fmt.Errorf("fevent: batch of %d records exceeds max %d", len(b.Events), MaxBatchRecords)
 	}
-	buf = binary.BigEndian.AppendUint16(buf, b.SwitchID)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Timestamp))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(b.Events)))
+	buf = AppendBatchHeader(buf, b.SwitchID, b.Timestamp, len(b.Events))
 	for i := range b.Events {
 		buf = b.Events[i].AppendRecord(buf)
 	}
@@ -132,25 +132,31 @@ func DecodeBatch(data []byte, b *Batch) ([]byte, error) {
 	return rest, nil
 }
 
-// AppendBatches appends evs to dst as batch images: one batch per maximal
-// run of consecutive events that share a switch and a stamp, split at
-// MaxBatchRecords. DecodeBatches returns evs from the result.
-func AppendBatches(dst []byte, evs []Event) []byte {
-	for len(evs) > 0 {
-		n := 1
-		for n < len(evs) && n < MaxBatchRecords &&
-			evs[n].SwitchID == evs[0].SwitchID && evs[n].Timestamp == evs[0].Timestamp {
-			n++
+// AppendBatchHeader appends the header of a batch of n records reported
+// by switch sw at ts: the bytes AppendTo writes before the records.
+func AppendBatchHeader(dst []byte, sw uint16, ts sim.Time, n int) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, sw)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(ts))
+	return binary.BigEndian.AppendUint16(dst, uint16(n))
+}
+
+// CheckImage validates img as whole batches and nothing else, SplitBatch
+// by SplitBatch (so undefined detail bytes are cleared in place), and
+// returns how many records it holds.
+func CheckImage(img []byte) (int, error) {
+	n := 0
+	for len(img) > 0 {
+		_, _, recs, rest, err := SplitBatch(img)
+		if err != nil {
+			return 0, err
 		}
-		b := Batch{SwitchID: evs[0].SwitchID, Timestamp: evs[0].Timestamp, Events: evs[:n]}
-		dst, _ = b.AppendTo(dst) // n <= MaxBatchRecords: no error
-		evs = evs[n:]
+		n, img = n+len(recs)/RecordLen, rest
 	}
-	return dst
+	return n, nil
 }
 
 // DecodeBatches appends to evs the events of every batch in img, which
-// must hold whole batches and nothing else.
+// must hold whole batches and nothing else (CheckImage).
 func DecodeBatches(evs []Event, img []byte) ([]Event, error) {
 	var b Batch
 	for len(img) > 0 {

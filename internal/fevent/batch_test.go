@@ -3,7 +3,6 @@ package fevent
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"netseer/internal/sim"
@@ -106,36 +105,26 @@ func TestDetailIsTheRecordDetail(t *testing.T) {
 	}
 }
 
-// TestAppendBatchesSplitsRuns: AppendBatches writes one batch per maximal
-// run of a switch and a stamp, split at MaxBatchRecords, and
-// DecodeBatches reads the events back after what it was given.
-func TestAppendBatchesSplitsRuns(t *testing.T) {
-	mk := func(n int, sw uint16, ts sim.Time) []Event {
-		evs := make([]Event, n)
-		for i := range evs {
-			evs[i] = Event{Type: TypePause, Flow: sampleFlow(), EgressPort: uint8(i), SwitchID: sw, Timestamp: ts}
-		}
-		return evs
-	}
+// TestCheckImageAndDecodeBatches: an image of whole batches checks to its
+// record count and decodes to its events after what DecodeBatches was
+// given; a truncated one is refused by both, and the empty image is
+// empty.
+func TestCheckImageAndDecodeBatches(t *testing.T) {
+	var img []byte
 	var evs []Event
-	for _, r := range []struct {
-		n  int
-		sw uint16
-		ts sim.Time
-	}{{3, 1, 10}, {1, 2, 10}, {1, 1, 10}, {2, 1, 11}, {MaxBatchRecords + 5, 1, 11}} {
-		evs = append(evs, mk(r.n, r.sw, r.ts)...)
-	}
-	img := AppendBatches(nil, evs)
-	var sizes []int
-	for rest := img; len(rest) > 0; {
-		_, _, recs, next, err := SplitBatch(rest)
-		if err != nil {
+	for k, n := range []int{3, 1, MaxBatchRecords} {
+		b := Batch{SwitchID: uint16(1 + k), Timestamp: sim.Time(10 + k)}
+		for i := 0; i < n; i++ {
+			b.Events = append(b.Events, Event{Type: TypePause, Flow: sampleFlow(), EgressPort: uint8(i), SwitchID: b.SwitchID, Timestamp: b.Timestamp})
+		}
+		var err error
+		if img, err = b.AppendTo(img); err != nil {
 			t.Fatal(err)
 		}
-		sizes, rest = append(sizes, len(recs)/RecordLen), next
+		evs = append(evs, b.Events...)
 	}
-	if want := []int{3, 1, 1, MaxBatchRecords, 7}; fmt.Sprint(sizes) != fmt.Sprint(want) {
-		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	if n, err := CheckImage(img); n != len(evs) || err != nil {
+		t.Fatalf("CheckImage: %d records, %v; want %d", n, err, len(evs))
 	}
 	prefix := Event{Type: TypeDrop}
 	got, err := DecodeBatches([]Event{prefix}, img)
@@ -150,7 +139,13 @@ func TestAppendBatchesSplitsRuns(t *testing.T) {
 	if _, err := DecodeBatches(nil, img[:len(img)-1]); err == nil {
 		t.Fatal("a truncated image decoded")
 	}
-	if got, err := DecodeBatches(nil, AppendBatches(nil, nil)); got != nil || err != nil {
+	if _, err := CheckImage(img[:len(img)-1]); err == nil {
+		t.Fatal("a truncated image checked")
+	}
+	if n, err := CheckImage(nil); n != 0 || err != nil {
+		t.Fatalf("the empty image: %d, %v", n, err)
+	}
+	if got, err := DecodeBatches(nil, nil); got != nil || err != nil {
 		t.Fatalf("the empty image: %v, %v", got, err)
 	}
 }

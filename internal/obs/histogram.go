@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Histogram is a lock-free fixed-bucket histogram, the only one in the
@@ -135,6 +136,13 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Snapshot copies the histogram's current state. Concurrent Observes may
 // land between field reads; the snapshot is internally consistent enough
+// MemoryBytes is what h holds: its struct and its bounds, bucket and
+// exemplar arrays.
+func (h *Histogram) MemoryBytes() int64 {
+	return int64(unsafe.Sizeof(*h)) + int64(len(h.bounds)+len(h.buckets))*8 +
+		int64(len(h.ex))*int64(unsafe.Sizeof(exemplarSlot{}))
+}
+
 // for reporting (bucket counts are each read once, monotonic).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
