@@ -40,6 +40,7 @@ fuzz-smoke nightly-fuzz:
 		internal/collector:FuzzSeenSet \
 		internal/collector/wal:FuzzWALRecord \
 		internal/collector/wal:FuzzWALReplay \
+		internal/collector/wal:FuzzRecoverSnapshot \
 		internal/sketch:FuzzSketch \
 		internal/sim:FuzzScheduler \
 		internal/batcher:FuzzBatcherModel \

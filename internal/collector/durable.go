@@ -25,10 +25,8 @@ func RecoverStore(w *wal.WAL) (*Store, wal.ReplayStats, error) {
 // store being rebuilt, and fn's error ends the replay.
 func RecoverStoreWith(w *wal.WAL, fn func(s *Store, payload []byte) error) (*Store, wal.ReplayStats, error) {
 	store := NewStore()
-	if snap := w.Snapshot(); snap != nil {
-		if err := store.LoadSnapshot(snap); err != nil {
-			return nil, wal.ReplayStats{}, fmt.Errorf("collector: recovering snapshot: %w", err)
-		}
+	if err := w.ReadSnapshot(store.readSnapshot); err != nil {
+		return nil, wal.ReplayStats{}, fmt.Errorf("collector: recovering snapshot: %w", err)
 	}
 	st, err := w.Replay(func(payload []byte) error {
 		p, err := ViewPayload(payload)

@@ -17,14 +17,7 @@ type flowKey = [pkt.FlowKeyLen]byte
 // comparing the key.
 type flowCell struct{ id, head uint32 }
 
-const (
-	flowMinSlots = 16
-	// probeGroup is how many keys swapRun hashes and touches before it
-	// swaps the first of them. A full exporter batch is 50 records, one
-	// run, so at 64 it pays one wave of slot misses rather than two
-	// (recover_wal measured faster at 64 than at 32: bench/history).
-	probeGroup = 64
-)
+const flowMinSlots = 16
 
 // flowTable is the flow dictionary (DESIGN §10): keys holds every flow
 // in first-seen order, and a flow's index in it is its stable flow id,
@@ -42,10 +35,6 @@ type flowTable struct {
 	seed  [2]uint64
 	keys  []flowKey
 	index []flowCell
-
-	// touched keeps the touch passes' loads live: what they read is
-	// summed here, so the compiler cannot drop them.
-	touched uint32
 }
 
 // flowSlotsFor returns the index size of a table grown to hold n flows.
@@ -103,52 +92,26 @@ func (t *flowTable) lookup(key []byte) flowCell {
 // keys[i*stride:], leaves in heads[i] the head it replaced, 0 for a flow
 // not seen before, and in ids[i] the key's flow id: the one write path
 // of the table, taken by every appended event and every flow a snapshot
-// loads. It works probeGroup keys at a time in four passes — hash each
-// key, load each key's home cell, touch the key each of those names,
-// then find-or-insert each in order — so the group's cache misses are in
-// flight together rather than one per loop body. A key repeated within a
-// run sees the head its earlier copy stored, and the table grows at
-// exactly the insert where a swap of one key at a time would have.
+// loads. It makes one pass, a key at a time: hash it, find its cell, then
+// insert it or swap its head. A key repeated within a run sees the head
+// its earlier copy stored.
 func (t *flowTable) swapRun(keys []byte, stride int, heads, ids []uint32) {
 	if len(heads) > 0 && t.index == nil {
 		t.grow(flowMinSlots)
 	}
-	var (
-		hash [probeGroup]uint64
-		home [probeGroup]uint32
-	)
-	for base := 0; base < len(heads); base += probeGroup {
-		group, keys, ids := heads[base:min(base+probeGroup, len(heads))], keys[base*stride:], ids[base:]
-		for i := range group {
-			hash[i] = t.hash((*flowKey)(keys[i*stride:]))
-		}
-		mask := uint64(len(t.index) - 1)
-		for i, h := range hash[:len(group)] {
-			home[i] = t.index[h&mask].id
-		}
-		// A key can straddle two cache lines: touch its first byte and its
-		// last.
-		touched := uint32(0)
-		for _, id := range home[:len(group)] {
-			if id != 0 {
-				k := &t.keys[id-1]
-				touched += uint32(k[0]) + uint32(k[pkt.FlowKeyLen-1])
+	for i, head := range heads {
+		k := (*flowKey)(keys[i*stride:])
+		h := t.hash(k)
+		c := t.find(h, k)
+		if c.id == 0 {
+			if len(t.keys) == cap(t.keys) {
+				t.grow(2 * len(t.index))
+				c = t.find(h, k)
 			}
+			t.keys = append(t.keys, *k)
+			c.id = uint32(len(t.keys))
 		}
-		t.touched += touched
-		for i, head := range group {
-			k := (*flowKey)(keys[i*stride:])
-			c := t.find(hash[i], k)
-			if c.id == 0 {
-				if len(t.keys) == cap(t.keys) {
-					t.grow(2 * len(t.index))
-					c = t.find(hash[i], k)
-				}
-				t.keys = append(t.keys, *k)
-				c.id = uint32(len(t.keys))
-			}
-			group[i], ids[i], c.head = c.head, c.id-1, head
-		}
+		heads[i], ids[i], c.head = c.head, c.id-1, head
 	}
 }
 

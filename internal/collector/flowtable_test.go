@@ -48,12 +48,16 @@ func (t *protoBlind) swapRun(keys []byte, stride int, heads, ids []uint32) {
 
 // programStats counts what a flowTableProgram exercised.
 type programStats struct {
-	runs, twoGroupRuns, repeatRuns, midRunDoublings, zeroKeys, gets, absentGets int
+	runs, longRuns, repeatRuns, midRunDoublings, zeroKeys, gets, absentGets int
 }
 
-// flowTableProgram runs seeded runs of find-or-insert — 1 to
-// 2×probeGroup keys each, so a run spans one probe group or two, at the
-// strides of a bare key, a snapshot's flow row and a record, keys repeated
+// maxRun bounds a program's runs, past two full exporter batches of
+// fevent.DefaultBatchSize records.
+const maxRun = 128
+
+// flowTableProgram runs seeded runs of find-or-insert — 1 to maxRun keys
+// each, some longer than one full exporter batch, at the strides of a
+// bare key, a snapshot's flow row and a record, keys repeated
 // within a run — each followed by half as many single gets, against tab
 // and a map[pkt.FlowKey]uint32 of heads beside a list of flows in
 // first-seen order, ops keys in all, and returns the first disagreement:
@@ -78,13 +82,13 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 	var (
 		st    programStats
 		key   flowKey
-		flows [2 * probeGroup]pkt.FlowKey
-		heads [2 * probeGroup]uint32
-		fids  [2 * probeGroup]uint32
+		flows [maxRun]pkt.FlowKey
+		heads [maxRun]uint32
+		fids  [maxRun]uint32
 	)
 	for op := 0; op < ops; {
 		population := 16 + op/4 // 200 k ops reach 50 k keys: a dozen doublings
-		n := 1 + r.Intn(2*probeGroup)
+		n := 1 + r.Intn(maxRun)
 		if r.Intn(4) == 0 {
 			n = 1
 		}
@@ -130,8 +134,8 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 			return st, fmt.Errorf("op %d: %d flows in %d slots, dictionary capacity %d after a %d-key run, want %d slots", op, len(ft.keys), len(ft.index), cap(ft.keys), n, flowSlotsFor(len(ft.keys)))
 		}
 		st.runs++
-		if n > probeGroup {
-			st.twoGroupRuns++
+		if n > fevent.DefaultBatchSize {
+			st.longRuns++
 		}
 		if repeat {
 			st.repeatRuns++
@@ -180,7 +184,7 @@ func TestFlowTableAgainstMap(t *testing.T) {
 			t.Fatalf("seed %d: the table ended at %d slots: the program did not cross several doublings", seed, len(tab.index))
 		}
 		t.Logf("seed %d: %+v", seed, st)
-		if st.twoGroupRuns == 0 || st.repeatRuns == 0 || st.midRunDoublings == 0 || st.zeroKeys == 0 || st.absentGets < ops/10 {
+		if st.longRuns == 0 || st.repeatRuns == 0 || st.midRunDoublings == 0 || st.zeroKeys == 0 || st.absentGets < ops/10 {
 			t.Fatalf("seed %d: %+v: the program missed a case it exists for", seed, st)
 		}
 		if _, err := flowTableProgram(&protoBlind{}, seed, ops); err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"slices"
 	"testing"
 
@@ -177,14 +178,16 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzLoadSnapshot throws arbitrary bytes at LoadSnapshot over a store
-// that already holds events. No input may panic. A rejected image leaves
+// FuzzLoadSnapshot throws arbitrary bytes at the snapshot decoder over a
+// store that already holds events, through a reader that hands them out
+// 1 to 7 bytes a call, so that every read the decoder makes is cut short.
+// No input may panic. A rejected image leaves
 // the store exactly as it was; an accepted one re-encodes to itself, byte
 // for byte — a snapshot is a fixed point — and that image loads into a
 // fresh store with the same length, export digest and Summary. The seeds
 // are images of an empty store, of one run, of a run a block end splits,
 // of in-process per-event stamps (runs of one), of a store after
-// RemoveImage, and of a flow section spanning several probe groups.
+// RemoveImage, and of a flow section spanning two read chunks.
 func FuzzLoadSnapshot(f *testing.F) {
 	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
@@ -216,7 +219,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	removeEvents(f, removed, removed.Query(Filter{Type: fevent.TypeCongestion}))
 	f.Add(removed.EncodeSnapshot())
 	manyFlows := NewStore()
-	wide := events(6*probeGroup, 5, 110, 0)
+	wide := events(384, 5, 110, 0)
 	for i := range wide {
 		wide[i].Flow = modelFlow(i)
 	}
@@ -239,7 +242,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := oneRun()
 		before := stateOf(st)
-		if err := st.LoadSnapshot(data); err != nil {
+		if err := st.readSnapshot(&shortReader{data: data}, len(data)); err != nil {
 			if got := stateOf(st); got != before {
 				t.Fatalf("rejected image (%v) changed the store: %+v, was %+v", err, got, before)
 			}
@@ -257,4 +260,25 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatalf("re-encoded and re-loaded: %+v, loaded %+v", got, loaded)
 		}
 	})
+}
+
+// shortReader hands out data 1, 2, …, 7 bytes a Read, then over again,
+// and then err, io.EOF if it is nil.
+type shortReader struct {
+	data  []byte
+	err   error
+	reads int
+}
+
+func (r *shortReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		if r.err == nil {
+			return 0, io.EOF
+		}
+		return 0, r.err
+	}
+	r.reads++
+	n := copy(p[:min(len(p), 1+(r.reads-1)%7)], r.data)
+	r.data = r.data[n:]
+	return n, nil
 }

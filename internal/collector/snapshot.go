@@ -1,10 +1,14 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 	"slices"
+	"unsafe"
 
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
@@ -94,91 +98,179 @@ func (s *Store) EncodeSnapshot() []byte {
 }
 
 // LoadSnapshot replaces the store's state with a decoded snapshot; on
-// error the store is untouched. It is the first half of recovery; WAL
-// tail replay (whose batches dedup against the loaded seen-set) is the
-// second. The flows go back into the dictionary in id order, by the
-// table's own write path, so each gets the id it had; a key listed twice
-// is an error.
+// error the store is unchanged. It is readSnapshot over the bytes.
 func (s *Store) LoadSnapshot(data []byte) error {
-	le := binary.LittleEndian
-	if len(data) < snapHeaderLen || string(data[:len(snapMagic)]) != snapMagic {
-		return fmt.Errorf("collector: snapshot magic missing or header truncated (%d bytes)", len(data))
-	}
-	seen, flows, events, runs := int(le.Uint32(data[12:])), int(le.Uint32(data[16:])), int(le.Uint32(data[20:])), int(le.Uint32(data[24:]))
-	blocks := (events + blockLen - 1) / blockLen
-	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*rowBytes; len(data) != want {
-		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events, %d runs)", len(data), want, seen, flows, events, runs)
-	}
-	ld := &Store{dupBatches: le.Uint64(data[4:])} // the image under construction; swapped in whole at the end
-	data = data[snapHeaderLen:]
-	keys := make([]BatchID, seen)
-	for i := range keys {
-		k := BatchID{Switch: le.Uint16(data[i*snapSeenLen:]), Seq: le.Uint64(data[i*snapSeenLen+2:])}
-		if i > 0 && compareBatchIDs(keys[i-1], k) >= 0 {
-			return fmt.Errorf("collector: snapshot dedup key %d (switch %d, seq %d) does not follow (switch %d, seq %d)", i, k.Switch, k.Seq, keys[i-1].Switch, keys[i-1].Seq)
+	return s.readSnapshot(bytes.NewReader(data), len(data))
+}
+
+// snapChunk is the scratch a load reads fixed-width rows through: the
+// dedup keys, the flow rows and the run tables.
+const snapChunk = 4 << 10
+
+// snapReader reads an image's sections from r, the fixed-width rows
+// through one scratch buffer; heads and ids take a chunk of flow rows
+// through the table's write path.
+type snapReader struct {
+	r          io.Reader
+	buf        [snapChunk]byte
+	heads, ids [snapChunk / snapFlowLen]uint32
+}
+
+// rows reads n rows of width bytes a scratch buffer at a time and hands
+// each chunk to fn with the index of its first row.
+func (d *snapReader) rows(n, width int, fn func(first int, rows []byte) error) error {
+	per := len(d.buf) / width
+	for first := 0; first < n; first += per {
+		chunk := d.buf[:min(per, n-first)*width]
+		if _, err := io.ReadFull(d.r, chunk); err != nil {
+			return err
 		}
-		keys[i] = k
+		if err := fn(first, chunk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bigEndianHost is whether a uint32 in memory is laid out most
+// significant byte first.
+var bigEndianHost = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// column reads a column of little-endian 4 B values straight into dst's
+// memory, then puts them in host order. Read in place, a block's two
+// uint32 columns cost one copy from the file; decoding them through the
+// scratch buffer made a snapshot-only recovery of 1 M events about 10 %
+// slower on a 2-CPU x86-64 host.
+func (d *snapReader) column(dst []uint32) error {
+	if _, err := io.ReadFull(d.r, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst))); err != nil {
+		return err
+	}
+	if bigEndianHost {
+		for i, v := range dst {
+			dst[i] = bits.ReverseBytes32(v)
+		}
+	}
+	return nil
+}
+
+// readSnapshot replaces the store's state with the snapshot image of
+// size bytes that r yields; on error the store is unchanged. It is the
+// first half of recovery, fed by wal.ReadSnapshot as the file is read;
+// WAL tail replay (whose batches dedup against the loaded seen-set) is
+// the second. It decodes into an image under construction — the four
+// columns straight into its blocks — checks every section, and
+// swaps the image in only when r, asked for a byte past the image,
+// answers io.EOF: the WAL's snapshot reader answers so only once the
+// record's checksum has matched. The flows go back into the dictionary
+// in id order, by the table's own write path, so each gets the id it
+// had; a key listed twice is an error.
+func (s *Store) readSnapshot(r io.Reader, size int) error {
+	le := binary.LittleEndian
+	d := &snapReader{r: r}
+	hdr := d.buf[:snapHeaderLen]
+	if size >= snapHeaderLen {
+		if _, err := io.ReadFull(r, hdr); err != nil {
+			return err
+		}
+	}
+	if size < snapHeaderLen || string(hdr[:len(snapMagic)]) != snapMagic {
+		return fmt.Errorf("collector: snapshot magic missing or header truncated (%d bytes)", size)
+	}
+	seen, flows, events, runs := int(le.Uint32(hdr[12:])), int(le.Uint32(hdr[16:])), int(le.Uint32(hdr[20:])), int(le.Uint32(hdr[24:]))
+	blocks := (events + blockLen - 1) / blockLen
+	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*rowBytes; size != want {
+		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events, %d runs)", size, want, seen, flows, events, runs)
+	}
+	ld := &Store{dupBatches: le.Uint64(hdr[4:])} // the image under construction; swapped in whole at the end
+	keys := make([]BatchID, seen)
+	err := d.rows(seen, snapSeenLen, func(first int, rows []byte) error {
+		for i := range len(rows) / snapSeenLen {
+			k, j := BatchID{Switch: le.Uint16(rows[i*snapSeenLen:]), Seq: le.Uint64(rows[i*snapSeenLen+2:])}, first+i
+			if j > 0 && compareBatchIDs(keys[j-1], k) >= 0 {
+				return fmt.Errorf("collector: snapshot dedup key %d (switch %d, seq %d) does not follow (switch %d, seq %d)", j, k.Switch, k.Seq, keys[j-1].Switch, keys[j-1].Seq)
+			}
+			keys[j] = k
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	ld.seen.merge(keys)
-	data = data[seen*snapSeenLen:]
 	if flows > 0 {
 		ld.flows.grow(flowSlotsFor(flows))
 	}
-	var heads, ids [probeGroup]uint32
-	for id := 0; id < flows; id += probeGroup {
-		group := heads[:min(flows-id, probeGroup)]
-		for i := range group {
-			row := data[i*snapFlowLen:]
-			if group[i] = le.Uint32(row[pkt.FlowKeyLen:]); group[i] == 0 || int(group[i]) > events {
-				f, _ := pkt.FlowKeyFromWire(row) // length checked above
-				return fmt.Errorf("collector: snapshot flow %d (%v) heads at event %d of %d", id+i, f, int64(group[i])-1, events)
+	err = d.rows(flows, snapFlowLen, func(first int, rows []byte) error {
+		heads, ids := d.heads[:len(rows)/snapFlowLen], d.ids[:len(rows)/snapFlowLen]
+		for i := range heads {
+			row := rows[i*snapFlowLen:]
+			if heads[i] = le.Uint32(row[pkt.FlowKeyLen:]); heads[i] == 0 || int(heads[i]) > events {
+				f, _ := pkt.FlowKeyFromWire(row) // the row is whole
+				return fmt.Errorf("collector: snapshot flow %d (%v) heads at event %d of %d", first+i, f, int64(heads[i])-1, events)
 			}
 		}
-		ld.flows.swapRun(data, snapFlowLen, group, ids[:len(group)])
-		for i, old := range group {
+		ld.flows.swapRun(rows, snapFlowLen, heads, ids)
+		for i, old := range heads {
 			if old != 0 {
-				return fmt.Errorf("collector: snapshot flow %d repeats flow %d's key", id+i, ids[i])
+				return fmt.Errorf("collector: snapshot flow %d repeats flow %d's key", first+i, ids[i])
 			}
 		}
-		data = data[len(group)*snapFlowLen:]
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for ld.n < events {
 		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}
-		// At most the runs the header has left: the length check above
-		// then covers every byte this block reads.
-		nr := int(le.Uint32(data))
+		if _, err := io.ReadFull(r, d.buf[:snapBlockHdrLen]); err != nil {
+			return err
+		}
+		nr := int(le.Uint32(d.buf[:]))
 		if nr < 1 || nr > b.n || nr > runs {
 			return fmt.Errorf("collector: snapshot block %d of %d events holds %d runs, %d of the header's left", len(ld.blocks), b.n, nr, runs)
 		}
-		runs, data = runs-nr, data[snapBlockHdrLen:]
+		runs -= nr
 		b.runs = slices.Grow(b.runs, nr) // capacity as the allocator rounds it: what MemoryBytes charges
-		for j := range nr {
-			row := data[j*snapRunLen:]
-			r := run{start: le.Uint16(row), sw: le.Uint16(row[2:]), ts: int64(le.Uint64(row[4:]))}
-			if j == 0 && r.start != 0 || j > 0 && r.start <= b.runs[j-1].start || int(r.start) >= b.n {
-				return fmt.Errorf("collector: snapshot block %d: run %d starts at event %d of %d", len(ld.blocks), j, r.start, b.n)
+		err := d.rows(nr, snapRunLen, func(_ int, rows []byte) error {
+			for i := range len(rows) / snapRunLen {
+				row, j := rows[i*snapRunLen:], len(b.runs)
+				rn := run{start: le.Uint16(row), sw: le.Uint16(row[2:]), ts: int64(le.Uint64(row[4:]))}
+				if j == 0 && rn.start != 0 || j > 0 && rn.start <= b.runs[j-1].start || int(rn.start) >= b.n {
+					return fmt.Errorf("collector: snapshot block %d: run %d starts at event %d of %d", len(ld.blocks), j, rn.start, b.n)
+				}
+				if j > 0 && rn.sw == b.runs[j-1].sw && rn.ts == b.runs[j-1].ts {
+					return fmt.Errorf("collector: snapshot block %d: runs %d and %d split one run", len(ld.blocks), j-1, j)
+				}
+				b.runs = append(b.runs, rn)
+				b.minTs, b.maxTs = min(b.minTs, rn.ts), max(b.maxTs, rn.ts)
 			}
-			if j > 0 && r.sw == b.runs[j-1].sw && r.ts == b.runs[j-1].ts {
-				return fmt.Errorf("collector: snapshot block %d: runs %d and %d split one run", len(ld.blocks), j-1, j)
-			}
-			b.runs = append(b.runs, r)
-			b.minTs, b.maxTs = min(b.minTs, r.ts), max(b.maxTs, r.ts)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		data = data[nr*snapRunLen:]
-		for i := range b.prev[:b.n] {
-			if b.prev[i] = le.Uint32(data[i*4:]); int(b.prev[i]) > ld.n+i {
-				return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, b.prev[i]-1)
+		if err := d.column(b.prev[:b.n]); err != nil {
+			return err
+		}
+		for i, v := range b.prev[:b.n] {
+			if int(v) > ld.n+i {
+				return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, v-1)
 			}
 		}
-		data = data[b.n*4:]
-		for i := range b.fid[:b.n] {
-			if b.fid[i] = le.Uint32(data[i*4:]); int(b.fid[i]) >= flows {
-				return fmt.Errorf("collector: snapshot event %d is of flow %d of %d", ld.n+i, b.fid[i], flows)
+		if err := d.column(b.fid[:b.n]); err != nil {
+			return err
+		}
+		for i, v := range b.fid[:b.n] {
+			if int(v) >= flows {
+				return fmt.Errorf("collector: snapshot event %d is of flow %d of %d", ld.n+i, v, flows)
 			}
 		}
-		data = data[b.n*4:]
-		data = data[copy(b.typ[:b.n], data):]
-		data = data[copy(b.tail[:b.n*tailLen], data):]
+		if _, err := io.ReadFull(r, b.typ[:b.n]); err != nil {
+			return err
+		}
+		if _, err := io.ReadFull(r, b.tail[:b.n*tailLen]); err != nil {
+			return err
+		}
 		for r := range b.runs {
 			start, end := int(b.runs[r].start), b.runEnd(r)
 			b.cover(r, start, end)
@@ -196,6 +288,13 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	}
 	if runs != 0 {
 		return fmt.Errorf("collector: snapshot blocks hold %d runs fewer than its header's count", runs)
+	}
+	// The image is whole. What r says past it is the verdict on the bytes.
+	if _, err := r.Read(d.buf[:1]); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("collector: snapshot runs past its %d bytes", size)
+		}
+		return err
 	}
 
 	s.mu.Lock()

@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -145,7 +147,7 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
-		p.compare(flows, switches) // untouched
+		p.compare(flows, switches) // unchanged
 	}
 	if err := p.st.LoadSnapshot(good); err != nil {
 		t.Fatalf("the unmodified image: %v", err)
@@ -153,14 +155,41 @@ func TestLoadSnapshotRejects(t *testing.T) {
 	p.compare(flows, switches)
 }
 
-// TestLoadSnapshotFlowSectionAcrossProbeGroups reloads a store whose flow
-// section spans several of the flow table's probe groups, and requires
-// the reloaded store to answer a query by flow exactly as the live store
-// does, for every flow. The same image with one flow of a later group
-// listed again at the end, heading at that flow's oldest event, is
-// rejected: a flow is one dictionary entry.
-func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
-	const flows = 10 * probeGroup
+// TestReadSnapshotStopsAtAReadError feeds the decoder a good image whose
+// reader fails after every possible prefix, and after the whole image in
+// place of the end: the reader's error — a torn or corrupt record, as the
+// WAL reports it — must come back, with the store unchanged. So must a
+// reader that yields more than the image.
+func TestReadSnapshotStopsAtAReadError(t *testing.T) {
+	const flows, switches = 30, 3
+	p := newPair(t, 11)
+	for seq := uint64(1); seq <= 3; seq++ {
+		p.deliver(uint16(seq), seq, sim.Time(seq)*sim.Millisecond, p.events(40, flows, switches, sim.Time(seq)*sim.Millisecond, 0))
+	}
+	good := p.st.EncodeSnapshot()
+	failed := errors.New("the record did not verify")
+	for cut := 0; cut <= len(good); cut++ {
+		if err := p.st.readSnapshot(&shortReader{data: good[:cut], err: failed}, len(good)); !errors.Is(err, failed) {
+			t.Fatalf("the reader failed after %d of %d bytes: error %v", cut, len(good), err)
+		}
+		if !bytes.Equal(p.st.EncodeSnapshot(), good) {
+			t.Fatalf("the reader failed after %d of %d bytes: the store changed", cut, len(good))
+		}
+	}
+	if err := p.st.readSnapshot(&shortReader{data: append(slices.Clone(good), 0)}, len(good)); err == nil || !strings.Contains(err.Error(), "runs past") {
+		t.Fatalf("a reader with a byte past the image: error %v", err)
+	}
+	p.compare(flows, switches)
+}
+
+// TestLoadSnapshotManyFlows reloads a store whose flow section spans
+// several of the loader's read chunks, and requires the reloaded store to
+// answer a query by flow exactly as the live store does, for every flow.
+// The same image with one flow of a later chunk listed again at the end,
+// heading at that flow's oldest event, is rejected: a flow is one
+// dictionary entry.
+func TestLoadSnapshotManyFlows(t *testing.T) {
+	const flows, chunkRows = 640, snapChunk / snapFlowLen
 	p := newPair(t, 29)
 	for seq := uint64(1); seq <= 40; seq++ {
 		ts := sim.Time(seq) * sim.Millisecond
@@ -168,8 +197,8 @@ func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
 	}
 	live := p.st
 	n := len(live.flows.keys)
-	if n < 3*probeGroup {
-		t.Fatalf("%d flows fill fewer than three probe groups", n)
+	if n <= 2*chunkRows {
+		t.Fatalf("%d flows fill fewer than three read chunks of %d rows", n, chunkRows)
 	}
 	fresh := NewStore()
 	if err := fresh.LoadSnapshot(live.EncodeSnapshot()); err != nil {
@@ -184,8 +213,8 @@ func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
 		}
 	}
 
-	// The twice-listed flow: one past the second group with an older event.
-	for id := 2 * probeGroup; id < n; id++ {
+	// The twice-listed flow: one past the second chunk with an older event.
+	for id := 2 * chunkRows; id < n; id++ {
 		head := live.flows.lookup(live.flows.keys[id][:]).head
 		oldest := head
 		for link := head; link != 0; link = live.blocks[(link-1)/blockLen].prev[(link-1)%blockLen] {
@@ -203,5 +232,5 @@ func TestLoadSnapshotFlowSectionAcrossProbeGroups(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal("no flow past the second probe group has two events")
+	t.Fatal("no flow past the second read chunk has two events")
 }

@@ -397,58 +397,6 @@ func TestScrubQuarantinesRottedSnapshot(t *testing.T) {
 	}
 }
 
-// TestScrubAppliesRecoverysSnapshotRule: a snapshot file is exactly one
-// record and then EOF. An empty file, and a valid record with a second
-// valid record after it, both checksum clean record by record — but Open
-// passes them over, so the scrubber must quarantine them rather than
-// count them as clean snapshots.
-func TestScrubAppliesRecoverysSnapshotRule(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := w.CutSegment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := []byte("snapshot-state")
-	if err := w.InstallSnapshot(cut, good); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	empty, doubled := snapName(cut+10), snapName(cut+11)
-	if err := os.WriteFile(filepath.Join(dir, empty), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	two := AppendRecord(AppendRecord(nil, []byte("newer-state")), []byte("second"))
-	if err := os.WriteFile(filepath.Join(dir, doubled), two, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err = Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if !bytes.Equal(w.Snapshot(), good) {
-		t.Fatalf("Open loaded snapshot %q, want the older valid %q", w.Snapshot(), good)
-	}
-	rep, err := w.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Snapshots != 1 || len(rep.Quarantined) != 2 {
-		t.Fatalf("scrub counted %d clean snapshots and quarantined %v; want 1 clean and both %s and %s quarantined",
-			rep.Snapshots, rep.Quarantined, empty, doubled)
-	}
-	for _, name := range []string{empty, doubled} {
-		if _, err := os.Stat(filepath.Join(dir, name+quarSuffix)); err != nil {
-			t.Fatalf("%s not quarantined: %v", name, err)
-		}
-	}
-}
-
 // TestScrubOnClosedLog: maintenance on a closed log fails cleanly.
 func TestScrubOnClosedLog(t *testing.T) {
 	dir := t.TempDir()

@@ -3,10 +3,12 @@
 // append-only segment file; fsyncs are group-committed so concurrent
 // appenders amortize one disk flush; segments rotate at a size bound; and
 // a periodic snapshot of the upper store lets old segments be deleted.
-// On restart, Open finds the newest valid snapshot and replays the tail
-// segments after it, stopping cleanly at the first torn or corrupt
-// record — a crash mid-write can only cost unacked suffix records, never
-// a parse panic or a misread.
+// On restart, Open lists the snapshots and segments and reads neither:
+// ReadSnapshot streams the newest snapshot that verifies to its loader,
+// checking its CRC as the bytes pass (the log keeps no copy), and Replay
+// streams the tail segments after it, stopping cleanly at the first torn
+// or corrupt record — a crash mid-write can only cost unacked suffix
+// records, never a parse panic or a misread.
 //
 // The package stores opaque payloads ([]byte); a standalone collector logs
 // each wire frame's payload, so the record on disk is the frame that
@@ -124,12 +126,12 @@ func ReadRecord(r io.Reader, max uint32, buf []byte) ([]byte, error) {
 // much of a log file, however many records it holds.
 const readBufSize = 256 << 10
 
-// recordReader is the one loop over a log file's records: Replay, Scrub
-// and the snapshot load all read through it. It reads ahead through a
-// bufio.Reader, so a file costs ⌈size/readBufSize⌉ read calls instead of
-// two a record, and decodes every record into one reused buffer, so a
-// payload is the caller's only until the next call. One lives for a
-// Replay, a Scrub or a snapshot load; the WAL never keeps one.
+// recordReader is the one loop over a segment's records: Replay and
+// Scrub read through it. It reads ahead through a bufio.Reader, so a file
+// costs ⌈size/readBufSize⌉ read calls instead of two a record, and
+// decodes every record into one reused buffer, so a payload is the
+// caller's only until the next call. One lives for a Replay or a Scrub;
+// the WAL never keeps one.
 type recordReader struct {
 	br  *bufio.Reader
 	buf []byte
@@ -151,22 +153,55 @@ func (rr *recordReader) next(max uint32) ([]byte, error) {
 	return payload, err
 }
 
-// snapshot reads the record of a snapshot file: exactly one, then a clean
-// EOF. It is recovery's rule and the scrubber's alike, so Scrub
-// quarantines exactly the snapshots Open would pass over.
-func (rr *recordReader) snapshot() ([]byte, error) {
-	payload, err := rr.next(MaxSnapshot)
-	if err == io.EOF {
-		return nil, errors.New("wal: snapshot file holds no record")
+// snapshotReader hands a snapshot file's one record to its reader as it
+// reads it: the one snapshot reader, through which recovery, Snapshot and
+// Scrub all go, so Scrub quarantines exactly the snapshots recovery would
+// pass over. It yields the payload's bytes, and no more, summing their
+// CRC as they pass; once they are all out, a Read returns io.EOF only if
+// the sum matches the header's and the file ends there, and otherwise
+// the reason the record is bad. A reader that decodes the payload
+// therefore learns that the record verified from the same read that tells
+// it the payload is over.
+type snapshotReader struct {
+	br        *bufio.Reader
+	left      int    // payload bytes not yet handed out
+	sum, want uint32 // CRC-32 of the bytes handed out; the header's
+	verdict   error  // set once left is 0: io.EOF for a verified record
+}
+
+func (sr *snapshotReader) Read(p []byte) (int, error) {
+	if sr.left == 0 {
+		if sr.verdict == nil {
+			sr.verdict = sr.verify()
+		}
+		return 0, sr.verdict
 	}
+	if len(p) > sr.left {
+		p = p[:sr.left]
+	}
+	n, err := sr.br.Read(p)
+	sr.sum = crc32.Update(sr.sum, crc32.IEEETable, p[:n])
+	sr.left -= n
 	if err != nil {
-		return nil, err
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header was whole: this is a tear
+		}
+		sr.left, sr.verdict = 0, fmt.Errorf("%w: payload: %w", ErrRecordTorn, err)
+		return n, sr.verdict
 	}
-	if _, err := rr.br.ReadByte(); err != io.EOF {
+	return n, nil
+}
+
+// verify is the verdict on a record whose payload has all been read.
+func (sr *snapshotReader) verify() error {
+	if sr.sum != sr.want {
+		return ErrRecordCRC
+	}
+	if _, err := sr.br.ReadByte(); err != io.EOF {
 		if err == nil {
 			err = errors.New("wal: trailing bytes after snapshot record")
 		}
-		return nil, err
+		return err
 	}
-	return payload, nil
+	return io.EOF
 }

@@ -4,8 +4,8 @@ package wal
 // immutable, which makes them silent: a record that rotted after its
 // fsync is only discovered when a recovery trips over it — at which
 // point the old replay semantics threw away every later segment too.
-// Scrub re-reads the immutable files through the recordReader recovery
-// uses, verifies the CRCs, and quarantines a corrupt file by renaming it
+// Scrub re-reads the immutable files through the readers recovery uses,
+// verifies the CRCs, and quarantines a corrupt file by renaming it
 // aside (durably, with a directory fsync): the next recovery skips it
 // with an explicit ReplayStats.Gaps entry instead of silently
 // truncating, and the loss is bounded to the rotted file the moment it
@@ -37,9 +37,9 @@ type ScrubReport struct {
 // and CRCs, and quarantines corrupt files. A snapshot is judged by
 // recovery's rule — exactly one record, then EOF — so an empty one or
 // one with anything after its record is quarantined, not counted clean
-// while Open passes it over. It is safe to run while the log is
+// while recovery passes it over. It is safe to run while the log is
 // appending — sealed files are immutable, the active segment is never
-// touched, and a file a concurrent checkpoint deletes mid-scrub is
+// read, and a file a concurrent checkpoint deletes mid-scrub is
 // simply skipped. Passes serialize against each other.
 func (w *WAL) Scrub() (ScrubReport, error) {
 	w.scrubMu.Lock()
@@ -93,8 +93,8 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 			continue
 		}
 		path := filepath.Join(w.dir, e.Name())
-		_, err := readSnapshotFile(w.fs, path, rr)
-		if err == nil {
+		verified, err := readSnapshot(w.fs, path, rr.br, nil)
+		if verified {
 			rep.Records++
 			rep.Snapshots++
 			continue

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -129,10 +131,12 @@ type WAL struct {
 	// touching the disk.
 	pending []byte
 
-	// Recovery artifacts from Open, consumed by Snapshot/Replay.
-	snapPayload []byte
-	replaySegs  []uint64
-	quarSegs    []uint64 // quarantined segment indexes found at Open
+	// Recovery artifacts from Open, consumed by ReadSnapshot/Replay: the
+	// snapshot files newest first, the segments and the quarantined
+	// segments in index order. The log reads no snapshot until asked.
+	snaps      []uint64
+	replaySegs []uint64
+	quarSegs   []uint64
 
 	// scrubMu serializes Scrub passes (never held with mu).
 	scrubMu sync.Mutex
@@ -163,8 +167,8 @@ func segName(idx uint64) string  { return fmt.Sprintf("wal-%08d.seg", idx) }
 func snapName(idx uint64) string { return fmt.Sprintf("snap-%08d.snap", idx) }
 
 // Open opens (or creates) the log in dir and performs the scan phase of
-// recovery: it locates the newest loadable snapshot and the tail
-// segments to replay. Call Snapshot and Replay to rebuild upper-layer
+// recovery: it lists the snapshot files and the tail segments to replay,
+// and reads neither. Call ReadSnapshot and Replay to rebuild upper-layer
 // state, then Append at will. Appends always go to a fresh segment —
 // a possibly-torn crash tail is never appended to.
 func Open(dir string, opt Options) (*WAL, error) {
@@ -203,6 +207,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 		opt:         opt,
 		fs:          fs,
 		segSizes:    segSizes,
+		snaps:       snaps,
 		replaySegs:  segs,
 		quarSegs:    quar,
 		retainFloor: noRetain,
@@ -213,17 +218,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 	}
 	w.cond = sync.NewCond(&w.mu)
 
-	// Newest snapshot that still parses wins; older or corrupt ones are
-	// ignored (their covering segments may already be gone, but a corrupt
-	// snapshot is never half-loaded thanks to the record CRC).
 	next := uint64(1)
-	for _, idx := range snaps {
-		payload, err := readSnapshotFile(fs, filepath.Join(dir, snapName(idx)), newRecordReader())
-		if err == nil {
-			w.snapPayload = payload
-			break
-		}
-	}
 	if len(segs) > 0 && segs[len(segs)-1] >= next {
 		next = segs[len(segs)-1] + 1
 	}
@@ -243,17 +238,46 @@ func Open(dir string, opt Options) (*WAL, error) {
 	return w, nil
 }
 
-// readSnapshotFile loads and CRC-verifies one snapshot file through rr
-// (recordReader.snapshot's rule). The payload aliases rr's buffer; Open
-// gives every file a fresh reader, so the one it keeps is sized exactly.
-func readSnapshotFile(fs faultfs.FS, path string, rr *recordReader) ([]byte, error) {
+// readSnapshot streams the record of the snapshot file at path through
+// br to load, with its payload length; a nil load reads the payload only
+// to verify it. The file must hold exactly one record, of at most
+// MaxSnapshot bytes, which is checked before any payload is read;
+// whatever load leaves unread is read through the checksum before the
+// verdict. If the record verified, err is load's error; if not, it is
+// why the record is bad, whatever load did.
+func readSnapshot(fs faultfs.FS, path string, br *bufio.Reader, load func(r io.Reader, n int) error) (verified bool, err error) {
 	f, err := fs.Open(path)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	defer f.Close()
-	rr.reset(f)
-	return rr.snapshot()
+	br.Reset(f)
+	var hdr [RecordHdrLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if err == io.EOF {
+			return false, errors.New("wal: snapshot file holds no record")
+		}
+		return false, fmt.Errorf("%w: header: %w", ErrRecordTorn, err)
+	}
+	n := binary.BigEndian.Uint32(hdr[0:4])
+	if n > MaxSnapshot {
+		return false, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, MaxSnapshot)
+	}
+	sr := &snapshotReader{br: br, left: int(n), want: binary.BigEndian.Uint32(hdr[4:8])}
+	if load != nil {
+		err = load(sr, int(n))
+	}
+	var (
+		rest [4 << 10]byte
+		bad  error
+	)
+	for bad == nil {
+		_, bad = sr.Read(rest[:])
+	}
+	if bad != io.EOF {
+		return false, bad
+	}
+	return true, err
 }
 
 // openSegment creates the segment file for idx and makes it active.
@@ -275,9 +299,50 @@ func (w *WAL) openSegment(idx uint64) error {
 	return nil
 }
 
-// Snapshot returns the payload of the newest valid snapshot found by
-// Open, or nil if the log had none.
-func (w *WAL) Snapshot() []byte { return w.snapPayload }
+// ReadSnapshot streams the payload of the newest snapshot Open found
+// whose record verifies to load, with the payload's length, and returns
+// load's error; with no such snapshot it returns nil. Files are tried
+// newest first, each through the one snapshot reader: a file whose
+// record is torn, fails its CRC, is longer than MaxSnapshot or has bytes
+// after it is passed over for the next older one — even after load has
+// read part of it, so load must keep what it decodes aside until its
+// reader returns io.EOF, which it does only once the whole record has
+// verified. An error load returns for a record that verifies is not a
+// reason to pass the file over: that file is the snapshot, and the error
+// is returned.
+func (w *WAL) ReadSnapshot(load func(r io.Reader, n int) error) error {
+	if len(w.snaps) == 0 {
+		return nil
+	}
+	br := bufio.NewReaderSize(nil, readBufSize)
+	for _, idx := range w.snaps {
+		if verified, err := readSnapshot(w.fs, filepath.Join(w.dir, snapName(idx)), br, load); verified {
+			return err
+		}
+	}
+	return nil
+}
+
+// Snapshot reads the payload of the newest valid snapshot Open found
+// (ReadSnapshot's rule) into a fresh buffer, or returns nil if the log
+// has none. It reads the file on every call: the log keeps no image.
+func (w *WAL) Snapshot() []byte {
+	var img []byte
+	// The loader fails only on a record that does not verify, and
+	// ReadSnapshot passes such a file over rather than return the error.
+	_ = w.ReadSnapshot(func(r io.Reader, n int) error {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return err
+		}
+		if _, err := r.Read(nil); err != io.EOF {
+			return err
+		}
+		img = buf
+		return nil
+	})
+	return img
+}
 
 // Replay streams every surviving record of the tail segments to fn in
 // append order. A torn or corrupt record in the final segment — the

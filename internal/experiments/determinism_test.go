@@ -173,7 +173,7 @@ func TestFig9MultiSeedRobustness(t *testing.T) {
 // change a run. Under a checking pool, which never reuses a packet and
 // poisons every released one, the testbed with every fault injected must
 // export the same events and see the same packets as under the recycling
-// pool; a packet touched after its release would read poison in one run
+// pool; a packet read after its release would read poison in one run
 // and another packet's state in the other.
 func TestRecyclingMatchesCheckedPool(t *testing.T) {
 	run := func(checked bool) (uint64, uint64) {

@@ -39,7 +39,7 @@ func TestBatchSeqOutsideEncoding(t *testing.T) {
 		t.Fatalf("decode = %+v", dec)
 	}
 	if dec.Seq != 777 {
-		t.Errorf("DecodeBatch touched Seq: %d", dec.Seq)
+		t.Errorf("DecodeBatch changed Seq: %d", dec.Seq)
 	}
 }
 

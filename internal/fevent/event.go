@@ -328,7 +328,7 @@ func (e *Event) SetDetail(d uint32) {
 }
 
 // DecodeRecord parses one 24-byte record into e, overwriting all per-record
-// fields (SwitchID and Timestamp are left untouched: they come from the
+// fields (SwitchID and Timestamp are left as they are: they come from the
 // batch header).
 func (e *Event) DecodeRecord(b []byte) error {
 	if len(b) < RecordLen {

@@ -290,7 +290,7 @@ func TestLinkReturnsEndedFramesToPool(t *testing.T) {
 		t.Fatalf("OnLost saw %+v, want the destroyed and the damaged frame intact", lost)
 	}
 	if len(b.got) != 2 || b.got[0] != intact || intact.WireLen != 100 {
-		t.Fatalf("receiver got %v, want the intact frame untouched and the damaged one", b.got)
+		t.Fatalf("receiver got %v, want the intact frame unchanged and the damaged one", b.got)
 	}
 	if destroyed.WireLen != 0 || damaged.WireLen != 0 {
 		t.Errorf("ended frames not released: destroyed %+v, damaged %+v", destroyed, damaged)

@@ -241,7 +241,7 @@ func TestHistogramExemplarContract(t *testing.T) {
 			t.Fatalf("merge kept stale exemplar: %+v", s.Exemplars[2])
 		}
 		if s.Exemplars[4].TraceID != 2 {
-			t.Fatalf("merge lost untouched exemplar: %+v", s.Exemplars[4])
+			t.Fatalf("merge lost an exemplar only one side held: %+v", s.Exemplars[4])
 		}
 		// Merging exemplars into an exemplar-free snapshot allocates them.
 		plain := NewHistogram(bounds).Snapshot()
@@ -261,7 +261,7 @@ func TestHistogramExemplarContract(t *testing.T) {
 
 // TestObserveNEqualsRepeatedObserve: n observations at once leave the
 // histogram exactly as n single ones do, exemplar included, and n = 0
-// leaves it untouched.
+// leaves it unchanged.
 func TestObserveNEqualsRepeatedObserve(t *testing.T) {
 	one, many := NewHistogram(LatencyBuckets()), NewHistogram(LatencyBuckets())
 	for _, o := range []struct {

@@ -40,8 +40,8 @@ func (pl *Pool) Get() *Packet {
 }
 
 // Put hands p back. It zeroes the packet and keeps it for a later Get while
-// the free list holds fewer than poolCap packets. The payload bytes are not
-// touched: copies of one control frame may share a payload slice. A second
+// the free list holds fewer than poolCap packets. The payload bytes are
+// left alone: copies of one control frame may share a payload slice. A second
 // Put of the same packet panics.
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil {

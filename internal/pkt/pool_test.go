@@ -32,7 +32,7 @@ func TestPoolPutKeepsPayloadBytes(t *testing.T) {
 	}
 	pl.Put(copies[0])
 	if copies[1].Payload[0] != 1 || payload[2] != 3 {
-		t.Errorf("Put touched a shared payload: %v", payload)
+		t.Errorf("Put changed a shared payload: %v", payload)
 	}
 	if copies[0].Payload != nil {
 		t.Error("released packet still references its payload")
@@ -94,7 +94,7 @@ func TestNilPoolPutIsNoop(t *testing.T) {
 	pl.Put(p)
 	pl.Put(p)
 	if p.WireLen != 64 {
-		t.Error("nil pool touched the packet")
+		t.Error("nil pool changed the packet")
 	}
 }
 
