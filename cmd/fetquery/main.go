@@ -10,10 +10,13 @@
 //
 // The stats verb dumps netseerd's self-telemetry (the same Prometheus
 // text exposition its /metrics endpoint serves) over the query port —
-// useful where only the query port is reachable. With -interval the
-// request repeats until interrupted, watch-style; a lost connection is
-// re-dialed with jittered exponential backoff instead of aborting the
-// watch.
+// useful where only the query port is reachable. Every round is one
+// connection carrying one request (collector.QueryLines); a single
+// collector's answer has no deadline, and a "! message" refusal is an
+// error. With -interval the request repeats until interrupted,
+// watch-style: a failed round is retried after a jittered backoff of
+// 50 ms doubling to 2 s instead of aborting the watch, single collector
+// and fan-out alike.
 //
 // Against a sharded fabric, fetquery fans the query out to every shard
 // and merges the answers time-ordered and deduplicated:
@@ -37,15 +40,14 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"strings"
 	"time"
 
+	"netseer/internal/collector"
 	"netseer/internal/collector/fabric"
 	"netseer/internal/obs/trace"
 )
@@ -72,76 +74,43 @@ func main() {
 	runSingle(addrs[0], strings.Join(flag.Args(), " "), *interval)
 }
 
-// runSingle is the classic one-collector path. With an interval, dial
-// failures and dropped connections retry with jittered backoff — a
-// watch outlives a collector restart.
+// runSingle is the classic one-collector path: one request a round, its
+// answer printed as it arrives. A round sets no deadline, so a large
+// answer is not cut short.
 func runSingle(addr, req string, interval time.Duration) {
+	watch(interval, func() error {
+		return collector.QueryLines(addr, req, 0, func(line string) error {
+			fmt.Println(line)
+			return nil
+		})
+	})
+}
+
+// watch runs round once, or with an interval every interval until
+// interrupted. A watch outlives a collector restart: a failed round is
+// retried after a backoff that doubles from 50 ms to 2 s, each wait drawn
+// from [d/2, d] so a fleet of watchers does not stampede a recovering
+// collector. Without an interval a failed round is fatal.
+func watch(interval time.Duration, round func() error) {
 	backoff := 50 * time.Millisecond
-	var conn net.Conn
-	var sc *bufio.Scanner
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
 	for {
-		if conn == nil {
-			c, err := net.Dial("tcp", addr)
+		err := round()
+		switch {
+		case interval <= 0:
 			if err != nil {
-				if interval <= 0 {
-					log.Fatalf("connect: %v", err)
-				}
-				log.Printf("connect: %v (retrying in ~%s)", err, backoff)
-				time.Sleep(jitter(backoff))
-				if backoff *= 2; backoff > 2*time.Second {
-					backoff = 2 * time.Second
-				}
-				continue
+				log.Fatal(err)
 			}
-			conn, sc = c, bufio.NewScanner(c)
-			sc.Buffer(make([]byte, 64<<10), 1<<20)
-			backoff = 50 * time.Millisecond
-		}
-		_, err := fmt.Fprintln(conn, req)
-		if err == nil && readResponse(sc) {
-			if interval <= 0 {
-				return
-			}
-			time.Sleep(interval)
-			fmt.Printf("--- %s\n", time.Now().Format(time.RFC3339))
+			return
+		case err != nil:
+			log.Printf("%v (retrying in ~%s)", err, backoff)
+			time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1)))
+			backoff = min(2*backoff, 2*time.Second)
 			continue
 		}
-		if err == nil {
-			err = sc.Err()
-		}
-		if interval <= 0 {
-			if err != nil {
-				log.Fatalf("read: %v", err)
-			}
-			log.Fatal("read: connection closed")
-		}
-		log.Printf("connection lost: %v (reconnecting)", err)
-		conn.Close()
-		conn, sc = nil, nil
+		backoff = 50 * time.Millisecond
+		time.Sleep(interval)
+		fmt.Printf("--- %s\n", time.Now().Format(time.RFC3339))
 	}
-}
-
-// jitter spreads a reconnect delay across [d/2, d] so a fleet of
-// watchers does not stampede a recovering collector.
-func jitter(d time.Duration) time.Duration {
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// readResponse prints lines until the "." terminator; false on EOF/error.
-func readResponse(sc *bufio.Scanner) bool {
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "." {
-			return true
-		}
-		fmt.Println(line)
-	}
-	return false
 }
 
 // runFanOut queries every shard of a fabric and merges. Only filter
@@ -152,21 +121,11 @@ func runFanOut(coordAddr string, addrs []string, args []string, interval, timeou
 		log.Fatalf("fan-out supports the query verb only (got %q); aim -addr at one shard for %q", verb, verb)
 	}
 	filter := strings.Join(args[1:], " ")
-	backoff := 50 * time.Millisecond
-	for {
+	watch(interval, func() error {
 		cfg, err := fanOutConfig(coordAddr, addrs, timeout)
 		if err != nil {
-			if interval <= 0 {
-				log.Fatalf("ring config: %v", err)
-			}
-			log.Printf("ring config: %v (retrying in ~%s)", err, backoff)
-			time.Sleep(jitter(backoff))
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
-			}
-			continue
+			return fmt.Errorf("ring config: %w", err)
 		}
-		backoff = 50 * time.Millisecond
 		res := fabric.FanOutQuery(cfg, filter, timeout)
 		for i := range res.Events {
 			e := &res.Events[i]
@@ -176,12 +135,8 @@ func runFanOut(coordAddr string, addrs []string, args []string, interval, timeou
 		if res.Partial {
 			fmt.Printf("# partial=true (%d/%d shards answered)\n", res.ShardsOK, res.ShardsTotal)
 		}
-		if interval <= 0 {
-			return
-		}
-		time.Sleep(interval)
-		fmt.Printf("--- %s\n", time.Now().Format(time.RFC3339))
-	}
+		return nil
+	})
 }
 
 // runTrace assembles one batch trace across the fabric and prints the

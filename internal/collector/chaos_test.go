@@ -199,8 +199,7 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, store, ServerConfig{Listener: &flakyListener{Listener: ln, fails: 5},
-		AcceptRetryDelay: time.Millisecond})
+	srv := startServer(t, store, ServerConfig{Listener: &flakyListener{Listener: ln, fails: 5}})
 	defer srv.Close()
 
 	cl := fastClient(srv.Addr())

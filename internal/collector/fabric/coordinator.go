@@ -1,16 +1,15 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"netseer/internal/collector"
 	"netseer/internal/faultfs"
 	"netseer/internal/obs"
 )
@@ -66,7 +65,7 @@ type CoordinatorOptions struct {
 // exactly one side of the cutover.
 type Coordinator struct {
 	statePath string
-	ln        net.Listener
+	svc       *collector.Service
 	opTimeout time.Duration
 
 	mu        sync.Mutex
@@ -101,11 +100,9 @@ func StartCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	default:
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", opts.ListenAddr)
-	if err != nil {
+	if c.svc, err = collector.Listen(opts.ListenAddr, nil); err != nil {
 		return nil, err
 	}
-	c.ln = ln
 	if opts.Registry != nil {
 		opts.Registry.RegisterCounter(obs.MFabricRebalances, &c.rebalances)
 		opts.Registry.Func(obs.MFabricEpoch, func() float64 {
@@ -119,13 +116,12 @@ func StartCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		c.wg.Add(1)
 		go c.resolveLoop()
 	}
-	c.wg.Add(1)
-	go c.acceptLoop()
+	c.svc.Start(nil, serveJSON(c.handle))
 	return c, nil
 }
 
 // Addr returns the coordinator's listening address.
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
+func (c *Coordinator) Addr() string { return c.svc.Addr() }
 
 // Config returns the currently published ring config.
 func (c *Coordinator) Config() Config {
@@ -134,13 +130,13 @@ func (c *Coordinator) Config() Config {
 	return c.st.Current
 }
 
-// Close stops serving. A pending rebalance stays in the state file for
-// the next start to resolve.
+// Close stops serving and closes every client connection. A pending
+// rebalance stays in the state file for the next start to resolve.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	err := c.ln.Close()
+	err := c.svc.Close()
 	c.wg.Wait()
 	return err
 }
@@ -544,7 +540,8 @@ func (c *Coordinator) Resolved() bool {
 	return c.st.Pending == nil
 }
 
-// Coordinator line protocol: one JSON object per line each way.
+// Coordinator line protocol: one JSON object per line each way
+// (jsonline.go).
 //
 //	{"op":"config"}            → {"ok":true,"config":{...}}
 //	{"op":"status"}            → {"ok":true,"config":{...},"pending":"staging"}
@@ -562,41 +559,6 @@ type coordResp struct {
 	Err     string  `json:"err,omitempty"`
 	Config  *Config `json:"config,omitempty"`
 	Pending string  `json:"pending,omitempty"`
-}
-
-func (c *Coordinator) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer conn.Close()
-			c.serveConn(conn)
-		}()
-	}
-}
-
-func (c *Coordinator) serveConn(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		var req coordReq
-		var resp coordResp
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			resp.Err = fmt.Sprintf("bad request: %v", err)
-		} else {
-			resp = c.handle(&req)
-		}
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
 }
 
 func (c *Coordinator) handle(req *coordReq) coordResp {
@@ -641,22 +603,8 @@ func (c *Coordinator) handle(req *coordReq) coordResp {
 
 // coordRequest performs one round-trip of the coordinator line protocol.
 func coordRequest(addr string, req *coordReq, timeout time.Duration) (Config, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	resp, err := callJSON[coordResp](addr, req, timeout)
 	if err != nil {
-		return Config{}, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		return Config{}, err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	if !sc.Scan() {
-		return Config{}, errors.New("fabric: coordinator closed without response")
-	}
-	var resp coordResp
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
 		return Config{}, err
 	}
 	if !resp.OK || resp.Config == nil {

@@ -211,3 +211,53 @@ func TestCoordinatorProtocolErrorSurface(t *testing.T) {
 		t.Fatalf("config after errors = %q, want a config", resp)
 	}
 }
+
+// TestCloseReleasesIdleClients is the regression test for Close waiting
+// on clients blocked reading their next request: the coordinator and
+// every shard listener return from Close within a second while a client
+// holds an idle connection after one round trip.
+func TestCloseReleasesIdleClients(t *testing.T) {
+	base := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		start func() (addr, req string, close func() error)
+	}{
+		{"coordinator", func() (string, string, func() error) {
+			c := startCoordinator(t, filepath.Join(base, "coord.json"), nil, time.Second)
+			return c.Addr(), `{"op":"config"}`, c.Close
+		}},
+		{"shard admin", func() (string, string, func() error) {
+			n := startShard(t, 1, filepath.Join(base, "s1"))
+			return n.AdminAddr(), `{"op":"ping"}`, n.Close
+		}},
+		{"shard query", func() (string, string, func() error) {
+			n := startShard(t, 2, filepath.Join(base, "s2"))
+			return n.QueryAddr(), "count", n.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, req, closeFn := tc.start()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			fmt.Fprintln(conn, req)
+			sc := bufio.NewScanner(conn)
+			if !sc.Scan() {
+				t.Fatalf("no answer to %s: %v", req, sc.Err())
+			}
+			done := make(chan struct{}, 1)
+			go func() {
+				closeFn()
+				done <- struct{}{}
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatal("Close still blocked after 1s with an idle client attached")
+			}
+		})
+	}
+}

@@ -1,16 +1,14 @@
 package fabric
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
-	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"time"
 
+	"netseer/internal/collector"
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
 )
@@ -144,75 +142,28 @@ func FanOutTrace(cfg Config, id uint64, extra []trace.Span, timeout time.Duratio
 // queryShardTrace runs one "trace <id>" query against a shard query
 // endpoint and decodes the JSON span lines.
 func queryShardTrace(addr string, id uint64, timeout time.Duration) ([]trace.SpanJSON, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "trace %s\n", trace.FormatID(id)); err != nil {
-		return nil, err
-	}
 	var out []trace.SpanJSON
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "." {
-			return out, nil
-		}
-		if strings.HasPrefix(line, "!") {
-			return nil, fmt.Errorf("fabric: shard %s: %s", addr, strings.TrimSpace(line[1:]))
-		}
+	err := collector.QueryLines(addr, "trace "+trace.FormatID(id), timeout, func(line string) error {
 		var j trace.SpanJSON
 		if err := json.Unmarshal([]byte(line), &j); err != nil {
-			return nil, err
+			return err
 		}
 		out = append(out, j)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("fabric: shard %s closed mid-response", addr)
+		return nil
+	})
+	return out, err
 }
 
 // queryShardExport runs one "export" query against a shard query
 // endpoint and decodes its base64 batch images.
 func queryShardExport(addr, filterArgs string, timeout time.Duration) ([]fevent.Event, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	cmd := "export"
-	if strings.TrimSpace(filterArgs) != "" {
-		cmd += " " + strings.TrimSpace(filterArgs)
-	}
-	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
-		return nil, err
-	}
 	var out []fevent.Event
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "." {
-			return out, nil
-		}
-		if strings.HasPrefix(line, "!") {
-			return nil, fmt.Errorf("fabric: shard %s: %s", addr, strings.TrimSpace(line[1:]))
-		}
+	err := collector.QueryLines(addr, strings.TrimSpace("export "+filterArgs), timeout, func(line string) error {
 		img, err := base64.StdEncoding.DecodeString(line)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			out, err = fevent.DecodeBatches(out, img)
 		}
-		if out, err = fevent.DecodeBatches(out, img); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("fabric: shard %s closed mid-response", addr)
+		return err
+	})
+	return out, err
 }

@@ -1,13 +1,10 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -72,13 +69,11 @@ type ShardNode struct {
 	wal   *wal.WAL
 	store *collector.Store
 	qsrv  *collector.QueryServer
-	admin net.Listener
+	admin *collector.Service
 
 	mu     sync.Mutex
 	cfg    Config
 	openRB map[uint64]*rbState
-	closed bool
-	wg     sync.WaitGroup
 
 	stageDelay time.Duration
 
@@ -214,7 +209,7 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 		return nil, err
 	}
 	if n.qsrv, err = collector.NewQueryServer(store, opts.QueryAddr); err == nil {
-		if n.admin, err = net.Listen("tcp", opts.AdminAddr); err != nil {
+		if n.admin, err = collector.Listen(opts.AdminAddr, nil); err != nil {
 			n.qsrv.Close()
 		}
 	}
@@ -226,8 +221,7 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 	if opts.Registry != nil {
 		n.registerMetrics(opts.Registry)
 	}
-	n.wg.Add(1)
-	go n.adminLoop()
+	n.admin.Start(nil, serveJSON(n.handleAdmin))
 	return n, nil
 }
 
@@ -253,7 +247,7 @@ func (n *ShardNode) IngestAddr() string { return n.Addr() }
 func (n *ShardNode) QueryAddr() string { return n.qsrv.Addr() }
 
 // AdminAddr returns the admin listener's address.
-func (n *ShardNode) AdminAddr() string { return n.admin.Addr().String() }
+func (n *ShardNode) AdminAddr() string { return n.admin.Addr() }
 
 // Info assembles this node's ShardInfo from its live listeners.
 func (n *ShardNode) Info() ShardInfo {
@@ -298,21 +292,17 @@ func (n *ShardNode) Checkpoint() error {
 	return n.Server.Checkpoint()
 }
 
-// Close stops every listener. The WAL is closed last so in-flight
-// ingestion fails cleanly first.
+// Close stops every listener and closes their connections. The WAL is
+// closed last so in-flight ingestion fails cleanly first.
 func (n *ShardNode) Close() error {
-	n.mu.Lock()
-	n.closed = true
-	n.mu.Unlock()
 	n.admin.Close()
 	n.qsrv.Close()
 	err := n.Server.Close()
-	n.wg.Wait()
 	n.wal.Close()
 	return err
 }
 
-// Admin protocol: one JSON object per line in each direction.
+// Admin protocol: one JSON object per line in each direction (jsonline.go).
 //
 //	{"op":"ping"}                             → {"ok":true,"shard":N,"epoch":E,"rbs":[...]}
 //	{"op":"apply","config":{...}}             → {"ok":true}
@@ -412,45 +402,6 @@ func (n *ShardNode) healthLocked() *ShardHealth {
 		}
 	}
 	return h
-}
-
-// adminScanBuf bounds one admin line; handoff payloads ride base64 on a
-// single line, so this must hold the largest transfer (64 MiB).
-const adminScanBuf = 64 << 20
-
-func (n *ShardNode) adminLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.admin.Accept()
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer conn.Close()
-			n.serveAdmin(conn)
-		}()
-	}
-}
-
-func (n *ShardNode) serveAdmin(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), adminScanBuf)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		var req adminReq
-		var resp adminResp
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			resp.Err = fmt.Sprintf("bad request: %v", err)
-		} else {
-			resp = n.handleAdmin(&req)
-		}
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
 }
 
 func (n *ShardNode) handleAdmin(req *adminReq) adminResp {
@@ -666,32 +617,12 @@ func (n *ShardNode) handleRelease(req *adminReq) adminResp {
 	return adminResp{OK: true}
 }
 
-// adminCall performs one request against a shard admin endpoint.
+// adminCall performs one request against a shard admin endpoint. A
+// refusal is returned with the response: the shard answered.
 func adminCall(addr string, req *adminReq, timeout time.Duration) (*adminResp, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
+	resp, err := callJSON[adminResp](addr, req, timeout)
+	if err == nil && !resp.OK {
+		err = fmt.Errorf("fabric: %s: %s", req.Op, resp.Err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(req); err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), adminScanBuf)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, errors.New("fabric: admin connection closed without response")
-	}
-	var resp adminResp
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return &resp, fmt.Errorf("fabric: %s: %s", req.Op, resp.Err)
-	}
-	return &resp, nil
+	return resp, err
 }

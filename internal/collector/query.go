@@ -6,12 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"netseer/internal/fevent"
 	"netseer/internal/obs"
@@ -40,8 +41,7 @@ import (
 type QueryServer struct {
 	store *Store
 	reg   atomic.Pointer[obs.Registry] // what stats serves; nil until RegisterMetrics
-	ln    net.Listener
-	wg    sync.WaitGroup
+	svc   *Service
 
 	requests [len(queryVerbs)]obs.Counter
 	errors   obs.Counter
@@ -63,13 +63,12 @@ func verbIndex(cmd string) int {
 // NewQueryServer starts a query listener on addr. Its stats verb answers
 // with an error line until RegisterMetrics names a registry.
 func NewQueryServer(store *Store, addr string) (*QueryServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	svc, err := Listen(addr, nil)
 	if err != nil {
 		return nil, err
 	}
-	q := &QueryServer{store: store, ln: ln}
-	q.wg.Add(1)
-	go q.acceptLoop()
+	q := &QueryServer{store: store, svc: svc}
+	svc.Start(nil, q.serve)
 	return q, nil
 }
 
@@ -85,30 +84,11 @@ func (q *QueryServer) RegisterMetrics(r *obs.Registry) {
 }
 
 // Addr returns the listening address.
-func (q *QueryServer) Addr() string { return q.ln.Addr().String() }
+func (q *QueryServer) Addr() string { return q.svc.Addr() }
 
-// Close stops the listener.
-func (q *QueryServer) Close() error {
-	err := q.ln.Close()
-	q.wg.Wait()
-	return err
-}
-
-func (q *QueryServer) acceptLoop() {
-	defer q.wg.Done()
-	for {
-		conn, err := q.ln.Accept()
-		if err != nil {
-			return
-		}
-		q.wg.Add(1)
-		go func() {
-			defer q.wg.Done()
-			defer conn.Close()
-			q.serve(conn)
-		}()
-	}
-}
+// Close stops the listener and closes every client connection, idle
+// ones included.
+func (q *QueryServer) Close() error { return q.svc.Close() }
 
 func (q *QueryServer) serve(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
@@ -253,6 +233,43 @@ func (q *QueryServer) handle(line string, w *bufio.Writer) {
 	default:
 		q.errf(w, "unknown command %q", cmd)
 	}
+}
+
+// QueryLines is the line protocol's client: it sends one request line to
+// the query server at addr and calls fn on each line of the answer up to
+// the "." terminator. A "! message" answer, an error from fn, or a
+// connection that closes mid-answer is returned as an error. timeout
+// bounds the dial and the whole exchange; 0 sets no deadline.
+func QueryLines(addr, req string, timeout time.Duration, fn func(line string) error) error {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if timeout > 0 {
+		conn.SetDeadline(time.Now().Add(timeout))
+	}
+	if _, err := io.WriteString(conn, req+"\n"); err != nil {
+		return err
+	}
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "." {
+			return nil
+		}
+		if msg, ok := strings.CutPrefix(line, "!"); ok {
+			return fmt.Errorf("query %s: %s", addr, strings.TrimSpace(msg))
+		}
+		if err := fn(line); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("query %s: closed mid-response", addr)
 }
 
 // ParseFilter parses key=value query arguments into a Filter.

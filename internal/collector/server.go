@@ -26,9 +26,6 @@ type ServerConfig struct {
 	// MaxConns caps concurrent ingest connections; extra connections are
 	// closed immediately (default 128).
 	MaxConns int
-	// AcceptRetryDelay is the pause after a transient Accept error
-	// (default 50ms).
-	AcceptRetryDelay time.Duration
 	// Listener, when non-nil, is served instead of binding the address —
 	// the hook fault-injection harnesses use to interpose a flaky wire (see
 	// internal/faultconn).
@@ -66,9 +63,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 128
 	}
-	if c.AcceptRetryDelay <= 0 {
-		c.AcceptRetryDelay = 50 * time.Millisecond
-	}
 	if c.AckSlowdown <= 0 {
 		c.AckSlowdown = 2 * time.Millisecond
 	}
@@ -81,12 +75,11 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // acks are gated on fsync (group-committed in internal/collector/wal),
 // checkpoints snapshot the store and truncate the log, and admission
 // watermarks shed load instead of letting an ingest burst grow memory
-// without bound. It survives transient accept errors, applies
-// per-connection read deadlines and TCP keepalives, and caps concurrent
-// connections.
+// without bound. It runs on a Service, applies per-connection read
+// deadlines and TCP keepalives, and caps concurrent connections.
 type Server struct {
 	store *Store
-	ln    net.Listener
+	svc   *Service
 	cfg   ServerConfig
 	wal   *wal.WAL
 	admit *admission
@@ -97,11 +90,7 @@ type Server struct {
 	// logged-but-not-applied window while the snapshot boundary moves.
 	ingestMu sync.RWMutex
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining bool
-	wg       sync.WaitGroup
+	mu sync.Mutex // guards durErr
 
 	// durFailed flips (once, permanently) when the WAL poisons itself:
 	// an fsync or write failed, so no further ack promise can be kept.
@@ -117,9 +106,9 @@ type Server struct {
 
 	// Ingest-side counters. The server is concurrent (accept loop plus one
 	// goroutine per connection), so these are atomic obs instruments: a
-	// /metrics scrape reads them without taking mu.
+	// /metrics scrape reads them without taking mu. The accept retries are
+	// the Service's.
 	connsAccepted, connsRejected obs.Counter
-	acceptRetries                obs.Counter
 	frames, frameErrors          obs.Counter
 	acks, ackWriteErrors         obs.Counter
 	walAppendErrors              obs.Counter
@@ -136,32 +125,40 @@ type Server struct {
 // or on cfg.Listener when set; the zero ServerConfig is the default
 // tuning. Use Addr to learn the bound address.
 func NewServerConfig(store *Store, addr string, cfg ServerConfig) (*Server, error) {
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", addr); err != nil {
-			return nil, err
-		}
+	svc, err := Listen(addr, cfg.Listener)
+	if err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	s := &Server{store: store, ln: ln, cfg: cfg, wal: cfg.WAL,
-		conns:     make(map[net.Conn]struct{}),
+	s := &Server{store: store, svc: svc, cfg: cfg, wal: cfg.WAL,
 		admit:     newAdmission(cfg.MemoryBudget, cfg.WAL != nil),
 		ingestLag: obs.NewHistogram(obs.LatencyBuckets())}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	svc.Start(s.admitConn, s.serve)
 	return s, nil
 }
 
+// admitConn is the ingest Service's admission check. A durability-failed
+// server refuses every connection: the immediate close reads as a dead
+// endpoint to the client, which fails over instead of waiting on acks
+// that can never come. Past MaxConns live ones, it refuses too.
+func (s *Server) admitConn(live int) bool {
+	if s.durFailed.Load() || live >= s.cfg.MaxConns {
+		s.connsRejected.Inc()
+		return false
+	}
+	s.connsAccepted.Inc()
+	return true
+}
+
 // Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.svc.Addr() }
 
 // Stats snapshots the ingest-side counters.
 func (s *Server) Stats() metrics.IngestStats {
 	return metrics.IngestStats{
 		ConnsAccepted:  s.connsAccepted.Load(),
 		ConnsRejected:  s.connsRejected.Load(),
-		AcceptRetries:  s.acceptRetries.Load(),
+		AcceptRetries:  s.svc.retries.Load(),
 		Frames:         s.frames.Load(),
 		FrameErrors:    s.frameErrors.Load(),
 		Acks:           s.acks.Load(),
@@ -191,25 +188,18 @@ func (s *Server) AdmitState() string {
 // failDurability moves the server to the durability-failed rung: the
 // sticky end state entered when the WAL reports a poison error. The
 // first caller records the error and closes every live ingest
-// connection; the accept loop then refuses new ones, so clients fail
-// over to a healthy endpoint instead of retransmitting into a log that
-// can no longer keep an ack's promise.
+// connection; admitConn then refuses new ones, so clients fail over to a
+// healthy endpoint instead of retransmitting into a log that can no
+// longer keep an ack's promise.
 func (s *Server) failDurability(err error) {
 	s.mu.Lock()
 	if s.durErr == nil {
 		s.durErr = err
 	}
 	already := s.durFailed.Swap(true)
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
-	if already {
-		return
-	}
-	for _, c := range conns {
-		c.Close()
+	if !already {
+		s.svc.each(func(c net.Conn) { c.Close() })
 	}
 }
 
@@ -257,7 +247,7 @@ func (s *Server) ScrubWAL() (wal.ScrubReport, error) {
 func (s *Server) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 	r.RegisterCounter(obs.MIngestConnsAccepted, &s.connsAccepted, labels...)
 	r.RegisterCounter(obs.MIngestConnsRejected, &s.connsRejected, labels...)
-	r.RegisterCounter(obs.MIngestAcceptRetries, &s.acceptRetries, labels...)
+	r.RegisterCounter(obs.MIngestAcceptRetries, &s.svc.retries, labels...)
 	r.RegisterCounter(obs.MIngestFrames, &s.frames, labels...)
 	r.RegisterCounter(obs.MIngestFrameErrors, &s.frameErrors, labels...)
 	r.RegisterCounter(obs.MIngestAcks, &s.acks, labels...)
@@ -303,54 +293,6 @@ func (s *Server) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 			}
 			return 0
 		}, labels...)
-	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			stopping := s.closed || s.draining
-			s.mu.Unlock()
-			if !stopping {
-				s.acceptRetries.Inc()
-			}
-			if stopping || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			// Transient (EMFILE, ECONNABORTED, …): back off briefly and
-			// keep accepting instead of silently stopping ingestion.
-			time.Sleep(s.cfg.AcceptRetryDelay)
-			continue
-		}
-		s.mu.Lock()
-		if s.closed || s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		if s.durFailed.Load() {
-			// Durability-failed: refuse ingest outright. The immediate
-			// close reads as a dead endpoint to the client, which fails
-			// over instead of waiting on acks that can never come.
-			s.mu.Unlock()
-			s.connsRejected.Inc()
-			conn.Close()
-			continue
-		}
-		if len(s.conns) >= s.cfg.MaxConns {
-			s.mu.Unlock()
-			s.connsRejected.Inc()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connsAccepted.Inc()
-		s.wg.Add(1)
-		go s.serve(conn)
 	}
 }
 
@@ -413,13 +355,6 @@ func frameBuffered(br *bufio.Reader) bool {
 // whole connection: a frame stays the bytes it arrived as, viewed in place
 // (wal.Append and Store.DeliverPayload both copy).
 func (s *Server) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetKeepAlive(true)
 		tc.SetKeepAlivePeriod(keepAlivePeriod)
@@ -682,42 +617,32 @@ func (s *Server) WithIngestBarrier(fn func() error) error {
 }
 
 // Drain gracefully quiesces ingestion for shutdown: it stops accepting,
-// gives every live connection up to grace to finish its current frame
-// (idle connections are released at the deadline), and waits for all
-// pending acks — durability waits included — to reach the wire. After
-// Drain returns, a Checkpoint captures everything that was ever acked.
+// gives every live connection up to grace to finish its current frame,
+// then shuts their read sides, and waits for all pending acks —
+// durability waits included — to reach the wire. After Drain returns, a
+// Checkpoint captures everything that was ever acked.
 func (s *Server) Drain(grace time.Duration) {
-	s.mu.Lock()
-	if s.draining || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.draining = true
-	s.mu.Unlock()
-	s.ln.Close()
-	deadline := time.Now().Add(grace)
-	s.mu.Lock()
-	for c := range s.conns {
-		c.SetReadDeadline(deadline)
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.svc.Stop()
+	// A read deadline would not hold: serve re-arms ReadTimeout before
+	// every read that can block, so a client still sending, or one whose
+	// last ack was in flight, kept Drain waiting out ReadTimeout.
+	t := time.AfterFunc(grace, func() { s.svc.each(closeRead) })
+	defer t.Stop()
+	s.svc.Wait()
 }
 
-// Close stops accepting and closes every connection. After Drain, which
-// closed the listener already, it reports no error for it.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	drained := s.draining
-	for c := range s.conns {
-		c.Close()
+// closeRead ends a connection's reads and leaves its writes open, so the
+// acks still owed reach the client. A conn without a read side of its
+// own to shut (a fault-injection wrapper) gets a past read deadline.
+func closeRead(c net.Conn) {
+	if tc, ok := c.(interface{ CloseRead() error }); ok {
+		tc.CloseRead()
+		return
 	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	if drained {
-		return nil
-	}
-	return err
+	c.SetReadDeadline(time.Now())
 }
+
+// Close stops accepting, closes every connection and waits for their
+// goroutines. After Drain, which closed the listener already, it reports
+// no error for it.
+func (s *Server) Close() error { return s.svc.Close() }
