@@ -25,7 +25,6 @@ import (
 	"netseer/internal/groupcache"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
-	"netseer/internal/pkt"
 	"netseer/internal/seqtrack"
 	"netseer/internal/sim"
 	"netseer/internal/sketch"
@@ -234,12 +233,15 @@ func Sum(nss []*NetSeerSwitch) Stats {
 // seen again on the same port pair after this long is reported anew.
 const pathExpiry = 10 * sim.Millisecond
 
-// pathEntry is one slot of the path-change flow table.
+// pathEntry is one slot of the path-change flow table: the flow's five
+// fields beside the port pair and the used flag fill 16 B, the time 8 B
+// more (a nested pkt.FlowKey would pad the slot to 32 B).
 type pathEntry struct {
-	used     bool
-	flow     pkt.FlowKey
-	in, out  uint8
-	lastSeen sim.Time
+	src, dst         uint32
+	srcPort, dstPort uint16
+	proto, in, out   uint8
+	used             bool
+	lastSeen         sim.Time
 }
 
 // tokenBucket is a strict capacity model: work beyond the budget is lost,
@@ -289,6 +291,9 @@ type NetSeerSwitch struct {
 	pauseTab  *groupcache.Table
 	aclAgg    *groupcache.ACLAggregator
 	pathTable []pathEntry
+	// pathMask is len(pathTable)-1 when PathSlots is a power of two, so
+	// the per-packet index is an AND, not a divide; -1 otherwise.
+	pathMask int
 
 	// Inter-switch state (per port).
 	seq      []seqtrack.Port
@@ -346,10 +351,14 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 		sw: sw, cfg: cfg, sim: sw.Sim(), sink: sink,
 		congThreshold:  sw.Config().CongestionThreshold,
 		pathTable:      make([]pathEntry, cfg.PathSlots),
+		pathMask:       -1,
 		mmuRedirect:    newTokenBucket(cfg.MMURedirectBps, 256<<10),
 		internalPort:   newTokenBucket(cfg.InternalPortBps, 512<<10),
 		latDetectToCPU: obs.NewHistogram(obs.LatencyBuckets()),
 		extractBuf:     make([]fevent.Event, 0, 256),
+	}
+	if cfg.PathSlots&(cfg.PathSlots-1) == 0 {
+		n.pathMask = cfg.PathSlots - 1
 	}
 	n.dropTable = groupcache.New(cfg.GroupSlots, cfg.GroupC, n.onFlowEvent)
 	n.congTable = groupcache.New(cfg.GroupSlots, cfg.GroupC, n.onFlowEvent)
@@ -436,8 +445,8 @@ func (n *NetSeerSwitch) Stats() Stats {
 
 // Occupancy scans the fixed structures: live group-cache entries, and the
 // sketch stage's non-zero count-min cells and resident top-K entries
-// (zero without Config.Sketch). O(slots), so read it at publish points,
-// never per packet.
+// (zero without Config.Sketch). O(slots) over the tables an event has
+// reached, so read it at publish points, never per packet.
 func (n *NetSeerSwitch) Occupancy() (groupEntries, cmsCells, topkEntries int) {
 	groupEntries = n.dropTable.Len() + n.congTable.Len() + n.pauseTab.Len()
 	if n.sketch != nil {

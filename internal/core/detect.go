@@ -108,19 +108,25 @@ func (n *NetSeerSwitch) detectPathChange(p *pkt.Packet, inPort, outPort int) {
 	// The packet carries its flow hash: it indexes the path table and
 	// rides along on any emitted event.
 	hash := p.FlowHash()
-	idx := int(hash % uint32(len(n.pathTable)))
+	var idx int
+	if n.pathMask >= 0 {
+		idx = int(hash) & n.pathMask
+	} else {
+		idx = int(hash % uint32(len(n.pathTable)))
+	}
 	e := &n.pathTable[idx]
-	same := e.used && e.flow == p.Flow &&
+	f := &p.Flow
+	same := e.used && e.src == f.SrcIP && e.dst == f.DstIP &&
+		e.srcPort == f.SrcPort && e.dstPort == f.DstPort && e.proto == f.Proto &&
 		e.in == uint8(inPort) && e.out == uint8(outPort) &&
 		now-e.lastSeen <= pathExpiry
 	if same {
 		e.lastSeen = now
 		return
 	}
-	e.used = true
-	e.flow = p.Flow
-	e.in = uint8(inPort)
-	e.out = uint8(outPort)
+	e.src, e.dst = f.SrcIP, f.DstIP
+	e.srcPort, e.dstPort, e.proto = f.SrcPort, f.DstPort, f.Proto
+	e.in, e.out, e.used = uint8(inPort), uint8(outPort), true
 	e.lastSeen = now
 	ev := fevent.Event{
 		Type:        fevent.TypePathChange,

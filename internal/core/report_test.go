@@ -2,9 +2,11 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"netseer/internal/dataplane"
 	"netseer/internal/fevent"
+	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -99,6 +101,62 @@ func TestPathTableCollisionReReports(t *testing.T) {
 	}
 	if len(paths) != 4 {
 		t.Errorf("sink path events = %d, want 4 post-dedup", len(paths))
+	}
+}
+
+// TestPathEntryMatchesEveryFlowField offers the path table flows that
+// differ from a base flow in one field each and share its slot: each must
+// re-report, and the base flow after it must too. The 8-slot table
+// indexes by mask, the 3-slot one by modulo.
+func TestPathEntryMatchesEveryFlowField(t *testing.T) {
+	base := pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoTCP}
+	variants := []func(f *pkt.FlowKey, k int){
+		func(f *pkt.FlowKey, k int) { f.SrcIP += uint32(k) },
+		func(f *pkt.FlowKey, k int) { f.DstIP += uint32(k) },
+		func(f *pkt.FlowKey, k int) { f.SrcPort += uint16(k) },
+		func(f *pkt.FlowKey, k int) { f.DstPort += uint16(k) },
+		func(f *pkt.FlowKey, k int) { f.Proto += uint8(k) },
+	}
+	for _, slots := range []int{8, 3} {
+		n := newRig(t, dataplane.Config{}, Config{PathSlots: slots}).ns0
+		reports := func() uint64 { return n.stats.Detections[fevent.TypePathChange] }
+		offer := func(f pkt.FlowKey, in, out int) {
+			n.detectPathChange(&pkt.Packet{Kind: pkt.KindData, Flow: f}, in, out)
+		}
+		offer(base, 0, 1)
+		offer(base, 0, 1)
+		if got := reports(); got != 1 {
+			t.Fatalf("%d slots: the same flow and ports reported %d times, want 1", slots, got)
+		}
+		slot := base.Hash() % uint32(slots)
+		for i, change := range variants {
+			f := base
+			for k := 1; f == base || f.Hash()%uint32(slots) != slot; k++ {
+				f = base
+				change(&f, k)
+			}
+			before := reports()
+			offer(f, 0, 1)
+			offer(base, 0, 1)
+			if got := reports() - before; got != 2 {
+				t.Errorf("%d slots: variant %d (%v) and the base flow after it reported %d times, want 2", slots, i, f, got)
+			}
+		}
+		before := reports()
+		offer(base, 1, 1)
+		offer(base, 1, 0)
+		offer(base, 1, 0)
+		if got := reports() - before; got != 2 {
+			t.Errorf("%d slots: two port changes reported %d times, want 2", slots, got)
+		}
+	}
+}
+
+// TestPathEntryIs24B pins the path table's slot: the flow's fields, the
+// port pair and the used flag in 16 B, and the time.
+func TestPathEntryIs24B(t *testing.T) {
+	if n := unsafe.Sizeof(pathEntry{}); n != 24 {
+		t.Fatalf("a path-table slot is %d B, want 24", n)
 	}
 }
 

@@ -39,10 +39,14 @@ type ReportFunc func(e *fevent.Event)
 // concurrent use; in the simulated switch every table belongs to a single
 // pipeline.
 type Table struct {
+	// slots is allocated at the first Offer, n slots long: a switch pays
+	// for the table of an event type only once that type occurs, and most
+	// switches never see a pause. Until then the table is empty.
 	slots []entry
-	// mask is len(slots)-1 when the size is a power of two (the common
-	// case: DefaultSlots and the paper's SRAM sizings), letting Offer
-	// replace the 32-bit modulo with an AND; -1 otherwise.
+	n     int
+	// mask is n-1 when the size is a power of two (the common case:
+	// DefaultSlots and the paper's SRAM sizings), letting Offer replace
+	// the 32-bit modulo with an AND; -1 otherwise.
 	mask   int
 	c      uint16
 	report ReportFunc
@@ -112,7 +116,7 @@ func New(slots int, c uint16, report ReportFunc) *Table {
 	if slots&(slots-1) == 0 {
 		mask = slots - 1
 	}
-	return &Table{slots: make([]entry, slots), mask: mask, c: c, report: report}
+	return &Table{n: slots, mask: mask, c: c, report: report}
 }
 
 // Offer processes one event packet (Algorithm 1). ev.Type must be a
@@ -123,11 +127,14 @@ func New(slots int, c uint16, report ReportFunc) *Table {
 // aggregated count.
 func (t *Table) Offer(ev *fevent.Event) {
 	t.ingested++
+	if t.slots == nil {
+		t.slots = make([]entry, t.n)
+	}
 	var idx int
 	if t.mask >= 0 {
 		idx = int(ev.Hash) & t.mask
 	} else {
-		idx = int(ev.Hash % uint32(len(t.slots)))
+		idx = int(ev.Hash % uint32(t.n))
 	}
 	s := &t.slots[idx]
 	d := ev.Detail()
@@ -175,7 +182,8 @@ func (t *Table) emit(s *entry) {
 
 // Flush reports and clears every resident entry, delivering final counters.
 // The simulated switch calls this at the end of a run (the hardware
-// equivalent is the periodic refresh by C crossing).
+// equivalent is the periodic refresh by C crossing). On a table never
+// offered an event it does nothing.
 func (t *Table) Flush() {
 	for i := range t.slots {
 		s := &t.slots[i]
@@ -208,5 +216,5 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Slots returns the table capacity.
-func (t *Table) Slots() int { return len(t.slots) }
+// Slots returns the table capacity, allocated or not.
+func (t *Table) Slots() int { return t.n }

@@ -1,6 +1,7 @@
 package groupcache
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -198,19 +199,33 @@ func TestDropAndCongestionDoNotCollideLogically(t *testing.T) {
 	}
 }
 
+// TestLenAndSlots also pins the lazy table: until its first Offer a table
+// holds no slots, reports its capacity and no entries, and Len, Slots and
+// Flush allocate nothing.
 func TestLenAndSlots(t *testing.T) {
 	var c capture
-	tbl := New(32, 10, c.report)
-	if tbl.Slots() != 32 || tbl.Len() != 0 {
-		t.Fatalf("fresh table: slots=%d len=%d", tbl.Slots(), tbl.Len())
-	}
-	tbl.Offer(congestionPacket(flowN(1), 1))
-	if tbl.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tbl.Len())
-	}
-	tbl.Flush()
-	if tbl.Len() != 0 {
-		t.Errorf("Len after flush = %d, want 0", tbl.Len())
+	for _, n := range []int{32, 3} {
+		tbl := New(n, 10, c.report)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if tbl.Slots() != n || tbl.Len() != 0 {
+				t.Fatalf("fresh table: slots=%d len=%d", tbl.Slots(), tbl.Len())
+			}
+			tbl.Flush()
+		}); allocs != 0 {
+			t.Errorf("untouched %d-slot table: Len, Slots and Flush allocate %v times; budget is 0", n, allocs)
+		}
+		if tbl.slots != nil || len(c.events) != 0 {
+			t.Fatalf("untouched %d-slot table: %d slots allocated, %d reports", n, len(tbl.slots), len(c.events))
+		}
+		tbl.Offer(congestionPacket(flowN(1), 1))
+		if len(tbl.slots) != n || tbl.Len() != 1 {
+			t.Errorf("%d-slot table after its first Offer: %d slots, Len %d, want %d and 1", n, len(tbl.slots), tbl.Len(), n)
+		}
+		tbl.Flush()
+		if tbl.Len() != 0 || len(c.events) != 2 {
+			t.Errorf("Len after flush = %d, reports %d; want 0 and 2", tbl.Len(), len(c.events))
+		}
+		c.events = nil
 	}
 }
 
@@ -394,7 +409,9 @@ func TestOfferZeroAllocSteadyState(t *testing.T) {
 	}
 
 	// One slot: every alternating key collides and takes the evict path.
+	// The first Offer allocates the slots, so it is made before the pin.
 	evict := New(1, 4, func(*fevent.Event) { reports++ })
+	evict.Offer(&evs[1])
 	var j int
 	if n := testing.AllocsPerRun(1000, func() {
 		evict.Offer(&evs[j%2])
@@ -514,14 +531,18 @@ func randomEvent(rng *sim.Stream) fevent.Event {
 // event types to a Table and to the reference model: every emitted event
 // must be equal field for field, and so must the counters. The report
 // func stamps each event as core's onFlowEvent does, so a stamp that
-// outlived its call would show in a later report.
+// outlived its call would show in a later report. A second table pair
+// sees the stream's flushes from the start but its events only from a
+// random point on: the lazy Table, untouched until then, must still
+// match the eager model.
 func TestTableMatchesReference(t *testing.T) {
 	var evictions, rereports uint64
 	for seed := uint64(1); seed <= 240; seed++ {
 		rng := sim.NewStream(seed, "groupcache-reference")
 		slots := []int{1, 3, 16, 64}[rng.Intn(4)]
 		c := uint16(1 + rng.Intn(6))
-		var got, want []fevent.Event
+		late := rng.Intn(400)
+		var got, want, lateGot, lateWant []fevent.Event
 		var ev fevent.Event
 		stamp := func(out *[]fevent.Event) ReportFunc {
 			return func(e *fevent.Event) {
@@ -531,38 +552,61 @@ func TestTableMatchesReference(t *testing.T) {
 		}
 		tbl := New(slots, c, stamp(&got))
 		ref := &refTable{slots: make([]refEntry, slots), c: c, report: stamp(&want)}
+		lateTbl := New(slots, c, stamp(&lateGot))
+		lateRef := &refTable{slots: make([]refEntry, slots), c: c, report: stamp(&lateWant)}
+		pairs := []struct {
+			tbl  *Table
+			ref  *refTable
+			from int
+		}{{tbl, ref, 0}, {lateTbl, lateRef, late}}
 		for i := 0; i < 400; i++ {
 			if rng.Bool(0.01) {
-				tbl.Flush()
-				ref.Flush()
+				for _, p := range pairs {
+					p.tbl.Flush()
+					p.ref.Flush()
+				}
 				continue
 			}
 			if ev.Type == 0 || rng.Bool(0.5) { // else the last packet's event again
 				ev = randomEvent(rng)
 			}
-			ev2 := ev
-			tbl.Offer(&ev)
-			ref.Offer(&ev2)
-		}
-		tbl.Flush()
-		ref.Flush()
-		if len(got) != len(want) {
-			t.Fatalf("seed %d (%d slots, C %d): %d reports, reference %d", seed, slots, c, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d (%d slots, C %d): report %d is %+v, reference %+v", seed, slots, c, i, got[i], want[i])
+			for _, p := range pairs {
+				if i >= p.from {
+					ev2 := ev
+					p.tbl.Offer(&ev)
+					p.ref.Offer(&ev2)
+				}
 			}
 		}
-		in, rep, mer, evi := tbl.Stats()
-		if in != ref.ingested || rep != ref.reported || mer != ref.merged || evi != ref.evictions ||
-			tbl.Rereports() != ref.rereports || tbl.Len() != ref.Len() {
-			t.Fatalf("seed %d: stats %d/%d/%d/%d rereports %d len %d, reference %d/%d/%d/%d %d %d",
-				seed, in, rep, mer, evi, tbl.Rereports(), tbl.Len(),
-				ref.ingested, ref.reported, ref.merged, ref.evictions, ref.rereports, ref.Len())
+		for _, p := range pairs {
+			p.tbl.Flush()
+			p.ref.Flush()
 		}
-		evictions += evi
-		rereports += ref.rereports
+		for _, r := range []struct {
+			name      string
+			got, want []fevent.Event
+		}{{"table", got, want}, {fmt.Sprintf("table first offered at %d", late), lateGot, lateWant}} {
+			if len(r.got) != len(r.want) {
+				t.Fatalf("seed %d (%d slots, C %d), %s: %d reports, reference %d", seed, slots, c, r.name, len(r.got), len(r.want))
+			}
+			for i := range r.got {
+				if r.got[i] != r.want[i] {
+					t.Fatalf("seed %d (%d slots, C %d), %s: report %d is %+v, reference %+v", seed, slots, c, r.name, i, r.got[i], r.want[i])
+				}
+			}
+		}
+		for _, p := range pairs {
+			tbl, ref := p.tbl, p.ref
+			in, rep, mer, evi := tbl.Stats()
+			if in != ref.ingested || rep != ref.reported || mer != ref.merged || evi != ref.evictions ||
+				tbl.Rereports() != ref.rereports || tbl.Len() != ref.Len() || tbl.Slots() != len(ref.slots) {
+				t.Fatalf("seed %d, first offer at %d: stats %d/%d/%d/%d rereports %d len %d slots %d, reference %d/%d/%d/%d %d %d %d",
+					seed, p.from, in, rep, mer, evi, tbl.Rereports(), tbl.Len(), tbl.Slots(),
+					ref.ingested, ref.reported, ref.merged, ref.evictions, ref.rereports, ref.Len(), len(ref.slots))
+			}
+			evictions += evi
+			rereports += ref.rereports
+		}
 	}
 	if evictions == 0 || rereports == 0 {
 		t.Fatalf("the streams never evicted (%d) or never crossed C (%d)", evictions, rereports)
