@@ -38,6 +38,7 @@ fuzz-smoke nightly-fuzz:
 		internal/collector:FuzzReadFrame \
 		internal/collector:FuzzLoadSnapshot \
 		internal/collector:FuzzSeenSet \
+		internal/collector/fabric:FuzzShardLog \
 		internal/collector/wal:FuzzWALRecord \
 		internal/collector/wal:FuzzWALReplay \
 		internal/collector/wal:FuzzRecoverSnapshot \

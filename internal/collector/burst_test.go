@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -118,8 +119,6 @@ func TestBurstAck(t *testing.T) {
 		seqs []uint64
 	}{
 		{"monotonic", monotonic},
-		// The order a PreserveSeq client produces when it re-routes
-		// another client's pending batches after its own.
 		{"reroute order", []uint64{900, 100, 950}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +143,9 @@ func TestBurstAck(t *testing.T) {
 				t.Fatalf("server counted %d frames, want %d", got, len(tc.seqs))
 			}
 
+			if !slices.IsSorted(tc.seqs) {
+				return // a PreserveSeq client refuses the order (TestPreserveSeqRefusesAStepDown)
+			}
 			// The same order through a real client (another switch, so
 			// nothing is a replay): its window must drain.
 			cl := NewClientConfig(srv.Addr(), ClientConfig{PreserveSeq: true, FlushTimeout: 5 * time.Second})
@@ -206,6 +208,35 @@ func TestBurstAck(t *testing.T) {
 			t.Fatalf("store holds %d events with %d duplicates, want 2 and 4", store.Len(), store.DupBatches())
 		}
 	})
+}
+
+// TestPreserveSeqRefusesAStepDown: a cumulative ack releases every
+// batch at or below it, so a PreserveSeq client handed a sequence not
+// above one it has taken could have an ack of the higher release the
+// lower unread. Deliver refuses such a batch, and the client carries on.
+func TestPreserveSeqRefusesAStepDown(t *testing.T) {
+	store, srv, _, release := burstServer(t)
+	release()
+	cl := NewClientConfig(srv.Addr(), ClientConfig{PreserveSeq: true, FlushTimeout: 5 * time.Second})
+	defer cl.Close()
+	cl.Deliver(seqBatch(2, 900))
+	for _, seq := range []uint64{100, 900} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Deliver took seq %d after 900", seq)
+				}
+			}()
+			cl.Deliver(seqBatch(2, seq))
+		}()
+	}
+	cl.Deliver(seqBatch(2, 950))
+	if err := cl.Flush(); err != nil {
+		t.Fatalf("client window did not drain: %v (stats %+v)", err, cl.Stats())
+	}
+	if store.Len() != 2 || store.DupBatches() != 0 {
+		t.Fatalf("store holds %d events with %d duplicates, want 2 and 0", store.Len(), store.DupBatches())
+	}
 }
 
 // TestBurstLivenessUnderMidFrameResets pins the barrier rule: every

@@ -46,11 +46,15 @@ type ClientConfig struct {
 	// endpoint probes the primary for recovery; a successful probe
 	// promotes the channel back (default 3s). Ignored without Endpoints.
 	PrimaryRetryInterval time.Duration
-	// PreserveSeq keeps a non-zero Seq already present on a delivered
-	// batch instead of assigning a fresh one. The fabric's drain path
-	// sets it when re-routing another client's pending batches after a
-	// ring change: the original (switch, seq) identity must survive the
+	// PreserveSeq keeps the Seq already present on a delivered batch
+	// instead of assigning a fresh one. The fabric's drain path sets it
+	// when re-routing another client's pending batches after a ring
+	// change: the original (switch, seq) identity must survive the
 	// re-route, or the destination could store the same batch twice.
+	// Each Seq must be above every Seq the client has taken — a
+	// cumulative ack releases every batch at or below it, so one client
+	// carries one ascending sequence space — and Deliver panics on one
+	// that is not.
 	PreserveSeq bool
 }
 
@@ -160,9 +164,10 @@ func NewClientConfig(addr string, cfg ClientConfig) *Client {
 	// a restarted exporter counting again from 1 would have its first
 	// batches silently discarded as replays of the previous process. Each
 	// client therefore counts from a random starting sequence, drawn below
-	// 2^62 so that counting up never wraps to 0 — the unsequenced mark.
+	// 2^62 so that counting up never wraps to 0 — the unsequenced mark. A
+	// PreserveSeq client takes its sequences from its batches instead.
 	var r [8]byte
-	if _, err := crand.Read(r[:]); err == nil {
+	if _, err := crand.Read(r[:]); err == nil && !cfg.PreserveSeq {
 		c.nextSeq = binary.BigEndian.Uint64(r[:]) >> 2
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -186,10 +191,12 @@ func (c *Client) Deliver(b *fevent.Batch) {
 		c.droppedBatches.Inc()
 		return
 	}
-	if c.cfg.PreserveSeq && b.Seq != 0 {
-		if b.Seq > c.nextSeq {
-			c.nextSeq = b.Seq
+	if c.cfg.PreserveSeq {
+		if b.Seq <= c.nextSeq {
+			c.mu.Unlock()
+			panic(fmt.Sprintf("collector: PreserveSeq batch seq %d is not above seq %d already taken", b.Seq, c.nextSeq))
 		}
+		c.nextSeq = b.Seq
 	} else {
 		c.nextSeq++
 		b.Seq = c.nextSeq

@@ -225,38 +225,13 @@ func (c *Coordinator) shardAdmin(p *pendingRebalance, id uint32) (string, error)
 // Join adds a shard: stage the slot ranges it gains, then publish the
 // new epoch. Returns the published config.
 func (c *Coordinator) Join(info ShardInfo) (Config, error) {
-	c.mu.Lock()
-	if c.st.Pending != nil {
-		c.mu.Unlock()
-		return Config{}, errors.New("fabric: rebalance already pending")
-	}
-	cur := c.st.Current
-	if _, ok := cur.Shard(info.ID); ok {
-		c.mu.Unlock()
-		return Config{}, fmt.Errorf("fabric: shard %d already a member", info.ID)
-	}
-	shards := append(append([]ShardInfo(nil), cur.Shards...), info)
-	target := Config{Epoch: cur.Epoch + 1, Shards: shards, Slots: AssignSlots(shards)}
-	var transfers []transfer
-	i := 0
-	for pair, mask := range MovedSlots(&cur, &target) {
-		if _, ok := cur.Shard(pair[0]); !ok {
-			continue // bootstrap join: slots gain their first owner, nothing moves
+	return c.propose(func(cur *Config) (*pendingRebalance, error) {
+		if _, ok := cur.Shard(info.ID); ok {
+			return nil, fmt.Errorf("fabric: shard %d already a member", info.ID)
 		}
-		transfers = append(transfers, transfer{
-			RB: target.Epoch<<16 | uint64(i), Source: pair[0], Dest: pair[1], Mask: mask,
-		})
-		i++
-	}
-	p := &pendingRebalance{Phase: "staging", Target: target, Transfers: transfers}
-	c.st.Pending = p
-	if err := c.persistLocked(); err != nil {
-		c.st.Pending = nil
-		c.mu.Unlock()
-		return Config{}, err
-	}
-	c.mu.Unlock()
-	return c.runRebalance(p)
+		shards := append(append([]ShardInfo(nil), cur.Shards...), info)
+		return planMoves(cur, shards, shards), nil
+	})
 }
 
 // Leave starts removing a shard with the first of two rebalances: the
@@ -269,51 +244,15 @@ func (c *Coordinator) Join(info ShardInfo) (Config, error) {
 // still in the fan-out) until Retire's full-drain mark captures it;
 // removing the shard in one epoch would strand exactly those events.
 func (c *Coordinator) Leave(id uint32) (Config, error) {
-	c.mu.Lock()
-	if c.st.Pending != nil {
-		c.mu.Unlock()
-		return Config{}, errors.New("fabric: rebalance already pending")
-	}
-	cur := c.st.Current
-	if _, ok := cur.Shard(id); !ok {
-		c.mu.Unlock()
-		return Config{}, fmt.Errorf("fabric: shard %d not a member", id)
-	}
-	if len(cur.Shards) == 1 {
-		c.mu.Unlock()
-		return Config{}, errors.New("fabric: cannot remove the last shard")
-	}
-	var remaining []ShardInfo
-	for _, s := range cur.Shards {
-		if s.ID != id {
-			remaining = append(remaining, s)
+	return c.propose(func(cur *Config) (*pendingRebalance, error) {
+		if _, ok := cur.Shard(id); !ok {
+			return nil, fmt.Errorf("fabric: shard %d not a member", id)
 		}
-	}
-	target := Config{
-		Epoch:  cur.Epoch + 1,
-		Shards: append([]ShardInfo(nil), cur.Shards...),
-		Slots:  AssignSlots(remaining),
-	}
-	var transfers []transfer
-	i := 0
-	for pair, mask := range MovedSlots(&cur, &target) {
-		if _, ok := cur.Shard(pair[0]); !ok {
-			continue // bootstrap join: slots gain their first owner, nothing moves
+		if len(cur.Shards) == 1 {
+			return nil, errors.New("fabric: cannot remove the last shard")
 		}
-		transfers = append(transfers, transfer{
-			RB: target.Epoch<<16 | uint64(i), Source: pair[0], Dest: pair[1], Mask: mask,
-		})
-		i++
-	}
-	p := &pendingRebalance{Phase: "staging", Target: target, Transfers: transfers}
-	c.st.Pending = p
-	if err := c.persistLocked(); err != nil {
-		c.st.Pending = nil
-		c.mu.Unlock()
-		return Config{}, err
-	}
-	c.mu.Unlock()
-	return c.runRebalance(p)
+		return planMoves(cur, append([]ShardInfo(nil), cur.Shards...), without(cur.Shards, id)), nil
+	})
 }
 
 // Retire completes a shard's removal. The shard must already be demoted
@@ -326,53 +265,85 @@ func (c *Coordinator) Leave(id uint32) (Config, error) {
 // membership. A narrower mask would fence away nothing, but leave those
 // events unreachable once the node shuts down.
 func (c *Coordinator) Retire(id uint32) (Config, error) {
+	return c.propose(func(cur *Config) (*pendingRebalance, error) {
+		leaving, ok := cur.Shard(id)
+		if !ok {
+			return nil, fmt.Errorf("fabric: shard %d not a member", id)
+		}
+		for slot := 0; slot < NSlots; slot++ {
+			if cur.Slots[slot] == id {
+				return nil, fmt.Errorf("fabric: shard %d still owns slot %d; Leave first", id, slot)
+			}
+		}
+		shards := without(cur.Shards, id)
+		p := &pendingRebalance{
+			Target:  Config{Epoch: cur.Epoch + 1, Shards: shards, Slots: AssignSlots(shards)},
+			Removed: []ShardInfo{leaving},
+		}
+		masks := make(map[uint32]uint64)
+		for slot := 0; slot < NSlots; slot++ {
+			masks[p.Target.Slots[slot]] |= 1 << uint(slot)
+		}
+		for _, dest := range shards {
+			if mask := masks[dest.ID]; mask != 0 {
+				p.add(id, dest.ID, mask)
+			}
+		}
+		return p, nil
+	})
+}
+
+// without returns shards less the one with the given id, in a new slice.
+func without(shards []ShardInfo, id uint32) []ShardInfo {
+	var out []ShardInfo
+	for _, s := range shards {
+		if s.ID != id {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// planMoves plans the next epoch with the given members and the slots
+// assigned over owners: one transfer per (source, destination) pair of
+// MovedSlots.
+func planMoves(cur *Config, members, owners []ShardInfo) *pendingRebalance {
+	p := &pendingRebalance{Target: Config{Epoch: cur.Epoch + 1, Shards: members, Slots: AssignSlots(owners)}}
+	for pair, mask := range MovedSlots(cur, &p.Target) {
+		if _, ok := cur.Shard(pair[0]); ok { // else a bootstrap join: slots gain their first owner, nothing moves
+			p.add(pair[0], pair[1], mask)
+		}
+	}
+	return p
+}
+
+// add appends a transfer, numbered from the target epoch and its index.
+func (p *pendingRebalance) add(source, dest uint32, mask uint64) {
+	rb := p.Target.Epoch<<16 | uint64(len(p.Transfers))
+	p.Transfers = append(p.Transfers, transfer{RB: rb, Source: source, Dest: dest, Mask: mask})
+}
+
+// propose makes one membership change: refused while another rebalance
+// is pending, planned from the current config, persisted as a staging
+// record and run.
+func (c *Coordinator) propose(plan func(cur *Config) (*pendingRebalance, error)) (Config, error) {
 	c.mu.Lock()
 	if c.st.Pending != nil {
 		c.mu.Unlock()
 		return Config{}, errors.New("fabric: rebalance already pending")
 	}
-	cur := c.st.Current
-	leaving, ok := cur.Shard(id)
-	if !ok {
-		c.mu.Unlock()
-		return Config{}, fmt.Errorf("fabric: shard %d not a member", id)
-	}
-	for slot := 0; slot < NSlots; slot++ {
-		if cur.Slots[slot] == id {
-			c.mu.Unlock()
-			return Config{}, fmt.Errorf("fabric: shard %d still owns slot %d; Leave first", id, slot)
+	p, err := plan(&c.st.Current)
+	if err == nil {
+		p.Phase = "staging"
+		c.st.Pending = p
+		if err = c.persistLocked(); err != nil {
+			c.st.Pending = nil
 		}
-	}
-	var shards []ShardInfo
-	for _, s := range cur.Shards {
-		if s.ID != id {
-			shards = append(shards, s)
-		}
-	}
-	target := Config{Epoch: cur.Epoch + 1, Shards: shards, Slots: AssignSlots(shards)}
-	masks := make(map[uint32]uint64)
-	for slot := 0; slot < NSlots; slot++ {
-		masks[target.Slots[slot]] |= 1 << uint(slot)
-	}
-	var transfers []transfer
-	i := 0
-	for _, dest := range shards {
-		if mask := masks[dest.ID]; mask != 0 {
-			transfers = append(transfers, transfer{
-				RB: target.Epoch<<16 | uint64(i), Source: id, Dest: dest.ID, Mask: mask,
-			})
-			i++
-		}
-	}
-	p := &pendingRebalance{Phase: "staging", Target: target, Transfers: transfers,
-		Removed: []ShardInfo{leaving}}
-	c.st.Pending = p
-	if err := c.persistLocked(); err != nil {
-		c.st.Pending = nil
-		c.mu.Unlock()
-		return Config{}, err
 	}
 	c.mu.Unlock()
+	if err != nil {
+		return Config{}, err
+	}
 	return c.runRebalance(p)
 }
 
@@ -562,13 +533,14 @@ type coordResp struct {
 }
 
 func (c *Coordinator) handle(req *coordReq) coordResp {
+	var cfg Config
+	var err error
 	switch req.Op {
 	case "config":
-		cfg := c.Config()
-		return coordResp{OK: true, Config: &cfg}
+		cfg = c.Config()
 	case "status":
 		c.mu.Lock()
-		cfg := c.st.Current
+		cfg = c.st.Current
 		pending := ""
 		if c.st.Pending != nil {
 			pending = c.st.Pending.Phase
@@ -579,26 +551,18 @@ func (c *Coordinator) handle(req *coordReq) coordResp {
 		if req.Shard == nil {
 			return coordResp{Err: "join: missing shard"}
 		}
-		cfg, err := c.Join(*req.Shard)
-		if err != nil {
-			return coordResp{Err: err.Error()}
-		}
-		return coordResp{OK: true, Config: &cfg}
+		cfg, err = c.Join(*req.Shard)
 	case "leave":
-		cfg, err := c.Leave(req.ID)
-		if err != nil {
-			return coordResp{Err: err.Error()}
-		}
-		return coordResp{OK: true, Config: &cfg}
+		cfg, err = c.Leave(req.ID)
 	case "retire":
-		cfg, err := c.Retire(req.ID)
-		if err != nil {
-			return coordResp{Err: err.Error()}
-		}
-		return coordResp{OK: true, Config: &cfg}
+		cfg, err = c.Retire(req.ID)
 	default:
 		return coordResp{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+	if err != nil {
+		return coordResp{Err: err.Error()}
+	}
+	return coordResp{OK: true, Config: &cfg}
 }
 
 // coordRequest performs one round-trip of the coordinator line protocol.

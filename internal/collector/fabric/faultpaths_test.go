@@ -8,10 +8,12 @@ import (
 	"bufio"
 	"encoding/base64"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,9 +201,15 @@ func TestRouterReroutesPendingOnMembershipDrop(t *testing.T) {
 		t.Fatalf("flush after re-route: %v", err)
 	}
 
-	got := live.Store().Query(collector.Filter{})
+	assertStores(t, "surviving shard", live.Store(), ref)
+}
+
+// assertStores fails unless store holds exactly the multiset ref.
+func assertStores(t *testing.T, what string, store *collector.Store, ref []fevent.Event) {
+	t.Helper()
+	got := store.Query(collector.Filter{})
 	if len(got) != len(ref) {
-		t.Fatalf("surviving shard stores %d events after re-route, want %d", len(got), len(ref))
+		t.Fatalf("%s stores %d events after re-route, want %d", what, len(got), len(ref))
 	}
 	counts := make(map[fevent.Event]int, len(ref))
 	for _, e := range ref {
@@ -212,7 +220,208 @@ func TestRouterReroutesPendingOnMembershipDrop(t *testing.T) {
 	}
 	for k, n := range counts {
 		if n != 0 {
-			t.Fatalf("re-route multiset off by %d on identity %v", n, &k)
+			t.Fatalf("%s: re-route multiset off by %d on identity %v", what, n, &k)
 		}
 	}
+}
+
+// fastRerouteClients retries dead endpoints quickly and flushes long.
+var fastRerouteClients = collector.ClientConfig{
+	DialTimeout: 250 * time.Millisecond,
+	BackoffMin:  2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
+	FlushTimeout: 10 * time.Second, CloseTimeout: time.Second,
+}
+
+// slotConfig is a config whose slots the test assigns by hand.
+func slotConfig(epoch uint64, owner func(slot int) uint32, shards ...fabric.ShardInfo) fabric.Config {
+	cfg := fabric.Config{Epoch: epoch, Shards: shards}
+	for slot := range cfg.Slots {
+		cfg.Slots[slot] = owner(slot)
+	}
+	return cfg
+}
+
+// eventsIn returns n events of switch sw whose slots keep accepts.
+func eventsIn(n int, sw uint16, keep func(slot int) bool) []fevent.Event {
+	var evs []fevent.Event
+	for i := 0; len(evs) < n; i++ {
+		if e := eventN(900000+i, sw, 3000); keep(fabric.SlotOf(sw, e.Flow)) {
+			evs = append(evs, e)
+		}
+	}
+	return evs
+}
+
+// sinkShard listens like a shard that reads every frame and acks none,
+// and reports the sequences it read.
+type sinkShard struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+	seqs  []uint64
+}
+
+func newSinkShard(t *testing.T) *sinkShard {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sinkShard{ln: ln}
+	t.Cleanup(func() {
+		ln.Close()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, c := range s.conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s.mu.Lock()
+			s.conns = append(s.conns, conn)
+			s.mu.Unlock()
+			go func() {
+				var b fevent.Batch
+				for collector.ReadFrame(conn, &b) == nil {
+					s.mu.Lock()
+					s.seqs = append(s.seqs, b.Seq)
+					s.mu.Unlock()
+				}
+			}()
+		}
+	}()
+	return s
+}
+
+func (s *sinkShard) read() []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]uint64(nil), s.seqs...)
+}
+
+// TestRouterDrainsOfTwoTakeoversStayApart: two retired shards whose
+// batches drain into one destination before it acks carry two unrelated
+// sequence spaces. Sharing one client would have the destination's
+// cumulative ack of the higher release the lower unread; here its first
+// connection stores one frame, acks it and drops, and every batch must
+// still arrive.
+func TestRouterDrainsOfTwoTakeoversStayApart(t *testing.T) {
+	dest := startShard(t, 3, t.TempDir())
+	defer dest.Close()
+	sinks := map[uint32]*sinkShard{1: newSinkShard(t), 2: newSinkShard(t)}
+	info := func(id uint32) fabric.ShardInfo {
+		return fabric.ShardInfo{ID: id, Ingest: []string{sinks[id].ln.Addr().String()}, Query: "127.0.0.1:1", Admin: "127.0.0.1:1"}
+	}
+	even := func(slot int) bool { return slot%2 == 0 }
+	r := fabric.NewRouter(slotConfig(1, func(slot int) uint32 { return 2 - uint32(slot%2) }, info(1), info(2)), fastRerouteClients)
+	defer r.Close()
+	// One batch a shard, so each takeover re-routes a single batch.
+	ref := eventsIn(3, 1, even)
+	ref = append(ref, eventsIn(3, 2, func(slot int) bool { return !even(slot) })...)
+	r.Deliver(&fevent.Batch{SwitchID: 1, Timestamp: 3000, Events: ref[:3]})
+	r.Deliver(&fevent.Batch{SwitchID: 2, Timestamp: 3000, Events: ref[3:]})
+	deadline := time.Now().Add(10 * time.Second)
+	for len(sinks[1].read()) == 0 || len(sinks[2].read()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the shards never read their batches")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Retire the shard with the higher sequence first: its batch goes
+	// out first, and the ack of it covers the other's.
+	hi, lo := uint32(1), uint32(2)
+	if sinks[1].read()[0] < sinks[2].read()[0] {
+		hi, lo = lo, hi
+	}
+
+	// The destination is unreachable until both takeovers have queued.
+	destInfo := fabric.ShardInfo{ID: 3, Ingest: []string{pickAddr(t)}, Query: dest.QueryAddr(), Admin: dest.AdminAddr()}
+	r.ApplyConfig(slotConfig(2, func(slot int) uint32 {
+		if 2-uint32(slot%2) == lo {
+			return lo
+		}
+		return 3
+	}, info(lo), destInfo))
+	r.ApplyConfig(slotConfig(3, func(int) uint32 { return 3 }, destInfo))
+
+	ln, err := net.Listen("tcp", destInfo.Ingest[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", dest.IngestAddr())
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			if first {
+				var b fevent.Batch
+				ack := make([]byte, wal.RecordHdrLen+8)
+				if collector.ReadFrame(conn, &b) == nil && collector.WriteFrame(up, &b) == nil {
+					if _, err := io.ReadFull(up, ack); err == nil {
+						conn.Write(ack)
+					}
+				}
+				conn.Close()
+				up.Close()
+				continue
+			}
+			go func() { io.Copy(up, conn); up.Close() }()
+			go func() { io.Copy(conn, up); conn.Close() }()
+		}
+	}()
+	// The clients gave up dialing before the listener came up: retry the
+	// flush, as an exporter does, while they redial.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		err := r.Flush()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flush after both takeovers: %v", err)
+		}
+	}
+	assertStores(t, "destination", dest.Store(), ref)
+}
+
+// TestRouterTakesOverDrainsOfADepartedShard: batches re-routed to a
+// shard that leaves in turn, still unacked because it is unreachable,
+// are taken over again and reach its successor.
+func TestRouterTakesOverDrainsOfADepartedShard(t *testing.T) {
+	succ := startShard(t, 3, t.TempDir())
+	defer succ.Close()
+	// Shards 1 and 2 exist only as addresses nothing listens on.
+	dead := func(id uint32) fabric.ShardInfo {
+		return fabric.ShardInfo{ID: id, Ingest: []string{pickAddr(t)}, Query: "127.0.0.1:1", Admin: "127.0.0.1:1"}
+	}
+	one, two := dead(1), dead(2)
+	owner := func(id uint32) func(int) uint32 { return func(int) uint32 { return id } }
+	r := fabric.NewRouter(slotConfig(1, owner(1), one, two, succ.Info()), fastRerouteClients)
+	defer r.Close()
+	var ref []fevent.Event
+	for b := 0; b < 10; b++ {
+		evs := make([]fevent.Event, 4)
+		for i := range evs {
+			evs[i] = eventN(b*4+i, uint16(b%3+1), sim.Time(4000+b))
+		}
+		r.Deliver(&fevent.Batch{SwitchID: uint16(b%3 + 1), Timestamp: sim.Time(4000 + b), Events: evs})
+		ref = append(ref, evs...)
+	}
+	r.ApplyConfig(slotConfig(2, owner(2), two, succ.Info())) // shard 1's batches drain toward shard 2
+	r.ApplyConfig(slotConfig(3, owner(3), succ.Info()))      // and shard 2 leaves before it ever answered
+	if err := r.Flush(); err != nil {
+		t.Fatalf("flush after the second takeover: %v", err)
+	}
+	assertStores(t, "successor", succ.Store(), ref)
 }

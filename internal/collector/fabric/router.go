@@ -17,29 +17,42 @@ import (
 // therefore (switch, seq) dedup — are per shard client, so retransmits
 // within one shard behave exactly as in the single-collector channel.
 //
-// On a config change, clients of removed shards are taken over: their
-// pending batches are re-delivered whole (never re-split) to the new
-// owner of their first event's slot through a PreserveSeq drain client.
-// Keeping the original sequence numbers means a batch the old shard had
-// stored-but-not-acked deduplicates at the new owner against the seen
-// set the handoff shipped — the epoch fence that makes re-routing unable
-// to double-deliver. Events whose slot moved while their shard survives
-// simply land misplaced and stay queryable through the fan-out merge.
+// On a config change, every client of a removed shard — its own and any
+// drain client aimed at it — is taken over: its pending batches are
+// re-delivered whole (never re-split) to the new owner of their first
+// event's slot through PreserveSeq drain clients of a lineage the
+// takeover draws, one per destination. Keeping the original sequence
+// numbers means a batch the old shard had stored-but-not-acked
+// deduplicates at the new owner against the seen set the handoff
+// shipped — the epoch fence that makes re-routing unable to
+// double-deliver. A lineage holds one taken-over client's batches, so
+// each drain client carries one ascending sequence space, as a
+// cumulative ack needs. Events whose slot moved while their shard
+// survives simply land misplaced and stay queryable through the fan-out
+// merge.
 type Router struct {
 	ccfg collector.ClientConfig
 
-	mu      sync.Mutex
-	cfg     Config
-	clients map[uint32]*collector.Client // per-shard, fresh seq space
-	drains  map[uint32]*collector.Client // per-shard, PreserveSeq re-routing
-	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	cfg      Config
+	clients  map[clientKey]*collector.Client
+	lineages uint64 // drawn so far
+	closed   bool
+	stop     chan struct{}
+	wg       sync.WaitGroup
 
 	reg      *obs.Registry
 	routed   map[uint32]*obs.Counter
 	rerouted obs.Counter
 	partial  obs.Counter // unroutable events (no owner in config)
+}
+
+// clientKey names one delivery client: lineage 0 is the shard's own
+// client, which assigns fresh sequence numbers; any other lineage is a
+// takeover's PreserveSeq drain client.
+type clientKey struct {
+	shard   uint32
+	lineage uint64
 }
 
 // NewRouter creates a router for the given initial config. ccfg tunes
@@ -48,8 +61,7 @@ func NewRouter(cfg Config, ccfg collector.ClientConfig) *Router {
 	r := &Router{
 		ccfg:    ccfg,
 		cfg:     cfg,
-		clients: make(map[uint32]*collector.Client),
-		drains:  make(map[uint32]*collector.Client),
+		clients: make(map[clientKey]*collector.Client),
 		routed:  make(map[uint32]*obs.Counter),
 		stop:    make(chan struct{}),
 	}
@@ -77,22 +89,19 @@ func (r *Router) Epoch() uint64 {
 	return r.cfg.Epoch
 }
 
-// clientLocked returns (creating if needed) the delivery client for a
-// shard. Callers hold r.mu.
-func (r *Router) clientLocked(s ShardInfo, preserve bool) *collector.Client {
-	m := r.clients
-	if preserve {
-		m = r.drains
-	}
-	if c, ok := m[s.ID]; ok {
+// clientLocked returns (creating if needed) the delivery client of a
+// shard's lineage. Callers hold r.mu.
+func (r *Router) clientLocked(s ShardInfo, lineage uint64) *collector.Client {
+	k := clientKey{s.ID, lineage}
+	if c, ok := r.clients[k]; ok {
 		return c
 	}
 	ccfg := r.ccfg
-	ccfg.PreserveSeq = preserve
+	ccfg.PreserveSeq = lineage != 0
 	ccfg.Endpoints = s.Ingest[1:]
 	c := collector.NewClientConfig(s.Ingest[0], ccfg)
-	m[s.ID] = c
-	if r.reg != nil && !preserve {
+	r.clients[k] = c
+	if r.reg != nil && lineage == 0 {
 		ctr := &obs.Counter{}
 		r.routed[s.ID] = ctr
 		r.reg.RegisterCounter(obs.MFabricRoutedBatches, ctr,
@@ -104,11 +113,13 @@ func (r *Router) clientLocked(s ShardInfo, preserve bool) *collector.Client {
 // Deliver implements core.EventSink: split the batch by slot owner and
 // deliver each piece to its shard. Events with no owner (config without
 // their slot's shard — cannot happen with a validated config) are
-// dropped and counted.
+// dropped and counted. A client's Deliver only enqueues, so the pieces
+// are handed over under r.mu: no config change can take a client over
+// between its choice and its delivery.
 func (r *Router) Deliver(b *fevent.Batch) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return
 	}
 	parts := make(map[uint32][]fevent.Event)
@@ -117,11 +128,6 @@ func (r *Router) Deliver(b *fevent.Batch) {
 		owner := r.cfg.Slots[SlotOf(e.SwitchID, e.Flow)]
 		parts[owner] = append(parts[owner], *e)
 	}
-	type delivery struct {
-		c *collector.Client
-		b *fevent.Batch
-	}
-	out := make([]delivery, 0, len(parts))
 	for id, evs := range parts {
 		s, ok := r.cfg.Shard(id)
 		if !ok {
@@ -131,22 +137,15 @@ func (r *Router) Deliver(b *fevent.Batch) {
 		// Each per-shard piece inherits the parent batch's trace context,
 		// so one sampled CEBP batch that splits across shards assembles
 		// into one trace with parallel shard-side branches.
-		out = append(out, delivery{
-			c: r.clientLocked(s, false),
-			b: &fevent.Batch{SwitchID: b.SwitchID, Timestamp: b.Timestamp, Events: evs, Trace: b.Trace},
-		})
+		r.clientLocked(s, 0).Deliver(&fevent.Batch{SwitchID: b.SwitchID, Timestamp: b.Timestamp, Events: evs, Trace: b.Trace})
 		if ctr := r.routed[id]; ctr != nil {
 			ctr.Inc()
 		}
 	}
-	r.mu.Unlock()
-	for _, d := range out {
-		d.c.Deliver(d.b)
-	}
 }
 
-// ApplyConfig switches the router to a newer epoch. Clients of shards no
-// longer in membership are taken over and their pending batches
+// ApplyConfig switches the router to a newer epoch. Every client of a
+// shard no longer in membership is taken over and its pending batches
 // re-routed whole to the new owner of their first event's slot.
 func (r *Router) ApplyConfig(cfg Config) {
 	r.mu.Lock()
@@ -156,48 +155,45 @@ func (r *Router) ApplyConfig(cfg Config) {
 	}
 	r.cfg = cfg
 	var retired []*collector.Client
-	for id, c := range r.clients {
-		if _, ok := cfg.Shard(id); !ok {
+	for k, c := range r.clients {
+		if _, ok := cfg.Shard(k.shard); !ok {
 			retired = append(retired, c)
-			delete(r.clients, id)
-			delete(r.routed, id)
+			delete(r.clients, k)
+			delete(r.routed, k.shard)
 		}
 	}
 	r.mu.Unlock()
 
 	for _, c := range retired {
-		for _, b := range c.Takeover() {
+		batches := c.Takeover() // waits out the client's sender: not under r.mu
+		r.mu.Lock()
+		r.lineages++
+		for _, b := range batches {
 			if len(b.Events) == 0 {
 				continue
 			}
 			e := &b.Events[0]
-			r.mu.Lock()
 			s, ok := r.cfg.Owner(SlotOf(e.SwitchID, e.Flow))
-			epoch := r.cfg.Epoch
-			var dc *collector.Client
-			if ok {
-				dc = r.clientLocked(s, true)
+			if !ok {
+				continue
 			}
-			r.mu.Unlock()
-			if dc != nil {
-				if b.Trace.Sampled() {
-					// The re-route is a real hop of the batch's journey:
-					// record it (Detail = the new owner) and chain the
-					// parent so the destination shard's ingest span hangs
-					// under it.
-					sp := trace.Begin(b.Trace, trace.StageReroute)
-					sp.SwitchID = b.SwitchID
-					sp.Seq = b.Seq
-					sp.Shard = s.ID
-					sp.Events = uint32(len(b.Events))
-					sp.Detail = uint32(epoch)
-					b.Trace.Parent = sp.SpanID
-					trace.Finish(&sp)
-				}
-				dc.Deliver(b)
-				r.rerouted.Inc()
+			if b.Trace.Sampled() {
+				// The re-route is a real hop of the batch's journey:
+				// record it (Detail = the epoch) and chain the parent so
+				// the destination shard's ingest span hangs under it.
+				sp := trace.Begin(b.Trace, trace.StageReroute)
+				sp.SwitchID = b.SwitchID
+				sp.Seq = b.Seq
+				sp.Shard = s.ID
+				sp.Events = uint32(len(b.Events))
+				sp.Detail = uint32(r.cfg.Epoch)
+				b.Trace.Parent = sp.SpanID
+				trace.Finish(&sp)
 			}
+			r.clientLocked(s, r.lineages).Deliver(b)
+			r.rerouted.Inc()
 		}
+		r.mu.Unlock()
 	}
 }
 
@@ -226,13 +222,7 @@ func (r *Router) WatchCoordinator(addr string, interval time.Duration) {
 // client's flush deadline passes); the first error wins.
 func (r *Router) Flush() error {
 	r.mu.Lock()
-	cs := make([]*collector.Client, 0, len(r.clients)+len(r.drains))
-	for _, c := range r.clients {
-		cs = append(cs, c)
-	}
-	for _, c := range r.drains {
-		cs = append(cs, c)
-	}
+	cs := r.clientsLocked()
 	r.mu.Unlock()
 	var first error
 	for _, c := range cs {
@@ -243,7 +233,7 @@ func (r *Router) Flush() error {
 	return first
 }
 
-// Close drains and closes every per-shard client.
+// Close drains and closes every client.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -252,13 +242,7 @@ func (r *Router) Close() error {
 	}
 	r.closed = true
 	close(r.stop)
-	cs := make([]*collector.Client, 0, len(r.clients)+len(r.drains))
-	for _, c := range r.clients {
-		cs = append(cs, c)
-	}
-	for _, c := range r.drains {
-		cs = append(cs, c)
-	}
+	cs := r.clientsLocked()
 	r.mu.Unlock()
 	r.wg.Wait()
 	var first error
@@ -268,4 +252,13 @@ func (r *Router) Close() error {
 		}
 	}
 	return first
+}
+
+// clientsLocked lists every client. Callers hold r.mu.
+func (r *Router) clientsLocked() []*collector.Client {
+	cs := make([]*collector.Client, 0, len(r.clients))
+	for _, c := range r.clients {
+		cs = append(cs, c)
+	}
+	return cs
 }

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"encoding/base64"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -23,10 +22,44 @@ import (
 // captured (source) or imported (destination) events, whose multiset the
 // fence removes and the release forgets.
 type rbState struct {
-	mask     uint64 // source side: the marked slot set (0 on imports)
 	img      []byte // the events, as Store.AppendImage writes them
 	imported bool
 }
+
+// transfers is a shard's open-transfer table. Its commit, fence and
+// release are what the bookkeeping records of those names do to the table
+// and the store, written once: replay applies them to the records it
+// reads, and the admin handlers right after they log those records, so a
+// recovered shard holds what the live one did.
+type transfers map[uint64]*rbState
+
+// commit opens transfer rb over a checked image (fevent.CheckImage). An
+// import merges the source's dedup set and stores the events; a source
+// capture leaves them where they are until its fence.
+func (t transfers) commit(store *collector.Store, rb uint64, img []byte, seen []collector.BatchID, imported bool) *rbState {
+	st := &rbState{img: img, imported: imported}
+	t[rb] = st
+	store.MergeSeen(seen)
+	if imported {
+		store.ImportImage(img) // checked before it was logged
+	}
+	return st
+}
+
+// fence closes rb and removes exactly its multiset: the other side of
+// the cutover owns those events now. It returns how many it removed.
+func (t transfers) fence(store *collector.Store, rb uint64) int {
+	st := t[rb]
+	if st == nil {
+		return 0 // already closed or never opened here
+	}
+	delete(t, rb)
+	removed, _ := store.RemoveImage(st.img) // checked at its commit
+	return removed
+}
+
+// release closes rb keeping its events: this side won the cutover.
+func (t transfers) release(rb uint64) { delete(t, rb) }
 
 // ShardOptions configures one shard node.
 type ShardOptions struct {
@@ -73,7 +106,7 @@ type ShardNode struct {
 
 	mu     sync.Mutex
 	cfg    Config
-	openRB map[uint64]*rbState
+	openRB transfers
 
 	stageDelay time.Duration
 
@@ -90,13 +123,13 @@ func configPath(dir string) string { return filepath.Join(dir, "ring-config.json
 // as on a standalone collector, and the bookkeeping records of records.go
 // come here. Transfer chunks buffer until their commit seals them (as a
 // source capture when an 'M' opened the rb here, as a destination import
-// otherwise), and fence/release apply as they did live. The result
-// matches the pre-crash state for every committed operation; uncommitted
-// marks and imports vanish whole and are retried from scratch by the
-// coordinator.
-func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
-	open := make(map[uint64]*rbState)
-	marks := make(map[uint64]uint64) // rb → mask (source role)
+// otherwise); the commit, fence and release then act through the
+// transfer table as they did live. The result matches the pre-crash
+// state for every committed operation; uncommitted marks and imports
+// vanish whole and are retried from scratch by the coordinator.
+func recoverShard(w *wal.WAL) (*collector.Store, transfers, error) {
+	open := make(transfers)
+	marked := make(map[uint64]bool) // rbs an 'M' opened here: source captures
 	chunks := make(map[uint64][][]byte)
 	store, _, err := collector.RecoverStoreWith(w, func(store *collector.Store, payload []byte) error {
 		tag, rb, body, err := parseRecord(payload)
@@ -108,7 +141,7 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 			if len(body) < 8 {
 				return errors.New("fabric: mark record truncated")
 			}
-			marks[rb] = binary.BigEndian.Uint64(body)
+			marked[rb] = true
 			chunks[rb] = nil // a re-marked rb starts its capture over
 		case recImport:
 			if len(body) < 1 {
@@ -118,7 +151,7 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 		case recCommit:
 			// A chunk split its blob at a byte count, not at a batch: join
 			// each kind's chunks, then check once.
-			mask, isSource := marks[rb]
+			isSource := marked[rb]
 			var seenBlob, img []byte
 			for _, ch := range chunks[rb] {
 				switch kind, blob := ch[0], ch[1:]; kind {
@@ -140,20 +173,13 @@ func recoverShard(w *wal.WAL) (*collector.Store, map[uint64]*rbState, error) {
 			if _, err := fevent.CheckImage(img); err != nil {
 				return fmt.Errorf("fabric: transfer %d: %w", rb, err)
 			}
-			store.MergeSeen(ids)
-			if !isSource {
-				store.ImportImage(img) // checked above
-			}
 			delete(chunks, rb)
-			delete(marks, rb)
-			open[rb] = &rbState{mask: mask, img: img, imported: !isSource}
+			delete(marked, rb)
+			open.commit(store, rb, img, ids, !isSource)
 		case recFence:
-			if st := open[rb]; st != nil {
-				store.RemoveImage(st.img) // checked at its commit
-				delete(open, rb)
-			}
+			open.fence(store, rb)
 		case recRelease:
-			delete(open, rb)
+			open.release(rb)
 		default:
 			return fmt.Errorf("fabric: unknown WAL record tag %q", tag)
 		}
@@ -418,9 +444,9 @@ func (n *ShardNode) handleAdmin(req *adminReq) adminResp {
 	case "import":
 		return n.handleImport(req)
 	case "fence":
-		return n.handleFence(req)
+		return n.handleClose(req, recFence)
 	case "release":
-		return n.handleRelease(req)
+		return n.handleClose(req, recRelease)
 	default:
 		return adminResp{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -473,8 +499,7 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 		if err != nil {
 			return adminResp{Err: fmt.Sprintf("mark: %v", err)}
 		}
-		st = &rbState{mask: req.Mask, img: capture}
-		n.openRB[req.RB] = st
+		st = n.openRB.commit(n.store, req.RB, capture, nil, false)
 		events, _ := fevent.CheckImage(capture)
 		n.recordHandoffSpan(req.RB, start, events, handoffSource)
 	}
@@ -549,9 +574,7 @@ func (n *ShardNode) handleImport(req *adminReq) adminResp {
 	if n.stageDelay > 0 {
 		time.Sleep(n.stageDelay) // test hook: widen the kill window
 	}
-	n.store.ImportImage(img) // checked above
-	n.store.MergeSeen(seen)
-	n.openRB[req.RB] = &rbState{img: img, imported: true}
+	n.openRB.commit(n.store, req.RB, img, seen, true)
 	n.importedEvents.Add(uint64(events))
 	n.rebalanceBytes.Add(uint64(len(img)))
 	n.recordHandoffSpan(req.RB, start, events, handoffImport)
@@ -582,38 +605,24 @@ func (n *ShardNode) recordHandoffSpan(rb uint64, start int64, events, role int) 
 	})
 }
 
-// handleFence removes exactly transfer rb's captured (or imported)
-// multiset: the other side of the cutover now owns those events. Later
-// arrivals in the moved slots were not captured and survive as
-// misplaced-but-queryable events — the fan-out merge finds them.
-func (n *ShardNode) handleFence(req *adminReq) adminResp {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.openRB[req.RB]
-	if st == nil {
-		return adminResp{OK: true} // already fenced or never opened here
-	}
-	if err := n.wal.AppendDurable(encodeRB(recFence, req.RB), false); err != nil {
-		return adminResp{Err: fmt.Sprintf("fence: %v", err)}
-	}
-	removed, _ := n.store.RemoveImage(st.img) // checked when it was captured or imported
-	n.fencedEvents.Add(uint64(removed))
-	delete(n.openRB, req.RB)
-	return adminResp{OK: true}
-}
-
-// handleRelease closes transfer rb keeping its events: this side won the
-// cutover.
-func (n *ShardNode) handleRelease(req *adminReq) adminResp {
+// handleClose logs transfer rb's fence or release (tag) and applies it
+// to the transfer table. A fence leaves later arrivals in the moved
+// slots: they were not captured, and survive as misplaced-but-queryable
+// events the fan-out merge finds.
+func (n *ShardNode) handleClose(req *adminReq, tag byte) adminResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.openRB[req.RB] == nil {
-		return adminResp{OK: true}
+		return adminResp{OK: true} // already closed or never opened here
 	}
-	if err := n.wal.AppendDurable(encodeRB(recRelease, req.RB), false); err != nil {
-		return adminResp{Err: fmt.Sprintf("release: %v", err)}
+	if err := n.wal.AppendDurable(encodeRB(tag, req.RB), false); err != nil {
+		return adminResp{Err: fmt.Sprintf("%s: %v", req.Op, err)}
 	}
-	delete(n.openRB, req.RB)
+	if tag == recFence {
+		n.fencedEvents.Add(uint64(n.openRB.fence(n.store, req.RB)))
+	} else {
+		n.openRB.release(req.RB)
+	}
 	return adminResp{OK: true}
 }
 

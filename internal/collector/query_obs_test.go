@@ -174,7 +174,9 @@ func TestQueryErrorPathsCounted(t *testing.T) {
 // recorder come back over the line protocol, one JSON object a line.
 func TestQueryTraceVerb(t *testing.T) {
 	store := seedStore()
-	ctx := trace.Context{TraceID: 0x5eed0000beef, Flags: trace.FlagSampled}
+	// The recorder is process-wide: a fixed trace ID would find an
+	// earlier run's span too under -count.
+	ctx := trace.Context{TraceID: trace.Default.NewSpanID(), Flags: trace.FlagSampled}
 	store.Deliver(&fevent.Batch{SwitchID: 7, Timestamp: 300, Seq: 9, Trace: ctx, Events: []fevent.Event{
 		{Type: fevent.TypePause, Flow: flowN(3), SwitchID: 7, Timestamp: 300},
 	}})
