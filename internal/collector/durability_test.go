@@ -199,17 +199,18 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 
 // memAfter is what MemoryBytes reports with n single-event batches of one
 // switch over fresh flows stored (0 < n ≤ blockLen), each at its own
-// stamp: an empty store, a block list of one, one block, its one summary row and its n runs at the capacity
-// append grows a slice to, the flow dictionary as grown for n flows, and
-// the dedup set's one switch and one container, whose n low halves sit at
-// the capacity append grows a slice to.
+// stamp: an empty store, a block list of one, one open block and the
+// scratch it writes its links to, its one summary row and its n runs at
+// the capacity append grows a slice to, the flow dictionary as grown for
+// n flows, and the dedup set's one switch and one container, whose n low
+// halves sit at the capacity append grows a slice to.
 func memAfter(n int) int64 {
 	var runs []run
 	var lows []uint16
 	for range n {
 		runs, lows = append(runs, run{}), append(lows, 0)
 	}
-	return NewStore().MemoryBytes() + 8 + blockMemCost + sumRowMemCost + int64(cap(runs))*runMemCost + flowTableBytes(flowSlotsFor(n)) +
+	return NewStore().MemoryBytes() + 8 + blockMemCost + wideMemCost + sumRowMemCost + int64(cap(runs))*runMemCost + flowTableBytes(flowSlotsFor(n)) +
 		seenSwitchCost + seenContainerCost + int64(cap(lows))*seenLowCost
 }
 

@@ -187,7 +187,8 @@ func FuzzReadFrame(f *testing.F) {
 // fresh store with the same length, export digest and Summary. The seeds
 // are images of an empty store, of one run, of a run a block end splits,
 // of in-process per-event stamps (runs of one), of a store after
-// RemoveImage, and of a flow section spanning two read chunks.
+// RemoveImage, of a flow section spanning two read chunks, and of blocks
+// that seal at two widths: one flow (no id bits), then 256 flows.
 func FuzzLoadSnapshot(f *testing.F) {
 	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
@@ -225,6 +226,18 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	manyFlows.Deliver(&fevent.Batch{SwitchID: 5, Timestamp: 110, Seq: 1, Events: wide})
 	f.Add(manyFlows.EncodeSnapshot())
+	widths := NewStore()
+	sealing := events(2*blockLen+20, 6, 130, 0)
+	for i := range sealing {
+		if sealing[i].Flow = modelFlow(0); i >= blockLen {
+			sealing[i].Flow = modelFlow(i % 256)
+		}
+	}
+	importEvents(f, widths, sealing)
+	if b := widths.blocks; len(b) != 3 || b[0].w != 2 || b[1].w != 3 {
+		f.Fatal("the two-width seed does not seal its blocks at 2 and 3 B an event")
+	}
+	f.Add(widths.EncodeSnapshot())
 
 	type state struct {
 		n       int

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -15,8 +14,9 @@ import (
 )
 
 // Store snapshot encoding, the checkpoint companion of the write-ahead
-// log: the store's own representation written out as it sits in memory,
-// so loading one copies columns instead of re-inserting events. The WAL
+// log: the store's own representation written out column by column, the
+// links of sealed blocks expanded to full width, so loading one copies
+// columns instead of re-inserting events. The WAL
 // frames and checksums it as a single record, so a torn or corrupt
 // snapshot is rejected whole at recovery (the previous snapshot + longer
 // replay then reconstructs the state); the checks here only keep a
@@ -37,7 +37,8 @@ import (
 // Every section is written in an order the store fixes, and the flow
 // index is not written at all — a load rebuilds it, re-inserting the
 // flows in id order under a fresh seed — so an image that loads
-// re-encodes to itself.
+// re-encodes to itself. Nor is the width a block was sealed at: a load
+// seals each full block again from the positions and flows it names.
 const (
 	snapMagic       = "NSS4"
 	snapHeaderLen   = len(snapMagic) + 8 + 4*4
@@ -85,11 +86,12 @@ func (s *Store) EncodeSnapshot() []byte {
 			buf = le.AppendUint16(buf, r.sw)
 			buf = le.AppendUint64(buf, uint64(r.ts))
 		}
-		for _, v := range b.prev[:b.n] {
-			buf = le.AppendUint32(buf, v)
-		}
-		for _, v := range b.fid[:b.n] {
-			buf = le.AppendUint32(buf, v)
+		at := len(buf) // the two link columns, expanded to full width
+		buf = slices.Grow(buf, 8*b.n)[:at+8*b.n]
+		for i := range b.n {
+			prev, fid := b.links(i)
+			le.PutUint32(buf[at+4*i:], prev)
+			le.PutUint32(buf[at+4*(b.n+i):], fid)
 		}
 		buf = append(buf, b.typ[:b.n]...)
 		buf = append(buf, b.tail[:b.n*tailLen]...)
@@ -157,9 +159,10 @@ func (d *snapReader) column(dst []uint32) error {
 // size bytes that r yields; on error the store is unchanged. It is the
 // first half of recovery, fed by wal.ReadSnapshot as the file is read;
 // WAL tail replay (whose batches dedup against the loaded seen-set) is
-// the second. It decodes into an image under construction — the four
-// columns straight into its blocks — checks every section, and
-// swaps the image in only when r, asked for a byte past the image,
+// the second. It decodes into an image under construction — types and
+// tails straight into its blocks, links and flow ids into the image's
+// scratch, which each full block is sealed from — checks every section,
+// and swaps the image in only when r, asked for a byte past the image,
 // answers io.EOF: the WAL's snapshot reader answers so only once the
 // record's checksum has matched. The flows go back into the dictionary
 // in id order, by the table's own write path, so each gets the id it
@@ -220,8 +223,10 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 	if err != nil {
 		return err
 	}
+	seenFlows := 0 // flows named so far: the dictionary's length when the block sealed
 	for ld.n < events {
-		b := &block{n: min(blockLen, events-ld.n), minTs: math.MaxInt64, maxTs: math.MinInt64}
+		b, wide := ld.newBlock(), ld.open
+		b.n = min(blockLen, events-ld.n)
 		if _, err := io.ReadFull(r, d.buf[:snapBlockHdrLen]); err != nil {
 			return err
 		}
@@ -249,21 +254,25 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 		if err != nil {
 			return err
 		}
-		if err := d.column(b.prev[:b.n]); err != nil {
+		if err := d.column(wide.prev[:b.n]); err != nil {
 			return err
 		}
-		for i, v := range b.prev[:b.n] {
+		for i, v := range wide.prev[:b.n] {
 			if int(v) > ld.n+i {
 				return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, v-1)
 			}
 		}
-		if err := d.column(b.fid[:b.n]); err != nil {
+		if err := d.column(wide.fid[:b.n]); err != nil {
 			return err
 		}
-		for i, v := range b.fid[:b.n] {
+		for i, v := range wide.fid[:b.n] {
 			if int(v) >= flows {
 				return fmt.Errorf("collector: snapshot event %d is of flow %d of %d", ld.n+i, v, flows)
 			}
+			seenFlows = max(seenFlows, int(v)+1)
+		}
+		if b.n == blockLen {
+			ld.blockBytes += b.seal(ld.n+b.n, seenFlows)
 		}
 		if _, err := io.ReadFull(r, b.typ[:b.n]); err != nil {
 			return err
@@ -299,7 +308,7 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks, s.n, s.sumRows, s.runCap, s.flows = ld.blocks, ld.n, ld.sumRows, ld.runCap, ld.flows
+	s.blocks, s.open, s.n, s.blockBytes, s.sumRows, s.runCap, s.flows = ld.blocks, ld.open, ld.n, ld.blockBytes, ld.sumRows, ld.runCap, ld.flows
 	s.seen, s.dupBatches = ld.seen, ld.dupBatches
 	return nil
 }

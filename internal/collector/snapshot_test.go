@@ -217,7 +217,7 @@ func TestLoadSnapshotManyFlows(t *testing.T) {
 	for id := 2 * chunkRows; id < n; id++ {
 		head := live.flows.lookup(live.flows.keys[id][:]).head
 		oldest := head
-		for link := head; link != 0; link = live.blocks[(link-1)/blockLen].prev[(link-1)%blockLen] {
+		for link := head; link != 0; link, _ = live.blocks[(link-1)/blockLen].links(int((link - 1) % blockLen)) {
 			oldest = link
 		}
 		if oldest == head {

@@ -5,7 +5,9 @@
 package collector
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -20,14 +22,14 @@ import (
 	"netseer/internal/sim"
 )
 
-// blockLen is the events per block: 16 Ki × 19 B of columns ≈ 0.3 MB,
+// blockLen is the events per block: 16 Ki × ~16 B of columns ≈ 0.25 MB,
 // so a near-empty store costs one modest allocation and a time-slice scan
 // prunes, by [minTs, maxTs], to a handful of blocks (DESIGN §10).
 const blockLen = 16 << 10
 
-// rowBytes is what one event occupies across a block's columns, in
-// memory and in a snapshot alike; its switch and stamp are its run's,
-// its flow key the dictionary's.
+// rowBytes is what one event occupies in a snapshot's block columns: its
+// chain link and flow id at full width, its type byte and its tail; its
+// switch and stamp are its run's, its flow key the dictionary's.
 const rowBytes = 4 + 4 + 1 + tailLen
 
 // tailLen is what a block keeps of a record beside its type byte and its
@@ -47,13 +49,33 @@ type run struct {
 	sw    uint16 // the switch that reported it
 }
 
-// block is a fixed-size, append-only partition of the event log, held as
-// pointer-free columns behind its summary and its run table. The 24 B
-// record the wire and the WAL carry is held in three columns: typ, its
-// type byte, so a filtered scan reads 1 B an event; fid, its flow's id in
-// the store's flow dictionary; and tail, its last 10 bytes. prev chains
-// each event to the previous event of its flow, as position+1 (0 =
-// none), across blocks.
+// blockCols is what a block holds of each event's 24 B record: typ, its
+// type byte, so a filtered scan reads 1 B an event; and tail, its last 10
+// bytes. 16 Ki × 11 B is a whole number of pages.
+type blockCols struct {
+	typ  [blockLen]uint8
+	tail [blockLen * tailLen]byte
+}
+
+// wideLinks holds an open block's chain links and flow ids at full width,
+// where appendRun writes them: prev, position+1 of the previous event of
+// the event's flow (0 = none), across blocks; fid, the flow's id in the
+// store's flow dictionary. A store owns one and lends it to each block
+// while the block is open.
+type wideLinks struct {
+	prev [blockLen]uint32
+	fid  [blockLen]uint32
+}
+
+// block is a fixed-size, append-only partition of the event log: a small
+// header — summary, run table, time range, run hints — over pointer-free
+// columns. While the block is open its links are the store's wideLinks;
+// when it fills it is sealed, and event i's link and flow id become one
+// little-endian entry of w bytes at packed[i*w:], the link in the low
+// pbits, the id in the fbits above: as wide as the positions and flows
+// stored at the seal need (5 B an event at 2 M events over 200 K flows).
+// The pointers come first, so the GC's scan of a header ends before its
+// scalars.
 type block struct {
 	// sum counts the block's events per reporting switch and type, one
 	// row a switch, sorted by switch: what a read consults before it
@@ -61,17 +83,15 @@ type block struct {
 	sum []sumRow
 	// runs holds the switch and stamp of every event, one entry a run, in
 	// position order; hint[k] is the run holding position k×hintStride.
-	// sum and runs are the struct's only pointers and its first fields,
-	// so the GC's scan of a block ends after four words.
 	runs []run
+	*blockCols
+	open   *wideLinks // nil once sealed
+	packed []byte     // nil while open
 
-	n            int // events held; only the last block is partial
-	minTs, maxTs int64
-	hint         [blockLen / hintStride]uint16
-	prev         [blockLen]uint32
-	fid          [blockLen]uint32
-	typ          [blockLen]uint8
-	tail         [blockLen * tailLen]byte
+	n               int // events held; only the last block is partial
+	minTs, maxTs    int64
+	w, pbits, fbits uint8
+	hint            [blockLen / hintStride]uint16
 }
 
 // sumRow counts one block's events from one reporting switch, by type
@@ -142,13 +162,55 @@ func (b *block) cover(r, from, to int) {
 }
 
 // tailAt returns event i's tail.
-func (b *block) tailAt(i int) *[tailLen]byte { return (*[tailLen]byte)(b.tail[i*tailLen:]) }
+func (c *blockCols) tailAt(i int) *[tailLen]byte { return (*[tailLen]byte)(c.tail[i*tailLen:]) }
+
+// links returns event i's chain link and flow id: the one reader of both,
+// from the wide scratch while the block is open and from its packed entry
+// once it is sealed. An entry is read with one 8 B load: at the entry, or
+// where fewer than 8 B are left before the column's end, at the column's
+// last 8 B, shifted down to the entry; the bits past the entry are masked
+// off.
+func (b *block) links(i int) (prev, fid uint32) {
+	if o := b.open; o != nil {
+		return o.prev[i], o.fid[i]
+	}
+	at := i * int(b.w)
+	from := min(at, len(b.packed)-8)
+	v := binary.LittleEndian.Uint64(b.packed[from:]) >> (8 * (at - from))
+	// A uint32 shift by 32 is 0, so a mask of 32 bits is all ones.
+	return uint32(v) & (1<<b.pbits - 1), uint32(v>>b.pbits) & (1<<b.fbits - 1)
+}
+
+// seal packs the full open block b's links, given the positions (events)
+// and flows stored when it filled, and lets go of the scratch; it returns
+// the bytes it allocated. An entry is written with one 8 B store, which
+// the next entry's overwrites above its w bytes; the last entries, within
+// 8 B of the column's end, byte by byte.
+func (b *block) seal(events, flows int) int64 {
+	pb, fb := bits.Len(uint(events)), bits.Len(uint(flows-1))
+	w := (pb + fb + 7) / 8
+	p, o := make([]byte, b.n*w), b.open
+	whole := (len(p)-8)/w + 1 // entries with 8 B from their start to the end
+	prev, fid := o.prev[:whole], o.fid[:whole]
+	for i, v := range prev {
+		binary.LittleEndian.PutUint64(p[i*w:i*w+8], uint64(v)|uint64(fid[i])<<pb)
+	}
+	for i := whole; i < b.n; i++ {
+		v := uint64(o.prev[i]) | uint64(o.fid[i])<<pb
+		for k := range w {
+			p[i*w+k] = byte(v >> (8 * k))
+		}
+	}
+	b.open, b.packed, b.w, b.pbits, b.fbits = nil, p, uint8(w), uint8(pb), uint8(fb)
+	return pageBytes(len(p))
+}
 
 // record writes event i's 24 B record image to rec: its type, its flow's
 // key from the dictionary d, its tail.
 func (b *block) record(d *flowTable, i int, rec *[fevent.RecordLen]byte) {
+	_, fid := b.links(i)
 	rec[0] = b.typ[i]
-	*(*flowKey)(rec[fevent.RecordFlowOff:]) = d.keys[b.fid[i]]
+	*(*flowKey)(rec[fevent.RecordFlowOff:]) = d.keys[fid]
 	*(*[tailLen]byte)(rec[fevent.RecordTailOff:]) = *b.tailAt(i)
 }
 
@@ -163,16 +225,18 @@ func (b *block) load(d *flowTable, fid uint32, r *run, i int, e *fevent.Event) {
 // Store is an in-memory event store: append-only blocks in ingestion
 // order plus a flow dictionary — each flow's key and newest event,
 // O(flows) not O(events). The 4 B chain link caps it at 2³²−1 events
-// (84 GB of blocks; -mem-budget sheds long before). It is safe for
+// (70–80 GB of blocks; -mem-budget sheds long before). It is safe for
 // concurrent use (the TCP server ingests from multiple switch
 // connections).
 type Store struct {
-	mu      sync.RWMutex
-	blocks  []*block
-	n       int       // stored events
-	sumRows int       // summary rows over all blocks
-	runCap  int       // run-table capacity over all blocks, in runs
-	flows   flowTable // flow id → key and position+1 of its newest event
+	mu         sync.RWMutex
+	blocks     []*block
+	open       *wideLinks // the scratch the open block's links are written to
+	n          int        // stored events
+	blockBytes int64      // what the blocks and the scratch have allocated
+	sumRows    int        // summary rows over all blocks
+	runCap     int        // run-table capacity over all blocks, in runs
+	flows      flowTable  // flow id → key and position+1 of its newest event
 
 	// Replay dedup for the at-least-once delivery channel.
 	seen       seenSet
@@ -202,9 +266,21 @@ func NewStore() *Store {
 	return s
 }
 
-// resetEvents drops every event, keeping the dedup state.
+// resetEvents drops every event, keeping the dedup state. It drops the
+// scratch too: the dropped open block may still be read (RemoveImage).
 func (s *Store) resetEvents() {
-	s.blocks, s.n, s.sumRows, s.runCap, s.flows = nil, 0, 0, 0, flowTable{}
+	s.blocks, s.open, s.n, s.blockBytes, s.sumRows, s.runCap, s.flows = nil, nil, 0, 0, 0, 0, flowTable{}
+}
+
+// newBlock returns an empty open block on the store's scratch, which it
+// allocates first if the store has none, and charges what it allocated.
+func (s *Store) newBlock() *block {
+	if s.open == nil {
+		s.open = new(wideLinks)
+		s.blockBytes += wideMemCost
+	}
+	s.blockBytes += blockMemCost
+	return &block{blockCols: new(blockCols), open: s.open, minTs: math.MaxInt64, maxTs: math.MinInt64}
 }
 
 // sumRow returns b's summary row for switch sw, inserting it.
@@ -221,16 +297,18 @@ func (s *Store) sumRow(b *block, sw uint16) *sumRow {
 // valid type bytes, all reported by switch sw at ts — at the next
 // positions, split into columns a block at a time and indexed from their
 // bytes: the only writer of the columns, the flow chains and — once per
-// block the run touches — the run tables and the summaries. A run that
-// continues the block's last one (same switch, same stamp) extends it, so
-// runs are maximal however their records arrive.
+// block the run touches — the run tables and the summaries; it seals
+// each block it fills. A run that continues the block's last one (same
+// switch, same stamp) extends it, so runs are maximal however their
+// records arrive.
 func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 	for len(recs) > 0 {
 		i := s.n % blockLen
 		if i == 0 {
-			s.blocks = append(s.blocks, &block{minTs: math.MaxInt64, maxTs: math.MinInt64})
+			s.blocks = append(s.blocks, s.newBlock())
 		}
 		b := s.blocks[len(s.blocks)-1]
+		c, o := b.blockCols, b.open // the columns the loop writes, as array pointers
 		k := min(blockLen-i, len(recs)/fevent.RecordLen)
 		if last := len(b.runs) - 1; last < 0 || b.runs[last].sw != sw || b.runs[last].ts != ts {
 			s.runCap -= cap(b.runs)
@@ -240,16 +318,18 @@ func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 		b.cover(len(b.runs)-1, i, i+k)
 		row, head := s.sumRow(b, sw), uint32(s.n)
 		for j, r := i, recs; j < i+k; j, r = j+1, r[fevent.RecordLen:] {
-			b.typ[j] = r[0]
-			*b.tailAt(j) = [tailLen]byte(r[fevent.RecordTailOff:])
+			c.typ[j] = r[0]
+			*c.tailAt(j) = [tailLen]byte(r[fevent.RecordTailOff:])
 			row.n[r[0]-1]++
 			head++
-			b.prev[j] = head // the new head, swapped below for the old
+			o.prev[j] = head // the new head, swapped below for the old
 		}
 		s.n += k
-		s.flows.swapRun(recs[fevent.RecordFlowOff:], fevent.RecordLen, b.prev[i:i+k], b.fid[i:i+k])
+		s.flows.swapRun(recs[fevent.RecordFlowOff:], fevent.RecordLen, o.prev[i:i+k], o.fid[i:i+k])
 		b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
-		b.n += k
+		if b.n += k; b.n == blockLen {
+			s.blockBytes += b.seal(s.n, len(s.flows.keys))
+		}
 		recs = recs[k*fevent.RecordLen:]
 	}
 }
@@ -384,18 +464,25 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 // Resident cost of what the store holds, for admission control. The
 // store struct and its detect→store histogram are charged from the start,
 // the block list 8 B for each block it has room for; a block is charged
-// whole, when it is allocated, rounded up to the allocator's 8 KiB pages;
-// a run table and the flow dictionary for every entry and index cell
-// they have allocated; a summary row twice its 16 B, the capacity of a
-// slice that has just doubled; and the dedup set for the capacity of its
-// slices. So the estimate errs high and admission control
-// engages early, not late (TestMemoryBytesCoversTheHeap).
+// what it allocates, when it allocates it — its header, rounded up to a
+// 128 B size class, and its columns, at opening; its packed links, at
+// sealing; the scratch the open block writes its links to, once a store —
+// the large allocations rounded up to the allocator's 8 KiB pages; a run
+// table and the flow dictionary for every entry and index cell they have
+// allocated; a summary row twice its 16 B, the capacity of a slice that
+// has just doubled; and the dedup set for the capacity of its slices. So
+// the estimate errs high and admission control engages early, not late
+// (TestMemoryBytesCoversTheHeap).
 const (
 	storeMemCost  = int64(unsafe.Sizeof(Store{}))
-	blockMemCost  = (int64(unsafe.Sizeof(block{})) + 8191) &^ 8191
+	blockMemCost  = (int64(unsafe.Sizeof(block{}))+127)&^127 + int64(unsafe.Sizeof(blockCols{})+8191)&^8191
+	wideMemCost   = int64(unsafe.Sizeof(wideLinks{})+8191) &^ 8191
 	runMemCost    = int64(unsafe.Sizeof(run{}))
 	sumRowMemCost = 2 * 16
 )
+
+// pageBytes is n bytes rounded up to the allocator's 8 KiB pages.
+func pageBytes(n int) int64 { return int64(n+8191) &^ 8191 }
 
 // MemoryBytes estimates the store's resident memory — the quantity the
 // ingest server's admission watermarks are defined over.
@@ -403,7 +490,7 @@ func (s *Store) MemoryBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return storeMemCost + s.detectToStore.MemoryBytes() + int64(cap(s.blocks))*8 +
-		int64(len(s.blocks))*blockMemCost + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
+		s.blockBytes + int64(s.runCap)*runMemCost + int64(s.sumRows)*sumRowMemCost +
 		flowTableBytes(len(s.flows.index)) + s.seen.mem
 }
 
@@ -498,7 +585,7 @@ func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int, fid uint32)) i
 					chain = append(chain, link-1)
 				}
 			}
-			link = b.prev[i]
+			link, _ = b.links(i)
 		}
 		for k := len(chain) - 1; k >= 0; k-- {
 			b, i := s.blocks[chain[k]/blockLen], int(chain[k]%blockLen)
@@ -528,7 +615,8 @@ func (s *Store) visit(f *Filter, fn func(b *block, r *run, i int, fid uint32)) i
 				if q.match(b, i) {
 					total++
 					if fn != nil {
-						fn(b, ru, i, b.fid[i])
+						_, fid := b.links(i)
+						fn(b, ru, i, fid)
 					}
 				}
 			}

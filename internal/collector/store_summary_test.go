@@ -15,12 +15,22 @@ import (
 // strictly increasing and below n, no two neighbours with one switch and
 // stamp, every hint naming the run that holds its position — then
 // recounts the block's summary from the runs and the typ column and
-// compares it, row for row, with the one the writers built; and the
-// store's charges for rows and run capacity against what its blocks hold.
+// compares it, row for row, with the one the writers built; that a block
+// is sealed, at the width its bits need, exactly when it is full, and
+// otherwise on the store's scratch; and the store's charges for blocks,
+// rows and run capacity against what its blocks hold.
 func summariesFromColumns(t *testing.T, st *Store) {
 	t.Helper()
-	rows, runCap := 0, 0
+	rows, runCap, blockBytes := 0, 0, int64(0)
+	if st.open != nil {
+		blockBytes = wideMemCost
+	}
 	for bi, b := range st.blocks {
+		if sealed := b.open == nil; sealed != (b.n == blockLen) || !sealed && b.open != st.open ||
+			sealed && (len(b.packed) != blockLen*int(b.w) || int(b.w) != (int(b.pbits+b.fbits)+7)/8) {
+			t.Fatalf("block %d of %d events: sealed %v at %d B (%d + %d bits) into %d B", bi, b.n, sealed, b.w, b.pbits, b.fbits, len(b.packed))
+		}
+		blockBytes += blockMemCost + pageBytes(len(b.packed))
 		want := map[uint16]*sumRow{}
 		for r, ru := range b.runs {
 			if r == 0 && ru.start != 0 || r > 0 && ru.start <= b.runs[r-1].start || int(ru.start) >= b.n {
@@ -55,8 +65,8 @@ func summariesFromColumns(t *testing.T, st *Store) {
 		}
 		rows += len(b.sum)
 	}
-	if st.sumRows != rows || st.runCap != runCap {
-		t.Fatalf("store charges %d summary rows and %d runs' capacity, its blocks hold %d and %d", st.sumRows, st.runCap, rows, runCap)
+	if st.sumRows != rows || st.runCap != runCap || st.blockBytes != blockBytes {
+		t.Fatalf("store charges %d summary rows, %d runs' capacity and %d B of blocks, its blocks hold %d, %d and %d", st.sumRows, st.runCap, st.blockBytes, rows, runCap, blockBytes)
 	}
 }
 
@@ -182,7 +192,9 @@ func TestQueryAllocatesItsResultOnce(t *testing.T) {
 // blockLen+5 switches, in no order: the first block's summary holds
 // exactly blockLen rows — the bound, one a stored event — the second
 // five, and MemoryBytes grows by what the rows are charged, which covers
-// what their slices really hold.
+// what their slices really hold, beside the two blocks, the scratch and
+// the first block's links, sealed at 2 B an event: 15 bits of position,
+// none of flow id.
 func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 	const n = blockLen + 5
 	evs := make([]fevent.Event, n)
@@ -197,7 +209,10 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 	}
 	summariesFromColumns(t, st)
 	empty := NewStore().MemoryBytes()
-	want := empty + int64(cap(st.blocks))*8 + 2*blockMemCost + n*sumRowMemCost + int64(st.runCap)*runMemCost + flowTableBytes(flowSlotsFor(1))
+	if b := st.blocks[0]; b.w != 2 || b.pbits != 15 || b.fbits != 0 {
+		t.Fatalf("the first block sealed %d B an event, %d bits of position and %d of flow id", b.w, b.pbits, b.fbits)
+	}
+	want := empty + int64(cap(st.blocks))*8 + 2*blockMemCost + wideMemCost + blockLen*2 + n*sumRowMemCost + int64(st.runCap)*runMemCost + flowTableBytes(flowSlotsFor(1))
 	if got := st.MemoryBytes(); got != want || st.runCap < n {
 		t.Errorf("MemoryBytes = %d, want %d: two blocks, %d summary rows and runs (%d charged), one flow", got, want, n, st.runCap)
 	}
@@ -209,8 +224,8 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 	if got := st.Count(Filter{SwitchID: ptr(evs[blockLen+2].SwitchID)}); got != 1 {
 		t.Errorf("Count(switch %d) = %d, want 1", evs[blockLen+2].SwitchID, got)
 	}
-	if unsafe.Offsetof(block{}.sum) != 0 || unsafe.Offsetof(block{}.runs) != unsafe.Sizeof([]sumRow(nil)) {
-		t.Error("block.sum and block.runs are not the first fields: the GC would scan into the columns")
+	if unsafe.Offsetof(block{}.n) != unsafe.Offsetof(block{}.packed)+unsafe.Sizeof([]byte(nil)) {
+		t.Error("a block header's pointers are not its first fields: the GC would scan its run hints")
 	}
 
 	// Dropping the events drops the rows and their charge.
@@ -218,7 +233,7 @@ func TestBlockSummaryIsBoundedByTheBlock(t *testing.T) {
 		t.Fatalf("RemoveImage removed %d, want %d", removed, n-5)
 	}
 	summariesFromColumns(t, st)
-	if got, want := st.MemoryBytes(), empty+int64(cap(st.blocks))*8+blockMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+flowTableBytes(flowSlotsFor(1)); got != want || st.runCap > 8 {
+	if got, want := st.MemoryBytes(), empty+int64(cap(st.blocks))*8+blockMemCost+wideMemCost+5*sumRowMemCost+int64(st.runCap)*runMemCost+flowTableBytes(flowSlotsFor(1)); got != want || st.runCap > 8 {
 		t.Errorf("after RemoveImage MemoryBytes = %d, want %d", got, want)
 	}
 }
