@@ -75,8 +75,8 @@ func (s *Store) AppendImage(dst []byte, f *Filter, keep func(sw uint16, rec *[fe
 	defer s.mu.RUnlock()
 	hdr, n := 0, 0 // the open batch's header offset in dst, and its records
 	var rec [fevent.RecordLen]byte
-	s.visit(f, func(b *block, r *run, i int, _ uint32) {
-		if b.record(&s.flows, i, &rec); keep != nil && !keep(r.sw, &rec) {
+	s.visit(f, func(b *block, r *run, i int, fid uint32) {
+		if b.record(&s.flows, fid, i, &rec); keep != nil && !keep(r.sw, &rec) {
 			return
 		}
 		if n == 0 || n == fevent.MaxBatchRecords ||
@@ -148,7 +148,8 @@ func (s *Store) RemoveImage(img []byte) (int, error) {
 			binary.BigEndian.PutUint64(k[2:10], uint64(ru.ts))
 			recs := buf[:0] // survivors waiting to be re-appended
 			for i, end := int(ru.start), b.runEnd(r); i < end; i++ {
-				b.record(&dict, i, (*[fevent.RecordLen]byte)(k[10:]))
+				_, fid := b.links(i)
+				b.record(&dict, fid, i, (*[fevent.RecordLen]byte)(k[10:]))
 				if want[k] > 0 {
 					want[k]--
 					continue

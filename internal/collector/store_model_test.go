@@ -83,11 +83,37 @@ func (m *modelStore) Query(f Filter) []fevent.Event {
 
 // pair runs one program against both and compares as it goes.
 type pair struct {
-	t     *testing.T
-	r     *rand.Rand
-	st    *Store
-	m     *modelStore
-	types []fevent.Type // what event draws from
+	t      *testing.T
+	r      *rand.Rand
+	st     *Store
+	m      *modelStore
+	types  []fevent.Type // what event draws from
+	hashes hashDraw      // how event draws a record's hash
+}
+
+// hashDraw is a way to draw an event's record hash: its flow's own, as
+// every producer sets it; its flow's XOR a value below 32, so that a
+// flow's events differ from its first by up to 31 — a block keeps the
+// difference in the event's th byte, up to 30, and lists the rest as
+// exceptions; or at random, so that nearly every event is an exception.
+type hashDraw int
+
+const (
+	hashPerFlow hashDraw = iota
+	hashDeltas
+	hashRandom
+	hashDraws // how many ways there are
+)
+
+// hash draws a record hash for an event of flow f.
+func (p *pair) hash(f pkt.FlowKey) uint32 {
+	switch p.hashes {
+	case hashDeltas:
+		return f.Hash() ^ uint32(p.r.Intn(32))
+	case hashRandom:
+		return p.r.Uint32()
+	}
+	return f.Hash()
 }
 
 func newPair(t *testing.T, seed int64) *pair {
@@ -104,7 +130,6 @@ func (p *pair) event(flows, switches int, ts sim.Time) fevent.Event {
 	r := p.r
 	e := fevent.Event{Type: p.types[r.Intn(len(p.types))], Flow: modelFlow(r.Intn(flows)),
 		SwitchID: uint16(1 + r.Intn(switches)), Timestamp: ts, Count: uint16(1 + r.Intn(100)), EgressPort: uint8(r.Intn(32))}
-	e.Hash = e.Flow.Hash()
 	switch e.Type {
 	case fevent.TypeDrop:
 		e.IngressPort, e.DropCode = uint8(r.Intn(32)), fevent.DropCode(1+r.Intn(int(fevent.DropCorruption)))
@@ -121,8 +146,8 @@ func (p *pair) event(flows, switches int, ts sim.Time) fevent.Event {
 		e.SketchErr = uint16(r.Intn(500))
 	case fevent.TypeAggSpike:
 		e.Flow, e.Window = pkt.FlowKey{}, uint16(r.Intn(100))
-		e.Hash = e.Flow.Hash()
 	}
+	e.Hash = p.hash(e.Flow)
 	return e
 }
 
@@ -559,11 +584,13 @@ func firstDiff(a, b []fevent.Event) int {
 // a snapshot round trip — and after each step compares every read, the
 // filter grid and sixty random filters included (Count = len(Query) =
 // model, AppendImage = the reference image of the model's answer), and
-// every block summary with its columns.
+// every block summary with its columns. The seeds take turns at the
+// three ways to draw a hash.
 func TestStoreModelRandomPrograms(t *testing.T) {
 	const flows, switches = 12, 4
 	for seed := int64(1); seed <= 12; seed++ {
 		p := newPair(t, seed)
+		p.hashes = hashDraw(seed % int64(hashDraws))
 		var seq uint64
 		for step := 0; step < 40; step++ {
 			ts := sim.Time(1+step) * sim.Millisecond

@@ -255,12 +255,13 @@ const RecordLen = 24
 
 // Offsets into a record, for readers that index and filter stored records
 // without decoding them: the 13 B flow key, the tail past it (detail,
-// count, hash), and where a drop record keeps its reason.
+// count, hash), where a drop record keeps its reason, and the hash.
 const (
 	RecordFlowOff     = 1
 	RecordTailOff     = RecordFlowOff + pkt.FlowKeyLen
 	RecordTailLen     = RecordLen - RecordTailOff
 	RecordDropCodeOff = 16
+	RecordHashOff     = RecordLen - 4
 )
 
 // AppendRecord appends the 24-byte record encoding of e to b.
@@ -334,20 +335,14 @@ func (e *Event) DecodeRecord(b []byte) error {
 	if len(b) < RecordLen {
 		return fmt.Errorf("fevent: record truncated: %d bytes", len(b))
 	}
-	return e.DecodeRecordParts(b[0], (*[pkt.FlowKeyLen]byte)(b[RecordFlowOff:]), (*[RecordTailLen]byte)(b[RecordTailOff:]))
-}
-
-// DecodeRecordParts is DecodeRecord of the record typ | flow | tail, for a
-// holder that keeps a record's type byte, flow key and tail apart.
-func (e *Event) DecodeRecordParts(typ byte, flow *[pkt.FlowKeyLen]byte, tail *[RecordTailLen]byte) error {
-	t := Type(typ)
+	t := Type(b[0])
 	if !t.Valid() {
-		return fmt.Errorf("fevent: invalid event type %d", typ)
+		return fmt.Errorf("fevent: invalid event type %d", b[0])
 	}
 	e.Type = t
-	e.Flow.SetWire(flow)
-	e.SetDetail(binary.BigEndian.Uint32(tail[:4]))
-	e.Count = binary.BigEndian.Uint16(tail[4:6])
-	e.Hash = binary.BigEndian.Uint32(tail[6:10])
+	e.Flow.SetWire((*[pkt.FlowKeyLen]byte)(b[RecordFlowOff:]))
+	e.SetDetail(binary.BigEndian.Uint32(b[RecordTailOff:]))
+	e.Count = binary.BigEndian.Uint16(b[RecordTailOff+4:])
+	e.Hash = binary.BigEndian.Uint32(b[RecordHashOff:])
 	return nil
 }
