@@ -61,7 +61,8 @@ const maxRun = 128
 // within a run — each followed by half as many single gets, against tab
 // and a map[pkt.FlowKey]uint32 of heads beside a list of flows in
 // first-seen order, ops keys in all, and returns the first disagreement:
-// a head, or an id that is not the flow's place in that list. After
+// a head, an id that is not the flow's place in that list, or a base hash
+// that is not the key's CRC. After
 // every run the table must be exactly the size its flow count calls for. The population holds the all-zero key (agg-spike
 // events carry it) and, for every tuple, flows that differ only in the
 // proto byte; it grows as the program runs, so the table doubles several
@@ -127,6 +128,9 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 			}
 			if fids[i] != ids[f] {
 				return st, fmt.Errorf("op %d: key %d of a %d-key run (%v) has id %d, first seen as flow %d", op, i, n, f, fids[i], ids[f])
+			}
+			if ft := tab.table(); ft.bases[fids[i]] != f.Hash() {
+				return st, fmt.Errorf("op %d: key %d of a %d-key run (%v) has base hash %08x, not its CRC %08x", op, i, n, f, ft.bases[fids[i]], f.Hash())
 			}
 			model[f] = want[i]
 		}

@@ -182,6 +182,19 @@ func (k FlowKey) Hash() uint32 {
 	return ^crc
 }
 
+// WireHash is Hash of the key whose canonical encoding is b, folded from
+// the bytes without decoding them: the little-endian words of the wire
+// bytes are the byte-swapped fields Hash folds.
+func WireHash(b *[FlowKeyLen]byte) uint32 {
+	le := binary.LittleEndian
+	crc := ^uint32(0)
+	crc = crcWord(crc, le.Uint32(b[0:4]))
+	crc = crcWord(crc, le.Uint32(b[4:8]))
+	crc = crcWord(crc, le.Uint32(b[8:12]))
+	crc = castagnoli[byte(crc)^b[12]] ^ (crc >> 8)
+	return ^crc
+}
+
 // TableIndex reduces the hash onto a table of the given size.
 func (k FlowKey) TableIndex(size int) int {
 	return int(k.Hash() % uint32(size))

@@ -65,12 +65,14 @@ func TestFlowKeyHashDistinguishes(t *testing.T) {
 }
 
 func TestFlowKeyHashMatchesCRC32C(t *testing.T) {
-	// The hand-rolled table loop in Hash must stay bit-identical to the
-	// stdlib CRC-32C of the wire encoding: the hash is a wire value (§3.6)
-	// that the switch CPU and collector index tables by.
+	// The hand-rolled table loop in Hash, and WireHash of the encoding,
+	// must stay bit-identical to the stdlib CRC-32C of the wire encoding:
+	// the hash is a wire value (§3.6) that the switch CPU and collector
+	// index tables by.
 	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
 		k := FlowKey{src, dst, sp, dp, proto}
-		return k.Hash() == crc32.Checksum(k.AppendWire(nil), castagnoli)
+		w := [FlowKeyLen]byte(k.AppendWire(nil))
+		return k.Hash() == crc32.Checksum(w[:], castagnoli) && WireHash(&w) == k.Hash()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
