@@ -48,10 +48,10 @@ func ingestTestLoad(t *testing.T, addr string, n, per int) []fevent.Event {
 		ts := sim.Time(100 + b)
 		evs := make([]fevent.Event, 0, per)
 		for i := b * per; i < (b+1)*per && i < n; i++ {
+			f := pkt.FlowKey{SrcIP: pkt.IP(10, 9, byte(i>>8), byte(i)), DstIP: pkt.IP(10, 0, 0, 9),
+				SrcPort: uint16(i), DstPort: 53, Proto: 17}
 			evs = append(evs, fevent.Event{
-				Type: fevent.TypeDrop, DropCode: fevent.DropTTLExpired,
-				Flow: pkt.FlowKey{SrcIP: pkt.IP(10, 9, byte(i>>8), byte(i)), DstIP: pkt.IP(10, 0, 0, 9),
-					SrcPort: uint16(i), DstPort: 53, Proto: 17},
+				Type: fevent.TypeDrop, DropCode: fevent.DropTTLExpired, Flow: f, Hash: f.Hash(),
 				SwitchID: sw, Timestamp: ts, Count: 1,
 			})
 		}

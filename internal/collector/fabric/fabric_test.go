@@ -102,7 +102,7 @@ func eventN(i int, sw uint16, ts sim.Time) fevent.Event {
 		SrcPort: uint16(i), DstPort: 443, Proto: 6,
 	}
 	return fevent.Event{
-		Type: fevent.TypeDrop, Flow: flow, DropCode: fevent.DropNoRoute,
+		Type: fevent.TypeDrop, Flow: flow, Hash: flow.Hash(), DropCode: fevent.DropNoRoute,
 		SwitchID: sw, Timestamp: ts, IngressPort: 1, EgressPort: 2,
 		Count: uint16(i%60000) + 1,
 	}

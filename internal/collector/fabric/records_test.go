@@ -28,11 +28,11 @@ func testEvents() []fevent.Event {
 			SrcPort: uint16(1000 + i), DstPort: 80, Proto: 6}
 	}
 	return []fevent.Event{
-		{Type: fevent.TypeDrop, Flow: mk(1), DropCode: fevent.DropNoRoute,
+		{Type: fevent.TypeDrop, Flow: mk(1), Hash: mk(1).Hash(), DropCode: fevent.DropNoRoute,
 			SwitchID: 3, Timestamp: sim.Time(100), IngressPort: 1, EgressPort: 2, Count: 4},
-		{Type: fevent.TypeCongestion, Flow: mk(2), SwitchID: 5, Timestamp: sim.Time(200),
+		{Type: fevent.TypeCongestion, Flow: mk(2), Hash: mk(2).Hash(), SwitchID: 5, Timestamp: sim.Time(200),
 			EgressPort: 7, Queue: 1, QueueLatencyUs: 900, Count: 1},
-		{Type: fevent.TypePathChange, Flow: mk(3), SwitchID: 3, Timestamp: sim.Time(300),
+		{Type: fevent.TypePathChange, Flow: mk(3), Hash: mk(3).Hash(), SwitchID: 3, Timestamp: sim.Time(300),
 			IngressPort: 2, EgressPort: 9},
 	}
 }

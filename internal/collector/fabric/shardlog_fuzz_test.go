@@ -36,6 +36,7 @@ func fuzzEvents(sw uint16, ts sim.Time, arg byte) []fevent.Event {
 			Type: fevent.TypeDrop, DropCode: fevent.DropNoRoute, SwitchID: sw, Timestamp: ts, Count: 1,
 			Flow: pkt.FlowKey{SrcIP: pkt.IP(10, 7, arg, byte(i)), DstIP: pkt.IP(10, 8, 0, 1), SrcPort: uint16(arg) << 2, DstPort: 80, Proto: 6},
 		}
+		evs[i].Hash = evs[i].Flow.Hash()
 	}
 	return evs
 }

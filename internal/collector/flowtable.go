@@ -21,25 +21,19 @@ const flowMinSlots = 16
 
 // flowTable is the flow dictionary (DESIGN §10): keys holds every flow
 // in first-seen order, and a flow's index in it is its stable flow id,
-// what a block stores for an event in place of its 13 B key. Beside it,
-// bases holds each flow's base hash, the CRC-32C of its key
-// (pkt.WireHash), derived when the flow is inserted: what a block holds
-// the hashes of the flow's events against (DESIGN §10). It is a column of
-// its own so that a probe compares keys 13 B apart and a load finds any
-// flow's base in a 4 B-a-flow array. index finds
+// what a block stores for an event in place of its 13 B key. index finds
 // a key's cell: open addressing with linear probing over a power-of-two
 // array, doubled, with keys' capacity, when more than 3/4 full, and
 // allocated at the first insert. Flow keys are chosen by whoever sends
 // traffic, so the hash is keyed by two random words per table, both
 // mixed into both factors of its first multiply; the 4 B hash a record
-// carries is no substitute — it is the peer's to set, and it is the
-// event key's hash, not the flow's. The seed never leaves the process: a
+// carries is no substitute — it is the peer's to set, and the store does
+// not keep it (DESIGN §10). The seed never leaves the process: a
 // snapshot carries keys and heads in id order, and a reload re-inserts
 // them under a fresh one.
 type flowTable struct {
 	seed  [2]uint64
 	keys  []flowKey
-	bases []uint32
 	index []flowCell
 }
 
@@ -56,10 +50,9 @@ func flowSlotsFor(n int) int {
 }
 
 // flowTableBytes is what a table of the given index size has allocated:
-// its 8 B cells and the dictionary's capacity, 3/4 of a slot a flow, at
-// a key and a base hash a flow.
+// its 8 B cells and the dictionary's capacity of keys, 3/4 of a slot.
 func flowTableBytes(slots int) int64 {
-	return int64(slots)*8 + int64(slots/4*3)*(pkt.FlowKeyLen+4)
+	return int64(slots)*8 + int64(slots/4*3)*pkt.FlowKeyLen
 }
 
 // hash mixes a key's two overlapping 8 B words with the seed by two
@@ -99,8 +92,7 @@ func (t *flowTable) lookup(key []byte) flowCell {
 // keys[i*stride:], leaves in heads[i] the head it replaced, 0 for a flow
 // not seen before, and in ids[i] the key's flow id: the write path of
 // the table, taken by every appended event. It makes one pass, a key at
-// a time: hash it, find its cell, then insert it, deriving its base, or
-// swap its head. A key repeated within a run sees the head its earlier
+// a time: hash it, find its cell, then insert it or swap its head. A key repeated within a run sees the head its earlier
 // copy stored.
 func (t *flowTable) swapRun(keys []byte, stride int, heads, ids []uint32) {
 	if len(heads) > 0 && t.index == nil {
@@ -115,7 +107,7 @@ func (t *flowTable) swapRun(keys []byte, stride int, heads, ids []uint32) {
 				t.grow(2 * len(t.index))
 				c = t.find(h, k)
 			}
-			t.keys, t.bases = append(t.keys, *k), append(t.bases, pkt.WireHash(k))
+			t.keys = append(t.keys, *k)
 			c.id = uint32(len(t.keys))
 		}
 		heads[i], ids[i], c.head = c.head, c.id-1, head
@@ -123,17 +115,16 @@ func (t *flowTable) swapRun(keys []byte, stride int, heads, ids []uint32) {
 }
 
 // grow moves the table to an index of the given size and a dictionary of
-// 3/4 its capacity, re-placing every cell; ids, heads and bases do not
-// change. The first grow draws the table's seed.
+// 3/4 its capacity, re-placing every cell; ids and heads do not change.
+// The first grow draws the table's seed.
 func (t *flowTable) grow(slots int) {
 	if t.index == nil {
 		t.seed = [2]uint64{rand.Uint64(), rand.Uint64()}
 	}
-	keys, bases := make([]flowKey, len(t.keys), slots/4*3), make([]uint32, len(t.bases), slots/4*3)
+	keys := make([]flowKey, len(t.keys), slots/4*3)
 	copy(keys, t.keys)
-	copy(bases, t.bases)
 	old := t.index
-	t.keys, t.bases, t.index = keys, bases, make([]flowCell, slots)
+	t.keys, t.index = keys, make([]flowCell, slots)
 	for _, c := range old {
 		if c.id != 0 {
 			k := &t.keys[c.id-1]

@@ -61,8 +61,8 @@ const maxRun = 128
 // within a run — each followed by half as many single gets, against tab
 // and a map[pkt.FlowKey]uint32 of heads beside a list of flows in
 // first-seen order, ops keys in all, and returns the first disagreement:
-// a head, an id that is not the flow's place in that list, or a base hash
-// that is not the key's CRC. After
+// a head, an id that is not the flow's place in that list, or an id
+// whose dictionary key is not the flow's. After
 // every run the table must be exactly the size its flow count calls for. The population holds the all-zero key (agg-spike
 // events carry it) and, for every tuple, flows that differ only in the
 // proto byte; it grows as the program runs, so the table doubles several
@@ -129,8 +129,8 @@ func flowTableProgram(tab headTable, seed int64, ops int) (programStats, error) 
 			if fids[i] != ids[f] {
 				return st, fmt.Errorf("op %d: key %d of a %d-key run (%v) has id %d, first seen as flow %d", op, i, n, f, fids[i], ids[f])
 			}
-			if ft := tab.table(); ft.bases[fids[i]] != f.Hash() {
-				return st, fmt.Errorf("op %d: key %d of a %d-key run (%v) has base hash %08x, not its CRC %08x", op, i, n, f, ft.bases[fids[i]], f.Hash())
+			if got, _ := pkt.FlowKeyFromWire(tab.table().keys[fids[i]][:]); got != f {
+				return st, fmt.Errorf("op %d: key %d of a %d-key run (%v) has id %d, which names %v", op, i, n, f, fids[i], got)
 			}
 			model[f] = want[i]
 		}
@@ -336,8 +336,8 @@ func recordImageEvents(sw uint16, ts sim.Time) []fevent.Event {
 // Deliver, DeliverPayload, ImportImage, what RemoveImage leaves, and each
 // of those reloaded from a snapshot — Query returns it with the switch
 // and stamp it came with and an AppendRecord byte-equal to the 24 B
-// record delivered, and a query by flow tells apart keys that differ
-// only in the proto byte.
+// record delivered, its hash made its flow key's CRC, and a query by flow
+// tells apart keys that differ only in the proto byte.
 func TestStoredEventIsItsRecordImage(t *testing.T) {
 	evs := recordImageEvents(4, 70)
 	batch := &fevent.Batch{SwitchID: 4, Timestamp: 70, Seq: 1, Events: evs}
@@ -372,8 +372,9 @@ func TestStoredEventIsItsRecordImage(t *testing.T) {
 			t.Fatalf("%s: %d events stored, %d delivered", name, len(got), len(want))
 		}
 		for i := range got {
-			if g, w := got[i].AppendRecord(nil), want[i].AppendRecord(nil); !bytes.Equal(g, w) || got[i].SwitchID != want[i].SwitchID || got[i].Timestamp != want[i].Timestamp {
-				t.Fatalf("%s: event %d is %x from switch %d at %v, delivered %x from switch %d at %v", name, i, g, got[i].SwitchID, got[i].Timestamp, w, want[i].SwitchID, want[i].Timestamp)
+			w := canonical(want[i])
+			if g, wr := got[i].AppendRecord(nil), w.AppendRecord(nil); !bytes.Equal(g, wr) || got[i].SwitchID != w.SwitchID || got[i].Timestamp != w.Timestamp {
+				t.Fatalf("%s: event %d is %x from switch %d at %v, delivered %x from switch %d at %v", name, i, g, got[i].SwitchID, got[i].Timestamp, wr, w.SwitchID, w.Timestamp)
 			}
 		}
 		for _, f := range st.Flows() {

@@ -182,17 +182,17 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzLoadSnapshot throws arbitrary bytes at the snapshot decoder over a
 // store that already holds events, through a reader that hands them out
 // 1 to 7 bytes a call, so that every read the decoder makes is cut short.
-// No input may panic. A rejected image leaves
-// the store exactly as it was; an accepted one re-encodes to itself, byte
-// for byte — a snapshot is a fixed point, so no image makes a load
-// rebuild a hash other than the one it carried — and that image loads
-// into a fresh store with the same length, export digest and Summary.
+// No input may panic. A rejected image leaves the store exactly as it
+// was; an accepted one re-encodes to itself byte for byte but for its
+// records' hash bytes, which a load ignores and an encoding writes as the
+// flow key's CRC; that image loads into a fresh store with the same
+// length, export digest and Summary, and re-encodes to itself exactly.
 // The seeds are images of an empty store, of one run, of a run a block
 // end splits whose flow section spans two read chunks (the one seed
 // over 4 KiB), of in-process per-event stamps (runs of one), of a store
-// after RemoveImage, of a hundred flows, of hashes 1 to 30 off their
-// flow's first, of hashes held as exceptions, and of a flow whose first
-// event a RemoveImage dropped, so its base was derived again.
+// after RemoveImage, of a hundred flows, of a store fed hashes 1 to 30
+// off their flow key's CRC, of hash bytes none of which is its key's
+// CRC, and of a RemoveImage whose image carried such hashes.
 func FuzzLoadSnapshot(f *testing.F) {
 	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
@@ -241,27 +241,32 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	manyFlows.Deliver(&fevent.Batch{SwitchID: 5, Timestamp: 110, Seq: 1, Events: wide})
 	seed(manyFlows, true)
-	deltas := NewStore()
+	near := NewStore()
 	offset := events(62, 6, 130, 0) // two flows, each hash 0…30 off the flow key's CRC
 	for i := range offset {
 		offset[i].Flow = modelFlow(i % 2)
 		offset[i].Hash = offset[i].Flow.Hash() ^ uint32(i/2)
 	}
-	importEvents(f, deltas, offset)
-	seed(deltas, true)
-	exceptions := NewStore()
-	far := events(40, 7, 150, 0)
-	for i := range far {
-		far[i].Hash = uint32(i) * 0x9e3779b9 // XOR its flow key's CRC: 31 or more
+	importEvents(f, near, offset)
+	seed(near, true)
+	foreign := oneRun().EncodeSnapshot()
+	for k, at := range hashOffsets(foreign) {
+		binary.BigEndian.PutUint32(foreign[at:], uint32(k+1)*0x9e3779b9)
 	}
-	importEvents(f, exceptions, far)
-	seed(exceptions, true)
-	rebased := NewStore()
-	importEvents(f, rebased, offset)
-	removeEvents(f, rebased, offset[:1])
-	seed(rebased, true)
-	if len(deltas.blocks[0].exc) != 0 || len(exceptions.blocks[0].exc) != 40 || rebased.Len() != 61 {
-		f.Fatal("the hash seeds do not hold what they are named for")
+	f.Add(foreign)
+	fenced := NewStore()
+	importEvents(f, fenced, offset)
+	removeEvents(f, fenced, offset[3:4]) // its hash one off its key's CRC
+	seed(fenced, true)
+	canon := NewStore()
+	if err := canon.LoadSnapshot(foreign); err != nil || fenced.Len() != 61 {
+		f.Fatalf("the hash seeds do not hold what they are named for: %v, %d events", err, fenced.Len())
+	}
+	reencoded := canon.EncodeSnapshot()
+	for _, at := range hashOffsets(foreign) {
+		if bytes.Equal(reencoded[at:at+4], foreign[at:at+4]) {
+			f.Fatalf("the foreign-hash seed holds its key's CRC at byte %d", at)
+		}
 	}
 
 	type state struct {
@@ -287,8 +292,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 			return
 		}
 		img := st.EncodeSnapshot()
-		if !bytes.Equal(img, data) {
-			t.Fatalf("an accepted image of %d bytes re-encodes to %d other bytes", len(data), len(img))
+		if !bytes.Equal(withoutHashes(img), withoutHashes(data)) {
+			t.Fatalf("an accepted image of %d bytes re-encodes to %d bytes that differ outside its hashes", len(data), len(img))
 		}
 		loaded, again := stateOf(st), NewStore()
 		if err := again.LoadSnapshot(img); err != nil {
@@ -297,7 +302,38 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if got := stateOf(again); got != loaded {
 			t.Fatalf("re-encoded and re-loaded: %+v, loaded %+v", got, loaded)
 		}
+		if twice := again.EncodeSnapshot(); !bytes.Equal(twice, img) {
+			t.Fatalf("a re-encoded image of %d bytes re-encodes to %d other bytes", len(img), len(twice))
+		}
 	})
+}
+
+// hashOffsets returns where a well-formed snapshot image holds each
+// record's 4 B hash, in event order.
+func hashOffsets(img []byte) []int {
+	le := binary.LittleEndian
+	seen, flows, events := int(le.Uint32(img[12:])), int(le.Uint32(img[16:])), int(le.Uint32(img[20:]))
+	at := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen
+	var out []int
+	for done := 0; done < events; done += blockLen {
+		n := min(blockLen, events-done)
+		at += snapBlockHdrLen + int(le.Uint32(img[at:]))*snapRunLen
+		for i := range n {
+			out = append(out, at+9*n+i*fevent.RecordTailLen+tailLen)
+		}
+		at += n * rowBytes
+	}
+	return out
+}
+
+// withoutHashes returns a copy of a well-formed snapshot image with its
+// records' hash bytes cleared.
+func withoutHashes(img []byte) []byte {
+	out := slices.Clone(img)
+	for _, at := range hashOffsets(out) {
+		clear(out[at : at+4])
+	}
+	return out
 }
 
 // shortReader hands out data 1, 2, …, 7 bytes a Read, then over again,

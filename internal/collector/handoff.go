@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"netseer/internal/fevent"
+	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -22,8 +23,9 @@ type BatchID struct {
 }
 
 // eventIdentity is the full-record multiset identity used by the epoch
-// fence — switch (2 B), stamp (8 B) and the 24 B record: two events are
-// the same iff every wire-visible field matches, timestamp included, so a
+// fence — switch (2 B), stamp (8 B) and the 24 B record, its hash taken
+// as its flow key's CRC, as the store holds it: two events are the same
+// iff every field the store keeps matches, timestamp included, so a
 // fence removes exactly the copies it captured and never a later arrival
 // that merely looks similar.
 type eventIdentity [10 + fevent.RecordLen]byte
@@ -112,11 +114,12 @@ func (s *Store) ImportImage(img []byte) (int, error) {
 }
 
 // RemoveImage removes one stored copy per event of the record image img
-// (full-record identity, timestamp included) by re-appending the
-// survivors to an emptied store from the old columns and dictionary, a
-// stored run at a time: its switch and stamp are keyed once, its records
-// rebuilt one by one, and the survivors go back in runs of up to a
-// buffer's worth (appendRun joins them across a removal and a flush).
+// (full-record identity, timestamp included, the hash its key's CRC) by
+// re-appending the survivors to an emptied store from the old columns
+// and dictionary, a stored run at a time: its switch and stamp are keyed
+// once, its records rebuilt one by one, and the survivors go back in runs
+// of up to a buffer's worth (appendRun joins them across a removal and a
+// flush).
 // Events with no stored match are ignored; it returns how many copies
 // were actually removed. This is the epoch fence: after a handoff
 // publishes, the source drops exactly what it captured and shipped.
@@ -132,6 +135,7 @@ func (s *Store) RemoveImage(img []byte) (int, error) {
 		binary.BigEndian.PutUint64(k[2:10], uint64(ts))
 		for ; len(recs) > 0; recs = recs[fevent.RecordLen:] {
 			copy(k[10:], recs)
+			binary.BigEndian.PutUint32(k[10+fevent.RecordHashOff:], pkt.WireHash((*flowKey)(k[10+fevent.RecordFlowOff:])))
 			want[k]++
 		}
 		img = rest

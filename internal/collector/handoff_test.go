@@ -19,7 +19,7 @@ func TestImageSplitsRuns(t *testing.T) {
 	mk := func(n int, sw uint16, ts sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
 		for i := range evs {
-			evs[i] = fevent.Event{Type: fevent.TypePause, Flow: modelFlow(i % 5), EgressPort: uint8(i), SwitchID: sw, Timestamp: ts}
+			evs[i] = fevent.Event{Type: fevent.TypePause, Flow: modelFlow(i % 5), Hash: modelFlow(i % 5).Hash(), EgressPort: uint8(i), SwitchID: sw, Timestamp: ts}
 		}
 		return evs
 	}

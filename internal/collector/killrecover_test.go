@@ -94,7 +94,7 @@ func childFlow(i int) pkt.FlowKey {
 }
 
 func childEvent(i int) fevent.Event {
-	return fevent.Event{Type: fevent.TypeDrop, Flow: childFlow(i),
+	return fevent.Event{Type: fevent.TypeDrop, Flow: childFlow(i), Hash: childFlow(i).Hash(),
 		DropCode: fevent.DropNoRoute, SwitchID: 7, Timestamp: sim.Time(i + 1)}
 }
 

@@ -14,12 +14,13 @@ import (
 
 // Store snapshot encoding, the checkpoint companion of the write-ahead
 // log: the store's own representation written out column by column, its
-// links expanded to full width and its records' hashes rebuilt, so
-// loading one fills columns instead of re-inserting events. The WAL
-// frames and checksums it as a single record, so a torn or corrupt
-// snapshot is rejected whole at recovery (the previous snapshot + longer
-// replay then reconstructs the state); the checks here only keep a
-// well-checksummed but wrong image from indexing out of range.
+// links expanded to full width and each record's hash written as its
+// flow key's CRC, so loading one fills columns instead of re-inserting
+// events. The WAL frames and checksums it as a single record, so a torn
+// or corrupt snapshot is rejected whole at recovery (the previous
+// snapshot + longer replay then reconstructs the state); the checks here
+// only keep a well-checksummed but wrong image from indexing out of
+// range.
 //
 // Layout (little-endian, so a column decodes with plain loads):
 //
@@ -35,12 +36,11 @@ import (
 //
 // Every section is written in an order the store fixes, and the flow
 // index is not written at all — a load rebuilds it, re-inserting the
-// flows in id order under a fresh seed — so an image that loads
-// re-encodes to itself. Nor are a block's link widths or its exception
-// list: a load derives each as the live store did, the widths from the
-// positions and flows named before the block, the list from each hash
-// and its flow key's CRC, so every hash is rebuilt as the image carried
-// it.
+// flows in id order under a fresh seed. Nor are a block's link widths: a
+// load derives them as the live store did, from the positions and flows
+// named before the block. A load ignores the records' hash bytes, as the
+// store keeps no hash, so an image that loads re-encodes to itself but
+// for those bytes, each then its flow key's CRC.
 const (
 	snapMagic       = "NSS4"
 	snapHeaderLen   = len(snapMagic) + 8 + 4*4
@@ -72,9 +72,12 @@ func (s *Store) EncodeSnapshot() []byte {
 	s.seen.each(func(sw uint16, seq uint64) {
 		buf = le.AppendUint64(le.AppendUint16(buf, sw), seq)
 	})
-	flows := len(buf)
+	// Each flow key's CRC, the hash of each of its events, is taken once:
+	// a CRC an event would cost more than the rest of the event's encoding.
+	flows, hashes := len(buf), make([]uint32, len(d.keys))
 	for i := range d.keys {
 		buf = append(append(buf, d.keys[i][:]...), 0, 0, 0, 0)
+		hashes[i] = pkt.WireHash(&d.keys[i])
 	}
 	for _, c := range d.index {
 		if c.id != 0 {
@@ -95,10 +98,10 @@ func (s *Store) EncodeSnapshot() []byte {
 			prev, fid := b.links(i)
 			le.PutUint32(prevs[4*i:], prev)
 			le.PutUint32(fids[4*i:], fid)
-			typs[i] = b.th[i] & typeMask
+			typs[i] = b.typ[i]
 			tail := tails[i*fevent.RecordTailLen:][:fevent.RecordTailLen]
 			*(*[tailLen]byte)(tail) = *b.tailAt(i)
-			binary.BigEndian.PutUint32(tail[tailLen:], b.hashAt(i, d.bases[fid]))
+			binary.BigEndian.PutUint32(tail[tailLen:], hashes[fid])
 		}
 	}
 	return buf
@@ -116,7 +119,7 @@ const snapChunk = 4 << 10
 
 // snapReader reads an image's sections from r, the fixed-width rows
 // through one scratch buffer; cols holds a block's columns, twice, so
-// that one block's are read while the last block's hashes are encoded.
+// that one block's are read while the last block's are filled in.
 type snapReader struct {
 	r    io.Reader
 	buf  [snapChunk]byte
@@ -147,9 +150,8 @@ func (d *snapReader) rows(n, width int, fn func(first int, rows []byte) error) e
 // section, and swaps the image in only when r, asked for a byte past the
 // image, answers io.EOF: the WAL's snapshot reader answers so only once
 // the record's checksum has matched. The flows go back into the
-// dictionary in id order, each with the id it had and its base derived
-// from its key; their index is filled while the blocks decode (see
-// readBlocks), and a key listed twice is an error.
+// dictionary in id order, each with the id it had; their index is filled
+// while the blocks decode, and a key listed twice is an error.
 func (s *Store) readSnapshot(r io.Reader, size int) error {
 	le := binary.LittleEndian
 	d := &snapReader{r: r}
@@ -195,15 +197,15 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 				f, _ := pkt.FlowKeyFromWire(row) // the row is whole
 				return fmt.Errorf("collector: snapshot flow %d (%v) heads at event %d of %d", first+i, f, int64(head)-1, events)
 			}
-			ld.flows.keys, ld.flows.bases, heads = append(ld.flows.keys, *k), append(ld.flows.bases, pkt.WireHash(k)), append(heads, head)
+			ld.flows.keys, heads = append(ld.flows.keys, *k), append(heads, head)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// The blocks need the flows' bases but not the index: it is filled
-	// beside their decoding, and a repeated key is the first fault.
+	// The blocks do not need the index: it is filled beside their
+	// decoding, and a repeated key is the first fault.
 	repeat := make(chan [2]int, 1)
 	go func() {
 		id, of := ld.flows.place(heads)
@@ -231,21 +233,19 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 	return nil
 }
 
-// readBlocks reads an image's blocks into ld, whose flows' keys and bases
-// are loaded: each block opened at the widths the
-// live store opened it at, its run table checked, its four columns read
-// whole and checked, and its summary counted from its runs. Its columns
-// are then filled from the image's (see fill) by a goroutine of its own
-// while the next block is read: the hashes, held against their flows'
-// bases a lookup a flow id at a time, are most of a load's work.
+// readBlocks reads an image's blocks into ld, whose flows' keys are
+// loaded: each block opened at the widths the live store opened it at,
+// its run table checked, its four columns read whole and checked, and its
+// summary counted from its runs. Its columns are then filled from the
+// image's (see fill) by a goroutine of its own while the next block is
+// read: a load run inline, reading and filling in turn, recovers ~6 %
+// slower (bench/history).
 func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 	le := binary.LittleEndian
-	var encoding [2]sync.WaitGroup // a block's hashes, by the cols it reads
-	var charged [2]int64           // what the exception lists they filled took
+	var filling [2]sync.WaitGroup // a block's fill, by the cols it reads
 	defer func() {
-		for k := range encoding {
-			encoding[k].Wait()
-			ld.blockBytes += charged[k]
+		for k := range filling {
+			filling[k].Wait()
 		}
 	}()
 	named := 0 // one past the highest flow id named so far: a live store's flow count
@@ -280,7 +280,7 @@ func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 			return err
 		}
 		n := b.n
-		encoding[k].Wait() // the block before last is done with these cols
+		filling[k].Wait() // the block before last is done with these cols
 		cols := d.cols[k][:n*rowBytes]
 		if _, err := io.ReadFull(d.r, cols); err != nil {
 			return err
@@ -311,10 +311,10 @@ func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 				row.n[t-1]++
 			}
 		}
-		encoding[k].Add(1)
+		filling[k].Add(1)
 		go func(k int) {
-			defer encoding[k].Done()
-			charged[k] += b.fill(prevs, fids, typs, tails, ld.flows.bases)
+			defer filling[k].Done()
+			b.fill(prevs, fids, typs, tails)
 		}(k)
 		ld.blocks = append(ld.blocks, b)
 		ld.n += b.n
@@ -327,26 +327,19 @@ func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 }
 
 // fill stores b's events from an image's checked columns of their links,
-// flow ids, types and record tails: links packed; tails cut to the
-// detail and count, 8 B at a time but the last, each store's last 2 B
-// the next tail's first; each type beside its hash held against its flow's base in bases,
-// an exception where they differ by excDelta or more. It returns the
-// bytes the exception list took.
-func (b *block) fill(prevs, fids, typs, tails []byte, bases []uint32) int64 {
+// flow ids, types and record tails: links packed, types as they are, and
+// tails cut to the detail and count, 8 B at a time but the last, each
+// store's last 2 B the next tail's first; the hash bytes are passed over.
+func (b *block) fill(prevs, fids, typs, tails []byte) {
 	le := binary.LittleEndian
-	var charged int64
-	for i, typ := range typs {
-		fid, tail := le.Uint32(fids[4*i:]), tails[i*fevent.RecordTailLen:]
-		b.setLinks(i, le.Uint32(prevs[4*i:]), fid)
+	copy(b.typ[:], typs)
+	for i := range typs {
+		tail := tails[i*fevent.RecordTailLen:]
+		b.setLinks(i, le.Uint32(prevs[4*i:]), le.Uint32(fids[4*i:]))
 		if i+1 < len(typs) {
 			le.PutUint64(b.tail[i*tailLen:], le.Uint64(tail))
 		} else {
 			*b.tailAt(i) = [tailLen]byte(tail)
 		}
-		h := binary.BigEndian.Uint32(tail[tailLen:])
-		if b.th[i] = typ | delta(h, bases[fid])<<typeBits; b.th[i]>>typeBits == excDelta {
-			charged += b.except(i, h)
-		}
 	}
-	return charged
 }

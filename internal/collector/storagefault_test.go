@@ -35,7 +35,7 @@ func sfFlow(i int) pkt.FlowKey {
 }
 
 func sfEvent(i int) fevent.Event {
-	return fevent.Event{Type: fevent.TypeDrop, Flow: sfFlow(i),
+	return fevent.Event{Type: fevent.TypeDrop, Flow: sfFlow(i), Hash: sfFlow(i).Hash(),
 		DropCode: fevent.DropNoRoute, SwitchID: 11, Timestamp: sim.Time(i + 1)}
 }
 

@@ -33,23 +33,11 @@ const blockLen = 16 << 10
 // key the dictionary's.
 const rowBytes = 4 + 4 + 1 + fevent.RecordTailLen
 
-// tailLen is what a block keeps of a record beside its th byte, its flow
-// id and its hash: the detail and count bytes.
+// tailLen is what a block keeps of a record beside its type byte and its
+// flow id: the detail and count bytes. A record's hash is not kept: the
+// store holds it to be its flow key's CRC-32C (pkt.WireHash), the hash
+// every producer attaches (§3.4), and every reader writes that.
 const tailLen = fevent.RecordHashOff - fevent.RecordTailOff
-
-// An event's th byte holds its type in the low typeBits and, above them,
-// its hash XOR its flow's base hash, the CRC-32C of its flow key
-// (pkt.WireHash) — the hash every producer attaches to a flow's events
-// (§3.4) — so that it is 0 for theirs; the largest value, excDelta, says
-// that the two differ by more and the hash is in the block's exception
-// list.
-const (
-	typeBits = 3
-	typeMask = 1<<typeBits - 1
-	excDelta = 0xff >> typeBits
-)
-
-const _ = uint8(typeMask - fevent.TypeAggSpike) // every type fits in typeBits
 
 // hintStride is how many positions one entry of a block's run hint
 // covers: a run lookup steps over at most hintStride-1 runs.
@@ -68,23 +56,16 @@ type run struct {
 	sw    uint16 // the switch that reported it
 }
 
-// blockCols is what a block holds of each event's 24 B record: th, its
-// type and hash delta, so a filtered scan reads 1 B an event; and tail,
-// its detail and count. 16 Ki × 7 B is a whole number of pages.
+// blockCols is what a block holds of each event's 24 B record: typ, its
+// type, so a filtered scan reads 1 B an event; and tail, its detail and
+// count. 16 Ki × 7 B is a whole number of pages.
 type blockCols struct {
-	th   [blockLen]uint8
+	typ  [blockLen]uint8
 	tail [blockLen * tailLen]byte
 }
 
-// exception is the hash of an event of a block whose th byte could not
-// hold it: its position and its 4 record bytes, big-endian.
-type exception struct {
-	pos  uint16
-	hash [4]byte
-}
-
 // block is a fixed-size, append-only partition of the event log: a small
-// header — summary, run table, exception list, time range, run hints —
+// header — summary, run table, time range, run hints —
 // over pointer-free columns. Beside the record columns, event i's chain
 // link and flow id are one little-endian entry of w bytes at packed[i*w:],
 // the link in the low pbits, the id in the fbits above. The widths are
@@ -100,9 +81,6 @@ type block struct {
 	// runs holds the switch and stamp of every event, one entry a run, in
 	// position order; hint[k] is the run holding position k×hintStride.
 	runs []run
-	// exc holds, in position order, the hash of every event whose th
-	// byte says excDelta.
-	exc []exception
 	*blockCols
 	packed []byte
 
@@ -119,7 +97,7 @@ type sumRow struct {
 	n  [fevent.TypeAggSpike]uint16
 }
 
-const _ = uint16(blockLen) // a cell can count a whole block, a hint name any run, an exception its position
+const _ = uint16(blockLen) // a cell can count a whole block, a hint name any run
 
 // openBlock returns an empty block for a store that holds the given
 // events and flows: its links get the bits of positions up to
@@ -220,57 +198,33 @@ func (b *block) setLinks(i int, prev, fid uint32) {
 	}
 }
 
-// delta returns what a th byte holds above the type for a record hash h
-// of a flow whose base hash is base: h XOR base, or excDelta where that is
-// excDelta or more and h goes to the exception list.
-func delta(h, base uint32) byte { return byte(min(h^base, excDelta)) }
-
-// except lists h as the hash of event i, the block's last exception, and
-// returns the bytes the list grew by.
-func (b *block) except(i int, h uint32) int64 {
-	c := cap(b.exc)
-	b.exc = append(b.exc, exception{pos: uint16(i)})
-	binary.BigEndian.PutUint32(b.exc[len(b.exc)-1].hash[:], h)
-	return int64(cap(b.exc)-c) * excMemCost
-}
-
-// hashAt returns event i's record hash, given its flow's base hash: the
-// base XOR th's delta, or the exception list's.
-func (b *block) hashAt(i int, base uint32) uint32 {
-	d := b.th[i] >> typeBits
-	if d == excDelta {
-		k, _ := slices.BinarySearchFunc(b.exc, uint16(i), func(e exception, pos uint16) int { return int(e.pos) - int(pos) })
-		return binary.BigEndian.Uint32(b.exc[k].hash[:])
-	}
-	return base ^ uint32(d)
-}
-
 // record writes the 24 B record image of event i, of flow fid, to rec:
-// its type, its flow's key from the dictionary d, its tail and its hash,
-// byte for byte the record it was stored from.
+// its type, its flow's key from the dictionary d, its tail and that key's
+// CRC as its hash — the record it was stored from, its hash made the
+// key's.
 func (b *block) record(d *flowTable, fid uint32, i int, rec *[fevent.RecordLen]byte) {
-	rec[0] = b.th[i] & typeMask
-	*(*flowKey)(rec[fevent.RecordFlowOff:]) = d.keys[fid]
+	key := (*flowKey)(rec[fevent.RecordFlowOff:])
+	rec[0], *key = b.typ[i], d.keys[fid]
 	*(*[tailLen]byte)(rec[fevent.RecordTailOff:]) = *b.tailAt(i)
-	binary.BigEndian.PutUint32(rec[fevent.RecordHashOff:], b.hashAt(i, d.bases[fid]))
+	binary.BigEndian.PutUint32(rec[fevent.RecordHashOff:], pkt.WireHash(key))
 }
 
 // load materialises event i, of run r and flow fid, from the columns as
 // DecodeRecord would from its record; types are validated on every way
 // in, so the type byte is always valid.
 func (b *block) load(d *flowTable, fid uint32, r *run, i int, e *fevent.Event) {
-	tail := b.tailAt(i)
-	e.Type = fevent.Type(b.th[i] & typeMask)
-	e.Flow.SetWire(&d.keys[fid])
+	tail, key := b.tailAt(i), &d.keys[fid]
+	e.Type = fevent.Type(b.typ[i])
+	e.Flow.SetWire(key)
 	e.SetDetail(binary.BigEndian.Uint32(tail[:4]))
 	e.Count = binary.BigEndian.Uint16(tail[4:])
-	e.Hash = b.hashAt(i, d.bases[fid])
+	e.Hash = pkt.WireHash(key)
 	e.SwitchID, e.Timestamp = r.sw, sim.Time(r.ts)
 }
 
 // Store is an in-memory event store: append-only blocks in ingestion
-// order plus a flow dictionary — each flow's key, base hash and newest
-// event, O(flows) not O(events). The 4 B chain link caps it at 2³²−1 events
+// order plus a flow dictionary — each flow's key and newest event,
+// O(flows) not O(events). The 4 B chain link caps it at 2³²−1 events
 // (70–80 GB of blocks; -mem-budget sheds long before). It is safe for
 // concurrent use (the TCP server ingests from multiple switch
 // connections).
@@ -278,10 +232,10 @@ type Store struct {
 	mu         sync.RWMutex
 	blocks     []*block
 	n          int       // stored events
-	blockBytes int64     // what the blocks' headers, columns and exception lists have allocated
+	blockBytes int64     // what the blocks' headers, columns and links have allocated
 	sumRows    int       // summary rows over all blocks
 	runCap     int       // run-table capacity over all blocks, in runs
-	flows      flowTable // flow id → key, base hash and position+1 of its newest event
+	flows      flowTable // flow id → key and position+1 of its newest event
 	// chunk is appendRun's scratch for a chunk of records' new and old
 	// heads and flow ids, kept here so that no call clears it.
 	chunk struct{ heads, ids [appendChunk]uint32 }
@@ -365,13 +319,10 @@ func (s *Store) appendRun(sw uint16, ts int64, recs []byte) {
 			heads[j] = uint32(s.n + j + 1) // the new head, swapped for the old
 		}
 		s.flows.swapRun(recs[fevent.RecordFlowOff:], fevent.RecordLen, heads[:k], ids[:k])
-		row, th, tails := s.sumRow(b, sw), c.th[i:i+k], c.tail[i*tailLen:(i+k)*tailLen]
-		for j := range th {
+		row, typ, tails := s.sumRow(b, sw), c.typ[i:i+k], c.tail[i*tailLen:(i+k)*tailLen]
+		for j := range typ {
 			rec := recs[j*fevent.RecordLen:][:fevent.RecordLen]
-			h := binary.BigEndian.Uint32(rec[fevent.RecordHashOff:])
-			if th[j] = rec[0] | delta(h, s.flows.bases[ids[j]])<<typeBits; th[j]>>typeBits == excDelta {
-				s.blockBytes += b.except(i+j, h)
-			}
+			typ[j] = rec[0]
 			*(*[tailLen]byte)(tails[j*tailLen:]) = [tailLen]byte(rec[fevent.RecordTailOff:])
 			row.n[rec[0]-1]++
 			b.setLinks(i+j, heads[j], ids[j])
@@ -515,9 +466,8 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 // the block list 8 B for each block it has room for; a block is charged
 // what it allocates, when it allocates it — its header, rounded up to a
 // 128 B size class, its record columns and its links, rounded up to the
-// allocator's 8 KiB pages, at opening; its exception list for its
-// capacity, as it grows; a run table and the flow dictionary, base hashes
-// included, for every entry and index cell they have allocated; a summary
+// allocator's 8 KiB pages, at opening; a run table and the flow
+// dictionary for every entry and index cell they have allocated; a summary
 // row twice its 16 B, the capacity of a slice that has just doubled; and
 // the dedup set for the capacity of its slices. So the estimate errs high
 // and admission control engages early, not late
@@ -525,7 +475,6 @@ func (s *Store) SeenBatch(sw uint16, seq uint64) bool {
 const (
 	storeMemCost  = int64(unsafe.Sizeof(Store{}))
 	blockMemCost  = (int64(unsafe.Sizeof(block{}))+127)&^127 + int64(unsafe.Sizeof(blockCols{})+8191)&^8191
-	excMemCost    = int64(unsafe.Sizeof(exception{}))
 	runMemCost    = int64(unsafe.Sizeof(run{}))
 	sumRowMemCost = 2 * 16
 )
@@ -586,7 +535,7 @@ func (q *selector) keeps(r *run, inWindow bool) bool {
 // match tests event i of b on what its run does not settle — type and
 // drop code — reading only the columns q names.
 func (q *selector) match(b *block, i int) bool {
-	return (q.typ == 0 || b.th[i]&typeMask == q.typ) &&
+	return (q.typ == 0 || b.typ[i] == q.typ) &&
 		(q.code == 0 || b.tail[i*tailLen+fevent.RecordDropCodeOff-fevent.RecordTailOff] == q.code)
 }
 
@@ -760,7 +709,7 @@ func (s *Store) Summary() []SummaryRow {
 	defer s.mu.RUnlock()
 	flowSets := make(map[swType]map[uint32]struct{})
 	s.visit(&Filter{}, func(b *block, r *run, i int, fid uint32) {
-		k := swType{r.sw, fevent.Type(b.th[i] & typeMask)}
+		k := swType{r.sw, fevent.Type(b.typ[i])}
 		if flowSets[k] == nil {
 			flowSets[k] = make(map[uint32]struct{})
 		}

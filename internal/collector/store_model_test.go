@@ -23,7 +23,9 @@ import (
 // The differential test drives the block store and a reference model —
 // the design the blocks replaced: one slice in ingestion order, every
 // read a linear scan through Filter.matches — with the same program and
-// requires the same answer from every read.
+// requires the same answer from every read. The model holds every
+// event's hash as its flow key's CRC, whatever hash it was delivered
+// with: the store's contract (DESIGN §10).
 
 // matches is the reference filter semantics, one event at a time.
 func (f *Filter) matches(e *fevent.Event) bool {
@@ -49,14 +51,28 @@ func (m *modelStore) Deliver(b *fevent.Batch) {
 			m.seen[k] = true
 		}
 	}
-	m.events = append(m.events, b.Events...)
+	m.add(b.Events)
 }
 
-// RemoveEvents drops the earliest stored copy of each element of evs.
+// canonical returns e with its hash its flow key's CRC.
+func canonical(e fevent.Event) fevent.Event {
+	e.Hash = e.Flow.Hash()
+	return e
+}
+
+// add stores evs, each as canonical.
+func (m *modelStore) add(evs []fevent.Event) {
+	for _, e := range evs {
+		m.events = append(m.events, canonical(e))
+	}
+}
+
+// RemoveEvents drops the earliest stored copy of each element of evs,
+// taken as canonical.
 func (m *modelStore) RemoveEvents(evs []fevent.Event) int {
 	want := map[fevent.Event]int{}
 	for _, e := range evs {
-		want[e]++
+		want[canonical(e)]++
 	}
 	kept := m.events[:0]
 	for _, e := range m.events {
@@ -91,11 +107,10 @@ type pair struct {
 	hashes hashDraw      // how event draws a record's hash
 }
 
-// hashDraw is a way to draw an event's record hash: its flow's own, as
-// every producer sets it; its flow's XOR a value below 32, so that a
-// flow's events differ from its first by up to 31 — a block keeps the
-// difference in the event's th byte, up to 30, and lists the rest as
-// exceptions; or at random, so that nearly every event is an exception.
+// hashDraw is a way to draw the hash an event is delivered with: its
+// flow key's CRC, as every producer sets it; that XOR a value below 32;
+// or at random. The store keeps none of them and answers every read with
+// the CRC, as the model does.
 type hashDraw int
 
 const (
@@ -264,7 +279,7 @@ func removeEvents(t testing.TB, st *Store, evs []fevent.Event) int {
 func (p *pair) add(evs []fevent.Event) {
 	p.t.Helper()
 	importEvents(p.t, p.st, evs)
-	p.m.events = append(p.m.events, evs...)
+	p.m.add(evs)
 }
 
 // remove fences the multiset evs as a handoff source does: by the image
@@ -845,4 +860,142 @@ func TestPayloadDeliveryEqualsEventsDelivery(t *testing.T) {
 	if !bytes.Equal(byEvents.EncodeSnapshot(), byPayload.EncodeSnapshot()) {
 		t.Fatal("the two stores' snapshots differ: a payload-fed store does not hold the canonical record image")
 	}
+}
+
+// TestStoredHashIsItsKeysCRC pins what the store keeps of a record's
+// hash: nothing. Every read answers with the flow key's CRC-32C
+// (pkt.WireHash), whatever hash the record came with — the canonical view
+// ViewPayload also takes of detail bytes a type leaves undefined. Batches
+// whose every hash is drawn at random go in through Deliver,
+// DeliverPayload and ImportImage, and into a log, with a checkpoint half
+// way, that RecoverStore replays; each store, and a snapshot round trip
+// of it, must answer Query, AppendImage, PathOf and EncodeSnapshot
+// exactly as a store fed the same batches with each hash its key's CRC.
+// A RemoveImage whose image carries the drawn hashes must remove what
+// one carrying the CRCs removes from the reference. The log keeps the
+// drawn bytes (TestTheLogIsTheWire).
+func TestStoredHashIsItsKeysCRC(t *testing.T) {
+	const flows = 8
+	p := newPair(t, 51)
+	p.hashes = hashRandom
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := func(b *fevent.Batch) *fevent.Batch {
+		c := *b
+		c.Events = make([]fevent.Event, len(b.Events))
+		for i, e := range b.Events {
+			c.Events[i] = canonical(e)
+		}
+		return &c
+	}
+	payload := func(st *Store, b *fevent.Batch) {
+		view, err := ViewPayload(wirePayload(t, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.DeliverPayload(&view)
+	}
+	st, ref, logged, loggedRef := NewStore(), NewStore(), NewStore(), NewStore()
+	var drawn, crcs []fevent.Event
+	const batches = 30
+	for seq := uint64(1); seq <= batches; seq++ {
+		sw, ts := uint16(1+seq%3), sim.Time(seq)*sim.Millisecond
+		b := &fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: p.events(40, flows, 3, ts, 0)}
+		for i := range b.Events {
+			b.Events[i].SwitchID = sw
+			if b.Events[i].Hash == b.Events[i].Flow.Hash() {
+				t.Fatalf("batch %d event %d drew its key's CRC", seq, i)
+			}
+		}
+		c := canon(b)
+		switch seq % 3 {
+		case 0:
+			st.Deliver(b)
+			ref.Deliver(c)
+		case 1:
+			payload(st, b)
+			payload(ref, c)
+		default:
+			importEvents(t, st, b.Events)
+			importEvents(t, ref, c.Events)
+		}
+		if seq <= batches/2 {
+			drawn, crcs = append(drawn, b.Events...), append(crcs, c.Events...)
+		}
+		if _, err := w.Append(wirePayload(t, b), false); err != nil {
+			t.Fatal(err)
+		}
+		payload(logged, b)
+		payload(loggedRef, c)
+		if seq == batches/2 {
+			cut, err := w.CutSegment()
+			if err == nil {
+				err = w.InstallSnapshot(cut, logged.EncodeSnapshot())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(how string, got, want *Store) {
+		t.Helper()
+		evs := got.Query(Filter{})
+		for i, e := range evs {
+			if e.Hash != e.Flow.Hash() {
+				t.Fatalf("%s: event %d answers hash %08x, its key's CRC is %08x", how, i, e.Hash, e.Flow.Hash())
+			}
+		}
+		if wantEvs := want.Query(Filter{}); !slices.Equal(evs, wantEvs) {
+			t.Fatalf("%s: Query answers %d events, the CRC-fed store %d, first diff at %d", how, len(evs), len(wantEvs), firstDiff(evs, wantEvs))
+		}
+		img := got.AppendImage(nil, &Filter{}, nil)
+		if !bytes.Equal(img, want.AppendImage(nil, &Filter{}, nil)) || !bytes.Equal(img, batchImage(evs)) {
+			t.Fatalf("%s: AppendImage writes other records than the CRC-fed store", how)
+		}
+		paths := 0
+		for i := range flows {
+			f := modelFlow(i)
+			path := got.PathOf(f)
+			if !reflect.DeepEqual(path, want.PathOf(f)) {
+				t.Fatalf("%s: PathOf(%v) = %v, the CRC-fed store's %v", how, f, path, want.PathOf(f))
+			}
+			paths += len(path)
+		}
+		if paths == 0 {
+			t.Fatalf("%s: no flow has a path", how)
+		}
+		if !bytes.Equal(got.EncodeSnapshot(), want.EncodeSnapshot()) {
+			t.Fatalf("%s: the snapshot differs from the CRC-fed store's", how)
+		}
+	}
+	roundTrip := func(st *Store) *Store {
+		fresh := NewStore()
+		if err := fresh.LoadSnapshot(st.EncodeSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return fresh
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recovered, _, err := RecoverStore(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Deliver, DeliverPayload, ImportImage", st, ref)
+	same("after a snapshot round trip", roundTrip(st), ref)
+	same("WAL replay", recovered, loggedRef)
+	same("WAL replay, after a snapshot round trip", roundTrip(recovered), loggedRef)
+	n, err := st.RemoveImage(batchImage(drawn))
+	if want := removeEvents(t, ref, crcs); err != nil || n != len(drawn) || want != n {
+		t.Fatalf("RemoveImage of %d events carrying drawn hashes removed %d (%v), of their CRCs %d", len(drawn), n, err, want)
+	}
+	same("after RemoveImage", st, ref)
 }

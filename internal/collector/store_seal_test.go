@@ -16,9 +16,9 @@ import (
 // are fixed when a block opens: five blocks at 4 B an event (15 + 14
 // bits: no events, no flows before it), 4 B (16 + 15), exactly 4 B
 // (16 + 16: the first block's one flow and the second's 16 Ki new ones)
-// and one bit over four bytes twice (17 + 16), the last open. Hashes
-// differ from their flow's base by up to 31, so deltas and exceptions
-// mix. The store is compared with the model before and after a snapshot
+// and one bit over four bytes twice (17 + 16), the last open. Hashes are
+// delivered up to 31 off their flow key's CRC, which the store answers
+// with. The store is compared with the model before and after a snapshot
 // round trip, which re-encodes byte for byte and opens the loaded blocks
 // at the same widths, and after a RemoveImage whose survivors re-append
 // into blocks opened at the widths of the smaller store.
@@ -84,12 +84,13 @@ func TestStoreModelSealWidths(t *testing.T) {
 	p.compare(flows, 3)
 }
 
-// TestStoreModelHashDraws model-checks every read with hashes drawn each
-// of the three ways — one a flow, its key's CRC, as every producer sets
-// them; within 31 of it; at random, nearly all exceptions — over two
-// blocks, before and after a snapshot round trip, then after a
-// RemoveImage that drops the first event of two flows whose second
-// carries another hash, and once more after a round trip.
+// TestStoreModelHashDraws model-checks every read with hashes delivered
+// each of the three ways — one a flow, its key's CRC, as every producer
+// sets them; within 31 of it; at random — over two blocks, before and
+// after a snapshot round trip, then after a RemoveImage whose image
+// carries the first event of two flows with a hash drawn the same way,
+// and once more after a round trip. The store answers every read with
+// the key's CRC whatever the draw, as the model does.
 func TestStoreModelHashDraws(t *testing.T) {
 	const flows, switches = 40, 3
 	for draw := range hashDraws {
@@ -105,30 +106,22 @@ func TestStoreModelHashDraws(t *testing.T) {
 			}
 			done += len(evs)
 		}
-		exc := 0
-		for _, b := range p.st.blocks {
-			exc += len(b.exc)
-		}
-		if n := p.st.Len(); draw == hashPerFlow && exc != 0 || draw == hashDeltas && (exc == 0 || exc > n/8) || draw == hashRandom && exc < n*9/10 {
-			t.Fatalf("draw %d: %d of %d events are exceptions", draw, exc, n)
-		}
 		p.compare(flows, switches)
 		p.reload()
 		p.compare(flows, switches)
 
-		// The first events of two flows whose second carries another hash,
-		// unless a flow has one hash.
+		// The first events of two flows, each hash drawn afresh: the fence
+		// must take them as their keys' CRCs to find them.
 		var drop []fevent.Event
-		for _, f := range p.st.Flows() {
-			evs := p.m.Query(Filter{Flow: &f})
-			if len(evs) > 1 && (draw == hashPerFlow || evs[1].Hash != evs[0].Hash) && len(drop) < 2 {
-				drop = append(drop, evs[0])
-			}
-		}
-		if len(drop) != 2 {
-			t.Fatalf("draw %d: %d flows whose first event to drop", draw, len(drop))
+		for _, f := range p.st.Flows()[:2] {
+			e := p.m.Query(Filter{Flow: &f})[0]
+			e.Hash = p.hash(f)
+			drop = append(drop, e)
 		}
 		p.remove(drop)
+		if p.st.Len() != blockLen+2000-2 {
+			t.Fatalf("draw %d: %d events left after removing 2 of %d", draw, p.st.Len(), blockLen+2000)
+		}
 		p.compare(flows, switches)
 		p.reload()
 		p.compare(flows, switches)
@@ -137,10 +130,10 @@ func TestStoreModelHashDraws(t *testing.T) {
 
 // TestLoadedBlocksEqualLive: a loaded image holds exactly the live
 // store's blocks — links at the same widths, byte for byte, the same
-// th and tail columns, exception lists, runs, summaries and hints — and
-// the same dictionary, and is charged the same bytes of blocks. The
-// store spans four blocks, mixes hash draws and has been through a
-// RemoveImage, so its flows' ids were assigned twice.
+// typ and tail columns, runs, summaries and hints — and the same
+// dictionary, and is charged the same bytes of blocks. The store spans
+// four blocks, mixes hash draws and has been through a RemoveImage, so
+// its flows' ids were assigned twice.
 func TestLoadedBlocksEqualLive(t *testing.T) {
 	const flows, switches = 3000, 4
 	p := newPair(t, 77)
@@ -160,27 +153,20 @@ func TestLoadedBlocksEqualLive(t *testing.T) {
 	if len(loaded.blocks) != len(live.blocks) || loaded.blockBytes != live.blockBytes {
 		t.Fatalf("loaded %d blocks charged %d B, live %d charged %d B", len(loaded.blocks), loaded.blockBytes, len(live.blocks), live.blockBytes)
 	}
-	exc := 0
 	for k, a := range live.blocks {
 		b := loaded.blocks[k]
-		exc += len(a.exc)
 		switch {
 		case [3]uint8{a.w, a.pbits, a.fbits} != [3]uint8{b.w, b.pbits, b.fbits}:
 			t.Fatalf("block %d: loaded at %d B (%d + %d bits), live at %d B (%d + %d)", k, b.w, b.pbits, b.fbits, a.w, a.pbits, a.fbits)
 		case !bytes.Equal(a.packed, b.packed):
 			t.Fatalf("block %d: the loaded links differ", k)
 		case *a.blockCols != *b.blockCols:
-			t.Fatalf("block %d: the loaded th or tail column differs", k)
-		case !slices.Equal(a.exc, b.exc) || cap(a.exc) != cap(b.exc):
-			t.Fatalf("block %d: loaded %d exceptions (capacity %d), live %d (%d)", k, len(b.exc), cap(b.exc), len(a.exc), cap(a.exc))
+			t.Fatalf("block %d: the loaded typ or tail column differs", k)
 		case !slices.Equal(a.runs, b.runs) || !slices.Equal(a.sum, b.sum) || a.hint != b.hint:
 			t.Fatalf("block %d: the loaded runs, summary or hints differ", k)
 		case a.n != b.n || a.minTs != b.minTs || a.maxTs != b.maxTs:
 			t.Fatalf("block %d: loaded %d events in [%d, %d], live %d in [%d, %d]", k, b.n, b.minTs, b.maxTs, a.n, a.minTs, a.maxTs)
 		}
-	}
-	if exc == 0 || exc == live.Len() {
-		t.Fatalf("%d of %d events are exceptions: the store does not mix deltas and exceptions", exc, live.Len())
 	}
 }
 
@@ -224,17 +210,13 @@ func TestSealedLinksAtEveryWidth(t *testing.T) {
 // TestSealedBlockCost pins what a block costs: its record columns at
 // 7 B an event and its links at w B an event, behind a header of at most
 // 1 KiB — what the allocator hands out for opening one, and no more than
-// MemoryBytes charges for it; and its exception list, charged for its
-// capacity as it grows.
+// MemoryBytes charges for it.
 func TestSealedBlockCost(t *testing.T) {
 	if hdr := unsafe.Sizeof(block{}); hdr > 1024 {
 		t.Errorf("a block header is %d B, want at most 1 KiB", hdr)
 	}
 	if cols := unsafe.Sizeof(blockCols{}); tailLen != 6 || cols != blockLen*7 || cols%8192 != 0 {
 		t.Errorf("a block's record columns are %d B, want %d in whole pages", cols, blockLen*7)
-	}
-	if e := unsafe.Sizeof(exception{}); e != 6 || excMemCost != 6 {
-		t.Errorf("an exception is %d B, charged %d: want 6", e, excMemCost)
 	}
 	st := NewStore()
 	st.n = 3 * blockLen
@@ -248,12 +230,5 @@ func TestSealedBlockCost(t *testing.T) {
 	}
 	if opened := blockLen * (w + 1 + tailLen); alloc < opened || alloc > opened+1024 || st.blockBytes < alloc || st.blockBytes > opened+1024 {
 		t.Errorf("an opened block allocated %d B and is charged %d, want both in [%d, %d + 1 KiB]", alloc, st.blockBytes, opened, opened)
-	}
-	var charged int64
-	for i := range 1000 {
-		charged += b.except(i, uint32(i)<<24|0x010203)
-	}
-	if len(b.exc) != 1000 || charged != int64(cap(b.exc))*excMemCost {
-		t.Errorf("%d exceptions of capacity %d charged %d B, want %d", len(b.exc), cap(b.exc), charged, int64(cap(b.exc))*excMemCost)
 	}
 }

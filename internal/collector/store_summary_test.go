@@ -14,13 +14,12 @@ import (
 // summariesFromColumns checks every block's run table — starts at 0,
 // strictly increasing and below n, no two neighbours with one switch and
 // stamp, every hint naming the run that holds its position — then
-// recounts the block's summary from the runs and the th column and
+// recounts the block's summary from the runs and the typ column and
 // compares it, row for row, with the one the writers built; that a
 // block's links are at the widths a block opens at after the events and
 // flows of the blocks before it, and its flow ids in first-seen order;
-// that its exception list names, in order, exactly the events whose th
-// byte says so; and the store's charges for blocks, rows and run
-// capacity against what its blocks hold.
+// and the store's charges for blocks, rows and run capacity against what
+// its blocks hold.
 func summariesFromColumns(t *testing.T, st *Store) {
 	t.Helper()
 	rows, runCap, blockBytes, named := 0, 0, int64(0), 0
@@ -28,24 +27,14 @@ func summariesFromColumns(t *testing.T, st *Store) {
 		if o := openBlock(bi*blockLen, named); [3]uint8{b.w, b.pbits, b.fbits} != [3]uint8{o.w, o.pbits, o.fbits} || len(b.packed) != len(o.packed) {
 			t.Fatalf("block %d opened at %d B (%d + %d bits) into %d B after %d flows, want %d B (%d + %d)", bi, b.w, b.pbits, b.fbits, len(b.packed), named, o.w, o.pbits, o.fbits)
 		}
-		exc := 0
 		for i := range b.n {
 			if _, fid := b.links(i); int(fid) > named {
 				t.Fatalf("block %d: event %d is of flow %d before flow %d", bi, i, fid, named)
 			} else if int(fid) == named {
 				named++
 			}
-			if b.th[i]>>typeBits == excDelta {
-				if exc >= len(b.exc) || int(b.exc[exc].pos) != i {
-					t.Fatalf("block %d: event %d is an exception the list does not hold in order", bi, i)
-				}
-				exc++
-			}
 		}
-		if exc != len(b.exc) {
-			t.Fatalf("block %d: %d exceptions listed, %d th bytes say so", bi, len(b.exc), exc)
-		}
-		blockBytes += blockMemCost + pageBytes(len(b.packed)) + int64(cap(b.exc))*excMemCost
+		blockBytes += blockMemCost + pageBytes(len(b.packed))
 		want := map[uint16]*sumRow{}
 		for r, ru := range b.runs {
 			if r == 0 && ru.start != 0 || r > 0 && ru.start <= b.runs[r-1].start || int(ru.start) >= b.n {
@@ -58,7 +47,7 @@ func summariesFromColumns(t *testing.T, st *Store) {
 				want[ru.sw] = &sumRow{sw: ru.sw}
 			}
 			for i := int(ru.start); i < b.runEnd(r); i++ {
-				want[ru.sw].n[b.th[i]&typeMask-1]++
+				want[ru.sw].n[b.typ[i]-1]++
 			}
 		}
 		for h := 0; h*hintStride < b.n; h++ {
@@ -109,7 +98,7 @@ func monotonicStore(n, switches int) *Store {
 }
 
 // TestCountAnswersCoveredBlocksFromSummary scribbles over the run tables
-// and th columns of the blocks a window covers and requires Count not to
+// and typ columns of the blocks a window covers and requires Count not to
 // notice: a block inside [Since, Until] — bounds included — is answered
 // from its summary row without reading an event. One nanosecond in from
 // either end the block is a window edge, is scanned, and the scribble
@@ -134,8 +123,8 @@ func TestCountAnswersCoveredBlocksFromSummary(t *testing.T) {
 		}
 	}
 	for _, b := range []*block{b1, b2} {
-		for i := range b.th {
-			b.th[i] = 0xff
+		for i := range b.typ {
+			b.typ[i] = 0xff
 		}
 		for r := range b.runs {
 			b.runs[r].sw, b.runs[r].ts = 0xffff, -1
@@ -312,7 +301,7 @@ func TestRunsAreMaximal(t *testing.T) {
 // MemoryBytes to be at least what the store added to the live heap, as
 // the admission ladder assumes, and at most 1.1× it: once with one hash
 // a flow, as every producer sets it, and once with every hash drawn at
-// random, so that the exception lists hold nearly every event's.
+// random, which the store keeps no more of.
 func TestMemoryBytesCoversTheHeap(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -342,14 +331,7 @@ func TestMemoryBytesCoversTheHeap(t *testing.T) {
 				st.Deliver(&fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs[:sizes[seq%8]]})
 			}
 			heap, est := live()-before, st.MemoryBytes()
-			exc := 0
-			for _, b := range st.blocks {
-				exc += len(b.exc)
-			}
-			t.Logf("%d events, %d flows, %d batches, %d exceptions: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), len(st.flows.keys), st.seen.n, exc, est, heap, float64(est)/float64(heap))
-			if random != (exc > st.Len()*8/10) {
-				t.Fatalf("%d of %d events are exceptions", exc, st.Len())
-			}
+			t.Logf("%d events, %d flows, %d batches: MemoryBytes %d, heap growth %d (%.4f)", st.Len(), len(st.flows.keys), st.seen.n, est, heap, float64(est)/float64(heap))
 			if est < heap || est > heap*11/10 {
 				t.Errorf("MemoryBytes = %d against %d B of heap growth: want within [1, 1.1]×", est, heap)
 			}
