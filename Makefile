@@ -51,10 +51,13 @@ fuzz-smoke nightly-fuzz:
 			-fuzztime $(if $(filter nightly-fuzz,$@),10m,10s) ./$${t%:*}/; \
 	done
 
-# fmt-check fails if any file needs gofmt.
+# fmt-check fails if any file needs gofmt, or if DESIGN.md outgrows
+# 50 000 B: a design note past that is not read whole.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@size=$$(wc -c < DESIGN.md); if [ $$size -gt 50000 ]; then \
+		echo "DESIGN.md is $$size B, over its 50 000 B cap"; exit 1; fi
 
 clean:
 	$(GO) clean ./...

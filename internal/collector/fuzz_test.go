@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"netseer/internal/collector/wal"
@@ -183,16 +184,15 @@ func FuzzReadFrame(f *testing.F) {
 // store that already holds events, through a reader that hands them out
 // 1 to 7 bytes a call, so that every read the decoder makes is cut short.
 // No input may panic. A rejected image leaves the store exactly as it
-// was; an accepted one re-encodes to itself byte for byte but for its
-// records' hash bytes, which a load ignores and an encoding writes as the
-// flow key's CRC; that image loads into a fresh store with the same
-// length, export digest and Summary, and re-encodes to itself exactly.
-// The seeds are images of an empty store, of one run, of a run a block
-// end splits whose flow section spans two read chunks (the one seed
+// was; an accepted one re-encodes to itself byte for byte, and that image
+// loads into a fresh store with the same length, export digest and
+// Summary. The seeds are images of an empty store, of one run, of a run a
+// block end splits whose flow section spans two read chunks (the one seed
 // over 4 KiB), of in-process per-event stamps (runs of one), of a store
 // after RemoveImage, of a hundred flows, of a store fed hashes 1 to 30
-// off their flow key's CRC, of hash bytes none of which is its key's
-// CRC, and of a RemoveImage whose image carried such hashes.
+// off their flow key's CRC, and of a RemoveImage whose image carried such
+// hashes; then one run's image with its block at the wrong widths, with
+// a link forward and with an entry's unused bits set.
 func FuzzLoadSnapshot(f *testing.F) {
 	events := func(n int, sw uint16, ts sim.Time, step sim.Time) []fevent.Event {
 		evs := make([]fevent.Event, n)
@@ -249,24 +249,29 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	importEvents(f, near, offset)
 	seed(near, true)
-	foreign := oneRun().EncodeSnapshot()
-	for k, at := range hashOffsets(foreign) {
-		binary.BigEndian.PutUint32(foreign[at:], uint32(k+1)*0x9e3779b9)
-	}
-	f.Add(foreign)
 	fenced := NewStore()
 	importEvents(f, fenced, offset)
 	removeEvents(f, fenced, offset[3:4]) // its hash one off its key's CRC
 	seed(fenced, true)
-	canon := NewStore()
-	if err := canon.LoadSnapshot(foreign); err != nil || fenced.Len() != 61 {
-		f.Fatalf("the hash seeds do not hold what they are named for: %v, %d events", err, fenced.Len())
+	if fenced.Len() != 61 {
+		f.Fatalf("the RemoveImage seed holds %d events, want 61", fenced.Len())
 	}
-	reencoded := canon.EncodeSnapshot()
-	for _, at := range hashOffsets(foreign) {
-		if bytes.Equal(reencoded[at:at+4], foreign[at:at+4]) {
-			f.Fatalf("the foreign-hash seed holds its key's CRC at byte %d", at)
+	one := oneRun().EncodeSnapshot()
+	at := blocksOf(one)[0]
+	for _, c := range []struct {
+		want string
+		edit func(b []byte)
+	}{
+		{"packed at 15 + 15 bits", func(b []byte) { b[at.hdr+5]++ }},
+		{"links forward to event 3", func(b []byte) { b[at.packed+2*at.w] = 4 }},
+		{"sets bits past", func(b []byte) { b[at.packed+at.w-1] |= 0x80 }},
+	} {
+		img := slices.Clone(one)
+		c.edit(img)
+		if err := NewStore().LoadSnapshot(img); err == nil || !strings.Contains(err.Error(), c.want) {
+			f.Fatalf("a seed meant to be refused for %q: %v", c.want, err)
 		}
+		f.Add(img)
 	}
 
 	type state struct {
@@ -292,8 +297,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 			return
 		}
 		img := st.EncodeSnapshot()
-		if !bytes.Equal(withoutHashes(img), withoutHashes(data)) {
-			t.Fatalf("an accepted image of %d bytes re-encodes to %d bytes that differ outside its hashes", len(data), len(img))
+		if !bytes.Equal(img, data) {
+			t.Fatalf("an accepted image of %d bytes re-encodes to %d other bytes", len(data), len(img))
 		}
 		loaded, again := stateOf(st), NewStore()
 		if err := again.LoadSnapshot(img); err != nil {
@@ -302,38 +307,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if got := stateOf(again); got != loaded {
 			t.Fatalf("re-encoded and re-loaded: %+v, loaded %+v", got, loaded)
 		}
-		if twice := again.EncodeSnapshot(); !bytes.Equal(twice, img) {
-			t.Fatalf("a re-encoded image of %d bytes re-encodes to %d other bytes", len(img), len(twice))
-		}
 	})
-}
-
-// hashOffsets returns where a well-formed snapshot image holds each
-// record's 4 B hash, in event order.
-func hashOffsets(img []byte) []int {
-	le := binary.LittleEndian
-	seen, flows, events := int(le.Uint32(img[12:])), int(le.Uint32(img[16:])), int(le.Uint32(img[20:]))
-	at := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen
-	var out []int
-	for done := 0; done < events; done += blockLen {
-		n := min(blockLen, events-done)
-		at += snapBlockHdrLen + int(le.Uint32(img[at:]))*snapRunLen
-		for i := range n {
-			out = append(out, at+9*n+i*fevent.RecordTailLen+tailLen)
-		}
-		at += n * rowBytes
-	}
-	return out
-}
-
-// withoutHashes returns a copy of a well-formed snapshot image with its
-// records' hash bytes cleared.
-func withoutHashes(img []byte) []byte {
-	out := slices.Clone(img)
-	for _, at := range hashOffsets(out) {
-		clear(out[at : at+4])
-	}
-	return out
 }
 
 // shortReader hands out data 1, 2, …, 7 bytes a Read, then over again,

@@ -35,15 +35,15 @@ func TestMain(m *testing.M) {
 }
 
 // childMain is one life of the durable collector: recover the store from
-// the WAL, serve ingest on the fixed harness address through a faulty
-// wire, checkpoint aggressively, and run until SIGKILLed.
+// the WAL, serve ingest on the harness's listener (its first extra file)
+// through a faulty wire, checkpoint aggressively, and run until
+// SIGKILLed.
 func childMain() {
 	die := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "wal child: "+format+"\n", args...)
 		os.Exit(1)
 	}
 	dir := os.Getenv("NETSEER_WAL_DIR")
-	addr := os.Getenv("NETSEER_WAL_ADDR")
 	seed, _ := strconv.ParseInt(os.Getenv("NETSEER_WAL_SEED"), 10, 64)
 
 	// Tiny segments and a short group window so a few hundred batches
@@ -56,17 +56,9 @@ func childMain() {
 	if err != nil {
 		die("recover: %v", err)
 	}
-	// The previous life's listener may linger briefly after SIGKILL.
-	var ln net.Listener
-	for i := 0; ; i++ {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if i > 400 {
-			die("rebind %s: %v", addr, err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	ln, err := net.FileListener(os.NewFile(3, "harness listener"))
+	if err != nil {
+		die("listener: %v", err)
 	}
 	fln := faultconn.Wrap(ln, faultconn.Config{
 		Seed:       seed,
@@ -124,22 +116,29 @@ func TestKillRecoverAckedNeverLost(t *testing.T) {
 		t.Skip("child process")
 	}
 	dir := t.TempDir()
-	// Reserve a fixed address every child life rebinds.
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	// The harness holds the one listener every child life serves, so no
+	// other process can take its port between lives: a client dialling
+	// then waits in its backlog for the next life.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := probe.Addr().String()
-	probe.Close()
+	defer ln.Close()
+	lnFile, err := ln.(*net.TCPListener).File()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lnFile.Close()
+	addr := ln.Addr().String()
 
 	spawn := func(gen int) *exec.Cmd {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(),
 			"NETSEER_WAL_CHILD=1",
 			"NETSEER_WAL_DIR="+dir,
-			"NETSEER_WAL_ADDR="+addr,
 			"NETSEER_WAL_SEED="+strconv.Itoa(1000+gen),
 		)
+		cmd.ExtraFiles = []*os.File{lnFile}
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("spawn child %d: %v", gen, err)
@@ -164,7 +163,9 @@ func TestKillRecoverAckedNeverLost(t *testing.T) {
 	defer cl.Close()
 
 	const total = 250
+	delivered := make(chan struct{})
 	go func() {
+		defer close(delivered)
 		for i := 0; i < total; i++ {
 			cl.Deliver(&fevent.Batch{SwitchID: 7, Timestamp: sim.Time(i + 1),
 				Events: []fevent.Event{childEvent(i)}})
@@ -196,8 +197,10 @@ func TestKillRecoverAckedNeverLost(t *testing.T) {
 		childUp = true
 	}
 
-	// Let the channel drain against the final life, then stop it and
-	// audit the complete run.
+	// Once every batch is queued — the kills may outlast a slow producer,
+	// and a Flush drains only what is queued — let the channel drain
+	// against the final life, then stop it and audit the complete run.
+	<-delivered
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if err := cl.Flush(); err == nil {

@@ -6,48 +6,48 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
 )
 
 // Store snapshot encoding, the checkpoint companion of the write-ahead
-// log: the store's own representation written out column by column, its
-// links expanded to full width and each record's hash written as its
-// flow key's CRC, so loading one fills columns instead of re-inserting
-// events. The WAL frames and checksums it as a single record, so a torn
-// or corrupt snapshot is rejected whole at recovery (the previous
-// snapshot + longer replay then reconstructs the state); the checks here
-// only keep a well-checksummed but wrong image from indexing out of
-// range.
+// log: the store's own representation, each block's columns written as
+// they sit in memory, so loading one reads columns into blocks instead of
+// re-inserting events. The WAL frames and checksums it as a single
+// record, so a torn or corrupt snapshot is rejected whole at recovery
+// (the previous snapshot + longer replay then reconstructs the state);
+// the checks here only keep a well-checksummed but wrong image from
+// indexing out of range.
 //
-// Layout (little-endian, so a column decodes with plain loads):
+// Layout (little-endian, as the columns are):
 //
-//	header: magic "NSS4", dupBatches (8 B), seenCount, flowCount,
+//	header: magic "NSS5", dupBatches (8 B), seenCount, flowCount,
 //	        eventCount, runCount (4 B each)
 //	per seen key, in (switch, seq) order: switch (2 B), seq (8 B)
 //	per flow, in flow-id order: 13 B flow key, head (4 B, position+1 of its
 //	        newest event)
-//	per block of ≤ blockLen events: its run count (4 B); its run table,
-//	        per run: start (2 B), switch (2 B), stamp (8 B); then column
-//	        by column: chain links (4 B, position+1 of the flow's previous
-//	        event, 0 = none), flow ids (4 B), types (1 B), record tails (10 B)
+//	per block of n ≤ blockLen events: its run count (4 B), pbits and fbits
+//	        (1 B each); its run table, per run: start (2 B), switch (2 B),
+//	        stamp (8 B); then its columns: packed links (n × w B, w the
+//	        bytes of pbits + fbits), types (n B), tails (n × tailLen B)
 //
 // Every section is written in an order the store fixes, and the flow
 // index is not written at all — a load rebuilds it, re-inserting the
-// flows in id order under a fresh seed. Nor are a block's link widths: a
-// load derives them as the live store did, from the positions and flows
-// named before the block. A load ignores the records' hash bytes, as the
-// store keeps no hash, so an image that loads re-encodes to itself but
-// for those bytes, each then its flow key's CRC.
+// flows in id order under a fresh seed. A block's widths are written but
+// not trusted: a load opens each block as the live store did, from the
+// positions and flows named before it, and refuses one written at other
+// widths. An image that loads re-encodes to itself byte for byte.
 const (
-	snapMagic       = "NSS4"
+	snapMagic       = "NSS5"
 	snapHeaderLen   = len(snapMagic) + 8 + 4*4
 	snapSeenLen     = 2 + 8
 	snapFlowLen     = pkt.FlowKeyLen + 4
-	snapBlockHdrLen = 4
+	snapBlockHdrLen = 4 + 1 + 1
 	snapRunLen      = 2 + 2 + 8
+	// snapMinEvent is the fewest bytes an event takes in an image: its
+	// link entry is at least 4 B, a first block's 15 + 14 bits.
+	snapMinEvent = 4 + 1 + tailLen
 )
 
 // EncodeSnapshot serializes the store's full state. The caller hands the
@@ -57,13 +57,13 @@ func (s *Store) EncodeSnapshot() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	le := binary.LittleEndian
-	runs := 0
+	d := &s.flows
+	runs, size := 0, snapHeaderLen+s.seen.n*snapSeenLen+len(d.keys)*snapFlowLen
 	for _, b := range s.blocks {
 		runs += len(b.runs)
+		size += snapBlockHdrLen + len(b.runs)*snapRunLen + b.n*(int(b.w)+1+tailLen)
 	}
-	d := &s.flows
-	buf := make([]byte, 0, snapHeaderLen+s.seen.n*snapSeenLen+len(d.keys)*snapFlowLen+
-		len(s.blocks)*snapBlockHdrLen+runs*snapRunLen+s.n*rowBytes)
+	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic...)
 	buf = le.AppendUint64(buf, s.dupBatches)
 	for _, v := range [...]int{s.seen.n, len(d.keys), s.n, runs} {
@@ -72,12 +72,9 @@ func (s *Store) EncodeSnapshot() []byte {
 	s.seen.each(func(sw uint16, seq uint64) {
 		buf = le.AppendUint64(le.AppendUint16(buf, sw), seq)
 	})
-	// Each flow key's CRC, the hash of each of its events, is taken once:
-	// a CRC an event would cost more than the rest of the event's encoding.
-	flows, hashes := len(buf), make([]uint32, len(d.keys))
+	flows := len(buf)
 	for i := range d.keys {
 		buf = append(append(buf, d.keys[i][:]...), 0, 0, 0, 0)
-		hashes[i] = pkt.WireHash(&d.keys[i])
 	}
 	for _, c := range d.index {
 		if c.id != 0 {
@@ -85,24 +82,15 @@ func (s *Store) EncodeSnapshot() []byte {
 		}
 	}
 	for _, b := range s.blocks {
-		buf = le.AppendUint32(buf, uint32(len(b.runs)))
+		buf = append(le.AppendUint32(buf, uint32(len(b.runs))), b.pbits, b.fbits)
 		for _, r := range b.runs {
 			buf = le.AppendUint16(buf, r.start)
 			buf = le.AppendUint16(buf, r.sw)
 			buf = le.AppendUint64(buf, uint64(r.ts))
 		}
-		n, at := b.n, len(buf) // the four columns, from each event's record
-		buf = slices.Grow(buf, n*rowBytes)[:at+n*rowBytes]
-		prevs, fids, typs, tails := buf[at:], buf[at+4*n:], buf[at+8*n:], buf[at+9*n:]
-		for i := range n {
-			prev, fid := b.links(i)
-			le.PutUint32(prevs[4*i:], prev)
-			le.PutUint32(fids[4*i:], fid)
-			typs[i] = b.typ[i]
-			tail := tails[i*fevent.RecordTailLen:][:fevent.RecordTailLen]
-			*(*[tailLen]byte)(tail) = *b.tailAt(i)
-			binary.BigEndian.PutUint32(tail[tailLen:], hashes[fid])
-		}
+		buf = append(buf, b.packed[:b.n*int(b.w)]...)
+		buf = append(buf, b.typ[:b.n]...)
+		buf = append(buf, b.tail[:b.n*tailLen]...)
 	}
 	return buf
 }
@@ -118,12 +106,21 @@ func (s *Store) LoadSnapshot(data []byte) error {
 const snapChunk = 4 << 10
 
 // snapReader reads an image's sections from r, the fixed-width rows
-// through one scratch buffer; cols holds a block's columns, twice, so
-// that one block's are read while the last block's are filled in.
+// through one scratch buffer, and none past the image's end.
 type snapReader struct {
 	r    io.Reader
+	left int // the image's bytes not yet read
 	buf  [snapChunk]byte
-	cols [2][blockLen * rowBytes]byte
+}
+
+// read fills p with the image's next bytes.
+func (d *snapReader) read(p []byte) error {
+	if len(p) > d.left {
+		return fmt.Errorf("collector: snapshot is cut short: %d bytes wanted, %d left", len(p), d.left)
+	}
+	d.left -= len(p)
+	_, err := io.ReadFull(d.r, p)
+	return err
 }
 
 // rows reads n rows of width bytes a scratch buffer at a time and hands
@@ -132,7 +129,7 @@ func (d *snapReader) rows(n, width int, fn func(first int, rows []byte) error) e
 	per := len(d.buf) / width
 	for first := 0; first < n; first += per {
 		chunk := d.buf[:min(per, n-first)*width]
-		if _, err := io.ReadFull(d.r, chunk); err != nil {
+		if err := d.read(chunk); err != nil {
 			return err
 		}
 		if err := fn(first, chunk); err != nil {
@@ -154,20 +151,21 @@ func (d *snapReader) rows(n, width int, fn func(first int, rows []byte) error) e
 // while the blocks decode, and a key listed twice is an error.
 func (s *Store) readSnapshot(r io.Reader, size int) error {
 	le := binary.LittleEndian
-	d := &snapReader{r: r}
+	d := &snapReader{r: r, left: size}
 	hdr := d.buf[:snapHeaderLen]
-	if size >= snapHeaderLen {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return err
-		}
-	}
-	if size < snapHeaderLen || string(hdr[:len(snapMagic)]) != snapMagic {
+	if size < snapHeaderLen {
 		return fmt.Errorf("collector: snapshot magic missing or header truncated (%d bytes)", size)
+	}
+	if err := d.read(hdr); err != nil {
+		return err
+	}
+	if magic := string(hdr[:len(snapMagic)]); magic != snapMagic {
+		return fmt.Errorf("collector: snapshot magic %q is not this build's %q", magic, snapMagic)
 	}
 	seen, flows, events, runs := int(le.Uint32(hdr[12:])), int(le.Uint32(hdr[16:])), int(le.Uint32(hdr[20:])), int(le.Uint32(hdr[24:]))
 	blocks := (events + blockLen - 1) / blockLen
-	if want := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*rowBytes; size != want {
-		return fmt.Errorf("collector: snapshot is %d bytes, its header promises %d (%d seen keys, %d flows, %d events, %d runs)", size, want, seen, flows, events, runs)
+	if least := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*snapMinEvent; size < least {
+		return fmt.Errorf("collector: snapshot is %d bytes, its header promises at least %d (%d seen keys, %d flows, %d events, %d runs)", size, least, seen, flows, events, runs)
 	}
 	ld := &Store{dupBatches: le.Uint64(hdr[4:])} // the image under construction; swapped in whole at the end
 	keys := make([]BatchID, seen)
@@ -218,6 +216,9 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 	if err != nil {
 		return err
 	}
+	if d.left != 0 {
+		return fmt.Errorf("collector: snapshot holds %d bytes past its blocks", d.left)
+	}
 	// The image is whole. What r says past it is the verdict on the bytes.
 	if _, err := r.Read(d.buf[:1]); err != io.EOF {
 		if err == nil {
@@ -235,27 +236,21 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 
 // readBlocks reads an image's blocks into ld, whose flows' keys are
 // loaded: each block opened at the widths the live store opened it at,
-// its run table checked, its four columns read whole and checked, and its
-// summary counted from its runs. Its columns are then filled from the
-// image's (see fill) by a goroutine of its own while the next block is
-// read: a load run inline, reading and filling in turn, recovers ~6 %
-// slower (bench/history).
+// its run table checked, and its three columns read into it as they are,
+// then checked and counted into its summary in one pass over its runs.
 func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 	le := binary.LittleEndian
-	var filling [2]sync.WaitGroup // a block's fill, by the cols it reads
-	defer func() {
-		for k := range filling {
-			filling[k].Wait()
-		}
-	}()
 	named := 0 // one past the highest flow id named so far: a live store's flow count
-	for k := 0; ld.n < events; k = 1 - k {
-		b := ld.newBlock(named)
-		b.n = min(blockLen, events-ld.n)
-		if _, err := io.ReadFull(d.r, d.buf[:snapBlockHdrLen]); err != nil {
+	for ld.n < events {
+		if err := d.read(d.buf[:snapBlockHdrLen]); err != nil {
 			return err
 		}
-		nr := int(le.Uint32(d.buf[:]))
+		nr, pbits, fbits := int(le.Uint32(d.buf[:])), d.buf[4], d.buf[5]
+		b := ld.newBlock(named)
+		b.n = min(blockLen, events-ld.n)
+		if pbits != b.pbits || fbits != b.fbits {
+			return fmt.Errorf("collector: snapshot block %d is packed at %d + %d bits, where a store opens it at %d + %d", len(ld.blocks), pbits, fbits, b.pbits, b.fbits)
+		}
 		if nr < 1 || nr > b.n || nr > runs {
 			return fmt.Errorf("collector: snapshot block %d of %d events holds %d runs, %d of the header's left", len(ld.blocks), b.n, nr, runs)
 		}
@@ -279,43 +274,36 @@ func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 		if err != nil {
 			return err
 		}
-		n := b.n
-		filling[k].Wait() // the block before last is done with these cols
-		cols := d.cols[k][:n*rowBytes]
-		if _, err := io.ReadFull(d.r, cols); err != nil {
-			return err
-		}
-		prevs, fids, typs, tails := cols[:4*n], cols[4*n:8*n], cols[8*n:9*n], cols[9*n:]
-		ids := min(flows, 1<<b.fbits) // a live store names at most blockLen new flows a block
-		for i := range n {
-			prev, fid := le.Uint32(prevs[4*i:]), le.Uint32(fids[4*i:])
-			if int(prev) > ld.n+i {
-				return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, prev-1)
+		n, w := b.n, int(b.w)
+		for _, col := range [...][]byte{b.packed[:n*w], b.typ[:n], b.tail[:n*tailLen]} {
+			if err := d.read(col); err != nil {
+				return err
 			}
-			if int(fid) >= ids {
-				if int(fid) >= flows {
-					return fmt.Errorf("collector: snapshot event %d is of flow %d of %d", ld.n+i, fid, flows)
-				}
-				return fmt.Errorf("collector: snapshot event %d is of flow %d, past the %d bits of its block's flow ids", ld.n+i, fid, b.fbits)
-			}
-			named = max(named, int(fid)+1)
 		}
+		top := b.pbits + b.fbits - 8*(b.w-1) // the bits of an entry's last byte its link and id use
 		for r := range b.runs {
 			start, end := int(b.runs[r].start), b.runEnd(r)
 			b.cover(r, start, end)
 			row := ld.sumRow(b, b.runs[r].sw)
-			for i, t := range typs[start:end] {
+			for i := start; i < end; i++ {
+				if b.packed[i*w+w-1]>>top != 0 {
+					return fmt.Errorf("collector: snapshot event %d sets bits past the %d + %d of its link", ld.n+i, b.pbits, b.fbits)
+				}
+				prev, fid := b.links(i)
+				if int(prev) > ld.n+i {
+					return fmt.Errorf("collector: snapshot event %d links forward to event %d", ld.n+i, prev-1)
+				}
+				if int(fid) >= flows {
+					return fmt.Errorf("collector: snapshot event %d is of flow %d of %d", ld.n+i, fid, flows)
+				}
+				named = max(named, int(fid)+1)
+				t := b.typ[i]
 				if !fevent.Type(t).Valid() {
-					return fmt.Errorf("collector: snapshot event %d: invalid type %d", ld.n+start+i, t)
+					return fmt.Errorf("collector: snapshot event %d: invalid type %d", ld.n+i, t)
 				}
 				row.n[t-1]++
 			}
 		}
-		filling[k].Add(1)
-		go func(k int) {
-			defer filling[k].Done()
-			b.fill(prevs, fids, typs, tails)
-		}(k)
 		ld.blocks = append(ld.blocks, b)
 		ld.n += b.n
 		ld.runCap += cap(b.runs)
@@ -324,22 +312,4 @@ func (ld *Store) readBlocks(d *snapReader, flows, events, runs int) error {
 		return fmt.Errorf("collector: snapshot blocks hold %d runs fewer than its header's count", runs)
 	}
 	return nil
-}
-
-// fill stores b's events from an image's checked columns of their links,
-// flow ids, types and record tails: links packed, types as they are, and
-// tails cut to the detail and count, 8 B at a time but the last, each
-// store's last 2 B the next tail's first; the hash bytes are passed over.
-func (b *block) fill(prevs, fids, typs, tails []byte) {
-	le := binary.LittleEndian
-	copy(b.typ[:], typs)
-	for i := range typs {
-		tail := tails[i*fevent.RecordTailLen:]
-		b.setLinks(i, le.Uint32(prevs[4*i:]), le.Uint32(fids[4*i:]))
-		if i+1 < len(typs) {
-			le.PutUint64(b.tail[i*tailLen:], le.Uint64(tail))
-		} else {
-			*b.tailAt(i) = [tailLen]byte(tail)
-		}
-	}
 }

@@ -28,6 +28,27 @@ func TestDeliverDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// snapBlock is where a well-formed image holds one block: its header,
+// its run table and its three columns, and its events and entry width.
+type snapBlock struct{ hdr, runs, packed, typ, tail, n, w int }
+
+// blocksOf returns where a well-formed snapshot image holds each block.
+func blocksOf(img []byte) []snapBlock {
+	le := binary.LittleEndian
+	seen, flows, events := int(le.Uint32(img[12:])), int(le.Uint32(img[16:])), int(le.Uint32(img[20:]))
+	at := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen
+	var out []snapBlock
+	for done := 0; done < events; done += blockLen {
+		b := snapBlock{hdr: at, runs: at + snapBlockHdrLen, n: min(blockLen, events-done), w: (int(img[at+4]) + int(img[at+5]) + 7) / 8}
+		b.packed = b.runs + int(le.Uint32(img[at:]))*snapRunLen
+		b.typ = b.packed + b.n*b.w
+		b.tail = b.typ + b.n
+		at = b.tail + b.n*tailLen
+		out = append(out, b)
+	}
+	return out
+}
+
 // withDuplicateFlow returns st's snapshot with the key of flow id listed
 // a second time, as the last flow, heading at event head: an image every
 // other check passes.
@@ -60,16 +81,21 @@ func TestLoadSnapshotRejects(t *testing.T) {
 	flowOff := seenOff + int(le.Uint32(good[seenCountOff:]))*snapSeenLen
 	nf := int(le.Uint32(good[flowCountOff:]))
 	n, runs := int(le.Uint32(good[eventCountOff:])), int(le.Uint32(good[runCountOff:]))
-	blockOff := flowOff + nf*snapFlowLen
-	runOff := blockOff + snapBlockHdrLen
-	linkOff := runOff + runs*snapRunLen
-	fidOff := linkOff + n*4
-	typOff := fidOff + n*4
-	tailsOff := typOff + n
-	if n != p.st.Len() || runs < 3 || nf < flows || int(le.Uint32(good[blockOff:])) != runs || len(good) != tailsOff+n*fevent.RecordTailLen {
-		t.Fatalf("layout arithmetic is off: %d events, %d runs, %d flows, tails at %d in %d bytes", n, runs, nf, tailsOff, len(good))
+	blk := blocksOf(good)
+	if len(blk) != 1 {
+		t.Fatalf("the image holds %d blocks, want 1", len(blk))
+	}
+	b := blk[0]
+	blockOff, runOff, linkOff, typOff, tailsOff := b.hdr, b.runs, b.packed, b.typ, b.tail
+	if n != p.st.Len() || runs < 3 || nf < flows || blockOff != flowOff+nf*snapFlowLen || int(le.Uint32(good[blockOff:])) != runs ||
+		linkOff != runOff+runs*snapRunLen || b.w != 4 || len(good) != tailsOff+n*tailLen {
+		t.Fatalf("layout arithmetic is off: %d events, %d runs, %d flows, %d B links, tails at %d in %d bytes", n, runs, nf, b.w, tailsOff, len(good))
 	}
 	lastRun := runOff + (runs-1)*snapRunLen
+	// entry writes event i's link and flow id into an image's entry.
+	entry := func(img []byte, i int, prev, fid uint32) {
+		le.PutUint32(img[linkOff+4*i:], prev|fid<<15)
+	}
 
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	put32 := func(off int, v uint32) []byte {
@@ -85,14 +111,24 @@ func TestLoadSnapshotRejects(t *testing.T) {
 	// No events, and a run: the run table has no block to sit in.
 	runWithoutBlock := append(NewStore().EncodeSnapshot(), make([]byte, snapRunLen)...)
 	le.PutUint32(runWithoutBlock[runCountOff:], 1)
-	// A flow per event over a block and one more: the first block's ids
-	// get 14 bits, so flow 16384, the second block's, does not fit them.
+	// A flow per event over three blocks and one more event: the first
+	// block's ids get 14 bits, so flow 16384, the second block's, does not
+	// fit them; the fourth block's entries are 5 B (17 + 16 bits), so an
+	// image cut inside them keeps what its header promises.
 	oneFlowEach := NewStore()
-	for i := range blockLen + 1 {
-		oneFlowEach.Deliver(&fevent.Batch{SwitchID: 1, Timestamp: 1, Events: []fevent.Event{{Type: fevent.TypePause, Flow: modelFlow(i)}}})
+	for i := 0; i <= 3*blockLen; i += 64 {
+		evs := make([]fevent.Event, min(64, 3*blockLen+1-i))
+		for j := range evs {
+			evs[j] = fevent.Event{Type: fevent.TypePause, Flow: modelFlow(i + j)}
+		}
+		oneFlowEach.Deliver(&fevent.Batch{SwitchID: 1, Timestamp: 1, Events: evs})
 	}
-	idPastItsBits := oneFlowEach.EncodeSnapshot()
-	le.PutUint32(idPastItsBits[snapHeaderLen+(blockLen+1)*snapFlowLen+snapBlockHdrLen+snapRunLen+4*blockLen:], blockLen)
+	wide := oneFlowEach.EncodeSnapshot()
+	if b := blocksOf(wide); len(b) != 4 || b[3].w != 5 {
+		t.Fatalf("a flow per event: %d blocks, the last at %d B an entry, want 4 at 5 B", len(b), b[len(b)-1].w)
+	}
+	idPastItsBits := slices.Clone(wide)
+	le.PutUint32(idPastItsBits[blocksOf(wide)[0].packed:], blockLen<<15)
 	swapSeen := mutate(func(b []byte) []byte {
 		row := slices.Clone(b[seenOff : seenOff+snapSeenLen])
 		copy(b[seenOff:], b[seenOff+snapSeenLen:seenOff+2*snapSeenLen])
@@ -105,22 +141,24 @@ func TestLoadSnapshotRejects(t *testing.T) {
 	}{
 		{"empty", "magic", nil},
 		{"bad magic", "magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b })},
-		{"the previous layout's magic", "magic", mutate(func(b []byte) []byte { b[3] = '3'; return b })},
+		{"the previous layout's magic", `magic "NSS4"`, mutate(func(b []byte) []byte { b[3] = '4'; return b })},
 		{"cut inside header", "header truncated", good[:snapHeaderLen-1]},
 		{"cut after header", "header promises", good[:seenOff]},
 		{"cut inside dedup section", "header promises", good[:flowOff-1]},
 		{"cut after dedup section", "header promises", good[:flowOff]},
 		{"cut after flow section", "header promises", good[:blockOff]},
 		{"cut inside the run table", "header promises", good[:runOff+5]},
-		{"cut after a column", "header promises", good[:linkOff]},
+		{"cut after the links", "header promises", good[:typOff]},
+		{"cut after the types", "header promises", good[:tailsOff]},
 		{"one byte short", "header promises", good[:len(good)-1]},
-		{"trailing byte", "header promises", append(append([]byte(nil), good...), 0)},
+		{"one byte short of 5 B links", "cut short", wide[:len(wide)-1]},
+		{"trailing byte", "past its blocks", append(append([]byte(nil), good...), 0)},
 		{"event count one high", "header promises", put32(eventCountOff, uint32(n+1))},
-		{"event count one low", "header promises", put32(eventCountOff, uint32(n-1))},
+		{"event count one low", "heads at event 119 of 119", put32(eventCountOff, uint32(n-1))},
 		{"seen count beyond the data", "header promises", put32(seenCountOff, 1<<30)},
 		{"flow count beyond the data", "header promises", put32(flowCountOff, 1<<30)},
-		{"run count one high", "header promises", put32(runCountOff, uint32(runs+1))},
-		{"run count one low", "header promises", put32(runCountOff, uint32(runs-1))},
+		{"run count one high", "runs", put32(runCountOff, uint32(runs+1))},
+		{"run count one low", "runs", put32(runCountOff, uint32(runs-1))},
 		{"dedup keys out of order", "does not follow", swapSeen},
 		{"dedup key twice", "does not follow", mutate(func(b []byte) []byte {
 			copy(b[seenOff+snapSeenLen:], b[seenOff:seenOff+snapSeenLen])
@@ -135,6 +173,8 @@ func TestLoadSnapshotRejects(t *testing.T) {
 		{"block's run count past its events", "runs", put32(blockOff, uint32(n+1))},
 		{"block without runs", "runs", put32(blockOff, 0)},
 		{"runs without a block", "runs", runWithoutBlock},
+		{"link bits one high", "packed at 16 + 14 bits", mutate(func(b []byte) []byte { b[blockOff+4]++; return b })},
+		{"id bits one low", "packed at 15 + 13 bits", mutate(func(b []byte) []byte { b[blockOff+5]--; return b })},
 		{"first run starts past 0", "starts at", put16(runOff, 1)},
 		{"run starts where the last began", "starts at", put16(runOff+snapRunLen, 0)},
 		{"run starts before the last", "starts at", put16(lastRun, le.Uint16(good[lastRun-snapRunLen:])-1)},
@@ -144,10 +184,12 @@ func TestLoadSnapshotRejects(t *testing.T) {
 			copy(b[runOff+snapRunLen+2:runOff+2*snapRunLen], b[runOff+2:runOff+snapRunLen])
 			return b
 		})},
-		{"chain link to itself", "links forward", put32(linkOff+4*10, 11)},
-		{"chain link past the end", "links forward", put32(linkOff+4*(n-1), uint32(n+5))},
-		{"event of a flow past the flow count", "is of flow", put32(fidOff+4*5, uint32(nf))},
-		{"event of a flow past its block's id bits", "past the 14 bits", idPastItsBits},
+		{"chain link to itself", "links forward", mutate(func(b []byte) []byte { entry(b, 10, 11, 0); return b })},
+		{"chain link past the end", "links forward", mutate(func(b []byte) []byte { entry(b, n-1, uint32(n+5), 0); return b })},
+		{"event of a flow past the flow count", "is of flow", mutate(func(b []byte) []byte { entry(b, 5, 0, uint32(nf)); return b })},
+		{"event of a flow past its block's id bits", "sets bits past the 15 + 14", idPastItsBits},
+		{"an entry's unused bit set", "sets bits past", mutate(func(b []byte) []byte { b[linkOff+4*7+3] |= 0x40; return b })},
+		{"the last entry's unused bit set", "sets bits past", mutate(func(b []byte) []byte { b[typOff-1] |= 0x80; return b })},
 		{"type column invalid", "invalid type", mutate(func(b []byte) []byte { b[typOff+5] = 0; return b })},
 		{"type column out of range", "invalid type", mutate(func(b []byte) []byte { b[typOff+5] = 99; return b })},
 	}

@@ -27,12 +27,6 @@ import (
 // prunes, by [minTs, maxTs], to a handful of blocks (DESIGN §10).
 const blockLen = 16 << 10
 
-// rowBytes is what one event occupies in a snapshot's block columns: its
-// chain link and flow id at full width, its type byte and its record's
-// bytes past the flow key; its switch and stamp are its run's, its flow
-// key the dictionary's.
-const rowBytes = 4 + 4 + 1 + fevent.RecordTailLen
-
 // tailLen is what a block keeps of a record beside its type byte and its
 // flow id: the detail and count bytes. A record's hash is not kept: the
 // store holds it to be its flow key's CRC-32C (pkt.WireHash), the hash

@@ -41,9 +41,14 @@ const RecordHdrLen = 8
 // is treated as corruption.
 const MaxRecord = 1 << 20
 
-// MaxSnapshot bounds a snapshot record. Snapshots hold the whole store
-// (≈34 B per event), so the bound is generous.
+// MaxSnapshot bounds a snapshot record: InstallSnapshot refuses a larger
+// image and recovery passes one over. Snapshots hold the whole store
+// (≈14.7 B an event), so the bound is some 70 M events.
 const MaxSnapshot = 1 << 30
+
+// maxSnapshot is the bound both sides hold a snapshot to: MaxSnapshot,
+// but for tests that lower it.
+var maxSnapshot = MaxSnapshot
 
 var (
 	// ErrRecordCRC reports a record whose checksum does not match — bit

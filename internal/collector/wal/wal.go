@@ -260,8 +260,8 @@ func readSnapshot(fs faultfs.FS, path string, br *bufio.Reader, load func(r io.R
 		return false, fmt.Errorf("%w: header: %w", ErrRecordTorn, err)
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > MaxSnapshot {
-		return false, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, MaxSnapshot)
+	if n > uint32(maxSnapshot) {
+		return false, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, maxSnapshot)
 	}
 	sr := &snapshotReader{br: br, left: int(n), want: binary.BigEndian.Uint32(hdr[4:8])}
 	if load != nil {
@@ -723,7 +723,12 @@ func (w *WAL) CutSegment() (uint64, error) {
 // cut, then deletes the segments and snapshots it supersedes. Segments
 // pinned by shed batches (retain floor) survive regardless: their
 // contents exist only in the log and are re-indexed by the next replay.
+// An image over MaxSnapshot bytes, which recovery would pass over, is
+// refused with ErrRecordTooLarge before any file is touched.
 func (w *WAL) InstallSnapshot(cut uint64, snapshot []byte) error {
+	if len(snapshot) > maxSnapshot {
+		return fmt.Errorf("%w: a snapshot of %d bytes > %d", ErrRecordTooLarge, len(snapshot), maxSnapshot)
+	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()

@@ -191,6 +191,80 @@ func TestSnapshotTruncatesSegments(t *testing.T) {
 	}
 }
 
+// TestInstallSnapshotRefusesOversizedImage lowers the snapshot bound and
+// installs an image one byte over it: the install fails with
+// ErrRecordTooLarge and leaves the directory as it was, so the segments
+// it would have covered still hold their records and the older snapshot
+// is still the one recovery loads. An image at the bound installs and
+// loads.
+func TestInstallSnapshotRefusesOversizedImage(t *testing.T) {
+	defer func(old int) { maxSnapshot = old }(maxSnapshot)
+	maxSnapshot = 64
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SegmentBytes: 128, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendCut := func(from, to int) uint64 {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := w.Append(payloadN(i), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cut, err := w.CutSegment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cut
+	}
+	listing := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	older := []byte("the older snapshot")
+	if err := w.InstallSnapshot(appendCut(0, 10), older); err != nil {
+		t.Fatal(err)
+	}
+	cut := appendCut(10, 30)
+	before := listing()
+	if err := w.InstallSnapshot(cut, make([]byte, maxSnapshot+1)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("installing %d bytes over a %d B bound: error %v, want ErrRecordTooLarge", maxSnapshot+1, maxSnapshot, err)
+	}
+	if after := listing(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("the refused install changed the directory:\n%v\nwas\n%v", after, before)
+	}
+	reopened := func() *WAL {
+		t.Helper()
+		r, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	r := reopened()
+	if got, _ := collect(t, r); !bytes.Equal(r.Snapshot(), older) || len(got) != 20 || !bytes.Equal(got[0], payloadN(10)) {
+		t.Fatalf("after the refusal recovery reads snapshot %q and %d records, want %q and the 20 after it", r.Snapshot(), len(got), older)
+	}
+	whole := bytes.Repeat([]byte{7}, maxSnapshot)
+	if err := w.InstallSnapshot(cut, whole); err != nil {
+		t.Fatalf("an image at the bound: %v", err)
+	}
+	if got := reopened().Snapshot(); !bytes.Equal(got, whole) {
+		t.Fatalf("an image at the bound recovers as %d bytes, want %d", len(got), len(whole))
+	}
+}
+
 // TestRetainFloorPinsSegments checks that a retained (shed) record's
 // segment survives snapshot truncation: its payload exists nowhere but
 // the log, so dropping the segment would lose acked data.
