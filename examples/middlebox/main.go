@@ -52,8 +52,8 @@ func main() {
 		sim.Microsecond, sim.NewStream(2, "down"))
 
 	var received int
-	client := nic.New(s, upLink, true, nic.Config{}, func(*pkt.Packet) {})
-	server := nic.New(s, downLink, false, nic.Config{}, func(*pkt.Packet) { received++ })
+	client := nic.New(s, upLink, true, nic.Config{}, nil, func(*pkt.Packet) {})
+	server := nic.New(s, downLink, false, nic.Config{}, nil, func(*pkt.Packet) { received++ })
 	aDef.dev = client
 	bDef.dev = server
 	nDef.dev = mb.Device(middlebox.North)

@@ -12,6 +12,15 @@ import (
 func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
+	// On every way out, a failed deadline included, the readers and the
+	// poller stop and the writers finish before the next test starts.
+	stop := make(chan struct{})
+	var once sync.Once
+	shutdown := func() {
+		once.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	defer shutdown()
 	const writers = 8
 	const perWriter = 500
 	for w := 0; w < writers; w++ {
@@ -27,7 +36,6 @@ func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 		}()
 	}
 	// Concurrent readers.
-	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -47,10 +55,16 @@ func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 		}()
 	}
 	done := make(chan struct{})
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		defer close(done)
 		for s.Len() < writers*perWriter {
-			time.Sleep(time.Millisecond)
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
 		}
 	}()
 	select {
@@ -58,8 +72,7 @@ func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ingest did not complete")
 	}
-	close(stop)
-	wg.Wait()
+	shutdown()
 	if s.Len() != writers*perWriter {
 		t.Fatalf("stored %d, want %d", s.Len(), writers*perWriter)
 	}

@@ -48,13 +48,14 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
-// Peek returns the front element without removing it. It panics on an
+// Head returns a pointer to the front element, which the caller may update
+// in place; it stays valid until the next Push or Pop. It panics on an
 // empty queue.
-func (q *Queue[T]) Peek() T {
+func (q *Queue[T]) Head() *T {
 	if q.n == 0 {
-		panic("fifo: Peek on empty queue")
+		panic("fifo: Head on empty queue")
 	}
-	return q.buf[q.head]
+	return &q.buf[q.head]
 }
 
 func (q *Queue[T]) grow() {

@@ -6,7 +6,8 @@ import (
 )
 
 // TestQueueMatchesSlice drives the ring and a plain slice with the same
-// random pushes and pops, across several growths and wrap-arounds.
+// random pushes and pops, across several growths and wrap-arounds. Before
+// each pop it updates the front element through Head.
 func TestQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue[int]
@@ -19,9 +20,12 @@ func TestQueueMatchesSlice(t *testing.T) {
 			ref = append(ref, next)
 			next++
 		} else {
-			if got, want := q.Peek(), ref[0]; got != want {
-				t.Fatalf("step %d: Peek = %d, want %d", step, got, want)
+			h := q.Head()
+			if got, want := *h, ref[0]; got != want {
+				t.Fatalf("step %d: Head = %d, want %d", step, got, want)
 			}
+			*h = -*h
+			ref[0] = -ref[0]
 			if got, want := q.Pop(), ref[0]; got != want {
 				t.Fatalf("step %d: Pop = %d, want %d", step, got, want)
 			}

@@ -50,7 +50,7 @@ func Attach(s *sim.Simulator, fab *dataplane.Fabric, node topo.Node, ncfg nic.Co
 		conns:    make(map[connKey]*Conn),
 	}
 	at := fab.HostPorts[node.ID][0]
-	h.NIC = nic.New(s, at.Link, at.FromA, ncfg, h.deliver)
+	h.NIC = nic.New(s, at.Link, at.FromA, ncfg, fab.Pool, h.deliver)
 	fab.AttachHost(node.ID, h.NIC)
 	return h
 }
@@ -107,10 +107,9 @@ func (h *Host) send(flow pkt.FlowKey, wireLen int, prio uint8, payload []byte) {
 }
 
 // SendUDP emits a burst of UDP packets for flow at the NIC's line rate.
+// The NIC builds each packet as it departs.
 func (h *Host) SendUDP(flow pkt.FlowKey, packets int, wireLen int, prio uint8) {
-	for i := 0; i < packets; i++ {
-		h.send(flow, wireLen, prio, nil)
-	}
+	h.NIC.SendBurst(flow, packets, wireLen, prio)
 }
 
 // ProbeEchoPort is the well-known probe responder port.

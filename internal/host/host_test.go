@@ -45,6 +45,30 @@ func TestUDPDeliveryAcrossFabric(t *testing.T) {
 	}
 }
 
+// TestBurstDrainsWithoutAllocating: a host's NIC builds a burst's packets
+// from the fabric's pool as they depart, and the far host hands each back,
+// so once the pool is warm a burst four times the pool's free list drains
+// without allocating a packet.
+func TestBurstDrainsWithoutAllocating(t *testing.T) {
+	n := newTestNet(t, dataplane.Config{}, nic.Config{})
+	src, dst := n.hosts[0], n.hosts[31]
+	flow := pkt.FlowKey{SrcIP: src.Node.IP, DstIP: dst.Node.IP, SrcPort: 1000, DstPort: 9000, Proto: pkt.ProtoUDP}
+	const packets = 4096
+	var got int
+	dst.Handle(9000, func(*pkt.Packet) { got++ })
+	burst := func() {
+		src.SendUDP(flow, packets, 724, 0)
+		n.sim.RunAll()
+	}
+	burst() // warm the pool, the fabric's queues and the scheduler's free list
+	if allocs := testing.AllocsPerRun(5, burst); allocs != 0 {
+		t.Errorf("a %d-packet burst allocates %v times; want 0", packets, allocs)
+	}
+	if got != 7*packets { // our warm-up, AllocsPerRun's and its 5 runs
+		t.Errorf("delivered %d packets, want %d", got, 7*packets)
+	}
+}
+
 func TestNICSeqTagStrippedBeforeHost(t *testing.T) {
 	n := newTestNet(t, dataplane.Config{}, nic.Config{})
 	src, dst := n.hosts[0], n.hosts[16]
@@ -118,8 +142,8 @@ func TestNICRecoversLossViaLog(t *testing.T) {
 	var aNIC, bNIC *nic.NIC
 	l := link.New(s, link.Endpoint{Dev: &deferredDev{&aNIC}, Port: 0},
 		link.Endpoint{Dev: &deferredDev{&bNIC}, Port: 0}, sim.Microsecond, rng)
-	aNIC = nic.New(s, l, true, nic.Config{}, func(*pkt.Packet) {})
-	bNIC = nic.New(s, l, false, nic.Config{}, func(*pkt.Packet) {})
+	aNIC = nic.New(s, l, true, nic.Config{}, nil, func(*pkt.Packet) {})
+	bNIC = nic.New(s, l, false, nic.Config{}, nil, func(*pkt.Packet) {})
 	flow := pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}
 	mk := func(id uint64) *pkt.Packet {
 		return &pkt.Packet{ID: id, Kind: pkt.KindData, Flow: flow, WireLen: 300, TTL: 64}

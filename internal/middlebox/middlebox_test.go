@@ -49,8 +49,8 @@ func newRig(t *testing.T, cfg Config) *rig {
 	r.linkB = link.New(s, link.Endpoint{Dev: mbSouthDef, Port: 0}, link.Endpoint{Dev: bDef, Port: 0},
 		sim.Microsecond, sim.NewStream(2, "mbB"))
 
-	r.a = nic.New(s, r.linkA, true, nic.Config{}, func(p *pkt.Packet) { r.toA = append(r.toA, p) })
-	r.b = nic.New(s, r.linkB, false, nic.Config{}, func(p *pkt.Packet) { r.toB = append(r.toB, p) })
+	r.a = nic.New(s, r.linkA, true, nic.Config{}, nil, func(p *pkt.Packet) { r.toA = append(r.toA, p) })
+	r.b = nic.New(s, r.linkB, false, nic.Config{}, nil, func(p *pkt.Packet) { r.toB = append(r.toB, p) })
 	aDef.dev = r.a
 	bDef.dev = r.b
 	mbNorthDef.dev = r.mb.Device(North)

@@ -2,6 +2,12 @@
 // inter-switch modules (packet numbering + ring buffer on egress, gap
 // detection on ingress) on Netronome NICs so that edge links — host↔ToR —
 // are covered too; detected events are stored in local logs (§4 "NIC").
+//
+// A NIC queues sends, not packets: a packet the host built, or a burst of
+// one flow's packets still to be built. It builds and numbers each packet
+// as it departs, as a switch tags on egress, so its ring holds packets
+// that have left and a lost edge frame can be attributed however deep the
+// backlog behind it.
 package nic
 
 import (
@@ -37,6 +43,7 @@ type NIC struct {
 	lnk     *link.Link
 	fromA   bool
 	handler Handler
+	pool    *pkt.Pool // builds a burst's packets
 
 	seq seqtrack.Port
 
@@ -44,13 +51,15 @@ type NIC struct {
 	// host agent reads the log).
 	Log []fevent.Event
 
-	// Serialization: txq holds the packets waiting for the wire, the head
-	// being the one on it. One departure is armed at a time: txDone, a
-	// pre-bound closure, sends the head and re-arms itself one
-	// serialization time later for the packet behind it, so back-to-back
+	// Serialization: txq holds the sends waiting for the wire, the head
+	// being the one whose next packet is on it. One departure is armed at
+	// a time: txDone, a pre-bound closure, builds, tags and sends the
+	// head's next packet and re-arms itself one serialization time later
+	// for the packet behind it, read off the entry, so back-to-back
 	// packets leave at the previous departure plus their own serialization
-	// and the backlog never sits in the simulator's queue.
-	txq    fifo.Queue[*pkt.Packet]
+	// and the backlog sits neither in the simulator's queue nor in
+	// packets.
+	txq    fifo.Queue[send]
 	txDone func()
 
 	// Stats.
@@ -60,47 +69,96 @@ type NIC struct {
 	pausedPrio           [8]bool
 }
 
+// send is one entry of txq: a packet the caller built (p), or count data
+// packets of one flow that the NIC builds as each departs.
+type send struct {
+	p       *pkt.Packet
+	count   int
+	flow    pkt.FlowKey
+	wireLen int // untagged, as the packet carries it
+	prio    uint8
+	tagged  bool // the packets leave with the NetSeer tag
+	sentAt  sim.Time
+}
+
 // New creates a NIC transmitting on the given link side, delivering
-// received data packets to handler.
-func New(s *sim.Simulator, l *link.Link, fromA bool, cfg Config, handler Handler) *NIC {
+// received data packets to handler. Bursts are built from pool, the
+// fabric's; a NIC outside a fabric passes nil and gets a pool of its own.
+func New(s *sim.Simulator, l *link.Link, fromA bool, cfg Config, pool *pkt.Pool, handler Handler) *NIC {
 	if handler == nil {
 		panic("nic: handler must not be nil")
 	}
+	if pool == nil {
+		pool = pkt.NewPool()
+	}
 	n := &NIC{
-		sim: s, cfg: cfg, lnk: l, fromA: fromA, handler: handler,
+		sim: s, cfg: cfg, lnk: l, fromA: fromA, handler: handler, pool: pool,
 		seq: seqtrack.NewPort(ringSlots),
 	}
 	n.txDone = n.depart
 	return n
 }
 
-// depart puts the head of txq on the link and arms the departure of the
-// packet behind it.
+// depart puts the head send's next packet on the link, building it if
+// the send is a burst and numbering it in the ring, and arms the
+// departure of the packet behind it.
 func (n *NIC) depart() {
-	p := n.txq.Pop()
+	e := n.txq.Head()
+	p, tagged := e.p, e.tagged
+	if p == nil {
+		p = n.pool.Get()
+		p.Kind, p.Flow = pkt.KindData, e.flow
+		p.WireLen, p.TTL, p.Priority = e.wireLen, 64, e.prio
+		p.SentAt = e.sentAt
+		e.count--
+	}
+	if e.count == 0 {
+		n.txq.Pop()
+	}
+	if tagged {
+		n.seq.Tag(p)
+	}
 	if n.txq.Len() > 0 {
-		n.sim.Schedule(n.ser(n.txq.Peek()), n.txDone)
+		n.sim.Schedule(n.ser(n.txq.Head()), n.txDone)
 	}
 	n.lnk.Send(n.fromA, p)
 }
 
-// ser is the time p occupies the wire.
-func (n *NIC) ser(p *pkt.Packet) sim.Time {
-	return sim.Time(float64(p.WireLen*8) / lineBps * 1e9)
+// ser is the time one packet of e occupies the wire.
+func (n *NIC) ser(e *send) sim.Time {
+	wire := e.wireLen
+	if e.tagged {
+		wire += pkt.NetSeerTagLen
+	}
+	return sim.Time(float64(wire*8) / lineBps * 1e9)
 }
 
-// Send transmits a packet, tagging it with the edge sequence number and
-// recording it in the ring. Serialization time is modeled by delaying
-// back-to-back sends.
+// queue appends e to txq, arming the departure if the line is idle.
+func (n *NIC) queue(e send) {
+	if n.txq.Len() == 0 {
+		n.sim.Schedule(n.ser(&e), n.txDone)
+	}
+	n.txq.Push(e)
+}
+
+// Send transmits a packet behind those already queued. It is tagged with
+// the edge sequence number and recorded in the ring when it departs.
 func (n *NIC) Send(p *pkt.Packet) {
 	n.txPackets++
-	if !n.cfg.DisableSeq {
-		n.seq.Tag(p)
+	n.queue(send{p: p, wireLen: p.WireLen, tagged: !n.cfg.DisableSeq && seqtrack.Tagged(p.Kind)})
+}
+
+// SendBurst transmits count data packets of flow, each wireLen bytes
+// untagged at priority prio and stamped with the current time, back to
+// back at line rate behind what is already queued. The NIC builds each
+// packet from its pool as it departs.
+func (n *NIC) SendBurst(flow pkt.FlowKey, count, wireLen int, prio uint8) {
+	if count <= 0 {
+		return
 	}
-	if n.txq.Len() == 0 {
-		n.sim.Schedule(n.ser(p), n.txDone)
-	}
-	n.txq.Push(p)
+	n.txPackets += uint64(count)
+	n.queue(send{count: count, flow: flow, wireLen: wireLen, prio: prio,
+		tagged: !n.cfg.DisableSeq, sentAt: n.sim.Now()})
 }
 
 // Receive implements link.Device.

@@ -30,8 +30,8 @@ func newPair(t *testing.T, cfg Config) *pair {
 	aDef, bDef := &deferred{}, &deferred{}
 	p.l = link.New(s, link.Endpoint{Dev: aDef, Port: 0}, link.Endpoint{Dev: bDef, Port: 0},
 		sim.Microsecond, sim.NewStream(4, "nicpair"))
-	p.a = New(s, p.l, true, cfg, aFwd)
-	p.b = New(s, p.l, false, cfg, bFwd)
+	p.a = New(s, p.l, true, cfg, nil, aFwd)
+	p.b = New(s, p.l, false, cfg, nil, bFwd)
 	aDef.dev = p.a
 	bDef.dev = p.b
 	return p
@@ -225,7 +225,7 @@ func TestNilHandlerPanics(t *testing.T) {
 			t.Error("nil handler did not panic")
 		}
 	}()
-	New(sim.New(), nil, true, Config{}, nil)
+	New(sim.New(), nil, true, Config{}, nil, nil)
 }
 
 func TestStatsCounters(t *testing.T) {
@@ -263,6 +263,96 @@ func TestSendZeroAllocSteadyState(t *testing.T) {
 	order = make([]uint64, 0, 4*202)
 	if n := testing.AllocsPerRun(200, burst); n != 0 {
 		t.Errorf("NIC.Send→wire allocates %v times per 4 packets; budget is 0", n)
+	}
+}
+
+// wireTap records what reaches the far end of a link, tag included, and
+// when.
+type wireTap struct {
+	sim *sim.Simulator
+	at  []sim.Time
+	got []pkt.Packet
+}
+
+func (w *wireTap) Receive(p *pkt.Packet, _ int) {
+	w.at = append(w.at, w.sim.Now())
+	w.got = append(w.got, *p)
+}
+
+// TestBurstMatchesSingleSends: a burst the NIC builds as it departs puts
+// on the wire exactly what the same packets built by the caller and sent
+// one by one do: the same departure instants, and packets equal field for
+// field, edge tag included. The script has a burst that finds the line
+// idle, a Send, an empty burst and a burst queued while it is busy, and a
+// burst after it went idle again.
+func TestBurstMatchesSingleSends(t *testing.T) {
+	flowA := pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: pkt.ProtoUDP}
+	flowB := pkt.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 5, DstPort: 4, Proto: pkt.ProtoUDP}
+	run := func(cfg Config, bursts bool) *wireTap {
+		s := sim.New()
+		tap := &wireTap{sim: s}
+		l := link.New(s, link.Endpoint{Dev: &deferred{}}, link.Endpoint{Dev: tap},
+			sim.Microsecond, sim.NewStream(4, "burst"))
+		n := New(s, l, true, cfg, nil, func(*pkt.Packet) {})
+		burst := func(flow pkt.FlowKey, count, wireLen int, prio uint8) {
+			if bursts {
+				n.SendBurst(flow, count, wireLen, prio)
+				return
+			}
+			for i := 0; i < count; i++ {
+				n.Send(&pkt.Packet{Kind: pkt.KindData, Flow: flow, WireLen: wireLen, TTL: 64, Priority: prio, SentAt: s.Now()})
+			}
+		}
+		s.At(0, func() { burst(flowA, 5, 1000, 3) })
+		s.At(1500*sim.Nanosecond, func() { // the first burst's fifth packet is on the wire
+			n.Send(&pkt.Packet{Kind: pkt.KindProbe, Flow: flowB, WireLen: 64, TTL: 64, Priority: 1, SentAt: s.Now()})
+			burst(flowB, 0, 300, 0) // sends nothing
+			burst(flowB, 4, 300, 0)
+		})
+		s.At(20*sim.Microsecond, func() { burst(flowA, 3, 1500, 7) })
+		s.RunAll()
+		return tap
+	}
+	type fields struct {
+		kind      pkt.Kind
+		flow      pkt.FlowKey
+		wireLen   int
+		ttl, prio uint8
+		sentAt    sim.Time
+		seqTag    uint32
+		hasSeqTag bool
+	}
+	of := func(p pkt.Packet) fields {
+		return fields{p.Kind, p.Flow, p.WireLen, p.TTL, p.Priority, p.SentAt, p.SeqTag, p.HasSeqTag}
+	}
+	for _, cfg := range []Config{{}, {DisableSeq: true}} {
+		burst, single := run(cfg, true), run(cfg, false)
+		if len(burst.got) != 13 || len(single.got) != 13 {
+			t.Fatalf("DisableSeq=%v: %d packets from bursts, %d from single sends; want 13 each", cfg.DisableSeq, len(burst.got), len(single.got))
+		}
+		// The first burst found the line idle: its packets leave one
+		// serialization time apart, tag included.
+		wire := 1000
+		if !cfg.DisableSeq {
+			wire += pkt.NetSeerTagLen
+		}
+		ser := sim.Time(float64(wire*8) / lineBps * 1e9)
+		for k := 0; k < 5; k++ {
+			if want := sim.Microsecond + sim.Time(k+1)*ser; burst.at[k] != want {
+				t.Errorf("DisableSeq=%v: burst packet %d arrived at %v, want %v", cfg.DisableSeq, k, burst.at[k], want)
+			}
+		}
+		for i := range burst.got {
+			if burst.at[i] != single.at[i] {
+				t.Errorf("DisableSeq=%v: packet %d arrived at %v from a burst, %v sent alone", cfg.DisableSeq, i, burst.at[i], single.at[i])
+			}
+			if b, s := of(burst.got[i]), of(single.got[i]); b != s {
+				t.Errorf("DisableSeq=%v: packet %d is %+v from a burst, %+v sent alone", cfg.DisableSeq, i, b, s)
+			}
+			if tagged := burst.got[i].HasSeqTag; tagged == cfg.DisableSeq || (tagged && burst.got[i].SeqTag != uint32(i)) {
+				t.Errorf("DisableSeq=%v: packet %d has tag %v %d", cfg.DisableSeq, i, tagged, burst.got[i].SeqTag)
+			}
+		}
 	}
 }
 

@@ -30,10 +30,13 @@ func NewPort(ringSlots int) Port {
 	return Port{ring: *NewRing(ringSlots), last: Notification{FromID: 1}}
 }
 
+// Tagged reports whether Tag numbers packets of kind k: data and probes.
+func Tagged(k pkt.Kind) bool { return k == pkt.KindData || k == pkt.KindProbe }
+
 // Tag numbers an outgoing data or probe packet, adds the NetSeer tag to
 // its length and records it in the ring. Other kinds pass untagged.
 func (p *Port) Tag(pk *pkt.Packet) {
-	if pk.Kind != pkt.KindData && pk.Kind != pkt.KindProbe {
+	if !Tagged(pk.Kind) {
 		return
 	}
 	id := p.next
