@@ -325,7 +325,7 @@ func TestIngestPathDoesNotAllocate(t *testing.T) {
 func TestRecoverReplayDoesNotAllocate(t *testing.T) {
 	const records = 300
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestRecoverReplayDoesNotAllocate(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()

@@ -144,7 +144,7 @@ type Client struct {
 	ackLat                             *obs.Histogram
 
 	closeOnce  sync.Once
-	closeCh    chan struct{}
+	shutdown   chan struct{}
 	senderDone chan struct{}
 }
 
@@ -157,7 +157,7 @@ func NewClientConfig(addr string, cfg ClientConfig) *Client {
 		endpoints:  append([]string{addr}, cfg.Endpoints...),
 		cfg:        cfg.withDefaults(),
 		ackLat:     obs.NewHistogram(obs.LatencyBuckets()),
-		closeCh:    make(chan struct{}),
+		shutdown:   make(chan struct{}),
 		senderDone: make(chan struct{}),
 	}
 	// Distinct client lifetimes must not reuse (switch, seq) dedup keys:
@@ -255,7 +255,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	c.closeOnce.Do(func() { close(c.closeCh) })
+	c.closeOnce.Do(func() { close(c.shutdown) })
 	c.cond.Broadcast()
 	select {
 	case <-c.senderDone:
@@ -294,7 +294,7 @@ func (c *Client) Takeover() []*fevent.Batch {
 		c.conn.Close()
 	}
 	c.mu.Unlock()
-	c.closeOnce.Do(func() { close(c.closeCh) })
+	c.closeOnce.Do(func() { close(c.shutdown) })
 	c.cond.Broadcast()
 	<-c.senderDone
 	c.mu.Lock()
@@ -459,7 +459,7 @@ func (c *Client) sleepBackoff(backoff *time.Duration) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-c.closeCh:
+	case <-c.shutdown:
 	}
 	*backoff *= 2
 	if *backoff > c.cfg.BackoffMax {
@@ -527,7 +527,7 @@ func (c *Client) primaryProbe(conn net.Conn, stop <-chan struct{}) {
 		select {
 		case <-stop:
 			return
-		case <-c.closeCh:
+		case <-c.shutdown:
 			return
 		case <-t.C:
 			p, err := net.DialTimeout("tcp", c.endpoints[0], c.cfg.DialTimeout)
@@ -545,7 +545,7 @@ func (c *Client) primaryProbe(conn net.Conn, stop <-chan struct{}) {
 				drain := time.NewTimer(c.cfg.PrimaryRetryInterval)
 				select {
 				case <-stop:
-				case <-c.closeCh:
+				case <-c.shutdown:
 				case <-drain.C:
 				}
 				drain.Stop()
@@ -557,7 +557,7 @@ func (c *Client) primaryProbe(conn net.Conn, stop <-chan struct{}) {
 }
 
 // failConn records the terminal error of conn (once) and closes it,
-// waking both the writer and any Flush/Close waiters.
+// waking both the writer and any Flush or Close caller.
 func (c *Client) failConn(conn net.Conn, err error) {
 	c.mu.Lock()
 	if c.conn == conn && c.connErr == nil {

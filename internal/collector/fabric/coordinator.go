@@ -141,8 +141,7 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// persistLocked writes the state file durably (writeFileDurably).
-// Callers hold c.mu.
+// persistLocked writes the state file durably. Callers hold c.mu.
 func (c *Coordinator) persistLocked() error {
 	data, err := json.MarshalIndent(&c.st, "", "  ")
 	if err != nil {
@@ -151,32 +150,7 @@ func (c *Coordinator) persistLocked() error {
 	if err := os.MkdirAll(filepath.Dir(c.statePath), 0o755); err != nil {
 		return err
 	}
-	return writeFileDurably(c.statePath, data)
-}
-
-// writeFileDurably replaces the file at path with data so that a crash
-// leaves the old contents or the new, whole, and a nil return means the
-// new survive one: it writes and fsyncs path+".tmp", renames it over
-// path, then fsyncs the directory.
-func writeFileDurably(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := faultfs.OS.CreateTrunc(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err == nil {
-		err = faultfs.OS.SyncDir(filepath.Dir(path))
-	}
-	return err
+	return faultfs.ReplaceFile(faultfs.OS, c.statePath, data)
 }
 
 // call performs one admin op against a shard, retrying transient

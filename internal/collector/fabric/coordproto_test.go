@@ -15,7 +15,6 @@ import (
 
 	"netseer/internal/collector"
 	"netseer/internal/collector/fabric"
-	"netseer/internal/collector/wal"
 	"netseer/internal/obs"
 )
 
@@ -26,7 +25,6 @@ func startShardReg(t *testing.T, id uint32, dir string, reg *obs.Registry) *fabr
 	n, err := fabric.StartShard(fabric.ShardOptions{
 		ID: id, Dir: dir,
 		IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
-		WAL:      wal.Options{NoSync: true},
 		Registry: reg,
 	})
 	if err != nil {

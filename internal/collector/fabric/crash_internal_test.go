@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"netseer/internal/collector"
-	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
@@ -28,7 +27,6 @@ func startNode(t *testing.T, id uint32, dir string) *ShardNode {
 	n, err := StartShard(ShardOptions{
 		ID: id, Dir: dir,
 		IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
-		WAL: wal.Options{NoSync: true},
 	})
 	if err != nil {
 		t.Fatalf("start shard %d: %v", id, err)

@@ -74,7 +74,6 @@ func startShard(t *testing.T, id uint32, dir string) *fabric.ShardNode {
 	n, err := fabric.StartShard(fabric.ShardOptions{
 		ID: id, Dir: dir,
 		IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
-		WAL: wal.Options{NoSync: true},
 	})
 	if err != nil {
 		t.Fatalf("start shard %d: %v", id, err)
@@ -263,7 +262,7 @@ func TestShardDrainCheckpointRestart(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +444,6 @@ func TestAsymmetricPartitionDuringIngest(t *testing.T) {
 		ID: 2, Dir: filepath.Join(base, "s2"),
 		Server:    collector.ServerConfig{Listener: fln},
 		QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
-		WAL: wal.Options{NoSync: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,6 +57,35 @@ func TestMembershipGuards(t *testing.T) {
 	}
 }
 
+// TestStartCoordinatorRefusesBadState: a state file that does not parse,
+// cannot be read, or cannot be replaced at bootstrap fails the start.
+func TestStartCoordinatorRefusesBadState(t *testing.T) {
+	dir := t.TempDir()
+	corrupt := filepath.Join(dir, "corrupt.json")
+	notDir := filepath.Join(dir, "file")
+	blocked := filepath.Join(dir, "blocked.json")
+	for _, err := range []error{
+		os.WriteFile(corrupt, []byte("{"), 0o644),
+		os.WriteFile(notDir, nil, 0o644),
+		os.Mkdir(blocked+".tmp", 0o755), // the replace's tmp file cannot be created
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{corrupt, filepath.Join(notDir, "coord.json"), blocked} {
+		coord, err := fabric.StartCoordinator(fabric.CoordinatorOptions{
+			StatePath:  path,
+			ListenAddr: "127.0.0.1:0",
+			Bootstrap:  []fabric.ShardInfo{{ID: 1, Ingest: []string{"127.0.0.1:1"}, Query: "127.0.0.1:1", Admin: "127.0.0.1:1"}},
+		})
+		if err == nil {
+			coord.Close()
+			t.Errorf("%s: StartCoordinator succeeded", path)
+		}
+	}
+}
+
 // TestStartShardFailuresReleaseResources: every constructor failure must
 // come back as an error (not a hang or a panic), with the earlier
 // listeners and the WAL torn down so the directory can be reopened.
@@ -73,7 +102,6 @@ func TestStartShardFailuresReleaseResources(t *testing.T) {
 	for _, tc := range cases {
 		tc.opts.ID = 1
 		tc.opts.Dir = filepath.Join(t.TempDir(), "s")
-		tc.opts.WAL = wal.Options{NoSync: true}
 		if _, err := fabric.StartShard(tc.opts); err == nil {
 			t.Errorf("%s: StartShard succeeded", tc.name)
 			continue

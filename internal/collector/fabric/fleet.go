@@ -44,9 +44,9 @@ type FleetReport struct {
 	// Pending names the phase ("staging" or "publish") of an unresolved
 	// rebalance, empty when membership is settled.
 	Pending string `json:"pending,omitempty"`
-	// Healthy is the one-bit answer: every member answered, agrees on
-	// the published epoch, admits at the ok rung, and has no open
-	// transfers or un-fsynced WAL backlog pending a dead group commit.
+	// Healthy is the one-bit answer: no rebalance is pending, and every
+	// member answered, agrees on the published epoch, has no open
+	// transfers, admits at the ok rung and has no poisoned WAL.
 	Healthy bool         `json:"healthy"`
 	Shards  []FleetShard `json:"shards"`
 	// Exemplars merges every shard's bucket exemplars, worst first (the

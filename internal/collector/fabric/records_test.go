@@ -215,7 +215,7 @@ func TestSlotMaskHas(t *testing.T) {
 func TestRecoverShardReplayDoesNotAllocate(t *testing.T) {
 	const records, frameHdrLen = 300, 8 // a frame's length and CRC words precede its payload
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRecoverShardReplayDoesNotAllocate(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
@@ -314,7 +314,7 @@ func TestTheLogIsTheWire(t *testing.T) {
 // the refusal holds the log as it was.
 func TestOlderShardLogIsRefused(t *testing.T) {
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestOlderShardLogIsRefused(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := StartShard(ShardOptions{ID: 1, Dir: dir, IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0",
-			AdminAddr: "127.0.0.1:0", WAL: wal.Options{NoSync: true}}); err == nil || !strings.Contains(err.Error(), "drain the shard with that build") {
+			AdminAddr: "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "drain the shard with that build") {
 			t.Fatalf("start %d on an older shard's log: %v", i, err)
 		}
 	}

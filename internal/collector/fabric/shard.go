@@ -12,6 +12,7 @@ import (
 
 	"netseer/internal/collector"
 	"netseer/internal/collector/wal"
+	"netseer/internal/faultfs"
 	"netseer/internal/fevent"
 	"netseer/internal/obs"
 	"netseer/internal/obs/trace"
@@ -76,7 +77,8 @@ type ShardOptions struct {
 	// Listener, when set, is served instead of binding IngestAddr — chaos
 	// tests interpose fault-injected wires there.
 	Server collector.ServerConfig
-	// WAL tunes the log (NoSync for tests that don't need crash safety).
+	// WAL tunes the log: its segment size, and the filesystem it runs on
+	// (fault tests script disk failures there).
 	WAL wal.Options
 	// Registry, when non-nil, receives the shard's instruments.
 	Registry *obs.Registry
@@ -462,7 +464,7 @@ func (n *ShardNode) handleApply(req *adminReq) adminResp {
 		return adminResp{Err: fmt.Sprintf("apply: epoch %d behind applied %d", req.Config.Epoch, n.cfg.Epoch)}
 	}
 	// Persist before acking so a restarted shard still knows its epoch.
-	if err := writeFileDurably(configPath(n.dir), req.Config.Encode()); err != nil {
+	if err := faultfs.ReplaceFile(faultfs.OS, configPath(n.dir), req.Config.Encode()); err != nil {
 		return adminResp{Err: fmt.Sprintf("apply: persisting epoch %d: %v", req.Config.Epoch, err)}
 	}
 	n.cfg = *req.Config

@@ -172,7 +172,7 @@ func FuzzShardLog(f *testing.F) {
 		live := stateOf(n.store, n.openRB)
 		stop()
 
-		w, err := wal.Open(dir, wal.Options{NoSync: true})
+		w, err := wal.Open(dir, wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func FuzzShardLog(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+		if w, err = wal.Open(dir, wal.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close()

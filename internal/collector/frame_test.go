@@ -171,7 +171,7 @@ func TestServerRejectsFrameWithInvalidRecord(t *testing.T) {
 // traced and untraced alike — byte for byte, concatenated.
 func TestTheLogIsTheWire(t *testing.T) {
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestRecordSeqIsNoFrame(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRecordSeqIsNoFrame(t *testing.T) {
 		}
 	}
 	w.Close()
-	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()

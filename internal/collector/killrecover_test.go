@@ -46,8 +46,8 @@ func childMain() {
 	dir := os.Getenv("NETSEER_WAL_DIR")
 	seed, _ := strconv.ParseInt(os.Getenv("NETSEER_WAL_SEED"), 10, 64)
 
-	// Tiny segments and a short group window so a few hundred batches
-	// exercise rotation and the kills land in interesting places.
+	// Tiny segments so a few hundred batches exercise rotation and the
+	// kills land in interesting places.
 	w, err := wal.Open(dir, wal.Options{SegmentBytes: 16 << 10})
 	if err != nil {
 		die("open wal: %v", err)

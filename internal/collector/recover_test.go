@@ -18,7 +18,7 @@ import (
 // way. It returns the live store.
 func writeCheckpointedLog(t testing.TB, dir string, events, flows int) *Store {
 	t.Helper()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRecoveredWALPinsNoSnapshot(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	before := live()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

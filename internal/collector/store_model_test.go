@@ -879,7 +879,7 @@ func TestStoredHashIsItsKeysCRC(t *testing.T) {
 	p := newPair(t, 51)
 	p.hashes = hashRandom
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -981,7 +981,7 @@ func TestStoredHashIsItsKeysCRC(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w, err = wal.Open(dir, wal.Options{NoSync: true}); err != nil {
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()

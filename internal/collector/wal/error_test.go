@@ -41,7 +41,7 @@ func TestSyncForcesDurability(t *testing.T) {
 
 func TestDirAccessor(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{NoSync: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +56,15 @@ func TestDirAccessor(t *testing.T) {
 // the first flush reports the failure and every later operation refuses
 // with the same error — nothing may land after a possibly-torn record.
 func TestWriteErrorPoisonsLog(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{NoSync: true})
+	w, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Append(payloadN(1), false); err != nil {
 		t.Fatal(err)
 	}
-	// NoSync keeps the syncer idle, so the buffered record is still
-	// unwritten; closing the file makes the next flush fail.
+	// Nothing has waited, so the buffered record is still unwritten;
+	// closing the file makes the next flush fail.
 	w.mu.Lock()
 	w.f.Close()
 	w.mu.Unlock()
@@ -91,7 +91,7 @@ func TestWriteErrorPoisonsLog(t *testing.T) {
 // rotation: the rotate path must flush buffered records first, surface
 // the failure through Append, and poison the log.
 func TestRotateFlushFailurePropagates(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 1})
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRotateFlushFailurePropagates(t *testing.T) {
 // TestClosedLogRefusesMaintenance covers the ErrClosed guards on the
 // checkpoint entry points.
 func TestClosedLogRefusesMaintenance(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{NoSync: true})
+	w, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestClosedLogRefusesMaintenance(t *testing.T) {
 // layer refusing a record — a real error) from corruption (a clean stop).
 func TestReplayAbortsOnCallbackError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{NoSync: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestReplayAbortsOnCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, err := Open(dir, Options{NoSync: true})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -27,9 +29,9 @@ import (
 func TestRotateFsyncFailurePoisonsLog(t *testing.T) {
 	dir := t.TempDir()
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 1, FailSyncAt: 1})
-	// A huge group window keeps the background syncer idle (no waiter
-	// ever elides it), so the first fsync issued is rotation's own.
-	w, err := Open(dir, Options{SegmentBytes: 64, GroupWindow: time.Hour, FS: fault})
+	// Nothing commits without a waiter, so the first fsync issued is
+	// rotation's own.
+	w, err := Open(dir, Options{SegmentBytes: 64, FS: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestRotateFsyncFailurePoisonsLog(t *testing.T) {
 func TestSyncFsyncFailurePoisonsLog(t *testing.T) {
 	dir := t.TempDir()
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 1, FailSyncAt: 1})
-	w, err := Open(dir, Options{GroupWindow: time.Hour, FS: fault})
+	w, err := Open(dir, Options{FS: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +101,10 @@ func TestWaitDurableWaitersWakeOnFsyncEIO(t *testing.T) {
 	}
 	defer w.Close()
 
-	const waiters = 16
-	errs := make([]error, waiters)
+	const crowd = 16
+	errs := make([]error, crowd)
 	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
+	for i := 0; i < crowd; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -119,7 +121,7 @@ func TestWaitDurableWaitersWakeOnFsyncEIO(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("waiters still blocked 10s after the injected fsync EIO")
+		t.Fatal("WaitDurable callers still blocked 10s after the injected fsync EIO")
 	}
 	for i, err := range errs {
 		if !errors.Is(err, syscall.EIO) {
@@ -217,7 +219,7 @@ func TestPowerCutKeepsOnlyFsyncedRecords(t *testing.T) {
 // one, closes it, and returns the middle segment's path.
 func rotten(t *testing.T, dir string) string {
 	t.Helper()
-	w, err := Open(dir, Options{GroupWindow: -1})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,15 +412,16 @@ func TestScrubOnClosedLog(t *testing.T) {
 	}
 }
 
-// TestTornWriteAtRotationPoisonsAndRecovers tears the write that seals
-// a segment: the log fails stop and recovery keeps every durable
-// record plus a clean prefix of the torn flush.
+// TestTornWriteAtRotationPoisonsAndRecovers tears the first write into
+// a segment rotation opened: the log fails stop and recovery keeps every
+// durable record plus a clean prefix of the torn flush.
 func TestTornWriteAtRotationPoisonsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	// Writes so far: each AppendDurable flushes once. The 4th write is
-	// the rotation's flush of its pending buffer.
+	// Each AppendDurable's commit writes once, and three 19 B records
+	// fill a 48 B segment: the 4th write is the first commit after the
+	// rotation, into the fresh segment.
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 9, TornWriteAt: 4})
-	w, err := Open(dir, Options{SegmentBytes: 48, GroupWindow: time.Hour, FS: fault})
+	w, err := Open(dir, Options{SegmentBytes: 48, FS: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,5 +448,187 @@ func TestTornWriteAtRotationPoisonsAndRecovers(t *testing.T) {
 		if !bytes.Equal(p, payloadN(i)) {
 			t.Fatalf("record %d = %q after torn-write recovery", i, p)
 		}
+	}
+}
+
+// gateFS holds the first file fsync issued on it until gate is closed,
+// closing held once that fsync waits. With failClose every file Close
+// fails with errCloseFailed.
+type gateFS struct {
+	faultfs.FS
+	held, gate chan struct{}
+	first      atomic.Bool
+	failClose  bool
+}
+
+var errCloseFailed = errors.New("gateFS: close failed")
+
+func newGateFS() *gateFS {
+	return &gateFS{FS: faultfs.OS, held: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (g *gateFS) Create(path string) (faultfs.File, error) {
+	f, err := g.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{File: f, fs: g}, nil
+}
+
+type gateFile struct {
+	faultfs.File
+	fs *gateFS
+}
+
+func (f gateFile) Sync() error {
+	if f.fs.first.CompareAndSwap(false, true) {
+		close(f.fs.held)
+		<-f.fs.gate
+	}
+	return f.File.Sync()
+}
+
+func (f gateFile) Close() error {
+	if err := f.File.Close(); err != nil || !f.fs.failClose {
+		return err
+	}
+	return errCloseFailed
+}
+
+// heldCommit appends a record, has a waiter commit it, and cuts the
+// segment while that commit's fsync is held; it returns the waiter's
+// verdict once the fsync is let go.
+func heldCommit(t *testing.T, w *WAL, fs *gateFS) error {
+	t.Helper()
+	serial, err := w.Append(payloadN(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- w.WaitDurable(serial) }()
+	<-fs.held
+	if _, err := w.CutSegment(); err != nil {
+		close(fs.gate)
+		t.Fatalf("cut during a commit's fsync: %v", err)
+	}
+	close(fs.gate)
+	return <-waited
+}
+
+// TestRotationDuringCommitKeepsTheLog cuts the segment a commit is
+// fsyncing with the log's lock released. Rotation leaves that segment
+// for the commit to close: closed under it, the fsync failed with "file
+// already closed" and poisoned a healthy log, after which the server
+// refused every connection.
+func TestRotationDuringCommitKeepsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	fs := newGateFS()
+	w, err := Open(dir, Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := heldCommit(t, w, fs); err != nil {
+		t.Fatalf("WaitDurable across the cut: %v", err)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("the cut poisoned the log: %v", err)
+	}
+	if err := w.AppendDurable(payloadN(1), false); err != nil {
+		t.Fatalf("append after the cut: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	got, _ := collect(t, w2)
+	if len(got) != 2 || !bytes.Equal(got[0], payloadN(0)) || !bytes.Equal(got[1], payloadN(1)) {
+		t.Fatalf("replayed %q, want both records", got)
+	}
+}
+
+// TestRotatedSegmentCloseFailurePoisons: the commit closes the segment
+// rotated away under its fsync, and a failed close poisons the log as
+// rotation's own would. The record stays durable: rotation fsynced it.
+func TestRotatedSegmentCloseFailurePoisons(t *testing.T) {
+	fs := newGateFS()
+	fs.failClose = true
+	w, err := Open(t.TempDir(), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := heldCommit(t, w, fs); err != nil {
+		t.Fatalf("WaitDurable of a record rotation fsynced: %v", err)
+	}
+	if err := w.Err(); !errors.Is(err, errCloseFailed) {
+		t.Fatalf("Err() = %v, want the failed close", err)
+	}
+	if _, err := w.Append(payloadN(1), false); !errors.Is(err, errCloseFailed) {
+		t.Fatalf("append after the failed close: %v", err)
+	}
+}
+
+// TestRotationCloseFailurePoisons: a segment that rotation cannot close
+// poisons the log, and CutSegment reports why.
+func TestRotationCloseFailurePoisons(t *testing.T) {
+	fs := newGateFS()
+	close(fs.gate)
+	fs.failClose = true
+	w, err := Open(t.TempDir(), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Append(payloadN(0), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.CutSegment(); !errors.Is(err, errCloseFailed) {
+		t.Fatalf("CutSegment = %v, want the failed close", err)
+	}
+	if err := w.Err(); !errors.Is(err, errCloseFailed) {
+		t.Fatalf("Err() = %v, want the failed close", err)
+	}
+}
+
+// TestCloseWaitsForTheRunningCommit: Close lets a commit's fsync finish
+// instead of closing the segment under it, then closes a healthy log.
+func TestCloseWaitsForTheRunningCommit(t *testing.T) {
+	fs := newGateFS()
+	w, err := Open(t.TempDir(), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := w.Append(payloadN(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- w.WaitDurable(serial) }()
+	<-fs.held
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	// Close sets closed and then waits for the commit, releasing mu.
+	for {
+		w.mu.Lock()
+		c := w.closed
+		w.mu.Unlock()
+		if c {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(fs.gate)
+	if err := <-waited; err != nil {
+		t.Fatalf("WaitDurable of the running commit: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("Close poisoned the log: %v", err)
 	}
 }

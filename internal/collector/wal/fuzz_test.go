@@ -144,7 +144,7 @@ func FuzzWALReplay(f *testing.F) {
 		// Placement 1: the crash-tail segment. Corruption here is the
 		// classic torn tail — replay truncates and stops cleanly.
 		dir := t.TempDir()
-		w, err := Open(dir, Options{NoSync: true})
+		w, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, err := Open(dir, Options{NoSync: true})
+		w2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func FuzzWALReplay(f *testing.F) {
 		// record of segment 2 must still replay; a mangled segment 1
 		// reports a bounded gap.
 		dir = t.TempDir()
-		w, err = Open(dir, Options{NoSync: true})
+		w, err = Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, err = Open(dir, Options{NoSync: true})
+		w2, err = Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)+quarSuffix), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, err = Open(dir, Options{NoSync: true})
+		w2, err = Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

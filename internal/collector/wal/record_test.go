@@ -12,7 +12,7 @@ import (
 // It returns the segment's size in bytes.
 func sealedLog(t *testing.T, dir string, records int) int64 {
 	t.Helper()
-	w, err := Open(dir, Options{NoSync: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRecordReaderReadsAhead(t *testing.T) {
 	dir := t.TempDir()
 	size := sealedLog(t, dir, records)
 	var reads int
-	w, err := Open(dir, Options{NoSync: true, FS: countingFS{FS: faultfs.OS, reads: &reads}})
+	w, err := Open(dir, Options{FS: countingFS{FS: faultfs.OS, reads: &reads}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRecordReaderAllocsDoNotGrowWithLog(t *testing.T) {
 	allocs := func(records int) (replay, scrub float64) {
 		dir := t.TempDir()
 		sealedLog(t, dir, records)
-		w, err := Open(dir, Options{NoSync: true})
+		w, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func writeSnapshots(t testing.TB, dir string, older, newest []byte) *wal.WAL {
 	if err := os.WriteFile(filepath.Join(dir, wal.SnapName(2)), newest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(lone, wal.SnapName(2)), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := wal.Open(lone, wal.Options{NoSync: true})
+	w, err := wal.Open(lone, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 func TestScrubAppliesRecoverysSnapshotRule(t *testing.T) {
 	older, newer := storeImages(200)
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{NoSync: true})
+	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestScrubAppliesRecoverysSnapshotRule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err = wal.Open(dir, wal.Options{NoSync: true})
+	w, err = wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

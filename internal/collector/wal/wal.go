@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"netseer/internal/faultfs"
 )
@@ -20,16 +19,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this
 	// size (default 8 MiB).
 	SegmentBytes int64
-	// GroupWindow is how long the background syncer waits after the first
-	// pending append before issuing the fsync, letting concurrent and
-	// pipelined appends share one flush (default 200µs; <0 disables the
-	// wait, 0 takes the default).
-	GroupWindow time.Duration
-	// NoSync skips fsyncs entirely: appends become durable against
-	// process crashes only via the OS page cache. Used by benchmarks to
-	// isolate the fsync cost and by tests that don't need power-loss
-	// semantics.
-	NoSync bool
 	// FS is the filesystem the log runs on (default faultfs.OS). Tests
 	// swap in a faultfs.Fault to script disk failures; the hot append
 	// path never touches it, so the indirection costs nothing there.
@@ -39,12 +28,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.GroupWindow == 0 {
-		o.GroupWindow = 200 * time.Microsecond
-	}
-	if o.GroupWindow < 0 {
-		o.GroupWindow = 0
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -111,7 +94,7 @@ type WAL struct {
 	fs  faultfs.FS
 
 	mu   sync.Mutex
-	cond *sync.Cond // broadcast when syncedSerial advances, or on error/close
+	cond *sync.Cond // broadcast when a commit ends
 
 	f        faultfs.File // active segment
 	segIdx   uint64       // active segment index
@@ -122,13 +105,17 @@ type WAL struct {
 	syncedSerial uint64 // serial covered by the last successful fsync
 	ioErr        error  // sticky I/O error: the log refuses further appends
 	closed       bool
+	// syncing is the segment the running commit fsyncs with mu released,
+	// nil while none runs: at most one commit is in flight. A rotation
+	// leaves that segment open for the commit to close.
+	syncing faultfs.File
 
 	retainFloor uint64 // lowest segment pinned by shed batches; ^0 = none
 	// pending buffers framed records destined for the active segment but
-	// not yet written to it: group commit batches the write() as well as
-	// the fsync, so an append is one memcpy, not one syscall. Every flush
-	// path (sync loop, rotation, cut, Sync, Close) drains it before
-	// touching the disk.
+	// not yet written to it: a commit batches the write() as well as the
+	// fsync, so an append is one memcpy, not one syscall. A commit or a
+	// rotation drains it before touching the disk, so it never outgrows
+	// SegmentBytes.
 	pending []byte
 
 	// Recovery artifacts from Open, consumed by ReadSnapshot/Replay: the
@@ -141,19 +128,10 @@ type WAL struct {
 	// scrubMu serializes Scrub passes (never held with mu).
 	scrubMu sync.Mutex
 
-	appends, appendedBytes       uint64
-	fsyncs, rotations            uint64
-	snapshots, segmentsDropped   uint64
-	scrubs, quarantined          uint64
-	syncReq, syncerDone, closeCh chan struct{}
-	// waiters counts goroutines blocked in WaitDurable. While any exist
-	// the syncer flushes back-to-back instead of waiting out the group
-	// window: batching then comes from appends piling in behind the
-	// in-flight fsync, not from added latency.
-	waiters int
-	// syncNow wakes a window wait in progress when the first waiter
-	// arrives mid-window.
-	syncNow chan struct{}
+	appends, appendedBytes     uint64
+	fsyncs, rotations          uint64
+	snapshots, segmentsDropped uint64
+	scrubs, quarantined        uint64
 }
 
 const noRetain = ^uint64(0)
@@ -211,10 +189,6 @@ func Open(dir string, opt Options) (*WAL, error) {
 		replaySegs:  segs,
 		quarSegs:    quar,
 		retainFloor: noRetain,
-		syncReq:     make(chan struct{}, 1),
-		syncNow:     make(chan struct{}, 1),
-		syncerDone:  make(chan struct{}),
-		closeCh:     make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 
@@ -234,7 +208,6 @@ func Open(dir string, opt Options) (*WAL, error) {
 	if err := w.openSegment(next); err != nil {
 		return nil, err
 	}
-	go w.syncLoop()
 	return w, nil
 }
 
@@ -431,10 +404,10 @@ func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 	return st, nil
 }
 
-// Append buffers one record for the active segment and schedules its
-// write+fsync, returning the record's serial without waiting for
-// durability —
-// pair it with WaitDurable before acknowledging the payload to anyone.
+// Append buffers one record for the active segment and returns its
+// serial without writing it: the next commit (WaitDurable, Sync, Close)
+// or rotation writes and fsyncs it. Pair it with WaitDurable before
+// acknowledging the payload to anyone.
 // retain pins the record's segment against snapshot truncation; the
 // collector sets it for shed batches, whose contents exist nowhere but
 // the log.
@@ -468,16 +441,7 @@ func (w *WAL) Append(payload []byte, retain bool) (uint64, error) {
 	if retain && w.segIdx < w.retainFloor {
 		w.retainFloor = w.segIdx
 	}
-	if w.opt.NoSync {
-		w.syncedSerial = serial
-	}
 	w.mu.Unlock()
-	if !w.opt.NoSync {
-		select {
-		case w.syncReq <- struct{}{}:
-		default:
-		}
-	}
 	return serial, nil
 }
 
@@ -503,21 +467,23 @@ func (w *WAL) AppendDurable(payload []byte, retain bool) error {
 
 // WaitDurable blocks until every record up to serial is fsynced (or the
 // log fails or closes). A nil return is the durability promise an ack
-// may be built on.
+// may be built on. The caller commits: unless a commit is running, it
+// runs one itself; otherwise it waits for that one and looks again, so
+// records appended during an fsync share the next.
 func (w *WAL) WaitDurable(serial uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.waiters++
+	return w.waitLocked(serial)
+}
+
+func (w *WAL) waitLocked(serial uint64) error {
 	for w.syncedSerial < serial && w.ioErr == nil && !w.closed {
-		if !w.opt.NoSync {
-			select {
-			case w.syncNow <- struct{}{}:
-			default:
-			}
+		if w.syncing != nil {
+			w.cond.Wait()
+		} else {
+			w.commitLocked()
 		}
-		w.cond.Wait()
 	}
-	w.waiters--
 	if w.syncedSerial >= serial {
 		return nil
 	}
@@ -553,14 +519,12 @@ func (w *WAL) Err() error {
 }
 
 // flushPendingLocked writes the buffered records to the active segment.
-// Caller holds mu. A write failure poisons the log: a partial write
-// leaves a torn record at the tail, and nothing may land after it.
+// Caller holds mu and the log is healthy. A write failure poisons the
+// log: a partial write leaves a torn record at the tail, and nothing may
+// land after it.
 func (w *WAL) flushPendingLocked() error {
 	if len(w.pending) == 0 {
 		return nil
-	}
-	if w.ioErr != nil {
-		return w.ioErr
 	}
 	if _, err := w.f.Write(w.pending); err != nil {
 		w.pending = nil
@@ -581,18 +545,19 @@ func (w *WAL) rotateLocked() error {
 	if err := w.flushPendingLocked(); err != nil {
 		return err // flushPendingLocked poisoned
 	}
-	if err := w.f.Sync(); err != nil {
-		w.fsyncs++
-		w.poisonLocked(err)
-		return err
-	}
 	w.fsyncs++
-	if w.syncedSerial < w.appendSerial {
-		w.syncedSerial = w.appendSerial
-	}
-	if err := w.f.Close(); err != nil {
+	if err := w.f.Sync(); err != nil {
 		w.poisonLocked(err)
 		return err
+	}
+	w.syncedSerial = w.appendSerial
+	// A commit fsyncing this segment with mu released closes it when its
+	// fsync returns; closing it here would fail that fsync.
+	if w.f != w.syncing {
+		if err := w.f.Close(); err != nil {
+			w.poisonLocked(err)
+			return err
+		}
 	}
 	w.rotations++
 	if err := w.openSegment(w.segIdx + 1); err != nil {
@@ -602,99 +567,44 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
-// syncLoop is the group-commit engine: it wakes on the first pending
-// append, waits GroupWindow so pipelined appends pile in behind it, then
-// issues one fsync covering all of them. The window is elided whenever a
-// WaitDurable caller is already blocked — with someone paying latency
-// for the flush, batching comes for free from appends landing behind the
-// in-flight fsync, so added wait buys nothing.
-func (w *WAL) syncLoop() {
-	defer close(w.syncerDone)
-	for {
-		select {
-		case <-w.syncReq:
-		case <-w.closeCh:
-			return
-		}
-		// Drop any stale wake token before deciding: a signal from a
-		// waiter of an earlier round must not cut this round's window.
-		select {
-		case <-w.syncNow:
-		default:
-		}
-		w.mu.Lock()
-		demand := w.waiters > 0
-		w.mu.Unlock()
-		if w.opt.GroupWindow > 0 && !demand {
-			timer := time.NewTimer(w.opt.GroupWindow)
-			select {
-			case <-timer.C:
-			case <-w.syncNow: // first waiter arrived mid-window
-				timer.Stop()
-			case <-w.closeCh:
-				timer.Stop()
-				return
-			}
-		}
-		w.mu.Lock()
-		if err := w.flushPendingLocked(); err != nil {
-			w.mu.Unlock()
-			continue // log poisoned; WaitDurable waiters were woken
-		}
-		target := w.appendSerial
-		f := w.f
-		dirty := target > w.syncedSerial && w.ioErr == nil && !w.closed
-		w.mu.Unlock()
-		if !dirty {
-			continue
-		}
-		// fsync outside mu: appenders keep buffering while the disk flush
-		// covers everything already written.
-		err := f.Sync()
-		w.mu.Lock()
-		w.fsyncs++
-		if err != nil {
-			w.poisonLocked(err)
-		} else if target > w.syncedSerial && f == w.f {
-			w.syncedSerial = target
-		}
-		w.mu.Unlock()
-		w.cond.Broadcast()
-	}
-}
-
-// Sync forces an fsync of the active segment and blocks until every
-// appended record is durable — the drain path's final flush.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
+// commitLocked is group commit: it writes the buffered records and
+// fsyncs the active segment with mu released, then marks every record
+// it wrote durable or poisons the log. Caller holds mu, the log is
+// healthy and no commit runs. Appends keep buffering during the fsync
+// and wait for the next commit.
+func (w *WAL) commitLocked() {
 	if err := w.flushPendingLocked(); err != nil {
-		w.mu.Unlock()
-		return err
+		return // flushPendingLocked poisoned
 	}
-	target := w.appendSerial
-	if w.ioErr != nil || target == w.syncedSerial {
-		err := w.ioErr
-		w.mu.Unlock()
-		return err
-	}
-	f := w.f
+	target, f := w.appendSerial, w.f
+	w.syncing = f
 	w.mu.Unlock()
 	err := f.Sync()
 	w.mu.Lock()
+	w.syncing = nil
 	w.fsyncs++
+	if f != w.f { // rotated away mid-fsync: rotation left it to us
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		w.poisonLocked(err)
-	} else if target > w.syncedSerial && f == w.f {
+	} else if target > w.syncedSerial {
 		w.syncedSerial = target
 	}
-	ret := w.ioErr
-	w.mu.Unlock()
 	w.cond.Broadcast()
-	return ret
+}
+
+// Sync blocks until every appended record is durable — the drain path's
+// final flush.
+func (w *WAL) Sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	return w.waitLocked(w.appendSerial)
 }
 
 // CutSegment seals the active segment and starts a new one, returning
@@ -736,32 +646,8 @@ func (w *WAL) InstallSnapshot(cut uint64, snapshot []byte) error {
 	}
 	w.mu.Unlock()
 
-	tmp := filepath.Join(w.dir, snapName(cut)+".tmp")
-	final := filepath.Join(w.dir, snapName(cut))
-	f, err := w.fs.CreateTrunc(tmp)
-	if err != nil {
-		return err
-	}
 	framed := AppendRecord(make([]byte, 0, RecordHdrLen+len(snapshot)), snapshot)
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		w.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		w.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		w.fs.Remove(tmp)
-		return err
-	}
-	if err := w.fs.Rename(tmp, final); err != nil {
-		w.fs.Remove(tmp)
-		return err
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
+	if err := faultfs.ReplaceFile(w.fs, filepath.Join(w.dir, snapName(cut)), framed); err != nil {
 		return err
 	}
 
@@ -826,36 +712,27 @@ func (w *WAL) Stats() Stats {
 // Dir returns the log directory.
 func (w *WAL) Dir() string { return w.dir }
 
-// Close flushes and closes the log. Appends after Close fail with
-// ErrClosed.
+// Close commits the buffered records and closes the log; appends after
+// it fail with ErrClosed. It returns the log's error if a record
+// appended before it is not durable.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	w.mu.Unlock()
-	close(w.closeCh)
-	<-w.syncerDone
-	w.mu.Lock()
-	err := w.flushPendingLocked()
-	f := w.f
-	dirty := err == nil && !w.opt.NoSync && w.syncedSerial < w.appendSerial && w.ioErr == nil
-	w.mu.Unlock()
-	if dirty {
-		err = f.Sync()
-		w.mu.Lock()
-		w.fsyncs++
-		if err == nil {
-			w.syncedSerial = w.appendSerial
-		} else {
-			w.poisonLocked(err)
-		}
-		w.mu.Unlock()
+	for w.syncing != nil {
+		w.cond.Wait()
 	}
-	w.cond.Broadcast()
-	if cerr := f.Close(); err == nil {
+	if w.ioErr == nil && w.syncedSerial < w.appendSerial {
+		w.commitLocked()
+	}
+	var err error
+	if w.syncedSerial < w.appendSerial {
+		err = w.ioErr
+	}
+	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	return err

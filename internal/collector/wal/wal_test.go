@@ -67,45 +67,108 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 // TestGroupCommit checks that pipelined appends share fsyncs: many
 // concurrent AppendDurable calls must finish with far fewer flushes than
-// appends.
+// appends, also while 256 B segments rotate under the running commits.
 func TestGroupCommit(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{GroupWindow: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	const n = 200
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs <- w.AppendDurable(payloadN(i), false)
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, seg := range []int64{0, 256} {
+		w, err := Open(t.TempDir(), Options{SegmentBytes: seg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		const n = 200
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs <- w.AppendDurable(payloadN(i), false)
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("segments of %d B: %v", seg, err)
+			}
+		}
+		st := w.Stats()
+		if st.Appends != n {
+			t.Fatalf("appends = %d, want %d", st.Appends, n)
+		}
+		if st.PendingDurable != 0 {
+			t.Errorf("%d records still pending after AppendDurable returned", st.PendingDurable)
+		}
+		if st.Fsyncs >= n/2 {
+			t.Errorf("segments of %d B: %d fsyncs for %d appends — group commit is not batching", seg, st.Fsyncs, n)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := w.Stats()
-	if st.Appends != n {
-		t.Fatalf("appends = %d, want %d", st.Appends, n)
+}
+
+// TestUnwaitedRecordWaitsForACommit pins what group commit promises a
+// record nobody waits for: it is written and fsynced at the next commit
+// (WaitDurable, Sync, Close) or rotation, not on a timer, and until then
+// Stats().PendingDurable counts it. The buffer holding it stays within a
+// segment, because rotation flushes it.
+func TestUnwaitedRecordWaitsForACommit(t *testing.T) {
+	dir := t.TempDir()
+	const seg = 256
+	w, err := Open(dir, Options{SegmentBytes: seg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.PendingDurable != 0 {
-		t.Errorf("%d records still pending after AppendDurable returned", st.PendingDurable)
+	if _, err := w.Append(payloadN(0), false); err != nil {
+		t.Fatal(err)
 	}
-	if st.Fsyncs >= n/2 {
-		t.Errorf("%d fsyncs for %d appends — group commit is not batching", st.Fsyncs, n)
+	time.Sleep(5 * time.Millisecond) // 25 times the window a timer once gave
+	if st := w.Stats(); st.PendingDurable != 1 {
+		t.Fatalf("PendingDurable = %d before any commit, want 1", st.PendingDurable)
+	}
+	if info, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || info.Size() != 0 {
+		t.Fatalf("segment before any commit: %v, %v; want it empty", info, err)
+	}
+	const n = 100
+	for i := 1; i < n; i++ {
+		if _, err := w.Append(payloadN(i), false); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		buffered := len(w.pending)
+		w.mu.Unlock()
+		if buffered > seg+int(recordedLen(payloadN(i))) {
+			t.Fatalf("%d B buffered after append %d, past a %d B segment", buffered, i, seg)
+		}
+	}
+	if st := w.Stats(); st.Rotations == 0 || st.PendingDurable == 0 || st.PendingDurable == n {
+		t.Fatalf("after %d unwaited appends: %d rotations, %d pending; want rotations to have made some durable", n, st.Rotations, st.PendingDurable)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.PendingDurable != 0 {
+		t.Fatalf("PendingDurable = %d after Sync", st.PendingDurable)
+	}
+	if _, err := w.Append(payloadN(n), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got, _ := collect(t, w2); len(got) != n+1 {
+		t.Fatalf("replayed %d records, want the %d Close committed", len(got), n+1)
 	}
 }
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 256, NoSync: true})
+	w, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +207,7 @@ func TestSegmentRotation(t *testing.T) {
 // records appended after the cut.
 func TestSnapshotTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 128, NoSync: true})
+	w, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +264,7 @@ func TestInstallSnapshotRefusesOversizedImage(t *testing.T) {
 	defer func(old int) { maxSnapshot = old }(maxSnapshot)
 	maxSnapshot = 64
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 128, NoSync: true})
+	w, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +308,7 @@ func TestInstallSnapshotRefusesOversizedImage(t *testing.T) {
 	}
 	reopened := func() *WAL {
 		t.Helper()
-		r, err := Open(dir, Options{NoSync: true})
+		r, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +333,7 @@ func TestInstallSnapshotRefusesOversizedImage(t *testing.T) {
 // the log, so dropping the segment would lose acked data.
 func TestRetainFloorPinsSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 64, NoSync: true})
+	w, err := Open(dir, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +385,7 @@ func TestRetainFloorPinsSegments(t *testing.T) {
 // exactly once, no matter where the cuts fell.
 func TestRetainFloorUnderConcurrentCheckpointAndShed(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 96, NoSync: true})
+	w, err := Open(dir, Options{SegmentBytes: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +472,7 @@ func TestRetainFloorUnderConcurrentCheckpointAndShed(t *testing.T) {
 // never errors.
 func TestReplayStopsAtTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{NoSync: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +514,7 @@ func TestReplayStopsAtTornTail(t *testing.T) {
 // of everything after it.
 func TestReplayStopsAtCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{NoSync: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +559,7 @@ func TestReplayStopsAtCorruptRecord(t *testing.T) {
 // in a fresh segment, leaving the possibly-torn crash tail as it was.
 func TestCrashTailNeverAppendedTo(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{NoSync: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +575,7 @@ func TestCrashTailNeverAppendedTo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, err := Open(dir, Options{NoSync: true})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +627,7 @@ func TestOversizePayloadRejected(t *testing.T) {
 }
 
 func TestLastSerial(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{NoSync: true})
+	w, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

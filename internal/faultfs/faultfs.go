@@ -19,6 +19,7 @@ package faultfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the writable-file surface the WAL uses: sequential reads or
@@ -104,4 +105,31 @@ func (osFS) SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// ReplaceFile replaces the file at path with data on fs so that a crash
+// leaves the old contents or the new, whole, and a nil return means the
+// new survive one: it writes and fsyncs path+".tmp", renames it over
+// path, then fsyncs the directory. A failure before the rename removes
+// the tmp file.
+func ReplaceFile(fs FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.CreateTrunc(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }

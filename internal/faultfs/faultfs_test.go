@@ -382,3 +382,36 @@ func TestFlipByte(t *testing.T) {
 		t.Fatalf("flip missing: %v", err)
 	}
 }
+
+// TestReplaceFile: a replace that returns nil survives a power cut whole,
+// and one that fails on the way leaves the old contents and no tmp file.
+func TestReplaceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
+	if err := ReplaceFile(OS, path, []byte("old")); err != nil {
+		t.Fatalf("first replace: %v", err)
+	}
+	for _, plan := range []Plan{{FailSyncAt: 1}, {TornWriteAt: 1}, {WriteBudget: 1}} {
+		fs := NewFault(OS, plan)
+		if err := ReplaceFile(fs, path, []byte("new")); err == nil {
+			t.Fatalf("%+v: replace succeeded", plan)
+		}
+		if got := readFile(t, path); string(got) != "old" {
+			t.Fatalf("%+v: contents %q after a failed replace", plan, got)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%+v: tmp file left behind: %v", plan, err)
+		}
+	}
+	fs := NewFault(OS, Plan{})
+	if err := ReplaceFile(fs, path, []byte("new")); err != nil {
+		t.Fatalf("replace: %v", err)
+	}
+	fs.PowerCut()
+	if got := readFile(t, path); string(got) != "new" {
+		t.Fatalf("contents %q after a power cut, want the acknowledged replace", got)
+	}
+	if err := ReplaceFile(fs, path, []byte("dead")); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("replace on a halted disk: %v", err)
+	}
+}
