@@ -86,8 +86,8 @@ func main() {
 
 // figures is the evaluation in print order; the names are what -fig accepts.
 var figures = []figure{
-	{"7", func(experiments.RunConfig) {
-		overall, detail := resources.Estimate(resources.Defaults()).Tables()
+	{"7", func(base experiments.RunConfig) {
+		overall, detail := resources.Estimate(base.NSCfg).Tables()
 		fmt.Println(overall)
 		fmt.Println(detail)
 	}},

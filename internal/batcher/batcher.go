@@ -52,7 +52,8 @@ import (
 type Config struct {
 	// BatchSize is the number of events per flushed batch (paper: 50).
 	BatchSize int
-	// StackDepth is the capacity of the cross-stage event stack.
+	// StackDepth is the capacity of the cross-stage event stack (default
+	// DefaultStackDepth).
 	StackDepth int
 	// CEBPs is the number of circulating packets kept in flight.
 	CEBPs int
@@ -73,12 +74,16 @@ type Config struct {
 	SwitchID uint16
 }
 
+// DefaultStackDepth is the depth of the cross-stage event stack NetSeer
+// deploys.
+const DefaultStackDepth = 512
+
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = fevent.DefaultBatchSize
 	}
 	if c.StackDepth <= 0 {
-		c.StackDepth = 512
+		c.StackDepth = DefaultStackDepth
 	}
 	if c.CEBPs <= 0 {
 		c.CEBPs = 9

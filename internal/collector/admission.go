@@ -47,7 +47,7 @@ func (s admitState) String() string {
 const admitFailedState = "durability-failed"
 
 // slowWatermark and shedWatermark are the rungs' thresholds as fractions
-// of the memory budget. Above slow, acks are delayed by AckSlowdown so the
+// of the memory budget. Above slow, acks are delayed by ackSlowdown so the
 // exporter's in-flight window backpressures; above shed (WAL servers
 // only), frames are logged but not indexed.
 const (

@@ -35,22 +35,35 @@ func TestStoreConcurrentIngestAndQuery(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent readers.
+	// Concurrent readers. Each iteration holds the store's lock for a time
+	// independent of its size: counts by switch and by type read the
+	// block summaries, and a one-flow query walks that flow's chain. A
+	// full-store query holds the lock for its whole scan, stalling every
+	// writer for O(store), so only reader 0 runs one, at most every 50 ms.
 	for r := 0; r < 4; r++ {
+		r := r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			var lastFull time.Time
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
-					_ = s.Query(Filter{Type: fevent.TypeCongestion})
-					_ = s.CountByType()
-					_ = s.Len()
-					// Yield so writers progress on single-CPU machines.
-					time.Sleep(time.Millisecond)
 				}
+				sw := uint16(r)
+				flow := flowN(uint32(r*perWriter + i%perWriter))
+				_ = s.Count(Filter{SwitchID: &sw})
+				_ = s.CountByType()
+				_ = s.Query(Filter{Flow: &flow})
+				_ = s.Len()
+				if r == 0 && time.Since(lastFull) >= 50*time.Millisecond {
+					_ = s.Query(Filter{Type: fevent.TypeCongestion})
+					lastFull = time.Now()
+				}
+				// Yield so writers progress on single-CPU machines.
+				time.Sleep(time.Millisecond)
 			}
 		}()
 	}

@@ -92,7 +92,6 @@ func TestServerSlowWatermarkDelaysAcks(t *testing.T) {
 	budget := memAfter(13) * 10 / 7
 	srv, err := NewServerConfig(store, "127.0.0.1:0", ServerConfig{
 		MemoryBudget: budget,
-		AckSlowdown:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +141,6 @@ func TestShedEventsRecoverableAfterRestart(t *testing.T) {
 	srv := startServer(t, store, ServerConfig{
 		WAL:          w,
 		MemoryBudget: budget,
-		AckSlowdown:  time.Microsecond,
 	})
 	defer srv.Close()
 

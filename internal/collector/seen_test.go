@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"netseer/internal/collector/wal"
 	"netseer/internal/faultconn"
@@ -185,7 +184,6 @@ func TestIngestFramesConserve(t *testing.T) {
 		Listener:     ln,
 		WAL:          w,
 		MemoryBudget: memAfter(66) * 10 / 9,
-		AckSlowdown:  time.Microsecond,
 	})
 	cl := fastClient(srv.Addr())
 	const n = 200

@@ -40,9 +40,6 @@ type ServerConfig struct {
 	// (Store.MemoryBytes) via the admission ladder — acks slow at 70 % of
 	// it, a WAL server sheds at 90 %; 0 disables admission control.
 	MemoryBudget int64
-	// AckSlowdown is the delay applied on the slow rung to every ack
-	// written — one per read burst (default 2ms).
-	AckSlowdown time.Duration
 
 	// TraceShard labels this server's ingest and WAL-fsync spans with the
 	// owning fabric shard ID (0 for standalone collectors).
@@ -50,10 +47,13 @@ type ServerConfig struct {
 }
 
 // ackTimeout is the write deadline for one ack frame; keepAlivePeriod
-// paces the TCP keepalives of both ends of an ingest connection.
+// paces the TCP keepalives of both ends of an ingest connection;
+// ackSlowdown is the delay applied on the slow rung to every ack written —
+// one per read burst.
 const (
 	ackTimeout      = 5 * time.Second
 	keepAlivePeriod = 30 * time.Second
+	ackSlowdown     = 2 * time.Millisecond
 )
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -62,9 +62,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 128
-	}
-	if c.AckSlowdown <= 0 {
-		c.AckSlowdown = 2 * time.Millisecond
 	}
 	return c
 }
@@ -562,7 +559,7 @@ func (s *Server) ackLoop(conn net.Conn, acks <-chan ackPoint, done chan<- struct
 		}
 		if s.admit.current() == admitSlow {
 			s.admit.ackDelays.Inc()
-			time.Sleep(s.cfg.AckSlowdown)
+			time.Sleep(ackSlowdown)
 		}
 		conn.SetWriteDeadline(time.Now().Add(ackTimeout))
 		if err := writeAck(conn, ap.seq); err != nil {

@@ -9,24 +9,28 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	"netseer/internal/collector"
 	"netseer/internal/collector/wal"
+	"netseer/internal/faultfs"
 	"netseer/internal/fevent"
 	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
 // storeImages returns the snapshot images of two stores: the older holds
-// batches full exporter batches, the newer those and as many again. At
-// 200 batches the newer spans two blocks, so its columns are long.
-func storeImages(batches uint64) (older, newer []byte) {
+// batches exporter batches of perBatch events, the newer those and as
+// many again. At 200 full batches the newer spans two blocks, so its
+// columns are long.
+func storeImages(batches uint64, perBatch int) (older, newer []byte) {
 	st := collector.NewStore()
-	evs := make([]fevent.Event, fevent.DefaultBatchSize)
+	evs := make([]fevent.Event, perBatch)
 	for seq := uint64(1); seq <= 2*batches; seq++ {
 		ts := sim.Time(seq) * sim.Microsecond
 		for i := range evs {
@@ -76,7 +80,7 @@ func recoveredImage(t testing.TB, w *wal.WAL) []byte {
 // file to load over it. A length over MaxSnapshot is refused from the
 // header alone: the loader is never handed that file.
 func TestCorruptSnapshotFallsBack(t *testing.T) {
-	older, newer := storeImages(200)
+	older, newer := storeImages(200, fevent.DefaultBatchSize)
 	rec := wal.AppendRecord(nil, newer)
 	flipped := bytes.Clone(rec)
 	flipped[len(flipped)-1] ^= 0xff // the last payload byte: a tail byte of the last event
@@ -157,7 +161,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 // recovery passes them over, so the scrubber must quarantine them rather
 // than count them as clean snapshots.
 func TestScrubAppliesRecoverysSnapshotRule(t *testing.T) {
-	older, newer := storeImages(200)
+	older, newer := storeImages(200, fevent.DefaultBatchSize)
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -210,7 +214,7 @@ func TestScrubAppliesRecoverysSnapshotRule(t *testing.T) {
 // record verifies but whose image the store rejects is the snapshot, and
 // recovery fails with the decoder's error rather than passing it over.
 func TestVerifiedSnapshotLoadErrorIsReturned(t *testing.T) {
-	older, _ := storeImages(200)
+	older, _ := storeImages(200, fevent.DefaultBatchSize)
 	w := writeSnapshots(t, t.TempDir(), older, wal.AppendRecord(nil, []byte("NSS3 is not this store's layout")))
 	defer w.Close()
 	if _, _, err := collector.RecoverStore(w); err == nil || !strings.Contains(err.Error(), "magic") {
@@ -228,9 +232,12 @@ func TestVerifiedSnapshotLoadErrorIsReturned(t *testing.T) {
 // exactly that image — or, if the decoder rejects it, recovery fails as
 // a fresh store's LoadSnapshot does; otherwise the store is exactly the
 // older snapshot's.
-// The images are small, so that the fuzzer can minimize an input.
+// The images are small, so that the fuzzer can minimize an input, and
+// the log lives in memory, so that an iteration makes no file-system
+// call.
 func FuzzRecoverSnapshot(f *testing.F) {
-	older, newer := storeImages(2)
+	older, newer := storeImages(2, 3)
+	olderRec := wal.AppendRecord(nil, older)
 	rec := wal.AppendRecord(nil, newer)
 	f.Add(rec)
 	f.Add(rec[:len(rec)-100])
@@ -249,7 +256,13 @@ func FuzzRecoverSnapshot(f *testing.F) {
 		if verified {
 			payload = data[wal.RecordHdrLen:]
 		}
-		w := writeSnapshots(t, t.TempDir(), older, data)
+		w, err := wal.Open("log", wal.Options{FS: memFS{fstest.MapFS{
+			"log/" + wal.SnapName(1): {Data: olderRec},
+			"log/" + wal.SnapName(2): {Data: data},
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer w.Close()
 		st, _, err := collector.RecoverStore(w)
 		switch {
@@ -270,3 +283,48 @@ func FuzzRecoverSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// memFS is a log directory in memory. It keeps the os semantics
+// faultfs.FS asks for as far as opening and recovering a log reaches:
+// Create is exclusive, Open read-only, and the rest is refused.
+type memFS struct{ fstest.MapFS }
+
+func (memFS) MkdirAll(string, os.FileMode) error       { return nil }
+func (memFS) SyncDir(string) error                     { return nil }
+func (memFS) CreateTrunc(string) (faultfs.File, error) { return nil, errors.ErrUnsupported }
+func (memFS) Rename(string, string) error              { return errors.ErrUnsupported }
+func (memFS) Remove(string) error                      { return errors.ErrUnsupported }
+func (memFS) Truncate(string, int64) error             { return errors.ErrUnsupported }
+
+func (m memFS) Create(path string) (faultfs.File, error) {
+	if _, ok := m.MapFS[path]; ok {
+		return nil, &fs.PathError{Op: "create", Path: path, Err: fs.ErrExist}
+	}
+	f := &fstest.MapFile{}
+	m.MapFS[path] = f
+	return memWriter{f}, nil
+}
+
+func (m memFS) Open(path string) (faultfs.File, error) {
+	f, err := m.MapFS.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return memReader{f}, nil
+}
+
+// memWriter appends to its file; memReader reads one.
+type (
+	memWriter struct{ f *fstest.MapFile }
+	memReader struct{ fs.File }
+)
+
+func (w memWriter) Write(p []byte) (int, error) {
+	w.f.Data = append(w.f.Data, p...)
+	return len(p), nil
+}
+func (memWriter) Read([]byte) (int, error)  { return 0, errors.ErrUnsupported }
+func (memWriter) Close() error              { return nil }
+func (memWriter) Sync() error               { return nil }
+func (memReader) Write([]byte) (int, error) { return 0, errors.ErrUnsupported }
+func (memReader) Sync() error               { return nil }

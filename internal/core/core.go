@@ -52,18 +52,14 @@ type Config struct {
 	// DisableSeq turns off inter-switch detection entirely (ablation).
 	DisableSeq bool
 
-	// Batch configures the CEBP batcher; SwitchID is filled automatically.
-	Batch batcher.Config
-
 	// MMURedirectBps bounds the MMU→internal-port drop redirection
 	// (default 40 Gb/s, §4).
 	MMURedirectBps float64
 	// InternalPortBps bounds ingress-event redirection: pause + pipeline
-	// drop + MMU drop share it (default 100 Gb/s, §4).
+	// drop + MMU drop share it, and the CEBPs recirculate through it
+	// (default 100 Gb/s, §4).
 	InternalPortBps float64
 
-	// FPElim configures the switch-CPU eliminator.
-	FPElim fpelim.Config
 	// ExportBps paces CPU→backend delivery (default 10 Gb/s).
 	ExportBps float64
 
@@ -76,7 +72,9 @@ type Config struct {
 	SketchCfg sketch.Config
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field at its default: the sizes
+// Attach deploys.
+func (c Config) WithDefaults() Config {
 	if c.GroupSlots <= 0 {
 		c.GroupSlots = groupcache.DefaultSlots
 	}
@@ -346,7 +344,7 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 	if sink == nil {
 		panic("core: sink must not be nil")
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	n := &NetSeerSwitch{
 		sw: sw, cfg: cfg, sim: sw.Sim(), sink: sink,
 		congThreshold:  sw.Config().CongestionThreshold,
@@ -372,13 +370,8 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 		n.seq[i] = seqtrack.NewPort(cfg.RingSlots)
 		n.portCode[i] = fevent.DropInterSwitch
 	}
-	bcfg := cfg.Batch
-	bcfg.SwitchID = sw.ID
-	if bcfg.InternalPortBps <= 0 {
-		bcfg.InternalPortBps = cfg.InternalPortBps
-	}
-	n.batcher = batcher.New(sw.Sim(), bcfg, n.onBatch)
-	n.elim = fpelim.New(cfg.FPElim, sw.Sim().Now)
+	n.batcher = batcher.New(sw.Sim(), batcher.Config{SwitchID: sw.ID, InternalPortBps: cfg.InternalPortBps}, n.onBatch)
+	n.elim = fpelim.New(fpelim.Config{}, sw.Sim().Now)
 	n.pacer = fpelim.NewPacer(cfg.ExportBps, 1<<20)
 	sw.SetTelemetry(n)
 	if cfg.Sketch {

@@ -465,7 +465,7 @@ func dataFrame(srcPort uint16) *pkt.Packet {
 // TestFrontsFormByArrivalInstantAcrossDelays: frames that arrive at one
 // instant over links of different delays form one front, port-sorted, even
 // though frames arriving earlier and later are admitted between them; each
-// front's arrival work and pipeline run PipelineLatency after its arrival
+// front's arrival work and pipeline run pipelineLatency after its arrival
 // instant.
 func TestFrontsFormByArrivalInstantAcrossDelays(t *testing.T) {
 	s, sw, in, out := mixedDelaySwitch(t)
@@ -485,11 +485,11 @@ func TestFrontsFormByArrivalInstantAcrossDelays(t *testing.T) {
 		{1150, []string{"ingress 1", "begin 1", "forward 1", "end"}},
 	} {
 		log.calls = nil
-		s.Run(front.arrival + 600 - 1)
+		s.Run(front.arrival + pipelineLatency - 1)
 		if len(log.calls) != 0 {
-			t.Fatalf("front of %v ran before its arrival + PipelineLatency: %q", front.arrival, log.calls)
+			t.Fatalf("front of %v ran before its arrival + pipelineLatency: %q", front.arrival, log.calls)
 		}
-		s.Run(front.arrival + 600)
+		s.Run(front.arrival + pipelineLatency)
 		if !slices.Equal(log.calls, front.calls) {
 			t.Errorf("front of %v: %q, want %q", front.arrival, log.calls, front.calls)
 		}

@@ -24,6 +24,11 @@ import (
 // priority, as PFC has one class per priority.
 const nQueues = 8
 
+// pipelineLatency is the fixed ingress+egress processing time of every
+// switch. The pipeline forwards frames up to pkt.MaxEthernetFrame; a
+// larger one is an MTU drop.
+const pipelineLatency = 600 * sim.Nanosecond
+
 // Config parameterizes a Switch. Zero fields take defaults.
 type Config struct {
 	// MMUBytes is the shared packet buffer (default 12 MB, in the range of
@@ -32,11 +37,6 @@ type Config struct {
 	// QueueLimitBytes is the per-queue tail-drop threshold (default
 	// 512 KB).
 	QueueLimitBytes int
-	// MTU is the maximum frame the pipeline forwards (default 1518).
-	MTU int
-	// PipelineLatency is the fixed ingress+egress processing time
-	// (default 600 ns).
-	PipelineLatency sim.Time
 	// CongestionThreshold is the queuing delay above which a packet is,
 	// by definition, congested (ground truth and NetSeer use the same
 	// threshold; default 10 µs).
@@ -55,12 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueLimitBytes <= 0 {
 		c.QueueLimitBytes = 512 << 10
-	}
-	if c.MTU <= 0 {
-		c.MTU = pkt.MaxEthernetFrame
-	}
-	if c.PipelineLatency <= 0 {
-		c.PipelineLatency = 600 * sim.Nanosecond
 	}
 	if c.CongestionThreshold <= 0 {
 		c.CongestionThreshold = 10 * sim.Microsecond
@@ -108,7 +102,6 @@ type swPort struct {
 	// the highest bit of ready &^ paused.
 	ready, paused uint8
 	bps           float64
-	mtu           int
 
 	// The packet being serialized: busy allows one per port, so it lives
 	// here and txDone, bound once in AddPort, is the only closure the
@@ -196,7 +189,7 @@ func NewSwitch(s *sim.Simulator, id uint16, name string, cfg Config, routes Rout
 // port number. bps is the transmit line rate.
 func (sw *Switch) AddPort(l *link.Link, fromA bool, bps float64) int {
 	n := len(sw.ports)
-	p := &swPort{num: n, lnk: l, fromA: fromA, bps: bps, mtu: sw.cfg.MTU}
+	p := &swPort{num: n, lnk: l, fromA: fromA, bps: bps}
 	for i := range p.pausedUpstream {
 		p.pausedUpstream[i] = make(map[int]struct{})
 	}
@@ -348,7 +341,7 @@ func (sw *Switch) countRx(pt *swPort, p *pkt.Packet) {
 
 // Admit implements link.Admitter: it queues a data frame that arrives on
 // port at instant at for the pipeline. The frames of one arrival instant
-// form one front with one pipeline event, at + PipelineLatency, which runs
+// form one front with one pipeline event, at + pipelineLatency, which runs
 // their arrival work in admission order and then the pipeline.
 func (sw *Switch) Admit(p *pkt.Packet, port int, at sim.Time) {
 	f := sw.frontAt(at)
@@ -369,7 +362,7 @@ func (sw *Switch) frontAt(at sim.Time) *inBurst {
 	f := sw.grabBurst()
 	f.at = at
 	sw.open = slices.Insert(sw.open, i, f)
-	sw.sim.At(at+sw.cfg.PipelineLatency, f.fn)
+	sw.sim.At(at+pipelineLatency, f.fn)
 	return f
 }
 
@@ -518,7 +511,7 @@ func (sw *Switch) pipeline(p *pkt.Packet, port int, now sim.Time) {
 		sw.drop(p, port, fevent.DropPortDown, 0)
 		return
 	}
-	if p.WireLen > pt.mtu {
+	if p.WireLen > pkt.MaxEthernetFrame {
 		sw.drop(p, port, fevent.DropMTUExceeded, 0)
 		return
 	}

@@ -88,14 +88,14 @@ func TestEndToEndForwarding(t *testing.T) {
 }
 
 func TestForwardingLatencyComponents(t *testing.T) {
-	r := newLineRig(t, Config{PipelineLatency: 500 * sim.Nanosecond})
+	r := newLineRig(t, Config{})
 	r.sendAB(1250, 64, 0) // 1250 B = 10,000 bits
 	r.sim.RunAll()
-	// Path: 3 × prop(1µs) + per-switch (pipe 0.5µs + serialization).
+	// Path: 3 × prop(1µs) + per-switch (pipe 0.6µs + serialization).
 	// sw0 egress is the 100 Gb/s fabric link: 10,000 bits → 100 ns.
 	// sw1 egress is the 25 Gb/s host link: 10,000 bits → 400 ns.
 	// (Host NIC serialization is not modeled at injection.)
-	want := 3*sim.Microsecond + 2*500*sim.Nanosecond + 100*sim.Nanosecond + 400*sim.Nanosecond
+	want := 3*sim.Microsecond + 2*600*sim.Nanosecond + 100*sim.Nanosecond + 400*sim.Nanosecond
 	if r.sim.Now() != want {
 		t.Errorf("delivery at %v, want %v", r.sim.Now(), want)
 	}
@@ -213,11 +213,15 @@ func TestPortDownDrop(t *testing.T) {
 }
 
 func TestMTUDrop(t *testing.T) {
-	r := newLineRig(t, Config{MTU: 1000})
-	r.sendAB(1400, 64, 0)
+	r := newLineRig(t, Config{})
+	r.sendAB(pkt.MaxEthernetFrame, 64, 0)
+	r.sendAB(pkt.MaxEthernetFrame+1, 64, 0)
 	r.sim.RunAll()
 	if n := r.sw0.DropsByCode()[fevent.DropMTUExceeded]; n != 1 {
 		t.Errorf("MTU drops = %d, want 1", n)
+	}
+	if len(r.b.got) != 1 || r.b.got[0].WireLen != pkt.MaxEthernetFrame {
+		t.Errorf("host B received %d packets, want the one full-size frame", len(r.b.got))
 	}
 }
 

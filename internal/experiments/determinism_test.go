@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 // TestParallelMatchesSequential: the worker pool must never change
 // results. For two seeds and two figures, the rendered tables produced
 // with SetParallelism(4) must be byte-identical to SetParallelism(1),
-// and RunPoints digests must match point-for-point.
+// and each point's store-order digest must match point-for-point.
 func TestParallelMatchesSequential(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
@@ -78,19 +79,40 @@ func TestParallelMatchesSequential(t *testing.T) {
 				NetSeer: true, InjectPipelineBug: true},
 		}
 		SetParallelism(1)
-		seqPts := RunPoints(pts)
+		seqPts := storeOrderDigests(pts)
 		SetParallelism(4)
-		parPts := RunPoints(pts)
+		parPts := storeOrderDigests(pts)
 		for i := range seqPts {
-			if seqPts[i].ExportedEvents == 0 {
+			if seqPts[i].exported == 0 {
 				t.Errorf("seed %d point %d: no events exported — digest check is vacuous", seed, i)
 			}
-			if seqPts[i].Digest != parPts[i].Digest {
+			if seqPts[i].digest != parPts[i].digest {
 				t.Errorf("seed %d point %d (%s): digest %016x (parallel) != %016x (sequential)",
-					seed, i, pts[i], parPts[i].Digest, seqPts[i].Digest)
+					seed, i, pts[i], parPts[i].digest, seqPts[i].digest)
 			}
 		}
 	}
+}
+
+// pointDigest is one run's exported-event count and an FNV-64a hash over
+// its exported event stream in store order: unlike CanonicalDigest it
+// also pins the order the store ingested the events in.
+type pointDigest struct {
+	exported, digest uint64
+}
+
+// storeOrderDigests runs each config through the worker pool and digests
+// its store.
+func storeOrderDigests(cfgs []RunConfig) []pointDigest {
+	return parallelMap(len(cfgs), func(i int) pointDigest {
+		tb := NewTestbed(cfgs[i])
+		tb.Run()
+		h := fnv.New64a()
+		for _, e := range tb.Store.Query(collector.Filter{}) {
+			fmt.Fprintf(h, "%s@%d\n", e.String(), e.Timestamp)
+		}
+		return pointDigest{exported: tb.NetSeerStats().ExportedEvents, digest: h.Sum64()}
+	})
 }
 
 // TestSeedSensitivity: different seeds must actually change the run

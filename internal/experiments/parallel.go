@@ -77,39 +77,6 @@ func parallelMap[T any](n int, fn func(int) T) []T {
 	return out
 }
 
-// PointResult summarizes one engine run: throughput counters for the
-// benchmark harness and a digest of the exported event stream for
-// determinism checks.
-type PointResult struct {
-	Config         RunConfig
-	RawPackets     uint64
-	ExportedEvents uint64
-	// Digest is an FNV-64a hash over the run's full exported event stream
-	// (string rendering + timestamp, in store order). Two runs of the same
-	// config are byte-identical iff their digests match.
-	Digest uint64
-}
-
-// RunPoints drives one full testbed run per config through the worker
-// pool, as every figure fan-out of cmd/repro does with its own points.
-func RunPoints(cfgs []RunConfig) []PointResult {
-	return parallelMap(len(cfgs), func(i int) PointResult {
-		tb := NewTestbed(cfgs[i])
-		tb.Run()
-		st := tb.NetSeerStats()
-		h := fnv.New64a()
-		for _, e := range tb.Store.Query(collector.Filter{}) {
-			fmt.Fprintf(h, "%s@%d\n", e.String(), e.Timestamp)
-		}
-		return PointResult{
-			Config:         cfgs[i],
-			RawPackets:     st.RawPackets,
-			ExportedEvents: st.ExportedEvents,
-			Digest:         h.Sum64(),
-		}
-	})
-}
-
 // CanonicalDigest is the sorted-line event-stream digest over any set of
 // stores: every event is rendered with its timestamp, the lines are
 // sorted, and the result is FNV-64a hashed, which makes the digest a pure

@@ -48,7 +48,6 @@ type RunConfig struct {
 	EverFlow     bool
 	SamplerRates []int // e.g. {10, 100, 1000}
 	Pingmesh     bool
-	SNMP         bool
 
 	// Fault injection for event-type coverage (Fig. 9).
 	InjectLinkLoss    bool // random silent loss on one fabric link
@@ -101,7 +100,6 @@ type Testbed struct {
 	EverFlow *baselines.EverFlow
 	Samplers []*baselines.Sampler
 	Pingmesh *baselines.Pingmesh
-	SNMP     *baselines.SNMP
 }
 
 // NewTestbed builds the fabric, hosts, monitors and generator.
@@ -143,11 +141,6 @@ func NewTestbed(cfg RunConfig) *Testbed {
 		// One round per second in the paper; compressed to window/4 so
 		// probes exist inside short simulated windows.
 		tb.Pingmesh = baselines.NewPingmesh(s, tb.Hosts, routes, cfg.Window/4, 50*sim.Microsecond)
-	}
-	if cfg.SNMP {
-		var sws []*dataplane.Switch
-		fab.EachSwitch(func(sw *dataplane.Switch) { sws = append(sws, sw) })
-		tb.SNMP = baselines.NewSNMP(s, sws, cfg.Window/4)
 	}
 	clients := tb.Hosts[:cfg.Clients]
 	servers := tb.Hosts[cfg.Clients:]
@@ -243,9 +236,6 @@ func (tb *Testbed) StopAndDrain() {
 	}
 	if tb.Pingmesh != nil {
 		tb.Pingmesh.Stop()
-	}
-	if tb.SNMP != nil {
-		tb.SNMP.Stop()
 	}
 	core.Drain(tb.Sim, tb.NetSeers)
 }

@@ -26,12 +26,15 @@ type SLAConfig struct {
 	// Windows is the number of fault windows; each window draws one cause
 	// profile.
 	Windows int
-	// WindowLen is the duration of one window.
-	WindowLen sim.Time
-	// SLO: an RPC slower than this is a violation.
-	SLO  sim.Time
-	Seed uint64
+	Seed    uint64
 }
+
+const (
+	// slaWindowLen is the duration of one fault window.
+	slaWindowLen = sim.Millisecond
+	// slaSLO: an RPC slower than this is a violation.
+	slaSLO = 300 * sim.Microsecond
+)
 
 func (c SLAConfig) withDefaults() SLAConfig {
 	if c.Pairs <= 0 {
@@ -39,12 +42,6 @@ func (c SLAConfig) withDefaults() SLAConfig {
 	}
 	if c.Windows <= 0 {
 		c.Windows = 24
-	}
-	if c.WindowLen <= 0 {
-		c.WindowLen = sim.Millisecond
-	}
-	if c.SLO <= 0 {
-		c.SLO = 300 * sim.Microsecond
 	}
 	return c
 }
@@ -111,7 +108,7 @@ type slowRPC struct {
 // and scores the three data sources.
 func Fig8bSLA(cfg SLAConfig) *SLAResult {
 	cfg = cfg.withDefaults()
-	total := sim.Time(cfg.Windows) * cfg.WindowLen
+	total := sim.Time(cfg.Windows) * slaWindowLen
 	tbCfg := RunConfig{
 		Dist: workload.CACHE, Load: 0.25, Window: total,
 		Seed: cfg.Seed, NetSeer: true, Pingmesh: true,
@@ -172,15 +169,15 @@ func Fig8bSLA(cfg SLAConfig) *SLAResult {
 	}
 	for w := 0; w < cfg.Windows; w++ {
 		w := w
-		start := sim.Time(w) * cfg.WindowLen
+		start := sim.Time(w) * slaWindowLen
 		tb.Sim.At(start, func() {
 			c := causes[w]
 			for _, ps := range pairs {
 				switch {
 				case c&CauseAppLong != 0:
-					*ps.stall = cfg.SLO * 3
+					*ps.stall = slaSLO * 3
 				case c&CauseAppShort != 0:
-					*ps.stall = cfg.SLO // enough to violate, short of host metrics
+					*ps.stall = slaSLO // enough to violate, short of host metrics
 				default:
 					*ps.stall = 0
 				}
@@ -207,7 +204,7 @@ func Fig8bSLA(cfg SLAConfig) *SLAResult {
 	for i, ps := range pairs {
 		i, ps := i, ps
 		ps.rpc.OnDone(func(lat sim.Time) {
-			if lat > cfg.SLO {
+			if lat > slaSLO {
 				slow = append(slow, slowRPC{at: tb.Sim.Now(), pair: i, latency: lat})
 			}
 		})
@@ -239,7 +236,7 @@ func Fig8bSLA(cfg SLAConfig) *SLAResult {
 		counts[s] = map[Verdict]int{}
 	}
 	windowOf := func(t sim.Time) int {
-		w := int(t / cfg.WindowLen)
+		w := int(t / slaWindowLen)
 		if w >= cfg.Windows {
 			w = cfg.Windows - 1
 		}
@@ -253,8 +250,8 @@ func Fig8bSLA(cfg SLAConfig) *SLAResult {
 		hostSaysApp := c&CauseAppLong != 0
 		// Pingmesh: a slow/lost probe near this time says "network".
 		pmSaysNet := false
-		wStart := sim.Time(w) * cfg.WindowLen
-		wEnd := wStart + cfg.WindowLen
+		wStart := sim.Time(w) * slaWindowLen
+		wEnd := wStart + slaWindowLen
 		for _, obs := range tb.Pingmesh.Slow {
 			if obs.At >= wStart && obs.At < wEnd {
 				pmSaysNet = true

@@ -39,13 +39,14 @@ type Conn struct {
 	Delivered   uint64
 }
 
+// mss is a Conn's segment wire size in bytes.
+const mss = 1400
+
 // ConnConfig parameterizes a Conn.
 type ConnConfig struct {
 	// Window is the send window in segments (default 32). With AIMD set,
 	// this is the maximum window.
 	Window int
-	// MSS is the segment wire size in bytes (default 1400).
-	MSS int
 	// RTO is the retransmission timeout (default 1 ms).
 	RTO sim.Time
 	// Priority selects the egress queue.
@@ -61,9 +62,6 @@ type ConnConfig struct {
 func (c ConnConfig) withDefaults() ConnConfig {
 	if c.Window <= 0 {
 		c.Window = 32
-	}
-	if c.MSS <= 0 {
-		c.MSS = 1400
 	}
 	if c.RTO <= 0 {
 		c.RTO = sim.Millisecond
@@ -100,7 +98,7 @@ func (h *Host) Accept(remoteIP uint32, localPort, remotePort uint16, cfg ConnCon
 // Send queues n bytes (rounded up to whole segments) for transmission.
 func (c *Conn) Send(n int) {
 	for n > 0 {
-		sz := c.cfg.MSS
+		sz := mss
 		if n < sz {
 			sz = n
 		}

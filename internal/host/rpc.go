@@ -16,7 +16,6 @@ type RPC struct {
 	cliConn *Conn // client → server (requests)
 	srvConn *Conn // server → client (responses)
 
-	reqSegs  int
 	respSegs int
 
 	// server-side progress in segments toward the current request.
@@ -33,12 +32,18 @@ type RPC struct {
 	onDone    func(lat sim.Time)
 }
 
+// An RPC channel's request size and its ports: requests run from
+// rpcClientPort to rpcServerPort, responses between the next two ports.
+const (
+	rpcReqBytes   = 4 << 10
+	rpcReqSegs    = (rpcReqBytes + mss - 1) / mss
+	rpcClientPort = 40001
+	rpcServerPort = 5000
+)
+
 // RPCConfig parameterizes an RPC channel.
 type RPCConfig struct {
-	ClientPort uint16
-	ServerPort uint16
-	// ReqBytes / RespBytes size each call (defaults 4 kB / 64 kB).
-	ReqBytes  int
+	// RespBytes sizes each call's response (default 64 kB).
 	RespBytes int
 	// Processing returns the server-side service time per call
 	// (default: constant 10 µs). Inject app-side stalls here.
@@ -48,15 +53,6 @@ type RPCConfig struct {
 }
 
 func (c RPCConfig) withDefaults() RPCConfig {
-	if c.ClientPort == 0 {
-		c.ClientPort = 40001
-	}
-	if c.ServerPort == 0 {
-		c.ServerPort = 5000
-	}
-	if c.ReqBytes <= 0 {
-		c.ReqBytes = 4 << 10
-	}
 	if c.RespBytes <= 0 {
 		c.RespBytes = 64 << 10
 	}
@@ -71,14 +67,13 @@ func NewRPC(client, server *Host, cfg RPCConfig) *RPC {
 	cfg = cfg.withDefaults()
 	conn := cfg.Conn.withDefaults()
 	r := &RPC{Client: client, Server: server, cfg: cfg}
-	r.reqSegs = (cfg.ReqBytes + conn.MSS - 1) / conn.MSS
-	r.respSegs = (cfg.RespBytes + conn.MSS - 1) / conn.MSS
-	r.cliConn = client.Dial(server.Node.IP, cfg.ClientPort, cfg.ServerPort, conn)
+	r.respSegs = (cfg.RespBytes + mss - 1) / mss
+	r.cliConn = client.Dial(server.Node.IP, rpcClientPort, rpcServerPort, conn)
 	// Server side of the request stream.
-	server.Accept(client.Node.IP, cfg.ServerPort, cfg.ClientPort, conn, func(seq, size int) {
+	server.Accept(client.Node.IP, rpcServerPort, rpcClientPort, conn, func(seq, size int) {
 		r.gotReq++
-		if r.gotReq >= r.reqSegs {
-			r.gotReq -= r.reqSegs
+		if r.gotReq >= rpcReqSegs {
+			r.gotReq -= rpcReqSegs
 			delay := r.cfg.Processing()
 			server.sim.Schedule(delay, func() {
 				r.srvConn.Send(r.cfg.RespBytes)
@@ -86,8 +81,8 @@ func NewRPC(client, server *Host, cfg RPCConfig) *RPC {
 		}
 	})
 	// Response stream: server → client.
-	r.srvConn = server.Dial(client.Node.IP, cfg.ServerPort+1, cfg.ClientPort+1, conn)
-	client.Accept(server.Node.IP, cfg.ClientPort+1, cfg.ServerPort+1, conn, func(seq, size int) {
+	r.srvConn = server.Dial(client.Node.IP, rpcServerPort+1, rpcClientPort+1, conn)
+	client.Accept(server.Node.IP, rpcClientPort+1, rpcServerPort+1, conn, func(seq, size int) {
 		r.gotResp++
 		if r.gotResp >= r.respSegs {
 			r.gotResp -= r.respSegs
@@ -104,7 +99,7 @@ func (r *RPC) Call() {
 	}
 	r.inflight = true
 	r.started = r.Client.sim.Now()
-	r.cliConn.Send(r.cfg.ReqBytes)
+	r.cliConn.Send(rpcReqBytes)
 }
 
 func (r *RPC) complete() {

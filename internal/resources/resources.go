@@ -11,6 +11,8 @@ package resources
 import (
 	"fmt"
 
+	"netseer/internal/batcher"
+	"netseer/internal/core"
 	"netseer/internal/metrics"
 )
 
@@ -48,30 +50,13 @@ const (
 // program).
 var Components = []Component{Detection, InterSwitch, Dedup, Batching}
 
-// Config describes the deployed NetSeer parameters that drive resource
-// consumption.
-type Config struct {
-	// Ports on the switch (Tofino 32D: 32).
-	Ports int
-	// RingSlots per port (inter-switch SRAM).
-	RingSlots int
-	// GroupSlots per event-type table, and the number of tables.
-	GroupSlots  int
-	GroupTables int
-	// PathSlots in the path-change table.
-	PathSlots int
-	// StackDepth of the CEBP event stack.
-	StackDepth int
-}
-
-// Defaults returns the paper's deployment configuration.
-func Defaults() Config {
-	return Config{
-		Ports: 32, RingSlots: 1024,
-		GroupSlots: 4096, GroupTables: 3,
-		PathSlots: 8192, StackDepth: 512,
-	}
-}
+// The deployment's fixed shape: a Tofino 32D has 32 ports, and core
+// keeps one group caching table per deduplicated event type (drop,
+// congestion, pause).
+const (
+	ports       = 32
+	groupTables = 3
+)
 
 // Tofino 32D-class budget used to normalize usage into fractions.
 const (
@@ -88,9 +73,11 @@ const (
 // Usage is the fraction [0,1] of one resource class one component uses.
 type Usage map[Class]map[Component]float64
 
-// Estimate produces the per-component, per-class usage fractions for a
-// configuration.
-func Estimate(cfg Config) Usage {
+// Estimate produces the per-component, per-class usage fractions of
+// NetSeer deployed with cfg: its table and ring sizes after core's
+// defaults, and the batcher's default stack.
+func Estimate(cfg core.Config) Usage {
+	cfg = cfg.WithDefaults()
 	u := make(Usage)
 	add := func(cl Class, comp Component, frac float64) {
 		if u[cl] == nil {
@@ -123,7 +110,7 @@ func Estimate(cfg Config) Usage {
 
 	// Inter-switch: per-port rings (SRAM) + seq counters + gap trackers —
 	// register-heavy.
-	ringBytes := float64(cfg.Ports*cfg.RingSlots) * 20
+	ringBytes := float64(ports*cfg.RingSlots) * 20
 	add(SRAM, InterSwitch, ringBytes/totalSRAMBytes)
 	add(HashBits, InterSwitch, 0.02)
 	add(StatefulALU, InterSwitch, 0.145)
@@ -132,7 +119,7 @@ func Estimate(cfg Config) Usage {
 
 	// Dedup: group caching tables — exact-match SRAM + one register pair
 	// (counter, target) per table.
-	groupBytes := float64(cfg.GroupTables*cfg.GroupSlots) * 24
+	groupBytes := float64(groupTables*cfg.GroupSlots) * 24
 	add(SRAM, Dedup, groupBytes/totalSRAMBytes)
 	add(ExactXbar, Dedup, 0.02)
 	add(HashBits, Dedup, 0.03)
@@ -143,7 +130,7 @@ func Estimate(cfg Config) Usage {
 	// Batching: cross-stage stack + CEBP bookkeeping — the most
 	// register-hungry module (§4: batching + inter-switch = 28 points of
 	// stateful ALU).
-	stackBytes := float64(cfg.StackDepth) * 24
+	stackBytes := float64(batcher.DefaultStackDepth) * 24
 	add(SRAM, Batching, stackBytes/totalSRAMBytes)
 	add(StatefulALU, Batching, 0.135)
 	add(VLIWActions, Batching, 0.02)

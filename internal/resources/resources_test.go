@@ -1,11 +1,14 @@
 package resources
 
 import (
+	"math"
 	"testing"
+
+	"netseer/internal/core"
 )
 
 func TestHeadlineFigures(t *testing.T) {
-	u := Estimate(Defaults())
+	u := Estimate(core.Config{})
 	// §4: every class except stateful ALU below ~20% NetSeer-added usage;
 	// stateful ALU ~40% total with batching+inter-switch ≈ 28 points.
 	for _, cl := range Classes {
@@ -27,19 +30,29 @@ func TestHeadlineFigures(t *testing.T) {
 }
 
 func TestUsageScalesWithConfig(t *testing.T) {
-	small := Estimate(Config{Ports: 32, RingSlots: 64, GroupSlots: 256, GroupTables: 3, PathSlots: 1024, StackDepth: 64})
-	big := Estimate(Config{Ports: 64, RingSlots: 4096, GroupSlots: 16384, GroupTables: 3, PathSlots: 32768, StackDepth: 1024})
-	if small.Total(SRAM) >= big.Total(SRAM) {
-		t.Errorf("SRAM usage did not scale: %.3f vs %.3f", small.Total(SRAM), big.Total(SRAM))
+	base := core.Config{}.WithDefaults()
+	u := Estimate(base)
+	groups, paths := base, base
+	groups.GroupSlots *= 2
+	paths.PathSlots *= 2
+	ug, up := Estimate(groups), Estimate(paths)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+	if got, want := ug[SRAM][Dedup], 2*u[SRAM][Dedup]; !near(got, want) {
+		t.Errorf("doubling GroupSlots: dedup SRAM %.4f, want %.4f", got, want)
 	}
-	// Float summation order over the map varies; compare with tolerance.
-	if d := small.NetSeerOnly(StatefulALU) - big.NetSeerOnly(StatefulALU); d > 1e-9 || d < -1e-9 {
-		t.Error("stateful ALU should be structural, not size-dependent")
+	if got, want := up[SRAM][Detection], 2*u[SRAM][Detection]; !near(got, want) {
+		t.Errorf("doubling PathSlots: detection SRAM %.4f, want %.4f", got, want)
+	}
+	for _, v := range []Usage{ug, up} {
+		// Float summation order over the map varies; compare with tolerance.
+		if !near(v.NetSeerOnly(StatefulALU), u.NetSeerOnly(StatefulALU)) {
+			t.Error("stateful ALU should be structural, not size-dependent")
+		}
 	}
 }
 
 func TestAllFractionsInRange(t *testing.T) {
-	u := Estimate(Defaults())
+	u := Estimate(core.Config{})
 	for cl, comps := range u {
 		for comp, f := range comps {
 			if f < 0 || f > 1 {
@@ -53,7 +66,7 @@ func TestAllFractionsInRange(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	overall, detail := Estimate(Defaults()).Tables()
+	overall, detail := Estimate(core.Config{}).Tables()
 	if overall.Rows() != len(Classes) {
 		t.Errorf("overall rows = %d", overall.Rows())
 	}

@@ -30,13 +30,13 @@ type Config struct {
 	// SpikeBytes is the per-(egress port, window) byte threshold for an
 	// aggregate-spike event (default 64 KiB).
 	SpikeBytes uint64
-	// HHSeenSlots sizes the direct-indexed seen-filter that keeps a
-	// heavy-hitter from re-reporting on every packet past the threshold
-	// (default 1024; must cope like a groupcache table — collisions evict,
-	// the evictee re-reports, and the CPU eliminator absorbs the
-	// duplicate).
-	HHSeenSlots int
 }
+
+// hhSeenSlots sizes the direct-indexed seen-filter that keeps a
+// heavy-hitter from re-reporting on every packet past the threshold. It
+// copes like a groupcache table: collisions evict, the evictee
+// re-reports, and the CPU eliminator absorbs the duplicate.
+const hhSeenSlots = 1024
 
 func (c Config) withDefaults() Config {
 	if c.CMSWidth <= 0 {
@@ -59,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SpikeBytes == 0 {
 		c.SpikeBytes = 64 << 10
-	}
-	if c.HHSeenSlots <= 0 {
-		c.HHSeenSlots = 1024
 	}
 	return c
 }
@@ -95,8 +92,7 @@ type Stage struct {
 	cms  *CMS
 	topk *TopK
 
-	seen     []hhSeen
-	seenMask uint32
+	seen [hhSeenSlots]hhSeen
 
 	// Per-egress-port byte accumulators for the current window, plus the
 	// per-port byte level already emitted for it — Flush can then re-emit
@@ -128,16 +124,10 @@ func NewStage(cfg Config, ports int, report ReportFunc) *Stage {
 		panic("sketch: ports must be positive")
 	}
 	cfg = cfg.withDefaults()
-	slots := 1
-	for slots < cfg.HHSeenSlots {
-		slots <<= 1
-	}
 	return &Stage{
 		cfg:       cfg,
 		cms:       NewCMS(cfg.CMSWidth, cfg.CMSDepth, true),
 		topk:      NewTopK(cfg.TopK),
-		seen:      make([]hhSeen, slots),
-		seenMask:  uint32(slots - 1),
 		portBytes: make([]uint64, ports),
 		emitted:   make([]uint64, ports),
 		report:    report,
@@ -231,7 +221,7 @@ func (s *Stage) Offer(p *pkt.Packet, in, out int32, now sim.Time) {
 
 	est := s.cms.Update(h)
 	if est >= s.cfg.HHThresholdPkts {
-		slot := &s.seen[h&s.seenMask]
+		slot := &s.seen[h&(hhSeenSlots-1)]
 		if !slot.used || slot.hash != h || slot.flow != p.Flow {
 			if slot.used {
 				s.stats.SeenEvict++

@@ -20,13 +20,15 @@ type FatTreeConfig struct {
 	// With fewer cores than (K/2)², core c connects to aggregation switch
 	// c mod K/2 of every pod, keeping every agg reachable.
 	Cores int
-	// FabricBps is switch-switch link speed (default 100 Gb/s).
-	FabricBps float64
-	// HostBps is host-edge link speed (default 25 Gb/s).
-	HostBps float64
-	// PropDelay is per-link propagation delay (default 1 µs).
-	PropDelay sim.Time
 }
+
+// Link defaults: switch-switch speed, host-edge speed and per-link
+// propagation delay.
+const (
+	defaultFabricBps = 100e9
+	defaultHostBps   = 25e9
+	defaultPropDelay = sim.Microsecond
+)
 
 func (c FatTreeConfig) withDefaults() FatTreeConfig {
 	if c.Pods <= 0 {
@@ -34,15 +36,6 @@ func (c FatTreeConfig) withDefaults() FatTreeConfig {
 	}
 	if c.HostsPerEdge <= 0 {
 		c.HostsPerEdge = c.K / 2
-	}
-	if c.FabricBps <= 0 {
-		c.FabricBps = 100e9
-	}
-	if c.HostBps <= 0 {
-		c.HostBps = 25e9
-	}
-	if c.PropDelay <= 0 {
-		c.PropDelay = sim.Microsecond
 	}
 	return c
 }
@@ -85,18 +78,18 @@ func FatTree(cfg FatTreeConfig) *Topology {
 		if nCores == half*half {
 			for a := 0; a < half; a++ {
 				for c := 0; c < half; c++ {
-					t.AddLink(aggs[a], cores[a*half+c], cfg.FabricBps, cfg.PropDelay)
+					t.AddLink(aggs[a], cores[a*half+c], defaultFabricBps, defaultPropDelay)
 				}
 			}
 		} else {
 			for c := 0; c < nCores; c++ {
-				t.AddLink(aggs[c%half], cores[c], cfg.FabricBps, cfg.PropDelay)
+				t.AddLink(aggs[c%half], cores[c], defaultFabricBps, defaultPropDelay)
 			}
 		}
 		// Edge ↔ agg: full bipartite within the pod.
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				t.AddLink(edges[e], aggs[a], cfg.FabricBps, cfg.PropDelay)
+				t.AddLink(edges[e], aggs[a], defaultFabricBps, defaultPropDelay)
 			}
 		}
 		// Hosts.
@@ -107,7 +100,7 @@ func FatTree(cfg FatTreeConfig) *Topology {
 					Name: fmt.Sprintf("h%d-%d-%d", p, e, h),
 					IP:   HostIP(p, e, h),
 				})
-				t.AddLink(id, edges[e], cfg.HostBps, cfg.PropDelay)
+				t.AddLink(id, edges[e], defaultHostBps, defaultPropDelay)
 			}
 		}
 	}
@@ -129,13 +122,13 @@ func Line(nSwitches int, fabricBps, hostBps float64, propDelay sim.Time) *Topolo
 		panic("topo: line needs at least one switch")
 	}
 	if fabricBps <= 0 {
-		fabricBps = 100e9
+		fabricBps = defaultFabricBps
 	}
 	if hostBps <= 0 {
-		hostBps = 25e9
+		hostBps = defaultHostBps
 	}
 	if propDelay <= 0 {
-		propDelay = sim.Microsecond
+		propDelay = defaultPropDelay
 	}
 	t := New()
 	sws := make([]NodeID, nSwitches)

@@ -12,14 +12,9 @@ type GenConfig struct {
 	Dist *Distribution
 	// Load is the target fraction of each client's uplink (paper: 0.70).
 	Load float64
-	// ClientBps is the client uplink speed (paper: 25 Gb/s).
-	ClientBps float64
 	// FanIn is the number of distinct servers each client spreads its
 	// flows over (paper: 4).
 	FanIn int
-	// MSS is the packet size for flow bodies (default 1000 B; the paper's
-	// average packet is ~1 kB).
-	MSS int
 	// FlowBps paces each flow's packets (default 20 Gb/s — around what a
 	// congestion-controlled sender sustains on a 25 Gb/s NIC; two
 	// colliding flows overload a server downlink, producing the transient
@@ -28,27 +23,24 @@ type GenConfig struct {
 	FlowBps float64
 	// Seed drives arrivals, sizes and destination choice.
 	Seed uint64
-	// BasePort numbers flows; each flow gets a distinct source port.
-	BasePort uint16
-	// Priority tags generated packets.
-	Priority uint8
 }
+
+const (
+	// clientBps is the client uplink speed (paper: 25 Gb/s).
+	clientBps = 25e9
+	// mss is the packet size for flow bodies (the paper's average packet
+	// is ~1 kB).
+	mss = 1000
+	// basePort numbers flows; each flow gets a distinct source port.
+	basePort = 10000
+)
 
 func (c GenConfig) withDefaults() GenConfig {
 	if c.Load <= 0 {
 		c.Load = 0.70
 	}
-	if c.ClientBps <= 0 {
-		c.ClientBps = 25e9
-	}
 	if c.FanIn <= 0 {
 		c.FanIn = 4
-	}
-	if c.MSS <= 0 {
-		c.MSS = 1000
-	}
-	if c.BasePort == 0 {
-		c.BasePort = 10000
 	}
 	if c.FlowBps == 0 {
 		c.FlowBps = 20e9
@@ -126,7 +118,7 @@ func (g *Generator) Start() {
 // meanInterArrival returns the per-client mean time between flow
 // arrivals that achieves the target load.
 func (g *Generator) meanInterArrival() sim.Time {
-	bytesPerSec := g.cfg.Load * g.cfg.ClientBps / 8
+	bytesPerSec := g.cfg.Load * clientBps / 8
 	flowsPerSec := bytesPerSec / g.cfg.Dist.Mean()
 	return sim.Time(1e9 / flowsPerSec)
 }
@@ -158,11 +150,11 @@ func (g *Generator) startFlow(ci int) {
 	flow := pkt.FlowKey{
 		SrcIP:   client.Node.IP,
 		DstIP:   server.Node.IP,
-		SrcPort: g.cfg.BasePort + uint16(g.flowSeq%40000),
+		SrcPort: basePort + uint16(g.flowSeq%40000),
 		DstPort: DataPort,
 		Proto:   pkt.ProtoTCP,
 	}
-	packets := (size + g.cfg.MSS - 1) / g.cfg.MSS
+	packets := (size + mss - 1) / mss
 	if packets < 1 {
 		packets = 1
 	}
@@ -173,7 +165,7 @@ func (g *Generator) startFlow(ci int) {
 		g.onFlow(g.sim.Now(), flow, size)
 	}
 	if g.cfg.FlowBps < 0 {
-		client.SendUDP(flow, packets, g.cfg.MSS, g.cfg.Priority)
+		client.SendUDP(flow, packets, mss, 0)
 		return
 	}
 	g.pace(client, flow, packets)
@@ -184,7 +176,7 @@ func (g *Generator) startFlow(ci int) {
 // k leaves at k·gap. The flow holds one armed chunk at a time.
 func (g *Generator) pace(client *host.Host, flow pkt.FlowKey, packets int) {
 	f := &pacedFlow{g: g, client: client, flow: flow, left: packets,
-		gap: sim.Time(float64(g.cfg.MSS*8*chunk) / g.cfg.FlowBps * 1e9)}
+		gap: sim.Time(float64(mss*8*chunk) / g.cfg.FlowBps * 1e9)}
 	f.next = f.send
 	f.send()
 }
@@ -208,7 +200,7 @@ func (f *pacedFlow) send() {
 		return
 	}
 	n := min(chunk, f.left)
-	f.client.SendUDP(f.flow, n, f.g.cfg.MSS, f.g.cfg.Priority)
+	f.client.SendUDP(f.flow, n, mss, 0)
 	if f.left -= n; f.left > 0 {
 		f.g.sim.Schedule(f.gap, f.next)
 	}

@@ -204,7 +204,7 @@ func TestPacedFlowKeepsOneArmedChunk(t *testing.T) {
 	g := NewGenerator(n.sim, n.hosts[:1], n.hosts[8:9], GenConfig{Dist: WEB, Seed: 1})
 	flow := pkt.FlowKey{SrcIP: client.Node.IP, DstIP: server.Node.IP, SrcPort: 1, DstPort: DataPort, Proto: pkt.ProtoTCP}
 	const packets = 1000
-	gap := sim.Time(float64(1000*8*chunk) / 20e9 * 1e9) // default MSS and FlowBps
+	gap := sim.Time(float64(mss*8*chunk) / 20e9 * 1e9) // mss and the default FlowBps
 	sent := func() int { tx, _, _, _ := client.NIC.Stats(); return int(tx) }
 
 	g.pace(client, flow, packets)
