@@ -118,7 +118,7 @@ func main() {
 			fmt.Printf("wrote %d frames to %s\n", w.Frames(), *pcapPath)
 		}()
 		tap := &pcap.Tap{W: w, Clock: tb.Sim.Now}
-		coreNode, _ := tb.Topo.NodeByName("core0")
+		coreNode, _ := tb.Fab.Topo.NodeByName("core0")
 		tb.Fab.Switches[coreNode.ID].AddMonitor(&pcapMonitor{tap: tap})
 	}
 

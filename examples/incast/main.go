@@ -11,8 +11,9 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netseer"
 	"netseer/internal/fevent"
@@ -35,7 +36,8 @@ func main() {
 	congestion := net.Events(netseer.Query{Type: netseer.EventCongestion})
 	fmt.Printf("MMU-drop events: %d, congestion events: %d\n\n", len(drops), len(congestion))
 
-	// Rank contributing flows by their final drop counts.
+	// Rank contributing flows by their final drop counts, equal counts by
+	// flow key: the map hands them over in no fixed order.
 	type contrib struct {
 		flow  netseer.FlowKey
 		count uint16
@@ -50,7 +52,12 @@ func main() {
 	for f, c := range best {
 		ranked = append(ranked, contrib{f, c})
 	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].count > ranked[j].count })
+	slices.SortFunc(ranked, func(a, b contrib) int {
+		return cmp.Or(cmp.Compare(b.count, a.count),
+			cmp.Compare(a.flow.SrcIP, b.flow.SrcIP), cmp.Compare(a.flow.DstIP, b.flow.DstIP),
+			cmp.Compare(a.flow.SrcPort, b.flow.SrcPort), cmp.Compare(a.flow.DstPort, b.flow.DstPort),
+			cmp.Compare(a.flow.Proto, b.flow.Proto))
+	})
 
 	fmt.Println("top flows to reroute (by dropped packets):")
 	for i, c := range ranked {

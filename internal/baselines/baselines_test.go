@@ -23,16 +23,11 @@ type blNet struct {
 
 func newBlNet(t *testing.T, swCfg dataplane.Config) *blNet {
 	t.Helper()
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, 3)
-	n := &blNet{sim: s, fab: fab, gt: gt, routes: routes}
-	for _, hn := range tp.Hosts() {
-		n.hosts = append(n.hosts, host.Attach(s, fab, hn, nic.Config{DisableSeq: true}))
+	fab := dataplane.BuildFabric(topo.Testbed(), swCfg, 3)
+	return &blNet{
+		sim: fab.Sim, fab: fab, gt: fab.GT, routes: fab.Routes,
+		hosts: host.Attach(fab, nic.Config{DisableSeq: true}),
 	}
-	return n
 }
 
 func (n *blNet) addMonitor(m dataplane.Monitor) {

@@ -127,13 +127,20 @@ func ReadRecord(r io.Reader, max uint32, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// readBufSize is a recordReader's read-ahead: one read call fetches this
-// much of a log file, however many records it holds.
+// readBufSize caps a log reader's read-ahead: one read call fetches up
+// to this much of a log file, however many records it holds.
 const readBufSize = 256 << 10
+
+// newReadBuf returns a read-ahead buffer for files of at most largest
+// bytes: as large as the largest, up to readBufSize, so a small log does
+// not pay for the cap on every recovery and scrub.
+func newReadBuf(largest int64) *bufio.Reader {
+	return bufio.NewReaderSize(nil, int(min(largest, readBufSize)))
+}
 
 // recordReader is the one loop over a segment's records: Replay and
 // Scrub read through it. It reads ahead through a bufio.Reader, so a file
-// costs ⌈size/readBufSize⌉ read calls instead of two a record, and
+// costs ⌈size/readBufSize⌉ read calls, not two a record, and
 // decodes every record into one reused buffer, so a payload is the
 // caller's only until the next call. One lives for a Replay or a Scrub;
 // the WAL never keeps one.
@@ -142,8 +149,8 @@ type recordReader struct {
 	buf []byte
 }
 
-func newRecordReader() *recordReader {
-	return &recordReader{br: bufio.NewReaderSize(nil, readBufSize)}
+func newRecordReader(largest int64) *recordReader {
+	return &recordReader{br: newReadBuf(largest)}
 }
 
 // reset points the reader at the start of f, keeping both buffers.

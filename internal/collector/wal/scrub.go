@@ -53,15 +53,33 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 	}
 	active := w.segIdx
 	segs := make([]uint64, 0, len(w.segSizes))
-	for idx := range w.segSizes {
+	var largest int64
+	for idx, size := range w.segSizes {
 		if idx != active {
 			segs = append(segs, idx)
+			largest = max(largest, size)
 		}
 	}
 	w.mu.Unlock()
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
-	rr := newRecordReader()
+	entries, err := w.fs.ReadDir(w.dir)
+	if err != nil {
+		return rep, err
+	}
+	var snaps []string
+	for _, e := range entries {
+		var idx uint64
+		if n, _ := fmt.Sscanf(e.Name(), "snap-%d.snap", &idx); n != 1 || e.Name() != snapName(idx) {
+			continue
+		}
+		snaps = append(snaps, e.Name())
+		if info, err := e.Info(); err == nil {
+			largest = max(largest, info.Size())
+		}
+	}
+
+	rr := newRecordReader(largest)
 	for _, idx := range segs {
 		path := filepath.Join(w.dir, segName(idx))
 		recs, err := w.verifySegment(rr, path)
@@ -83,16 +101,8 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 		w.mu.Unlock()
 	}
 
-	entries, err := w.fs.ReadDir(w.dir)
-	if err != nil {
-		return rep, err
-	}
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snap-%d.snap", &idx); n != 1 || e.Name() != snapName(idx) {
-			continue
-		}
-		path := filepath.Join(w.dir, e.Name())
+	for _, name := range snaps {
+		path := filepath.Join(w.dir, name)
 		verified, err := readSnapshot(w.fs, path, rr.br, nil)
 		if verified {
 			rep.Records++
@@ -105,7 +115,7 @@ func (w *WAL) Scrub() (ScrubReport, error) {
 		if qerr := w.quarantineFile(path); qerr != nil {
 			return rep, qerr
 		}
-		rep.Quarantined = append(rep.Quarantined, fmt.Sprintf("%s: %v", e.Name(), err))
+		rep.Quarantined = append(rep.Quarantined, fmt.Sprintf("%s: %v", name, err))
 		w.mu.Lock()
 		w.quarantined++
 		w.mu.Unlock()

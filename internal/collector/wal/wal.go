@@ -119,9 +119,11 @@ type WAL struct {
 	pending []byte
 
 	// Recovery artifacts from Open, consumed by ReadSnapshot/Replay: the
-	// snapshot files newest first, the segments and the quarantined
-	// segments in index order. The log reads no snapshot until asked.
+	// snapshot files newest first with the size of the largest, the
+	// segments and the quarantined segments in index order. The log
+	// reads no snapshot until asked.
 	snaps      []uint64
+	snapMax    int64
 	replaySegs []uint64
 	quarSegs   []uint64
 
@@ -160,6 +162,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 		return nil, err
 	}
 	var segs, snaps, quar []uint64
+	var snapMax int64
 	segSizes := make(map[uint64]int64)
 	for _, e := range entries {
 		var idx uint64
@@ -171,6 +174,9 @@ func Open(dir string, opt Options) (*WAL, error) {
 		}
 		if n, _ := fmt.Sscanf(e.Name(), "snap-%d.snap", &idx); n == 1 && e.Name() == snapName(idx) {
 			snaps = append(snaps, idx)
+			if info, err := e.Info(); err == nil {
+				snapMax = max(snapMax, info.Size())
+			}
 		}
 		if n, _ := fmt.Sscanf(e.Name(), "wal-%d.seg"+quarSuffix, &idx); n == 1 && e.Name() == segName(idx)+quarSuffix {
 			quar = append(quar, idx)
@@ -186,6 +192,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 		fs:          fs,
 		segSizes:    segSizes,
 		snaps:       snaps,
+		snapMax:     snapMax,
 		replaySegs:  segs,
 		quarSegs:    quar,
 		retainFloor: noRetain,
@@ -287,7 +294,7 @@ func (w *WAL) ReadSnapshot(load func(r io.Reader, n int) error) error {
 	if len(w.snaps) == 0 {
 		return nil
 	}
-	br := bufio.NewReaderSize(nil, readBufSize)
+	br := newReadBuf(w.snapMax)
 	for _, idx := range w.snaps {
 		if verified, err := readSnapshot(w.fs, filepath.Join(w.dir, snapName(idx)), br, load); verified {
 			return err
@@ -332,7 +339,13 @@ func (w *WAL) Snapshot() []byte {
 // buffer: the payload is fn's only for the duration of the call.
 func (w *WAL) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
-	rr := newRecordReader()
+	var largest int64
+	w.mu.Lock()
+	for _, idx := range w.replaySegs {
+		largest = max(largest, w.segSizes[idx])
+	}
+	w.mu.Unlock()
+	rr := newRecordReader(largest)
 	type segItem struct {
 		idx  uint64
 		quar bool

@@ -54,12 +54,9 @@ type rig struct {
 
 func newRig(t *testing.T, swCfg dataplane.Config, nsCfg Config) *rig {
 	t.Helper()
-	s := sim.New()
 	tp := topo.Line(2, 0, 0, 0)
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, 7)
-	r := &rig{sim: s, fab: fab, gt: gt, sink: &memSink{}, a: &hostStub{}, b: &hostStub{}}
+	fab := dataplane.BuildFabric(tp, swCfg, 7)
+	r := &rig{sim: fab.Sim, fab: fab, gt: fab.GT, sink: &memSink{}, a: &hostStub{}, b: &hostStub{}}
 	r.hA, _ = tp.NodeByName("hA")
 	r.hB, _ = tp.NodeByName("hB")
 	fab.AttachHost(r.hA.ID, r.a)

@@ -81,11 +81,9 @@ func TestStrictPriorityScheduling(t *testing.T) {
 
 func TestECMPFlowDistributionAcrossFabric(t *testing.T) {
 	// Many flows from one pod to another spread across both cores.
-	s := sim.New()
 	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	gt := NewGroundTruth()
-	fab := BuildFabric(s, tp, routes, Config{}, gt, 1)
+	fab := BuildFabric(tp, Config{}, 1)
+	s := fab.Sim
 	hosts := tp.Hosts()
 	var srcs, dsts []topo.Node
 	for _, h := range hosts {
@@ -175,10 +173,8 @@ func TestACLTableOrderAndClear(t *testing.T) {
 }
 
 func TestFabricPortNumberingMatchesTopo(t *testing.T) {
-	s := sim.New()
 	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	fab := BuildFabric(s, tp, routes, Config{}, NewGroundTruth(), 1)
+	fab := BuildFabric(tp, Config{}, 1)
 	for _, node := range tp.Switches() {
 		sw := fab.Switches[node.ID]
 		if sw.NumPorts() != len(tp.Ports(node.ID)) {
@@ -188,10 +184,7 @@ func TestFabricPortNumberingMatchesTopo(t *testing.T) {
 }
 
 func TestLinkBetweenLookups(t *testing.T) {
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	fab := BuildFabric(s, tp, routes, Config{}, NewGroundTruth(), 1)
+	fab := BuildFabric(topo.Testbed(), Config{}, 1)
 	if fab.LinkBetween("agg0-0", "core0") == nil {
 		t.Error("existing link not found")
 	}
@@ -596,17 +589,20 @@ func diamond() *topo.Topology {
 // TestPathOfMatchesFabric: on a fault-free fabric, the switches that
 // forward a packet are the ones topo.PathOf predicts, for every (src, dst)
 // host pair — the pipeline and PathOf share one ECMP function and salt.
+// Each switch also maps back to its topology node.
 func TestPathOfMatchesFabric(t *testing.T) {
 	for name, tp := range map[string]*topo.Topology{
 		"testbed":      topo.Testbed(),
 		"fat-tree k=4": topo.FatTree(topo.FatTreeConfig{K: 4}),
 		"diamond":      diamond(),
 	} {
-		s := sim.New()
-		routes := topo.BuildRoutes(tp)
-		fab := BuildFabric(s, tp, routes, Config{}, NewGroundTruth(), 1)
+		fab := BuildFabric(tp, Config{}, 1)
+		s, routes := fab.Sim, fab.Routes
 		trail := make(map[uint64][]topo.NodeID)
 		for node, sw := range fab.Switches {
+			if got := fab.Node(sw); got != node {
+				t.Errorf("%s: %s maps back to node %d, want %d", name, sw.Name, got, node)
+			}
 			sw.SetTelemetry(&forwardTrail{node: node, trail: trail})
 		}
 		stub := &hostStub{}

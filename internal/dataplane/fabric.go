@@ -50,6 +50,8 @@ type Fabric struct {
 	Switches map[topo.NodeID]*Switch
 	// SwitchByID maps the wire-format switch ID back to the switch.
 	SwitchByID map[uint16]*Switch
+	// nodes maps the wire-format switch ID back to its topology node.
+	nodes []topo.NodeID
 	// Links is indexed by topology link index.
 	Links []*link.Link
 	// HostPorts maps each host node to its attach points.
@@ -71,9 +73,11 @@ func (f *Fabric) AddLinkLossHook(fn func(upstream *Switch, p *pkt.Packet, corrup
 }
 
 // BuildFabric instantiates switches and links for every node and edge of
-// the topology on a single simulator. Host nodes get Deferred endpoints
-// to be claimed via HostPorts. seed drives link fault processes.
-func BuildFabric(s *sim.Simulator, tp *topo.Topology, routes *topo.Routes, cfg Config, gt *GroundTruth, seed uint64) *Fabric {
+// the topology on a new simulator, with the topology's routes and a new
+// ground-truth ledger. Host nodes get Deferred endpoints to be claimed
+// via HostPorts. seed drives link fault processes.
+func BuildFabric(tp *topo.Topology, cfg Config, seed uint64) *Fabric {
+	s, routes, gt := sim.New(), topo.BuildRoutes(tp), NewGroundTruth()
 	f := &Fabric{
 		Sim: s, Topo: tp, Routes: routes, GT: gt,
 		Switches:   make(map[topo.NodeID]*Switch),
@@ -90,6 +94,7 @@ func BuildFabric(s *sim.Simulator, tp *topo.Topology, routes *topo.Routes, cfg C
 		sw.pool = f.Pool
 		f.Switches[node.ID] = sw
 		f.SwitchByID[id] = sw
+		f.nodes = append(f.nodes, node.ID)
 	}
 	// Links. Port numbers in the Switch must match the topology's port
 	// numbering, which holds because we add links in topology order and
@@ -185,6 +190,9 @@ func (f *Fabric) AttachHost(node topo.NodeID, dev link.Device) {
 		a.Slot.Dev = dev
 	}
 }
+
+// Node returns the topology node of one of the fabric's switches.
+func (f *Fabric) Node(sw *Switch) topo.NodeID { return f.nodes[sw.ID] }
 
 // EachSwitch runs fn over all switches in wire-ID order.
 func (f *Fabric) EachSwitch(fn func(*Switch)) {

@@ -38,12 +38,9 @@ func newLineRig(t *testing.T, cfg Config) *lineRig {
 // topology's 100 Gb/s default).
 func newLineRigBps(t *testing.T, cfg Config, fabricBps float64) *lineRig {
 	t.Helper()
-	s := sim.New()
 	tp := topo.Line(2, fabricBps, 0, 0)
-	routes := topo.BuildRoutes(tp)
-	gt := NewGroundTruth()
-	fab := BuildFabric(s, tp, routes, cfg, gt, 42)
-	r := &lineRig{sim: s, fab: fab, gt: gt, a: &hostStub{}, b: &hostStub{}}
+	fab := BuildFabric(tp, cfg, 42)
+	r := &lineRig{sim: fab.Sim, fab: fab, gt: fab.GT, a: &hostStub{}, b: &hostStub{}}
 	r.hA, _ = tp.NodeByName("hA")
 	r.hB, _ = tp.NodeByName("hB")
 	fab.AttachHost(r.hA.ID, r.a)

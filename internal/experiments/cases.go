@@ -100,15 +100,12 @@ func Case1RoutingError(seed uint64) CaseResult {
 	ce := newCaseEnv(seed)
 	tb := ce.tb
 	victim := tb.Hosts[len(tb.Hosts)-1]
-	coreNode, _ := tb.Topo.NodeByName("core0")
+	coreNode, _ := tb.Fab.Topo.NodeByName("core0")
 	core := tb.Fab.Switches[coreNode.ID]
 	ce.injected = tb.Cfg.Window / 4
 	tb.Sim.Schedule(ce.injected, func() { core.SetRouteOverride(victim.Node.IP, []int{}) })
 	ce.driveVictim(victim.Node.IP)
-	tb.Gen.Start()
-	tb.Sim.Run(tb.Cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 	lat, ev := ce.firstEvent(func(e *fevent.Event) bool {
 		return e.Type == fevent.TypeDrop && e.DropCode == fevent.DropNoRoute &&
 			e.SwitchID == core.ID && e.Flow.DstIP == victim.Node.IP
@@ -132,10 +129,7 @@ func Case2ACLError(seed uint64) CaseResult {
 		tor.ACL().Add(dataplane.ACLRule{ID: 23, Action: dataplane.ACLDeny, DstIP: victim.Node.IP, DstMask: 0xffffffff})
 	})
 	ce.driveVictim(victim.Node.IP)
-	tb.Gen.Start()
-	tb.Sim.Run(tb.Cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 	lat, ev := ce.firstEvent(func(e *fevent.Event) bool {
 		return e.Type == fevent.TypeDrop && e.DropCode == fevent.DropACLDeny &&
 			e.ACLRule == 23 && e.SwitchID == tor.ID
@@ -155,15 +149,12 @@ func Case3ParityError(seed uint64) CaseResult {
 	ce := newCaseEnv(seed)
 	tb := ce.tb
 	victim := tb.Hosts[len(tb.Hosts)-1]
-	aggNode, _ := tb.Topo.NodeByName("agg1-0")
+	aggNode, _ := tb.Fab.Topo.NodeByName("agg1-0")
 	agg := tb.Fab.Switches[aggNode.ID]
 	ce.injected = tb.Cfg.Window / 4
 	tb.Sim.Schedule(ce.injected, func() { agg.InjectParityError(victim.Node.IP) })
 	ce.driveVictim(victim.Node.IP)
-	tb.Gen.Start()
-	tb.Sim.Run(tb.Cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 	lat, ev := ce.firstEvent(func(e *fevent.Event) bool {
 		return e.Type == fevent.TypeDrop && e.DropCode == fevent.DropParityError &&
 			e.SwitchID == agg.ID
@@ -188,10 +179,7 @@ func Case4UnexpectedVolume(seed uint64) CaseResult {
 	tb.Sim.Schedule(ce.injected, func() {
 		workload.Incast(tb.Sim, tb.Hosts[16:28], rogueTarget, 1<<20, 1000, 0)
 	})
-	tb.Gen.Start()
-	tb.Sim.Run(tb.Cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 	lat, ev := ce.firstEvent(func(e *fevent.Event) bool {
 		return e.Type == fevent.TypeDrop && e.DropCode == fevent.DropMMUCongestion &&
 			e.Flow.DstIP == rogueTarget.Node.IP
@@ -230,10 +218,7 @@ func Case5SSDFirmwareBug(seed uint64) CaseResult {
 		SrcPort: 40001, DstPort: 5000, Proto: pkt.ProtoTCP,
 	}
 	ce.injected = tb.Cfg.Window / 4
-	tb.Gen.Start()
-	tb.Sim.Run(tb.Cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 	// Query both directions of the storage flow: nothing.
 	evs := tb.Store.Query(collector.Filter{Flow: &storage, Since: ce.injected})
 	rev := storage.Reverse()

@@ -63,10 +63,7 @@ func ExtPauseCoverage(seed uint64) *PauseCoverageResult {
 			}
 		})
 	}
-	tb.Gen.Start()
-	tb.Sim.Run(cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 
 	truth := tb.GT.PauseFlowEvents()
 	det := tb.NetSeerDetections()
@@ -89,13 +86,11 @@ type InterCardResult struct {
 // by a backplane link, marks the backplane ports inter-card, injects
 // silent backplane drops, and verifies recovery with the inter-card code.
 func ExtInterCardDetection(seed uint64) *InterCardResult {
-	s := sim.New()
 	// hA — board0 ═(backplane)═ board1 — hB: exactly the Line topology,
 	// with the inter-switch link reinterpreted as the backplane.
 	tp := topo.Line(2, 400e9, 25e9, 100*sim.Nanosecond) // backplane: fat and short
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, gt, seed)
+	fab := dataplane.BuildFabric(tp, dataplane.Config{}, seed)
+	s := fab.Sim
 	store := collector.NewStore()
 	nss := core.Deploy(fab, core.Config{}, store)
 	for _, ns := range nss {
@@ -166,7 +161,7 @@ func ExtPartialDeployment(seed uint64) *PartialDeploymentResult {
 		tb := NewTestbed(RunConfig{
 			Dist: workload.WEB, Load: 0.6, Window: 3 * sim.Millisecond, Seed: seed,
 		})
-		cfg, s, tp, fab := tb.Cfg, tb.Sim, tb.Topo, tb.Fab
+		cfg, s, fab, tp := tb.Cfg, tb.Sim, tb.Fab, tb.Fab.Topo
 		deployed := 0
 		for _, node := range tp.Switches() {
 			if edgeOnly && node.Layer != topo.LayerEdge {
@@ -200,10 +195,7 @@ func ExtPartialDeployment(seed uint64) *PartialDeploymentResult {
 				}
 			})
 		}
-		tb.Gen.Start()
-		s.Run(cfg.Window)
-		tb.Gen.Stop()
-		tb.StopAndDrain()
+		tb.Run()
 		truth := tb.GT.DropFlowEvents(fevent.DropCode.IsPipeline)
 		return Coverage(truth, tb.NetSeerDetections()), deployed, len(tp.Switches())
 	}
@@ -345,15 +337,12 @@ func ExtHardwareFailure(seed uint64) *HardwareFailureResult {
 		NetSeer: true,
 	}
 	tb := NewTestbed(cfg)
-	coreNode, _ := tb.Topo.NodeByName("core0")
+	coreNode, _ := tb.Fab.Topo.NodeByName("core0")
 	coreSw := tb.Fab.Switches[coreNode.ID]
 	alerts := 0
 	coreSw.OnSyslog(func(dataplane.SyslogAlert) { alerts++ })
 	tb.Sim.Schedule(cfg.Window/4, coreSw.InjectASICFailure)
-	tb.Gen.Start()
-	tb.Sim.Run(cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 
 	res := &HardwareFailureResult{
 		SyslogAlerts:  alerts,

@@ -35,14 +35,11 @@ func TestFatTreeDigestPinned(t *testing.T) {
 		{name: "loss-burst-seed5", seed: 5, burst: 40, digest: 0xe61343e17147a911, events: 574},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := sim.New()
 			tp := topo.FatTree(topo.FatTreeConfig{K: 4})
 			swCfg := dataplane.Config{CongestionThreshold: 10 * sim.Microsecond}
-			fab := dataplane.BuildFabric(s, tp, topo.BuildRoutes(tp), swCfg, dataplane.NewGroundTruth(), tc.seed)
-			var hosts []*host.Host
-			for _, hn := range tp.Hosts() {
-				hosts = append(hosts, host.Attach(s, fab, hn, nic.Config{}))
-			}
+			fab := dataplane.BuildFabric(tp, swCfg, tc.seed)
+			s := fab.Sim
+			hosts := host.Attach(fab, nic.Config{})
 			store := collector.NewStore()
 			netseers := core.Deploy(fab, core.Config{}, store)
 

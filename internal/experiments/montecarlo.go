@@ -120,7 +120,7 @@ func replayIncident(class incidents.DropClass, seed uint64) IncidentOutcome {
 			l.SetFault(false, link.Fault{SilentLossProb: 0.05})
 		})
 	case incidents.ASICFailure, incidents.MMUFailure:
-		coreNode, _ := tb.Topo.NodeByName("core0")
+		coreNode, _ := tb.Fab.Topo.NodeByName("core0")
 		sw := tb.Fab.Switches[coreNode.ID]
 		sw.OnSyslog(func(dataplane.SyslogAlert) { syslogSeen = true })
 		if class == incidents.ASICFailure {
@@ -142,10 +142,7 @@ func replayIncident(class incidents.DropClass, seed uint64) IncidentOutcome {
 			}
 		})
 	}
-	tb.Gen.Start()
-	tb.Sim.Run(cfg.Window)
-	tb.Gen.Stop()
-	tb.StopAndDrain()
+	tb.Run()
 
 	out := IncidentOutcome{Class: class, ViaSyslog: syslogSeen}
 	if syslogSeen {

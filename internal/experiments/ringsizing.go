@@ -33,12 +33,10 @@ type RingSizingPoint struct {
 // the given packet size on a 2-switch 100 Gb/s line and reports whether a
 // ring of `slots` recovers the victim's flow.
 func ringScenario(slots, pktSize int) bool {
-	s := sim.New()
 	tp := topo.Line(2, 100e9, 100e9, sim.Microsecond)
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	gt.Enabled = false
-	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, gt, 1)
+	fab := dataplane.BuildFabric(tp, dataplane.Config{}, 1)
+	fab.GT.Enabled = false
+	s := fab.Sim
 	var recovered bool
 	hA, _ := tp.NodeByName("hA")
 	hB, _ := tp.NodeByName("hB")

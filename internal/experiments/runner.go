@@ -84,14 +84,12 @@ const everFlowWatch = 16
 
 // Testbed is an assembled evaluation network.
 type Testbed struct {
-	Cfg    RunConfig
-	Sim    *sim.Simulator
-	Topo   *topo.Topology
-	Routes *topo.Routes
-	Fab    *dataplane.Fabric
-	GT     *dataplane.GroundTruth
-	Hosts  []*host.Host
-	Gen    *workload.Generator
+	Cfg   RunConfig
+	Sim   *sim.Simulator
+	Fab   *dataplane.Fabric
+	GT    *dataplane.GroundTruth
+	Hosts []*host.Host
+	Gen   *workload.Generator
 
 	Store    *collector.Store
 	NetSeers []*core.NetSeerSwitch
@@ -105,17 +103,11 @@ type Testbed struct {
 // NewTestbed builds the fabric, hosts, monitors and generator.
 func NewTestbed(cfg RunConfig) *Testbed {
 	cfg = cfg.withDefaults()
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, cfg.SwCfg, gt, cfg.Seed)
+	fab := dataplane.BuildFabric(topo.Testbed(), cfg.SwCfg, cfg.Seed)
+	s := fab.Sim
 	tb := &Testbed{
-		Cfg: cfg, Sim: s, Topo: tp, Routes: routes, Fab: fab, GT: gt,
-		Store: collector.NewStore(),
-	}
-	for _, hn := range tp.Hosts() {
-		tb.Hosts = append(tb.Hosts, host.Attach(s, fab, hn, nic.Config{}))
+		Cfg: cfg, Sim: s, Fab: fab, GT: fab.GT,
+		Hosts: host.Attach(fab, nic.Config{}), Store: collector.NewStore(),
 	}
 	if cfg.NetSeer {
 		tb.NetSeers = core.Deploy(fab, cfg.NSCfg, tb.Store)
@@ -140,7 +132,7 @@ func NewTestbed(cfg RunConfig) *Testbed {
 	if cfg.Pingmesh {
 		// One round per second in the paper; compressed to window/4 so
 		// probes exist inside short simulated windows.
-		tb.Pingmesh = baselines.NewPingmesh(s, tb.Hosts, routes, cfg.Window/4, 50*sim.Microsecond)
+		tb.Pingmesh = baselines.NewPingmesh(s, tb.Hosts, fab.Routes, cfg.Window/4, 50*sim.Microsecond)
 	}
 	clients := tb.Hosts[:cfg.Clients]
 	servers := tb.Hosts[cfg.Clients:]
@@ -185,12 +177,12 @@ func (tb *Testbed) Run() {
 		// keep a set of long-lived flows toward it alive across the flip
 		// so genuine re-path events exist.
 		victim := tb.Hosts[len(tb.Hosts)-2]
-		for _, sw := range tb.Fab.Switches {
+		for node, sw := range tb.Fab.Switches {
 			sw := sw
 			if sw.NumPorts() < 2 {
 				continue
 			}
-			hops := tb.Routes.NextHops(swNode(tb, sw), victim.Node.IP)
+			hops := tb.Fab.Routes.NextHops(node, victim.Node.IP)
 			if len(hops) >= 2 {
 				sw.SetRouteOverride(victim.Node.IP, hops[:1])
 				tb.Sim.Schedule(cfg.Window/2, func() {
@@ -238,16 +230,6 @@ func (tb *Testbed) StopAndDrain() {
 		tb.Pingmesh.Stop()
 	}
 	core.Drain(tb.Sim, tb.NetSeers)
-}
-
-// swNode finds the topology node of a switch (reverse lookup).
-func swNode(tb *Testbed, sw *dataplane.Switch) topo.NodeID {
-	for nid, s := range tb.Fab.Switches {
-		if s == sw {
-			return nid
-		}
-	}
-	panic("experiments: switch not in fabric")
 }
 
 // NetSeerDetections converts the collector's contents into the common

@@ -29,15 +29,9 @@ func TestTCPExportEndToEnd(t *testing.T) {
 	client := collector.NewClientConfig(srv.Addr(), collector.ClientConfig{})
 	defer client.Close()
 
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, gt, 21)
-	var hosts []*host.Host
-	for _, hn := range tp.Hosts() {
-		hosts = append(hosts, host.Attach(s, fab, hn, nic.Config{}))
-	}
+	fab := dataplane.BuildFabric(topo.Testbed(), dataplane.Config{}, 21)
+	s := fab.Sim
+	hosts := host.Attach(fab, nic.Config{})
 	nss := core.Deploy(fab, core.Config{}, client)
 	// A blackhole and victim traffic.
 	victim := hosts[31]

@@ -41,18 +41,23 @@ type connKey struct {
 	remotePort uint16
 }
 
-// Attach builds a host on a fabric attach point. Its packets come from
-// the fabric's pool, which numbers them across the whole simulation.
-func Attach(s *sim.Simulator, fab *dataplane.Fabric, node topo.Node, ncfg nic.Config) *Host {
-	h := &Host{
-		Node: node, sim: s, pool: fab.Pool,
-		services: make(map[uint16]func(*pkt.Packet)),
-		conns:    make(map[connKey]*Conn),
+// Attach builds a host on every host node of the fabric and returns them
+// in topology order. Their packets come from the fabric's pool, which
+// numbers them across the whole simulation.
+func Attach(fab *dataplane.Fabric, ncfg nic.Config) []*Host {
+	var hosts []*Host
+	for _, node := range fab.Topo.Hosts() {
+		h := &Host{
+			Node: node, sim: fab.Sim, pool: fab.Pool,
+			services: make(map[uint16]func(*pkt.Packet)),
+			conns:    make(map[connKey]*Conn),
+		}
+		at := fab.HostPorts[node.ID][0]
+		h.NIC = nic.New(fab.Sim, at.Link, at.FromA, ncfg, fab.Pool, h.deliver)
+		fab.AttachHost(node.ID, h.NIC)
+		hosts = append(hosts, h)
 	}
-	at := fab.HostPorts[node.ID][0]
-	h.NIC = nic.New(s, at.Link, at.FromA, ncfg, fab.Pool, h.deliver)
-	fab.AttachHost(node.ID, h.NIC)
-	return h
+	return hosts
 }
 
 // Handle registers a service on a destination port. fn has the packet for

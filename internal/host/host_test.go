@@ -20,16 +20,8 @@ type testNet struct {
 
 func newTestNet(t *testing.T, swCfg dataplane.Config, ncfg nic.Config) *testNet {
 	t.Helper()
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, 11)
-	n := &testNet{sim: s, fab: fab}
-	for _, hn := range tp.Hosts() {
-		n.hosts = append(n.hosts, Attach(s, fab, hn, ncfg))
-	}
-	return n
+	fab := dataplane.BuildFabric(topo.Testbed(), swCfg, 11)
+	return &testNet{sim: fab.Sim, fab: fab, hosts: Attach(fab, ncfg)}
 }
 
 func TestUDPDeliveryAcrossFabric(t *testing.T) {

@@ -62,7 +62,6 @@ func (t *teeSink) Deliver(b *fevent.Batch) {
 // inputs. Deterministic in sc.
 func Run(sc Scenario) *Result {
 	sc = sc.Normalize()
-	s := sim.New()
 	var tp *topo.Topology
 	switch sc.Topo {
 	case TopoLine2:
@@ -74,24 +73,15 @@ func Run(sc Scenario) *Result {
 	default:
 		tp = topo.FatTree(topo.FatTreeConfig{K: 4})
 	}
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-
 	swCfg := dataplane.Config{CongestionThreshold: 10 * sim.Microsecond}
 	if sc.Pause {
 		swCfg.LosslessMask = 1 << 3
 		swCfg.PFCXoffBytes = 48 << 10
 		swCfg.PFCXonBytes = 24 << 10
 	}
-	fab := dataplane.BuildFabric(s, tp, routes, swCfg, gt, sc.Seed)
-
-	hosts := make([]*host.Host, 0, len(tp.Hosts()))
-	hostByID := make(map[topo.NodeID]*host.Host)
-	for _, hn := range tp.Hosts() {
-		h := host.Attach(s, fab, hn, nic.Config{})
-		hosts = append(hosts, h)
-		hostByID[hn.ID] = h
-	}
+	fab := dataplane.BuildFabric(tp, swCfg, sc.Seed)
+	s, gt := fab.Sim, fab.GT
+	hosts := host.Attach(fab, nic.Config{})
 
 	// Capacity budgets are effectively unlimited: the oracle verifies
 	// detection logic, not capacity loss, so the Lost* counters must stay
@@ -123,9 +113,9 @@ func Run(sc Scenario) *Result {
 	gt.SketchWindow = effSketch.Window
 
 	rng := sim.NewStream(sc.Seed, "oracle")
-	lane := pickLane(tp, fab, hosts, rng)
+	lane := pickLane(fab, hosts, rng)
 	scheduleWorkload(s, sc, hosts, lane, rng)
-	scheduleFaults(s, sc, tp, fab, routes, hostByID, lane, rng)
+	scheduleFaults(s, sc, fab, hosts, lane, rng)
 
 	s.Run(Window)
 	core.Drain(s, netseers)
@@ -151,25 +141,18 @@ func Run(sc Scenario) *Result {
 type lane struct {
 	src, dst *host.Host
 	tor      *dataplane.Switch
-	torNode  topo.NodeID
 	link     *link.Link
 	fromA    bool // fault direction: ToR → fabric
 	torPort  int  // ToR egress port onto the fault link
 }
 
 // pickLane chooses the lane deterministically from rng.
-func pickLane(tp *topo.Topology, fab *dataplane.Fabric, hosts []*host.Host, rng *sim.Stream) lane {
+func pickLane(fab *dataplane.Fabric, hosts []*host.Host, rng *sim.Stream) lane {
+	tp := fab.Topo
 	src := hosts[rng.Intn(len(hosts))]
 	at := fab.HostPorts[src.Node.ID][0]
-	torNode := topo.NodeID(-1)
-	for nid, sw := range fab.Switches {
-		if sw == at.Switch {
-			torNode = nid
-			break
-		}
-	}
-	var l lane
-	l.src, l.tor, l.torNode = src, at.Switch, torNode
+	torNode := fab.Node(at.Switch)
+	l := lane{src: src, tor: at.Switch}
 	// First switch–switch link touching the ToR (in topology order, so
 	// deterministic).
 	for i, tl := range tp.Links() {
@@ -314,9 +297,7 @@ func scheduleWorkload(s *sim.Simulator, sc Scenario, hosts []*host.Host, ln lane
 // them: all traffic toward the source must traverse its ToR, where the
 // fault is installed. Blackhole and parity time-share the victim address
 // (blackhole [W/4, W/2), parity [W/2, 3W/4)) because both key on dstIP.
-func scheduleFaults(s *sim.Simulator, sc Scenario, tp *topo.Topology, fab *dataplane.Fabric,
-	routes *topo.Routes, hostByID map[topo.NodeID]*host.Host, ln lane, rng *sim.Stream) {
-
+func scheduleFaults(s *sim.Simulator, sc Scenario, fab *dataplane.Fabric, hosts []*host.Host, ln lane, rng *sim.Stream) {
 	// Pin the lane destination through the fault link so lane traffic is
 	// guaranteed to cross it (ECMP would otherwise spread it).
 	ln.tor.SetRouteOverride(ln.dst.Node.IP, []int{ln.torPort})
@@ -379,7 +360,7 @@ func scheduleFaults(s *sim.Simulator, sc Scenario, tp *topo.Topology, fab *datap
 		flip := ln.dst
 		for nid, sw := range fab.Switches {
 			sw := sw
-			hops := routes.NextHops(nid, flip.Node.IP)
+			hops := fab.Routes.NextHops(nid, flip.Node.IP)
 			if len(hops) < 2 || sw == ln.tor {
 				continue
 			}
@@ -404,8 +385,7 @@ func scheduleFaults(s *sim.Simulator, sc Scenario, tp *topo.Topology, fab *datap
 		// Fan-in burst onto one receiver; priority 3 is the lossless class
 		// when Pause is set, so the same burst produces PFC pause events.
 		var senders []*host.Host
-		for _, hn := range tp.Hosts() {
-			h := hostByID[hn.ID]
+		for _, h := range hosts {
 			if h != ln.src && h != ln.dst && len(senders) < 8 {
 				senders = append(senders, h)
 			}

@@ -107,15 +107,8 @@ type wlNet struct {
 
 func newWlNet(t *testing.T) *wlNet {
 	t.Helper()
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{}, dataplane.NewGroundTruth(), 5)
-	n := &wlNet{sim: s, fab: fab}
-	for _, hn := range tp.Hosts() {
-		n.hosts = append(n.hosts, host.Attach(s, fab, hn, nic.Config{}))
-	}
-	return n
+	fab := dataplane.BuildFabric(topo.Testbed(), dataplane.Config{}, 5)
+	return &wlNet{sim: fab.Sim, fab: fab, hosts: host.Attach(fab, nic.Config{})}
 }
 
 func TestGeneratorProducesTraffic(t *testing.T) {
@@ -173,15 +166,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestIncastCausesCongestionDrops(t *testing.T) {
-	s := sim.New()
-	tp := topo.Testbed()
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, dataplane.Config{QueueLimitBytes: 64 << 10}, gt, 5)
-	var hosts []*host.Host
-	for _, hn := range tp.Hosts() {
-		hosts = append(hosts, host.Attach(s, fab, hn, nic.Config{}))
-	}
+	fab := dataplane.BuildFabric(topo.Testbed(), dataplane.Config{QueueLimitBytes: 64 << 10}, 5)
+	s, gt := fab.Sim, fab.GT
+	hosts := host.Attach(fab, nic.Config{})
 	// 16 senders, 1 MB each, one receiver: must overflow its ToR queue.
 	Incast(s, hosts[8:24], hosts[0], 1<<20, 1000, 0)
 	s.RunAll()

@@ -93,21 +93,15 @@ type NetworkConfig struct {
 
 // Network is a fully assembled, monitored, simulated network.
 type Network struct {
-	cfg    NetworkConfig
-	sim    *sim.Simulator
-	topo   *topo.Topology
-	routes *topo.Routes
-	fab    *dataplane.Fabric
-	gt     *dataplane.GroundTruth
-	store  *collector.Store
-	ns     []*core.NetSeerSwitch
-	hosts  map[string]*host.Host
+	fab   *dataplane.Fabric
+	store *collector.Store
+	ns    []*core.NetSeerSwitch
+	hosts []*host.Host // topology order
 }
 
 // NewNetwork builds the selected topology with hosts on every host node
 // and NetSeer on every switch, reporting to an in-process collector.
 func NewNetwork(cfg NetworkConfig) *Network {
-	s := sim.New()
 	var tp *topo.Topology
 	switch cfg.Topology {
 	case TopoLine2:
@@ -117,41 +111,28 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	default:
 		tp = topo.Testbed()
 	}
-	routes := topo.BuildRoutes(tp)
-	gt := dataplane.NewGroundTruth()
-	fab := dataplane.BuildFabric(s, tp, routes, cfg.Switch, gt, cfg.Seed)
-	n := &Network{
-		cfg: cfg, sim: s, topo: tp, routes: routes, fab: fab, gt: gt,
-		store: collector.NewStore(), hosts: make(map[string]*host.Host),
-	}
-	for _, hn := range tp.Hosts() {
-		n.hosts[hn.Name] = host.Attach(s, fab, hn, nic.Config{})
-	}
+	fab := dataplane.BuildFabric(tp, cfg.Switch, cfg.Seed)
+	n := &Network{fab: fab, store: collector.NewStore(), hosts: host.Attach(fab, nic.Config{})}
 	n.ns = core.Deploy(fab, cfg.NetSeer, n.store)
 	return n
 }
 
 // Host returns a host endpoint by topology name (e.g. "h0-0-0", "hA").
 func (n *Network) Host(name string) *host.Host {
-	h, ok := n.hosts[name]
-	if !ok {
-		panic(fmt.Sprintf("netseer: unknown host %q", name))
+	for _, h := range n.hosts {
+		if h.Node.Name == name {
+			return h
+		}
 	}
-	return h
+	panic(fmt.Sprintf("netseer: unknown host %q", name))
 }
 
 // Hosts returns all hosts in topology order.
-func (n *Network) Hosts() []*host.Host {
-	var out []*host.Host
-	for _, hn := range n.topo.Hosts() {
-		out = append(out, n.hosts[hn.Name])
-	}
-	return out
-}
+func (n *Network) Hosts() []*host.Host { return append([]*host.Host(nil), n.hosts...) }
 
 // Switch returns a switch by topology name (e.g. "core0", "edge0-1").
 func (n *Network) Switch(name string) *dataplane.Switch {
-	node, ok := n.topo.NodeByName(name)
+	node, ok := n.fab.Topo.NodeByName(name)
 	if !ok || node.Kind != topo.KindSwitch {
 		panic(fmt.Sprintf("netseer: unknown switch %q", name))
 	}
@@ -168,10 +149,10 @@ func (n *Network) Link(a, b string) *link.Link {
 }
 
 // Sim exposes the simulation clock/scheduler.
-func (n *Network) Sim() *sim.Simulator { return n.sim }
+func (n *Network) Sim() *sim.Simulator { return n.fab.Sim }
 
 // GroundTruth exposes the omniscient event ledger (for verification).
-func (n *Network) GroundTruth() *dataplane.GroundTruth { return n.gt }
+func (n *Network) GroundTruth() *dataplane.GroundTruth { return n.fab.GT }
 
 // Store exposes the in-process collector.
 func (n *Network) Store() *collector.Store { return n.store }
@@ -180,7 +161,7 @@ func (n *Network) Store() *collector.Store { return n.store }
 // NetSeer state so all events are queryable. It can be called repeatedly
 // with increasing horizons.
 func (n *Network) Run(until Time) {
-	n.sim.Run(until)
+	n.fab.Sim.Run(until)
 	for _, ns := range n.ns {
 		ns.Flush()
 	}
@@ -188,7 +169,7 @@ func (n *Network) Run(until Time) {
 
 // Close stops all background machinery (CEBP circulation) and drains the
 // simulation; the Network remains queryable.
-func (n *Network) Close() { core.Drain(n.sim, n.ns) }
+func (n *Network) Close() { core.Drain(n.fab.Sim, n.ns) }
 
 // Events queries the collector.
 func (n *Network) Events(q Query) []Event { return n.store.Query(q) }

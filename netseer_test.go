@@ -9,14 +9,23 @@ import (
 func TestQuickstartFlow(t *testing.T) {
 	net := NewNetwork(NetworkConfig{Topology: TopoLine2, Seed: 1})
 	a, b := net.Host("hA"), net.Host("hB")
+	if a.Node.IP != IP(10, 0, 0, 1) {
+		t.Errorf("hA is at %#x, want 10.0.0.1", a.Node.IP)
+	}
 	// Blackhole hB on sw0 and send traffic.
 	net.Switch("sw0").SetRouteOverride(b.Node.IP, []int{})
 	flow := net.SendBurst(a, b, 1000, 10, 724)
 	net.Run(Millisecond)
+	if now := net.Sim().Now(); now != Millisecond {
+		t.Errorf("clock after Run(1 ms) reads %v", now)
+	}
 	net.Close()
 	events := net.Events(Query{Flow: &flow})
 	if len(events) == 0 {
 		t.Fatal("no events for blackholed flow")
+	}
+	if n := net.Store().Len(); n < len(events) {
+		t.Errorf("the store holds %d events, fewer than the flow's %d", n, len(events))
 	}
 	found := false
 	for _, e := range events {
