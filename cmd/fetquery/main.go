@@ -118,7 +118,7 @@ func watch(interval time.Duration, round func() error) {
 // per shard and cannot be merged without the raw events.
 func runFanOut(coordAddr string, addrs []string, args []string, interval, timeout time.Duration) {
 	if verb := args[0]; verb != "query" && verb != "export" {
-		log.Fatalf("fan-out supports the query verb only (got %q); aim -addr at one shard for %q", verb, verb)
+		log.Fatalf("fan-out supports the query and export verbs only (got %q); aim -addr at one shard for %q", verb, verb)
 	}
 	filter := strings.Join(args[1:], " ")
 	watch(interval, func() error {
@@ -151,7 +151,7 @@ func runTrace(coordAddr string, addrs []string, idArg string, timeout time.Durat
 	if err != nil {
 		log.Fatalf("ring config: %v", err)
 	}
-	res := fabric.FanOutTrace(cfg, id, nil, timeout)
+	res := fabric.FanOutTrace(cfg, id, timeout)
 	fmt.Printf("trace %s (%d spans, epoch %d)\n", trace.FormatID(id), len(res.Spans), cfg.Epoch)
 	for _, j := range res.Spans {
 		line := fmt.Sprintf("%-18s start=%d dur=%dns", j.Stage, j.Start, j.End-j.Start)

@@ -254,13 +254,15 @@ func TestQueryServerLargeResult(t *testing.T) {
 		t.Fatalf("query answered %d rows, export %d, want %d", len(lines), len(exported), n)
 	}
 	var got []fevent.Event
+	var b fevent.Batch
 	for i := range want {
 		if w := want[i].String() + " t=" + want[i].Timestamp.String(); lines[i] != w {
 			t.Fatalf("row %d = %q, want %q", i, lines[i], w)
 		}
 		raw, err := base64.StdEncoding.DecodeString(exported[i])
 		if err == nil {
-			got, err = fevent.DecodeBatches(got, raw)
+			_, err = fevent.DecodeBatch(raw, &b)
+			got = append(got, b.Events...)
 		}
 		if err != nil || len(got) != i+1 || got[i] != want[i] {
 			t.Fatalf("export row %d = %+v (%v), want %+v", i, got[len(got)-1:], err, want[i])

@@ -610,7 +610,7 @@ func TestShardSIGKILLMidRebalance(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatalf("flush of traced batch: %v", err)
 	}
-	tr := fabric.FanOutTrace(cfg, id, nil, 10*time.Second)
+	tr := fabric.FanOutTrace(cfg, id, 10*time.Second)
 	if tr.Partial {
 		t.Fatalf("trace assembly partial (%d/%d shards)", tr.ShardsOK, tr.ShardsTotal)
 	}

@@ -1,10 +1,11 @@
 package fabric
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -72,30 +73,17 @@ func (c *Coordinator) PendingPhase() string {
 // bounded by timeout each) and merges the fabric view.
 func (c *Coordinator) FleetStatus(timeout time.Duration) FleetReport {
 	cfg := c.Config()
-	rep := FleetReport{
-		Epoch:   cfg.Epoch,
-		Pending: c.PendingPhase(),
-		Shards:  make([]FleetShard, len(cfg.Shards)),
-	}
-	var wg sync.WaitGroup
-	for i, s := range cfg.Shards {
-		rep.Shards[i] = FleetShard{ID: s.ID, Admin: s.Admin}
-		wg.Add(1)
-		go func(i int, admin string) {
-			defer wg.Done()
-			row := &rep.Shards[i]
-			resp, err := adminCall(admin, &adminReq{Op: "status"}, timeout)
-			if err != nil {
-				row.Err = err.Error()
-				return
-			}
-			row.Alive = true
-			row.Epoch = resp.Epoch
-			row.OpenTransfers = resp.RBs
-			row.Health = resp.Health
-		}(i, s.Admin)
-	}
-	wg.Wait()
+	rep := FleetReport{Epoch: cfg.Epoch, Pending: c.PendingPhase()}
+	rep.Shards, _ = fanOut(cfg.Shards, func(s ShardInfo) (FleetShard, error) {
+		row := FleetShard{ID: s.ID, Admin: s.Admin}
+		resp, err := adminCall(s.Admin, &adminReq{Op: "status"}, timeout)
+		if err != nil {
+			row.Err = err.Error()
+			return row, nil // a dead shard keeps its row
+		}
+		row.Alive, row.Epoch, row.OpenTransfers, row.Health = true, resp.Epoch, resp.RBs, resp.Health
+		return row, nil
+	})
 
 	rep.Healthy = rep.Pending == ""
 	for i := range rep.Shards {
@@ -121,14 +109,8 @@ func (c *Coordinator) FleetStatus(timeout time.Duration) FleetReport {
 			}
 		}
 	}
-	sort.Slice(rep.Exemplars, func(i, j int) bool {
-		if rep.Exemplars[i].ValueUs != rep.Exemplars[j].ValueUs {
-			return rep.Exemplars[i].ValueUs > rep.Exemplars[j].ValueUs
-		}
-		if rep.Exemplars[i].Shard != rep.Exemplars[j].Shard {
-			return rep.Exemplars[i].Shard < rep.Exemplars[j].Shard
-		}
-		return rep.Exemplars[i].Metric < rep.Exemplars[j].Metric
+	slices.SortFunc(rep.Exemplars, func(a, b FleetExemplar) int {
+		return cmp.Or(cmp.Compare(b.ValueUs, a.ValueUs), cmp.Compare(a.Shard, b.Shard), strings.Compare(a.Metric, b.Metric))
 	})
 	if len(rep.Exemplars) > maxFleetExemplars {
 		rep.Exemplars = rep.Exemplars[:maxFleetExemplars]

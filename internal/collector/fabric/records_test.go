@@ -61,8 +61,8 @@ func TestEventBlobRoundtrip(t *testing.T) {
 			t.Fatalf("event %d changed across roundtrip:\n%+v\n%+v", i, evs[i], got[i])
 		}
 	}
-	if _, err := fevent.DecodeBatches(nil, blob[:len(blob)-1]); err == nil {
-		t.Fatal("truncated event blob decoded without error")
+	if _, err := fevent.CheckImage(blob[:len(blob)-1]); err == nil {
+		t.Fatal("truncated event blob checked without error")
 	}
 }
 

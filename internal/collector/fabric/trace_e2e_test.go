@@ -167,7 +167,7 @@ func TestTraceAssemblyAcrossFabric(t *testing.T) {
 		t.Fatalf("flush after re-route: %v", err)
 	}
 
-	res := fabric.FanOutTrace(cfgB, id, nil, 5*time.Second)
+	res := fabric.FanOutTrace(cfgB, id, 5*time.Second)
 	if res.Partial || res.ShardsOK != 2 {
 		t.Fatalf("assembly partial=%v ok=%d/%d, want full 2/2", res.Partial, res.ShardsOK, res.ShardsTotal)
 	}

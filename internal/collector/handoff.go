@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"netseer/internal/fevent"
-	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -21,14 +20,6 @@ type BatchID struct {
 	Switch uint16
 	Seq    uint64
 }
-
-// eventIdentity is the full-record multiset identity used by the epoch
-// fence — switch (2 B), stamp (8 B) and the 24 B record, its hash taken
-// as its flow key's CRC, as the store holds it: two events are the same
-// iff every field the store keeps matches, timestamp included, so a
-// fence removes exactly the copies it captured and never a later arrival
-// that merely looks similar.
-type eventIdentity [10 + fevent.RecordLen]byte
 
 // ExportWhere returns copies of every stored event satisfying pred, in
 // ingestion order, for in-process readers such as a digest of the store.
@@ -113,12 +104,11 @@ func (s *Store) ImportImage(img []byte) (int, error) {
 	return n, nil
 }
 
-// RemoveImage removes one stored copy per event of the record image img
-// (full-record identity, timestamp included, the hash its key's CRC) by
-// re-appending the survivors to an emptied store from the old columns
-// and dictionary, a stored run at a time: its switch and stamp are keyed
-// once, its records rebuilt one by one, and the survivors go back in runs
-// of up to a buffer's worth (appendRun joins them across a removal and a
+// RemoveImage removes one stored copy per event of the record image img,
+// matched by fevent.Identity, by re-appending the survivors to an emptied
+// store from the old columns and dictionary, a stored run at a time: its
+// records are rebuilt one by one, and the survivors go back in runs of up
+// to a buffer's worth (appendRun joins them across a removal and a
 // flush).
 // Events with no stored match are ignored; it returns how many copies
 // were actually removed. This is the epoch fence: after a handoff
@@ -127,16 +117,11 @@ func (s *Store) RemoveImage(img []byte) (int, error) {
 	if _, err := fevent.CheckImage(img); err != nil || len(img) == 0 {
 		return 0, err
 	}
-	want := make(map[eventIdentity]int)
-	var k eventIdentity
+	want := make(map[fevent.Identity]int)
 	for len(img) > 0 {
 		sw, ts, recs, rest, _ := fevent.SplitBatch(img)
-		binary.BigEndian.PutUint16(k[0:2], sw)
-		binary.BigEndian.PutUint64(k[2:10], uint64(ts))
 		for ; len(recs) > 0; recs = recs[fevent.RecordLen:] {
-			copy(k[10:], recs)
-			binary.BigEndian.PutUint32(k[10+fevent.RecordHashOff:], pkt.WireHash((*flowKey)(k[10+fevent.RecordFlowOff:])))
-			want[k]++
+			want[fevent.IdentityOf(sw, ts, recs)]++
 		}
 		img = rest
 	}
@@ -145,20 +130,19 @@ func (s *Store) RemoveImage(img []byte) (int, error) {
 	old, dict, before := s.blocks, s.flows, s.n
 	s.resetEvents()
 	var buf [64 * fevent.RecordLen]byte
+	var rec [fevent.RecordLen]byte
 	for _, b := range old {
 		for r := range b.runs {
 			ru := &b.runs[r]
-			binary.BigEndian.PutUint16(k[0:2], ru.sw)
-			binary.BigEndian.PutUint64(k[2:10], uint64(ru.ts))
 			recs := buf[:0] // survivors waiting to be re-appended
 			for i, end := int(ru.start), b.runEnd(r); i < end; i++ {
 				_, fid := b.links(i)
-				b.record(&dict, fid, i, (*[fevent.RecordLen]byte)(k[10:]))
-				if want[k] > 0 {
+				b.record(&dict, fid, i, &rec)
+				if k := fevent.IdentityOf(ru.sw, sim.Time(ru.ts), rec[:]); want[k] > 0 {
 					want[k]--
 					continue
 				}
-				if recs = append(recs, k[10:]...); len(recs) == len(buf) {
+				if recs = append(recs, rec[:]...); len(recs) == len(buf) {
 					s.appendRun(ru.sw, ru.ts, recs)
 					recs = buf[:0]
 				}

@@ -1,10 +1,13 @@
 package fevent
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
 	"netseer/internal/obs/trace"
+	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -155,16 +158,36 @@ func CheckImage(img []byte) (int, error) {
 	return n, nil
 }
 
-// DecodeBatches appends to evs the events of every batch in img, which
-// must hold whole batches and nothing else (CheckImage).
-func DecodeBatches(evs []Event, img []byte) ([]Event, error) {
-	var b Batch
-	for len(img) > 0 {
-		var err error
-		if img, err = DecodeBatch(img, &b); err != nil {
-			return nil, err
+// Identity is what makes two stored copies one event, and what the epoch
+// fence and the fabric merge key on: the switch, the stamp and the 24 B
+// record with its hash taken as its flow key's CRC, as a store holds it.
+// Its bytes are the stamp with the sign bit flipped (8 B), the switch
+// (2 B) and the record, so byte order is (Timestamp, SwitchID, record).
+type Identity [8 + 2 + RecordLen]byte
+
+// IdentityOf returns the identity of the event switch sw reported at ts in rec.
+func IdentityOf(sw uint16, ts sim.Time, rec []byte) (id Identity) {
+	binary.BigEndian.PutUint64(id[:], uint64(ts)^1<<63)
+	binary.BigEndian.PutUint16(id[8:], sw)
+	copy(id[10:], rec[:RecordLen])
+	binary.BigEndian.PutUint32(id[10+RecordHashOff:], pkt.WireHash((*[pkt.FlowKeyLen]byte)(id[10+RecordFlowOff:])))
+	return id
+}
+
+// Compare orders id and o by their bytes, eight at a time: -1, 0 or +1.
+func (id *Identity) Compare(o *Identity) int {
+	for i := 0; i < 32; i += 8 {
+		if x, y := binary.BigEndian.Uint64(id[i:]), binary.BigEndian.Uint64(o[i:]); x != y {
+			return cmp.Compare(x, y)
 		}
-		evs = append(evs, b.Events...)
 	}
-	return evs, nil
+	return bytes.Compare(id[32:], o[32:])
+}
+
+// Event decodes the event id names, whose type SplitBatch or a store checked.
+func (id *Identity) Event() (e Event) {
+	_ = e.DecodeRecord(id[10:])
+	e.SwitchID = binary.BigEndian.Uint16(id[8:])
+	e.Timestamp = sim.Time(binary.BigEndian.Uint64(id[:]) ^ 1<<63)
+	return e
 }

@@ -2,9 +2,14 @@ package fevent
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -106,9 +111,8 @@ func TestDetailIsTheRecordDetail(t *testing.T) {
 }
 
 // TestCheckImageAndDecodeBatches: an image of whole batches checks to its
-// record count and decodes to its events after what DecodeBatches was
-// given; a truncated one is refused by both, and the empty image is
-// empty.
+// record count and decodes, batch by batch, to its events; a truncated
+// one is refused by both, and the empty image is empty.
 func TestCheckImageAndDecodeBatches(t *testing.T) {
 	var img []byte
 	var evs []Event
@@ -126,17 +130,18 @@ func TestCheckImageAndDecodeBatches(t *testing.T) {
 	if n, err := CheckImage(img); n != len(evs) || err != nil {
 		t.Fatalf("CheckImage: %d records, %v; want %d", n, err, len(evs))
 	}
-	prefix := Event{Type: TypeDrop}
-	got, err := DecodeBatches([]Event{prefix}, img)
-	if err != nil || len(got) != 1+len(evs) || got[0] != prefix {
-		t.Fatalf("DecodeBatches: %d events, %v", len(got), err)
-	}
-	for i := range evs {
-		if got[1+i] != evs[i] {
-			t.Fatalf("event %d: %+v, want %+v", i, got[1+i], evs[i])
+	decode := func(img []byte) (got []Event, err error) {
+		var b Batch
+		for len(img) > 0 && err == nil {
+			img, err = DecodeBatch(img, &b)
+			got = append(got, b.Events...)
 		}
+		return got, err
 	}
-	if _, err := DecodeBatches(nil, img[:len(img)-1]); err == nil {
+	if got, err := decode(img); err != nil || !slices.Equal(got, evs) {
+		t.Fatalf("the image decodes to %d events (%v), want %d", len(got), err, len(evs))
+	}
+	if _, err := decode(img[:len(img)-1]); err == nil {
 		t.Fatal("a truncated image decoded")
 	}
 	if _, err := CheckImage(img[:len(img)-1]); err == nil {
@@ -145,7 +150,39 @@ func TestCheckImageAndDecodeBatches(t *testing.T) {
 	if n, err := CheckImage(nil); n != 0 || err != nil {
 		t.Fatalf("the empty image: %d, %v", n, err)
 	}
-	if got, err := DecodeBatches(nil, nil); got != nil || err != nil {
+	if got, err := decode(nil); got != nil || err != nil {
 		t.Fatalf("the empty image: %v, %v", got, err)
+	}
+}
+
+// TestIdentityOrderIsTheMergeOrder: for stamps across the whole int64
+// range, identities compare as (Timestamp, SwitchID, record) with the
+// hash taken as the flow key's CRC, and Event gives that event back.
+func TestIdentityOrderIsTheMergeOrder(t *testing.T) {
+	stamps := []sim.Time{math.MinInt64, -1 << 40, -1, 0, 1, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(1))
+	draw := func() (Event, Identity) {
+		f := pkt.FlowKey{SrcIP: uint32(rng.Intn(3)), SrcPort: uint16(rng.Intn(3)), Proto: pkt.ProtoUDP}
+		e := Event{Type: Types[rng.Intn(len(Types))], Flow: f, Hash: f.Hash(), Count: uint16(rng.Intn(2)),
+			SwitchID: uint16(rng.Intn(3)), Timestamp: stamps[rng.Intn(len(stamps))]}
+		e.SetDetail(rng.Uint32() & 0x01010101)
+		rec := e.AppendRecord(nil)
+		binary.BigEndian.PutUint32(rec[RecordHashOff:], rng.Uint32()) // not the CRC: the identity takes the CRC
+		return e, IdentityOf(e.SwitchID, e.Timestamp, rec)
+	}
+	for i := 0; i < 5000; i++ {
+		a, ida := draw()
+		b, idb := draw()
+		want := cmp.Or(cmp.Compare(a.Timestamp, b.Timestamp), cmp.Compare(a.SwitchID, b.SwitchID),
+			bytes.Compare(a.AppendRecord(nil), b.AppendRecord(nil)))
+		if got := ida.Compare(&idb); got != want || bytes.Compare(ida[:], idb[:]) != want {
+			t.Fatalf("%v vs %v: Compare %d, bytes %d, want %d", &a, &b, got, bytes.Compare(ida[:], idb[:]), want)
+		}
+		if got := ida.Event(); got != a {
+			t.Fatalf("Event() = %+v, want %+v", got, a)
+		}
+		if twin := IdentityOf(a.SwitchID, a.Timestamp, a.AppendRecord(nil)); twin != ida || twin.Compare(&ida) != 0 {
+			t.Fatalf("%v: the record's hash changed its identity", &a)
+		}
 	}
 }
