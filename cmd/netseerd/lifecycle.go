@@ -11,7 +11,7 @@ import (
 	"netseer/internal/obs/trace"
 )
 
-// collectorNode is what netseerd runs: a standalone *collector.Server, a
+// collectorNode is what netseerd runs: a standalone *collector.Node, a
 // fabric *fabric.ShardNode, or nil for the coordinator.
 type collectorNode interface {
 	Checkpoint() error
@@ -20,20 +20,22 @@ type collectorNode interface {
 	Healthz() error
 }
 
-// lifecycle is netseerd's one way of running a collector. durable is
-// false for an in-memory collector, which has no log to checkpoint, scrub
-// or drain into; a zero interval disables its ticker.
+// lifecycle is netseerd's one way of running a collector, and the
+// coordinator. durable is false for an in-memory collector, which has no
+// log to checkpoint, scrub or drain into; a zero interval disables its
+// ticker.
 type lifecycle struct {
 	metricsAddr                 string // empty: no metrics server
 	durable                     bool
 	checkpointEvery, scrubEvery time.Duration
+	statsEvery                  time.Duration // -log-stats, in every mode
 	drainGrace                  time.Duration
 	logf                        func(format string, args ...any)
 }
 
-// run serves the metrics, traces and further pages, and c's health, and
-// checkpoints and scrubs c on their tickers until a signal arrives on
-// sig; then it shuts c down gracefully: every accepted frame gets its
+// run serves the metrics, traces and further pages, and c's health, logs
+// the registry's snapshot, and checkpoints and scrubs c on their tickers
+// until a signal arrives on sig; then it shuts c down gracefully: every accepted frame gets its
 // durable ack, then a checkpoint spares the next start the log replay. It
 // fails only if the metrics listener does.
 func (l lifecycle) run(c collectorNode, reg *obs.Registry, sig <-chan os.Signal, pages ...obs.Page) error {
@@ -55,7 +57,7 @@ func (l lifecycle) run(c collectorNode, reg *obs.Registry, sig <-chan os.Signal,
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	every := func(interval time.Duration, fn func()) {
-		if !l.durable || interval <= 0 {
+		if interval <= 0 {
 			return
 		}
 		wg.Add(1)
@@ -73,25 +75,29 @@ func (l lifecycle) run(c collectorNode, reg *obs.Registry, sig <-chan os.Signal,
 			}
 		}()
 	}
-	// Periodic checkpoints bound both restart-replay time and disk usage;
-	// a shard refuses one while a rebalance transfer is open on it.
-	every(l.checkpointEvery, func() {
-		if err := c.Checkpoint(); err != nil {
-			l.logf("netseerd: checkpoint: %v", err)
-		}
-	})
-	// Scrubs catch bit rot in sealed segments and snapshots before a
-	// restart trips over it; the next replay reports a quarantined file
-	// as an explicit gap instead of failing.
-	every(l.scrubEvery, func() {
-		rep, err := c.ScrubWAL()
-		if err != nil {
-			l.logf("netseerd: scrub: %v", err)
-		}
-		for _, q := range rep.Quarantined {
-			l.logf("netseerd: WARNING: scrub quarantined %s (CRC failure; bit rot?)", q)
-		}
-	})
+	if l.durable {
+		// Periodic checkpoints bound both restart-replay time and disk
+		// usage; a shard refuses one while a rebalance transfer is open on
+		// it.
+		every(l.checkpointEvery, func() {
+			if err := c.Checkpoint(); err != nil {
+				l.logf("netseerd: checkpoint: %v", err)
+			}
+		})
+		// Scrubs catch bit rot in sealed segments and snapshots before a
+		// restart trips over it; the next replay reports a quarantined file
+		// as an explicit gap instead of failing.
+		every(l.scrubEvery, func() {
+			rep, err := c.ScrubWAL()
+			if err != nil {
+				l.logf("netseerd: scrub: %v", err)
+			}
+			for _, q := range rep.Quarantined {
+				l.logf("netseerd: WARNING: scrub quarantined %s (CRC failure; bit rot?)", q)
+			}
+		})
+	}
+	every(l.statsEvery, func() { l.logf("obs snapshot:\n%s", obs.SnapshotText(reg)) })
 
 	<-sig
 	close(done)

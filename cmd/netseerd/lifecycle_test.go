@@ -156,3 +156,30 @@ func TestLifecycleFailsOnAMetricsAddressInUse(t *testing.T) {
 		t.Fatalf("run on a taken metrics address: %v", err)
 	}
 }
+
+// TestLifecycleLogsStatsInEveryMode: -log-stats logs the registry's
+// snapshot whatever runs — here the coordinator's lifecycle, with no
+// collector and no log.
+func TestLifecycleLogsStatsInEveryMode(t *testing.T) {
+	logs := &logSink{}
+	life := lifecycle{statsEvery: 2 * time.Millisecond, logf: logs.logf}
+	reg := obs.NewRegistry()
+	obs.RegisterRuntime(reg)
+	sig := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- life.run(nil, reg, sig) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for logs.find("obs snapshot:") == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot logged in 10 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sig <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if line := logs.find("obs snapshot:"); !strings.Contains(line, "go_goroutines") {
+		t.Fatalf("the snapshot holds no runtime series: %q", line)
+	}
+}

@@ -32,10 +32,12 @@
 //	         -ingest :9750 -query :9751 -admin :9753 -coordinator host:9760
 //	netseerd -mode coordinator -fabric-listen :9760 -fabric-state /var/lib/netseer/ring.json
 //
-// A shard is a durable collector plus the admin surface rebalances run
-// through; the coordinator owns the epoch-stamped slot ring and drives
-// membership changes (join/leave/retire) with a durable two-phase record
-// so its own crash mid-rebalance resolves cleanly. See DESIGN.md §11.
+// A shard is the standalone collector (one collector.StartNode, whose
+// recovery report the daemon prints the same way in both modes) plus the
+// admin surface rebalances run through; the coordinator owns the
+// epoch-stamped slot ring and drives membership changes
+// (join/leave/retire) with a durable two-phase record so its own crash
+// mid-rebalance resolves cleanly. See DESIGN.md §11.
 package main
 
 import (
@@ -93,6 +95,7 @@ func main() {
 		durable:         *dataDir != "",
 		checkpointEvery: *snapshotEvery,
 		scrubEvery:      *scrubEvery,
+		statsEvery:      *logStats,
 		drainGrace:      *drainGrace,
 		logf:            log.Printf,
 	}
@@ -111,71 +114,54 @@ func main() {
 	// With a data dir, recovery runs before the first frame is accepted:
 	// newest snapshot, then the log tail, through the same decoder the
 	// wire uses.
-	var store *collector.Store
-	var w *wal.WAL
+	node, err := collector.StartNode(*dataDir, *ingestAddr, *queryAddr, serverConfig(), walOptions(), 0)
+	if err != nil {
+		log.Fatalf("netseerd: starting the collector: %v", err)
+	}
+	defer node.Close()
 	if *dataDir != "" {
-		var err error
-		w, err = wal.Open(*dataDir, wal.Options{SegmentBytes: *segmentBytes})
-		if err != nil {
-			log.Fatalf("write-ahead log: %v", err)
-		}
-		defer w.Close()
-		var rst wal.ReplayStats
-		store, rst, err = collector.RecoverStore(w)
-		if err != nil {
-			log.Fatalf("recovering store from %s: %v", *dataDir, err)
-		}
-		log.Printf("netseerd: recovered %d events from %s (%d log records across %d segments)",
-			store.Len(), *dataDir, rst.Records, rst.Segments)
-		if rst.Truncated {
-			log.Printf("netseerd: log tail truncated at %s (unacked suffix discarded; exporters retransmit)", rst.TruncatedAt)
-		}
-		for _, gap := range rst.Gaps {
-			log.Printf("netseerd: WARNING: replay gap: %s (acked events in the gap are lost; see DESIGN.md §15)", gap)
-		}
-	} else {
-		store = collector.NewStore()
-		if *memBudget > 0 {
-			log.Printf("netseerd: -mem-budget without -data-dir: shedding disabled, overload only slows acks")
-		}
+		logRecovery(log.Printf, *dataDir, node)
+	} else if *memBudget > 0 {
+		log.Printf("netseerd: -mem-budget without -data-dir: shedding disabled, overload only slows acks")
 	}
-	store.RegisterMetrics(reg)
+	node.RegisterMetrics(reg)
+	log.Printf("netseerd: ingesting on %s, queries on %s", node.Addr(), node.QueryAddr())
 
-	ingest, err := collector.NewServerConfig(store, *ingestAddr, collector.ServerConfig{
-		MaxConns:     *maxConns,
-		ReadTimeout:  *readTimeout,
-		WAL:          w,
-		MemoryBudget: *memBudget,
-	})
-	if err != nil {
-		log.Fatalf("ingest listener: %v", err)
-	}
-	defer ingest.Close()
-	ingest.RegisterMetrics(reg)
-	query, err := collector.NewQueryServer(store, *queryAddr)
-	if err != nil {
-		log.Fatalf("query listener: %v", err)
-	}
-	defer query.Close()
-	query.RegisterMetrics(reg)
-	log.Printf("netseerd: ingesting on %s, queries on %s", ingest.Addr(), query.Addr())
-
-	if *logStats > 0 {
-		stop := obs.StartLogger(reg, *logStats, log.Printf)
-		defer stop()
-	}
-	if err := life.run(ingest, reg, shutdownSignal()); err != nil {
+	if err := life.run(node, reg, shutdownSignal()); err != nil {
 		log.Fatalf("netseerd: %v", err)
 	}
-	if w != nil {
+	if w := node.WAL(); w != nil {
 		ws := w.Stats()
 		log.Printf("netseerd: wal: %d appends, %d fsyncs, %d snapshots, %d live segments (%d bytes)",
 			ws.Appends, ws.Fsyncs, ws.Snapshots, ws.Segments, ws.SizeBytes)
 	}
-	st := ingest.Stats()
+	store, st := node.Store(), node.Stats()
 	log.Printf("netseerd: %d events stored (%d replayed batches deduplicated), shutting down", store.Len(), store.DupBatches())
 	log.Printf("netseerd: ingest health: conns=%d rejected=%d accept-retries=%d frames=%d frame-errors=%d acks=%d ack-errors=%d",
 		st.ConnsAccepted, st.ConnsRejected, st.AcceptRetries, st.Frames, st.FrameErrors, st.Acks, st.AckWriteErrors)
+}
+
+// serverConfig and walOptions are the ingest and log tuning the flags
+// set, for a standalone collector and a shard alike.
+func serverConfig() collector.ServerConfig {
+	return collector.ServerConfig{MaxConns: *maxConns, ReadTimeout: *readTimeout, MemoryBudget: *memBudget}
+}
+
+func walOptions() wal.Options { return wal.Options{SegmentBytes: *segmentBytes} }
+
+// logRecovery prints what a durable start recovered from its data dir:
+// the events, log records and segments, a truncated tail, and every
+// replay gap — the one report of a standalone collector and a shard.
+func logRecovery(logf func(format string, args ...any), dir string, node *collector.Node) {
+	rst := node.Replay()
+	logf("netseerd: recovered %d events from %s (%d log records across %d segments)",
+		node.Store().Len(), dir, rst.Records, rst.Segments)
+	if rst.Truncated {
+		logf("netseerd: log tail truncated at %s (unacked suffix discarded; exporters retransmit)", rst.TruncatedAt)
+	}
+	for _, gap := range rst.Gaps {
+		logf("netseerd: WARNING: replay gap: %s (acked events in the gap are lost; see DESIGN.md §15)", gap)
+	}
 }
 
 // shutdownSignal returns a channel that receives SIGINT and SIGTERM from
@@ -200,18 +186,15 @@ func runShard(reg *obs.Registry, life lifecycle) {
 		IngestAddr: *ingestAddr,
 		QueryAddr:  *queryAddr,
 		AdminAddr:  *adminAddr,
-		Server: collector.ServerConfig{
-			MaxConns:     *maxConns,
-			ReadTimeout:  *readTimeout,
-			MemoryBudget: *memBudget,
-		},
-		WAL:      wal.Options{SegmentBytes: *segmentBytes},
-		Registry: reg,
+		Server:     serverConfig(),
+		WAL:        walOptions(),
 	})
 	if err != nil {
 		log.Fatalf("netseerd: shard: %v", err)
 	}
 	defer node.Close()
+	logRecovery(log.Printf, *dataDir, node.Node)
+	node.RegisterMetrics(reg)
 	log.Printf("netseerd: shard %d ingesting on %s, queries on %s, admin on %s (epoch %d)",
 		node.ID, node.IngestAddr(), node.QueryAddr(), node.AdminAddr(), node.Epoch())
 

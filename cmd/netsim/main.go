@@ -89,17 +89,12 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics, traces on /traces\n", osrv.Addr())
 	}
 
-	// Optional TCP export: interpose a client sink on every switch by
-	// re-attaching; simplest is to forward the in-process store at the
-	// end, which preserves batch framing.
+	// Optional TCP export: rather than interpose a client sink on every
+	// switch, the in-process store ships at the end (export).
 	var client *collector.Client
 	if *collectorAddr != "" {
-		// The export path queues the entire run's store before the first
-		// Flush, so the queue must hold every batch: the default 1024-batch
-		// bound silently sheds the tail of a sketch-enabled run (the three
-		// volumetric event types triple the export volume).
 		addrs := strings.Split(*collectorAddr, ",")
-		client = collector.NewClientConfig(addrs[0], collector.ClientConfig{MaxQueue: 1 << 16, Endpoints: addrs[1:]})
+		client = collector.NewClientConfig(addrs[0], collector.ClientConfig{MaxQueue: exportWindow, Endpoints: addrs[1:]})
 		defer client.Close()
 		client.RegisterMetrics(reg)
 	}
@@ -175,47 +170,58 @@ func main() {
 	}
 
 	if client != nil {
-		// Ship everything the switches produced, batch-framed. The
-		// re-framing severs the in-sim batch identity, so the export is
-		// the origin of these batches' wire journey: each gets a fresh
-		// deterministic context keyed by its chunk ordinal, and the
-		// sampled ones leave cross-process traces on the collector
-		// (fetquery -trace / the daemon's /traces).
-		events := tb.Store.Query(collector.Filter{})
-		const chunk = 50
-		for i := 0; i < len(events); i += chunk {
-			end := i + chunk
-			if end > len(events) {
-				end = len(events)
-			}
-			client.Deliver(&fevent.Batch{
-				SwitchID:  events[i].SwitchID,
-				Timestamp: events[i].Timestamp,
-				Events:    events[i:end],
-				Trace:     trace.NewContext(events[i].SwitchID, uint64(i/chunk)),
-			})
+		events, err := export(client, tb.Store)
+		if err != nil {
+			log.Fatalf("export: %v", err)
 		}
-		// Flush fails fast while the collector is unreachable so callers
-		// can tell; here we ride through a transient outage or restart —
-		// the client retransmits unacked batches and the store
-		// deduplicates — and only give up after a deadline.
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			err := client.Flush()
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				log.Fatalf("export: %v", err)
-			}
-			time.Sleep(500 * time.Millisecond)
-		}
-		fmt.Printf("exported %d events to %s\n", len(events), *collectorAddr)
+		fmt.Printf("exported %d events to %s\n", events, *collectorAddr)
 		// RESULTS: report the reliable channel's health alongside the
 		// event counts — reconnects, retransmits, backlog and ack
 		// latency tell the operator whether delivery itself struggled.
 		fmt.Print(client.Stats().Format())
 	}
+}
+
+// exportWindow is how many batches export delivers between flushes, and
+// the client's queue bound: a store ships one batch a stored run, often a
+// single event, so a run of any length must not queue whole.
+const exportWindow = 1 << 12
+
+// export ships everything the switches produced to client, one batch a
+// stored run (Store.AppendImage), so every event travels under its own
+// switch and stamp, and waits until the collector acked them all. The
+// re-framing severs the in-sim batch identity, so the export is the
+// origin of these batches' wire journey: each gets a fresh deterministic
+// context keyed by its ordinal, and the sampled ones leave cross-process
+// traces on the collector (fetquery -trace / the daemon's /traces). It
+// returns how many events it shipped.
+func export(client *collector.Client, store *collector.Store) (int, error) {
+	img, events := store.AppendImage(nil, &collector.Filter{}, nil), 0
+	for i := uint64(0); len(img) > 0; i++ {
+		b := &fevent.Batch{}
+		var err error
+		if img, err = fevent.DecodeBatch(img, b); err != nil {
+			return events, err
+		}
+		b.Trace = trace.NewContext(b.SwitchID, i)
+		client.Deliver(b)
+		events += len(b.Events)
+		if (i+1)%exportWindow != 0 && len(img) > 0 {
+			continue
+		}
+		// Flush fails fast while the collector is unreachable so callers
+		// can tell; here we ride through a transient outage or restart —
+		// the client retransmits unacked batches and the store
+		// deduplicates — and only give up after a deadline.
+		for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(500 * time.Millisecond) {
+			if err := client.Flush(); err == nil {
+				break
+			} else if time.Now().After(deadline) {
+				return events, err
+			}
+		}
+	}
+	return events, nil
 }
 
 func injectFault(tb *experiments.Testbed, fault string) {

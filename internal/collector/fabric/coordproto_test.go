@@ -25,11 +25,11 @@ func startShardReg(t *testing.T, id uint32, dir string, reg *obs.Registry) *fabr
 	n, err := fabric.StartShard(fabric.ShardOptions{
 		ID: id, Dir: dir,
 		IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
-		Registry: reg,
 	})
 	if err != nil {
 		t.Fatalf("start shard %d: %v", id, err)
 	}
+	n.RegisterMetrics(reg)
 	return n
 }
 

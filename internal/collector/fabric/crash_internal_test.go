@@ -153,7 +153,7 @@ func TestLargeTransferSurvivesRestart(t *testing.T) {
 	a, b := startNode(t, 1, dirA), startNode(t, 2, dirB)
 
 	ref := ingestTestLoad(t, a.IngestAddr(), 12000, 50)
-	if n := len(captureSlots(a.store, ^uint64(0))); n <= importChunkBytes {
+	if n := len(captureSlots(a.Store(), ^uint64(0))); n <= importChunkBytes {
 		t.Fatalf("the capture is %d B, one chunk of %d", n, importChunkBytes)
 	}
 	rb := uint64(2)<<16 | 0
@@ -166,7 +166,7 @@ func TestLargeTransferSurvivesRestart(t *testing.T) {
 		if got := n.OpenTransfers(); len(got) != 1 || got[0] != rb {
 			t.Fatalf("shard %d recovered transfers %v, want [%#x]", n.ID, got, rb)
 		}
-		assertSameMultiset(t, fmt.Sprintf("shard %d after restart", n.ID), ref, n.store.Query(collector.Filter{}))
+		assertSameMultiset(t, fmt.Sprintf("shard %d after restart", n.ID), ref, n.Store().Query(collector.Filter{}))
 	}
 }
 
@@ -194,8 +194,8 @@ func TestHandoffSurvivesRestartThenCompletes(t *testing.T) {
 	if got := b.OpenTransfers(); len(got) != 1 || got[0] != rb {
 		t.Fatalf("destination recovered transfers %v, want [%#x]", got, rb)
 	}
-	assertSameMultiset(t, "source after restart", ref, a.store.Query(collector.Filter{}))
-	assertSameMultiset(t, "destination after restart", ref, b.store.Query(collector.Filter{}))
+	assertSameMultiset(t, "source after restart", ref, a.Store().Query(collector.Filter{}))
+	assertSameMultiset(t, "destination after restart", ref, b.Store().Query(collector.Filter{}))
 
 	// A checkpoint must refuse while the transfer is open: truncating the
 	// mark would orphan the fence.
@@ -234,10 +234,10 @@ func TestHandoffSurvivesRestartThenCompletes(t *testing.T) {
 	if got := coord.Config().Epoch; got != 2 {
 		t.Fatalf("resolution published epoch %d, want 2", got)
 	}
-	if got := len(a.store.Query(collector.Filter{})); got != 0 {
+	if got := len(a.Store().Query(collector.Filter{})); got != 0 {
 		t.Fatalf("source still holds %d events after the fence", got)
 	}
-	assertSameMultiset(t, "destination after completion", ref, b.store.Query(collector.Filter{}))
+	assertSameMultiset(t, "destination after completion", ref, b.Store().Query(collector.Filter{}))
 	if a.Epoch() != 2 || b.Epoch() != 2 {
 		t.Fatalf("shards applied epochs %d/%d, want 2/2", a.Epoch(), b.Epoch())
 	}
@@ -297,8 +297,8 @@ func TestCoordinatorRestartAbortsStaging(t *testing.T) {
 	if got := coord.Config().Epoch; got != 1 {
 		t.Fatalf("abort published epoch %d, want the old epoch 1", got)
 	}
-	assertSameMultiset(t, "source after abort", ref, a.store.Query(collector.Filter{}))
-	if got := len(b.store.Query(collector.Filter{})); got != 0 {
+	assertSameMultiset(t, "source after abort", ref, a.Store().Query(collector.Filter{}))
+	if got := len(b.Store().Query(collector.Filter{})); got != 0 {
 		t.Fatalf("destination still holds %d events after the abort fence", got)
 	}
 	if len(a.OpenTransfers()) != 0 || len(b.OpenTransfers()) != 0 {

@@ -128,6 +128,12 @@ func TestStartShardFailuresReleaseResources(t *testing.T) {
 	}); err == nil {
 		t.Error("StartShard under a regular file succeeded")
 	}
+	// So is none: a shard's handoffs are logged.
+	if _, err := fabric.StartShard(fabric.ShardOptions{
+		ID: 1, IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
+	}); err == nil {
+		t.Error("StartShard without a data dir succeeded")
+	}
 }
 
 // TestShardAdminProtocolErrors drives the admin port with the requests a

@@ -65,23 +65,48 @@ type MergedResult struct {
 // for everything.
 func FanOutQuery(cfg Config, filterArgs string, timeout time.Duration) MergedResult {
 	req := strings.TrimSpace("export " + filterArgs)
-	answers, cov := fanOut(cfg.Shards, func(s ShardInfo) (copies []eventCopy, err error) {
+	answers, cov := fanOut(cfg.Shards, func(s ShardInfo) (a shardAnswer, err error) {
 		err = collector.QueryLines(s.Query, req, timeout, func(line string) error {
 			img, err := base64.StdEncoding.DecodeString(line)
+			n := 0
 			if err == nil {
-				copies, err = appendCopies(copies, s.ID, img)
+				n, err = fevent.CheckImage(img)
 			}
+			a.imgs, a.n = append(a.imgs, img), a.n+n
 			return err
 		})
-		return copies, err
+		return a, err
 	})
-	return MergedResult{Events: merge(&cfg, slices.Concat(answers...)), Coverage: cov}
+	return MergedResult{Events: mergeShards(&cfg, answers), Coverage: cov}
+}
+
+// shardAnswer is one shard's export: its record images, each checked
+// whole (fevent.CheckImage), and how many records they hold.
+type shardAnswer struct {
+	imgs [][]byte
+	n    int
 }
 
 // eventCopy is one shard's stored copy of an event.
 type eventCopy struct {
 	id    fevent.Identity
 	shard uint32
+}
+
+// mergeShards fills one slice, sized to the answers' record counts, with
+// a copy of every event each of cfg's shards answered, and merges them.
+func mergeShards(cfg *Config, answers []shardAnswer) []fevent.Event {
+	total := 0
+	for _, a := range answers {
+		total += a.n
+	}
+	copies := make([]eventCopy, 0, total)
+	for i, a := range answers {
+		for _, img := range a.imgs {
+			copies, _ = appendCopies(copies, cfg.Shards[i].ID, img) // checked whole
+		}
+	}
+	return merge(cfg, copies)
 }
 
 // appendCopies appends to dst a copy of each event of shard's image img.

@@ -70,14 +70,15 @@ func modelMerge(t testing.TB, cfg *Config, imgs [][]byte) []fevent.Event {
 // mergeAnswers merges imgs, the record image each of cfg's shards answered
 // with, as FanOutQuery does.
 func mergeAnswers(t testing.TB, cfg *Config, imgs [][]byte) []fevent.Event {
-	var copies []eventCopy
+	answers := make([]shardAnswer, len(imgs))
 	for i, img := range imgs {
-		var err error
-		if copies, err = appendCopies(copies, cfg.Shards[i].ID, img); err != nil {
+		n, err := fevent.CheckImage(img)
+		if err != nil {
 			t.Fatal(err)
 		}
+		answers[i] = shardAnswer{[][]byte{img}, n}
 	}
-	return merge(cfg, copies)
+	return mergeShards(cfg, answers)
 }
 
 // encodeAnswer encodes evs, in order, as the record image a shard's

@@ -208,6 +208,14 @@ func TestSlotMaskHas(t *testing.T) {
 	}
 }
 
+// recoverShard rebuilds a shard's store and open-transfer table from its
+// WAL as StartShard does, without the listeners.
+func recoverShard(w *wal.WAL) (*collector.Store, transfers, error) {
+	open := make(transfers)
+	store, _, err := collector.RecoverStore(w, open.replay())
+	return store, open, err
+}
+
 // TestRecoverShardReplayDoesNotAllocate is the fabric's half of the
 // recovery allocation pin (collector.TestRecoverReplayDoesNotAllocate):
 // batch records go from the log into the store as bytes, so replaying

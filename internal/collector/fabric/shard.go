@@ -72,16 +72,14 @@ type ShardOptions struct {
 	QueryAddr  string
 	AdminAddr  string
 
-	// Server carries the ingest tuning forwarded to collector.Server
-	// (WAL and TraceShard are overwritten — the shard owns its log). Its
-	// Listener, when set, is served instead of binding IngestAddr — chaos
-	// tests interpose fault-injected wires there.
+	// Server carries the ingest tuning forwarded to collector.StartNode
+	// (its WAL is replaced — the shard owns its log). Its Listener, when
+	// set, is served instead of binding IngestAddr — chaos tests
+	// interpose fault-injected wires there.
 	Server collector.ServerConfig
 	// WAL tunes the log: its segment size, and the filesystem it runs on
 	// (fault tests script disk failures there).
 	WAL wal.Options
-	// Registry, when non-nil, receives the shard's instruments.
-	Registry *obs.Registry
 
 	// StageDelay is a test hook: sleep this long inside the import
 	// handler between durability and the reply, widening the window a
@@ -89,21 +87,19 @@ type ShardOptions struct {
 	StageDelay time.Duration
 }
 
-// ShardNode is one member of the collector fabric: a durable collector
-// (WAL-backed store + ingest server + query server) plus the admin
-// surface the coordinator drives rebalances through. Its log holds the
-// frames it ingested, as a standalone collector's does, and the rebalance
-// bookkeeping records of records.go, so a SIGKILL at any point recovers
-// to a state the coordinator can resolve. It is run as a collector: the
-// ingest server's Drain, Healthz and ScrubWAL are its own.
+// ShardNode is one member of the collector fabric: a durable
+// collector.Node plus the admin surface the coordinator drives
+// rebalances through. Its log holds the frames it ingested, as a
+// standalone collector's does, and the rebalance bookkeeping records of
+// records.go, so a SIGKILL at any point recovers to a state the
+// coordinator can resolve. It is run as a collector: the node's Drain,
+// Healthz and ScrubWAL are its own, and its Checkpoint waits for open
+// transfers.
 type ShardNode struct {
-	*collector.Server
+	*collector.Node
 	ID  uint32
 	dir string
 
-	wal   *wal.WAL
-	store *collector.Store
-	qsrv  *collector.QueryServer
 	admin *collector.Service
 
 	mu     sync.Mutex
@@ -120,20 +116,19 @@ type ShardNode struct {
 // configPath is where a shard persists the last applied ring config.
 func configPath(dir string) string { return filepath.Join(dir, "ring-config.json") }
 
-// recoverShard rebuilds a shard's store and open-transfer table from its
-// WAL through the collector's one replay loop: frames go into the store
-// as on a standalone collector, and the bookkeeping records of records.go
-// come here. Transfer chunks buffer until their commit seals them (as a
-// source capture when an 'M' opened the rb here, as a destination import
-// otherwise); the commit, fence and release then act through the
-// transfer table as they did live. The result matches the pre-crash
-// state for every committed operation; uncommitted marks and imports
-// vanish whole and are retried from scratch by the coordinator.
-func recoverShard(w *wal.WAL) (*collector.Store, transfers, error) {
-	open := make(transfers)
+// replay returns the handler the collector's one replay loop passes a
+// shard log's bookkeeping records (records.go) to, rebuilding t beside the
+// store; frames go into the store as on a standalone collector. Transfer
+// chunks buffer until their commit seals them (as a source capture when
+// an 'M' opened the rb here, as a destination import otherwise); the
+// commit, fence and release then act through t as they did live. The
+// result matches the pre-crash state for every committed operation;
+// uncommitted marks and imports vanish whole and are retried from scratch
+// by the coordinator.
+func (t transfers) replay() func(*collector.Store, []byte) error {
 	marked := make(map[uint64]bool) // rbs an 'M' opened here: source captures
 	chunks := make(map[uint64][][]byte)
-	store, _, err := collector.RecoverStoreWith(w, func(store *collector.Store, payload []byte) error {
+	return func(store *collector.Store, payload []byte) error {
 		tag, rb, body, err := parseRecord(payload)
 		if err != nil {
 			return err
@@ -177,20 +172,16 @@ func recoverShard(w *wal.WAL) (*collector.Store, transfers, error) {
 			}
 			delete(chunks, rb)
 			delete(marked, rb)
-			open.commit(store, rb, img, ids, !isSource)
+			t.commit(store, rb, img, ids, !isSource)
 		case recFence:
-			open.fence(store, rb)
+			t.fence(store, rb)
 		case recRelease:
-			open.release(rb)
+			t.release(rb)
 		default:
 			return fmt.Errorf("fabric: unknown WAL record tag %q", tag)
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	return store, open, nil
 }
 
 // captureSlots writes the record image of every stored event whose slot
@@ -206,58 +197,34 @@ func captureSlots(store *collector.Store, mask uint64) []byte {
 // StartShard opens (or recovers) a shard node in opts.Dir and starts its
 // ingest, query and admin listeners.
 func StartShard(opts ShardOptions) (*ShardNode, error) {
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
+	if opts.Dir == "" {
+		return nil, errors.New("fabric: a shard needs a data dir: its handoffs are logged")
 	}
-	w, err := wal.Open(opts.Dir, opts.WAL)
+	open := make(transfers)
+	node, err := collector.StartNode(opts.Dir, opts.IngestAddr, opts.QueryAddr, opts.Server, opts.WAL, opts.ID, open.replay())
 	if err != nil {
 		return nil, err
 	}
-	store, open, err := recoverShard(w)
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	n := &ShardNode{
-		ID: opts.ID, dir: opts.Dir, wal: w, store: store,
-		openRB: open, stageDelay: opts.StageDelay,
-	}
+	n := &ShardNode{Node: node, ID: opts.ID, dir: opts.Dir, openRB: open, stageDelay: opts.StageDelay}
 	if data, err := os.ReadFile(configPath(opts.Dir)); err == nil {
 		if cfg, err := DecodeConfig(data); err == nil {
 			n.cfg = cfg
 		}
 	}
-
-	scfg := opts.Server
-	scfg.WAL = w
-	scfg.TraceShard = opts.ID
-	store.SetTraceShard(opts.ID)
-	if n.Server, err = collector.NewServerConfig(store, opts.IngestAddr, scfg); err != nil {
-		w.Close()
+	if n.admin, err = collector.Listen(opts.AdminAddr, nil); err != nil {
+		node.Close()
 		return nil, err
-	}
-	if n.qsrv, err = collector.NewQueryServer(store, opts.QueryAddr); err == nil {
-		if n.admin, err = collector.Listen(opts.AdminAddr, nil); err != nil {
-			n.qsrv.Close()
-		}
-	}
-	if err != nil {
-		n.Server.Close()
-		w.Close()
-		return nil, err
-	}
-	if opts.Registry != nil {
-		n.registerMetrics(opts.Registry)
 	}
 	n.admin.Start(nil, serveJSON(n.handleAdmin))
 	return n, nil
 }
 
-func (n *ShardNode) registerMetrics(r *obs.Registry) {
+// RegisterMetrics exposes the shard's instruments on r: its node's, the
+// ingest and log series labelled with the shard, and the rebalance
+// counters and the applied epoch.
+func (n *ShardNode) RegisterMetrics(r *obs.Registry) {
 	shard := obs.L("shard", strconv.Itoa(int(n.ID)))
-	n.Server.RegisterMetrics(r, shard)
-	n.qsrv.RegisterMetrics(r)
-	n.store.RegisterMetrics(r)
+	n.Node.RegisterMetrics(r, shard)
 	r.RegisterCounter(obs.MFabricImportedEvents, &n.importedEvents, shard)
 	r.RegisterCounter(obs.MFabricFencedEvents, &n.fencedEvents, shard)
 	r.RegisterCounter(obs.MFabricRebalanceBytes, &n.rebalanceBytes, shard)
@@ -271,9 +238,6 @@ func (n *ShardNode) registerMetrics(r *obs.Registry) {
 // IngestAddr returns the ingest listener's address.
 func (n *ShardNode) IngestAddr() string { return n.Addr() }
 
-// QueryAddr returns the query listener's address.
-func (n *ShardNode) QueryAddr() string { return n.qsrv.Addr() }
-
 // AdminAddr returns the admin listener's address.
 func (n *ShardNode) AdminAddr() string { return n.admin.Addr() }
 
@@ -286,9 +250,6 @@ func (n *ShardNode) Info() ShardInfo {
 		Admin:  n.AdminAddr(),
 	}
 }
-
-// Store exposes the underlying store (tests and in-process queries).
-func (n *ShardNode) Store() *collector.Store { return n.store }
 
 // Epoch returns the last applied config epoch.
 func (n *ShardNode) Epoch() uint64 {
@@ -317,17 +278,14 @@ func (n *ShardNode) Checkpoint() error {
 	if len(n.openRB) > 0 {
 		return fmt.Errorf("fabric: %d transfers open, checkpoint deferred", len(n.openRB))
 	}
-	return n.Server.Checkpoint()
+	return n.Node.Checkpoint()
 }
 
-// Close stops every listener and closes their connections. The WAL is
-// closed last so in-flight ingestion fails cleanly first.
+// Close stops the admin listener, then the node: every listener and its
+// connections, the WAL last so in-flight ingestion fails cleanly first.
 func (n *ShardNode) Close() error {
 	n.admin.Close()
-	n.qsrv.Close()
-	err := n.Server.Close()
-	n.wal.Close()
-	return err
+	return n.Node.Close()
 }
 
 // Admin protocol: one JSON object per line in each direction (jsonline.go).
@@ -399,7 +357,7 @@ type ExemplarRef struct {
 
 // healthLocked assembles the shard's health payload. Caller holds n.mu.
 func (n *ShardNode) healthLocked() *ShardHealth {
-	ws := n.wal.Stats()
+	ws := n.WAL().Stats()
 	durability := "ok"
 	if err := n.DurabilityErr(); err != nil {
 		durability = err.Error()
@@ -410,9 +368,9 @@ func (n *ShardNode) healthLocked() *ShardHealth {
 		WALPending:    ws.PendingDurable,
 		WALSizeBytes:  ws.SizeBytes,
 		WALSegments:   ws.Segments,
-		StoreEvents:   uint64(n.store.Len()),
-		StoreBytes:    n.store.MemoryBytes(),
-		DupBatches:    n.store.DupBatches(),
+		StoreEvents:   uint64(n.Store().Len()),
+		StoreBytes:    n.Store().MemoryBytes(),
+		DupBatches:    n.Store().DupBatches(),
 		OpenTransfers: len(n.openRB),
 		TraceSpans:    trace.Default.Recorded(),
 		TraceDropped:  trace.Default.Dropped(),
@@ -422,7 +380,7 @@ func (n *ShardNode) healthLocked() *ShardHealth {
 	for _, hist := range []struct {
 		metric string
 		exs    []obs.Exemplar
-	}{{obs.MIngestLag, n.TraceExemplars()}, {obs.MDetectToStore, n.store.TraceExemplars()}} {
+	}{{obs.MIngestLag, n.TraceExemplars()}, {obs.MDetectToStore, n.Store().TraceExemplars()}} {
 		for _, ex := range hist.exs {
 			if ex.TraceID != 0 {
 				h.Exemplars = append(h.Exemplars, ExemplarRef{Metric: hist.metric, ValueUs: ex.Value, Trace: trace.FormatID(ex.TraceID)})
@@ -486,26 +444,26 @@ func (n *ShardNode) handleMark(req *adminReq) adminResp {
 		start := trace.Now()
 		var capture []byte
 		err := n.WithIngestBarrier(func() error {
-			if _, err := n.wal.Append(encodeMark(req.RB, req.Mask), false); err != nil {
+			if _, err := n.WAL().Append(encodeMark(req.RB, req.Mask), false); err != nil {
 				return err
 			}
-			capture = captureSlots(n.store, req.Mask)
+			capture = captureSlots(n.Store(), req.Mask)
 			return nil
 		})
 		if err == nil {
 			err = n.appendChunked(req.RB, chunkEvents, capture)
 		}
 		if err == nil {
-			err = n.wal.AppendDurable(encodeRB(recCommit, req.RB), false)
+			err = n.WAL().AppendDurable(encodeRB(recCommit, req.RB), false)
 		}
 		if err != nil {
 			return adminResp{Err: fmt.Sprintf("mark: %v", err)}
 		}
-		st = n.openRB.commit(n.store, req.RB, capture, nil, false)
+		st = n.openRB.commit(n.Store(), req.RB, capture, nil, false)
 		events, _ := fevent.CheckImage(capture)
 		n.recordHandoffSpan(req.RB, start, events, handoffSource)
 	}
-	seenBlob := encodeSeenSet(n.store.ExportSeen())
+	seenBlob := encodeSeenSet(n.Store().ExportSeen())
 	n.rebalanceBytes.Add(uint64(len(st.img)))
 	return adminResp{
 		OK:     true,
@@ -526,7 +484,7 @@ func (n *ShardNode) appendChunked(rb uint64, kind byte, blob []byte) error {
 		if end > len(blob) {
 			end = len(blob)
 		}
-		if _, err := n.wal.Append(encodeImportChunk(rb, kind, blob[off:end]), false); err != nil {
+		if _, err := n.WAL().Append(encodeImportChunk(rb, kind, blob[off:end]), false); err != nil {
 			return err
 		}
 		if end == len(blob) {
@@ -570,13 +528,13 @@ func (n *ShardNode) handleImport(req *adminReq) adminResp {
 			return adminResp{Err: fmt.Sprintf("import: %v", err)}
 		}
 	}
-	if err := n.wal.AppendDurable(encodeRB(recCommit, req.RB), false); err != nil {
+	if err := n.WAL().AppendDurable(encodeRB(recCommit, req.RB), false); err != nil {
 		return adminResp{Err: fmt.Sprintf("import: %v", err)}
 	}
 	if n.stageDelay > 0 {
 		time.Sleep(n.stageDelay) // test hook: widen the kill window
 	}
-	n.openRB.commit(n.store, req.RB, img, seen, true)
+	n.openRB.commit(n.Store(), req.RB, img, seen, true)
 	n.importedEvents.Add(uint64(events))
 	n.rebalanceBytes.Add(uint64(len(img)))
 	n.recordHandoffSpan(req.RB, start, events, handoffImport)
@@ -617,11 +575,11 @@ func (n *ShardNode) handleClose(req *adminReq, tag byte) adminResp {
 	if n.openRB[req.RB] == nil {
 		return adminResp{OK: true} // already closed or never opened here
 	}
-	if err := n.wal.AppendDurable(encodeRB(tag, req.RB), false); err != nil {
+	if err := n.WAL().AppendDurable(encodeRB(tag, req.RB), false); err != nil {
 		return adminResp{Err: fmt.Sprintf("%s: %v", req.Op, err)}
 	}
 	if tag == recFence {
-		n.fencedEvents.Add(uint64(n.openRB.fence(n.store, req.RB)))
+		n.fencedEvents.Add(uint64(n.openRB.fence(n.Store(), req.RB)))
 	} else {
 		n.openRB.release(req.RB)
 	}

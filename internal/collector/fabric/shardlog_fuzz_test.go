@@ -77,7 +77,7 @@ func (s *shardState) equal(o *shardState) bool {
 // open-transfer table recovered from the log must equal the live ones.
 // A forged tail of bookkeeping records (tag, rb, body length, body) then
 // appended to the log must be refused or recovered, never panic; the
-// seeds reach each refusal recoverShard has.
+// seeds reach each refusal the shard's replay handler has.
 func FuzzShardLog(f *testing.F) {
 	f.Add([]byte{opIngest, 1, opIngest, 2, opMark, 0xF3, opIngest, 7, opImport, 9, opCrash, 0,
 		opFence, 0xF3, opRelease, 9, opCrash, 0, opCheckpoint, 0, opIngest, 1, opImport, 10, opCrash, 0}, []byte(nil))
@@ -160,16 +160,16 @@ func FuzzShardLog(f *testing.F) {
 					t.Fatalf("checkpoint with no transfer open: %v", err)
 				}
 			case opCrash:
-				live := stateOf(n.store, n.openRB)
+				live := stateOf(n.Store(), n.openRB)
 				stop()
 				start()
-				if got := stateOf(n.store, n.openRB); !got.equal(&live) {
+				if got := stateOf(n.Store(), n.openRB); !got.equal(&live) {
 					t.Fatalf("op %d: the restarted shard holds %d B of records, %d seen, %d open; the live one %d B, %d, %d",
 						i/2, len(got.img), len(got.seen), len(got.open), len(live.img), len(live.seen), len(live.open))
 				}
 			}
 		}
-		live := stateOf(n.store, n.openRB)
+		live := stateOf(n.Store(), n.openRB)
 		stop()
 
 		w, err := wal.Open(dir, wal.Options{})

@@ -9,7 +9,9 @@ package fabric_test
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -163,5 +165,61 @@ func TestStorageFaultMemberVisibleInFleet(t *testing.T) {
 			t.Fatalf("fleet never flagged the poisoned shard: %+v", rep)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestShardRestartReportsReplayGap: a shard restarted over a log whose
+// middle segment rotted reports the lost segment as a replay gap, as a
+// standalone collector does, and still once the scrubber has quarantined
+// it.
+func TestShardRestartReportsReplayGap(t *testing.T) {
+	dir := t.TempDir()
+	opts := fabric.ShardOptions{ID: 1, Dir: dir, WAL: wal.Options{SegmentBytes: 2 << 10},
+		IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0"}
+	n, err := fabric.StartShard(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 150
+	cl := collector.NewClientConfig(n.IngestAddr(), collector.ClientConfig{MaxQueue: total})
+	for i := 0; i < total; i++ {
+		cl.Deliver(&fevent.Batch{SwitchID: 5, Timestamp: sim.Time(i + 1), Events: []fevent.Event{eventN(i, 5, sim.Time(i+1))}})
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	n.Close()
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if len(segs) < 3 {
+		t.Fatalf("want >= 3 segments for a mid-log rot, got %v", segs)
+	}
+	slices.Sort(segs)
+	victim := segs[len(segs)/2]
+	st, err := os.Stat(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultfs.FlipByte(victim, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	for _, quarantined := range []bool{false, true} {
+		if n, err = fabric.StartShard(opts); err != nil {
+			t.Fatal(err)
+		}
+		gaps := n.Replay().Gaps
+		if len(gaps) != 1 || !strings.HasPrefix(gaps[0], filepath.Base(victim)) || strings.Contains(gaps[0], "quarantined") != quarantined {
+			t.Fatalf("restart (quarantined %v): replay gaps %q, want one for %s", quarantined, gaps, filepath.Base(victim))
+		}
+		if got := n.Store().Len(); got >= total || got == 0 {
+			t.Fatalf("restart (quarantined %v): %d of %d events recovered", quarantined, got, total)
+		}
+		if !quarantined {
+			if rep, err := n.ScrubWAL(); err != nil || len(rep.Quarantined) != 1 {
+				t.Fatalf("scrub: %v, %v", rep.Quarantined, err)
+			}
+		}
+		n.Close()
 	}
 }

@@ -359,7 +359,7 @@ func TestRecordSeqIsNoFrame(t *testing.T) {
 		t.Fatalf("RecoverStore of a log holding a fabric record: %v", err)
 	}
 	var seen []int
-	st, _, err := RecoverStoreWith(w, func(s *Store, p []byte) error {
+	st, _, err := RecoverStore(w, func(s *Store, p []byte) error {
 		if !bytes.Equal(p, record) {
 			t.Errorf("the handler got %x, the log holds %x", p, record)
 		}
@@ -367,9 +367,9 @@ func TestRecordSeqIsNoFrame(t *testing.T) {
 		return nil
 	})
 	if err != nil || st.Len() != 2 || len(seen) != 1 || seen[0] != 1 {
-		t.Fatalf("RecoverStoreWith: %v, %d events, handler saw stores of %v events", err, st.Len(), seen)
+		t.Fatalf("RecoverStore with a handler: %v, %d events, handler saw stores of %v events", err, st.Len(), seen)
 	}
-	if _, _, err := RecoverStoreWith(w, func(*Store, []byte) error { return io.ErrUnexpectedEOF }); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := RecoverStore(w, func(*Store, []byte) error { return io.ErrUnexpectedEOF }); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a handler's error: %v", err)
 	}
 }

@@ -34,10 +34,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// childMain is one life of the durable collector: recover the store from
-// the WAL, serve ingest on the harness's listener (its first extra file)
-// through a faulty wire, checkpoint aggressively, and run until
-// SIGKILLed.
+// childMain is one life of the durable collector, started as netseerd
+// starts one: recover the store from the WAL, serve ingest on the
+// harness's listener (its first extra file) through a faulty wire,
+// checkpoint aggressively, and run until SIGKILLed.
 func childMain() {
 	die := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "wal child: "+format+"\n", args...)
@@ -46,16 +46,6 @@ func childMain() {
 	dir := os.Getenv("NETSEER_WAL_DIR")
 	seed, _ := strconv.ParseInt(os.Getenv("NETSEER_WAL_SEED"), 10, 64)
 
-	// Tiny segments so a few hundred batches exercise rotation and the
-	// kills land in interesting places.
-	w, err := wal.Open(dir, wal.Options{SegmentBytes: 16 << 10})
-	if err != nil {
-		die("open wal: %v", err)
-	}
-	store, _, err := collector.RecoverStore(w)
-	if err != nil {
-		die("recover: %v", err)
-	}
 	ln, err := net.FileListener(os.NewFile(3, "harness listener"))
 	if err != nil {
 		die("listener: %v", err)
@@ -65,16 +55,19 @@ func childMain() {
 		ResetAfter: 8192,
 		MaxChunk:   32,
 	})
-	srv, err := collector.NewServerConfig(store, "", collector.ServerConfig{Listener: fln, WAL: w})
+	// Tiny segments so a few hundred batches exercise rotation and the
+	// kills land in interesting places.
+	node, err := collector.StartNode(dir, "", "127.0.0.1:0", collector.ServerConfig{Listener: fln},
+		wal.Options{SegmentBytes: 16 << 10}, 0)
 	if err != nil {
-		die("serve: %v", err)
+		die("start: %v", err)
 	}
-	defer srv.Close()
+	defer node.Close()
 	// Checkpoint far more often than production would, so kills race
 	// segment cuts, snapshot installs and truncations.
 	for {
 		time.Sleep(25 * time.Millisecond)
-		if err := srv.Checkpoint(); err != nil {
+		if err := node.Checkpoint(); err != nil {
 			die("checkpoint: %v", err)
 		}
 	}

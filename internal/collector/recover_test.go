@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
@@ -93,4 +94,32 @@ func TestRecoveredWALPinsNoSnapshot(t *testing.T) {
 	}
 	runtime.KeepAlive(w)
 	runtime.KeepAlive(st)
+}
+
+// TestStartNodeInMemory: a node without a data dir has no log — nothing
+// to checkpoint or scrub, an empty replay report — and ingests and
+// answers queries all the same, its spans labelled with its shard.
+func TestStartNodeInMemory(t *testing.T) {
+	n, err := StartNode("", "127.0.0.1:0", "127.0.0.1:0", ServerConfig{}, wal.Options{}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if n.WAL() != nil || n.Checkpoint() == nil || n.Replay().Records != 0 || n.Store().traceShard != 7 {
+		t.Fatalf("an in-memory node: log %v, checkpoint error %v, replay %+v, shard %d",
+			n.WAL(), n.Checkpoint(), n.Replay(), n.Store().traceShard)
+	}
+	cl := NewClientConfig(n.Addr(), ClientConfig{})
+	defer cl.Close()
+	cl.Deliver(batchOf(3, 10, fevent.Event{Type: fevent.TypeDrop, Flow: flowN(1)}, fevent.Event{Type: fevent.TypePause, Flow: flowN(2)}))
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	if err := QueryLines(n.QueryAddr(), "count", time.Second, func(line string) error {
+		lines = append(lines, line)
+		return nil
+	}); err != nil || len(lines) != 1 || lines[0] != "2" {
+		t.Fatalf("count over the query port: %q, %v", lines, err)
+	}
 }

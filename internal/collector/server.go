@@ -40,10 +40,6 @@ type ServerConfig struct {
 	// (Store.MemoryBytes) via the admission ladder — acks slow at 70 % of
 	// it, a WAL server sheds at 90 %; 0 disables admission control.
 	MemoryBudget int64
-
-	// TraceShard labels this server's ingest and WAL-fsync spans with the
-	// owning fabric shard ID (0 for standalone collectors).
-	TraceShard uint32
 }
 
 // ackTimeout is the write deadline for one ack frame; keepAlivePeriod
@@ -433,7 +429,7 @@ func (s *Server) serve(conn net.Conn) {
 			isp.Start = burst.arrived.UnixNano()
 			isp.SwitchID = p.SwitchID
 			isp.Seq = p.Seq
-			isp.Shard = s.cfg.TraceShard
+			isp.Shard = s.store.traceShard
 			isp.Events = uint32(p.Events())
 			p.Trace.Parent = isp.SpanID
 		}
@@ -550,7 +546,7 @@ func (s *Server) ackLoop(conn net.Conn, acks <-chan ackPoint, done chan<- struct
 				sp := trace.Begin(ap.tr, trace.StageWALFsync)
 				sp.Start = ap.walStart
 				sp.SwitchID = ap.sw
-				sp.Shard = s.cfg.TraceShard
+				sp.Shard = s.store.traceShard
 				sp.Seq = ap.seq
 				sp.Events = ap.events
 				sp.Detail = uint32(ap.serial)

@@ -39,23 +39,16 @@ func sfEvent(i int) fevent.Event {
 		DropCode: fevent.DropNoRoute, SwitchID: 11, Timestamp: sim.Time(i + 1)}
 }
 
-// sfServer opens a WAL on the faulty filesystem and serves ingest on a
-// loopback port.
-func sfServer(t *testing.T, dir string, fs faultfs.FS, segBytes int64) (*collector.Server, *wal.WAL) {
+// sfServer starts a durable collector whose WAL lives on the faulty
+// filesystem, ingesting on a loopback port.
+func sfServer(t *testing.T, dir string, fs faultfs.FS, segBytes int64) *collector.Node {
 	t.Helper()
-	w, err := wal.Open(dir, wal.Options{FS: fs, SegmentBytes: segBytes})
+	node, err := collector.StartNode(dir, "127.0.0.1:0", "127.0.0.1:0", collector.ServerConfig{},
+		wal.Options{FS: fs, SegmentBytes: segBytes}, 0)
 	if err != nil {
-		t.Fatalf("open wal: %v", err)
+		t.Fatalf("start: %v", err)
 	}
-	store, _, err := collector.RecoverStore(w)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	srv, err := collector.NewServerConfig(store, "127.0.0.1:0", collector.ServerConfig{WAL: w})
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	return srv, w
+	return node
 }
 
 // sfClient tunes the exporter channel for fault tests: tight backoff, a
@@ -86,7 +79,7 @@ func sfDeliver(cl *collector.Client, n int) {
 
 // waitDurabilityFailed polls until the server reaches the terminal
 // durability-failed rung, then returns its health error.
-func waitDurabilityFailed(t *testing.T, srv *collector.Server) error {
+func waitDurabilityFailed(t *testing.T, srv *collector.Node) error {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.AdmitState() != "durability-failed" {
@@ -138,8 +131,7 @@ func sfAudit(t *testing.T, dir string, acked int) *collector.Store {
 func TestStorageFaultENOSPCMidIngest(t *testing.T) {
 	dir := t.TempDir()
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 1, WriteBudget: 8 << 10})
-	srv, w := sfServer(t, dir, fault, 0)
-	defer w.Close()
+	srv := sfServer(t, dir, fault, 0)
 	defer srv.Close()
 
 	cl := sfClient(srv.Addr())
@@ -159,7 +151,6 @@ func TestStorageFaultENOSPCMidIngest(t *testing.T) {
 		t.Fatalf("all %d batches acked — the write budget never bit", total)
 	}
 	srv.Close()
-	w.Close()
 	sfAudit(t, dir, acked)
 	t.Logf("ENOSPC after %d acked batches; all survived recovery", acked)
 }
@@ -174,8 +165,7 @@ func TestStorageFaultFsyncEIOThenPowerCut(t *testing.T) {
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{
 		Seed: 2, FailSyncAt: 6, DropOnSyncFail: true,
 	})
-	srv, w := sfServer(t, dir, fault, 0)
-	defer w.Close()
+	srv := sfServer(t, dir, fault, 0)
 	defer srv.Close()
 
 	cl := sfClient(srv.Addr())
@@ -195,7 +185,6 @@ func TestStorageFaultFsyncEIOThenPowerCut(t *testing.T) {
 	// Power cut: everything not covered by a successful fsync vanishes.
 	fault.PowerCut()
 	srv.Close()
-	w.Close()
 	sfAudit(t, dir, acked)
 	t.Logf("fsync EIO + power cut after %d acked batches; all survived", acked)
 }
@@ -206,8 +195,7 @@ func TestStorageFaultFsyncEIOThenPowerCut(t *testing.T) {
 func TestStorageFaultTornWriteUnderRotation(t *testing.T) {
 	dir := t.TempDir()
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 3, TornWriteAt: 30})
-	srv, w := sfServer(t, dir, fault, 2<<10)
-	defer w.Close()
+	srv := sfServer(t, dir, fault, 2<<10)
 	defer srv.Close()
 
 	cl := sfClient(srv.Addr())
@@ -221,7 +209,6 @@ func TestStorageFaultTornWriteUnderRotation(t *testing.T) {
 	cl.Close()
 	acked := int(cl.Stats().BatchesAcked)
 	srv.Close()
-	w.Close()
 	store := sfAudit(t, dir, acked)
 	t.Logf("torn write: %d acked, %d recovered", acked, store.Len())
 }
@@ -232,8 +219,7 @@ func TestStorageFaultTornWriteUnderRotation(t *testing.T) {
 func TestStorageFaultPowerCutMidIngest(t *testing.T) {
 	dir := t.TempDir()
 	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 4})
-	srv, w := sfServer(t, dir, fault, 4<<10)
-	defer w.Close()
+	srv := sfServer(t, dir, fault, 4<<10)
 	defer srv.Close()
 
 	cl := sfClient(srv.Addr())
@@ -271,8 +257,7 @@ func TestStorageFaultPowerCutMidIngest(t *testing.T) {
 	}
 	cl.Close()
 	acked := int(cl.Stats().BatchesAcked)
-	srv.Close()
-	w.Close() // must not resurrect post-cut bytes: the halted FS refuses
+	srv.Close() // its log must not resurrect post-cut bytes: the halted FS refuses
 	sfAudit(t, dir, acked)
 	t.Logf("power cut after %d acked batches; all survived", acked)
 }
@@ -283,7 +268,7 @@ func TestStorageFaultPowerCutMidIngest(t *testing.T) {
 // minus that segment's — reported as an explicit gap, never silently.
 func TestStorageFaultBitRotThenScrub(t *testing.T) {
 	dir := t.TempDir()
-	srv, w := sfServer(t, dir, faultfs.OS, 2<<10)
+	srv := sfServer(t, dir, faultfs.OS, 2<<10)
 	cl := sfClient(srv.Addr())
 	const total = 150
 	sfDeliver(cl, total)
@@ -292,7 +277,6 @@ func TestStorageFaultBitRotThenScrub(t *testing.T) {
 	}
 	cl.Close()
 	srv.Close()
-	w.Close()
 
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil || len(segs) < 3 {

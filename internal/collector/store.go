@@ -250,8 +250,10 @@ type Store struct {
 	// and the collector-side leg by ingest lag.
 	detectToStore *obs.Histogram
 
-	// traceShard labels store-index spans with the owning fabric shard
-	// (see SetTraceShard). Written once at setup, so unguarded.
+	// traceShard labels the store-index spans, and the ingest and
+	// WAL-fsync spans of the server over the store, with the owning fabric
+	// shard (0 standalone). StartNode writes it once before ingestion
+	// starts, so unguarded.
 	traceShard uint32
 }
 
@@ -402,10 +404,6 @@ func (s *Store) deliver(p *Payload, events []fevent.Event) {
 		}
 	}
 }
-
-// SetTraceShard labels the store's spans with the owning fabric shard ID
-// (0 for standalone collectors). Call before ingestion starts.
-func (s *Store) SetTraceShard(id uint32) { s.traceShard = id }
 
 // TraceExemplars returns the detect→store histogram's per-bucket latency
 // exemplars: the last trace ID to land in each bucket.
@@ -774,12 +772,4 @@ func (s *Store) LatencyHistogram(f Filter) obs.HistogramSnapshot {
 		h.Observe(float64(e.QueueLatencyUs))
 	})
 	return h.Snapshot()
-}
-
-// Reset clears the store.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetEvents()
-	s.seen, s.dupBatches = seenSet{}, 0
 }

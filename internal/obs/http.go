@@ -115,38 +115,9 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// StartLogger periodically writes a one-line-per-family snapshot of reg
-// through logf (log.Printf-shaped). It returns a stop function that
-// halts the loop and waits for it to exit. Interval must be positive.
-func StartLogger(reg *Registry, interval time.Duration, logf func(format string, args ...any)) (stop func()) {
-	if interval <= 0 {
-		panic("obs: StartLogger interval must be positive")
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				logf("obs snapshot:\n%s", SnapshotText(reg))
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
-}
-
 // SnapshotText renders a compact human-oriented snapshot: the full
 // exposition minus comment and per-bucket lines (histograms keep their
-// _sum/_count). Used by the periodic logger.
+// _sum/_count). netseerd -log-stats logs it.
 func SnapshotText(reg *Registry) string {
 	var sb strings.Builder
 	_ = reg.WritePrometheus(&sb)

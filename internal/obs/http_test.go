@@ -5,9 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -97,7 +95,9 @@ func TestServeHTTPBadAddr(t *testing.T) {
 	}
 }
 
-func TestStartLogger(t *testing.T) {
+// TestSnapshotText: the snapshot keeps every series line, a histogram
+// as its _sum and _count, and drops comments and buckets.
+func TestSnapshotText(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	c.Add(3)
@@ -106,45 +106,14 @@ func TestStartLogger(t *testing.T) {
 	h.Observe(2)
 	r.RegisterHistogram(MIngestLag, h)
 
-	var mu sync.Mutex
-	var lines []string
-	stop := StartLogger(r, 10*time.Millisecond, func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(lines)
-		mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	text := SnapshotText(r)
+	if !strings.Contains(text, MIngestFrames+" 3") {
+		t.Fatalf("snapshot missing counter: %q", text)
 	}
-	stop()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) == 0 {
-		t.Fatal("logger never fired")
+	if strings.Contains(text, "_bucket{") || strings.Contains(text, "# TYPE") {
+		t.Fatalf("snapshot should omit buckets and comments: %q", text)
 	}
-	if !strings.Contains(lines[0], MIngestFrames+" 3") {
-		t.Fatalf("snapshot missing counter: %q", lines[0])
+	if !strings.Contains(text, MIngestLag+"_count 1") {
+		t.Fatalf("snapshot should keep histogram _count: %q", text)
 	}
-	if strings.Contains(lines[0], "_bucket{") || strings.Contains(lines[0], "# TYPE") {
-		t.Fatalf("snapshot should omit buckets and comments: %q", lines[0])
-	}
-	if !strings.Contains(lines[0], MIngestLag+"_count 1") {
-		t.Fatalf("snapshot should keep histogram _count: %q", lines[0])
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-positive interval should panic")
-			}
-		}()
-		StartLogger(r, 0, nil)
-	}()
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"netseer/internal/collector"
 	"netseer/internal/core"
 	"netseer/internal/fevent"
 )
@@ -194,7 +195,7 @@ func TestCheckersCatchTampering(t *testing.T) {
 
 	t.Run("completeness_missed_event", func(t *testing.T) {
 		res := Run(sc)
-		res.Store.Reset() // collector "lost" everything
+		res.Store = collector.NewStore() // collector "lost" everything
 		rep := Check(res)
 		if rep.Results[0].OK() {
 			t.Error("completeness checker passed with an empty store")
