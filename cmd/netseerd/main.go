@@ -225,12 +225,12 @@ func runCoordinator(reg *obs.Registry, life lifecycle) {
 	coord, err := fabric.StartCoordinator(fabric.CoordinatorOptions{
 		StatePath:  *fabricState,
 		ListenAddr: *fabricListen,
-		Registry:   reg,
 	})
 	if err != nil {
 		log.Fatalf("netseerd: coordinator: %v", err)
 	}
 	defer coord.Close()
+	coord.RegisterMetrics(reg)
 	cfg := coord.Config()
 	log.Printf("netseerd: coordinator on %s (epoch %d, %d shards)", coord.Addr(), cfg.Epoch, len(cfg.Shards))
 	if !coord.Resolved() {

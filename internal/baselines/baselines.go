@@ -1,12 +1,15 @@
-// Package baselines implements the five comparison monitoring systems of
-// the paper's evaluation (§5): SNMP counter polling, 1:N packet sampling,
-// Pingmesh active probing, EverFlow (SYN/FIN mirroring + on-demand
-// per-flow telemetry), and NetSight (per-packet postcards).
+// Package baselines implements the four comparison monitoring systems of
+// the paper's evaluation (§5): 1:N packet sampling, Pingmesh active
+// probing, EverFlow (SYN/FIN mirroring + on-demand per-flow telemetry),
+// and NetSight (per-packet postcards).
 //
-// Each system records what it could *detect with flow attribution* as a
-// set of dataplane.FlowEventKey values, plus the monitoring bytes it
-// shipped, so the experiments can compute the coverage (Fig. 9–10) and
-// overhead (Fig. 11) comparisons against the ground-truth ledger.
+// Sampling, EverFlow and NetSight record what they could *detect with
+// flow attribution* as a set of dataplane.FlowEventKey values, plus the
+// monitoring bytes they shipped, so the experiments can compute the
+// coverage (Fig. 9–10) and overhead (Fig. 11) comparisons against the
+// ground-truth ledger. Pingmesh probes carry no application-flow
+// identity: it keeps its slow and lost probes, which Fig. 10 credits by
+// existence only.
 package baselines
 
 import (
@@ -32,13 +35,3 @@ func (d Detections) addPath(sw uint16, flow pkt.FlowKey, in, out uint8) {
 // in the testbed configuration ("all mirrored packets are truncated to 64
 // bytes").
 const MirrorTruncation = 64
-
-// System is the common reporting surface of all baselines.
-type System interface {
-	Name() string
-	// Detected returns the flow events the system could report with flow
-	// attribution.
-	Detected() Detections
-	// OverheadBytes returns total monitoring traffic generated.
-	OverheadBytes() uint64
-}

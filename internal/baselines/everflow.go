@@ -56,9 +56,6 @@ func NewEverFlow(s *sim.Simulator, congThr sim.Time, rotation sim.Time, seed uin
 	return e
 }
 
-// Name implements System.
-func (e *EverFlow) Name() string { return "everflow" }
-
 // Stop halts watchlist rotation (lets simulations drain).
 func (e *EverFlow) Stop() { e.stopped = true }
 
@@ -134,8 +131,8 @@ func (e *EverFlow) OnDequeue(sw *dataplane.Switch, p *pkt.Packet, port, queue in
 	e.detected.add(sw.ID, fevent.TypeCongestion, p.Flow, fevent.DropNone)
 }
 
-// Detected implements System.
+// Detected returns the flow events EverFlow reported with flow attribution.
 func (e *EverFlow) Detected() Detections { return e.detected }
 
-// OverheadBytes implements System.
+// OverheadBytes returns the mirrored bytes EverFlow shipped.
 func (e *EverFlow) OverheadBytes() uint64 { return e.overhead }

@@ -41,9 +41,6 @@ func NewNetSight(congThr sim.Time) *NetSight {
 	}
 }
 
-// Name implements System.
-func (n *NetSight) Name() string { return "netsight" }
-
 // OnIngress emits one postcard per packet per hop.
 func (n *NetSight) OnIngress(sw *dataplane.Switch, p *pkt.Packet, port int) {
 	if p.Kind != pkt.KindData && p.Kind != pkt.KindProbe {
@@ -100,8 +97,8 @@ func (n *NetSight) OnLinkLost(upstream *dataplane.Switch, p *pkt.Packet, corrupt
 // comparison: one core processes 240 kpps of postcards).
 func (n *NetSight) Postcards() uint64 { return n.postcards }
 
-// Detected implements System.
+// Detected returns the flow events NetSight reported with flow attribution.
 func (n *NetSight) Detected() Detections { return n.detected }
 
-// OverheadBytes implements System.
+// OverheadBytes returns the postcard bytes NetSight shipped.
 func (n *NetSight) OverheadBytes() uint64 { return n.overhead }

@@ -63,9 +63,6 @@ func NewPingmesh(s *sim.Simulator, hosts []*host.Host, routes *topo.Routes, inte
 	return p
 }
 
-// Name implements System.
-func (p *Pingmesh) Name() string { return "pingmesh" }
-
 // Stop halts probing.
 func (p *Pingmesh) Stop() { p.stopped = true }
 
@@ -183,10 +180,3 @@ func (p *Pingmesh) CoversCongestion(fab *dataplane.Fabric, swID uint16, port uin
 	}
 	return false
 }
-
-// Detected implements System: empty — probes carry no application-flow
-// identity.
-func (p *Pingmesh) Detected() Detections { return make(Detections) }
-
-// OverheadBytes implements System: 64 B per probe plus the echo.
-func (p *Pingmesh) OverheadBytes() uint64 { return (p.sent + p.echo) * 64 }

@@ -44,7 +44,7 @@ func NewSampler(n int, congThr sim.Time) *Sampler {
 	}
 }
 
-// Name implements System.
+// Name labels the sampler by its rate.
 func (s *Sampler) Name() string { return fmt.Sprintf("sampling-1:%d", s.N) }
 
 // OnIngress samples every Nth packet (overhead accounting; the sampled
@@ -90,8 +90,8 @@ func (s *Sampler) OnDequeue(sw *dataplane.Switch, p *pkt.Packet, port, queue int
 	}
 }
 
-// Detected implements System.
+// Detected returns the flow events the samples attributed.
 func (s *Sampler) Detected() Detections { return s.detected }
 
-// OverheadBytes implements System.
+// OverheadBytes returns the sampled bytes shipped.
 func (s *Sampler) OverheadBytes() uint64 { return s.overhead }

@@ -55,8 +55,6 @@ type CoordinatorOptions struct {
 	Bootstrap []ShardInfo
 	// OpTimeout bounds one shard admin call (default 10s).
 	OpTimeout time.Duration
-	// Registry, when non-nil, receives the coordinator's instruments.
-	Registry *obs.Registry
 }
 
 // Coordinator owns ring membership: it computes epoch-stamped configs,
@@ -103,14 +101,6 @@ func StartCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if c.svc, err = collector.Listen(opts.ListenAddr, nil); err != nil {
 		return nil, err
 	}
-	if opts.Registry != nil {
-		opts.Registry.RegisterCounter(obs.MFabricRebalances, &c.rebalances)
-		opts.Registry.Func(obs.MFabricEpoch, func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.st.Current.Epoch)
-		})
-	}
 	if c.st.Pending != nil {
 		c.resolving = true
 		c.wg.Add(1)
@@ -118,6 +108,17 @@ func StartCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c.svc.Start(nil, serveJSON(c.handle))
 	return c, nil
+}
+
+// RegisterMetrics exposes the coordinator's instruments on r: the
+// rebalance counter and the published epoch.
+func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
+	r.RegisterCounter(obs.MFabricRebalances, &c.rebalances)
+	r.Func(obs.MFabricEpoch, func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(c.st.Current.Epoch)
+	})
 }
 
 // Addr returns the coordinator's listening address.

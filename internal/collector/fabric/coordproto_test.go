@@ -53,12 +53,12 @@ func TestCoordinatorWireProtocol(t *testing.T) {
 		StatePath:  filepath.Join(base, "coord.json"),
 		ListenAddr: "127.0.0.1:0",
 		OpTimeout:  5 * time.Second,
-		Registry:   regC,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	coord.RegisterMetrics(regC)
 	addr := coord.Addr()
 
 	reg1, reg2 := obs.NewRegistry(), obs.NewRegistry()

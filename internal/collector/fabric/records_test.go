@@ -16,6 +16,7 @@ import (
 
 	"netseer/internal/collector"
 	"netseer/internal/collector/wal"
+	"netseer/internal/faultfs"
 	"netseer/internal/fevent"
 	"netseer/internal/obs/trace"
 	"netseer/internal/pkt"
@@ -375,5 +376,79 @@ func TestApplyAcksOnlyAPersistedConfig(t *testing.T) {
 	defer n.Close()
 	if got := n.Epoch(); got != 3 {
 		t.Fatalf("restarted at epoch %d, want 3", got)
+	}
+}
+
+// TestApplyRefusedWhenConfigWriteFails: the disk fails its first fsync,
+// which is the config file's; the apply is refused, the epoch stands,
+// and no config file is left behind.
+func TestApplyRefusedWhenConfigWriteFails(t *testing.T) {
+	dir := t.TempDir()
+	fault := faultfs.NewFault(faultfs.OS, faultfs.Plan{Seed: 11, FailSyncAt: 1})
+	n, err := StartShard(ShardOptions{
+		ID: 1, Dir: dir,
+		IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
+		WAL: wal.Options{FS: fault},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	cfg := Config{Epoch: 2, Shards: []ShardInfo{n.Info()}}
+	for s := range cfg.Slots {
+		cfg.Slots[s] = 1
+	}
+	_, err = adminCall(n.AdminAddr(), &adminReq{Op: "apply", Config: &cfg}, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "persisting epoch 2") {
+		t.Fatalf("apply on a failing disk: %v, want a refusal", err)
+	}
+	if got := n.Epoch(); got != 0 {
+		t.Fatalf("epoch %d after a refused apply, want 0", got)
+	}
+	if _, err := os.Stat(configPath(dir)); !os.IsNotExist(err) {
+		t.Fatalf("config file after a refused apply: %v", err)
+	}
+}
+
+// TestStartShardRefusesUnreadableRingConfig: a config file that does not
+// decode, or cannot be read, fails the start with its name; the node is
+// released, so a start without the file succeeds in the same dir.
+func TestStartShardRefusesUnreadableRingConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(path string) error
+	}{
+		{"corrupt", func(path string) error { return os.WriteFile(path, []byte(`{"epoch":`), 0o644) }},
+		{"unknown shard", func(path string) error { return os.WriteFile(path, []byte(`{"epoch":3,"slots":[7]}`), 0o644) }},
+		{"unreadable", func(path string) error { return os.Mkdir(path, 0o755) }},
+	} {
+		dir := filepath.Join(t.TempDir(), "s")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.plant(configPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		opts := ShardOptions{
+			ID: 1, Dir: dir,
+			IngestAddr: "127.0.0.1:0", QueryAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0",
+		}
+		n, err := StartShard(opts)
+		if err == nil {
+			n.Close()
+			t.Errorf("%s: StartShard succeeded", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "ring-config.json") {
+			t.Errorf("%s: error %q does not name the file", tc.name, err)
+		}
+		if err := os.RemoveAll(configPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		n, err = StartShard(opts)
+		if err != nil {
+			t.Fatalf("%s: start after removing the file: %v", tc.name, err)
+		}
+		n.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -77,8 +78,8 @@ type ShardOptions struct {
 	// set, is served instead of binding IngestAddr — chaos tests
 	// interpose fault-injected wires there.
 	Server collector.ServerConfig
-	// WAL tunes the log: its segment size, and the filesystem it runs on
-	// (fault tests script disk failures there).
+	// WAL tunes the log: its segment size, and the filesystem it and the
+	// applied ring config run on (fault tests script disk failures there).
 	WAL wal.Options
 
 	// StageDelay is a test hook: sleep this long inside the import
@@ -99,6 +100,7 @@ type ShardNode struct {
 	*collector.Node
 	ID  uint32
 	dir string
+	fs  faultfs.FS // the log's filesystem, which also holds the ring config
 
 	admin *collector.Service
 
@@ -115,6 +117,31 @@ type ShardNode struct {
 
 // configPath is where a shard persists the last applied ring config.
 func configPath(dir string) string { return filepath.Join(dir, "ring-config.json") }
+
+// loadConfig reads the ring config a shard last applied from fs: the
+// zero config (epoch 0) when there is none. A file that exists but cannot
+// be read or decoded is an error naming it: a shard that forgot its epoch
+// would accept the stale applies it must refuse.
+func loadConfig(fs faultfs.FS, dir string) (Config, error) {
+	path := configPath(dir)
+	f, err := fs.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return Config{}, nil
+	}
+	var cfg Config
+	if err == nil {
+		var data []byte
+		data, err = io.ReadAll(f)
+		f.Close()
+		if err == nil {
+			cfg, err = DecodeConfig(data)
+		}
+	}
+	if err != nil {
+		return Config{}, fmt.Errorf("fabric: ring config %s: %w", path, err)
+	}
+	return cfg, nil
+}
 
 // replay returns the handler the collector's one replay loop passes a
 // shard log's bookkeeping records (records.go) to, rebuilding t beside the
@@ -205,11 +232,13 @@ func StartShard(opts ShardOptions) (*ShardNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &ShardNode{Node: node, ID: opts.ID, dir: opts.Dir, openRB: open, stageDelay: opts.StageDelay}
-	if data, err := os.ReadFile(configPath(opts.Dir)); err == nil {
-		if cfg, err := DecodeConfig(data); err == nil {
-			n.cfg = cfg
-		}
+	n := &ShardNode{Node: node, ID: opts.ID, dir: opts.Dir, fs: opts.WAL.FS, openRB: open, stageDelay: opts.StageDelay}
+	if n.fs == nil {
+		n.fs = faultfs.OS
+	}
+	if n.cfg, err = loadConfig(n.fs, opts.Dir); err != nil {
+		node.Close()
+		return nil, err
 	}
 	if n.admin, err = collector.Listen(opts.AdminAddr, nil); err != nil {
 		node.Close()
@@ -422,7 +451,7 @@ func (n *ShardNode) handleApply(req *adminReq) adminResp {
 		return adminResp{Err: fmt.Sprintf("apply: epoch %d behind applied %d", req.Config.Epoch, n.cfg.Epoch)}
 	}
 	// Persist before acking so a restarted shard still knows its epoch.
-	if err := faultfs.ReplaceFile(faultfs.OS, configPath(n.dir), req.Config.Encode()); err != nil {
+	if err := faultfs.ReplaceFile(n.fs, configPath(n.dir), req.Config.Encode()); err != nil {
 		return adminResp{Err: fmt.Sprintf("apply: persisting epoch %d: %v", req.Config.Epoch, err)}
 	}
 	n.cfg = *req.Config

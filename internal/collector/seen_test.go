@@ -75,6 +75,8 @@ func FuzzSeenSet(f *testing.F) {
 	f.Add([]byte{0x80, 5, 0xf0, 0, 0x80, 5, 20, 0, 0x80, 5, 0xf0, 0, 3, 0, 0, 0, 0, 5, 21, 0, 7, 0, 0, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 3, 0, 0x80, 0, 2, 0, 0x80, 0, 4, 0, 0x80, 0, 2, 0, 0x80, 0, 3, 0, 3, 0, 0, 0})
 	f.Add([]byte{0x81, 1, 1, 1, 0x81, 6, 2, 2, 0x80, 3, 0x80, 7, 3, 0, 0, 0, 0x81, 1, 1, 1, 0x80, 2, 4, 4, 3, 0, 0, 0})
+	// A merge past a window the switch already holds, which it keeps.
+	f.Add([]byte{0, 0, 0, 0, 0x80, 0, 0, 2, 3, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s seenSet
 		m := map[batchKey]struct{}{}

@@ -399,7 +399,7 @@ func (s *Store) deliver(p *Payload, events []fevent.Event) {
 	}
 	if p.Trace.Valid() {
 		sp.End = trace.Now()
-		if slow := trace.SlowThreshold(); p.Trace.Sampled() || (slow > 0 && sp.End-sp.Start >= slow) {
+		if p.Trace.Sampled() || sp.End-sp.Start >= int64(trace.SlowThreshold) {
 			trace.Record(sp)
 		}
 	}

@@ -242,37 +242,6 @@ type pathEntry struct {
 	lastSeen         sim.Time
 }
 
-// tokenBucket is a strict capacity model: work beyond the budget is lost,
-// not delayed (hardware redirection has no queue to wait in).
-type tokenBucket struct {
-	bps    float64
-	bits   float64
-	maxBit float64
-	last   sim.Time
-}
-
-func newTokenBucket(bps float64, burstBytes int) *tokenBucket {
-	b := float64(burstBytes * 8)
-	return &tokenBucket{bps: bps, bits: b, maxBit: b}
-}
-
-// tryTake consumes n bytes of budget at time now, reporting success.
-func (t *tokenBucket) tryTake(now sim.Time, n int) bool {
-	if now > t.last {
-		t.bits += (now - t.last).Seconds() * t.bps
-		if t.bits > t.maxBit {
-			t.bits = t.maxBit
-		}
-		t.last = now
-	}
-	bits := float64(n * 8)
-	if t.bits < bits {
-		return false
-	}
-	t.bits -= bits
-	return true
-}
-
 // NetSeerSwitch is the per-switch NetSeer instance. It implements
 // dataplane.Telemetry.
 type NetSeerSwitch struct {
@@ -319,9 +288,10 @@ type NetSeerSwitch struct {
 	// more than none).
 	outTrace trace.Context
 
-	// Capacity models.
-	mmuRedirect  *tokenBucket
-	internalPort *tokenBucket
+	// Capacity models, taken strictly (TryTake): work beyond the budget
+	// is lost, not delayed — hardware redirection has no queue to wait in.
+	mmuRedirect  *fpelim.Pacer
+	internalPort *fpelim.Pacer
 
 	// stats holds the counts core keeps itself; Stats() adds the other
 	// stages' counters. Plain counters: the pipeline is single-owner and
@@ -350,8 +320,8 @@ func Attach(sw *dataplane.Switch, cfg Config, sink EventSink) *NetSeerSwitch {
 		congThreshold:  sw.Config().CongestionThreshold,
 		pathTable:      make([]pathEntry, cfg.PathSlots),
 		pathMask:       -1,
-		mmuRedirect:    newTokenBucket(cfg.MMURedirectBps, 256<<10),
-		internalPort:   newTokenBucket(cfg.InternalPortBps, 512<<10),
+		mmuRedirect:    fpelim.NewPacer(cfg.MMURedirectBps, 256<<10),
+		internalPort:   fpelim.NewPacer(cfg.InternalPortBps, 512<<10),
 		latDetectToCPU: obs.NewHistogram(obs.LatencyBuckets()),
 		extractBuf:     make([]fevent.Event, 0, 256),
 	}

@@ -85,7 +85,7 @@ func (n *NetSeerSwitch) PipelineForward(p *pkt.Packet, inPort, outPort, queue in
 	if queuePaused {
 		// Pause events share the internal port budget; check it before
 		// spending the hash computation on a packet that will be dropped.
-		if !n.internalPort.tryTake(n.sim.Now(), p.WireLen) {
+		if !n.internalPort.TryTake(n.sim.Now(), p.WireLen) {
 			n.stats.LostInternalPort++
 			return
 		}
@@ -145,7 +145,7 @@ func (n *NetSeerSwitch) detectPathChange(p *pkt.Packet, inPort, outPort int) {
 // OnPipelineDrop selects dropped packets as event packets (Fig. 4 rows).
 func (n *NetSeerSwitch) OnPipelineDrop(p *pkt.Packet, inPort int, code fevent.DropCode, aclRule int) {
 	// Redirected events from the ingress pipeline share the internal port.
-	if !n.internalPort.tryTake(n.sim.Now(), p.WireLen) {
+	if !n.internalPort.TryTake(n.sim.Now(), p.WireLen) {
 		n.stats.LostInternalPort++
 		return
 	}
@@ -170,11 +170,11 @@ func (n *NetSeerSwitch) OnPipelineDrop(p *pkt.Packet, inPort int, code fevent.Dr
 // redirect capacity (§4: ~40 Gb/s).
 func (n *NetSeerSwitch) OnMMUDrop(p *pkt.Packet, inPort, outPort, queue int) {
 	now := n.sim.Now()
-	if !n.mmuRedirect.tryTake(now, p.WireLen) {
+	if !n.mmuRedirect.TryTake(now, p.WireLen) {
 		n.stats.LostMMURedirect++
 		return
 	}
-	if !n.internalPort.tryTake(now, p.WireLen) {
+	if !n.internalPort.TryTake(now, p.WireLen) {
 		n.stats.LostInternalPort++
 		return
 	}

@@ -59,9 +59,6 @@ type ACLTable struct {
 // Add appends a rule (lowest priority last).
 func (t *ACLTable) Add(r ACLRule) { t.rules = append(t.rules, r) }
 
-// Clear removes all rules.
-func (t *ACLTable) Clear() { t.rules = nil }
-
 // Len returns the rule count.
 func (t *ACLTable) Len() int { return len(t.rules) }
 

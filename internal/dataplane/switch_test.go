@@ -190,6 +190,11 @@ func TestRouteOverrideBlackhole(t *testing.T) {
 	if n := r.sw0.DropsByCode()[fevent.DropNoRoute]; n != 1 {
 		t.Errorf("blackhole drops = %d, want 1", n)
 	}
+	// Unlike a parity error's, the drop is visible in the ingress port's
+	// counters (host-facing port 1).
+	if got := r.sw0.Counters(1).Drops; got != 1 {
+		t.Errorf("visible drops = %d, want 1", got)
+	}
 	r.sw0.ClearRouteOverride(r.hB.IP)
 	r.sendAB(100, 64, 0)
 	r.sim.RunAll()

@@ -216,6 +216,32 @@ func TestPacerSustainedRate(t *testing.T) {
 	}
 }
 
+// TestPacerTryTake: a strict take spends the budget it is granted,
+// refuses without spending what the bucket does not hold, refills like
+// Admit, and counts no send or delay.
+func TestPacerTryTake(t *testing.T) {
+	p := NewPacer(1e6, 100) // 1 Mb/s, 100 B burst
+	if !p.TryTake(0, 60) {
+		t.Fatal("take within the burst refused")
+	}
+	if p.TryTake(0, 60) {
+		t.Fatal("take past the budget granted")
+	}
+	if !p.TryTake(0, 40) {
+		t.Fatal("a refused take spent budget")
+	}
+	if p.TryTake(0, 1) {
+		t.Fatal("empty bucket granted a take")
+	}
+	// 400 µs at 1 Mb/s refills 400 bits, 50 B.
+	if !p.TryTake(400*sim.Microsecond, 50) || p.TryTake(400*sim.Microsecond, 1) {
+		t.Fatal("refill is not 50 B after 400 µs")
+	}
+	if sent, delayed := p.Stats(); sent != 0 || delayed != 0 {
+		t.Fatalf("TryTake counted sent=%d delayed=%d", sent, delayed)
+	}
+}
+
 func TestPacerValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

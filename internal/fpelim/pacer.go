@@ -47,6 +47,19 @@ func (p *Pacer) Admit(now sim.Time, n int) sim.Time {
 	return delay
 }
 
+// TryTake is Admit's strict form, for capacity with no queue to wait in:
+// it spends n bytes of budget at virtual time now and reports true, or
+// spends nothing and reports false. It counts no send or delay.
+func (p *Pacer) TryTake(now sim.Time, n int) bool {
+	p.refill(now)
+	bits := float64(n * 8)
+	if p.tokens < bits {
+		return false
+	}
+	p.tokens -= bits
+	return true
+}
+
 // refill adds tokens for the elapsed time, capped at the burst depth.
 func (p *Pacer) refill(now sim.Time) {
 	if now <= p.last {

@@ -1,5 +1,5 @@
 // Package incidents embeds the production NPA statistics of the paper's
-// Figures 1 and 3 — the drop-type mix, cause-source mix, and
+// Figures 1 and 3 — the drop-type mix, recovery-time and
 // fault-location-time distributions Alibaba measured over O(100) real
 // service tickets — and uses them to *parameterize* reproduction
 // scenarios. The statistics themselves cannot be re-measured from a
@@ -90,76 +90,9 @@ func SampleDropClass(rng *sim.Stream) DropClass {
 	return MMUFailure
 }
 
-// Mix returns the Figure 3 fraction for a class.
-func Mix(c DropClass) float64 { return dropMix[c] }
-
 // MeanLocationMinutes returns the paper's reported mean fault-location
 // time without NetSeer for a class.
 func MeanLocationMinutes(c DropClass) float64 { return meanLocationMinutes[c] }
-
-// CoveredByNetSeer reports whether the class is within NetSeer's coverage
-// (Fig. 4: everything except malfunctioning hardware).
-func (c DropClass) CoveredByNetSeer() bool {
-	return c != ASICFailure && c != MMUFailure
-}
-
-// Source is a Figure 1(b) NPA cause source.
-type Source int
-
-// Figure 1(b) sources.
-const (
-	SourceNetwork Source = iota
-	SourceServer
-	SourceProvisioning
-	SourcePower
-	SourceAttack
-)
-
-// String names the source.
-func (s Source) String() string {
-	switch s {
-	case SourceNetwork:
-		return "network"
-	case SourceServer:
-		return "server"
-	case SourceProvisioning:
-		return "resource provisioning"
-	case SourcePower:
-		return "power"
-	case SourceAttack:
-		return "attack"
-	default:
-		return fmt.Sprintf("source(%d)", int(s))
-	}
-}
-
-// sourceMix approximates Figure 1(b) averaged over the three NPA types
-// (long-tail latency, bandwidth loss, packet timeout): the network is only
-// a fraction of NPA causes — the reason diagnosis "ping-pongs between
-// teams" and exoneration matters.
-var sourceMix = map[Source]float64{
-	SourceNetwork:      0.40,
-	SourceServer:       0.35,
-	SourceProvisioning: 0.15,
-	SourcePower:        0.06,
-	SourceAttack:       0.04,
-}
-
-// SampleSource draws one NPA cause source from the Figure 1(b) mix.
-func SampleSource(rng *sim.Stream) Source {
-	u := rng.Float64()
-	acc := 0.0
-	for _, s := range []Source{SourceNetwork, SourceServer, SourceProvisioning, SourcePower, SourceAttack} {
-		acc += sourceMix[s]
-		if u < acc {
-			return s
-		}
-	}
-	return SourceAttack
-}
-
-// SourceMix returns the Figure 1(b) fraction for a source.
-func SourceMix(s Source) float64 { return sourceMix[s] }
 
 // RecoveryTime samples a total NPA recovery time without NetSeer from the
 // Figure 1(a) distribution shape: about half of NPAs take >10 minutes,

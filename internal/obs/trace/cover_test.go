@@ -3,22 +3,9 @@ package trace
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"netseer/internal/obs"
 )
-
-func TestSlowThresholdKnob(t *testing.T) {
-	defer SetSlowThreshold(DefaultSlowThreshold)
-	SetSlowThreshold(5 * time.Millisecond)
-	if got := SlowThreshold(); got != int64(5*time.Millisecond) {
-		t.Fatalf("SlowThreshold = %d, want %d", got, int64(5*time.Millisecond))
-	}
-	SetSlowThreshold(0)
-	if got := SlowThreshold(); got != 0 {
-		t.Fatalf("SlowThreshold after disable = %d, want 0", got)
-	}
-}
 
 func TestHandoffTraceID(t *testing.T) {
 	a, b := HandoffTraceID(7), HandoffTraceID(7)

@@ -62,28 +62,16 @@ const DefaultSampleEvery = 16
 
 func init() {
 	sampleEvery.Store(DefaultSampleEvery)
-	slowNanos.Store(int64(DefaultSlowThreshold))
 }
 
-// slowNanos is the forced-capture threshold: a hop that takes at least
+// SlowThreshold is the forced-capture threshold, three orders of
+// magnitude above a healthy store-index pass: a hop that takes at least
 // this long records its span even when the batch is unsampled, so the
 // pathological batches — the ones worth tracing — are captured
 // regardless of the sampling modulus. Contexts are always assigned
 // (only the sampled flag is probabilistic), so a forced span still
 // carries a real trace ID and joins exemplar lookups.
-var slowNanos atomic.Int64
-
-// DefaultSlowThreshold forces span capture for hops of 1 ms or more —
-// three orders of magnitude above a healthy store-index pass.
-const DefaultSlowThreshold = time.Millisecond
-
-// SetSlowThreshold sets the forced slow-span capture threshold
-// (0 disables forced capture).
-func SetSlowThreshold(d time.Duration) { slowNanos.Store(int64(d)) }
-
-// SlowThreshold returns the forced-capture threshold in nanoseconds, 0
-// when disabled.
-func SlowThreshold() int64 { return slowNanos.Load() }
+const SlowThreshold = time.Millisecond
 
 // SetSampleEvery sets the head-sampling modulus for new contexts:
 // 1 traces every batch, n traces one in n, 0 disables sampling.

@@ -159,22 +159,6 @@ func TestFrameFlowKeyNoIP(t *testing.T) {
 	}
 }
 
-func TestPacketClone(t *testing.T) {
-	p := &Packet{
-		Flow: testFlow(), WireLen: 100, Payload: []byte{1, 2, 3},
-		PFC: Pause(1, 5),
-	}
-	q := p.Clone()
-	q.Payload[0] = 99
-	q.PFC.PauseTime[1] = 7
-	if p.Payload[0] == 99 {
-		t.Error("Clone shares payload")
-	}
-	if p.PFC.PauseTime[1] == 7 {
-		t.Error("Clone shares PFC frame")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	kinds := map[Kind]string{
 		KindData: "data", KindPFC: "pfc", KindLossNotify: "loss-notify",
@@ -185,15 +169,6 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), k.String(), want)
 		}
-	}
-}
-
-func TestPadToMinFrame(t *testing.T) {
-	if PadToMinFrame(10) != MinEthernetFrame {
-		t.Error("small frame not padded")
-	}
-	if PadToMinFrame(1000) != 1000 {
-		t.Error("large frame altered")
 	}
 }
 

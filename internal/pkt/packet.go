@@ -113,32 +113,10 @@ func (p *Packet) FlowHash() uint32 {
 	return p.hash
 }
 
-// Clone returns a deep copy, used when a pipeline both forwards and mirrors
-// a packet.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	if p.PFC != nil {
-		f := *p.PFC
-		q.PFC = &f
-	}
-	return &q
-}
-
-// MinEthernetFrame is the minimum Ethernet frame size in bytes; shorter
-// logical payloads are padded on the wire.
+// MinEthernetFrame is the minimum Ethernet frame size in bytes, the wire
+// size of the fabric's control frames (PFC pauses, loss notifications).
 const MinEthernetFrame = 64
 
 // MaxEthernetFrame is the standard (non-jumbo) MTU-bounded frame size used
 // by the simulated fabric.
 const MaxEthernetFrame = 1518
-
-// PadToMinFrame returns n rounded up to the minimum Ethernet frame size.
-func PadToMinFrame(n int) int {
-	if n < MinEthernetFrame {
-		return MinEthernetFrame
-	}
-	return n
-}

@@ -126,11 +126,6 @@ func TestFlowHashFollowsFlow(t *testing.T) {
 
 	lit := &Packet{Flow: a}
 	check("literal", lit)
-	c := lit.Clone()
-	if !c.hashed || c.hash != lit.hash {
-		t.Error("Clone dropped the cached hash")
-	}
-	check("clone", c)
 
 	wire := MarshalDataFrame(&Packet{Flow: b, WireLen: 128, TTL: 64}, nil)
 	if err := UnmarshalDataFrame(wire, lit); err != nil {

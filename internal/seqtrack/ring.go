@@ -54,21 +54,15 @@ func NewRing(n int) *Ring {
 	return &Ring{slots: make([]slot, n)}
 }
 
-// slot is one record in the hardware layout, BytesPerSlot bytes
-// (TestSlotIsBytesPerSlot): the flow key in wire order, the frame length
-// and the packet ID. A recorded frame is never 0 B, so a zero wireLen
-// marks a slot that holds no record.
+// slot is one record in the hardware layout (TestSlotIsBytesPerSlot):
+// the 13 B flow key in wire order, the 2 B frame length and the 4 B
+// packet ID, padded to 20 B for word alignment. A recorded frame is never
+// 0 B, so a zero wireLen marks a slot that holds no record.
 type slot struct {
 	flow    [pkt.FlowKeyLen]byte
 	wireLen uint16
 	id      uint32
 }
-
-// BytesPerSlot is the SRAM cost of one slot in the hardware layout:
-// 13 B flow key + 4 B packet ID + 2 B length ≈ 19, padded to 20 for
-// word alignment — which is also what a slot costs here. Used by the
-// Fig. 15(b) SRAM accounting.
-const BytesPerSlot = 20
 
 // Record stores the packet with the given consecutive ID in the next
 // virtual slot. IDs are expected to be (close to) consecutive per ring,

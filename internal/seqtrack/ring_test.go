@@ -108,11 +108,11 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
-// TestSlotIsBytesPerSlot pins a slot at the hardware layout Fig. 15(b)'s
-// SRAM accounting charges, its key in the canonical wire encoding.
+// TestSlotIsBytesPerSlot pins a slot at the 20 B hardware layout, its
+// key in the canonical wire encoding.
 func TestSlotIsBytesPerSlot(t *testing.T) {
-	if n := unsafe.Sizeof(slot{}); n != BytesPerSlot {
-		t.Fatalf("a slot is %d B, BytesPerSlot is %d", n, BytesPerSlot)
+	if n := unsafe.Sizeof(slot{}); n != 20 {
+		t.Fatalf("a slot is %d B, want 20", n)
 	}
 	r := NewRing(4)
 	k := pkt.FlowKey{SrcIP: 0x01020304, DstIP: 0x05060708, SrcPort: 0x090a, DstPort: 0x0b0c, Proto: 0x0d}

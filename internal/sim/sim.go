@@ -303,7 +303,6 @@ type Simulator struct {
 	pending int       // events scheduled in either tier
 	heap    eventHeap // events due wheelSpan or more after the clock when scheduled
 	free    *event    // recycled events (zero-alloc steady-state scheduling)
-	stopped bool
 	// processed counts executed events, mostly for tests and reporting.
 	processed uint64
 	wheel     wheel // events due less than wheelSpan after the clock when scheduled
@@ -408,9 +407,6 @@ func (s *Simulator) Cancel(h Handle) bool {
 	return true
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Step executes the single earliest pending event and reports whether one
 // was executed.
 func (s *Simulator) Step() bool {
@@ -437,12 +433,11 @@ func (s *Simulator) exec(ev *event) {
 	fn()
 }
 
-// Run executes events in order until the queue is empty, the next event lies
-// beyond the until instant, or Stop is called. It returns the virtual time at
-// which execution stopped. Events exactly at until are executed.
+// Run executes events in order until the queue is empty or the next event
+// lies beyond the until instant. It returns the virtual time at which
+// execution stopped. Events exactly at until are executed.
 func (s *Simulator) Run(until Time) Time {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		ev := s.head()
 		if ev == nil || ev.at > until {
 			break
@@ -450,7 +445,7 @@ func (s *Simulator) Run(until Time) Time {
 		s.exec(ev)
 	}
 	// Advance the clock to the horizon (never backward).
-	if !s.stopped && s.now < until && until != MaxTime {
+	if s.now < until && until != MaxTime {
 		s.now = until
 	}
 	return s.now
@@ -461,8 +456,7 @@ func (s *Simulator) Run(until Time) Time {
 // horizon — the caller owns the window semantics). It is one of the
 // scheduler model's operations (sched_model_test.go, FuzzScheduler).
 func (s *Simulator) RunBefore(horizon Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		ev := s.head()
 		if ev == nil || ev.at >= horizon {
 			break
@@ -475,52 +469,7 @@ func (s *Simulator) RunBefore(horizon Time) {
 // finite horizon, it leaves the clock at the instant of the last executed
 // event.
 func (s *Simulator) RunAll() Time {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 	return s.now
-}
-
-// Every schedules fn to run now+d, then every d thereafter, until the
-// returned Ticker is stopped or the simulation ends.
-func (s *Simulator) Every(d Time, fn func()) *Ticker {
-	if d <= 0 {
-		panic("sim: non-positive tick interval")
-	}
-	t := &Ticker{sim: s, interval: d, fn: fn}
-	// One closure for the ticker's lifetime: re-arming must not allocate.
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	}
-	t.arm()
-	return t
-}
-
-// Ticker repeatedly schedules a closure at a fixed interval.
-type Ticker struct {
-	sim      *Simulator
-	interval Time
-	fn       func()
-	tick     func() // pre-bound wrapper scheduled every interval
-	handle   Handle
-	stopped  bool
-}
-
-func (t *Ticker) arm() {
-	t.handle = t.sim.Schedule(t.interval, t.tick)
-}
-
-// Stop cancels all future ticks.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.sim.Cancel(t.handle)
 }

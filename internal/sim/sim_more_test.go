@@ -39,31 +39,6 @@ func TestCancelStress(t *testing.T) {
 	}
 }
 
-// TestTickerStopIdempotent: stopping a ticker twice is a no-op, and no
-// tick fires afterwards.
-func TestTickerStopIdempotent(t *testing.T) {
-	s := New()
-	n := 0
-	tk := s.Every(10, func() { n++ })
-	s.Run(25)
-	tk.Stop()
-	tk.Stop()
-	s.Run(100)
-	if n != 2 {
-		t.Errorf("ticks after stop: got %d total, want 2", n)
-	}
-}
-
-// TestEveryRejectsNonPositiveInterval covers the Every guard.
-func TestEveryRejectsNonPositiveInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0) did not panic")
-		}
-	}()
-	New().Every(0, func() {})
-}
-
 // TestStreamEdges covers the small Stream helpers: Intn's guard, Uint32
 // draws, and Exp staying non-negative.
 func TestStreamEdges(t *testing.T) {

@@ -128,52 +128,6 @@ func TestCancelOneOfMany(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	ran := 0
-	s.Schedule(1, func() { ran++; s.Stop() })
-	s.Schedule(2, func() { ran++ })
-	s.Run(100)
-	if ran != 1 {
-		t.Errorf("ran = %d events before Stop, want 1", ran)
-	}
-	// Run may be resumed.
-	s.Run(100)
-	if ran != 2 {
-		t.Errorf("after resume ran = %d, want 2", ran)
-	}
-}
-
-func TestTicker(t *testing.T) {
-	s := New()
-	count := 0
-	var tk *Ticker
-	tk = s.Every(10, func() {
-		count++
-		if count == 5 {
-			tk.Stop()
-		}
-	})
-	s.Run(1000)
-	if count != 5 {
-		t.Errorf("ticker fired %d times, want 5", count)
-	}
-	if s.Now() != 1000 {
-		t.Errorf("Now() = %v, want 1000", s.Now())
-	}
-}
-
-func TestTickerStopBeforeFire(t *testing.T) {
-	s := New()
-	fired := false
-	tk := s.Every(10, func() { fired = true })
-	tk.Stop()
-	s.Run(100)
-	if fired {
-		t.Error("stopped ticker fired")
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -163,14 +163,6 @@ func (c *CMS) Occupancy() int {
 	return n
 }
 
-// Reset zeroes every counter and the stream length.
-func (c *CMS) Reset() {
-	for i := range c.rows {
-		c.rows[i] = 0
-	}
-	c.total = 0
-}
-
 // MemoryBytes reports the SRAM footprint of the counter array, for the
 // memory-budget accounting in DESIGN.md §13.
 func (c *CMS) MemoryBytes() int { return len(c.rows) * 4 }

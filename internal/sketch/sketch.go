@@ -279,21 +279,6 @@ func (s *Stage) Flush(now sim.Time) {
 	}
 }
 
-// Reset clears all sketch state (between experiment repetitions).
-func (s *Stage) Reset() {
-	s.cms.Reset()
-	s.topk.Reset()
-	for i := range s.seen {
-		s.seen[i] = hhSeen{}
-	}
-	for i := range s.portBytes {
-		s.portBytes[i] = 0
-		s.emitted[i] = 0
-	}
-	s.haveWin = false
-	s.stats = Stats{}
-}
-
 // MemoryBytes totals the stage's SRAM footprint (sketch + table + filter
 // + window accumulators), for the DESIGN.md §13 budget table.
 func (s *Stage) MemoryBytes() int {

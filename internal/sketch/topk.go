@@ -103,12 +103,6 @@ func (t *TopK) Min() uint64 {
 // residency guarantee.
 func (t *TopK) Total() uint64 { return t.total }
 
-// Reset empties the table.
-func (t *TopK) Reset() {
-	t.n = 0
-	t.total = 0
-}
-
 // MemoryBytes reports the SRAM footprint of the counter array, for the
 // memory-budget accounting in DESIGN.md §13.
 func (t *TopK) MemoryBytes() int { return len(t.entries) * (4 + pkt.FlowKeyLen + 8 + 8) }
