@@ -40,6 +40,7 @@ fuzz-smoke nightly-fuzz:
 	@set -e; for t in \
 		internal/collector:FuzzReadFrame \
 		internal/collector:FuzzLoadSnapshot \
+		internal/collector:FuzzRecoverStore \
 		internal/collector:FuzzSeenSet \
 		internal/collector/fabric:FuzzShardLog \
 		internal/collector/wal:FuzzWALRecord \

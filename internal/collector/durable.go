@@ -1,21 +1,31 @@
 package collector
 
 import (
+	"errors"
 	"fmt"
 
 	"netseer/internal/collector/wal"
+	"netseer/internal/fevent"
 	"netseer/internal/obs"
 )
 
 // RecoverStore rebuilds a Store from an opened write-ahead log: load the
 // newest snapshot, then replay the tail segments through the same
 // ViewPayload + DeliverPayload path the live wire uses — the logged bytes
-// go into the store's columns as they are, no event is materialised. Replayed batches dedup against
-// the snapshot's (switch, seq) set — and against each other — so
-// recovery is idempotent no matter how the crash interleaved snapshot
-// installation and appends. Batches that were shed before the crash
-// carry no seen-entry and re-index here, exactly as the admission ladder
-// promised.
+// go into the store's columns as they are, no event is materialised.
+// Replayed batches dedup against the snapshot's (switch, seq) set — and
+// against each other — so recovery is idempotent no matter how the crash
+// interleaved snapshot installation and appends. Batches that were shed
+// before the crash carry no seen-entry and re-index here, exactly as the
+// admission ladder promised.
+//
+// The tail is read ahead on a second goroutine (readAhead), which starts
+// before the snapshot loads: it reads and checksums the records and
+// splits and checks each frame while the caller's goroutine loads the
+// snapshot, then applies the frames in log order. The read-ahead holds at
+// most readAheadSlabs × readAheadSlab bytes of the tail, and it has ended
+// by the time RecoverStore returns, on every path. The result is the
+// sequential replay's: the same store, ReplayStats and error.
 //
 // A log may also hold records other than frames — a fabric shard's
 // bookkeeping (RecordSeq). Given records, every logged payload that is
@@ -24,24 +34,148 @@ import (
 // without, such a record is refused.
 func RecoverStore(w *wal.WAL, records ...func(s *Store, payload []byte) error) (*Store, wal.ReplayStats, error) {
 	store := NewStore()
+	ra := startReadAhead(w, len(records) > 0)
 	if err := w.ReadSnapshot(store.readSnapshot); err != nil {
+		ra.stop()
 		return nil, wal.ReplayStats{}, fmt.Errorf("collector: recovering snapshot: %w", err)
 	}
-	st, err := w.Replay(func(payload []byte) error {
-		p, err := ViewPayload(payload)
+	for i := range ra.full {
+		s := &ra.slabs[i]
+		for j := range s.frames {
+			store.DeliverPayload(&s.frames[j])
+		}
+		if s.hold {
+			ra.verdict <- records[0](store, s.held)
+		}
+		ra.free <- i
+	}
+	if ra.err != nil {
+		return nil, ra.st, ra.err
+	}
+	return store, ra.st, nil
+}
+
+// The read-ahead's bound: at most readAheadSlabs slabs of readAheadSlab
+// bytes (a whole record, the largest the log holds, fits one), each with
+// views of at most readAheadFrames frames; a small tail gets fewer and
+// smaller slabs.
+const (
+	readAheadSlabs  = 4
+	readAheadSlab   = wal.MaxRecord
+	readAheadFrames = 4096
+)
+
+// errStopped is the reader's answer to a caller that stopped it.
+var errStopped = errors.New("collector: recovery stopped")
+
+// readAhead is RecoverStore's reader: a goroutine that replays the log's
+// tail, copies each record into the slab being filled and views it there
+// with ViewPayload, and hands full slabs to the caller in log order. The
+// slabs, their views and the channels are allocated once a recovery;
+// the caller applies a slab and hands it back to be refilled.
+//
+// A record that is not a frame, given a handler, ends its slab, held: the
+// reader waits for the caller's verdict on it (the handler's error) and
+// returns that to Replay. So the handler sees the store as the records
+// before it left it, and a failing handler stops the replay at its record
+// with the ReplayStats of the sequential replay.
+type readAhead struct {
+	slabs   []slab
+	fill    int        // the slab the reader fills, -1 for none
+	full    chan int   // filled slabs, in log order; closed once Replay returns
+	free    chan int   // applied slabs; closed to stop the reader
+	verdict chan error // the caller's verdict on a held record; closed to stop the reader
+	st      wal.ReplayStats
+	err     error
+}
+
+// slab is one unit of the read-ahead: copies of records in buf, the views
+// of the frames among them, and whether it ends with a held record.
+type slab struct {
+	buf    []byte
+	frames []Payload
+	held   []byte // the held record, if hold
+	hold   bool
+}
+
+// startReadAhead sizes the ring to w's tail and starts the reader.
+func startReadAhead(w *wal.WAL, handler bool) *readAhead {
+	tail := max(int(w.Stats().SizeBytes), 1)
+	size := min(tail, readAheadSlab)
+	n := min((tail+size-1)/size, readAheadSlabs)
+	views := min(size/(payloadHdrLen+fevent.BatchHeaderLen)+1, readAheadFrames)
+	ra := &readAhead{
+		slabs:   make([]slab, n),
+		fill:    -1,
+		full:    make(chan int, n),
+		free:    make(chan int, n),
+		verdict: make(chan error),
+	}
+	bufs, frames := make([]byte, n*size), make([]Payload, n*views)
+	for i := range ra.slabs {
+		ra.slabs[i].buf = bufs[i*size : i*size : (i+1)*size]
+		ra.slabs[i].frames = frames[i*views : i*views : (i+1)*views]
+		ra.free <- i
+	}
+	go ra.read(w, handler)
+	return ra
+}
+
+// read is the reader goroutine.
+func (ra *readAhead) read(w *wal.WAL, handler bool) {
+	defer close(ra.full)
+	ra.st, ra.err = w.Replay(func(payload []byte) error {
+		if ra.fill >= 0 {
+			if s := &ra.slabs[ra.fill]; len(s.frames) == cap(s.frames) || len(payload) > cap(s.buf)-len(s.buf) {
+				ra.publish()
+			}
+		}
+		if ra.fill < 0 {
+			i, ok := <-ra.free
+			if !ok {
+				return errStopped
+			}
+			s := &ra.slabs[i]
+			s.buf, s.frames, s.held, s.hold = s.buf[:0], s.frames[:0], nil, false
+			ra.fill = i
+		}
+		s := &ra.slabs[ra.fill]
+		at := len(s.buf)
+		s.buf = append(s.buf, payload...)
+		p, err := ViewPayload(s.buf[at:])
 		switch {
 		case err == nil:
-			store.DeliverPayload(&p)
+			s.frames = append(s.frames, p)
 			return nil
-		case len(records) > 0:
-			return records[0](store, payload)
+		case !handler:
+			return fmt.Errorf("collector: replaying WAL record: %w", err)
 		}
-		return fmt.Errorf("collector: replaying WAL record: %w", err)
+		s.held, s.hold = s.buf[at:], true
+		ra.publish()
+		verdict, ok := <-ra.verdict
+		if !ok {
+			return errStopped
+		}
+		return verdict
 	})
-	if err != nil {
-		return nil, st, err
+	if ra.err == nil && ra.fill >= 0 {
+		ra.publish()
 	}
-	return store, st, nil
+}
+
+// publish hands the slab being filled to the caller.
+func (ra *readAhead) publish() {
+	ra.full <- ra.fill
+	ra.fill = -1
+}
+
+// stop ends a recovery the caller gives up on: the reader stops at its
+// next wait, and stop returns once it has gone.
+func (ra *readAhead) stop() {
+	close(ra.free)
+	close(ra.verdict)
+	for range ra.full {
+	}
 }
 
 // Node is one collector as netseerd runs it: the write-ahead log in its

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"netseer/internal/fevent"
+	"netseer/internal/pkt"
 	"netseer/internal/sim"
 )
 
@@ -29,7 +30,8 @@ func (s *Store) ExportWhere(pred func(*fevent.Event) bool) []fevent.Event {
 	var out []fevent.Event
 	var e fevent.Event
 	s.visit(&Filter{}, func(b *block, r *run, i int, fid uint32) {
-		if b.load(&s.flows, fid, r, i, &e); pred(&e) {
+		b.load(&s.flows, fid, r, i, &e)
+		if e.Hash = pkt.WireHash(&s.flows.keys[fid]); pred(&e) {
 			out = append(out, e)
 		}
 	})

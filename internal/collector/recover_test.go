@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -12,32 +13,62 @@ import (
 	"netseer/internal/sim"
 )
 
-// writeCheckpointedLog writes the log a restart recovers: about events
-// events from 10 switches over flows flows in batches whose sizes cycle
-// as an exporter's do, every batch appended as its wire payload, with a
-// checkpoint (CutSegment, then InstallSnapshot of the live store) half
-// way. It returns the live store.
-func writeCheckpointedLog(t testing.TB, dir string, events, flows int) *Store {
+// logShape is a log writeLog writes: about events events from 10
+// switches over flows flows, drawn uniformly or Zipf-1, in batches whose
+// sizes cycle as an exporter's do; a checkpoint once the store holds cut
+// of the events (0: none; 1: all, the tail empty); segments of segBytes
+// (0: the log's default); and, if record is set, the payload it returns
+// for a batch's sequence (nil: none) appended after that batch.
+type logShape struct {
+	events, flows int
+	zipf          bool
+	cut           float64
+	segBytes      int64
+	record        func(seq uint64) []byte
+}
+
+// writeLog writes the log a restart recovers, every batch appended as its
+// wire payload, the checkpoint a CutSegment and an InstallSnapshot of the
+// live store. It returns the live store and the batches' payloads.
+func writeLog(t testing.TB, dir string, sh logShape) (*Store, [][]byte) {
 	t.Helper()
-	w, err := wal.Open(dir, wal.Options{})
+	w, err := wal.Open(dir, wal.Options{SegmentBytes: sh.segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := [...]int{50, 50, 8, 50, 1, 50, 8, 50}
 	evs := make([]fevent.Event, 50)
 	r := rand.New(rand.NewSource(43))
-	st, checkpointed := NewStore(), false
-	for seq := uint64(1); st.Len() < events; seq++ {
+	flow := func() int { return r.Intn(sh.flows) }
+	if sh.zipf {
+		cdf := make([]float64, sh.flows)
+		for i, sum := 0, 0.0; i < sh.flows; i++ {
+			sum += 1 / float64(i+1)
+			cdf[i] = sum
+		}
+		flow = func() int { return sort.SearchFloat64s(cdf, r.Float64()*cdf[sh.flows-1]) }
+	}
+	var payloads [][]byte
+	st, checkpointed := NewStore(), sh.cut == 0
+	for seq := uint64(1); st.Len() < sh.events; seq++ {
 		sw, ts := uint16(1+r.Intn(10)), sim.Time(seq)*10*sim.Microsecond
 		for i := range evs[:sizes[seq%8]] {
-			evs[i] = fevent.Event{Type: fevent.Types[r.Intn(4)], Flow: modelFlow(r.Intn(flows)), SwitchID: sw, Timestamp: ts, Count: 1}
+			evs[i] = fevent.Event{Type: fevent.Types[r.Intn(4)], Flow: modelFlow(flow()), SwitchID: sw, Timestamp: ts, Count: 1}
 		}
 		b := &fevent.Batch{SwitchID: sw, Timestamp: ts, Seq: seq, Events: evs[:sizes[seq%8]]}
-		if _, err := w.Append(wirePayload(t, b), false); err != nil {
+		payloads = append(payloads, wirePayload(t, b))
+		if _, err := w.Append(payloads[len(payloads)-1], false); err != nil {
 			t.Fatal(err)
 		}
+		if sh.record != nil {
+			if rec := sh.record(seq); rec != nil {
+				if _, err := w.Append(rec, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		st.Deliver(b)
-		if !checkpointed && st.Len() >= events/2 {
+		if !checkpointed && st.Len() >= int(sh.cut*float64(sh.events)) {
 			cut, err := w.CutSegment()
 			if err == nil {
 				err = w.InstallSnapshot(cut, st.EncodeSnapshot())
@@ -51,7 +82,7 @@ func writeCheckpointedLog(t testing.TB, dir string, events, flows int) *Store {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return st, payloads
 }
 
 // imageSum hashes the store's snapshot image.
@@ -67,7 +98,8 @@ func imageSum(st *Store) uint64 {
 // no copy of the snapshot it was recovered from.
 func TestRecoveredWALPinsNoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	want := imageSum(writeCheckpointedLog(t, dir, 400_000, 60_000))
+	src, _ := writeLog(t, dir, logShape{events: 400_000, flows: 60_000, cut: 0.5})
+	want := imageSum(src)
 	live := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats

@@ -204,15 +204,15 @@ func (b *block) record(d *flowTable, fid uint32, i int, rec *[fevent.RecordLen]b
 }
 
 // load materialises event i, of run r and flow fid, from the columns as
-// DecodeRecord would from its record; types are validated on every way
-// in, so the type byte is always valid.
+// DecodeRecord would from its record, but for its hash, which it leaves
+// as it was: a reader that returns the event sets it to its key's CRC.
+// Types are validated on every way in, so the type byte is always valid.
 func (b *block) load(d *flowTable, fid uint32, r *run, i int, e *fevent.Event) {
-	tail, key := b.tailAt(i), &d.keys[fid]
+	tail := b.tailAt(i)
 	e.Type = fevent.Type(b.typ[i])
-	e.Flow.SetWire(key)
+	e.Flow.SetWire(&d.keys[fid])
 	e.SetDetail(binary.BigEndian.Uint32(tail[:4]))
 	e.Count = binary.BigEndian.Uint16(tail[4:])
-	e.Hash = pkt.WireHash(key)
 	e.SwitchID, e.Timestamp = r.sw, sim.Time(r.ts)
 }
 
@@ -621,14 +621,25 @@ func (s *Store) Query(f Filter) []fevent.Event {
 	defer s.mu.RUnlock()
 	// A flow's chain is walked once and its short result grows by append;
 	// anything else is counted first — summary rows, plus a scan of the
-	// window's edge blocks — and allocated once.
+	// window's edge blocks — and allocated once. Every row of a flow
+	// query carries the one key's hash, summed once; a scan's rows each
+	// sum their own.
 	var out []fevent.Event
+	var hash uint32
 	if f.Flow == nil {
 		out = make([]fevent.Event, 0, s.visit(&f, nil))
+	} else {
+		hash = f.Flow.Hash()
 	}
 	s.visit(&f, func(b *block, r *run, i int, fid uint32) {
 		out = append(out, fevent.Event{})
-		b.load(&s.flows, fid, r, i, &out[len(out)-1])
+		e := &out[len(out)-1]
+		b.load(&s.flows, fid, r, i, e)
+		if f.Flow != nil {
+			e.Hash = hash
+		} else {
+			e.Hash = pkt.WireHash(&s.flows.keys[fid])
+		}
 	})
 	return out
 }
