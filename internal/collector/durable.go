@@ -3,6 +3,7 @@ package collector
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"netseer/internal/collector/wal"
 	"netseer/internal/fevent"
@@ -21,11 +22,19 @@ import (
 //
 // The tail is read ahead on a second goroutine (readAhead), which starts
 // before the snapshot loads: it reads and checksums the records and
-// splits and checks each frame while the caller's goroutine loads the
-// snapshot, then applies the frames in log order. The read-ahead holds at
-// most readAheadSlabs × readAheadSlab bytes of the tail, and it has ended
-// by the time RecoverStore returns, on every path. The result is the
-// sequential replay's: the same store, ReplayStats and error.
+// splits and checks each frame. The caller's goroutine loads the
+// snapshot's head, then applies the frames into the image under
+// construction while the snapshot's blocks decode beside it
+// (readSnapshot), then joins the two. The overlap ends early in three
+// cases: a record that is not a frame joins first, so its handler sees
+// the store the sequential replay would show it; a snapshot that fails to
+// decode fails the recovery; and a newest snapshot whose checksum fails
+// once read, which wal.ReadSnapshot passes over for an older one, voids
+// the applied image and the read-ahead: the older snapshot starts afresh
+// with a new one. The read-ahead holds at most readAheadSlabs ×
+// readAheadSlab bytes of the tail, and it has ended by the time
+// RecoverStore returns, on every path. The result is the sequential
+// replay's: the same store, ReplayStats and error.
 //
 // A log may also hold records other than frames — a fabric shard's
 // bookkeeping (RecordSeq). Given records, every logged payload that is
@@ -33,21 +42,33 @@ import (
 // it, with the store being rebuilt, and its error ends the replay;
 // without, such a record is refused.
 func RecoverStore(w *wal.WAL, records ...func(s *Store, payload []byte) error) (*Store, wal.ReplayStats, error) {
-	store := NewStore()
-	ra := startReadAhead(w, len(records) > 0)
-	if err := w.ReadSnapshot(store.readSnapshot); err != nil {
+	handler := len(records) > 0
+	store, ra := NewStore(), startReadAhead(w, handler)
+	// void: the read-ahead may have fed an image that was not swapped in.
+	void, held := false, false
+	restart := func() {
+		ra.stop()
+		store, ra, void, held = NewStore(), startReadAhead(w, handler), false, false
+	}
+	err := w.ReadSnapshot(func(r io.Reader, n int) error {
+		if void { // a newer snapshot did not verify
+			restart()
+		}
+		err := store.readSnapshot(r, n, func(img *Store) { held = ra.drain(img) })
+		void = err != nil
+		return err
+	})
+	if err != nil {
 		ra.stop()
 		return nil, wal.ReplayStats{}, fmt.Errorf("collector: recovering snapshot: %w", err)
 	}
-	for i := range ra.full {
-		s := &ra.slabs[i]
-		for j := range s.frames {
-			store.DeliverPayload(&s.frames[j])
-		}
-		if s.hold {
-			ra.verdict <- records[0](store, s.held)
-		}
-		ra.free <- i
+	if void { // no snapshot verified: the tail goes onto an empty store
+		restart()
+	}
+	for held || ra.drain(store) {
+		held = false
+		ra.verdict <- records[0](store, ra.slabs[ra.held].held)
+		ra.free <- ra.held
 	}
 	if ra.err != nil {
 		return nil, ra.st, ra.err
@@ -82,6 +103,7 @@ var errStopped = errors.New("collector: recovery stopped")
 type readAhead struct {
 	slabs   []slab
 	fill    int        // the slab the reader fills, -1 for none
+	held    int        // the slab drain stopped at, ending with a held record
 	full    chan int   // filled slabs, in log order; closed once Replay returns
 	free    chan int   // applied slabs; closed to stop the reader
 	verdict chan error // the caller's verdict on a held record; closed to stop the reader
@@ -167,6 +189,25 @@ func (ra *readAhead) read(w *wal.WAL, handler bool) {
 func (ra *readAhead) publish() {
 	ra.full <- ra.fill
 	ra.fill = -1
+}
+
+// drain applies the filled slabs' frames to st in log order until the
+// tail ends, or until a slab that ends with a held record, which it keeps
+// in held and reports: the caller hands the record to its handler, then
+// the slab back.
+func (ra *readAhead) drain(st *Store) bool {
+	for i := range ra.full {
+		s := &ra.slabs[i]
+		for j := range s.frames {
+			st.DeliverPayload(&s.frames[j])
+		}
+		if s.hold {
+			ra.held = i
+			return true
+		}
+		ra.free <- i
+	}
+	return false
 }
 
 // stop ends a recovery the caller gives up on: the reader stops at its

@@ -55,6 +55,9 @@ type CoordinatorOptions struct {
 	Bootstrap []ShardInfo
 	// OpTimeout bounds one shard admin call (default 10s).
 	OpTimeout time.Duration
+	// FS is the filesystem the state file is read from and written to
+	// (default faultfs.OS).
+	FS faultfs.FS
 }
 
 // Coordinator owns ring membership: it computes epoch-stamped configs,
@@ -63,6 +66,7 @@ type CoordinatorOptions struct {
 // exactly one side of the cutover.
 type Coordinator struct {
 	statePath string
+	fs        faultfs.FS
 	svc       *collector.Service
 	opTimeout time.Duration
 
@@ -83,8 +87,11 @@ func StartCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.OpTimeout <= 0 {
 		opts.OpTimeout = 10 * time.Second
 	}
-	c := &Coordinator{statePath: opts.StatePath, opTimeout: opts.OpTimeout}
-	data, err := os.ReadFile(opts.StatePath)
+	if opts.FS == nil {
+		opts.FS = faultfs.OS
+	}
+	c := &Coordinator{statePath: opts.StatePath, fs: opts.FS, opTimeout: opts.OpTimeout}
+	data, err := faultfs.ReadFile(opts.FS, opts.StatePath)
 	switch {
 	case err == nil:
 		if err := json.Unmarshal(data, &c.st); err != nil {
@@ -148,10 +155,10 @@ func (c *Coordinator) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(c.statePath), 0o755); err != nil {
+	if err := c.fs.MkdirAll(filepath.Dir(c.statePath), 0o755); err != nil {
 		return err
 	}
-	return faultfs.ReplaceFile(faultfs.OS, c.statePath, data)
+	return faultfs.ReplaceFile(c.fs, c.statePath, data)
 }
 
 // call performs one admin op against a shard, retrying transient

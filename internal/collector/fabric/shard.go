@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -124,18 +123,13 @@ func configPath(dir string) string { return filepath.Join(dir, "ring-config.json
 // would accept the stale applies it must refuse.
 func loadConfig(fs faultfs.FS, dir string) (Config, error) {
 	path := configPath(dir)
-	f, err := fs.Open(path)
+	data, err := faultfs.ReadFile(fs, path)
 	if errors.Is(err, os.ErrNotExist) {
 		return Config{}, nil
 	}
 	var cfg Config
 	if err == nil {
-		var data []byte
-		data, err = io.ReadAll(f)
-		f.Close()
-		if err == nil {
-			cfg, err = DecodeConfig(data)
-		}
+		cfg, err = DecodeConfig(data)
 	}
 	if err != nil {
 		return Config{}, fmt.Errorf("fabric: ring config %s: %w", path, err)

@@ -223,3 +223,54 @@ func TestShardRestartReportsReplayGap(t *testing.T) {
 		n.Close()
 	}
 }
+
+// TestCoordinatorStateOnFaultyDisk puts the coordinator's state file on
+// a fault-injected disk. The publish write of a join is the third fsync
+// (after the bootstrap's and the staging record's): it fails, so the join
+// fails and aborts, and the published epoch stays 1, in memory and in the
+// file a restart reads. A disk that refuses the read fails the start.
+func TestCoordinatorStateOnFaultyDisk(t *testing.T) {
+	base := t.TempDir()
+	a := startShard(t, 1, filepath.Join(base, "s1"))
+	defer a.Close()
+	b := startShard(t, 2, filepath.Join(base, "s2"))
+	defer b.Close()
+	state := filepath.Join(base, "coord", "state.json")
+	start := func(fs faultfs.FS) (*fabric.Coordinator, error) {
+		return fabric.StartCoordinator(fabric.CoordinatorOptions{
+			StatePath: state, ListenAddr: "127.0.0.1:0",
+			Bootstrap: []fabric.ShardInfo{a.Info()}, OpTimeout: 3 * time.Second, FS: fs,
+		})
+	}
+	fs := faultfs.NewFault(faultfs.OS, faultfs.Plan{FailSyncAt: 3})
+	coord, err := start(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Join(b.Info()); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("a join whose publish write fails: error %v, want EIO", err)
+	}
+	if cfg := coord.Config(); cfg.Epoch != 1 || len(cfg.Shards) != 1 {
+		t.Fatalf("after the failed publish: epoch %d with %d shards, want epoch 1 with 1", cfg.Epoch, len(cfg.Shards))
+	}
+	if fs.Stats().Syncs < 4 {
+		t.Fatalf("%d fsyncs: the abort did not persist its record", fs.Stats().Syncs)
+	}
+	coord.Close()
+
+	fs.PowerCut()
+	if coord, err := start(fs); !errors.Is(err, faultfs.ErrPowerCut) {
+		if err == nil {
+			coord.Close()
+		}
+		t.Fatalf("a start whose state read fails: error %v, want the fault's", err)
+	}
+	coord, err = start(faultfs.NewFault(faultfs.OS, faultfs.Plan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if cfg := coord.Config(); cfg.Epoch != 1 || len(cfg.Shards) != 1 {
+		t.Fatalf("restarted from the state file: epoch %d with %d shards, want epoch 1 with 1", cfg.Epoch, len(cfg.Shards))
+	}
+}

@@ -290,7 +290,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := oneRun()
 		before := stateOf(st)
-		if err := st.readSnapshot(&shortReader{data: data}, len(data)); err != nil {
+		if err := st.readSnapshot(&shortReader{data: data}, len(data), nil); err != nil {
 			if got := stateOf(st); got != before {
 				t.Fatalf("rejected image (%v) changed the store: %+v, was %+v", err, got, before)
 			}

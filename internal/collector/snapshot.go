@@ -96,9 +96,10 @@ func (s *Store) EncodeSnapshot() []byte {
 }
 
 // LoadSnapshot replaces the store's state with a decoded snapshot; on
-// error the store is unchanged. It is readSnapshot over the bytes.
+// error the store is unchanged. It is readSnapshot over the bytes, with
+// no tail.
 func (s *Store) LoadSnapshot(data []byte) error {
-	return s.readSnapshot(bytes.NewReader(data), len(data))
+	return s.readSnapshot(bytes.NewReader(data), len(data), nil)
 }
 
 // snapChunk is the scratch a load reads fixed-width rows through: the
@@ -140,16 +141,29 @@ func (d *snapReader) rows(n, width int, fn func(first int, rows []byte) error) e
 }
 
 // readSnapshot replaces the store's state with the snapshot image of
-// size bytes that r yields; on error the store is unchanged. It is the
-// first half of recovery, fed by wal.ReadSnapshot as the file is read;
-// WAL tail replay (whose batches dedup against the loaded seen-set) is
-// the second. It decodes into an image under construction, checks every
-// section, and swaps the image in only when r, asked for a byte past the
-// image, answers io.EOF: the WAL's snapshot reader answers so only once
-// the record's checksum has matched. The flows go back into the
-// dictionary in id order, each with the id it had; their index is filled
-// while the blocks decode, and a key listed twice is an error.
-func (s *Store) readSnapshot(r io.Reader, size int) error {
+// size bytes that r yields, followed by what tail stores; on error the
+// store is unchanged. wal.ReadSnapshot feeds it as the file is read, and
+// tail, if given, is RecoverStore's apply of the WAL tail, whose batches
+// dedup against the loaded seen-set. It builds an image in three parts:
+//
+//   - head: the header, the dedup keys and the flow rows, whose flows go
+//     back into the dictionary in id order, each with the id it had;
+//   - blocks: readBlocks, on a goroutine that is r's only reader until
+//     the join, while the caller places the flows in the dictionary's
+//     index (a key listed twice is an error) and runs tail, which needs
+//     only the dedup set and the dictionary. Tail events take the
+//     positions after the image's, in blocks opened at the widths the
+//     sequential replay would open them at; those in the image's last,
+//     partial block are staged in a block of their own;
+//   - join: wait for the blocks and check the image's end; only if r,
+//     asked for a byte past it, answers io.EOF — the WAL's snapshot
+//     reader does once the record's checksum has matched — stitch the
+//     staged events in and swap the whole in.
+//
+// tail may return early: RecoverStore does at a record that is not a
+// frame, whose handler must see the joined store, and applies the rest
+// to s afterwards.
+func (s *Store) readSnapshot(r io.Reader, size int, tail func(img *Store)) error {
 	le := binary.LittleEndian
 	d := &snapReader{r: r, left: size}
 	hdr := d.buf[:snapHeaderLen]
@@ -167,7 +181,9 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 	if least := snapHeaderLen + seen*snapSeenLen + flows*snapFlowLen + blocks*snapBlockHdrLen + runs*snapRunLen + events*snapMinEvent; size < least {
 		return fmt.Errorf("collector: snapshot is %d bytes, its header promises at least %d (%d seen keys, %d flows, %d events, %d runs)", size, least, seen, flows, events, runs)
 	}
-	ld := &Store{dupBatches: le.Uint64(hdr[4:])} // the image under construction; swapped in whole at the end
+	// The image under construction: its dedup set and dictionary here,
+	// its blocks in bl, the tail's blocks after them here.
+	ld := &Store{n: events, dupBatches: le.Uint64(hdr[4:]), detectToStore: s.detectToStore}
 	keys := make([]BatchID, seen)
 	err := d.rows(seen, snapSeenLen, func(first int, rows []byte) error {
 		for i := range len(rows) / snapSeenLen {
@@ -202,16 +218,21 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 	if err != nil {
 		return err
 	}
-	// The blocks do not need the index: it is filled beside their
-	// decoding, and a repeated key is the first fault.
-	repeat := make(chan [2]int, 1)
-	go func() {
-		id, of := ld.flows.place(heads)
-		repeat <- [2]int{id, of}
-	}()
-	err = ld.readBlocks(d, flows, events, runs)
-	if rep := <-repeat; rep[0] >= 0 {
-		return fmt.Errorf("collector: snapshot flow %d repeats flow %d's key", rep[0], rep[1])
+
+	bl, done := &Store{}, make(chan error, 1)
+	go func() { done <- bl.readBlocks(d, flows, events, runs) }()
+	id, of := ld.flows.place(heads)
+	if id < 0 && tail != nil {
+		if i := events % blockLen; i != 0 {
+			stage := openBlock(events-i, flows)
+			stage.n = i
+			ld.blocks = append(ld.blocks, stage)
+		}
+		tail(ld)
+	}
+	err = <-done
+	if id >= 0 {
+		return fmt.Errorf("collector: snapshot flow %d repeats flow %d's key", id, of)
 	}
 	if err != nil {
 		return err
@@ -226,12 +247,58 @@ func (s *Store) readSnapshot(r io.Reader, size int) error {
 		}
 		return err
 	}
+	bl.stitch(ld, events)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blocks, s.n, s.blockBytes, s.sumRows, s.runCap, s.flows = ld.blocks, ld.n, ld.blockBytes, ld.sumRows, ld.runCap, ld.flows
-	s.seen, s.dupBatches = ld.seen, ld.dupBatches
+	s.blocks, s.n, s.blockBytes, s.sumRows, s.runCap = bl.blocks, bl.n, bl.blockBytes, bl.sumRows, bl.runCap
+	s.flows, s.seen, s.dupBatches = ld.flows, ld.seen, ld.dupBatches
 	return nil
+}
+
+// stitch appends to bl, an image's blocks, the blocks tl stored after its
+// events — the first of them, if the image ends mid-block, the stage
+// whose events belong in the image's last block — charging what the
+// store would have charged had tl's events been appended to bl itself.
+// A staged event is written into the image's last block as appendRun
+// writes one: its columns, its links at that block's widths, its run (the
+// image's last run, if it continues it), its hints and its summary row.
+func (bl *Store) stitch(tl *Store, events int) {
+	bl.n = tl.n
+	if events%blockLen != 0 && len(tl.blocks) > 0 {
+		b, stage := bl.blocks[len(bl.blocks)-1], tl.blocks[0]
+		tl.blocks = tl.blocks[1:]
+		tl.runCap -= cap(stage.runs)
+		tl.sumRows -= len(stage.sum)
+		copy(b.typ[b.n:stage.n], stage.typ[b.n:stage.n])
+		copy(b.tail[b.n*tailLen:stage.n*tailLen], stage.tail[b.n*tailLen:stage.n*tailLen])
+		for i := b.n; i < stage.n; i++ {
+			prev, fid := stage.links(i)
+			b.setLinks(i, prev, fid)
+		}
+		for r := range stage.runs {
+			rn, last := stage.runs[r], len(b.runs)-1
+			if r > 0 || b.runs[last].sw != rn.sw || b.runs[last].ts != rn.ts {
+				bl.runCap -= cap(b.runs)
+				b.runs = append(b.runs, rn)
+				bl.runCap += cap(b.runs)
+			}
+			b.cover(len(b.runs)-1, int(rn.start), stage.runEnd(r))
+		}
+		for _, row := range stage.sum {
+			dst := bl.sumRow(b, row.sw)
+			for t, c := range row.n {
+				dst.n[t] += c
+			}
+		}
+		b.n, b.minTs, b.maxTs = stage.n, min(b.minTs, stage.minTs), max(b.maxTs, stage.maxTs)
+	}
+	for _, b := range tl.blocks {
+		bl.blocks = append(bl.blocks, b) // one at a time, as appendRun grows the list
+	}
+	bl.blockBytes += tl.blockBytes
+	bl.sumRows += tl.sumRows
+	bl.runCap += tl.runCap
 }
 
 // readBlocks reads an image's blocks into ld, whose flows' keys are

@@ -220,14 +220,14 @@ func TestReadSnapshotStopsAtAReadError(t *testing.T) {
 	good := p.st.EncodeSnapshot()
 	failed := errors.New("the record did not verify")
 	for cut := 0; cut <= len(good); cut++ {
-		if err := p.st.readSnapshot(&shortReader{data: good[:cut], err: failed}, len(good)); !errors.Is(err, failed) {
+		if err := p.st.readSnapshot(&shortReader{data: good[:cut], err: failed}, len(good), nil); !errors.Is(err, failed) {
 			t.Fatalf("the reader failed after %d of %d bytes: error %v", cut, len(good), err)
 		}
 		if !bytes.Equal(p.st.EncodeSnapshot(), good) {
 			t.Fatalf("the reader failed after %d of %d bytes: the store changed", cut, len(good))
 		}
 	}
-	if err := p.st.readSnapshot(&shortReader{data: append(slices.Clone(good), 0)}, len(good)); err == nil || !strings.Contains(err.Error(), "runs past") {
+	if err := p.st.readSnapshot(&shortReader{data: append(slices.Clone(good), 0)}, len(good), nil); err == nil || !strings.Contains(err.Error(), "runs past") {
 		t.Fatalf("a reader with a byte past the image: error %v", err)
 	}
 	p.compare(flows, switches)

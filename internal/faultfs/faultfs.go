@@ -133,3 +133,13 @@ func ReplaceFile(fs FS, path string, data []byte) error {
 	}
 	return fs.SyncDir(filepath.Dir(path))
 }
+
+// ReadFile reads the whole file at path on fs, as os.ReadFile does.
+func ReadFile(fs FS, path string) ([]byte, error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
